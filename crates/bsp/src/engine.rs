@@ -329,7 +329,9 @@ struct ReduceRec<'c> {
 fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRec<'c>>> {
     let mut recs: Vec<ReduceRec<'c>> = Vec::new();
     let mut table = ProbeTable::new();
-    let mut payloads: Vec<&[u8]> = Vec::new();
+    // This chunk's payload dictionary, each entry hashed once (a payload
+    // is typically referenced by many records).
+    let mut payloads: Vec<(&[u8], u64)> = Vec::new();
     for chunk in chunks {
         let mut slice = chunk.as_slice();
         // Payload dictionary of this chunk.
@@ -348,7 +350,7 @@ fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRe
                 )));
             }
             let (head, rest) = slice.split_at(len);
-            payloads.push(head);
+            payloads.push((head, hash_bytes(head)));
             slice = rest;
         }
         while !slice.is_empty() {
@@ -356,12 +358,12 @@ fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRe
             K::decode(&mut slice)?;
             let key = &before[..before.len() - slice.len()];
             let pid = read_varint(&mut slice)? as usize;
-            let payload = *payloads
+            let (payload, phash) = *payloads
                 .get(pid)
                 .ok_or_else(|| Error::Decode(format!("payload id {pid} out of range")))?;
             let weight = read_varint(&mut slice)?;
             let khash = hash_bytes(key);
-            let hash = mix(khash, hash_bytes(payload));
+            let hash = mix(khash, phash);
             table.grow_if_needed(recs.len(), |i| recs[i as usize].hash);
             match table.find(hash, |i| {
                 let r = &recs[i as usize];
@@ -398,7 +400,7 @@ fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRe
 ///
 /// The per-bucket `state` is created fresh here and dropped with the call:
 /// the payload slices handed to `reduce` borrow from *this call's* chunks,
-/// so caches keyed on slice identity (D-SEQ's simulation-core cache) must
+/// so caches keyed on slice identity (D-SEQ's simulation-table index) must
 /// not outlive them.
 pub(crate) fn reduce_bucket_bytes<K, O, S, IF, RF>(
     chunks: &[Vec<u8>],
@@ -670,7 +672,7 @@ impl Engine {
     /// [`JobMetrics::reduce_tasks`]/[`reduce_steals`](JobMetrics::reduce_steals).
     ///
     /// Use the state for caches that amortize work across key groups —
-    /// D-SEQ keys its simulation-core cache on the identity of the borrowed
+    /// D-SEQ keys its simulation-table index on the identity of the borrowed
     /// payload slices, which are stable for the whole reduce phase (they
     /// borrow from the shuffle buffers, not from any per-task arena).
     pub fn map_combine_reduce_with<I, K, O, S, MF, IF, RF>(

@@ -88,11 +88,6 @@ pub struct FstIndex {
     /// this is `false` (e.g. the trailing `.*` of unanchored constraints) —
     /// they accept input but can only produce ε forever.
     can_output: Vec<bool>,
-    /// Distinct `(input, output)` pairs of output-producing transitions
-    /// (a pair behaves identically regardless of its source state) —
-    /// hoisted once so per-sequence scans (the early-stopping heuristic)
-    /// never re-collect and re-sort them.
-    producers: Vec<(InputLabel, OutputLabel)>,
     /// Whether this FST fits the flat step-table fast path of
     /// [`flat`](super::flat): at most 32 states and at most 64 transitions
     /// (one mask word).
@@ -198,13 +193,6 @@ impl FstIndex {
                 break;
             }
         }
-        let mut producers: Vec<(InputLabel, OutputLabel)> = (0..nq as u32)
-            .flat_map(|q| fst.transitions(q))
-            .filter(|tr| tr.produces_output())
-            .map(|tr| (tr.input, tr.output))
-            .collect();
-        producers.sort_unstable();
-        producers.dedup();
         FstIndex {
             words,
             labels,
@@ -215,7 +203,6 @@ impl FstIndex {
             trs,
             state_offsets,
             can_output,
-            producers,
             step_table_eligible: fits_step_table(fst.num_states(), fst.num_transitions()),
             step_table_eligible_before_opt: fits_step_table(
                 fst.states_before_opt(),
@@ -316,37 +303,6 @@ impl FstIndex {
         self.can_output[q]
     }
 
-    /// The last position of `seq` (0-based) whose item can produce `k` on
-    /// *some* transition, or `None` if no position can — the early-stopping
-    /// bound of Sec. V-C. Equivalent to [`Fst::last_pivot_position`] but
-    /// over the pre-hoisted producer pairs (no per-call collection or
-    /// sorting); `buf` is caller scratch for output materialization.
-    pub fn last_pivot_position(
-        &self,
-        seq: &[ItemId],
-        k: ItemId,
-        dict: &Dictionary,
-        buf: &mut Vec<ItemId>,
-    ) -> Option<usize> {
-        for (i, &t) in seq.iter().enumerate().rev() {
-            // k must be an ancestor of t for any transition to output it
-            // (out_δ(t) ⊆ anc(t) ∪ {ε}).
-            if !dict.is_ancestor(k, t) {
-                continue;
-            }
-            for &(input, output) in &self.producers {
-                if input.matches(t, dict) {
-                    buf.clear();
-                    output.outputs(t, dict, buf);
-                    if buf.contains(&k) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Fills `row` (a zeroed `words()`-long slice) with the match mask of
     /// input item `t`: bit `δ` is set iff transition `δ` matches `t`. One
     /// ancestor check per distinct input label.
@@ -399,22 +355,6 @@ mod tests {
                     assert_eq!(bit, tr.matches(t, &fx.dict), "item {t}, transition {d}");
                     d += 1;
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn last_pivot_position_matches_fst_scan() {
-        let fx = toy::fixture();
-        let ix = FstIndex::new(&fx.fst);
-        let mut buf = Vec::new();
-        for seq in &fx.db.sequences {
-            for k in 1..=fx.dict.max_fid() {
-                assert_eq!(
-                    ix.last_pivot_position(seq, k, &fx.dict, &mut buf),
-                    fx.fst.last_pivot_position(seq, k, &fx.dict),
-                    "seq {seq:?}, k {k}"
-                );
             }
         }
     }

@@ -240,56 +240,6 @@ impl Fst {
         out.push_str("}\n");
         out
     }
-
-    /// The last position of `seq` (0-based) whose item can produce `k` as an
-    /// output on *some* transition of this FST, or `None` if no position can.
-    ///
-    /// Used by the early-stopping heuristic of D-SEQ's local mining
-    /// (Sec. V-C): beyond this position, an expansion that does not yet
-    /// contain the pivot item can never produce it.
-    pub fn last_pivot_position(
-        &self,
-        seq: &[ItemId],
-        k: ItemId,
-        dict: &Dictionary,
-    ) -> Option<usize> {
-        // Only output-producing transitions matter, and the same (input,
-        // output) pair behaves identically regardless of its source state —
-        // hoist and dedup them once instead of rescanning all states'
-        // transition lists at every position.
-        let mut producers: Vec<(InputLabel, OutputLabel)> = self
-            .states
-            .iter()
-            .flatten()
-            .filter(|tr| tr.produces_output())
-            .map(|tr| (tr.input, tr.output))
-            .collect();
-        producers.sort_unstable();
-        producers.dedup();
-        let mut buf = Vec::new();
-        for (i, &t) in seq.iter().enumerate().rev() {
-            // k must be an ancestor of t for any transition to output it
-            // (out_δ(t) ⊆ anc(t) ∪ {ε}).
-            if !dict.is_ancestor(k, t) {
-                continue;
-            }
-            for &(input, output) in &producers {
-                let tr = Transition {
-                    input,
-                    output,
-                    to: 0,
-                };
-                if tr.matches(t, dict) {
-                    buf.clear();
-                    tr.outputs(t, dict, &mut buf);
-                    if buf.contains(&k) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -380,19 +330,5 @@ mod tests {
         assert!(dot.contains("(b)"), "{dot}");
         assert!(dot.contains("doublecircle"));
         assert_eq!(dot.matches("-> q").count(), fx.fst.num_transitions() + 1);
-    }
-
-    #[test]
-    fn last_pivot_position_finds_rightmost_producer() {
-        let fx = toy::fixture();
-        // T2 = e e a1 e a1 e b; the rightmost position that can output a1 is 4.
-        let t2 = &fx.db.sequences[1];
-        assert_eq!(fx.fst.last_pivot_position(t2, fx.a1, &fx.dict), Some(4));
-        // A can also be produced at position 4 (via generalization of a1).
-        assert_eq!(fx.fst.last_pivot_position(t2, fx.big_a, &fx.dict), Some(4));
-        // b is produced at position 6.
-        assert_eq!(fx.fst.last_pivot_position(t2, fx.b, &fx.dict), Some(6));
-        // c can never be produced from T2.
-        assert_eq!(fx.fst.last_pivot_position(t2, fx.c, &fx.dict), None);
     }
 }

@@ -10,18 +10,21 @@
 //! aggregates identical `(pivot, payload)` records into weighted ones and
 //! interns shared payload bytes per bucket chunk, so a sequence with many
 //! pivots ships its items once per bucket rather than once per pivot.
-//! Reducers decode the borrowed payload slices into a flat item arena and
-//! run partition-restricted DESQ-DFS ([`desq_miner::LocalMiner`]) over
-//! [`desq_miner::WeightedInput`] borrows, sharing one
-//! [`desq_core::fst::FstIndex`] across all pivot partitions: expansions
-//! never use items above the pivot, only pivot sequences are emitted, and
-//! the early-stopping heuristic prunes snapshots that can no longer
-//! produce the pivot (Sec. V-C).
+//! Each reduce worker decodes a distinct payload slice once, appends its
+//! pivot-independent simulation tables to one growing
+//! [`desq_miner::SeqTables`] arena, and runs partition-restricted DESQ-DFS
+//! ([`desq_miner::LocalMiner::mine_picks`]) over `(table, weight)` picks,
+//! sharing one [`desq_core::fst::FstIndex`] across all pivot partitions:
+//! expansions never use items above the pivot, only pivot sequences are
+//! emitted, and the early-stopping heuristic prunes snapshots that can no
+//! longer produce the pivot (Sec. V-C).
+
+use std::collections::hash_map::Entry;
 
 use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, Engine};
 use desq_core::fx::FxHashMap;
 use desq_core::{Dictionary, Fst, ItemId, Result, Sequence};
-use desq_miner::{LocalMiner, MinerConfig, SeqCore};
+use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
 use crate::{from_bsp, to_bsp, Exec, MiningResult};
@@ -109,6 +112,23 @@ pub fn d_seq_worker(
     Ok(())
 }
 
+/// Per-reduce-worker state: one growing arena of simulation tables plus
+/// the table index of every payload seen so far, keyed by the identity of
+/// the borrowed payload slice. Payloads borrow from the shuffle buffers,
+/// which outlive the state (the whole reduce phase in process, one bucket
+/// under a transport), so the map stays valid across the per-pivot tasks:
+/// a sequence shipped to many pivot partitions mined by one worker is
+/// decoded and simulated once, and its items are not retained. The rest is
+/// scratch reused across partitions.
+#[derive(Default)]
+struct ReduceState {
+    tables: SeqTables,
+    table_of: FxHashMap<(usize, usize), u32>,
+    scratch: MinerScratch,
+    items: Vec<ItemId>,
+    picks: Vec<(u32, u64)>,
+}
+
 fn d_seq_exec(
     engine: &Engine,
     parts: &[&[Sequence]],
@@ -154,56 +174,59 @@ fn d_seq_exec(
         }
         Ok(())
     };
-    // Per-reduce-worker cache of decoded payloads and their
-    // pivot-independent simulation cores, keyed by the identity of the
-    // borrowed payload slice (payloads borrow from the shuffle buffers,
-    // stable for the whole reduce phase, so the cache stays valid across
-    // the work-stealing scheduler's per-pivot tasks). A sequence shipped
-    // to many pivot partitions mined by one worker is decoded and
-    // core-built once; each pivot only rebuilds the pivot-dependent
-    // output arenas.
-    type CoreCache = FxHashMap<(usize, usize), (Vec<ItemId>, SeqCore)>;
-    let reduce = |cache: &mut CoreCache,
+    // Tables are pivot-independent, so a pivot-less miner builds them and
+    // every pivot partition's miner reads them.
+    let builder = LocalMiner::with_index(
+        fst,
+        dict,
+        MinerConfig::sequential(config.sigma).with_last_frequent(last_frequent),
+        index,
+    );
+    let reduce = |state: &mut ReduceState,
                   &p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> desq_bsp::Result<()> {
+        let ReduceState {
+            tables,
+            table_of,
+            scratch,
+            items,
+            picks,
+        } = state;
+        picks.clear();
+        for &(bytes, weight) in inputs {
+            let table = match table_of.entry((bytes.as_ptr() as usize, bytes.len())) {
+                Entry::Occupied(hit) => *hit.get(),
+                Entry::Vacant(miss) => {
+                    items.clear();
+                    decode_item_seq(&mut &bytes[..], items)?;
+                    *miss.insert(builder.append_tables(items, tables, scratch))
+                }
+            };
+            picks.push((table, weight));
+        }
         let miner_config = MinerConfig::for_pivot(config.sigma, p, config.early_stop)
             .with_last_frequent(last_frequent);
-        let miner = LocalMiner::with_index(fst, dict, miner_config, index);
-        for &(bytes, _) in inputs {
-            let key = (bytes.as_ptr() as usize, bytes.len());
-            if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry(key) {
-                let mut items: Vec<ItemId> = Vec::new();
-                let mut slice = bytes;
-                decode_item_seq(&mut slice, &mut items)?;
-                let core = miner.prepare_core(&items);
-                slot.insert((items, core));
-            }
-        }
-        let prepared: Vec<(&[ItemId], &SeqCore, u64)> = inputs
-            .iter()
-            .map(|&(bytes, w)| {
-                let (items, core) = &cache[&(bytes.as_ptr() as usize, bytes.len())];
-                (items.as_slice(), core, w)
-            })
-            .collect();
-        for pattern in miner.mine_prepared(&prepared) {
-            emit(pattern);
-        }
+        LocalMiner::with_index(fst, dict, miner_config, index).mine_picks(
+            tables,
+            picks,
+            scratch,
+            &mut |pattern, freq| emit((pattern, freq)),
+        );
         Ok(())
     };
 
     let (patterns, job) = match exec {
         Exec::Local => engine
-            .map_combine_reduce_with(parts, map, CoreCache::default, reduce)
+            .map_combine_reduce_with(parts, map, ReduceState::default, reduce)
             .map_err(from_bsp)?,
         Exec::Via(transport) => engine
-            .map_combine_reduce_via(transport, parts, map, CoreCache::default, reduce)
+            .map_combine_reduce_via(transport, parts, map, ReduceState::default, reduce)
             .map_err(from_bsp)?,
         Exec::Worker(addr, net) => {
             engine
-                .run_worker(addr, net, parts, map, CoreCache::default, reduce)
+                .run_worker(addr, net, parts, map, ReduceState::default, reduce)
                 .map_err(from_bsp)?;
             return Ok(None);
         }
@@ -341,5 +364,91 @@ mod tests {
             d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, DSeqConfig::new(0)),
             Err(Error::Invalid(_))
         ));
+    }
+
+    /// The dictionary-based early-stopping bound the arena scan replaced:
+    /// the last position whose item lets *some* transition output `k`,
+    /// whether or not that transition lies on an accepting run.
+    fn dict_last_pivot_position(
+        fst: &Fst,
+        dict: &Dictionary,
+        seq: &[ItemId],
+        k: ItemId,
+    ) -> Option<usize> {
+        let mut buf = Vec::new();
+        seq.iter().rposition(|&t| {
+            let mut transitions = (0..fst.num_states() as u32).flat_map(|q| fst.transitions(q));
+            transitions.any(|tr| {
+                buf.clear();
+                if tr.produces_output() && tr.matches(t, dict) {
+                    tr.outputs(t, dict, &mut buf);
+                }
+                buf.contains(&k)
+            })
+        })
+    }
+
+    #[test]
+    fn loose_nyt_constraints_match_sequential_dfs_and_bound_early_stopping() {
+        let sigma = 10;
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
+        let engine = Engine::new(2);
+        let parts = db.partition(2);
+        for constraint in [crate::patterns::n4(), crate::patterns::n5()] {
+            let fst = constraint.compile(&dict).unwrap();
+            let seq = desq_miner::algo::DesqDfs
+                .mine(&MiningContext::sequential(&db, &dict, sigma).with_fst(&fst))
+                .unwrap()
+                .patterns;
+            assert!(!seq.is_empty(), "{}", constraint.name);
+            for early_stop in [true, false] {
+                for rewrite in [true, false] {
+                    let cfg = DSeqConfig {
+                        rewrite,
+                        early_stop,
+                        ..DSeqConfig::new(sigma)
+                    };
+                    let dist = d_seq_impl(&engine, &parts, &fst, &dict, cfg).unwrap();
+                    assert_eq!(
+                        dist.patterns, seq,
+                        "{} stop={early_stop} rewrite={rewrite}",
+                        constraint.name
+                    );
+                }
+            }
+
+            // Early stopping reads its bound off the tables: only
+            // transitions on accepting runs count, so it can undercut the
+            // dictionary scan (on N4 it does, for hundreds of records) but
+            // never exceed it, and it exists for every pivot the sequence
+            // is shipped to.
+            let last_frequent = dict.last_frequent(sigma);
+            let search = PivotSearch::new(&fst, &dict, last_frequent);
+            let builder = LocalMiner::with_index(
+                &fst,
+                &dict,
+                MinerConfig::sequential(sigma).with_last_frequent(last_frequent),
+                search.index(),
+            );
+            let inputs: Vec<desq_miner::WeightedInput<'_>> =
+                db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
+            let tables = builder.prepare_tables(&inputs, 1).unwrap();
+            let (mut scratch, mut ranges) = (PivotScratch::default(), Vec::new());
+            for (s, items) in db.sequences.iter().enumerate() {
+                search.pivots_into(items, &mut scratch, &mut ranges);
+                for pr in &ranges {
+                    let miner = LocalMiner::with_index(
+                        &fst,
+                        &dict,
+                        MinerConfig::for_pivot(sigma, pr.item, true),
+                        search.index(),
+                    );
+                    let from_tables = miner.last_pivot_position(&tables, s);
+                    let from_dict = dict_last_pivot_position(&fst, &dict, items, pr.item);
+                    assert!(from_tables.is_some(), "sequence {s} pivot {}", pr.item);
+                    assert!(from_tables <= from_dict, "sequence {s} pivot {}", pr.item);
+                }
+            }
+        }
     }
 }

@@ -19,14 +19,14 @@
 //! bit-packed [`SeqTables`]: per-position *match masks* (one bit per FST
 //! transition), aliveness and ε-completion bitsets over the
 //! `(position, state)` grid, and the output sets of every
-//! `(position, output label)` pair — already filtered and materialized into
-//! a per-sequence arena. The DFS walks a compact per-state transition index
-//! of the FST (L1-resident) and resolves matches, aliveness and outputs as
-//! bit tests and arena slices: no ancestor binary searches, no output
-//! re-materialization, no dictionary access. Projected databases are
-//! sorted posting-list runs in per-depth reusable buffers instead of
-//! per-node hash maps, and the ε-closure walk deduplicates coordinates in a
-//! bitset.
+//! `(position, output label)` pair — cut at the frequent-item boundary and
+//! materialized, sorted, into a per-sequence arena. The DFS walks a compact
+//! per-state transition index of the FST (L1-resident) and resolves
+//! matches, aliveness and outputs as bit tests and arena slices: no
+//! ancestor binary searches, no output re-materialization, no dictionary
+//! access. Projected databases are sorted posting-list runs in per-depth
+//! reusable buffers instead of per-node hash maps, and the ε-closure walk
+//! deduplicates coordinates in a bitset.
 //!
 //! Search-tree exploration parallelizes with the work-stealing scheduler
 //! of [`crate::sched`] ([`LocalMiner::mine_with_workers`]): the root's
@@ -43,6 +43,8 @@
 //! (Sec. V-C): at partition `P_k` no expansion uses items `> k`, only pivot
 //! sequences (max item = `k`) are emitted, and the *early stopping*
 //! heuristic drops snapshots that can no longer produce the pivot item.
+//! All three are applied while walking, so the tables themselves are
+//! pivot-independent and shared across partitions (see [`SeqTables`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -212,8 +214,10 @@ fn p_eps(p: Posting) -> bool {
     p as u32 & EPS_FLAG != 0
 }
 
-/// Flat per-sequence simulation tables for one input collection, built by
-/// [`LocalMiner::prepare_tables`] and immutable during the DFS.
+/// Flat per-sequence simulation tables, built by
+/// [`LocalMiner::prepare_tables`] (one call, one input collection) or grown
+/// one sequence at a time by [`LocalMiner::append_tables`], and immutable
+/// during the DFS.
 ///
 /// Everything the search-tree expansion needs about the input sequences is
 /// precomputed here, bit-packed to keep the per-node memory traffic low.
@@ -228,87 +232,72 @@ fn p_eps(p: Posting) -> bool {
 ///   producing only ε, ending in a final state" (the emission test);
 /// * `offsets`/`outs` — for every `(position, output label)` pair, an
 ///   arena slice holding the label's output set on the position's item,
-///   already filtered by the `max_item` partition bound, the frequent-item
-///   boundary and the early-stopping heuristic.
+///   sorted ascending and cut at the building miner's frequent-item
+///   boundary.
+///
+/// All of that is **pivot-independent**: the partition restrictions of
+/// D-SEQ (no item above the pivot, early stopping) are applied by the DFS
+/// while it walks — the item bound is a prefix cut of each sorted output
+/// slice — so one table serves every pivot partition its sequence is
+/// shuffled to. Any miner over the same `(FST, dictionary)` pair whose
+/// frequent-item boundary is not above the builder's can mine it (see the
+/// [`FstIndex` reuse contract](desq_core::fst::index)). The one
+/// pivot-dependent value is the per-sequence early-stopping position: it
+/// is derived from the output arena (the last position where an alive
+/// transition outputs the pivot — no dictionary access) for the building
+/// miner's own pivot, and [`LocalMiner::mine_picks`] overrides it, together
+/// with the weight, per pick.
 ///
 /// All per-sequence data lives in **shared arenas** with one descriptor
 /// (`SeqMeta`) per sequence: building tables for N inputs costs a
-/// constant number of allocations, not 4·N — D-SEQ's reducers build these
-/// for every `(pivot, rewritten sequence)` record, where per-table heap
-/// churn used to dominate the whole reduce phase.
+/// constant number of allocations, not 4·N. D-SEQ keeps one growing arena
+/// per reduce worker — its lifetime is the worker's, so a sequence shipped
+/// to many pivot partitions of that worker is simulated once.
 ///
 /// Sequences without an accepting run get an empty table (`accepts(s)` is
 /// `false`) and are skipped by the root projection.
+#[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
     mask: Vec<u64>,
     eps_fin: Vec<u64>,
-    offsets: Vec<OutRef>,
-    /// Arena of precomputed output items, sliced by `offsets` (indices
-    /// relative to each sequence's `outs_start`).
+    /// Per accepted sequence, `len · labels + 1` ascending bounds into its
+    /// stretch of `outs` (relative to `outs_start`): the output set of
+    /// `(position i, label li)` lies between entries `i · labels + li` and
+    /// the next.
+    offsets: Vec<u32>,
+    /// Arena of precomputed output items, sliced by `offsets`.
     outs: Vec<ItemId>,
 }
 
-/// Per-sequence descriptor into the [`SeqTables`] arenas.
+/// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
+/// slice of these: the tables' own, or copies with `weight` and
+/// `last_pivot_pos` overridden ([`LocalMiner::mine_picks`]).
+#[derive(Clone, Copy)]
 struct SeqMeta {
     weight: u64,
-    /// True iff the FST accepts the sequence.
-    accepts: bool,
-    len: usize,
-    num_states: usize,
-    words: usize,
-    num_labels: usize,
     mask_start: usize,
     eps_start: usize,
     off_start: usize,
     outs_start: usize,
-}
-
-/// One filtered output set as an arena slice (relative to the sequence's
-/// `outs_start`); `start..mid` survives early stopping even while the
-/// prefix lacks the pivot item, `mid..end` only once it has it.
-#[derive(Clone, Copy, Default)]
-struct OutRef {
-    start: u32,
-    mid: u32,
-    end: u32,
-}
-
-/// Borrowed per-sequence view into the [`SeqTables`] arenas — the same
-/// shape the DFS walked when each sequence owned its buffers, constructed
-/// once per sequence per node.
-#[derive(Clone, Copy)]
-struct TableView<'a> {
-    weight: u64,
+    len: u32,
+    /// Early stopping (Sec. V-C): the last position that can still produce
+    /// the pivot. A prefix lacking the pivot reads nothing beyond it and
+    /// only the pivot at it. `u32::MAX` = no bound.
+    last_pivot_pos: u32,
+    /// True iff the FST accepts the sequence.
     accepts: bool,
-    len: usize,
-    num_states: usize,
-    words: usize,
-    num_labels: usize,
-    mask: &'a [u64],
-    eps_fin: &'a [u64],
-    offsets: &'a [OutRef],
-    outs: &'a [ItemId],
 }
 
-impl TableView<'_> {
-    #[inline]
-    fn eps_fin_bit(&self, cell: usize) -> bool {
-        self.eps_fin[cell / 64] >> (cell % 64) & 1 != 0
-    }
+/// What the DFS walks: the arenas plus one descriptor per input sequence
+/// (postings index into `metas`).
+#[derive(Clone, Copy)]
+struct Views<'a> {
+    arena: &'a SeqTables,
+    metas: &'a [SeqMeta],
 }
 
 impl SeqTables {
-    fn new() -> SeqTables {
-        SeqTables {
-            metas: Vec::new(),
-            mask: Vec::new(),
-            eps_fin: Vec::new(),
-            offsets: Vec::new(),
-            outs: Vec::new(),
-        }
-    }
-
     /// Number of input sequences the tables were built for.
     pub fn len(&self) -> usize {
         self.metas.len()
@@ -328,53 +317,37 @@ impl SeqTables {
     /// Number of matching `(position, transition)` pairs precomputed in
     /// sequence `s`'s match masks.
     pub fn num_match_bits(&self, s: usize) -> usize {
-        let m = &self.metas[s];
-        if !m.accepts {
-            return 0;
-        }
-        self.mask[m.mask_start..m.mask_start + m.len * m.words]
+        // Sequences occupy the arenas in order, back to back.
+        let end = self
+            .metas
+            .get(s + 1)
+            .map_or(self.mask.len(), |m| m.mask_start);
+        self.mask[self.metas[s].mask_start..end]
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
     }
 
-    /// The per-sequence view used by the DFS walk (rejected sequences get
-    /// an empty view with `accepts == false`).
-    #[inline]
-    fn view(&self, s: usize) -> TableView<'_> {
-        let m = &self.metas[s];
-        if !m.accepts {
-            return TableView {
-                weight: m.weight,
-                accepts: false,
-                len: m.len,
-                num_states: m.num_states,
-                words: m.words,
-                num_labels: m.num_labels,
-                mask: &[],
-                eps_fin: &[],
-                offsets: &[],
-                outs: &[],
-            };
-        }
-        let bwords = ((m.len + 1) * m.num_states).div_ceil(64).max(1);
-        TableView {
-            weight: m.weight,
-            accepts: true,
-            len: m.len,
-            num_states: m.num_states,
-            words: m.words,
-            num_labels: m.num_labels,
-            mask: &self.mask[m.mask_start..m.mask_start + m.len * m.words],
-            eps_fin: &self.eps_fin[m.eps_start..m.eps_start + bwords],
-            offsets: &self.offsets[m.off_start..m.off_start + m.len * m.num_labels],
-            outs: &self.outs[m.outs_start..],
+    /// The tables' own descriptors as DFS views.
+    fn views(&self) -> Views<'_> {
+        Views {
+            arena: self,
+            metas: &self.metas,
         }
     }
 
-    /// All per-sequence views, in input order.
-    fn views(&self) -> Vec<TableView<'_>> {
-        (0..self.metas.len()).map(|s| self.view(s)).collect()
+    /// The last position of sequence `m` (`l` output labels per position)
+    /// whose output sets contain `pivot`.
+    fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
+        if !m.accepts {
+            return None;
+        }
+        let offsets = &self.offsets[m.off_start..m.off_start + m.len as usize * l + 1];
+        let outs = &self.outs[m.outs_start..][..offsets[offsets.len() - 1] as usize];
+        let at = outs.iter().rposition(|&w| w == pivot)?;
+        // `offsets` ascends from 0 to `outs.len()`: the set holding `at` is
+        // the last one starting at or before it.
+        Some((offsets.partition_point(|&o| o as usize <= at) - 1) / l)
     }
 
     /// Appends another set's tables (a parallel build chunk), rebasing the
@@ -400,36 +373,6 @@ impl SeqTables {
     }
 }
 
-/// The pivot-independent simulation core of one sequence: match masks with
-/// grid aliveness folded in, and the ε-completion bitset.
-///
-/// Pivot bounds, early stopping and σ only affect the per-call output
-/// arenas — never the core — so a core built once per distinct sequence
-/// ([`LocalMiner::prepare_core`]) can be mined under many pivot
-/// configurations via [`LocalMiner::mine_prepared`]. D-SEQ's reducers
-/// cache cores per distinct shuffled payload, sharing them across all the
-/// pivot partitions of a reduce bucket.
-///
-/// A core is valid for the `(FST, dictionary)` pair of the miner that
-/// built it (any miner over the same pair works — see the
-/// [`FstIndex` reuse contract](desq_core::fst::index)) and for the exact
-/// item sequence passed in.
-pub struct SeqCore {
-    accepts: bool,
-    len: usize,
-    num_states: usize,
-    words: usize,
-    mask: Vec<u64>,
-    eps_fin: Vec<u64>,
-}
-
-impl SeqCore {
-    /// True iff the FST accepts the sequence this core was built from.
-    pub fn accepts(&self) -> bool {
-        self.accepts
-    }
-}
-
 #[inline]
 fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
@@ -440,13 +383,12 @@ fn get_bit(bits: &[u64], i: usize) -> bool {
     bits[i / 64] >> (i % 64) & 1 != 0
 }
 
-/// Scratch reused across [`LocalMiner::prepare`] calls of one worker:
-/// forward/alive grid bitsets and the output materialization buffer.
+/// Scratch reused across table builds of one worker: the forward/alive
+/// grid bitsets.
 #[derive(Default)]
 struct PrepareScratch {
     fwd: Vec<u64>,
     alive: Vec<u64>,
-    outbuf: Vec<ItemId>,
 }
 
 impl PrepareScratch {
@@ -460,6 +402,7 @@ impl PrepareScratch {
 }
 
 /// Scratch for the ε-closure walk, reused across snapshots and nodes.
+#[derive(Default)]
 struct WalkBufs {
     /// Visited-coordinate bitset over `(i, q)` cells of the current
     /// sequence.
@@ -524,10 +467,11 @@ const FRESH_ACC: ItemAcc = ItemAcc {
 
 /// Vocabulary-indexed per-item accumulators used to group a node's child
 /// postings in linear time, plus the list of touched items (for
-/// O(|touched|) clearing between nodes). Empty when the frequent
-/// vocabulary is too large to index densely — grouping then falls back to
-/// sorting.
+/// O(|touched|) clearing between nodes). Not `dense` when the item bound is
+/// too large to index — grouping then falls back to sorting.
+#[derive(Default)]
 struct ItemStats {
+    dense: bool,
     acc: Vec<ItemAcc>,
     items: Vec<ItemId>,
 }
@@ -535,60 +479,28 @@ struct ItemStats {
 /// Largest dense item-array size; beyond this, node grouping sorts instead.
 const MAX_DENSE_ITEMS: usize = 1 << 21;
 
-impl ItemStats {
-    fn new(last_frequent: ItemId, dense_limit: usize) -> ItemStats {
-        let n = last_frequent as usize + 1;
-        if n > dense_limit {
-            return ItemStats {
-                acc: Vec::new(),
-                items: Vec::new(),
-            };
-        }
-        ItemStats {
-            acc: vec![FRESH_ACC; n],
-            items: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn dense(&self) -> bool {
-        !self.acc.is_empty()
-    }
-}
-
 /// All reusable DFS scratch: walk buffers, item accumulators, and one
 /// [`DepthBufs`] per search-tree depth (projected databases of siblings
-/// reuse the same allocations).
+/// reuse the same allocations). Every buffer is back in its rest state
+/// after a mining call, so one instance serves many calls
+/// ([`MinerScratch`]) and only ever grows.
+#[derive(Default)]
 struct ExpandBufs {
     walk: WalkBufs,
     stats: ItemStats,
     depths: Vec<DepthBufs>,
 }
 
-impl ExpandBufs {
-    fn new(views: &[TableView<'_>], item_bound: ItemId, dense_limit: usize) -> ExpandBufs {
-        let bits = views
-            .iter()
-            .filter(|v| v.accepts)
-            .map(|v| (v.len + 1) * v.num_states)
-            .max()
-            .unwrap_or(0);
-        // Dense grouping pays an O(item bound) accumulator allocation and
-        // clear per miner. That amortizes over a database-sized input but
-        // dwarfs the work of a tiny partition (D-SEQ reducers mine a few
-        // hundred weighted sequences per pivot key), so small inputs fall
-        // back to sort-based grouping regardless of vocabulary size.
-        let dense_cap = dense_limit.min(16 * views.len().max(1));
-        ExpandBufs {
-            walk: WalkBufs {
-                visited: vec![0; bits.div_ceil(64).max(1)],
-                touched: Vec::new(),
-                stack: Vec::new(),
-            },
-            stats: ItemStats::new(item_bound, dense_cap),
-            depths: Vec::new(),
-        }
-    }
+/// Reusable scratch of one thread that grows a long-lived [`SeqTables`]
+/// arena ([`LocalMiner::append_tables`]) and mines from it
+/// ([`LocalMiner::mine_picks`]): once warm, neither call allocates beyond
+/// the arena's own growth and the patterns it emits.
+#[derive(Default)]
+pub struct MinerScratch {
+    prepare: PrepareScratch,
+    bufs: ExpandBufs,
+    views: Vec<SeqMeta>,
+    roots: Vec<Posting>,
 }
 
 impl<'a> LocalMiner<'a> {
@@ -654,6 +566,35 @@ impl<'a> LocalMiner<'a> {
             .map_or(self.last_frequent, |m| m.min(self.last_frequent))
     }
 
+    /// Sizes DFS scratch for one mining call over `views`: the visited
+    /// bitset for the longest accepted sequence, the accumulators for items
+    /// up to the item bound.
+    fn fit_bufs(&self, bufs: &mut ExpandBufs, views: Views<'_>) {
+        let accepted = views.metas.iter().filter(|m| m.accepts);
+        let max_cells = accepted.map(|m| m.len as usize + 1).max().unwrap_or(0);
+        let words = (max_cells * self.fst.num_states()).div_ceil(64).max(1);
+        if bufs.walk.visited.len() < words {
+            bufs.walk.visited.resize(words, 0);
+        }
+        // Dense grouping touches an O(item bound) accumulator array. That
+        // amortizes over a database-sized input but not over a tiny
+        // partition (D-SEQ reducers mine a few hundred weighted sequences
+        // per pivot key), so small inputs fall back to sort-based grouping
+        // regardless of vocabulary size.
+        let n = self.item_bound() as usize + 1;
+        bufs.stats.dense = n <= self.dense_limit.min(16 * views.metas.len().max(1));
+        if bufs.stats.dense && bufs.stats.acc.len() < n {
+            bufs.stats.acc.resize(n, FRESH_ACC);
+        }
+    }
+
+    /// Fresh DFS scratch sized for `views`.
+    fn expand_bufs(&self, views: Views<'_>) -> ExpandBufs {
+        let mut bufs = ExpandBufs::default();
+        self.fit_bufs(&mut bufs, views);
+        bufs
+    }
+
     /// Forces the sort-based (sparse) node grouping regardless of
     /// vocabulary size, to test the fallback path.
     #[cfg(test)]
@@ -668,100 +609,95 @@ impl<'a> LocalMiner<'a> {
         Ok(self.mine_with_workers(inputs, 1, None)?.0)
     }
 
-    /// Builds the pivot-independent [`SeqCore`] of one sequence (the
-    /// expensive half of table building: match masks, grid aliveness and
-    /// the ε-completion DP).
-    pub fn prepare_core(&self, seq: &[ItemId]) -> SeqCore {
-        let mut scratch = PrepareScratch::default();
-        let mut core = SeqCore {
-            accepts: false,
-            len: seq.len(),
-            num_states: self.fst.num_states(),
-            words: self.index.get().words(),
-            mask: Vec::new(),
-            eps_fin: Vec::new(),
-        };
-        core.accepts = self.build_core_into(seq, &mut scratch, &mut core.mask, &mut core.eps_fin);
-        core
+    /// Appends one sequence's tables to a growing `tables` arena and
+    /// returns its index there. The tables are pivot-independent (see
+    /// [`SeqTables`]), so the appending miner need not be the one that
+    /// later mines them.
+    pub fn append_tables(
+        &self,
+        seq: &[ItemId],
+        tables: &mut SeqTables,
+        scratch: &mut MinerScratch,
+    ) -> u32 {
+        let table =
+            u32::try_from(tables.len()).expect("postings pack the input index into 32 bits");
+        self.prepare_into(seq, 1, &mut scratch.prepare, tables);
+        table
     }
 
-    /// Mines weighted inputs whose [`SeqCore`]s were prepared earlier
-    /// (possibly by a *different* miner over the same FST and dictionary):
-    /// only the pivot-dependent output arenas are rebuilt under this
-    /// miner's configuration. Single-threaded — the partition-per-key
-    /// reducers that benefit from core sharing parallelize across keys,
-    /// not within them.
-    pub fn mine_prepared(&self, inputs: &[(&[ItemId], &SeqCore, u64)]) -> Vec<(Sequence, u64)> {
-        let l = self.index.get().num_labels();
-        let mut offsets: Vec<OutRef> = Vec::new();
-        let mut outs: Vec<ItemId> = Vec::new();
-        let mut starts: Vec<(usize, usize)> = Vec::with_capacity(inputs.len());
-        let mut outbuf: Vec<ItemId> = Vec::new();
-        for &(seq, core, _) in inputs {
-            debug_assert_eq!(seq.len(), core.len, "core built from a different sequence");
-            starts.push((offsets.len(), outs.len()));
-            if core.accepts {
-                let base = outs.len();
-                self.build_outputs_into(
-                    seq,
-                    &core.mask,
-                    &mut offsets,
-                    &mut outs,
-                    base,
-                    &mut outbuf,
-                );
-            }
-        }
-        let views: Vec<TableView<'_>> = inputs
-            .iter()
-            .zip(&starts)
-            .map(|(&(_, core, weight), &(o0, u0))| TableView {
+    /// Mines the weighted collection given as `(table index, weight)`
+    /// picks from `tables` under this miner's configuration, streaming
+    /// patterns to `sink` in DFS order (unsorted). Single-threaded — the
+    /// partition-per-key reducers that share an arena parallelize across
+    /// keys, not within them.
+    pub fn mine_picks(
+        &self,
+        tables: &SeqTables,
+        picks: &[(u32, u64)],
+        scratch: &mut MinerScratch,
+        sink: &mut dyn FnMut(Sequence, u64),
+    ) {
+        let MinerScratch {
+            bufs, views, roots, ..
+        } = scratch;
+        views.clear();
+        views.extend(picks.iter().map(|&(t, weight)| {
+            let m = tables.metas[t as usize];
+            SeqMeta {
                 weight,
-                accepts: core.accepts,
-                len: core.len,
-                num_states: core.num_states,
-                words: core.words,
-                num_labels: l,
-                mask: &core.mask,
-                eps_fin: &core.eps_fin,
-                offsets: if core.accepts {
-                    &offsets[o0..o0 + core.len * l]
-                } else {
-                    &[]
-                },
-                outs: &outs[u0..],
-            })
-            .collect();
-        self.mine_views(&views)
-    }
-
-    /// Single-threaded mining over prepared views.
-    fn mine_views(&self, views: &[TableView<'_>]) -> Vec<(Sequence, u64)> {
-        let roots = self.root_postings(views);
-        let mut out = Vec::new();
-        let mut bufs = ExpandBufs::new(views, self.item_bound(), self.dense_limit);
+                last_pivot_pos: self.early_stop_pos(tables, &m),
+                ..m
+            }
+        }));
+        let views = Views {
+            arena: tables,
+            metas: views,
+        };
+        roots.clear();
+        roots.extend(self.root_postings(views));
+        self.fit_bufs(bufs, views);
         let mut prefix = Sequence::new();
         self.expand(
             views,
-            &roots,
+            roots,
             0,
             self.config.require_pivot.is_none(),
             0,
             &mut prefix,
-            &mut bufs,
+            bufs,
             &mut |p, f| {
-                out.push((p, f));
+                sink(p, f);
                 true
             },
         );
-        crate::sort_patterns(out)
+    }
+
+    /// The early-stopping bound of one sequence under this miner's
+    /// configuration (see `SeqMeta::last_pivot_pos`): a sequence that
+    /// cannot produce the pivot at all is useless from position 0 on.
+    fn early_stop_pos(&self, tables: &SeqTables, m: &SeqMeta) -> u32 {
+        match self.config.require_pivot {
+            Some(pivot) if self.config.early_stop => tables
+                .last_pivot_pos(m, self.index.get().num_labels(), pivot)
+                .map_or(0, |i| i as u32),
+            _ => u32::MAX,
+        }
+    }
+
+    /// The last position of sequence `s` at which a transition on an
+    /// accepting run outputs this miner's pivot — what early stopping
+    /// derives from the tables. Exposed for tests.
+    #[doc(hidden)]
+    pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
+        let l = self.index.get().num_labels();
+        tables.last_pivot_pos(&tables.metas[s], l, self.config.require_pivot?)
     }
 
     /// Seeds the work-stealing scheduler: collects the root's first-level
     /// children into owned [`MineTask`]s (one per frequent child item).
-    fn seed_tasks(&self, views: &[TableView<'_>], roots: &[Posting]) -> Vec<MineTask> {
+    fn seed_tasks(&self, views: Views<'_>, roots: &[Posting]) -> Vec<MineTask> {
         let root_has_pivot = self.config.require_pivot.is_none();
-        let mut bufs = ExpandBufs::new(views, self.item_bound(), self.dense_limit);
+        let mut bufs = self.expand_bufs(views);
         let mut first = DepthBufs::default();
         self.collect_children(
             views,
@@ -810,15 +746,15 @@ impl<'a> LocalMiner<'a> {
         let workers = workers.max(1);
         let tables = self.prepare_tables_cancellable(inputs, workers, cancel)?;
         let views = tables.views();
-        let roots = self.root_postings(&views);
+        let roots: Vec<Posting> = self.root_postings(views).collect();
 
         if workers == 1 {
             let t0 = Instant::now();
             let mut out = Vec::new();
-            let mut bufs = ExpandBufs::new(&views, self.item_bound(), self.dense_limit);
+            let mut bufs = self.expand_bufs(views);
             let mut prefix = Sequence::new();
             self.expand(
-                &views,
+                views,
                 &roots,
                 0,
                 self.config.require_pivot.is_none(),
@@ -839,18 +775,12 @@ impl<'a> LocalMiner<'a> {
             ));
         }
 
-        let seed = self.seed_tasks(&views, &roots);
+        let seed = self.seed_tasks(views, &roots);
         let local_cancel = AtomicBool::new(false);
         let collected: Mutex<Vec<Vec<(Sequence, u64)>>> = Mutex::new(Vec::new());
         let states: Vec<_> = (0..workers)
-            .map(|_| {
-                (
-                    Vec::<(Sequence, u64)>::new(),
-                    ExpandBufs::new(&views, self.item_bound(), self.dense_limit),
-                )
-            })
+            .map(|_| (Vec::<(Sequence, u64)>::new(), self.expand_bufs(views)))
             .collect();
-        let views = &views;
         let (stats, ()) = sched::run_scheduler(
             seed,
             states,
@@ -917,13 +847,13 @@ impl<'a> LocalMiner<'a> {
         let workers = workers.max(1);
         let tables = self.prepare_tables_cancellable(inputs, workers, cancel)?;
         let views = tables.views();
-        let roots = self.root_postings(&views);
+        let roots: Vec<Posting> = self.root_postings(views).collect();
 
         if workers == 1 {
-            let mut bufs = ExpandBufs::new(&views, self.item_bound(), self.dense_limit);
+            let mut bufs = self.expand_bufs(views);
             let mut prefix = Sequence::new();
             let completed = self.expand(
-                &views,
+                views,
                 &roots,
                 0,
                 self.config.require_pivot.is_none(),
@@ -938,21 +868,15 @@ impl<'a> LocalMiner<'a> {
             return Ok(completed);
         }
 
-        let seed = self.seed_tasks(&views, &roots);
+        let seed = self.seed_tasks(views, &roots);
         let local_cancel = AtomicBool::new(false);
         let (tx, rx) = mpsc::sync_channel::<(Sequence, u64)>(1024);
         // Worker states own their sender clone; the scheduler drops each
         // state on its worker thread when that worker finishes, so the
         // receiver disconnects exactly when mining is done.
         let states: Vec<_> = (0..workers)
-            .map(|_| {
-                (
-                    tx.clone(),
-                    ExpandBufs::new(&views, self.item_bound(), self.dense_limit),
-                )
-            })
+            .map(|_| (tx.clone(), self.expand_bufs(views)))
             .collect();
-        let views = &views;
         let cancel_ref = &local_cancel;
         let (_stats, completed) = sched::run_scheduler(
             seed,
@@ -1019,7 +943,7 @@ impl<'a> LocalMiner<'a> {
         let workers = workers.max(1).min(inputs.len().max(1));
         if workers == 1 {
             let mut scratch = PrepareScratch::default();
-            let mut set = SeqTables::new();
+            let mut set = SeqTables::default();
             for &(seq, w) in inputs {
                 if let Some(token) = cancel {
                     token.checkpoint()?;
@@ -1037,7 +961,7 @@ impl<'a> LocalMiner<'a> {
                 s.spawn(move |_| {
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         let mut scratch = PrepareScratch::default();
-                        let mut set = SeqTables::new();
+                        let mut set = SeqTables::default();
                         for &(seq, w) in part {
                             if cancel.is_some_and(|t| t.checkpoint().is_err()) {
                                 break;
@@ -1068,7 +992,7 @@ impl<'a> LocalMiner<'a> {
         }
         let mut chunks = results.into_inner().unwrap();
         chunks.sort_by_key(|&(idx, _)| idx);
-        let mut set = SeqTables::new();
+        let mut set = SeqTables::default();
         for (_, part) in chunks {
             set.append(part);
         }
@@ -1080,11 +1004,11 @@ impl<'a> LocalMiner<'a> {
     #[doc(hidden)]
     pub fn first_level_count(&self, tables: &SeqTables) -> usize {
         let views = tables.views();
-        let roots = self.root_postings(&views);
-        let mut bufs = ExpandBufs::new(&views, self.item_bound(), self.dense_limit);
+        let roots: Vec<Posting> = self.root_postings(views).collect();
+        let mut bufs = self.expand_bufs(views);
         let mut first = DepthBufs::default();
         self.collect_children(
-            &views,
+            views,
             &roots,
             self.config.require_pivot.is_none(),
             &mut bufs.walk,
@@ -1095,8 +1019,8 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// Builds one sequence's tables — match masks, grid aliveness,
-    /// ε-completion DP, and the filtered output arena — appending into the
-    /// set's shared arenas (no per-sequence allocation).
+    /// ε-completion DP, and the output arena — appending into the set's
+    /// shared arenas (no per-sequence allocation).
     fn prepare_into(
         &self,
         seq: &[ItemId],
@@ -1104,37 +1028,29 @@ impl<'a> LocalMiner<'a> {
         scratch: &mut PrepareScratch,
         set: &mut SeqTables,
     ) {
-        let ix = self.index.get();
-        let n = seq.len();
-        let mask_start = set.mask.len();
-        let eps_start = set.eps_fin.len();
-        let off_start = set.offsets.len();
-        let outs_start = set.outs.len();
-
-        let accepts = self.build_core_into(seq, scratch, &mut set.mask, &mut set.eps_fin);
-        if accepts {
-            let (mask, offsets, outs) = (&set.mask[mask_start..], &mut set.offsets, &mut set.outs);
-            self.build_outputs_into(seq, mask, offsets, outs, outs_start, &mut scratch.outbuf);
-        }
-        set.metas.push(SeqMeta {
+        let mut meta = SeqMeta {
             weight,
-            accepts,
-            len: n,
-            num_states: self.fst.num_states(),
-            words: ix.words(),
-            num_labels: ix.num_labels(),
-            mask_start,
-            eps_start,
-            off_start,
-            outs_start,
-        });
+            mask_start: set.mask.len(),
+            eps_start: set.eps_fin.len(),
+            off_start: set.offsets.len(),
+            outs_start: set.outs.len(),
+            len: u32::try_from(seq.len()).expect("postings pack positions into 32 bits"),
+            last_pivot_pos: u32::MAX,
+            accepts: self.build_masks_into(seq, scratch, &mut set.mask, &mut set.eps_fin),
+        };
+        if meta.accepts {
+            let mask = &set.mask[meta.mask_start..];
+            self.build_outputs_into(seq, mask, &mut set.offsets, &mut set.outs);
+            meta.last_pivot_pos = self.early_stop_pos(set, &meta);
+        }
+        set.metas.push(meta);
     }
 
-    /// The pivot-independent half of table building: match masks with grid
-    /// aliveness folded in, and the ε-completion bitset, appended to
-    /// `mask`/`eps_fin`. Returns whether the FST accepts the sequence; on
-    /// rejection the buffers are truncated back to their input lengths.
-    fn build_core_into(
+    /// Match masks with grid aliveness folded in, and the ε-completion
+    /// bitset, appended to `mask`/`eps_fin`. Returns whether the FST
+    /// accepts the sequence; on rejection the buffers are truncated back
+    /// to their input lengths.
+    fn build_masks_into(
         &self,
         seq: &[ItemId],
         scratch: &mut PrepareScratch,
@@ -1237,74 +1153,53 @@ impl<'a> LocalMiner<'a> {
         true
     }
 
-    /// The pivot-*dependent* half of table building: the filtered output
-    /// arena per (position, output label), appended to `offsets`/`outs`
-    /// with indices relative to `outs_start`. `mask` is the sequence's
-    /// alive-folded mask rows from [`Self::build_core_into`].
+    /// The output arena of one sequence: per (position, output label) with
+    /// an alive matching transition, the label's output set on the
+    /// position's item up to the frequent-item boundary, appended to
+    /// `outs` and delimited by `offsets` (see [`SeqTables`]).
+    /// `mask` is the sequence's alive-folded mask rows from
+    /// [`Self::build_masks_into`].
     fn build_outputs_into(
         &self,
         seq: &[ItemId],
         mask: &[u64],
-        offsets: &mut Vec<OutRef>,
+        offsets: &mut Vec<u32>,
         outs: &mut Vec<ItemId>,
-        outs_start: usize,
-        outbuf: &mut Vec<ItemId>,
     ) {
         let ix = self.index.get();
         let w = ix.words();
-        let max_item = self.config.max_item.unwrap_or(ItemId::MAX);
-        let early_stop = self.config.early_stop && self.config.require_pivot.is_some();
-        let pivot = self.config.require_pivot.unwrap_or(EPSILON);
-        let last_pivot_pos = if early_stop {
-            ix.last_pivot_position(seq, pivot, self.dict, outbuf)
-                .unwrap_or(usize::MAX)
-        } else {
-            usize::MAX
-        };
-        let l = ix.num_labels();
-        offsets.reserve(seq.len() * l);
+        let outs_start = outs.len();
+        offsets.reserve(seq.len() * ix.num_labels() + 1);
         for (i, &t) in seq.iter().enumerate() {
             let row = &mask[i * w..(i + 1) * w];
             for (li, label) in ix.labels().iter().enumerate() {
-                let start = (outs.len() - outs_start) as u32;
-                let used = ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0);
-                if !used {
-                    offsets.push(OutRef::default());
-                    continue;
+                let start = outs.len();
+                if ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0) {
+                    label.outputs(t, self.dict, outs);
+                    // Output sets are sorted ascending — the DFS cuts them
+                    // at its item bound the way the frequent-item boundary
+                    // cuts them here: by dropping a tail.
+                    debug_assert!(outs[start..].windows(2).all(|p| p[0] < p[1]));
+                    let keep = outs[start..].partition_point(|&w| w <= self.last_frequent);
+                    outs.truncate(start + keep);
                 }
-                outbuf.clear();
-                label.outputs(t, self.dict, outbuf);
-                // Early stopping (Sec. V-C): outputs at/after the last
-                // pivot-producing position are useless while the prefix
-                // still lacks the pivot — park them behind `mid`.
-                let usable = |w: ItemId| w <= max_item && w <= self.last_frequent;
-                let parked = |w: ItemId| early_stop && w != pivot && i >= last_pivot_pos;
-                outs.extend(outbuf.iter().copied().filter(|&w| usable(w) && !parked(w)));
-                let mid = (outs.len() - outs_start) as u32;
-                outs.extend(outbuf.iter().copied().filter(|&w| usable(w) && parked(w)));
-                offsets.push(OutRef {
-                    start,
-                    mid,
-                    end: (outs.len() - outs_start) as u32,
-                });
+                offsets.push((start - outs_start) as u32);
             }
         }
+        offsets.push((outs.len() - outs_start) as u32);
     }
 
     /// The root projection: every accepted sequence at `(0, initial)`.
-    fn root_postings(&self, views: &[TableView<'_>]) -> Vec<Posting> {
-        views
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.accepts)
-            .map(|(s, _)| posting(EPSILON, s as u32, 0, self.fst.initial(), false))
-            .collect()
+    fn root_postings<'v>(&self, views: Views<'v>) -> impl Iterator<Item = Posting> + 'v {
+        let q0 = self.fst.initial();
+        let accepted = views.metas.iter().enumerate().filter(|(_, m)| m.accepts);
+        accepted.map(move |(s, _)| posting(EPSILON, s as u32, 0, q0, false))
     }
 
     /// Prefix and emission support of one child run: the weighted count of
     /// distinct input sequences with any posting, and with any
     /// ε-flagged posting. Postings must be grouped by input index.
-    fn run_supports(views: &[TableView<'_>], postings: &[Posting]) -> (u64, u64) {
+    fn run_supports(metas: &[SeqMeta], postings: &[Posting]) -> (u64, u64) {
         let mut support = 0u64;
         let mut emit = 0u64;
         let mut last: Option<u32> = None;
@@ -1313,11 +1208,11 @@ impl<'a> LocalMiner<'a> {
             let s = p_seq(p);
             if last != Some(s) {
                 last = Some(s);
-                support += views[s as usize].weight;
+                support += metas[s as usize].weight;
             }
             if p_eps(p) && last_emit != Some(s) {
                 last_emit = Some(s);
-                emit += views[s as usize].weight;
+                emit += metas[s as usize].weight;
             }
         }
         (support, emit)
@@ -1339,7 +1234,7 @@ impl<'a> LocalMiner<'a> {
     /// distinct-sequence support counting is insensitive to them.
     fn collect_children(
         &self,
-        views: &[TableView<'_>],
+        views: Views<'_>,
         node: &[Posting],
         has_pivot: bool,
         walk: &mut WalkBufs,
@@ -1347,35 +1242,55 @@ impl<'a> LocalMiner<'a> {
         d: &mut DepthBufs,
     ) {
         let ix = self.index.get();
+        let (qn, w, l) = (self.fst.num_states(), ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
+        let bound = self.item_bound();
+        let pivot = self.config.require_pivot.unwrap_or(EPSILON);
+        let arena = views.arena;
         d.raw.clear();
-        let dense = stats.dense();
+        let dense = stats.dense;
         let mut idx = 0;
         while idx < node.len() {
             let s = p_seq(node[idx]);
-            let t = &views[s as usize];
-            let (qn, w, l) = (t.num_states, t.words, t.num_labels);
+            let t = &views.metas[s as usize];
+            let len = t.len as usize;
+            let mask = &arena.mask[t.mask_start..t.mask_start + len * w];
+            let eps_fin = &arena.eps_fin[t.eps_start..];
+            let offsets = &arena.offsets[t.off_start..];
+            let outs = &arena.outs[t.outs_start..];
+            // Early stopping (Sec. V-C): while the prefix lacks the pivot,
+            // nothing past the sequence's last pivot-producing position can
+            // help it, and at that position only the pivot itself can.
+            let stop = if has_pivot {
+                u32::MAX
+            } else {
+                t.last_pivot_pos
+            };
             walk.stack.clear();
             while idx < node.len() && p_seq(node[idx]) == s {
                 let (i0, q0) = (p_pos(node[idx]), p_state(node[idx]));
-                if ix.can_output(q0 as usize) && walk.mark(i0 as usize * qn + q0 as usize) {
+                if i0 <= stop
+                    && ix.can_output(q0 as usize)
+                    && walk.mark(i0 as usize * qn + q0 as usize)
+                {
                     walk.stack.push((i0, q0));
                 }
                 idx += 1;
             }
             while let Some((i, q)) = walk.stack.pop() {
                 let iu = i as usize;
-                if iu == t.len {
+                if iu == len {
                     continue;
                 }
-                let row = &t.mask[iu * w..(iu + 1) * w];
+                let row = &mask[iu * w..(iu + 1) * w];
                 for tr in ix.state(q as usize) {
                     // Match + target-aliveness in one precomputed bit.
                     if row[tr.word as usize] & tr.mask == 0 {
                         continue;
                     }
                     if tr.label < 0 {
-                        if iu + 1 < t.len
+                        if iu + 1 < len
+                            && i < stop
                             && ix.can_output(tr.to as usize)
                             && walk.mark((iu + 1) * qn + tr.to as usize)
                         {
@@ -1383,14 +1298,27 @@ impl<'a> LocalMiner<'a> {
                         }
                         continue;
                     }
-                    let or = t.offsets[iu * l + tr.label as usize];
-                    let end = if has_pivot { or.end } else { or.mid };
-                    if or.start == end {
+                    let set = iu * l + tr.label as usize;
+                    let mut items = &outs[offsets[set] as usize..offsets[set + 1] as usize];
+                    // The partition's item bound cuts the sorted output
+                    // set to a prefix.
+                    while let [rest @ .., last] = items {
+                        if *last <= bound {
+                            break;
+                        }
+                        items = rest;
+                    }
+                    if i >= stop {
+                        match items.iter().find(|&&w| w == pivot) {
+                            Some(k) => items = std::slice::from_ref(k),
+                            None => continue,
+                        }
+                    }
+                    if items.is_empty() {
                         continue;
                     }
                     let target = (iu + 1) * qn + tr.to as usize;
-                    let eps = t.eps_fin_bit(target);
-                    let items = &t.outs[or.start as usize..end as usize];
+                    let eps = get_bit(eps_fin, target);
                     if dense {
                         for &item in items {
                             d.raw.push(posting(item, s, i + 1, tr.to, eps));
@@ -1457,7 +1385,7 @@ impl<'a> LocalMiner<'a> {
                 while end < pairs.len() && p_item(pairs[end]) == w {
                     end += 1;
                 }
-                let (support, emit) = Self::run_supports(views, &pairs[start..end]);
+                let (support, emit) = Self::run_supports(views.metas, &pairs[start..end]);
                 if support >= sigma {
                     d.runs.push((w, start..end, emit));
                 }
@@ -1472,7 +1400,7 @@ impl<'a> LocalMiner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
-        views: &[TableView<'_>],
+        views: Views<'_>,
         node: &[Posting],
         depth: usize,
         has_pivot: bool,
@@ -1538,7 +1466,7 @@ impl<'a> LocalMiner<'a> {
     #[allow(clippy::too_many_arguments)]
     fn expand_sched(
         &self,
-        views: &[TableView<'_>],
+        views: Views<'_>,
         node: &[Posting],
         depth: usize,
         has_pivot: bool,
@@ -1917,41 +1845,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mine_prepared_matches_mine_across_pivot_configs() {
-        // Cores are pivot-independent: one core per sequence, mined under
-        // every pivot configuration, must match the from-scratch miner.
-        let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
-        let base = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
-        let cores: Vec<SeqCore> = fx
+    /// The toy database appended to a fresh arena by `builder`, as
+    /// weight-`weight` picks.
+    fn toy_arena(
+        fx: &toy::Toy,
+        builder: &LocalMiner<'_>,
+        weight: u64,
+    ) -> (SeqTables, Vec<(u32, u64)>) {
+        let mut tables = SeqTables::default();
+        let mut scratch = MinerScratch::default();
+        let picks = fx
             .db
             .sequences
             .iter()
-            .map(|s| base.prepare_core(s))
+            .map(|s| (builder.append_tables(s, &mut tables, &mut scratch), weight))
             .collect();
-        // T3 is rejected; its core records that.
-        assert!(!cores[2].accepts());
-        assert!(cores[0].accepts());
+        (tables, picks)
+    }
+
+    #[test]
+    fn arena_tables_mine_like_from_scratch_across_pivot_configs() {
+        // Tables are pivot-independent: appended once — by a miner
+        // configured for another pivot and a looser σ — and mined under
+        // every pivot configuration with overridden weights, they must
+        // match the from-scratch miner.
+        let fx = toy::fixture();
+        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.b, true));
+        let (tables, picks) = toy_arena(&fx, &builder, 2);
+        // T3 is rejected; its table records that.
+        assert!(!tables.accepts(2));
+        assert!(tables.accepts(0));
+        let inputs: Vec<WeightedInput<'_>> =
+            fx.db.sequences.iter().map(|s| (s.as_slice(), 2)).collect();
+        let mut scratch = MinerScratch::default();
         for sigma in 1..=3 {
             for k in 1..=fx.dict.max_fid() {
                 for early_stop in [false, true] {
-                    let cfg = MinerConfig::for_pivot(sigma, k, early_stop);
+                    // Weights are doubled, so keep the item filter of the
+                    // unweighted database.
+                    let cfg = MinerConfig::for_pivot(2 * sigma, k, early_stop)
+                        .with_last_frequent(fx.dict.last_frequent(sigma));
                     let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
-                    let prepared_inputs: Vec<(&[ItemId], &SeqCore, u64)> = fx
-                        .db
-                        .sequences
-                        .iter()
-                        .zip(&cores)
-                        .map(|(s, c)| (s.as_slice(), c, 1))
-                        .collect();
+                    let mut mined = Vec::new();
+                    miner.mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                        mined.push((p, f))
+                    });
                     assert_eq!(
-                        miner.mine_prepared(&prepared_inputs),
+                        crate::sort_patterns(mined),
                         miner.mine(&inputs).unwrap(),
                         "sigma={sigma} k={k} stop={early_stop}"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn outputs_above_the_item_bound_stay_out_of_the_dense_accumulators() {
+        // The arena holds every frequent output; a pivot partition sizes
+        // its dense accumulators by its own item bound, so the DFS must cut
+        // each output slice before indexing them.
+        let fx = toy::fixture();
+        let inputs = unit_inputs(&fx.db);
+        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let (tables, picks) = toy_arena(&fx, &builder, 1);
+        for k in 1..fx.dict.max_fid() {
+            assert!(tables.outs.iter().any(|&w| w > k), "k={k}");
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
+            let mut scratch = MinerScratch::default();
+            let mut mined = Vec::new();
+            miner.mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                mined.push((p, f))
+            });
+            assert!(scratch.bufs.stats.dense, "k={k}");
+            assert_eq!(scratch.bufs.stats.acc.len(), k as usize + 1, "k={k}");
+            assert_eq!(
+                crate::sort_patterns(mined),
+                miner.mine(&inputs).unwrap(),
+                "k={k}"
+            );
         }
     }
 

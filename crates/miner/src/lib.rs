@@ -31,7 +31,7 @@ pub mod gapminer;
 pub mod prefixspan;
 pub mod sched;
 
-pub use desq_dfs::{LocalMiner, MinerConfig, SeqCore, SeqTables, WeightedInput};
+pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
 pub use gapminer::GapMiner;
 pub use prefixspan::PrefixSpan;
 pub use sched::{SchedConfig, WorkerStats};
