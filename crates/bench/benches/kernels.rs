@@ -14,7 +14,7 @@ use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::dcand::merge_pivots;
 use desq_dist::dcand::nfa::{Nfa, TrieBuilder};
-use desq_dist::PivotSearch;
+use desq_dist::{PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
@@ -45,6 +45,18 @@ fn bench_pivot_search(c: &mut Criterion) {
             for seq in &seqs {
                 black_box(search.pivots(seq));
             }
+        })
+    });
+    // The table build alone (simulation front-end, hoisted scratch) —
+    // compare with mining/table_build_* and counting/run_table_build_*.
+    c.bench_function("pivots/prepare_n4_100seqs", |b| {
+        let mut scratch = PivotScratch::default();
+        b.iter(|| {
+            let mut accepted = 0usize;
+            for seq in &seqs {
+                accepted += usize::from(search.safe_range(seq, &mut scratch).is_some());
+            }
+            black_box(accepted)
         })
     });
     c.bench_function("pivots/enumerated_n4_100seqs", |b| {
@@ -193,6 +205,14 @@ fn bench_counting(c: &mut Criterion) {
     let walker = RunWalker::new(&fst, &dict, &index, max_item);
     let seqs: Vec<&Sequence> = db.sequences.iter().collect();
 
+    // The same front-end build through the DESQ-DFS consumer, which adds
+    // the ε-completion DP and keeps every accepted sequence's tables.
+    c.bench_function("mining/table_build_n2_2k", |b| {
+        let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
+        let inputs: Vec<desq_miner::WeightedInput<'_>> =
+            seqs.iter().map(|s| (s.as_slice(), 1)).collect();
+        b.iter(|| black_box(miner.prepare_tables(&inputs, 1).unwrap()))
+    });
     // Run-table build: flat walker tables vs the seed-era Grid.
     c.bench_function("counting/run_table_build_n2_2k", |b| {
         let mut scratch = RunScratch::default();

@@ -12,13 +12,13 @@
 //! DESQ-COUNT, the NAÏVE / SEMI-NAÏVE baselines, and D-CAND's map-side run
 //! decomposition:
 //!
-//! * [`RunWalker`] simulates the FST over the shared CSR [`FstIndex`]:
-//!   per-position bit-packed match masks with grid aliveness folded in, and
-//!   σ-filtered output sets materialized **once per `(position, label)`**
-//!   into a flat arena — the run loop performs no dictionary access, no
-//!   output re-evaluation and no allocation. All per-sequence state lives
-//!   in a caller-provided [`RunScratch`] (one per worker thread, reused
-//!   across sequences).
+//! * [`RunWalker`] walks the tables of the shared simulation front-end
+//!   ([`sim`](super::sim)): per-position bit-packed match masks with grid
+//!   aliveness folded in, and σ-filtered output sets materialized **once
+//!   per `(position, label)`** into a flat arena — the run loop performs no
+//!   dictionary access, no output re-evaluation and no allocation. All
+//!   per-sequence state lives in a caller-provided [`RunScratch`] (one per
+//!   worker thread, reused across sequences).
 //! * [`CandidateCounter`] counts *interned* candidates: probing hashes
 //!   the raw item slice once with [`fx::hash_items`] into an
 //!   open-addressing [`fx::ProbeTable`] over flat arenas, and the
@@ -39,53 +39,13 @@
 //! enforce this on random dictionaries, pattern expressions and databases.
 
 use super::index::FstIndex;
-use super::{Fst, InputLabel};
+use super::sim::{SimScratch, SimTables, Simulator};
+use super::Fst;
 use crate::codec;
 use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::fx::{self, ProbeTable};
 use crate::sequence::{ItemId, Sequence};
-
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-/// Evaluates distinct input label `d` on item `t`, memoizing hierarchy
-/// (`Desc`) verdicts in the per-item `cache` (low byte = evaluated bits,
-/// high byte = match bits; labels beyond the cached eight fall back to a
-/// direct check). `Any` and `Exact` labels are cheaper than the cache.
-#[inline]
-fn match_cached(
-    label: &InputLabel,
-    d: u16,
-    t: ItemId,
-    dict: &Dictionary,
-    cache: &mut [u16],
-) -> bool {
-    match *label {
-        InputLabel::Any => true,
-        InputLabel::Exact(w) => t == w,
-        InputLabel::Desc(w) => {
-            if d < 8 {
-                let e = &mut cache[t as usize];
-                let eval_bit = 1u16 << d;
-                if *e & eval_bit == 0 {
-                    let m = dict.is_ancestor(w, t);
-                    *e |= eval_bit | (u16::from(m) << (8 + d));
-                }
-                *e & (1 << (8 + d)) != 0
-            } else {
-                dict.is_ancestor(w, t)
-            }
-        }
-    }
-}
-
-#[inline]
-fn get_bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] >> (i % 64) & 1 != 0
-}
 
 /// One DFS frame of the run walk: input position, FST state, index of the
 /// next transition of the state to try, and whether descending into this
@@ -97,43 +57,18 @@ struct Frame {
     pushed: bool,
 }
 
-/// Reusable per-thread scratch of the flat run walk: match-mask rows, grid
-/// bitsets, the output-set arena and the DFS stacks.
+/// Reusable per-thread scratch of the flat run walk: the simulation
+/// front-end's scratch and tables plus the DFS stacks.
 ///
 /// Create one per worker thread (`RunScratch::default()`) and pass it to
 /// every [`RunWalker`] call the thread makes; after warm-up the walk
 /// allocates nothing per sequence.
 #[derive(Default)]
 pub struct RunScratch {
-    /// Per-position match masks (`n × words`), pruned to transitions whose
-    /// target coordinate is alive.
-    mask: Vec<u64>,
-    /// Forward-reachability bitset over `(position, state)` cells.
-    fwd: Vec<u64>,
-    /// Aliveness bitset (forward-reachable ∧ accepting completion exists).
-    alive: Vec<u64>,
-    /// Arena range of the σ-filtered output set per
-    /// `(position, interned label)`.
-    out_off: Vec<(u32, u32)>,
-    /// Output-set arena.
-    outs: Vec<ItemId>,
-    /// Raw output buffer of one `(position, label)` materialization.
-    outbuf: Vec<ItemId>,
-    /// Per-item match cache for hierarchy (`Desc`) input labels, shared
-    /// across all sequences of the job: bit `d` of the low byte = label `d`
-    /// evaluated for this item, bit `d` of the high byte = it matched.
-    /// Keyed to the [`FstIndex::generation`] id via `cache_key` (an index
-    /// is only valid with the dictionary its FST was compiled against, so
-    /// the id covers both).
-    cache: Vec<u16>,
-    cache_key: u64,
-    /// Small-FST step table (`words() == 1` and ≤ 32 states): per
-    /// `(item, state)` one `(match-row bits, next-state mask)` pair, filled
-    /// lazily per item — a frontier step is then one load per frontier
-    /// state instead of one label evaluation per transition.
-    step: Vec<u64>,
-    /// Per item: step-table rows filled.
-    step_filled: Vec<u8>,
+    /// Job-wide step table and the grid bitsets of the current sequence.
+    sim: SimScratch,
+    /// Mask rows and σ-filtered output arena of the current sequence.
+    tables: SimTables,
     /// DFS frames (one per consumed position plus the root).
     frames: Vec<Frame>,
     /// Arena ranges of the non-ε output sets along the current run.
@@ -193,10 +128,7 @@ impl<'w> RunSets<'w> {
 /// Construction borrows a shared [`FstIndex`] (build it once per FST); the
 /// per-sequence state lives in a caller-provided [`RunScratch`].
 pub struct RunWalker<'a> {
-    fst: &'a Fst,
-    dict: &'a Dictionary,
-    index: &'a FstIndex,
-    max_item: ItemId,
+    sim: Simulator<'a>,
 }
 
 impl<'a> RunWalker<'a> {
@@ -206,10 +138,7 @@ impl<'a> RunWalker<'a> {
     /// antimonotonicity's frequency test).
     pub fn new(fst: &'a Fst, dict: &'a Dictionary, index: &'a FstIndex, max_item: ItemId) -> Self {
         RunWalker {
-            fst,
-            dict,
-            index,
-            max_item,
+            sim: Simulator::new(fst, dict, index, max_item),
         }
     }
 
@@ -218,222 +147,15 @@ impl<'a> RunWalker<'a> {
         RunWalker::new(fst, dict, index, ItemId::MAX)
     }
 
-    /// Builds the per-sequence tables in `scratch`: match masks (pruned by
-    /// aliveness), forward-reachability and aliveness bitsets. Returns
-    /// `true` iff the FST accepts `seq`; rejected sequences short-circuit
-    /// after the forward pass.
-    ///
-    /// The forward pass is *frontier-driven and lazy*: at every position,
-    /// only the distinct input labels of transitions leaving
-    /// forward-reachable states are evaluated (each at most once per
-    /// position), so selective constraints whose deep states are rarely
-    /// reached pay far less than a full per-position mask fill. Mask bits
-    /// of transitions from unreachable states stay unset — harmless,
-    /// because the backward pass and the walk only consult bits of
-    /// forward-reachable sources.
-    fn prepare(&self, seq: &[ItemId], scratch: &mut RunScratch) -> bool {
-        let ix = self.index;
-        let n = seq.len();
-        let qn = self.fst.num_states();
-        let w = ix.words();
-        let qw = qn.div_ceil(64).max(1);
-        let distinct = ix.distinct_inputs();
-
-        scratch.mask.clear();
-        scratch.mask.resize(n * w, 0);
-        scratch.fwd.clear();
-        scratch.fwd.resize((n + 1) * qw, 0);
-        // The per-item label cache persists across sequences; (re)key it to
-        // this walker's index. The generation id is minted per construction
-        // (addresses can be recycled by the allocator), and an FstIndex is
-        // only ever valid against the dictionary its FST was compiled with,
-        // so the index identity covers the dictionary too.
-        let cache_key = self.index.generation();
-        let cache_len = self.dict.max_fid() as usize + 1;
-        if scratch.cache_key != cache_key || scratch.cache.len() != cache_len {
-            scratch.cache.clear();
-            scratch.cache.resize(cache_len, 0);
-            scratch.step.clear();
-            scratch.step_filled.clear();
-            scratch.cache_key = cache_key;
-        }
-        // Small FSTs (every compiled Tab. III constraint) take the
-        // step-table path: one mask word, one frontier word.
-        let fast = ix.step_table_eligible();
-        debug_assert_eq!(fast, w == 1 && qw == 1 && qn <= 32);
-        if fast && scratch.step.len() != cache_len * qn * 2 {
-            scratch.step.clear();
-            scratch.step.resize(cache_len * qn * 2, 0);
-            scratch.step_filled.clear();
-            scratch.step_filled.resize(cache_len, 0);
-        }
-
-        scratch.fwd[self.fst.initial() as usize / 64] |= 1 << (self.fst.initial() % 64);
-        if fast {
-            for (i, &t) in seq.iter().enumerate() {
-                if scratch.step_filled[t as usize] == 0 {
-                    self.fill_step(t, qn, &mut scratch.step, &mut scratch.cache);
-                    scratch.step_filled[t as usize] = 1;
-                }
-                let steps = &scratch.step[t as usize * qn * 2..];
-                let mut fbits = scratch.fwd[i];
-                let (mut row, mut next) = (0u64, 0u64);
-                while fbits != 0 {
-                    let q = fbits.trailing_zeros() as usize;
-                    fbits &= fbits - 1;
-                    row |= steps[q * 2];
-                    next |= steps[q * 2 + 1];
-                }
-                scratch.mask[i] = row;
-                scratch.fwd[i + 1] = next;
-            }
-        } else {
-            for (i, &t) in seq.iter().enumerate() {
-                let row = &mut scratch.mask[i * w..(i + 1) * w];
-                let (head, tail) = scratch.fwd.split_at_mut((i + 1) * qw);
-                let frontier = &head[i * qw..];
-                let next = &mut tail[..qw];
-                let cache = &mut scratch.cache;
-                for (fw, fword) in frontier.iter().enumerate() {
-                    let mut fbits = *fword;
-                    while fbits != 0 {
-                        let q = fw * 64 + fbits.trailing_zeros() as usize;
-                        fbits &= fbits - 1;
-                        let dts = ix.state_distinct(q);
-                        for (tr, &d) in ix.state(q).iter().zip(dts) {
-                            // Only bits of transitions actually leaving the
-                            // frontier are set — exactly the bits the
-                            // backward pass and the walk consult.
-                            if match_cached(&distinct[d as usize].0, d, t, self.dict, cache) {
-                                row[tr.word as usize] |= tr.mask;
-                                next[tr.to as usize / 64] |= 1 << (tr.to % 64);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut any_final = false;
-        for q in 0..qn as u32 {
-            if get_bit(&scratch.fwd[n * qw..], q as usize) && self.fst.is_final(q) {
-                any_final = true;
-            }
-        }
-        if !any_final {
-            return false;
-        }
-        // Rejected sequences (the common case under selective constraints)
-        // never pay for the aliveness table.
-        scratch.alive.clear();
-        scratch.alive.resize((n + 1) * qw, 0);
-        for q in 0..qn as u32 {
-            if get_bit(&scratch.fwd[n * qw..], q as usize) && self.fst.is_final(q) {
-                set_bit(&mut scratch.alive[n * qw..], q as usize);
-            }
-        }
-        let inputs = ix.inputs();
-        for i in (0..n).rev() {
-            let row = &mut scratch.mask[i * w..(i + 1) * w];
-            let (head, tail) = scratch.alive.split_at_mut((i + 1) * qw);
-            let alive_cur = &mut head[i * qw..];
-            let alive_next = &tail[..qw];
-            let frontier = &scratch.fwd[i * qw..(i + 1) * qw];
-            for (fw, fword) in frontier.iter().enumerate() {
-                let mut fbits = *fword;
-                while fbits != 0 {
-                    let q = fw * 64 + fbits.trailing_zeros() as usize;
-                    fbits &= fbits - 1;
-                    let ok = ix.state(q).iter().any(|tr| {
-                        row[tr.word as usize] & tr.mask != 0 && get_bit(alive_next, tr.to as usize)
-                    });
-                    if ok {
-                        set_bit(alive_cur, q);
-                    }
-                }
-            }
-            // Fold aliveness into the match bits (iterating set bits only:
-            // lazily filled rows are sparse): one bit test then answers
-            // "matches ∧ target alive" for the whole walk.
-            for (wi, word) in row.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let to = inputs[wi * 64 + b].1 as usize;
-                    if !get_bit(alive_next, to) {
-                        *word &= !(1 << b);
-                    }
-                }
-            }
-        }
-        get_bit(&scratch.alive, self.fst.initial() as usize)
-    }
-
-    /// Fills the step-table rows of item `t`: for every state, the match
-    /// row of its transitions on `t` and the resulting next-state mask.
-    /// Runs once per distinct item of the job (Zipf-distributed inputs
-    /// amortize it to nearly nothing).
-    fn fill_step(&self, t: ItemId, qn: usize, step: &mut [u64], cache: &mut [u16]) {
-        let ix = self.index;
-        let distinct = ix.distinct_inputs();
-        let base = t as usize * qn * 2;
-        for q in 0..qn {
-            let (mut row, mut next) = (0u64, 0u64);
-            for (tr, &d) in ix.state(q).iter().zip(ix.state_distinct(q)) {
-                if match_cached(&distinct[d as usize].0, d, t, self.dict, cache) {
-                    row |= tr.mask;
-                    next |= 1 << tr.to;
-                }
-            }
-            step[base + q * 2] = row;
-            step[base + q * 2 + 1] = next;
-        }
-    }
-
-    /// Materializes the σ-filtered output set of every
-    /// `(position, interned label)` pair with at least one viable
-    /// transition into the scratch arena. Empty ranges mark σ-dead pairs.
-    fn build_outputs(&self, seq: &[ItemId], scratch: &mut RunScratch) {
-        let ix = self.index;
-        let w = ix.words();
-        let l = ix.num_labels();
-        scratch.out_off.clear();
-        scratch.outs.clear();
-        for (i, &t) in seq.iter().enumerate() {
-            let row = &scratch.mask[i * w..(i + 1) * w];
-            for li in 0..l {
-                let used = ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0);
-                if !used {
-                    scratch.out_off.push((0, 0));
-                    continue;
-                }
-                let start = scratch.outs.len() as u32;
-                scratch.outbuf.clear();
-                ix.labels()[li].outputs(t, self.dict, &mut scratch.outbuf);
-                scratch.outs.extend(
-                    scratch
-                        .outbuf
-                        .iter()
-                        .copied()
-                        .filter(|&w| w <= self.max_item),
-                );
-                scratch.out_off.push((start, scratch.outs.len() as u32));
-            }
-        }
-    }
-
-    /// Builds the flat run tables for `seq` in `scratch` — the match-mask /
-    /// aliveness grid plus the σ-filtered per-`(position, label)` output
-    /// arena. Returns `true` iff the FST accepts `seq` (rejected sequences
-    /// stop after the forward pass and build no output sets). Exposed for
-    /// benchmarks; [`for_each_run`](Self::for_each_run) calls it
-    /// internally.
+    /// Builds the flat run tables for `seq` in `scratch` through the shared
+    /// front-end ([`Simulator::build`]): the alive-pruned match masks plus
+    /// the σ-filtered per-`(position, label)` output arena. Returns `true`
+    /// iff the FST accepts `seq` (rejected sequences stop after the forward
+    /// pass and build no output sets). Exposed for benchmarks;
+    /// [`for_each_run`](Self::for_each_run) calls it internally.
     pub fn build_tables(&self, seq: &[ItemId], scratch: &mut RunScratch) -> bool {
-        if !self.prepare(seq, scratch) {
-            return false;
-        }
-        self.build_outputs(seq, scratch);
-        true
+        scratch.tables.clear();
+        self.sim.build(seq, &mut scratch.sim, &mut scratch.tables)
     }
 
     /// Walks every accepting run of the FST on `seq` in the same
@@ -451,21 +173,21 @@ impl<'a> RunWalker<'a> {
             return true;
         }
         let n = seq.len();
-        let w = self.index.words();
-        let l = self.index.num_labels();
+        let (fst, index) = (self.sim.fst, self.sim.index);
+        let w = index.words();
+        let l = index.num_labels();
         let RunScratch {
             frames,
             path_sets,
-            mask,
-            out_off,
-            outs,
+            tables,
             ..
         } = scratch;
+        let (mask, out_off, outs) = (tables.mask(), tables.offsets(), tables.outs());
         frames.clear();
         path_sets.clear();
         frames.push(Frame {
             pos: 0,
-            state: self.fst.initial(),
+            state: fst.initial(),
             next: 0,
             pushed: false,
         });
@@ -475,7 +197,7 @@ impl<'a> RunWalker<'a> {
             let (i, q, ti) = (frame.pos as usize, frame.state, frame.next as usize);
             if i == n {
                 // Complete run; aliveness pruning guarantees a final state.
-                debug_assert!(self.fst.is_final(q));
+                debug_assert!(fst.is_final(q));
                 let sets = RunSets {
                     ranges: path_sets,
                     arena: outs,
@@ -495,7 +217,7 @@ impl<'a> RunWalker<'a> {
             }
             // Find the next viable transition (match bit = matches ∧ alive).
             let row = &mask[i * w..(i + 1) * w];
-            let trs = self.index.state(q as usize);
+            let trs = index.state(q as usize);
             let mut found = None;
             for (j, tr) in trs.iter().enumerate().skip(ti) {
                 if row[tr.word as usize] & tr.mask != 0 {
@@ -508,7 +230,8 @@ impl<'a> RunWalker<'a> {
                     frame.next = j as u32 + 1;
                     let pushed = tr.label >= 0;
                     if pushed {
-                        let r = out_off[i * l + tr.label as usize];
+                        let set = i * l + tr.label as usize;
+                        let r = (out_off[set], out_off[set + 1]);
                         if r.0 == r.1 {
                             dead += 1;
                         }
@@ -968,6 +691,49 @@ mod tests {
                 true
             });
             assert_eq!(got, expect, "seq {seq:?}");
+        }
+    }
+
+    #[test]
+    fn one_run_scratch_across_jobs_builds_what_a_fresh_one_does() {
+        // Another FST over the toy dictionary, another dictionary, then the
+        // toy FST again: the job-wide step table must re-key, never serve
+        // stale rows.
+        use crate::dictionary::DictionaryBuilder;
+        use crate::pexp::PatEx;
+        use crate::sequence::SequenceDb;
+        let fx = toy::fixture();
+        let compile =
+            |p: &str, dict: &Dictionary| Fst::compile(&PatEx::parse(p).unwrap(), dict).unwrap();
+        let mut b = DictionaryBuilder::new();
+        for name in ["x", "y", "z", "b"] {
+            b.item(name);
+        }
+        b.edge("x", "z");
+        let g = |name: &str| b.id_of(name).unwrap();
+        let raw = SequenceDb::new(vec![
+            vec![g("x"), g("y"), g("b")],
+            vec![g("b"), g("x"), g("x"), g("b")],
+        ]);
+        let (dict2, db2) = b.freeze(&raw).unwrap();
+        let jobs = [
+            (fx.fst.clone(), &fx.dict, &fx.db),
+            (compile(".*(b)[(.^)|.]*(A^).*", &fx.dict), &fx.dict, &fx.db),
+            (compile(".*(z)[(.^)|.]*(b).*", &dict2), &dict2, &db2),
+            (fx.fst.clone(), &fx.dict, &fx.db),
+        ];
+        let mut shared = RunScratch::default();
+        for (fst, dict, db) in &jobs {
+            let index = FstIndex::new(fst);
+            let walker = RunWalker::new(fst, dict, &index, dict.last_frequent(2));
+            for seq in &db.sequences {
+                let mut fresh = RunScratch::default();
+                assert_eq!(
+                    walker.build_tables(seq, &mut shared),
+                    walker.build_tables(seq, &mut fresh)
+                );
+                assert_eq!(shared.tables, fresh.tables, "seq {seq:?}");
+            }
         }
     }
 

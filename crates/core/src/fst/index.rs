@@ -6,10 +6,10 @@
 //! state-major order (state 0's transitions first, then state 1's, …).
 //! That index is the transition's bit in a per-position *match mask*: a
 //! `⌈|Δ| / 64⌉`-word bitset per input position whose bit `δ` says
-//! "transition `δ` matches the item at this position". Consumers build one
-//! mask row per position with [`FstIndex::fill_match_row`] (one ancestor
-//! check per *distinct* input label, not per transition) and afterwards
-//! resolve every match question as a single bit test — no dictionary
+//! "transition `δ` matches the item at this position". The rows are built
+//! by the shared simulation front-end ([`sim::Simulator`](super::sim)) —
+//! lazily, for transitions leaving forward-reachable states only — and
+//! afterwards every match question is a single bit test: no dictionary
 //! access, no repeated `InputLabel::matches` evaluation.
 //!
 //! Output labels are interned: the distinct non-ε [`OutputLabel`]s get
@@ -27,18 +27,15 @@
 //! * global transition order is state-major and stable: bit `δ` of a match
 //!   mask always refers to `inputs()[δ]`, and `state(q)` yields exactly the
 //!   transitions of `q` in that order;
-//! * mask rows passed to bit tests must have been filled by
-//!   [`fill_match_row`](FstIndex::fill_match_row) (or derived from such a
-//!   row by *clearing* bits, e.g. to fold in grid aliveness — setting
-//!   extra bits is undefined);
+//! * mask rows passed to bit tests must have been built by
+//!   [`Simulator::build`](super::sim::Simulator::build) and are consulted
+//!   only under its [reachable-sources contract](super::sim);
 //! * interned label indices are only meaningful against the same index
 //!   (`labels()[i]`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::{Fst, InputLabel, OutputLabel};
-use crate::dictionary::Dictionary;
-use crate::sequence::ItemId;
 
 /// Source of unique per-construction [`FstIndex::generation`] ids.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
@@ -71,10 +68,9 @@ pub struct FstIndex {
     /// Input labels in global transition order (mask bit order), with the
     /// target state for aliveness pruning of the masks.
     inputs: Vec<(InputLabel, u32)>,
-    /// Distinct input labels with the union bit mask of their transitions:
-    /// the mask build evaluates each distinct label once per position
-    /// instead of once per transition.
-    distinct_inputs: Vec<(InputLabel, Vec<u64>)>,
+    /// Distinct input labels: the mask build evaluates each distinct label
+    /// once per item instead of once per transition.
+    distinct_inputs: Vec<InputLabel>,
     /// Per transition (global order): index of its label in
     /// `distinct_inputs` — lets lazy consumers evaluate a label on first
     /// touch and reuse the verdict for every transition sharing it.
@@ -156,17 +152,16 @@ impl FstIndex {
                 label_masks[tr.label as usize][tr.word as usize] |= tr.mask;
             }
         }
-        let mut distinct_inputs: Vec<(InputLabel, Vec<u64>)> = Vec::new();
+        let mut distinct_inputs: Vec<InputLabel> = Vec::new();
         let mut distinct_of: Vec<u16> = Vec::with_capacity(inputs.len());
-        for (d, &(input, _)) in inputs.iter().enumerate() {
-            let di = match distinct_inputs.iter().position(|(l, _)| *l == input) {
+        for &(input, _) in &inputs {
+            let di = match distinct_inputs.iter().position(|&l| l == input) {
                 Some(i) => i,
                 None => {
-                    distinct_inputs.push((input, vec![0u64; words]));
+                    distinct_inputs.push(input);
                     distinct_inputs.len() - 1
                 }
             };
-            distinct_inputs[di].1[d / 64] |= 1 << (d % 64);
             distinct_of.push(di as u16);
         }
         assert!(
@@ -278,18 +273,17 @@ impl FstIndex {
         &self.trs[self.state_offsets[q] as usize..self.state_offsets[q + 1] as usize]
     }
 
-    /// The distinct input labels with the union bit masks of their
-    /// transitions (indexable by [`state_distinct`](Self::state_distinct)
-    /// entries).
+    /// The distinct input labels (indexable by
+    /// [`state_distinct`](Self::state_distinct) entries).
     #[inline]
-    pub fn distinct_inputs(&self) -> &[(InputLabel, Vec<u64>)] {
+    pub fn distinct_inputs(&self) -> &[InputLabel] {
         &self.distinct_inputs
     }
 
     /// Per transition of state `q` (parallel to [`state`](Self::state)):
     /// the index of its input label in
-    /// [`distinct_inputs`](Self::distinct_inputs). Lazy consumers evaluate
-    /// a distinct label once per position on first touch and reuse the
+    /// [`distinct_inputs`](Self::distinct_inputs). The simulation
+    /// front-end evaluates a distinct label once per item and reuses the
     /// verdict for every transition sharing it.
     #[inline]
     pub fn state_distinct(&self, q: usize) -> &[u16] {
@@ -301,20 +295,6 @@ impl FstIndex {
     #[inline]
     pub fn can_output(&self, q: usize) -> bool {
         self.can_output[q]
-    }
-
-    /// Fills `row` (a zeroed `words()`-long slice) with the match mask of
-    /// input item `t`: bit `δ` is set iff transition `δ` matches `t`. One
-    /// ancestor check per distinct input label.
-    #[inline]
-    pub fn fill_match_row(&self, t: ItemId, dict: &Dictionary, row: &mut [u64]) {
-        for (input, bits) in &self.distinct_inputs {
-            if input.matches(t, dict) {
-                for (r, b) in row.iter_mut().zip(bits) {
-                    *r |= b;
-                }
-            }
-        }
     }
 }
 
@@ -339,24 +319,6 @@ mod tests {
         }
         assert_eq!(d, fx.fst.num_transitions());
         assert_eq!(ix.words(), d.div_ceil(64).max(1));
-    }
-
-    #[test]
-    fn match_rows_agree_with_transition_matching() {
-        let fx = toy::fixture();
-        let ix = FstIndex::new(&fx.fst);
-        for t in 1..=fx.dict.max_fid() {
-            let mut row = vec![0u64; ix.words()];
-            ix.fill_match_row(t, &fx.dict, &mut row);
-            let mut d = 0usize;
-            for q in 0..fx.fst.num_states() {
-                for tr in fx.fst.transitions(q as u32) {
-                    let bit = row[d / 64] >> (d % 64) & 1 != 0;
-                    assert_eq!(bit, tr.matches(t, &fx.dict), "item {t}, transition {d}");
-                    d += 1;
-                }
-            }
-        }
     }
 
     #[test]

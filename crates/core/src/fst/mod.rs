@@ -21,11 +21,13 @@ mod minim;
 pub mod nfa;
 pub mod opt;
 pub mod runs;
+pub mod sim;
 
 pub use flat::{CandidateCounter, RunScratch, RunWalker};
 pub use grid::Grid;
 pub use index::{FstIndex, TrRef};
 pub use opt::OptLevel;
+pub use sim::{SimScratch, SimTables, Simulator};
 
 use crate::dictionary::Dictionary;
 use crate::error::Result;

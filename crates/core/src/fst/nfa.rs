@@ -1,7 +1,7 @@
 //! Tries and NFAs over *output item sets* — D-CAND's compact candidate
 //! representation (Sec. VI-A of the paper), hoisted from `desq_dist` so the
 //! FST optimizer's suffix-sharing pass and D-CAND's byte-serialized NFAs
-//! share one minimization implementation (the [`minim`](super::minim)
+//! share one minimization implementation (the `minim`
 //! signature-hashing machinery; `desq_dist::dcand::nfa` re-exports this
 //! module for compatibility, mirroring the PR-5 `fx`/`codec` hoist).
 //!

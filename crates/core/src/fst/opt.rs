@@ -1,6 +1,6 @@
 //! The compile-time FST optimizer pipeline.
 //!
-//! [`Fst::compile`] hands the raw Thompson NFST to [`optimize`], which runs
+//! [`Fst::compile`] hands the raw Thompson NFST to `optimize`, which runs
 //! up to four passes:
 //!
 //! 1. **ε-removal** — ε-closure rewriting: FST state `q` gets the consuming
@@ -25,7 +25,7 @@
 //!    exempt from the functionality test: the uncaptured `.*` context of
 //!    unanchored constraints must not disable the pass.
 //! 4. **Suffix-sharing minimization** — Moore-style refinement to the
-//!    coarsest forward bisimulation over the shared [`minim`] machinery
+//!    coarsest forward bisimulation over the shared `minim` machinery
 //!    (generalized from D-CAND's DAWG construction in [`nfa`](super::nfa)).
 //!    Beyond size, this restores the paper's automaton shapes: Thompson
 //!    turns `.*` into an entry edge plus a loop state, the quotient

@@ -289,11 +289,12 @@ pub fn validate_sigma(sigma: u64) -> Result<()> {
 
 /// How an algorithm that owns several execution strategies should pick one.
 ///
-/// Today only DESQ-DFS consults this: its *flat* path materializes
-/// bit-packed simulation tables per input sequence (fast on large pattern
-/// spaces, but the table build is pure overhead on cheap constraints),
-/// while its *lean* path runs the candidate-counting walk directly over
-/// the CSR FST index with no per-sequence materialization. See
+/// Today only DESQ-DFS consults this: its *flat* path keeps bit-packed
+/// simulation tables per accepted input sequence (fast on large pattern
+/// spaces), while its *lean* path runs the candidate-counting walk and
+/// keeps nothing per sequence. Both build their tables through the same
+/// lazy front-end ([`fst::sim`](crate::fst::sim)), so on cheap constraints
+/// the two are within tens of percent of each other. See
 /// `docs/ARCHITECTURE.md` for the cost model behind `Auto`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecutionPolicy {

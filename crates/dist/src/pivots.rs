@@ -17,11 +17,12 @@
 //!
 //! # Hot-path layout
 //!
-//! The DP runs on the same flat substrate as DESQ-DFS local mining
-//! (PR 3): a shared CSR [`FstIndex`] built once per search, per-position
-//! bit-packed *match masks* with grid aliveness folded in (one bit test
-//! replaces the ancestor check plus the aliveness lookup), forward/alive
-//! grid bitsets, and σ-filtered output sets materialized per
+//! The DP runs on the tables of the shared simulation front-end
+//! ([`desq_core::fst::sim`], the same one DESQ-DFS local mining and the
+//! counting path use): a CSR [`FstIndex`] built once per search,
+//! per-position bit-packed *match masks* with grid aliveness folded in (one
+//! bit test replaces the ancestor check plus the aliveness lookup),
+//! forward/alive grid bitsets, and σ-filtered output sets materialized per
 //! `(position, interned label)` into an arena. The per-coordinate pivot
 //! sets are small sorted arrays in two row arenas (the backward DP only
 //! ever reads row `i + 1` to produce row `i`), merged with ⊕ as pure
@@ -39,7 +40,8 @@
 //! pivots, including for adversarial FSTs where more aggressive per-pivot
 //! trimming would change results.
 
-use desq_core::fst::{runs, FstIndex, Grid};
+use desq_core::fst::sim::{get_bit, ones};
+use desq_core::fst::{runs, FstIndex, Grid, SimScratch, SimTables, Simulator};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, EPSILON};
 
 use crate::dcand::merge_pivots;
@@ -56,8 +58,8 @@ pub struct PivotRange {
     pub last: u32,
 }
 
-/// Reusable scratch of the flat pivot DP: grid bitsets, the output arena
-/// and the two DP row arenas.
+/// Reusable scratch of the flat pivot DP: the simulation front-end's
+/// scratch and tables, and the two DP row arenas.
 ///
 /// Create one per worker thread (`PivotScratch::default()`), pass it to
 /// [`PivotSearch::pivots_with`] / [`PivotSearch::pivots_into`] for every
@@ -66,18 +68,10 @@ pub struct PivotRange {
 /// mark.
 #[derive(Default)]
 pub struct PivotScratch {
-    /// Per-position match masks (`n × words`), pruned to transitions whose
-    /// target coordinate is alive.
-    mask: Vec<u64>,
-    /// Forward-reachability bitset over `(position, state)` cells.
-    fwd: Vec<u64>,
-    /// Aliveness bitset (forward-reachable ∧ accepting completion exists).
-    alive: Vec<u64>,
-    /// Arena ranges of the σ-filtered output set per
-    /// `(position, interned label)`.
-    out_off: Vec<(u32, u32)>,
-    /// Output-set arena.
-    outs: Vec<ItemId>,
+    /// Job-wide step table and the grid bitsets of the current sequence.
+    sim: SimScratch,
+    /// Mask rows and σ-filtered output arena of the current sequence.
+    tables: SimTables,
     /// DP row `i` under construction: per-state arena ranges + items.
     cur: Vec<ItemId>,
     cur_off: Vec<(u32, u32)>,
@@ -88,18 +82,6 @@ pub struct PivotScratch {
     acc: Vec<ItemId>,
     tmp: Vec<ItemId>,
     tmp2: Vec<ItemId>,
-    /// Raw output buffer of one `(position, label)` materialization.
-    outbuf: Vec<ItemId>,
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-#[inline]
-fn get_bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] >> (i % 64) & 1 != 0
 }
 
 /// Merges two strictly-ascending sorted sets into `out` (union, dedup).
@@ -232,113 +214,40 @@ impl<'a> PivotSearch<'a> {
         }));
     }
 
-    /// Builds the per-sequence tables in `scratch`: match masks (pruned by
-    /// aliveness), forward-reachability and aliveness bitsets. Returns
-    /// `true` iff the FST accepts `seq`.
+    /// Builds the per-sequence tables in `scratch` through the shared
+    /// front-end: alive-pruned match masks, the grid bitsets and the
+    /// σ-filtered output arena. Returns `true` iff the FST accepts `seq`.
     fn prepare(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> bool {
-        let ix = &self.index;
-        let n = seq.len();
-        let qn = self.fst.num_states();
-        let w = ix.words();
-
-        scratch.mask.clear();
-        scratch.mask.resize(n * w, 0);
-        for (i, &t) in seq.iter().enumerate() {
-            ix.fill_match_row(t, self.dict, &mut scratch.mask[i * w..(i + 1) * w]);
-        }
-
-        let bwords = ((n + 1) * qn).div_ceil(64).max(1);
-        scratch.fwd.clear();
-        scratch.fwd.resize(bwords, 0);
-        scratch.alive.clear();
-        scratch.alive.resize(bwords, 0);
-        let (fwd, alive) = (&mut scratch.fwd, &mut scratch.alive);
-        set_bit(fwd, self.fst.initial() as usize);
-        for i in 0..n {
-            let row = &scratch.mask[i * w..(i + 1) * w];
-            for q in 0..qn {
-                if !get_bit(fwd, i * qn + q) {
-                    continue;
-                }
-                for tr in ix.state(q) {
-                    if row[tr.word as usize] & tr.mask != 0 {
-                        set_bit(fwd, (i + 1) * qn + tr.to as usize);
-                    }
-                }
-            }
-        }
-        for q in 0..qn as u32 {
-            if get_bit(fwd, n * qn + q as usize) && self.fst.is_final(q) {
-                set_bit(alive, n * qn + q as usize);
-            }
-        }
-        for i in (0..n).rev() {
-            let row = &mut scratch.mask[i * w..(i + 1) * w];
-            for q in 0..qn {
-                if !get_bit(fwd, i * qn + q) {
-                    continue;
-                }
-                let ok = ix.state(q).iter().any(|tr| {
-                    row[tr.word as usize] & tr.mask != 0
-                        && get_bit(alive, (i + 1) * qn + tr.to as usize)
-                });
-                if ok {
-                    set_bit(alive, i * qn + q);
-                }
-            }
-            // Fold aliveness into the match bits: one bit test then answers
-            // "matches ∧ target alive" for both the DP and the range scan.
-            for (d, &(_, to)) in ix.inputs().iter().enumerate() {
-                if !get_bit(alive, (i + 1) * qn + to as usize) {
-                    row[d / 64] &= !(1 << (d % 64));
-                }
-            }
-        }
-        get_bit(alive, self.fst.initial() as usize)
+        scratch.tables.clear();
+        Simulator::new(self.fst, self.dict, &self.index, self.last_frequent).build(
+            seq,
+            &mut scratch.sim,
+            &mut scratch.tables,
+        )
     }
 
     /// The backward pivot DP over the prepared tables. Leaves row 0 in
     /// `scratch.prev`/`prev_off`; each cell's set is sorted ascending with
-    /// [`EPSILON`] marking the all-ε completion.
+    /// [`EPSILON`] marking the all-ε completion. Labels whose transitions
+    /// all miss (or are alive-pruned) at a position have an empty output
+    /// set and kill their transitions in the DP.
     fn flat_pivot_set(&self, seq: &[ItemId], scratch: &mut PivotScratch) {
         let ix = &self.index;
         let n = seq.len();
         let qn = self.fst.num_states();
         let w = ix.words();
         let l = ix.num_labels();
-
-        // σ-filtered output arena per (position, interned label). Labels
-        // whose transitions all miss (or are alive-pruned) at a position
-        // get an empty range and kill their transitions in the DP.
-        scratch.out_off.clear();
-        scratch.outs.clear();
-        for (i, &t) in seq.iter().enumerate() {
-            let row = &scratch.mask[i * w..(i + 1) * w];
-            for li in 0..l {
-                let used = ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0);
-                if !used {
-                    scratch.out_off.push((0, 0));
-                    continue;
-                }
-                let start = scratch.outs.len() as u32;
-                scratch.outbuf.clear();
-                ix.labels()[li].outputs(t, self.dict, &mut scratch.outbuf);
-                scratch.outs.extend(
-                    scratch
-                        .outbuf
-                        .iter()
-                        .copied()
-                        .filter(|&w| w <= self.last_frequent),
-                );
-                scratch.out_off.push((start, scratch.outs.len() as u32));
-            }
-        }
+        let (mask, out_off, outs) = (
+            scratch.tables.mask(),
+            scratch.tables.offsets(),
+            scratch.tables.outs(),
+        );
 
         // Row n: alive final coordinates complete with ε only.
         scratch.prev.clear();
         scratch.prev_off.clear();
         for q in 0..qn {
-            if get_bit(&scratch.alive, n * qn + q) {
+            if get_bit(scratch.sim.alive(n), q) {
                 let s = scratch.prev.len() as u32;
                 scratch.prev.push(EPSILON);
                 scratch.prev_off.push((s, s + 1));
@@ -350,9 +259,9 @@ impl<'a> PivotSearch<'a> {
         for i in (0..n).rev() {
             scratch.cur.clear();
             scratch.cur_off.clear();
-            let row = &scratch.mask[i * w..(i + 1) * w];
+            let row = &mask[i * w..(i + 1) * w];
             for q in 0..qn {
-                if !get_bit(&scratch.alive, i * qn + q) {
+                if !get_bit(scratch.sim.alive(i), q) {
                     scratch.cur_off.push((0, 0));
                     continue;
                 }
@@ -373,13 +282,13 @@ impl<'a> PivotSearch<'a> {
                         std::mem::swap(&mut scratch.acc, &mut scratch.tmp);
                         continue;
                     }
-                    let (os, oe) = scratch.out_off[i * l + tr.label as usize];
+                    let set = i * l + tr.label as usize;
+                    let (os, oe) = (out_off[set], out_off[set + 1]);
                     if os == oe {
                         continue; // dead under the σ filter
                     }
-                    let outs = &scratch.outs[os as usize..oe as usize];
                     oplus_into(
-                        outs,
+                        &outs[os as usize..oe as usize],
                         rest,
                         &mut scratch.acc,
                         &mut scratch.tmp,
@@ -473,12 +382,11 @@ impl<'a> PivotSearch<'a> {
 
     /// The safety-clamped rewritten range shared by all pivots of `seq`, or
     /// `None` if the FST rejects the sequence.
-    pub fn safe_range(&self, seq: &[ItemId]) -> Option<(usize, usize)> {
-        let mut scratch = PivotScratch::default();
-        if seq.is_empty() || !self.prepare(seq, &mut scratch) {
+    pub fn safe_range(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> Option<(usize, usize)> {
+        if seq.is_empty() || !self.prepare(seq, scratch) {
             return None;
         }
-        self.range_from_scratch(seq, &scratch)
+        self.range_from_scratch(seq, scratch)
     }
 
     /// The rewritten range over prepared scratch tables (`prepare` must
@@ -502,15 +410,14 @@ impl<'a> PivotSearch<'a> {
     /// ε-output self-loops, every alive run idles there.
     fn safe_front(&self, seq: &[ItemId], scratch: &PivotScratch) -> usize {
         let ix = &self.index;
-        let qn = self.fst.num_states();
         let w = ix.words();
         let initial = self.fst.initial();
         let mut i = 0;
         while i < seq.len() {
-            if !get_bit(&scratch.alive, i * qn + initial as usize) {
+            if !get_bit(scratch.sim.alive(i), initial as usize) {
                 return i;
             }
-            let row = &scratch.mask[i * w..(i + 1) * w];
+            let row = &scratch.tables.mask()[i * w..(i + 1) * w];
             for tr in ix.state(initial as usize) {
                 if row[tr.word as usize] & tr.mask == 0 {
                     continue; // no match, or the target is a dead end
@@ -532,24 +439,20 @@ impl<'a> PivotSearch<'a> {
     fn safe_back(&self, seq: &[ItemId], scratch: &PivotScratch, first: usize) -> usize {
         let ix = &self.index;
         let n = seq.len();
-        let qn = self.fst.num_states();
         let w = ix.words();
         let mut dropped = 0;
         'outer: while dropped + first + 1 < n {
             let j = n - 1 - dropped;
-            let row = &scratch.mask[j * w..(j + 1) * w];
-            for s in 0..qn as u32 {
-                if !get_bit(&scratch.fwd, j * qn + s as usize) {
-                    continue;
-                }
-                let alive = get_bit(&scratch.alive, j * qn + s as usize);
-                if alive != self.fst.is_final(s) {
+            let row = &scratch.tables.mask()[j * w..(j + 1) * w];
+            for s in ones(scratch.sim.reachable(j)) {
+                let alive = get_bit(scratch.sim.alive(j), s);
+                if alive != self.fst.is_final(s as u32) {
                     break 'outer;
                 }
                 if !alive {
                     continue;
                 }
-                for tr in ix.state(s as usize) {
+                for tr in ix.state(s) {
                     // Pruned bit = matches ∧ target alive; label ≥ 0 =
                     // produces output.
                     if row[tr.word as usize] & tr.mask != 0 && tr.label >= 0 {
@@ -611,16 +514,44 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_scratch() {
-        // One scratch across all sequences and σ values must behave like a
-        // fresh one per call (no state leaks between sequences).
+        // One scratch across all sequences, σ values, FSTs and dictionaries
+        // must behave like a fresh one per call: no state leaks between
+        // sequences, and the job-wide step table re-keys per search.
+        use desq_core::{DictionaryBuilder, PatEx, SequenceDb};
         let fx = toy::fixture();
+        let other_fst = Fst::compile(&PatEx::parse(".*(b)[(.^)|.]*(A^).*").unwrap(), &fx.dict);
+        let mut b = DictionaryBuilder::new();
+        for name in ["x", "y", "z", "b"] {
+            b.item(name);
+        }
+        b.edge("x", "z");
+        let g = |name: &str| b.id_of(name).unwrap();
+        let raw = SequenceDb::new(vec![
+            vec![g("x"), g("y"), g("b")],
+            vec![g("b"), g("x"), g("x"), g("b")],
+        ]);
+        let (dict2, db2) = b.freeze(&raw).unwrap();
+        let fst2 = Fst::compile(&PatEx::parse(".*(z)[(.^)|.]*(b).*").unwrap(), &dict2);
+        let jobs = [
+            (&fx.fst, &fx.dict, &fx.db),
+            (&other_fst.unwrap(), &fx.dict, &fx.db),
+            (&fst2.unwrap(), &dict2, &db2),
+            (&fx.fst, &fx.dict, &fx.db),
+        ];
         let mut shared = PivotScratch::default();
-        for sigma in 1..=5 {
-            let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
-            for seq in &fx.db.sequences {
-                let reused = search.pivots_with(seq, &mut shared);
-                let fresh = search.pivots(seq);
-                assert_eq!(reused, fresh, "σ={sigma}, seq {seq:?}");
+        for (fst, dict, db) in jobs {
+            for sigma in 1..=5 {
+                let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
+                for seq in &db.sequences {
+                    let mut fresh = PivotScratch::default();
+                    let reused = search.pivots_with(seq, &mut shared);
+                    assert_eq!(
+                        reused,
+                        search.pivots_with(seq, &mut fresh),
+                        "σ={sigma} {seq:?}"
+                    );
+                    assert_eq!(shared.tables, fresh.tables, "σ={sigma}, seq {seq:?}");
+                }
             }
         }
     }
@@ -703,6 +634,8 @@ mod tests {
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
         assert!(search.pivots(&[]).is_empty());
         assert!(search.pivots(&fx.db.sequences[2]).is_empty()); // T3 rejected
-        assert!(search.safe_range(&[]).is_none());
+        assert!(search
+            .safe_range(&[], &mut PivotScratch::default())
+            .is_none());
     }
 }

@@ -53,9 +53,13 @@ const PROBE_SEQS: usize = 16;
 const PROBE_CAP: usize = 4096;
 /// Lean is chosen when the probed average stays at or below this many
 /// candidate occurrences per sequence (tuned on the NYT constraint suite:
-/// the selective N2/N3 constraints probe in the low single digits and the
-/// lean path wins them 2–5×, the expressive N5/N4 probe at ~27/~50 and the
-/// flat tables win there).
+/// the selective N1–N3 constraints probe in the low single digits, the
+/// expressive N5/N4 at ~27/~50 — there the flat tables tie on N5 and win
+/// N4 by 1.2–1.4×).
+/// Re-measured after the table build went lazy (`nyt_like(40k)`, σ = 10,
+/// forced Flat ÷ forced Lean, best of 7): N1 ≈ 1.2, N2 ≈ 0.9, N3 ≈ 1.2 —
+/// the 2–5× the lean path used to win on them (3.9, 2.2, 5.0) is gone, so
+/// the threshold now guards tens of percent.
 const LEAN_MAX_AVG: f64 = 12.0;
 /// Structural pre-gate: automata whose state count × distinct-input count
 /// exceeds this are assumed expressive enough for the flat path without

@@ -51,7 +51,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
-use desq_core::fst::FstIndex;
+use desq_core::fst::sim::{get_bit, ones, set_bit};
+use desq_core::fst::{FstIndex, SimScratch, SimTables, Simulator};
 use desq_core::mining::{panic_message, CancelToken};
 #[cfg(test)]
 use desq_core::SequenceDb;
@@ -221,19 +222,24 @@ fn p_eps(p: Posting) -> bool {
 ///
 /// Everything the search-tree expansion needs about the input sequences is
 /// precomputed here, bit-packed to keep the per-node memory traffic low.
-/// Per sequence:
+/// The shared simulation front-end ([`Simulator::build`] — lazy,
+/// frontier-driven; a rejected sequence costs one forward pass and no arena
+/// space) produces the first two, this module adds the third. Per sequence:
 ///
 /// * *match masks* — bit `δ` of position `i`'s mask is set iff FST
-///   transition `δ` matches the input item at `i` *and* its target lies on
-///   an accepting run (the position–state grid of Sec. V-A, folded into
-///   the match bits — one bit test replaces the ancestor binary search
-///   plus the grid lookup);
+///   transition `δ` leaves a forward-reachable state, matches the input
+///   item at `i` *and* its target lies on an accepting run (the
+///   position–state grid of Sec. V-A, folded into the match bits — one bit
+///   test replaces the ancestor binary search plus the grid lookup). The
+///   DFS only ever follows set bits from the root coordinate, which is the
+///   front-end's [reachable-sources contract](desq_core::fst::sim);
+/// * the output arena — for every `(position, output label)` pair with a
+///   set bit, a slice holding the label's output set on the position's
+///   item, sorted ascending and cut at the building miner's frequent-item
+///   boundary ([`SimTables::offsets`]);
 /// * `eps_fin` — bitset memoizing "the rest of the sequence can be consumed
-///   producing only ε, ending in a final state" (the emission test);
-/// * `offsets`/`outs` — for every `(position, output label)` pair, an
-///   arena slice holding the label's output set on the position's item,
-///   sorted ascending and cut at the building miner's frequent-item
-///   boundary.
+///   producing only ε, ending in a final state" (the emission test), over
+///   the alive coordinates.
 ///
 /// All of that is **pivot-independent**: the partition restrictions of
 /// D-SEQ (no item above the pivot, early stopping) are applied by the DFS
@@ -259,15 +265,9 @@ fn p_eps(p: Posting) -> bool {
 #[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
-    mask: Vec<u64>,
+    /// Mask rows and output arena of the accepted sequences.
+    sim: SimTables,
     eps_fin: Vec<u64>,
-    /// Per accepted sequence, `len · labels + 1` ascending bounds into its
-    /// stretch of `outs` (relative to `outs_start`): the output set of
-    /// `(position i, label li)` lies between entries `i · labels + li` and
-    /// the next.
-    offsets: Vec<u32>,
-    /// Arena of precomputed output items, sliced by `offsets`.
-    outs: Vec<ItemId>,
 }
 
 /// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
@@ -318,11 +318,9 @@ impl SeqTables {
     /// sequence `s`'s match masks.
     pub fn num_match_bits(&self, s: usize) -> usize {
         // Sequences occupy the arenas in order, back to back.
-        let end = self
-            .metas
-            .get(s + 1)
-            .map_or(self.mask.len(), |m| m.mask_start);
-        self.mask[self.metas[s].mask_start..end]
+        let mask = self.sim.mask();
+        let end = self.metas.get(s + 1).map_or(mask.len(), |m| m.mask_start);
+        mask[self.metas[s].mask_start..end]
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
@@ -342,8 +340,8 @@ impl SeqTables {
         if !m.accepts {
             return None;
         }
-        let offsets = &self.offsets[m.off_start..m.off_start + m.len as usize * l + 1];
-        let outs = &self.outs[m.outs_start..][..offsets[offsets.len() - 1] as usize];
+        let offsets = &self.sim.offsets()[m.off_start..m.off_start + m.len as usize * l + 1];
+        let outs = &self.sim.outs()[m.outs_start..][..offsets[offsets.len() - 1] as usize];
         let at = outs.iter().rposition(|&w| w == pivot)?;
         // `offsets` ascends from 0 to `outs.len()`: the set holding `at` is
         // the last one starting at or before it.
@@ -354,10 +352,10 @@ impl SeqTables {
     /// descriptors onto this set's arenas.
     fn append(&mut self, other: SeqTables) {
         let (mb, eb, ob, ub) = (
-            self.mask.len(),
+            self.sim.mask().len(),
             self.eps_fin.len(),
-            self.offsets.len(),
-            self.outs.len(),
+            self.sim.offsets().len(),
+            self.sim.outs().len(),
         );
         self.metas.extend(other.metas.into_iter().map(|m| SeqMeta {
             mask_start: m.mask_start + mb,
@@ -366,38 +364,8 @@ impl SeqTables {
             outs_start: m.outs_start + ub,
             ..m
         }));
-        self.mask.extend_from_slice(&other.mask);
+        self.sim.append(&other.sim);
         self.eps_fin.extend_from_slice(&other.eps_fin);
-        self.offsets.extend_from_slice(&other.offsets);
-        self.outs.extend_from_slice(&other.outs);
-    }
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-#[inline]
-fn get_bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] >> (i % 64) & 1 != 0
-}
-
-/// Scratch reused across table builds of one worker: the forward/alive
-/// grid bitsets.
-#[derive(Default)]
-struct PrepareScratch {
-    fwd: Vec<u64>,
-    alive: Vec<u64>,
-}
-
-impl PrepareScratch {
-    /// Zeroes and resizes both grid bitsets for `bwords` words.
-    fn reset(&mut self, bwords: usize) {
-        self.fwd.clear();
-        self.fwd.resize(bwords, 0);
-        self.alive.clear();
-        self.alive.resize(bwords, 0);
     }
 }
 
@@ -497,7 +465,7 @@ struct ExpandBufs {
 /// the arena's own growth and the patterns it emits.
 #[derive(Default)]
 pub struct MinerScratch {
-    prepare: PrepareScratch,
+    prepare: SimScratch,
     bufs: ExpandBufs,
     views: Vec<SeqMeta>,
     roots: Vec<Posting>,
@@ -942,7 +910,7 @@ impl<'a> LocalMiner<'a> {
     ) -> Result<SeqTables> {
         let workers = workers.max(1).min(inputs.len().max(1));
         if workers == 1 {
-            let mut scratch = PrepareScratch::default();
+            let mut scratch = SimScratch::default();
             let mut set = SeqTables::default();
             for &(seq, w) in inputs {
                 if let Some(token) = cancel {
@@ -960,7 +928,7 @@ impl<'a> LocalMiner<'a> {
             for (idx, part) in inputs.chunks(chunk).enumerate() {
                 s.spawn(move |_| {
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut scratch = PrepareScratch::default();
+                        let mut scratch = SimScratch::default();
                         let mut set = SeqTables::default();
                         for &(seq, w) in part {
                             if cancel.is_some_and(|t| t.checkpoint().is_err()) {
@@ -1018,123 +986,56 @@ impl<'a> LocalMiner<'a> {
         first.runs.len()
     }
 
-    /// Builds one sequence's tables — match masks, grid aliveness,
-    /// ε-completion DP, and the output arena — appending into the set's
-    /// shared arenas (no per-sequence allocation).
+    /// Builds one sequence's tables — the front-end's match masks and
+    /// output arena plus the ε-completion bitset — appending into the set's
+    /// shared arenas (no per-sequence allocation; nothing for a rejected
+    /// sequence).
     fn prepare_into(
         &self,
         seq: &[ItemId],
         weight: u64,
-        scratch: &mut PrepareScratch,
+        scratch: &mut SimScratch,
         set: &mut SeqTables,
     ) {
         let mut meta = SeqMeta {
             weight,
-            mask_start: set.mask.len(),
+            mask_start: set.sim.mask().len(),
             eps_start: set.eps_fin.len(),
-            off_start: set.offsets.len(),
-            outs_start: set.outs.len(),
+            off_start: set.sim.offsets().len(),
+            outs_start: set.sim.outs().len(),
             len: u32::try_from(seq.len()).expect("postings pack positions into 32 bits"),
             last_pivot_pos: u32::MAX,
-            accepts: self.build_masks_into(seq, scratch, &mut set.mask, &mut set.eps_fin),
+            accepts: false,
         };
+        let sim = Simulator::new(self.fst, self.dict, self.index.get(), self.last_frequent);
+        meta.accepts = sim.build(seq, scratch, &mut set.sim);
         if meta.accepts {
-            let mask = &set.mask[meta.mask_start..];
-            self.build_outputs_into(seq, mask, &mut set.offsets, &mut set.outs);
+            let mask = &set.sim.mask()[meta.mask_start..];
+            self.build_eps_fin(seq.len(), scratch, mask, &mut set.eps_fin);
             meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         }
         set.metas.push(meta);
     }
 
-    /// Match masks with grid aliveness folded in, and the ε-completion
-    /// bitset, appended to `mask`/`eps_fin`. Returns whether the FST
-    /// accepts the sequence; on rejection the buffers are truncated back
-    /// to their input lengths.
-    fn build_masks_into(
-        &self,
-        seq: &[ItemId],
-        scratch: &mut PrepareScratch,
-        mask_buf: &mut Vec<u64>,
-        eps_buf: &mut Vec<u64>,
-    ) -> bool {
+    /// The ε-completion DP of one accepted sequence, appended to `eps_buf`
+    /// (bit `i · states + q`): `(i, q)` can consume the rest of the
+    /// sequence producing only ε and end in a final state. Runs over the
+    /// alive coordinates of the front-end's grid — every coordinate the DFS
+    /// can query is alive, and so is each cell of an ε-completion path from
+    /// it, so the pruned `mask` rows retain all of its transitions.
+    fn build_eps_fin(&self, n: usize, grid: &SimScratch, mask: &[u64], eps_buf: &mut Vec<u64>) {
         let ix = self.index.get();
-        let n = seq.len();
-        let qn = self.fst.num_states();
-        let w = ix.words();
-        let mask_start = mask_buf.len();
+        let (qn, w) = (self.fst.num_states(), ix.words());
         let eps_start = eps_buf.len();
-
-        // 1. Per-position match masks: one ancestor check per (position,
-        //    distinct input label), never repeated afterwards.
-        mask_buf.resize(mask_start + n * w, 0);
-        let mask = &mut mask_buf[mask_start..];
-        for (i, &t) in seq.iter().enumerate() {
-            ix.fill_match_row(t, self.dict, &mut mask[i * w..(i + 1) * w]);
-        }
-
-        // 2. Forward reachability, then aliveness (the grid of Sec. V-A).
-        let bwords = ((n + 1) * qn).div_ceil(64).max(1);
-        scratch.reset(bwords);
-        let (fwd, alive) = (&mut scratch.fwd, &mut scratch.alive);
-        set_bit(fwd, self.fst.initial() as usize);
-        for i in 0..n {
-            let row = &mask[i * w..(i + 1) * w];
-            for q in 0..qn {
-                if !get_bit(fwd, i * qn + q) {
-                    continue;
-                }
-                for tr in ix.state(q) {
-                    if row[tr.word as usize] & tr.mask != 0 {
-                        set_bit(fwd, (i + 1) * qn + tr.to as usize);
-                    }
-                }
-            }
-        }
-        // Backward sweep fusing three row-chained passes: aliveness DP,
-        // aliveness-pruning of the match bits, and the ε-completion DP.
-        eps_buf.resize(eps_start + bwords, 0);
-        let mask = &mut mask_buf[mask_start..];
+        eps_buf.resize(eps_start + ((n + 1) * qn).div_ceil(64).max(1), 0);
         let eps_fin = &mut eps_buf[eps_start..];
-        for q in 0..qn as u32 {
-            if get_bit(fwd, n * qn + q as usize) && self.fst.is_final(q) {
-                set_bit(alive, n * qn + q as usize);
-            }
-            if self.fst.is_final(q) {
-                set_bit(eps_fin, n * qn + q as usize);
-            }
+        for q in ones(grid.alive(n)) {
+            set_bit(eps_fin, n * qn + q);
         }
         for i in (0..n).rev() {
-            let row = &mut mask[i * w..(i + 1) * w];
-            // Aliveness of row i (from the unpruned row: transitions to
-            // dead targets cannot contribute anyway).
-            for q in 0..qn {
-                if !get_bit(fwd, i * qn + q) {
-                    continue;
-                }
-                let ok = ix.state(q).iter().any(|tr| {
-                    row[tr.word as usize] & tr.mask != 0
-                        && get_bit(alive, (i + 1) * qn + tr.to as usize)
-                });
-                if ok {
-                    set_bit(alive, i * qn + q);
-                }
-            }
-            // Fold aliveness into the match bits: clear every transition
-            // whose target is a dead end. The walk then needs one bit test
-            // per transition and the aliveness bitset itself is dropped.
-            // (A dead *source* keeps its bits, but no walk ever reaches
-            // it.)
-            for (d, &(_, to)) in ix.inputs().iter().enumerate() {
-                if !get_bit(alive, (i + 1) * qn + to as usize) {
-                    row[d / 64] &= !(1 << (d % 64));
-                }
-            }
-            // ε-completion DP over the pruned row: every coordinate the
-            // DFS can query is reachable and alive, and each cell of an
-            // ε-completion path from such a coordinate is itself reachable
-            // and alive, so the pruned masks retain all of its
-            // transitions.
-            for q in 0..qn {
+            let row = &mask[i * w..(i + 1) * w];
+            let mut any = false;
+            for q in ones(grid.alive(i)) {
                 let ok = ix.state(q).iter().any(|tr| {
                     tr.label < 0
                         && row[tr.word as usize] & tr.mask != 0
@@ -1142,51 +1043,13 @@ impl<'a> LocalMiner<'a> {
                 });
                 if ok {
                     set_bit(eps_fin, i * qn + q);
+                    any = true;
                 }
             }
-        }
-        if !get_bit(alive, self.fst.initial() as usize) {
-            mask_buf.truncate(mask_start);
-            eps_buf.truncate(eps_start);
-            return false;
-        }
-        true
-    }
-
-    /// The output arena of one sequence: per (position, output label) with
-    /// an alive matching transition, the label's output set on the
-    /// position's item up to the frequent-item boundary, appended to
-    /// `outs` and delimited by `offsets` (see [`SeqTables`]).
-    /// `mask` is the sequence's alive-folded mask rows from
-    /// [`Self::build_masks_into`].
-    fn build_outputs_into(
-        &self,
-        seq: &[ItemId],
-        mask: &[u64],
-        offsets: &mut Vec<u32>,
-        outs: &mut Vec<ItemId>,
-    ) {
-        let ix = self.index.get();
-        let w = ix.words();
-        let outs_start = outs.len();
-        offsets.reserve(seq.len() * ix.num_labels() + 1);
-        for (i, &t) in seq.iter().enumerate() {
-            let row = &mask[i * w..(i + 1) * w];
-            for (li, label) in ix.labels().iter().enumerate() {
-                let start = outs.len();
-                if ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0) {
-                    label.outputs(t, self.dict, outs);
-                    // Output sets are sorted ascending — the DFS cuts them
-                    // at its item bound the way the frequent-item boundary
-                    // cuts them here: by dropping a tail.
-                    debug_assert!(outs[start..].windows(2).all(|p| p[0] < p[1]));
-                    let keep = outs[start..].partition_point(|&w| w <= self.last_frequent);
-                    outs.truncate(start + keep);
-                }
-                offsets.push((start - outs_start) as u32);
+            if !any {
+                break; // no ε-completion starts at or before position i
             }
         }
-        offsets.push((outs.len() - outs_start) as u32);
     }
 
     /// The root projection: every accepted sequence at `(0, initial)`.
@@ -1254,10 +1117,10 @@ impl<'a> LocalMiner<'a> {
             let s = p_seq(node[idx]);
             let t = &views.metas[s as usize];
             let len = t.len as usize;
-            let mask = &arena.mask[t.mask_start..t.mask_start + len * w];
+            let mask = &arena.sim.mask()[t.mask_start..t.mask_start + len * w];
             let eps_fin = &arena.eps_fin[t.eps_start..];
-            let offsets = &arena.offsets[t.off_start..];
-            let outs = &arena.outs[t.outs_start..];
+            let offsets = &arena.sim.offsets()[t.off_start..];
+            let outs = &arena.sim.outs()[t.outs_start..];
             // Early stopping (Sec. V-C): while the prefix lacks the pivot,
             // nothing past the sequence's last pivot-producing position can
             // help it, and at that position only the pivot itself can.
@@ -1910,7 +1773,7 @@ mod tests {
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 1);
         for k in 1..fx.dict.max_fid() {
-            assert!(tables.outs.iter().any(|&w| w > k), "k={k}");
+            assert!(tables.sim.outs().iter().any(|&w| w > k), "k={k}");
             let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
@@ -1924,6 +1787,71 @@ mod tests {
                 miner.mine(&inputs).unwrap(),
                 "k={k}"
             );
+        }
+    }
+
+    #[test]
+    fn a_rejected_sequence_leaves_every_arena_at_its_input_length() {
+        let fx = toy::fixture();
+        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let mut tables = SeqTables::default();
+        let mut scratch = MinerScratch::default();
+        miner.append_tables(&fx.db.sequences[0], &mut tables, &mut scratch);
+        let lens = |t: &SeqTables| {
+            let sim = &t.sim;
+            (
+                sim.mask().len(),
+                t.eps_fin.len(),
+                sim.offsets().len(),
+                sim.outs().len(),
+            )
+        };
+        let before = lens(&tables);
+        assert!(before.0 > 0 && before.1 > 0 && before.2 > 0 && before.3 > 0);
+        // T3 = c d c b has no accepting run (the front-end stops after the
+        // forward pass: `fst::sim`'s own tests check that no aliveness table
+        // is built).
+        let t3 = miner.append_tables(&fx.db.sequences[2], &mut tables, &mut scratch);
+        assert!(!tables.accepts(t3 as usize));
+        assert_eq!(lens(&tables), before);
+        assert_eq!(tables.len(), 2);
+    }
+
+    #[test]
+    fn one_scratch_across_fsts_and_dictionaries_builds_what_a_fresh_one_does() {
+        use desq_core::{DictionaryBuilder, PatEx};
+        let fx = toy::fixture();
+        let other_fst = Fst::compile(&PatEx::parse(".*(b)[(.^)|.]*(A^).*").unwrap(), &fx.dict);
+        let mut b = DictionaryBuilder::new();
+        for name in ["x", "y", "z", "b"] {
+            b.item(name);
+        }
+        b.edge("x", "z");
+        let g = |name: &str| b.id_of(name).unwrap();
+        let raw = SequenceDb::new(vec![
+            vec![g("x"), g("y"), g("b")],
+            vec![g("b"), g("x"), g("x"), g("b")],
+        ]);
+        let (dict2, db2) = b.freeze(&raw).unwrap();
+        let fst2 = Fst::compile(&PatEx::parse(".*(z)[(.^)|.]*(b).*").unwrap(), &dict2);
+        let jobs = [
+            (&fx.fst, &fx.dict, &fx.db),
+            (&other_fst.unwrap(), &fx.dict, &fx.db),
+            (&fst2.unwrap(), &dict2, &db2),
+            (&fx.fst, &fx.dict, &fx.db),
+        ];
+        let mut shared = MinerScratch::default();
+        for (fst, dict, db) in jobs {
+            let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(1));
+            let (mut a, mut b) = (SeqTables::default(), SeqTables::default());
+            let mut fresh = MinerScratch::default();
+            for seq in &db.sequences {
+                miner.append_tables(seq, &mut a, &mut shared);
+                miner.append_tables(seq, &mut b, &mut fresh);
+            }
+            assert_eq!(a.sim, b.sim);
+            assert_eq!(a.eps_fin, b.eps_fin);
+            assert!((0..a.len()).all(|s| a.accepts(s) == b.accepts(s)));
         }
     }
 

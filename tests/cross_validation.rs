@@ -270,3 +270,43 @@ fn results_stable_across_workers_and_partitionings() {
         assert_eq!(r, &results[0]);
     }
 }
+
+/// A constraint outside the simulation front-end's step-table shape (more
+/// than 64 transitions optimized, more than 64 states unoptimized): the
+/// flat DFS tables, the counting walker and D-SEQ's pivot DP all run the
+/// general multi-word forward pass and must still agree.
+#[test]
+fn general_shape_fst_agrees_across_dfs_count_and_dseq() {
+    use desq::core::fst::FstIndex;
+    let fx = desq::core::toy::fixture();
+    let (dict, db) = shared((fx.dict, fx.db));
+    let expr = ".*[(A)|(A^)|(b)|(d^)|(c)|(e)|(a1)|(a2=)|(.^)|.]{1,7}(b).*";
+    for (level, state_words) in [(desq::OptLevel::Full, 1), (desq::OptLevel::None, 2)] {
+        for sigma in 1..=3 {
+            let base = MiningSession::builder()
+                .dictionary(dict.clone())
+                .database(db.clone())
+                .pattern(expr)
+                .sigma(sigma)
+                .opt_level(level)
+                .execution_policy(desq::ExecutionPolicy::Flat)
+                .workers(2)
+                .partitions(2)
+                .build()
+                .unwrap();
+            let fst = base.fst().unwrap();
+            assert!(!FstIndex::new(fst).step_table_eligible(), "{level:?}");
+            assert_eq!(fst.num_states().div_ceil(64), state_words, "{level:?}");
+            let reference = mine(&base, AlgorithmSpec::DesqCount);
+            assert!(!reference.is_empty(), "{level:?} σ={sigma}");
+            for spec in [AlgorithmSpec::DesqDfs, AlgorithmSpec::d_seq()] {
+                assert_eq!(
+                    mine(&base, spec),
+                    reference,
+                    "{level:?} σ={sigma}: {}",
+                    spec.name()
+                );
+            }
+        }
+    }
+}

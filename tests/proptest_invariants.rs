@@ -3,14 +3,15 @@
 
 use proptest::prelude::*;
 
-use desq::core::fst::candidates;
+use desq::core::fst::sim::get_bit;
+use desq::core::fst::{candidates, FstIndex, Grid, SimScratch, SimTables, Simulator};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::merge_pivots;
 use desq::dist::dcand::nfa::TrieBuilder;
 use desq::dist::PivotSearch;
 use desq::miner::{LocalMiner, MinerConfig, SchedConfig, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
-use desq::ExecutionPolicy;
+use desq::{ExecutionPolicy, OptLevel};
 
 const BUDGET: usize = 100_000;
 
@@ -103,6 +104,89 @@ fn arb_pexp(items: usize) -> impl Strategy<Value = PatEx> {
     })
 }
 
+/// Twelve optional hops, each over `e`, `(.^)` and every item of the world
+/// captured: compiled at `OptLevel::None` this is far beyond 64 transitions
+/// (the front-end's general, multi-word shape) and it accepts every short
+/// sequence, so the grids it is checked on are densely alive.
+fn widen(e: &PatEx, items: usize) -> PatEx {
+    let mut alts = vec![e.clone(), PatEx::Capture(Box::new(PatEx::Dot { up: true }))];
+    alts.extend((0..items).map(|i| {
+        PatEx::Capture(Box::new(PatEx::Item {
+            name: format!("i{i}"),
+            exact: false,
+            up: false,
+        }))
+    }));
+    let hop = PatEx::Optional(Box::new(PatEx::Alt(alts)));
+    PatEx::Concat(vec![hop; 12])
+}
+
+/// Checks one `Simulator::build` per sequence against the `Grid` reference
+/// and the transitions' own `matches` / `outputs`: acceptance, the
+/// aliveness set, the mask rows restricted to forward-reachable sources
+/// (a matching transition into an alive target makes its source alive, so
+/// Grid aliveness alone describes those bits) and the σ-cut output arena.
+fn check_sim_against_grid(
+    fst: &Fst,
+    world: &World,
+    sigma: u64,
+    scratch: &mut SimScratch,
+) -> Result<(), String> {
+    let dict = &world.dict;
+    let index = FstIndex::new(fst);
+    let max_item = dict.last_frequent(sigma);
+    let sim = Simulator::new(fst, dict, &index, max_item);
+    let (w, l) = (index.words(), index.num_labels());
+    let mut tables = SimTables::default();
+    let mut buf = Vec::new();
+    for seq in &world.db.sequences {
+        tables.clear();
+        let grid = Grid::build(fst, dict, seq);
+        let accepted = sim.build(seq, scratch, &mut tables);
+        prop_assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {:?}", seq);
+        if !accepted {
+            prop_assert_eq!(&tables, &SimTables::default(), "seq {:?}", seq);
+            continue;
+        }
+        for i in 0..=seq.len() {
+            for q in 0..fst.num_states() {
+                let alive = grid.is_alive(i, q as u32);
+                prop_assert_eq!(get_bit(scratch.alive(i), q), alive, "alive({}, {})", i, q);
+                prop_assert!(!alive || get_bit(scratch.reachable(i), q));
+            }
+        }
+        for (i, &t) in seq.iter().enumerate() {
+            let row = &tables.mask()[i * w..(i + 1) * w];
+            let mut used = vec![false; l];
+            for q in 0..fst.num_states() {
+                for (tr, ixtr) in fst.transitions(q as u32).iter().zip(index.state(q)) {
+                    let expect = grid.is_alive(i, q as u32)
+                        && tr.matches(t, dict)
+                        && grid.is_alive(i + 1, tr.to);
+                    let bit = row[ixtr.word as usize] & ixtr.mask != 0;
+                    prop_assert_eq!(bit, expect, "bit ({}, {} → {}) of {:?}", i, q, tr.to, seq);
+                    if bit && ixtr.label >= 0 {
+                        used[ixtr.label as usize] = true;
+                    }
+                }
+            }
+            for (li, label) in index.labels().iter().enumerate() {
+                buf.clear();
+                if used[li] {
+                    label.outputs(t, dict, &mut buf);
+                    buf.retain(|&o| o <= max_item);
+                }
+                let (a, b) = (
+                    tables.offsets()[i * l + li],
+                    tables.offsets()[i * l + li + 1],
+                );
+                prop_assert_eq!(&tables.outs()[a as usize..b as usize], &buf[..]);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Brute-force pivot set of a run: pivots of every candidate in the
 /// Cartesian product of the output sets.
 fn pivots_by_product(sets: &[Vec<ItemId>]) -> Vec<ItemId> {
@@ -176,6 +260,27 @@ proptest! {
             };
             let dp = search.pivots_with(seq, &mut scratch);
             prop_assert_eq!(&dp, &oracle, "seq {:?}", seq);
+        }
+    }
+
+    /// The shared simulation front-end (`fst::sim`) builds what the `Grid`
+    /// reference describes, in both of its shapes — the single-word
+    /// step-table shape and the general multi-word one — with one scratch
+    /// carried across both FSTs (the step table must re-key).
+    #[test]
+    fn sim_front_end_matches_grid_in_both_shapes(
+        world in arb_world(), e in arb_pexp(4), sigma in 1u64..3
+    ) {
+        let fst = match Fst::compile(&e, &world.dict) {
+            Ok(f) => f,
+            Err(_) => return Ok(()), // pattern references an absent item
+        };
+        let wide = widen(&e, world.dict.max_fid() as usize);
+        let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
+        prop_assert!(!FstIndex::new(&wide).step_table_eligible());
+        let mut scratch = SimScratch::default();
+        for fst in [&fst, &wide, &fst] {
+            check_sim_against_grid(fst, &world, sigma, &mut scratch)?;
         }
     }
 
