@@ -1,20 +1,23 @@
 //! Criterion micro-benchmarks of the hot kernels:
 //! FST simulation (grid construction), pivot search (grid DP vs run
 //! enumeration), the ⊕ pivot merge, NFA construction/minimization/
-//! serialization, FST compilation at both optimizer levels, shuffle
-//! codecs, local mining, and the flat counting path (run-table build,
-//! run enumeration and interned counting vs the `candidates::generate`
-//! oracle).
+//! serialization and decode/expansion, FST compilation at both optimizer
+//! levels, shuffle codecs, local mining, and the flat counting path
+//! (run-table build, run enumeration and interned counting vs the
+//! `candidates::generate` oracle) next to D-CAND's map side over the same
+//! corpus — so map-over-walk (`dcand/map_n2_2k` over
+//! `counting/run_table_build_n2_2k`) and reduce-over-count
+//! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use desq_bsp::Codec;
+use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{candidates, runs, CandidateCounter, FstIndex, Grid, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
-use desq_dist::dcand::merge_pivots;
-use desq_dist::dcand::nfa::{Nfa, TrieBuilder};
-use desq_dist::{PivotScratch, PivotSearch};
+use desq_dist::dcand::{merge_pivots, Mapper};
+use desq_dist::{DCandConfig, PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
@@ -86,23 +89,39 @@ fn bench_nfa(c: &mut Criterion) {
             p
         })
         .collect();
+    // One builder and one decoder, reused the way a map / reduce task does.
+    let mut tries = NfaBuilder::default();
+    let mut build = move |sink: &mut dyn FnMut(&[u8])| {
+        tries.clear();
+        for p in &paths {
+            tries.insert(1, p.iter().map(Vec::as_slice));
+        }
+        tries.finish(true, |_, bytes| sink(bytes));
+    };
     c.bench_function("nfa/build_minimize_serialize", |b| {
         b.iter(|| {
-            let mut t = TrieBuilder::new();
-            for p in &paths {
-                t.insert(p);
-            }
-            let nfa = t.minimize();
-            black_box(nfa.serialize())
+            build(&mut |bytes| {
+                black_box(bytes);
+            })
         })
     });
-    let mut t = TrieBuilder::new();
-    for p in &paths {
-        t.insert(p);
-    }
-    let bytes = t.minimize().serialize();
+    let mut bytes = Vec::new();
+    build(&mut |b| bytes = b.to_vec());
+    let mut nfa = Nfa::default();
     c.bench_function("nfa/deserialize", |b| {
-        b.iter(|| black_box(Nfa::deserialize(black_box(&bytes)).unwrap()))
+        b.iter(|| black_box(nfa.decode(black_box(&bytes))).unwrap())
+    });
+    c.bench_function("nfa/decode_expand_count", |b| {
+        b.iter(|| {
+            let mut counter = CandidateCounter::new();
+            nfa.decode(black_box(&bytes)).unwrap();
+            counter.begin_sequence(1);
+            nfa.for_each(usize::MAX, |candidate| {
+                counter.observe(candidate);
+            })
+            .unwrap();
+            black_box(counter.len())
+        })
     });
 }
 
@@ -222,6 +241,18 @@ fn bench_counting(c: &mut Criterion) {
                 accepted += usize::from(walker.build_tables(seq, &mut scratch));
             }
             black_box(accepted)
+        })
+    });
+    // D-CAND's map side on the same walk: build + minimize + serialize
+    // every pivot NFA of every sequence, one mapper (one scratch).
+    c.bench_function("dcand/map_n2_2k", |b| {
+        let mut mapper = Mapper::new(&fst, &dict, &index, DCandConfig::new(sigma));
+        b.iter(|| {
+            let mut shipped = 0usize;
+            for seq in &seqs {
+                mapper.map(seq, |_, bytes| shipped += bytes.len()).unwrap();
+            }
+            black_box(shipped)
         })
     });
     c.bench_function("counting/grid_build_n2_2k", |b| {

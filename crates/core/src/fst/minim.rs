@@ -1,65 +1,46 @@
-//! Shared state-merging machinery: signature hashing over a partition of
-//! automaton states.
+//! State merging by signature hashing over a partition of automaton
+//! states — the refinement core of the FST optimizer's suffix-sharing pass.
 //!
-//! Generalized from D-CAND's incremental-DAWG construction (now
-//! [`nfa`](super::nfa), hoisted from `desq_dist`): a state's *signature*
-//! captures everything observable about it under the current partition —
-//! acceptance plus its outgoing edges with targets replaced by their class
-//! ids — and states with equal signatures merge. Two usage patterns share
-//! [`hash_round`]:
+//! A state's *signature* captures everything observable about it under the
+//! current partition — acceptance plus its outgoing edges with targets
+//! replaced by their class ids — and states with equal signatures merge.
+//! FSTs have cycles, so signatures embed the *previous* round's classes and
+//! rounds repeat until the class count is stable: Moore-style refinement
+//! computing the coarsest forward bisimulation ([`refine_to_fixpoint`]).
 //!
-//! * **Acyclic, one pass** ([`nfa::TrieBuilder::minimize`](super::nfa::TrieBuilder::minimize)):
-//!   visiting states in reverse-topological order, every child's class is
-//!   already assigned when its parent is hashed, so a single round reaches
-//!   the fixpoint — the classic DAWG merge.
-//! * **Cyclic, iterated** ([`refine_to_fixpoint`], used by the FST
-//!   optimizer's suffix-sharing pass): signatures embed the *previous*
-//!   round's classes and rounds repeat until the class count is stable —
-//!   Moore-style refinement computing the coarsest forward bisimulation.
+//! The idea is generalized from D-CAND's DAWG construction, which needs
+//! only one round: a trie is acyclic and children have larger ids than
+//! their parents, so a reverse-id pass sees every child's final class
+//! before its parent's signature is taken. That one-pass form lives with
+//! its arenas in [`nfa::NfaBuilder::finish`](super::nfa::NfaBuilder::finish)
+//! (it interns signatures by hash and in-place comparison instead of
+//! materializing them).
 
 use std::hash::Hash;
 
 use crate::fx::FxHashMap;
 
-/// One signature-hashing round: visits states in `order`, assigns each a
-/// dense class id (equal signatures ⇒ equal class) into `classes`, and
-/// returns the number of distinct classes assigned.
-///
-/// `sig_of(q, classes)` sees the classes slice *as updated so far this
-/// round*: with a reverse-topological `order` over an acyclic graph the
-/// children's entries are already this round's, so one round suffices;
-/// cyclic callers must ignore the slice's in-progress entries and read a
-/// snapshot of the previous round instead (see [`refine_to_fixpoint`]).
-pub(crate) fn hash_round<Sig: Eq + Hash>(
-    order: impl Iterator<Item = usize>,
-    classes: &mut [u32],
-    mut sig_of: impl FnMut(usize, &[u32]) -> Sig,
-) -> u32 {
-    let mut map: FxHashMap<Sig, u32> = FxHashMap::default();
-    for q in order {
-        let sig = sig_of(q, classes);
-        let fresh = map.len() as u32;
-        classes[q] = *map.entry(sig).or_insert(fresh);
-    }
-    map.len() as u32
-}
-
-/// Iterates [`hash_round`] with a previous-round snapshot until the class
-/// count is stable, returning the final class count. `sig_of(q, prev)`
-/// receives the *previous* round's classes and must include `prev[q]`
-/// itself in the signature so that rounds only ever split classes (the
-/// stable-count termination test relies on it).
+/// Iterates signature-hashing rounds over a previous-round snapshot until
+/// the class count is stable, returning the final class count. Each round
+/// assigns every state a dense class id (equal signatures ⇒ equal class).
+/// `sig_of(q, prev)` receives the *previous* round's classes and must
+/// include `prev[q]` itself in the signature so that rounds only ever
+/// split classes (the stable-count termination test relies on it).
 ///
 /// Seed `classes` with the initial partition (e.g. acceptance as 0/1).
 pub(crate) fn refine_to_fixpoint<Sig: Eq + Hash>(
     classes: &mut [u32],
     mut sig_of: impl FnMut(usize, &[u32]) -> Sig,
 ) -> u32 {
-    let n = classes.len();
     let mut num = 0u32;
     loop {
         let prev = classes.to_vec();
-        let m = hash_round(0..n, classes, |q, _| sig_of(q, &prev));
+        let mut map: FxHashMap<Sig, u32> = FxHashMap::default();
+        for (q, class) in classes.iter_mut().enumerate() {
+            let fresh = map.len() as u32;
+            *class = *map.entry(sig_of(q, &prev)).or_insert(fresh);
+        }
+        let m = map.len() as u32;
         if m == num {
             return m;
         }
@@ -70,22 +51,6 @@ pub(crate) fn refine_to_fixpoint<Sig: Eq + Hash>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn acyclic_single_round_merges_equal_leaves() {
-        // A tiny trie: 0 -> {1, 2}, both leaves accepting. Signature =
-        // (accept, sorted (label, class) edges).
-        let edges: Vec<Vec<(u8, usize)>> = vec![vec![(b'a', 1), (b'b', 2)], vec![], vec![]];
-        let accept = [false, true, true];
-        let mut classes = vec![0u32; 3];
-        let n = hash_round((0..3).rev(), &mut classes, |q, cls| {
-            let e: Vec<(u8, u32)> = edges[q].iter().map(|&(l, c)| (l, cls[c])).collect();
-            (accept[q], e)
-        });
-        assert_eq!(n, 2);
-        assert_eq!(classes[1], classes[2]);
-        assert_ne!(classes[0], classes[1]);
-    }
 
     #[test]
     fn cyclic_fixpoint_distinguishes_by_depth() {

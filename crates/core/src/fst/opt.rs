@@ -25,7 +25,7 @@
 //!    exempt from the functionality test: the uncaptured `.*` context of
 //!    unanchored constraints must not disable the pass.
 //! 4. **Suffix-sharing minimization** — Moore-style refinement to the
-//!    coarsest forward bisimulation over the shared `minim` machinery
+//!    coarsest forward bisimulation over the `minim` machinery
 //!    (generalized from D-CAND's DAWG construction in [`nfa`](super::nfa)).
 //!    Beyond size, this restores the paper's automaton shapes: Thompson
 //!    turns `.*` into an entry edge plus a loop state, the quotient

@@ -127,6 +127,14 @@ impl ProbeTable {
         }
     }
 
+    /// Empties the table, shrinking it back to its initial slot count (so
+    /// a per-sequence user pays for the slots it fills, not for the largest
+    /// table it ever needed).
+    pub fn clear(&mut self) {
+        self.slots.truncate(16);
+        self.slots.fill(EMPTY_SLOT);
+    }
+
     /// Grows the table when `len` entries reach 7/8 occupancy (doubling,
     /// or 4× once past 4Ki slots — large tables amortize rehashing over
     /// fewer growth steps); `hash_of` recovers an entry's hash for

@@ -1,35 +1,40 @@
 //! D-CAND: distributed mining with compressed candidate representations
 //! (Sec. VI of the paper).
 //!
-//! For every input sequence `T`, the mapper enumerates the accepting runs of
-//! the FST, σ-filters their output sets, and computes the pivot set of each
-//! run with the ⊕ merge of Th. 1 ([`merge_pivots`]). For every pivot `p` it
-//! builds a trie/NFA representing exactly the candidates of `G^σ_π(T)` with
-//! pivot `p`: each run is decomposed by the *first position producing `p`*
-//! into product terms (`< p` before, `= p` at, `≤ p` after the first
-//! occurrence), which keeps the per-position-set Cartesian semantics intact.
-//! The serialized NFA is shipped to partition `P_p`; identical NFAs are
-//! aggregated into weighted ones by the engine's combiner (Sec. VI-A
-//! "Aggregation"), and suffix-sharing minimization shrinks them further
-//! ([`nfa::TrieBuilder::minimize`]).
+//! For every input sequence `T`, the mapper ([`Mapper`]) enumerates the
+//! accepting runs of the FST, σ-filters their output sets, and computes the
+//! pivot set of each run with the ⊕ merge of Th. 1 ([`merge_pivots`]). For
+//! every pivot `p` it builds a trie/NFA representing exactly the candidates
+//! of `G^σ_π(T)` with pivot `p`: each run is decomposed by the *first
+//! position producing `p`* into product terms (`< p` before, `= p` at, `≤ p`
+//! after the first occurrence), which keeps the per-position-set Cartesian
+//! semantics intact. All pivot tries of a sequence live in one reusable
+//! arena ([`NfaBuilder`]); the serialized NFA is shipped to partition `P_p`;
+//! identical NFAs are aggregated into weighted ones by the engine's combiner
+//! (Sec. VI-A "Aggregation"), and suffix-sharing minimization shrinks them
+//! further ([`NfaBuilder::finish`]).
 //!
-//! Reducers decode the NFAs, expand each one into its (deduplicated)
-//! candidate set, and count candidates weighted by the number of source
-//! sequences — DESQ-COUNT over compressed inputs. Run enumeration and NFA
-//! expansion are bounded by [`DCandConfig::run_budget`], the analog of the
-//! paper's executor memory limit: loose constraints (e.g. `T1` at low σ)
-//! exhaust it exactly where the paper reports out-of-memory failures.
+//! Reducers decode the NFAs ([`Nfa`]) and stream every represented
+//! candidate into a count table that de-duplicates per NFA, weighted by the
+//! number of source sequences — DESQ-COUNT over compressed inputs. Run
+//! enumeration and NFA expansion are bounded by [`DCandConfig::run_budget`],
+//! the analog of the paper's executor memory limit: loose constraints (e.g.
+//! `T1` at low σ) exhaust it exactly where the paper reports out-of-memory
+//! failures.
 
-pub mod nfa;
+#[cfg(test)]
+mod reference;
+
+use std::cmp::Ordering;
 
 use desq_core::fst::flat::RunSets;
+use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
 use desq_bsp::{Combiner, Engine};
 
 use crate::{from_bsp, to_bsp, Exec, MiningResult};
-use nfa::{Nfa, TrieBuilder};
 
 /// Configuration of the D-CAND algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -76,26 +81,23 @@ impl DCandConfig {
 /// Generic over the set representation so callers can pass owned
 /// `Vec<ItemId>` sets or slices borrowed from a flat run-table arena.
 pub fn merge_pivots<S: AsRef<[ItemId]>>(sets: &[S]) -> Vec<ItemId> {
-    merge_pivots_iter(sets.iter().map(AsRef::as_ref))
+    let mut out = Vec::new();
+    merge_pivots_into(sets.iter().map(AsRef::as_ref), &mut out);
+    out
 }
 
-/// [`merge_pivots`] over any re-iterable view of the sets — the flat run
-/// walker's [`RunSets`] pass their arena-backed slices straight through
-/// without collecting.
-fn merge_pivots_iter<'s>(sets: impl Iterator<Item = &'s [ItemId]> + Clone) -> Vec<ItemId> {
+/// [`merge_pivots`] over any re-iterable view of the sets, into a reused
+/// buffer — the flat run walker's [`RunSets`] pass their arena-backed
+/// slices straight through without collecting.
+fn merge_pivots_into<'s>(sets: impl Iterator<Item = &'s [ItemId]> + Clone, out: &mut Vec<ItemId>) {
+    out.clear();
     let mut threshold = 0;
-    let mut any = false;
     for s in sets.clone() {
         match s.first() {
             Some(&min) => threshold = threshold.max(min),
-            None => return Vec::new(),
+            None => return,
         }
-        any = true;
     }
-    if !any {
-        return Vec::new();
-    }
-    let mut out: Vec<ItemId> = Vec::new();
     for s in sets {
         for &w in s {
             if w >= threshold && !out.contains(&w) {
@@ -104,107 +106,117 @@ fn merge_pivots_iter<'s>(sets: impl Iterator<Item = &'s [ItemId]> + Clone) -> Ve
         }
     }
     out.sort_unstable();
-    out
 }
 
 /// Decomposes `path` (σ-filtered, ε-free output sets of one accepting run)
 /// into product terms whose union is exactly the pivot-`p` candidates of
-/// the run, and inserts them into `trie`. Term `j` fixes the *first*
+/// the run, and inserts them into `p`'s trie. Term `j` fixes the *first*
 /// occurrence of `p` at position `j`: items `< p` before, `p` at, `≤ p`
-/// after — so terms are disjoint and their union complete.
-fn insert_pivot_terms(
-    trie: &mut TrieBuilder,
-    path: &RunSets<'_>,
+/// after — so terms are disjoint and their union complete. The sets are
+/// sorted, so each restriction is a prefix of its set, non-empty iff the
+/// set's minimum passes; a term with an empty restriction represents
+/// nothing and is skipped before anything is written. Returns `false` when
+/// the work budget is exhausted.
+fn insert_pivot_terms<'s>(
+    tries: &mut NfaBuilder,
+    path: &RunSets<'s>,
     p: ItemId,
     budget: usize,
     work: &mut usize,
-) -> Result<()> {
-    let mut term: Vec<Vec<ItemId>> = Vec::with_capacity(path.len());
-    'first_occurrence: for j in 0..path.len() {
-        if !path.set(j).contains(&p) {
-            continue;
-        }
-        term.clear();
-        for (i, set) in path.iter().enumerate() {
-            let restricted: Vec<ItemId> = if i < j {
-                set.iter().copied().filter(|&w| w < p).collect()
-            } else if i == j {
-                vec![p]
-            } else {
-                set.iter().copied().filter(|&w| w <= p).collect()
-            };
-            if restricted.is_empty() {
-                continue 'first_occurrence;
+) -> bool {
+    let n = path.len();
+    for j in 0..n {
+        let first = path.set(j);
+        if let Ok(at) = first.binary_search(&p) {
+            if (j + 1..n).all(|i| path.set(i)[0] <= p) {
+                *work += 1;
+                if *work > budget {
+                    return false;
+                }
+                let restrict = |(i, set): (usize, &'s [ItemId])| match i.cmp(&j) {
+                    Ordering::Less => &set[..set.partition_point(|&w| w < p)],
+                    Ordering::Equal => &set[at..=at],
+                    Ordering::Greater => &set[..set.partition_point(|&w| w <= p)],
+                };
+                tries.insert(p, path.iter().enumerate().map(restrict));
             }
-            term.push(restricted);
         }
-        *work += 1;
-        if *work > budget {
-            return Err(Error::ResourceExhausted(format!(
-                "D-CAND trie construction exceeded budget of {budget}"
-            )));
+        if first[0] >= p {
+            // Every later term needs an item `< p` at this position.
+            break;
         }
-        trie.insert(&term);
     }
-    Ok(())
+    true
 }
 
-/// Builds the per-pivot serialized NFAs for one input sequence by walking
-/// the flat run tables: σ-filtered output sets come straight from the
-/// walker's per-`(position, label)` arena (no `Grid`, no per-transition
-/// output materialization), and each run's pivot set and first-occurrence
-/// decomposition are processed as the run is enumerated.
-fn representations(
-    walker: &RunWalker<'_>,
-    seq: &Sequence,
-    config: &DCandConfig,
-    scratch: &mut RunScratch,
-) -> Result<Vec<(ItemId, Vec<u8>)>> {
-    let budget = config.run_budget;
-    let mut work = 0usize;
-    let mut exhausted = false;
-    let mut failure: Option<Error> = None;
-    let mut tries: std::collections::BTreeMap<ItemId, TrieBuilder> =
-        std::collections::BTreeMap::new();
-    let completed = walker.for_each_run(seq, scratch, |sets| {
-        work += 1;
-        if work > budget {
-            exhausted = true;
-            return false;
+/// D-CAND's map side for one map task: walks a sequence's accepting runs,
+/// builds its per-pivot NFAs and serializes them, all in scratch reused
+/// across the task's sequences.
+pub struct Mapper<'a> {
+    walker: RunWalker<'a>,
+    config: DCandConfig,
+    runs: RunScratch,
+    tries: NfaBuilder,
+    pivots: Vec<ItemId>,
+}
+
+impl<'a> Mapper<'a> {
+    /// A mapper for `fst` at `config.sigma` (`index` is the FST's shared
+    /// transition index).
+    pub fn new(
+        fst: &'a Fst,
+        dict: &'a Dictionary,
+        index: &'a FstIndex,
+        config: DCandConfig,
+    ) -> Self {
+        Mapper {
+            walker: RunWalker::new(fst, dict, index, dict.last_frequent(config.sigma)),
+            config,
+            runs: RunScratch::default(),
+            tries: NfaBuilder::default(),
+            pivots: Vec::new(),
         }
-        if sets.is_dead() || sets.is_empty() {
-            // σ-killed runs count enumeration work but represent nothing;
-            // all-ε runs only produce the empty candidate.
-            return true;
-        }
-        for p in merge_pivots_iter(sets.iter()) {
-            let trie = tries.entry(p).or_default();
-            if let Err(e) = insert_pivot_terms(trie, sets, p, budget, &mut work) {
-                failure = Some(e);
+    }
+
+    /// Hands `emit` the serialized NFA of every pivot of `seq`, in
+    /// ascending pivot order: σ-filtered output sets come straight from the
+    /// walker's per-`(position, label)` arena, and each run's pivot set and
+    /// first-occurrence decomposition are processed as the run is
+    /// enumerated. The byte slices are only valid inside `emit`.
+    pub fn map(&mut self, seq: &[ItemId], emit: impl FnMut(ItemId, &[u8])) -> Result<()> {
+        let budget = self.config.run_budget;
+        let (tries, pivots) = (&mut self.tries, &mut self.pivots);
+        tries.clear();
+        let mut work = 0usize;
+        let mut exhausted = None;
+        self.walker.for_each_run(seq, &mut self.runs, |sets| {
+            work += 1;
+            if work > budget {
+                exhausted = Some("run enumeration");
                 return false;
             }
+            if sets.is_dead() || sets.is_empty() {
+                // σ-killed runs count enumeration work but represent nothing;
+                // all-ε runs only produce the empty candidate.
+                return true;
+            }
+            merge_pivots_into(sets.iter(), pivots);
+            for &p in pivots.iter() {
+                if !insert_pivot_terms(tries, sets, p, budget, &mut work) {
+                    exhausted = Some("trie construction");
+                    return false;
+                }
+            }
+            true
+        });
+        if let Some(phase) = exhausted {
+            return Err(Error::ResourceExhausted(format!(
+                "D-CAND {phase} exceeded budget of {budget}"
+            )));
         }
-        true
-    });
-    if let Some(e) = failure {
-        return Err(e);
+        tries.finish(self.config.minimize, emit);
+        Ok(())
     }
-    if exhausted || !completed {
-        return Err(Error::ResourceExhausted(format!(
-            "D-CAND run enumeration exceeded budget of {budget}"
-        )));
-    }
-    Ok(tries
-        .into_iter()
-        .map(|(p, trie)| {
-            let nfa = if config.minimize {
-                trie.minimize()
-            } else {
-                trie.into_nfa()
-            };
-            (p, nfa.serialize())
-        })
-        .collect())
 }
 
 /// The workhorse behind [`d_cand`] and [`crate::algo::DCand`]:
@@ -271,23 +283,25 @@ fn d_cand_exec(
         ));
     }
     let t0 = std::time::Instant::now();
-    let last_frequent = dict.last_frequent(config.sigma);
     let index = FstIndex::new(fst);
 
-    // Shared reduce body over borrowed NFA byte slices: expand each NFA
-    // (its candidate set is deduplicated by construction) and count the
-    // candidates into an interned byte-key table, weighted by source
+    // Shared reduce body over borrowed NFA byte slices: decode each NFA
+    // into the worker's reusable arena and stream its candidates into an
+    // interned count table (whose per-sequence epoch de-duplicates the
+    // candidates an NFA represents more than once), weighted by source
     // multiplicity — DESQ-COUNT over compressed inputs, σ-filtered.
-    let expand_and_count = |inputs: &mut dyn Iterator<Item = (&[u8], u64)>,
+    let expand_and_count = |nfa: &mut Nfa,
+                            inputs: &mut dyn Iterator<Item = (&[u8], u64)>,
                             emit: &mut dyn FnMut((Sequence, u64))|
      -> desq_bsp::Result<()> {
         let mut counter = CandidateCounter::new();
         for (bytes, weight) in inputs {
-            let nfa = Nfa::deserialize(bytes).map_err(to_bsp)?;
+            nfa.decode(bytes).map_err(to_bsp)?;
             counter.begin_sequence(weight);
-            for candidate in nfa.expand(config.run_budget).map_err(to_bsp)? {
-                counter.observe(&candidate);
-            }
+            nfa.for_each(config.run_budget, |candidate| {
+                counter.observe(candidate);
+            })
+            .map_err(to_bsp)?;
         }
         for pattern in counter.patterns(config.sigma) {
             emit(pattern);
@@ -297,63 +311,56 @@ fn d_cand_exec(
 
     let (patterns, job) = if config.aggregate {
         let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
-            let walker = RunWalker::new(fst, dict, &index, last_frequent);
-            let mut scratch = RunScratch::default();
+            let mut mapper = Mapper::new(fst, dict, &index, config);
             for seq in part {
-                for (p, bytes) in
-                    representations(&walker, seq, &config, &mut scratch).map_err(to_bsp)?
-                {
-                    // The serialized NFA goes through the byte-payload
-                    // path: combined by content, interned per bucket chunk.
-                    out.emit(&p, &bytes, 1);
-                }
+                // The serialized NFA goes through the byte-payload path:
+                // combined by content, interned per bucket chunk.
+                mapper
+                    .map(seq, |p, bytes| out.emit(&p, bytes, 1))
+                    .map_err(to_bsp)?;
             }
             Ok(())
         };
-        let reduce =
-            |_p: &ItemId, inputs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                expand_and_count(&mut inputs.iter().copied(), emit)
-            };
-        let reduce_with =
-            |_: &mut (),
-             p: &ItemId,
-             inputs: &[(&[u8], u64)],
-             emit: &mut dyn FnMut((Sequence, u64))| { reduce(p, inputs, emit) };
+        let reduce = |nfa: &mut Nfa,
+                      _p: &ItemId,
+                      inputs: &[(&[u8], u64)],
+                      emit: &mut dyn FnMut((Sequence, u64))| {
+            expand_and_count(nfa, &mut inputs.iter().copied(), emit)
+        };
         match exec {
             Exec::Local => engine
-                .map_combine_reduce(parts, map, reduce)
+                .map_combine_reduce_with(parts, map, Nfa::default, reduce)
                 .map_err(from_bsp)?,
             Exec::Via(transport) => engine
-                .map_combine_reduce_via(transport, parts, map, || (), reduce_with)
+                .map_combine_reduce_via(transport, parts, map, Nfa::default, reduce)
                 .map_err(from_bsp)?,
             Exec::Worker(addr, net) => {
                 engine
-                    .run_worker(addr, net, parts, map, || (), reduce_with)
+                    .run_worker(addr, net, parts, map, Nfa::default, reduce)
                     .map_err(from_bsp)?;
                 return Ok(None);
             }
         }
     } else {
-        // The guard above pinned this branch to Exec::Local.
+        // The guard above pinned this branch to Exec::Local. The owned-value
+        // shape copies each payload out of the mapper's buffer.
         engine
             .map_reduce(
                 parts,
                 |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
-                    let walker = RunWalker::new(fst, dict, &index, last_frequent);
-                    let mut scratch = RunScratch::default();
+                    let mut mapper = Mapper::new(fst, dict, &index, config);
                     for seq in part {
-                        for (p, bytes) in
-                            representations(&walker, seq, &config, &mut scratch).map_err(to_bsp)?
-                        {
-                            emit(p, (bytes, 1));
-                        }
+                        mapper
+                            .map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))
+                            .map_err(to_bsp)?;
                     }
                     Ok(())
                 },
                 |_p: &ItemId,
                  inputs: Vec<(Vec<u8>, u64)>,
                  emit: &mut dyn FnMut((Sequence, u64))| {
-                    expand_and_count(&mut inputs.iter().map(|(b, w)| (b.as_slice(), *w)), emit)
+                    let inputs = &mut inputs.iter().map(|(b, w)| (b.as_slice(), *w));
+                    expand_and_count(&mut Nfa::default(), inputs, emit)
                 },
             )
             .map_err(from_bsp)?
@@ -370,9 +377,36 @@ fn d_cand_exec(
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, TrieBuilder};
     use super::*;
+    use crate::patterns;
     use desq_core::mining::{Miner, MiningContext};
-    use desq_core::toy;
+    use desq_core::{toy, SequenceDb};
+    use desq_datagen::{nyt_like, NytConfig};
+
+    type Payloads = Result<Vec<(ItemId, Vec<u8>)>>;
+
+    /// The owned-`Vec` reference's payloads for `seq`.
+    fn reference_payloads(mapper: &Mapper<'_>, seq: &Sequence) -> Payloads {
+        let scratch = &mut RunScratch::default();
+        reference::representations(&mapper.walker, seq, &mapper.config, scratch)
+    }
+
+    fn flat_payloads(mapper: &mut Mapper<'_>, seq: &Sequence) -> Payloads {
+        let mut out = Vec::new();
+        mapper.map(seq, |p, bytes| out.push((p, bytes.to_vec())))?;
+        Ok(out)
+    }
+
+    /// N1–N3 compiled over `nyt_like(2000)`.
+    fn nyt_2k() -> (Dictionary, SequenceDb, Vec<Fst>) {
+        let (dict, db) = nyt_like(&NytConfig::new(2_000));
+        let fsts = [patterns::n1(), patterns::n2(), patterns::n3()]
+            .iter()
+            .map(|c| c.compile(&dict).unwrap())
+            .collect();
+        (dict, db, fsts)
+    }
 
     #[test]
     fn merge_pivots_matches_theorem_examples() {
@@ -388,30 +422,208 @@ mod tests {
         assert_eq!(merge_pivots(&[vec![1, 5], vec![2, 9]]), vec![2, 5, 9]);
     }
 
+    fn assert_matches_desq_count(
+        db: &SequenceDb,
+        dict: &Dictionary,
+        fst: &Fst,
+        sigma: u64,
+        what: &str,
+    ) {
+        let engine = Engine::new(2);
+        let parts = db.partition(3);
+        let reference = desq_miner::algo::DesqCount
+            .mine(&MiningContext::sequential(db, dict, sigma).with_fst(fst))
+            .unwrap()
+            .patterns;
+        for minimize in [false, true] {
+            for aggregate in [false, true] {
+                let cfg = DCandConfig {
+                    sigma,
+                    minimize,
+                    aggregate,
+                    run_budget: usize::MAX,
+                };
+                let res = d_cand_impl(&engine, &parts, fst, dict, cfg).unwrap();
+                assert_eq!(
+                    res.patterns, reference,
+                    "{what} σ={sigma} min={minimize} agg={aggregate}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn toy_matches_reference_across_configs() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(3);
         for sigma in 1..=4 {
-            let reference = desq_miner::algo::DesqCount
-                .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
-                .unwrap()
-                .patterns;
+            assert_matches_desq_count(&fx.db, &fx.dict, &fx.fst, sigma, "toy");
+        }
+        let (dict, db, fsts) = nyt_2k();
+        for (fst, name) in fsts.iter().zip(["N1", "N2", "N3"]) {
+            assert_matches_desq_count(&db, &dict, fst, 10, name);
+        }
+    }
+
+    /// xorshift64 — enough randomness for path families, no dev-dependency.
+    fn next(state: &mut u64, bound: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % bound
+    }
+
+    /// Random label-set path families (the shape of the `nfa_invariants`
+    /// proptest), three keys interleaved in one reused builder: the flat
+    /// bytes equal the owned reference's per-key tries, with and without
+    /// minimization, whatever the insertion order.
+    #[test]
+    fn flat_bytes_equal_reference_on_random_path_families() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut tries = NfaBuilder::default();
+        for round in 0..300 {
+            let mut family: Vec<(ItemId, Vec<Vec<ItemId>>)> = Vec::new();
+            for _ in 0..1 + next(&mut rng, 12) {
+                let path = (0..1 + next(&mut rng, 4))
+                    .map(|_| {
+                        let mut set: Vec<ItemId> = (0..1 + next(&mut rng, 2))
+                            .map(|_| 1 + next(&mut rng, 8) as ItemId)
+                            .collect();
+                        set.sort_unstable();
+                        set.dedup();
+                        set
+                    })
+                    .collect();
+                family.push((1 + next(&mut rng, 3) as ItemId, path));
+            }
             for minimize in [false, true] {
-                for aggregate in [false, true] {
-                    let cfg = DCandConfig {
-                        sigma,
-                        minimize,
-                        aggregate,
-                        run_budget: usize::MAX,
-                    };
-                    let res = d_cand_impl(&engine, &parts, &fx.fst, &fx.dict, cfg).unwrap();
-                    assert_eq!(
-                        res.patterns, reference,
-                        "σ={sigma} min={minimize} agg={aggregate}"
-                    );
+                let mut expect: Vec<(ItemId, Vec<u8>)> = Vec::new();
+                for key in 1..=3 {
+                    let mut trie = TrieBuilder::default();
+                    let mut any = false;
+                    for (_, path) in family.iter().filter(|(k, _)| *k == key) {
+                        trie.insert(path);
+                        any = true;
+                    }
+                    if any {
+                        let nfa = if minimize {
+                            trie.minimize()
+                        } else {
+                            trie.into_nfa()
+                        };
+                        expect.push((key, nfa.serialize()));
+                    }
                 }
+                for reversed in [false, true] {
+                    tries.clear();
+                    let mut order: Vec<_> = family.iter().collect();
+                    if reversed {
+                        order.reverse();
+                    }
+                    for (key, path) in order {
+                        tries.insert(*key, path.iter().map(Vec::as_slice));
+                    }
+                    let mut got = Vec::new();
+                    tries.finish(minimize, |k, bytes| got.push((k, bytes.to_vec())));
+                    assert_eq!(got, expect, "round {round} min={minimize} rev={reversed}");
+                }
+            }
+        }
+    }
+
+    /// Every payload of every `nyt_like(2000)` sequence under N1–N3, σ ∈
+    /// {1, 10}, with and without minimization — one mapper (one scratch)
+    /// per configuration, reused across all sequences.
+    #[test]
+    fn flat_bytes_equal_reference_on_nyt_2k() {
+        let (dict, db, fsts) = nyt_2k();
+        let mut nfas = 0usize;
+        for fst in &fsts {
+            let index = FstIndex::new(fst);
+            for sigma in [1, 10] {
+                for minimize in [false, true] {
+                    let config = DCandConfig {
+                        minimize,
+                        ..DCandConfig::new(sigma)
+                    };
+                    let mut mapper = Mapper::new(fst, &dict, &index, config);
+                    for seq in &db.sequences {
+                        let got = flat_payloads(&mut mapper, seq).unwrap();
+                        let expect = reference_payloads(&mapper, seq).unwrap();
+                        assert_eq!(got, expect, "σ={sigma} min={minimize} seq={seq:?}");
+                        nfas += got.len();
+                    }
+                }
+            }
+        }
+        assert!(nfas > 1_000, "only {nfas} NFAs compared");
+    }
+
+    /// The wire format of the paper's running example (toy fixture, σ = 2),
+    /// as a literal: a change to both sides at once cannot slip through.
+    #[test]
+    fn toy_payloads_are_golden() {
+        let fx = toy::fixture();
+        let index = FstIndex::new(&fx.fst);
+        let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, DCandConfig::new(2));
+        let got: Vec<Vec<(ItemId, Vec<u8>)>> = fx
+            .db
+            .sequences
+            .iter()
+            .map(|seq| flat_payloads(&mut mapper, seq).unwrap())
+            .collect();
+        let t2 = vec![(4, vec![0, 1, 4, 4, 1, 1, 1, 1, 2, 2, 4, 6, 1, 1, 2])];
+        let golden = vec![
+            vec![
+                (4, vec![0, 1, 4, 4, 1, 1, 1, 1, 1, 3, 6, 1, 1, 2]),
+                (
+                    5,
+                    vec![
+                        0, 1, 4, 0, 1, 3, 0, 1, 5, 4, 1, 1, 1, 1, 1, 5, 6, 1, 1, 4, 0, 1, 3, 6, 1,
+                        1, 4, 2, 1, 5, 3, 3, 5, 1, 5, 3,
+                    ],
+                ),
+            ],
+            t2.clone(),
+            vec![],
+            vec![],
+            t2,
+        ];
+        assert_eq!(got, golden);
+    }
+
+    /// Old and new charge the same work: at every budget from 0 up to k
+    /// (the exact work of the sequence, the first budget that passes) both
+    /// sides fail with the same message or pass with the same result — on
+    /// the map side and on the reduce side.
+    #[test]
+    fn budgets_fail_and_pass_where_the_reference_does() {
+        let fx = toy::fixture();
+        let index = FstIndex::new(&fx.fst);
+        let mut nfa = Nfa::default();
+        for seq in &fx.db.sequences {
+            let map_at = |budget: usize| {
+                let config = DCandConfig::new(2).with_run_budget(budget);
+                let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, config);
+                let flat = flat_payloads(&mut mapper, seq).map_err(|e| e.to_string());
+                let owned = reference_payloads(&mapper, seq).map_err(|e| e.to_string());
+                assert_eq!(flat, owned, "map budget {budget}");
+                owned
+            };
+            assert!((0..200).any(|budget| map_at(budget).is_ok()));
+            for (_, bytes) in map_at(usize::MAX).unwrap() {
+                let owned = reference::Nfa::deserialize(&bytes).unwrap();
+                nfa.decode(&bytes).unwrap();
+                let mut reduce_at = |budget: usize| {
+                    let mut flat = std::collections::BTreeSet::new();
+                    let walked = nfa.for_each(budget, |c| {
+                        flat.insert(c.to_vec());
+                    });
+                    let flat = walked.map(|()| flat).map_err(|e| e.to_string());
+                    let owned = owned.expand(budget).map_err(|e| e.to_string());
+                    assert_eq!(flat, owned, "reduce budget {budget}");
+                    owned.is_ok()
+                };
+                assert!((0..200).any(&mut reduce_at));
             }
         }
     }

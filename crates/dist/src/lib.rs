@@ -24,8 +24,8 @@
 //! Supporting machinery: [`PivotSearch`] computes pivot sets `K^σ(T)` either
 //! by dynamic programming over the position–state grid or by run enumeration
 //! (Sec. V-A/V-B), [`dcand::merge_pivots`] is the ⊕ pivot-merge of Th. 1,
-//! [`dcand::nfa`] holds the trie/NFA construction with byte-level
-//! serialization for shuffle accounting, and [`patterns`] is the constraint
+//! [`desq_core::fst::nfa`] holds the arena trie/NFA construction with
+//! byte-level serialization for shuffle accounting, and [`patterns`] is the constraint
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
 //! substrate and the work-stealing schedulers.

@@ -284,12 +284,18 @@ fn single_worker_session_handles_many_partitions_and_reducers() {
 
 #[test]
 fn corrupted_nfa_bytes_reported_as_decode_error() {
-    use desq::dist::dcand::nfa::Nfa;
+    let mut nfa = desq::core::fst::nfa::Nfa::default();
     // Flags byte with invalid bits set.
-    let err = Nfa::deserialize(&[0xff, 0x00]).unwrap_err();
+    let err = nfa.decode(&[0xff, 0x00]).unwrap_err();
     assert!(matches!(err, Error::Decode(_)));
     // Reference to a state that does not exist yet.
     // HAS_SRC (1) with src = 9 on an empty automaton.
-    let err = Nfa::deserialize(&[0x01, 0x09, 0x01, 0x02]).unwrap_err();
+    let err = nfa.decode(&[0x01, 0x09, 0x01, 0x02]).unwrap_err();
+    assert!(matches!(err, Error::Decode(_)));
+    // An OLD_TARGET edge back to an ancestor: a 2-state cycle that would
+    // make a reducer expand forever.
+    let err = nfa
+        .decode(&[0x00, 0x01, 0x01, 0x06, 0x01, 0x01, 0x00])
+        .unwrap_err();
     assert!(matches!(err, Error::Decode(_)));
 }

@@ -1,14 +1,16 @@
 //! Property-based tests of the core invariants, on random hierarchies,
 //! databases and pattern expressions.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
+use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
 use desq::core::fst::{candidates, FstIndex, Grid, SimScratch, SimTables, Simulator};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
-use desq::dist::dcand::merge_pivots;
-use desq::dist::dcand::nfa::TrieBuilder;
-use desq::dist::PivotSearch;
+use desq::dist::dcand::{merge_pivots, Mapper};
+use desq::dist::{DCandConfig, PivotSearch};
 use desq::miner::{LocalMiner, MinerConfig, SchedConfig, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq::{ExecutionPolicy, OptLevel};
@@ -212,6 +214,16 @@ fn pivots_by_product(sets: &[Vec<ItemId>]) -> Vec<ItemId> {
             d += 1;
         }
     }
+}
+
+/// Every item sequence a label-set path represents (one item per set).
+fn cartesian(path: &[Vec<ItemId>]) -> Vec<Sequence> {
+    path.iter().fold(vec![Vec::new()], |prefixes, set| {
+        prefixes
+            .iter()
+            .flat_map(|p| set.iter().map(move |&w| [p.as_slice(), &[w]].concat()))
+            .collect()
+    })
 }
 
 proptest! {
@@ -718,7 +730,7 @@ proptest! {
     }
 
     /// NFA tries: minimization preserves the language and never grows;
-    /// serialization round-trips.
+    /// serialization round-trips and forgets the insertion order.
     #[test]
     fn nfa_invariants(
         paths in proptest::collection::vec(
@@ -730,20 +742,71 @@ proptest! {
             .into_iter()
             .map(|p| p.into_iter().map(|s| s.into_iter().collect()).collect())
             .collect();
-        let mut trie = TrieBuilder::new();
-        let mut trie2 = TrieBuilder::new();
-        for p in &paths {
-            trie.insert(p);
-            trie2.insert(p);
+        let mut tries = NfaBuilder::default();
+        let mut build = |paths: &mut dyn Iterator<Item = &Vec<Vec<ItemId>>>, minimize| {
+            tries.clear();
+            for p in paths {
+                tries.insert(1, p.iter().map(Vec::as_slice));
+            }
+            let mut payload = Vec::new();
+            tries.finish(minimize, |_, bytes| payload = bytes.to_vec());
+            payload
+        };
+        let raw = build(&mut paths.iter(), false);
+        let min = build(&mut paths.iter(), true);
+        prop_assert_eq!(&min, &build(&mut paths.iter().rev(), true));
+        let decode = |bytes: &[u8]| {
+            let mut nfa = Nfa::default();
+            nfa.decode(bytes).unwrap();
+            nfa
+        };
+        let (mut raw, mut min) = (decode(&raw), decode(&min));
+        prop_assert!(min.num_states() <= raw.num_states());
+        let expect: BTreeSet<Sequence> = paths.iter().flat_map(|p| cartesian(p)).collect();
+        prop_assert_eq!(&raw.language(), &expect);
+        prop_assert_eq!(&min.language(), &expect);
+    }
+
+    /// D-CAND's map side against an oracle that touches no trie code: per
+    /// input sequence, the languages of the decoded per-pivot payloads are
+    /// exactly `G^σ_π(T)` grouped by pivot (`max(item)`), with and without
+    /// minimization, with one mapper reused across the database.
+    #[test]
+    fn dcand_payloads_represent_the_candidates_by_pivot(
+        world in arb_world(), e in arb_pexp(4), sigma in 1u64..3
+    ) {
+        let fst = match Fst::compile(&e, &world.dict) {
+            Ok(f) => f,
+            Err(_) => return Ok(()),
+        };
+        // Random expressions rarely capture; the widened one accepts every
+        // short sequence with many runs, generalizations and pivots.
+        let wide = widen(&e, world.dict.max_fid() as usize);
+        let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
+        for (fst, minimize) in [(&fst, true), (&wide, false), (&wide, true)] {
+            let index = FstIndex::new(fst);
+            let config = DCandConfig { minimize, ..DCandConfig::new(sigma).with_run_budget(BUDGET) };
+            let mut mapper = Mapper::new(fst, &world.dict, &index, config);
+            let mut nfa = Nfa::default();
+            for seq in &world.db.sequences {
+                let Ok(cands) = candidates::generate(fst, &world.dict, seq, Some(sigma), BUDGET)
+                else {
+                    continue; // candidate explosion: skip
+                };
+                let mut expect: BTreeMap<ItemId, BTreeSet<Sequence>> = BTreeMap::new();
+                for c in cands {
+                    expect.entry(desq::core::sequence::pivot(&c)).or_default().insert(c);
+                }
+                let mut got = BTreeMap::new();
+                let mapped = mapper.map(seq, |p, bytes| {
+                    nfa.decode(bytes).unwrap();
+                    assert!(got.insert(p, nfa.language()).is_none(), "pivot {p} emitted twice");
+                });
+                if mapped.is_ok() {
+                    prop_assert_eq!(got, expect, "min={} seq={:?}", minimize, seq);
+                }
+            }
         }
-        let nodes = trie.num_nodes();
-        let raw = trie.into_nfa();
-        let min = trie2.minimize();
-        prop_assert_eq!(raw.language(), min.language());
-        prop_assert!(min.num_states() <= nodes);
-        let bytes = min.serialize();
-        let back = desq::dist::dcand::nfa::Nfa::deserialize(&bytes).unwrap();
-        prop_assert_eq!(back.language(), min.language());
     }
 
     /// Dictionary freezing: fids are frequency-ranked and hierarchy is
