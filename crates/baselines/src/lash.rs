@@ -208,7 +208,7 @@ pub(crate) fn lash_impl(
     let reduce = |&p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let miner = GapMiner {
             sigma: config.sigma,
             gamma: config.gamma,
@@ -231,9 +231,7 @@ pub(crate) fn lash_impl(
         Ok(())
     };
 
-    let (patterns, job) = engine
-        .map_combine_reduce(parts, map, reduce)
-        .map_err(crate::from_bsp)?;
+    let (patterns, job) = engine.map_combine_reduce(parts, map, reduce)?;
     let patterns = desq_miner::sort_patterns(patterns);
     let input_sequences: u64 = parts.iter().map(|p| p.len() as u64).sum();
     let metrics = desq_dist::metrics_from_job(

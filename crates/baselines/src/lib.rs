@@ -24,17 +24,3 @@ pub mod mllib;
 
 pub use lash::LashConfig;
 pub use mllib::MllibConfig;
-
-/// Maps an engine error back into the workspace error type.
-pub(crate) fn from_bsp(e: desq_bsp::Error) -> desq_core::Error {
-    match e {
-        desq_bsp::Error::ResourceExhausted(m) => desq_core::Error::ResourceExhausted(m),
-        desq_bsp::Error::Decode(m) => desq_core::Error::Decode(m),
-        desq_bsp::Error::DeadlineExceeded(m) => desq_core::Error::DeadlineExceeded(m),
-        desq_bsp::Error::Cancelled(m) => desq_core::Error::Cancelled(m),
-        desq_bsp::Error::WorkerPanicked(m) => desq_core::Error::WorkerPanicked(m),
-        desq_bsp::Error::Worker(m) => desq_core::Error::Invalid(m),
-        desq_bsp::Error::PeerUnreachable(m) => desq_core::Error::PeerUnreachable(m),
-        desq_bsp::Error::PeerTimedOut(m) => desq_core::Error::PeerTimedOut(m),
-    }
-}

@@ -37,8 +37,6 @@ impl MllibConfig {
     }
 }
 
-use crate::from_bsp;
-
 /// The workhorse behind [`mllib_prefixspan`] and [`crate::algo::Mllib`].
 pub(crate) fn mllib_impl(
     engine: &Engine,
@@ -62,87 +60,83 @@ pub(crate) fn mllib_impl(
 
     // Round 1: frequent items (distributed word count with combining; the
     // payload is empty — only the per-item weights matter).
-    let (freq_items, m1) = engine
-        .map_combine_reduce(
-            parts,
-            |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
-                let mut seen: FxHashSet<ItemId> = FxHashSet::default();
-                for seq in part {
-                    seen.clear();
-                    for &t in seq {
-                        if seen.insert(t) {
-                            out.emit(&t, &[], 1);
-                        }
+    let (freq_items, m1) = engine.map_combine_reduce(
+        parts,
+        |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
+            let mut seen: FxHashSet<ItemId> = FxHashSet::default();
+            for seq in part {
+                seen.clear();
+                for &t in seq {
+                    if seen.insert(t) {
+                        out.emit(&t, &[], 1);
                     }
                 }
-                Ok(())
-            },
-            |&w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
-                let f: u64 = vs.iter().map(|(_, c)| c).sum();
-                if f >= config.sigma {
-                    emit((w, f));
-                }
-                Ok(())
-            },
-        )
-        .map_err(from_bsp)?;
+            }
+            Ok(())
+        },
+        |&w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
+            let f: u64 = vs.iter().map(|(_, c)| c).sum();
+            if f >= config.sigma {
+                emit((w, f));
+            }
+            Ok(())
+        },
+    )?;
     let frequent: FxHashSet<ItemId> = freq_items.iter().map(|&(w, _)| w).collect();
 
     // Round 2: prefix projection by first item + local PrefixSpan.
-    let (nested, m2) = engine
-        .map_combine_reduce(
-            parts,
-            |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
-                let mut seen: FxHashSet<ItemId> = FxHashSet::default();
-                let mut suffix: Sequence = Sequence::new();
-                let mut payload: Vec<u8> = Vec::new();
-                for seq in part {
-                    seen.clear();
-                    for (i, &t) in seq.iter().enumerate() {
-                        if !frequent.contains(&t) || !seen.insert(t) {
-                            continue;
-                        }
-                        suffix.clear();
-                        suffix.extend(
-                            seq[i + 1..]
-                                .iter()
-                                .copied()
-                                .filter(|w| frequent.contains(w)),
-                        );
-                        payload.clear();
-                        desq_bsp::encode_item_seq(&suffix, &mut payload);
-                        out.emit(&t, &payload, 1);
+    let (nested, m2) = engine.map_combine_reduce(
+        parts,
+        |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
+            let mut seen: FxHashSet<ItemId> = FxHashSet::default();
+            let mut suffix: Sequence = Sequence::new();
+            let mut payload: Vec<u8> = Vec::new();
+            for seq in part {
+                seen.clear();
+                for (i, &t) in seq.iter().enumerate() {
+                    if !frequent.contains(&t) || !seen.insert(t) {
+                        continue;
                     }
+                    suffix.clear();
+                    suffix.extend(
+                        seq[i + 1..]
+                            .iter()
+                            .copied()
+                            .filter(|w| frequent.contains(w)),
+                    );
+                    payload.clear();
+                    desq_bsp::encode_item_seq(&suffix, &mut payload);
+                    out.emit(&t, &payload, 1);
                 }
-                Ok(())
-            },
-            |&w: &ItemId,
-             inputs: &[(&[u8], u64)],
-             emit: &mut dyn FnMut(Vec<(Sequence, u64)>)|
-             -> desq_bsp::Result<()> {
-                let mut suffixes: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
-                for &(bytes, c) in inputs {
-                    let mut slice = bytes;
-                    let mut seq = Sequence::new();
-                    desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
-                    suffixes.push((seq, c));
+            }
+            Ok(())
+        },
+        |&w: &ItemId,
+         inputs: &[(&[u8], u64)],
+         emit: &mut dyn FnMut(Vec<(Sequence, u64)>)|
+         -> Result<()> {
+            let mut suffixes: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
+            for &(bytes, c) in inputs {
+                let mut slice = bytes;
+                let mut seq = Sequence::new();
+                desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
+                suffixes.push((seq, c));
+            }
+            let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
+            let mut local: Vec<(Sequence, u64)> = vec![(vec![w], support)];
+            if config.max_len > 1 {
+                let ps = PrefixSpan::new(config.sigma, config.max_len - 1);
+                for (tail, f) in ps.mine_weighted(&suffixes) {
+                    let mut pattern = Vec::with_capacity(tail.len() + 1);
+                    pattern.push(w);
+                    pattern.extend(tail);
+                    local.push((pattern, f));
                 }
-                let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
-                let mut local: Vec<(Sequence, u64)> = vec![(vec![w], support)];
-                if config.max_len > 1 {
-                    let ps = PrefixSpan::new(config.sigma, config.max_len - 1);
-                    for (tail, f) in ps.mine_weighted(&suffixes) {
-                        let mut pattern = Vec::with_capacity(tail.len() + 1);
-                        pattern.push(w);
-                        pattern.extend(tail);
-                        local.push((pattern, f));
-                    }
-                }
-                emit(local);
-                Ok(())
-            },
-        )
-        .map_err(from_bsp)?;
+            }
+            emit(local);
+            Ok(())
+        },
+    )?;
 
     let patterns = desq_miner::sort_patterns(nested.into_iter().flatten().collect());
 

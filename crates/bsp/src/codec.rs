@@ -7,19 +7,14 @@
 //! makes frequent items small numbers, which is precisely why the paper's
 //! preprocessing recodes items by frequency).
 //!
-//! The varint and item-sequence primitives ([`write_varint`],
-//! [`read_varint`], [`encode_item_seq`], [`decode_item_seq`]) live in
-//! [`desq_core::codec`] since PR 5 — the flat candidate-counting sink
-//! shares the exact wire format — and are re-exported here for
-//! compatibility. Their decode halves return [`desq_core::Error`], which
-//! converts into [`Error`] via `From` (so `?` keeps working in engine
-//! code).
+//! The varint and item-sequence primitives live in [`desq_core::codec`];
+//! [`encode_item_seq`] / [`decode_item_seq`] are re-exported because every
+//! payload that crosses this engine is built from them.
 
-use crate::error::{Error, Result};
+use desq_core::codec::{read_bytes, read_str, read_varint, write_bytes, write_varint};
+use desq_core::{Error, Result};
 
-pub use desq_core::codec::{
-    decode_item_seq, encode_item_seq, read_varint, varint_len, write_varint,
-};
+pub use desq_core::codec::{decode_item_seq, encode_item_seq};
 
 /// A type that can be serialized into / deserialized from a shuffle stream.
 pub trait Codec: Sized {
@@ -46,7 +41,7 @@ impl Codec for u64 {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Ok(read_varint(buf)?)
+        read_varint(buf)
     }
 }
 
@@ -95,31 +90,21 @@ impl Codec for Vec<u32> {
 
 impl Codec for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self);
+        write_bytes(buf, self);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let len = read_varint(buf)? as usize;
-        if len > buf.len() {
-            return Err(Error::Decode(format!(
-                "Vec<u8>: length {len} exceeds input"
-            )));
-        }
-        let (head, rest) = buf.split_at(len);
-        *buf = rest;
-        Ok(head.to_vec())
+        Ok(read_bytes(buf)?.to_vec())
     }
 }
 
 impl Codec for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.as_bytes().to_vec().encode(buf);
+        write_bytes(buf, self.as_bytes());
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let bytes = Vec::<u8>::decode(buf)?;
-        String::from_utf8(bytes).map_err(|e| Error::Decode(format!("String: {e}")))
+        Ok(read_str(buf)?.to_string())
     }
 }
 
@@ -204,8 +189,6 @@ mod tests {
 
     #[test]
     fn item_seq_reexports_roundtrip_through_bsp_paths() {
-        // The canonical codec lives in desq-core; the historical desq_bsp
-        // paths must keep encoding byte-identically.
         let items = [1u32, 1000, 3, 7];
         let mut via_bsp = Vec::new();
         encode_item_seq(&items, &mut via_bsp);

@@ -22,16 +22,15 @@
 //! one copy pass), so the map side performs no growth reallocation.
 
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Stealer, Worker as DequeWorker};
-use desq_core::mining::{panic_message, CancelToken};
-use parking_lot::Mutex;
+use desq_core::codec::{read_varint, varint_len, write_varint};
+use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
+use desq_core::mining::CancelToken;
+use desq_core::sched::{self, IndexedRun};
+use desq_core::{Error, Result};
 
-use crate::codec::{read_varint, varint_len, write_varint, Codec};
-use crate::error::{Error, Result};
+use crate::codec::Codec;
 use crate::metrics::JobMetrics;
 use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 
@@ -43,26 +42,21 @@ use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 ///
 /// # Failure domains
 ///
-/// Every map and reduce task body runs under `catch_unwind`: a panicking
-/// task marks the job's [`CancelToken`] (when one is attached), the
-/// remaining workers stop at their next task boundary, and the job returns
-/// [`Error::WorkerPanicked`] instead of killing the process. A token
-/// attached with [`with_cancel`](Engine::with_cancel) is polled between
-/// tasks; an expired deadline or external cancellation aborts the job with
-/// the token's [`stop_reason`](CancelToken::stop_reason).
+/// Every map and reduce task runs on [`desq_core::sched`] and inherits its
+/// task-boundary contract: a panicking task marks the job's
+/// [`CancelToken`] (when one is attached), the remaining workers stop at
+/// their next task boundary, and the job returns
+/// [`Error::WorkerPanicked`] instead of killing the process; the first
+/// task to return an error aborts the job with that error, unchanged. A
+/// token attached with [`with_cancel`](Engine::with_cancel) is polled
+/// between tasks; an expired deadline or external cancellation aborts the
+/// job with the token's [`stop_reason`](CancelToken::stop_reason).
 #[derive(Debug, Clone)]
 pub struct Engine {
     workers: usize,
     reducers: usize,
     cancel: Option<CancelToken>,
 }
-
-use desq_core::fx::{mix_hashes as mix, ProbeTable};
-
-// The canonical homes of the byte-hashing primitives are in
-// `desq_core::fx` since PR 5 (the flat candidate-counting sink shares
-// them); these re-exports keep the historical `desq_bsp` paths working.
-pub use desq_core::fx::{bucket_of, hash_bytes};
 
 /// One combined map-side record: its mixed hash, routing bucket, interned
 /// payload id, key bytes (an arena range) and accumulated weight.
@@ -487,22 +481,9 @@ impl Engine {
         self
     }
 
-    /// Polls the attached token (if any), converting its stop reason.
+    /// Polls the attached token (if any).
     pub(crate) fn checkpoint(&self) -> Result<()> {
-        match &self.cancel {
-            Some(token) => token.checkpoint().map_err(Error::from),
-            None => Ok(()),
-        }
-    }
-
-    /// Records a caught panic on the attached token so co-operating layers
-    /// observe the failure, and converts it into the job error.
-    fn panicked(&self, payload: &(dyn std::any::Any + Send)) -> Error {
-        let msg = panic_message(payload);
-        if let Some(token) = &self.cancel {
-            token.mark_panicked(&msg);
-        }
-        Error::WorkerPanicked(msg)
+        self.cancel.as_ref().map_or(Ok(()), CancelToken::checkpoint)
     }
 
     /// Number of worker threads.
@@ -538,86 +519,74 @@ impl Engine {
         RF: Fn(&K, Vec<V>, &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         let mut metrics = JobMetrics::default();
-        let max_task = AtomicU64::new(0);
 
         // ---- map phase ----
         let t0 = Instant::now();
         let reducers = self.reducers;
-        let outs = self.run_tasks(
-            parts.len(),
-            |t| {
-                let mut out = MapTaskOut {
-                    buckets: vec![Vec::new(); reducers],
-                    emitted: 0,
-                    shuffled: 0,
-                    payloads: 0,
-                };
-                let mut key_buf: Vec<u8> = Vec::new();
-                let mut emit = |k: K, v: V| {
-                    key_buf.clear();
-                    k.encode(&mut key_buf);
-                    let b = bucket_of(hash_bytes(&key_buf), reducers);
-                    out.buckets[b].extend_from_slice(&key_buf);
-                    v.encode(&mut out.buckets[b]);
-                    out.emitted += 1;
-                    out.shuffled += 1;
-                };
-                map(parts[t], &mut emit)?;
-                Ok(out)
-            },
-            &max_task,
-        )?;
+        let mapped = self.run_tasks(parts.len(), |t| {
+            let mut out = MapTaskOut {
+                buckets: vec![Vec::new(); reducers],
+                emitted: 0,
+                shuffled: 0,
+                payloads: 0,
+            };
+            let mut key_buf: Vec<u8> = Vec::new();
+            let mut emit = |k: K, v: V| {
+                key_buf.clear();
+                k.encode(&mut key_buf);
+                let b = bucket_of(hash_bytes(&key_buf), reducers);
+                out.buckets[b].extend_from_slice(&key_buf);
+                v.encode(&mut out.buckets[b]);
+                out.emitted += 1;
+                out.shuffled += 1;
+            };
+            map(parts[t], &mut emit)?;
+            Ok(out)
+        })?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
-        let chunks = self.regroup(outs, &mut metrics);
+        let chunks = self.regroup(mapped.results, &mut metrics);
 
         // ---- reduce phase ----
         let t1 = Instant::now();
-        let outputs = self.run_tasks(
-            self.reducers,
-            |t| {
-                #[cfg(feature = "failpoints")]
-                desq_core::fault::point("bsp::reduce_merge")?;
-                // Decode records keeping the raw key bytes; group by them
-                // (equal keys ⇔ equal encodings).
-                let mut items: Vec<(&[u8], V)> = Vec::new();
-                for chunk in &chunks[t] {
-                    let mut slice = chunk.as_slice();
-                    while !slice.is_empty() {
-                        let before = slice;
-                        K::decode(&mut slice)?;
-                        let key = &before[..before.len() - slice.len()];
-                        let v = V::decode(&mut slice)?;
-                        items.push((key, v));
-                    }
+        let reduced = self.run_tasks(self.reducers, |t| {
+            #[cfg(feature = "failpoints")]
+            desq_core::fault::point("bsp::reduce_merge")?;
+            // Decode records keeping the raw key bytes; group by them
+            // (equal keys ⇔ equal encodings).
+            let mut items: Vec<(&[u8], V)> = Vec::new();
+            for chunk in &chunks[t] {
+                let mut slice = chunk.as_slice();
+                while !slice.is_empty() {
+                    let before = slice;
+                    K::decode(&mut slice)?;
+                    let key = &before[..before.len() - slice.len()];
+                    let v = V::decode(&mut slice)?;
+                    items.push((key, v));
                 }
-                // Stable: values of one key stay in map-task emission order.
-                items.sort_by(|a, b| a.0.cmp(b.0));
-                let mut out: Vec<O> = Vec::new();
-                let mut iter = items.into_iter().peekable();
-                while let Some((key, v)) = iter.next() {
-                    let mut vs = vec![v];
-                    while let Some((k2, _)) = iter.peek() {
-                        if *k2 != key {
-                            break;
-                        }
-                        vs.push(iter.next().expect("peeked").1);
+            }
+            // Stable: values of one key stay in map-task emission order.
+            items.sort_by(|a, b| a.0.cmp(b.0));
+            let mut out: Vec<O> = Vec::new();
+            let mut iter = items.into_iter().peekable();
+            while let Some((key, v)) = iter.next() {
+                let mut vs = vec![v];
+                while let Some((k2, _)) = iter.peek() {
+                    if *k2 != key {
+                        break;
                     }
-                    let k = K::decode(&mut &key[..])?;
-                    let mut emit = |o: O| out.push(o);
-                    reduce(&k, vs, &mut emit)?;
+                    vs.push(iter.next().expect("peeked").1);
                 }
-                Ok(out)
-            },
-            &max_task,
-        )?;
+                let k = K::decode(&mut &key[..])?;
+                let mut emit = |o: O| out.push(o);
+                reduce(&k, vs, &mut emit)?;
+            }
+            Ok(out)
+        })?;
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = max_task.into_inner();
+        metrics.max_task_nanos = mapped.max_task_nanos.max(reduced.max_task_nanos);
 
-        let mut flat = Vec::new();
-        for o in outputs {
-            flat.extend(o);
-        }
+        let flat: Vec<O> = reduced.results.into_iter().flatten().collect();
         metrics.output_records = flat.len() as u64;
         metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
         Ok((flat, metrics))
@@ -658,8 +627,8 @@ impl Engine {
     }
 
     /// Like [`map_combine_reduce`](Self::map_combine_reduce), with
-    /// *per-reduce-worker state*: `init` runs once per reduce worker thread
-    /// (the MapReduce `setup()` analog) and the resulting state is threaded
+    /// *per-reduce-worker state*: `init` runs once per reduce worker (the
+    /// MapReduce `setup()` analog) and the resulting state is threaded
     /// through every key group that worker executes.
     ///
     /// The reduce phase runs in two steps: buckets are decoded, merged and
@@ -686,43 +655,36 @@ impl Engine {
         I: Sync,
         K: Codec + Send,
         O: Send,
+        S: Send,
         MF: Fn(&[I], &mut Combiner<K>) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         let mut metrics = JobMetrics::default();
-        let max_task = AtomicU64::new(0);
 
         // ---- map + combine phase ----
         let t0 = Instant::now();
         let reducers = self.reducers;
-        let outs = self.run_tasks(
-            parts.len(),
-            |t| {
-                let mut combiner = Combiner::new(reducers);
-                map(parts[t], &mut combiner)?;
-                Ok(combiner.into_task_out())
-            },
-            &max_task,
-        )?;
+        let mapped = self.run_tasks(parts.len(), |t| {
+            let mut combiner = Combiner::new(reducers);
+            map(parts[t], &mut combiner)?;
+            Ok(combiner.into_task_out())
+        })?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
-        let chunks = self.regroup(outs, &mut metrics);
+        let chunks = self.regroup(mapped.results, &mut metrics);
 
         // ---- reduce phase ----
         let t1 = Instant::now();
         // Step 1 (parallel, one task per bucket): decode the shuffle
         // chunks, merge duplicates across map tasks on the raw bytes, sort
         // into key groups.
-        let buckets: Vec<Vec<ReduceRec<'_>>> = self.run_tasks(
-            self.reducers,
-            |t| {
-                #[cfg(feature = "failpoints")]
-                desq_core::fault::point("bsp::reduce_merge")?;
-                merge_bucket_recs::<K>(&chunks[t])
-            },
-            &max_task,
-        )?;
+        let merged = self.run_tasks(self.reducers, |t| {
+            #[cfg(feature = "failpoints")]
+            desq_core::fault::point("bsp::reduce_merge")?;
+            merge_bucket_recs::<K>(&chunks[t])
+        })?;
+        let buckets = &merged.results;
 
         // Step 2: cut every bucket into key groups, batch adjacent light
         // groups into tasks, and run the tasks under work stealing so a
@@ -741,7 +703,7 @@ impl Engine {
             }
         }
         // A task closes at a bucket boundary (keeps output bookkeeping
-        // simple), once it holds enough records to amortize a deque round
+        // simple), once it holds enough records to amortize a queue round
         // trip, or at a group-count cap so huge flocks of trivial keys
         // still split; a single heavy group always gets its own task.
         const RECS_PER_TASK: usize = 256;
@@ -760,110 +722,35 @@ impl Engine {
             }
         }
 
-        let nworkers = self.workers.min(tasks.len()).max(1);
-        let injector: Injector<(usize, std::ops::Range<usize>)> = Injector::new();
-        for (i, t) in tasks.into_iter().enumerate() {
-            injector.push((i, t));
-        }
-        let locals: Vec<DequeWorker<(usize, std::ops::Range<usize>)>> =
-            (0..nworkers).map(|_| DequeWorker::new_lifo()).collect();
-        let stealers: Vec<Stealer<(usize, std::ops::Range<usize>)>> =
-            locals.iter().map(DequeWorker::stealer).collect();
-        let results: Mutex<Vec<(usize, Vec<O>)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<Error>> = Mutex::new(None);
-        let counters: Mutex<(u64, u64)> = Mutex::new((0, 0)); // (tasks, steals)
-        crossbeam::thread::scope(|s| {
-            let (injector, stealers) = (&injector, &stealers);
-            let (results, failure, counters) = (&results, &failure, &counters);
-            let max_task = &max_task;
-            let (buckets, groups, init, reduce) = (&buckets, &groups, &init, &reduce);
-            for (wid, local) in locals.into_iter().enumerate() {
-                s.spawn(move |_| {
-                    let mut state = init();
-                    let (mut ran, mut stole) = (0u64, 0u64);
-                    let mut group_buf: Vec<(&[u8], u64)> = Vec::new();
-                    loop {
-                        if failure.lock().is_some() {
-                            break;
-                        }
-                        if let Err(e) = self.checkpoint() {
-                            let mut f = failure.lock();
-                            if f.is_none() {
-                                *f = Some(e);
-                            }
-                            break;
-                        }
-                        let next = local
-                            .pop()
-                            .or_else(|| injector.steal_batch_and_pop(&local).success())
-                            .or_else(|| {
-                                (1..nworkers).find_map(|i| {
-                                    let got = stealers[(wid + i) % nworkers]
-                                        .steal_batch_and_pop(&local)
-                                        .success();
-                                    stole += u64::from(got.is_some());
-                                    got
-                                })
-                            });
-                        // The task list is fixed (tasks never spawn tasks):
-                        // finding nothing anywhere means every remaining
-                        // task is already running on some worker — done.
-                        let Some((ti, range)) = next else { break };
-                        ran += 1;
-                        let started = Instant::now();
-                        let mut out: Vec<O> = Vec::new();
-                        // The task body (user reduce code) runs under
-                        // catch_unwind: one poisoned key group aborts the
-                        // job instead of tearing the process down.
-                        let run = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                            for &(b, gs, ge) in &groups[range] {
-                                let recs = &buckets[b as usize][gs as usize..ge as usize];
-                                group_buf.clear();
-                                group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
-                                let k = K::decode(&mut &recs[0].key[..])?;
-                                let mut emit = |o: O| out.push(o);
-                                reduce(&mut state, &k, &group_buf, &mut emit)?;
-                            }
-                            Ok(())
-                        }))
-                        .unwrap_or_else(|payload| Err(self.panicked(payload.as_ref())));
-                        max_task.fetch_max(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        match run {
-                            Ok(()) => results.lock().push((ti, out)),
-                            Err(e) => {
-                                let mut f = failure.lock();
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    let mut c = counters.lock();
-                    c.0 += ran;
-                    c.1 += stole;
-                });
-            }
-        })
-        .map_err(|p| self.panicked(p.as_ref()))?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        let (rtasks, rsteals) = counters.into_inner();
-        metrics.reduce_tasks = rtasks;
-        metrics.reduce_steals = rsteals;
+        // Tasks are numbered in (bucket, key) order, so the index-ordered
+        // results reproduce the sequential per-bucket iteration exactly.
+        let reduced = sched::run_indexed(
+            tasks.len(),
+            self.workers,
+            self.cancel.as_ref(),
+            || (init(), Vec::new()),
+            |ti, (state, group_buf): &mut (S, Vec<(&[u8], u64)>)| {
+                let mut out: Vec<O> = Vec::new();
+                for &(b, gs, ge) in &groups[tasks[ti].clone()] {
+                    let recs = &buckets[b as usize][gs as usize..ge as usize];
+                    group_buf.clear();
+                    group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
+                    let k = K::decode(&mut &recs[0].key[..])?;
+                    let mut emit = |o: O| out.push(o);
+                    reduce(state, &k, group_buf, &mut emit)?;
+                }
+                Ok(out)
+            },
+        )?;
+        metrics.reduce_tasks = reduced.tasks;
+        metrics.reduce_steals = reduced.steals;
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = max_task.into_inner();
+        metrics.max_task_nanos = mapped
+            .max_task_nanos
+            .max(merged.max_task_nanos)
+            .max(reduced.max_task_nanos);
 
-        // Deterministic output: tasks are numbered in (bucket, key) order,
-        // so sorting by task index reproduces the sequential per-bucket
-        // iteration exactly.
-        let mut results = results.into_inner();
-        results.sort_by_key(|&(ti, _)| ti);
-        let mut flat = Vec::new();
-        for (_, o) in results {
-            flat.extend(o);
-        }
+        let flat: Vec<O> = reduced.results.into_iter().flatten().collect();
         metrics.output_records = flat.len() as u64;
         metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
         Ok((flat, metrics))
@@ -974,7 +861,7 @@ impl Engine {
         let reducers = self.reducers;
         let on_map = |task: u64| -> Result<MapTaskOut> {
             let part = parts.get(task as usize).ok_or_else(|| {
-                Error::Worker(format!(
+                Error::Invalid(format!(
                     "map task {task} out of range ({} partitions)",
                     parts.len()
                 ))
@@ -989,63 +876,20 @@ impl Engine {
         crate::transport::worker_loop(addr, cfg, &on_map, &on_reduce)
     }
 
-    /// Runs `n` independent tasks on the worker pool, collecting results.
-    /// The first error (or caught panic, or cancellation) aborts the job;
-    /// later tasks are abandoned cooperatively at task boundaries. The
-    /// wall time of the slowest single task accumulates into `max_nanos`
-    /// (the straggler that bounds the phase barrier).
-    pub(crate) fn run_tasks<T, F>(&self, n: usize, task: F, max_nanos: &AtomicU64) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T> + Sync,
-    {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let failure: Mutex<Option<Error>> = Mutex::new(None);
-        let fail = |e: Error| {
-            let mut f = failure.lock();
-            if f.is_none() {
-                *f = Some(e);
-            }
-        };
-        crossbeam::thread::scope(|s| {
-            for _ in 0..self.workers.min(n.max(1)) {
-                s.spawn(|_| loop {
-                    if failure.lock().is_some() {
-                        return;
-                    }
-                    if let Err(e) = self.checkpoint() {
-                        fail(e);
-                        return;
-                    }
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n {
-                        return;
-                    }
-                    let started = Instant::now();
-                    let run = catch_unwind(AssertUnwindSafe(|| task(t)));
-                    max_nanos.fetch_max(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    match run {
-                        Ok(Ok(out)) => results.lock().push((t, out)),
-                        Ok(Err(e)) => {
-                            fail(e);
-                            return;
-                        }
-                        Err(payload) => {
-                            fail(self.panicked(payload.as_ref()));
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-        .map_err(|p| self.panicked(p.as_ref()))?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        let mut rs = results.into_inner();
-        rs.sort_by_key(|(t, _)| *t);
-        Ok(rs.into_iter().map(|(_, t)| t).collect())
+    /// Runs `n` independent stateless tasks on the worker pool
+    /// ([`sched::run_indexed`] bound to this engine's workers and token).
+    pub(crate) fn run_tasks<T: Send>(
+        &self,
+        n: usize,
+        task: impl Fn(usize) -> Result<T> + Sync,
+    ) -> Result<IndexedRun<T>> {
+        sched::run_indexed(
+            n,
+            self.workers,
+            self.cancel.as_ref(),
+            || (),
+            |t, ()| task(t),
+        )
     }
 
     /// Transposes map-task outputs into per-reducer chunk lists and fills in
@@ -1073,6 +917,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Distributed word count: the "hello world" of the model.
     #[test]
@@ -1262,11 +1107,11 @@ mod tests {
                     Ok(())
                 },
                 |_k: &u32, _vs: Vec<u32>, _emit: &mut dyn FnMut(u32)| {
-                    Err(Error::Worker("reduce failed".into()))
+                    Err(Error::Invalid("reduce failed".into()))
                 },
             )
             .unwrap_err();
-        assert!(matches!(err, Error::Worker(_)));
+        assert!(matches!(err, Error::Invalid(_)));
     }
 
     #[test]
@@ -1294,8 +1139,8 @@ mod tests {
 
     #[test]
     fn bucket_routing_is_stable_and_spread() {
-        // (The in-range and tail-distinction properties of the re-exported
-        // primitives are tested at their home, `desq_core::fx`.)
+        // (The in-range and tail-distinction properties of the primitives
+        // are tested at their home, `desq_core::fx`.)
         let h = hash_bytes(&42u32.to_le_bytes());
         assert_eq!(bucket_of(h, 8), bucket_of(h, 8));
         let mut seen = std::collections::HashSet::new();

@@ -30,12 +30,10 @@
 
 pub mod codec;
 pub mod engine;
-pub mod error;
 pub mod metrics;
 pub mod transport;
 
-pub use codec::{decode_item_seq, encode_item_seq, read_varint, write_varint, Codec};
-pub use engine::{bucket_of, hash_bytes, Combiner, Engine, MapTaskOut};
-pub use error::{Error, Result};
+pub use codec::{decode_item_seq, encode_item_seq, Codec};
+pub use engine::{Combiner, Engine, MapTaskOut};
 pub use metrics::JobMetrics;
 pub use transport::{InProcess, NetConfig, NetCoordinator, PhaseStats, ShuffleTransport};

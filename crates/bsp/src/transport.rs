@@ -11,14 +11,15 @@
 //!
 //! # Wire protocol
 //!
-//! Frames are length-prefixed like the `desq-serve` protocol:
-//! `varint(payload_len) payload`, payload = tag byte + fields in the
-//! `desq_core::codec` varint format. Lengths are validated against a
-//! configurable cap *before* any allocation. A connection starts with the
-//! worker's [`Frame::Hello`] carrying the protocol version and a job
-//! fingerprint; the coordinator silently drops incompatible peers (the
-//! worker sees the close, reconnects, and eventually reports
-//! [`Error::PeerUnreachable`] when its retry budget is spent).
+//! [`Frame`] is a message enum over [`desq_core::wire`] — the frame
+//! grammar (`varint(payload_len) payload`, length validated against
+//! [`NetConfig::max_frame`] *before* any allocation), the byte-list
+//! helpers and the [`Error`] codec are the ones the `desq-serve` protocol
+//! uses. A connection starts with the worker's [`Frame::Hello`] carrying
+//! the protocol version and a job fingerprint; the coordinator silently
+//! drops incompatible peers (the worker sees the close, reconnects, and
+//! eventually reports [`Error::PeerUnreachable`] when its retry budget is
+//! spent).
 //!
 //! # Failure model
 //!
@@ -55,17 +56,21 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use desq_core::codec::{read_bytes, read_varint, write_bytes, write_varint};
 use desq_core::mining::panic_message;
 use desq_core::retry::RetryPolicy;
+use desq_core::sched::IndexedRun;
+use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list};
+use desq_core::{Error, Result};
 use parking_lot::Mutex;
 
-use crate::codec::{read_varint, write_varint};
 use crate::engine::{Engine, MapTaskOut};
-use crate::error::{Error, Result};
 
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
-pub const NET_PROTOCOL_VERSION: u8 = 1;
+/// (v2: [`Frame::TaskErr`] carries the shared [`desq_core::wire`] error
+/// table instead of an eight-kind private one.)
+pub const NET_PROTOCOL_VERSION: u8 = 2;
 
 /// Robustness counters of one transport phase, merged into
 /// [`JobMetrics`](crate::JobMetrics) by the engine.
@@ -117,6 +122,15 @@ pub(crate) type WorkerReduceFn<'a> = dyn Fn(u64, &[Vec<u8>]) -> Result<Vec<u8>> 
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 
+/// An in-process phase has no peers: only the straggler is worth reporting.
+fn local_phase<T>(run: IndexedRun<T>) -> (Vec<T>, PhaseStats) {
+    let stats = PhaseStats {
+        max_task_nanos: run.max_task_nanos,
+        ..PhaseStats::default()
+    };
+    (run.results, stats)
+}
+
 impl ShuffleTransport for InProcess {
     fn map_phase(
         &self,
@@ -124,15 +138,8 @@ impl ShuffleTransport for InProcess {
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        let max = AtomicU64::new(0);
-        let outs = engine.run_tasks(tasks, local, &max)?;
-        Ok((
-            outs,
-            PhaseStats {
-                max_task_nanos: max.into_inner(),
-                ..PhaseStats::default()
-            },
-        ))
+        let run = engine.run_tasks(tasks, local)?;
+        Ok(local_phase(run))
     }
 
     fn reduce_phase(
@@ -141,15 +148,8 @@ impl ShuffleTransport for InProcess {
         chunks: Vec<Vec<Vec<u8>>>,
         local: &ReduceTaskFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        let max = AtomicU64::new(0);
-        let outs = engine.run_tasks(chunks.len(), |b| local(b, &chunks[b]), &max)?;
-        Ok((
-            outs,
-            PhaseStats {
-                max_task_nanos: max.into_inner(),
-                ..PhaseStats::default()
-            },
-        ))
+        let run = engine.run_tasks(chunks.len(), |b| local(b, &chunks[b]))?;
+        Ok(local_phase(run))
     }
 }
 
@@ -194,82 +194,6 @@ pub enum Frame {
     TaskErr { epoch: u64, task: u64, error: Error },
     /// Coordinator → worker: job over, disconnect cleanly.
     End,
-}
-
-fn write_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn read_bytes(s: &mut &[u8]) -> Result<Vec<u8>> {
-    let len = read_varint(s)? as usize;
-    if len > s.len() {
-        return Err(Error::Decode(format!(
-            "byte string: length {len} exceeds input"
-        )));
-    }
-    let (head, rest) = s.split_at(len);
-    *s = rest;
-    Ok(head.to_vec())
-}
-
-fn write_byte_list(buf: &mut Vec<u8>, list: &[Vec<u8>]) {
-    write_varint(buf, list.len() as u64);
-    for b in list {
-        write_bytes(buf, b);
-    }
-}
-
-fn read_byte_list(s: &mut &[u8]) -> Result<Vec<Vec<u8>>> {
-    let n = read_varint(s)? as usize;
-    if n > s.len() {
-        return Err(Error::Decode(format!("byte list: count {n} exceeds input")));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_bytes(s)?);
-    }
-    Ok(out)
-}
-
-fn take_u8(s: &mut &[u8]) -> Result<u8> {
-    let (&b, rest) = s
-        .split_first()
-        .ok_or_else(|| Error::Decode("frame: unexpected end of input".into()))?;
-    *s = rest;
-    Ok(b)
-}
-
-fn write_error(buf: &mut Vec<u8>, e: &Error) {
-    let (kind, msg) = match e {
-        Error::Decode(m) => (0u8, m),
-        Error::ResourceExhausted(m) => (1, m),
-        Error::DeadlineExceeded(m) => (2, m),
-        Error::Cancelled(m) => (3, m),
-        Error::WorkerPanicked(m) => (4, m),
-        Error::Worker(m) => (5, m),
-        Error::PeerUnreachable(m) => (6, m),
-        Error::PeerTimedOut(m) => (7, m),
-    };
-    buf.push(kind);
-    write_bytes(buf, msg.as_bytes());
-}
-
-fn read_error(s: &mut &[u8]) -> Result<Error> {
-    let kind = take_u8(s)?;
-    let msg = String::from_utf8(read_bytes(s)?)
-        .map_err(|_| Error::Decode("error message is not UTF-8".into()))?;
-    Ok(match kind {
-        0 => Error::Decode(msg),
-        1 => Error::ResourceExhausted(msg),
-        2 => Error::DeadlineExceeded(msg),
-        3 => Error::Cancelled(msg),
-        4 => Error::WorkerPanicked(msg),
-        5 => Error::Worker(msg),
-        6 => Error::PeerUnreachable(msg),
-        7 => Error::PeerTimedOut(msg),
-        k => return Err(Error::Decode(format!("unknown error kind {k}"))),
-    })
 }
 
 impl Frame {
@@ -334,7 +258,7 @@ impl Frame {
                 buf.push(7);
                 write_varint(buf, *epoch);
                 write_varint(buf, *task);
-                write_error(buf, error);
+                wire::encode_error(error, buf);
             }
             Frame::End => buf.push(8),
         }
@@ -343,10 +267,10 @@ impl Frame {
     /// Decodes one frame payload, rejecting trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame> {
         let mut s = payload;
-        let tag = take_u8(&mut s)?;
+        let tag = take_u8(&mut s, "frame tag")?;
         let frame = match tag {
             1 => Frame::Hello {
-                version: take_u8(&mut s)?,
+                version: take_u8(&mut s, "hello version")?,
                 fingerprint: read_varint(&mut s)?,
             },
             2 => Frame::Heartbeat,
@@ -372,23 +296,38 @@ impl Frame {
                 epoch: read_varint(&mut s)?,
                 task: read_varint(&mut s)?,
                 task_nanos: read_varint(&mut s)?,
-                out: read_bytes(&mut s)?,
+                out: read_bytes(&mut s)?.to_vec(),
             },
             7 => Frame::TaskErr {
                 epoch: read_varint(&mut s)?,
                 task: read_varint(&mut s)?,
-                error: read_error(&mut s)?,
+                error: wire::decode_error(&mut s)?,
             },
             8 => Frame::End,
             t => return Err(Error::Decode(format!("unknown frame tag {t}"))),
         };
-        if !s.is_empty() {
-            return Err(Error::Decode(format!(
-                "frame: {} trailing bytes after tag {tag}",
-                s.len()
-            )));
-        }
+        wire::expect_end(s, "shuffle frame")?;
         Ok(frame)
+    }
+
+    /// `(epoch, task, task_nanos)` of a task-output frame, `None` for every
+    /// other kind.
+    fn output_header(&self) -> Option<(u64, u64, u64)> {
+        match self {
+            Frame::MapOut {
+                epoch,
+                task,
+                task_nanos,
+                ..
+            }
+            | Frame::ReduceOut {
+                epoch,
+                task,
+                task_nanos,
+                ..
+            } => Some((*epoch, *task, *task_nanos)),
+            _ => None,
+        }
     }
 
     /// Full wire bytes: `varint(payload_len) payload`. Fails (without
@@ -396,16 +335,9 @@ impl Frame {
     fn to_wire(&self, max_frame: usize) -> io::Result<Vec<u8>> {
         let mut payload = Vec::new();
         self.encode(&mut payload);
-        if payload.len() > max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame payload {} exceeds cap {max_frame}", payload.len()),
-            ));
-        }
-        let mut wire = Vec::with_capacity(payload.len() + 10);
-        write_varint(&mut wire, payload.len() as u64);
-        wire.extend_from_slice(&payload);
-        Ok(wire)
+        let mut framed = Vec::with_capacity(payload.len() + 10);
+        wire::write_frame(&mut framed, &payload, max_frame)?;
+        Ok(framed)
     }
 }
 
@@ -413,48 +345,23 @@ impl Frame {
 /// in front (a failpoint `Err` surfaces as an I/O error — a broken link —
 /// and an `Exit` action kills the process mid-send, which is exactly how
 /// the chaos suite murders a worker).
-fn send_wire<W: Write>(w: &mut W, wire: &[u8]) -> io::Result<()> {
+fn send_wire<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
     #[cfg(feature = "failpoints")]
     desq_core::fault::point("net::send_frame")
         .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
-    w.write_all(wire)?;
+    w.write_all(framed)?;
     w.flush()
 }
 
 /// Writes one length-prefixed frame.
 pub fn write_net_frame<W: Write>(w: &mut W, frame: &Frame, max_frame: usize) -> io::Result<()> {
-    let wire = frame.to_wire(max_frame)?;
-    send_wire(w, &wire)
+    send_wire(w, &frame.to_wire(max_frame)?)
 }
 
-/// Reads one length-prefixed frame, rejecting oversized or overlong
-/// length prefixes *before* allocating the payload buffer.
+/// Reads one length-prefixed frame; oversized or overlong length prefixes
+/// are rejected *before* the payload buffer is allocated.
 pub fn read_net_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Frame> {
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        if shift >= 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame length varint overflows u64",
-            ));
-        }
-        len |= u64::from(b[0] & 0x7F) << shift;
-        if b[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > max_frame as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {max_frame}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let payload = wire::read_frame(r, max_frame)?;
     Frame::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -511,27 +418,33 @@ struct Peer {
     last_write: Instant,
 }
 
-/// Marks a peer dead and re-queues its unfinished in-flight tasks.
-fn fail_peer(
-    p: &mut Peer,
-    results: &[Option<Frame>],
-    queue: &mut VecDeque<u64>,
-    stats: &mut PhaseStats,
-    timed_out: bool,
-) {
-    if !p.alive {
-        return;
-    }
-    p.alive = false;
-    let _ = p.stream.shutdown(Shutdown::Both);
-    for t in p.in_flight.drain(..) {
-        if (t as usize) < results.len() && results[t as usize].is_none() {
-            queue.push_back(t);
-            stats.retried_tasks += 1;
+/// The driver's bookkeeping of one phase: which tasks have a result (of
+/// the phase's type `R`), which still wait for a peer, and the counters.
+struct Phase<R> {
+    epoch: u64,
+    results: Vec<Option<R>>,
+    queue: VecDeque<u64>,
+    done: usize,
+    stats: PhaseStats,
+}
+
+impl<R> Phase<R> {
+    /// Marks a peer dead and re-queues its unfinished in-flight tasks.
+    fn fail_peer(&mut self, p: &mut Peer, timed_out: bool) {
+        if !p.alive {
+            return;
         }
-    }
-    if timed_out {
-        stats.peer_timeouts += 1;
+        p.alive = false;
+        let _ = p.stream.shutdown(Shutdown::Both);
+        for t in p.in_flight.drain(..) {
+            if self.results.get(t as usize).is_some_and(Option::is_none) {
+                self.queue.push_back(t);
+                self.stats.retried_tasks += 1;
+            }
+        }
+        if timed_out {
+            self.stats.peer_timeouts += 1;
+        }
     }
 }
 
@@ -614,13 +527,7 @@ impl NetCoordinator {
     }
 
     /// Hands queued tasks to live peers, at most `credits` in flight each.
-    fn assign(
-        &self,
-        wire: &[Vec<u8>],
-        results: &[Option<Frame>],
-        queue: &mut VecDeque<u64>,
-        stats: &mut PhaseStats,
-    ) {
+    fn assign<R>(&self, wire: &[Vec<u8>], phase: &mut Phase<R>) {
         let mut peers = self.peers.lock();
         for p in peers.iter_mut() {
             if !p.alive || !p.ready {
@@ -628,8 +535,10 @@ impl NetCoordinator {
             }
             while p.in_flight.len() < self.cfg.credits {
                 // Skip tasks that were completed elsewhere while re-queued.
-                let Some(t) = queue.pop_front() else { return };
-                if results[t as usize].is_some() {
+                let Some(t) = phase.queue.pop_front() else {
+                    return;
+                };
+                if phase.results[t as usize].is_some() {
                     continue;
                 }
                 match send_wire(&mut p.stream, &wire[t as usize]) {
@@ -638,8 +547,8 @@ impl NetCoordinator {
                         p.last_write = Instant::now();
                     }
                     Err(_) => {
-                        queue.push_front(t);
-                        fail_peer(p, results, queue, stats, false);
+                        phase.queue.push_front(t);
+                        phase.fail_peer(p, false);
                         break;
                     }
                 }
@@ -648,12 +557,7 @@ impl NetCoordinator {
     }
 
     /// Heartbeats peers whose link has been idle for a heartbeat interval.
-    fn heartbeat_idle(
-        &self,
-        results: &[Option<Frame>],
-        queue: &mut VecDeque<u64>,
-        stats: &mut PhaseStats,
-    ) {
+    fn heartbeat_idle<R>(&self, phase: &mut Phase<R>) {
         let Ok(hb) = Frame::Heartbeat.to_wire(self.cfg.max_frame) else {
             return;
         };
@@ -662,20 +566,19 @@ impl NetCoordinator {
             if p.alive && p.ready && p.last_write.elapsed() >= self.cfg.heartbeat {
                 match send_wire(&mut p.stream, &hb) {
                     Ok(()) => p.last_write = Instant::now(),
-                    Err(_) => fail_peer(p, results, queue, stats, false),
+                    Err(_) => phase.fail_peer(p, false),
                 }
             }
         }
     }
 
-    fn on_event(
+    /// `take` extracts this phase's result from a task-output frame and
+    /// fails typed on the other phase's kind.
+    fn on_event<R>(
         &self,
         ev: Event,
-        epoch: u64,
-        results: &mut [Option<Frame>],
-        queue: &mut VecDeque<u64>,
-        done: &mut usize,
-        stats: &mut PhaseStats,
+        take: &dyn Fn(Frame) -> Result<R>,
+        phase: &mut Phase<R>,
     ) -> Result<()> {
         match ev {
             Event::Frame { peer, frame } => match frame {
@@ -699,59 +602,49 @@ impl NetCoordinator {
                 // completed) falls through to the ignore arm below.
                 Frame::TaskErr {
                     epoch: e, error, ..
-                } if e == epoch => {
+                } if e == phase.epoch => {
                     return Err(error);
                 }
-                f @ (Frame::MapOut { .. } | Frame::ReduceOut { .. }) => {
-                    let (e, task, nanos) = match &f {
-                        Frame::MapOut {
-                            epoch,
-                            task,
-                            task_nanos,
-                            ..
-                        }
-                        | Frame::ReduceOut {
-                            epoch,
-                            task,
-                            task_nanos,
-                            ..
-                        } => (*epoch, *task, *task_nanos),
-                        _ => unreachable!(),
+                // Anything else that is not a task output is protocol noise
+                // (a task frame flowing backwards): ignore.
+                f => {
+                    let Some((e, task, nanos)) = f.output_header() else {
+                        return Ok(());
                     };
-                    {
-                        let mut peers = self.peers.lock();
-                        if let Some(p) = peers.get_mut(peer) {
-                            p.in_flight.retain(|&x| x != task);
-                        }
+                    if let Some(p) = self.peers.lock().get_mut(peer) {
+                        p.in_flight.retain(|&x| x != task);
                     }
                     // Stale-epoch or duplicate results are dropped: first
                     // completion of (epoch, task) wins.
-                    let t = task as usize;
-                    if e == epoch && t < results.len() && results[t].is_none() {
-                        stats.max_task_nanos = stats.max_task_nanos.max(nanos);
-                        results[t] = Some(f);
-                        *done += 1;
+                    let open = phase
+                        .results
+                        .get(task as usize)
+                        .is_some_and(Option::is_none);
+                    if e == phase.epoch && open {
+                        phase.results[task as usize] = Some(take(f)?);
+                        phase.stats.max_task_nanos = phase.stats.max_task_nanos.max(nanos);
+                        phase.done += 1;
                     }
                 }
-                // Protocol noise (a task frame flowing backwards): ignore.
-                _ => {}
             },
             Event::Dead { peer, timed_out } => {
                 let mut peers = self.peers.lock();
-                fail_peer(&mut peers[peer], results, queue, stats, timed_out);
+                phase.fail_peer(&mut peers[peer], timed_out);
             }
         }
         Ok(())
     }
 
     /// Drives one phase to completion: assigns `task_frames` to peers,
-    /// re-queues on peer death, dedupes results by `(epoch, task)`.
-    fn run_phase(
+    /// re-queues on peer death, dedupes results by `(epoch, task)` and
+    /// extracts each with `take`.
+    fn run_phase<R>(
         &self,
         engine: &Engine,
         epoch: u64,
         task_frames: &[Frame],
-    ) -> Result<(Vec<Frame>, PhaseStats)> {
+        take: &dyn Fn(Frame) -> Result<R>,
+    ) -> Result<(Vec<R>, PhaseStats)> {
         let n = task_frames.len();
         let mut wire: Vec<Vec<u8>> = Vec::with_capacity(n);
         for f in task_frames {
@@ -765,23 +658,26 @@ impl NetCoordinator {
         for p in self.peers.lock().iter_mut() {
             p.in_flight.clear();
         }
-        let mut queue: VecDeque<u64> = (0..n as u64).collect();
-        let mut results: Vec<Option<Frame>> = (0..n).map(|_| None).collect();
-        let mut done = 0usize;
-        let mut stats = PhaseStats::default();
+        let mut phase = Phase {
+            epoch,
+            results: (0..n).map(|_| None).collect(),
+            queue: (0..n as u64).collect(),
+            done: 0,
+            stats: PhaseStats::default(),
+        };
         let rx = self.rx.lock();
         let mut no_peer_since = Instant::now();
         loop {
             engine.checkpoint()?;
             self.accept_peers();
             while let Ok(ev) = rx.try_recv() {
-                self.on_event(ev, epoch, &mut results, &mut queue, &mut done, &mut stats)?;
+                self.on_event(ev, take, &mut phase)?;
             }
-            if done == n {
+            if phase.done == n {
                 break;
             }
-            self.assign(&wire, &results, &mut queue, &mut stats);
-            self.heartbeat_idle(&results, &mut queue, &mut stats);
+            self.assign(&wire, &mut phase);
+            self.heartbeat_idle(&mut phase);
             // A job with no live ready peer makes no progress; fail it
             // with a typed error instead of hanging forever.
             let live = self
@@ -796,21 +692,22 @@ impl NetCoordinator {
                 return Err(Error::PeerUnreachable(format!(
                     "no live worker for {:?} ({} of {n} tasks outstanding)",
                     self.cfg.peer_wait,
-                    n - done,
+                    n - phase.done,
                 )));
             }
             match rx.recv_timeout(Duration::from_millis(20)) {
                 Ok(ev) => {
-                    self.on_event(ev, epoch, &mut results, &mut queue, &mut done, &mut stats)?;
+                    self.on_event(ev, take, &mut phase)?;
                 }
                 Err(_) => continue,
             }
         }
-        let frames = results
+        let results = phase
+            .results
             .into_iter()
             .map(|r| r.expect("phase completed with every task accounted"))
             .collect();
-        Ok((frames, stats))
+        Ok((results, phase.stats))
     }
 
     /// Ends the job: every live worker gets an [`Frame::End`]. Idempotent;
@@ -848,35 +745,28 @@ impl ShuffleTransport for NetCoordinator {
         let frames: Vec<Frame> = (0..tasks as u64)
             .map(|task| Frame::MapTask { epoch, task })
             .collect();
-        let (results, stats) = self.run_phase(engine, epoch, &frames)?;
-        let mut outs = Vec::with_capacity(results.len());
-        for f in results {
-            match f {
-                Frame::MapOut {
-                    emitted,
-                    shuffled,
-                    payloads,
-                    buckets,
-                    ..
-                } => {
-                    if buckets.len() != engine.reducers() {
-                        return Err(Error::Decode(format!(
-                            "map output has {} buckets, engine expects {}",
-                            buckets.len(),
-                            engine.reducers()
-                        )));
-                    }
-                    outs.push(MapTaskOut {
-                        buckets,
-                        emitted,
-                        shuffled,
-                        payloads,
-                    });
-                }
-                _ => unreachable!("run_phase only accepts map outputs here"),
-            }
-        }
-        Ok((outs, stats))
+        let reducers = engine.reducers();
+        self.run_phase(engine, epoch, &frames, &|f| match f {
+            Frame::MapOut {
+                emitted,
+                shuffled,
+                payloads,
+                buckets,
+                ..
+            } if buckets.len() == reducers => Ok(MapTaskOut {
+                buckets,
+                emitted,
+                shuffled,
+                payloads,
+            }),
+            Frame::MapOut { buckets, .. } => Err(Error::Decode(format!(
+                "map output has {} buckets, engine expects {reducers}",
+                buckets.len()
+            ))),
+            _ => Err(Error::Decode(
+                "a peer answered a map task with a reduce output".into(),
+            )),
+        })
     }
 
     fn reduce_phase(
@@ -895,19 +785,16 @@ impl ShuffleTransport for NetCoordinator {
                 chunks,
             })
             .collect();
-        let outcome = self.run_phase(engine, epoch, &frames);
+        let outcome = self.run_phase(engine, epoch, &frames, &|f| match f {
+            Frame::ReduceOut { out, .. } => Ok(out),
+            _ => Err(Error::Decode(
+                "a peer answered a reduce task with a map output".into(),
+            )),
+        });
         // The reduce phase is the job's last: release the workers whether
         // it succeeded or not.
         self.finish();
-        let (results, stats) = outcome?;
-        let outs = results
-            .into_iter()
-            .map(|f| match f {
-                Frame::ReduceOut { out, .. } => out,
-                _ => unreachable!("run_phase only accepts reduce outputs here"),
-            })
-            .collect();
-        Ok((outs, stats))
+        outcome
     }
 }
 
@@ -1130,13 +1017,12 @@ mod tests {
             out: vec![1, 0, 255],
         });
         for error in [
-            Error::Decode("bad".into()),
+            Error::Parse {
+                msg: "bad pexp".into(),
+                pos: 3,
+            },
             Error::ResourceExhausted("mem".into()),
-            Error::DeadlineExceeded("2s".into()),
-            Error::Cancelled("drain".into()),
-            Error::WorkerPanicked("boom".into()),
-            Error::Worker("other".into()),
-            Error::PeerUnreachable("10.0.0.1:1".into()),
+            Error::Invalid("other".into()),
             Error::PeerTimedOut("w3".into()),
         ] {
             roundtrip(&Frame::TaskErr {

@@ -1,10 +1,15 @@
 //! Property tests for the shuffle wire codec: arbitrary frames survive
 //! encode → write → read → decode unchanged, **every** strict payload
 //! prefix is rejected (no panic, no partial decode), and hostile length
-//! prefixes are refused before the payload buffer is allocated.
+//! prefixes are refused before the payload buffer is allocated. Plus one
+//! scripted peer that answers tasks with the other phase's output frame.
+
+use std::net::{SocketAddr, TcpStream};
+use std::thread::{self, JoinHandle};
 
 use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, NET_PROTOCOL_VERSION};
-use desq_bsp::Error;
+use desq_bsp::{Combiner, Engine, NetConfig, NetCoordinator};
+use desq_core::Error;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -45,16 +50,22 @@ fn any_string() -> impl Strategy<Value = String> {
     .prop_map(|chars| chars.into_iter().collect())
 }
 
-/// All eight wire error kinds.
+/// All eleven kinds of the shared `desq_core::wire` error table.
 fn any_error() -> impl Strategy<Value = Error> {
-    (0u8..8, any_string()).prop_map(|(kind, msg)| match kind {
-        0 => Error::Decode(msg),
-        1 => Error::ResourceExhausted(msg),
-        2 => Error::DeadlineExceeded(msg),
-        3 => Error::Cancelled(msg),
-        4 => Error::WorkerPanicked(msg),
-        5 => Error::Worker(msg),
-        6 => Error::PeerUnreachable(msg),
+    (0u8..11, any_string(), any_u64()).prop_map(|(kind, msg, pos)| match kind {
+        0 => Error::Parse {
+            msg,
+            pos: pos as usize,
+        },
+        1 => Error::UnknownItem(msg),
+        2 => Error::CyclicHierarchy(msg),
+        3 => Error::ResourceExhausted(msg),
+        4 => Error::Decode(msg),
+        5 => Error::Invalid(msg),
+        6 => Error::DeadlineExceeded(msg),
+        7 => Error::Cancelled(msg),
+        8 => Error::WorkerPanicked(msg),
+        9 => Error::PeerUnreachable(msg),
         _ => Error::PeerTimedOut(msg),
     })
 }
@@ -156,7 +167,7 @@ proptest! {
     #[test]
     fn oversized_length_prefixes_are_rejected(len in MAX_FRAME as u64 + 1..=u64::MAX) {
         let mut wire = Vec::new();
-        desq_bsp::write_varint(&mut wire, len);
+        desq_core::codec::write_varint(&mut wire, len);
         wire.extend_from_slice(&[0u8; 64]); // even with bytes behind it
         let err = read_net_frame(&mut wire.as_slice(), MAX_FRAME)
             .expect_err("oversized length must error");
@@ -184,5 +195,78 @@ proptest! {
         prop_assert!(Frame::decode(&payload).is_err());
         payload[0] = 0; // tag 0 is reserved / invalid too
         prop_assert!(Frame::decode(&payload).is_err());
+    }
+}
+
+/// A peer that completes the handshake and then answers every task frame
+/// with whatever `script` says, until the coordinator ends the job.
+fn scripted_peer(
+    addr: SocketAddr,
+    script: impl Fn(Frame) -> Option<Frame> + Send + 'static,
+) -> JoinHandle<()> {
+    thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            version: NET_PROTOCOL_VERSION,
+            fingerprint: 0,
+        };
+        write_net_frame(&mut stream, &hello, MAX_FRAME).unwrap();
+        loop {
+            match read_net_frame(&mut stream, MAX_FRAME) {
+                Ok(Frame::End) | Err(_) => return,
+                Ok(frame) => {
+                    if let Some(reply) = script(frame) {
+                        write_net_frame(&mut stream, &reply, MAX_FRAME).unwrap();
+                    }
+                }
+            }
+        }
+    })
+}
+
+/// A worker that answers a map task with `ReduceOut` (or a reduce task with
+/// `MapOut`) in the current epoch used to be stored as the task's result
+/// and hit an `unreachable!` on the driver; it is a typed decode error.
+#[test]
+fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
+    for confused_phase in ["map", "reduce"] {
+        let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let map_out = |epoch, task| Frame::MapOut {
+            epoch,
+            task,
+            emitted: 0,
+            shuffled: 0,
+            payloads: 0,
+            task_nanos: 0,
+            buckets: vec![vec![]], // one reducer
+        };
+        let peer = scripted_peer(coord.local_addr().unwrap(), move |frame| match frame {
+            Frame::MapTask { epoch, task } if confused_phase == "map" => Some(Frame::ReduceOut {
+                epoch,
+                task,
+                task_nanos: 0,
+                out: vec![0],
+            }),
+            Frame::MapTask { epoch, task } => Some(map_out(epoch, task)),
+            Frame::ReduceTask { epoch, task, .. } => Some(map_out(epoch, task)),
+            _ => None,
+        });
+        let data = [1u32];
+        let parts: Vec<&[u32]> = vec![&data];
+        let err = Engine::new(1)
+            .map_combine_reduce_via(
+                &coord,
+                &parts,
+                |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+                || (),
+                |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Decode(m) if m.contains(confused_phase)),
+            "{confused_phase}: {err}"
+        );
+        drop(coord); // releases the peer if the job died before its last phase
+        peer.join().unwrap();
     }
 }

@@ -9,12 +9,6 @@
 //! precisely why the paper's preprocessing recodes items by frequency —
 //! varints make that compactness pay off on the wire and in interned count
 //! tables.
-//!
-//! These functions originally lived in `desq_bsp::codec`; they moved here
-//! in PR 5 so the candidate-counting sink (which encodes each candidate
-//! once and counts interned byte keys) can share the exact shuffle format
-//! without a dependency on the engine crate. `desq_bsp::codec` re-exports
-//! them, so existing paths keep working.
 
 use crate::error::{Error, Result};
 

@@ -11,8 +11,8 @@
 //!
 //! | site                 | layer                  | fires inside |
 //! |----------------------|------------------------|--------------|
-//! | `sched::task_run`    | work-stealing scheduler| every task body (panic is caught at the task boundary) |
-//! | `bsp::reduce_merge`  | BSP engine             | every reduce task |
+//! | `sched::task_run`    | `desq_core::sched`     | every task body of every scheduler run — mining subtrees, counting blocks, BSP map/merge/reduce tasks, table-build chunks (an injected `err` panics here and is caught at the task boundary like any panic) |
+//! | `bsp::reduce_merge`  | BSP engine             | every reduce task, before its bucket is merged |
 //! | `serve::before_reply`| daemon                 | between mining and the terminal frame |
 //! | `store::compile`     | FST cache              | under a cache miss, before compilation |
 //! | `net::send_frame`    | shuffle transport      | before every frame write on a shuffle link (both ends) |

@@ -11,9 +11,7 @@
 //! candidate-counting sink ([`crate::fst::flat`], PR 5) — avoid `Hasher`
 //! entirely: keys are pre-encoded byte strings hashed **once** with
 //! [`hash_bytes`], and lookups run over an open-addressing [`ProbeTable`]
-//! whose entries live in caller-side arenas. These primitives are the
-//! canonical homes of what `desq_bsp::engine` originally carried; the
-//! `desq_bsp` paths re-export them for compatibility.
+//! whose entries live in caller-side arenas.
 //!
 //! Not DoS-resistant — do not use for attacker-controlled keys.
 

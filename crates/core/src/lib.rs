@@ -30,6 +30,10 @@
 //!   [`MiningResult`] / [`MiningMetrics`] every algorithm returns. The
 //!   ergonomic builder on top lives in the facade crate
 //!   (`desq::session::MiningSession`).
+//! * The runtime under every algorithm: [`sched`] is the one task
+//!   scheduler (steal-half worker threads, panic containment, token
+//!   polling, first error wins) and [`wire`] the one frame grammar and
+//!   [`Error`] codec that the serve and shuffle protocols are built on.
 //!
 //! The running example of the paper (Fig. 2–8) is available as a reusable
 //! fixture in [`toy`]; most unit tests in this workspace assert against it.
@@ -58,8 +62,10 @@ pub mod fx;
 pub mod mining;
 pub mod pexp;
 pub mod retry;
+pub mod sched;
 pub mod sequence;
 pub mod toy;
+pub mod wire;
 
 pub use dictionary::{Dictionary, DictionaryBuilder};
 pub use error::{Error, Result};

@@ -34,7 +34,7 @@ use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
 use desq_bsp::{Combiner, Engine};
 
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the D-CAND algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -293,15 +293,14 @@ fn d_cand_exec(
     let expand_and_count = |nfa: &mut Nfa,
                             inputs: &mut dyn Iterator<Item = (&[u8], u64)>,
                             emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let mut counter = CandidateCounter::new();
         for (bytes, weight) in inputs {
-            nfa.decode(bytes).map_err(to_bsp)?;
+            nfa.decode(bytes)?;
             counter.begin_sequence(weight);
             nfa.for_each(config.run_budget, |candidate| {
                 counter.observe(candidate);
-            })
-            .map_err(to_bsp)?;
+            })?;
         }
         for pattern in counter.patterns(config.sigma) {
             emit(pattern);
@@ -309,15 +308,13 @@ fn d_cand_exec(
         Ok(())
     };
 
-    let (patterns, job) = if config.aggregate {
+    let round = if config.aggregate {
         let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
             let mut mapper = Mapper::new(fst, dict, &index, config);
             for seq in part {
                 // The serialized NFA goes through the byte-payload path:
                 // combined by content, interned per bucket chunk.
-                mapper
-                    .map(seq, |p, bytes| out.emit(&p, bytes, 1))
-                    .map_err(to_bsp)?;
+                mapper.map(seq, |p, bytes| out.emit(&p, bytes, 1))?;
             }
             Ok(())
         };
@@ -327,52 +324,26 @@ fn d_cand_exec(
                       emit: &mut dyn FnMut((Sequence, u64))| {
             expand_and_count(nfa, &mut inputs.iter().copied(), emit)
         };
-        match exec {
-            Exec::Local => engine
-                .map_combine_reduce_with(parts, map, Nfa::default, reduce)
-                .map_err(from_bsp)?,
-            Exec::Via(transport) => engine
-                .map_combine_reduce_via(transport, parts, map, Nfa::default, reduce)
-                .map_err(from_bsp)?,
-            Exec::Worker(addr, net) => {
-                engine
-                    .run_worker(addr, net, parts, map, Nfa::default, reduce)
-                    .map_err(from_bsp)?;
-                return Ok(None);
-            }
-        }
+        crate::run_round(engine, exec, parts, map, Nfa::default, reduce)?
     } else {
         // The guard above pinned this branch to Exec::Local. The owned-value
         // shape copies each payload out of the mapper's buffer.
-        engine
-            .map_reduce(
-                parts,
-                |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
-                    let mut mapper = Mapper::new(fst, dict, &index, config);
-                    for seq in part {
-                        mapper
-                            .map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))
-                            .map_err(to_bsp)?;
-                    }
-                    Ok(())
-                },
-                |_p: &ItemId,
-                 inputs: Vec<(Vec<u8>, u64)>,
-                 emit: &mut dyn FnMut((Sequence, u64))| {
-                    let inputs = &mut inputs.iter().map(|(b, w)| (b.as_slice(), *w));
-                    expand_and_count(&mut Nfa::default(), inputs, emit)
-                },
-            )
-            .map_err(from_bsp)?
+        Some(engine.map_reduce(
+            parts,
+            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
+                let mut mapper = Mapper::new(fst, dict, &index, config);
+                for seq in part {
+                    mapper.map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))?;
+                }
+                Ok(())
+            },
+            |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
+                let inputs = &mut inputs.iter().map(|(b, w)| (b.as_slice(), *w));
+                expand_and_count(&mut Nfa::default(), inputs, emit)
+            },
+        )?)
     };
-    let patterns = desq_miner::sort_patterns(patterns);
-    let metrics = crate::metrics_from_job(
-        job,
-        t0.elapsed().as_nanos() as u64,
-        engine.workers(),
-        crate::input_len(parts),
-    );
-    Ok(Some(MiningResult { patterns, metrics }))
+    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
 }
 
 #[cfg(test)]

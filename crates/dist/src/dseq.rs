@@ -27,7 +27,7 @@ use desq_core::{Dictionary, Fst, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the D-SEQ algorithm. The boolean flags correspond to
 /// the cumulative enhancements of Fig. 10a.
@@ -154,9 +154,7 @@ fn d_seq_exec(
             if config.use_grid {
                 search.pivots_into(seq, &mut scratch, &mut ranges);
             } else {
-                ranges = search
-                    .pivots_enumerated_ranges(seq, config.run_budget)
-                    .map_err(to_bsp)?;
+                ranges = search.pivots_enumerated_ranges(seq, config.run_budget)?;
             }
             let Some(pr0) = ranges.first() else { continue };
             // All pivots share the rewritten range: serialize once, emit
@@ -186,7 +184,7 @@ fn d_seq_exec(
                   &p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
-     -> desq_bsp::Result<()> {
+     -> Result<()> {
         let ReduceState {
             tables,
             table_of,
@@ -217,28 +215,8 @@ fn d_seq_exec(
         Ok(())
     };
 
-    let (patterns, job) = match exec {
-        Exec::Local => engine
-            .map_combine_reduce_with(parts, map, ReduceState::default, reduce)
-            .map_err(from_bsp)?,
-        Exec::Via(transport) => engine
-            .map_combine_reduce_via(transport, parts, map, ReduceState::default, reduce)
-            .map_err(from_bsp)?,
-        Exec::Worker(addr, net) => {
-            engine
-                .run_worker(addr, net, parts, map, ReduceState::default, reduce)
-                .map_err(from_bsp)?;
-            return Ok(None);
-        }
-    };
-    let patterns = desq_miner::sort_patterns(patterns);
-    let metrics = crate::metrics_from_job(
-        job,
-        t0.elapsed().as_nanos() as u64,
-        engine.workers(),
-        crate::input_len(parts),
-    );
-    Ok(Some(MiningResult { patterns, metrics }))
+    let round = crate::run_round(engine, exec, parts, map, ReduceState::default, reduce)?;
+    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! byte-level serialization for shuffle accounting, and [`patterns`] is the constraint
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
-//! substrate and the work-stealing schedulers.
+//! substrate and the task scheduler.
 
 pub mod algo;
 pub mod dcand;
@@ -42,8 +42,8 @@ pub use dseq::DSeqConfig;
 pub use naive::NaiveConfig;
 pub use pivots::{PivotRange, PivotScratch, PivotSearch};
 
-use desq_bsp::JobMetrics;
-use desq_core::{MiningMetrics, Sequence};
+use desq_bsp::{Combiner, Engine, JobMetrics};
+use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 
 /// Outcome of one distributed mining job — the workspace-wide uniform
 /// result type, re-exported from [`desq_core::mining`].
@@ -107,36 +107,49 @@ pub enum Exec<'a> {
     Worker(std::net::SocketAddr, &'a desq_bsp::NetConfig),
 }
 
-/// Total input sequences across the map partitions.
-pub(crate) fn input_len(parts: &[&[Sequence]]) -> u64 {
-    parts.iter().map(|p| p.len() as u64).sum()
+/// A finished round: the reducers' patterns (unsorted) and the job's
+/// measurements.
+type Round = (Vec<(Sequence, u64)>, JobMetrics);
+
+/// Runs one combining BSP round the way `exec` says — the one place the
+/// three algorithms' map/init/reduce closures meet the engine's three entry
+/// points. `None` means this process served the round as a worker.
+pub(crate) fn run_round<S: Send>(
+    engine: &Engine,
+    exec: Exec<'_>,
+    parts: &[&[Sequence]],
+    map: impl Fn(&[Sequence], &mut Combiner<ItemId>) -> Result<()> + Sync,
+    init: impl Fn() -> S + Sync,
+    reduce: impl Fn(&mut S, &ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+        + Sync,
+) -> Result<Option<Round>> {
+    Ok(Some(match exec {
+        Exec::Local => engine.map_combine_reduce_with(parts, map, init, reduce)?,
+        Exec::Via(transport) => {
+            engine.map_combine_reduce_via(transport, parts, map, init, reduce)?
+        }
+        Exec::Worker(addr, net) => {
+            engine.run_worker(addr, net, parts, map, init, reduce)?;
+            return Ok(None);
+        }
+    }))
 }
 
-/// Maps an engine error back into the workspace error type.
-pub(crate) fn from_bsp(e: desq_bsp::Error) -> desq_core::Error {
-    match e {
-        desq_bsp::Error::ResourceExhausted(m) => desq_core::Error::ResourceExhausted(m),
-        desq_bsp::Error::Decode(m) => desq_core::Error::Decode(m),
-        desq_bsp::Error::DeadlineExceeded(m) => desq_core::Error::DeadlineExceeded(m),
-        desq_bsp::Error::Cancelled(m) => desq_core::Error::Cancelled(m),
-        desq_bsp::Error::WorkerPanicked(m) => desq_core::Error::WorkerPanicked(m),
-        desq_bsp::Error::Worker(m) => desq_core::Error::Invalid(m),
-        desq_bsp::Error::PeerUnreachable(m) => desq_core::Error::PeerUnreachable(m),
-        desq_bsp::Error::PeerTimedOut(m) => desq_core::Error::PeerTimedOut(m),
-    }
-}
-
-/// Maps a workspace error into the engine error type (for map/reduce
-/// closures running inside a BSP job).
-pub(crate) fn to_bsp(e: desq_core::Error) -> desq_bsp::Error {
-    match e {
-        desq_core::Error::ResourceExhausted(m) => desq_bsp::Error::ResourceExhausted(m),
-        desq_core::Error::Decode(m) => desq_bsp::Error::Decode(m),
-        desq_core::Error::DeadlineExceeded(m) => desq_bsp::Error::DeadlineExceeded(m),
-        desq_core::Error::Cancelled(m) => desq_bsp::Error::Cancelled(m),
-        desq_core::Error::WorkerPanicked(m) => desq_bsp::Error::WorkerPanicked(m),
-        desq_core::Error::PeerUnreachable(m) => desq_bsp::Error::PeerUnreachable(m),
-        desq_core::Error::PeerTimedOut(m) => desq_bsp::Error::PeerTimedOut(m),
-        other => desq_bsp::Error::Worker(other.to_string()),
+/// Sorts a finished round's patterns and converts its job measurements
+/// (`t0` is when the algorithm started, compile/index time included).
+pub(crate) fn job_result(
+    (patterns, job): Round,
+    t0: std::time::Instant,
+    engine: &Engine,
+    parts: &[&[Sequence]],
+) -> MiningResult {
+    MiningResult {
+        patterns: desq_miner::sort_patterns(patterns),
+        metrics: metrics_from_job(
+            job,
+            t0.elapsed().as_nanos() as u64,
+            engine.workers(),
+            parts.iter().map(|p| p.len() as u64).sum(),
+        ),
     }
 }

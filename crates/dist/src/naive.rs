@@ -24,7 +24,7 @@ use desq_core::codec::decode_item_seq;
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::{sequence, Dictionary, Fst, ItemId, Result, Sequence};
 
-use crate::{from_bsp, to_bsp, Exec, MiningResult};
+use crate::{Exec, MiningResult};
 
 /// Configuration of the NAÏVE / SEMI-NAÏVE baselines.
 #[derive(Debug, Clone, Copy)]
@@ -131,9 +131,14 @@ fn naive_exec(
         let mut scratch = RunScratch::default();
         let mut counter = CandidateCounter::with_keys();
         for seq in part {
-            walker
-                .count_candidates(seq, 1, config.budget, &mut scratch, &mut counter, |_, _| {})
-                .map_err(to_bsp)?;
+            walker.count_candidates(
+                seq,
+                1,
+                config.budget,
+                &mut scratch,
+                &mut counter,
+                |_, _| {},
+            )?;
         }
         // Drain the partition's interned counts: each distinct candidate is
         // emitted once with its accumulated weight (a mapper-level combine
@@ -146,46 +151,22 @@ fn naive_exec(
     };
     // The combiner merged identical (pivot, candidate) pairs across the
     // whole job, so each payload's weight is its global frequency.
-    let reduce = |_p: &ItemId, cands: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+    // (The σ-filter is stateless: unit reduce state on every `exec` arm.)
+    let reduce = |(): &mut (),
+                  _p: &ItemId,
+                  cands: &[(&[u8], u64)],
+                  emit: &mut dyn FnMut((Sequence, u64))| {
         for &(bytes, freq) in cands {
             if freq >= config.sigma {
                 let mut c: Sequence = Vec::new();
-                let mut slice = bytes;
-                decode_item_seq(&mut slice, &mut c).map_err(to_bsp)?;
+                decode_item_seq(&mut &bytes[..], &mut c)?;
                 emit((c, freq));
             }
         }
         Ok(())
     };
-
-    // The via/worker paths need the stateful reduce shape; unit state
-    // makes the stateless σ-filter fit it.
-    let reduce_with =
-        |_: &mut (), p: &ItemId, cands: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-            reduce(p, cands, emit)
-        };
-    let (patterns, job) = match exec {
-        Exec::Local => engine
-            .map_combine_reduce(parts, map, reduce)
-            .map_err(from_bsp)?,
-        Exec::Via(transport) => engine
-            .map_combine_reduce_via(transport, parts, map, || (), reduce_with)
-            .map_err(from_bsp)?,
-        Exec::Worker(addr, net) => {
-            engine
-                .run_worker(addr, net, parts, map, || (), reduce_with)
-                .map_err(from_bsp)?;
-            return Ok(None);
-        }
-    };
-    let patterns = desq_miner::sort_patterns(patterns);
-    let metrics = crate::metrics_from_job(
-        job,
-        t0.elapsed().as_nanos() as u64,
-        engine.workers(),
-        crate::input_len(parts),
-    );
-    Ok(Some(MiningResult { patterns, metrics }))
+    let round = crate::run_round(engine, exec, parts, map, || (), reduce)?;
+    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@ use std::time::Instant;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::{ExecutionPolicy, Miner, MiningContext, MiningMetrics, MiningResult};
+use desq_core::sched::WorkerStats;
 use desq_core::{Error, Fst, Result};
 
 use crate::desq_count::desq_count_impl;
 use crate::desq_dfs::{LocalMiner, MinerConfig, WeightedInput};
-use crate::sched::WorkerStats;
 
 /// Weighted inputs (weight 1 per database sequence) for the pattern-growth
 /// miners — borrowed straight from the context's database.
@@ -108,7 +108,7 @@ fn prefers_lean(ctx: &MiningContext<'_>, fst: &Fst) -> bool {
 /// DESQ-DFS: pattern growth over projected databases (Fig. 6).
 ///
 /// Honors `ctx.workers` through the work-stealing scheduler in
-/// [`crate::sched`] (search-subtree tasks, steal-half balancing);
+/// [`desq_core::sched`] (search-subtree tasks, steal-half balancing);
 /// per-worker wall times and the task/steal counters land in
 /// [`MiningMetrics`]. Honors `ctx.exec`: under
 /// [`ExecutionPolicy::Auto`] a sampling cost model (a probe of strided

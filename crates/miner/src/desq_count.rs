@@ -19,7 +19,7 @@
 //! path is property-tested against.
 //!
 //! Parallel enumeration runs on the same work-stealing scheduler as
-//! DESQ-DFS ([`crate::sched`]): the database is cut into small
+//! DESQ-DFS ([`desq_core::sched`]): the database is cut into small
 //! input-sequence blocks that seed the task pool, so a block of expensive
 //! sequences no longer pins one statically-assigned worker while the
 //! others idle.
@@ -29,9 +29,8 @@ use std::sync::Mutex;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::CancelToken;
+use desq_core::sched::{self, WorkerStats};
 use desq_core::{mining, Dictionary, Fst, Result, Sequence, SequenceDb};
-
-use crate::sched::{self, WorkerStats};
 
 /// Result of one counting run: sorted patterns, total candidate
 /// occurrences counted (the work metric), and per-worker scheduler stats.

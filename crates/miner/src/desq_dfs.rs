@@ -29,7 +29,7 @@
 //! deduplicates coordinates in a bitset.
 //!
 //! Search-tree exploration parallelizes with the work-stealing scheduler
-//! of [`crate::sched`] ([`LocalMiner::mine_with_workers`]): the root's
+//! of [`desq_core::sched`] ([`LocalMiner::mine_with_workers`]): the root's
 //! first-level children seed the task pool, each worker descends its
 //! subtree depth-first with its own scratch arenas over the shared tables,
 //! and shallow nodes split trailing child subtrees off as stealable tasks
@@ -46,19 +46,58 @@
 //! All three are applied while walking, so the tables themselves are
 //! pivot-independent and shared across partitions (see [`SeqTables`]).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
 use desq_core::fst::{FstIndex, SimScratch, SimTables, Simulator};
-use desq_core::mining::{panic_message, CancelToken};
+use desq_core::mining::CancelToken;
+use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
 use desq_core::SequenceDb;
-use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence, EPSILON};
+use desq_core::{Dictionary, Fst, ItemId, Result, Sequence, EPSILON};
 
-use crate::sched::{self, SchedConfig, TaskCtx, WorkerStats};
+/// Tuning knobs of DESQ-DFS's task-splitting heuristic (the scheduler
+/// itself is knob-free).
+///
+/// The defaults balance real workloads; tests force pathological sharing
+/// (`split_depth` high, `share_limit` high) to exercise stealing on tiny
+/// inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedConfig {
+    /// Node depth (relative to the task's root) below which child subtrees
+    /// may be split off as stealable tasks. Deeper nodes always recurse
+    /// inline: near the leaves a task's postings are smaller than the
+    /// bookkeeping to share them.
+    pub split_depth: usize,
+    /// Child subtrees are only split off while the worker's own queue
+    /// holds fewer than this many tasks — a short queue means thieves are
+    /// draining it (or soon will), a long one means splitting would only
+    /// buy allocation overhead.
+    pub share_limit: usize,
+}
+
+impl Default for SchedConfig {
+    fn default() -> SchedConfig {
+        SchedConfig {
+            split_depth: 3,
+            share_limit: 4,
+        }
+    }
+}
+
+impl SchedConfig {
+    /// A steal-forcing configuration for tests: split at every depth and
+    /// keep sharing regardless of queue length, so even toy-sized search
+    /// trees scatter into many stealable tasks.
+    pub fn aggressive() -> SchedConfig {
+        SchedConfig {
+            split_depth: usize::MAX,
+            share_limit: usize::MAX,
+        }
+    }
+}
 
 /// Configuration of a [`LocalMiner`].
 #[derive(Debug, Clone, Copy)]
@@ -688,7 +727,7 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// Mines with `workers` threads using the work-stealing scheduler of
-    /// [`crate::sched`]: the root's first-level children seed the task
+    /// [`desq_core::sched`]: the root's first-level children seed the task
     /// pool, idle workers steal half of a victim's queued subtrees, and
     /// shallow nodes keep splitting trailing children off as stealable
     /// tasks while the local queue is short. Per-worker results are merged
@@ -704,7 +743,7 @@ impl<'a> LocalMiner<'a> {
     /// deadline or external cancel aborts with the token's
     /// [`stop_reason`](CancelToken::stop_reason), and a panicking subtree
     /// task is caught at the task boundary and surfaces as
-    /// [`Error::WorkerPanicked`] instead of aborting the process.
+    /// [`desq_core::Error::WorkerPanicked`] instead of aborting the process.
     pub fn mine_with_workers(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -804,7 +843,7 @@ impl<'a> LocalMiner<'a> {
     /// calls happen) and makes this return `Ok(false)` — the consumer's
     /// own early stop is not an error. A tripped `cancel` token (deadline,
     /// external abort) or a panicking subtree task aborts with the
-    /// corresponding [`Error`] instead.
+    /// corresponding [`desq_core::Error`] instead.
     pub fn mine_each_with_workers(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -891,7 +930,7 @@ impl<'a> LocalMiner<'a> {
     /// sequence, `workers` at a time. This is the preprocessing the DFS
     /// amortizes: afterwards expansion is pure bit tests and arena slices.
     /// A panic while building one sequence's tables is caught at the
-    /// worker boundary and reported as [`Error::WorkerPanicked`].
+    /// worker boundary and reported as [`desq_core::Error::WorkerPanicked`].
     pub fn prepare_tables(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -920,48 +959,25 @@ impl<'a> LocalMiner<'a> {
             }
             return Ok(set);
         }
-        let chunk = inputs.len().div_ceil(workers);
-        let results: Mutex<Vec<(usize, SeqTables)>> = Mutex::new(Vec::new());
-        let panicked: Mutex<Option<String>> = Mutex::new(None);
-        crossbeam::thread::scope(|s| {
-            let (results, panicked) = (&results, &panicked);
-            for (idx, part) in inputs.chunks(chunk).enumerate() {
-                s.spawn(move |_| {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut scratch = SimScratch::default();
-                        let mut set = SeqTables::default();
-                        for &(seq, w) in part {
-                            if cancel.is_some_and(|t| t.checkpoint().is_err()) {
-                                break;
-                            }
-                            self.prepare_into(seq, w, &mut scratch, &mut set);
-                        }
-                        set
-                    }));
-                    match run {
-                        Ok(set) => results.lock().unwrap().push((idx, set)),
-                        Err(payload) => {
-                            let msg = panic_message(payload.as_ref());
-                            panicked.lock().unwrap().get_or_insert(msg.clone());
-                            if let Some(token) = cancel {
-                                token.mark_panicked(&msg);
-                            }
-                        }
+        let chunks: Vec<_> = inputs.chunks(inputs.len().div_ceil(workers)).collect();
+        let parts = sched::run_indexed(
+            chunks.len(),
+            workers,
+            cancel,
+            SimScratch::default,
+            |idx, scratch| {
+                let mut set = SeqTables::default();
+                for &(seq, w) in chunks[idx] {
+                    if let Some(token) = cancel {
+                        token.checkpoint()?;
                     }
-                });
-            }
-        })
-        .map_err(|p| Error::WorkerPanicked(panic_message(p.as_ref())))?;
-        if let Some(msg) = panicked.into_inner().unwrap() {
-            return Err(Error::WorkerPanicked(msg));
-        }
-        if let Some(err) = cancel.and_then(CancelToken::stop_reason) {
-            return Err(err);
-        }
-        let mut chunks = results.into_inner().unwrap();
-        chunks.sort_by_key(|&(idx, _)| idx);
+                    self.prepare_into(seq, w, scratch, &mut set);
+                }
+                Ok(set)
+            },
+        )?;
         let mut set = SeqTables::default();
-        for (_, part) in chunks {
+        for part in parts.results {
             set.append(part);
         }
         Ok(set)

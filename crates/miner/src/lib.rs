@@ -20,7 +20,7 @@
 //! [`desq_core::mining::Miner`] adapters in [`algo`] (the deprecated
 //! free-function entry points were removed; see `docs/MIGRATION.md` in the
 //! repository root). Parallel runs of DESQ-DFS and DESQ-COUNT share the
-//! work-stealing task scheduler in [`sched`]; DESQ-DFS additionally picks
+//! work-stealing task scheduler in [`desq_core::sched`]; DESQ-DFS additionally picks
 //! between its flat-table and lean counting execution paths per run (see
 //! [`algo::DesqDfs`] and `docs/ARCHITECTURE.md`).
 
@@ -29,12 +29,10 @@ pub mod desq_count;
 pub mod desq_dfs;
 pub mod gapminer;
 pub mod prefixspan;
-pub mod sched;
 
-pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
+pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SchedConfig, SeqTables, WeightedInput};
 pub use gapminer::GapMiner;
 pub use prefixspan::PrefixSpan;
-pub use sched::{SchedConfig, WorkerStats};
 
 use desq_core::Sequence;
 

@@ -2,18 +2,12 @@
 //!
 //! # Frame format
 //!
-//! Every message travels as one *frame*:
-//!
-//! ```text
-//! frame   := varint(payload_len) payload
-//! payload := tag_byte message_body
-//! ```
-//!
-//! The length prefix is a LEB128 varint ([`desq_core::codec::write_varint`])
-//! and is capped at [`MAX_FRAME_LEN`] — a reader never allocates more than
-//! that, and a hostile or corrupt length prefix is rejected before any
-//! allocation. All integers inside message bodies are varints from the same
-//! codec; item sequences use the canonical adaptive varint/delta encoding
+//! [`Message`] is a message enum over [`desq_core::wire`]: every message
+//! travels as one `varint(payload_len) payload` frame whose length is
+//! capped at [`MAX_FRAME_LEN`] — a reader never allocates more than that,
+//! and a hostile or corrupt length prefix is rejected before any
+//! allocation. All integers inside message bodies are varints; item
+//! sequences use the canonical adaptive varint/delta encoding
 //! ([`desq_core::codec::encode_item_seq`]) that the shuffle layer and the
 //! interned counting path already share.
 //!
@@ -24,7 +18,7 @@
 //! | `1` | [`Message::Request`] | `version:u8, corpus:str, pexp:str, flags:u8 (bit0 = unanchored), sigma:varint, algo:u8, budget:varint, max_patterns:varint, workers:varint, deadline_millis:varint` |
 //! | `2` | [`Message::Patterns`] | `count:varint`, then per pattern `item_seq, freq:varint` |
 //! | `3` | [`Message::Metrics`] | [`MiningMetrics::encode`] body, then `cache_hit:u8, cache_hits:varint, cache_misses:varint, queue_wait_nanos:varint, compile_nanos:varint, timeouts:varint, panics:varint, cancels:varint` |
-//! | `4` | [`Message::Error`] | `kind:u8, msg:str` (+ `pos:varint` for parse errors) |
+//! | `4` | [`Message::Error`] | the [`desq_core::wire`] error record: `kind:u8, msg:str` (+ `pos:varint` for parse errors) |
 //! | `5` | [`Message::Busy`] | `in_flight:varint, cap:varint` |
 //!
 //! `str` is `varint(len)` + UTF-8 bytes ([`desq_core::codec::write_str`]).
@@ -41,6 +35,7 @@ use std::io::{Read, Write};
 use desq_core::codec::{
     decode_item_seq, encode_item_seq, read_str, read_varint, write_str, write_varint,
 };
+use desq_core::wire::{self, take_u8};
 use desq_core::{Error, MiningMetrics, Result, Sequence};
 
 /// Protocol revision; bumped on any incompatible wire change.
@@ -274,81 +269,6 @@ const TAG_METRICS: u8 = 3;
 const TAG_ERROR: u8 = 4;
 const TAG_BUSY: u8 = 5;
 
-fn encode_error(e: &Error, buf: &mut Vec<u8>) {
-    match e {
-        Error::Parse { msg, pos } => {
-            buf.push(0);
-            write_str(buf, msg);
-            write_varint(buf, *pos as u64);
-        }
-        Error::UnknownItem(msg) => {
-            buf.push(1);
-            write_str(buf, msg);
-        }
-        Error::CyclicHierarchy(msg) => {
-            buf.push(2);
-            write_str(buf, msg);
-        }
-        Error::ResourceExhausted(msg) => {
-            buf.push(3);
-            write_str(buf, msg);
-        }
-        Error::Decode(msg) => {
-            buf.push(4);
-            write_str(buf, msg);
-        }
-        Error::Invalid(msg) => {
-            buf.push(5);
-            write_str(buf, msg);
-        }
-        Error::DeadlineExceeded(msg) => {
-            buf.push(6);
-            write_str(buf, msg);
-        }
-        Error::Cancelled(msg) => {
-            buf.push(7);
-            write_str(buf, msg);
-        }
-        Error::WorkerPanicked(msg) => {
-            buf.push(8);
-            write_str(buf, msg);
-        }
-        Error::PeerUnreachable(msg) => {
-            buf.push(9);
-            write_str(buf, msg);
-        }
-        Error::PeerTimedOut(msg) => {
-            buf.push(10);
-            write_str(buf, msg);
-        }
-    }
-}
-
-fn decode_error(buf: &mut &[u8]) -> Result<Error> {
-    let (&kind, rest) = buf
-        .split_first()
-        .ok_or_else(|| Error::Decode("error frame: missing kind".into()))?;
-    *buf = rest;
-    let msg = read_str(buf)?.to_string();
-    Ok(match kind {
-        0 => Error::Parse {
-            msg,
-            pos: read_varint(buf)? as usize,
-        },
-        1 => Error::UnknownItem(msg),
-        2 => Error::CyclicHierarchy(msg),
-        3 => Error::ResourceExhausted(msg),
-        4 => Error::Decode(msg),
-        5 => Error::Invalid(msg),
-        6 => Error::DeadlineExceeded(msg),
-        7 => Error::Cancelled(msg),
-        8 => Error::WorkerPanicked(msg),
-        9 => Error::PeerUnreachable(msg),
-        10 => Error::PeerTimedOut(msg),
-        other => return Err(Error::Decode(format!("unknown error kind {other}"))),
-    })
-}
-
 impl Message {
     /// Appends this message's payload (tag byte + body) to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -392,7 +312,7 @@ impl Message {
             }
             Message::Error(e) => {
                 buf.push(TAG_ERROR);
-                encode_error(e, buf);
+                wire::encode_error(e, buf);
             }
             Message::Busy { in_flight, cap } => {
                 buf.push(TAG_BUSY);
@@ -407,16 +327,9 @@ impl Message {
     /// exactly one message or errors.
     pub fn decode(payload: &[u8]) -> Result<Message> {
         let mut buf = payload;
-        let (&tag, rest) = buf
-            .split_first()
-            .ok_or_else(|| Error::Decode("empty frame payload".into()))?;
-        buf = rest;
-        let msg = match tag {
+        let msg = match take_u8(&mut buf, "frame tag")? {
             TAG_REQUEST => {
-                let (&version, rest) = buf
-                    .split_first()
-                    .ok_or_else(|| Error::Decode("request: missing version".into()))?;
-                buf = rest;
+                let version = take_u8(&mut buf, "request version")?;
                 if version != PROTOCOL_VERSION {
                     return Err(Error::Decode(format!(
                         "protocol version mismatch: peer speaks v{version}, \
@@ -425,15 +338,9 @@ impl Message {
                 }
                 let corpus = read_str(&mut buf)?.to_string();
                 let pexp = read_str(&mut buf)?.to_string();
-                let (&flags, rest) = buf
-                    .split_first()
-                    .ok_or_else(|| Error::Decode("request: missing flags".into()))?;
-                buf = rest;
+                let flags = take_u8(&mut buf, "request flags")?;
                 let sigma = read_varint(&mut buf)?;
-                let (&algo, rest) = buf
-                    .split_first()
-                    .ok_or_else(|| Error::Decode("request: missing algorithm".into()))?;
-                buf = rest;
+                let algo = take_u8(&mut buf, "request algorithm")?;
                 Message::Request(Request {
                     corpus,
                     pexp,
@@ -466,10 +373,7 @@ impl Message {
             }
             TAG_METRICS => {
                 let mining = MiningMetrics::decode(&mut buf)?;
-                let (&cache_hit, rest) = buf
-                    .split_first()
-                    .ok_or_else(|| Error::Decode("metrics frame: missing cache flag".into()))?;
-                buf = rest;
+                let cache_hit = take_u8(&mut buf, "metrics cache flag")?;
                 Message::Metrics {
                     mining,
                     stats: ServerStats {
@@ -488,24 +392,19 @@ impl Message {
                     },
                 }
             }
-            TAG_ERROR => Message::Error(decode_error(&mut buf)?),
+            TAG_ERROR => Message::Error(wire::decode_error(&mut buf)?),
             TAG_BUSY => Message::Busy {
                 in_flight: read_varint(&mut buf)?,
                 cap: read_varint(&mut buf)?,
             },
             other => return Err(Error::Decode(format!("unknown frame tag {other}"))),
         };
-        if !buf.is_empty() {
-            return Err(Error::Decode(format!(
-                "frame payload has {} trailing bytes after message",
-                buf.len()
-            )));
-        }
+        wire::expect_end(buf, "serve frame")?;
         Ok(msg)
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes `msg` as one frame and flushes.
 ///
 /// Returns `InvalidData` if the encoded message exceeds [`MAX_FRAME_LEN`] —
 /// callers control this by batching (the server flushes pattern frames
@@ -513,55 +412,13 @@ impl Message {
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
     let mut payload = Vec::new();
     msg.encode(&mut payload);
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "frame payload of {} bytes exceeds MAX_FRAME_LEN",
-                payload.len()
-            ),
-        ));
-    }
-    let mut prefix = Vec::with_capacity(5);
-    write_varint(&mut prefix, payload.len() as u64);
-    w.write_all(&prefix)?;
-    w.write_all(&payload)?;
-    w.flush()
+    wire::write_frame(w, &payload, MAX_FRAME_LEN)
 }
 
-/// Reads one frame's payload bytes (the length prefix is consumed and
-/// validated, not returned).
-///
-/// Fails with `UnexpectedEof` on a closed or truncated stream and with
-/// `InvalidData` on a malformed or oversized ([`MAX_FRAME_LEN`]) length
-/// prefix — the length is validated *before* any payload allocation.
+/// Reads one frame's payload bytes under the [`MAX_FRAME_LEN`] cap (see
+/// [`wire::read_frame`] for the error contract).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut len = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        if shift >= 64 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "frame length varint overflows",
-            ));
-        }
-        len |= u64::from(byte[0] & 0x7f) << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > MAX_FRAME_LEN as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+    wire::read_frame(r, MAX_FRAME_LEN)
 }
 
 #[cfg(test)]
