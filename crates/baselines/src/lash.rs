@@ -233,13 +233,7 @@ pub(crate) fn lash_impl(
 
     let (patterns, job) = engine.map_combine_reduce(parts, map, reduce)?;
     let patterns = desq_miner::sort_patterns(patterns);
-    let input_sequences: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    let metrics = desq_dist::metrics_from_job(
-        job,
-        t0.elapsed().as_nanos() as u64,
-        engine.workers(),
-        input_sequences,
-    );
+    let metrics = desq_dist::metrics_from_job(job, t0, engine, parts);
     Ok(MiningResult { patterns, metrics })
 }
 

@@ -15,9 +15,9 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_bsp::{Engine, JobMetrics};
+use desq_bsp::Engine;
 use desq_core::fx::FxHashSet;
-use desq_core::{ItemId, Result, Sequence};
+use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 use desq_dist::MiningResult;
 use desq_miner::PrefixSpan;
 
@@ -45,16 +45,10 @@ pub(crate) fn mllib_impl(
 ) -> Result<MiningResult> {
     desq_core::mining::validate_sigma(config.sigma)?;
     let t0 = std::time::Instant::now();
-    let input_sequences: u64 = parts.iter().map(|p| p.len() as u64).sum();
     if config.max_len == 0 {
         return Ok(MiningResult {
             patterns: Vec::new(),
-            metrics: desq_dist::metrics_from_job(
-                JobMetrics::default(),
-                t0.elapsed().as_nanos() as u64,
-                engine.workers(),
-                input_sequences,
-            ),
+            metrics: desq_dist::metrics_from_job(MiningMetrics::default(), t0, engine, parts),
         });
     }
 
@@ -142,28 +136,24 @@ pub(crate) fn mllib_impl(
 
     // Both rounds' measurements are summed — this faithfully exposes the
     // extra communication relative to the single-round D-SEQ/D-CAND.
-    let job = JobMetrics {
+    let job = MiningMetrics {
         map_nanos: m1.map_nanos + m2.map_nanos,
         reduce_nanos: m1.reduce_nanos + m2.reduce_nanos,
         emitted_records: m1.emitted_records + m2.emitted_records,
         shuffle_records: m1.shuffle_records + m2.shuffle_records,
         shuffle_payloads: m1.shuffle_payloads + m2.shuffle_payloads,
         shuffle_bytes: m1.shuffle_bytes + m2.shuffle_bytes,
-        reducer_bytes: m2.reducer_bytes,
         output_records: patterns.len() as u64,
-        reduce_tasks: m1.reduce_tasks + m2.reduce_tasks,
-        reduce_steals: m1.reduce_steals + m2.reduce_steals,
+        tasks: m1.tasks + m2.tasks,
+        steals: m1.steals + m2.steals,
         retried_tasks: m1.retried_tasks + m2.retried_tasks,
         peer_timeouts: m1.peer_timeouts + m2.peer_timeouts,
         max_task_nanos: m1.max_task_nanos.max(m2.max_task_nanos),
         cancelled: m1.cancelled || m2.cancelled,
+        // Per-reducer volumes are the second round's.
+        ..m2
     };
-    let metrics = desq_dist::metrics_from_job(
-        job,
-        t0.elapsed().as_nanos() as u64,
-        engine.workers(),
-        input_sequences,
-    );
+    let metrics = desq_dist::metrics_from_job(job, t0, engine, parts);
     Ok(MiningResult { patterns, metrics })
 }
 

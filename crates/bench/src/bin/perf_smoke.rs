@@ -1,40 +1,18 @@
-//! Perf-smoke harness with four modes, all on the standard bench workload
-//! (NYT-like corpus, σ = 10, min-of-five wall seconds):
-//!
-//! * **local** (default): times DESQ-DFS local mining on the N2/N3/N5/N4
-//!   constraints of Tab. III at 1 and 4 workers and writes `BENCH_3.json`.
-//!   The recorded `baseline_secs` are the pre-PR-3 sequential `LocalMiner`.
-//! * **dist** (`perf_smoke dist`): times the full distributed D-SEQ and
-//!   D-CAND jobs (4 workers, 8 map partitions, 8 reducers) and writes wall
-//!   seconds *and* shuffle bytes to `BENCH_4.json`. The recorded baselines
-//!   are the pre-PR-4 hot path (grid-DP pivot search through `fst::Grid`,
-//!   owned-`Sequence` shuffle records, hash-map combine), measured with the
-//!   same protocol.
-//! * **count** (`perf_smoke count`): times the candidate-materializing
-//!   algorithms — DESQ-COUNT (4 workers) and the NAÏVE / SEMI-NAÏVE
-//!   baselines (4 workers, 8 map partitions, 8 reducers) — on the selective
-//!   N2/N3 constraints and writes `BENCH_5.json`. The recorded baselines are
-//!   the pre-PR-5 counting path (`Grid::build` + `Transition::outputs` per
-//!   run, Cartesian products into `FxHashSet<Vec<ItemId>>`, per-worker count
-//!   maps merged under one `Mutex`), measured with the same protocol.
-//! * **scale** (`perf_smoke scale`): times full DESQ-DFS (through the
-//!   session-level `algo::DesqDfs` adapter, i.e. under the `Auto`
-//!   execution policy and the work-stealing scheduler) on N2/N3/N5/N4 at
-//!   1, 2 and 4 workers and writes `BENCH_6.json`, including the
-//!   scheduler's task/steal counters at 4 workers. Baselines are the
-//!   pre-PR-3 sequential numbers (same as **local**); the parallel
-//!   `scale_w2`/`scale_w4` ratios compare each row against its own
-//!   single-worker time.
+//! The two measurements the gated benchmark (`benchmark/`,
+//! `BENCHMARK.json`) cannot take yet, on an NYT-like corpus at σ = 10.
+//! Everything else this harness used to time — local DESQ-DFS, D-SEQ /
+//! D-CAND, DESQ-COUNT, worker scaling, the FST optimizer — is measured
+//! there, same-run and with spread; these two modes go when a benchmark
+//! PR ports them.
 //!
 //! * **serve** (`perf_smoke serve`): spawns a `desq-serve` daemon on an
-//!   ephemeral localhost port with the same NYT-like corpus resident,
-//!   measures per-constraint cold latency (first query: FST compilation
-//!   included) against warm latency (cache hit) for N2/N3/N5, and
-//!   1-client vs 4-client warm throughput on N2, writing `BENCH_7.json`
-//!   with the server's cache hit/miss counters. There is no pre-PR
-//!   baseline — the daemon is new; the cold/warm ratio *is* the headline
-//!   (the warm path must be measurably faster because it skips
-//!   compilation).
+//!   ephemeral localhost port with the corpus resident, measures
+//!   per-constraint cold latency (first query: FST compilation included)
+//!   against warm latency (cache hit) for N2/N3/N5, and 1-client vs
+//!   4-client warm throughput on N2, writing `BENCH_7.json` with the
+//!   server's cache hit/miss counters — the only measurement of
+//!   *concurrent* serving. The cold/warm ratio is the headline (the warm
+//!   path must be measurably faster because it skips compilation).
 //!
 //! * **dist-net** (`perf_smoke dist-net`): runs D-SEQ on N2/N3 over the
 //!   *networked* shuffle — a `NetCoordinator` driving real worker
@@ -42,31 +20,14 @@
 //!   mode) over localhost TCP — against the in-process transport on the
 //!   same engine, and writes `BENCH_8.json` with the network-over-local
 //!   wall ratio plus the robustness counters (`retried_tasks`,
-//!   `peer_timeouts`, straggler `max_task_nanos`). There is no pre-PR
-//!   baseline — the transport is new; the in-process run *is* the
-//!   reference, and the counters must read zero on a healthy link.
-//!
-//! * **fst-opt** (`perf_smoke fst-opt`): measures the FST optimizer
-//!   pipeline on N2/N3/N5/N4 — compile time, state/transition reduction
-//!   and sequential DESQ-DFS mined wall time at `OptLevel::None`
-//!   (ε-removal + pruning only, the oracle) vs `OptLevel::Full`
-//!   (+ pair-determinization + suffix-sharing minimization) — asserting
-//!   zero result divergence, and writes `BENCH_9.json`. The None run *is*
-//!   the baseline; no recorded numbers.
-//!
-//! Override any baseline with `PERF_BASELINE_<NAME>=secs` (local) or
-//! `PERF_BASELINE_<ALGO>_<NAME>=secs[,shuffle_bytes]` (dist/count) when
-//! benchmarking on a different machine. The outputs are consumed by CI as
-//! artifacts so the performance trajectory of every hot path stays visible
-//! per PR.
+//!   `peer_timeouts`, straggler `max_task_nanos`). The in-process run *is*
+//!   the reference, and the counters must read zero on a healthy link.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use desq_core::mining::{Miner, MiningContext};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::patterns::Constraint;
-use desq_miner::{LocalMiner, MinerConfig, WeightedInput};
 
 /// Sequences in the generated NYT-like corpus.
 const NYT_SIZE: usize = 40_000;
@@ -79,575 +40,6 @@ const DIST_WORKERS: usize = 4;
 /// Map partitions and reduce buckets of the distributed measurements.
 const DIST_PARTITIONS: usize = 8;
 const DIST_REDUCERS: usize = 8;
-
-/// Pre-rework sequential baselines (seconds), measured on the development
-/// machine with the same corpus, σ and min-of-five protocol.
-fn recorded_baseline(name: &str) -> f64 {
-    match name {
-        "N2" => 0.0564,
-        "N3" => 0.0631,
-        "N5" => 0.7585,
-        "N4" => 0.3658,
-        _ => f64::NAN,
-    }
-}
-
-fn baseline_for(name: &str) -> f64 {
-    std::env::var(format!("PERF_BASELINE_{name}"))
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| recorded_baseline(name))
-}
-
-/// Pre-PR-4 distributed baselines `(wall seconds, shuffle bytes)`, measured
-/// on the development machine immediately before the distributed hot-path
-/// rework (grid-DP pivot search via `fst::Grid`, per-pivot `Sequence`
-/// clones in the mapper, hash-map combine) with the same corpus, σ,
-/// parallelism and min-of-five protocol.
-fn recorded_dist_baseline(key: &str) -> (f64, u64) {
-    match key {
-        "DSEQ_N2" => (0.1400, 390_413),
-        "DSEQ_N3" => (0.0835, 209_253),
-        "DSEQ_N5" => (7.4352, 25_625_233),
-        "DSEQ_N4" => (3.2590, 14_339_631),
-        "DCAND_N2" => (0.1645, 567_264),
-        "DCAND_N3" => (0.0553, 22_272),
-        _ => (f64::NAN, 0),
-    }
-}
-
-/// Baseline lookup with the `PERF_BASELINE_<KEY>=secs[,bytes]` override.
-fn dist_baseline_for(key: &str) -> (f64, u64) {
-    let recorded = recorded_dist_baseline(key);
-    match std::env::var(format!("PERF_BASELINE_{key}")) {
-        Ok(v) => {
-            let mut it = v.splitn(2, ',');
-            let secs = it.next().and_then(|s| s.parse().ok()).unwrap_or(recorded.0);
-            let bytes = it.next().and_then(|s| s.parse().ok()).unwrap_or(recorded.1);
-            (secs, bytes)
-        }
-        Err(_) => recorded,
-    }
-}
-
-struct Row {
-    name: String,
-    patterns: usize,
-    baseline_secs: f64,
-    w1_secs: f64,
-    w4_secs: f64,
-}
-
-fn measure(c: &Constraint) -> Row {
-    let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
-    let fst = c.compile(&dict).unwrap();
-    let inputs: Vec<WeightedInput<'_>> = db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
-    let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(SIGMA));
-    let mut patterns = 0;
-    let mut best = [f64::MAX; 2];
-    for (slot, workers) in [(0, 1), (1, 4)] {
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let (out, timings) = miner.mine_with_workers(&inputs, workers, None).unwrap();
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(timings.len(), workers);
-            patterns = out.len();
-            best[slot] = best[slot].min(secs);
-        }
-    }
-    Row {
-        name: c.name.clone(),
-        patterns,
-        baseline_secs: baseline_for(&c.name),
-        w1_secs: best[0],
-        w4_secs: best[1],
-    }
-}
-
-fn local_main(out_path: &str) {
-    let constraints = [
-        desq_dist::patterns::n2(),
-        desq_dist::patterns::n3(),
-        desq_dist::patterns::n5(),
-        desq_dist::patterns::n4(),
-    ];
-    let rows: Vec<Row> = constraints.iter().map(measure).collect();
-
-    let (mut base, mut w1, mut w4) = (0.0, 0.0, 0.0);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"desq-dfs local mining perf smoke\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset\": \"nyt_like({NYT_SIZE})\", \"sigma\": {SIGMA}, \
-         \"reps\": {REPS}, \"metric\": \"min wall seconds\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"pre-PR-3 sequential LocalMiner (override: PERF_BASELINE_<NAME>)\","
-    );
-    json.push_str("  \"constraints\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        base += r.baseline_secs;
-        w1 += r.w1_secs;
-        w4 += r.w4_secs;
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"patterns\": {}, \"baseline_secs\": {:.4}, \
-             \"workers1_secs\": {:.4}, \"workers4_secs\": {:.4}, \
-             \"speedup_w1\": {:.2}, \"speedup_w4\": {:.2}}}{}",
-            r.name,
-            r.patterns,
-            r.baseline_secs,
-            r.w1_secs,
-            r.w4_secs,
-            r.baseline_secs / r.w1_secs,
-            r.baseline_secs / r.w4_secs,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"aggregate\": {{\"baseline_secs\": {:.4}, \"workers1_secs\": {:.4}, \
-         \"workers4_secs\": {:.4}, \"speedup_w1\": {:.2}, \"speedup_w4\": {:.2}}}",
-        base,
-        w1,
-        w4,
-        base / w1,
-        base / w4
-    );
-    json.push_str("}\n");
-
-    std::fs::write(out_path, &json).expect("write BENCH_3.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-}
-
-/// Pre-PR-5 counting-path baselines (wall seconds), measured on the
-/// development machine immediately before the flat-counting rework
-/// (per-sequence `Grid::build`, `Transition::outputs` inside the run loop,
-/// Cartesian products into `FxHashSet<Vec<ItemId>>`) with the same corpus,
-/// σ, parallelism and min-of-five protocol: DESQ-COUNT sequential,
-/// NAÏVE / SEMI-NAÏVE at 4 workers / 8 partitions / 8 reducers.
-fn recorded_count_baseline(key: &str) -> f64 {
-    match key {
-        "COUNT_N2" => 0.0683,
-        "COUNT_N3" => 0.0317,
-        "NAIVE_N2" => 0.0790,
-        "NAIVE_N3" => 0.0375,
-        "SEMINAIVE_N2" => 0.0792,
-        "SEMINAIVE_N3" => 0.0388,
-        _ => f64::NAN,
-    }
-}
-
-/// Baseline lookup with the `PERF_BASELINE_<ALGO>_<NAME>=secs` override.
-fn count_baseline_for(key: &str) -> f64 {
-    std::env::var(format!("PERF_BASELINE_{key}"))
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| recorded_count_baseline(key))
-}
-
-struct CountRow {
-    algo: &'static str,
-    name: String,
-    patterns: usize,
-    baseline_secs: f64,
-    secs: f64,
-}
-
-fn measure_count(algo: &'static str, c: &Constraint) -> CountRow {
-    let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
-    let fst = c.compile(&dict).unwrap();
-    // DESQ-COUNT is a local algorithm: measure it sequentially (sharding
-    // across threads on the single-core CI box only adds merge overhead);
-    // the baselines were recorded with the same protocol. The distributed
-    // baselines keep the BENCH_4 parallelism.
-    let mut ctx = MiningContext::sequential(&db, &dict, SIGMA)
-        .with_fst(&fst)
-        .with_limits(desq_core::mining::Limits::unbounded());
-    if algo != "DESQ-COUNT" {
-        ctx = ctx
-            .with_parallelism(DIST_WORKERS, DIST_PARTITIONS)
-            .with_reducers(DIST_REDUCERS);
-    }
-    let mut best = f64::MAX;
-    let mut patterns = 0;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let res = match algo {
-            "DESQ-COUNT" => desq_miner::algo::DesqCount.mine(&ctx),
-            "NAIVE" => desq_dist::algo::Naive::naive().mine(&ctx),
-            "SEMI-NAIVE" => desq_dist::algo::Naive::semi_naive().mine(&ctx),
-            _ => unreachable!("unknown algorithm {algo}"),
-        }
-        .unwrap_or_else(|e| panic!("{algo}/{} failed: {e}", c.name));
-        best = best.min(t0.elapsed().as_secs_f64());
-        patterns = res.patterns.len();
-        if std::env::var_os("PERF_SMOKE_VERBOSE").is_some() {
-            eprintln!(
-                "{algo}/{}: {:.3}s emitted {} shuffled {} bytes {}",
-                c.name,
-                t0.elapsed().as_secs_f64(),
-                res.metrics.emitted_records,
-                res.metrics.shuffle_records,
-                res.metrics.shuffle_bytes,
-            );
-        }
-    }
-    let key = format!("{}_{}", algo.replace("DESQ-", "").replace('-', ""), c.name);
-    CountRow {
-        algo,
-        name: c.name.clone(),
-        patterns,
-        baseline_secs: count_baseline_for(&key),
-        secs: best,
-    }
-}
-
-fn count_main(out_path: &str) {
-    let constraints = [desq_dist::patterns::n2(), desq_dist::patterns::n3()];
-    let mut rows: Vec<CountRow> = Vec::new();
-    for algo in ["DESQ-COUNT", "NAIVE", "SEMI-NAIVE"] {
-        for c in &constraints {
-            rows.push(measure_count(algo, c));
-            eprintln!("measured {algo}/{}", c.name);
-        }
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"candidate counting perf smoke\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset\": \"nyt_like({NYT_SIZE})\", \"sigma\": {SIGMA}, \
-         \"desq_count_workers\": 1, \"naive_workers\": {DIST_WORKERS}, \
-         \"partitions\": {DIST_PARTITIONS}, \"reducers\": {DIST_REDUCERS}, \
-         \"reps\": {REPS}, \"metric\": \"min wall seconds\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"pre-PR-5 counting path \
-         (override: PERF_BASELINE_<ALGO>_<NAME>=secs)\","
-    );
-    json.push_str("  \"jobs\": [\n");
-    let (mut base_s, mut cur_s) = (0.0, 0.0);
-    let (mut count_base_s, mut count_cur_s) = (0.0, 0.0);
-    for (i, r) in rows.iter().enumerate() {
-        base_s += r.baseline_secs;
-        cur_s += r.secs;
-        if r.algo == "DESQ-COUNT" {
-            count_base_s += r.baseline_secs;
-            count_cur_s += r.secs;
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"algo\": \"{}\", \"name\": \"{}\", \"patterns\": {}, \
-             \"baseline_secs\": {:.4}, \"secs\": {:.4}, \"speedup\": {:.2}}}{}",
-            r.algo,
-            r.name,
-            r.patterns,
-            r.baseline_secs,
-            r.secs,
-            r.baseline_secs / r.secs,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"aggregate\": {{\"baseline_secs\": {:.4}, \"secs\": {:.4}, \"speedup\": {:.2}, \
-         \"desq_count_baseline_secs\": {:.4}, \"desq_count_secs\": {:.4}, \
-         \"desq_count_speedup\": {:.2}}}",
-        base_s,
-        cur_s,
-        base_s / cur_s,
-        count_base_s,
-        count_cur_s,
-        count_base_s / count_cur_s,
-    );
-    json.push_str("}\n");
-
-    std::fs::write(out_path, &json).expect("write BENCH_5.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-}
-
-struct DistRow {
-    algo: &'static str,
-    name: String,
-    patterns: usize,
-    baseline_secs: f64,
-    baseline_bytes: u64,
-    secs: f64,
-    shuffle_bytes: u64,
-    shuffle_records: u64,
-}
-
-fn measure_dist(algo: &'static str, c: &Constraint) -> DistRow {
-    let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
-    let fst = c.compile(&dict).unwrap();
-    let ctx = MiningContext::sequential(&db, &dict, SIGMA)
-        .with_fst(&fst)
-        .with_parallelism(DIST_WORKERS, DIST_PARTITIONS)
-        .with_reducers(DIST_REDUCERS);
-    let mut best = f64::MAX;
-    let mut patterns = 0;
-    let mut shuffle_bytes = 0;
-    let mut shuffle_records = 0;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let res = match algo {
-            "D-SEQ" => desq_dist::algo::DSeq::default().mine(&ctx),
-            "D-CAND" => desq_dist::algo::DCand::default().mine(&ctx),
-            _ => unreachable!("unknown algorithm {algo}"),
-        }
-        .unwrap_or_else(|e| panic!("{algo}/{} failed: {e}", c.name));
-        best = best.min(t0.elapsed().as_secs_f64());
-        patterns = res.patterns.len();
-        shuffle_bytes = res.metrics.shuffle_bytes;
-        shuffle_records = res.metrics.shuffle_records;
-        if std::env::var_os("PERF_SMOKE_VERBOSE").is_some() {
-            eprintln!(
-                "{algo}/{}: map {:.3}s reduce {:.3}s records {} payloads {} bytes {}",
-                c.name,
-                res.metrics.map_secs(),
-                res.metrics.reduce_secs(),
-                res.metrics.shuffle_records,
-                res.metrics.shuffle_payloads,
-                res.metrics.shuffle_bytes,
-            );
-        }
-    }
-    let key = format!("{}_{}", algo.replace('-', ""), c.name);
-    let (baseline_secs, baseline_bytes) = dist_baseline_for(&key);
-    DistRow {
-        algo,
-        name: c.name.clone(),
-        patterns,
-        baseline_secs,
-        baseline_bytes,
-        secs: best,
-        shuffle_bytes,
-        shuffle_records,
-    }
-}
-
-fn dist_main(out_path: &str) {
-    // D-SEQ handles every NYT constraint; D-CAND is measured on the
-    // selective ones (N2/N3) — run enumeration on the loose N4/N5 windows
-    // explodes combinatorially, which is exactly the paper's motivation for
-    // preferring D-SEQ there (Fig. 10).
-    let dseq = [
-        desq_dist::patterns::n2(),
-        desq_dist::patterns::n3(),
-        desq_dist::patterns::n5(),
-        desq_dist::patterns::n4(),
-    ];
-    let dcand = [desq_dist::patterns::n2(), desq_dist::patterns::n3()];
-    let mut rows: Vec<DistRow> = Vec::new();
-    for c in &dseq {
-        rows.push(measure_dist("D-SEQ", c));
-        eprintln!("measured D-SEQ/{}", c.name);
-    }
-    for c in &dcand {
-        rows.push(measure_dist("D-CAND", c));
-        eprintln!("measured D-CAND/{}", c.name);
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"distributed mining perf smoke\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset\": \"nyt_like({NYT_SIZE})\", \"sigma\": {SIGMA}, \
-         \"workers\": {DIST_WORKERS}, \"partitions\": {DIST_PARTITIONS}, \
-         \"reducers\": {DIST_REDUCERS}, \"reps\": {REPS}, \
-         \"metric\": \"min wall seconds + shuffle bytes\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"pre-PR-4 distributed hot path \
-         (override: PERF_BASELINE_<ALGO>_<NAME>=secs[,bytes])\","
-    );
-    json.push_str("  \"jobs\": [\n");
-    let (mut base_s, mut cur_s) = (0.0, 0.0);
-    let (mut dseq_base_s, mut dseq_cur_s) = (0.0, 0.0);
-    let (mut dseq_base_b, mut dseq_cur_b) = (0u64, 0u64);
-    for (i, r) in rows.iter().enumerate() {
-        base_s += r.baseline_secs;
-        cur_s += r.secs;
-        if r.algo == "D-SEQ" {
-            dseq_base_s += r.baseline_secs;
-            dseq_cur_s += r.secs;
-            dseq_base_b += r.baseline_bytes;
-            dseq_cur_b += r.shuffle_bytes;
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"algo\": \"{}\", \"name\": \"{}\", \"patterns\": {}, \
-             \"baseline_secs\": {:.4}, \"secs\": {:.4}, \"speedup\": {:.2}, \
-             \"baseline_shuffle_bytes\": {}, \"shuffle_bytes\": {}, \
-             \"shuffle_ratio\": {:.2}, \"shuffle_records\": {}}}{}",
-            r.algo,
-            r.name,
-            r.patterns,
-            r.baseline_secs,
-            r.secs,
-            r.baseline_secs / r.secs,
-            r.baseline_bytes,
-            r.shuffle_bytes,
-            r.baseline_bytes as f64 / r.shuffle_bytes.max(1) as f64,
-            r.shuffle_records,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"aggregate\": {{\"baseline_secs\": {:.4}, \"secs\": {:.4}, \"speedup\": {:.2}, \
-         \"dseq_baseline_secs\": {:.4}, \"dseq_secs\": {:.4}, \"dseq_speedup\": {:.2}, \
-         \"dseq_baseline_shuffle_bytes\": {}, \"dseq_shuffle_bytes\": {}, \
-         \"dseq_shuffle_ratio\": {:.2}}}",
-        base_s,
-        cur_s,
-        base_s / cur_s,
-        dseq_base_s,
-        dseq_cur_s,
-        dseq_base_s / dseq_cur_s,
-        dseq_base_b,
-        dseq_cur_b,
-        dseq_base_b as f64 / dseq_cur_b.max(1) as f64,
-    );
-    json.push_str("}\n");
-
-    std::fs::write(out_path, &json).expect("write BENCH_4.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-}
-
-struct ScaleRow {
-    name: String,
-    patterns: usize,
-    baseline_secs: f64,
-    /// Min wall seconds at 1, 2 and 4 workers.
-    secs: [f64; 3],
-    /// Scheduler task/steal counters of the last 4-worker repetition.
-    tasks: u64,
-    steals: u64,
-}
-
-/// Worker counts of the scale mode, in row order.
-const SCALE_WORKERS: [usize; 3] = [1, 2, 4];
-
-fn measure_scale(c: &Constraint) -> ScaleRow {
-    let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
-    let fst = c.compile(&dict).unwrap();
-    let mut patterns = 0;
-    let mut secs = [f64::MAX; 3];
-    let mut tasks = 0;
-    let mut steals = 0;
-    for (slot, workers) in SCALE_WORKERS.iter().copied().enumerate() {
-        // The session-level adapter: Auto execution policy (the cost model
-        // may route a selective constraint to the lean counting path) plus
-        // the work-stealing scheduler at `workers` threads.
-        let ctx = MiningContext::sequential(&db, &dict, SIGMA)
-            .with_fst(&fst)
-            .with_parallelism(workers, 1);
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let res = desq_miner::algo::DesqDfs
-                .mine(&ctx)
-                .unwrap_or_else(|e| panic!("DESQ-DFS/{} failed: {e}", c.name));
-            secs[slot] = secs[slot].min(t0.elapsed().as_secs_f64());
-            patterns = res.patterns.len();
-            if workers == 4 {
-                tasks = res.metrics.tasks;
-                steals = res.metrics.steals;
-            }
-        }
-    }
-    ScaleRow {
-        name: c.name.clone(),
-        patterns,
-        baseline_secs: baseline_for(&c.name),
-        secs,
-        tasks,
-        steals,
-    }
-}
-
-fn scale_main(out_path: &str) {
-    let constraints = [
-        desq_dist::patterns::n2(),
-        desq_dist::patterns::n3(),
-        desq_dist::patterns::n5(),
-        desq_dist::patterns::n4(),
-    ];
-    let mut rows: Vec<ScaleRow> = Vec::new();
-    for c in &constraints {
-        rows.push(measure_scale(c));
-        eprintln!("measured scale/{}", c.name);
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"work-stealing scaling perf smoke\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset\": \"nyt_like({NYT_SIZE})\", \"sigma\": {SIGMA}, \
-         \"workers\": [1, 2, 4], \"policy\": \"auto\", \"reps\": {REPS}, \
-         \"metric\": \"min wall seconds + scheduler counters\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"pre-PR-3 sequential LocalMiner (override: PERF_BASELINE_<NAME>)\","
-    );
-    json.push_str("  \"constraints\": [\n");
-    let (mut base, mut w) = (0.0, [0.0f64; 3]);
-    for (i, r) in rows.iter().enumerate() {
-        base += r.baseline_secs;
-        for (acc, s) in w.iter_mut().zip(r.secs) {
-            *acc += s;
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"patterns\": {}, \"baseline_secs\": {:.4}, \
-             \"workers1_secs\": {:.4}, \"workers2_secs\": {:.4}, \"workers4_secs\": {:.4}, \
-             \"speedup_w1\": {:.2}, \"scale_w2\": {:.2}, \"scale_w4\": {:.2}, \
-             \"tasks\": {}, \"steals\": {}}}{}",
-            r.name,
-            r.patterns,
-            r.baseline_secs,
-            r.secs[0],
-            r.secs[1],
-            r.secs[2],
-            r.baseline_secs / r.secs[0],
-            r.secs[0] / r.secs[1],
-            r.secs[0] / r.secs[2],
-            r.tasks,
-            r.steals,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"aggregate\": {{\"baseline_secs\": {:.4}, \"workers1_secs\": {:.4}, \
-         \"workers2_secs\": {:.4}, \"workers4_secs\": {:.4}, \"speedup_w1\": {:.2}, \
-         \"scale_w2\": {:.2}, \"scale_w4\": {:.2}}}",
-        base,
-        w[0],
-        w[1],
-        w[2],
-        base / w[0],
-        w[0] / w[1],
-        w[0] / w[2],
-    );
-    json.push_str("}\n");
-
-    std::fs::write(out_path, &json).expect("write BENCH_6.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-}
 
 struct ServeRow {
     name: String,
@@ -1072,160 +464,9 @@ fn dist_net_main(out_path: &str) {
     print!("{json}");
     eprintln!("wrote {out_path}");
 }
-
-struct FstOptRow {
-    name: String,
-    patterns: usize,
-    states_none: usize,
-    transitions_none: usize,
-    states_full: usize,
-    transitions_full: usize,
-    compile_none_micros: f64,
-    compile_full_micros: f64,
-    none_secs: f64,
-    full_secs: f64,
-}
-
-fn measure_fst_opt(
-    c: &Constraint,
-    dict: &desq_core::Dictionary,
-    inputs: &[WeightedInput<'_>],
-) -> FstOptRow {
-    use desq_core::{Fst, OptLevel, PatEx};
-    let pexp = PatEx::parse(&c.expr).unwrap().unanchored();
-    let mut compile_best = [f64::MAX; 2];
-    for (slot, level) in [(0, OptLevel::None), (1, OptLevel::Full)] {
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let fst = Fst::compile_with(&pexp, dict, level).unwrap();
-            compile_best[slot] = compile_best[slot].min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&fst);
-        }
-    }
-    let none = Fst::compile_with(&pexp, dict, OptLevel::None).unwrap();
-    let full = Fst::compile_with(&pexp, dict, OptLevel::Full).unwrap();
-    let mut best = [f64::MAX; 2];
-    let mut out_none = Vec::new();
-    let mut out_full = Vec::new();
-    for (slot, fst, out) in [(0, &none, &mut out_none), (1, &full, &mut out_full)] {
-        let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(SIGMA));
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            *out = miner.mine(inputs).unwrap();
-            best[slot] = best[slot].min(t0.elapsed().as_secs_f64());
-        }
-    }
-    // Zero oracle divergence, checked on every bench run.
-    assert_eq!(
-        out_full, out_none,
-        "{}: OptLevel::Full diverged from the None oracle",
-        c.name
-    );
-    FstOptRow {
-        name: c.name.clone(),
-        patterns: out_full.len(),
-        states_none: none.num_states(),
-        transitions_none: none.num_transitions(),
-        states_full: full.num_states(),
-        transitions_full: full.num_transitions(),
-        compile_none_micros: compile_best[0] * 1e6,
-        compile_full_micros: compile_best[1] * 1e6,
-        none_secs: best[0],
-        full_secs: best[1],
-    }
-}
-
-fn fst_opt_main(out_path: &str) {
-    let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
-    let inputs: Vec<WeightedInput<'_>> = db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
-    let constraints = [
-        desq_dist::patterns::n1(),
-        desq_dist::patterns::n2(),
-        desq_dist::patterns::n3(),
-        desq_dist::patterns::n5(),
-        desq_dist::patterns::n4(),
-    ];
-    let rows: Vec<FstOptRow> = constraints
-        .iter()
-        .map(|c| measure_fst_opt(c, &dict, &inputs))
-        .collect();
-
-    let (mut none, mut full) = (0.0, 0.0);
-    let mut log_speedup = 0.0;
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"fst optimizer perf smoke\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset\": \"nyt_like({NYT_SIZE})\", \"sigma\": {SIGMA}, \
-         \"reps\": {REPS}, \"metric\": \"min wall seconds, sequential DESQ-DFS\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": \"OptLevel::None (\\u03b5-removal + pruning only; Full adds \
-         pair-determinization + suffix-sharing minimization)\","
-    );
-    json.push_str("  \"constraints\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        none += r.none_secs;
-        full += r.full_secs;
-        let speedup = r.none_secs / r.full_secs;
-        log_speedup += speedup.ln();
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"patterns\": {}, \
-             \"states_none\": {}, \"states_full\": {}, \
-             \"transitions_none\": {}, \"transitions_full\": {}, \
-             \"state_reduction\": {:.2}, \"transition_reduction\": {:.2}, \
-             \"compile_none_micros\": {:.1}, \"compile_full_micros\": {:.1}, \
-             \"none_secs\": {:.4}, \"full_secs\": {:.4}, \"speedup\": {:.2}}}{}",
-            r.name,
-            r.patterns,
-            r.states_none,
-            r.states_full,
-            r.transitions_none,
-            r.transitions_full,
-            1.0 - r.states_full as f64 / r.states_none as f64,
-            1.0 - r.transitions_full as f64 / r.transitions_none as f64,
-            r.compile_none_micros,
-            r.compile_full_micros,
-            r.none_secs,
-            r.full_secs,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"aggregate\": {{\"none_secs\": {:.4}, \"full_secs\": {:.4}, \
-         \"speedup\": {:.2}, \"geomean_speedup\": {:.2}}}",
-        none,
-        full,
-        none / full,
-        (log_speedup / rows.len() as f64).exp()
-    );
-    json.push_str("}\n");
-
-    std::fs::write(out_path, &json).expect("write BENCH_9.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("dist") => {
-            let out = args.next().unwrap_or_else(|| "BENCH_4.json".to_string());
-            dist_main(&out);
-        }
-        Some("count") => {
-            let out = args.next().unwrap_or_else(|| "BENCH_5.json".to_string());
-            count_main(&out);
-        }
-        Some("scale") => {
-            let out = args.next().unwrap_or_else(|| "BENCH_6.json".to_string());
-            scale_main(&out);
-        }
         Some("serve") => {
             let out = args.next().unwrap_or_else(|| "BENCH_7.json".to_string());
             serve_main(&out);
@@ -1234,16 +475,14 @@ fn main() {
             let out = args.next().unwrap_or_else(|| "BENCH_8.json".to_string());
             dist_net_main(&out);
         }
-        Some("fst-opt") => {
-            let out = args.next().unwrap_or_else(|| "BENCH_9.json".to_string());
-            fst_opt_main(&out);
-        }
         Some("dist-net-worker") => {
             let addr = args.next().expect("dist-net-worker <addr> <constraint>");
             let constraint = args.next().expect("dist-net-worker <addr> <constraint>");
             dist_net_worker_main(&addr, &constraint);
         }
-        Some(out) => local_main(out),
-        None => local_main("BENCH_3.json"),
+        _ => {
+            eprintln!("usage: perf_smoke serve|dist-net [out.json]");
+            std::process::exit(2);
+        }
     }
 }

@@ -28,10 +28,9 @@ use desq_core::codec::{read_varint, varint_len, write_varint};
 use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
 use desq_core::mining::CancelToken;
 use desq_core::sched::{self, IndexedRun};
-use desq_core::{Error, Result};
+use desq_core::{Error, MiningMetrics, Result};
 
 use crate::codec::Codec;
-use crate::metrics::JobMetrics;
 use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 
 /// Engine configuration: degree of parallelism plus an optional
@@ -509,7 +508,7 @@ impl Engine {
         parts: &[&[I]],
         map: MF,
         reduce: RF,
-    ) -> Result<(Vec<O>, JobMetrics)>
+    ) -> Result<(Vec<O>, MiningMetrics)>
     where
         I: Sync,
         K: Codec + Send,
@@ -518,7 +517,7 @@ impl Engine {
         MF: Fn(&[I], &mut dyn FnMut(K, V)) -> Result<()> + Sync,
         RF: Fn(&K, Vec<V>, &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
-        let mut metrics = JobMetrics::default();
+        let mut metrics = MiningMetrics::default();
 
         // ---- map phase ----
         let t0 = Instant::now();
@@ -615,7 +614,7 @@ impl Engine {
         parts: &[&[I]],
         map: MF,
         reduce: RF,
-    ) -> Result<(Vec<O>, JobMetrics)>
+    ) -> Result<(Vec<O>, MiningMetrics)>
     where
         I: Sync,
         K: Codec + Send,
@@ -638,7 +637,7 @@ impl Engine {
     /// one thread. Output order is deterministic (identical to reducing
     /// each bucket sequentially) regardless of worker count or steal
     /// schedule; the task and steal counters land in
-    /// [`JobMetrics::reduce_tasks`]/[`reduce_steals`](JobMetrics::reduce_steals).
+    /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals).
     ///
     /// Use the state for caches that amortize work across key groups —
     /// D-SEQ keys its simulation-table index on the identity of the borrowed
@@ -650,7 +649,7 @@ impl Engine {
         map: MF,
         init: IF,
         reduce: RF,
-    ) -> Result<(Vec<O>, JobMetrics)>
+    ) -> Result<(Vec<O>, MiningMetrics)>
     where
         I: Sync,
         K: Codec + Send,
@@ -660,7 +659,7 @@ impl Engine {
         IF: Fn() -> S + Sync,
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
-        let mut metrics = JobMetrics::default();
+        let mut metrics = MiningMetrics::default();
 
         // ---- map + combine phase ----
         let t0 = Instant::now();
@@ -742,8 +741,8 @@ impl Engine {
                 Ok(out)
             },
         )?;
-        metrics.reduce_tasks = reduced.tasks;
-        metrics.reduce_steals = reduced.steals;
+        metrics.tasks = reduced.tasks;
+        metrics.steals = reduced.steals;
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
         metrics.max_task_nanos = mapped
             .max_task_nanos
@@ -780,7 +779,7 @@ impl Engine {
         map: MF,
         init: IF,
         reduce: RF,
-    ) -> Result<(Vec<O>, JobMetrics)>
+    ) -> Result<(Vec<O>, MiningMetrics)>
     where
         I: Sync,
         K: Codec + Send,
@@ -789,8 +788,8 @@ impl Engine {
         IF: Fn() -> S + Sync,
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
-        let mut metrics = JobMetrics::default();
-        let merge_stats = |metrics: &mut JobMetrics, s: &PhaseStats| {
+        let mut metrics = MiningMetrics::default();
+        let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
             metrics.retried_tasks += s.retried_tasks;
             metrics.peer_timeouts += s.peer_timeouts;
             metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
@@ -818,7 +817,7 @@ impl Engine {
         let bucket_outs = {
             let (outs, stats) = transport.reduce_phase(self, chunks, &reduce_local)?;
             metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-            metrics.reduce_tasks = outs.len() as u64;
+            metrics.tasks = outs.len() as u64;
             merge_stats(&mut metrics, &stats);
             outs
         };
@@ -894,7 +893,7 @@ impl Engine {
 
     /// Transposes map-task outputs into per-reducer chunk lists and fills in
     /// shuffle metrics.
-    fn regroup(&self, outs: Vec<MapTaskOut>, metrics: &mut JobMetrics) -> Vec<Vec<Vec<u8>>> {
+    fn regroup(&self, outs: Vec<MapTaskOut>, metrics: &mut MiningMetrics) -> Vec<Vec<Vec<u8>>> {
         let mut chunks: Vec<Vec<Vec<u8>>> = (0..self.reducers).map(|_| Vec::new()).collect();
         let mut reducer_bytes = vec![0u64; self.reducers];
         for out in outs {
@@ -1206,11 +1205,11 @@ mod tests {
         };
         let (seq, seq_metrics) = run(1);
         assert_eq!(seq.len(), 50);
-        assert!(seq_metrics.reduce_tasks > 0);
+        assert!(seq_metrics.tasks > 0);
         for workers in [2, 4, 8] {
             let (par, metrics) = run(workers);
             assert_eq!(par, seq, "workers={workers}");
-            assert!(metrics.reduce_tasks > 0);
+            assert!(metrics.tasks > 0);
         }
     }
 

@@ -22,18 +22,19 @@
 //! The engine is deliberately faithful to the cost model rather than to any
 //! particular cluster API: communication really passes through byte buffers,
 //! workers really run in parallel (scoped threads), and per-phase wall times
-//! and per-reducer byte volumes are recorded in [`JobMetrics`] — including
-//! the task/steal counters of the work-stealing reduce phase
-//! ([`JobMetrics::reduce_tasks`] / [`JobMetrics::reduce_steals`]). See
+//! and per-reducer byte volumes are recorded in the workspace's one
+//! measurement record, [`desq_core::MiningMetrics`] — including the
+//! task/steal counters of the work-stealing reduce phase
+//! ([`tasks`](desq_core::MiningMetrics::tasks) /
+//! [`steals`](desq_core::MiningMetrics::steals)); the engine leaves the
+//! fields it cannot know (wall time, input size, FST sizes) at zero. See
 //! `docs/ARCHITECTURE.md` in the repository root for how the engine fits
 //! into the overall data flow of each distributed algorithm.
 
 pub mod codec;
 pub mod engine;
-pub mod metrics;
 pub mod transport;
 
 pub use codec::{decode_item_seq, encode_item_seq, Codec};
 pub use engine::{Combiner, Engine, MapTaskOut};
-pub use metrics::JobMetrics;
 pub use transport::{InProcess, NetConfig, NetCoordinator, PhaseStats, ShuffleTransport};

@@ -29,10 +29,10 @@
 //! - **Liveness**: every read on a shuffle link carries a deadline
 //!   ([`NetConfig::liveness`]); both sides send [`Frame::Heartbeat`] on
 //!   idle links every [`NetConfig::heartbeat`]. A peer silent past the
-//!   window is declared dead (`JobMetrics::peer_timeouts`).
+//!   window is declared dead (`MiningMetrics::peer_timeouts`).
 //! - **Re-execution**: map and reduce tasks are pure over immutable
 //!   partitions, so when a peer dies mid-superstep its in-flight tasks are
-//!   simply re-queued to surviving peers (`JobMetrics::retried_tasks`).
+//!   simply re-queued to surviving peers (`MiningMetrics::retried_tasks`).
 //!   Results are deduplicated by `(epoch, task)` — first completion wins,
 //!   a stale duplicate from a peer presumed dead is ignored.
 //! - **Reconnect**: workers reconnect under the shared
@@ -52,7 +52,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -62,7 +62,6 @@ use desq_core::retry::RetryPolicy;
 use desq_core::sched::IndexedRun;
 use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list};
 use desq_core::{Error, Result};
-use parking_lot::Mutex;
 
 use crate::engine::{Engine, MapTaskOut};
 
@@ -73,7 +72,7 @@ use crate::engine::{Engine, MapTaskOut};
 pub const NET_PROTOCOL_VERSION: u8 = 2;
 
 /// Robustness counters of one transport phase, merged into
-/// [`JobMetrics`](crate::JobMetrics) by the engine.
+/// [`MiningMetrics`](desq_core::MiningMetrics) by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Tasks re-queued after their assigned peer died or timed out.
@@ -506,7 +505,7 @@ impl NetCoordinator {
                         continue;
                     };
                     let id = {
-                        let mut peers = self.peers.lock();
+                        let mut peers = lock(&self.peers);
                         peers.push(Peer {
                             stream,
                             alive: true,
@@ -528,7 +527,7 @@ impl NetCoordinator {
 
     /// Hands queued tasks to live peers, at most `credits` in flight each.
     fn assign<R>(&self, wire: &[Vec<u8>], phase: &mut Phase<R>) {
-        let mut peers = self.peers.lock();
+        let mut peers = lock(&self.peers);
         for p in peers.iter_mut() {
             if !p.alive || !p.ready {
                 continue;
@@ -561,7 +560,7 @@ impl NetCoordinator {
         let Ok(hb) = Frame::Heartbeat.to_wire(self.cfg.max_frame) else {
             return;
         };
-        let mut peers = self.peers.lock();
+        let mut peers = lock(&self.peers);
         for p in peers.iter_mut() {
             if p.alive && p.ready && p.last_write.elapsed() >= self.cfg.heartbeat {
                 match send_wire(&mut p.stream, &hb) {
@@ -586,7 +585,7 @@ impl NetCoordinator {
                     version,
                     fingerprint,
                 } => {
-                    let mut peers = self.peers.lock();
+                    let mut peers = lock(&self.peers);
                     let p = &mut peers[peer];
                     if version == NET_PROTOCOL_VERSION && fingerprint == self.cfg.fingerprint {
                         p.ready = true;
@@ -611,7 +610,7 @@ impl NetCoordinator {
                     let Some((e, task, nanos)) = f.output_header() else {
                         return Ok(());
                     };
-                    if let Some(p) = self.peers.lock().get_mut(peer) {
+                    if let Some(p) = lock(&self.peers).get_mut(peer) {
                         p.in_flight.retain(|&x| x != task);
                     }
                     // Stale-epoch or duplicate results are dropped: first
@@ -628,7 +627,7 @@ impl NetCoordinator {
                 }
             },
             Event::Dead { peer, timed_out } => {
-                let mut peers = self.peers.lock();
+                let mut peers = lock(&self.peers);
                 phase.fail_peer(&mut peers[peer], timed_out);
             }
         }
@@ -655,7 +654,7 @@ impl NetCoordinator {
         // Stale in-flight bookkeeping from a previous phase (a peer that
         // kept a duplicate after the phase completed) must not leak task
         // ids into this phase's queue.
-        for p in self.peers.lock().iter_mut() {
+        for p in lock(&self.peers).iter_mut() {
             p.in_flight.clear();
         }
         let mut phase = Phase {
@@ -665,7 +664,7 @@ impl NetCoordinator {
             done: 0,
             stats: PhaseStats::default(),
         };
-        let rx = self.rx.lock();
+        let rx = lock(&self.rx);
         let mut no_peer_since = Instant::now();
         loop {
             engine.checkpoint()?;
@@ -680,9 +679,7 @@ impl NetCoordinator {
             self.heartbeat_idle(&mut phase);
             // A job with no live ready peer makes no progress; fail it
             // with a typed error instead of hanging forever.
-            let live = self
-                .peers
-                .lock()
+            let live = lock(&self.peers)
                 .iter()
                 .filter(|p| p.alive && p.ready)
                 .count();
@@ -719,7 +716,7 @@ impl NetCoordinator {
         let Ok(end) = Frame::End.to_wire(self.cfg.max_frame) else {
             return;
         };
-        let mut peers = self.peers.lock();
+        let mut peers = lock(&self.peers);
         for p in peers.iter_mut() {
             if p.alive {
                 let _ = send_wire(&mut p.stream, &end);
@@ -828,13 +825,21 @@ fn reader_loop(
 
 // ---------------------------------------------------------------- worker
 
+/// Locks `m`, recovering from poisoning. The guarded values (the peer
+/// table, the event receiver, a worker's write half) are updated one field
+/// or one whole frame at a time, so a thread that panicked under the lock
+/// left nothing half-written that the liveness checks would not catch.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn write_frame_locked(
     writer: &Mutex<TcpStream>,
     frame: &Frame,
     max_frame: usize,
 ) -> io::Result<()> {
     let wire = frame.to_wire(max_frame)?;
-    send_wire(&mut *writer.lock(), &wire)
+    send_wire(&mut *lock(writer), &wire)
 }
 
 /// One worker connection: handshake, serve tasks until [`Frame::End`].

@@ -11,7 +11,7 @@
 //!
 //! | site                 | layer                  | fires inside |
 //! |----------------------|------------------------|--------------|
-//! | `sched::task_run`    | `desq_core::sched`     | every task body of every scheduler run — mining subtrees, counting blocks, BSP map/merge/reduce tasks, table-build chunks (an injected `err` panics here and is caught at the task boundary like any panic) |
+//! | `sched::task_run`    | `desq_core::sched`     | every task body of every scheduler run at **every worker count**, a one-worker run on the calling thread included — mining subtrees, counting blocks, BSP map/merge/reduce tasks, table-build chunks (an injected `err` panics here and is caught at the task boundary like any panic) |
 //! | `bsp::reduce_merge`  | BSP engine             | every reduce task, before its bucket is merged |
 //! | `serve::before_reply`| daemon                 | between mining and the terminal frame |
 //! | `store::compile`     | FST cache              | under a cache miss, before compilation |

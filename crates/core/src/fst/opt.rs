@@ -49,9 +49,9 @@ use crate::fx::FxHashSet;
 ///
 /// [`OptLevel::None`] stops after ε-removal and dead-state pruning (both
 /// required to produce a valid [`Fst`] at all) and exists for oracle
-/// comparison — the BENCH_9 harness and the `optimized_fst_matches_oracle`
-/// property test mine the same constraints at both levels and require
-/// identical patterns and supports.
+/// comparison — the gated benchmark's per-run reference and the
+/// `optimized_fst_matches_oracle` property test mine the same constraints
+/// at both levels and require identical patterns and supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptLevel {
     /// ε-removal and pruning only (the automaton is left as Thompson

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::sched::WorkerStats;
 use crate::{Dictionary, Error, Fst, Result, Sequence, SequenceDb};
 
 /// Default per-sequence work budget (candidates generated, accepting runs
@@ -432,11 +433,13 @@ impl<'a> MiningContext<'a> {
     }
 }
 
-/// Uniform measurements of one mining run.
+/// Uniform measurements of one mining run — the workspace's one
+/// measurement record.
 ///
-/// Distributed algorithms fill the shuffle fields from the BSP engine's
-/// job metrics; sequential miners report wall time and work counts with
-/// legitimately-zero shuffle volume (nothing is communicated).
+/// The BSP engine fills the phase, shuffle and task fields of a job
+/// directly and the distributed algorithms add what only they know (wall
+/// time, workers, input size); local miners report wall time and work
+/// counts with legitimately-zero shuffle volume (nothing is communicated).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MiningMetrics {
     /// End-to-end wall-clock nanoseconds of the run.
@@ -469,19 +472,23 @@ pub struct MiningMetrics {
     pub workers: u64,
     /// Wall-clock nanoseconds each local-mining worker spent in its
     /// scheduling loop (mining plus stealing plus idling), indexed by
-    /// worker. **Semantics:** always has exactly `workers` entries for
-    /// algorithms that mine locally — a sequential run reports a
-    /// single-entry vector holding its mining wall time (it used to be
-    /// silently empty). Only algorithms with no per-worker breakdown at
-    /// all (e.g. pure BSP map/reduce phases) leave it empty.
+    /// worker. **Semantics:** exactly `workers` entries for algorithms that
+    /// mine locally — the scheduler reports one [`WorkerStats`] per worker
+    /// at every worker count, a lone worker's entry being its loop on the
+    /// calling thread. Only algorithms with no per-worker breakdown at all
+    /// (e.g. pure BSP map/reduce phases) leave it empty.
+    ///
     pub worker_nanos: Vec<u64>,
-    /// Tasks executed by the work-stealing local-mining scheduler, summed
-    /// over workers (a sequential run is one task; 0 when the algorithm
-    /// does not use the scheduler).
+    /// Tasks executed by the work-stealing scheduler, summed over workers:
+    /// search subtrees for DESQ-DFS (a one-worker run is a single task —
+    /// nobody to split for), input blocks for DESQ-COUNT (a one-worker run
+    /// is still many block tasks), reduce-side key-group tasks for BSP
+    /// jobs. The table build's tasks are not included. The FST-free miners,
+    /// which do not use the scheduler, report 1.
     pub tasks: u64,
     /// Successful steals between scheduler workers, summed over workers
-    /// (always 0 for sequential runs; high values on skewed search trees
-    /// are the scheduler doing its job).
+    /// (always 0 with one worker; high values on skewed search trees are
+    /// the scheduler doing its job).
     pub steals: u64,
     /// Map/reduce tasks that were re-executed because the peer running
     /// them died or went silent mid-superstep (networked BSP only; 0 for
@@ -521,55 +528,35 @@ impl MiningMetrics {
     pub fn sequential(wall_nanos: u64, input_sequences: u64, work: u64, output: u64) -> Self {
         MiningMetrics {
             wall_nanos,
-            map_nanos: 0,
             reduce_nanos: wall_nanos,
             input_sequences,
             emitted_records: work,
-            shuffle_records: 0,
-            shuffle_payloads: 0,
-            shuffle_bytes: 0,
-            reducer_bytes: Vec::new(),
             output_records: output,
             workers: 1,
             worker_nanos: vec![wall_nanos],
             tasks: 1,
-            steals: 0,
-            retried_tasks: 0,
-            peer_timeouts: 0,
-            max_task_nanos: 0,
-            cancelled: false,
-            fst_states_before: 0,
-            fst_states_after: 0,
-            fst_transitions_before: 0,
-            fst_transitions_after: 0,
+            ..MiningMetrics::default()
         }
     }
 
-    /// Metrics of a shared-memory parallel run: like
-    /// [`sequential`](Self::sequential), but with the worker count and the
-    /// per-worker mining wall times filled in from `worker_nanos` (one entry
-    /// per worker thread; an empty vector reports a single worker).
-    pub fn local_parallel(
+    /// Metrics of a local run on the scheduler: like
+    /// [`sequential`](Self::sequential), with the worker count, the
+    /// per-worker loop times and the task/steal totals taken from the
+    /// scheduler's per-worker `stats`.
+    pub fn scheduled(
         wall_nanos: u64,
         input_sequences: u64,
         work: u64,
         output: u64,
-        worker_nanos: Vec<u64>,
+        stats: &[WorkerStats],
     ) -> Self {
-        let workers = worker_nanos.len().max(1) as u64;
         MiningMetrics {
-            workers,
-            worker_nanos,
+            workers: stats.len() as u64,
+            worker_nanos: stats.iter().map(|s| s.nanos).collect(),
+            tasks: stats.iter().map(|s| s.tasks).sum(),
+            steals: stats.iter().map(|s| s.steals).sum(),
             ..MiningMetrics::sequential(wall_nanos, input_sequences, work, output)
         }
-    }
-
-    /// Fills in the work-stealing scheduler counters (total tasks executed
-    /// and successful inter-worker steals).
-    pub fn with_scheduler(mut self, tasks: u64, steals: u64) -> Self {
-        self.tasks = tasks;
-        self.steals = steals;
-        self
     }
 
     /// Appends the wire encoding of these metrics to `buf`.
@@ -779,7 +766,30 @@ pub trait Miner {
 
     /// Runs the algorithm on one request.
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult>;
+
+    /// Runs the algorithm handing every result pattern to `sink`, in no
+    /// particular order, until the patterns run out or the sink returns
+    /// `false`; returns the run's metrics.
+    ///
+    /// The default computes the whole result and then drains it. An
+    /// algorithm that knows patterns before it has finished overrides this
+    /// to emit them as they are found — which algorithms those are is
+    /// their adapters' business, not the caller's.
+    fn mine_each(&self, ctx: &MiningContext<'_>, sink: PatternSink<'_>) -> Result<MiningMetrics> {
+        let MiningResult { patterns, metrics } = self.mine(ctx)?;
+        for (pattern, freq) in patterns {
+            if !sink(pattern, freq) {
+                break;
+            }
+        }
+        Ok(metrics)
+    }
 }
+
+/// Where a streaming run delivers its `(pattern, frequency)` pairs; `false`
+/// stops the run. `Send` because a one-worker run hands the sink itself to
+/// its worker, and scheduler workers own `Send` state.
+pub type PatternSink<'s> = &'s mut (dyn FnMut(Sequence, u64) -> bool + Send);
 
 #[cfg(test)]
 mod tests {
@@ -849,17 +859,31 @@ mod tests {
         assert_eq!(m.combine_ratio(), 1.0);
     }
 
+    /// Two workers' scheduler stats, as DESQ-DFS or DESQ-COUNT report them.
+    fn two_worker_stats() -> [WorkerStats; 2] {
+        let stats = |nanos, tasks, steals| WorkerStats {
+            nanos,
+            tasks,
+            steals,
+        };
+        [stats(40, 5, 2), stats(60, 4, 0)]
+    }
+
     #[test]
-    fn scheduler_counters_attach_via_builder() {
-        let m = MiningMetrics::local_parallel(10, 5, 17, 3, vec![4, 6]).with_scheduler(42, 7);
+    fn scheduled_metrics_sum_the_worker_stats() {
+        let m = MiningMetrics::scheduled(123, 5, 17, 3, &two_worker_stats());
         assert_eq!(m.workers, 2);
-        assert_eq!(m.worker_nanos, vec![4, 6]);
-        assert_eq!((m.tasks, m.steals), (42, 7));
+        assert_eq!(m.worker_nanos, vec![40, 60]);
+        assert_eq!((m.tasks, m.steals), (9, 2));
+        assert_eq!(
+            (m.wall_nanos, m.emitted_records, m.output_records),
+            (123, 17, 3)
+        );
     }
 
     #[test]
     fn metrics_wire_encoding_roundtrips() {
-        let mut m = MiningMetrics::local_parallel(123, 5, 17, 3, vec![40, 60]).with_scheduler(9, 2);
+        let mut m = MiningMetrics::scheduled(123, 5, 17, 3, &two_worker_stats());
         m.map_nanos = 7;
         m.shuffle_records = 11;
         m.shuffle_payloads = 4;

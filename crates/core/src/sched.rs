@@ -12,6 +12,11 @@
 //! subtrees, sequence blocks or BSP map/reduce tasks (micro- to
 //! milliseconds each), where a lock per pop is noise.
 //!
+//! A worker that finds nothing to take while tasks still run (every other
+//! worker, while a search's root has not split yet) yields a few times and
+//! then naps between looks: spinning on the queue locks would take cycles
+//! from the very task that will produce the work.
+//!
 //! Termination uses a single atomic *pending-task* counter: it starts at
 //! the seed count, every spawned task increments it, every finished task
 //! decrements it, and an idle worker exits once it reads zero (no task is
@@ -19,7 +24,11 @@
 //!
 //! [`run_scheduler`] is oblivious to what a task *is*; [`run_indexed`] is
 //! the fixed-task-list shape over it that the BSP engine's phases and the
-//! miner's parallel table build use.
+//! miner's table build use. The worker count is a number, not a code path:
+//! callers pass one state per worker and run the same program at every
+//! count. What a lone worker does differently — run on the calling thread,
+//! never split for thieves that do not exist ([`TaskCtx::wants_tasks`]) —
+//! is decided here and nowhere else.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,17 +52,6 @@ pub struct WorkerStats {
     pub steals: u64,
 }
 
-impl WorkerStats {
-    /// A single-worker run that executed `tasks` tasks in `nanos`.
-    pub fn solo(nanos: u64, tasks: u64) -> WorkerStats {
-        WorkerStats {
-            nanos,
-            tasks,
-            steals: 0,
-        }
-    }
-}
-
 /// Task bodies never run under one of this module's locks (each guards a
 /// push, pop or insert), so a poisoned one means a bug here, not in a task.
 const POISONED: &str = "scheduler lock poisoned";
@@ -61,6 +59,11 @@ const POISONED: &str = "scheduler lock poisoned";
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect(POISONED)
 }
+
+/// How an idle worker waits for work to appear: this many yields, then naps
+/// of this length between looks (a steal is picked up at most one nap late).
+const IDLE_SPINS: u32 = 64;
+const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(200);
 
 /// One task queue: LIFO for its owner (cache-friendly depth-first
 /// descent), FIFO half-batches for thieves (the oldest tasks sit closest
@@ -94,44 +97,56 @@ impl<T> Queue<T> {
 pub struct TaskCtx<'a, T> {
     local: &'a Queue<T>,
     pending: &'a AtomicUsize,
+    workers: usize,
 }
 
 impl<T> TaskCtx<'_, T> {
-    /// Queues a freshly split task on the calling worker's own queue (the
-    /// cold end is where thieves take from).
-    pub fn spawn(&self, task: T) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.local.lock().push_back(task);
+    /// Queues freshly split tasks on the calling worker's own queue (the
+    /// cold end is where thieves take from) — all under one lock, so the
+    /// first thief to look finds the whole batch to halve and the splitting
+    /// worker does not contend with idle thieves once per task.
+    pub fn spawn_all(&self, tasks: Vec<T>) {
+        self.pending.fetch_add(tasks.len(), Ordering::SeqCst);
+        self.local.lock().extend(tasks);
     }
 
-    /// Number of tasks currently queued on the calling worker's own queue;
-    /// a splitting heuristic compares this against its share limit.
-    pub fn queued(&self) -> usize {
-        self.local.lock().len()
+    /// True iff a task split off now could feed a thief: the run has a
+    /// second worker to steal it, and the calling worker's own queue holds
+    /// fewer than `share_limit` tasks (a short queue means thieves are
+    /// draining it). Never true in a one-worker run, so a splitting task
+    /// recurses inline there without knowing why.
+    pub fn wants_tasks(&self, share_limit: usize) -> bool {
+        self.workers > 1 && self.local.lock().len() < share_limit
     }
 }
 
-/// Runs `seed` tasks to completion on `states.len()` worker threads with
-/// work stealing, while `on_main` runs on the calling thread (streaming
-/// callers drain their channel there; eager callers pass `|| ()`).
+/// Runs `seed` tasks to completion on `states.len()` workers with work
+/// stealing, and `on_main` on the calling thread (streaming callers drain
+/// their channel there; eager callers pass `|| ()`).
 ///
 /// Each worker owns one element of `states` (scratch arenas, output
 /// buffers, channel senders); `task` may spawn subtasks through the
 /// [`TaskCtx`]. When a worker runs out of everything to do it calls
-/// `finish` with its state — still on the worker thread, so senders drop
+/// `finish` with its state — still on the worker's thread, so senders drop
 /// and channels disconnect before the scheduler returns. Setting `cancel`
 /// makes every worker stop at its next task boundary, abandoning queued
 /// tasks.
 ///
+/// Two or more workers each get a scoped thread and `on_main` runs beside
+/// them. A **lone worker** runs the same loop on the calling thread — no
+/// thread is spawned — and `on_main` runs after it; a caller whose
+/// `on_main` must make progress *while* tasks run (draining a bounded
+/// channel) therefore needs at least two states.
+///
 /// # Failure domains
 ///
-/// Every task body runs under `catch_unwind`: a panicking task cancels
-/// the run (queued tasks are abandoned, every worker still runs `finish`
-/// and reports its stats) and the scheduler returns
-/// [`Error::WorkerPanicked`] carrying the first panic payload — the
-/// process survives. A `token`, when given, is polled at task
-/// granularity: an externally cancelled or deadline-expired token stops
-/// the run the same cooperative way and its
+/// The contract is the same at every worker count. Every task body runs
+/// under `catch_unwind`: a panicking task cancels the run (queued tasks
+/// are abandoned, every worker still runs `finish` and reports its stats)
+/// and the scheduler returns [`Error::WorkerPanicked`] carrying the first
+/// panic payload — the process survives. A `token`, when given, is polled
+/// before every task: an externally cancelled or deadline-expired token
+/// stops the run the same cooperative way and its
 /// [`stop_reason`](CancelToken::stop_reason) becomes the returned error.
 /// Cancellation through the bare `cancel` flag alone (the streaming
 /// sink's abandon-on-drop) is *not* an error: the partial run returns
@@ -168,72 +183,91 @@ where
         cancel.store(true, Ordering::Relaxed);
     };
 
-    let (stats, main_out) = std::thread::scope(|scope| {
-        let (pending, injector, queues) = (&pending, &injector, &queues);
-        let (task, finish, record_panic) = (&task, &finish, &record_panic);
-        let spawn_worker = |(wid, mut state): (usize, S)| {
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                let mut stats = WorkerStats::default();
-                let local = &queues[wid];
-                let ctx = TaskCtx { local, pending };
-                loop {
-                    if cancel.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if token.is_some_and(|t| t.checkpoint().is_err()) {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let popped = local.lock().pop_back();
-                    let next = popped.or_else(|| {
-                        injector.steal_half_into(local).or_else(|| {
-                            (1..workers).find_map(|i| {
-                                let got = queues[(wid + i) % workers].steal_half_into(local);
-                                stats.steals += u64::from(got.is_some());
-                                got
-                            })
-                        })
-                    });
-                    let Some(t) = next else {
-                        if pending.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "failpoints")]
-                        if let Err(e) = crate::fault::point("sched::task_run") {
-                            panic!("{e}");
-                        }
-                        task(t, &mut state, &ctx);
-                    }));
-                    stats.tasks += 1;
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                    if let Err(payload) = run {
-                        record_panic(payload.as_ref());
-                        break;
-                    }
-                }
-                // `finish` still runs on the cancelled/panicked paths so
-                // partial per-worker results and senders are released; a
-                // panic inside it is contained the same way as a task's.
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| finish(wid, state))) {
-                    record_panic(payload.as_ref());
-                }
-                stats.nanos = t0.elapsed().as_nanos() as u64;
-                stats
-            })
+    let worker = |(wid, mut state): (usize, S)| {
+        let t0 = Instant::now();
+        let mut stats = WorkerStats::default();
+        let mut idle = 0u32;
+        let local = &queues[wid];
+        let ctx = TaskCtx {
+            local,
+            pending: &pending,
+            workers,
         };
-        let handles: Vec<_> = states.into_iter().enumerate().map(spawn_worker).collect();
-        let main_out = on_main();
-        let joined = handles.into_iter().map(|h| h.join());
-        let stats: Vec<WorkerStats> = joined
-            .map(|stats| stats.expect("task and finish panics are caught inside the worker"))
-            .collect();
-        (stats, main_out)
-    });
+        loop {
+            if cancel.load(Ordering::Relaxed) {
+                break;
+            }
+            if token.is_some_and(|t| t.checkpoint().is_err()) {
+                cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+            let popped = local.lock().pop_back();
+            let next = popped.or_else(|| {
+                injector.steal_half_into(local).or_else(|| {
+                    (1..workers).find_map(|i| {
+                        let got = queues[(wid + i) % workers].steal_half_into(local);
+                        stats.steals += u64::from(got.is_some());
+                        got
+                    })
+                })
+            });
+            let Some(t) = next else {
+                if pending.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
+                idle += 1;
+                if idle < IDLE_SPINS {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_NAP);
+                }
+                continue;
+            };
+            idle = 0;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "failpoints")]
+                if let Err(e) = crate::fault::point("sched::task_run") {
+                    panic!("{e}");
+                }
+                task(t, &mut state, &ctx);
+            }));
+            stats.tasks += 1;
+            pending.fetch_sub(1, Ordering::SeqCst);
+            if let Err(payload) = run {
+                record_panic(payload.as_ref());
+                break;
+            }
+        }
+        // `finish` still runs on the cancelled/panicked paths so partial
+        // per-worker results and senders are released; a panic inside it
+        // is contained the same way as a task's.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| finish(wid, state))) {
+            record_panic(payload.as_ref());
+        }
+        stats.nanos = t0.elapsed().as_nanos() as u64;
+        stats
+    };
+
+    let states = states.into_iter().enumerate();
+    let (stats, main_out) = if workers == 1 {
+        // Nobody to run beside: a thread would buy a spawn and a join per
+        // call (the BSP engine calls once per phase) and nothing else.
+        let stats: Vec<WorkerStats> = states.map(worker).collect();
+        (stats, on_main())
+    } else {
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = states
+                .map(|state| scope.spawn(move || worker(state)))
+                .collect();
+            let main_out = on_main();
+            let joined = handles.into_iter().map(|h| h.join());
+            let stats: Vec<WorkerStats> = joined
+                .map(|stats| stats.expect("task and finish panics are caught inside the worker"))
+                .collect();
+            (stats, main_out)
+        })
+    };
 
     if let Some(msg) = panicked.into_inner().expect(POISONED) {
         return Err(Error::WorkerPanicked(msg));
@@ -258,9 +292,9 @@ pub struct IndexedRun<T> {
     pub steals: u64,
 }
 
-/// Runs the fixed task list `0..n` on up to `workers` threads of
+/// Runs the fixed task list `0..n` on up to `workers` workers of
 /// [`run_scheduler`] and collects the results in index order, whatever the
-/// steal schedule. `init` builds one state per worker thread (pass
+/// steal schedule. `init` builds one state per worker (pass
 /// `|| ()` for stateless tasks); it is threaded through every task that
 /// worker executes.
 ///
@@ -342,8 +376,7 @@ mod tests {
                         total.fetch_add((lo..hi).sum::<u64>(), Ordering::Relaxed);
                     } else {
                         let mid = (lo + hi) / 2;
-                        ctx.spawn((mid, hi));
-                        ctx.spawn((lo, mid));
+                        ctx.spawn_all(vec![(mid, hi), (lo, mid)]);
                     }
                 },
                 |_, ()| {},
@@ -412,6 +445,47 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_worker_runs_on_the_calling_thread() {
+        // Tasks, `finish` and `on_main` all see the caller's thread id, in
+        // that order; two workers never do.
+        let caller = std::thread::current().id();
+        for workers in [1usize, 2] {
+            let seen = Mutex::new(Vec::new());
+            let here = |what| lock(&seen).push((what, std::thread::current().id() == caller));
+            let cancel = AtomicBool::new(false);
+            let (stats, ()) = run_scheduler(
+                vec![0u32, 1],
+                vec![(); workers],
+                &cancel,
+                None,
+                |_t, _s, ctx: &TaskCtx<'_, u32>| {
+                    assert_eq!(ctx.wants_tasks(usize::MAX), workers > 1);
+                    here("task");
+                },
+                |_, ()| here("finish"),
+                || here("main"),
+            )
+            .unwrap();
+            assert_eq!(stats.len(), workers);
+            let seen = seen.into_inner().unwrap();
+            if workers == 1 {
+                let order = [
+                    ("task", true),
+                    ("task", true),
+                    ("finish", true),
+                    ("main", true),
+                ];
+                assert_eq!(seen, order);
+            } else {
+                assert!(seen
+                    .iter()
+                    .all(|&(what, on_caller)| (what == "main") == on_caller));
+                assert_eq!(seen.iter().filter(|s| s.0 == "finish").count(), 2);
+            }
+        }
+    }
+
+    #[test]
     fn empty_seed_terminates_immediately() {
         let cancel = AtomicBool::new(false);
         let (stats, ()) = run_scheduler(
@@ -430,121 +504,143 @@ mod tests {
 
     #[test]
     fn a_panicking_task_cancels_the_run_instead_of_killing_the_process() {
-        let ran = AtomicU64::new(0);
-        let cancel = AtomicBool::new(false);
-        let token = CancelToken::new();
-        let err = run_scheduler(
-            (0..64).collect::<Vec<u32>>(),
-            vec![(); 2],
-            &cancel,
-            Some(&token),
-            |t, _state, _ctx: &TaskCtx<'_, u32>| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if t == 0 {
-                    panic!("task {t} exploded");
-                }
-                // Keep survivors slow enough that the cancel flag is seen
-                // long before the queue drains — the assertion below is
-                // about abandonment, not about racing the flag.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            },
-            |_, ()| {},
-            || (),
-        )
-        .unwrap_err();
-        match err {
-            Error::WorkerPanicked(msg) => assert!(msg.contains("exploded"), "{msg}"),
-            other => panic!("expected WorkerPanicked, got {other}"),
+        for workers in [1usize, 2] {
+            let ran = AtomicU64::new(0);
+            let finished = AtomicU64::new(0);
+            let cancel = AtomicBool::new(false);
+            let token = CancelToken::new();
+            let err = run_scheduler(
+                (0..64).collect::<Vec<u32>>(),
+                vec![(); workers],
+                &cancel,
+                Some(&token),
+                |t, _state, _ctx: &TaskCtx<'_, u32>| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if t == 0 {
+                        panic!("task {t} exploded");
+                    }
+                    // Keep survivors slow enough that the cancel flag is
+                    // seen long before the queue drains — the assertion
+                    // below is about abandonment, not about racing the
+                    // flag.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                },
+                |_, ()| {
+                    finished.fetch_add(1, Ordering::Relaxed);
+                },
+                || (),
+            )
+            .unwrap_err();
+            match err {
+                Error::WorkerPanicked(msg) => assert!(msg.contains("exploded"), "{msg}"),
+                other => panic!("expected WorkerPanicked, got {other}"),
+            }
+            // The token tripped too, so co-operating layers (e.g. the other
+            // phase of a BSP job) observe the failure.
+            assert!(matches!(
+                token.stop_reason(),
+                Some(Error::WorkerPanicked(_))
+            ));
+            assert!(ran.into_inner() < 64, "panic must abandon queued tasks");
+            assert_eq!(finished.into_inner(), workers as u64, "finish still runs");
         }
-        // The token tripped too, so co-operating layers (e.g. the other
-        // phase of a BSP job) observe the failure.
-        assert!(matches!(
-            token.stop_reason(),
-            Some(Error::WorkerPanicked(_))
-        ));
-        assert!(ran.into_inner() < 64, "panic must abandon queued tasks");
     }
 
     #[test]
     fn panics_are_contained_without_a_token_too() {
-        let cancel = AtomicBool::new(false);
-        let err = run_scheduler(
-            vec![0u32],
-            vec![(); 2],
-            &cancel,
-            None,
-            |_t, _s, _c: &TaskCtx<'_, u32>| panic!("no token around"),
-            |_, ()| {},
-            || (),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::WorkerPanicked(_)), "{err}");
+        for workers in [1usize, 2] {
+            let cancel = AtomicBool::new(false);
+            let err = run_scheduler(
+                vec![0u32],
+                vec![(); workers],
+                &cancel,
+                None,
+                |_t, _s, _c: &TaskCtx<'_, u32>| panic!("no token around"),
+                |_, ()| {},
+                || (),
+            )
+            .unwrap_err();
+            assert!(matches!(err, Error::WorkerPanicked(_)), "{err}");
+        }
     }
 
     #[test]
     fn an_expired_deadline_stops_the_run_with_deadline_exceeded() {
-        let ran = AtomicU64::new(0);
-        let cancel = AtomicBool::new(false);
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let err = run_scheduler(
-            (0..1024).collect::<Vec<u32>>(),
-            vec![(); 2],
-            &cancel,
-            Some(&token),
-            |_t, _s, _c: &TaskCtx<'_, u32>| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, ()| {},
-            || (),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
-        assert!(ran.into_inner() < 1024, "expiry must abandon queued tasks");
+        for workers in [1usize, 2] {
+            let ran = AtomicU64::new(0);
+            let cancel = AtomicBool::new(false);
+            let token = CancelToken::with_deadline(std::time::Duration::ZERO);
+            let err = run_scheduler(
+                (0..1024).collect::<Vec<u32>>(),
+                vec![(); workers],
+                &cancel,
+                Some(&token),
+                |_t, _s, _c: &TaskCtx<'_, u32>| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+                |_, ()| {},
+                || (),
+            )
+            .unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
+            assert!(ran.into_inner() < 1024, "expiry must abandon queued tasks");
+        }
     }
 
     #[test]
     fn an_externally_cancelled_token_surfaces_cancelled() {
-        let cancel = AtomicBool::new(false);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = run_scheduler(
-            (0..16).collect::<Vec<u32>>(),
-            vec![(); 2],
-            &cancel,
-            Some(&token),
-            |_t, _s, _c: &TaskCtx<'_, u32>| {},
-            |_, ()| {},
-            || (),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::Cancelled(_)), "{err}");
+        for workers in [1usize, 2] {
+            let cancel = AtomicBool::new(false);
+            let token = CancelToken::new();
+            token.cancel();
+            let err = run_scheduler(
+                (0..16).collect::<Vec<u32>>(),
+                vec![(); workers],
+                &cancel,
+                Some(&token),
+                |_t, _s, _c: &TaskCtx<'_, u32>| {},
+                |_, ()| {},
+                || (),
+            )
+            .unwrap_err();
+            assert!(matches!(err, Error::Cancelled(_)), "{err}");
+        }
     }
 
     #[test]
     fn the_plain_cancel_flag_alone_is_not_an_error() {
         // The streaming sink's abandon-on-drop path: local flag set, token
         // (if any) live — the partial run is a normal return.
-        let cancel = AtomicBool::new(false);
-        let token = CancelToken::new();
-        let (stats, ()) = run_scheduler(
-            (0..64).collect::<Vec<u32>>(),
-            vec![(); 2],
-            &cancel,
-            Some(&token),
-            |_t, _s, _c: &TaskCtx<'_, u32>| {
-                cancel.store(true, Ordering::Relaxed);
-            },
-            |_, ()| {},
-            || (),
-        )
-        .unwrap();
-        assert_eq!(stats.len(), 2);
+        for workers in [1usize, 2] {
+            let cancel = AtomicBool::new(false);
+            let token = CancelToken::new();
+            let (stats, ()) = run_scheduler(
+                (0..64).collect::<Vec<u32>>(),
+                vec![(); workers],
+                &cancel,
+                Some(&token),
+                |_t, _s, _c: &TaskCtx<'_, u32>| {
+                    cancel.store(true, Ordering::Relaxed);
+                },
+                |_, ()| {},
+                || (),
+            )
+            .unwrap();
+            assert_eq!(stats.len(), workers);
+            assert!(stats.iter().map(|s| s.tasks).sum::<u64>() < 64);
+        }
     }
 
     #[test]
     fn indexed_results_come_back_in_index_order() {
+        let caller = std::thread::current().id();
         for workers in [1usize, 3] {
-            let run = run_indexed(100, workers, None, || (), |i, ()| Ok(i * 2)).unwrap();
+            let task = |i: usize, _: &mut ()| {
+                // One worker means no thread here either (a BSP phase).
+                assert_eq!(std::thread::current().id() == caller, workers == 1);
+                Ok(i * 2)
+            };
+            let run = run_indexed(100, workers, None, || (), task).unwrap();
             let expect: Vec<usize> = (0..100).map(|i| i * 2).collect();
             assert_eq!(run.results, expect, "workers={workers}");
             assert_eq!(run.tasks, 100);

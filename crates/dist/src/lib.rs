@@ -42,49 +42,29 @@ pub use dseq::DSeqConfig;
 pub use naive::NaiveConfig;
 pub use pivots::{PivotRange, PivotScratch, PivotSearch};
 
-use desq_bsp::{Combiner, Engine, JobMetrics};
+use desq_bsp::{Combiner, Engine};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 
 /// Outcome of one distributed mining job — the workspace-wide uniform
 /// result type, re-exported from [`desq_core::mining`].
 pub use desq_core::MiningResult;
 
-/// Converts the BSP engine's per-job measurements into the uniform
-/// [`MiningMetrics`] of the mining API.
+/// Completes the BSP engine's measurements of one job with the three values
+/// the engine does not know: the end-to-end wall time since the algorithm
+/// started at `t0` (compile and index time included), the worker count and
+/// the input size. (FST sizes are per session: the session layer fills them
+/// in, `MiningMetrics::record_fst`.)
 pub fn metrics_from_job(
-    job: JobMetrics,
-    wall_nanos: u64,
-    workers: usize,
-    input_sequences: u64,
+    job: MiningMetrics,
+    t0: std::time::Instant,
+    engine: &Engine,
+    parts: &[&[Sequence]],
 ) -> MiningMetrics {
     MiningMetrics {
-        wall_nanos,
-        map_nanos: job.map_nanos,
-        reduce_nanos: job.reduce_nanos,
-        input_sequences,
-        emitted_records: job.emitted_records,
-        shuffle_records: job.shuffle_records,
-        shuffle_payloads: job.shuffle_payloads,
-        shuffle_bytes: job.shuffle_bytes,
-        reducer_bytes: job.reducer_bytes,
-        output_records: job.output_records,
-        workers: workers as u64,
-        // The BSP engine reports phase times, not a per-worker breakdown
-        // (see the field's rustdoc); its reduce-side scheduler counters
-        // carry over directly.
-        worker_nanos: Vec::new(),
-        tasks: job.reduce_tasks,
-        steals: job.reduce_steals,
-        retried_tasks: job.retried_tasks,
-        peer_timeouts: job.peer_timeouts,
-        max_task_nanos: job.max_task_nanos,
-        cancelled: job.cancelled,
-        // FST sizes are per-session, not per-job: the session layer fills
-        // them in after the run (MiningMetrics::record_fst).
-        fst_states_before: 0,
-        fst_states_after: 0,
-        fst_transitions_before: 0,
-        fst_transitions_after: 0,
+        wall_nanos: t0.elapsed().as_nanos() as u64,
+        workers: engine.workers() as u64,
+        input_sequences: parts.iter().map(|p| p.len() as u64).sum(),
+        ..job
     }
 }
 
@@ -109,7 +89,7 @@ pub enum Exec<'a> {
 
 /// A finished round: the reducers' patterns (unsorted) and the job's
 /// measurements.
-type Round = (Vec<(Sequence, u64)>, JobMetrics);
+type Round = (Vec<(Sequence, u64)>, MiningMetrics);
 
 /// Runs one combining BSP round the way `exec` says — the one place the
 /// three algorithms' map/init/reduce closures meet the engine's three entry
@@ -135,8 +115,8 @@ pub(crate) fn run_round<S: Send>(
     }))
 }
 
-/// Sorts a finished round's patterns and converts its job measurements
-/// (`t0` is when the algorithm started, compile/index time included).
+/// Sorts a finished round's patterns and completes its job measurements
+/// (see [`metrics_from_job`]).
 pub(crate) fn job_result(
     (patterns, job): Round,
     t0: std::time::Instant,
@@ -145,11 +125,6 @@ pub(crate) fn job_result(
 ) -> MiningResult {
     MiningResult {
         patterns: desq_miner::sort_patterns(patterns),
-        metrics: metrics_from_job(
-            job,
-            t0.elapsed().as_nanos() as u64,
-            engine.workers(),
-            parts.iter().map(|p| p.len() as u64).sum(),
-        ),
+        metrics: metrics_from_job(job, t0, engine, parts),
     }
 }

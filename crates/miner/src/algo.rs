@@ -10,8 +10,9 @@
 use std::time::Instant;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
-use desq_core::mining::{ExecutionPolicy, Miner, MiningContext, MiningMetrics, MiningResult};
-use desq_core::sched::WorkerStats;
+use desq_core::mining::{
+    ExecutionPolicy, Miner, MiningContext, MiningMetrics, MiningResult, PatternSink,
+};
 use desq_core::{Error, Fst, Result};
 
 use crate::desq_count::desq_count_impl;
@@ -21,28 +22,6 @@ use crate::desq_dfs::{LocalMiner, MinerConfig, WeightedInput};
 /// miners — borrowed straight from the context's database.
 fn unit_inputs<'c>(ctx: &MiningContext<'c>) -> Vec<WeightedInput<'c>> {
     ctx.db.sequences.iter().map(|s| (s.as_slice(), 1)).collect()
-}
-
-/// Metrics of a scheduler-driven local run: per-worker wall times plus the
-/// summed task and steal counters.
-fn scheduler_metrics(
-    wall_nanos: u64,
-    input_sequences: u64,
-    work: u64,
-    output: u64,
-    stats: &[WorkerStats],
-) -> MiningMetrics {
-    MiningMetrics::local_parallel(
-        wall_nanos,
-        input_sequences,
-        work,
-        output,
-        stats.iter().map(|s| s.nanos).collect(),
-    )
-    .with_scheduler(
-        stats.iter().map(|s| s.tasks).sum(),
-        stats.iter().map(|s| s.steals).sum(),
-    )
 }
 
 /// Input sequences probed by the [`ExecutionPolicy::Auto`] cost model.
@@ -128,31 +107,10 @@ impl DesqDfs {
         let inputs = unit_inputs(ctx);
         let (patterns, stats) = LocalMiner::new(fst, ctx.dict, MinerConfig::sequential(ctx.sigma))
             .mine_with_workers(&inputs, ctx.workers, ctx.cancel)?;
-        let metrics = scheduler_metrics(
+        let metrics = MiningMetrics::scheduled(
             t0.elapsed().as_nanos() as u64,
             ctx.db.len() as u64,
             patterns.len() as u64,
-            patterns.len() as u64,
-            &stats,
-        );
-        Ok(MiningResult { patterns, metrics })
-    }
-
-    fn mine_lean(&self, ctx: &MiningContext<'_>, t0: Instant) -> Result<MiningResult> {
-        let fst = ctx.fst()?;
-        let (patterns, work, stats) = desq_count_impl(
-            ctx.db,
-            fst,
-            ctx.dict,
-            ctx.sigma,
-            ctx.limits.budget,
-            ctx.workers,
-            ctx.cancel,
-        )?;
-        let metrics = scheduler_metrics(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            work,
             patterns.len() as u64,
             &stats,
         );
@@ -171,10 +129,10 @@ impl Miner for DesqDfs {
         let t0 = Instant::now();
         match ctx.exec {
             ExecutionPolicy::Flat => self.mine_flat(ctx, t0),
-            ExecutionPolicy::Lean => self.mine_lean(ctx, t0),
+            ExecutionPolicy::Lean => desq_count_impl(ctx, t0),
             ExecutionPolicy::Auto => {
                 if prefers_lean(ctx, fst) {
-                    match self.mine_lean(ctx, t0) {
+                    match desq_count_impl(ctx, t0) {
                         // The probe under-estimated: enumeration blew the
                         // budget somewhere past the sampled prefix. The
                         // flat path bounds its work differently, so fall
@@ -189,13 +147,40 @@ impl Miner for DesqDfs {
             }
         }
     }
+
+    /// Streams patterns while the search tree is explored — always on the
+    /// flat path, whatever `ctx.exec` says: candidate counting knows no
+    /// pattern's frequency before its last input sequence.
+    fn mine_each(&self, ctx: &MiningContext<'_>, sink: PatternSink<'_>) -> Result<MiningMetrics> {
+        ctx.validate()?;
+        let fst = ctx.fst()?;
+        let t0 = Instant::now();
+        let inputs = unit_inputs(ctx);
+        let mut emitted = 0u64;
+        LocalMiner::new(fst, ctx.dict, MinerConfig::sequential(ctx.sigma)).mine_each_with_workers(
+            &inputs,
+            ctx.workers,
+            ctx.cancel,
+            &mut |pattern, freq| {
+                let taken = sink(pattern, freq);
+                emitted += u64::from(taken);
+                taken
+            },
+        )?;
+        Ok(MiningMetrics::sequential(
+            t0.elapsed().as_nanos() as u64,
+            ctx.db.len() as u64,
+            emitted,
+            emitted,
+        ))
+    }
 }
 
 /// DESQ-COUNT: per-sequence candidate generation plus counting — the
 /// brute-force reference implementation. Its work metric
 /// (`emitted_records`) is the total number of candidate occurrences
 /// generated, bounded per sequence by `ctx.limits.budget`. Candidate
-/// generation shards the database across `ctx.workers` threads.
+/// generation shards the database across `ctx.workers` workers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DesqCount;
 
@@ -206,25 +191,7 @@ impl Miner for DesqCount {
 
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
         ctx.validate()?;
-        let fst = ctx.fst()?;
-        let t0 = Instant::now();
-        let (patterns, work, stats) = desq_count_impl(
-            ctx.db,
-            fst,
-            ctx.dict,
-            ctx.sigma,
-            ctx.limits.budget,
-            ctx.workers,
-            ctx.cancel,
-        )?;
-        let metrics = scheduler_metrics(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            work,
-            patterns.len() as u64,
-            &stats,
-        );
-        Ok(MiningResult { patterns, metrics })
+        desq_count_impl(ctx, Instant::now())
     }
 }
 

@@ -26,130 +26,118 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
-use desq_core::mining::CancelToken;
-use desq_core::sched::{self, WorkerStats};
-use desq_core::{mining, Dictionary, Fst, Result, Sequence, SequenceDb};
+use desq_core::mining::{MiningContext, MiningMetrics, MiningResult};
+use desq_core::{sched, Result};
 
-/// Result of one counting run: sorted patterns, total candidate
-/// occurrences counted (the work metric), and per-worker scheduler stats.
-type CountOutcome = (Vec<(Sequence, u64)>, u64, Vec<WorkerStats>);
+/// The two result locks guard one push or one insert each, never a task
+/// body, so nothing can panic while holding them.
+const POISONED: &str = "count result lock poisoned";
 
 /// Sequences per scheduler task: small enough that stealing balances a
 /// skewed database, large enough that the per-task overhead (one deque
 /// round trip) stays invisible next to candidate enumeration.
 const COUNT_BLOCK: usize = 64;
 
-/// The workhorse behind [`crate::algo::DesqCount`]: mines by explicit
-/// candidate enumeration and reports the total number of candidate
-/// occurrences counted (the algorithm's work metric) plus per-worker
-/// [`WorkerStats`]. Candidate enumeration is sharded into input blocks
-/// scheduled by work stealing (per-sequence enumeration is independent);
-/// workers count into owned [`CandidateCounter`] partials that are merged
-/// on the calling thread before the frequency filter.
-pub(crate) fn desq_count_impl(
-    db: &SequenceDb,
-    fst: &Fst,
-    dict: &Dictionary,
-    sigma: u64,
-    budget: usize,
-    workers: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<CountOutcome> {
-    mining::validate_sigma(sigma)?;
-    let workers = workers.max(1).min(db.sequences.len().max(1));
+/// The body of [`crate::algo::DesqCount`] and of DESQ-DFS's lean path:
+/// mines a validated request by explicit candidate enumeration. The total
+/// number of candidate occurrences counted (the algorithm's work metric)
+/// is the result's `emitted_records`; `t0` is when the caller's run began.
+/// Candidate enumeration is sharded into input blocks scheduled by work
+/// stealing (per-sequence enumeration is independent); workers count into
+/// owned [`CandidateCounter`] partials that are merged on the calling
+/// thread before the frequency filter.
+pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<MiningResult> {
+    let (db, fst, dict, cancel) = (ctx.db, ctx.fst()?, ctx.dict, ctx.cancel);
+    let (sigma, budget) = (ctx.sigma, ctx.limits.budget);
+    let n = db.sequences.len();
+    let workers = ctx.workers.clamp(1, n.max(1));
     let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
 
-    let (counter, stats) = if workers == 1 {
-        let t0 = std::time::Instant::now();
-        let walker = RunWalker::new(fst, dict, &index, max_item);
-        let mut scratch = RunScratch::default();
-        let mut counter = CandidateCounter::new();
-        for seq in &db.sequences {
-            if let Some(token) = cancel {
-                token.checkpoint()?;
-            }
-            walker.count_candidates(seq, 1, budget, &mut scratch, &mut counter, |_, _| {})?;
-        }
-        (
-            counter,
-            vec![WorkerStats::solo(t0.elapsed().as_nanos() as u64, 1)],
-        )
-    } else {
-        // Blocks of sequences seed the scheduler; workers only push their
-        // owned partial (or the first error) under a lock at the end — no
-        // lock is held while counting or merging.
-        let n = db.sequences.len();
-        let block = COUNT_BLOCK.min(n.div_ceil(workers).max(1));
-        let seed: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(block)
-            .map(|s| s..(s + block).min(n))
-            .collect();
-        let states: Vec<_> = (0..workers)
-            .map(|_| {
-                (
-                    RunWalker::new(fst, dict, &index, max_item),
-                    RunScratch::default(),
-                    CandidateCounter::new(),
-                )
-            })
-            .collect();
-        let local_cancel = AtomicBool::new(false);
-        let partials: Mutex<Vec<(usize, CandidateCounter)>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<desq_core::Error>> = Mutex::new(None);
-        let (stats, ()) = sched::run_scheduler(
-            seed,
-            states,
-            &local_cancel,
-            cancel,
-            |range, (walker, scratch, counter), _ctx| {
-                for seq in &db.sequences[range] {
-                    if let Err(e) =
-                        walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})
-                    {
-                        let mut f = failure.lock().unwrap();
-                        if f.is_none() {
-                            *f = Some(e);
-                        }
-                        local_cancel.store(true, Ordering::Relaxed);
-                        return;
-                    }
+    // Blocks of sequences seed the scheduler; workers only push their
+    // owned partial (or the first error) under a lock at the end — no
+    // lock is held while counting or merging.
+    let block = COUNT_BLOCK.min(n.div_ceil(workers).max(1));
+    let seed: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(block)
+        .map(|s| s..(s + block).min(n))
+        .collect();
+    let states: Vec<_> = (0..workers)
+        .map(|_| {
+            (
+                RunWalker::new(fst, dict, &index, max_item),
+                RunScratch::default(),
+                CandidateCounter::new(),
+            )
+        })
+        .collect();
+    let local_cancel = AtomicBool::new(false);
+    let partials: Mutex<Vec<CandidateCounter>> = Mutex::new(Vec::new());
+    let failure: Mutex<Option<desq_core::Error>> = Mutex::new(None);
+    let (stats, ()) = sched::run_scheduler(
+        seed,
+        states,
+        &local_cancel,
+        cancel,
+        |range, (walker, scratch, counter), _ctx| {
+            for seq in &db.sequences[range] {
+                if let Err(e) = walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})
+                {
+                    failure.lock().expect(POISONED).get_or_insert(e);
+                    local_cancel.store(true, Ordering::Relaxed);
+                    return;
                 }
-            },
-            |wid, (_, _, counter)| partials.lock().unwrap().push((wid, counter)),
-            || (),
-        )?;
-        if let Some(e) = failure.into_inner().unwrap() {
-            return Err(e);
-        }
-        let mut partials = partials.into_inner().unwrap();
-        partials.sort_by_key(|&(wid, _)| wid);
-        let mut merged = CandidateCounter::new();
-        for (_, partial) in &partials {
-            merged.merge(partial);
-        }
-        (merged, stats)
-    };
-    let work = counter.observed();
-    let out = counter.patterns(sigma);
-    Ok((crate::sort_patterns(out), work, stats))
+            }
+        },
+        |_, (_, _, counter)| partials.lock().expect(POISONED).push(counter),
+        || (),
+    )?;
+    if let Some(e) = failure.into_inner().expect(POISONED) {
+        return Err(e);
+    }
+    // Fold onto the first partial: a lone worker's counter is the result.
+    let mut partials = partials.into_inner().expect(POISONED).into_iter();
+    let mut counter = partials.next().unwrap_or_default();
+    for partial in partials {
+        counter.merge(&partial);
+    }
+    let patterns = crate::sort_patterns(counter.patterns(sigma));
+    let metrics = MiningMetrics::scheduled(
+        t0.elapsed().as_nanos() as u64,
+        n as u64,
+        counter.observed(),
+        patterns.len() as u64,
+        &stats,
+    );
+    Ok(MiningResult { patterns, metrics })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desq_core::mining::{Limits, Miner};
     use desq_core::toy;
     use desq_core::Error;
+
+    /// DESQ-COUNT on the toy database through its adapter (`budget` is the
+    /// per-sequence work budget).
+    fn toy_count(fx: &toy::Toy, sigma: u64, budget: usize, workers: usize) -> Result<MiningResult> {
+        let ctx = MiningContext::sequential(&fx.db, &fx.dict, sigma)
+            .with_fst(&fx.fst)
+            .with_limits(Limits::unbounded().with_budget(budget))
+            .with_parallelism(workers, 1);
+        crate::algo::DesqCount.mine(&ctx)
+    }
 
     #[test]
     fn toy_frequent_sequences_match_paper() {
         // Paper, Sec. II: for πex and σ = 2 the frequent subsequences are
         // a1 a1 b (2), a1 A b (2), a1 b (3).
         let fx = toy::fixture();
-        let (out, _, _) =
-            desq_count_impl(&fx.db, &fx.fst, &fx.dict, 2, usize::MAX, 1, None).unwrap();
+        let out = toy_count(&fx, 2, usize::MAX, 1).unwrap().patterns;
         let rendered: Vec<(String, u64)> =
             out.iter().map(|(s, f)| (fx.dict.render(s), *f)).collect();
         // Lexicographic fid order: a1 b < a1 A b < a1 a1 b.
@@ -166,18 +154,18 @@ mod tests {
     #[test]
     fn sigma_one_keeps_everything() {
         let fx = toy::fixture();
-        let (out, work, _) =
-            desq_count_impl(&fx.db, &fx.fst, &fx.dict, 1, usize::MAX, 1, None).unwrap();
+        let res = toy_count(&fx, 1, usize::MAX, 1).unwrap();
         // All candidates of all sequences are frequent at σ = 1:
         // 7 (T1) + 11 (T2) + 0 (T3) + 2 (T4) + 3 (T5), with
         // a1b/a1a1b/a1Ab shared between T2 and T5 and a1b also in T1.
-        let distinct: std::collections::HashSet<_> = out.iter().map(|(s, _)| s.clone()).collect();
+        let distinct: std::collections::HashSet<_> =
+            res.patterns.iter().map(|(s, _)| s.clone()).collect();
         assert_eq!(distinct.len(), 7 + 11 + 2 + 3 - 4);
         // The work metric counts every candidate occurrence, pre-dedup.
-        assert_eq!(work, 7 + 11 + 2 + 3);
+        assert_eq!(res.metrics.emitted_records, 7 + 11 + 2 + 3);
         // a1 b appears in T1, T2, T5.
         let a1b = vec![fx.a1, fx.b];
-        let f = out.iter().find(|(s, _)| *s == a1b).unwrap().1;
+        let f = res.patterns.iter().find(|(s, _)| *s == a1b).unwrap().1;
         assert_eq!(f, 3);
     }
 
@@ -185,18 +173,21 @@ mod tests {
     fn sharded_counting_matches_sequential() {
         let fx = toy::fixture();
         for sigma in 1..=4 {
-            let (seq, seq_work, _) =
-                desq_count_impl(&fx.db, &fx.fst, &fx.dict, sigma, usize::MAX, 1, None).unwrap();
+            let seq = toy_count(&fx, sigma, usize::MAX, 1).unwrap();
+            // The toy database fits one block, so one worker runs one task.
+            assert_eq!((seq.metrics.workers, seq.metrics.tasks), (1, 1));
             for workers in 2..=4 {
-                let (par, par_work, par_stats) =
-                    desq_count_impl(&fx.db, &fx.fst, &fx.dict, sigma, usize::MAX, workers, None)
-                        .unwrap();
-                assert_eq!(par, seq, "sigma={sigma} workers={workers}");
-                assert_eq!(par_work, seq_work, "sigma={sigma} workers={workers}");
+                let par = toy_count(&fx, sigma, usize::MAX, workers).unwrap();
+                let at = format!("sigma={sigma} workers={workers}");
+                assert_eq!(par.patterns, seq.patterns, "{at}");
+                assert_eq!(
+                    par.metrics.emitted_records, seq.metrics.emitted_records,
+                    "{at}"
+                );
                 // One stats entry per scheduler worker (the toy db has 5
                 // sequences, so the worker count is never clamped here).
-                assert_eq!(par_stats.len(), workers);
-                assert!(par_stats.iter().map(|s| s.tasks).sum::<u64>() > 0);
+                assert_eq!(par.metrics.worker_nanos.len(), workers);
+                assert!(par.metrics.tasks > 0);
             }
         }
     }
@@ -204,24 +195,26 @@ mod tests {
     #[test]
     fn high_sigma_yields_nothing() {
         let fx = toy::fixture();
-        let (out, _, _) =
-            desq_count_impl(&fx.db, &fx.fst, &fx.dict, 10, usize::MAX, 1, None).unwrap();
-        assert!(out.is_empty());
+        assert!(toy_count(&fx, 10, usize::MAX, 1)
+            .unwrap()
+            .patterns
+            .is_empty());
     }
 
     #[test]
     fn zero_sigma_rejected() {
         let fx = toy::fixture();
         assert!(matches!(
-            desq_count_impl(&fx.db, &fx.fst, &fx.dict, 0, usize::MAX, 1, None),
+            toy_count(&fx, 0, usize::MAX, 1),
             Err(Error::Invalid(_))
         ));
     }
 
     #[test]
-    fn budget_propagates() {
+    fn budget_propagates_as_the_same_error_at_every_worker_count() {
         let fx = toy::fixture();
-        let err = desq_count_impl(&fx.db, &fx.fst, &fx.dict, 2, 2, 2, None).unwrap_err();
+        let err = toy_count(&fx, 2, 2, 1).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
+        assert_eq!(toy_count(&fx, 2, 2, 3).unwrap_err(), err);
     }
 }

@@ -28,16 +28,18 @@
 //! reusable buffers instead of per-node hash maps, and the ε-closure walk
 //! deduplicates coordinates in a bitset.
 //!
-//! Search-tree exploration parallelizes with the work-stealing scheduler
-//! of [`desq_core::sched`] ([`LocalMiner::mine_with_workers`]): the root's
-//! first-level children seed the task pool, each worker descends its
-//! subtree depth-first with its own scratch arenas over the shared tables,
-//! and shallow nodes split trailing child subtrees off as stealable tasks
-//! while the worker's deque runs short ([`SchedConfig`]). DESQ's search
-//! trees are heavily skewed, so dynamic stealing — not static sharding —
-//! is what keeps all workers busy. Results stay oracle-identical at any
-//! worker count: every pattern is emitted by exactly one subtree and the
-//! merged set is sorted once.
+//! Search-tree exploration runs on the work-stealing scheduler of
+//! [`desq_core::sched`] at every worker count
+//! ([`LocalMiner::mine_with_workers`]): the root node is the one seed
+//! task, each worker descends its subtree depth-first with its own scratch
+//! arenas over the shared tables, and shallow nodes split trailing child
+//! subtrees off as stealable tasks while the worker's deque runs short
+//! ([`SchedConfig`]). A lone worker has no thief to split for, so its one
+//! task is the whole pre-order traversal. DESQ's search trees are heavily
+//! skewed, so dynamic stealing — not static sharding — is what keeps all
+//! workers busy. Results stay oracle-identical at any worker count: every
+//! pattern is emitted by exactly one subtree and the merged set is sorted
+//! once.
 //!
 //! [`LocalMiner`] adds the partition-local restrictions of D-SEQ
 //! (Sec. V-C): at partition `P_k` no expansion uses items `> k`, only pivot
@@ -48,11 +50,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::Instant;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
 use desq_core::fst::{FstIndex, SimScratch, SimTables, Simulator};
-use desq_core::mining::CancelToken;
+use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
 use desq_core::SequenceDb;
@@ -176,9 +177,13 @@ pub struct LocalMiner<'a> {
     /// tests override [`MAX_DENSE_ITEMS`].
     dense_limit: usize,
     /// Task-splitting knobs of the work-stealing scheduler (see
-    /// [`SchedConfig`]); irrelevant at `workers = 1`.
+    /// [`SchedConfig`]).
     sched: SchedConfig,
 }
+
+/// Only a worker handing in its finished buffer takes the merge lock, and
+/// moving or appending a buffer does not panic.
+const MERGE_LOCK: &str = "pattern merge lock poisoned";
 
 /// One stealable unit of search-tree work: an owned subtree root. The
 /// postings are copied out of the producer's depth buffers so the task can
@@ -672,6 +677,7 @@ impl<'a> LocalMiner<'a> {
             0,
             &mut prefix,
             bufs,
+            None,
             &mut |p, f| {
                 sink(p, f);
                 true
@@ -700,230 +706,168 @@ impl<'a> LocalMiner<'a> {
         tables.last_pivot_pos(&tables.metas[s], l, self.config.require_pivot?)
     }
 
-    /// Seeds the work-stealing scheduler: collects the root's first-level
-    /// children into owned [`MineTask`]s (one per frequent child item).
-    fn seed_tasks(&self, views: Views<'_>, roots: &[Posting]) -> Vec<MineTask> {
-        let root_has_pivot = self.config.require_pivot.is_none();
-        let mut bufs = self.expand_bufs(views);
-        let mut first = DepthBufs::default();
-        self.collect_children(
-            views,
-            roots,
-            root_has_pivot,
-            &mut bufs.walk,
-            &mut bufs.stats,
-            &mut first,
-        );
-        first
-            .runs
-            .iter()
-            .map(|(w, range, emit)| MineTask {
-                prefix: vec![*w],
-                postings: first.grouped[range.clone()].to_vec(),
-                has_pivot: root_has_pivot || Some(*w) == self.config.require_pivot,
-                emit: *emit,
-            })
-            .collect()
+    /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
+    /// the root node and runs [`expand`](Self::expand) on one worker per
+    /// element of `sinks`. Every frequent pattern goes to `emit` with the
+    /// discovering worker's sink, after a poll of `cancel` — per pattern, so
+    /// a deadline is bounded even when the whole search is one task. An
+    /// `emit` returning `false` raises `stop`: the run ends early, not in
+    /// error. `finish`, `on_main`, a tripped token and a panicking task
+    /// behave as [`sched::run_scheduler`] documents.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<W: Send, R>(
+        &self,
+        inputs: &[WeightedInput<'_>],
+        cancel: Option<&CancelToken>,
+        sinks: Vec<W>,
+        stop: &AtomicBool,
+        emit: impl Fn(&mut W, Sequence, u64) -> bool + Sync,
+        finish: impl Fn(W) + Sync,
+        on_main: impl FnOnce() -> R,
+    ) -> Result<(Vec<WorkerStats>, R)> {
+        let tables = self.prepare_tables_cancellable(inputs, sinks.len(), cancel)?;
+        let views = tables.views();
+        let root = MineTask {
+            prefix: Sequence::new(),
+            postings: self.root_postings(views).collect(),
+            has_pivot: self.config.require_pivot.is_none(),
+            emit: 0,
+        };
+        let states: Vec<_> = sinks
+            .into_iter()
+            .map(|sink| (sink, self.expand_bufs(views)))
+            .collect();
+        sched::run_scheduler(
+            vec![root],
+            states,
+            stop,
+            cancel,
+            |task: MineTask, (sink, bufs), ctx| {
+                let mut prefix = task.prefix;
+                let keep_going = self.expand(
+                    views,
+                    &task.postings,
+                    0,
+                    task.has_pivot,
+                    task.emit,
+                    &mut prefix,
+                    bufs,
+                    Some(ctx),
+                    &mut |p, f| cancel.is_none_or(|t| t.checkpoint().is_ok()) && emit(sink, p, f),
+                );
+                if !keep_going {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            },
+            |_, (sink, _)| finish(sink),
+            on_main,
+        )
     }
 
-    /// Mines with `workers` threads using the work-stealing scheduler of
-    /// [`desq_core::sched`]: the root's first-level children seed the task
-    /// pool, idle workers steal half of a victim's queued subtrees, and
-    /// shallow nodes keep splitting trailing children off as stealable
-    /// tasks while the local queue is short. Per-worker results are merged
-    /// and sorted once, so the output is oracle-identical at any worker
-    /// count.
+    /// Mines with `workers` workers on the work-stealing scheduler of
+    /// [`desq_core::sched`]: the root node seeds the task pool, shallow
+    /// nodes split trailing children off as stealable tasks while the local
+    /// queue is short, and idle workers steal half of a victim's queued
+    /// subtrees. Each worker collects into its own buffer; the buffers are
+    /// merged and sorted once, so the output is oracle-identical at any
+    /// worker count.
     ///
     /// Returns the (deterministic, sorted) patterns plus per-worker
-    /// [`WorkerStats`] — one entry per worker; `workers = 1` runs inline
-    /// and reports a single entry with `steals = 0`.
+    /// [`WorkerStats`] — one entry per worker.
     ///
-    /// A `cancel` token, when given, is polled cooperatively (per task on
-    /// the scheduler path, per emitted pattern inline): an expired
-    /// deadline or external cancel aborts with the token's
-    /// [`stop_reason`](CancelToken::stop_reason), and a panicking subtree
-    /// task is caught at the task boundary and surfaces as
-    /// [`desq_core::Error::WorkerPanicked`] instead of aborting the process.
+    /// A `cancel` token, when given, is polled cooperatively (per task and
+    /// per emitted pattern): an expired deadline or external cancel aborts
+    /// with the token's [`stop_reason`](CancelToken::stop_reason), and a
+    /// panicking subtree task is caught at the task boundary and surfaces
+    /// as [`desq_core::Error::WorkerPanicked`] instead of aborting the
+    /// process.
     pub fn mine_with_workers(
         &self,
         inputs: &[WeightedInput<'_>],
         workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<MinedPatterns> {
-        let workers = workers.max(1);
-        let tables = self.prepare_tables_cancellable(inputs, workers, cancel)?;
-        let views = tables.views();
-        let roots: Vec<Posting> = self.root_postings(views).collect();
-
-        if workers == 1 {
-            let t0 = Instant::now();
-            let mut out = Vec::new();
-            let mut bufs = self.expand_bufs(views);
-            let mut prefix = Sequence::new();
-            self.expand(
-                views,
-                &roots,
-                0,
-                self.config.require_pivot.is_none(),
-                0,
-                &mut prefix,
-                &mut bufs,
-                &mut |p, f| {
-                    out.push((p, f));
-                    cancel.is_none_or(|t| t.checkpoint().is_ok())
-                },
-            );
-            if let Some(err) = cancel.and_then(CancelToken::stop_reason) {
-                return Err(err);
-            }
-            return Ok((
-                crate::sort_patterns(out),
-                vec![WorkerStats::solo(t0.elapsed().as_nanos() as u64, 1)],
-            ));
-        }
-
-        let seed = self.seed_tasks(views, &roots);
-        let local_cancel = AtomicBool::new(false);
-        let collected: Mutex<Vec<Vec<(Sequence, u64)>>> = Mutex::new(Vec::new());
-        let states: Vec<_> = (0..workers)
-            .map(|_| (Vec::<(Sequence, u64)>::new(), self.expand_bufs(views)))
-            .collect();
-        let (stats, ()) = sched::run_scheduler(
-            seed,
-            states,
-            &local_cancel,
+        let merged: Mutex<Vec<(Sequence, u64)>> = Mutex::new(Vec::new());
+        let (stats, ()) = self.drive(
+            inputs,
             cancel,
-            |task: MineTask, (out, bufs), ctx| {
-                let mut prefix = task.prefix;
-                self.expand_sched(
-                    views,
-                    &task.postings,
-                    0,
-                    task.has_pivot,
-                    task.emit,
-                    &mut prefix,
-                    bufs,
-                    ctx,
-                    &mut |p, f| {
-                        out.push((p, f));
-                        true
-                    },
-                );
+            vec![Vec::new(); workers.max(1)],
+            &AtomicBool::new(false),
+            |out, p, f| {
+                out.push((p, f));
+                true
             },
-            |_, (out, _)| collected.lock().unwrap().push(out),
+            |out| {
+                // The first buffer in is adopted, not copied.
+                let mut merged = merged.lock().expect(MERGE_LOCK);
+                if merged.is_empty() {
+                    *merged = out;
+                } else {
+                    merged.extend(out);
+                }
+            },
             || (),
         )?;
-
-        let all: Vec<(Sequence, u64)> = collected
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok((crate::sort_patterns(all), stats))
-    }
-
-    /// Streams every frequent pattern to `sink` as it is discovered (DFS
-    /// pre-order over the search tree), without materializing or sorting
-    /// the result set. The sink returns `false` to stop mining early;
-    /// `mine_each` then returns `false` as well.
-    pub fn mine_each(
-        &self,
-        inputs: &[WeightedInput<'_>],
-        sink: &mut dyn FnMut(Sequence, u64) -> bool,
-    ) -> Result<bool> {
-        self.mine_each_with_workers(inputs, 1, None, sink)
+        let merged = merged.into_inner().expect(MERGE_LOCK);
+        Ok((crate::sort_patterns(merged), stats))
     }
 
     /// Streaming variant of [`mine_with_workers`](Self::mine_with_workers):
-    /// the same work-stealing scheduler mines on `workers` threads and
-    /// feeds `sink` through a bounded channel on the calling thread.
-    /// Patterns arrive in an unspecified interleaving of the workers' DFS
-    /// orders; a `false` from the sink cancels all workers (no further sink
-    /// calls happen) and makes this return `Ok(false)` — the consumer's
-    /// own early stop is not an error. A tripped `cancel` token (deadline,
-    /// external abort) or a panicking subtree task aborts with the
-    /// corresponding [`desq_core::Error`] instead.
+    /// every frequent pattern goes to `sink` as it is discovered, without
+    /// materializing or sorting the result set. One worker streams in DFS
+    /// pre-order over the search tree; several feed `sink` through a
+    /// bounded channel drained on the calling thread, in an unspecified
+    /// interleaving of their DFS orders. A `false` from the sink stops the
+    /// mining (no further sink calls happen) and makes this return
+    /// `Ok(false)` — the consumer's own early stop is not an error. A
+    /// tripped `cancel` token (deadline, external abort) or a panicking
+    /// subtree task aborts with the corresponding [`desq_core::Error`]
+    /// instead.
     pub fn mine_each_with_workers(
         &self,
         inputs: &[WeightedInput<'_>],
         workers: usize,
         cancel: Option<&CancelToken>,
-        sink: &mut dyn FnMut(Sequence, u64) -> bool,
+        sink: PatternSink<'_>,
     ) -> Result<bool> {
-        let workers = workers.max(1);
-        let tables = self.prepare_tables_cancellable(inputs, workers, cancel)?;
-        let views = tables.views();
-        let roots: Vec<Posting> = self.root_postings(views).collect();
-
-        if workers == 1 {
-            let mut bufs = self.expand_bufs(views);
-            let mut prefix = Sequence::new();
-            let completed = self.expand(
-                views,
-                &roots,
-                0,
-                self.config.require_pivot.is_none(),
-                0,
-                &mut prefix,
-                &mut bufs,
-                &mut |p, f| cancel.is_none_or(|t| t.checkpoint().is_ok()) && sink(p, f),
-            );
-            if let Some(err) = cancel.and_then(CancelToken::stop_reason) {
-                return Err(err);
-            }
-            return Ok(completed);
-        }
-
-        let seed = self.seed_tasks(views, &roots);
-        let local_cancel = AtomicBool::new(false);
-        let (tx, rx) = mpsc::sync_channel::<(Sequence, u64)>(1024);
-        // Worker states own their sender clone; the scheduler drops each
-        // state on its worker thread when that worker finishes, so the
-        // receiver disconnects exactly when mining is done.
-        let states: Vec<_> = (0..workers)
-            .map(|_| (tx.clone(), self.expand_bufs(views)))
-            .collect();
-        let cancel_ref = &local_cancel;
-        let (_stats, completed) = sched::run_scheduler(
-            seed,
-            states,
-            &local_cancel,
-            cancel,
-            |task: MineTask, (tx, bufs), ctx| {
-                let mut prefix = task.prefix;
-                let keep_going = self.expand_sched(
-                    views,
-                    &task.postings,
-                    0,
-                    task.has_pivot,
-                    task.emit,
-                    &mut prefix,
-                    bufs,
-                    ctx,
-                    &mut |p, f| !cancel_ref.load(Ordering::Relaxed) && tx.send((p, f)).is_ok(),
-                );
-                if !keep_going {
-                    cancel_ref.store(true, Ordering::Relaxed);
-                }
-            },
-            |_, state| drop(state),
-            move || {
-                drop(tx);
-                // Drain on the calling thread; after a cancel keep draining
-                // so blocked producers can finish, but stop forwarding to
-                // the sink.
-                let mut completed = true;
-                while let Ok((pattern, freq)) = rx.recv() {
-                    if completed && !sink(pattern, freq) {
-                        completed = false;
-                        cancel_ref.store(true, Ordering::Relaxed);
+        let stop = AtomicBool::new(false);
+        // The scheduler runs a lone worker on this thread, where nothing
+        // could drain a channel beside it: that worker calls the sink
+        // itself (which is also what makes its stream pre-order).
+        if workers <= 1 {
+            self.drive(
+                inputs,
+                cancel,
+                vec![sink],
+                &stop,
+                |sink, p, f| sink(p, f),
+                drop,
+                || (),
+            )?;
+        } else {
+            let (tx, rx) = mpsc::sync_channel::<(Sequence, u64)>(1024);
+            // Each worker owns a sender and drops it on its own thread when
+            // it finishes, so the receiver disconnects exactly when mining
+            // is done.
+            self.drive(
+                inputs,
+                cancel,
+                vec![tx; workers],
+                &stop,
+                |tx, p, f| !stop.load(Ordering::Relaxed) && tx.send((p, f)).is_ok(),
+                drop,
+                || {
+                    // After a stop keep draining so blocked producers can
+                    // finish, but forward nothing more to the sink.
+                    for (pattern, freq) in rx {
+                        if !stop.load(Ordering::Relaxed) && !sink(pattern, freq) {
+                            stop.store(true, Ordering::Relaxed);
+                        }
                     }
-                }
-                completed
-            },
-        )?;
-        Ok(completed)
+                },
+            )?;
+        }
+        Ok(!stop.load(Ordering::Relaxed))
     }
 
     /// Builds the flat simulation tables ([`SeqTables`]) for every input
@@ -940,26 +884,17 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// [`prepare_tables`](Self::prepare_tables) with cooperative
-    /// cancellation: the token is polled once per input sequence.
+    /// cancellation: the token is polled once per input sequence. One chunk
+    /// of the input per worker; the chunks' tables are appended onto the
+    /// first, so a single chunk is returned as built.
     fn prepare_tables_cancellable(
         &self,
         inputs: &[WeightedInput<'_>],
         workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<SeqTables> {
-        let workers = workers.max(1).min(inputs.len().max(1));
-        if workers == 1 {
-            let mut scratch = SimScratch::default();
-            let mut set = SeqTables::default();
-            for &(seq, w) in inputs {
-                if let Some(token) = cancel {
-                    token.checkpoint()?;
-                }
-                self.prepare_into(seq, w, &mut scratch, &mut set);
-            }
-            return Ok(set);
-        }
-        let chunks: Vec<_> = inputs.chunks(inputs.len().div_ceil(workers)).collect();
+        let per_chunk = inputs.len().div_ceil(workers.max(1)).max(1);
+        let chunks: Vec<_> = inputs.chunks(per_chunk).collect();
         let parts = sched::run_indexed(
             chunks.len(),
             workers,
@@ -976,8 +911,9 @@ impl<'a> LocalMiner<'a> {
                 Ok(set)
             },
         )?;
-        let mut set = SeqTables::default();
-        for part in parts.results {
+        let mut parts = parts.results.into_iter();
+        let mut set = parts.next().unwrap_or_default();
+        for part in parts {
             set.append(part);
         }
         Ok(set)
@@ -1276,6 +1212,13 @@ impl<'a> LocalMiner<'a> {
     /// Expands one search-tree node; `support` is the node's precomputed
     /// ε-completion (emission) support. Returns `false` iff the sink
     /// stopped the traversal.
+    ///
+    /// Under a scheduler (`ctx` given), a shallow node (task-relative
+    /// `depth < sched.split_depth`) whose worker has thieves to feed
+    /// ([`TaskCtx::wants_tasks`]) splits all child runs after the first off
+    /// as stealable [`MineTask`]s instead of recursing into them. The split
+    /// children are pushed *before* the inline descent into the first
+    /// child, so thieves can start on them immediately.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
@@ -1286,6 +1229,7 @@ impl<'a> LocalMiner<'a> {
         support: u64,
         prefix: &mut Sequence,
         bufs: &mut ExpandBufs,
+        ctx: Option<&TaskCtx<'_, MineTask>>,
         sink: &mut dyn FnMut(Sequence, u64) -> bool,
     ) -> bool {
         // Emit the prefix if enough sequences can complete it with ε output.
@@ -1310,101 +1254,38 @@ impl<'a> LocalMiner<'a> {
             &mut d,
         );
 
-        // Recurse per frequent child run (ascending item order); runs below
-        // the prefix-support bound σ were already dropped while grouping.
-        let mut keep_going = true;
-        for (w, range, emit) in &d.runs {
-            prefix.push(*w);
-            let child_pivot = has_pivot || Some(*w) == self.config.require_pivot;
-            keep_going = self.expand(
-                views,
-                &d.grouped[range.clone()],
-                depth + 1,
-                child_pivot,
-                *emit,
-                prefix,
-                bufs,
-                sink,
-            );
-            prefix.pop();
-            if !keep_going {
-                break;
-            }
-        }
-        bufs.depths[depth] = d;
-        keep_going
-    }
-
-    /// [`expand`](Self::expand) under the work-stealing scheduler: identical
-    /// traversal and emission, but shallow nodes (task-relative `depth <
-    /// sched.split_depth`) whose worker's deque is short split all child
-    /// runs after the first off as stealable [`MineTask`]s instead of
-    /// recursing into them. The split children are pushed *before* the
-    /// inline descent into the first child, so thieves can start on them
-    /// immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_sched(
-        &self,
-        views: Views<'_>,
-        node: &[Posting],
-        depth: usize,
-        has_pivot: bool,
-        support: u64,
-        prefix: &mut Sequence,
-        bufs: &mut ExpandBufs,
-        ctx: &TaskCtx<'_, MineTask>,
-        sink: &mut dyn FnMut(Sequence, u64) -> bool,
-    ) -> bool {
-        if !prefix.is_empty()
-            && support >= self.config.sigma
-            && has_pivot
-            && !sink(prefix.clone(), support)
-        {
-            return false;
-        }
-
-        while bufs.depths.len() <= depth {
-            bufs.depths.push(DepthBufs::default());
-        }
-        let mut d = std::mem::take(&mut bufs.depths[depth]);
-        self.collect_children(
-            views,
-            node,
-            has_pivot,
-            &mut bufs.walk,
-            &mut bufs.stats,
-            &mut d,
-        );
-
-        // Split trailing children off as tasks while this node is shallow
-        // and the local queue is short; always keep the first child inline
-        // (splitting everything would leave this worker with nothing but
-        // its own bookkeeping).
-        let inline_upto = if depth < self.sched.split_depth
-            && d.runs.len() > 1
-            && ctx.queued() < self.sched.share_limit
-        {
-            for (w, range, emit) in &d.runs[1..] {
-                let mut task_prefix = Sequence::with_capacity(prefix.len() + 1);
-                task_prefix.extend_from_slice(prefix);
-                task_prefix.push(*w);
-                ctx.spawn(MineTask {
-                    prefix: task_prefix,
-                    postings: d.grouped[range.clone()].to_vec(),
-                    has_pivot: has_pivot || Some(*w) == self.config.require_pivot,
-                    emit: *emit,
+        // Always keep the first child inline (splitting everything would
+        // leave this worker with nothing but its own bookkeeping).
+        let inline_upto = match ctx {
+            Some(ctx)
+                if depth < self.sched.split_depth
+                    && d.runs.len() > 1
+                    && ctx.wants_tasks(self.sched.share_limit) =>
+            {
+                let split = d.runs[1..].iter().map(|(w, range, emit)| {
+                    let mut task_prefix = Sequence::with_capacity(prefix.len() + 1);
+                    task_prefix.extend_from_slice(prefix);
+                    task_prefix.push(*w);
+                    MineTask {
+                        prefix: task_prefix,
+                        postings: d.grouped[range.clone()].to_vec(),
+                        has_pivot: has_pivot || Some(*w) == self.config.require_pivot,
+                        emit: *emit,
+                    }
                 });
+                ctx.spawn_all(split.collect());
+                1
             }
-            1
-        } else {
-            d.runs.len()
+            _ => d.runs.len(),
         };
 
+        // Recurse per frequent child run (ascending item order); runs below
+        // the prefix-support bound σ were already dropped while grouping.
         let mut keep_going = true;
         for (w, range, emit) in &d.runs[..inline_upto] {
             prefix.push(*w);
             let child_pivot = has_pivot || Some(*w) == self.config.require_pivot;
-            keep_going = self.expand_sched(
+            keep_going = self.expand(
                 views,
                 &d.grouped[range.clone()],
                 depth + 1,
@@ -1443,7 +1324,7 @@ pub(crate) fn desq_dfs_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::desq_count::desq_count_impl;
+    use desq_core::mining::{Miner, MiningContext};
     use desq_core::toy;
 
     fn unit_inputs(db: &SequenceDb) -> Vec<WeightedInput<'_>> {
@@ -1471,51 +1352,49 @@ mod tests {
         let fx = toy::fixture();
         for sigma in 1..=5 {
             let dfs = desq_dfs_impl(&fx.db, &fx.fst, &fx.dict, sigma);
-            let (cnt, _, _) =
-                desq_count_impl(&fx.db, &fx.fst, &fx.dict, sigma, usize::MAX, 1, None).unwrap();
-            assert_eq!(dfs, cnt, "sigma = {sigma}");
+            let ctx = MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst);
+            let cnt = crate::algo::DesqCount.mine(&ctx).unwrap();
+            assert_eq!(dfs, cnt.patterns, "sigma = {sigma}");
         }
     }
 
     #[test]
-    fn parallel_workers_match_sequential_on_toy() {
+    fn every_worker_count_and_split_rule_mines_the_sequential_result() {
+        // One program at every worker count: eager and streaming, under the
+        // default split rule and the steal-forcing one (which scatters even
+        // the toy tree into a task per node), all equal the sequential set
+        // whichever worker ends up mining which subtree.
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         for sigma in 1..=4 {
-            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
-            let sequential = miner.mine(&inputs).unwrap();
-            for workers in 2..=4 {
-                let (parallel, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
-                assert_eq!(parallel, sequential, "sigma={sigma} workers={workers}");
-                assert_eq!(stats.len(), workers);
-                // Whenever anything was mined, at least one seed task ran.
-                if !sequential.is_empty() {
-                    assert!(stats.iter().map(|s| s.tasks).sum::<u64>() > 0);
+            let sequential = desq_dfs_impl(&fx.db, &fx.fst, &fx.dict, sigma);
+            for sched in [SchedConfig::default(), SchedConfig::aggressive()] {
+                let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma))
+                    .with_sched(sched);
+                for workers in 1..=3 {
+                    let at = format!("sigma={sigma} workers={workers} {sched:?}");
+                    let (eager, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
+                    assert_eq!(eager, sequential, "{at}");
+                    assert_eq!(stats.len(), workers, "{at}");
+                    let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
+                    assert!(tasks >= 1, "the root task always runs: {at}");
+                    let mut streamed = Vec::new();
+                    let completed = miner
+                        .mine_each_with_workers(&inputs, workers, None, &mut |s, f| {
+                            streamed.push((s, f));
+                            true
+                        })
+                        .unwrap();
+                    assert!(completed, "{at}");
+                    if workers == 1 {
+                        // Nobody to split for: one task, and its stream is
+                        // the pre-order traversal — ascending children
+                        // below every prefix, i.e. the sorted order.
+                        assert_eq!((tasks, stats[0].steals), (1, 0), "{at}");
+                        assert_eq!(streamed, sequential, "{at}");
+                    }
+                    assert_eq!(crate::sort_patterns(streamed), sequential, "{at}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn steal_forcing_scheduler_matches_sequential() {
-        // Aggressive splitting scatters even the toy tree into many tiny
-        // tasks; results must stay oracle-identical regardless of which
-        // worker ends up mining which subtree.
-        let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
-        for sigma in 1..=3 {
-            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma))
-                .with_sched(SchedConfig::aggressive());
-            let sequential = miner.mine(&inputs).unwrap();
-            for workers in 2..=4 {
-                let (parallel, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
-                assert_eq!(parallel, sequential, "sigma={sigma} workers={workers}");
-                // Aggressive splitting makes one task per search-tree node
-                // (beyond the inline-first chain), so the task count must
-                // exceed the first-level seed count whenever the tree
-                // branches.
-                let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
-                assert!(tasks >= 1, "sigma={sigma} workers={workers}");
             }
         }
     }
@@ -1528,7 +1407,7 @@ mod tests {
         // Full stream matches the eager result as a set.
         let mut streamed = Vec::new();
         let completed = miner
-            .mine_each(&inputs, &mut |s, f| {
+            .mine_each_with_workers(&inputs, 1, None, &mut |s, f| {
                 streamed.push((s, f));
                 true
             })
@@ -1541,7 +1420,7 @@ mod tests {
         // Early stop: the sink sees exactly one pattern.
         let mut n = 0;
         let completed = miner
-            .mine_each(&inputs, &mut |_, _| {
+            .mine_each_with_workers(&inputs, 1, None, &mut |_, _| {
                 n += 1;
                 false
             })

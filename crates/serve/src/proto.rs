@@ -4,9 +4,11 @@
 //!
 //! [`Message`] is a message enum over [`desq_core::wire`]: every message
 //! travels as one `varint(payload_len) payload` frame whose length is
-//! capped at [`MAX_FRAME_LEN`] — a reader never allocates more than that,
-//! and a hostile or corrupt length prefix is rejected before any
-//! allocation. All integers inside message bodies are varints; item
+//! capped at [`MAX_FRAME_LEN`] — a hostile or corrupt length prefix is
+//! rejected before any allocation, and decoding a frame never reserves
+//! more than a small multiple of its length (a `Patterns` count is held to
+//! the bytes that remain and to [`MAX_FRAME_PATTERNS`] before anything is
+//! reserved for it). All integers inside message bodies are varints; item
 //! sequences use the canonical adaptive varint/delta encoding
 //! ([`desq_core::codec::encode_item_seq`]) that the shuffle layer and the
 //! interned counting path already share.
@@ -51,6 +53,12 @@ pub const PROTOCOL_VERSION: u8 = 4;
 /// stream as many `Patterns` frames, so well-formed frames stay far below
 /// this; the cap exists to reject hostile length prefixes outright.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Most patterns one [`Message::Patterns`] frame may carry (the server's
+/// batch size must stay below it). Every decoded pattern costs a 32-byte
+/// entry however few bytes it took on the wire, so without a cap a frame
+/// of two-byte patterns decodes to 16× its size.
+pub const MAX_FRAME_PATTERNS: usize = wire::MAX_LIST_LEN;
 
 /// The algorithm selector of a request — the subset of the session's
 /// `AlgorithmSpec` that mines a compiled pattern expression (and therefore
@@ -190,6 +198,20 @@ impl Request {
     pub fn with_deadline_millis(mut self, deadline_millis: u64) -> Request {
         self.deadline_millis = deadline_millis;
         self
+    }
+
+    /// Decodes a frame payload that must hold a request — the first frame
+    /// of a conversation. Any other tag is refused on the tag byte alone:
+    /// a peer that has not yet asked for anything gets no body parsed.
+    pub fn decode(payload: &[u8]) -> Result<Request> {
+        let refused = || Error::Invalid("expected a request frame".into());
+        if payload.first().is_some_and(|&tag| tag != TAG_REQUEST) {
+            return Err(refused());
+        }
+        match Message::decode(payload)? {
+            Message::Request(req) => Ok(req),
+            _ => Err(refused()),
+        }
     }
 }
 
@@ -354,15 +376,17 @@ impl Message {
                 })
             }
             TAG_PATTERNS => {
-                let count = read_varint(&mut buf)? as usize;
+                let count = read_varint(&mut buf)?;
                 // Each pattern needs ≥ 2 payload bytes (empty item seq +
-                // frequency); reject hostile counts before allocating.
-                if count > buf.len() {
+                // frequency); reject hostile counts before reserving.
+                if count > (buf.len() / 2).min(MAX_FRAME_PATTERNS) as u64 {
                     return Err(Error::Decode(format!(
-                        "patterns frame: count {count} exceeds payload"
+                        "patterns frame: count {count} exceeds the payload ({} bytes) \
+                         or the cap of {MAX_FRAME_PATTERNS}",
+                        buf.len()
                     )));
                 }
-                let mut patterns = Vec::with_capacity(count);
+                let mut patterns = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     let mut items = Vec::new();
                     decode_item_seq(&mut buf, &mut items)?;

@@ -64,7 +64,9 @@ use desq::session::{default_workers, AlgorithmSpec, MiningSession};
 use desq_core::mining::{panic_message, CancelToken};
 use desq_core::Error;
 
-use crate::proto::{read_frame, write_frame, Message, Request, ServerStats, WireAlgo};
+use crate::proto::{
+    read_frame, write_frame, Message, Request, ServerStats, WireAlgo, MAX_FRAME_PATTERNS,
+};
 use crate::store::CorpusStore;
 
 /// Server-side resource policy, fixed at spawn time.
@@ -80,7 +82,8 @@ pub struct ServeLimits {
     /// Ceiling of the per-request worker threads (a request of `0` means
     /// 1 worker, not this ceiling — parallelism is opt-in per query).
     pub max_workers: usize,
-    /// Patterns per streamed response frame.
+    /// Patterns per streamed response frame; positive and at most
+    /// [`MAX_FRAME_PATTERNS`], which clients refuse to decode beyond.
     pub batch: usize,
     /// Socket read timeout: a connection that has not delivered a complete
     /// request within this window is evicted and its admission slot
@@ -215,7 +218,10 @@ impl Server {
             self.limits.max_inflight > 0,
             "max_inflight must be positive"
         );
-        assert!(self.limits.batch > 0, "batch must be positive");
+        assert!(
+            (1..=MAX_FRAME_PATTERNS).contains(&self.limits.batch),
+            "batch must be positive and at most {MAX_FRAME_PATTERNS} (a client refuses larger frames)"
+        );
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -395,8 +401,8 @@ fn handle_conn(
             return; // slot released by the accept loop's guard
         }
     };
-    let reply = match Message::decode(&payload) {
-        Ok(Message::Request(req)) => {
+    let reply = match Request::decode(&payload) {
+        Ok(req) => {
             // Effective deadline: the tighter of what the client asked for
             // and what the server tolerates.
             let requested =
@@ -419,7 +425,6 @@ fn handle_conn(
             }))
             .unwrap_or_else(|payload| Err(Error::WorkerPanicked(panic_message(payload.as_ref()))))
         }
-        Ok(_) => Err(Error::Invalid("expected a request frame".into())),
         Err(e) => Err(e),
     };
     let terminal = match reply {

@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use desq::session::MiningSession;
 use desq_core::fault::{self, FailAction, FailSpec};
 use desq_core::{toy, Error};
 use desq_serve::client::Client;
@@ -32,8 +33,7 @@ fn chaos_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Default limits, but allowing 2-worker requests regardless of the host's
-/// visible parallelism (several tests inject faults into the scheduler
-/// path, which only runs with `workers > 1`).
+/// visible parallelism.
 fn two_worker_limits() -> ServeLimits {
     ServeLimits {
         max_workers: 2,
@@ -65,36 +65,76 @@ fn nyt_request(sigma: u64) -> Request {
 
 /// (a) A panicking mining task yields a terminal `WorkerPanicked` error
 /// frame to that client — and the server answers the next query normally.
+/// The task boundary is the same at every worker count, the request's
+/// default (`workers` 0, served as 1) included.
 #[test]
 fn injected_task_panic_is_contained_to_its_connection() {
     let _guard = chaos_guard();
     let handle = toy_server(two_worker_limits());
     let client = Client::new(handle.addr());
 
-    fault::configure(
-        "sched::task_run",
-        FailSpec::once_after(0, FailAction::Panic),
-    );
-    let err = client
-        .query(&Request::new("toy", toy::PATTERN, 2).with_workers(2))
-        .unwrap_err();
-    match err {
-        ServeError::Remote(Error::WorkerPanicked(msg)) => {
-            assert!(msg.contains("sched::task_run"), "{msg}");
+    for workers in [0, 2] {
+        let request = Request::new("toy", toy::PATTERN, 2).with_workers(workers);
+        fault::configure(
+            "sched::task_run",
+            FailSpec::once_after(0, FailAction::Panic),
+        );
+        match client.query(&request).unwrap_err() {
+            ServeError::Remote(Error::WorkerPanicked(msg)) => {
+                assert!(msg.contains("sched::task_run"), "{msg}");
+            }
+            other => panic!("expected Remote(WorkerPanicked), got {other}"),
         }
-        other => panic!("expected Remote(WorkerPanicked), got {other}"),
-    }
-    assert!(fault::hits("sched::task_run") >= 1, "failpoint never fired");
+        assert!(fault::hits("sched::task_run") >= 1, "failpoint never fired");
 
-    // The panic was contained: the very next query succeeds and reports
-    // the contained panic in the global counter.
-    fault::clear_all();
-    let ok = client
-        .query(&Request::new("toy", toy::PATTERN, 2).with_workers(2))
-        .unwrap();
-    assert_eq!(ok.patterns.len(), 3);
-    assert!(ok.stats.panics >= 1, "contained panic must be counted");
+        // The panic was contained: the very next query succeeds and reports
+        // the contained panic in the global counter.
+        fault::clear_all();
+        let ok = client.query(&request).unwrap();
+        assert_eq!(ok.patterns.len(), 3);
+        assert!(ok.stats.panics >= 1, "contained panic must be counted");
+    }
     handle.shutdown();
+}
+
+/// The library facade keeps the same promise without a daemon around it: a
+/// one-worker session mines on the calling thread, and a panicking task
+/// still comes back as an error value from `run()` and from a stream's
+/// `finish()`.
+#[test]
+fn a_one_worker_session_returns_an_injected_task_panic_as_an_error() {
+    let _guard = chaos_guard();
+    let fx = toy::fixture();
+    let session = MiningSession::builder()
+        .dictionary(fx.dict)
+        .database(fx.db)
+        .pattern(toy::PATTERN)
+        .sigma(2)
+        .workers(1)
+        .build()
+        .unwrap();
+    type Outcome = Result<usize, Error>;
+    let runs: [(&str, fn(&MiningSession) -> Outcome); 2] = [
+        ("run", |s| s.run().map(|r| r.patterns.len())),
+        ("stream", |s| {
+            let mut stream = s.stream();
+            let n = stream.by_ref().count();
+            stream.finish().map(|_| n)
+        }),
+    ];
+    for (what, run) in runs {
+        fault::configure(
+            "sched::task_run",
+            FailSpec::once_after(0, FailAction::Panic),
+        );
+        let err = run(&session).unwrap_err();
+        assert!(
+            matches!(&err, Error::WorkerPanicked(m) if m.contains("sched::task_run")),
+            "{what}: {err}"
+        );
+        fault::clear_all();
+        assert_eq!(run(&session).unwrap(), 3, "{what}");
+    }
 }
 
 /// (a, variant) A panic *outside* mining — between the run and the

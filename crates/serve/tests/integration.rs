@@ -116,13 +116,16 @@ fn concurrent_clients_match_the_sequential_oracle() {
         assert!(!oracle.patterns.is_empty(), "oracle empty for {expr}");
         assert_eq!(served, &oracle.patterns, "mismatch for {expr}");
     }
-    // Two queries used the same (corpus, pexp, anchoring): exactly one
-    // compile between them, whichever thread got there first.
+    // Every lookup is a hit or a miss. n2, n3 and n4 each missed once; the
+    // two n2 queries were in flight together, and the store compiles
+    // outside its lock (`CorpusStore::compiled`), so both may have missed.
     let q = client
         .query(&Request::new("nyt", desq_dist::patterns::n2().expr, 4).unanchored())
         .unwrap();
     assert!(q.stats.cache_hit);
-    assert_eq!(q.stats.cache_misses, 3, "n2/n3/n4 each compiled once");
+    let (hits, misses) = (q.stats.cache_hits, q.stats.cache_misses);
+    assert_eq!(hits + misses, constraints.len() as u64 + 1);
+    assert!((3..=4).contains(&misses), "{misses} misses");
     handle.shutdown();
 }
 

@@ -48,7 +48,11 @@ fn every_prefix_and_mutation_of_every_serve_message_is_ok_or_a_typed_error() {
         ),
         Message::Patterns(vec![(vec![1, 2, 300], 17), (vec![], 1), (vec![70_000], 2)]),
         Message::Metrics {
-            mining: MiningMetrics::local_parallel(123, 4, 5, 6, vec![40, 60]),
+            mining: MiningMetrics {
+                workers: 2,
+                worker_nanos: vec![40, 60],
+                ..MiningMetrics::sequential(123, 4, 5, 6)
+            },
             stats: ServerStats {
                 cache_hit: true,
                 cache_hits: 7,

@@ -40,7 +40,6 @@
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use desq_baselines::{LashConfig, MllibConfig};
 use desq_core::mining::{
@@ -49,7 +48,6 @@ use desq_core::mining::{
 };
 use desq_core::{Dictionary, Error, Fst, OptLevel, PatEx, Result, Sequence, SequenceDb};
 use desq_dist::{DCandConfig, DSeqConfig};
-use desq_miner::{LocalMiner, MinerConfig};
 
 pub use desq_core::mining::DEFAULT_BUDGET;
 
@@ -595,16 +593,21 @@ impl MiningSession {
             result.metrics.record_fst(fst);
         }
         if result.patterns.len() > self.limits.max_patterns {
-            return Err(Error::ResourceExhausted(format!(
-                "{} produced {} patterns, exceeding max_patterns = {}; raise the \
-                 cap via MiningSessionBuilder::max_patterns or increase σ",
-                self.algorithm.name(),
-                result.patterns.len(),
-                self.limits.max_patterns
-            )));
+            return Err(self.over_cap());
         }
         debug_assert!(result.is_sorted(), "miner violated the sort invariant");
         Ok(result)
+    }
+
+    /// The error of a result set larger than `max_patterns` — the same value
+    /// whether [`run`](Self::run) counted it or a stream hit the cap.
+    fn over_cap(&self) -> Error {
+        Error::ResourceExhausted(format!(
+            "{} exceeded max_patterns = {}; raise the cap via \
+             MiningSessionBuilder::max_patterns or increase σ",
+            self.algorithm.name(),
+            self.limits.max_patterns
+        ))
     }
 
     /// Adds the algorithm name and a budget hint to resource errors so the
@@ -658,66 +661,34 @@ impl MiningSession {
     }
 
     fn stream_worker(&self, tx: &mpsc::SyncSender<(Sequence, u64)>) -> Result<MiningMetrics> {
-        if let AlgorithmSpec::DesqDfs = self.algorithm {
-            let ctx = self.context();
-            ctx.validate()?;
-            let fst = ctx.fst()?;
-            let t0 = Instant::now();
-            let inputs: Vec<desq_miner::WeightedInput<'_>> = self
-                .db
-                .sequences
-                .iter()
-                .map(|s| (s.as_slice(), 1))
-                .collect();
-            let miner = LocalMiner::new(fst, &self.dict, MinerConfig::sequential(self.sigma));
-            let token = self.run_token();
-            let mut sent = 0usize;
-            let mut overflow = false;
-            miner
-                .mine_each_with_workers(
-                    &inputs,
-                    self.workers,
-                    token.as_ref(),
-                    &mut |pattern, freq| {
-                        if sent >= self.limits.max_patterns {
-                            overflow = true;
-                            return false;
-                        }
-                        // A send error means the stream was dropped: stop mining.
-                        if tx.send((pattern, freq)).is_err() {
-                            return false;
-                        }
-                        sent += 1;
-                        true
-                    },
-                )
-                .map_err(|e| self.annotate(e))?;
-            if overflow {
-                return Err(Error::ResourceExhausted(format!(
-                    "DESQ-DFS exceeded max_patterns = {}; raise the cap via \
-                     MiningSessionBuilder::max_patterns or increase σ",
-                    self.limits.max_patterns
-                )));
-            }
-            let n = sent as u64;
-            let mut metrics = MiningMetrics::sequential(
-                t0.elapsed().as_nanos() as u64,
-                self.db.len() as u64,
-                n,
-                n,
-            );
-            metrics.record_fst(fst);
-            Ok(metrics)
-        } else {
-            let result = self.run()?;
-            let metrics = result.metrics.clone();
-            for pattern in result.patterns {
-                if tx.send(pattern).is_err() {
-                    break; // stream dropped: discard the rest
+        let token = self.run_token();
+        let mut ctx = self.context();
+        ctx.cancel = token.as_ref();
+        let mut sent = 0usize;
+        let mut overflow = false;
+        let streamed = self
+            .algorithm
+            .miner()
+            .mine_each(&ctx, &mut |pattern, freq| {
+                if sent >= self.limits.max_patterns {
+                    overflow = true;
+                    return false;
                 }
-            }
-            Ok(metrics)
+                // A send error means the stream was dropped: stop mining.
+                if tx.send((pattern, freq)).is_err() {
+                    return false;
+                }
+                sent += 1;
+                true
+            });
+        let mut metrics = streamed.map_err(|e| self.annotate(e))?;
+        if overflow {
+            return Err(self.over_cap());
         }
+        if let Some(fst) = &self.fst {
+            metrics.record_fst(fst);
+        }
+        Ok(metrics)
     }
 }
 
