@@ -18,7 +18,7 @@
 //! `desq-miner` restricted to pivot sequences. Blanks are encoded as
 //! [`EPSILON`] and never match.
 
-use desq_bsp::Engine;
+use desq_bsp::{Engine, InProcess};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
@@ -205,7 +205,8 @@ pub(crate) fn lash_impl(
         Ok(())
     };
 
-    let reduce = |&p: &ItemId,
+    let reduce = |(): &mut (),
+                  &p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
@@ -231,10 +232,8 @@ pub(crate) fn lash_impl(
         Ok(())
     };
 
-    let (patterns, job) = engine.map_combine_reduce(parts, map, reduce)?;
-    let patterns = desq_miner::sort_patterns(patterns);
-    let metrics = desq_dist::metrics_from_job(job, t0, engine, parts);
-    Ok(MiningResult { patterns, metrics })
+    let round = engine.map_combine_reduce_via(&InProcess, parts, map, || (), reduce)?;
+    Ok(desq_dist::job_result(round, t0, engine, parts))
 }
 
 #[cfg(test)]

@@ -15,8 +15,7 @@
 //! Both produce exactly the same output as the general algorithms under the
 //! equivalent T1/T2/T3 pattern expressions, which the cross-validation
 //! tests assert. Both run behind the unified mining API via the [`algo`]
-//! adapters (the deprecated free-function entry points were removed; see
-//! `docs/MIGRATION.md` in the repository root).
+//! adapters.
 
 pub mod algo;
 pub mod lash;

@@ -15,7 +15,7 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_bsp::Engine;
+use desq_bsp::{Engine, InProcess};
 use desq_core::fx::FxHashSet;
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 use desq_dist::MiningResult;
@@ -46,15 +46,14 @@ pub(crate) fn mllib_impl(
     desq_core::mining::validate_sigma(config.sigma)?;
     let t0 = std::time::Instant::now();
     if config.max_len == 0 {
-        return Ok(MiningResult {
-            patterns: Vec::new(),
-            metrics: desq_dist::metrics_from_job(MiningMetrics::default(), t0, engine, parts),
-        });
+        let round = (Vec::new(), MiningMetrics::default());
+        return Ok(desq_dist::job_result(round, t0, engine, parts));
     }
 
     // Round 1: frequent items (distributed word count with combining; the
     // payload is empty — only the per-item weights matter).
-    let (freq_items, m1) = engine.map_combine_reduce(
+    let (freq_items, m1) = engine.map_combine_reduce_via(
+        &InProcess,
         parts,
         |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
@@ -68,7 +67,8 @@ pub(crate) fn mllib_impl(
             }
             Ok(())
         },
-        |&w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
+        || (),
+        |(): &mut (), &w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
             let f: u64 = vs.iter().map(|(_, c)| c).sum();
             if f >= config.sigma {
                 emit((w, f));
@@ -79,7 +79,8 @@ pub(crate) fn mllib_impl(
     let frequent: FxHashSet<ItemId> = freq_items.iter().map(|&(w, _)| w).collect();
 
     // Round 2: prefix projection by first item + local PrefixSpan.
-    let (nested, m2) = engine.map_combine_reduce(
+    let (patterns, m2) = engine.map_combine_reduce_via(
+        &InProcess,
         parts,
         |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
@@ -105,9 +106,11 @@ pub(crate) fn mllib_impl(
             }
             Ok(())
         },
-        |&w: &ItemId,
+        || (),
+        |(): &mut (),
+         &w: &ItemId,
          inputs: &[(&[u8], u64)],
-         emit: &mut dyn FnMut(Vec<(Sequence, u64)>)|
+         emit: &mut dyn FnMut((Sequence, u64))|
          -> Result<()> {
             let mut suffixes: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
             for &(bytes, c) in inputs {
@@ -117,22 +120,19 @@ pub(crate) fn mllib_impl(
                 suffixes.push((seq, c));
             }
             let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
-            let mut local: Vec<(Sequence, u64)> = vec![(vec![w], support)];
+            emit((vec![w], support));
             if config.max_len > 1 {
                 let ps = PrefixSpan::new(config.sigma, config.max_len - 1);
                 for (tail, f) in ps.mine_weighted(&suffixes) {
                     let mut pattern = Vec::with_capacity(tail.len() + 1);
                     pattern.push(w);
                     pattern.extend(tail);
-                    local.push((pattern, f));
+                    emit((pattern, f));
                 }
             }
-            emit(local);
             Ok(())
         },
     )?;
-
-    let patterns = desq_miner::sort_patterns(nested.into_iter().flatten().collect());
 
     // Both rounds' measurements are summed — this faithfully exposes the
     // extra communication relative to the single-round D-SEQ/D-CAND.
@@ -153,8 +153,7 @@ pub(crate) fn mllib_impl(
         // Per-reducer volumes are the second round's.
         ..m2
     };
-    let metrics = desq_dist::metrics_from_job(job, t0, engine, parts);
-    Ok(MiningResult { patterns, metrics })
+    Ok(desq_dist::job_result((patterns, job), t0, engine, parts))
 }
 
 #[cfg(test)]

@@ -332,8 +332,8 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
     let engine = desq_bsp::Engine::new(DIST_WORKERS).with_reducers(DIST_REDUCERS);
     let config = desq_dist::DSeqConfig::new(SIGMA);
 
-    // In-process reference: the same job through the transport seam with
-    // the zero-cost default backend.
+    // In-process reference: the same round through `InProcess` — the
+    // program the `Miner` adapters and the benchmark run.
     let mut local_secs = f64::MAX;
     let mut patterns = 0;
     for _ in 0..REPS {

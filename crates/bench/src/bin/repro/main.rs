@@ -2,8 +2,9 @@
 //!
 //! Usage: `repro [table2|table3|table4|table5|fig9|fig10|fig11|fig12|fig13|all]`
 //!
-//! Scale with `REPRO_SCALE` (default 1.0). See EXPERIMENTS.md for the
-//! paper-versus-measured record.
+//! Scale with `REPRO_SCALE` (default 1.0). The paper-versus-measured
+//! record (`EXPERIMENTS.md`) is ROADMAP item 7's deliverable and does not
+//! exist yet.
 
 mod common;
 mod fig10;

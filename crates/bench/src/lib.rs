@@ -18,8 +18,9 @@
 //!
 //! Scale is controlled by `REPRO_SCALE` (default 1.0): dataset sizes are
 //! laptop-scale stand-ins for the paper's cluster corpora; support
-//! thresholds are chosen relative to dataset size. EXPERIMENTS.md records
-//! paper-versus-measured shapes for every experiment.
+//! thresholds are chosen relative to dataset size. A checked-in
+//! `EXPERIMENTS.md` recording paper-versus-measured shapes for every
+//! experiment does not exist yet: it is ROADMAP item 7's deliverable.
 
 pub mod report;
 pub mod workloads;

@@ -11,7 +11,7 @@
 //! [`encode_item_seq`] / [`decode_item_seq`] are re-exported because every
 //! payload that crosses this engine is built from them.
 
-use desq_core::codec::{read_bytes, read_str, read_varint, write_bytes, write_varint};
+use desq_core::codec::{read_bytes, read_varint, write_bytes, write_varint};
 use desq_core::{Error, Result};
 
 pub use desq_core::codec::{decode_item_seq, encode_item_seq};
@@ -42,24 +42,6 @@ impl Codec for u64 {
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
         read_varint(buf)
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self> {
-        let (&b, rest) = buf
-            .split_first()
-            .ok_or_else(|| Error::Decode("bool: unexpected end of input".into()))?;
-        *buf = rest;
-        match b {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(Error::Decode(format!("bool: invalid byte {other}"))),
-        }
     }
 }
 
@@ -98,16 +80,6 @@ impl Codec for Vec<u8> {
     }
 }
 
-impl Codec for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_bytes(buf, self.as_bytes());
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Ok(read_str(buf)?.to_string())
-    }
-}
-
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
@@ -116,18 +88,6 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
-impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self> {
-        Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
     }
 }
 
@@ -149,14 +109,11 @@ mod tests {
         roundtrip(0u32);
         roundtrip(u32::MAX);
         roundtrip(u64::MAX);
-        roundtrip(true);
-        roundtrip(false);
         roundtrip(vec![1u32, 2, 3, 1_000_000]);
         roundtrip(Vec::<u32>::new());
         roundtrip(vec![0u8, 255, 7]);
-        roundtrip("hello Σ sequences".to_string());
         roundtrip((42u32, vec![1u32, 2]));
-        roundtrip((1u32, 2u64, vec![3u8]));
+        roundtrip((1u32, vec![3u8]));
     }
 
     #[test]
@@ -178,13 +135,6 @@ mod tests {
         assert!(Vec::<u32>::decode(&mut s).is_err());
         let mut s2 = buf.as_slice();
         assert!(Vec::<u8>::decode(&mut s2).is_err());
-    }
-
-    #[test]
-    fn invalid_bool_rejected() {
-        let buf = [7u8];
-        let mut s = &buf[..];
-        assert!(bool::decode(&mut s).is_err());
     }
 
     #[test]

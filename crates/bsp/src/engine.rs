@@ -68,7 +68,7 @@ struct CombineEntry {
     weight: u64,
 }
 
-/// Map-side emitter of [`Engine::map_combine_reduce`].
+/// Map-side emitter of [`Engine::map_combine_reduce_via`].
 ///
 /// [`emit`](Combiner::emit) performs MapReduce-style *weighted
 /// deduplication*: triples with identical `(key, payload)` within one map
@@ -317,8 +317,7 @@ struct ReduceRec<'c> {
 
 /// Decodes one reduce bucket's shuffle chunks, merges duplicate
 /// `(key, payload)` records across map tasks on the raw bytes, and sorts
-/// the result into key groups — the reduce-side merge step, shared by the
-/// in-process scheduler and the networked per-bucket reduce.
+/// the result into key groups — the reduce-side merge step.
 fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRec<'c>>> {
     let mut recs: Vec<ReduceRec<'c>> = Vec::new();
     let mut table = ProbeTable::new();
@@ -387,56 +386,10 @@ fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRe
     Ok(recs)
 }
 
-/// Reduces one whole merged bucket to encoded output bytes — the
-/// worker-side unit of the networked reduce phase: `varint(#outputs)`
-/// followed by each output's encoding.
-///
-/// The per-bucket `state` is created fresh here and dropped with the call:
-/// the payload slices handed to `reduce` borrow from *this call's* chunks,
-/// so caches keyed on slice identity (D-SEQ's simulation-table index) must
-/// not outlive them.
-pub(crate) fn reduce_bucket_bytes<K, O, S, IF, RF>(
-    chunks: &[Vec<u8>],
-    init: &IF,
-    reduce: &RF,
-) -> Result<Vec<u8>>
-where
-    K: Codec,
-    O: Codec,
-    IF: Fn() -> S,
-    RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()>,
-{
-    #[cfg(feature = "failpoints")]
-    desq_core::fault::point("bsp::reduce_merge")?;
-    let recs = merge_bucket_recs::<K>(chunks)?;
-    let mut out: Vec<O> = Vec::new();
-    let mut state = init();
-    let mut group_buf: Vec<(&[u8], u64)> = Vec::new();
-    let mut i = 0;
-    while i < recs.len() {
-        let key = recs[i].key;
-        let start = i;
-        while i < recs.len() && recs[i].key == key {
-            i += 1;
-        }
-        group_buf.clear();
-        group_buf.extend(recs[start..i].iter().map(|r| (r.payload, r.weight)));
-        let k = K::decode(&mut &key[..])?;
-        let mut emit = |o: O| out.push(o);
-        reduce(&mut state, &k, &group_buf, &mut emit)?;
-    }
-    let mut buf = Vec::new();
-    write_varint(&mut buf, out.len() as u64);
-    for o in &out {
-        o.encode(&mut buf);
-    }
-    Ok(buf)
-}
-
-/// Decodes one bucket's [`reduce_bucket_bytes`] output, appending to `out`.
-/// Rejects hostile counts before any allocation and trailing garbage after
-/// the last output.
-pub(crate) fn decode_bucket_outputs<O: Codec>(bytes: &[u8], out: &mut Vec<O>) -> Result<()> {
+/// Decodes one bucket's encoded reduce outputs (`varint(#outputs)` +
+/// outputs), appending to `out`. Rejects hostile counts before any
+/// allocation and trailing garbage after the last output.
+fn decode_bucket_outputs<O: Codec>(bytes: &[u8], out: &mut Vec<O>) -> Result<()> {
     let mut slice = bytes;
     let n = read_varint(&mut slice)? as usize;
     if n > slice.len() {
@@ -495,7 +448,12 @@ impl Engine {
         self.reducers
     }
 
-    /// Runs a map → shuffle → reduce job without a combiner.
+    /// Runs a map → shuffle → reduce job without a combiner, in process
+    /// only. Its one caller is D-CAND's no-aggregation ablation (Fig. 10b,
+    /// "tries, no agg"), which must ship and expand every NFA copy: the
+    /// combining round ([`map_combine_reduce_via`](Self::map_combine_reduce_via))
+    /// would merge identical payloads on both sides and change the figure's
+    /// time and bytes.
     ///
     /// The mapper is invoked once per input *partition* (so per-task
     /// scratch hoists out of the per-record loop) and emits `(key, value)`
@@ -591,7 +549,11 @@ impl Engine {
         Ok((flat, metrics))
     }
 
-    /// Runs a map → combine → shuffle → reduce job.
+    /// Runs one map → combine → shuffle → reduce round through
+    /// `transport`: in this process ([`InProcess`](crate::transport::InProcess))
+    /// or as the driver of worker processes serving it with
+    /// [`run_worker`](Self::run_worker)
+    /// ([`NetCoordinator`](crate::transport::NetCoordinator)).
     ///
     /// The mapper receives one input partition and a [`Combiner`]: it emits
     /// `(key, payload bytes, weight)` triples, where the payload is
@@ -599,52 +561,27 @@ impl Engine {
     /// helpers) and shared across emissions. Triples with identical
     /// `(key, payload)` within one map task are merged by summing weights
     /// before serialization, and payload byte strings are interned per
-    /// bucket chunk.
+    /// bucket chunk — the aggregation D-CAND applies to identical NFAs
+    /// (Sec. VI-A) and D-SEQ/LASH apply to identical rewritten sequences.
     ///
     /// The reducer is invoked once per distinct key with all distinct
     /// payloads and their total weights (merged across map tasks), each
-    /// payload a slice *borrowed from the shuffle buffers* — reducers
-    /// decode without re-materializing owned records. Per key, payloads
-    /// arrive in a deterministic (byte-lexicographic) order.
+    /// payload a slice *borrowed from the shuffle buffers*, in a
+    /// deterministic (byte-lexicographic) order. Key groups are batched
+    /// into tasks under work stealing in whichever process holds the
+    /// buckets, so a hot D-SEQ pivot does not pin its bucket to one thread.
+    /// `init` runs once per worker per reduce call (all buckets in process,
+    /// one bucket on a worker process); payload slices outlive that state,
+    /// so caches keyed on their identity (D-SEQ's table index) stay valid.
     ///
-    /// This is exactly the aggregation D-CAND applies to identical NFAs
-    /// (Sec. VI-A) and D-SEQ/LASH apply to identical rewritten sequences.
-    pub fn map_combine_reduce<I, K, O, MF, RF>(
+    /// Outputs cross the transport encoded ([`Codec`]) and come back in a
+    /// deterministic order — buckets in order, key groups in (key, payload)
+    /// order — whatever the transport, worker count or steal schedule.
+    /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
+    /// key-group tasks in process and shipped buckets over the network.
+    pub fn map_combine_reduce_via<I, K, O, S, MF, IF, RF>(
         &self,
-        parts: &[&[I]],
-        map: MF,
-        reduce: RF,
-    ) -> Result<(Vec<O>, MiningMetrics)>
-    where
-        I: Sync,
-        K: Codec + Send,
-        O: Send,
-        MF: Fn(&[I], &mut Combiner<K>) -> Result<()> + Sync,
-        RF: Fn(&K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
-    {
-        self.map_combine_reduce_with(parts, map, || (), |(), k, vs, emit| reduce(k, vs, emit))
-    }
-
-    /// Like [`map_combine_reduce`](Self::map_combine_reduce), with
-    /// *per-reduce-worker state*: `init` runs once per reduce worker (the
-    /// MapReduce `setup()` analog) and the resulting state is threaded
-    /// through every key group that worker executes.
-    ///
-    /// The reduce phase runs in two steps: buckets are decoded, merged and
-    /// sorted in parallel, then the key groups of *all* buckets are batched
-    /// into tasks scheduled by work stealing across the workers — one
-    /// expensive key (a hot D-SEQ pivot) no longer pins a whole bucket to
-    /// one thread. Output order is deterministic (identical to reducing
-    /// each bucket sequentially) regardless of worker count or steal
-    /// schedule; the task and steal counters land in
-    /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals).
-    ///
-    /// Use the state for caches that amortize work across key groups —
-    /// D-SEQ keys its simulation-table index on the identity of the borrowed
-    /// payload slices, which are stable for the whole reduce phase (they
-    /// borrow from the shuffle buffers, not from any per-task arena).
-    pub fn map_combine_reduce_with<I, K, O, S, MF, IF, RF>(
-        &self,
+        transport: &dyn ShuffleTransport,
         parts: &[&[I]],
         map: MF,
         init: IF,
@@ -652,33 +589,116 @@ impl Engine {
     ) -> Result<(Vec<O>, MiningMetrics)>
     where
         I: Sync,
-        K: Codec + Send,
-        O: Send,
+        K: Codec,
+        O: Codec,
         S: Send,
         MF: Fn(&[I], &mut Combiner<K>) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         let mut metrics = MiningMetrics::default();
+        let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
+            metrics.retried_tasks += s.retried_tasks;
+            metrics.peer_timeouts += s.peer_timeouts;
+            metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
+            metrics.tasks += s.tasks;
+            metrics.steals += s.steals;
+        };
 
         // ---- map + combine phase ----
         let t0 = Instant::now();
         let reducers = self.reducers;
-        let mapped = self.run_tasks(parts.len(), |t| {
+        let map_local = |t: usize| -> Result<MapTaskOut> {
             let mut combiner = Combiner::new(reducers);
             map(parts[t], &mut combiner)?;
             Ok(combiner.into_task_out())
-        })?;
+        };
+        let (outs, stats) = transport.map_phase(self, parts.len(), &map_local)?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
+        merge_stats(&mut metrics, &stats);
 
-        let chunks = self.regroup(mapped.results, &mut metrics);
+        let chunks = self.regroup(outs, &mut metrics);
 
         // ---- reduce phase ----
         let t1 = Instant::now();
+        let reduce_local = |buckets: &[Vec<Vec<u8>>]| self.reduce_buckets(buckets, &init, &reduce);
+        let (bucket_outs, stats) = transport.reduce_phase(self, chunks, &reduce_local)?;
+        metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
+        merge_stats(&mut metrics, &stats);
+
+        let mut flat: Vec<O> = Vec::new();
+        for bytes in bucket_outs {
+            decode_bucket_outputs::<O>(&bytes, &mut flat)?;
+        }
+        metrics.output_records = flat.len() as u64;
+        metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
+        Ok((flat, metrics))
+    }
+
+    /// Serves one distributed job as a worker process: connects to the
+    /// coordinator at `addr` (under `cfg.retry`), executes the map tasks
+    /// and reduces the buckets it is assigned (key groups balanced across
+    /// this engine's workers) against this process's own copy of `parts`
+    /// and the job closures, and returns when the coordinator ends the job.
+    ///
+    /// Every process in the job must derive the *same* partition list and
+    /// closures (same corpus, same configuration) — only task ids and
+    /// encoded bytes cross the wire. Returns [`Error::PeerUnreachable`]
+    /// once the reconnect budget is spent.
+    pub fn run_worker<I, K, O, S, MF, IF, RF>(
+        &self,
+        addr: std::net::SocketAddr,
+        cfg: &NetConfig,
+        parts: &[&[I]],
+        map: MF,
+        init: IF,
+        reduce: RF,
+    ) -> Result<()>
+    where
+        K: Codec,
+        O: Codec,
+        S: Send,
+        MF: Fn(&[I], &mut Combiner<K>) -> Result<()>,
+        IF: Fn() -> S + Sync,
+        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+    {
+        let reducers = self.reducers;
+        let on_map = |task: u64| -> Result<MapTaskOut> {
+            let part = parts.get(task as usize).ok_or_else(|| {
+                Error::Invalid(format!(
+                    "map task {task} out of range ({} partitions)",
+                    parts.len()
+                ))
+            })?;
+            let mut combiner = Combiner::new(reducers);
+            map(part, &mut combiner)?;
+            Ok(combiner.into_task_out())
+        };
+        let on_reduce = |buckets: &[Vec<Vec<u8>>]| self.reduce_buckets(buckets, &init, &reduce);
+        crate::transport::worker_loop(addr, cfg, &on_map, &on_reduce)
+    }
+
+    /// The one reduce of a round, over `chunks` (one list per bucket): each
+    /// bucket's outputs encoded for the transport plus the phase counters.
+    /// Buckets are merged in parallel, then the key groups of all of them
+    /// run as stealable tasks with one `init()` state per worker.
+    fn reduce_buckets<K, O, S, IF, RF>(
+        &self,
+        chunks: &[Vec<Vec<u8>>],
+        init: &IF,
+        reduce: &RF,
+    ) -> Result<(Vec<Vec<u8>>, PhaseStats)>
+    where
+        K: Codec,
+        O: Codec,
+        S: Send,
+        IF: Fn() -> S,
+        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+    {
         // Step 1 (parallel, one task per bucket): decode the shuffle
         // chunks, merge duplicates across map tasks on the raw bytes, sort
         // into key groups.
-        let merged = self.run_tasks(self.reducers, |t| {
+        let merged = self.run_tasks(chunks.len(), |t| {
             #[cfg(feature = "failpoints")]
             desq_core::fault::point("bsp::reduce_merge")?;
             merge_bucket_recs::<K>(&chunks[t])
@@ -729,150 +749,42 @@ impl Engine {
             self.cancel.as_ref(),
             || (init(), Vec::new()),
             |ti, (state, group_buf): &mut (S, Vec<(&[u8], u64)>)| {
-                let mut out: Vec<O> = Vec::new();
+                let (mut n, mut bytes) = (0u64, Vec::new());
                 for &(b, gs, ge) in &groups[tasks[ti].clone()] {
                     let recs = &buckets[b as usize][gs as usize..ge as usize];
                     group_buf.clear();
                     group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
                     let k = K::decode(&mut &recs[0].key[..])?;
-                    let mut emit = |o: O| out.push(o);
+                    let mut emit = |o: O| {
+                        n += 1;
+                        o.encode(&mut bytes);
+                    };
                     reduce(state, &k, group_buf, &mut emit)?;
                 }
-                Ok(out)
+                Ok((n, bytes))
             },
         )?;
-        metrics.tasks = reduced.tasks;
-        metrics.steals = reduced.steals;
-        metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = mapped
-            .max_task_nanos
-            .max(merged.max_task_nanos)
-            .max(reduced.max_task_nanos);
 
-        let flat: Vec<O> = reduced.results.into_iter().flatten().collect();
-        metrics.output_records = flat.len() as u64;
-        metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
-        Ok((flat, metrics))
-    }
-
-    /// Runs a map → combine → shuffle → reduce job over an explicit
-    /// [`ShuffleTransport`] — the entry point for multi-process execution.
-    ///
-    /// Task *scheduling* moves behind the transport; task *semantics* stay
-    /// here. [`transport::InProcess`](crate::transport::InProcess)
-    /// reproduces the single-process result; a
-    /// [`transport::NetCoordinator`](crate::transport::NetCoordinator)
-    /// farms the same tasks out to worker processes running
-    /// [`run_worker`](Self::run_worker) over the same partition list.
-    ///
-    /// Differences from [`map_combine_reduce_with`](Self::map_combine_reduce_with):
-    /// outputs must be [`Codec`] (they cross a process boundary), and the
-    /// reduce state is created *fresh per bucket* instead of once per
-    /// worker thread — a remote bucket's payload slices borrow from chunk
-    /// buffers that die with the task, so slice-identity caches must not
-    /// outlive them. Output order is deterministic: buckets in order, key
-    /// groups in the same (key, payload) order as the in-process path.
-    pub fn map_combine_reduce_via<I, K, O, S, MF, IF, RF>(
-        &self,
-        transport: &dyn ShuffleTransport,
-        parts: &[&[I]],
-        map: MF,
-        init: IF,
-        reduce: RF,
-    ) -> Result<(Vec<O>, MiningMetrics)>
-    where
-        I: Sync,
-        K: Codec + Send,
-        O: Codec + Send,
-        MF: Fn(&[I], &mut Combiner<K>) -> Result<()> + Sync,
-        IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
-    {
-        let mut metrics = MiningMetrics::default();
-        let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
-            metrics.retried_tasks += s.retried_tasks;
-            metrics.peer_timeouts += s.peer_timeouts;
-            metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
-        };
-
-        // ---- map + combine phase ----
-        let t0 = Instant::now();
-        let reducers = self.reducers;
-        let map_local = |t: usize| -> Result<MapTaskOut> {
-            let mut combiner = Combiner::new(reducers);
-            map(parts[t], &mut combiner)?;
-            Ok(combiner.into_task_out())
-        };
-        let (outs, stats) = transport.map_phase(self, parts.len(), &map_local)?;
-        metrics.map_nanos = t0.elapsed().as_nanos() as u64;
-        merge_stats(&mut metrics, &stats);
-
-        let chunks = self.regroup(outs, &mut metrics);
-
-        // ---- reduce phase (one task per bucket) ----
-        let t1 = Instant::now();
-        let reduce_local = |_b: usize, chunks: &[Vec<u8>]| -> Result<Vec<u8>> {
-            reduce_bucket_bytes::<K, O, S, IF, RF>(chunks, &init, &reduce)
-        };
-        let bucket_outs = {
-            let (outs, stats) = transport.reduce_phase(self, chunks, &reduce_local)?;
-            metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-            metrics.tasks = outs.len() as u64;
-            merge_stats(&mut metrics, &stats);
-            outs
-        };
-
-        let mut flat: Vec<O> = Vec::new();
-        for bytes in &bucket_outs {
-            decode_bucket_outputs::<O>(bytes, &mut flat)?;
+        // No task straddles a bucket: a bucket's outputs are its tasks', in
+        // task order, and cross the transport as `varint(#outputs)` + each.
+        let mut counts = vec![0u64; chunks.len()];
+        for (task, (n, _)) in tasks.iter().zip(&reduced.results) {
+            counts[groups[task.start].0 as usize] += n;
         }
-        metrics.output_records = flat.len() as u64;
-        metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
-        Ok((flat, metrics))
-    }
-
-    /// Serves one distributed job as a worker process: connects to the
-    /// coordinator at `addr` (under `cfg.retry`), executes the map and
-    /// reduce tasks it is assigned against this process's own copy of
-    /// `parts` and the job closures, and returns when the coordinator ends
-    /// the job.
-    ///
-    /// Every process in the job must derive the *same* partition list and
-    /// closures (same corpus, same configuration) — only task ids and
-    /// encoded bytes cross the wire. Returns [`Error::PeerUnreachable`]
-    /// once the reconnect budget is spent.
-    pub fn run_worker<I, K, O, S, MF, IF, RF>(
-        &self,
-        addr: std::net::SocketAddr,
-        cfg: &NetConfig,
-        parts: &[&[I]],
-        map: MF,
-        init: IF,
-        reduce: RF,
-    ) -> Result<()>
-    where
-        K: Codec,
-        O: Codec,
-        MF: Fn(&[I], &mut Combiner<K>) -> Result<()>,
-        IF: Fn() -> S,
-        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()>,
-    {
-        let reducers = self.reducers;
-        let on_map = |task: u64| -> Result<MapTaskOut> {
-            let part = parts.get(task as usize).ok_or_else(|| {
-                Error::Invalid(format!(
-                    "map task {task} out of range ({} partitions)",
-                    parts.len()
-                ))
-            })?;
-            let mut combiner = Combiner::new(reducers);
-            map(part, &mut combiner)?;
-            Ok(combiner.into_task_out())
+        let mut encoded: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
+        for (buf, n) in encoded.iter_mut().zip(counts) {
+            write_varint(buf, n);
+        }
+        for (task, (_, bytes)) in tasks.iter().zip(reduced.results) {
+            encoded[groups[task.start].0 as usize].extend_from_slice(&bytes);
+        }
+        let stats = PhaseStats {
+            max_task_nanos: merged.max_task_nanos.max(reduced.max_task_nanos),
+            tasks: reduced.tasks,
+            steals: reduced.steals,
+            ..PhaseStats::default()
         };
-        let on_reduce = |_task: u64, chunks: &[Vec<u8>]| -> Result<Vec<u8>> {
-            reduce_bucket_bytes::<K, O, S, IF, RF>(chunks, &init, &reduce)
-        };
-        crate::transport::worker_loop(addr, cfg, &on_map, &on_reduce)
+        Ok((encoded, stats))
     }
 
     /// Runs `n` independent stateless tasks on the worker pool
@@ -916,6 +828,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{InProcess, NetCoordinator};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Distributed word count: the "hello world" of the model.
@@ -963,12 +876,15 @@ mod tests {
             }
             Ok(())
         };
-        let reduce = |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
-            let total = vs.iter().map(|(_, w)| w).sum();
-            emit((k, total));
-            Ok(())
-        };
-        let (out, metrics) = engine.map_combine_reduce(&parts, map, reduce).unwrap();
+        let reduce =
+            |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                let total = vs.iter().map(|(_, w)| w).sum();
+                emit((k, total));
+                Ok(())
+            };
+        let (out, metrics) = engine
+            .map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)
+            .unwrap();
         assert_eq!(out, vec![(7, 200)]);
         assert_eq!(metrics.emitted_records, 200);
         // Each map task combines its 100 identical records into one.
@@ -986,7 +902,8 @@ mod tests {
         let engine = Engine::new(1).with_reducers(1);
         let payload: Vec<u8> = vec![0xAB; 100];
         let (mut out, metrics) = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |part: &[u32], c: &mut Combiner<u32>| {
                     for &k in part {
@@ -994,7 +911,8 @@ mod tests {
                     }
                     Ok(())
                 },
-                |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
+                || (),
+                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
                     assert_eq!(vs.len(), 1);
                     assert_eq!(vs[0].0.len(), 100);
                     emit(k);
@@ -1020,7 +938,8 @@ mod tests {
         let parts: Vec<&[u32]> = data.chunks(1).collect(); // 4 map tasks
         let engine = Engine::new(2).with_reducers(3);
         let (out, metrics) = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |part: &[u32], c: &mut Combiner<u32>| {
                     for &k in part {
@@ -1028,7 +947,8 @@ mod tests {
                     }
                     Ok(())
                 },
-                |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                || (),
+                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
                     assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
                     emit((k, vs[0].1));
                     Ok(())
@@ -1179,68 +1099,128 @@ mod tests {
         assert_eq!(run(1), run(8));
     }
 
+    /// One combining round driven by a `NetCoordinator` over localhost and
+    /// served by one in-thread [`Engine::run_worker`] with `workers`
+    /// threads; driver and worker share the closures.
+    fn via_tcp<O, S, MF, IF, RF>(
+        workers: usize,
+        reducers: usize,
+        parts: &[&[u32]],
+        map: MF,
+        init: IF,
+        reduce: RF,
+    ) -> (Vec<O>, MiningMetrics)
+    where
+        O: Codec,
+        S: Send,
+        MF: Fn(&[u32], &mut Combiner<u32>) -> Result<()> + Sync,
+        IF: Fn() -> S + Sync,
+        RF: Fn(&mut S, &u32, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+    {
+        let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let addr = coord.local_addr().unwrap();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                Engine::new(workers).with_reducers(reducers).run_worker(
+                    addr,
+                    &NetConfig::default(),
+                    parts,
+                    &map,
+                    &init,
+                    &reduce,
+                )
+            });
+            let round = Engine::new(1)
+                .with_reducers(reducers)
+                .map_combine_reduce_via(&coord, parts, &map, &init, &reduce)
+                .unwrap();
+            worker.join().unwrap().unwrap();
+            round
+        })
+    }
+
     #[test]
     fn combine_reduce_output_is_deterministic_across_worker_counts() {
         // The work-stealing reduce must reproduce the sequential per-bucket
-        // output order exactly — compare *unsorted* outputs.
-        let data: Vec<u32> = (0..300).collect();
-        let run = |workers| {
-            let parts: Vec<&[u32]> = data.chunks(37).collect();
-            let engine = Engine::new(workers).with_reducers(4);
-            engine
-                .map_combine_reduce(
-                    &parts,
-                    |part: &[u32], c: &mut Combiner<u32>| {
-                        for &x in part {
-                            c.emit(&(x % 50), &x.to_le_bytes()[..1], 1);
-                        }
-                        Ok(())
-                    },
-                    |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
-                        emit((k, vs.iter().map(|&(_, w)| w).sum()));
-                        Ok(())
-                    },
-                )
-                .unwrap()
+        // output order exactly, whether it runs in process or on a worker
+        // process behind TCP — compare *unsorted* outputs.
+        let data: Vec<u32> = (0..3000).collect();
+        let parts: Vec<&[u32]> = data.chunks(370).collect();
+        let map = |part: &[u32], c: &mut Combiner<u32>| {
+            for &x in part {
+                c.emit(&(x % 500), &x.to_le_bytes()[..1], 1);
+            }
+            Ok(())
         };
-        let (seq, seq_metrics) = run(1);
-        assert_eq!(seq.len(), 50);
-        assert!(seq_metrics.tasks > 0);
-        for workers in [2, 4, 8] {
-            let (par, metrics) = run(workers);
-            assert_eq!(par, seq, "workers={workers}");
-            assert!(metrics.tasks > 0);
+        let reduce =
+            |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                emit((k, vs.iter().map(|&(_, w)| w).sum()));
+                Ok(())
+            };
+        for reducers in [1, 4] {
+            let in_process = |workers| {
+                Engine::new(workers)
+                    .with_reducers(reducers)
+                    .map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)
+                    .unwrap()
+            };
+            let (seq, seq_metrics) = in_process(1);
+            assert_eq!(seq.len(), 500);
+            assert!(seq_metrics.tasks > reducers as u64, "key groups batched");
+            for workers in [2, 3, 4, 8] {
+                let (par, metrics) = in_process(workers);
+                assert_eq!(par, seq, "workers={workers} reducers={reducers}");
+                assert_eq!(metrics.tasks, seq_metrics.tasks);
+            }
+            for workers in [1, 3] {
+                let (remote, metrics) = via_tcp(workers, reducers, &parts, map, || (), reduce);
+                assert_eq!(remote, seq, "TCP workers={workers} reducers={reducers}");
+                assert_eq!(metrics.tasks, reducers as u64, "one ReduceTask per bucket");
+            }
         }
     }
 
     #[test]
     fn reduce_state_initializes_once_per_worker() {
-        // 8 buckets but 3 workers: `init` used to run once per bucket; it
-        // must now run at most once per reduce worker thread.
+        let map = |part: &[u32], c: &mut Combiner<u32>| {
+            for &x in part {
+                c.emit(&x, b"", 1);
+            }
+            Ok(())
+        };
+        let inits = AtomicUsize::new(0);
+        let init = || inits.fetch_add(1, Ordering::Relaxed);
+        let reduce = |_: &mut usize, &k: &u32, _: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
+            emit(k);
+            Ok(())
+        };
+
+        // In process, 8 buckets but 3 workers: at most one state per
+        // reduce worker for the whole round, not one per bucket.
         let data: Vec<u32> = (0..200).collect();
         let parts: Vec<&[u32]> = data.chunks(29).collect();
-        let inits = AtomicUsize::new(0);
-        let engine = Engine::new(3).with_reducers(8);
-        let (out, _) = engine
-            .map_combine_reduce_with(
-                &parts,
-                |part: &[u32], c: &mut Combiner<u32>| {
-                    for &x in part {
-                        c.emit(&x, b"", 1);
-                    }
-                    Ok(())
-                },
-                || inits.fetch_add(1, Ordering::Relaxed),
-                |_state, &k: &u32, _vs, emit: &mut dyn FnMut(u32)| {
-                    emit(k);
-                    Ok(())
-                },
-            )
+        let (out, _) = Engine::new(3)
+            .with_reducers(8)
+            .map_combine_reduce_via(&InProcess, &parts, map, init, reduce)
             .unwrap();
         assert_eq!(out.len(), 200);
         assert!(
-            inits.into_inner() <= 3,
+            inits.swap(0, Ordering::Relaxed) <= 3,
             "init must be per worker, not per bucket"
+        );
+
+        // On a worker process: at most one state per worker thread per
+        // `ReduceTask`. Each bucket holds ~1000 key groups (16 tasks), so
+        // its key groups are spread over all 3 threads — more states than
+        // buckets, which a one-task-per-bucket reduce never makes.
+        let data: Vec<u32> = (0..2000).collect();
+        let parts: Vec<&[u32]> = data.chunks(290).collect();
+        let (out, _) = via_tcp(3, 2, &parts, map, init, reduce);
+        assert_eq!(out.len(), 2000);
+        let remote_inits = inits.into_inner();
+        assert!(
+            (3..=3 * 2).contains(&remote_inits),
+            "{remote_inits} inits for 2 ReduceTasks on 3 threads"
         );
     }
 
@@ -1282,7 +1262,8 @@ mod tests {
         let parts: Vec<&[u32]> = vec![&data];
         let engine = Engine::new(2).with_reducers(2);
         let err = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |part: &[u32], c: &mut Combiner<u32>| {
                     for &x in part {
@@ -1290,7 +1271,8 @@ mod tests {
                     }
                     Ok(())
                 },
-                |_k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| {
+                || (),
+                |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| {
                     panic!("reducer blew up")
                 },
             )
@@ -1330,7 +1312,8 @@ mod tests {
         let parts: Vec<&[u32]> = vec![&data];
         let engine = Engine::new(1).with_cancel(token);
         let err = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |part: &[u32], c: &mut Combiner<u32>| {
                     for &x in part {
@@ -1338,7 +1321,8 @@ mod tests {
                     }
                     Ok(())
                 },
-                |&k: &u32, _vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
+                || (),
+                |(): &mut (), &k: &u32, _vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
                     emit(k);
                     Ok(())
                 },
@@ -1354,14 +1338,16 @@ mod tests {
         let engine = Engine::new(1);
         let big = u64::from(u32::MAX) + 17;
         let (out, _) = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |_part: &[u32], c: &mut Combiner<u32>| {
                     c.emit(&9, b"", big);
                     c.emit(&9, b"", 1);
                     Ok(())
                 },
-                |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                || (),
+                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
                     assert_eq!(vs.len(), 1);
                     assert!(vs[0].0.is_empty());
                     emit((k, vs[0].1));

@@ -12,12 +12,18 @@
 //!    routed to `R` reducer buckets by key hash. The byte volume is the
 //!    `shuffle_bytes` metric — the analog of Spark's `shuffleWriteBytes`
 //!    that the paper reports (Fig. 9c);
-//! 3. **reduce**: every bucket is decoded, grouped by key, and processed
-//!    independently by a worker.
+//! 3. **reduce**: every bucket is decoded, merged and grouped by key, and
+//!    the key groups run under work stealing in whichever process holds the
+//!    bucket.
 //!
-//! An optional **combiner** aggregates map-side records with equal keys
-//! before serialization (MapReduce `combine`), which D-CAND uses to collapse
-//! identical NFAs into weighted ones (Sec. VI-A "Aggregation").
+//! A **combiner** aggregates map-side records with equal `(key, payload)`
+//! before serialization (MapReduce `combine`), which D-CAND uses to
+//! collapse identical NFAs into weighted ones (Sec. VI-A "Aggregation").
+//! Every such round ([`Engine::map_combine_reduce_via`]) goes through a
+//! [`ShuffleTransport`]: [`InProcess`], or a [`NetCoordinator`] whose
+//! workers ([`Engine::run_worker`]) run the very same reduce. The
+//! combiner-less [`Engine::map_reduce`] exists only for D-CAND's
+//! no-aggregation ablation (Fig. 10b).
 //!
 //! The engine is deliberately faithful to the cost model rather than to any
 //! particular cluster API: communication really passes through byte buffers,

@@ -3,11 +3,11 @@
 //!
 //! [`ShuffleTransport`] abstracts exactly the byte-space boundary of the
 //! engine: map tasks produce [`MapTaskOut`] (already-encoded bucket
-//! chunks), reduce tasks turn a bucket's chunks into encoded outputs.
-//! [`InProcess`] runs them on the engine's own thread pool — the default,
-//! with zero overhead over the classic single-process path. A
-//! [`NetCoordinator`] farms the *same* tasks out to worker processes over
-//! TCP, turning the engine into the driver of a small cluster.
+//! chunks), the engine's one reduce ([`ReduceFn`]) turns buckets of chunks
+//! into encoded outputs. [`InProcess`] runs both on the engine's own
+//! threads, handing the reduce every bucket at once; a [`NetCoordinator`]
+//! farms the *same* tasks out to worker processes over TCP, one bucket per
+//! reduce task.
 //!
 //! # Wire protocol
 //!
@@ -59,8 +59,7 @@ use std::time::{Duration, Instant};
 use desq_core::codec::{read_bytes, read_varint, write_bytes, write_varint};
 use desq_core::mining::panic_message;
 use desq_core::retry::RetryPolicy;
-use desq_core::sched::IndexedRun;
-use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list};
+use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list, MAX_LIST_LEN};
 use desq_core::{Error, Result};
 
 use crate::engine::{Engine, MapTaskOut};
@@ -71,7 +70,7 @@ use crate::engine::{Engine, MapTaskOut};
 /// table instead of an eight-kind private one.)
 pub const NET_PROTOCOL_VERSION: u8 = 2;
 
-/// Robustness counters of one transport phase, merged into
+/// Counters of one transport phase, merged into
 /// [`MiningMetrics`](desq_core::MiningMetrics) by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
@@ -81,15 +80,19 @@ pub struct PhaseStats {
     pub peer_timeouts: u64,
     /// Wall nanoseconds of the slowest single task (straggler).
     pub max_task_nanos: u64,
+    /// Reduce tasks: key-group tasks in process, shipped buckets remotely.
+    pub tasks: u64,
+    /// Key-group tasks stolen between this process's reduce workers.
+    pub steals: u64,
 }
 
 /// How a BSP job's tasks are executed and its shuffle bytes moved.
 ///
-/// Both phases receive a `local` closure that executes one task in this
+/// Both phases receive the engine's closure that runs them in this
 /// process — the in-process transport calls it directly; a networked
-/// transport ignores it and ships task ids to workers that hold the same
-/// closures. Implementations must return exactly one result per task, in
-/// task order, plus the phase's robustness counters.
+/// transport ignores it and ships task ids or buckets to workers that hold
+/// the same closures. Implementations must return exactly one result per
+/// map task and per bucket, in order, plus the phase's counters.
 pub trait ShuffleTransport: Sync {
     /// Executes map tasks `0..tasks`, returning their outputs in task order.
     fn map_phase(
@@ -99,36 +102,26 @@ pub trait ShuffleTransport: Sync {
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)>;
 
-    /// Executes one reduce task per bucket over the regrouped chunks,
-    /// returning each bucket's encoded outputs in bucket order.
+    /// Reduces the regrouped chunks (one list per bucket), returning each
+    /// bucket's encoded outputs in bucket order.
     fn reduce_phase(
         &self,
         engine: &Engine,
         chunks: Vec<Vec<Vec<u8>>>,
-        local: &ReduceTaskFn<'_>,
+        reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)>;
 }
 
-/// A reduce task body: the bucket index plus that bucket's regrouped
-/// chunks in, the bucket's encoded output out.
-pub type ReduceTaskFn<'a> = dyn Fn(usize, &[Vec<u8>]) -> Result<Vec<u8>> + Sync + 'a;
+/// The engine's one reduce over a slice of buckets (each a list of
+/// chunks): each bucket's encoded outputs, in order, plus the counters.
+/// [`InProcess`] hands it every bucket, a worker the one bucket of a
+/// [`Frame::ReduceTask`].
+pub type ReduceFn<'a> = dyn Fn(&[Vec<Vec<u8>>]) -> Result<(Vec<Vec<u8>>, PhaseStats)> + Sync + 'a;
 
-/// The worker-side reduce handler: a task id plus its shipped chunks.
-pub(crate) type WorkerReduceFn<'a> = dyn Fn(u64, &[Vec<u8>]) -> Result<Vec<u8>> + 'a;
-
-/// The default transport: tasks run on the engine's own worker threads,
-/// bytes never leave the process. Zero overhead over the classic path.
+/// The default transport: every task runs on the engine's own workers and
+/// bytes never leave the process.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
-
-/// An in-process phase has no peers: only the straggler is worth reporting.
-fn local_phase<T>(run: IndexedRun<T>) -> (Vec<T>, PhaseStats) {
-    let stats = PhaseStats {
-        max_task_nanos: run.max_task_nanos,
-        ..PhaseStats::default()
-    };
-    (run.results, stats)
-}
 
 impl ShuffleTransport for InProcess {
     fn map_phase(
@@ -138,17 +131,21 @@ impl ShuffleTransport for InProcess {
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
         let run = engine.run_tasks(tasks, local)?;
-        Ok(local_phase(run))
+        // No peers: only the straggler is worth reporting.
+        let stats = PhaseStats {
+            max_task_nanos: run.max_task_nanos,
+            ..PhaseStats::default()
+        };
+        Ok((run.results, stats))
     }
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        _engine: &Engine,
         chunks: Vec<Vec<Vec<u8>>>,
-        local: &ReduceTaskFn<'_>,
+        reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        let run = engine.run_tasks(chunks.len(), |b| local(b, &chunks[b]))?;
-        Ok(local_phase(run))
+        reduce(&chunks)
     }
 }
 
@@ -738,11 +735,18 @@ impl ShuffleTransport for NetCoordinator {
         tasks: usize,
         _local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
+        // A `MapOut` lists a chunk per reducer, a `ReduceTask` one per map
+        // task: past the receiver's list cap no such frame would decode.
+        let reducers = engine.reducers();
+        if tasks.max(reducers) > MAX_LIST_LEN {
+            return Err(Error::Invalid(format!(
+                "{tasks} map tasks / {reducers} reducers exceed the list cap {MAX_LIST_LEN}"
+            )));
+        }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let frames: Vec<Frame> = (0..tasks as u64)
             .map(|task| Frame::MapTask { epoch, task })
             .collect();
-        let reducers = engine.reducers();
         self.run_phase(engine, epoch, &frames, &|f| match f {
             Frame::MapOut {
                 emitted,
@@ -770,7 +774,7 @@ impl ShuffleTransport for NetCoordinator {
         &self,
         engine: &Engine,
         chunks: Vec<Vec<Vec<u8>>>,
-        _local: &ReduceTaskFn<'_>,
+        _reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let frames: Vec<Frame> = chunks
@@ -791,7 +795,12 @@ impl ShuffleTransport for NetCoordinator {
         // The reduce phase is the job's last: release the workers whether
         // it succeeded or not.
         self.finish();
-        outcome
+        let (outs, stats) = outcome?;
+        let stats = PhaseStats {
+            tasks: outs.len() as u64,
+            ..stats
+        };
+        Ok((outs, stats))
     }
 }
 
@@ -849,7 +858,7 @@ fn serve_coordinator(
     stream: TcpStream,
     cfg: &NetConfig,
     on_map: &dyn Fn(u64) -> Result<MapTaskOut>,
-    on_reduce: &WorkerReduceFn<'_>,
+    on_reduce: &ReduceFn<'_>,
 ) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(cfg.liveness))?;
@@ -915,7 +924,11 @@ fn serve_coordinator(
                     chunks,
                 } => {
                     let started = Instant::now();
-                    let run = catch_unwind(AssertUnwindSafe(|| on_reduce(task, &chunks)))
+                    let one_bucket = || {
+                        let (mut outs, _) = on_reduce(std::slice::from_ref(&chunks))?;
+                        Ok(outs.swap_remove(0))
+                    };
+                    let run = catch_unwind(AssertUnwindSafe(one_bucket))
                         .unwrap_or_else(|p| Err(Error::WorkerPanicked(panic_message(p.as_ref()))));
                     match run {
                         Ok(out) => Frame::ReduceOut {
@@ -951,7 +964,7 @@ pub(crate) fn worker_loop(
     addr: SocketAddr,
     cfg: &NetConfig,
     on_map: &dyn Fn(u64) -> Result<MapTaskOut>,
-    on_reduce: &WorkerReduceFn<'_>,
+    on_reduce: &ReduceFn<'_>,
 ) -> Result<()> {
     // One global budget across the whole job — a link that flakes on every
     // exchange must not live forever by resetting its counter.

@@ -270,3 +270,29 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
         peer.join().unwrap();
     }
 }
+
+/// Every `MapOut` lists one chunk per reducer, and a receiver refuses lists
+/// longer than `MAX_LIST_LEN`: a round that could never deliver a map
+/// output fails typed before the first frame, not as `PeerUnreachable`
+/// after the peer wait.
+#[test]
+fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
+    let cfg = NetConfig {
+        peer_wait: std::time::Duration::from_millis(200),
+        ..NetConfig::default()
+    };
+    let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
+    let data = [1u32];
+    let parts: Vec<&[u32]> = vec![&data];
+    let err = Engine::new(1)
+        .with_reducers(desq_core::wire::MAX_LIST_LEN + 1)
+        .map_combine_reduce_via(
+            &coord,
+            &parts,
+            |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+            || (),
+            |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+        )
+        .unwrap_err();
+    assert!(matches!(err, Error::Invalid(_)), "{err}");
+}

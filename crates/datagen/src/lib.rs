@@ -15,8 +15,7 @@
 //! * [`cw`] — hierarchy-free web-scale text with embedded frequent phrases
 //!   (the CW50 substitute for the T2 setting).
 //!
-//! All generators are deterministic given a seed. See DESIGN.md §4 for the
-//! substitution rationale.
+//! All generators are deterministic given a seed.
 
 pub mod amzn;
 pub mod cw;

@@ -4,16 +4,17 @@
 //! σ and the work budget always come from the [`MiningContext`] (the
 //! config's own `sigma` and budget fields are overridden — one validation
 //! path for all algorithms). The BSP [`Engine`] is created from the
-//! context's `workers`, and the database is partitioned into
-//! `ctx.partitions` map chunks.
+//! context's `workers`, the database is partitioned into `ctx.partitions`
+//! map chunks, and the round runs through [`InProcess`] — the same round a
+//! networked job runs through a `NetCoordinator`.
 
-use desq_bsp::Engine;
+use desq_bsp::{Engine, InProcess};
 use desq_core::mining::{Miner, MiningContext, MiningResult};
 use desq_core::Result;
 
-use crate::dcand::d_cand_impl;
-use crate::dseq::d_seq_impl;
-use crate::naive::naive_impl;
+use crate::dcand::{d_cand_no_agg, d_cand_via};
+use crate::dseq::d_seq_via;
+use crate::naive::naive_via;
 use crate::{DCandConfig, DSeqConfig, NaiveConfig};
 
 /// Builds the BSP engine from the context's parallelism, forwarding the
@@ -50,7 +51,7 @@ impl Miner for DSeq {
         cfg.run_budget = cfg.run_budget.min(ctx.limits.budget);
         let engine = engine_for(ctx);
         let parts = ctx.db.partition(ctx.partitions);
-        d_seq_impl(&engine, &parts, fst, ctx.dict, cfg)
+        d_seq_via(&engine, &InProcess, &parts, fst, ctx.dict, cfg)
     }
 }
 
@@ -77,7 +78,12 @@ impl Miner for DCand {
         cfg.run_budget = cfg.run_budget.min(ctx.limits.budget);
         let engine = engine_for(ctx);
         let parts = ctx.db.partition(ctx.partitions);
-        d_cand_impl(&engine, &parts, fst, ctx.dict, cfg)
+        if cfg.aggregate {
+            d_cand_via(&engine, &InProcess, &parts, fst, ctx.dict, cfg)
+        } else {
+            // Fig. 10b's no-aggregation ablation is not a combining round.
+            d_cand_no_agg(&engine, &parts, fst, ctx.dict, cfg)
+        }
     }
 }
 
@@ -117,7 +123,7 @@ impl Miner for Naive {
         cfg.budget = cfg.budget.min(ctx.limits.budget);
         let engine = engine_for(ctx);
         let parts = ctx.db.partition(ctx.partitions);
-        naive_impl(&engine, &parts, fst, ctx.dict, cfg)
+        naive_via(&engine, &InProcess, &parts, fst, ctx.dict, cfg)
     }
 }
 

@@ -219,24 +219,10 @@ impl<'a> Mapper<'a> {
     }
 }
 
-/// The workhorse behind [`d_cand`] and [`crate::algo::DCand`]:
-/// single-process execution.
-pub(crate) fn d_cand_impl(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
-    config: DCandConfig,
-) -> Result<MiningResult> {
-    Ok(d_cand_exec(engine, parts, fst, dict, config, Exec::Local)?
-        .expect("local execution returns a result"))
-}
-
-/// Runs D-CAND over an explicit shuffle transport (see
-/// [`crate::dseq::d_seq_via`] for the contract). Only the aggregating
-/// variant ships over the wire: the "no agg" ablation uses the engine's
-/// owned-value map/reduce shape, which the byte-oriented transport does
-/// not carry — [`DCandConfig::aggregate`] must be `true`.
+/// Runs D-CAND over a shuffle transport (see [`crate::dseq::d_seq_via`]
+/// for the contract). Only the aggregating variant is a combining round:
+/// [`DCandConfig::aggregate`] must be `true` (the no-aggregation ablation
+/// runs in process only, through [`crate::algo::DCand`]).
 pub fn d_cand_via(
     engine: &Engine,
     transport: &dyn desq_bsp::ShuffleTransport,
@@ -266,6 +252,31 @@ pub fn d_cand_worker(
     Ok(())
 }
 
+/// D-CAND's reduce body over NFA byte slices: decode each NFA into the
+/// worker's reusable arena and stream its candidates into an interned
+/// count table (whose per-sequence epoch de-duplicates the candidates an
+/// NFA represents more than once), weighted by source multiplicity —
+/// DESQ-COUNT over compressed inputs, σ-filtered.
+fn expand_and_count<'b>(
+    config: DCandConfig,
+    nfa: &mut Nfa,
+    inputs: impl Iterator<Item = (&'b [u8], u64)>,
+    emit: &mut dyn FnMut((Sequence, u64)),
+) -> Result<()> {
+    let mut counter = CandidateCounter::new();
+    for (bytes, weight) in inputs {
+        nfa.decode(bytes)?;
+        counter.begin_sequence(weight);
+        nfa.for_each(config.run_budget, |candidate| {
+            counter.observe(candidate);
+        })?;
+    }
+    for pattern in counter.patterns(config.sigma) {
+        emit(pattern);
+    }
+    Ok(())
+}
+
 fn d_cand_exec(
     engine: &Engine,
     parts: &[&[Sequence]],
@@ -275,75 +286,61 @@ fn d_cand_exec(
     exec: Exec<'_>,
 ) -> Result<Option<MiningResult>> {
     desq_core::mining::validate_sigma(config.sigma)?;
-    if !config.aggregate && !matches!(exec, Exec::Local) {
+    if !config.aggregate {
         return Err(Error::Invalid(
-            "D-CAND without aggregation is not supported over a shuffle transport \
-             (the no-agg ablation uses the owned-value map/reduce shape)"
+            "D-CAND without aggregation is not a combining round \
+             (the Fig. 10b no-agg ablation runs in process only)"
                 .into(),
         ));
     }
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
-
-    // Shared reduce body over borrowed NFA byte slices: decode each NFA
-    // into the worker's reusable arena and stream its candidates into an
-    // interned count table (whose per-sequence epoch de-duplicates the
-    // candidates an NFA represents more than once), weighted by source
-    // multiplicity — DESQ-COUNT over compressed inputs, σ-filtered.
-    let expand_and_count = |nfa: &mut Nfa,
-                            inputs: &mut dyn Iterator<Item = (&[u8], u64)>,
-                            emit: &mut dyn FnMut((Sequence, u64))|
-     -> Result<()> {
-        let mut counter = CandidateCounter::new();
-        for (bytes, weight) in inputs {
-            nfa.decode(bytes)?;
-            counter.begin_sequence(weight);
-            nfa.for_each(config.run_budget, |candidate| {
-                counter.observe(candidate);
-            })?;
-        }
-        for pattern in counter.patterns(config.sigma) {
-            emit(pattern);
+    let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
+        let mut mapper = Mapper::new(fst, dict, &index, config);
+        for seq in part {
+            // The serialized NFA goes through the byte-payload path:
+            // combined by content, interned per bucket chunk.
+            mapper.map(seq, |p, bytes| out.emit(&p, bytes, 1))?;
         }
         Ok(())
     };
+    let reduce = |nfa: &mut Nfa,
+                  _p: &ItemId,
+                  inputs: &[(&[u8], u64)],
+                  emit: &mut dyn FnMut((Sequence, u64))| {
+        expand_and_count(config, nfa, inputs.iter().copied(), emit)
+    };
+    crate::run_round(engine, exec, t0, parts, map, Nfa::default, reduce)
+}
 
-    let round = if config.aggregate {
-        let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
+/// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the
+/// engine's owned-value [`Engine::map_reduce`] shape: every NFA copy is
+/// copied out of the mapper's buffer, shipped and expanded, with no
+/// combining on either side.
+pub(crate) fn d_cand_no_agg(
+    engine: &Engine,
+    parts: &[&[Sequence]],
+    fst: &Fst,
+    dict: &Dictionary,
+    config: DCandConfig,
+) -> Result<MiningResult> {
+    let t0 = std::time::Instant::now();
+    let index = FstIndex::new(fst);
+    let round = engine.map_reduce(
+        parts,
+        |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
             let mut mapper = Mapper::new(fst, dict, &index, config);
             for seq in part {
-                // The serialized NFA goes through the byte-payload path:
-                // combined by content, interned per bucket chunk.
-                mapper.map(seq, |p, bytes| out.emit(&p, bytes, 1))?;
+                mapper.map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))?;
             }
             Ok(())
-        };
-        let reduce = |nfa: &mut Nfa,
-                      _p: &ItemId,
-                      inputs: &[(&[u8], u64)],
-                      emit: &mut dyn FnMut((Sequence, u64))| {
-            expand_and_count(nfa, &mut inputs.iter().copied(), emit)
-        };
-        crate::run_round(engine, exec, parts, map, Nfa::default, reduce)?
-    } else {
-        // The guard above pinned this branch to Exec::Local. The owned-value
-        // shape copies each payload out of the mapper's buffer.
-        Some(engine.map_reduce(
-            parts,
-            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
-                let mut mapper = Mapper::new(fst, dict, &index, config);
-                for seq in part {
-                    mapper.map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))?;
-                }
-                Ok(())
-            },
-            |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
-                let inputs = &mut inputs.iter().map(|(b, w)| (b.as_slice(), *w));
-                expand_and_count(&mut Nfa::default(), inputs, emit)
-            },
-        )?)
-    };
-    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
+        },
+        |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
+            let inputs = inputs.iter().map(|(b, w)| (b.as_slice(), *w));
+            expand_and_count(config, &mut Nfa::default(), inputs, emit)
+        },
+    )?;
+    Ok(crate::job_result(round, t0, engine, parts))
 }
 
 #[cfg(test)]
@@ -393,6 +390,22 @@ mod tests {
         assert_eq!(merge_pivots(&[vec![1, 5], vec![2, 9]]), vec![2, 5, 9]);
     }
 
+    /// D-CAND through its `Miner` adapter, which routes the no-aggregation
+    /// ablation to [`d_cand_no_agg`] and everything else to [`d_cand_via`]
+    /// over [`desq_bsp::InProcess`].
+    fn mine(
+        db: &SequenceDb,
+        dict: &Dictionary,
+        fst: &Fst,
+        config: DCandConfig,
+        (workers, partitions): (usize, usize),
+    ) -> Result<MiningResult> {
+        let ctx = MiningContext::sequential(db, dict, config.sigma)
+            .with_fst(fst)
+            .with_parallelism(workers, partitions);
+        crate::algo::DCand(config).mine(&ctx)
+    }
+
     fn assert_matches_desq_count(
         db: &SequenceDb,
         dict: &Dictionary,
@@ -400,8 +413,6 @@ mod tests {
         sigma: u64,
         what: &str,
     ) {
-        let engine = Engine::new(2);
-        let parts = db.partition(3);
         let reference = desq_miner::algo::DesqCount
             .mine(&MiningContext::sequential(db, dict, sigma).with_fst(fst))
             .unwrap()
@@ -414,7 +425,7 @@ mod tests {
                     aggregate,
                     run_budget: usize::MAX,
                 };
-                let res = d_cand_impl(&engine, &parts, fst, dict, cfg).unwrap();
+                let res = mine(db, dict, fst, cfg, (2, 3)).unwrap();
                 assert_eq!(
                     res.patterns, reference,
                     "{what} σ={sigma} min={minimize} agg={aggregate}"
@@ -602,47 +613,28 @@ mod tests {
     #[test]
     fn minimization_never_grows_shuffle() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
-        let plain = d_cand_impl(
-            &engine,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DCandConfig {
-                minimize: false,
-                ..DCandConfig::new(2)
-            },
-        )
-        .unwrap();
-        let minimized =
-            d_cand_impl(&engine, &parts, &fx.fst, &fx.dict, DCandConfig::new(2)).unwrap();
+        let plain = DCandConfig {
+            minimize: false,
+            ..DCandConfig::new(2)
+        };
+        let plain = mine(&fx.db, &fx.dict, &fx.fst, plain, (1, 1)).unwrap();
+        let minimized = mine(&fx.db, &fx.dict, &fx.fst, DCandConfig::new(2), (1, 1)).unwrap();
         assert!(minimized.metrics.shuffle_bytes <= plain.metrics.shuffle_bytes);
     }
 
     #[test]
     fn zero_budget_exhausts_on_matching_input() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
-        let err = d_cand_impl(
-            &engine,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DCandConfig::new(2).with_run_budget(0),
-        )
-        .unwrap_err();
+        let config = DCandConfig::new(2).with_run_budget(0);
+        let err = mine(&fx.db, &fx.dict, &fx.fst, config, (1, 1)).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
     }
 
     #[test]
     fn zero_sigma_rejected() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
         assert!(matches!(
-            d_cand_impl(&engine, &parts, &fx.fst, &fx.dict, DCandConfig::new(0)),
+            mine(&fx.db, &fx.dict, &fx.fst, DCandConfig::new(0), (1, 1)),
             Err(Error::Invalid(_))
         ));
     }

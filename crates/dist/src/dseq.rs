@@ -67,20 +67,8 @@ impl DSeqConfig {
     }
 }
 
-/// The workhorse behind [`crate::algo::DSeq`]: single-process execution.
-pub(crate) fn d_seq_impl(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
-    config: DSeqConfig,
-) -> Result<MiningResult> {
-    Ok(d_seq_exec(engine, parts, fst, dict, config, Exec::Local)?
-        .expect("local execution returns a result"))
-}
-
-/// Runs D-SEQ over an explicit shuffle transport — pass
-/// [`desq_bsp::transport::InProcess`] for a single-process run or a
+/// Runs D-SEQ over a shuffle transport — [`desq_bsp::InProcess`] for a
+/// single-process run (what [`crate::algo::DSeq`] does) or a
 /// [`desq_bsp::NetCoordinator`] to drive worker processes.
 pub fn d_seq_via(
     engine: &Engine,
@@ -112,14 +100,15 @@ pub fn d_seq_worker(
     Ok(())
 }
 
-/// Per-reduce-worker state: one growing arena of simulation tables plus
-/// the table index of every payload seen so far, keyed by the identity of
-/// the borrowed payload slice. Payloads borrow from the shuffle buffers,
-/// which outlive the state (the whole reduce phase in process, one bucket
-/// under a transport), so the map stays valid across the per-pivot tasks:
-/// a sequence shipped to many pivot partitions mined by one worker is
-/// decoded and simulated once, and its items are not retained. The rest is
-/// scratch reused across partitions.
+/// Per-reduce-worker state — one per worker per reduce call: one growing
+/// arena of simulation tables plus the table index of every payload seen
+/// so far, keyed by the identity of the borrowed payload slice. Payloads
+/// borrow from the shuffle buffers, which outlive the state (all buckets
+/// of the round in process, the one bucket of a `ReduceTask` on a worker
+/// process), so the map stays valid across the per-pivot tasks: a sequence
+/// shipped to many pivot partitions mined by one worker is decoded and
+/// simulated once, and its items are not retained. The rest is scratch
+/// reused across partitions.
 #[derive(Default)]
 struct ReduceState {
     tables: SeqTables,
@@ -215,13 +204,13 @@ fn d_seq_exec(
         Ok(())
     };
 
-    let round = crate::run_round(engine, exec, parts, map, ReduceState::default, reduce)?;
-    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
+    crate::run_round(engine, exec, t0, parts, map, ReduceState::default, reduce)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desq_bsp::InProcess;
     use desq_core::mining::{Miner, MiningContext};
     use desq_core::{toy, Error};
 
@@ -238,7 +227,15 @@ mod tests {
         let fx = toy::fixture();
         let engine = Engine::new(2);
         let parts = fx.db.partition(2);
-        let res = d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, DSeqConfig::new(2)).unwrap();
+        let res = d_seq_via(
+            &engine,
+            &InProcess,
+            &parts,
+            &fx.fst,
+            &fx.dict,
+            DSeqConfig::new(2),
+        )
+        .unwrap();
         let rendered: Vec<(String, u64)> = res
             .patterns
             .iter()
@@ -271,7 +268,8 @@ mod tests {
                             early_stop,
                             run_budget: usize::MAX,
                         };
-                        let res = d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, cfg).unwrap();
+                        let res =
+                            d_seq_via(&engine, &InProcess, &parts, &fx.fst, &fx.dict, cfg).unwrap();
                         assert_eq!(
                             res.patterns, reference,
                             "σ={sigma} grid={use_grid} rewrite={rewrite} stop={early_stop}"
@@ -287,8 +285,9 @@ mod tests {
         let fx = toy::fixture();
         let engine = Engine::new(1);
         let parts = fx.db.partition(1);
-        let full = d_seq_impl(
+        let full = d_seq_via(
             &engine,
+            &InProcess,
             &parts,
             &fx.fst,
             &fx.dict,
@@ -298,7 +297,15 @@ mod tests {
             },
         )
         .unwrap();
-        let rewritten = d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, DSeqConfig::new(2)).unwrap();
+        let rewritten = d_seq_via(
+            &engine,
+            &InProcess,
+            &parts,
+            &fx.fst,
+            &fx.dict,
+            DSeqConfig::new(2),
+        )
+        .unwrap();
         // T2 loses its two leading e's.
         assert!(rewritten.metrics.shuffle_bytes < full.metrics.shuffle_bytes);
         assert_eq!(rewritten.patterns, full.patterns);
@@ -314,8 +321,15 @@ mod tests {
                 .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
                 .unwrap()
                 .patterns;
-            let dist =
-                d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, DSeqConfig::new(sigma)).unwrap();
+            let dist = d_seq_via(
+                &engine,
+                &InProcess,
+                &parts,
+                &fx.fst,
+                &fx.dict,
+                DSeqConfig::new(sigma),
+            )
+            .unwrap();
             assert_eq!(dist.patterns, seq, "σ={sigma}");
         }
     }
@@ -329,7 +343,7 @@ mod tests {
             use_grid: false,
             ..DSeqConfig::new(2).with_run_budget(1)
         };
-        let err = d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, cfg).unwrap_err();
+        let err = d_seq_via(&engine, &InProcess, &parts, &fx.fst, &fx.dict, cfg).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
     }
 
@@ -339,7 +353,14 @@ mod tests {
         let engine = Engine::new(1);
         let parts = fx.db.partition(1);
         assert!(matches!(
-            d_seq_impl(&engine, &parts, &fx.fst, &fx.dict, DSeqConfig::new(0)),
+            d_seq_via(
+                &engine,
+                &InProcess,
+                &parts,
+                &fx.fst,
+                &fx.dict,
+                DSeqConfig::new(0)
+            ),
             Err(Error::Invalid(_))
         ));
     }
@@ -386,7 +407,7 @@ mod tests {
                         early_stop,
                         ..DSeqConfig::new(sigma)
                     };
-                    let dist = d_seq_impl(&engine, &parts, &fst, &dict, cfg).unwrap();
+                    let dist = d_seq_via(&engine, &InProcess, &parts, &fst, &dict, cfg).unwrap();
                     assert_eq!(
                         dist.patterns, seq,
                         "{} stop={early_stop} rewrite={rewrite}",

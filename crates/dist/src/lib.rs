@@ -49,82 +49,68 @@ use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 /// result type, re-exported from [`desq_core::mining`].
 pub use desq_core::MiningResult;
 
-/// Completes the BSP engine's measurements of one job with the three values
-/// the engine does not know: the end-to-end wall time since the algorithm
-/// started at `t0` (compile and index time included), the worker count and
-/// the input size. (FST sizes are per session: the session layer fills them
-/// in, `MiningMetrics::record_fst`.)
-pub fn metrics_from_job(
-    job: MiningMetrics,
-    t0: std::time::Instant,
-    engine: &Engine,
-    parts: &[&[Sequence]],
-) -> MiningMetrics {
-    MiningMetrics {
-        wall_nanos: t0.elapsed().as_nanos() as u64,
-        workers: engine.workers() as u64,
-        input_sequences: parts.iter().map(|p| p.len() as u64).sum(),
-        ..job
-    }
-}
-
 /// How a distributed job executes its BSP round.
 ///
-/// [`Exec::Local`] is the classic single-process path (the default
-/// everywhere). [`Exec::Via`] drives the *same* job over an explicit
-/// [`desq_bsp::ShuffleTransport`] — pass a
-/// [`desq_bsp::NetCoordinator`] to farm the map and reduce tasks out to
-/// worker processes. [`Exec::Worker`] turns this process into one of those
-/// workers: it connects to the coordinator and serves tasks against its
-/// own copy of the partitions (every process must build the same corpus
-/// and configuration; only task ids and bytes cross the wire).
+/// [`Exec::Via`] drives the round over a [`desq_bsp::ShuffleTransport`]:
+/// [`desq_bsp::InProcess`] runs it on this process's engine (what the
+/// [`algo`] adapters do), a [`desq_bsp::NetCoordinator`] farms the map
+/// tasks and buckets out to worker processes. [`Exec::Worker`] turns this
+/// process into one of those workers: it connects to the coordinator and
+/// serves tasks against its own copy of the partitions (every process must
+/// build the same corpus and configuration; only task ids and bytes cross
+/// the wire).
 pub enum Exec<'a> {
-    /// Single-process execution on the engine's thread pool.
-    Local,
-    /// Drive the job through an explicit shuffle transport.
+    /// Drive the round through a shuffle transport.
     Via(&'a dyn desq_bsp::ShuffleTransport),
     /// Serve the job as a worker connected to a coordinator.
     Worker(std::net::SocketAddr, &'a desq_bsp::NetConfig),
 }
 
-/// A finished round: the reducers' patterns (unsorted) and the job's
-/// measurements.
-type Round = (Vec<(Sequence, u64)>, MiningMetrics);
-
 /// Runs one combining BSP round the way `exec` says — the one place the
-/// three algorithms' map/init/reduce closures meet the engine's three entry
-/// points. `None` means this process served the round as a worker.
+/// three algorithms' map/init/reduce closures meet the engine — and
+/// completes the driver's result ([`job_result`], `t0` is the job's start).
+/// `None` means this process served the round as a worker.
 pub(crate) fn run_round<S: Send>(
     engine: &Engine,
     exec: Exec<'_>,
+    t0: std::time::Instant,
     parts: &[&[Sequence]],
     map: impl Fn(&[Sequence], &mut Combiner<ItemId>) -> Result<()> + Sync,
     init: impl Fn() -> S + Sync,
     reduce: impl Fn(&mut S, &ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
         + Sync,
-) -> Result<Option<Round>> {
-    Ok(Some(match exec {
-        Exec::Local => engine.map_combine_reduce_with(parts, map, init, reduce)?,
+) -> Result<Option<MiningResult>> {
+    match exec {
         Exec::Via(transport) => {
-            engine.map_combine_reduce_via(transport, parts, map, init, reduce)?
+            let round = engine.map_combine_reduce_via(transport, parts, map, init, reduce)?;
+            Ok(Some(job_result(round, t0, engine, parts)))
         }
         Exec::Worker(addr, net) => {
             engine.run_worker(addr, net, parts, map, init, reduce)?;
-            return Ok(None);
+            Ok(None)
         }
-    }))
+    }
 }
 
-/// Sorts a finished round's patterns and completes its job measurements
-/// (see [`metrics_from_job`]).
-pub(crate) fn job_result(
-    (patterns, job): Round,
+/// Completes a finished round — the reducers' patterns, unsorted, and the
+/// engine's measurements — into a job result: the patterns sorted, and the
+/// three measurements the engine does not know filled in: the end-to-end
+/// wall time since the algorithm started at `t0` (compile and index time
+/// included), the worker count and the input size. (FST sizes are per
+/// session: the session layer fills them in, `MiningMetrics::record_fst`.)
+pub fn job_result(
+    (patterns, job): (Vec<(Sequence, u64)>, MiningMetrics),
     t0: std::time::Instant,
     engine: &Engine,
     parts: &[&[Sequence]],
 ) -> MiningResult {
     MiningResult {
         patterns: desq_miner::sort_patterns(patterns),
-        metrics: metrics_from_job(job, t0, engine, parts),
+        metrics: MiningMetrics {
+            wall_nanos: t0.elapsed().as_nanos() as u64,
+            workers: engine.workers() as u64,
+            input_sequences: parts.iter().map(|p| p.len() as u64).sum(),
+            ..job
+        },
     }
 }

@@ -65,20 +65,7 @@ impl NaiveConfig {
     }
 }
 
-/// The workhorse behind [`naive`], [`semi_naive`] and [`crate::algo::Naive`]:
-/// single-process execution.
-pub(crate) fn naive_impl(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
-    config: NaiveConfig,
-) -> Result<MiningResult> {
-    Ok(naive_exec(engine, parts, fst, dict, config, Exec::Local)?
-        .expect("local execution returns a result"))
-}
-
-/// Runs NAÏVE / SEMI-NAÏVE over an explicit shuffle transport (see
+/// Runs NAÏVE / SEMI-NAÏVE over a shuffle transport (see
 /// [`crate::dseq::d_seq_via`] for the contract).
 pub fn naive_via(
     engine: &Engine,
@@ -151,7 +138,7 @@ fn naive_exec(
     };
     // The combiner merged identical (pivot, candidate) pairs across the
     // whole job, so each payload's weight is its global frequency.
-    // (The σ-filter is stateless: unit reduce state on every `exec` arm.)
+    // (The σ-filter is stateless: unit reduce state.)
     let reduce = |(): &mut (),
                   _p: &ItemId,
                   cands: &[(&[u8], u64)],
@@ -165,13 +152,13 @@ fn naive_exec(
         }
         Ok(())
     };
-    let round = crate::run_round(engine, exec, parts, map, || (), reduce)?;
-    Ok(round.map(|round| crate::job_result(round, t0, engine, parts)))
+    crate::run_round(engine, exec, t0, parts, map, || (), reduce)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desq_bsp::InProcess;
     use desq_core::mining::{Miner, MiningContext};
     use desq_core::{toy, Error};
 
@@ -185,8 +172,9 @@ mod tests {
                 .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
                 .unwrap()
                 .patterns;
-            let nv = naive_impl(
+            let nv = naive_via(
                 &engine,
+                &InProcess,
                 &parts,
                 &fx.fst,
                 &fx.dict,
@@ -194,8 +182,9 @@ mod tests {
             )
             .unwrap();
             assert_eq!(nv.patterns, reference, "NAIVE σ={sigma}");
-            let sn = naive_impl(
+            let sn = naive_via(
                 &engine,
+                &InProcess,
                 &parts,
                 &fx.fst,
                 &fx.dict,
@@ -211,9 +200,18 @@ mod tests {
         let fx = toy::fixture();
         let engine = Engine::new(2);
         let parts = fx.db.partition(2);
-        let nv = naive_impl(&engine, &parts, &fx.fst, &fx.dict, NaiveConfig::naive(2)).unwrap();
-        let sn = naive_impl(
+        let nv = naive_via(
             &engine,
+            &InProcess,
+            &parts,
+            &fx.fst,
+            &fx.dict,
+            NaiveConfig::naive(2),
+        )
+        .unwrap();
+        let sn = naive_via(
+            &engine,
+            &InProcess,
             &parts,
             &fx.fst,
             &fx.dict,
@@ -230,8 +228,9 @@ mod tests {
         let fx = toy::fixture();
         let engine = Engine::new(1);
         let parts = fx.db.partition(1);
-        let err = naive_impl(
+        let err = naive_via(
             &engine,
+            &InProcess,
             &parts,
             &fx.fst,
             &fx.dict,
@@ -247,7 +246,14 @@ mod tests {
         let engine = Engine::new(1);
         let parts = fx.db.partition(1);
         assert!(matches!(
-            naive_impl(&engine, &parts, &fx.fst, &fx.dict, NaiveConfig::naive(0)),
+            naive_via(
+                &engine,
+                &InProcess,
+                &parts,
+                &fx.fst,
+                &fx.dict,
+                NaiveConfig::naive(0)
+            ),
             Err(Error::Invalid(_))
         ));
     }

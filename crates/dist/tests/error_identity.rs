@@ -1,12 +1,13 @@
 //! One error taxonomy end to end: an error raised inside a reducer reaches
 //! the caller of a `desq_dist` entry point as the same `desq_core::Error`
-//! value whether the round ran on the local engine, through the in-process
-//! transport, or on a worker behind a real `NetCoordinator`.
+//! value whether the round ran through the in-process transport (which is
+//! what the `Miner` adapters run) or on a worker behind a real
+//! `NetCoordinator`.
 
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 
-use desq_bsp::transport::{PhaseStats, ReduceTaskFn, ShuffleTransport};
+use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
 use desq_bsp::{Engine, InProcess, MapTaskOut, NetConfig, NetCoordinator};
 use desq_core::mining::{Limits, Miner, MiningContext};
 use desq_core::{toy, Dictionary, DictionaryBuilder, Error, Fst, PatEx, Result, SequenceDb};
@@ -62,19 +63,19 @@ fn a_reducer_side_budget_error_is_the_same_value_on_every_path() {
     let parts = db.partition(PARTS);
     let expect = Error::ResourceExhausted("NFA expansion exceeded budget of 64".into());
 
-    // Exec::Local, through the Miner adapter.
+    // The Miner adapter: `d_cand_via` over `InProcess`.
     let ctx = MiningContext::sequential(&db, &dict, 1)
         .with_fst(&fst)
         .with_limits(Limits::default().with_budget(64));
     let local = desq_dist::algo::DCand::default().mine(&ctx).unwrap_err();
     assert_eq!(local, expect);
 
-    // Exec::Via(&InProcess).
+    // The same program called directly.
     let in_process =
         d_cand_via(&engine, &InProcess, &parts, &fst, &dict, wide_config()).unwrap_err();
     assert_eq!(in_process, expect);
 
-    // Exec::Via(&NetCoordinator): raised on the worker, shipped as TaskErr.
+    // Over a NetCoordinator: raised on the worker, shipped as TaskErr.
     let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let worker = spawn_dcand_worker(coord.local_addr().unwrap());
     let remote = d_cand_via(&engine, &coord, &parts, &fst, &dict, wide_config()).unwrap_err();
@@ -109,9 +110,9 @@ impl ShuffleTransport for Corrupting<'_> {
         &self,
         engine: &Engine,
         chunks: Vec<Vec<Vec<u8>>>,
-        local: &ReduceTaskFn<'_>,
+        reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        self.0.reduce_phase(engine, chunks, local)
+        self.0.reduce_phase(engine, chunks, reduce)
     }
 }
 

@@ -104,6 +104,57 @@ fn net_dseq_two_workers_matches_oracle() {
     }
 }
 
+/// The worker process runs the same key-group reduce as the in-process
+/// round: with three threads on the worker, each shipped bucket's pivot
+/// partitions are spread over them (one `ReduceState` per thread per
+/// bucket), and the result is still DESQ-DFS's.
+#[test]
+fn net_dseq_three_thread_worker_matches_oracle() {
+    let sigma = 10;
+    let world = || {
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
+        let fst = desq_dist::patterns::n4().compile(&dict).unwrap();
+        (dict, db, fst)
+    };
+    let cfg = fast_net();
+    let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
+    let addr = coord.local_addr().unwrap();
+    let worker = thread::spawn(move || {
+        let (dict, db, fst) = world();
+        let parts = db.partition(PARTS);
+        let engine = Engine::new(3).with_reducers(2);
+        d_seq_worker(
+            &engine,
+            addr,
+            &cfg,
+            &parts,
+            &fst,
+            &dict,
+            DSeqConfig::new(sigma),
+        )
+        .expect("worker run");
+    });
+
+    let (dict, db, fst) = world();
+    let parts = db.partition(PARTS);
+    let res = d_seq_via(
+        &Engine::new(2),
+        &coord,
+        &parts,
+        &fst,
+        &dict,
+        DSeqConfig::new(sigma),
+    )
+    .unwrap();
+    let oracle = desq_miner::algo::DesqDfs
+        .mine(&MiningContext::sequential(&db, &dict, sigma).with_fst(&fst))
+        .unwrap()
+        .patterns;
+    assert!(!oracle.is_empty());
+    assert_eq!(res.patterns, oracle);
+    worker.join().unwrap();
+}
+
 #[test]
 fn net_naive_matches_oracle() {
     let cfg = fast_net();

@@ -17,9 +17,7 @@
 //!   hierarchy constraints: the local miner of MG-FSM and LASH (Fig. 12).
 //!
 //! All four run behind the unified mining API through the
-//! [`desq_core::mining::Miner`] adapters in [`algo`] (the deprecated
-//! free-function entry points were removed; see `docs/MIGRATION.md` in the
-//! repository root). Parallel runs of DESQ-DFS and DESQ-COUNT share the
+//! [`desq_core::mining::Miner`] adapters in [`algo`]. Parallel runs of DESQ-DFS and DESQ-COUNT share the
 //! work-stealing task scheduler in [`desq_core::sched`]; DESQ-DFS additionally picks
 //! between its flat-table and lean counting execution paths per run (see
 //! [`algo::DesqDfs`] and `docs/ARCHITECTURE.md`).

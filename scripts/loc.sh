@@ -7,7 +7,7 @@ cd "${1:-$(dirname "$0")/..}"
 
 total=0
 for root in crates/core/src crates/bsp/src crates/dist/src crates/miner/src \
-    crates/serve/src crates/baselines/src src crates/compat/crossbeam/src; do
+    crates/serve/src crates/baselines/src src; do
     [ -d "$root" ] || continue
     n=$(find "$root" -name '*.rs' -print0 |
         xargs -0 awk '/^(#\[cfg\(test\)\] *)?(pub )?mod tests( *\{|;)/ { nextfile } { n++ } END { print n + 0 }')

@@ -45,15 +45,11 @@
 //!   corpora.
 //!
 //! Each algorithm crate exposes its implementations behind the session via
-//! [`Miner`]-trait adapters in an `algo` module. The historical free
-//! functions (`desq_count`, `desq_dfs`, `d_seq`, `d_cand`, `naive`,
-//! `semi_naive`, `lash`, `mllib_prefixspan`) were removed after their
-//! one-release deprecation window; `docs/MIGRATION.md` in the repository
-//! root maps each old call to its session-builder equivalent.
+//! [`Miner`]-trait adapters in an `algo` module.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, DESIGN.md for the
-//! system inventory, and `docs/ARCHITECTURE.md` for the module map of the
-//! flat mining substrate and the work-stealing scheduler.
+//! See `examples/quickstart.rs` for a five-minute tour and
+//! `docs/ARCHITECTURE.md` for the module map of the flat mining substrate
+//! and the work-stealing scheduler.
 
 pub mod session;
 

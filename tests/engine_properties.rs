@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use desq::bsp::{decode_item_seq, encode_item_seq, Engine};
+use desq::bsp::{decode_item_seq, encode_item_seq, Engine, InProcess};
 use desq::core::fx::FxHashMap;
 use desq::datagen::{amzn_like, to_forest, AmznConfig};
 use desq::session::{AlgorithmSpec, MiningSession};
@@ -151,7 +151,8 @@ proptest! {
         let engine = Engine::new(2).with_reducers(3);
         let payload_ref = &payload;
         let (out, _) = engine
-            .map_combine_reduce(
+            .map_combine_reduce_via(
+                &InProcess,
                 &parts,
                 |part: &[u64], c: &mut desq::bsp::Combiner<u32>| {
                     for &w in part {
@@ -159,7 +160,8 @@ proptest! {
                     }
                     Ok(())
                 },
-                |&k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                || (),
+                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
                     assert_eq!(vs.len(), 1, "identical records must merge");
                     assert_eq!(vs[0].0, payload_ref.as_slice());
                     emit((k, vs[0].1));
@@ -180,7 +182,8 @@ proptest! {
         let parts: Vec<&[Vec<u32>]> = data.chunks(4).collect();
         let run_combined = || {
             let (mut out, m) = engine
-                .map_combine_reduce(
+                .map_combine_reduce_via(
+                    &InProcess,
                     &parts,
                     |part: &[Vec<u32>], c: &mut desq::bsp::Combiner<u32>| {
                         for seq in part {
@@ -190,7 +193,8 @@ proptest! {
                         }
                         Ok(())
                     },
-                    |&k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                    || (),
+                    |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
                         let total: u64 = vs
                             .iter()
                             .map(|(b, w)| {
