@@ -19,16 +19,18 @@
 //! [`EPSILON`] and never match.
 
 use desq_bsp::{Engine, InProcess};
+use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
-/// LASH configuration: the `T3(σ, γ, λ)` constraint family
-/// (`generalize = false` gives MG-FSM's `T2(σ, γ, λ)`).
+/// The LASH baseline: Tab. III's `T3(σ, γ, λ)` constraint family, or
+/// MG-FSM's `T2(σ, γ, λ)` with `generalize` off. Its fields are the γ, λ
+/// and hierarchy switch of the Fig. 12 settings (Fig. 13 runs the MG-FSM
+/// variant with γ beyond any sequence length); σ comes from the
+/// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct LashConfig {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Maximum gap γ.
     pub gamma: usize,
     /// Maximum length λ.
@@ -39,9 +41,8 @@ pub struct LashConfig {
 
 impl LashConfig {
     /// The LASH setting `T3(σ, γ, λ)`.
-    pub fn new(sigma: u64, gamma: usize, lambda: usize) -> LashConfig {
+    pub fn new(gamma: usize, lambda: usize) -> LashConfig {
         LashConfig {
-            sigma,
             gamma,
             lambda,
             generalize: true,
@@ -178,16 +179,27 @@ fn rewrite(
     Some(out)
 }
 
-/// The workhorse behind [`lash`] and [`crate::algo::Lash`].
-pub(crate) fn lash_impl(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    dict: &Dictionary,
-    config: LashConfig,
-) -> Result<MiningResult> {
-    desq_core::mining::validate_sigma(config.sigma)?;
+impl Miner for LashConfig {
+    fn name(&self) -> &'static str {
+        if self.generalize {
+            "LASH"
+        } else {
+            "MG-FSM"
+        }
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        ctx.validate()?;
+        lash_impl(ctx, *self)
+    }
+}
+
+/// One BSP round on `ctx`'s engine: LASH rewrites per pivot on the map
+/// side, the pivot-restricted gap miner per partition on the reduce side.
+fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult> {
+    let (dict, sigma) = (ctx.dict, ctx.sigma);
     let t0 = std::time::Instant::now();
-    let last_frequent = dict.last_frequent(config.sigma);
+    let last_frequent = dict.last_frequent(sigma);
 
     let map = |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
         // Per-task encode buffer: each rewrite serializes once via the
@@ -211,13 +223,11 @@ pub(crate) fn lash_impl(
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
         let miner = GapMiner {
-            sigma: config.sigma,
             gamma: config.gamma,
             max_len: config.lambda,
             min_len: 2,
             generalize: config.generalize,
-            max_item: Some(p),
-            require_pivot: Some(p),
+            pivot: Some(p),
         };
         let mut decoded: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
         for &(bytes, w) in inputs {
@@ -226,21 +236,26 @@ pub(crate) fn lash_impl(
             desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
             decoded.push((seq, w));
         }
-        for (pattern, freq) in miner.mine_weighted(&decoded, dict) {
+        for (pattern, freq) in miner.mine_weighted(&decoded, dict, sigma, ctx.cancel)? {
             emit((pattern, freq));
         }
         Ok(())
     };
 
-    let round = engine.map_combine_reduce_via(&InProcess, parts, map, || (), reduce)?;
-    Ok(desq_dist::job_result(round, t0, engine, parts))
+    let (engine, parts) = Engine::for_context(ctx);
+    let round = engine.map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)?;
+    Ok(desq_dist::job_result(round, t0, &engine, &parts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::mining::{Miner, MiningContext};
     use desq_core::toy;
+
+    /// The toy fixture at `sigma` on two workers and `parts` partitions.
+    fn toy_ctx(fx: &toy::Toy, sigma: u64, parts: usize) -> MiningContext<'_> {
+        MiningContext::sequential(&fx.db, &fx.dict, sigma).with_parallelism(2, parts)
+    }
 
     /// Brute-force FST-based reference through the Miner trait.
     fn reference(fx: &toy::Toy, fst: &desq_core::Fst, sigma: u64) -> Vec<(Sequence, u64)> {
@@ -253,17 +268,14 @@ mod tests {
     #[test]
     fn lash_matches_gapminer_and_desq_t3_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
         for sigma in 1..=3u64 {
+            let ctx = toy_ctx(&fx, sigma, 2);
             for gamma in 0..=2usize {
                 for lambda in 2..=4usize {
-                    let cfg = LashConfig::new(sigma, gamma, lambda);
-                    let dist = lash_impl(&engine, &parts, &fx.dict, cfg).unwrap();
-                    let seq_miner =
-                        GapMiner::new(sigma, gamma, lambda, true).mine(&fx.db, &fx.dict);
+                    let dist = LashConfig::new(gamma, lambda).mine(&ctx).unwrap();
+                    let seq_miner = GapMiner::new(gamma, lambda, true).mine(&ctx).unwrap();
                     assert_eq!(
-                        dist.patterns, seq_miner,
+                        dist.patterns, seq_miner.patterns,
                         "vs GapMiner σ={sigma} γ={gamma} λ={lambda}"
                     );
                     // And against the general FST-based reference.
@@ -279,12 +291,10 @@ mod tests {
     #[test]
     fn mgfsm_variant_matches_desq_t2_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(3);
         for sigma in 1..=2u64 {
             for gamma in 0..=1usize {
-                let cfg = LashConfig::new(sigma, gamma, 3).without_hierarchy();
-                let dist = lash_impl(&engine, &parts, &fx.dict, cfg).unwrap();
+                let cfg = LashConfig::new(gamma, 3).without_hierarchy();
+                let dist = cfg.mine(&toy_ctx(&fx, sigma, 3)).unwrap();
                 let c = desq_dist::patterns::t2(gamma, 3);
                 let fst = c.compile(&fx.dict).unwrap();
                 let reference = reference(&fx, &fst, sigma);
@@ -301,12 +311,12 @@ mod tests {
         // e e | a1 _ a1 | _ | b → the run "a1 _ a1" survives (contains a1,
         // len ≥ 2); after the single-blank gap "b" continues the part
         // (gap 1 ≤ γ): "a1 _ a1 _ b".
-        let cfg = LashConfig::new(2, 1, 5);
+        let cfg = LashConfig::new(1, 5);
         let t2 = &fx.db.sequences[1];
         let r = rewrite(&fx.dict, t2, fx.a1, lf, &cfg).unwrap();
         assert_eq!(r, vec![fx.a1, EPSILON, fx.a1, EPSILON, fx.b]);
         // With γ = 0 the blanks split everything; singleton parts die.
-        let cfg0 = LashConfig::new(2, 0, 5);
+        let cfg0 = LashConfig::new(0, 5);
         let r0 = rewrite(&fx.dict, t2, fx.a1, lf, &cfg0);
         assert!(r0.is_none(), "{r0:?}");
     }
@@ -314,9 +324,7 @@ mod tests {
     #[test]
     fn rewrite_shrinks_shuffle_versus_full_sequences() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
-        let res = lash_impl(&engine, &parts, &fx.dict, LashConfig::new(2, 1, 5)).unwrap();
+        let res = LashConfig::new(1, 5).mine(&toy_ctx(&fx, 2, 2)).unwrap();
         // Rough sanity: rewritten representations for the toy db are small.
         assert!(res.metrics.shuffle_bytes < 200);
     }
@@ -327,7 +335,7 @@ mod tests {
         let lf = fx.dict.last_frequent(2);
         // T3 = c d c b has no descendant of A: pivot A gets nothing.
         let t3 = &fx.db.sequences[2];
-        let cfg = LashConfig::new(2, 1, 5);
+        let cfg = LashConfig::new(1, 5);
         assert!(rewrite(&fx.dict, t3, fx.big_a, lf, &cfg).is_none());
     }
 }

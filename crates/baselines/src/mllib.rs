@@ -17,35 +17,38 @@
 
 use desq_bsp::{Engine, InProcess};
 use desq_core::fx::FxHashSet;
+use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 use desq_dist::MiningResult;
 use desq_miner::PrefixSpan;
 
-/// MLlib PrefixSpan configuration: the `T1(σ, λ)` setting.
+/// The MLlib-style distributed PrefixSpan of the Fig. 13 comparison:
+/// Tab. III's `T1(σ, λ)` setting, maximum length only (the paper fixes
+/// λ = 5). σ comes from the [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct MllibConfig {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Maximum pattern length λ.
     pub max_len: usize,
 }
 
-impl MllibConfig {
-    /// Creates the `T1(σ, λ)` configuration.
-    pub fn new(sigma: u64, max_len: usize) -> MllibConfig {
-        MllibConfig { sigma, max_len }
+impl Miner for MllibConfig {
+    fn name(&self) -> &'static str {
+        "MLlib-PrefixSpan"
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        ctx.validate()?;
+        mllib_impl(ctx, self.max_len)
     }
 }
 
-/// The workhorse behind [`mllib_prefixspan`] and [`crate::algo::Mllib`].
-pub(crate) fn mllib_impl(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    config: MllibConfig,
-) -> Result<MiningResult> {
-    desq_core::mining::validate_sigma(config.sigma)?;
+/// Both rounds on `ctx`'s engine, mining patterns of length `1..=max_len`.
+fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
+    let sigma = ctx.sigma;
     let t0 = std::time::Instant::now();
-    if config.max_len == 0 {
+    let (engine, parts) = Engine::for_context(ctx);
+    let (engine, parts) = (&engine, &parts[..]);
+    if max_len == 0 {
         let round = (Vec::new(), MiningMetrics::default());
         return Ok(desq_dist::job_result(round, t0, engine, parts));
     }
@@ -70,7 +73,7 @@ pub(crate) fn mllib_impl(
         || (),
         |(): &mut (), &w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
             let f: u64 = vs.iter().map(|(_, c)| c).sum();
-            if f >= config.sigma {
+            if f >= sigma {
                 emit((w, f));
             }
             Ok(())
@@ -121,9 +124,11 @@ pub(crate) fn mllib_impl(
             }
             let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
             emit((vec![w], support));
-            if config.max_len > 1 {
-                let ps = PrefixSpan::new(config.sigma, config.max_len - 1);
-                for (tail, f) in ps.mine_weighted(&suffixes) {
+            if max_len > 1 {
+                let ps = PrefixSpan {
+                    max_len: max_len - 1,
+                };
+                for (tail, f) in ps.mine_weighted(&suffixes, sigma, ctx.cancel)? {
                     let mut pattern = Vec::with_capacity(tail.len() + 1);
                     pattern.push(w);
                     pattern.extend(tail);
@@ -159,19 +164,21 @@ pub(crate) fn mllib_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::mining::{Miner, MiningContext};
     use desq_core::toy;
+
+    fn toy_ctx(fx: &toy::Toy, sigma: u64, workers: usize) -> MiningContext<'_> {
+        MiningContext::sequential(&fx.db, &fx.dict, sigma).with_parallelism(workers, workers)
+    }
 
     #[test]
     fn matches_sequential_prefixspan_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
         for sigma in 1..=3u64 {
-            for lambda in 1..=4usize {
-                let dist = mllib_impl(&engine, &parts, MllibConfig::new(sigma, lambda)).unwrap();
-                let seq = PrefixSpan::new(sigma, lambda).mine(&fx.db);
-                assert_eq!(dist.patterns, seq, "σ={sigma} λ={lambda}");
+            let ctx = toy_ctx(&fx, sigma, 2);
+            for max_len in 1..=4usize {
+                let dist = MllibConfig { max_len }.mine(&ctx).unwrap();
+                let seq = PrefixSpan { max_len }.mine(&ctx).unwrap();
+                assert_eq!(dist.patterns, seq.patterns, "σ={sigma} λ={max_len}");
             }
         }
     }
@@ -179,16 +186,15 @@ mod tests {
     #[test]
     fn matches_desq_t1_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(3);
-        let parts = fx.db.partition(3);
         for sigma in 2..=3u64 {
             let c = desq_dist::patterns::t1(3);
             let fst = c.compile(&fx.dict).unwrap();
+            let ctx = toy_ctx(&fx, sigma, 3);
             let reference = desq_miner::algo::DesqCount
-                .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fst))
+                .mine(&ctx.with_fst(&fst))
                 .unwrap()
                 .patterns;
-            let dist = mllib_impl(&engine, &parts, MllibConfig::new(sigma, 3)).unwrap();
+            let dist = MllibConfig { max_len: 3 }.mine(&ctx).unwrap();
             assert_eq!(dist.patterns, reference, "{} σ={sigma}", c.name);
         }
     }
@@ -196,9 +202,9 @@ mod tests {
     #[test]
     fn two_rounds_accumulate_metrics() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
-        let res = mllib_impl(&engine, &parts, MllibConfig::new(2, 3)).unwrap();
+        let res = MllibConfig { max_len: 3 }
+            .mine(&toy_ctx(&fx, 2, 2))
+            .unwrap();
         // Both rounds shuffle something.
         assert!(res.metrics.shuffle_records > 0);
         assert!(res.metrics.shuffle_bytes > 0);
@@ -207,9 +213,9 @@ mod tests {
     #[test]
     fn empty_max_len() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
-        let res = mllib_impl(&engine, &parts, MllibConfig::new(1, 0)).unwrap();
+        let res = MllibConfig { max_len: 0 }
+            .mine(&toy_ctx(&fx, 1, 1))
+            .unwrap();
         assert!(res.patterns.is_empty());
     }
 }

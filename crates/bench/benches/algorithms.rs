@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use desq::session::{AlgorithmSpec, MiningSession};
-use desq_baselines::LashConfig;
+use desq_baselines::{LashConfig, MllibConfig};
 use desq_core::{Dictionary, SequenceDb};
 use desq_datagen::{amzn_like, nyt_like, to_forest, AmznConfig, NytConfig};
+use desq_dist::NaiveConfig;
 
 fn nyt() -> (Arc<Dictionary>, Arc<SequenceDb>) {
     let (d, db) = nyt_like(&NytConfig::new(3_000));
@@ -46,7 +47,7 @@ fn bench_fig9(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("fig9/{cname}"));
         group.sample_size(10);
         for spec in [
-            AlgorithmSpec::SemiNaive,
+            AlgorithmSpec::Naive(NaiveConfig { filter: true }),
             AlgorithmSpec::d_seq(),
             AlgorithmSpec::d_cand(),
         ] {
@@ -67,7 +68,7 @@ fn bench_fig12(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12/T3(8,1,5)");
     group.sample_size(10);
     for spec in [
-        AlgorithmSpec::Lash(LashConfig::new(sigma, 1, 5)),
+        AlgorithmSpec::Lash(LashConfig::new(1, 5)),
         AlgorithmSpec::d_seq(),
         AlgorithmSpec::d_cand(),
     ] {
@@ -84,7 +85,10 @@ fn bench_fig13(c: &mut Criterion) {
     let base = session(&dict, &db, &desq_dist::patterns::t1(5).expr, sigma);
     let mut group = c.benchmark_group("fig13/T1(150,5)");
     group.sample_size(10);
-    for spec in [AlgorithmSpec::Mllib { max_len: 5 }, AlgorithmSpec::d_seq()] {
+    for spec in [
+        AlgorithmSpec::Mllib(MllibConfig { max_len: 5 }),
+        AlgorithmSpec::d_seq(),
+    ] {
         let run = base.with_algorithm(spec).unwrap();
         group.bench_function(spec.name(), |b| b.iter(|| black_box(run.run().unwrap())));
     }

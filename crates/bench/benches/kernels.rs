@@ -17,7 +17,7 @@ use desq_core::fx::FxHashMap;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::dcand::{merge_pivots, Mapper};
-use desq_dist::{DCandConfig, PivotScratch, PivotSearch};
+use desq_dist::{PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
@@ -246,7 +246,7 @@ fn bench_counting(c: &mut Criterion) {
     // D-CAND's map side on the same walk: build + minimize + serialize
     // every pivot NFA of every sequence, one mapper (one scratch).
     c.bench_function("dcand/map_n2_2k", |b| {
-        let mut mapper = Mapper::new(&fst, &dict, &index, DCandConfig::new(sigma));
+        let mut mapper = Mapper::new(&fst, &dict, &index, sigma, usize::MAX, true);
         b.iter(|| {
             let mut shipped = 0usize;
             for seq in &seqs {

@@ -26,6 +26,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use desq_core::mining::MiningContext;
+use desq_core::{Dictionary, Fst, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::patterns::Constraint;
 
@@ -276,6 +278,15 @@ const NET_WORKERS: usize = 2;
 /// worker processes, so fewer than [`REPS`]).
 const NET_REPS: usize = 3;
 
+/// The distributed measurements' run: σ, workers, map partitions and
+/// reduce buckets — identical on the coordinator and every worker process.
+fn dist_ctx<'a>(db: &'a SequenceDb, dict: &'a Dictionary, fst: &'a Fst) -> MiningContext<'a> {
+    MiningContext::sequential(db, dict, SIGMA)
+        .with_fst(fst)
+        .with_parallelism(DIST_WORKERS, DIST_PARTITIONS)
+        .with_reducers(DIST_REDUCERS)
+}
+
 fn net_constraint(name: &str) -> Constraint {
     match name {
         "N2" => desq_dist::patterns::n2(),
@@ -296,18 +307,13 @@ fn dist_net_worker_main(addr: &str, constraint: &str) {
     let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
     let c = net_constraint(constraint);
     let fst = c.compile(&dict).unwrap();
-    let parts = db.partition(DIST_PARTITIONS);
-    let engine = desq_bsp::Engine::new(DIST_WORKERS).with_reducers(DIST_REDUCERS);
     println!("ready");
     std::io::stdout().flush().expect("flush readiness line");
     desq_dist::dseq::d_seq_worker(
-        &engine,
+        &dist_ctx(&db, &dict, &fst),
         addr.parse().expect("coordinator address"),
         &desq_bsp::NetConfig::default(),
-        &parts,
-        &fst,
-        &dict,
-        desq_dist::DSeqConfig::new(SIGMA),
+        desq_dist::DSeqConfig::default(),
     )
     .expect("worker run");
 }
@@ -328,19 +334,17 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
 
     let (dict, db) = nyt_like(&NytConfig::new(NYT_SIZE));
     let fst = c.compile(&dict).unwrap();
-    let parts = db.partition(DIST_PARTITIONS);
-    let engine = desq_bsp::Engine::new(DIST_WORKERS).with_reducers(DIST_REDUCERS);
-    let config = desq_dist::DSeqConfig::new(SIGMA);
+    let ctx = dist_ctx(&db, &dict, &fst);
+    let config = desq_dist::DSeqConfig::default();
 
     // In-process reference: the same round through `InProcess` — the
-    // program the `Miner` adapters and the benchmark run.
+    // program `Miner::mine` and the benchmark run.
     let mut local_secs = f64::MAX;
     let mut patterns = 0;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let res =
-            desq_dist::dseq::d_seq_via(&engine, &desq_bsp::InProcess, &parts, &fst, &dict, config)
-                .expect("in-process reference run");
+        let res = desq_dist::dseq::d_seq_via(&ctx, &desq_bsp::InProcess, config)
+            .expect("in-process reference run");
         local_secs = local_secs.min(t0.elapsed().as_secs_f64());
         patterns = res.patterns.len();
     }
@@ -372,8 +376,7 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
             children.push(child);
         }
         let t0 = Instant::now();
-        let res = desq_dist::dseq::d_seq_via(&engine, &coord, &parts, &fst, &dict, config)
-            .expect("networked run");
+        let res = desq_dist::dseq::d_seq_via(&ctx, &coord, config).expect("networked run");
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(res.patterns.len(), patterns, "network run must match local");
         if secs < net_secs {

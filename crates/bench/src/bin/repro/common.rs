@@ -6,6 +6,7 @@
 //! algorithm with [`MiningSession::with_algorithm`].
 
 use desq::core::{Error, MiningResult, Result};
+use desq::dist::NaiveConfig;
 use desq::session::{AlgorithmSpec, MiningSession};
 
 /// Outcome of one algorithm run: completed with measurements, or the
@@ -73,8 +74,8 @@ pub fn run_spec(base: &MiningSession, spec: AlgorithmSpec) -> Outcome {
 /// All four general algorithms on one workload session.
 pub fn four_algorithms(base: &MiningSession) -> [(&'static str, Outcome); 4] {
     [
-        AlgorithmSpec::Naive,
-        AlgorithmSpec::SemiNaive,
+        AlgorithmSpec::Naive(NaiveConfig { filter: false }),
+        AlgorithmSpec::Naive(NaiveConfig { filter: true }),
         AlgorithmSpec::d_seq(),
         AlgorithmSpec::d_cand(),
     ]

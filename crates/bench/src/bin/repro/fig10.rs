@@ -35,7 +35,6 @@ fn dseq_ablation(t: &mut Table, w: &Workload) {
                 use_grid: false,
                 rewrite: false,
                 early_stop: false,
-                ..DSeqConfig::new(1)
             },
         ),
         (
@@ -43,17 +42,17 @@ fn dseq_ablation(t: &mut Table, w: &Workload) {
             DSeqConfig {
                 rewrite: false,
                 early_stop: false,
-                ..DSeqConfig::new(1)
+                ..DSeqConfig::default()
             },
         ),
         (
             "no stop",
             DSeqConfig {
                 early_stop: false,
-                ..DSeqConfig::new(1)
+                ..DSeqConfig::default()
             },
         ),
-        ("full D-SEQ", DSeqConfig::new(1)),
+        ("full D-SEQ", DSeqConfig::default()),
     ];
     let mut reference: Option<Vec<(Vec<u32>, u64)>> = None;
     let mut cells = vec![format!("{}(σ={})", w.constraint.name, w.sigma)];
@@ -78,17 +77,16 @@ fn dcand_ablation(t: &mut Table, w: &Workload) {
             DCandConfig {
                 minimize: false,
                 aggregate: false,
-                ..DCandConfig::new(1)
             },
         ),
         (
             "tries",
             DCandConfig {
                 minimize: false,
-                ..DCandConfig::new(1)
+                ..DCandConfig::default()
             },
         ),
-        ("full D-CAND", DCandConfig::new(1)),
+        ("full D-CAND", DCandConfig::default()),
     ];
     let mut reference: Option<Vec<(Vec<u32>, u64)>> = None;
     let mut cells = vec![format!("{}(σ={})", w.constraint.name, w.sigma)];

@@ -30,7 +30,7 @@ fn row(
     // D-SEQ/D-CAND) and the parameters LASH mines natively.
     let base = session_for(dict, db, &c, sigma);
 
-    let mut lash_cfg = LashConfig::new(sigma, gamma, lambda);
+    let mut lash_cfg = LashConfig::new(gamma, lambda);
     if !hierarchy {
         lash_cfg = lash_cfg.without_hierarchy();
     }

@@ -8,7 +8,7 @@
 
 use crate::common::run_spec;
 use desq::session::AlgorithmSpec;
-use desq_baselines::LashConfig;
+use desq_baselines::{LashConfig, MllibConfig};
 use desq_bench::report::Table;
 use desq_bench::workloads::{self, session_for, sigma_for};
 
@@ -28,10 +28,10 @@ pub fn run() {
     for frac in [0.16, 0.04, 0.01, 0.0025] {
         let sigma = sigma_for(&db, frac, 2);
         let base = session_for(&dict, &db, &c, sigma);
-        let ml = run_spec(&base, AlgorithmSpec::Mllib { max_len: 5 });
+        let ml = run_spec(&base, AlgorithmSpec::Mllib(MllibConfig { max_len: 5 }));
         let la = run_spec(
             &base,
-            AlgorithmSpec::Lash(LashConfig::new(sigma, max_gap, 5).without_hierarchy()),
+            AlgorithmSpec::Lash(LashConfig::new(max_gap, 5).without_hierarchy()),
         );
         let ds = run_spec(&base, AlgorithmSpec::d_seq());
         let dc = run_spec(&base, AlgorithmSpec::d_cand());

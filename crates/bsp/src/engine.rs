@@ -26,9 +26,9 @@ use std::time::Instant;
 
 use desq_core::codec::{read_varint, varint_len, write_varint};
 use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
-use desq_core::mining::CancelToken;
+use desq_core::mining::{CancelToken, MiningContext};
 use desq_core::sched::{self, IndexedRun};
-use desq_core::{Error, MiningMetrics, Result};
+use desq_core::{Error, MiningMetrics, Result, Sequence};
 
 use crate::codec::Codec;
 use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
@@ -46,8 +46,8 @@ use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 /// [`CancelToken`] (when one is attached), the remaining workers stop at
 /// their next task boundary, and the job returns
 /// [`Error::WorkerPanicked`] instead of killing the process; the first
-/// task to return an error aborts the job with that error, unchanged. A
-/// token attached with [`with_cancel`](Engine::with_cancel) is polled
+/// task to return an error aborts the job with that error, unchanged. An
+/// engine built [`for_context`](Engine::for_context) polls the run's token
 /// between tasks; an expired deadline or external cancellation aborts the
 /// job with the token's [`stop_reason`](CancelToken::stop_reason).
 #[derive(Debug, Clone)]
@@ -426,11 +426,19 @@ impl Engine {
         self
     }
 
-    /// Attaches a cancellation token: every job run on this engine polls it
-    /// at task granularity and aborts with its stop reason once it trips.
-    pub fn with_cancel(mut self, token: CancelToken) -> Engine {
-        self.cancel = Some(token);
-        self
+    /// The engine and map partitions of one mining run — the one place a
+    /// [`MiningContext`] becomes an engine: `ctx.workers` threads,
+    /// `ctx.reducers` buckets and the run's cancellation token (every job
+    /// polls it at task granularity and aborts with its stop reason once it
+    /// trips), over the database cut into `ctx.partitions` map chunks. A
+    /// driver and its worker processes built from equal contexts therefore
+    /// agree on partitions and buckets.
+    pub fn for_context<'c>(ctx: &MiningContext<'c>) -> (Engine, Vec<&'c [Sequence]>) {
+        let engine = Engine {
+            cancel: ctx.cancel.cloned(),
+            ..Engine::new(ctx.workers).with_reducers(ctx.reducers)
+        };
+        (engine, ctx.db.partition(ctx.partitions))
     }
 
     /// Polls the attached token (if any).
@@ -1229,7 +1237,10 @@ mod tests {
         let data = [1u32, 2, 3];
         let parts: Vec<&[u32]> = data.chunks(1).collect();
         let token = CancelToken::new();
-        let engine = Engine::new(2).with_cancel(token.clone());
+        let engine = Engine {
+            cancel: Some(token.clone()),
+            ..Engine::new(2)
+        };
         let err = engine
             .map_reduce(
                 &parts,
@@ -1286,7 +1297,10 @@ mod tests {
         token.cancel();
         let data = vec![1u32];
         let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(2).with_cancel(token);
+        let engine = Engine {
+            cancel: Some(token),
+            ..Engine::new(2)
+        };
         let err = engine
             .map_reduce(
                 &parts,
@@ -1310,7 +1324,10 @@ mod tests {
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let data = vec![1u32];
         let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(1).with_cancel(token);
+        let engine = Engine {
+            cancel: Some(token),
+            ..Engine::new(1)
+        };
         let err = engine
             .map_combine_reduce_via(
                 &InProcess,

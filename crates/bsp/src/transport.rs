@@ -28,7 +28,7 @@
 //!   stream instead of unbounded queueing.
 //! - **Liveness**: every read on a shuffle link carries a deadline
 //!   ([`NetConfig::liveness`]); both sides send [`Frame::Heartbeat`] on
-//!   idle links every [`NetConfig::heartbeat`]. A peer silent past the
+//!   idle links every quarter of that window. A peer silent past the
 //!   window is declared dead (`MiningMetrics::peer_timeouts`).
 //! - **Re-execution**: map and reduce tasks are pure over immutable
 //!   partitions, so when a peer dies mid-superstep its in-flight tasks are
@@ -368,11 +368,10 @@ pub fn read_net_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Frame>
 pub struct NetConfig {
     /// Task frames in flight per peer link (bounded-credit backpressure).
     pub credits: usize,
-    /// A peer silent for this long is declared dead.
+    /// A peer silent for this long is declared dead. Idle links carry a
+    /// heartbeat every quarter of it, so one lost heartbeat never trips the
+    /// window.
     pub liveness: Duration,
-    /// Idle links carry a heartbeat at this interval (keep it well under
-    /// `liveness`; 4× headroom is the default).
-    pub heartbeat: Duration,
     /// Reconnect schedule and budget for workers.
     pub retry: RetryPolicy,
     /// Hard cap on a single frame's payload bytes, enforced before
@@ -386,12 +385,19 @@ pub struct NetConfig {
     pub fingerprint: u64,
 }
 
+impl NetConfig {
+    /// The heartbeat interval of idle links: a quarter of the liveness
+    /// window.
+    fn heartbeat(&self) -> Duration {
+        self.liveness / 4
+    }
+}
+
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             credits: 2,
             liveness: Duration::from_secs(2),
-            heartbeat: Duration::from_millis(500),
             retry: RetryPolicy::default(),
             max_frame: 64 << 20,
             peer_wait: Duration::from_secs(10),
@@ -559,7 +565,7 @@ impl NetCoordinator {
         };
         let mut peers = lock(&self.peers);
         for p in peers.iter_mut() {
-            if p.alive && p.ready && p.last_write.elapsed() >= self.cfg.heartbeat {
+            if p.alive && p.ready && p.last_write.elapsed() >= self.cfg.heartbeat() {
                 match send_wire(&mut p.stream, &hb) {
                     Ok(()) => p.last_write = Instant::now(),
                     Err(_) => phase.fail_peer(p, false),
@@ -880,7 +886,7 @@ fn serve_coordinator(
     let hb_thread = {
         let writer = Arc::clone(&writer);
         let stop = Arc::clone(&stop);
-        let (interval, max_frame) = (cfg.heartbeat, cfg.max_frame);
+        let (interval, max_frame) = (cfg.heartbeat(), cfg.max_frame);
         thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 thread::sleep(interval);

@@ -273,12 +273,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The single σ check shared by every algorithm and by the session builder.
-///
-/// Historically this check was duplicated across `desq_count`, `d_seq`,
-/// `d_cand` and `naive` (and missing from `desq_dfs`); it now lives here
-/// and nowhere else.
-pub fn validate_sigma(sigma: u64) -> Result<()> {
+/// The σ check of [`MiningContext::validate`] — the one place σ is
+/// validated, since σ lives only in the context.
+fn validate_sigma(sigma: u64) -> Result<()> {
     if sigma == 0 {
         Err(Error::Invalid(
             "sigma must be positive (σ = 0 would make every candidate frequent)".into(),
@@ -752,14 +749,16 @@ impl MiningResult {
 
 /// One frequent-sequence-mining algorithm behind the unified API.
 ///
-/// Implementations exist for every algorithm in the workspace: the
-/// sequential miners in `desq-miner` (`algo::{DesqDfs, DesqCount,
-/// PrefixSpan, GapMiner}`), the distributed algorithms in `desq-dist`
-/// (`algo::{Naive, DSeq, DCand}`), and the specialized baselines in
-/// `desq-baselines` (`algo::{Lash, Mllib}`). Implementations must
-/// validate the context (or rely on the session having done so), honor
-/// [`MiningContext::limits`], and return sorted patterns (see
-/// [`MiningResult`]).
+/// Every algorithm in the workspace is one type implementing it, holding
+/// only the parameters the paper varies for that algorithm: the sequential
+/// miners in `desq-miner` (`algo::{DesqDfs, DesqCount}`, `PrefixSpan`,
+/// `GapMiner`), the distributed algorithms in `desq-dist` (`NaiveConfig`,
+/// `DSeqConfig`, `DCandConfig`), and the specialized baselines in
+/// `desq-baselines` (`LashConfig`, `MllibConfig`). σ, the limits, the
+/// cancellation token and the parallelism come only from the
+/// [`MiningContext`]. Implementations must validate the context, honor
+/// [`MiningContext::limits`] and [`MiningContext::cancel`], and return
+/// sorted patterns (see [`MiningResult`]).
 pub trait Miner {
     /// Display name of the algorithm (e.g. `"D-SEQ"`).
     fn name(&self) -> &'static str;
@@ -774,7 +773,7 @@ pub trait Miner {
     /// The default computes the whole result and then drains it. An
     /// algorithm that knows patterns before it has finished overrides this
     /// to emit them as they are found — which algorithms those are is
-    /// their adapters' business, not the caller's.
+    /// their own business, not the caller's.
     fn mine_each(&self, ctx: &MiningContext<'_>, sink: PatternSink<'_>) -> Result<MiningMetrics> {
         let MiningResult { patterns, metrics } = self.mine(ctx)?;
         for (pattern, freq) in patterns {

@@ -17,8 +17,9 @@
 //! Reducers decode the NFAs ([`Nfa`]) and stream every represented
 //! candidate into a count table that de-duplicates per NFA, weighted by the
 //! number of source sequences — DESQ-COUNT over compressed inputs. Run
-//! enumeration and NFA expansion are bounded by [`DCandConfig::run_budget`],
-//! the analog of the paper's executor memory limit: loose constraints (e.g.
+//! enumeration and NFA expansion are bounded by the context's work budget
+//! (`Limits::budget`), the analog of the paper's executor memory limit:
+//! loose constraints (e.g.
 //! `T1` at low σ) exhaust it exactly where the paper reports out-of-memory
 //! failures.
 
@@ -30,45 +31,49 @@ use std::cmp::Ordering;
 use desq_core::fst::flat::RunSets;
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
-use desq_bsp::{Combiner, Engine};
+use desq_bsp::{Combiner, Engine, InProcess};
 
 use crate::{Exec, MiningResult};
 
-/// Configuration of the D-CAND algorithm.
+/// D-CAND (Sec. VI). Its two flags are the Fig. 10b ablation; the default
+/// turns both on (full D-CAND). σ and the per-sequence work budget (map
+/// side: accepting runs walked and trie insertions; reduce side: NFA
+/// expansion steps — exceeding it is the paper's OOM analog) come from the
+/// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct DCandConfig {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Merge suffix-equivalent NFA states before serialization
     /// (Fig. 10b "full D-CAND" vs "tries").
     pub minimize: bool,
     /// Aggregate identical serialized NFAs into weighted records via the
     /// engine's combiner (Fig. 10b "tries" vs "tries, no agg").
     pub aggregate: bool,
-    /// Work budget per sequence (map side: accepting runs walked and trie
-    /// insertions; reduce side: NFA expansion steps). Exceeding it aborts
-    /// with [`Error::ResourceExhausted`] — the paper's OOM analog.
-    pub run_budget: usize,
 }
 
-impl DCandConfig {
-    /// Full D-CAND at threshold `sigma` (minimization and aggregation on,
-    /// unbounded budget).
-    pub fn new(sigma: u64) -> DCandConfig {
+impl Default for DCandConfig {
+    fn default() -> DCandConfig {
         DCandConfig {
-            sigma,
             minimize: true,
             aggregate: true,
-            run_budget: usize::MAX,
         }
     }
+}
 
-    /// Overrides the work budget.
-    pub fn with_run_budget(mut self, budget: usize) -> DCandConfig {
-        self.run_budget = budget;
-        self
+impl Miner for DCandConfig {
+    fn name(&self) -> &'static str {
+        "D-CAND"
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        if self.aggregate {
+            d_cand_via(ctx, &InProcess, *self)
+        } else {
+            // Fig. 10b's no-aggregation ablation is not a combining round.
+            d_cand_no_agg(ctx, *self)
+        }
     }
 }
 
@@ -154,24 +159,29 @@ fn insert_pivot_terms<'s>(
 /// across the task's sequences.
 pub struct Mapper<'a> {
     walker: RunWalker<'a>,
-    config: DCandConfig,
+    budget: usize,
+    minimize: bool,
     runs: RunScratch,
     tries: NfaBuilder,
     pivots: Vec<ItemId>,
 }
 
 impl<'a> Mapper<'a> {
-    /// A mapper for `fst` at `config.sigma` (`index` is the FST's shared
-    /// transition index).
+    /// A mapper for `fst` at threshold `sigma` under a per-sequence work
+    /// `budget`, minimizing its NFAs iff `minimize` (`index` is the FST's
+    /// shared transition index).
     pub fn new(
         fst: &'a Fst,
         dict: &'a Dictionary,
         index: &'a FstIndex,
-        config: DCandConfig,
+        sigma: u64,
+        budget: usize,
+        minimize: bool,
     ) -> Self {
         Mapper {
-            walker: RunWalker::new(fst, dict, index, dict.last_frequent(config.sigma)),
-            config,
+            walker: RunWalker::new(fst, dict, index, dict.last_frequent(sigma)),
+            budget,
+            minimize,
             runs: RunScratch::default(),
             tries: NfaBuilder::default(),
             pivots: Vec::new(),
@@ -184,7 +194,7 @@ impl<'a> Mapper<'a> {
     /// first-occurrence decomposition are processed as the run is
     /// enumerated. The byte slices are only valid inside `emit`.
     pub fn map(&mut self, seq: &[ItemId], emit: impl FnMut(ItemId, &[u8])) -> Result<()> {
-        let budget = self.config.run_budget;
+        let budget = self.budget;
         let (tries, pivots) = (&mut self.tries, &mut self.pivots);
         tries.clear();
         let mut work = 0usize;
@@ -214,41 +224,34 @@ impl<'a> Mapper<'a> {
                 "D-CAND {phase} exceeded budget of {budget}"
             )));
         }
-        tries.finish(self.config.minimize, emit);
+        tries.finish(self.minimize, emit);
         Ok(())
     }
 }
 
-/// Runs D-CAND over a shuffle transport (see [`crate::dseq::d_seq_via`]
-/// for the contract). Only the aggregating variant is a combining round:
-/// [`DCandConfig::aggregate`] must be `true` (the no-aggregation ablation
-/// runs in process only, through [`crate::algo::DCand`]).
+/// Runs D-CAND on `ctx` over a shuffle transport (see
+/// [`crate::dseq::d_seq_via`] for the contract). Only the aggregating
+/// variant is a combining round: [`DCandConfig::aggregate`] must be `true`
+/// (the no-aggregation ablation runs in process only, through
+/// [`Miner::mine`]).
 pub fn d_cand_via(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     transport: &dyn desq_bsp::ShuffleTransport,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: DCandConfig,
 ) -> Result<MiningResult> {
-    Ok(
-        d_cand_exec(engine, parts, fst, dict, config, Exec::Via(transport))?
-            .expect("driver execution returns a result"),
-    )
+    Ok(d_cand_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
 }
 
 /// Serves a D-CAND job as a worker process connected to the coordinator at
-/// `addr`. Requires [`DCandConfig::aggregate`], like [`d_cand_via`].
+/// `addr` (see [`crate::dseq::d_seq_worker`]). Requires
+/// [`DCandConfig::aggregate`], like [`d_cand_via`].
 pub fn d_cand_worker(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
     net: &desq_bsp::NetConfig,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: DCandConfig,
 ) -> Result<()> {
-    d_cand_exec(engine, parts, fst, dict, config, Exec::Worker(addr, net))?;
+    d_cand_exec(ctx, config, Exec::Worker(addr, net))?;
     Ok(())
 }
 
@@ -256,9 +259,11 @@ pub fn d_cand_worker(
 /// worker's reusable arena and stream its candidates into an interned
 /// count table (whose per-sequence epoch de-duplicates the candidates an
 /// NFA represents more than once), weighted by source multiplicity —
-/// DESQ-COUNT over compressed inputs, σ-filtered.
+/// DESQ-COUNT over compressed inputs, σ-filtered, each NFA's expansion
+/// bounded by `budget`.
 fn expand_and_count<'b>(
-    config: DCandConfig,
+    sigma: u64,
+    budget: usize,
     nfa: &mut Nfa,
     inputs: impl Iterator<Item = (&'b [u8], u64)>,
     emit: &mut dyn FnMut((Sequence, u64)),
@@ -267,25 +272,22 @@ fn expand_and_count<'b>(
     for (bytes, weight) in inputs {
         nfa.decode(bytes)?;
         counter.begin_sequence(weight);
-        nfa.for_each(config.run_budget, |candidate| {
+        nfa.for_each(budget, |candidate| {
             counter.observe(candidate);
         })?;
     }
-    for pattern in counter.patterns(config.sigma) {
+    for pattern in counter.patterns(sigma) {
         emit(pattern);
     }
     Ok(())
 }
 
 fn d_cand_exec(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
+    ctx: &MiningContext<'_>,
     config: DCandConfig,
     exec: Exec<'_>,
 ) -> Result<Option<MiningResult>> {
-    desq_core::mining::validate_sigma(config.sigma)?;
+    ctx.validate()?;
     if !config.aggregate {
         return Err(Error::Invalid(
             "D-CAND without aggregation is not a combining round \
@@ -293,10 +295,11 @@ fn d_cand_exec(
                 .into(),
         ));
     }
+    let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
     let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
-        let mut mapper = Mapper::new(fst, dict, &index, config);
+        let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
         for seq in part {
             // The serialized NFA goes through the byte-payload path:
             // combined by content, interned per bucket chunk.
@@ -308,28 +311,25 @@ fn d_cand_exec(
                   _p: &ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))| {
-        expand_and_count(config, nfa, inputs.iter().copied(), emit)
+        expand_and_count(sigma, budget, nfa, inputs.iter().copied(), emit)
     };
-    crate::run_round(engine, exec, t0, parts, map, Nfa::default, reduce)
+    crate::run_round(ctx, exec, t0, map, Nfa::default, reduce)
 }
 
 /// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the
 /// engine's owned-value [`Engine::map_reduce`] shape: every NFA copy is
 /// copied out of the mapper's buffer, shipped and expanded, with no
 /// combining on either side.
-pub(crate) fn d_cand_no_agg(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
-    config: DCandConfig,
-) -> Result<MiningResult> {
+fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningResult> {
+    ctx.validate()?;
+    let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
+    let (engine, parts) = Engine::for_context(ctx);
     let round = engine.map_reduce(
-        parts,
+        &parts,
         |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
-            let mut mapper = Mapper::new(fst, dict, &index, config);
+            let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
             for seq in part {
                 mapper.map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))?;
             }
@@ -337,10 +337,10 @@ pub(crate) fn d_cand_no_agg(
         },
         |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
             let inputs = inputs.iter().map(|(b, w)| (b.as_slice(), *w));
-            expand_and_count(config, &mut Nfa::default(), inputs, emit)
+            expand_and_count(sigma, budget, &mut Nfa::default(), inputs, emit)
         },
     )?;
-    Ok(crate::job_result(round, t0, engine, parts))
+    Ok(crate::job_result(round, t0, &engine, &parts))
 }
 
 #[cfg(test)]
@@ -348,7 +348,7 @@ mod tests {
     use super::reference::{self, TrieBuilder};
     use super::*;
     use crate::patterns;
-    use desq_core::mining::{Miner, MiningContext};
+    use desq_core::mining::Limits;
     use desq_core::{toy, SequenceDb};
     use desq_datagen::{nyt_like, NytConfig};
 
@@ -357,7 +357,7 @@ mod tests {
     /// The owned-`Vec` reference's payloads for `seq`.
     fn reference_payloads(mapper: &Mapper<'_>, seq: &Sequence) -> Payloads {
         let scratch = &mut RunScratch::default();
-        reference::representations(&mapper.walker, seq, &mapper.config, scratch)
+        reference::representations(&mapper.walker, seq, mapper.budget, mapper.minimize, scratch)
     }
 
     fn flat_payloads(mapper: &mut Mapper<'_>, seq: &Sequence) -> Payloads {
@@ -390,20 +390,21 @@ mod tests {
         assert_eq!(merge_pivots(&[vec![1, 5], vec![2, 9]]), vec![2, 5, 9]);
     }
 
-    /// D-CAND through its `Miner` adapter, which routes the no-aggregation
-    /// ablation to [`d_cand_no_agg`] and everything else to [`d_cand_via`]
-    /// over [`desq_bsp::InProcess`].
+    /// D-CAND at `sigma` through [`Miner::mine`], which routes the
+    /// no-aggregation ablation to [`d_cand_no_agg`] and everything else to
+    /// [`d_cand_via`] over [`InProcess`].
     fn mine(
         db: &SequenceDb,
         dict: &Dictionary,
         fst: &Fst,
+        sigma: u64,
         config: DCandConfig,
         (workers, partitions): (usize, usize),
     ) -> Result<MiningResult> {
-        let ctx = MiningContext::sequential(db, dict, config.sigma)
+        let ctx = MiningContext::sequential(db, dict, sigma)
             .with_fst(fst)
             .with_parallelism(workers, partitions);
-        crate::algo::DCand(config).mine(&ctx)
+        config.mine(&ctx)
     }
 
     fn assert_matches_desq_count(
@@ -420,12 +421,10 @@ mod tests {
         for minimize in [false, true] {
             for aggregate in [false, true] {
                 let cfg = DCandConfig {
-                    sigma,
                     minimize,
                     aggregate,
-                    run_budget: usize::MAX,
                 };
-                let res = mine(db, dict, fst, cfg, (2, 3)).unwrap();
+                let res = mine(db, dict, fst, sigma, cfg, (2, 3)).unwrap();
                 assert_eq!(
                     res.patterns, reference,
                     "{what} σ={sigma} min={minimize} agg={aggregate}"
@@ -523,11 +522,7 @@ mod tests {
             let index = FstIndex::new(fst);
             for sigma in [1, 10] {
                 for minimize in [false, true] {
-                    let config = DCandConfig {
-                        minimize,
-                        ..DCandConfig::new(sigma)
-                    };
-                    let mut mapper = Mapper::new(fst, &dict, &index, config);
+                    let mut mapper = Mapper::new(fst, &dict, &index, sigma, usize::MAX, minimize);
                     for seq in &db.sequences {
                         let got = flat_payloads(&mut mapper, seq).unwrap();
                         let expect = reference_payloads(&mapper, seq).unwrap();
@@ -546,7 +541,7 @@ mod tests {
     fn toy_payloads_are_golden() {
         let fx = toy::fixture();
         let index = FstIndex::new(&fx.fst);
-        let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, DCandConfig::new(2));
+        let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, 2, usize::MAX, true);
         let got: Vec<Vec<(ItemId, Vec<u8>)>> = fx
             .db
             .sequences
@@ -584,8 +579,7 @@ mod tests {
         let mut nfa = Nfa::default();
         for seq in &fx.db.sequences {
             let map_at = |budget: usize| {
-                let config = DCandConfig::new(2).with_run_budget(budget);
-                let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, config);
+                let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, 2, budget, true);
                 let flat = flat_payloads(&mut mapper, seq).map_err(|e| e.to_string());
                 let owned = reference_payloads(&mapper, seq).map_err(|e| e.to_string());
                 assert_eq!(flat, owned, "map budget {budget}");
@@ -615,26 +609,38 @@ mod tests {
         let fx = toy::fixture();
         let plain = DCandConfig {
             minimize: false,
-            ..DCandConfig::new(2)
+            ..DCandConfig::default()
         };
-        let plain = mine(&fx.db, &fx.dict, &fx.fst, plain, (1, 1)).unwrap();
-        let minimized = mine(&fx.db, &fx.dict, &fx.fst, DCandConfig::new(2), (1, 1)).unwrap();
+        let plain = mine(&fx.db, &fx.dict, &fx.fst, 2, plain, (1, 1)).unwrap();
+        let full = DCandConfig::default();
+        let minimized = mine(&fx.db, &fx.dict, &fx.fst, 2, full, (1, 1)).unwrap();
         assert!(minimized.metrics.shuffle_bytes <= plain.metrics.shuffle_bytes);
     }
 
     #[test]
-    fn zero_budget_exhausts_on_matching_input() {
+    fn budget_one_exhausts_on_matching_input() {
         let fx = toy::fixture();
-        let config = DCandConfig::new(2).with_run_budget(0);
-        let err = mine(&fx.db, &fx.dict, &fx.fst, config, (1, 1)).unwrap_err();
-        assert!(matches!(err, Error::ResourceExhausted(_)));
+        let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2)
+            .with_fst(&fx.fst)
+            .with_limits(Limits::default().with_budget(1));
+        for config in [
+            DCandConfig::default(),
+            DCandConfig {
+                aggregate: false,
+                ..DCandConfig::default()
+            },
+        ] {
+            let err = config.mine(&ctx).unwrap_err();
+            assert!(matches!(err, Error::ResourceExhausted(_)));
+        }
     }
 
     #[test]
     fn zero_sigma_rejected() {
         let fx = toy::fixture();
+        let full = DCandConfig::default();
         assert!(matches!(
-            mine(&fx.db, &fx.dict, &fx.fst, DCandConfig::new(0), (1, 1)),
+            mine(&fx.db, &fx.dict, &fx.fst, 0, full, (1, 1)),
             Err(Error::Invalid(_))
         ));
     }

@@ -10,7 +10,7 @@ use desq_core::fst::flat::RunSets;
 use desq_core::fst::{RunScratch, RunWalker};
 use desq_core::{Error, ItemId, Result, Sequence};
 
-use super::{merge_pivots, DCandConfig};
+use super::merge_pivots;
 
 const HAS_SRC: u8 = 0x1;
 const OLD_TARGET: u8 = 0x2;
@@ -277,14 +277,15 @@ fn insert_pivot_terms(
     Ok(())
 }
 
-/// The per-pivot serialized NFAs of one input sequence, pivot-ascending.
+/// The per-pivot serialized NFAs of one input sequence, pivot-ascending,
+/// under a per-sequence work `budget`.
 pub(super) fn representations(
     walker: &RunWalker<'_>,
     seq: &Sequence,
-    config: &DCandConfig,
+    budget: usize,
+    minimize: bool,
     scratch: &mut RunScratch,
 ) -> Result<Vec<(ItemId, Vec<u8>)>> {
-    let budget = config.run_budget;
     let mut work = 0usize;
     let mut exhausted = false;
     let mut failure: Option<Error> = None;
@@ -319,7 +320,7 @@ pub(super) fn representations(
     Ok(tries
         .into_iter()
         .map(|(p, trie)| {
-            let nfa = if config.minimize {
+            let nfa = if minimize {
                 trie.minimize()
             } else {
                 trie.into_nfa()

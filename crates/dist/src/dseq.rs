@@ -21,82 +21,72 @@
 
 use std::collections::hash_map::Entry;
 
-use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, Engine};
+use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, InProcess};
 use desq_core::fx::FxHashMap;
-use desq_core::{Dictionary, Fst, ItemId, Result, Sequence};
+use desq_core::mining::{Miner, MiningContext};
+use desq_core::{ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
 use crate::{Exec, MiningResult};
 
-/// Configuration of the D-SEQ algorithm. The boolean flags correspond to
-/// the cumulative enhancements of Fig. 10a.
+/// D-SEQ (Sec. V). Its three flags are the cumulative enhancements of the
+/// Fig. 10a ablation; the default turns all of them on (full D-SEQ). σ and
+/// the run-enumeration budget of the no-grid variant come from the
+/// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct DSeqConfig {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Compute pivot sets by grid DP (otherwise: run enumeration bounded by
-    /// `run_budget` — can exhaust the budget on loose constraints).
+    /// the context's work budget — can exhaust it on loose constraints).
     pub use_grid: bool,
     /// Ship rewritten (trimmed) sequences instead of full ones.
     pub rewrite: bool,
     /// Early stopping in the partition-local miners.
     pub early_stop: bool,
-    /// Budget for run enumeration when `use_grid` is off; the paper's OOM
-    /// analog.
-    pub run_budget: usize,
 }
 
-impl DSeqConfig {
-    /// Full D-SEQ at threshold `sigma` (grid, rewriting and early stopping
-    /// on).
-    pub fn new(sigma: u64) -> DSeqConfig {
+impl Default for DSeqConfig {
+    fn default() -> DSeqConfig {
         DSeqConfig {
-            sigma,
             use_grid: true,
             rewrite: true,
             early_stop: true,
-            run_budget: usize::MAX,
         }
-    }
-
-    /// Overrides the run-enumeration budget.
-    pub fn with_run_budget(mut self, budget: usize) -> DSeqConfig {
-        self.run_budget = budget;
-        self
     }
 }
 
-/// Runs D-SEQ over a shuffle transport — [`desq_bsp::InProcess`] for a
-/// single-process run (what [`crate::algo::DSeq`] does) or a
+impl Miner for DSeqConfig {
+    fn name(&self) -> &'static str {
+        "D-SEQ"
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        d_seq_via(ctx, &InProcess, *self)
+    }
+}
+
+/// Runs D-SEQ on `ctx` over a shuffle transport — [`InProcess`] for a
+/// single-process run (what [`Miner::mine`] does) or a
 /// [`desq_bsp::NetCoordinator`] to drive worker processes.
 pub fn d_seq_via(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     transport: &dyn desq_bsp::ShuffleTransport,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: DSeqConfig,
 ) -> Result<MiningResult> {
-    Ok(
-        d_seq_exec(engine, parts, fst, dict, config, Exec::Via(transport))?
-            .expect("driver execution returns a result"),
-    )
+    Ok(d_seq_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
 }
 
 /// Serves a D-SEQ job as a worker process: connects to the coordinator at
-/// `addr` and executes assigned tasks until the job ends. The corpus,
-/// partitioning and configuration must match the coordinator's.
+/// `addr` and executes assigned tasks until the job ends. The context (its
+/// corpus, σ, partitions and reducers) and the configuration must match
+/// the coordinator's.
 pub fn d_seq_worker(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
     net: &desq_bsp::NetConfig,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: DSeqConfig,
 ) -> Result<()> {
-    d_seq_exec(engine, parts, fst, dict, config, Exec::Worker(addr, net))?;
+    d_seq_exec(ctx, config, Exec::Worker(addr, net))?;
     Ok(())
 }
 
@@ -119,16 +109,14 @@ struct ReduceState {
 }
 
 fn d_seq_exec(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
+    ctx: &MiningContext<'_>,
     config: DSeqConfig,
     exec: Exec<'_>,
 ) -> Result<Option<MiningResult>> {
-    desq_core::mining::validate_sigma(config.sigma)?;
+    ctx.validate()?;
+    let (fst, dict, sigma) = (ctx.fst()?, ctx.dict, ctx.sigma);
     let t0 = std::time::Instant::now();
-    let last_frequent = dict.last_frequent(config.sigma);
+    let last_frequent = dict.last_frequent(sigma);
     let search = PivotSearch::new(fst, dict, last_frequent);
     // One transition index, shared by the mapper's pivot search (via
     // `search`) and every pivot partition's LocalMiner.
@@ -143,7 +131,7 @@ fn d_seq_exec(
             if config.use_grid {
                 search.pivots_into(seq, &mut scratch, &mut ranges);
             } else {
-                ranges = search.pivots_enumerated_ranges(seq, config.run_budget)?;
+                ranges = search.pivots_enumerated_ranges(seq, ctx.limits.budget)?;
             }
             let Some(pr0) = ranges.first() else { continue };
             // All pivots share the rewritten range: serialize once, emit
@@ -166,7 +154,7 @@ fn d_seq_exec(
     let builder = LocalMiner::with_index(
         fst,
         dict,
-        MinerConfig::sequential(config.sigma).with_last_frequent(last_frequent),
+        MinerConfig::sequential(sigma).with_last_frequent(last_frequent),
         index,
     );
     let reduce = |state: &mut ReduceState,
@@ -193,8 +181,8 @@ fn d_seq_exec(
             };
             picks.push((table, weight));
         }
-        let miner_config = MinerConfig::for_pivot(config.sigma, p, config.early_stop)
-            .with_last_frequent(last_frequent);
+        let miner_config =
+            MinerConfig::for_pivot(sigma, p, config.early_stop).with_last_frequent(last_frequent);
         LocalMiner::with_index(fst, dict, miner_config, index).mine_picks(
             tables,
             picks,
@@ -204,20 +192,27 @@ fn d_seq_exec(
         Ok(())
     };
 
-    crate::run_round(engine, exec, t0, parts, map, ReduceState::default, reduce)
+    crate::run_round(ctx, exec, t0, map, ReduceState::default, reduce)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_bsp::InProcess;
-    use desq_core::mining::{Miner, MiningContext};
-    use desq_core::{toy, Error};
+    use desq_core::mining::Limits;
+    use desq_core::{toy, Dictionary, Error, Fst};
+
+    /// The toy fixture at `sigma` on `workers` threads and `parts` map
+    /// partitions.
+    fn toy_ctx(fx: &toy::Toy, sigma: u64, workers: usize, parts: usize) -> MiningContext<'_> {
+        MiningContext::sequential(&fx.db, &fx.dict, sigma)
+            .with_fst(&fx.fst)
+            .with_parallelism(workers, parts)
+    }
 
     /// Brute-force DESQ-COUNT reference through the Miner trait.
     fn reference(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
         desq_miner::algo::DesqCount
-            .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
+            .mine(&toy_ctx(fx, sigma, 1, 1))
             .unwrap()
             .patterns
     }
@@ -225,17 +220,7 @@ mod tests {
     #[test]
     fn toy_matches_paper_result() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
-        let res = d_seq_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DSeqConfig::new(2),
-        )
-        .unwrap();
+        let res = DSeqConfig::default().mine(&toy_ctx(&fx, 2, 2, 2)).unwrap();
         let rendered: Vec<(String, u64)> = res
             .patterns
             .iter()
@@ -254,22 +239,17 @@ mod tests {
     #[test]
     fn all_ablations_match_reference_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(3);
-        let parts = fx.db.partition(2);
         for sigma in 1..=4 {
             let reference = reference(&fx, sigma);
             for use_grid in [true, false] {
                 for rewrite in [true, false] {
                     for early_stop in [true, false] {
                         let cfg = DSeqConfig {
-                            sigma,
                             use_grid,
                             rewrite,
                             early_stop,
-                            run_budget: usize::MAX,
                         };
-                        let res =
-                            d_seq_via(&engine, &InProcess, &parts, &fx.fst, &fx.dict, cfg).unwrap();
+                        let res = cfg.mine(&toy_ctx(&fx, sigma, 3, 2)).unwrap();
                         assert_eq!(
                             res.patterns, reference,
                             "σ={sigma} grid={use_grid} rewrite={rewrite} stop={early_stop}"
@@ -283,29 +263,14 @@ mod tests {
     #[test]
     fn rewriting_shrinks_shuffle() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
-        let full = d_seq_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DSeqConfig {
-                rewrite: false,
-                ..DSeqConfig::new(2)
-            },
-        )
+        let ctx = toy_ctx(&fx, 2, 1, 1);
+        let full = DSeqConfig {
+            rewrite: false,
+            ..DSeqConfig::default()
+        }
+        .mine(&ctx)
         .unwrap();
-        let rewritten = d_seq_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DSeqConfig::new(2),
-        )
-        .unwrap();
+        let rewritten = DSeqConfig::default().mine(&ctx).unwrap();
         // T2 loses its two leading e's.
         assert!(rewritten.metrics.shuffle_bytes < full.metrics.shuffle_bytes);
         assert_eq!(rewritten.patterns, full.patterns);
@@ -314,22 +279,14 @@ mod tests {
     #[test]
     fn agrees_with_sequential_dfs() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(3);
         for sigma in 1..=5 {
             let seq = desq_miner::algo::DesqDfs
-                .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
+                .mine(&toy_ctx(&fx, sigma, 1, 1))
                 .unwrap()
                 .patterns;
-            let dist = d_seq_via(
-                &engine,
-                &InProcess,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                DSeqConfig::new(sigma),
-            )
-            .unwrap();
+            let dist = DSeqConfig::default()
+                .mine(&toy_ctx(&fx, sigma, 2, 3))
+                .unwrap();
             assert_eq!(dist.patterns, seq, "σ={sigma}");
         }
     }
@@ -337,30 +294,19 @@ mod tests {
     #[test]
     fn no_grid_ablation_respects_budget() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
+        let ctx = toy_ctx(&fx, 2, 1, 1).with_limits(Limits::default().with_budget(1));
         let cfg = DSeqConfig {
             use_grid: false,
-            ..DSeqConfig::new(2).with_run_budget(1)
+            ..DSeqConfig::default()
         };
-        let err = d_seq_via(&engine, &InProcess, &parts, &fx.fst, &fx.dict, cfg).unwrap_err();
-        assert!(matches!(err, Error::ResourceExhausted(_)));
+        assert!(matches!(cfg.mine(&ctx), Err(Error::ResourceExhausted(_))));
     }
 
     #[test]
     fn zero_sigma_rejected() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
         assert!(matches!(
-            d_seq_via(
-                &engine,
-                &InProcess,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                DSeqConfig::new(0)
-            ),
+            DSeqConfig::default().mine(&toy_ctx(&fx, 0, 1, 1)),
             Err(Error::Invalid(_))
         ));
     }
@@ -391,23 +337,19 @@ mod tests {
     fn loose_nyt_constraints_match_sequential_dfs_and_bound_early_stopping() {
         let sigma = 10;
         let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
-        let engine = Engine::new(2);
-        let parts = db.partition(2);
         for constraint in [crate::patterns::n4(), crate::patterns::n5()] {
             let fst = constraint.compile(&dict).unwrap();
-            let seq = desq_miner::algo::DesqDfs
-                .mine(&MiningContext::sequential(&db, &dict, sigma).with_fst(&fst))
-                .unwrap()
-                .patterns;
+            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
+            let seq = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
             assert!(!seq.is_empty(), "{}", constraint.name);
             for early_stop in [true, false] {
                 for rewrite in [true, false] {
                     let cfg = DSeqConfig {
                         rewrite,
                         early_stop,
-                        ..DSeqConfig::new(sigma)
+                        ..DSeqConfig::default()
                     };
-                    let dist = d_seq_via(&engine, &InProcess, &parts, &fst, &dict, cfg).unwrap();
+                    let dist = cfg.mine(&ctx.with_parallelism(2, 2)).unwrap();
                     assert_eq!(
                         dist.patterns, seq,
                         "{} stop={early_stop} rewrite={rewrite}",

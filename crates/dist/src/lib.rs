@@ -29,8 +29,15 @@
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
 //! substrate and the task scheduler.
+//!
+//! Each algorithm is one type holding only the flags the paper's ablations
+//! vary — [`NaiveConfig`], [`DSeqConfig`] (Fig. 10a), [`DCandConfig`]
+//! (Fig. 10b) — and implements [`desq_core::mining::Miner`] itself,
+//! running its round in process. σ, the work budget, cancellation and the
+//! parallelism come from the [`desq_core::mining::MiningContext`]; the
+//! `*_via` / `*_worker` entry points take the same context to drive a
+//! networked round or serve one.
 
-pub mod algo;
 pub mod dcand;
 pub mod dseq;
 pub mod naive;
@@ -43,50 +50,45 @@ pub use naive::NaiveConfig;
 pub use pivots::{PivotRange, PivotScratch, PivotSearch};
 
 use desq_bsp::{Combiner, Engine};
+use desq_core::mining::MiningContext;
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 
 /// Outcome of one distributed mining job — the workspace-wide uniform
 /// result type, re-exported from [`desq_core::mining`].
 pub use desq_core::MiningResult;
 
-/// How a distributed job executes its BSP round.
-///
-/// [`Exec::Via`] drives the round over a [`desq_bsp::ShuffleTransport`]:
-/// [`desq_bsp::InProcess`] runs it on this process's engine (what the
-/// [`algo`] adapters do), a [`desq_bsp::NetCoordinator`] farms the map
-/// tasks and buckets out to worker processes. [`Exec::Worker`] turns this
-/// process into one of those workers: it connects to the coordinator and
-/// serves tasks against its own copy of the partitions (every process must
-/// build the same corpus and configuration; only task ids and bytes cross
-/// the wire).
-pub enum Exec<'a> {
-    /// Drive the round through a shuffle transport.
+/// How a distributed job executes its BSP round: [`Exec::Via`] drives it
+/// over a shuffle transport ([`desq_bsp::InProcess`] in this process, a
+/// [`desq_bsp::NetCoordinator`] farming tasks and buckets out to worker
+/// processes); [`Exec::Worker`] connects to a coordinator and serves tasks
+/// against this process's own copy of the partitions.
+pub(crate) enum Exec<'a> {
     Via(&'a dyn desq_bsp::ShuffleTransport),
-    /// Serve the job as a worker connected to a coordinator.
     Worker(std::net::SocketAddr, &'a desq_bsp::NetConfig),
 }
 
-/// Runs one combining BSP round the way `exec` says — the one place the
-/// three algorithms' map/init/reduce closures meet the engine — and
-/// completes the driver's result ([`job_result`], `t0` is the job's start).
-/// `None` means this process served the round as a worker.
+/// Runs one combining BSP round on `ctx`'s engine and partitions
+/// ([`Engine::for_context`]) the way `exec` says — the one place the three
+/// algorithms' map/init/reduce closures meet the engine — and completes the
+/// driver's result ([`job_result`], `t0` is the job's start). `None` means
+/// this process served the round as a worker.
 pub(crate) fn run_round<S: Send>(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     exec: Exec<'_>,
     t0: std::time::Instant,
-    parts: &[&[Sequence]],
     map: impl Fn(&[Sequence], &mut Combiner<ItemId>) -> Result<()> + Sync,
     init: impl Fn() -> S + Sync,
     reduce: impl Fn(&mut S, &ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
         + Sync,
 ) -> Result<Option<MiningResult>> {
+    let (engine, parts) = Engine::for_context(ctx);
     match exec {
         Exec::Via(transport) => {
-            let round = engine.map_combine_reduce_via(transport, parts, map, init, reduce)?;
-            Ok(Some(job_result(round, t0, engine, parts)))
+            let round = engine.map_combine_reduce_via(transport, &parts, map, init, reduce)?;
+            Ok(Some(job_result(round, t0, &engine, &parts)))
         }
         Exec::Worker(addr, net) => {
-            engine.run_worker(addr, net, parts, map, init, reduce)?;
+            engine.run_worker(addr, net, &parts, map, init, reduce)?;
             Ok(None)
         }
     }
@@ -112,5 +114,59 @@ pub fn job_result(
             input_sequences: parts.iter().map(|p| p.len() as u64).sum(),
             ..job
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use desq_core::mining::{Limits, Miner};
+    use desq_core::{toy, Error};
+
+    const NAIVE: NaiveConfig = NaiveConfig { filter: false };
+    const SEMI_NAIVE: NaiveConfig = NaiveConfig { filter: true };
+
+    #[test]
+    fn algorithms_agree_and_report_distributed_metrics() {
+        let fx = toy::fixture();
+        let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2)
+            .with_fst(&fx.fst)
+            .with_parallelism(2, 3);
+        let ds = DSeqConfig::default().mine(&ctx).unwrap();
+        let dc = DCandConfig::default().mine(&ctx).unwrap();
+        let nv = NAIVE.mine(&ctx).unwrap();
+        let sn = SEMI_NAIVE.mine(&ctx).unwrap();
+        assert_eq!(ds.patterns, dc.patterns);
+        assert_eq!(ds.patterns, nv.patterns);
+        assert_eq!(ds.patterns, sn.patterns);
+        assert_eq!(ds.patterns.len(), 3, "σ is taken from the context");
+        for res in [&ds, &dc, &nv, &sn] {
+            assert!(res.is_sorted());
+            assert_eq!(res.metrics.workers, 2);
+            assert_eq!(res.metrics.input_sequences, 5);
+            assert!(res.metrics.shuffle_bytes > 0);
+            assert!(res.metrics.wall_nanos > 0);
+        }
+    }
+
+    #[test]
+    fn the_context_budget_bounds_the_run() {
+        let fx = toy::fixture();
+        let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2)
+            .with_fst(&fx.fst)
+            .with_limits(Limits::default().with_budget(1));
+        assert!(matches!(NAIVE.mine(&ctx), Err(Error::ResourceExhausted(_))));
+        assert!(matches!(
+            DCandConfig::default().mine(&ctx),
+            Err(Error::ResourceExhausted(_))
+        ));
+    }
+
+    #[test]
+    fn names_distinguish_variants() {
+        assert_eq!(NAIVE.name(), "NAIVE");
+        assert_eq!(SEMI_NAIVE.name(), "SEMI-NAIVE");
+        assert_eq!(DSeqConfig::default().name(), "D-SEQ");
+        assert_eq!(DCandConfig::default().name(), "D-CAND");
     }
 }

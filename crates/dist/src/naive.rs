@@ -5,8 +5,8 @@
 //! candidate to the partition of its pivot item; SEMI-NAÏVE first drops
 //! candidates containing infrequent items (`G^σ_π(T)`), which is valid by
 //! support antimonotonicity. Both are exact but explode on loose
-//! constraints — candidate generation is bounded by
-//! [`NaiveConfig::budget`], the analog of the paper's executor memory
+//! constraints — candidate generation is bounded by the context's work
+//! budget (`Limits::budget`), the analog of the paper's executor memory
 //! limit.
 //!
 //! Since PR 5 the mappers run on the flat counting path
@@ -19,96 +19,71 @@
 //! combined weight — the reduce phase is a σ-filter plus one decode, with
 //! no hash map at all.
 
-use desq_bsp::{Combiner, Engine};
+use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::decode_item_seq;
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
-use desq_core::{sequence, Dictionary, Fst, ItemId, Result, Sequence};
+use desq_core::mining::{Miner, MiningContext};
+use desq_core::{sequence, ItemId, Result, Sequence};
 
 use crate::{Exec, MiningResult};
 
-/// Configuration of the NAÏVE / SEMI-NAÏVE baselines.
-#[derive(Debug, Clone, Copy)]
+/// NAÏVE (`filter` off, the default) and SEMI-NAÏVE (`filter` on), the
+/// baselines of Sec. III-C that Fig. 9 compares D-SEQ and D-CAND against.
+/// σ and the per-sequence candidate budget come from the [`MiningContext`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveConfig {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// SEMI-NAÏVE's candidate filter: drop candidates containing infrequent
     /// items before the shuffle.
     pub filter: bool,
-    /// Per-sequence candidate-generation budget; exceeding it aborts with
-    /// [`desq_core::Error::ResourceExhausted`] (the paper's OOM analog).
-    pub budget: usize,
 }
 
-impl NaiveConfig {
-    /// The NAÏVE variant: unfiltered `G_π(T)`.
-    pub fn naive(sigma: u64) -> NaiveConfig {
-        NaiveConfig {
-            sigma,
-            filter: false,
-            budget: usize::MAX,
+impl Miner for NaiveConfig {
+    fn name(&self) -> &'static str {
+        if self.filter {
+            "SEMI-NAIVE"
+        } else {
+            "NAIVE"
         }
     }
 
-    /// The SEMI-NAÏVE variant: frequency-filtered `G^σ_π(T)`.
-    pub fn semi_naive(sigma: u64) -> NaiveConfig {
-        NaiveConfig {
-            sigma,
-            filter: true,
-            budget: usize::MAX,
-        }
-    }
-
-    /// Overrides the candidate-generation budget.
-    pub fn with_budget(mut self, budget: usize) -> NaiveConfig {
-        self.budget = budget;
-        self
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        naive_via(ctx, &InProcess, *self)
     }
 }
 
-/// Runs NAÏVE / SEMI-NAÏVE over a shuffle transport (see
+/// Runs NAÏVE / SEMI-NAÏVE on `ctx` over a shuffle transport (see
 /// [`crate::dseq::d_seq_via`] for the contract).
 pub fn naive_via(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     transport: &dyn desq_bsp::ShuffleTransport,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: NaiveConfig,
 ) -> Result<MiningResult> {
-    Ok(
-        naive_exec(engine, parts, fst, dict, config, Exec::Via(transport))?
-            .expect("driver execution returns a result"),
-    )
+    Ok(naive_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
 }
 
 /// Serves a NAÏVE / SEMI-NAÏVE job as a worker process connected to the
-/// coordinator at `addr`.
+/// coordinator at `addr` (see [`crate::dseq::d_seq_worker`]).
 pub fn naive_worker(
-    engine: &Engine,
+    ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
     net: &desq_bsp::NetConfig,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
     config: NaiveConfig,
 ) -> Result<()> {
-    naive_exec(engine, parts, fst, dict, config, Exec::Worker(addr, net))?;
+    naive_exec(ctx, config, Exec::Worker(addr, net))?;
     Ok(())
 }
 
 fn naive_exec(
-    engine: &Engine,
-    parts: &[&[Sequence]],
-    fst: &Fst,
-    dict: &Dictionary,
+    ctx: &MiningContext<'_>,
     config: NaiveConfig,
     exec: Exec<'_>,
 ) -> Result<Option<MiningResult>> {
-    desq_core::mining::validate_sigma(config.sigma)?;
+    ctx.validate()?;
+    let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
     let max_item = if config.filter {
-        dict.last_frequent(config.sigma)
+        dict.last_frequent(sigma)
     } else {
         ItemId::MAX
     };
@@ -118,14 +93,7 @@ fn naive_exec(
         let mut scratch = RunScratch::default();
         let mut counter = CandidateCounter::with_keys();
         for seq in part {
-            walker.count_candidates(
-                seq,
-                1,
-                config.budget,
-                &mut scratch,
-                &mut counter,
-                |_, _| {},
-            )?;
+            walker.count_candidates(seq, 1, budget, &mut scratch, &mut counter, |_, _| {})?;
         }
         // Drain the partition's interned counts: each distinct candidate is
         // emitted once with its accumulated weight (a mapper-level combine
@@ -144,7 +112,7 @@ fn naive_exec(
                   cands: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))| {
         for &(bytes, freq) in cands {
-            if freq >= config.sigma {
+            if freq >= sigma {
                 let mut c: Sequence = Vec::new();
                 decode_item_seq(&mut &bytes[..], &mut c)?;
                 emit((c, freq));
@@ -152,45 +120,36 @@ fn naive_exec(
         }
         Ok(())
     };
-    crate::run_round(engine, exec, t0, parts, map, || (), reduce)
+    crate::run_round(ctx, exec, t0, map, || (), reduce)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_bsp::InProcess;
-    use desq_core::mining::{Miner, MiningContext};
+    use desq_core::mining::Limits;
     use desq_core::{toy, Error};
+
+    const NAIVE: NaiveConfig = NaiveConfig { filter: false };
+    const SEMI_NAIVE: NaiveConfig = NaiveConfig { filter: true };
+
+    fn toy_ctx(fx: &toy::Toy, sigma: u64, workers: usize, parts: usize) -> MiningContext<'_> {
+        MiningContext::sequential(&fx.db, &fx.dict, sigma)
+            .with_fst(&fx.fst)
+            .with_parallelism(workers, parts)
+    }
 
     #[test]
     fn both_variants_match_reference_on_toy() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
         for sigma in 1..=4 {
             let reference = desq_miner::algo::DesqCount
-                .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
+                .mine(&toy_ctx(&fx, sigma, 1, 1))
                 .unwrap()
                 .patterns;
-            let nv = naive_via(
-                &engine,
-                &InProcess,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                NaiveConfig::naive(sigma),
-            )
-            .unwrap();
+            let ctx = toy_ctx(&fx, sigma, 2, 2);
+            let nv = NAIVE.mine(&ctx).unwrap();
             assert_eq!(nv.patterns, reference, "NAIVE σ={sigma}");
-            let sn = naive_via(
-                &engine,
-                &InProcess,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                NaiveConfig::semi_naive(sigma),
-            )
-            .unwrap();
+            let sn = SEMI_NAIVE.mine(&ctx).unwrap();
             assert_eq!(sn.patterns, reference, "SEMI-NAIVE σ={sigma}");
         }
     }
@@ -198,62 +157,27 @@ mod tests {
     #[test]
     fn filter_shrinks_shuffle() {
         let fx = toy::fixture();
-        let engine = Engine::new(2);
-        let parts = fx.db.partition(2);
-        let nv = naive_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            NaiveConfig::naive(2),
-        )
-        .unwrap();
-        let sn = naive_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            NaiveConfig::semi_naive(2),
-        )
-        .unwrap();
+        let ctx = toy_ctx(&fx, 2, 2, 2);
+        let nv = NAIVE.mine(&ctx).unwrap();
+        let sn = SEMI_NAIVE.mine(&ctx).unwrap();
         // T2's 11 raw candidates collapse to 3 filtered ones, etc.
         assert!(sn.metrics.shuffle_records < nv.metrics.shuffle_records);
         assert!(sn.metrics.shuffle_bytes < nv.metrics.shuffle_bytes);
     }
 
     #[test]
-    fn budget_zero_errors_on_matching_input() {
+    fn budget_one_errors_on_matching_input() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
-        let err = naive_via(
-            &engine,
-            &InProcess,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            NaiveConfig::naive(2).with_budget(1),
-        )
-        .unwrap_err();
+        let ctx = toy_ctx(&fx, 2, 1, 1).with_limits(Limits::default().with_budget(1));
+        let err = NAIVE.mine(&ctx).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
     }
 
     #[test]
     fn zero_sigma_rejected() {
         let fx = toy::fixture();
-        let engine = Engine::new(1);
-        let parts = fx.db.partition(1);
         assert!(matches!(
-            naive_via(
-                &engine,
-                &InProcess,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                NaiveConfig::naive(0)
-            ),
+            NAIVE.mine(&toy_ctx(&fx, 0, 1, 1)),
             Err(Error::Invalid(_))
         ));
     }

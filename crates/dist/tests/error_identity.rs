@@ -1,8 +1,7 @@
 //! One error taxonomy end to end: an error raised inside a reducer reaches
 //! the caller of a `desq_dist` entry point as the same `desq_core::Error`
 //! value whether the round ran through the in-process transport (which is
-//! what the `Miner` adapters run) or on a worker behind a real
-//! `NetCoordinator`.
+//! what `Miner::mine` runs) or on a worker behind a real `NetCoordinator`.
 
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
@@ -34,23 +33,24 @@ fn wide_world() -> (Dictionary, SequenceDb, Fst) {
     (dict, db, fst)
 }
 
-fn wide_config() -> DCandConfig {
-    DCandConfig::new(1).with_run_budget(64)
+/// The wide world at σ = 1 under a work budget of 64, on two threads and
+/// [`PARTS`] map partitions.
+fn wide_ctx<'a>(dict: &'a Dictionary, db: &'a SequenceDb, fst: &'a Fst) -> MiningContext<'a> {
+    MiningContext::sequential(db, dict, 1)
+        .with_fst(fst)
+        .with_limits(Limits::default().with_budget(64))
+        .with_parallelism(2, PARTS)
 }
 
 fn spawn_dcand_worker(addr: SocketAddr) -> JoinHandle<()> {
     thread::spawn(move || {
         let (dict, db, fst) = wide_world();
-        let parts = db.partition(PARTS);
         let net = NetConfig::default();
         d_cand_worker(
-            &Engine::new(2),
+            &wide_ctx(&dict, &db, &fst),
             addr,
             &net,
-            &parts,
-            &fst,
-            &dict,
-            wide_config(),
+            DCandConfig::default(),
         )
         .expect("a failed task is the driver's error, not the worker's");
     })
@@ -59,26 +59,23 @@ fn spawn_dcand_worker(addr: SocketAddr) -> JoinHandle<()> {
 #[test]
 fn a_reducer_side_budget_error_is_the_same_value_on_every_path() {
     let (dict, db, fst) = wide_world();
-    let engine = Engine::new(2);
-    let parts = db.partition(PARTS);
+    let ctx = wide_ctx(&dict, &db, &fst);
     let expect = Error::ResourceExhausted("NFA expansion exceeded budget of 64".into());
 
-    // The Miner adapter: `d_cand_via` over `InProcess`.
-    let ctx = MiningContext::sequential(&db, &dict, 1)
-        .with_fst(&fst)
-        .with_limits(Limits::default().with_budget(64));
-    let local = desq_dist::algo::DCand::default().mine(&ctx).unwrap_err();
+    // `Miner::mine` on one thread and one partition: `d_cand_via` over
+    // `InProcess`.
+    let sequential = ctx.with_parallelism(1, 1);
+    let local = DCandConfig::default().mine(&sequential).unwrap_err();
     assert_eq!(local, expect);
 
-    // The same program called directly.
-    let in_process =
-        d_cand_via(&engine, &InProcess, &parts, &fst, &dict, wide_config()).unwrap_err();
+    // The same program called directly, on two threads and partitions.
+    let in_process = d_cand_via(&ctx, &InProcess, DCandConfig::default()).unwrap_err();
     assert_eq!(in_process, expect);
 
     // Over a NetCoordinator: raised on the worker, shipped as TaskErr.
     let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let worker = spawn_dcand_worker(coord.local_addr().unwrap());
-    let remote = d_cand_via(&engine, &coord, &parts, &fst, &dict, wide_config()).unwrap_err();
+    let remote = d_cand_via(&ctx, &coord, DCandConfig::default()).unwrap_err();
     assert_eq!(remote, expect);
     drop(coord);
     worker.join().unwrap();
@@ -118,48 +115,26 @@ impl ShuffleTransport for Corrupting<'_> {
 
 #[test]
 fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
+    fn toy_ctx(fx: &toy::Toy) -> MiningContext<'_> {
+        MiningContext::sequential(&fx.db, &fx.dict, 2)
+            .with_fst(&fx.fst)
+            .with_parallelism(2, PARTS)
+    }
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let config = DSeqConfig::new(2);
+    let config = DSeqConfig::default();
 
-    let in_process = d_seq_via(
-        &engine,
-        &Corrupting(&InProcess),
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        config,
-    )
-    .unwrap_err();
+    let in_process = d_seq_via(&toy_ctx(&fx), &Corrupting(&InProcess), config).unwrap_err();
     assert!(matches!(in_process, Error::Decode(_)), "{in_process}");
 
     let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = coord.local_addr().unwrap();
     let worker = thread::spawn(move || {
         let fx = toy::fixture();
-        let parts = fx.db.partition(PARTS);
         let net = NetConfig::default();
-        d_seq_worker(
-            &Engine::new(2),
-            addr,
-            &net,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            config,
-        )
-        .expect("a failed task is the driver's error, not the worker's");
+        d_seq_worker(&toy_ctx(&fx), addr, &net, config)
+            .expect("a failed task is the driver's error, not the worker's");
     });
-    let remote = d_seq_via(
-        &engine,
-        &Corrupting(&coord),
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        config,
-    )
-    .unwrap_err();
+    let remote = d_seq_via(&toy_ctx(&fx), &Corrupting(&coord), config).unwrap_err();
     assert_eq!(remote, in_process);
     drop(coord);
     worker.join().unwrap();

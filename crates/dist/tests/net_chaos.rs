@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
 
-use desq_bsp::{Engine, NetConfig, NetCoordinator};
+use desq_bsp::{NetConfig, NetCoordinator};
 use desq_core::fault::{self, FailAction, FailSpec};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{toy, Sequence};
@@ -34,6 +34,14 @@ fn chaos_guard() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
+/// The toy job every process builds: σ, two threads, [`PARTS`] map
+/// partitions.
+fn toy_ctx(fx: &toy::Toy) -> MiningContext<'_> {
+    MiningContext::sequential(&fx.db, &fx.dict, SIGMA)
+        .with_fst(&fx.fst)
+        .with_parallelism(2, PARTS)
+}
+
 fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
     desq_miner::algo::DesqDfs
         .mine(&MiningContext::sequential(&fx.db, &fx.dict, sigma).with_fst(&fx.fst))
@@ -41,12 +49,12 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
         .patterns
 }
 
-/// Long heartbeat so a fast toy job never interleaves heartbeats with
-/// task frames — the `net::send_frame` hit counters in the worker specs
-/// stay deterministic: #1 Hello, #2 first map output, #3 second, …
+/// Long liveness window, hence a 2 s heartbeat, so a fast toy job never
+/// interleaves heartbeats with task frames — the `net::send_frame` hit
+/// counters in the worker specs stay deterministic: #1 Hello, #2 first map
+/// output, #3 second, …
 fn chaos_net() -> NetConfig {
     NetConfig {
-        heartbeat: Duration::from_secs(2),
         liveness: Duration::from_secs(8),
         ..NetConfig::default()
     }
@@ -77,19 +85,9 @@ fn chaos_worker_main() {
     fault::init_from_env().expect("valid DESQ_FAILPOINTS spec");
     let addr: SocketAddr = addr.parse().unwrap();
     let fx = toy::fixture();
-    let parts = fx.db.partition(PARTS);
-    let engine = Engine::new(2);
     // Errors are expected here: injected link faults beyond the retry
     // budget surface as PeerUnreachable, and an Exit action never returns.
-    let _ = d_seq_worker(
-        &engine,
-        addr,
-        &chaos_net(),
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    );
+    let _ = d_seq_worker(&toy_ctx(&fx), addr, &chaos_net(), DSeqConfig::default());
 }
 
 /// Runs the toy D-SEQ job over real worker processes and returns the
@@ -107,17 +105,8 @@ fn run_with_workers(specs: &[Option<&str>]) -> (desq_core::MiningResult, Vec<Chi
         }
     }
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .expect("job must ride out the injected fault");
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
+        .expect("job must ride out the injected fault");
     (res, children)
 }
 
@@ -169,31 +158,11 @@ fn dropped_accept_is_ridden_out_by_reconnect() {
     let addr = coord.local_addr().unwrap();
     let worker = thread::spawn(move || {
         let fx = toy::fixture();
-        let parts = fx.db.partition(PARTS);
-        let engine = Engine::new(2);
-        d_seq_worker(
-            &engine,
-            addr,
-            &cfg,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DSeqConfig::new(SIGMA),
-        )
-        .expect("worker rides out the dropped connection");
+        d_seq_worker(&toy_ctx(&fx), addr, &cfg, DSeqConfig::default())
+            .expect("worker rides out the dropped connection");
     });
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap();
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(fault::hits("net::accept") >= 1, "drop must have fired");
     worker.join().unwrap();
@@ -203,11 +172,10 @@ fn dropped_accept_is_ridden_out_by_reconnect() {
 #[test]
 fn suppressed_heartbeat_stays_inside_liveness_window() {
     let _guard = chaos_guard();
-    // Losing a single heartbeat must not trip the liveness window (the
-    // default keeps 4× headroom): the job completes without a timeout.
+    // Losing a single heartbeat must not trip the liveness window (links
+    // heartbeat every quarter of it): the job completes without a timeout.
     fault::configure("net::heartbeat", FailSpec::once_after(0, FailAction::Err));
     let cfg = NetConfig {
-        heartbeat: Duration::from_millis(100),
         liveness: Duration::from_millis(800),
         ..NetConfig::default()
     };
@@ -217,32 +185,12 @@ fn suppressed_heartbeat_stays_inside_liveness_window() {
         let cfg = cfg.clone();
         thread::spawn(move || {
             let fx = toy::fixture();
-            let parts = fx.db.partition(PARTS);
-            let engine = Engine::new(2);
-            d_seq_worker(
-                &engine,
-                addr,
-                &cfg,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                DSeqConfig::new(SIGMA),
-            )
-            .expect("one lost heartbeat must not kill the worker");
+            d_seq_worker(&toy_ctx(&fx), addr, &cfg, DSeqConfig::default())
+                .expect("one lost heartbeat must not kill the worker");
         })
     };
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap();
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert_eq!(res.metrics.peer_timeouts, 0, "{:?}", res.metrics);
     worker.join().unwrap();

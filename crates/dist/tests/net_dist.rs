@@ -8,16 +8,24 @@ use std::thread;
 use std::time::Duration;
 
 use desq_bsp::transport::{write_net_frame, Frame, NET_PROTOCOL_VERSION};
-use desq_bsp::{Engine, InProcess, NetConfig, NetCoordinator};
+use desq_bsp::{InProcess, NetConfig, NetCoordinator};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::retry::RetryPolicy;
 use desq_core::{toy, Error, Sequence};
-use desq_dist::dcand::{d_cand_via, DCandConfig};
+use desq_dist::dcand::{d_cand_via, d_cand_worker, DCandConfig};
 use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
 use desq_dist::naive::{naive_via, naive_worker, NaiveConfig};
 
 const SIGMA: u64 = 2;
 const PARTS: usize = 8;
+
+/// The toy job every process of a test builds: σ, two threads (and
+/// reduce buckets), [`PARTS`] map partitions.
+fn toy_ctx(fx: &toy::Toy) -> MiningContext<'_> {
+    MiningContext::sequential(&fx.db, &fx.dict, SIGMA)
+        .with_fst(&fx.fst)
+        .with_parallelism(2, PARTS)
+}
 
 /// Reference result through the sequential DESQ-DFS miner.
 fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
@@ -32,71 +40,53 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
 fn fast_net() -> NetConfig {
     NetConfig {
         liveness: Duration::from_millis(1500),
-        heartbeat: Duration::from_millis(200),
         ..NetConfig::default()
     }
 }
 
 /// Spawns a worker thread serving D-SEQ tasks against its own copy of the
-/// toy corpus (as a real worker process would build from shared input).
-fn spawn_dseq_worker(addr: std::net::SocketAddr, cfg: NetConfig) -> thread::JoinHandle<()> {
+/// toy corpus (as a real worker process would build from shared input),
+/// with the context `ctx` derives from it.
+fn spawn_dseq_worker(
+    addr: std::net::SocketAddr,
+    cfg: NetConfig,
+    ctx: fn(&toy::Toy) -> MiningContext<'_>,
+) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let fx = toy::fixture();
-        let parts = fx.db.partition(PARTS);
-        let engine = Engine::new(2);
-        d_seq_worker(
-            &engine,
-            addr,
-            &cfg,
-            &parts,
-            &fx.fst,
-            &fx.dict,
-            DSeqConfig::new(SIGMA),
-        )
-        .expect("worker run");
+        d_seq_worker(&ctx(&fx), addr, &cfg, DSeqConfig::default()).expect("worker run");
     })
 }
 
 #[test]
 fn in_process_transport_matches_local_oracle() {
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &InProcess,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap();
+    let res = d_seq_via(&toy_ctx(&fx), &InProcess, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert_eq!(res.metrics.retried_tasks, 0);
     assert_eq!(res.metrics.peer_timeouts, 0);
 }
 
+/// Two worker processes built from the driver's own context — three
+/// reduce buckets, a count no default picks — return the in-process round's
+/// result.
 #[test]
 fn net_dseq_two_workers_matches_oracle() {
+    fn ctx(fx: &toy::Toy) -> MiningContext<'_> {
+        toy_ctx(fx).with_reducers(3)
+    }
     let cfg = fast_net();
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = coord.local_addr().unwrap();
     let workers: Vec<_> = (0..2)
-        .map(|_| spawn_dseq_worker(addr, cfg.clone()))
+        .map(|_| spawn_dseq_worker(addr, cfg.clone(), ctx))
         .collect();
 
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap();
+    let res = d_seq_via(&ctx(&fx), &coord, DSeqConfig::default()).unwrap();
+    let in_process = DSeqConfig::default().mine(&ctx(&fx)).unwrap();
+    assert_eq!(res.patterns, in_process.patterns);
+    assert_eq!(res.metrics.reducer_bytes.len(), 3);
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(res.metrics.max_task_nanos > 0, "task timing recorded");
     for w in workers {
@@ -121,35 +111,22 @@ fn net_dseq_three_thread_worker_matches_oracle() {
     let addr = coord.local_addr().unwrap();
     let worker = thread::spawn(move || {
         let (dict, db, fst) = world();
-        let parts = db.partition(PARTS);
-        let engine = Engine::new(3).with_reducers(2);
-        d_seq_worker(
-            &engine,
-            addr,
-            &cfg,
-            &parts,
-            &fst,
-            &dict,
-            DSeqConfig::new(sigma),
-        )
-        .expect("worker run");
+        let ctx = MiningContext::sequential(&db, &dict, sigma)
+            .with_fst(&fst)
+            .with_parallelism(3, PARTS)
+            .with_reducers(2);
+        d_seq_worker(&ctx, addr, &cfg, DSeqConfig::default()).expect("worker run");
     });
 
     let (dict, db, fst) = world();
-    let parts = db.partition(PARTS);
+    let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
     let res = d_seq_via(
-        &Engine::new(2),
+        &ctx.with_parallelism(2, PARTS),
         &coord,
-        &parts,
-        &fst,
-        &dict,
-        DSeqConfig::new(sigma),
+        DSeqConfig::default(),
     )
     .unwrap();
-    let oracle = desq_miner::algo::DesqDfs
-        .mine(&MiningContext::sequential(&db, &dict, sigma).with_fst(&fst))
-        .unwrap()
-        .patterns;
+    let oracle = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
     assert!(!oracle.is_empty());
     assert_eq!(res.patterns, oracle);
     worker.join().unwrap();
@@ -160,39 +137,19 @@ fn net_naive_matches_oracle() {
     let cfg = fast_net();
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = coord.local_addr().unwrap();
+    let semi_naive = NaiveConfig { filter: true };
     let worker = {
         let cfg = cfg.clone();
         thread::spawn(move || {
             let fx = toy::fixture();
-            let parts = fx.db.partition(PARTS);
-            let engine = Engine::new(2);
-            naive_worker(
-                &engine,
-                addr,
-                &cfg,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                NaiveConfig::semi_naive(SIGMA),
-            )
-            .expect("worker run");
+            naive_worker(&toy_ctx(&fx), addr, &cfg, semi_naive).expect("worker run");
         })
     };
 
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = naive_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        NaiveConfig::semi_naive(SIGMA),
-    )
-    .unwrap();
+    let res = naive_via(&toy_ctx(&fx), &coord, semi_naive).unwrap();
     let reference = desq_miner::algo::DesqCount
-        .mine(&MiningContext::sequential(&fx.db, &fx.dict, SIGMA).with_fst(&fx.fst))
+        .mine(&toy_ctx(&fx))
         .unwrap()
         .patterns;
     assert_eq!(res.patterns, reference);
@@ -209,13 +166,12 @@ fn net_dcand_matches_oracle_and_rejects_no_agg() {
     // byte-oriented transport does not carry: typed rejection, no hang.
     let no_agg = DCandConfig {
         aggregate: false,
-        ..DCandConfig::new(SIGMA)
+        ..DCandConfig::default()
     };
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
+    let ctx = toy_ctx(&fx);
     assert!(matches!(
-        d_cand_via(&engine, &coord, &parts, &fx.fst, &fx.dict, no_agg),
+        d_cand_via(&ctx, &coord, no_agg),
         Err(Error::Invalid(_))
     ));
 
@@ -223,33 +179,11 @@ fn net_dcand_matches_oracle_and_rejects_no_agg() {
         let cfg = cfg.clone();
         thread::spawn(move || {
             let fx = toy::fixture();
-            let parts = fx.db.partition(PARTS);
-            let engine = Engine::new(2);
-            desq_dist::dcand::d_cand_worker(
-                &engine,
-                addr,
-                &cfg,
-                &parts,
-                &fx.fst,
-                &fx.dict,
-                DCandConfig::new(SIGMA),
-            )
-            .expect("worker run");
+            d_cand_worker(&toy_ctx(&fx), addr, &cfg, DCandConfig::default()).expect("worker run");
         })
     };
-    let res = d_cand_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DCandConfig::new(SIGMA),
-    )
-    .unwrap();
-    let reference = desq_miner::algo::DesqCount
-        .mine(&MiningContext::sequential(&fx.db, &fx.dict, SIGMA).with_fst(&fx.fst))
-        .unwrap()
-        .patterns;
+    let res = d_cand_via(&ctx, &coord, DCandConfig::default()).unwrap();
+    let reference = desq_miner::algo::DesqCount.mine(&ctx).unwrap().patterns;
     assert_eq!(res.patterns, reference);
     worker.join().unwrap();
 }
@@ -262,17 +196,7 @@ fn no_worker_within_peer_wait_is_peer_unreachable() {
     };
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let err = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap_err();
+    let err = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap_err();
     assert!(matches!(err, Error::PeerUnreachable(_)), "got {err:?}");
 }
 
@@ -293,18 +217,7 @@ fn worker_against_dead_coordinator_is_peer_unreachable() {
         ..fast_net()
     };
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let err = d_seq_worker(
-        &engine,
-        addr,
-        &cfg,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap_err();
+    let err = d_seq_worker(&toy_ctx(&fx), addr, &cfg, DSeqConfig::default()).unwrap_err();
     assert!(matches!(err, Error::PeerUnreachable(_)), "got {err:?}");
 }
 
@@ -314,7 +227,6 @@ fn stalled_peer_trips_liveness_and_job_completes() {
     // healthy worker heartbeats well inside the window.
     let cfg = NetConfig {
         liveness: Duration::from_millis(600),
-        heartbeat: Duration::from_millis(100),
         ..NetConfig::default()
     };
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
@@ -340,20 +252,10 @@ fn stalled_peer_trips_liveness_and_job_completes() {
     });
     // Let the stalled peer win the handshake race so it gets assignments.
     thread::sleep(Duration::from_millis(100));
-    let worker = spawn_dseq_worker(addr, cfg.clone());
+    let worker = spawn_dseq_worker(addr, cfg.clone(), toy_ctx);
 
     let fx = toy::fixture();
-    let engine = Engine::new(2);
-    let parts = fx.db.partition(PARTS);
-    let res = d_seq_via(
-        &engine,
-        &coord,
-        &parts,
-        &fx.fst,
-        &fx.dict,
-        DSeqConfig::new(SIGMA),
-    )
-    .unwrap();
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
         res.metrics.peer_timeouts >= 1,

@@ -1,11 +1,8 @@
-//! [`Miner`]-trait adapters for the sequential algorithms.
-//!
-//! These are the objects the facade's `MiningSession` dispatches to; they
-//! can also be used directly when a caller wants trait-object polymorphism
-//! without the session builder. Each adapter carries only the knobs that
-//! are *algorithm-specific*; the threshold σ and the work budget always
-//! come from the [`MiningContext`] (one validation path for all
-//! algorithms).
+//! The FST-based sequential algorithms, DESQ-DFS and DESQ-COUNT, behind
+//! the [`Miner`] trait. Neither has a parameter of its own: σ, the work
+//! budget, cancellation and the worker count all come from the
+//! [`MiningContext`]. (PrefixSpan and the gap miner implement [`Miner`]
+//! on their own types, [`crate::PrefixSpan`] and [`crate::GapMiner`].)
 
 use std::time::Instant;
 
@@ -195,87 +192,6 @@ impl Miner for DesqCount {
     }
 }
 
-/// Classic PrefixSpan under a maximum-length constraint (the `T1(σ, λ)`
-/// semantics; no FST needed).
-#[derive(Debug, Clone, Copy)]
-pub struct PrefixSpan {
-    /// Maximum pattern length λ.
-    pub max_len: usize,
-}
-
-impl Miner for PrefixSpan {
-    fn name(&self) -> &'static str {
-        "PrefixSpan"
-    }
-
-    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
-        ctx.validate()?;
-        let t0 = Instant::now();
-        let patterns = crate::prefixspan::PrefixSpan::new(ctx.sigma, self.max_len).mine(ctx.db);
-        let metrics = MiningMetrics::sequential(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            patterns.len() as u64,
-            patterns.len() as u64,
-        );
-        Ok(MiningResult { patterns, metrics })
-    }
-}
-
-/// Gap-constrained pattern growth with optional hierarchy generalization
-/// (the `T2(σ, γ, λ)` / `T3(σ, γ, λ)` semantics; no FST needed).
-#[derive(Debug, Clone, Copy)]
-pub struct GapMiner {
-    /// Maximum gap γ between consecutive matched positions.
-    pub gamma: usize,
-    /// Maximum pattern length λ.
-    pub max_len: usize,
-    /// Minimum pattern length (2 for the paper's T2/T3 constraints).
-    pub min_len: usize,
-    /// Generalize matched items along the hierarchy (LASH) or not (MG-FSM).
-    pub generalize: bool,
-}
-
-impl GapMiner {
-    /// The paper's T2/T3 parameterization (`min_len = 2`).
-    pub fn new(gamma: usize, max_len: usize, generalize: bool) -> GapMiner {
-        GapMiner {
-            gamma,
-            max_len,
-            min_len: 2,
-            generalize,
-        }
-    }
-}
-
-impl Miner for GapMiner {
-    fn name(&self) -> &'static str {
-        "GapMiner"
-    }
-
-    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
-        ctx.validate()?;
-        let t0 = Instant::now();
-        let miner = crate::gapminer::GapMiner {
-            sigma: ctx.sigma,
-            gamma: self.gamma,
-            max_len: self.max_len,
-            min_len: self.min_len,
-            generalize: self.generalize,
-            max_item: None,
-            require_pivot: None,
-        };
-        let patterns = miner.mine(ctx.db, ctx.dict);
-        let metrics = MiningMetrics::sequential(
-            t0.elapsed().as_nanos() as u64,
-            ctx.db.len() as u64,
-            patterns.len() as u64,
-            patterns.len() as u64,
-        );
-        Ok(MiningResult { patterns, metrics })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,8 +218,8 @@ mod tests {
     fn fst_free_miners_ignore_missing_fst() {
         let fx = toy::fixture();
         let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2);
-        assert!(PrefixSpan { max_len: 3 }.mine(&ctx).is_ok());
-        assert!(GapMiner::new(1, 3, true).mine(&ctx).is_ok());
+        assert!(crate::PrefixSpan { max_len: 3 }.mine(&ctx).is_ok());
+        assert!(crate::GapMiner::new(1, 3, true).mine(&ctx).is_ok());
         // FST-based miners surface a descriptive error instead.
         assert!(matches!(DesqDfs.mine(&ctx), Err(Error::Invalid(_))));
     }

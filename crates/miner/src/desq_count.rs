@@ -122,8 +122,8 @@ mod tests {
     use desq_core::toy;
     use desq_core::Error;
 
-    /// DESQ-COUNT on the toy database through its adapter (`budget` is the
-    /// per-sequence work budget).
+    /// DESQ-COUNT on the toy database through [`Miner::mine`] (`budget` is
+    /// the per-sequence work budget).
     fn toy_count(fx: &toy::Toy, sigma: u64, budget: usize, workers: usize) -> Result<MiningResult> {
         let ctx = MiningContext::sequential(&fx.db, &fx.dict, sigma)
             .with_fst(&fx.fst)

@@ -34,10 +34,10 @@
 //! task, each worker descends its subtree depth-first with its own scratch
 //! arenas over the shared tables, and shallow nodes split trailing child
 //! subtrees off as stealable tasks while the worker's deque runs short
-//! ([`SchedConfig`]). A lone worker has no thief to split for, so its one
-//! task is the whole pre-order traversal. DESQ's search trees are heavily
-//! skewed, so dynamic stealing — not static sharding — is what keeps all
-//! workers busy. Results stay oracle-identical at any worker count: every
+//! (`SPLIT_DEPTH`, `SHARE_LIMIT`). A lone worker has no thief to split for,
+//! so its one task is the whole pre-order traversal. DESQ's search trees
+//! are heavily skewed, so dynamic stealing — not static sharding — is what
+//! keeps all workers busy. Results stay oracle-identical at any worker count: every
 //! pattern is emitted by exactly one subtree and the merged set is sorted
 //! once.
 //!
@@ -59,62 +59,36 @@ use desq_core::sched::{self, TaskCtx, WorkerStats};
 use desq_core::SequenceDb;
 use desq_core::{Dictionary, Fst, ItemId, Result, Sequence, EPSILON};
 
-/// Tuning knobs of DESQ-DFS's task-splitting heuristic (the scheduler
-/// itself is knob-free).
-///
-/// The defaults balance real workloads; tests force pathological sharing
-/// (`split_depth` high, `share_limit` high) to exercise stealing on tiny
-/// inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedConfig {
-    /// Node depth (relative to the task's root) below which child subtrees
-    /// may be split off as stealable tasks. Deeper nodes always recurse
-    /// inline: near the leaves a task's postings are smaller than the
-    /// bookkeeping to share them.
-    pub split_depth: usize,
-    /// Child subtrees are only split off while the worker's own queue
-    /// holds fewer than this many tasks — a short queue means thieves are
-    /// draining it (or soon will), a long one means splitting would only
-    /// buy allocation overhead.
-    pub share_limit: usize,
-}
+/// Node depth (relative to a task's root) below which child subtrees may
+/// be split off as stealable tasks; deeper nodes always recurse inline. A
+/// split copies the child's postings out of the depth buffers: near the
+/// root a subtree's mining dwarfs that copy, while towards the leaves a
+/// subtree shrinks to the size of its own postings and the copy stops
+/// paying for itself. Three levels already hand thieves the root's
+/// children, grandchildren and great-grandchildren to balance.
+const SPLIT_DEPTH: usize = 3;
 
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig {
-            split_depth: 3,
-            share_limit: 4,
-        }
-    }
-}
-
-impl SchedConfig {
-    /// A steal-forcing configuration for tests: split at every depth and
-    /// keep sharing regardless of queue length, so even toy-sized search
-    /// trees scatter into many stealable tasks.
-    pub fn aggressive() -> SchedConfig {
-        SchedConfig {
-            split_depth: usize::MAX,
-            share_limit: usize::MAX,
-        }
-    }
-}
+/// Child subtrees are only split off while the splitting worker's own
+/// queue holds fewer than this many tasks. A thief takes half a victim's
+/// queue, so a queue this short is one or two steals from empty — thieves
+/// are draining it and more splits feed them; a longer queue already has
+/// work to hand out, and splitting further would only copy postings.
+const SHARE_LIMIT: usize = 4;
 
 /// Configuration of a [`LocalMiner`].
 #[derive(Debug, Clone, Copy)]
 pub struct MinerConfig {
     /// Minimum support threshold σ.
     pub sigma: u64,
-    /// If set, expansions never use items greater than this (item-based
-    /// partitioning: partition `P_k` owns no sequence with items `> k`).
-    pub max_item: Option<ItemId>,
-    /// If set, only sequences containing this item (their pivot, given
-    /// `max_item = Some(k)`) are emitted.
-    pub require_pivot: Option<ItemId>,
+    /// Partition-local mining for pivot item `k` (item-based partitioning:
+    /// partition `P_k` owns no sequence with items `> k`): expansions never
+    /// use items greater than `k`, and only sequences containing `k` — their
+    /// pivot — are emitted. `None` mines unrestricted.
+    pub pivot: Option<ItemId>,
     /// Early-stopping heuristic (Sec. V-C): per input sequence, determine
     /// the last position that can produce the pivot item and stop using the
     /// sequence for non-pivot prefixes beyond it. Only effective when
-    /// `require_pivot` is set.
+    /// `pivot` is set.
     pub early_stop: bool,
     /// Largest fid considered frequent. `None` derives it from `sigma` and
     /// the dictionary's f-list; distributed callers pass the value computed
@@ -128,8 +102,7 @@ impl MinerConfig {
     pub fn sequential(sigma: u64) -> MinerConfig {
         MinerConfig {
             sigma,
-            max_item: None,
-            require_pivot: None,
+            pivot: None,
             early_stop: false,
             last_frequent: None,
         }
@@ -139,8 +112,7 @@ impl MinerConfig {
     pub fn for_pivot(sigma: u64, k: ItemId, early_stop: bool) -> MinerConfig {
         MinerConfig {
             sigma,
-            max_item: Some(k),
-            require_pivot: Some(k),
+            pivot: Some(k),
             early_stop,
             last_frequent: None,
         }
@@ -176,9 +148,6 @@ pub struct LocalMiner<'a> {
     /// indexed) node grouping; larger vocabularies sort instead. Only
     /// tests override [`MAX_DENSE_ITEMS`].
     dense_limit: usize,
-    /// Task-splitting knobs of the work-stealing scheduler (see
-    /// [`SchedConfig`]).
-    sched: SchedConfig,
 }
 
 /// Only a worker handing in its finished buffer takes the merge lock, and
@@ -188,7 +157,7 @@ const MERGE_LOCK: &str = "pattern merge lock poisoned";
 /// One stealable unit of search-tree work: an owned subtree root. The
 /// postings are copied out of the producer's depth buffers so the task can
 /// outlive them and move across threads; only shallow nodes are split (see
-/// [`SchedConfig::split_depth`]), so the copies stay rare and small
+/// `SPLIT_DEPTH`), so the copies stay rare and small
 /// relative to the mining they unlock.
 struct MineTask {
     /// Items on the path from the search-tree root to this node.
@@ -528,7 +497,6 @@ impl<'a> LocalMiner<'a> {
             last_frequent,
             index: IndexHolder::Owned(Box::new(FstIndex::new(fst))),
             dense_limit: MAX_DENSE_ITEMS,
-            sched: SchedConfig::default(),
         }
     }
 
@@ -555,16 +523,7 @@ impl<'a> LocalMiner<'a> {
             last_frequent,
             index: IndexHolder::Shared(index),
             dense_limit: MAX_DENSE_ITEMS,
-            sched: SchedConfig::default(),
         }
-    }
-
-    /// Overrides the work-stealing scheduler's task-splitting knobs — used
-    /// by tests to force stealing on tiny inputs
-    /// ([`SchedConfig::aggressive`]); production callers keep the default.
-    pub fn with_sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// Largest item the dense per-item accumulators must index: the
@@ -574,7 +533,7 @@ impl<'a> LocalMiner<'a> {
     #[inline]
     fn item_bound(&self) -> ItemId {
         self.config
-            .max_item
+            .pivot
             .map_or(self.last_frequent, |m| m.min(self.last_frequent))
     }
 
@@ -673,7 +632,7 @@ impl<'a> LocalMiner<'a> {
             views,
             roots,
             0,
-            self.config.require_pivot.is_none(),
+            self.config.pivot.is_none(),
             0,
             &mut prefix,
             bufs,
@@ -689,7 +648,7 @@ impl<'a> LocalMiner<'a> {
     /// configuration (see `SeqMeta::last_pivot_pos`): a sequence that
     /// cannot produce the pivot at all is useless from position 0 on.
     fn early_stop_pos(&self, tables: &SeqTables, m: &SeqMeta) -> u32 {
-        match self.config.require_pivot {
+        match self.config.pivot {
             Some(pivot) if self.config.early_stop => tables
                 .last_pivot_pos(m, self.index.get().num_labels(), pivot)
                 .map_or(0, |i| i as u32),
@@ -703,7 +662,7 @@ impl<'a> LocalMiner<'a> {
     #[doc(hidden)]
     pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
         let l = self.index.get().num_labels();
-        tables.last_pivot_pos(&tables.metas[s], l, self.config.require_pivot?)
+        tables.last_pivot_pos(&tables.metas[s], l, self.config.pivot?)
     }
 
     /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
@@ -730,7 +689,7 @@ impl<'a> LocalMiner<'a> {
         let root = MineTask {
             prefix: Sequence::new(),
             postings: self.root_postings(views).collect(),
-            has_pivot: self.config.require_pivot.is_none(),
+            has_pivot: self.config.pivot.is_none(),
             emit: 0,
         };
         let states: Vec<_> = sinks
@@ -930,7 +889,7 @@ impl<'a> LocalMiner<'a> {
         self.collect_children(
             views,
             &roots,
-            self.config.require_pivot.is_none(),
+            self.config.pivot.is_none(),
             &mut bufs.walk,
             &mut bufs.stats,
             &mut first,
@@ -1060,7 +1019,7 @@ impl<'a> LocalMiner<'a> {
         let (qn, w, l) = (self.fst.num_states(), ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
         let bound = self.item_bound();
-        let pivot = self.config.require_pivot.unwrap_or(EPSILON);
+        let pivot = self.config.pivot.unwrap_or(EPSILON);
         let arena = views.arena;
         d.raw.clear();
         let dense = stats.dense;
@@ -1214,7 +1173,7 @@ impl<'a> LocalMiner<'a> {
     /// stopped the traversal.
     ///
     /// Under a scheduler (`ctx` given), a shallow node (task-relative
-    /// `depth < sched.split_depth`) whose worker has thieves to feed
+    /// `depth < SPLIT_DEPTH`) whose worker has thieves to feed
     /// ([`TaskCtx::wants_tasks`]) splits all child runs after the first off
     /// as stealable [`MineTask`]s instead of recursing into them. The split
     /// children are pushed *before* the inline descent into the first
@@ -1258,9 +1217,7 @@ impl<'a> LocalMiner<'a> {
         // leave this worker with nothing but its own bookkeeping).
         let inline_upto = match ctx {
             Some(ctx)
-                if depth < self.sched.split_depth
-                    && d.runs.len() > 1
-                    && ctx.wants_tasks(self.sched.share_limit) =>
+                if depth < SPLIT_DEPTH && d.runs.len() > 1 && ctx.wants_tasks(SHARE_LIMIT) =>
             {
                 let split = d.runs[1..].iter().map(|(w, range, emit)| {
                     let mut task_prefix = Sequence::with_capacity(prefix.len() + 1);
@@ -1269,7 +1226,7 @@ impl<'a> LocalMiner<'a> {
                     MineTask {
                         prefix: task_prefix,
                         postings: d.grouped[range.clone()].to_vec(),
-                        has_pivot: has_pivot || Some(*w) == self.config.require_pivot,
+                        has_pivot: has_pivot || Some(*w) == self.config.pivot,
                         emit: *emit,
                     }
                 });
@@ -1284,7 +1241,7 @@ impl<'a> LocalMiner<'a> {
         let mut keep_going = true;
         for (w, range, emit) in &d.runs[..inline_upto] {
             prefix.push(*w);
-            let child_pivot = has_pivot || Some(*w) == self.config.require_pivot;
+            let child_pivot = has_pivot || Some(*w) == self.config.pivot;
             keep_going = self.expand(
                 views,
                 &d.grouped[range.clone()],
@@ -1359,42 +1316,37 @@ mod tests {
     }
 
     #[test]
-    fn every_worker_count_and_split_rule_mines_the_sequential_result() {
-        // One program at every worker count: eager and streaming, under the
-        // default split rule and the steal-forcing one (which scatters even
-        // the toy tree into a task per node), all equal the sequential set
-        // whichever worker ends up mining which subtree.
+    fn every_worker_count_mines_the_sequential_result() {
+        // One program at every worker count: eager and streaming, all equal
+        // the sequential set whichever worker ends up mining which subtree.
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         for sigma in 1..=4 {
             let sequential = desq_dfs_impl(&fx.db, &fx.fst, &fx.dict, sigma);
-            for sched in [SchedConfig::default(), SchedConfig::aggressive()] {
-                let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma))
-                    .with_sched(sched);
-                for workers in 1..=3 {
-                    let at = format!("sigma={sigma} workers={workers} {sched:?}");
-                    let (eager, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
-                    assert_eq!(eager, sequential, "{at}");
-                    assert_eq!(stats.len(), workers, "{at}");
-                    let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
-                    assert!(tasks >= 1, "the root task always runs: {at}");
-                    let mut streamed = Vec::new();
-                    let completed = miner
-                        .mine_each_with_workers(&inputs, workers, None, &mut |s, f| {
-                            streamed.push((s, f));
-                            true
-                        })
-                        .unwrap();
-                    assert!(completed, "{at}");
-                    if workers == 1 {
-                        // Nobody to split for: one task, and its stream is
-                        // the pre-order traversal — ascending children
-                        // below every prefix, i.e. the sorted order.
-                        assert_eq!((tasks, stats[0].steals), (1, 0), "{at}");
-                        assert_eq!(streamed, sequential, "{at}");
-                    }
-                    assert_eq!(crate::sort_patterns(streamed), sequential, "{at}");
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
+            for workers in 1..=3 {
+                let at = format!("sigma={sigma} workers={workers}");
+                let (eager, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
+                assert_eq!(eager, sequential, "{at}");
+                assert_eq!(stats.len(), workers, "{at}");
+                let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
+                assert!(tasks >= 1, "the root task always runs: {at}");
+                let mut streamed = Vec::new();
+                let completed = miner
+                    .mine_each_with_workers(&inputs, workers, None, &mut |s, f| {
+                        streamed.push((s, f));
+                        true
+                    })
+                    .unwrap();
+                assert!(completed, "{at}");
+                if workers == 1 {
+                    // Nobody to split for: one task, and its stream is the
+                    // pre-order traversal — ascending children below every
+                    // prefix, i.e. the sorted order.
+                    assert_eq!((tasks, stats[0].steals), (1, 0), "{at}");
+                    assert_eq!(streamed, sequential, "{at}");
                 }
+                assert_eq!(crate::sort_patterns(streamed), sequential, "{at}");
             }
         }
     }

@@ -14,14 +14,20 @@
 //! Like [`crate::LocalMiner`], the miner supports pivot restrictions so it
 //! can serve as the reduce phase of the LASH-style distributed baseline.
 
-use desq_core::fx::FxHashMap;
-use desq_core::{Dictionary, ItemId, Sequence, SequenceDb};
+use std::time::Instant;
 
-/// Gap/length/hierarchy-constrained miner configuration.
+use desq_core::fx::FxHashMap;
+use desq_core::mining::{CancelToken, Miner, MiningContext, MiningResult};
+use desq_core::{Dictionary, ItemId, Result, Sequence};
+
+/// Gap-constrained pattern growth: Tab. III's `T2(σ, γ, λ)` (no hierarchy)
+/// and `T3(σ, γ, λ)` (hierarchy) without an FST, and the local miner of the
+/// LASH baseline. `gamma`, `max_len` and `generalize` are the γ, λ and
+/// hierarchy switch Fig. 12 varies; `min_len` is 2 in every paper setting;
+/// `pivot` restricts the miner to one LASH partition. σ comes from the
+/// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct GapMiner {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Maximum gap γ between consecutive matched positions.
     pub gamma: usize,
     /// Maximum pattern length λ.
@@ -30,50 +36,40 @@ pub struct GapMiner {
     pub min_len: usize,
     /// Generalize matched items along the hierarchy (LASH) or not (MG-FSM).
     pub generalize: bool,
-    /// Expansions never use items greater than this (pivot partitioning).
-    pub max_item: Option<ItemId>,
-    /// Only emit sequences containing this item.
-    pub require_pivot: Option<ItemId>,
+    /// Partition-local mining for pivot item `k` (a LASH partition):
+    /// expansions never use items greater than `k`, and only sequences
+    /// containing `k` are emitted. `None` mines unrestricted.
+    pub pivot: Option<ItemId>,
 }
 
 impl GapMiner {
-    /// Sequential miner for the T2/T3 constraint family.
-    pub fn new(sigma: u64, gamma: usize, max_len: usize, generalize: bool) -> GapMiner {
+    /// The paper's T2/T3 parameterization (`min_len = 2`, no pivot).
+    pub fn new(gamma: usize, max_len: usize, generalize: bool) -> GapMiner {
         GapMiner {
-            sigma,
             gamma,
             max_len,
             min_len: 2,
             generalize,
-            max_item: None,
-            require_pivot: None,
+            pivot: None,
         }
     }
 
-    /// Restricts the miner to pivot `k` (LASH partitions).
-    pub fn for_pivot(mut self, k: ItemId) -> GapMiner {
-        self.max_item = Some(k);
-        self.require_pivot = Some(k);
-        self
-    }
-
-    /// Mines a database (weight 1 per sequence).
-    pub fn mine(&self, db: &SequenceDb, dict: &Dictionary) -> Vec<(Sequence, u64)> {
-        let inputs: Vec<(Sequence, u64)> = db.sequences.iter().map(|s| (s.clone(), 1)).collect();
-        self.mine_weighted(&inputs, dict)
-    }
-
-    /// Mines a weighted collection.
+    /// Mines a weighted collection at threshold `sigma`; returns
+    /// `(pattern, frequency)` sorted lexicographically. `cancel`, when
+    /// given, is polled once per frequent pattern, so a tripped token ends
+    /// the run with its stop reason.
     pub fn mine_weighted(
         &self,
         inputs: &[(Sequence, u64)],
         dict: &Dictionary,
-    ) -> Vec<(Sequence, u64)> {
+        sigma: u64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<(Sequence, u64)>> {
         let mut out = Vec::new();
-        if self.max_len < self.min_len || self.sigma == 0 {
-            return out;
+        if self.max_len < self.min_len || sigma == 0 {
+            return Ok(out);
         }
-        let last_frequent = dict.last_frequent(self.sigma);
+        let last_frequent = dict.last_frequent(sigma);
         // Root: match the first pattern item at any position.
         let mut children: FxHashMap<ItemId, Vec<(u32, u32)>> = FxHashMap::default();
         for (s, (seq, _)) in inputs.iter().enumerate() {
@@ -84,9 +80,22 @@ impl GapMiner {
             }
         }
         let mut prefix = Vec::new();
-        self.grow(inputs, dict, last_frequent, children, &mut prefix, &mut out);
+        let mut emit = |pattern: &Sequence, freq| {
+            cancel.map_or(Ok(()), CancelToken::checkpoint)?;
+            out.push((pattern.clone(), freq));
+            Ok(())
+        };
+        self.grow(
+            inputs,
+            dict,
+            sigma,
+            last_frequent,
+            children,
+            &mut prefix,
+            &mut emit,
+        )?;
         out.sort();
-        out
+        Ok(out)
     }
 
     /// Emits the (filtered) output items for input item `t`.
@@ -102,7 +111,7 @@ impl GapMiner {
             // occupies a position (counts toward gaps) but never matches.
             return;
         }
-        let max_item = self.max_item.unwrap_or(ItemId::MAX);
+        let max_item = self.pivot.unwrap_or(ItemId::MAX);
         if self.generalize {
             for &a in dict.ancestors(t) {
                 if a <= last_frequent && a <= max_item {
@@ -114,15 +123,17 @@ impl GapMiner {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
         inputs: &[(Sequence, u64)],
         dict: &Dictionary,
+        sigma: u64,
         last_frequent: ItemId,
         children: FxHashMap<ItemId, Vec<(u32, u32)>>,
         prefix: &mut Sequence,
-        out: &mut Vec<(Sequence, u64)>,
-    ) {
+        emit: &mut dyn FnMut(&Sequence, u64) -> Result<()>,
+    ) -> Result<()> {
         let mut items: Vec<ItemId> = children.keys().copied().collect();
         items.sort_unstable();
         for w in items {
@@ -138,17 +149,17 @@ impl GapMiner {
                     last = s;
                 }
             }
-            if support < self.sigma {
+            if support < sigma {
                 continue;
             }
             prefix.push(w);
             if prefix.len() >= self.min_len {
-                let pivot_ok = match self.require_pivot {
+                let pivot_ok = match self.pivot {
                     Some(k) => prefix.contains(&k),
                     None => true,
                 };
                 if pivot_ok {
-                    out.push((prefix.clone(), support));
+                    emit(prefix, support)?;
                 }
             }
             if prefix.len() < self.max_len {
@@ -167,36 +178,59 @@ impl GapMiner {
                         });
                     }
                 }
-                self.grow(inputs, dict, last_frequent, next, prefix, out);
+                self.grow(inputs, dict, sigma, last_frequent, next, prefix, emit)?;
             }
             prefix.pop();
         }
+        Ok(())
+    }
+}
+
+impl Miner for GapMiner {
+    fn name(&self) -> &'static str {
+        "GapMiner"
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        ctx.validate()?;
+        let t0 = Instant::now();
+        let inputs: Vec<(Sequence, u64)> =
+            ctx.db.sequences.iter().map(|s| (s.clone(), 1)).collect();
+        let patterns = self.mine_weighted(&inputs, ctx.dict, ctx.sigma, ctx.cancel)?;
+        Ok(crate::sequential_result(ctx, t0, patterns))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::toy;
+    use desq_core::{toy, SequenceDb};
+
+    /// `miner` at threshold `sigma` over `db`, rendered in fid order.
+    fn mine(miner: GapMiner, db: &SequenceDb, dict: &Dictionary, sigma: u64) -> Vec<Sequence> {
+        let ctx = MiningContext::sequential(db, dict, sigma);
+        let patterns = miner.mine(&ctx).unwrap().patterns;
+        patterns.into_iter().map(|(s, _)| s).collect()
+    }
+
+    fn render(fx: &toy::Toy, out: &[Sequence]) -> Vec<String> {
+        out.iter().map(|s| fx.dict.render(s)).collect()
+    }
 
     #[test]
     fn gap_constraint_enforced() {
         let fx = toy::fixture();
         // T1 = a1 c d c b: with γ = 0 only adjacent pairs match.
         let db = SequenceDb::new(vec![fx.db.sequences[0].clone()]);
-        let m = GapMiner::new(1, 0, 2, false);
-        let out = m.mine(&db, &fx.dict);
-        let rendered: Vec<String> = out.iter().map(|(s, _)| fx.dict.render(s)).collect();
-        assert_eq!(rendered, vec!["d c", "a1 c", "c b", "c d"]); // fid order
+        let out = mine(GapMiner::new(0, 2, false), &db, &fx.dict, 1);
+        assert_eq!(render(&fx, &out), vec!["d c", "a1 c", "c b", "c d"]); // fid order
     }
 
     #[test]
     fn larger_gap_allows_skips() {
         let fx = toy::fixture();
         let db = SequenceDb::new(vec![fx.db.sequences[0].clone()]); // a1 c d c b
-        let m = GapMiner::new(1, 1, 2, false);
-        let out = m.mine(&db, &fx.dict);
-        let rendered: Vec<String> = out.iter().map(|(s, _)| fx.dict.render(s)).collect();
+        let rendered = render(&fx, &mine(GapMiner::new(1, 2, false), &db, &fx.dict, 1));
         // pairs with gap <= 1
         assert!(rendered.contains(&"a1 d".to_string()));
         assert!(rendered.contains(&"d b".to_string()));
@@ -208,9 +242,7 @@ mod tests {
         let fx = toy::fixture();
         // T5 = a1 a1 b, generalize: a1 → {a1, A}.
         let db = SequenceDb::new(vec![fx.db.sequences[4].clone()]);
-        let m = GapMiner::new(1, 0, 2, true);
-        let out = m.mine(&db, &fx.dict);
-        let rendered: Vec<String> = out.iter().map(|(s, _)| fx.dict.render(s)).collect();
+        let rendered = render(&fx, &mine(GapMiner::new(0, 2, true), &db, &fx.dict, 1));
         for want in ["a1 a1", "a1 A", "A a1", "A A", "a1 b", "A b"] {
             assert!(
                 rendered.contains(&want.to_string()),
@@ -223,20 +255,25 @@ mod tests {
     fn max_len_and_min_len() {
         let fx = toy::fixture();
         let db = SequenceDb::new(vec![fx.db.sequences[0].clone()]);
-        let mut m = GapMiner::new(1, 4, 3, false);
-        m.min_len = 3;
-        let out = m.mine(&db, &fx.dict);
-        assert!(out.iter().all(|(s, _)| s.len() == 3));
+        let m = GapMiner {
+            min_len: 3,
+            ..GapMiner::new(4, 3, false)
+        };
+        let out = mine(m, &db, &fx.dict, 1);
+        assert!(out.iter().all(|s| s.len() == 3));
         assert!(!out.is_empty());
     }
 
     #[test]
     fn pivot_restriction() {
         let fx = toy::fixture();
-        let m = GapMiner::new(1, 1, 2, false).for_pivot(fx.d);
-        let out = m.mine(&fx.db, &fx.dict);
+        let m = GapMiner {
+            pivot: Some(fx.d),
+            ..GapMiner::new(1, 2, false)
+        };
+        let out = mine(m, &fx.db, &fx.dict, 1);
         // every output contains d and nothing larger
-        for (s, _) in &out {
+        for s in &out {
             assert!(s.contains(&fx.d));
             assert!(s.iter().all(|&w| w <= fx.d));
         }
@@ -247,9 +284,8 @@ mod tests {
     fn infrequent_items_never_expanded() {
         let fx = toy::fixture();
         // σ = 2: e (fid 6) and a2 (fid 7) are infrequent.
-        let m = GapMiner::new(2, 2, 3, true);
-        let out = m.mine(&fx.db, &fx.dict);
-        for (s, _) in &out {
+        let out = mine(GapMiner::new(2, 3, true), &fx.db, &fx.dict, 2);
+        for s in &out {
             assert!(s.iter().all(|&w| w <= 5), "{s:?}");
         }
     }

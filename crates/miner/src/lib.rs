@@ -16,8 +16,9 @@
 //! * [`gapminer`] — pattern growth under maximum-gap / maximum-length /
 //!   hierarchy constraints: the local miner of MG-FSM and LASH (Fig. 12).
 //!
-//! All four run behind the unified mining API through the
-//! [`desq_core::mining::Miner`] adapters in [`algo`]. Parallel runs of DESQ-DFS and DESQ-COUNT share the
+//! All four run behind the unified mining API as
+//! [`desq_core::mining::Miner`]s: [`algo::DesqDfs`], [`algo::DesqCount`],
+//! [`PrefixSpan`] and [`GapMiner`]. Parallel runs of DESQ-DFS and DESQ-COUNT share the
 //! work-stealing task scheduler in [`desq_core::sched`]; DESQ-DFS additionally picks
 //! between its flat-table and lean counting execution paths per run (see
 //! [`algo::DesqDfs`] and `docs/ARCHITECTURE.md`).
@@ -28,10 +29,13 @@ pub mod desq_dfs;
 pub mod gapminer;
 pub mod prefixspan;
 
-pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SchedConfig, SeqTables, WeightedInput};
+pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
 pub use gapminer::GapMiner;
 pub use prefixspan::PrefixSpan;
 
+use std::time::Instant;
+
+use desq_core::mining::{MiningContext, MiningMetrics, MiningResult};
 use desq_core::Sequence;
 
 /// Sorts mining output lexicographically, in place, by value.
@@ -45,4 +49,18 @@ use desq_core::Sequence;
 pub fn sort_patterns(mut patterns: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
     patterns.sort_unstable();
     patterns
+}
+
+/// The result of a run of one of the scheduler-free miners (PrefixSpan, the
+/// gap miner) that started at `t0`: its sorted `patterns` with sequential
+/// metrics.
+pub(crate) fn sequential_result(
+    ctx: &MiningContext<'_>,
+    t0: Instant,
+    patterns: Vec<(Sequence, u64)>,
+) -> MiningResult {
+    let n = patterns.len() as u64;
+    let metrics =
+        MiningMetrics::sequential(t0.elapsed().as_nanos() as u64, ctx.db.len() as u64, n, n);
+    MiningResult { patterns, metrics }
 }

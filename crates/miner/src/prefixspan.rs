@@ -7,56 +7,57 @@
 //! `(sequence, suffix start)` pairs; support counting uses the first
 //! occurrence of each item in each suffix.
 
-use desq_core::fx::{FxHashMap, FxHashSet};
-use desq_core::{ItemId, Sequence, SequenceDb};
+use std::time::Instant;
 
-/// PrefixSpan configuration.
+use desq_core::fx::{FxHashMap, FxHashSet};
+use desq_core::mining::{CancelToken, Miner, MiningContext, MiningResult};
+use desq_core::{ItemId, Result, Sequence};
+
+/// Classic PrefixSpan: all subsequences of length ≤ `max_len`, arbitrary
+/// gaps, no hierarchy — Tab. III's `T1(σ, λ)` without an FST, and the local
+/// miner of the MLlib-style baseline. `max_len` is the λ Fig. 13 fixes at 5;
+/// σ comes from the [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixSpan {
-    /// Minimum support threshold σ.
-    pub sigma: u64,
     /// Maximum pattern length λ.
     pub max_len: usize,
 }
 
 impl PrefixSpan {
-    /// Creates a miner with threshold `sigma` and maximum length `max_len`.
-    pub fn new(sigma: u64, max_len: usize) -> PrefixSpan {
-        PrefixSpan { sigma, max_len }
-    }
-
-    /// Mines the database; returns `(pattern, frequency)` sorted
-    /// lexicographically.
-    pub fn mine(&self, db: &SequenceDb) -> Vec<(Sequence, u64)> {
-        self.mine_weighted(
-            &db.sequences
-                .iter()
-                .map(|s| (s.clone(), 1))
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Mines a weighted collection (weights scale support counts).
-    pub fn mine_weighted(&self, inputs: &[(Sequence, u64)]) -> Vec<(Sequence, u64)> {
+    /// Mines a weighted collection (weights scale support counts) at
+    /// threshold `sigma`; returns `(pattern, frequency)` sorted
+    /// lexicographically. `cancel`, when given, is polled once per frequent
+    /// pattern, so a tripped token ends the run with its stop reason.
+    pub fn mine_weighted(
+        &self,
+        inputs: &[(Sequence, u64)],
+        sigma: u64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<(Sequence, u64)>> {
         let mut out = Vec::new();
-        if self.max_len == 0 || self.sigma == 0 {
-            return out;
+        if self.max_len == 0 || sigma == 0 {
+            return Ok(out);
         }
         // Root projection: every sequence from position 0.
         let proj: Vec<(u32, u32)> = (0..inputs.len()).map(|i| (i as u32, 0)).collect();
         let mut prefix = Vec::new();
-        self.expand(inputs, &proj, &mut prefix, &mut out);
+        self.expand(inputs, sigma, &proj, &mut prefix, &mut |pattern, freq| {
+            cancel.map_or(Ok(()), CancelToken::checkpoint)?;
+            out.push((pattern.clone(), freq));
+            Ok(())
+        })?;
         out.sort();
-        out
+        Ok(out)
     }
 
     fn expand(
         &self,
         inputs: &[(Sequence, u64)],
+        sigma: u64,
         proj: &[(u32, u32)],
         prefix: &mut Sequence,
-        out: &mut Vec<(Sequence, u64)>,
-    ) {
+        emit: &mut dyn FnMut(&Sequence, u64) -> Result<()>,
+    ) -> Result<()> {
         // For each item: weighted support and the projected entries
         // (first occurrence per sequence suffices for both).
         let mut support: FxHashMap<ItemId, u64> = FxHashMap::default();
@@ -78,19 +79,35 @@ impl PrefixSpan {
 
         let mut items: Vec<ItemId> = support
             .iter()
-            .filter(|&(_, &f)| f >= self.sigma)
+            .filter(|&(_, &f)| f >= sigma)
             .map(|(&w, _)| w)
             .collect();
         items.sort_unstable();
         for w in items {
             prefix.push(w);
-            out.push((prefix.clone(), support[&w]));
+            emit(prefix, support[&w])?;
             if prefix.len() < self.max_len {
                 let child = &children[&w];
-                self.expand(inputs, child, prefix, out);
+                self.expand(inputs, sigma, child, prefix, emit)?;
             }
             prefix.pop();
         }
+        Ok(())
+    }
+}
+
+impl Miner for PrefixSpan {
+    fn name(&self) -> &'static str {
+        "PrefixSpan"
+    }
+
+    fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
+        ctx.validate()?;
+        let t0 = Instant::now();
+        let inputs: Vec<(Sequence, u64)> =
+            ctx.db.sequences.iter().map(|s| (s.clone(), 1)).collect();
+        let patterns = self.mine_weighted(&inputs, ctx.sigma, ctx.cancel)?;
+        Ok(crate::sequential_result(ctx, t0, patterns))
     }
 }
 
@@ -98,16 +115,18 @@ impl PrefixSpan {
 mod tests {
     use super::*;
 
-    fn db(seqs: &[&[ItemId]]) -> SequenceDb {
-        SequenceDb::new(seqs.iter().map(|s| s.to_vec()).collect())
+    /// PrefixSpan at threshold `sigma` over unit-weight sequences.
+    fn mine(seqs: &[&[ItemId]], sigma: u64, max_len: usize) -> Vec<(Sequence, u64)> {
+        let inputs: Vec<(Sequence, u64)> = seqs.iter().map(|s| (s.to_vec(), 1)).collect();
+        PrefixSpan { max_len }
+            .mine_weighted(&inputs, sigma, None)
+            .unwrap()
     }
 
     #[test]
     fn mines_all_subsequences_up_to_max_len() {
         // D = { [1,2,3], [1,3], [2,3] }
-        let db = db(&[&[1, 2, 3], &[1, 3], &[2, 3]]);
-        let ps = PrefixSpan::new(2, 2);
-        let out = ps.mine(&db);
+        let out = mine(&[&[1, 2, 3], &[1, 3], &[2, 3]], 2, 2);
         assert_eq!(
             out,
             vec![
@@ -122,39 +141,37 @@ mod tests {
 
     #[test]
     fn max_len_limits_depth() {
-        let db = db(&[&[1, 2, 3], &[1, 2, 3]]);
-        let out1 = PrefixSpan::new(2, 1).mine(&db);
+        let db: [&[ItemId]; 2] = [&[1, 2, 3], &[1, 2, 3]];
+        let out1 = mine(&db, 2, 1);
         assert!(out1.iter().all(|(s, _)| s.len() == 1));
-        let out3 = PrefixSpan::new(2, 3).mine(&db);
+        let out3 = mine(&db, 2, 3);
         assert!(out3.contains(&(vec![1, 2, 3], 2)));
     }
 
     #[test]
     fn gaps_are_arbitrary() {
-        let db = db(&[&[1, 9, 9, 9, 2], &[1, 2]]);
-        let out = PrefixSpan::new(2, 2).mine(&db);
+        let out = mine(&[&[1, 9, 9, 9, 2], &[1, 2]], 2, 2);
         assert!(out.contains(&(vec![1, 2], 2)));
     }
 
     #[test]
     fn repeated_items_counted_once_per_sequence() {
-        let db = db(&[&[5, 5, 5], &[5]]);
-        let out = PrefixSpan::new(2, 1).mine(&db);
+        let out = mine(&[&[5, 5, 5], &[5]], 2, 1);
         assert_eq!(out, vec![(vec![5], 2)]);
     }
 
     #[test]
     fn weights_scale_support() {
         let inputs = vec![(vec![1, 2], 3u64), (vec![1], 2)];
-        let out = PrefixSpan::new(5, 2).mine_weighted(&inputs);
+        let out = PrefixSpan { max_len: 2 }
+            .mine_weighted(&inputs, 5, None)
+            .unwrap();
         assert_eq!(out, vec![(vec![1], 5)]);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(PrefixSpan::new(1, 3)
-            .mine(&SequenceDb::default())
-            .is_empty());
-        assert!(PrefixSpan::new(1, 0).mine(&db(&[&[1]])).is_empty());
+        assert!(mine(&[], 1, 3).is_empty());
+        assert!(mine(&[&[1]], 1, 0).is_empty());
     }
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use desq::core::MiningResult;
 use desq::datagen::{nyt_like, NytConfig};
+use desq::dist::NaiveConfig;
 use desq::session::{AlgorithmSpec, MiningSession};
 
 fn run(base: &MiningSession, spec: AlgorithmSpec) -> Option<MiningResult> {
@@ -35,8 +36,8 @@ fn run(base: &MiningSession, spec: AlgorithmSpec) -> Option<MiningResult> {
 
 fn compare(base: &MiningSession) {
     let outcomes = [
-        AlgorithmSpec::Naive,
-        AlgorithmSpec::SemiNaive,
+        AlgorithmSpec::Naive(NaiveConfig { filter: false }),
+        AlgorithmSpec::Naive(NaiveConfig { filter: true }),
         AlgorithmSpec::d_seq(),
         AlgorithmSpec::d_cand(),
     ]

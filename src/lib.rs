@@ -44,8 +44,10 @@
 //! * [`datagen`] — synthetic analogs of the NYT / AMZN / AMZN-F / CW50
 //!   corpora.
 //!
-//! Each algorithm crate exposes its implementations behind the session via
-//! [`Miner`]-trait adapters in an `algo` module.
+//! Every algorithm is one type implementing [`Miner`], holding only the
+//! parameters the paper varies for it ([`AlgorithmSpec`] wraps it); σ,
+//! limits, cancellation and parallelism come from the session's
+//! [`MiningContext`].
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and
 //! `docs/ARCHITECTURE.md` for the module map of the flat mining substrate

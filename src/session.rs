@@ -47,18 +47,21 @@ use desq_core::mining::{
     MiningResult,
 };
 use desq_core::{Dictionary, Error, Fst, OptLevel, PatEx, Result, Sequence, SequenceDb};
-use desq_dist::{DCandConfig, DSeqConfig};
+use desq_dist::{DCandConfig, DSeqConfig, NaiveConfig};
+use desq_miner::algo::{DesqCount, DesqDfs};
+use desq_miner::{GapMiner, PrefixSpan};
 
 pub use desq_core::mining::DEFAULT_BUDGET;
 
-/// Which algorithm a [`MiningSession`] dispatches to.
+/// Which algorithm a [`MiningSession`] dispatches to: each variant wraps
+/// its algorithm's one type, which holds only the parameters the paper
+/// varies for it.
 ///
-/// The FST-based variants (`DesqDfs`, `DesqCount`, `Naive`, `SemiNaive`,
-/// `DSeq`, `DCand`) require the session to carry a subsequence constraint;
-/// the traditional-constraint variants (`PrefixSpan`, `GapMiner`, `Lash`,
-/// `Mllib`) encode their constraint in the spec itself. Thresholds and
-/// budgets always come from the session — the `sigma` fields inside the
-/// wrapped configs are overridden.
+/// The FST-based variants (`DesqDfs`, `DesqCount`, `Naive`, `DSeq`,
+/// `DCand`) require the session to carry a subsequence constraint; the
+/// traditional-constraint variants (`PrefixSpan`, `GapMiner`, `Lash`,
+/// `Mllib`) encode their constraint in the wrapped type. Thresholds,
+/// budgets, deadlines and parallelism always come from the session.
 #[derive(Debug, Clone, Copy)]
 pub enum AlgorithmSpec {
     /// Sequential DESQ-DFS (pattern growth over projected databases).
@@ -66,29 +69,14 @@ pub enum AlgorithmSpec {
     /// Sequential DESQ-COUNT (candidate generation + counting; the
     /// brute-force reference).
     DesqCount,
-    /// Classic PrefixSpan: all subsequences of length ≤ `max_len`,
-    /// arbitrary gaps, no hierarchy (the `T1(σ, λ)` semantics).
-    PrefixSpan {
-        /// Maximum pattern length λ.
-        max_len: usize,
-    },
-    /// Gap-constrained pattern growth: the `T2(σ, γ, λ)` /
-    /// `T3(σ, γ, λ)` semantics.
-    GapMiner {
-        /// Maximum gap γ between consecutive matched positions.
-        gamma: usize,
-        /// Maximum pattern length λ.
-        max_len: usize,
-        /// Minimum pattern length (2 for the paper's T2/T3).
-        min_len: usize,
-        /// Generalize along the hierarchy (T3) or not (T2).
-        generalize: bool,
-    },
-    /// Distributed NAÏVE baseline (ships raw candidates).
-    Naive,
-    /// Distributed SEMI-NAÏVE baseline (ships frequency-filtered
-    /// candidates).
-    SemiNaive,
+    /// Classic PrefixSpan (the `T1(σ, λ)` semantics).
+    PrefixSpan(PrefixSpan),
+    /// Gap-constrained pattern growth (the `T2(σ, γ, λ)` /
+    /// `T3(σ, γ, λ)` semantics).
+    GapMiner(GapMiner),
+    /// Distributed NAÏVE (ships raw candidates) or, with
+    /// [`NaiveConfig::filter`], SEMI-NAÏVE (ships frequency-filtered ones).
+    Naive(NaiveConfig),
     /// Distributed D-SEQ (ships rewritten input sequences; Sec. V).
     DSeq(DSeqConfig),
     /// Distributed D-CAND (ships candidate NFAs; Sec. VI).
@@ -97,43 +85,23 @@ pub enum AlgorithmSpec {
     /// optional hierarchy).
     Lash(LashConfig),
     /// The MLlib-style distributed PrefixSpan (max length only).
-    Mllib {
-        /// Maximum pattern length λ.
-        max_len: usize,
-    },
+    Mllib(MllibConfig),
 }
 
 impl AlgorithmSpec {
     /// Full D-SEQ with all enhancements on (the common case).
     pub fn d_seq() -> AlgorithmSpec {
-        AlgorithmSpec::DSeq(DSeqConfig::new(1))
+        AlgorithmSpec::DSeq(DSeqConfig::default())
     }
 
     /// Full D-CAND with minimization and aggregation on (the common case).
     pub fn d_cand() -> AlgorithmSpec {
-        AlgorithmSpec::DCand(DCandConfig::new(1))
+        AlgorithmSpec::DCand(DCandConfig::default())
     }
 
     /// Display name of the selected algorithm.
     pub fn name(&self) -> &'static str {
-        match self {
-            AlgorithmSpec::DesqDfs => "DESQ-DFS",
-            AlgorithmSpec::DesqCount => "DESQ-COUNT",
-            AlgorithmSpec::PrefixSpan { .. } => "PrefixSpan",
-            AlgorithmSpec::GapMiner { .. } => "GapMiner",
-            AlgorithmSpec::Naive => "NAIVE",
-            AlgorithmSpec::SemiNaive => "SEMI-NAIVE",
-            AlgorithmSpec::DSeq(_) => "D-SEQ",
-            AlgorithmSpec::DCand(_) => "D-CAND",
-            AlgorithmSpec::Lash(cfg) => {
-                if cfg.generalize {
-                    "LASH"
-                } else {
-                    "MG-FSM"
-                }
-            }
-            AlgorithmSpec::Mllib { .. } => "MLlib-PrefixSpan",
-        }
+        self.miner().name()
     }
 
     /// True iff this algorithm mines a compiled pattern expression (and the
@@ -143,40 +111,24 @@ impl AlgorithmSpec {
             self,
             AlgorithmSpec::DesqDfs
                 | AlgorithmSpec::DesqCount
-                | AlgorithmSpec::Naive
-                | AlgorithmSpec::SemiNaive
+                | AlgorithmSpec::Naive(_)
                 | AlgorithmSpec::DSeq(_)
                 | AlgorithmSpec::DCand(_)
         )
     }
 
-    /// Instantiates the [`Miner`] implementation behind this spec.
+    /// The [`Miner`] behind this spec: the wrapped algorithm type, boxed.
     pub fn miner(&self) -> Box<dyn Miner + Send + Sync> {
         match *self {
-            AlgorithmSpec::DesqDfs => Box::new(desq_miner::algo::DesqDfs),
-            AlgorithmSpec::DesqCount => Box::new(desq_miner::algo::DesqCount),
-            AlgorithmSpec::PrefixSpan { max_len } => {
-                Box::new(desq_miner::algo::PrefixSpan { max_len })
-            }
-            AlgorithmSpec::GapMiner {
-                gamma,
-                max_len,
-                min_len,
-                generalize,
-            } => Box::new(desq_miner::algo::GapMiner {
-                gamma,
-                max_len,
-                min_len,
-                generalize,
-            }),
-            AlgorithmSpec::Naive => Box::new(desq_dist::algo::Naive::naive()),
-            AlgorithmSpec::SemiNaive => Box::new(desq_dist::algo::Naive::semi_naive()),
-            AlgorithmSpec::DSeq(cfg) => Box::new(desq_dist::algo::DSeq(cfg)),
-            AlgorithmSpec::DCand(cfg) => Box::new(desq_dist::algo::DCand(cfg)),
-            AlgorithmSpec::Lash(cfg) => Box::new(desq_baselines::algo::Lash(cfg)),
-            AlgorithmSpec::Mllib { max_len } => {
-                Box::new(desq_baselines::algo::Mllib(MllibConfig::new(1, max_len)))
-            }
+            AlgorithmSpec::DesqDfs => Box::new(DesqDfs),
+            AlgorithmSpec::DesqCount => Box::new(DesqCount),
+            AlgorithmSpec::PrefixSpan(m) => Box::new(m),
+            AlgorithmSpec::GapMiner(m) => Box::new(m),
+            AlgorithmSpec::Naive(m) => Box::new(m),
+            AlgorithmSpec::DSeq(m) => Box::new(m),
+            AlgorithmSpec::DCand(m) => Box::new(m),
+            AlgorithmSpec::Lash(m) => Box::new(m),
+            AlgorithmSpec::Mllib(m) => Box::new(m),
         }
     }
 }
@@ -907,7 +859,7 @@ mod tests {
         for spec in [
             AlgorithmSpec::DesqDfs,
             AlgorithmSpec::d_seq(),
-            AlgorithmSpec::PrefixSpan { max_len: 3 },
+            AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
         ] {
             let session = toy_session(spec);
             let eager = session.run().unwrap();

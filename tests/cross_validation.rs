@@ -7,10 +7,11 @@
 
 use std::sync::Arc;
 
-use desq::baselines::LashConfig;
+use desq::baselines::{LashConfig, MllibConfig};
 use desq::core::{Dictionary, Sequence, SequenceDb};
 use desq::datagen::{amzn_like, cw_like, nyt_like, to_forest, AmznConfig, CwConfig, NytConfig};
-use desq::dist::{patterns, DCandConfig, DSeqConfig};
+use desq::dist::{patterns, DCandConfig, DSeqConfig, NaiveConfig};
+use desq::miner::{GapMiner, PrefixSpan};
 use desq::session::{AlgorithmSpec, MiningSession};
 
 fn shared((dict, db): (Dictionary, SequenceDb)) -> (Arc<Dictionary>, Arc<SequenceDb>) {
@@ -48,7 +49,8 @@ fn check_all(dict: &Arc<Dictionary>, db: &Arc<SequenceDb>, expr: &str, sigma: u6
         "{what}: DESQ-DFS vs DESQ-COUNT"
     );
 
-    for spec in [AlgorithmSpec::Naive, AlgorithmSpec::SemiNaive] {
+    for filter in [false, true] {
+        let spec = AlgorithmSpec::Naive(NaiveConfig { filter });
         assert_eq!(mine(&base, spec), reference, "{what}: {}", spec.name());
     }
 
@@ -59,7 +61,6 @@ fn check_all(dict: &Arc<Dictionary>, db: &Arc<SequenceDb>, expr: &str, sigma: u6
                     use_grid,
                     rewrite,
                     early_stop,
-                    ..DSeqConfig::new(1)
                 };
                 assert_eq!(
                     mine(&base, AlgorithmSpec::DSeq(cfg)),
@@ -75,7 +76,6 @@ fn check_all(dict: &Arc<Dictionary>, db: &Arc<SequenceDb>, expr: &str, sigma: u6
             let cfg = DCandConfig {
                 minimize,
                 aggregate,
-                ..DCandConfig::new(1)
             };
             assert_eq!(
                 mine(&base, AlgorithmSpec::DCand(cfg)),
@@ -145,22 +145,14 @@ fn specialized_baselines_agree_with_general_algorithms() {
         let base = base_session(&fdict, &fdb, &patterns::t3(gamma, lambda).expr, sigma);
         let reference = mine(&base, AlgorithmSpec::DesqCount);
         assert_eq!(
-            mine(
-                &base,
-                AlgorithmSpec::Lash(LashConfig::new(sigma, gamma, lambda))
-            ),
+            mine(&base, AlgorithmSpec::Lash(LashConfig::new(gamma, lambda))),
             reference,
             "LASH T3({sigma},{gamma},{lambda})"
         );
         assert_eq!(
             mine(
                 &base,
-                AlgorithmSpec::GapMiner {
-                    gamma,
-                    max_len: lambda,
-                    min_len: 2,
-                    generalize: true,
-                }
+                AlgorithmSpec::GapMiner(GapMiner::new(gamma, lambda, true))
             ),
             reference,
             "GapMiner T3({sigma},{gamma},{lambda})"
@@ -173,12 +165,12 @@ fn specialized_baselines_agree_with_general_algorithms() {
         let base = base_session(&flat_dict, &flat_db, &patterns::t1(4).expr, sigma);
         let reference = mine(&base, AlgorithmSpec::DesqCount);
         assert_eq!(
-            mine(&base, AlgorithmSpec::Mllib { max_len: 4 }),
+            mine(&base, AlgorithmSpec::Mllib(MllibConfig { max_len: 4 })),
             reference,
             "MLlib T1({sigma},4)"
         );
         assert_eq!(
-            mine(&base, AlgorithmSpec::PrefixSpan { max_len: 4 }),
+            mine(&base, AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 4 })),
             reference,
             "PrefixSpan T1({sigma},4)"
         );

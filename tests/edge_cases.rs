@@ -1,28 +1,30 @@
 //! Edge cases and failure injection across the public API (the unified
 //! `MiningSession` surface plus the error paths beneath it).
 
-use desq::baselines::LashConfig;
+use desq::baselines::{LashConfig, MllibConfig};
+use desq::core::mining::CancelToken;
 use desq::core::{toy, DictionaryBuilder, Error, Fst, PatEx, SequenceDb};
+use desq::dist::NaiveConfig;
+use desq::miner::{GapMiner, PrefixSpan};
 use desq::session::{AlgorithmSpec, MiningSession};
 
-/// All ten `AlgorithmSpec` variants, for exhaustive validation sweeps.
+const NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: false });
+const SEMI_NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: true });
+
+/// Every `AlgorithmSpec` variant (NAÏVE in both settings), for exhaustive
+/// validation sweeps.
 fn all_specs() -> [AlgorithmSpec; 10] {
     [
         AlgorithmSpec::DesqDfs,
         AlgorithmSpec::DesqCount,
-        AlgorithmSpec::PrefixSpan { max_len: 3 },
-        AlgorithmSpec::GapMiner {
-            gamma: 1,
-            max_len: 3,
-            min_len: 2,
-            generalize: true,
-        },
-        AlgorithmSpec::Naive,
-        AlgorithmSpec::SemiNaive,
+        AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
+        AlgorithmSpec::GapMiner(GapMiner::new(1, 3, true)),
+        NAIVE,
+        SEMI_NAIVE,
         AlgorithmSpec::d_seq(),
         AlgorithmSpec::d_cand(),
-        AlgorithmSpec::Lash(LashConfig::new(1, 1, 3)),
-        AlgorithmSpec::Mllib { max_len: 3 },
+        AlgorithmSpec::Lash(LashConfig::new(1, 3)),
+        AlgorithmSpec::Mllib(MllibConfig { max_len: 3 }),
     ]
 }
 
@@ -51,14 +53,45 @@ fn zero_sigma_rejected_uniformly_across_all_algorithms() {
     }
 }
 
+/// One matrix over every algorithm: a run whose cancellation token tripped
+/// before it started fails with `Cancelled`, and a run whose deadline has
+/// already passed fails with `DeadlineExceeded` — whether the algorithm
+/// polls the token in a scheduler, in the BSP engine or per pattern.
+#[test]
+fn every_algorithm_stops_on_cancellation_and_on_an_expired_deadline() {
+    for spec in all_specs() {
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let err = toy_builder()
+            .sigma(1)
+            .algorithm(spec)
+            .cancel_token(cancelled)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, Error::Cancelled(_)), "{}: {err}", spec.name());
+
+        let err = toy_builder()
+            .sigma(1)
+            .algorithm(spec)
+            .deadline(std::time::Duration::from_nanos(1))
+            .build()
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::DeadlineExceeded(_)),
+            "{}: {err}",
+            spec.name()
+        );
+    }
+}
+
 #[test]
 fn empty_database() {
     let fx = toy::fixture();
-    for spec in [
-        AlgorithmSpec::d_seq(),
-        AlgorithmSpec::d_cand(),
-        AlgorithmSpec::Naive,
-    ] {
+    for spec in [AlgorithmSpec::d_seq(), AlgorithmSpec::d_cand(), NAIVE] {
         let res = MiningSession::builder()
             .dictionary(fx.dict.clone())
             .database(SequenceDb::default())
@@ -231,7 +264,7 @@ fn weights_and_duplicates_in_database() {
 fn budget_one_always_oom_for_matching_input() {
     // The session-level budget (Limits::budget) replaces the old positional
     // budget arguments; the error names the algorithm and the knob.
-    for spec in [AlgorithmSpec::d_cand(), AlgorithmSpec::Naive] {
+    for spec in [AlgorithmSpec::d_cand(), NAIVE] {
         let err = toy_builder()
             .sigma(2)
             .algorithm(spec)

@@ -2,11 +2,15 @@
 //! running-example database (Fig. 2 – Fig. 8), plus the session-level
 //! cross-algorithm equivalence and result-ordering invariants.
 
-use desq::baselines::LashConfig;
+use desq::baselines::{LashConfig, MllibConfig};
 use desq::core::fst::candidates;
 use desq::core::{toy, Sequence};
-use desq::dist::PivotSearch;
+use desq::dist::{NaiveConfig, PivotSearch};
+use desq::miner::{GapMiner, PrefixSpan};
 use desq::session::{AlgorithmSpec, MiningSession};
+
+const NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: false });
+const SEMI_NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: true });
 
 fn toy_session(sigma: u64) -> MiningSession {
     let fx = toy::fixture();
@@ -33,8 +37,8 @@ fn frequent_sequences_of_the_running_example() {
         (vec![fx.a1, fx.a1, fx.b], 2),
     ];
     for spec in [
-        AlgorithmSpec::Naive,
-        AlgorithmSpec::SemiNaive,
+        NAIVE,
+        SEMI_NAIVE,
         AlgorithmSpec::d_seq(),
         AlgorithmSpec::d_cand(),
     ] {
@@ -59,8 +63,8 @@ fn all_algorithm_specs_agree_within_their_constraint_groups() {
         let pi_specs = [
             AlgorithmSpec::DesqDfs,
             AlgorithmSpec::DesqCount,
-            AlgorithmSpec::Naive,
-            AlgorithmSpec::SemiNaive,
+            NAIVE,
+            SEMI_NAIVE,
             AlgorithmSpec::d_seq(),
             AlgorithmSpec::d_cand(),
         ];
@@ -70,8 +74,8 @@ fn all_algorithm_specs_agree_within_their_constraint_groups() {
         // natively, DESQ via the T1 pattern expression.
         let t1 = session_for_expr(&desq::dist::patterns::t1(3).expr, sigma);
         let t1_specs = [
-            AlgorithmSpec::PrefixSpan { max_len: 3 },
-            AlgorithmSpec::Mllib { max_len: 3 },
+            AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
+            AlgorithmSpec::Mllib(MllibConfig { max_len: 3 }),
             AlgorithmSpec::DesqCount,
             AlgorithmSpec::d_seq(),
         ];
@@ -81,13 +85,8 @@ fn all_algorithm_specs_agree_within_their_constraint_groups() {
         // miner and LASH natively, DESQ via the T3 pattern expression.
         let t3 = session_for_expr(&desq::dist::patterns::t3(max_gap, 3).expr, sigma);
         let t3_specs = [
-            AlgorithmSpec::GapMiner {
-                gamma: max_gap,
-                max_len: 3,
-                min_len: 2,
-                generalize: true,
-            },
-            AlgorithmSpec::Lash(LashConfig::new(sigma, max_gap, 3)),
+            AlgorithmSpec::GapMiner(GapMiner::new(max_gap, 3, true)),
+            AlgorithmSpec::Lash(LashConfig::new(max_gap, 3)),
             AlgorithmSpec::DesqCount,
             AlgorithmSpec::d_cand(),
         ];
@@ -198,7 +197,7 @@ fn representations_are_compact() {
             .metrics
             .shuffle_bytes
     };
-    let nv = shuffle(AlgorithmSpec::Naive);
+    let nv = shuffle(NAIVE);
     assert!(shuffle(AlgorithmSpec::d_seq()) < nv);
     assert!(shuffle(AlgorithmSpec::d_cand()) < nv);
 }

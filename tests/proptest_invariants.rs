@@ -10,8 +10,8 @@ use desq::core::fst::sim::get_bit;
 use desq::core::fst::{candidates, FstIndex, Grid, SimScratch, SimTables, Simulator};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
-use desq::dist::{DCandConfig, PivotSearch};
-use desq::miner::{LocalMiner, MinerConfig, SchedConfig, WeightedInput};
+use desq::dist::{NaiveConfig, PivotSearch};
+use desq::miner::{LocalMiner, MinerConfig, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq::{ExecutionPolicy, OptLevel};
 
@@ -605,47 +605,6 @@ proptest! {
         }
     }
 
-    /// Work stealing under a steal-forcing configuration
-    /// ([`SchedConfig::aggressive`]: every search-tree node becomes a
-    /// stealable task) is result-identical to sequential mining on random
-    /// worlds — eager and streaming — and the scheduler accounts one stats
-    /// entry per worker with every executed task counted.
-    #[test]
-    fn forced_stealing_matches_sequential(
-        world in arb_world(), e in arb_pexp(4), sigma in 1u64..3,
-    ) {
-        let fst = match Fst::compile(&e, &world.dict) {
-            Ok(f) => f,
-            Err(_) => return Ok(()),
-        };
-        let inputs: Vec<WeightedInput<'_>> = world
-            .db
-            .sequences
-            .iter()
-            .map(|s| (s.as_slice(), 1))
-            .collect();
-        let miner = LocalMiner::new(&fst, &world.dict, MinerConfig::sequential(sigma))
-            .with_sched(SchedConfig::aggressive());
-        let sequential = miner.mine(&inputs).unwrap();
-        for workers in 2usize..=4 {
-            let (parallel, stats) = miner.mine_with_workers(&inputs, workers, None).unwrap();
-            prop_assert_eq!(&parallel, &sequential, "workers = {}", workers);
-            prop_assert_eq!(stats.len(), workers);
-            let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
-            if !sequential.is_empty() {
-                prop_assert!(tasks > 0, "non-empty result must run tasks");
-            }
-            let mut streamed = Vec::new();
-            let completed = miner.mine_each_with_workers(&inputs, workers, None, &mut |p, f| {
-                streamed.push((p, f));
-                true
-            }).unwrap();
-            prop_assert!(completed);
-            streamed.sort_unstable();
-            prop_assert_eq!(&streamed, &sequential, "streamed, workers = {}", workers);
-        }
-    }
-
     /// The hybrid execution paths agree on random worlds: `Flat` (forced
     /// table materialization), `Lean` (forced counting path) and `Auto`
     /// (the cost model) produce identical patterns through the session,
@@ -710,11 +669,11 @@ proptest! {
             Err(_) => return Ok(()), // candidate explosion: skip
         };
         let base = world_session(&world, &fst, sigma, 2, 3);
-        if let Ok(nv) = base.with_algorithm(AlgorithmSpec::Naive).unwrap().run() {
-            prop_assert_eq!(&nv.patterns, &reference, "naive");
-        }
-        if let Ok(sn) = base.with_algorithm(AlgorithmSpec::SemiNaive).unwrap().run() {
-            prop_assert_eq!(&sn.patterns, &reference, "semi-naive");
+        for filter in [false, true] {
+            let spec = AlgorithmSpec::Naive(NaiveConfig { filter });
+            if let Ok(res) = base.with_algorithm(spec).unwrap().run() {
+                prop_assert_eq!(&res.patterns, &reference, "{}", spec.name());
+            }
         }
         let search = PivotSearch::new(&fst, &world.dict, world.dict.last_frequent(sigma));
         for seq in &world.db.sequences {
@@ -785,8 +744,7 @@ proptest! {
         let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
         for (fst, minimize) in [(&fst, true), (&wide, false), (&wide, true)] {
             let index = FstIndex::new(fst);
-            let config = DCandConfig { minimize, ..DCandConfig::new(sigma).with_run_budget(BUDGET) };
-            let mut mapper = Mapper::new(fst, &world.dict, &index, config);
+            let mut mapper = Mapper::new(fst, &world.dict, &index, sigma, BUDGET, minimize);
             let mut nfa = Nfa::default();
             for seq in &world.db.sequences {
                 let Ok(cands) = candidates::generate(fst, &world.dict, seq, Some(sigma), BUDGET)
@@ -834,4 +792,37 @@ proptest! {
             }
         }
     }
+}
+
+/// Work stealing splits real search trees: DESQ-DFS at three workers on
+/// `nyt_like(2000)` under N4 runs more than the one root task — shallow
+/// nodes hand subtrees to thieves — and still mines exactly the one-worker
+/// result, eagerly and streamed.
+#[test]
+fn task_splitting_matches_sequential() {
+    let (dict, db) = desq::datagen::nyt_like(&desq::datagen::NytConfig::new(2_000));
+    let fst = desq::dist::patterns::n4().compile(&dict).unwrap();
+    let session = |workers| {
+        MiningSession::builder()
+            .dictionary(dict.clone())
+            .database(db.clone())
+            .fst(fst.clone())
+            .sigma(10)
+            .algorithm(AlgorithmSpec::DesqDfs)
+            .execution_policy(ExecutionPolicy::Flat)
+            .workers(workers)
+            .build()
+            .unwrap()
+    };
+    let sequential = session(1).run().unwrap();
+    assert!(!sequential.patterns.is_empty());
+    let parallel = session(3).run().unwrap();
+    assert_eq!(parallel.patterns, sequential.patterns);
+    assert_eq!(parallel.metrics.workers, 3);
+    assert!(parallel.metrics.tasks > 1, "{:?}", parallel.metrics);
+    let mut stream = session(3).stream();
+    let mut streamed: Vec<(Sequence, u64)> = stream.by_ref().collect();
+    stream.finish().unwrap();
+    streamed.sort_unstable();
+    assert_eq!(streamed, sequential.patterns);
 }
