@@ -7,18 +7,28 @@
 //! `candidates::generate` oracle) next to D-CAND's map side over the same
 //! corpus — so map-over-walk (`dcand/map_n2_2k` over
 //! `counting/run_table_build_n2_2k`) and reduce-over-count
-//! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run.
+//! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run —
+//! and D-SEQ's reduce side: the bucket merge of one real round
+//! (`bsp/merge_dseq_n4_2k`) and every pivot partition mined from prebuilt
+//! tables (`dseq/partitions_*_2k`, the floor under its reducers).
+
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use desq_bsp::Codec;
+use desq_bsp::engine::merge_bucket_sizes;
+use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
+use desq_bsp::{Codec, Engine, InProcess, MapTaskOut};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{candidates, runs, CandidateCounter, FstIndex, Grid, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
+use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::dcand::{merge_pivots, Mapper};
+use desq_dist::dseq::{d_seq_via, DSeqConfig};
 use desq_dist::{PivotScratch, PivotSearch};
-use desq_miner::{LocalMiner, MinerConfig};
+use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
     let (dict, db) = nyt_like(&NytConfig::new(2_000));
@@ -326,10 +336,112 @@ fn bench_counting(c: &mut Criterion) {
     });
 }
 
+/// Passes a round through in process and keeps a copy of the chunks its
+/// reduce phase receives.
+#[derive(Default)]
+struct Recording(Mutex<Vec<Vec<Vec<u8>>>>);
+
+impl ShuffleTransport for Recording {
+    fn map_phase(
+        &self,
+        engine: &Engine,
+        tasks: usize,
+        local: &(dyn Fn(usize) -> desq_core::Result<MapTaskOut> + Sync),
+    ) -> desq_core::Result<(Vec<MapTaskOut>, PhaseStats)> {
+        InProcess.map_phase(engine, tasks, local)
+    }
+
+    fn reduce_phase(
+        &self,
+        engine: &Engine,
+        chunks: Vec<Vec<Vec<u8>>>,
+        reduce: &ReduceFn<'_>,
+    ) -> desq_core::Result<(Vec<Vec<u8>>, PhaseStats)> {
+        *self.0.lock().unwrap() = chunks.clone();
+        InProcess.reduce_phase(engine, chunks, reduce)
+    }
+}
+
+fn bench_dseq(c: &mut Criterion) {
+    // D-SEQ's reduce side on nyt_like(2000) at σ = 10, split the way the
+    // benchmark's `dist_loose` rounds split it (two partitions, two
+    // buckets). The merge runs over the bucket chunks of one real round.
+    let sigma = 10;
+    let (dict, db) = nyt_like(&NytConfig::new(2_000));
+    let n4 = desq_dist::patterns::n4().compile(&dict).unwrap();
+    let ctx = MiningContext::sequential(&db, &dict, sigma)
+        .with_fst(&n4)
+        .with_parallelism(2, 2);
+    let recording = Recording::default();
+    d_seq_via(&ctx, &recording, DSeqConfig::default()).unwrap();
+    let buckets = recording.0.into_inner().unwrap();
+    c.bench_function("bsp/merge_dseq_n4_2k", |b| {
+        b.iter(|| {
+            let mut merged = (0, 0);
+            for bucket in &buckets {
+                let (groups, recs) = merge_bucket_sizes::<u32>(bucket).unwrap();
+                merged = (merged.0 + groups, merged.1 + recs);
+            }
+            black_box(merged)
+        })
+    });
+
+    for constraint in [desq_dist::patterns::n4(), desq_dist::patterns::n5()] {
+        let fst = constraint.compile(&dict).unwrap();
+        let name = constraint.name.to_lowercase();
+        // The partition floor: every pivot partition mined from prebuilt
+        // tables and pre-grouped picks — D-SEQ's reducers without the
+        // shuffle, the merge or the table build. Each distinct rewritten
+        // range gets one table, each (pivot, range) one weighted pick.
+        let last = dict.last_frequent(sigma);
+        let search = PivotSearch::new(&fst, &dict, last);
+        let builder = LocalMiner::with_index(
+            &fst,
+            &dict,
+            MinerConfig::sequential(sigma).with_last_frequent(last),
+            search.index(),
+        );
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
+        let mut picks: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
+        let (mut pivot_scratch, mut ranges) = (PivotScratch::default(), Vec::new());
+        for seq in &db.sequences {
+            search.pivots_into(seq, &mut pivot_scratch, &mut ranges);
+            let Some(pr) = ranges.first() else { continue };
+            let range = &seq[pr.first as usize..=pr.last as usize];
+            let table = *table_of
+                .entry(range)
+                .or_insert_with(|| builder.append_tables(range, &mut tables, &mut scratch));
+            for pr in &ranges {
+                *picks.entry(pr.item).or_default().entry(table).or_default() += 1;
+            }
+        }
+        let partitions: Vec<(u32, Vec<(u32, u64)>)> = picks
+            .into_iter()
+            .map(|(pivot, picks)| (pivot, picks.into_iter().collect()))
+            .collect();
+        c.bench_function(format!("dseq/partitions_{name}_2k").as_str(), |b| {
+            b.iter(|| {
+                let mut patterns = 0usize;
+                for (pivot, picks) in &partitions {
+                    let cfg = MinerConfig::for_pivot(sigma, *pivot, true).with_last_frequent(last);
+                    LocalMiner::with_index(&fst, &dict, cfg, search.index()).mine_picks(
+                        &tables,
+                        picks,
+                        &mut scratch,
+                        &mut |_, _| patterns += 1,
+                    );
+                }
+                black_box(patterns)
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_grid, bench_pivot_search, bench_merge, bench_nfa, bench_fst_opt,
-              bench_codec, bench_local_mining, bench_counting
+              bench_codec, bench_local_mining, bench_counting, bench_dseq
 }
 criterion_main!(kernels);

@@ -17,9 +17,21 @@
 //! and records reference payloads by local index. D-SEQ ships one
 //! rewritten sequence to every pivot partition — within a bucket the
 //! payload bytes are written once, not once per pivot — and D-CAND's
-//! aggregated NFAs dedup the same way. Output buffers are sized exactly
+//! aggregated NFAs dedup the same way. Because D-SEQ emits one payload to
+//! a run of pivot keys, the combiner compares each payload with the
+//! previous one before it hashes. Output buffers are sized exactly
 //! before writing (one counting pass over a linear bucket scatter, then
 //! one copy pass), so the map side performs no growth reallocation.
+//!
+//! The reduce-side merge pays per distinct payload and per key group, not
+//! per record: each chunk's payload dictionary is interned across the
+//! bucket (equal payloads from different map tasks become one slice), keys
+//! get dense ids from a small table, a counting pass scatters the records
+//! into key groups, an epoch-stamped array indexed by payload id merges
+//! duplicates within a group, and only the distinct keys are sorted. Key
+//! groups reach the reducer in ascending order of their encoded key bytes,
+//! each with its payloads in first-arrival order (map task, then record) —
+//! the same order on every transport and at every worker count.
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -85,6 +97,8 @@ pub struct Combiner<K> {
     /// Payload `i` occupies `payload_data[payload_ends[i - 1]..payload_ends[i]]`.
     payload_ends: Vec<u32>,
     payload_data: Vec<u8>,
+    /// The payload of the previous `emit`.
+    last_payload: Option<u32>,
     /// Combine table: mixed hash → entry index.
     entry_table: ProbeTable,
     entries: Vec<CombineEntry>,
@@ -102,6 +116,7 @@ impl<K: Codec> Combiner<K> {
             payload_hashes: Vec::new(),
             payload_ends: Vec::new(),
             payload_data: Vec::new(),
+            last_payload: None,
             entry_table: ProbeTable::new(),
             entries: Vec::new(),
             key_data: Vec::new(),
@@ -121,8 +136,39 @@ impl<K: Codec> Combiner<K> {
         &self.payload_data[start..self.payload_ends[id as usize] as usize]
     }
 
+    /// Interns `payload` by content and returns its id.
+    fn intern_payload(&mut self, payload: &[u8]) -> u32 {
+        let phash = hash_bytes(payload);
+        let hashes = &self.payload_hashes;
+        self.payload_table
+            .grow_if_needed(hashes.len(), |i| hashes[i as usize]);
+        match self.payload_table.find(phash, |i| {
+            self.payload_hashes[i as usize] == phash && self.payload_bytes(i) == payload
+        }) {
+            Ok(i) => i,
+            Err(slot) => {
+                // The u32 arena offsets and ids must not wrap (a map task
+                // would need > 4 GiB of distinct payload bytes).
+                assert!(
+                    self.payload_data.len() + payload.len() <= u32::MAX as usize
+                        && self.payload_hashes.len() < u32::MAX as usize,
+                    "combiner payload arena exceeds the u32 offset range"
+                );
+                let id = self.payload_hashes.len() as u32;
+                self.payload_hashes.push(phash);
+                self.payload_data.extend_from_slice(payload);
+                self.payload_ends.push(self.payload_data.len() as u32);
+                self.payload_table.insert(slot, id);
+                id
+            }
+        }
+    }
+
     /// Emits one `(key, payload, weight)` triple. The key is encoded and
-    /// hashed exactly once; the payload bytes are interned by content.
+    /// hashed exactly once; the payload bytes are interned by content —
+    /// unless they equal the previous call's, which D-SEQ's one payload per
+    /// run of pivot keys makes the common case: that check skips the hash
+    /// and probe, and costs one length compare when the payload changed.
     pub fn emit(&mut self, key: &K, payload: &[u8], weight: u64) {
         self.emitted += 1;
         self.key_buf.clear();
@@ -130,42 +176,12 @@ impl<K: Codec> Combiner<K> {
         let khash = hash_bytes(&self.key_buf);
         let bucket = bucket_of(khash, self.reducers) as u32;
 
-        // Intern the payload.
-        let phash = hash_bytes(payload);
-        let (table, hashes) = (&mut self.payload_table, &self.payload_hashes);
-        table.grow_if_needed(hashes.len(), |i| hashes[i as usize]);
-        let payload_id = {
-            let ends = &self.payload_ends;
-            let data = &self.payload_data;
-            let slice_of = |i: u32| {
-                let start = if i == 0 {
-                    0
-                } else {
-                    ends[i as usize - 1] as usize
-                };
-                &data[start..ends[i as usize] as usize]
-            };
-            match table.find(phash, |i| {
-                hashes[i as usize] == phash && slice_of(i) == payload
-            }) {
-                Ok(i) => i,
-                Err(slot) => {
-                    // The u32 arena offsets and ids must not wrap (a map
-                    // task would need > 4 GiB of distinct payload bytes).
-                    assert!(
-                        self.payload_data.len() + payload.len() <= u32::MAX as usize
-                            && self.payload_hashes.len() < u32::MAX as usize,
-                        "combiner payload arena exceeds the u32 offset range"
-                    );
-                    let id = self.payload_hashes.len() as u32;
-                    self.payload_hashes.push(phash);
-                    self.payload_data.extend_from_slice(payload);
-                    self.payload_ends.push(self.payload_data.len() as u32);
-                    table.insert(slot, id);
-                    id
-                }
-            }
+        let payload_id = match self.last_payload {
+            Some(id) if self.payload_bytes(id) == payload => id,
+            _ => self.intern_payload(payload),
         };
+        self.last_payload = Some(payload_id);
+        let phash = self.payload_hashes[payload_id as usize];
 
         // Combine on (key bytes, payload id).
         let ehash = mix(khash, phash);
@@ -303,37 +319,66 @@ pub struct MapTaskOut {
     pub payloads: u64,
 }
 
-/// One decoded (still borrowed) combine record during reduce-side merging.
-struct ReduceRec<'c> {
-    /// Mixed (key, payload) hash — the merge-table key.
-    hash: u64,
-    /// Key-bytes hash, kept so grouping can sort on a `u64` first and only
-    /// fall back to byte comparison for equal hashes.
-    khash: u64,
-    key: &'c [u8],
-    payload: &'c [u8],
-    weight: u64,
+/// Byte strings borrowed from the shuffle chunks, interned by content:
+/// equal bytes get one dense id and one slice, whichever chunk they came
+/// from.
+#[derive(Default)]
+struct Interner<'c> {
+    table: ProbeTable,
+    hashes: Vec<u64>,
+    slices: Vec<&'c [u8]>,
 }
 
-/// Decodes one reduce bucket's shuffle chunks, merges duplicate
-/// `(key, payload)` records across map tasks on the raw bytes, and sorts
-/// the result into key groups — the reduce-side merge step.
-fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRec<'c>>> {
-    let mut recs: Vec<ReduceRec<'c>> = Vec::new();
-    let mut table = ProbeTable::new();
-    // This chunk's payload dictionary, each entry hashed once (a payload
-    // is typically referenced by many records).
-    let mut payloads: Vec<(&[u8], u64)> = Vec::new();
+impl<'c> Interner<'c> {
+    fn intern(&mut self, bytes: &'c [u8]) -> u32 {
+        let hash = hash_bytes(bytes);
+        let hashes = &self.hashes;
+        self.table
+            .grow_if_needed(hashes.len(), |i| hashes[i as usize]);
+        match self.table.find(hash, |i| {
+            self.hashes[i as usize] == hash && self.slices[i as usize] == bytes
+        }) {
+            Ok(i) => i,
+            Err(slot) => {
+                let id = self.slices.len() as u32;
+                self.hashes.push(hash);
+                self.slices.push(bytes);
+                self.table.insert(slot, id);
+                id
+            }
+        }
+    }
+}
+
+/// One reduce bucket after the merge: its key groups in ascending order of
+/// the encoded key bytes, each holding the key's distinct payloads with
+/// their weights summed across map tasks, in first-arrival order (map task,
+/// then record). Every slice borrows from the shuffle chunks.
+struct MergedBucket<'c> {
+    /// Encoded key and its payloads' range in `recs`, per key group.
+    groups: Vec<(&'c [u8], std::ops::Range<usize>)>,
+    recs: Vec<(&'c [u8], u64)>,
+}
+
+/// The reduce-side merge of one bucket (see the module docs): decodes its
+/// shuffle chunks and merges duplicate `(key, payload)` records across map
+/// tasks into key groups. Every array is sized by a count of records or
+/// dictionary entries read so far, so by the chunks' own length.
+fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>> {
+    let (mut payloads, mut keys) = (Interner::default(), Interner::default());
+    // (key id, payload id, weight) in arrival order.
+    let mut arrivals: Vec<(u32, u32, u64)> = Vec::new();
+    // The current chunk's dictionary: chunk-local → bucket payload id.
+    let mut local: Vec<u32> = Vec::new();
     for chunk in chunks {
         let mut slice = chunk.as_slice();
-        // Payload dictionary of this chunk.
         let np = read_varint(&mut slice)? as usize;
         if np > slice.len() {
             return Err(Error::Decode(format!(
                 "payload dictionary: count {np} exceeds input"
             )));
         }
-        payloads.clear();
+        local.clear();
         for _ in 0..np {
             let len = read_varint(&mut slice)? as usize;
             if len > slice.len() {
@@ -342,48 +387,76 @@ fn merge_bucket_recs<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<Vec<ReduceRe
                 )));
             }
             let (head, rest) = slice.split_at(len);
-            payloads.push((head, hash_bytes(head)));
+            local.push(payloads.intern(head));
             slice = rest;
         }
         while !slice.is_empty() {
             let before = slice;
             K::decode(&mut slice)?;
-            let key = &before[..before.len() - slice.len()];
+            let key = keys.intern(&before[..before.len() - slice.len()]);
             let pid = read_varint(&mut slice)? as usize;
-            let (payload, phash) = *payloads
+            let payload = *local
                 .get(pid)
                 .ok_or_else(|| Error::Decode(format!("payload id {pid} out of range")))?;
-            let weight = read_varint(&mut slice)?;
-            let khash = hash_bytes(key);
-            let hash = mix(khash, phash);
-            table.grow_if_needed(recs.len(), |i| recs[i as usize].hash);
-            match table.find(hash, |i| {
-                let r = &recs[i as usize];
-                r.hash == hash && r.key == key && r.payload == payload
-            }) {
-                Ok(i) => recs[i as usize].weight += weight,
-                Err(slot) => {
-                    recs.push(ReduceRec {
-                        hash,
-                        khash,
-                        key,
-                        payload,
-                        weight,
-                    });
-                    table.insert(slot, recs.len() as u32 - 1);
-                }
-            }
+            arrivals.push((key, payload, read_varint(&mut slice)?));
         }
     }
-    // Deterministic grouping: order by (key, payload), resolving most
-    // comparisons on the precomputed key hash instead of the byte slices.
-    recs.sort_unstable_by(|a, b| {
-        a.khash
-            .cmp(&b.khash)
-            .then_with(|| a.key.cmp(b.key))
-            .then_with(|| a.payload.cmp(b.payload))
-    });
-    Ok(recs)
+
+    // Counting pass: stable scatter of the records into key groups.
+    let mut starts = vec![0usize; keys.slices.len() + 1];
+    for &(k, _, _) in &arrivals {
+        starts[k as usize + 1] += 1;
+    }
+    for k in 0..keys.slices.len() {
+        starts[k + 1] += starts[k];
+    }
+    let mut cursor = starts.clone();
+    let mut grouped = vec![(0u32, 0u64); arrivals.len()];
+    for &(k, p, w) in &arrivals {
+        grouped[cursor[k as usize]] = (p, w);
+        cursor[k as usize] += 1;
+    }
+    drop(arrivals);
+
+    // Duplicate payloads within a group: `stamp[p]` names the last group
+    // that saw payload `p`, `at[p]` where that group keeps it.
+    let mut stamp = vec![u32::MAX; payloads.slices.len()];
+    let mut at = vec![0usize; payloads.slices.len()];
+    let mut recs: Vec<(&[u8], u64)> = Vec::with_capacity(grouped.len());
+    let mut ranges = Vec::with_capacity(keys.slices.len());
+    for k in 0..keys.slices.len() {
+        let first = recs.len();
+        for &(p, w) in &grouped[starts[k]..starts[k + 1]] {
+            let p = p as usize;
+            if stamp[p] == k as u32 {
+                let weight = &mut recs[at[p]].1;
+                *weight = weight.saturating_add(w);
+            } else {
+                stamp[p] = k as u32;
+                at[p] = recs.len();
+                recs.push((payloads.slices[p], w));
+            }
+        }
+        ranges.push(first..recs.len());
+    }
+
+    // Key groups ascend by encoded key bytes: a sort of the distinct keys.
+    let mut order: Vec<u32> = (0..keys.slices.len() as u32).collect();
+    order.sort_unstable_by_key(|&k| keys.slices[k as usize]);
+    let groups = order
+        .into_iter()
+        .map(|k| (keys.slices[k as usize], ranges[k as usize].clone()))
+        .collect();
+    Ok(MergedBucket { groups, recs })
+}
+
+/// The reduce-side merge of one bucket's shuffle chunks on its own: its
+/// number of key groups and of merged records. Exposed for the kernel
+/// benchmarks.
+#[doc(hidden)]
+pub fn merge_bucket_sizes<K: Codec>(chunks: &[Vec<u8>]) -> Result<(usize, usize)> {
+    let merged = merge_bucket::<K>(chunks)?;
+    Ok((merged.groups.len(), merged.recs.len()))
 }
 
 /// Decodes one bucket's encoded reduce outputs (`varint(#outputs)` +
@@ -574,8 +647,10 @@ impl Engine {
     ///
     /// The reducer is invoked once per distinct key with all distinct
     /// payloads and their total weights (merged across map tasks), each
-    /// payload a slice *borrowed from the shuffle buffers*, in a
-    /// deterministic (byte-lexicographic) order. Key groups are batched
+    /// payload a slice *borrowed from the shuffle buffers* — equal payloads
+    /// share one slice — in first-arrival order (map task, then record);
+    /// within a bucket, keys come in ascending order of their encoded
+    /// bytes. Key groups are batched
     /// into tasks under work stealing in whichever process holds the
     /// buckets, so a hot D-SEQ pivot does not pin its bucket to one thread.
     /// `init` runs once per worker per reduce call (all buckets in process,
@@ -583,8 +658,9 @@ impl Engine {
     /// so caches keyed on their identity (D-SEQ's table index) stay valid.
     ///
     /// Outputs cross the transport encoded ([`Codec`]) and come back in a
-    /// deterministic order — buckets in order, key groups in (key, payload)
-    /// order — whatever the transport, worker count or steal schedule.
+    /// deterministic order — buckets in order, key groups by encoded key
+    /// bytes within a bucket — whatever the transport, worker count or
+    /// steal schedule.
     /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
     /// key-group tasks in process and shipped buckets over the network.
     pub fn map_combine_reduce_via<I, K, O, S, MF, IF, RF>(
@@ -704,48 +780,35 @@ impl Engine {
         RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
     {
         // Step 1 (parallel, one task per bucket): decode the shuffle
-        // chunks, merge duplicates across map tasks on the raw bytes, sort
-        // into key groups.
+        // chunks and merge them into key groups.
         let merged = self.run_tasks(chunks.len(), |t| {
             #[cfg(feature = "failpoints")]
             desq_core::fault::point("bsp::reduce_merge")?;
-            merge_bucket_recs::<K>(&chunks[t])
+            merge_bucket::<K>(&chunks[t])
         })?;
         let buckets = &merged.results;
 
-        // Step 2: cut every bucket into key groups, batch adjacent light
-        // groups into tasks, and run the tasks under work stealing so a
-        // heavy key group (a hot D-SEQ pivot) is balanced across workers
-        // instead of pinning its whole bucket to one thread.
-        let mut groups: Vec<(u32, u32, u32)> = Vec::new(); // (bucket, start, end)
-        for (b, recs) in buckets.iter().enumerate() {
-            let mut i = 0;
-            while i < recs.len() {
-                let key = recs[i].key;
-                let start = i;
-                while i < recs.len() && recs[i].key == key {
-                    i += 1;
-                }
-                groups.push((b as u32, start as u32, i as u32));
-            }
-        }
-        // A task closes at a bucket boundary (keeps output bookkeeping
-        // simple), once it holds enough records to amortize a queue round
-        // trip, or at a group-count cap so huge flocks of trivial keys
-        // still split; a single heavy group always gets its own task.
+        // Step 2: batch adjacent light key groups of a bucket into tasks
+        // and run the tasks under work stealing, so a heavy key group (a
+        // hot D-SEQ pivot) is balanced across workers instead of pinning
+        // its whole bucket to one thread. A task closes at a bucket
+        // boundary (keeps output bookkeeping simple), once it holds enough
+        // records to amortize a queue round trip, or at a group-count cap
+        // so huge flocks of trivial keys still split; a single heavy group
+        // always gets its own task.
         const RECS_PER_TASK: usize = 256;
         const GROUPS_PER_TASK: usize = 64;
-        let mut tasks: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut start = 0usize;
-        let mut recs_in = 0usize;
-        for i in 0..groups.len() {
-            let g = groups[i];
-            recs_in += (g.2 - g.1) as usize;
-            let bucket_ends = i + 1 == groups.len() || groups[i + 1].0 != g.0;
-            if bucket_ends || recs_in >= RECS_PER_TASK || i + 1 - start >= GROUPS_PER_TASK {
-                tasks.push(start..i + 1);
-                start = i + 1;
-                recs_in = 0;
+        let mut tasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new(); // (bucket, groups)
+        for (b, bucket) in buckets.iter().enumerate() {
+            let (mut start, mut recs_in) = (0usize, 0usize);
+            for (g, (_, recs)) in bucket.groups.iter().enumerate() {
+                recs_in += recs.len();
+                let last = g + 1 == bucket.groups.len();
+                if last || recs_in >= RECS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
+                    tasks.push((b, start..g + 1));
+                    start = g + 1;
+                    recs_in = 0;
+                }
             }
         }
 
@@ -755,19 +818,18 @@ impl Engine {
             tasks.len(),
             self.workers,
             self.cancel.as_ref(),
-            || (init(), Vec::new()),
-            |ti, (state, group_buf): &mut (S, Vec<(&[u8], u64)>)| {
+            init,
+            |ti, state: &mut S| {
+                let (b, ref groups) = tasks[ti];
+                let bucket = &buckets[b];
                 let (mut n, mut bytes) = (0u64, Vec::new());
-                for &(b, gs, ge) in &groups[tasks[ti].clone()] {
-                    let recs = &buckets[b as usize][gs as usize..ge as usize];
-                    group_buf.clear();
-                    group_buf.extend(recs.iter().map(|r| (r.payload, r.weight)));
-                    let k = K::decode(&mut &recs[0].key[..])?;
+                for (key, recs) in &bucket.groups[groups.clone()] {
+                    let k = K::decode(&mut &key[..])?;
                     let mut emit = |o: O| {
                         n += 1;
                         o.encode(&mut bytes);
                     };
-                    reduce(state, &k, group_buf, &mut emit)?;
+                    reduce(state, &k, &bucket.recs[recs.clone()], &mut emit)?;
                 }
                 Ok((n, bytes))
             },
@@ -776,15 +838,15 @@ impl Engine {
         // No task straddles a bucket: a bucket's outputs are its tasks', in
         // task order, and cross the transport as `varint(#outputs)` + each.
         let mut counts = vec![0u64; chunks.len()];
-        for (task, (n, _)) in tasks.iter().zip(&reduced.results) {
-            counts[groups[task.start].0 as usize] += n;
+        for ((b, _), (n, _)) in tasks.iter().zip(&reduced.results) {
+            counts[*b] += n;
         }
         let mut encoded: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
         for (buf, n) in encoded.iter_mut().zip(counts) {
             write_varint(buf, n);
         }
-        for (task, (_, bytes)) in tasks.iter().zip(reduced.results) {
-            encoded[groups[task.start].0 as usize].extend_from_slice(&bytes);
+        for ((b, _), (_, bytes)) in tasks.iter().zip(reduced.results) {
+            encoded[*b].extend_from_slice(&bytes);
         }
         let stats = PhaseStats {
             max_task_nanos: merged.max_task_nanos.max(reduced.max_task_nanos),
@@ -965,6 +1027,43 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec![(5, 8)]);
         assert_eq!(metrics.shuffle_records, 4); // one per map task
+    }
+
+    #[test]
+    fn merge_orders_keys_by_encoded_bytes_and_payloads_by_arrival() {
+        // One bucket, two map tasks. Keys 129 = [0x81 0x01] and
+        // 256 = [0x80 0x02] sort the other way round as bytes.
+        let chunk = |emits: &[(u32, &[u8], u64)]| {
+            let mut c = Combiner::<u32>::new(1);
+            for &(k, p, w) in emits {
+                c.emit(&k, p, w);
+            }
+            c.into_task_out().buckets.pop().unwrap()
+        };
+        let chunks = vec![
+            chunk(&[(129, b"y", 1), (2, b"x", 1), (129, b"x", 2)]),
+            chunk(&[(2, b"z", 1), (256, b"z", 3), (129, b"x", 4), (2, b"x", 1)]),
+        ];
+        let merged = merge_bucket::<u32>(&chunks).unwrap();
+        type Group<'c> = (u32, Vec<(&'c [u8], u64)>);
+        let groups: Vec<Group<'_>> = merged
+            .groups
+            .iter()
+            .map(|(key, recs)| {
+                let key = u32::decode(&mut &key[..]).unwrap();
+                (key, merged.recs[recs.clone()].to_vec())
+            })
+            .collect();
+        let expect: Vec<Group<'_>> = vec![
+            (2, vec![(b"x", 2), (b"z", 1)]),
+            (256, vec![(b"z", 3)]),
+            (129, vec![(b"y", 1), (b"x", 6)]),
+        ];
+        assert_eq!(groups, expect);
+        // Equal payloads share the slice of their first arrival.
+        let x = groups[0].1[0].0.as_ptr();
+        assert_eq!(groups[2].1[1].0.as_ptr(), x);
+        assert!(chunks[0].as_ptr_range().contains(&x));
     }
 
     #[test]

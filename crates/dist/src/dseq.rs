@@ -17,14 +17,14 @@
 //! sharing one [`desq_core::fst::FstIndex`] across all pivot partitions:
 //! expansions never use items above the pivot, only pivot sequences are
 //! emitted, and the early-stopping heuristic prunes snapshots that can no
-//! longer produce the pivot (Sec. V-C).
+//! longer produce the pivot — by position and by FST state (Sec. V-C).
 
 use std::collections::hash_map::Entry;
 
 use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, InProcess};
 use desq_core::fx::FxHashMap;
 use desq_core::mining::{Miner, MiningContext};
-use desq_core::{ItemId, Result, Sequence};
+use desq_core::{Error, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
@@ -41,7 +41,11 @@ pub struct DSeqConfig {
     pub use_grid: bool,
     /// Ship rewritten (trimmed) sequences instead of full ones.
     pub rewrite: bool,
-    /// Early stopping in the partition-local miners.
+    /// Early stopping in the partition-local miners (Sec. V-C), both
+    /// halves: a prefix that lacks the pivot reads nothing past a
+    /// sequence's last pivot-producing position, and a step into an FST
+    /// state that can produce no further output extends it by the pivot
+    /// only. Off, the partitions run the unpruned search (Fig. 10a).
     pub early_stop: bool,
 }
 
@@ -175,7 +179,7 @@ fn d_seq_exec(
                 Entry::Occupied(hit) => *hit.get(),
                 Entry::Vacant(miss) => {
                     items.clear();
-                    decode_item_seq(&mut &bytes[..], items)?;
+                    decode_payload(bytes, dict.max_fid(), items)?;
                     *miss.insert(builder.append_tables(items, tables, scratch))
                 }
             };
@@ -193,6 +197,27 @@ fn d_seq_exec(
     };
 
     crate::run_round(ctx, exec, t0, map, ReduceState::default, reduce)
+}
+
+/// Decodes one shuffled D-SEQ payload into `items`: exactly one encoded
+/// item sequence whose items are dictionary fids (`1..=max_fid`). Anything
+/// else came off a damaged shuffle and is a decode error — the simulator
+/// indexes per-item tables by fid.
+fn decode_payload(bytes: &[u8], max_fid: ItemId, items: &mut Vec<ItemId>) -> Result<()> {
+    let mut slice = bytes;
+    decode_item_seq(&mut slice, items)?;
+    if !slice.is_empty() {
+        return Err(Error::Decode(format!(
+            "D-SEQ payload: {} trailing bytes",
+            slice.len()
+        )));
+    }
+    match items.iter().find(|&&t| t == 0 || t > max_fid) {
+        Some(t) => Err(Error::Decode(format!(
+            "D-SEQ payload: item {t} outside the dictionary (1..={max_fid})"
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

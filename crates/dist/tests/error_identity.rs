@@ -7,7 +7,10 @@ use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{Engine, InProcess, MapTaskOut, NetConfig, NetCoordinator};
+use desq_bsp::{
+    decode_item_seq, encode_item_seq, Engine, InProcess, MapTaskOut, NetConfig, NetCoordinator,
+};
+use desq_core::codec::{read_varint, write_varint};
 use desq_core::mining::{Limits, Miner, MiningContext};
 use desq_core::{toy, Dictionary, DictionaryBuilder, Error, Fst, PatEx, Result, SequenceDb};
 use desq_dist::dcand::{d_cand_via, d_cand_worker, DCandConfig};
@@ -81,11 +84,13 @@ fn a_reducer_side_budget_error_is_the_same_value_on_every_path() {
     worker.join().unwrap();
 }
 
-/// A transport that overwrites the first payload byte of every non-empty
-/// shuffle chunk on its way from map to reduce. The chunk still parses
-/// (`varint(#payloads) varint(len) payload…` — byte 2 is inside the first
-/// payload), so the damage is found by the reducer's own payload decode.
-struct Corrupting<'a>(&'a dyn ShuffleTransport);
+/// Damage done to a shuffled payload's bytes.
+type Damage = fn(&mut Vec<u8>);
+
+/// A transport that damages the first payload of every non-empty shuffle
+/// chunk on its way from map to reduce, keeping the chunk well-formed
+/// around it, so the damage is found by the reducer's own payload decode.
+struct Corrupting<'a>(&'a dyn ShuffleTransport, Damage);
 
 impl ShuffleTransport for Corrupting<'_> {
     fn map_phase(
@@ -96,8 +101,8 @@ impl ShuffleTransport for Corrupting<'_> {
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
         let (mut outs, stats) = self.0.map_phase(engine, tasks, local)?;
         for chunk in outs.iter_mut().flat_map(|out| out.buckets.iter_mut()) {
-            if let Some(byte) = chunk.get_mut(2) {
-                *byte = 0xff;
+            if !chunk.is_empty() {
+                damage_first_payload(chunk, self.1);
             }
         }
         Ok((outs, stats))
@@ -113,6 +118,22 @@ impl ShuffleTransport for Corrupting<'_> {
     }
 }
 
+/// Re-encodes the chunk's first payload
+/// (`varint(#payloads) varint(len) payload…`) after `damage`.
+fn damage_first_payload(chunk: &mut Vec<u8>, damage: Damage) {
+    let mut rest = chunk.as_slice();
+    let count = read_varint(&mut rest).unwrap();
+    let len = read_varint(&mut rest).unwrap() as usize;
+    let mut payload = rest[..len].to_vec();
+    damage(&mut payload);
+    let mut out = Vec::new();
+    write_varint(&mut out, count);
+    write_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&rest[len..]);
+    *chunk = out;
+}
+
 #[test]
 fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
     fn toy_ctx(fx: &toy::Toy) -> MiningContext<'_> {
@@ -122,20 +143,46 @@ fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
     }
     let fx = toy::fixture();
     let config = DSeqConfig::default();
+    let damages: [(Damage, Option<&str>); 3] = [
+        // The item-sequence header becomes an unterminated varint.
+        (|payload| payload[0] = 0xff, None),
+        // A well-formed item sequence naming an item the toy dictionary
+        // (seven items) does not have.
+        (
+            |payload| {
+                let mut items = Vec::new();
+                decode_item_seq(&mut payload.as_slice(), &mut items).unwrap();
+                items[0] = 12;
+                payload.clear();
+                encode_item_seq(&items, payload);
+            },
+            Some("D-SEQ payload: item 12 outside the dictionary (1..=7)"),
+        ),
+        // One byte after the encoded item sequence.
+        (
+            |payload| payload.push(1),
+            Some("D-SEQ payload: 1 trailing bytes"),
+        ),
+    ];
+    for (damage, message) in damages {
+        let in_process = d_seq_via(&toy_ctx(&fx), &Corrupting(&InProcess, damage), config);
+        let in_process = in_process.unwrap_err();
+        match message {
+            Some(m) => assert_eq!(in_process, Error::Decode(m.into())),
+            None => assert!(matches!(in_process, Error::Decode(_)), "{in_process}"),
+        }
 
-    let in_process = d_seq_via(&toy_ctx(&fx), &Corrupting(&InProcess), config).unwrap_err();
-    assert!(matches!(in_process, Error::Decode(_)), "{in_process}");
-
-    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
-    let addr = coord.local_addr().unwrap();
-    let worker = thread::spawn(move || {
-        let fx = toy::fixture();
-        let net = NetConfig::default();
-        d_seq_worker(&toy_ctx(&fx), addr, &net, config)
-            .expect("a failed task is the driver's error, not the worker's");
-    });
-    let remote = d_seq_via(&toy_ctx(&fx), &Corrupting(&coord), config).unwrap_err();
-    assert_eq!(remote, in_process);
-    drop(coord);
-    worker.join().unwrap();
+        let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let addr = coord.local_addr().unwrap();
+        let worker = thread::spawn(move || {
+            let fx = toy::fixture();
+            let net = NetConfig::default();
+            d_seq_worker(&toy_ctx(&fx), addr, &net, config)
+                .expect("a failed task is the driver's error, not the worker's");
+        });
+        let remote = d_seq_via(&toy_ctx(&fx), &Corrupting(&coord, damage), config).unwrap_err();
+        assert_eq!(remote, in_process);
+        drop(coord);
+        worker.join().unwrap();
+    }
 }

@@ -44,7 +44,9 @@
 //! [`LocalMiner`] adds the partition-local restrictions of D-SEQ
 //! (Sec. V-C): at partition `P_k` no expansion uses items `> k`, only pivot
 //! sequences (max item = `k`) are emitted, and the *early stopping*
-//! heuristic drops snapshots that can no longer produce the pivot item.
+//! heuristic drops snapshots that can no longer produce the pivot item —
+//! past the sequence's last pivot position, or in an FST state with no
+//! output left to produce.
 //! All three are applied while walking, so the tables themselves are
 //! pivot-independent and shared across partitions (see [`SeqTables`]).
 
@@ -85,10 +87,12 @@ pub struct MinerConfig {
     /// use items greater than `k`, and only sequences containing `k` — their
     /// pivot — are emitted. `None` mines unrestricted.
     pub pivot: Option<ItemId>,
-    /// Early-stopping heuristic (Sec. V-C): per input sequence, determine
-    /// the last position that can produce the pivot item and stop using the
-    /// sequence for non-pivot prefixes beyond it. Only effective when
-    /// `pivot` is set.
+    /// Early stopping (Sec. V-C), in two halves that both apply only to
+    /// prefixes still lacking the pivot. Position: per input sequence,
+    /// determine the last position that can produce the pivot item and
+    /// stop using the sequence beyond it. State: a step into an FST state
+    /// that can produce no further output extends such a prefix by the
+    /// pivot only. Only effective when `pivot` is set.
     pub early_stop: bool,
     /// Largest fid considered frequent. `None` derives it from `sigma` and
     /// the dictionary's f-list; distributed callers pass the value computed
@@ -470,6 +474,9 @@ struct ExpandBufs {
     walk: WalkBufs,
     stats: ItemStats,
     depths: Vec<DepthBufs>,
+    /// Search-tree nodes expanded so far.
+    #[cfg(test)]
+    nodes: usize,
 }
 
 /// Reusable scratch of one thread that grows a long-lived [`SeqTables`]
@@ -1020,6 +1027,13 @@ impl<'a> LocalMiner<'a> {
         let sigma = self.config.sigma;
         let bound = self.item_bound();
         let pivot = self.config.pivot.unwrap_or(EPSILON);
+        // Pivot-dead children (the state half of early stopping): while the
+        // prefix lacks the pivot, a step into a state that can produce no
+        // further output leads only to a child that is never emitted (no
+        // pivot) and never extended from that posting, so it contributes
+        // the pivot alone — dropping the rest only tightens an
+        // antimonotone support bound.
+        let prune_dead = !has_pivot && self.config.early_stop;
         let arena = views.arena;
         d.raw.clear();
         let dense = stats.dense;
@@ -1082,7 +1096,7 @@ impl<'a> LocalMiner<'a> {
                         }
                         items = rest;
                     }
-                    if i >= stop {
+                    if i >= stop || (prune_dead && !ix.can_output(tr.to as usize)) {
                         match items.iter().find(|&&w| w == pivot) {
                             Some(k) => items = std::slice::from_ref(k),
                             None => continue,
@@ -1200,6 +1214,10 @@ impl<'a> LocalMiner<'a> {
             return false;
         }
 
+        #[cfg(test)]
+        {
+            bufs.nodes += 1;
+        }
         while bufs.depths.len() <= depth {
             bufs.depths.push(DepthBufs::default());
         }
@@ -1635,6 +1653,54 @@ mod tests {
                 "k={k}"
             );
         }
+    }
+
+    #[test]
+    fn early_stopping_prunes_pivot_dead_children_on_n5() {
+        // N5 captures one item per pattern and outputs nothing after it, so
+        // every output step lands in a state with no output left: under
+        // early stopping a partition expands its root and at most its
+        // pivot child. Without it the same partitions expand every frequent
+        // item below the pivot, and both searches mine the same patterns.
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
+        let n5 = desq_core::PatEx::parse("[(.^). .]|[. (.^).]|[. .(.^)]").unwrap();
+        let fst = Fst::compile(&n5.unanchored(), &dict).unwrap();
+        let sigma = 10;
+        let last = dict.last_frequent(sigma);
+        let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        let picks: Vec<(u32, u64)> = db
+            .sequences
+            .iter()
+            .map(|s| (builder.append_tables(s, &mut tables, &mut scratch), 1))
+            .collect();
+        let mine = |early_stop| {
+            let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
+            for pivot in 1..=last {
+                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop).with_last_frequent(last);
+                LocalMiner::with_index(&fst, &dict, cfg, builder.index.get()).mine_picks(
+                    &tables,
+                    &picks,
+                    &mut scratch,
+                    &mut |p, f| mined.push((p, f)),
+                );
+            }
+            (crate::sort_patterns(mined), scratch.bufs.nodes)
+        };
+        let (plain, plain_nodes) = mine(false);
+        let (pruned, pruned_nodes) = mine(true);
+        let sequential = desq_dfs_impl(&db, &fst, &dict, sigma);
+        assert!(!sequential.is_empty());
+        assert_eq!(plain, sequential);
+        assert_eq!(pruned, sequential);
+        assert!(
+            pruned_nodes <= 2 * last as usize,
+            "{pruned_nodes} nodes over {last} partitions"
+        );
+        assert!(
+            pruned_nodes < plain_nodes,
+            "{pruned_nodes} vs {plain_nodes}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use desq::core::fst::{candidates, FstIndex, Grid, SimScratch, SimTables, Simulat
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
 use desq::dist::{NaiveConfig, PivotSearch};
-use desq::miner::{LocalMiner, MinerConfig, WeightedInput};
+use desq::miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq::{ExecutionPolicy, OptLevel};
 
@@ -184,6 +184,67 @@ fn check_sim_against_grid(
                 );
                 prop_assert_eq!(&tables.outs()[a as usize..b as usize], &buf[..]);
             }
+        }
+    }
+    Ok(())
+}
+
+/// D-SEQ's reducer shape against sequential DESQ-DFS: tables appended by
+/// a pivot-less miner from each shipped sequence's rewritten range, mined
+/// as picks under the pivot restriction. For every pivot `p`, with early
+/// stopping (both halves) on and off, the partition finds exactly the
+/// sequential patterns whose largest item is `p`.
+fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> {
+    let dict = &world.dict;
+    let last = dict.last_frequent(sigma);
+    let search = PivotSearch::new(fst, dict, last);
+    let inputs: Vec<WeightedInput<'_>> = world
+        .db
+        .sequences
+        .iter()
+        .map(|s| (s.as_slice(), 1))
+        .collect();
+    let sequential = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
+        .mine(&inputs)
+        .unwrap();
+    let builder = LocalMiner::with_index(
+        fst,
+        dict,
+        MinerConfig::sequential(sigma).with_last_frequent(last),
+        search.index(),
+    );
+    let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+    let mut partitions: BTreeMap<ItemId, Vec<(u32, u64)>> = BTreeMap::new();
+    for seq in &world.db.sequences {
+        for pr in search.pivots(seq) {
+            let range = &seq[pr.first as usize..=pr.last as usize];
+            let table = builder.append_tables(range, &mut tables, &mut scratch);
+            partitions.entry(pr.item).or_default().push((table, 1));
+        }
+    }
+    for p in 1..=dict.max_fid() {
+        let expect: Vec<(Sequence, u64)> = sequential
+            .iter()
+            .filter(|(s, _)| desq::core::sequence::pivot(s) == p)
+            .cloned()
+            .collect();
+        let picks = partitions.get(&p).map_or(&[][..], Vec::as_slice);
+        for early_stop in [false, true] {
+            let cfg = MinerConfig::for_pivot(sigma, p, early_stop).with_last_frequent(last);
+            let mut mined = Vec::new();
+            LocalMiner::with_index(fst, dict, cfg, search.index()).mine_picks(
+                &tables,
+                picks,
+                &mut scratch,
+                &mut |s, f| mined.push((s, f)),
+            );
+            prop_assert_eq!(
+                &desq::miner::sort_patterns(mined),
+                &expect,
+                "pivot {} early_stop {}",
+                p,
+                early_stop
+            );
         }
     }
     Ok(())
@@ -501,6 +562,22 @@ proptest! {
                 prop_assert_eq!(fk, ck, "pivot {} of {:?} (range {}..={})",
                     pr.item, seq, pr.first, pr.last);
             }
+        }
+    }
+
+    /// Pivot partitions mine the sequential result (see
+    /// `check_partitions`), on the random expression captured and
+    /// unanchored — random expressions rarely capture on their own — and
+    /// on T3(1, 3), whose multi-item patterns put items on both sides of
+    /// their pivot.
+    #[test]
+    fn pivot_partitions_mine_the_sequential_patterns_of_their_pivot(
+        world in arb_world(), e in arb_pexp(4), sigma in 1u64..3
+    ) {
+        let captured = Fst::compile(&PatEx::Capture(Box::new(e)).unanchored(), &world.dict);
+        let t3 = desq::dist::patterns::t3(1, 3).compile(&world.dict).unwrap();
+        for fst in captured.iter().chain([&t3]) {
+            check_partitions(fst, &world, sigma)?;
         }
     }
 
