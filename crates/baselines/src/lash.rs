@@ -130,7 +130,7 @@ fn rewrite(
         })
         .collect();
     // Split into parts at blank runs longer than γ; keep parts that can
-    // produce the pivot and at least min_len = 2 items.
+    // produce the pivot and at least the gap miner's two items.
     let mut parts: Vec<Vec<ItemId>> = Vec::new();
     let mut current: Vec<ItemId> = Vec::new();
     let mut blanks = 0usize;
@@ -166,8 +166,11 @@ fn rewrite(
     if parts.is_empty() {
         return None;
     }
-    // Join with γ+1 blanks: local mining cannot match across parts.
-    let sep = config.gamma + 1;
+    // Join with γ+1 blanks: local mining cannot match across parts. (A
+    // second part needs a blank run longer than γ, so the separators fit
+    // in the sequence whenever there are any; at γ = usize::MAX there is
+    // one part.)
+    let sep = config.gamma.saturating_add(1);
     let total: usize = parts.iter().map(Vec::len).sum::<usize>() + sep * (parts.len() - 1);
     let mut out = Vec::with_capacity(total);
     for (i, part) in parts.iter().enumerate() {
@@ -223,11 +226,8 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
         let miner = GapMiner {
-            gamma: config.gamma,
-            max_len: config.lambda,
-            min_len: 2,
-            generalize: config.generalize,
             pivot: Some(p),
+            ..GapMiner::new(config.gamma, config.lambda, config.generalize)
         };
         let mut decoded: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
         for &(bytes, w) in inputs {

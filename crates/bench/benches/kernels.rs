@@ -395,12 +395,8 @@ fn bench_dseq(c: &mut Criterion) {
         // range gets one table, each (pivot, range) one weighted pick.
         let last = dict.last_frequent(sigma);
         let search = PivotSearch::new(&fst, &dict, last);
-        let builder = LocalMiner::with_index(
-            &fst,
-            &dict,
-            MinerConfig::sequential(sigma).with_last_frequent(last),
-            search.index(),
-        );
+        let builder =
+            LocalMiner::with_index(&fst, &dict, MinerConfig::sequential(sigma), search.index());
         let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
         let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
         let mut picks: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
@@ -424,7 +420,7 @@ fn bench_dseq(c: &mut Criterion) {
             b.iter(|| {
                 let mut patterns = 0usize;
                 for (pivot, picks) in &partitions {
-                    let cfg = MinerConfig::for_pivot(sigma, *pivot, true).with_last_frequent(last);
+                    let cfg = MinerConfig::for_pivot(sigma, *pivot, true);
                     LocalMiner::with_index(&fst, &dict, cfg, search.index()).mine_picks(
                         &tables,
                         picks,

@@ -16,10 +16,9 @@
 //! [`NetConfig::max_frame`] *before* any allocation), the byte-list
 //! helpers and the [`Error`] codec are the ones the `desq-serve` protocol
 //! uses. A connection starts with the worker's [`Frame::Hello`] carrying
-//! the protocol version and a job fingerprint; the coordinator silently
-//! drops incompatible peers (the worker sees the close, reconnects, and
-//! eventually reports [`Error::PeerUnreachable`] when its retry budget is
-//! spent).
+//! the protocol version; the coordinator silently drops a peer of another
+//! version (the worker sees the close, reconnects, and eventually reports
+//! [`Error::PeerUnreachable`] when its retry budget is spent).
 //!
 //! # Failure model
 //!
@@ -67,8 +66,10 @@ use crate::engine::{Engine, MapTaskOut};
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
 /// (v2: [`Frame::TaskErr`] carries the shared [`desq_core::wire`] error
-/// table instead of an eight-kind private one.)
-pub const NET_PROTOCOL_VERSION: u8 = 2;
+/// table instead of an eight-kind private one; v3: [`Frame::Hello`] carries
+/// only the version — the job fingerprint that every process sent as 0 is
+/// gone.)
+pub const NET_PROTOCOL_VERSION: u8 = 3;
 
 /// Counters of one transport phase, merged into
 /// [`MiningMetrics`](desq_core::MiningMetrics) by the engine.
@@ -156,8 +157,8 @@ impl ShuffleTransport for InProcess {
 /// results from a peer that was presumed dead and answered late.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// Worker handshake: protocol version and job fingerprint.
-    Hello { version: u8, fingerprint: u64 },
+    /// Worker handshake: the protocol version.
+    Hello { version: u8 },
     /// Keepalive on an idle link (either direction).
     Heartbeat,
     /// Coordinator → worker: run map task `task` of phase `epoch`.
@@ -196,13 +197,9 @@ impl Frame {
     /// Serializes the frame payload (tag byte + fields, no length prefix).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Frame::Hello {
-                version,
-                fingerprint,
-            } => {
+            Frame::Hello { version } => {
                 buf.push(1);
                 buf.push(*version);
-                write_varint(buf, *fingerprint);
             }
             Frame::Heartbeat => buf.push(2),
             Frame::MapTask { epoch, task } => {
@@ -267,7 +264,6 @@ impl Frame {
         let frame = match tag {
             1 => Frame::Hello {
                 version: take_u8(&mut s, "hello version")?,
-                fingerprint: read_varint(&mut s)?,
             },
             2 => Frame::Heartbeat,
             3 => Frame::MapTask {
@@ -380,9 +376,6 @@ pub struct NetConfig {
     /// How long the coordinator tolerates *zero* live workers before
     /// failing the job with [`Error::PeerUnreachable`].
     pub peer_wait: Duration,
-    /// Job identity: workers carrying a different fingerprint (different
-    /// corpus/config build) are rejected at the handshake.
-    pub fingerprint: u64,
 }
 
 impl NetConfig {
@@ -401,7 +394,6 @@ impl Default for NetConfig {
             retry: RetryPolicy::default(),
             max_frame: 64 << 20,
             peer_wait: Duration::from_secs(10),
-            fingerprint: 0,
         }
     }
 }
@@ -584,17 +576,15 @@ impl NetCoordinator {
     ) -> Result<()> {
         match ev {
             Event::Frame { peer, frame } => match frame {
-                Frame::Hello {
-                    version,
-                    fingerprint,
-                } => {
+                Frame::Hello { version } => {
                     let mut peers = lock(&self.peers);
                     let p = &mut peers[peer];
-                    if version == NET_PROTOCOL_VERSION && fingerprint == self.cfg.fingerprint {
+                    if version == NET_PROTOCOL_VERSION {
                         p.ready = true;
                     } else {
-                        // Incompatible build: drop it; the worker sees the
-                        // close and gives up once its retry budget is spent.
+                        // Another protocol version: drop it; the worker sees
+                        // the close and gives up once its retry budget is
+                        // spent.
                         p.alive = false;
                         let _ = p.stream.shutdown(Shutdown::Both);
                     }
@@ -875,7 +865,6 @@ fn serve_coordinator(
         &writer,
         &Frame::Hello {
             version: NET_PROTOCOL_VERSION,
-            fingerprint: cfg.fingerprint,
         },
         cfg.max_frame,
     )?;
@@ -1016,7 +1005,6 @@ mod tests {
     fn every_frame_kind_roundtrips() {
         roundtrip(&Frame::Hello {
             version: NET_PROTOCOL_VERSION,
-            fingerprint: 0xDEAD_BEEF,
         });
         roundtrip(&Frame::Heartbeat);
         roundtrip(&Frame::MapTask { epoch: 3, task: 7 });

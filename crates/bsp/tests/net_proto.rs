@@ -1,11 +1,13 @@
 //! Property tests for the shuffle wire codec: arbitrary frames survive
 //! encode → write → read → decode unchanged, **every** strict payload
 //! prefix is rejected (no panic, no partial decode), and hostile length
-//! prefixes are refused before the payload buffer is allocated. Plus one
-//! scripted peer that answers tasks with the other phase's output frame.
+//! prefixes are refused before the payload buffer is allocated. Plus two
+//! scripted peers: one that answers tasks with the other phase's output
+//! frame, one that greets the coordinator in another protocol version.
 
 use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, NET_PROTOCOL_VERSION};
 use desq_bsp::{Combiner, Engine, NetConfig, NetCoordinator};
@@ -72,10 +74,7 @@ fn any_error() -> impl Strategy<Value = Error> {
 
 fn any_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        any_u64().prop_map(|fingerprint| Frame::Hello {
-            version: NET_PROTOCOL_VERSION,
-            fingerprint,
-        }),
+        (0u8..=u8::MAX).prop_map(|version| Frame::Hello { version }),
         Just(Frame::Heartbeat),
         (any_u64(), any_u64()).prop_map(|(epoch, task)| Frame::MapTask { epoch, task }),
         (
@@ -208,7 +207,6 @@ fn scripted_peer(
         let mut stream = TcpStream::connect(addr).unwrap();
         let hello = Frame::Hello {
             version: NET_PROTOCOL_VERSION,
-            fingerprint: 0,
         };
         write_net_frame(&mut stream, &hello, MAX_FRAME).unwrap();
         loop {
@@ -278,7 +276,7 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
 #[test]
 fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
     let cfg = NetConfig {
-        peer_wait: std::time::Duration::from_millis(200),
+        peer_wait: Duration::from_millis(200),
         ..NetConfig::default()
     };
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
@@ -295,4 +293,62 @@ fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
         )
         .unwrap_err();
     assert!(matches!(err, Error::Invalid(_)), "{err}");
+}
+
+/// The protocol version is the one thing the coordinator checks at the
+/// handshake. A worker that greets it in another version gets its
+/// connection closed before any task frame (or heartbeat) reaches it, never
+/// counts as a live peer, and the round fails with `PeerUnreachable` once
+/// the peer wait has passed.
+#[test]
+fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
+    let peer_wait = Duration::from_millis(300);
+    let cfg = NetConfig {
+        peer_wait,
+        ..NetConfig::default()
+    };
+    let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = coord.local_addr().unwrap();
+    let stranger = thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = Frame::Hello {
+            version: NET_PROTOCOL_VERSION + 1,
+        };
+        write_net_frame(&mut stream, &hello, MAX_FRAME).unwrap();
+        // Everything the coordinator sends before closing the link.
+        let mut received = Vec::new();
+        let closed = loop {
+            match read_net_frame(&mut stream, MAX_FRAME) {
+                Ok(frame) => received.push(frame),
+                Err(e) => break e,
+            }
+        };
+        (received, closed)
+    });
+    let data = [1u32];
+    let parts: Vec<&[u32]> = vec![&data];
+    let started = Instant::now();
+    let err = Engine::new(1)
+        .map_combine_reduce_via(
+            &coord,
+            &parts,
+            |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+            || (),
+            |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+        )
+        .unwrap_err();
+    assert!(matches!(err, Error::PeerUnreachable(_)), "{err}");
+    assert!(started.elapsed() >= peer_wait, "{:?}", started.elapsed());
+    let (received, closed) = stranger.join().unwrap();
+    assert!(received.is_empty(), "the stranger was sent {received:?}");
+    assert!(
+        !matches!(
+            closed.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the link must be closed, not left idle: {closed}"
+    );
 }

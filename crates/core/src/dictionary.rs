@@ -68,15 +68,6 @@ impl DictionaryBuilder {
         }
     }
 
-    /// Convenience: inserts `child` with the given parents.
-    pub fn item_with_parents(&mut self, child: &str, parents: &[&str]) -> ItemId {
-        let id = self.item(child);
-        for p in parents {
-            self.edge(child, p);
-        }
-        id
-    }
-
     /// Number of items inserted so far (excluding ε).
     pub fn len(&self) -> usize {
         self.names.len() - 1

@@ -37,9 +37,10 @@
 //! automaton is kept only if it is no larger than the merely minimized one,
 //! so full optimization never regresses the automaton size. The state and
 //! transition counts *before* passes 3–4 are recorded on the [`Fst`]
-//! ([`Fst::states_before_opt`] / [`Fst::transitions_before_opt`]) and flow
-//! into `MiningMetrics` and the `desq-serve` stats so the reduction is
-//! observable end to end.
+//! ([`Fst::states_before_opt`] / [`Fst::transitions_before_opt`]): a
+//! session reads them off its `fst()`, and the `desq-serve` daemon ships
+//! them in every query's `ServerStats`, so the reduction is observable end
+//! to end.
 
 use super::compile::NState;
 use super::{minim, Fst, InputLabel, OutputLabel, Transition};

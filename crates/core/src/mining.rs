@@ -396,12 +396,6 @@ impl<'a> MiningContext<'a> {
         self
     }
 
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, cancel: &'a CancelToken) -> MiningContext<'a> {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// The compiled constraint, or a descriptive error if none was given.
     pub fn fst(&self) -> Result<&'a Fst> {
         self.fst.ok_or_else(|| {
@@ -502,18 +496,6 @@ pub struct MiningMetrics {
     /// streaming consumer dropped the stream): the other counters
     /// describe a *partial* run.
     pub cancelled: bool,
-    /// FST states before the optimizer's determinization/minimization
-    /// passes (after ε-removal and pruning, which the representation
-    /// requires; 0 when the run had no compiled FST).
-    pub fst_states_before: u64,
-    /// FST states actually mined with (after the full optimizer pipeline;
-    /// equals `fst_states_before` at [`OptLevel::None`](crate::OptLevel)).
-    pub fst_states_after: u64,
-    /// FST transitions before determinization/minimization (0 when the run
-    /// had no compiled FST).
-    pub fst_transitions_before: u64,
-    /// FST transitions actually mined with.
-    pub fst_transitions_after: u64,
 }
 
 impl MiningMetrics {
@@ -565,9 +547,7 @@ impl MiningMetrics {
     /// `reducer_bytes` as `varint(len)` + one varint per entry, then
     /// `output_records`, `workers`, `worker_nanos` (same list shape),
     /// `tasks`, `steals`, `retried_tasks`, `peer_timeouts`,
-    /// `max_task_nanos`, then `cancelled` as a 0/1 varint, then the FST
-    /// size counters `fst_states_before`, `fst_states_after`,
-    /// `fst_transitions_before`, `fst_transitions_after`. Used by the
+    /// `max_task_nanos`, then `cancelled` as a 0/1 varint. Used by the
     /// `desq-serve` daemon to ship the terminal metrics frame of a query
     /// response; [`decode`](Self::decode) is the exact inverse.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -600,10 +580,6 @@ impl MiningMetrics {
         write_varint(buf, self.peer_timeouts);
         write_varint(buf, self.max_task_nanos);
         write_varint(buf, self.cancelled as u64);
-        write_varint(buf, self.fst_states_before);
-        write_varint(buf, self.fst_states_after);
-        write_varint(buf, self.fst_transitions_before);
-        write_varint(buf, self.fst_transitions_after);
     }
 
     /// Decodes one [`encode`](Self::encode) record, advancing `buf`.
@@ -642,21 +618,7 @@ impl MiningMetrics {
                 )))
             }
         };
-        m.fst_states_before = read_varint(buf)?;
-        m.fst_states_after = read_varint(buf)?;
-        m.fst_transitions_before = read_varint(buf)?;
-        m.fst_transitions_after = read_varint(buf)?;
         Ok(m)
-    }
-
-    /// Fills the FST size counters from a compiled automaton (before = the
-    /// post-ε-removal/pruning machine the optimizer started from, after =
-    /// the machine actually mined with).
-    pub fn record_fst(&mut self, fst: &crate::fst::Fst) {
-        self.fst_states_before = fst.states_before_opt() as u64;
-        self.fst_states_after = fst.num_states() as u64;
-        self.fst_transitions_before = fst.transitions_before_opt() as u64;
-        self.fst_transitions_after = fst.num_transitions() as u64;
     }
 
     /// Map-phase wall time in seconds.
@@ -892,10 +854,6 @@ mod tests {
         m.peer_timeouts = 1;
         m.max_task_nanos = 55;
         m.cancelled = true;
-        m.fst_states_before = 14;
-        m.fst_states_after = 3;
-        m.fst_transitions_before = 21;
-        m.fst_transitions_after = 8;
         let mut buf = Vec::new();
         m.encode(&mut buf);
         let mut s = buf.as_slice();
@@ -907,34 +865,15 @@ mod tests {
             let mut s = &buf[..cut];
             assert!(MiningMetrics::decode(&mut s).is_err(), "cut at {cut}");
         }
-        // The cancelled flag is strictly 0/1 on the wire. The four FST
-        // size counters follow it; with all four zero the flag is the
-        // fifth-to-last byte.
-        m.fst_states_before = 0;
-        m.fst_states_after = 0;
-        m.fst_transitions_before = 0;
-        m.fst_transitions_after = 0;
-        buf.clear();
-        m.encode(&mut buf);
-        let at = buf.len() - 5;
+        // The cancelled flag is strictly 0/1 on the wire; it is the last
+        // byte.
+        let at = buf.len() - 1;
         buf[at] = 2;
         let mut s = buf.as_slice();
         assert!(matches!(
             MiningMetrics::decode(&mut s),
             Err(Error::Decode(_))
         ));
-    }
-
-    #[test]
-    fn record_fst_fills_size_counters() {
-        let fx = toy::fixture();
-        let mut m = MiningMetrics::default();
-        m.record_fst(&fx.fst);
-        assert_eq!(m.fst_states_after, fx.fst.num_states() as u64);
-        assert_eq!(m.fst_transitions_after, fx.fst.num_transitions() as u64);
-        // The optimizer never grows the machine.
-        assert!(m.fst_states_before >= m.fst_states_after);
-        assert!(m.fst_transitions_before >= m.fst_transitions_after);
     }
 
     #[test]

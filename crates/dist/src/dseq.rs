@@ -120,8 +120,7 @@ fn d_seq_exec(
     ctx.validate()?;
     let (fst, dict, sigma) = (ctx.fst()?, ctx.dict, ctx.sigma);
     let t0 = std::time::Instant::now();
-    let last_frequent = dict.last_frequent(sigma);
-    let search = PivotSearch::new(fst, dict, last_frequent);
+    let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
     // One transition index, shared by the mapper's pivot search (via
     // `search`) and every pivot partition's LocalMiner.
     let index = search.index();
@@ -155,12 +154,7 @@ fn d_seq_exec(
     };
     // Tables are pivot-independent, so a pivot-less miner builds them and
     // every pivot partition's miner reads them.
-    let builder = LocalMiner::with_index(
-        fst,
-        dict,
-        MinerConfig::sequential(sigma).with_last_frequent(last_frequent),
-        index,
-    );
+    let builder = LocalMiner::with_index(fst, dict, MinerConfig::sequential(sigma), index);
     let reduce = |state: &mut ReduceState,
                   &p: &ItemId,
                   inputs: &[(&[u8], u64)],
@@ -185,8 +179,7 @@ fn d_seq_exec(
             };
             picks.push((table, weight));
         }
-        let miner_config =
-            MinerConfig::for_pivot(sigma, p, config.early_stop).with_last_frequent(last_frequent);
+        let miner_config = MinerConfig::for_pivot(sigma, p, config.early_stop);
         LocalMiner::with_index(fst, dict, miner_config, index).mine_picks(
             tables,
             picks,
@@ -390,14 +383,9 @@ mod tests {
             // masks were built eagerly, and the lazy front-end's smaller
             // arena can only tighten that) but never exceed it, and it
             // exists for every pivot the sequence is shipped to.
-            let last_frequent = dict.last_frequent(sigma);
-            let search = PivotSearch::new(&fst, &dict, last_frequent);
-            let builder = LocalMiner::with_index(
-                &fst,
-                &dict,
-                MinerConfig::sequential(sigma).with_last_frequent(last_frequent),
-                search.index(),
-            );
+            let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
+            let builder =
+                LocalMiner::with_index(&fst, &dict, MinerConfig::sequential(sigma), search.index());
             let inputs: Vec<desq_miner::WeightedInput<'_>> =
                 db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
             let tables = builder.prepare_tables(&inputs, 1).unwrap();

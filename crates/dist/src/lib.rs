@@ -98,8 +98,8 @@ pub(crate) fn run_round<S: Send>(
 /// engine's measurements — into a job result: the patterns sorted, and the
 /// three measurements the engine does not know filled in: the end-to-end
 /// wall time since the algorithm started at `t0` (compile and index time
-/// included), the worker count and the input size. (FST sizes are per
-/// session: the session layer fills them in, `MiningMetrics::record_fst`.)
+/// included), the worker count and the input size. (FST sizes are not run
+/// measurements: they live on the compiled `Fst` itself.)
 pub fn job_result(
     (patterns, job): (Vec<(Sequence, u64)>, MiningMetrics),
     t0: std::time::Instant,

@@ -242,7 +242,6 @@ fn stalled_peer_trips_liveness_and_job_completes() {
             &mut stream,
             &Frame::Hello {
                 version: NET_PROTOCOL_VERSION,
-                fingerprint: 0,
             },
             max_frame,
         )

@@ -77,10 +77,14 @@ const SPLIT_DEPTH: usize = 3;
 /// work to hand out, and splitting further would only copy postings.
 const SHARE_LIMIT: usize = 4;
 
-/// Configuration of a [`LocalMiner`].
+/// Configuration of a [`LocalMiner`]: σ, and the pivot restriction with
+/// its early stopping for a D-SEQ partition. The frequent-item cut is not
+/// configured — it is the dictionary's `last_frequent(σ)`, which counts
+/// the global database, so a reducer mining weighted aggregates at the
+/// global σ gets the global cut.
 #[derive(Debug, Clone, Copy)]
 pub struct MinerConfig {
-    /// Minimum support threshold σ.
+    /// Minimum support threshold σ; also fixes the frequent-item cut.
     pub sigma: u64,
     /// Partition-local mining for pivot item `k` (item-based partitioning:
     /// partition `P_k` owns no sequence with items `> k`): expansions never
@@ -94,11 +98,6 @@ pub struct MinerConfig {
     /// that can produce no further output extends such a prefix by the
     /// pivot only. Only effective when `pivot` is set.
     pub early_stop: bool,
-    /// Largest fid considered frequent. `None` derives it from `sigma` and
-    /// the dictionary's f-list; distributed callers pass the value computed
-    /// on the *global* database, which stays correct when local inputs are
-    /// weighted aggregates.
-    pub last_frequent: Option<ItemId>,
 }
 
 impl MinerConfig {
@@ -108,7 +107,6 @@ impl MinerConfig {
             sigma,
             pivot: None,
             early_stop: false,
-            last_frequent: None,
         }
     }
 
@@ -118,14 +116,7 @@ impl MinerConfig {
             sigma,
             pivot: Some(k),
             early_stop,
-            last_frequent: None,
         }
-    }
-
-    /// Overrides the frequent-item boundary (see `last_frequent`).
-    pub fn with_last_frequent(mut self, fid: ItemId) -> MinerConfig {
-        self.last_frequent = Some(fid);
-        self
     }
 }
 
@@ -142,7 +133,8 @@ pub struct LocalMiner<'a> {
     fst: &'a Fst,
     dict: &'a Dictionary,
     config: MinerConfig,
-    /// Largest frequent fid, resolved once at construction.
+    /// Largest frequent fid, `dict.last_frequent(σ)`, resolved once at
+    /// construction.
     last_frequent: ItemId,
     /// Derived per-state transition index ([`FstIndex`]) — owned by
     /// default, borrowed when the caller amortizes one index across many
@@ -494,14 +486,11 @@ pub struct MinerScratch {
 impl<'a> LocalMiner<'a> {
     /// Creates a miner for the given FST and dictionary.
     pub fn new(fst: &'a Fst, dict: &'a Dictionary, config: MinerConfig) -> Self {
-        let last_frequent = config
-            .last_frequent
-            .unwrap_or_else(|| dict.last_frequent(config.sigma));
         LocalMiner {
             fst,
             dict,
             config,
-            last_frequent,
+            last_frequent: dict.last_frequent(config.sigma),
             index: IndexHolder::Owned(Box::new(FstIndex::new(fst))),
             dense_limit: MAX_DENSE_ITEMS,
         }
@@ -520,14 +509,11 @@ impl<'a> LocalMiner<'a> {
         config: MinerConfig,
         index: &'a FstIndex,
     ) -> Self {
-        let last_frequent = config
-            .last_frequent
-            .unwrap_or_else(|| dict.last_frequent(config.sigma));
         LocalMiner {
             fst,
             dict,
             config,
-            last_frequent,
+            last_frequent: dict.last_frequent(config.sigma),
             index: IndexHolder::Shared(index),
             dense_limit: MAX_DENSE_ITEMS,
         }
@@ -1515,13 +1501,22 @@ mod tests {
 
     #[test]
     fn weights_scale_support() {
+        // Support is the summed weight of the supporting sequences, while
+        // the frequent-item cut stays the dictionary's at σ = 2 (`e` and
+        // `a2` infrequent). T1 = a1 c d c b (weight 1) supports only
+        // patterns of its own and falls below σ; T2 (3) and T5 (2) carry
+        // the paper's three patterns; T3 (4) matches nothing; T4 = a2 d b
+        // (5) would support `a2 b` and `a2 d b` at 5, but `a2` is cut.
         let fx = toy::fixture();
-        let inputs: Vec<WeightedInput<'_>> =
-            fx.db.sequences.iter().map(|s| (s.as_slice(), 10)).collect();
-        // Weights are rescaled ×10, so keep the item filter of the
-        // unweighted database (σ_effective = 2).
-        let config = MinerConfig::sequential(20).with_last_frequent(fx.dict.last_frequent(2));
-        let out = LocalMiner::new(&fx.fst, &fx.dict, config)
+        let weights = [1, 3, 4, 5, 2];
+        let inputs: Vec<WeightedInput<'_>> = fx
+            .db
+            .sequences
+            .iter()
+            .zip(weights)
+            .map(|(s, w)| (s.as_slice(), w))
+            .collect();
+        let out = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2))
             .mine(&inputs)
             .unwrap();
         let rendered: Vec<(String, u64)> =
@@ -1529,9 +1524,9 @@ mod tests {
         assert_eq!(
             rendered,
             vec![
-                ("a1 b".to_string(), 30),
-                ("a1 A b".to_string(), 20),
-                ("a1 a1 b".to_string(), 20),
+                ("a1 b".to_string(), 6),
+                ("a1 A b".to_string(), 5),
+                ("a1 a1 b".to_string(), 5),
             ]
         );
     }
@@ -1595,8 +1590,9 @@ mod tests {
     fn arena_tables_mine_like_from_scratch_across_pivot_configs() {
         // Tables are pivot-independent: appended once — by a miner
         // configured for another pivot and a looser σ — and mined under
-        // every pivot configuration with overridden weights, they must
-        // match the from-scratch miner.
+        // every pivot configuration, with doubled weights, at every σ from
+        // 1 (all items frequent) to 6 (none), they must match the
+        // from-scratch miner.
         let fx = toy::fixture();
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.b, true));
         let (tables, picks) = toy_arena(&fx, &builder, 2);
@@ -1606,13 +1602,10 @@ mod tests {
         let inputs: Vec<WeightedInput<'_>> =
             fx.db.sequences.iter().map(|s| (s.as_slice(), 2)).collect();
         let mut scratch = MinerScratch::default();
-        for sigma in 1..=3 {
+        for sigma in 1..=6 {
             for k in 1..=fx.dict.max_fid() {
                 for early_stop in [false, true] {
-                    // Weights are doubled, so keep the item filter of the
-                    // unweighted database.
-                    let cfg = MinerConfig::for_pivot(2 * sigma, k, early_stop)
-                        .with_last_frequent(fx.dict.last_frequent(sigma));
+                    let cfg = MinerConfig::for_pivot(sigma, k, early_stop);
                     let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
                     let mut mined = Vec::new();
                     miner.mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
@@ -1677,7 +1670,7 @@ mod tests {
         let mine = |early_stop| {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             for pivot in 1..=last {
-                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop).with_last_frequent(last);
+                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
                 LocalMiner::with_index(&fst, &dict, cfg, builder.index.get()).mine_picks(
                     &tables,
                     &picks,

@@ -1,7 +1,7 @@
 //! Gap-constrained pattern growth with optional hierarchy generalization —
 //! the local miner of MG-FSM and LASH.
 //!
-//! Mines sequences `S = s1...sk` with `min_len <= k <= max_len` such that
+//! Mines sequences `S = s1...sk` with `2 <= k <= max_len` such that
 //! there are positions `i1 < ... < ik` in the input with
 //! `i_{j+1} - i_j - 1 <= gamma` (at most γ uncaptured items between
 //! consecutive matches) and `t_{i_j}` generalizes to `s_j` (with
@@ -23,8 +23,9 @@ use desq_core::{Dictionary, ItemId, Result, Sequence};
 /// Gap-constrained pattern growth: Tab. III's `T2(σ, γ, λ)` (no hierarchy)
 /// and `T3(σ, γ, λ)` (hierarchy) without an FST, and the local miner of the
 /// LASH baseline. `gamma`, `max_len` and `generalize` are the γ, λ and
-/// hierarchy switch Fig. 12 varies; `min_len` is 2 in every paper setting;
-/// `pivot` restricts the miner to one LASH partition. σ comes from the
+/// hierarchy switch Fig. 12 varies (γ = `usize::MAX` means no gap limit);
+/// `pivot` restricts the miner to one LASH partition. Patterns have at
+/// least two items, as in every paper setting. σ comes from the
 /// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct GapMiner {
@@ -32,8 +33,6 @@ pub struct GapMiner {
     pub gamma: usize,
     /// Maximum pattern length λ.
     pub max_len: usize,
-    /// Minimum pattern length (2 for the paper's T2/T3 constraints).
-    pub min_len: usize,
     /// Generalize matched items along the hierarchy (LASH) or not (MG-FSM).
     pub generalize: bool,
     /// Partition-local mining for pivot item `k` (a LASH partition):
@@ -42,13 +41,16 @@ pub struct GapMiner {
     pub pivot: Option<ItemId>,
 }
 
+/// Shortest pattern a [`GapMiner`] emits: T2/T3's `[.{0,γ}(.)]{1,λ-1}`
+/// repeats at least once after the first item.
+const MIN_LEN: usize = 2;
+
 impl GapMiner {
-    /// The paper's T2/T3 parameterization (`min_len = 2`, no pivot).
+    /// The paper's T2/T3 parameterization (no pivot).
     pub fn new(gamma: usize, max_len: usize, generalize: bool) -> GapMiner {
         GapMiner {
             gamma,
             max_len,
-            min_len: 2,
             generalize,
             pivot: None,
         }
@@ -66,7 +68,7 @@ impl GapMiner {
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<(Sequence, u64)>> {
         let mut out = Vec::new();
-        if self.max_len < self.min_len || sigma == 0 {
+        if self.max_len < MIN_LEN || sigma == 0 {
             return Ok(out);
         }
         let last_frequent = dict.last_frequent(sigma);
@@ -153,7 +155,7 @@ impl GapMiner {
                 continue;
             }
             prefix.push(w);
-            if prefix.len() >= self.min_len {
+            if prefix.len() >= MIN_LEN {
                 let pivot_ok = match self.pivot {
                     Some(k) => prefix.contains(&k),
                     None => true,
@@ -166,14 +168,16 @@ impl GapMiner {
                 // Next matches within gap γ of the previous position.
                 let mut next: FxHashMap<ItemId, Vec<(u32, u32)>> = FxHashMap::default();
                 for &(s, p) in &entries {
-                    let seq = &inputs[s as usize].0;
-                    let lo = p as usize + 1;
-                    let hi = (lo + self.gamma).min(seq.len().saturating_sub(1));
-                    for q in lo..=hi.min(seq.len().wrapping_sub(1)) {
-                        if q >= seq.len() {
-                            break;
-                        }
-                        self.outputs(seq[q], dict, last_frequent, |v| {
+                    // The γ + 1 positions after `p` (saturating: γ =
+                    // `usize::MAX` is no limit).
+                    let window = inputs[s as usize]
+                        .0
+                        .iter()
+                        .enumerate()
+                        .skip(p as usize + 1)
+                        .take(self.gamma.saturating_add(1));
+                    for (q, &t) in window {
+                        self.outputs(t, dict, last_frequent, |v| {
                             next.entry(v).or_default().push((s, q as u32));
                         });
                     }
@@ -255,13 +259,16 @@ mod tests {
     fn max_len_and_min_len() {
         let fx = toy::fixture();
         let db = SequenceDb::new(vec![fx.db.sequences[0].clone()]);
-        let m = GapMiner {
-            min_len: 3,
-            ..GapMiner::new(4, 3, false)
-        };
-        let out = mine(m, &db, &fx.dict, 1);
-        assert!(out.iter().all(|s| s.len() == 3));
-        assert!(!out.is_empty());
+        let out = mine(GapMiner::new(4, 3, false), &db, &fx.dict, 1);
+        assert!(out.iter().all(|s| (MIN_LEN..=3).contains(&s.len())));
+        for len in MIN_LEN..=3 {
+            assert!(
+                out.iter().any(|s| s.len() == len),
+                "no pattern of length {len}"
+            );
+        }
+        // λ below the minimum length leaves nothing to mine.
+        assert!(mine(GapMiner::new(4, MIN_LEN - 1, false), &db, &fx.dict, 1).is_empty());
     }
 
     #[test]

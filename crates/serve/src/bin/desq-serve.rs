@@ -3,7 +3,7 @@
 //! ```text
 //! desq-serve serve [--listen ADDR] --corpus NAME=SPEC ...
 //!                  [--max-inflight N] [--max-budget N] [--max-patterns N]
-//!                  [--read-timeout-ms N] [--max-deadline-ms N]
+//!                  [--io-timeout-ms N] [--max-deadline-ms N]
 //! desq-serve query [--addr ADDR] --corpus NAME --pexp EXPR --sigma N
 //!                  [--anchored] [--algo desq-dfs|desq-count|d-seq|d-cand]
 //!                  [--budget N] [--max-patterns N] [--workers N]
@@ -16,8 +16,9 @@
 //! the frequency (the dictionary lives server-side), then a summary line
 //! with wall time, cache outcome and queue wait.
 //!
-//! Robustness knobs: `--read-timeout-ms` evicts clients that stall before
-//! sending a complete request (0 disables), `--max-deadline-ms` caps every
+//! Robustness knobs: `--io-timeout-ms` evicts clients that stall on a
+//! socket read or write — before sending a complete request or while
+//! draining the response (0 disables) — `--max-deadline-ms` caps every
 //! query's wall-clock deadline server-side, `--deadline-ms` asks the
 //! server to abort this query with `DeadlineExceeded` past the given
 //! wall-clock budget, and `--retries` retries `Busy`/connection-refused
@@ -42,7 +43,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  desq-serve serve [--listen ADDR] --corpus NAME=SPEC ... \
          [--max-inflight N] [--max-budget N] [--max-patterns N] \
-         [--read-timeout-ms N] [--max-deadline-ms N]\n  \
+         [--io-timeout-ms N] [--max-deadline-ms N]\n  \
          desq-serve query [--addr ADDR] --corpus NAME --pexp EXPR --sigma N \
          [--anchored] [--algo A] [--budget N] [--max-patterns N] [--workers N] \
          [--deadline-ms N] [--retries N]"
@@ -96,11 +97,11 @@ fn serve(args: &[String]) -> ExitCode {
                         .parse()
                         .map_err(|_| "--max-patterns: not a number".to_string())?;
                 }
-                "--read-timeout-ms" => {
-                    let ms: u64 = value("--read-timeout-ms")?
+                "--io-timeout-ms" => {
+                    let ms: u64 = value("--io-timeout-ms")?
                         .parse()
-                        .map_err(|_| "--read-timeout-ms: not a number".to_string())?;
-                    limits.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+                        .map_err(|_| "--io-timeout-ms: not a number".to_string())?;
+                    limits.io_timeout = (ms > 0).then(|| Duration::from_millis(ms));
                 }
                 "--max-deadline-ms" => {
                     let ms: u64 = value("--max-deadline-ms")?

@@ -19,7 +19,7 @@
 //! |-----|-----------|------|
 //! | `1` | [`Message::Request`] | `version:u8, corpus:str, pexp:str, flags:u8 (bit0 = unanchored), sigma:varint, algo:u8, budget:varint, max_patterns:varint, workers:varint, deadline_millis:varint` |
 //! | `2` | [`Message::Patterns`] | `count:varint`, then per pattern `item_seq, freq:varint` |
-//! | `3` | [`Message::Metrics`] | [`MiningMetrics::encode`] body, then `cache_hit:u8, cache_hits:varint, cache_misses:varint, queue_wait_nanos:varint, compile_nanos:varint, timeouts:varint, panics:varint, cancels:varint` |
+//! | `3` | [`Message::Metrics`] | [`MiningMetrics::encode`] body, then `cache_hit:u8, cache_hits:varint, cache_misses:varint, queue_wait_nanos:varint, compile_nanos:varint, timeouts:varint, panics:varint, cancels:varint, fst_states_before:varint, fst_states_after:varint, fst_transitions_before:varint, fst_transitions_after:varint` |
 //! | `4` | [`Message::Error`] | the [`desq_core::wire`] error record: `kind:u8, msg:str` (+ `pos:varint` for parse errors) |
 //! | `5` | [`Message::Busy`] | `in_flight:varint, cap:varint` |
 //!
@@ -46,8 +46,9 @@ use desq_core::{Error, MiningMetrics, Result, Sequence};
 /// `retried_tasks`, `peer_timeouts`, `max_task_nanos` — to the metrics
 /// body and the peer error kinds 9/10; v4 added the FST optimizer size
 /// counters — states/transitions before and after optimization — to both
-/// the metrics body and the server stats.)
-pub const PROTOCOL_VERSION: u8 = 4;
+/// the metrics body and the server stats; v5 dropped the metrics body's
+/// copy, so the server stats carry them once.)
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on one frame's payload length (16 MiB). Large result sets
 /// stream as many `Patterns` frames, so well-formed frames stay far below

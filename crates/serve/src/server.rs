@@ -17,10 +17,10 @@
 //!
 //! Each connection is its own failure domain, bounded four ways:
 //!
-//! * **Socket timeouts** ([`ServeLimits::read_timeout`] /
-//!   [`ServeLimits::write_timeout`]): a client that connects and never
-//!   sends a complete request, or stops draining its response, is evicted
-//!   and its admission slot released instead of pinning it forever.
+//! * **Socket timeout** ([`ServeLimits::io_timeout`], on reads and
+//!   writes alike): a client that connects and never sends a complete
+//!   request, or stops draining its response, is evicted and its admission
+//!   slot released instead of pinning it forever.
 //! * **Deadlines**: the effective wall-clock deadline of a query is
 //!   `min(request deadline,` [`ServeLimits::max_deadline`]`)`; an
 //!   over-deadline run is cancelled cooperatively inside the mining
@@ -85,15 +85,14 @@ pub struct ServeLimits {
     /// Patterns per streamed response frame; positive and at most
     /// [`MAX_FRAME_PATTERNS`], which clients refuse to decode beyond.
     pub batch: usize,
-    /// Socket read timeout: a connection that has not delivered a complete
-    /// request within this window is evicted and its admission slot
+    /// Socket timeout of every read and write on a connection (one window
+    /// for both directions, as `NetConfig::liveness` on shuffle links): a
+    /// connection that has not delivered a complete request within it is
+    /// evicted, and a client that stops draining its response is treated
+    /// as gone — the query is cancelled. Either way the admission slot is
     /// released. `None` disables the timeout (a stalled client then pins
     /// its slot until it disconnects).
-    pub read_timeout: Option<Duration>,
-    /// Socket write timeout: a client that stops draining its response is
-    /// treated as gone — the query is cancelled and the slot released.
-    /// `None` disables the timeout.
-    pub write_timeout: Option<Duration>,
+    pub io_timeout: Option<Duration>,
     /// Ceiling on the per-request wall-clock deadline: the effective
     /// deadline is `min(request, ceiling)`. `None` means no server-imposed
     /// deadline (client-requested deadlines still apply).
@@ -111,8 +110,7 @@ impl Default for ServeLimits {
             max_patterns: 1_000_000,
             max_workers: default_workers(),
             batch: 512,
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
+            io_timeout: Some(Duration::from_secs(30)),
             max_deadline: None,
             drain_grace: Duration::from_secs(5),
         }
@@ -315,7 +313,7 @@ impl ServerHandle {
     /// in-flight session (each affected client receives a terminal
     /// `Cancelled` error frame), and joins connection threads for at most
     /// the configured [`ServeLimits::drain_grace`]. A thread that outlives
-    /// the grace period — e.g. a client stalled inside the socket read
+    /// the grace period — e.g. a client stalled inside the socket
     /// timeout — is left detached rather than blocking shutdown.
     pub fn shutdown(mut self) {
         self.drain();
@@ -377,8 +375,8 @@ fn handle_conn(
     t_accept: Instant,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(limits.read_timeout);
-    let _ = stream.set_write_timeout(limits.write_timeout);
+    let _ = stream.set_read_timeout(limits.io_timeout);
+    let _ = stream.set_write_timeout(limits.io_timeout);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -394,7 +392,7 @@ fn handle_conn(
                 let _ = write_frame(
                     &mut writer,
                     &Message::Error(Error::DeadlineExceeded(
-                        "no complete request within the server's read timeout".into(),
+                        "no complete request within the server's I/O timeout".into(),
                     )),
                 );
             }
@@ -535,7 +533,7 @@ fn abort_for_peer(shared: &Shared, token: &CancelToken, e: &std::io::Error) -> E
     token.cancel();
     if is_timeout(e) {
         shared.timeouts.fetch_add(1, Ordering::Relaxed);
-        Error::DeadlineExceeded("client stopped reading (write timeout)".into())
+        Error::DeadlineExceeded("client stopped reading (I/O timeout)".into())
     } else {
         Error::Cancelled("client disconnected mid-stream".into())
     }

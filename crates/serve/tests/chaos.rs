@@ -4,7 +4,7 @@
 //! failpoints ([`desq_core::fault`]) inside the serving/mining stack and
 //! asserts the failure-domain promises of `server.rs`: an injected panic
 //! is contained to its connection, a stalled client is evicted by the
-//! read timeout, an over-deadline query errors within twice its deadline,
+//! I/O timeout, an over-deadline query errors within twice its deadline,
 //! and drain shutdown cancels in-flight sessions inside the grace period.
 #![cfg(feature = "failpoints")]
 
@@ -199,14 +199,14 @@ fn injected_compile_error_does_not_brick_the_cache() {
 }
 
 /// (b) A stalled client — connected, never sends a request — is evicted
-/// by the read timeout: it receives an explicit terminal frame, its
+/// by the I/O timeout: it receives an explicit terminal frame, its
 /// admission slot is released, and the next query gets no `Busy`.
 #[test]
-fn stalled_client_is_evicted_by_the_read_timeout() {
+fn stalled_client_is_evicted_by_the_io_timeout() {
     let _guard = chaos_guard();
     let handle = toy_server(ServeLimits {
         max_inflight: 1,
-        read_timeout: Some(Duration::from_millis(100)),
+        io_timeout: Some(Duration::from_millis(100)),
         ..ServeLimits::default()
     });
     let client = Client::new(handle.addr());

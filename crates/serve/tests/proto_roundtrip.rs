@@ -116,10 +116,6 @@ fn any_metrics() -> impl Strategy<Value = Message> {
                         peer_timeouts,
                         max_task_nanos: max_task,
                         cancelled: wall & 1 == 1,
-                        fst_states_before: hits ^ reduce,
-                        fst_states_after: misses,
-                        fst_transitions_before: queue_wait ^ map,
-                        fst_transitions_after: compile,
                     },
                     stats: ServerStats {
                         cache_hit: cache_hit == 1,

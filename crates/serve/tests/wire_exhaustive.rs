@@ -90,7 +90,6 @@ fn every_prefix_and_mutation_of_every_shuffle_frame_is_ok_or_a_typed_error() {
     let frames = [
         Frame::Hello {
             version: NET_PROTOCOL_VERSION,
-            fingerprint: 0xDEAD_BEEF,
         },
         Frame::Heartbeat,
         Frame::MapTask { epoch: 3, task: 7 },

@@ -223,12 +223,6 @@ impl MiningSessionBuilder {
         self
     }
 
-    /// Sets all resource limits at once.
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
-    }
-
     /// Sets the per-sequence work budget (defaults to [`DEFAULT_BUDGET`]).
     pub fn budget(mut self, budget: usize) -> Self {
         self.limits.budget = budget;
@@ -453,7 +447,9 @@ impl MiningSession {
 
     /// The session's compiled constraint, if it carries one — shareable
     /// across sessions over the same dictionary (the `desq-serve` FST
-    /// cache hands one `Arc` to every concurrent query).
+    /// cache hands one `Arc` to every concurrent query). Its size before
+    /// and after optimization is [`Fst::states_before_opt`] /
+    /// [`Fst::num_states`] (and the same for transitions).
     pub fn fst(&self) -> Option<&Arc<Fst>> {
         self.fst.as_ref()
     }
@@ -540,10 +536,7 @@ impl MiningSession {
         let token = self.run_token();
         let mut ctx = self.context();
         ctx.cancel = token.as_ref();
-        let mut result = miner.mine(&ctx).map_err(|e| self.annotate(e))?;
-        if let Some(fst) = &self.fst {
-            result.metrics.record_fst(fst);
-        }
+        let result = miner.mine(&ctx).map_err(|e| self.annotate(e))?;
         if result.patterns.len() > self.limits.max_patterns {
             return Err(self.over_cap());
         }
@@ -633,12 +626,9 @@ impl MiningSession {
                 sent += 1;
                 true
             });
-        let mut metrics = streamed.map_err(|e| self.annotate(e))?;
+        let metrics = streamed.map_err(|e| self.annotate(e))?;
         if overflow {
             return Err(self.over_cap());
-        }
-        if let Some(fst) = &self.fst {
-            metrics.record_fst(fst);
         }
         Ok(metrics)
     }

@@ -178,8 +178,8 @@ fn specialized_baselines_agree_with_general_algorithms() {
 }
 
 /// Mines `expr` at both FST optimization levels and asserts identical
-/// patterns and supports — plus the recorded size counters showing the
-/// optimizer never grew the machine.
+/// patterns and supports — plus the session FST's recorded sizes showing
+/// the optimizer never grew the machine.
 fn check_opt_levels(
     dict: &Arc<Dictionary>,
     db: &Arc<SequenceDb>,
@@ -187,7 +187,7 @@ fn check_opt_levels(
     sigma: u64,
     what: &str,
 ) {
-    let run = |level: desq::OptLevel| {
+    let session = |level: desq::OptLevel| {
         MiningSession::builder()
             .dictionary(dict.clone())
             .database(db.clone())
@@ -196,24 +196,22 @@ fn check_opt_levels(
             .opt_level(level)
             .build()
             .unwrap()
-            .run()
-            .unwrap()
     };
-    let oracle = run(desq::OptLevel::None);
-    let optimized = run(desq::OptLevel::Full);
+    let oracle = session(desq::OptLevel::None).run().unwrap();
+    let optimized = session(desq::OptLevel::Full);
     assert_eq!(
-        optimized.patterns, oracle.patterns,
+        optimized.run().unwrap().patterns,
+        oracle.patterns,
         "{what}: Full diverged from the None oracle"
     );
-    let m = &optimized.metrics;
+    let fst = optimized.fst().unwrap();
+    let (states, transitions) = (fst.num_states(), fst.num_transitions());
+    let (states_before, transitions_before) =
+        (fst.states_before_opt(), fst.transitions_before_opt());
     assert!(
-        m.fst_states_after <= m.fst_states_before
-            && m.fst_transitions_after <= m.fst_transitions_before,
-        "{what}: optimizer grew the FST ({}→{} states, {}→{} transitions)",
-        m.fst_states_before,
-        m.fst_states_after,
-        m.fst_transitions_before,
-        m.fst_transitions_after
+        states <= states_before && transitions <= transitions_before,
+        "{what}: optimizer grew the FST ({states_before}→{states} states, \
+         {transitions_before}→{transitions} transitions)"
     );
 }
 

@@ -4,6 +4,7 @@
 use desq::baselines::{LashConfig, MllibConfig};
 use desq::core::mining::CancelToken;
 use desq::core::{toy, DictionaryBuilder, Error, Fst, PatEx, SequenceDb};
+use desq::datagen::{nyt_like, NytConfig};
 use desq::dist::NaiveConfig;
 use desq::miner::{GapMiner, PrefixSpan};
 use desq::session::{AlgorithmSpec, MiningSession};
@@ -50,6 +51,43 @@ fn zero_sigma_rejected_uniformly_across_all_algorithms() {
             "{}: expected the shared sigma validation error, got {err}",
             spec.name()
         );
+    }
+}
+
+/// γ = `usize::MAX` is how "no gap limit" is written (Fig. 13 runs MG-FSM
+/// with γ beyond any sequence length). It must mine exactly what γ = the
+/// longest sequence's length mines — no gap can be longer — for the gap
+/// miner and for MG-FSM alike, not overflow `γ + 1` (a panic in a debug
+/// build, an empty result in a release build).
+#[test]
+fn an_unbounded_gap_mines_like_the_longest_sequence() {
+    let fx = toy::fixture();
+    let (nyt_dict, nyt_db) = nyt_like(&NytConfig::new(2_000));
+    let specs: [fn(usize) -> AlgorithmSpec; 2] = [
+        |gamma| AlgorithmSpec::GapMiner(GapMiner::new(gamma, 3, false)),
+        |gamma| AlgorithmSpec::Lash(LashConfig::new(gamma, 3).without_hierarchy()),
+    ];
+    for (what, dict, db, sigma) in [("toy", fx.dict, fx.db, 1), ("nyt", nyt_dict, nyt_db, 10)] {
+        let longest = db.sequences.iter().map(Vec::len).max().unwrap();
+        let builder = MiningSession::builder()
+            .dictionary(dict)
+            .database(db)
+            .sigma(sigma)
+            .workers(2);
+        for spec in specs {
+            let mine = |gamma| {
+                let session = builder.clone().algorithm(spec(gamma)).build().unwrap();
+                session.run().unwrap().patterns
+            };
+            let bounded = mine(longest);
+            assert!(!bounded.is_empty(), "{what}: {}", spec(longest).name());
+            assert_eq!(
+                mine(usize::MAX),
+                bounded,
+                "{what}: {}",
+                spec(longest).name()
+            );
+        }
     }
 }
 

@@ -207,12 +207,7 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
     let sequential = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
         .mine(&inputs)
         .unwrap();
-    let builder = LocalMiner::with_index(
-        fst,
-        dict,
-        MinerConfig::sequential(sigma).with_last_frequent(last),
-        search.index(),
-    );
+    let builder = LocalMiner::with_index(fst, dict, MinerConfig::sequential(sigma), search.index());
     let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
     let mut partitions: BTreeMap<ItemId, Vec<(u32, u64)>> = BTreeMap::new();
     for seq in &world.db.sequences {
@@ -230,7 +225,7 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
             .collect();
         let picks = partitions.get(&p).map_or(&[][..], Vec::as_slice);
         for early_stop in [false, true] {
-            let cfg = MinerConfig::for_pivot(sigma, p, early_stop).with_last_frequent(last);
+            let cfg = MinerConfig::for_pivot(sigma, p, early_stop);
             let mut mined = Vec::new();
             LocalMiner::with_index(fst, dict, cfg, search.index()).mine_picks(
                 &tables,
