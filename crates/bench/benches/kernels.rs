@@ -4,7 +4,8 @@
 //! serialization and decode/expansion, FST compilation at both optimizer
 //! levels, shuffle codecs, local mining, and the flat counting path
 //! (run-table build, run enumeration and interned counting vs the
-//! `candidates::generate` oracle) next to D-CAND's map side over the same
+//! `desq-oracle` crate's grid, runs and `candidates::generate`) next to
+//! D-CAND's map side over the same
 //! corpus — so map-over-walk (`dcand/map_n2_2k` over
 //! `counting/run_table_build_n2_2k`) and reduce-over-count
 //! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run —
@@ -20,7 +21,7 @@ use desq_bsp::engine::merge_bucket_sizes;
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
 use desq_bsp::{Codec, Engine, InProcess, MapTaskOut};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
-use desq_core::fst::{candidates, runs, CandidateCounter, FstIndex, Grid, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
@@ -29,6 +30,7 @@ use desq_dist::dcand::{merge_pivots, Mapper};
 use desq_dist::dseq::{d_seq_via, DSeqConfig};
 use desq_dist::{PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
+use desq_oracle::{candidates, runs, Grid};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
     let (dict, db) = nyt_like(&NytConfig::new(2_000));
@@ -72,10 +74,15 @@ fn bench_pivot_search(c: &mut Criterion) {
             black_box(accepted)
         })
     });
+    // The no-grid ablation: run enumeration over the same tables.
     c.bench_function("pivots/enumerated_n4_100seqs", |b| {
+        let (mut scratch, mut ranges) = (PivotScratch::default(), Vec::new());
         b.iter(|| {
             for seq in &seqs {
-                black_box(search.pivots_enumerated(seq, usize::MAX).unwrap());
+                search
+                    .pivots_enumerated_into(seq, usize::MAX, &mut scratch, &mut ranges)
+                    .unwrap();
+                black_box(&ranges);
             }
         })
     });

@@ -2,7 +2,7 @@
 
 use desq_bench::report::Table;
 use desq_bench::workloads::{self, sigma_for};
-use desq_core::fst::candidates;
+use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::{Dictionary, SequenceDb};
 use desq_dist::patterns::{self, Constraint};
 
@@ -16,17 +16,28 @@ fn cspi_row(t: &mut Table, c: &Constraint, dict: &Dictionary, db: &SequenceDb, s
         .compile(dict)
         .unwrap_or_else(|e| panic!("{}: {e}", c.name));
     let step = (db.len() / SAMPLE).max(1);
+    let index = FstIndex::new(&fst);
+    let walker = RunWalker::new(&fst, dict, &index, dict.last_frequent(sigma));
+    let mut scratch = RunScratch::default();
+    let mut counter = CandidateCounter::new();
     let mut matched = 0usize;
     let mut examined = 0usize;
     let mut counts: Vec<usize> = Vec::new();
     let mut capped = false;
     for seq in db.sequences.iter().step_by(step) {
         examined += 1;
-        match candidates::stats(&fst, dict, seq, Some(sigma), BUDGET) {
-            Ok(s) => {
-                if s.matched {
+        // Only per-sequence counts matter: bound the interned table.
+        if counter.len() > 1 << 20 {
+            counter = CandidateCounter::new();
+        }
+        // |G^σ_π(T)|: each distinct candidate is observed once per sequence.
+        let before = counter.observed();
+        match walker.count_candidates(seq, 1, BUDGET, &mut scratch, &mut counter, |_, _| {}) {
+            Ok(()) => {
+                let candidates = (counter.observed() - before) as usize;
+                if candidates > 0 {
                     matched += 1;
-                    counts.push(s.candidates);
+                    counts.push(candidates);
                 }
             }
             Err(_) => {

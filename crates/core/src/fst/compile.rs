@@ -187,12 +187,16 @@ pub(super) fn compile(pexp: &PatEx, dict: &Dictionary, level: OptLevel) -> Resul
 
 #[cfg(test)]
 mod tests {
+    use super::super::sim::{SimScratch, SimTables, Simulator};
+    use super::super::FstIndex;
     use super::*;
     use crate::toy;
     use crate::PatEx;
 
     fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
-        super::super::Grid::build(fst, dict, seq).accepts()
+        let index = FstIndex::new(fst);
+        let sim = Simulator::new(fst, dict, &index, crate::ItemId::MAX);
+        sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
     }
 
     #[test]

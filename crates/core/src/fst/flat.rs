@@ -2,15 +2,15 @@
 //! per-position output sets, plus the interned candidate-counting sink
 //! (PR 5).
 //!
-//! [`candidates::generate`](super::candidates::generate) is the *reference
-//! semantics* of `G^σ_π(T)`: per sequence it builds a fresh
-//! [`Grid`](super::Grid), re-evaluates
-//! [`Transition::outputs`](super::Transition::outputs) inside the
-//! run loop (one allocation per position per run), and materializes the
-//! Cartesian products into a `FxHashSet<Vec<ItemId>>`. This module is the
-//! production path for every algorithm that *counts* those candidates —
-//! DESQ-COUNT, the NAÏVE / SEMI-NAÏVE baselines, and D-CAND's map-side run
-//! decomposition:
+//! The reference semantics of `G^σ_π(T)` is `generate` in the dev-only
+//! `desq-oracle` crate: per sequence it builds a fresh `bool` position–state
+//! grid, re-evaluates [`Transition::outputs`](super::Transition::outputs) inside
+//! the run loop (one allocation per position per run), and materializes
+//! the Cartesian products into a `FxHashSet<Vec<ItemId>>`. This module is
+//! the production path for every algorithm that *counts* or *walks* those
+//! candidates — DESQ-COUNT, the NAÏVE / SEMI-NAÏVE baselines, D-CAND's
+//! map-side run decomposition, D-SEQ's no-grid pivot enumeration and
+//! `repro table4`:
 //!
 //! * [`RunWalker`] walks the tables of the shared simulation front-end
 //!   ([`sim`](super::sim)): per-position bit-packed match masks with grid
@@ -29,14 +29,15 @@
 //! # Equivalence contract
 //!
 //! [`RunWalker::count_candidates`] is observationally equivalent to
-//! [`candidates::generate`](super::candidates::generate): it walks the same
+//! the `desq-oracle` crate's `generate`: it walks the same
 //! accepting runs in the same depth-first order, applies the same σ filter,
 //! charges the same work units against the same budget (one per accepting
 //! run walked plus one per candidate materialized, duplicates included),
 //! raises [`Error::ResourceExhausted`] at exactly the same effective work
 //! bound, and observes exactly the candidates of `G^σ_π(T)` (each once per
 //! input sequence). The property tests in `tests/proptest_invariants.rs`
-//! enforce this on random dictionaries, pattern expressions and databases.
+//! enforce this on random dictionaries, pattern expressions and databases,
+//! and `crates/oracle/tests/` on the paper's running example.
 
 use super::index::FstIndex;
 use super::sim::{SimScratch, SimTables, Simulator};
@@ -75,6 +76,29 @@ pub struct RunScratch {
     path_sets: Vec<(u32, u32)>,
     /// Candidate item buffer of the Cartesian-product descent.
     items: Vec<ItemId>,
+}
+
+impl RunScratch {
+    /// The mask rows and σ-filtered output arena of the last sequence
+    /// [`RunWalker::build_tables`] accepted.
+    #[inline]
+    pub fn tables(&self) -> &SimTables {
+        &self.tables
+    }
+
+    /// The forward-reachable states of position `i` of the last sequence
+    /// built ([`SimScratch::reachable`]).
+    #[inline]
+    pub fn reachable(&self, i: usize) -> &[u64] {
+        self.sim.reachable(i)
+    }
+
+    /// The alive states of position `i` of the last accepted sequence
+    /// built ([`SimScratch::alive`]).
+    #[inline]
+    pub fn alive(&self, i: usize) -> &[u64] {
+        self.sim.alive(i)
+    }
 }
 
 /// The σ-filtered, ε-free output sets of one accepting run, in position
@@ -151,18 +175,19 @@ impl<'a> RunWalker<'a> {
     /// front-end ([`Simulator::build`]): the alive-pruned match masks plus
     /// the σ-filtered per-`(position, label)` output arena. Returns `true`
     /// iff the FST accepts `seq` (rejected sequences stop after the forward
-    /// pass and build no output sets). Exposed for benchmarks;
-    /// [`for_each_run`](Self::for_each_run) calls it internally.
+    /// pass and build no output sets). [`for_each_run`](Self::for_each_run)
+    /// calls it internally; D-SEQ's pivot DP calls it directly and reads
+    /// the result through [`RunScratch`]'s accessors.
     pub fn build_tables(&self, seq: &[ItemId], scratch: &mut RunScratch) -> bool {
         scratch.tables.clear();
         self.sim.build(seq, &mut scratch.sim, &mut scratch.tables)
     }
 
-    /// Walks every accepting run of the FST on `seq` in the same
-    /// depth-first order as [`runs::for_each_accepting_run`](super::runs::for_each_accepting_run),
-    /// invoking `visit` with the run's σ-filtered non-ε output sets.
-    /// `visit` returns `false` to abort the walk; the function returns
-    /// `false` iff it was aborted.
+    /// Walks every accepting run of the FST on `seq` depth-first, trying
+    /// each state's transitions in [`Fst::transitions`] order (the order of
+    /// the oracle's run enumeration), and invokes `visit` with the run's
+    /// σ-filtered non-ε output sets. `visit` returns `false` to abort the
+    /// walk; the function returns `false` iff it was aborted.
     pub fn for_each_run(
         &self,
         seq: &[ItemId],
@@ -259,8 +284,8 @@ impl<'a> RunWalker<'a> {
     }
 
     /// Counts the candidates `G^σ_π(T)` of `seq` into `counter` — the flat
-    /// equivalent of [`candidates::generate`](super::candidates::generate)
-    /// (see the [equivalence contract](self)).
+    /// equivalent of the oracle's `generate` (see the
+    /// [equivalence contract](self)).
     ///
     /// Every candidate is observed once per input sequence with `weight`;
     /// `on_new` fires on each first observation with the candidate's items
@@ -585,114 +610,8 @@ impl CandidateCounter {
 
 #[cfg(test)]
 mod tests {
-    use super::super::candidates;
     use super::*;
-    use crate::fx::FxHashMap;
     use crate::toy;
-
-    /// Reference counting over `candidates::generate` for one database.
-    fn oracle_counts(
-        fst: &Fst,
-        dict: &Dictionary,
-        seqs: &[Sequence],
-        sigma: Option<u64>,
-        budget: usize,
-    ) -> Result<Vec<(Sequence, u64)>> {
-        let mut counts: FxHashMap<Sequence, u64> = FxHashMap::default();
-        for seq in seqs {
-            for c in candidates::generate(fst, dict, seq, sigma, budget)? {
-                *counts.entry(c).or_insert(0) += 1;
-            }
-        }
-        let mut out: Vec<(Sequence, u64)> = counts.into_iter().collect();
-        out.sort();
-        Ok(out)
-    }
-
-    fn flat_counts(
-        fst: &Fst,
-        dict: &Dictionary,
-        seqs: &[Sequence],
-        sigma: Option<u64>,
-        budget: usize,
-    ) -> Result<Vec<(Sequence, u64)>> {
-        let index = FstIndex::new(fst);
-        let walker = match sigma {
-            Some(s) => RunWalker::new(fst, dict, &index, dict.last_frequent(s)),
-            None => RunWalker::unfiltered(fst, dict, &index),
-        };
-        let mut scratch = RunScratch::default();
-        let mut counter = CandidateCounter::new();
-        for seq in seqs {
-            walker.count_candidates(seq, 1, budget, &mut scratch, &mut counter, |_, _| {})?;
-        }
-        let mut out = counter.patterns(0);
-        out.sort();
-        Ok(out)
-    }
-
-    #[test]
-    fn flat_counts_match_oracle_on_toy() {
-        let fx = toy::fixture();
-        for sigma in [None, Some(1), Some(2), Some(3), Some(10)] {
-            let oracle = oracle_counts(&fx.fst, &fx.dict, &fx.db.sequences, sigma, usize::MAX);
-            let flat = flat_counts(&fx.fst, &fx.dict, &fx.db.sequences, sigma, usize::MAX);
-            assert_eq!(flat.unwrap(), oracle.unwrap(), "sigma {sigma:?}");
-        }
-    }
-
-    #[test]
-    fn budget_exhaustion_parity_on_toy() {
-        let fx = toy::fixture();
-        for budget in 0..40 {
-            for sigma in [None, Some(2)] {
-                let oracle = oracle_counts(&fx.fst, &fx.dict, &fx.db.sequences, sigma, budget);
-                let flat = flat_counts(&fx.fst, &fx.dict, &fx.db.sequences, sigma, budget);
-                match (oracle, flat) {
-                    (Ok(a), Ok(b)) => assert_eq!(b, a, "budget {budget} sigma {sigma:?}"),
-                    (Err(Error::ResourceExhausted(_)), Err(Error::ResourceExhausted(_))) => {}
-                    (a, b) => {
-                        panic!("budget {budget} sigma {sigma:?}: oracle {a:?} vs flat {b:?}")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_sets_match_runs_module_on_toy() {
-        // The walker's per-run sets equal the (unfiltered) output sets the
-        // `runs` module materializes per transition.
-        use super::super::{runs, Grid};
-        let fx = toy::fixture();
-        let index = FstIndex::new(&fx.fst);
-        let walker = RunWalker::unfiltered(&fx.fst, &fx.dict, &index);
-        let mut scratch = RunScratch::default();
-        for seq in &fx.db.sequences {
-            let mut expect: Vec<Vec<Vec<ItemId>>> = Vec::new();
-            let grid = Grid::build(&fx.fst, &fx.dict, seq);
-            runs::for_each_accepting_run(&fx.fst, &fx.dict, seq, &grid, |path| {
-                let mut sets = Vec::new();
-                for (tr, &t) in path.iter().zip(seq) {
-                    if !tr.produces_output() {
-                        continue;
-                    }
-                    let mut buf = Vec::new();
-                    tr.outputs(t, &fx.dict, &mut buf);
-                    sets.push(buf);
-                }
-                expect.push(sets);
-                true
-            });
-            let mut got: Vec<Vec<Vec<ItemId>>> = Vec::new();
-            walker.for_each_run(seq, &mut scratch, |sets| {
-                assert!(!sets.is_dead(), "unfiltered runs are never dead");
-                got.push(sets.iter().map(<[ItemId]>::to_vec).collect());
-                true
-            });
-            assert_eq!(got, expect, "seq {seq:?}");
-        }
-    }
 
     #[test]
     fn one_run_scratch_across_jobs_builds_what_a_fresh_one_does() {
@@ -732,7 +651,7 @@ mod tests {
                     walker.build_tables(seq, &mut shared),
                     walker.build_tables(seq, &mut fresh)
                 );
-                assert_eq!(shared.tables, fresh.tables, "seq {seq:?}");
+                assert_eq!(shared.tables(), fresh.tables(), "seq {seq:?}");
             }
         }
     }

@@ -8,23 +8,24 @@
 //! taking the Cartesian product of the per-position output sets.
 //!
 //! [`Fst::compile`] builds the transducer from a [`PatEx`] via Thompson
-//! construction and ε-elimination. [`Grid`] is the position–state grid of
-//! Sec. V-A used to memoize dead ends, [`runs`] enumerates accepting runs,
-//! and [`candidates`] materializes `G_π(T)` / `G^σ_π(T)`.
+//! construction and ε-elimination. [`sim`] is the one per-sequence
+//! simulator — the position–state grid of Sec. V-A as bitsets, dead ends
+//! folded out of per-position match masks — and every consumer reads its
+//! tables: [`flat`] enumerates accepting runs and counts `G^σ_π(T)`,
+//! DESQ-DFS and the pivot DP build on the same tables. The definitions
+//! these are checked against (a `bool` grid, transition-by-transition run
+//! enumeration, materialized candidate sets) live in the dev-only
+//! `desq-oracle` crate.
 
-pub mod candidates;
 mod compile;
 pub mod flat;
-mod grid;
 pub mod index;
 mod minim;
 pub mod nfa;
 pub mod opt;
-pub mod runs;
 pub mod sim;
 
 pub use flat::{CandidateCounter, RunScratch, RunWalker};
-pub use grid::Grid;
 pub use index::{FstIndex, TrRef};
 pub use opt::OptLevel;
 pub use sim::{SimScratch, SimTables, Simulator};

@@ -374,7 +374,8 @@ fn minimize(finals: &[bool], states: &[Vec<Transition>]) -> (Vec<bool>, Vec<Vec<
 
 #[cfg(test)]
 mod tests {
-    use super::super::Grid;
+    use super::super::sim::{SimScratch, SimTables, Simulator};
+    use super::super::FstIndex;
     use super::*;
     use crate::dictionary::Dictionary;
     use crate::toy;
@@ -382,6 +383,12 @@ mod tests {
 
     fn compile_at(expr: &str, dict: &Dictionary, level: OptLevel) -> Fst {
         Fst::compile_with(&PatEx::parse(expr).unwrap().unanchored(), dict, level).unwrap()
+    }
+
+    fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
+        let index = FstIndex::new(fst);
+        let sim = Simulator::new(fst, dict, &index, crate::ItemId::MAX);
+        sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
     }
 
     /// The FST has no ε-input edges by representation; "idempotence" of the
@@ -521,8 +528,8 @@ mod tests {
             let full = compile_at(expr, &fx.dict, OptLevel::Full);
             for seq in &fx.db.sequences {
                 assert_eq!(
-                    Grid::build(&full, &fx.dict, seq).accepts(),
-                    Grid::build(&none, &fx.dict, seq).accepts(),
+                    accepts(&full, &fx.dict, seq),
+                    accepts(&none, &fx.dict, seq),
                     "{expr} on {seq:?}"
                 );
             }

@@ -22,9 +22,9 @@
 //!   ([`PatEx::parse`]) and a pretty-printer.
 //! * [`Fst`]: compilation of pattern expressions into finite-state
 //!   transducers (Sec. IV) via Thompson construction and ε-elimination, plus
-//!   FST *simulation*: the position–state [`Grid`](fst::Grid) with dead-end
-//!   memoization, enumeration of accepting runs, and generation of the
-//!   candidate subsequences `G_π(T)` / `G^σ_π(T)`.
+//!   FST *simulation* ([`fst::sim`]): the position–state grid with dead
+//!   ends folded out, enumeration of accepting runs and counting of the
+//!   candidate subsequences `G_π(T)` / `G^σ_π(T)` ([`fst::flat`]).
 //! * [`mining`]: the unified mining API substrate — the [`Miner`] trait,
 //!   [`MiningContext`] requests, [`Limits`], and the uniform
 //!   [`MiningResult`] / [`MiningMetrics`] every algorithm returns. The
@@ -43,13 +43,19 @@
 //! BSP engine and the distributed algorithms.
 //!
 //! ```
-//! use desq_core::{toy, fst::candidates};
+//! use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+//! use desq_core::toy;
 //!
 //! let fx = toy::fixture();
-//! // G_πex(T5) = { a1b, a1a1b, a1Ab }   (paper, Sec. II)
-//! let cands = candidates::generate(&fx.fst, &fx.dict, &fx.db.sequences[4], None, usize::MAX)
+//! let index = FstIndex::new(&fx.fst);
+//! let walker = RunWalker::unfiltered(&fx.fst, &fx.dict, &index);
+//! let mut counter = CandidateCounter::new();
+//! let t5 = &fx.db.sequences[4];
+//! walker
+//!     .count_candidates(t5, 1, usize::MAX, &mut RunScratch::default(), &mut counter, |_, _| {})
 //!     .unwrap();
-//! assert_eq!(cands.len(), 3);
+//! // G_πex(T5) = { a1b, a1a1b, a1Ab }   (paper, Sec. II)
+//! assert_eq!(counter.observed(), 3);
 //! ```
 
 pub mod codec;

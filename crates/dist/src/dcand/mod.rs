@@ -93,8 +93,12 @@ pub fn merge_pivots<S: AsRef<[ItemId]>>(sets: &[S]) -> Vec<ItemId> {
 
 /// [`merge_pivots`] over any re-iterable view of the sets, into a reused
 /// buffer — the flat run walker's [`RunSets`] pass their arena-backed
-/// slices straight through without collecting.
-fn merge_pivots_into<'s>(sets: impl Iterator<Item = &'s [ItemId]> + Clone, out: &mut Vec<ItemId>) {
+/// slices straight through without collecting (D-CAND's mapper and the
+/// no-grid pivot enumeration).
+pub(crate) fn merge_pivots_into<'s>(
+    sets: impl Iterator<Item = &'s [ItemId]> + Clone,
+    out: &mut Vec<ItemId>,
+) {
     out.clear();
     let mut threshold = 0;
     for s in sets.clone() {

@@ -1,12 +1,14 @@
 //! D-SEQ: distributed mining with the input-sequence representation
 //! (Sec. V of the paper).
 //!
-//! The mapper computes the pivot set `K^σ(T)` of every input sequence —
-//! with the flat grid DP of [`PivotSearch::pivots_into`] (per-map-task
-//! [`PivotScratch`], no per-sequence allocation) or, in the "no grid"
-//! ablation, by bounded run enumeration — serializes the (optionally
-//! rewritten) input **once** with the delta item codec, and emits the same
-//! payload bytes to every pivot partition. The engine's combiner
+//! The mapper computes the pivot set `K^σ(T)` of every input sequence with
+//! the flat grid DP of [`PivotSearch::pivots_into`] or, in the "no grid"
+//! ablation, by bounded run enumeration
+//! ([`PivotSearch::pivots_enumerated_into`]). Either way it builds the
+//! sequence's simulation tables once, into a per-map-task
+//! [`PivotScratch`], and allocates nothing per sequence. It serializes the
+//! (optionally rewritten) input **once** with the delta item codec and
+//! emits the same payload bytes to every pivot partition. The engine's combiner
 //! aggregates identical `(pivot, payload)` records into weighted ones and
 //! interns shared payload bytes per bucket chunk, so a sequence with many
 //! pivots ships its items once per bucket rather than once per pivot.
@@ -36,8 +38,15 @@ use crate::{Exec, MiningResult};
 /// [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct DSeqConfig {
-    /// Compute pivot sets by grid DP (otherwise: run enumeration bounded by
-    /// the context's work budget — can exhaust it on loose constraints).
+    /// Compute pivot sets by the ⊕ DP over the position–state grid.
+    /// Otherwise ("no grid", Fig. 10a's first column) the mapper enumerates
+    /// every accepting run over the same simulation tables and merges each
+    /// run's pivots ([`PivotSearch::pivots_enumerated_into`]). Loose
+    /// constraints can have exponentially many runs per sequence, so this
+    /// arm is bounded by the context's work budget — one unit per accepting
+    /// run — and fails with [`Error::ResourceExhausted`] where the DP
+    /// finishes. It stays in the binary because `repro fig10` measures it;
+    /// the patterns are the same either way.
     pub use_grid: bool,
     /// Ship rewritten (trimmed) sequences instead of full ones.
     pub rewrite: bool,
@@ -134,7 +143,7 @@ fn d_seq_exec(
             if config.use_grid {
                 search.pivots_into(seq, &mut scratch, &mut ranges);
             } else {
-                ranges = search.pivots_enumerated_ranges(seq, ctx.limits.budget)?;
+                search.pivots_enumerated_into(seq, ctx.limits.budget, &mut scratch, &mut ranges)?;
             }
             let Some(pr0) = ranges.first() else { continue };
             // All pivots share the rewritten range: serialize once, emit
@@ -317,7 +326,12 @@ mod tests {
             use_grid: false,
             ..DSeqConfig::default()
         };
-        assert!(matches!(cfg.mine(&ctx), Err(Error::ResourceExhausted(_))));
+        match cfg.mine(&ctx) {
+            Err(Error::ResourceExhausted(msg)) => {
+                assert_eq!(msg, "pivot enumeration exceeded budget of 1")
+            }
+            other => panic!("expected budget exhaustion, got {other:?}"),
+        }
     }
 
     #[test]
@@ -360,19 +374,21 @@ mod tests {
             let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
             let seq = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
             assert!(!seq.is_empty(), "{}", constraint.name);
-            for early_stop in [true, false] {
-                for rewrite in [true, false] {
-                    let cfg = DSeqConfig {
-                        rewrite,
-                        early_stop,
-                        ..DSeqConfig::default()
-                    };
-                    let dist = cfg.mine(&ctx.with_parallelism(2, 2)).unwrap();
-                    assert_eq!(
-                        dist.patterns, seq,
-                        "{} stop={early_stop} rewrite={rewrite}",
-                        constraint.name
-                    );
+            for use_grid in [true, false] {
+                for early_stop in [true, false] {
+                    for rewrite in [true, false] {
+                        let cfg = DSeqConfig {
+                            use_grid,
+                            rewrite,
+                            early_stop,
+                        };
+                        let dist = cfg.mine(&ctx.with_parallelism(2, 2)).unwrap();
+                        assert_eq!(
+                            dist.patterns, seq,
+                            "{} grid={use_grid} stop={early_stop} rewrite={rewrite}",
+                            constraint.name
+                        );
+                    }
                 }
             }
 

@@ -22,7 +22,8 @@
 //!   identical NFAs (Sec. VI).
 //!
 //! Supporting machinery: [`PivotSearch`] computes pivot sets `K^σ(T)` either
-//! by dynamic programming over the position–state grid or by run enumeration
+//! by dynamic programming over the position–state grid or, for Fig. 10a's
+//! no-grid ablation, by run enumeration over the same simulation tables
 //! (Sec. V-A/V-B), [`dcand::merge_pivots`] is the ⊕ pivot-merge of Th. 1,
 //! [`desq_core::fst::nfa`] holds the arena trie/NFA construction with
 //! byte-level serialization for shuffle accounting, and [`patterns`] is the constraint

@@ -10,16 +10,18 @@
 //! transition contributions with the ⊕ operator of Th. 1 (the same merge
 //! as [`crate::dcand::merge_pivots`]). This is polynomial even when the
 //! number of accepting runs is exponential.
-//! [`PivotSearch::pivots_enumerated`] is the ablation variant that
-//! enumerates runs instead (bounded by a budget — the paper's "no grid"
-//! configuration of Fig. 10a) and doubles as the differential-test oracle
-//! for the DP.
+//! [`PivotSearch::pivots_enumerated_into`] is the ablation variant that
+//! enumerates accepting runs instead (bounded by a budget — the paper's
+//! "no grid" configuration of Fig. 10a): D-CAND's map loop, a
+//! [`RunWalker`] walk with the ⊕ merge of every live run, over the same
+//! tables the DP reads.
 //!
 //! # Hot-path layout
 //!
 //! The DP runs on the tables of the shared simulation front-end
 //! ([`desq_core::fst::sim`], the same one DESQ-DFS local mining and the
-//! counting path use): a CSR [`FstIndex`] built once per search,
+//! counting path use), built by [`RunWalker::build_tables`] into the run
+//! walk's own [`RunScratch`]: a CSR [`FstIndex`] built once per search,
 //! per-position bit-packed *match masks* with grid aliveness folded in (one
 //! bit test replaces the ancestor check plus the aliveness lookup),
 //! forward/alive grid bitsets, and σ-filtered output sets materialized per
@@ -41,10 +43,10 @@
 //! trimming would change results.
 
 use desq_core::fst::sim::{get_bit, ones};
-use desq_core::fst::{runs, FstIndex, Grid, SimScratch, SimTables, Simulator};
+use desq_core::fst::{FstIndex, RunScratch, RunWalker};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, EPSILON};
 
-use crate::dcand::merge_pivots;
+use crate::dcand::merge_pivots_into;
 
 /// One pivot of a sequence together with the rewritten range: partition
 /// `P_item` receives `seq[first..=last]`.
@@ -58,27 +60,27 @@ pub struct PivotRange {
     pub last: u32,
 }
 
-/// Reusable scratch of the flat pivot DP: the simulation front-end's
-/// scratch and tables, and the two DP row arenas.
+/// Reusable scratch of the pivot search: the run walk's scratch (which
+/// holds the simulation tables and grid bitsets both variants read) and
+/// the two DP row arenas.
 ///
 /// Create one per worker thread (`PivotScratch::default()`), pass it to
-/// [`PivotSearch::pivots_with`] / [`PivotSearch::pivots_into`] for every
-/// sequence the thread processes, and the search performs no per-sequence
-/// allocation once the buffers have grown to the workload's high-water
-/// mark.
+/// [`PivotSearch::pivots_into`] or
+/// [`PivotSearch::pivots_enumerated_into`] for every sequence the thread
+/// processes, and the search performs no per-sequence allocation once the
+/// buffers have grown to the workload's high-water mark.
 #[derive(Default)]
 pub struct PivotScratch {
-    /// Job-wide step table and the grid bitsets of the current sequence.
-    sim: SimScratch,
-    /// Mask rows and σ-filtered output arena of the current sequence.
-    tables: SimTables,
+    /// Tables, grid bitsets and DFS stacks of the current sequence.
+    runs: RunScratch,
     /// DP row `i` under construction: per-state arena ranges + items.
     cur: Vec<ItemId>,
     cur_off: Vec<(u32, u32)>,
     /// DP row `i + 1` (previous iteration's result).
     prev: Vec<ItemId>,
     prev_off: Vec<(u32, u32)>,
-    /// Accumulated ⊕ union of one cell, and the two merge double-buffers.
+    /// Accumulated ⊕ union of one cell (of all runs, when enumerating),
+    /// and the two merge double-buffers.
     acc: Vec<ItemId>,
     tmp: Vec<ItemId>,
     tmp2: Vec<ItemId>,
@@ -156,37 +158,25 @@ impl<'a> PivotSearch<'a> {
         }
     }
 
-    /// The σ-filtered output set of `tr` on input item `t`, with ε encoded
-    /// as [`EPSILON`]. An empty result means the transition cannot occur on
-    /// any all-frequent candidate (the run is dead under the σ filter).
-    /// Used by the run-enumeration oracle and D-CAND.
-    fn filtered_outputs(&self, tr: &desq_core::fst::Transition, t: ItemId) -> Vec<ItemId> {
-        let mut buf = Vec::new();
-        tr.outputs(t, self.dict, &mut buf);
-        buf.retain(|&w| w == EPSILON || w <= self.last_frequent);
-        buf
+    /// A run walker over this search's FST, index and σ cut.
+    fn walker(&self) -> RunWalker<'_> {
+        RunWalker::new(self.fst, self.dict, &self.index, self.last_frequent)
     }
 
     /// `K^σ(T)`, with the shared rewritten range, sorted ascending by item.
     ///
-    /// Convenience wrapper over [`Self::pivots_with`] with a throwaway
+    /// Convenience wrapper over [`Self::pivots_into`] with a throwaway
     /// scratch; hot loops should hoist a [`PivotScratch`] per thread
     /// instead.
     pub fn pivots(&self, seq: &[ItemId]) -> Vec<PivotRange> {
-        self.pivots_with(seq, &mut PivotScratch::default())
-    }
-
-    /// `K^σ(T)` with the shared rewritten range, using caller-provided
-    /// scratch (flat grid DP — no `Grid`, no per-sequence allocation
-    /// beyond the returned vector).
-    pub fn pivots_with(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> Vec<PivotRange> {
         let mut out = Vec::new();
-        self.pivots_into(seq, scratch, &mut out);
+        self.pivots_into(seq, &mut PivotScratch::default(), &mut out);
         out
     }
 
-    /// Like [`Self::pivots_with`], but clearing and filling a caller
-    /// buffer — the fully allocation-free form used by D-SEQ's mapper.
+    /// `K^σ(T)` with the shared rewritten range by the flat grid DP,
+    /// clearing and filling a caller buffer with caller-provided scratch —
+    /// the allocation-free form used by D-SEQ's mapper.
     pub fn pivots_into(
         &self,
         seq: &[ItemId],
@@ -194,36 +184,14 @@ impl<'a> PivotSearch<'a> {
         out: &mut Vec<PivotRange>,
     ) {
         out.clear();
-        if seq.is_empty() || !self.prepare(seq, scratch) {
+        if seq.is_empty() || !self.walker().build_tables(seq, &mut scratch.runs) {
             return;
         }
         self.flat_pivot_set(seq, scratch);
         let (start, end) = scratch.prev_off[self.fst.initial() as usize];
         let pivots = &scratch.prev[start as usize..end as usize];
         let pivots = &pivots[pivots.partition_point(|&w| w == EPSILON)..];
-        if pivots.is_empty() {
-            return;
-        }
-        let (first, last) = self
-            .range_from_scratch(seq, scratch)
-            .expect("pivots imply a range");
-        out.extend(pivots.iter().map(|&item| PivotRange {
-            item,
-            first: first as u32,
-            last: last as u32,
-        }));
-    }
-
-    /// Builds the per-sequence tables in `scratch` through the shared
-    /// front-end: alive-pruned match masks, the grid bitsets and the
-    /// σ-filtered output arena. Returns `true` iff the FST accepts `seq`.
-    fn prepare(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> bool {
-        scratch.tables.clear();
-        Simulator::new(self.fst, self.dict, &self.index, self.last_frequent).build(
-            seq,
-            &mut scratch.sim,
-            &mut scratch.tables,
-        )
+        self.push_ranges(seq, &scratch.runs, pivots, out);
     }
 
     /// The backward pivot DP over the prepared tables. Leaves row 0 in
@@ -237,17 +205,14 @@ impl<'a> PivotSearch<'a> {
         let qn = self.fst.num_states();
         let w = ix.words();
         let l = ix.num_labels();
-        let (mask, out_off, outs) = (
-            scratch.tables.mask(),
-            scratch.tables.offsets(),
-            scratch.tables.outs(),
-        );
+        let tables = scratch.runs.tables();
+        let (mask, out_off, outs) = (tables.mask(), tables.offsets(), tables.outs());
 
         // Row n: alive final coordinates complete with ε only.
         scratch.prev.clear();
         scratch.prev_off.clear();
         for q in 0..qn {
-            if get_bit(scratch.sim.alive(n), q) {
+            if get_bit(scratch.runs.alive(n), q) {
                 let s = scratch.prev.len() as u32;
                 scratch.prev.push(EPSILON);
                 scratch.prev_off.push((s, s + 1));
@@ -261,7 +226,7 @@ impl<'a> PivotSearch<'a> {
             scratch.cur_off.clear();
             let row = &mask[i * w..(i + 1) * w];
             for q in 0..qn {
-                if !get_bit(scratch.sim.alive(i), q) {
+                if !get_bit(scratch.runs.alive(i), q) {
                     scratch.cur_off.push((0, 0));
                     continue;
                 }
@@ -304,94 +269,85 @@ impl<'a> PivotSearch<'a> {
         }
     }
 
-    /// `K^σ(T)` by explicit run enumeration (the "no grid" ablation and
-    /// the DP's differential-test oracle). `budget` bounds the number of
-    /// runs walked.
-    pub fn pivots_enumerated(&self, seq: &[ItemId], budget: usize) -> Result<Vec<ItemId>> {
-        let grid = Grid::build(self.fst, self.dict, seq);
-        self.enumerated_set(seq, &grid, budget)
-    }
-
-    /// Like [`Self::pivots`], but computing the pivot set by run
-    /// enumeration (used by D-SEQ's "no grid" ablation and as the oracle
-    /// for the flat DP's property tests).
-    pub fn pivots_enumerated_ranges(
+    /// `K^σ(T)` with the shared rewritten range by run enumeration — the
+    /// "no grid" ablation of Fig. 10a. Walks every accepting run over the
+    /// tables [`RunWalker`] builds into `scratch`, unions the ⊕ pivot set of
+    /// each live run (D-CAND's map loop), then trims the range off the same
+    /// tables. `budget` is charged one unit per accepting run walked, σ-dead
+    /// runs included; a sequence with more runs than that fails with
+    /// [`Error::ResourceExhausted`] and leaves `out` empty.
+    pub fn pivots_enumerated_into(
         &self,
         seq: &[ItemId],
         budget: usize,
-    ) -> Result<Vec<PivotRange>> {
-        let grid = Grid::build(self.fst, self.dict, seq);
-        let pivots = self.enumerated_set(seq, &grid, budget)?;
-        if pivots.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut scratch = PivotScratch::default();
-        assert!(self.prepare(seq, &mut scratch), "pivots imply acceptance");
-        let (first, last) = self
-            .range_from_scratch(seq, &scratch)
-            .expect("pivots imply a range");
-        Ok(pivots
-            .into_iter()
-            .map(|item| PivotRange {
-                item,
-                first: first as u32,
-                last: last as u32,
-            })
-            .collect())
-    }
-
-    fn enumerated_set(&self, seq: &[ItemId], grid: &Grid, budget: usize) -> Result<Vec<ItemId>> {
-        if !grid.accepts() {
-            return Ok(Vec::new());
-        }
+        scratch: &mut PivotScratch,
+        out: &mut Vec<PivotRange>,
+    ) -> Result<()> {
+        out.clear();
+        let PivotScratch {
+            runs,
+            acc,
+            tmp,
+            tmp2,
+            ..
+        } = scratch;
+        acc.clear();
         let mut work = 0usize;
-        let mut exhausted = false;
-        let mut pivots: Vec<ItemId> = Vec::new();
-        let mut sets: Vec<Vec<ItemId>> = Vec::new();
-        let completed = runs::for_each_accepting_run(self.fst, self.dict, seq, grid, |path| {
+        let completed = self.walker().for_each_run(seq, runs, |sets| {
             work += 1;
             if work > budget {
-                exhausted = true;
                 return false;
             }
-            sets.clear();
-            for (tr, &t) in path.iter().zip(seq) {
-                let buf = self.filtered_outputs(tr, t);
-                if buf.is_empty() {
-                    return true; // dead under the σ filter
-                }
-                if buf != [EPSILON] {
-                    sets.push(buf);
-                }
-            }
-            for p in merge_pivots(&sets) {
-                if !pivots.contains(&p) {
-                    pivots.push(p);
-                }
+            if !sets.is_dead() {
+                merge_pivots_into(sets.iter(), tmp);
+                merge_union(tmp, acc, tmp2);
+                std::mem::swap(acc, tmp2);
             }
             true
         });
-        if exhausted || !completed {
+        if !completed {
             return Err(Error::ResourceExhausted(format!(
                 "pivot enumeration exceeded budget of {budget}"
             )));
         }
-        pivots.sort_unstable();
-        Ok(pivots)
+        self.push_ranges(seq, runs, acc, out);
+        Ok(())
+    }
+
+    /// Appends one [`PivotRange`] per item of `pivots`, all with the
+    /// rewritten range trimmed off the tables in `runs` (built for `seq`).
+    fn push_ranges(
+        &self,
+        seq: &[ItemId],
+        runs: &RunScratch,
+        pivots: &[ItemId],
+        out: &mut Vec<PivotRange>,
+    ) {
+        if pivots.is_empty() {
+            return;
+        }
+        let (first, last) = self
+            .range_from_scratch(seq, runs)
+            .expect("pivots imply a range");
+        out.extend(pivots.iter().map(|&item| PivotRange {
+            item,
+            first: first as u32,
+            last: last as u32,
+        }));
     }
 
     /// The safety-clamped rewritten range shared by all pivots of `seq`, or
     /// `None` if the FST rejects the sequence.
     pub fn safe_range(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> Option<(usize, usize)> {
-        if seq.is_empty() || !self.prepare(seq, scratch) {
+        if seq.is_empty() || !self.walker().build_tables(seq, &mut scratch.runs) {
             return None;
         }
-        self.range_from_scratch(seq, scratch)
+        self.range_from_scratch(seq, &scratch.runs)
     }
 
-    /// The rewritten range over prepared scratch tables (`prepare` must
-    /// have returned `true`).
-    fn range_from_scratch(&self, seq: &[ItemId], scratch: &PivotScratch) -> Option<(usize, usize)> {
+    /// The rewritten range over the tables in `scratch`, which
+    /// [`RunWalker::build_tables`] must have built for `seq` (and accepted).
+    fn range_from_scratch(&self, seq: &[ItemId], scratch: &RunScratch) -> Option<(usize, usize)> {
         if seq.is_empty() {
             return None;
         }
@@ -408,16 +364,16 @@ impl<'a> PivotSearch<'a> {
     /// Number of leading positions provably droppable: while the only alive
     /// coordinate is the initial state and all its alive transitions are
     /// ε-output self-loops, every alive run idles there.
-    fn safe_front(&self, seq: &[ItemId], scratch: &PivotScratch) -> usize {
+    fn safe_front(&self, seq: &[ItemId], scratch: &RunScratch) -> usize {
         let ix = &self.index;
         let w = ix.words();
         let initial = self.fst.initial();
         let mut i = 0;
         while i < seq.len() {
-            if !get_bit(scratch.sim.alive(i), initial as usize) {
+            if !get_bit(scratch.alive(i), initial as usize) {
                 return i;
             }
-            let row = &scratch.tables.mask()[i * w..(i + 1) * w];
+            let row = &scratch.tables().mask()[i * w..(i + 1) * w];
             for tr in ix.state(initial as usize) {
                 if row[tr.word as usize] & tr.mask == 0 {
                     continue; // no match, or the target is a dead end
@@ -436,16 +392,16 @@ impl<'a> PivotSearch<'a> {
     /// forward-reachable coordinate `(j, s)` satisfies "alive iff final" and
     /// all alive transitions produce ε — then ending at `j` accepts exactly
     /// the runs that previously consumed the suffix silently.
-    fn safe_back(&self, seq: &[ItemId], scratch: &PivotScratch, first: usize) -> usize {
+    fn safe_back(&self, seq: &[ItemId], scratch: &RunScratch, first: usize) -> usize {
         let ix = &self.index;
         let n = seq.len();
         let w = ix.words();
         let mut dropped = 0;
         'outer: while dropped + first + 1 < n {
             let j = n - 1 - dropped;
-            let row = &scratch.tables.mask()[j * w..(j + 1) * w];
-            for s in ones(scratch.sim.reachable(j)) {
-                let alive = get_bit(scratch.sim.alive(j), s);
+            let row = &scratch.tables().mask()[j * w..(j + 1) * w];
+            for s in ones(scratch.reachable(j)) {
+                let alive = get_bit(scratch.alive(j), s);
                 if alive != self.fst.is_final(s as u32) {
                     break 'outer;
                 }
@@ -480,8 +436,20 @@ impl<'a> PivotSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::fst::candidates;
     use desq_core::toy;
+
+    /// The no-grid variant's ranges, under an unbounded budget.
+    fn enumerated(
+        search: &PivotSearch<'_>,
+        seq: &[ItemId],
+        scratch: &mut PivotScratch,
+    ) -> Vec<PivotRange> {
+        let mut out = Vec::new();
+        search
+            .pivots_enumerated_into(seq, usize::MAX, scratch, &mut out)
+            .unwrap();
+        out
+    }
 
     #[test]
     fn toy_pivots_match_fig3() {
@@ -496,18 +464,16 @@ mod tests {
 
     #[test]
     fn flat_dp_and_enumeration_agree_on_toy() {
+        // One scratch, alternating between the two variants.
         let fx = toy::fixture();
-        let mut scratch = PivotScratch::default();
+        let (mut scratch, mut dp) = (PivotScratch::default(), Vec::new());
         for sigma in 1..=5 {
             let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
             for seq in &fx.db.sequences {
-                let dp: Vec<ItemId> = search
-                    .pivots_with(seq, &mut scratch)
-                    .iter()
-                    .map(|p| p.item)
-                    .collect();
-                let enumerated = search.pivots_enumerated(seq, usize::MAX).unwrap();
-                assert_eq!(dp, enumerated, "σ={sigma}, seq {seq:?}");
+                search.pivots_into(seq, &mut scratch, &mut dp);
+                let en = enumerated(&search, seq, &mut scratch);
+                let items = |r: &[PivotRange]| r.iter().map(|p| p.item).collect::<Vec<_>>();
+                assert_eq!(items(&dp), items(&en), "σ={sigma}, seq {seq:?}");
             }
         }
     }
@@ -539,39 +505,21 @@ mod tests {
             (&fx.fst, &fx.dict, &fx.db),
         ];
         let mut shared = PivotScratch::default();
+        let (mut reused, mut expect) = (Vec::new(), Vec::new());
         for (fst, dict, db) in jobs {
             for sigma in 1..=5 {
                 let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
                 for seq in &db.sequences {
                     let mut fresh = PivotScratch::default();
-                    let reused = search.pivots_with(seq, &mut shared);
-                    assert_eq!(
-                        reused,
-                        search.pivots_with(seq, &mut fresh),
-                        "σ={sigma} {seq:?}"
-                    );
-                    assert_eq!(shared.tables, fresh.tables, "σ={sigma}, seq {seq:?}");
+                    search.pivots_into(seq, &mut shared, &mut reused);
+                    search.pivots_into(seq, &mut fresh, &mut expect);
+                    assert_eq!(reused, expect, "σ={sigma} {seq:?}");
+                    let tables = shared.runs.tables();
+                    assert_eq!(tables, fresh.runs.tables(), "σ={sigma}, seq {seq:?}");
+                    let fresh = &mut PivotScratch::default();
+                    let en = enumerated(&search, seq, &mut shared);
+                    assert_eq!(en, enumerated(&search, seq, fresh), "σ={sigma} {seq:?}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn pivots_match_candidate_definition_on_toy() {
-        let fx = toy::fixture();
-        for sigma in 1..=5u64 {
-            let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
-            for seq in &fx.db.sequences {
-                let cands =
-                    candidates::generate(&fx.fst, &fx.dict, seq, Some(sigma), usize::MAX).unwrap();
-                let mut expect: Vec<ItemId> = cands
-                    .iter()
-                    .map(|c| desq_core::sequence::pivot(c))
-                    .collect();
-                expect.sort_unstable();
-                expect.dedup();
-                let got: Vec<ItemId> = search.pivots(seq).iter().map(|p| p.item).collect();
-                assert_eq!(got, expect, "σ={sigma}, seq {seq:?}");
             }
         }
     }
@@ -587,34 +535,13 @@ mod tests {
     }
 
     #[test]
-    fn rewriting_preserves_candidates_on_toy() {
-        let fx = toy::fixture();
-        for sigma in 1..=4u64 {
-            let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
-            for seq in &fx.db.sequences {
-                for pr in search.pivots(seq) {
-                    let trimmed = &seq[pr.first as usize..=pr.last as usize];
-                    let full =
-                        candidates::generate(&fx.fst, &fx.dict, seq, Some(sigma), usize::MAX)
-                            .unwrap();
-                    let cut =
-                        candidates::generate(&fx.fst, &fx.dict, trimmed, Some(sigma), usize::MAX)
-                            .unwrap();
-                    assert_eq!(full, cut, "σ={sigma}, pivot {} of {seq:?}", pr.item);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn enumerated_ranges_match_flat_ranges() {
         let fx = toy::fixture();
         for sigma in 1..=4u64 {
             let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
             for seq in &fx.db.sequences {
-                let dp = search.pivots(seq);
-                let en = search.pivots_enumerated_ranges(seq, usize::MAX).unwrap();
-                assert_eq!(dp, en, "σ={sigma}, seq {seq:?}");
+                let en = enumerated(&search, seq, &mut PivotScratch::default());
+                assert_eq!(search.pivots(seq), en, "σ={sigma}, seq {seq:?}");
             }
         }
     }
@@ -624,8 +551,16 @@ mod tests {
         let fx = toy::fixture();
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(1));
         let t2 = &fx.db.sequences[1];
-        let err = search.pivots_enumerated(t2, 1).unwrap_err();
+        let mut out = vec![PivotRange {
+            item: 1,
+            first: 0,
+            last: 0,
+        }];
+        let err = search
+            .pivots_enumerated_into(t2, 1, &mut PivotScratch::default(), &mut out)
+            .unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
+        assert!(out.is_empty(), "an exhausted search leaves no stale ranges");
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! many candidates per sequence (the reason the paper's naïve distributed
 //! algorithms fail on loose constraints).
 //!
-//! Since PR 5 the enumeration runs on the flat counting path
+//! The enumeration runs on the flat counting path
 //! ([`desq_core::fst::flat`]): a [`RunWalker`] over the shared CSR
 //! [`FstIndex`] (per-position output sets σ-filtered once at table-build
-//! time, per-thread scratch, no `Grid` and no per-transition allocation)
-//! feeding an interned [`CandidateCounter`] (candidates encoded once,
-//! counted as byte keys). Workers return *owned* partial counters that the
-//! calling thread merges — no lock is held during the merge. The
-//! `candidates::generate` oracle remains the documented reference the flat
-//! path is property-tested against.
+//! time, per-thread scratch, no per-transition allocation) feeding an
+//! interned [`CandidateCounter`] (candidates encoded once, counted as byte
+//! keys). Workers return *owned* partial counters that the calling thread
+//! merges — no lock is held during the merge. The flat path is
+//! property-tested against the reference candidate generation of the
+//! dev-only `desq-oracle` crate.
 //!
 //! Parallel enumeration runs on the same work-stealing scheduler as
 //! DESQ-DFS ([`desq_core::sched`]): the database is cut into small

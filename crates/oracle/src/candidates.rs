@@ -3,15 +3,14 @@
 //! Each accepting run produces a sequence of output sets; the candidate
 //! subsequences of the run are the Cartesian product of those sets (ε
 //! contributes nothing). `G_π(T)` is the union over all accepting runs.
-//! This is the *reference semantics* used by the NAÏVE / SEMI-NAÏVE
-//! baselines and by correctness tests; D-SEQ and D-CAND avoid materializing
-//! it.
+//! This is the *reference semantics* the flat counting path
+//! (`desq_core::fst::flat`) is checked against; no shipped algorithm
+//! materializes it.
 
-use super::{runs, Fst, Grid};
-use crate::dictionary::Dictionary;
-use crate::error::{Error, Result};
-use crate::fx::FxHashSet;
-use crate::sequence::{ItemId, Sequence, EPSILON};
+use desq_core::fx::FxHashSet;
+use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence, EPSILON};
+
+use crate::{runs, Grid};
 
 /// Generates the candidate subsequences of `seq`.
 ///
@@ -126,34 +125,10 @@ fn product(
     true
 }
 
-/// Per-sequence candidate statistics, the basis of Tab. IV of the paper.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CandidateStats {
-    /// Number of candidate subsequences (`|G^σ_π(T)|`).
-    pub candidates: usize,
-    /// True if the sequence produced at least one candidate ("matched").
-    pub matched: bool,
-}
-
-/// Computes [`CandidateStats`] for one input sequence.
-pub fn stats(
-    fst: &Fst,
-    dict: &Dictionary,
-    seq: &[ItemId],
-    sigma: Option<u64>,
-    budget: usize,
-) -> Result<CandidateStats> {
-    let cands = generate(fst, dict, seq, sigma, budget)?;
-    Ok(CandidateStats {
-        candidates: cands.len(),
-        matched: !cands.is_empty(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy;
+    use desq_core::toy;
 
     fn named(dict: &Dictionary, cands: &FxHashSet<Sequence>) -> Vec<String> {
         let mut v: Vec<String> = cands.iter().map(|s| dict.render(s)).collect();
@@ -230,16 +205,5 @@ mod tests {
         let fx = toy::fixture();
         let err = generate(&fx.fst, &fx.dict, &fx.db.sequences[1], None, 3).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
-    }
-
-    #[test]
-    fn stats_counts() {
-        let fx = toy::fixture();
-        let s = stats(&fx.fst, &fx.dict, &fx.db.sequences[0], None, usize::MAX).unwrap();
-        assert_eq!(s.candidates, 7);
-        assert!(s.matched);
-        let s3 = stats(&fx.fst, &fx.dict, &fx.db.sequences[2], None, usize::MAX).unwrap();
-        assert_eq!(s3.candidates, 0);
-        assert!(!s3.matched);
     }
 }

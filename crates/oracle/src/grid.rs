@@ -8,9 +8,7 @@
 //! (reachable but not alive — the red crosses of Fig. 5b) are never explored
 //! by run enumeration or mining.
 
-use super::Fst;
-use crate::dictionary::Dictionary;
-use crate::sequence::ItemId;
+use desq_core::{Dictionary, Fst, ItemId};
 
 /// Memoized reachability over the `(position, state)` grid of one input
 /// sequence.
@@ -101,7 +99,7 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy;
+    use desq_core::toy;
 
     #[test]
     fn grid_marks_dead_ends() {

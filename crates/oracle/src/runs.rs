@@ -8,9 +8,10 @@
 //! (return `false` from the visitor to stop) or rely on grid-based dynamic
 //! programming instead (pivot search of D-SEQ does the latter).
 
-use super::{Fst, Grid, Transition};
-use crate::dictionary::Dictionary;
-use crate::sequence::ItemId;
+use desq_core::fst::Transition;
+use desq_core::{Dictionary, Fst, ItemId};
+
+use crate::Grid;
 
 /// Walks every accepting run of `fst` on `seq`, invoking `visit` with the
 /// transitions of the run (one per position). `visit` returns `false` to
@@ -85,7 +86,7 @@ pub fn count_accepting_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy;
+    use desq_core::toy;
 
     #[test]
     fn toy_t5_has_three_accepting_runs() {
@@ -95,7 +96,7 @@ mod tests {
         let grid = Grid::build(&fx.fst, &fx.dict, t5);
         let mut runs = Vec::new();
         for_each_accepting_run(&fx.fst, &fx.dict, t5, &grid, |path| {
-            let outs: Vec<Vec<crate::ItemId>> = path
+            let outs: Vec<Vec<ItemId>> = path
                 .iter()
                 .zip(t5)
                 .map(|(tr, &t)| {

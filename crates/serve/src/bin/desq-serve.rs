@@ -35,10 +35,6 @@ use desq_serve::store::CorpusStore;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4711";
 
-/// A deferred flag application: flags are parsed before the base request
-/// exists, so each one is captured as an edit replayed once it does.
-type ReqMod = Box<dyn FnOnce(Request) -> Result<Request, String>>;
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  desq-serve serve [--listen ADDR] --corpus NAME=SPEC ... \
@@ -54,6 +50,11 @@ fn usage() -> ExitCode {
 fn fail(msg: &str) -> ExitCode {
     eprintln!("desq-serve: {msg}");
     ExitCode::FAILURE
+}
+
+/// Parses the numeric value of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: not a number"))
 }
 
 fn serve(args: &[String]) -> ExitCode {
@@ -82,31 +83,15 @@ fn serve(args: &[String]) -> ExitCode {
                     corpora += 1;
                     eprintln!("loaded corpus {name} ({spec})");
                 }
-                "--max-inflight" => {
-                    limits.max_inflight = value("--max-inflight")?
-                        .parse()
-                        .map_err(|_| "--max-inflight: not a number".to_string())?;
-                }
-                "--max-budget" => {
-                    limits.max_budget = value("--max-budget")?
-                        .parse()
-                        .map_err(|_| "--max-budget: not a number".to_string())?;
-                }
-                "--max-patterns" => {
-                    limits.max_patterns = value("--max-patterns")?
-                        .parse()
-                        .map_err(|_| "--max-patterns: not a number".to_string())?;
-                }
+                "--max-inflight" => limits.max_inflight = number(arg, value(arg)?)?,
+                "--max-budget" => limits.max_budget = number(arg, value(arg)?)?,
+                "--max-patterns" => limits.max_patterns = number(arg, value(arg)?)?,
                 "--io-timeout-ms" => {
-                    let ms: u64 = value("--io-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "--io-timeout-ms: not a number".to_string())?;
+                    let ms = number(arg, value(arg)?)?;
                     limits.io_timeout = (ms > 0).then(|| Duration::from_millis(ms));
                 }
                 "--max-deadline-ms" => {
-                    let ms: u64 = value("--max-deadline-ms")?
-                        .parse()
-                        .map_err(|_| "--max-deadline-ms: not a number".to_string())?;
+                    let ms = number(arg, value(arg)?)?;
                     limits.max_deadline = (ms > 0).then(|| Duration::from_millis(ms));
                 }
                 other => return Err(format!("unknown flag {other:?}")),
@@ -126,7 +111,7 @@ fn serve(args: &[String]) -> ExitCode {
             handle.wait();
             ExitCode::SUCCESS
         }
-        Err(e) => fail(&format!("binding {listen}: {e}")),
+        Err(e) => fail(&format!("serving on {listen}: {e}")),
     }
 }
 
@@ -135,7 +120,8 @@ fn query(args: &[String]) -> ExitCode {
     let mut corpus = None;
     let mut pexp = None;
     let mut sigma = None;
-    let mut req_mods: Vec<ReqMod> = Vec::new();
+    let (mut algo, mut budget, mut max_patterns, mut workers, mut deadline_ms) =
+        (None, None, None, None, None);
     let mut anchored = false;
     let mut retries = None;
     let mut it = args.iter();
@@ -150,52 +136,16 @@ fn query(args: &[String]) -> ExitCode {
                 "--addr" => addr = value("--addr")?,
                 "--corpus" => corpus = Some(value("--corpus")?),
                 "--pexp" => pexp = Some(value("--pexp")?),
-                "--sigma" => {
-                    sigma = Some(
-                        value("--sigma")?
-                            .parse::<u64>()
-                            .map_err(|_| "--sigma: not a number".to_string())?,
-                    )
-                }
+                "--sigma" => sigma = Some(number(arg, value(arg)?)?),
                 "--anchored" => anchored = true,
                 "--algo" => {
-                    let algo = WireAlgo::parse(&value("--algo")?).map_err(|e| e.to_string())?;
-                    req_mods.push(Box::new(move |r: Request| Ok(r.with_algo(algo))));
+                    algo = Some(WireAlgo::parse(&value(arg)?).map_err(|e| e.to_string())?);
                 }
-                "--budget" => {
-                    let v: u64 = value("--budget")?
-                        .parse()
-                        .map_err(|_| "--budget: not a number".to_string())?;
-                    req_mods.push(Box::new(move |r: Request| Ok(r.with_budget(v))));
-                }
-                "--max-patterns" => {
-                    let v: u64 = value("--max-patterns")?
-                        .parse()
-                        .map_err(|_| "--max-patterns: not a number".to_string())?;
-                    req_mods.push(Box::new(move |mut r: Request| {
-                        r.max_patterns = v;
-                        Ok(r)
-                    }));
-                }
-                "--workers" => {
-                    let v: u64 = value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers: not a number".to_string())?;
-                    req_mods.push(Box::new(move |r: Request| Ok(r.with_workers(v))));
-                }
-                "--deadline-ms" => {
-                    let v: u64 = value("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| "--deadline-ms: not a number".to_string())?;
-                    req_mods.push(Box::new(move |r: Request| Ok(r.with_deadline_millis(v))));
-                }
-                "--retries" => {
-                    retries = Some(
-                        value("--retries")?
-                            .parse::<u32>()
-                            .map_err(|_| "--retries: not a number".to_string())?,
-                    );
-                }
+                "--budget" => budget = Some(number(arg, value(arg)?)?),
+                "--max-patterns" => max_patterns = Some(number(arg, value(arg)?)?),
+                "--workers" => workers = Some(number(arg, value(arg)?)?),
+                "--deadline-ms" => deadline_ms = Some(number(arg, value(arg)?)?),
+                "--retries" => retries = Some(number(arg, value(arg)?)?),
                 other => return Err(format!("unknown flag {other:?}")),
             }
             Ok(())
@@ -207,16 +157,16 @@ fn query(args: &[String]) -> ExitCode {
     let (Some(corpus), Some(pexp), Some(sigma)) = (corpus, pexp, sigma) else {
         return fail("query needs --corpus, --pexp and --sigma");
     };
-    let mut req = Request::new(corpus, pexp, sigma);
-    if !anchored {
-        req = req.unanchored();
-    }
-    for m in req_mods {
-        req = match m(req) {
-            Ok(r) => r,
-            Err(msg) => return fail(&msg),
-        };
-    }
+    let base = Request::new(corpus, pexp, sigma);
+    let req = Request {
+        unanchored: !anchored,
+        algo: algo.unwrap_or(base.algo),
+        budget: budget.unwrap_or(base.budget),
+        max_patterns: max_patterns.unwrap_or(base.max_patterns),
+        workers: workers.unwrap_or(base.workers),
+        deadline_millis: deadline_ms.unwrap_or(base.deadline_millis),
+        ..base
+    };
     let sock_addr = match addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
         Some(a) => a,
         None => return fail(&format!("cannot resolve {addr:?}")),

@@ -210,16 +210,21 @@ impl Server {
     }
 
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop on a background thread.
+    /// starts the accept loop on a background thread. Limits no server can
+    /// run with — `max_inflight` of 0, a `batch` outside
+    /// `1..=MAX_FRAME_PATTERNS` — fail with [`std::io::ErrorKind::InvalidInput`]
+    /// before anything is bound.
     pub fn spawn(self, bind: &str) -> std::io::Result<ServerHandle> {
-        assert!(
-            self.limits.max_inflight > 0,
-            "max_inflight must be positive"
-        );
-        assert!(
-            (1..=MAX_FRAME_PATTERNS).contains(&self.limits.batch),
-            "batch must be positive and at most {MAX_FRAME_PATTERNS} (a client refuses larger frames)"
-        );
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+        if self.limits.max_inflight == 0 {
+            return Err(invalid("max_inflight must be positive".into()));
+        }
+        if !(1..=MAX_FRAME_PATTERNS).contains(&self.limits.batch) {
+            return Err(invalid(format!(
+                "batch must be positive and at most {MAX_FRAME_PATTERNS} \
+                 (a client refuses larger frames)"
+            )));
+        }
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests on localhost ephemeral ports: warm-cache
 //! byte-identity, concurrent clients vs the sequential oracle, explicit
 //! Busy under overload, admission-time rejections, cancel-on-disconnect,
-//! and the client's retry policy.
+//! the client's retry policy, and limits refused at spawn.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq_core::{toy, Error, Sequence};
 use desq_serve::client::{Client, RetryPolicy};
-use desq_serve::proto::{read_frame, write_frame, Message, Request, WireAlgo};
+use desq_serve::proto::{read_frame, write_frame, Message, Request, WireAlgo, MAX_FRAME_PATTERNS};
 use desq_serve::server::{ServeLimits, Server};
 use desq_serve::store::CorpusStore;
 use desq_serve::ServeError;
@@ -28,6 +28,33 @@ fn toy_server(limits: ServeLimits) -> desq_serve::server::ServerHandle {
 fn sorted(mut patterns: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
     patterns.sort_unstable();
     patterns
+}
+
+#[test]
+fn spawn_refuses_unusable_limits_as_invalid_input() {
+    let bad = [
+        ServeLimits {
+            max_inflight: 0,
+            ..ServeLimits::default()
+        },
+        ServeLimits {
+            batch: 0,
+            ..ServeLimits::default()
+        },
+        ServeLimits {
+            batch: MAX_FRAME_PATTERNS + 1,
+            ..ServeLimits::default()
+        },
+    ];
+    for limits in bad {
+        let mut store = CorpusStore::new();
+        store.load_spec("toy", "toy").unwrap();
+        let described = format!("{limits:?}");
+        match Server::new(store).with_limits(limits).spawn("127.0.0.1:0") {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{described}"),
+            Ok(_) => panic!("spawned with {described}"),
+        }
+    }
 }
 
 #[test]

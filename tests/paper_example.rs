@@ -3,11 +3,11 @@
 //! cross-algorithm equivalence and result-ordering invariants.
 
 use desq::baselines::{LashConfig, MllibConfig};
-use desq::core::fst::candidates;
 use desq::core::{toy, Sequence};
 use desq::dist::{NaiveConfig, PivotSearch};
 use desq::miner::{GapMiner, PrefixSpan};
 use desq::session::{AlgorithmSpec, MiningSession};
+use desq_oracle::candidates;
 
 const NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: false });
 const SEMI_NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: true });

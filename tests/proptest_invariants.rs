@@ -7,13 +7,14 @@ use proptest::prelude::*;
 
 use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
-use desq::core::fst::{candidates, FstIndex, Grid, SimScratch, SimTables, Simulator};
+use desq::core::fst::{FstIndex, SimScratch, SimTables, Simulator};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
-use desq::dist::{NaiveConfig, PivotSearch};
+use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
 use desq::miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq::{ExecutionPolicy, OptLevel};
+use desq_oracle::{candidates, runs, Grid};
 
 const BUDGET: usize = 100_000;
 
@@ -245,6 +246,19 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
     Ok(())
 }
 
+/// The pivots of `G^σ_π(T)` by definition (the oracle's candidates), or
+/// `None` when the oracle exceeds the work budget.
+fn definition_pivots(fst: &Fst, world: &World, seq: &[ItemId], sigma: u64) -> Option<Vec<ItemId>> {
+    let cands = candidates::generate(fst, &world.dict, seq, Some(sigma), BUDGET).ok()?;
+    let mut pivots: Vec<ItemId> = cands
+        .iter()
+        .map(|s| desq::core::sequence::pivot(s))
+        .collect();
+    pivots.sort_unstable();
+    pivots.dedup();
+    Some(pivots)
+}
+
 /// Brute-force pivot set of a run: pivots of every candidate in the
 /// Cartesian product of the output sets.
 fn pivots_by_product(sets: &[Vec<ItemId>]) -> Vec<ItemId> {
@@ -308,9 +322,9 @@ proptest! {
 
     /// The flat pivot DP (bit-packed reachability + ⊕ merges over sorted
     /// arrays, per-thread scratch) returns exactly the pivot *ranges* of
-    /// the run-enumeration oracle on random dictionaries, FSTs and
-    /// sequences — items and rewritten bounds alike — and scratch reuse
-    /// across sequences leaks no state.
+    /// the no-grid run enumeration on random dictionaries, FSTs and
+    /// sequences — items and rewritten bounds alike — and one scratch
+    /// shared by both variants across sequences leaks no state.
     #[test]
     fn flat_pivot_dp_matches_enumeration(
         world in arb_world(), e in arb_pexp(4), sigma in 1u64..3
@@ -320,14 +334,58 @@ proptest! {
             Err(_) => return Ok(()), // pattern references an absent item
         };
         let search = PivotSearch::new(&fst, &world.dict, world.dict.last_frequent(sigma));
-        let mut scratch = desq::dist::pivots::PivotScratch::default();
+        let mut scratch = PivotScratch::default();
+        let (mut dp, mut enumerated) = (Vec::new(), Vec::new());
         for seq in &world.db.sequences {
-            let oracle = match search.pivots_enumerated_ranges(seq, BUDGET) {
-                Ok(r) => r,
-                Err(_) => continue, // run explosion: oracle unavailable
-            };
-            let dp = search.pivots_with(seq, &mut scratch);
-            prop_assert_eq!(&dp, &oracle, "seq {:?}", seq);
+            if search.pivots_enumerated_into(seq, BUDGET, &mut scratch, &mut enumerated).is_err() {
+                continue; // run explosion: enumeration unavailable
+            }
+            search.pivots_into(seq, &mut scratch, &mut dp);
+            prop_assert_eq!(&dp, &enumerated, "seq {:?}", seq);
+        }
+    }
+
+    /// The no-grid variant's budget bound is the oracle's run count: at
+    /// every budget from 1 up, `pivots_enumerated_into` fails with
+    /// `ResourceExhausted` iff the sequence has more accepting runs than
+    /// the budget, and otherwise returns the pivots of `G^σ_π(T)` with the
+    /// grid DP's ranges.
+    #[test]
+    fn no_grid_budget_bound_matches_the_oracle_run_count(
+        world in arb_world(), e in arb_pexp(4), sigma in 1u64..3
+    ) {
+        const MAX_BUDGET: usize = 24;
+        let fst = match Fst::compile(&e, &world.dict) {
+            Ok(f) => f,
+            Err(_) => return Ok(()), // pattern references an absent item
+        };
+        let search = PivotSearch::new(&fst, &world.dict, world.dict.last_frequent(sigma));
+        let mut scratch = PivotScratch::default();
+        let (mut dp, mut got) = (Vec::new(), Vec::new());
+        for seq in &world.db.sequences {
+            let grid = Grid::build(&fst, &world.dict, seq);
+            let runs = runs::count_accepting_runs(&fst, &world.dict, seq, &grid, MAX_BUDGET + 1);
+            let definition = definition_pivots(&fst, &world, seq, sigma);
+            search.pivots_into(seq, &mut scratch, &mut dp);
+            for budget in 1..=MAX_BUDGET {
+                match search.pivots_enumerated_into(seq, budget, &mut scratch, &mut got) {
+                    Ok(()) => {
+                        prop_assert!(runs <= budget, "{} runs, budget {}, {:?}", runs, budget, seq);
+                        prop_assert_eq!(&got, &dp, "budget {}, {:?}", budget, seq);
+                        if let Some(definition) = &definition {
+                            let items: Vec<ItemId> = got.iter().map(|p| p.item).collect();
+                            prop_assert_eq!(&items, definition, "budget {}, {:?}", budget, seq);
+                        }
+                    }
+                    Err(Error::ResourceExhausted(msg)) => {
+                        prop_assert!(runs > budget, "{} runs, budget {}, {:?}", runs, budget, seq);
+                        prop_assert_eq!(
+                            msg, format!("pivot enumeration exceeded budget of {budget}")
+                        );
+                    }
+                    Err(other) => prop_assert!(false, "unexpected error {}", other),
+                }
+            }
         }
     }
 
@@ -504,18 +562,15 @@ proptest! {
         };
         let last = world.dict.last_frequent(sigma);
         let search = PivotSearch::new(&fst, &world.dict, last);
+        let (mut scratch, mut enumerated) = (PivotScratch::default(), Vec::new());
         for seq in &world.db.sequences {
-            let cands = match candidates::generate(&fst, &world.dict, seq, Some(sigma), BUDGET) {
-                Ok(c) => c,
-                Err(_) => continue, // exploded: skip this sequence
+            let Some(expect) = definition_pivots(&fst, &world, seq, sigma) else {
+                continue; // exploded: skip this sequence
             };
-            let mut expect: Vec<ItemId> =
-                cands.iter().map(|s| desq::core::sequence::pivot(s)).collect();
-            expect.sort_unstable();
-            expect.dedup();
             let got: Vec<ItemId> = search.pivots(seq).iter().map(|p| p.item).collect();
             prop_assert_eq!(&got, &expect, "seq {:?}", seq);
-            if let Ok(en) = search.pivots_enumerated(seq, BUDGET) {
+            if search.pivots_enumerated_into(seq, BUDGET, &mut scratch, &mut enumerated).is_ok() {
+                let en: Vec<ItemId> = enumerated.iter().map(|p| p.item).collect();
                 prop_assert_eq!(&en, &expect, "enumerated, seq {:?}", seq);
             }
         }
