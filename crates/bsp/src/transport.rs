@@ -13,7 +13,7 @@
 //!
 //! [`Frame`] is a message enum over [`desq_core::wire`] — the frame
 //! grammar (`varint(payload_len) payload`, length validated against
-//! [`NetConfig::max_frame`] *before* any allocation), the byte-list
+//! [`MAX_NET_FRAME`] *before* any allocation), the byte-list
 //! helpers and the [`Error`] codec are the ones the `desq-serve` protocol
 //! uses. A connection starts with the worker's [`Frame::Hello`] carrying
 //! the protocol version; the coordinator silently drops a peer of another
@@ -22,9 +22,9 @@
 //!
 //! # Failure model
 //!
-//! - **Backpressure**: at most [`NetConfig::credits`] task frames are in
-//!   flight per peer link; a slow worker throttles its own assignment
-//!   stream instead of unbounded queueing.
+//! - **Backpressure**: at most two task frames (`CREDITS`) are in flight
+//!   per peer link; a slow worker throttles its own assignment stream
+//!   instead of unbounded queueing.
 //! - **Liveness**: every read on a shuffle link carries a deadline
 //!   ([`NetConfig::liveness`]); both sides send [`Frame::Heartbeat`] on
 //!   idle links every quarter of that window. A peer silent past the
@@ -42,8 +42,7 @@
 //!
 //! Failpoints (feature `failpoints`): `net::send_frame` before every frame
 //! write, `net::accept` on every accepted connection, `net::heartbeat`
-//! before every worker heartbeat — see `desq_core::fault` for the
-//! cross-process `DESQ_FAILPOINTS` grammar.
+//! before every worker heartbeat — see `desq_core::fault`.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
@@ -339,8 +338,7 @@ impl Frame {
 /// the chaos suite murders a worker).
 fn send_wire<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
     #[cfg(feature = "failpoints")]
-    desq_core::fault::point("net::send_frame")
-        .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
+    desq_core::fault::point("net::send_frame").map_err(|e| io::Error::other(e.to_string()))?;
     w.write_all(framed)?;
     w.flush()
 }
@@ -359,20 +357,22 @@ pub fn read_net_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Frame>
 
 // ------------------------------------------------------------ coordinator
 
+/// Hard cap on a single shuffle frame's payload bytes, enforced before
+/// allocation on reads and before transmission on writes.
+pub const MAX_NET_FRAME: usize = 64 << 20;
+
+/// Task frames in flight per peer link (bounded-credit backpressure).
+const CREDITS: usize = 2;
+
 /// Tuning knobs of a networked shuffle link.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Task frames in flight per peer link (bounded-credit backpressure).
-    pub credits: usize,
     /// A peer silent for this long is declared dead. Idle links carry a
     /// heartbeat every quarter of it, so one lost heartbeat never trips the
     /// window.
     pub liveness: Duration,
     /// Reconnect schedule and budget for workers.
     pub retry: RetryPolicy,
-    /// Hard cap on a single frame's payload bytes, enforced before
-    /// allocation on reads and before transmission on writes.
-    pub max_frame: usize,
     /// How long the coordinator tolerates *zero* live workers before
     /// failing the job with [`Error::PeerUnreachable`].
     pub peer_wait: Duration,
@@ -389,10 +389,8 @@ impl NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            credits: 2,
             liveness: Duration::from_secs(2),
             retry: RetryPolicy::default(),
-            max_frame: 64 << 20,
             peer_wait: Duration::from_secs(10),
         }
     }
@@ -511,8 +509,8 @@ impl NetCoordinator {
                         peers.len() - 1
                     };
                     let tx = self.tx.clone();
-                    let (liveness, max_frame) = (self.cfg.liveness, self.cfg.max_frame);
-                    thread::spawn(move || reader_loop(id, rstream, liveness, max_frame, tx));
+                    let liveness = self.cfg.liveness;
+                    thread::spawn(move || reader_loop(id, rstream, liveness, tx));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -520,14 +518,14 @@ impl NetCoordinator {
         }
     }
 
-    /// Hands queued tasks to live peers, at most `credits` in flight each.
+    /// Hands queued tasks to live peers, at most [`CREDITS`] in flight each.
     fn assign<R>(&self, wire: &[Vec<u8>], phase: &mut Phase<R>) {
         let mut peers = lock(&self.peers);
         for p in peers.iter_mut() {
             if !p.alive || !p.ready {
                 continue;
             }
-            while p.in_flight.len() < self.cfg.credits {
+            while p.in_flight.len() < CREDITS {
                 // Skip tasks that were completed elsewhere while re-queued.
                 let Some(t) = phase.queue.pop_front() else {
                     return;
@@ -552,7 +550,7 @@ impl NetCoordinator {
 
     /// Heartbeats peers whose link has been idle for a heartbeat interval.
     fn heartbeat_idle<R>(&self, phase: &mut Phase<R>) {
-        let Ok(hb) = Frame::Heartbeat.to_wire(self.cfg.max_frame) else {
+        let Ok(hb) = Frame::Heartbeat.to_wire(MAX_NET_FRAME) else {
             return;
         };
         let mut peers = lock(&self.peers);
@@ -640,7 +638,7 @@ impl NetCoordinator {
         let n = task_frames.len();
         let mut wire: Vec<Vec<u8>> = Vec::with_capacity(n);
         for f in task_frames {
-            wire.push(f.to_wire(self.cfg.max_frame).map_err(|e| {
+            wire.push(f.to_wire(MAX_NET_FRAME).map_err(|e| {
                 Error::ResourceExhausted(format!("task frame exceeds the frame cap: {e}"))
             })?);
         }
@@ -706,7 +704,7 @@ impl NetCoordinator {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        let Ok(end) = Frame::End.to_wire(self.cfg.max_frame) else {
+        let Ok(end) = Frame::End.to_wire(MAX_NET_FRAME) else {
             return;
         };
         let mut peers = lock(&self.peers);
@@ -800,17 +798,11 @@ impl ShuffleTransport for NetCoordinator {
     }
 }
 
-fn reader_loop(
-    peer: usize,
-    stream: TcpStream,
-    liveness: Duration,
-    max_frame: usize,
-    tx: Sender<Event>,
-) {
+fn reader_loop(peer: usize, stream: TcpStream, liveness: Duration, tx: Sender<Event>) {
     let _ = stream.set_read_timeout(Some(liveness));
     let mut r = BufReader::new(stream);
     loop {
-        match read_net_frame(&mut r, max_frame) {
+        match read_net_frame(&mut r, MAX_NET_FRAME) {
             Ok(frame) => {
                 if tx.send(Event::Frame { peer, frame }).is_err() {
                     return;
@@ -838,12 +830,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write_frame_locked(
-    writer: &Mutex<TcpStream>,
-    frame: &Frame,
-    max_frame: usize,
-) -> io::Result<()> {
-    let wire = frame.to_wire(max_frame)?;
+fn write_frame_locked(writer: &Mutex<TcpStream>, frame: &Frame) -> io::Result<()> {
+    let wire = frame.to_wire(MAX_NET_FRAME)?;
     send_wire(&mut *lock(writer), &wire)
 }
 
@@ -866,7 +854,6 @@ fn serve_coordinator(
         &Frame::Hello {
             version: NET_PROTOCOL_VERSION,
         },
-        cfg.max_frame,
     )?;
 
     // Heartbeats come from a dedicated thread over the shared writer so a
@@ -875,7 +862,7 @@ fn serve_coordinator(
     let hb_thread = {
         let writer = Arc::clone(&writer);
         let stop = Arc::clone(&stop);
-        let (interval, max_frame) = (cfg.heartbeat(), cfg.max_frame);
+        let interval = cfg.heartbeat();
         thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 thread::sleep(interval);
@@ -886,7 +873,7 @@ fn serve_coordinator(
                 if desq_core::fault::point("net::heartbeat").is_err() {
                     continue; // suppressed heartbeat, not a dead link
                 }
-                if write_frame_locked(&writer, &Frame::Heartbeat, max_frame).is_err() {
+                if write_frame_locked(&writer, &Frame::Heartbeat).is_err() {
                     return; // the main loop will notice the broken link
                 }
             }
@@ -895,7 +882,7 @@ fn serve_coordinator(
 
     let outcome = (|| -> io::Result<()> {
         loop {
-            let reply = match read_net_frame(&mut reader, cfg.max_frame)? {
+            let reply = match read_net_frame(&mut reader, MAX_NET_FRAME)? {
                 Frame::MapTask { epoch, task } => {
                     let started = Instant::now();
                     let run = catch_unwind(AssertUnwindSafe(|| on_map(task)))
@@ -944,7 +931,7 @@ fn serve_coordinator(
                     ))
                 }
             };
-            write_frame_locked(&writer, &reply, cfg.max_frame)?;
+            write_frame_locked(&writer, &reply)?;
         }
     })();
     stop.store(true, Ordering::SeqCst);

@@ -6,8 +6,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use desq_bsp::transport::{read_net_frame, Frame};
-use desq_bsp::NetConfig;
+use desq_bsp::transport::{read_net_frame, Frame, MAX_NET_FRAME};
 use desq_core::codec::write_varint;
 use desq_core::wire::MAX_LIST_LEN;
 
@@ -62,7 +61,7 @@ fn all_zero_map_out(count: usize) -> Vec<u8> {
 
 #[test]
 fn an_all_zero_byte_list_cannot_amplify_past_its_frame() {
-    let max_frame = NetConfig::default().max_frame;
+    let max_frame = MAX_NET_FRAME;
 
     // The largest such frame the default cap admits used to decode into
     // 64 Mi `Vec` headers (≈ 1.5 GiB); it is refused at the list count.

@@ -28,28 +28,12 @@
 //! reproducible" schedules derive `skip` from a seed themselves — the
 //! registry stays a pure counter machine.
 //!
-//! # Cross-process configuration
+//! # Other processes
 //!
-//! Failpoints must also fire inside *child processes* — the chaos suite
-//! for the networked shuffle spawns real worker processes and kills one
-//! mid-superstep. A child cannot be configured through this registry's
-//! in-process API, so specs travel in the `DESQ_FAILPOINTS` environment
-//! variable and the child arms them at startup with [`init_from_env`]:
-//!
-//! ```text
-//! DESQ_FAILPOINTS = entry (";" entry)*
-//! entry           = site "=" spec
-//! spec            = ["skip(" n ")."] ["times(" n ")."] action
-//! action          = "panic" | "err" | "delay(" millis ")" | "exit(" code ")"
-//! ```
-//!
-//! Examples: `net::send_frame=skip(3).exit(17)` kills the process on its
-//! 4th frame send; `bsp::reduce_merge=times(2).err` fails the first two
-//! reduce tasks; `net::heartbeat=delay(500)` stalls every heartbeat by
-//! half a second. Omitted `skip` defaults to 0, omitted `times` to
-//! "forever". [`FailSpec::from_env`] parses a single spec string and
-//! rejects hostile input (unknown actions, overflowing counters, empty
-//! sites) with a typed error instead of guessing.
+//! The registry is per process. A chaos test that spawns real worker
+//! processes (and kills one mid-superstep with [`FailAction::Exit`]) arms
+//! the child's sites from inside the child, with [`configure`], before it
+//! starts working.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -103,76 +87,6 @@ impl FailSpec {
             times: 1,
             action,
         }
-    }
-
-    /// Parses the environment spec grammar (see the module docs):
-    /// `[skip(<n>).][times(<n>).]<action>` with `action` one of `panic`,
-    /// `err`, `delay(<millis>)`, `exit(<code>)`. Hostile input — unknown
-    /// actions, non-numeric or overflowing counters, empty specs, stray
-    /// clauses — yields [`Error::Invalid`], never a panic or a default.
-    pub fn from_env(spec: &str) -> Result<FailSpec> {
-        fn clause_arg<'s>(clause: &'s str, name: &str) -> Result<Option<&'s str>> {
-            let Some(rest) = clause.strip_prefix(name) else {
-                return Ok(None);
-            };
-            rest.strip_prefix('(')
-                .and_then(|r| r.strip_suffix(')'))
-                .map(Some)
-                .ok_or_else(|| {
-                    Error::Invalid(format!(
-                        "failpoint spec clause {clause:?}: expected {name}(…)"
-                    ))
-                })
-        }
-        fn parse_u64(what: &str, s: &str) -> Result<u64> {
-            s.trim().parse().map_err(|_| {
-                Error::Invalid(format!(
-                    "failpoint spec: {what} {s:?} is not a valid number"
-                ))
-            })
-        }
-
-        let mut skip = 0u64;
-        let mut times = u64::MAX;
-        let mut rest = spec.trim();
-        if rest.is_empty() {
-            return Err(Error::Invalid("failpoint spec is empty".into()));
-        }
-        // Leading `skip(n).` then `times(n).` clauses, each at most once.
-        for (name, slot) in [("skip", &mut skip), ("times", &mut times)] {
-            if let Some((head, tail)) = rest.split_once('.') {
-                if let Some(arg) = clause_arg(head.trim(), name)? {
-                    *slot = parse_u64(name, arg)?;
-                    rest = tail.trim();
-                }
-            }
-        }
-        let action = match rest {
-            "panic" => FailAction::Panic,
-            "err" => FailAction::Err,
-            other => {
-                if let Some(ms) = clause_arg(other, "delay")? {
-                    FailAction::Delay(Duration::from_millis(parse_u64("delay", ms)?))
-                } else if let Some(code) = clause_arg(other, "exit")? {
-                    let code = code.trim().parse::<i32>().map_err(|_| {
-                        Error::Invalid(format!(
-                            "failpoint spec: exit code {code:?} is not a valid i32"
-                        ))
-                    })?;
-                    FailAction::Exit(code)
-                } else {
-                    return Err(Error::Invalid(format!(
-                        "failpoint spec: unknown action {other:?} \
-                         (expected panic, err, delay(ms) or exit(code))"
-                    )));
-                }
-            }
-        };
-        Ok(FailSpec {
-            skip,
-            times,
-            action,
-        })
     }
 }
 
@@ -249,35 +163,6 @@ pub fn point(site: &str) -> Result<()> {
     }
 }
 
-/// Arms every failpoint named in the `DESQ_FAILPOINTS` environment
-/// variable (see the module docs for the format) and returns how many
-/// sites were configured. Child processes of the chaos suites call this
-/// at startup; a missing or empty variable arms nothing. Malformed
-/// entries are an error — a chaos test with a typo'd spec must fail
-/// loudly, not silently run fault-free.
-pub fn init_from_env() -> Result<usize> {
-    let Ok(raw) = std::env::var("DESQ_FAILPOINTS") else {
-        return Ok(0);
-    };
-    let mut armed = 0;
-    for entry in raw.split(';').filter(|e| !e.trim().is_empty()) {
-        let (site, spec) = entry.split_once('=').ok_or_else(|| {
-            Error::Invalid(format!(
-                "DESQ_FAILPOINTS entry {entry:?}: expected site=spec"
-            ))
-        })?;
-        let site = site.trim();
-        if site.is_empty() {
-            return Err(Error::Invalid(format!(
-                "DESQ_FAILPOINTS entry {entry:?}: empty site name"
-            )));
-        }
-        configure(site, FailSpec::from_env(spec.trim())?);
-        armed += 1;
-    }
-    Ok(armed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,100 +205,6 @@ mod tests {
         let msg = crate::mining::panic_message(err.as_ref());
         assert!(msg.contains("fault-test::boom"), "{msg}");
         clear("fault-test::boom");
-    }
-
-    #[test]
-    fn env_spec_grammar_parses() {
-        assert_eq!(
-            FailSpec::from_env("panic").unwrap(),
-            FailSpec::always(FailAction::Panic)
-        );
-        assert_eq!(
-            FailSpec::from_env("err").unwrap(),
-            FailSpec::always(FailAction::Err)
-        );
-        assert_eq!(
-            FailSpec::from_env("delay(250)").unwrap(),
-            FailSpec::always(FailAction::Delay(Duration::from_millis(250)))
-        );
-        assert_eq!(
-            FailSpec::from_env("exit(17)").unwrap(),
-            FailSpec::always(FailAction::Exit(17))
-        );
-        assert_eq!(
-            FailSpec::from_env("skip(3).exit(1)").unwrap(),
-            FailSpec {
-                skip: 3,
-                times: u64::MAX,
-                action: FailAction::Exit(1),
-            }
-        );
-        assert_eq!(
-            FailSpec::from_env("times(2).err").unwrap(),
-            FailSpec {
-                skip: 0,
-                times: 2,
-                action: FailAction::Err,
-            }
-        );
-        assert_eq!(
-            FailSpec::from_env(" skip(1).times(4).delay(10) ").unwrap(),
-            FailSpec {
-                skip: 1,
-                times: 4,
-                action: FailAction::Delay(Duration::from_millis(10)),
-            }
-        );
-    }
-
-    #[test]
-    fn env_spec_rejects_hostile_input() {
-        for bad in [
-            "",
-            "   ",
-            "boom",
-            "panic.",
-            "skip(2)",                          // clause without an action
-            "skip().panic",                     // empty counter
-            "skip(x).panic",                    // non-numeric counter
-            "skip(18446744073709551616).panic", // u64 overflow
-            "delay(-5)",
-            "delay(1.5)",
-            "delay(9999999999999999999999)",
-            "exit(99999999999999)", // i32 overflow
-            "exit()",
-            "times(1).times(2).panic", // duplicate clause
-            "skip(1)panic",            // missing separator
-        ] {
-            assert!(
-                matches!(FailSpec::from_env(bad), Err(Error::Invalid(_))),
-                "spec {bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn init_from_env_arms_every_entry() {
-        // Env vars are process-global: use unique site names and restore
-        // the variable afterwards.
-        std::env::set_var(
-            "DESQ_FAILPOINTS",
-            "fault-test::env_a=skip(1).err; fault-test::env_b=times(1).err;;",
-        );
-        let armed = init_from_env().unwrap();
-        std::env::remove_var("DESQ_FAILPOINTS");
-        assert_eq!(armed, 2);
-        assert!(point("fault-test::env_a").is_ok());
-        assert!(point("fault-test::env_a").is_err());
-        assert!(point("fault-test::env_b").is_err());
-        assert!(point("fault-test::env_b").is_ok());
-        clear("fault-test::env_a");
-        clear("fault-test::env_b");
-
-        std::env::set_var("DESQ_FAILPOINTS", "no-equals-sign");
-        let err = init_from_env().unwrap_err();
-        std::env::remove_var("DESQ_FAILPOINTS");
-        assert!(matches!(err, Error::Invalid(_)));
     }
 
     #[test]

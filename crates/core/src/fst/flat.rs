@@ -87,14 +87,15 @@ impl RunScratch {
     }
 
     /// The forward-reachable states of position `i` of the last sequence
-    /// built ([`SimScratch::reachable`]).
+    /// built, as a state bitset.
     #[inline]
     pub fn reachable(&self, i: usize) -> &[u64] {
         self.sim.reachable(i)
     }
 
-    /// The alive states of position `i` of the last accepted sequence
-    /// built ([`SimScratch::alive`]).
+    /// The alive states (forward-reachable with an accepting completion) of
+    /// position `i` of the last *accepted* sequence built, as a state
+    /// bitset.
     #[inline]
     pub fn alive(&self, i: usize) -> &[u64] {
         self.sim.alive(i)
@@ -172,7 +173,7 @@ impl<'a> RunWalker<'a> {
     }
 
     /// Builds the flat run tables for `seq` in `scratch` through the shared
-    /// front-end ([`Simulator::build`]): the alive-pruned match masks plus
+    /// front-end ([`sim`](super::sim)): the alive-pruned match masks plus
     /// the σ-filtered per-`(position, label)` output arena. Returns `true`
     /// iff the FST accepts `seq` (rejected sequences stop after the forward
     /// pass and build no output sets). [`for_each_run`](Self::for_each_run)
@@ -181,6 +182,21 @@ impl<'a> RunWalker<'a> {
     pub fn build_tables(&self, seq: &[ItemId], scratch: &mut RunScratch) -> bool {
         scratch.tables.clear();
         self.sim.build(seq, &mut scratch.sim, &mut scratch.tables)
+    }
+
+    /// [`build_tables`](Self::build_tables) into a caller-owned arena:
+    /// iff the FST accepts `seq`, its mask rows and output arena are
+    /// *appended* to `tables` (DESQ-DFS grows one arena over all its input
+    /// sequences); a rejected sequence leaves `tables` as it found them.
+    /// The grid bitsets stay readable through [`RunScratch::reachable`] /
+    /// [`RunScratch::alive`] until the next build.
+    pub fn build_tables_into(
+        &self,
+        seq: &[ItemId],
+        scratch: &mut RunScratch,
+        tables: &mut SimTables,
+    ) -> bool {
+        self.sim.build(seq, &mut scratch.sim, tables)
     }
 
     /// Walks every accepting run of the FST on `seq` depth-first, trying

@@ -7,7 +7,7 @@
 //! That index is the transition's bit in a per-position *match mask*: a
 //! `⌈|Δ| / 64⌉`-word bitset per input position whose bit `δ` says
 //! "transition `δ` matches the item at this position". The rows are built
-//! by the shared simulation front-end ([`sim::Simulator`](super::sim)) —
+//! by the shared simulation front-end ([`sim`](super::sim)) —
 //! lazily, for transitions leaving forward-reachable states only — and
 //! afterwards every match question is a single bit test: no dictionary
 //! access, no repeated `InputLabel::matches` evaluation.
@@ -27,8 +27,8 @@
 //! * global transition order is state-major and stable: bit `δ` of a match
 //!   mask always refers to `inputs()[δ]`, and `state(q)` yields exactly the
 //!   transitions of `q` in that order;
-//! * mask rows passed to bit tests must have been built by
-//!   [`Simulator::build`](super::sim::Simulator::build) and are consulted
+//! * mask rows passed to bit tests must have been built by the
+//!   [front-end](super::sim) and are consulted
 //!   only under its [reachable-sources contract](super::sim);
 //! * interned label indices are only meaningful against the same index
 //!   (`labels()[i]`).

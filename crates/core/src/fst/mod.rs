@@ -28,7 +28,7 @@ pub mod sim;
 pub use flat::{CandidateCounter, RunScratch, RunWalker};
 pub use index::{FstIndex, TrRef};
 pub use opt::OptLevel;
-pub use sim::{SimScratch, SimTables, Simulator};
+pub use sim::SimTables;
 
 use crate::dictionary::Dictionary;
 use crate::error::Result;

@@ -2,7 +2,7 @@
 //! forward reachability, aliveness and the σ-cut output arena, built
 //! lazily over the CSR [`FstIndex`].
 //!
-//! One [`Simulator::build`] call serves the three flat consumers —
+//! One `Simulator::build` call serves the three flat consumers —
 //! [`RunWalker`](super::flat::RunWalker) (run enumeration), DESQ-DFS's
 //! `SeqTables` (which adds its ε-completion DP) and the pivot DP of
 //! D-SEQ's mapper:
@@ -29,9 +29,16 @@
 //! Bits of transitions leaving unreachable states are never set, and
 //! output sets exist only for labels with a set bit. Consumers must
 //! therefore consult rows only from coordinates they reached by following
-//! set bits from `(0, initial)` — or that [`SimScratch::reachable`] /
-//! [`SimScratch::alive`] report — which is all the closure walk, the run
-//! walk, the pivot DP and the range trimming ever do.
+//! set bits from `(0, initial)` — or that
+//! [`RunScratch::reachable`](super::RunScratch::reachable) /
+//! [`RunScratch::alive`](super::RunScratch::alive) report — which is all
+//! the closure walk, the run walk, the pivot DP and the range trimming ever
+//! do.
+//!
+//! The front-end itself (`Simulator`, `SimScratch`) is crate-private: every
+//! consumer outside `desq-core` builds through
+//! [`RunWalker::build_tables`](super::RunWalker::build_tables) or, to grow
+//! a shared arena, [`RunWalker::build_tables_into`](super::RunWalker::build_tables_into).
 
 use super::index::FstIndex;
 use super::{Fst, InputLabel};
@@ -84,7 +91,7 @@ fn match_cached(label: InputLabel, d: u16, t: ItemId, dict: &Dictionary, memo: &
     }
 }
 
-/// What [`Simulator::build`] appends per accepted sequence: the pruned
+/// What the front-end appends per accepted sequence: the pruned
 /// match-mask rows and the output arena (see the
 /// [reachable-sources contract](self)). Consumers either clear it per
 /// sequence (run walk, pivot DP) or let it grow into a shared arena and
@@ -147,7 +154,7 @@ impl SimTables {
 /// four bytes per vocabulary item for the slot directory, plus one
 /// step-table entry per *distinct item seen*.
 #[derive(Default)]
-pub struct SimScratch {
+pub(crate) struct SimScratch {
     key: u64,
     /// Per item: 1 + its entry in `step` / `memo`, 0 = not seen yet.
     slot: Vec<u32>,
@@ -168,14 +175,14 @@ impl SimScratch {
     /// The forward-reachable states of position `i` of the last sequence
     /// built, as a state bitset.
     #[inline]
-    pub fn reachable(&self, i: usize) -> &[u64] {
+    pub(crate) fn reachable(&self, i: usize) -> &[u64] {
         &self.fwd[i * self.qw..(i + 1) * self.qw]
     }
 
     /// The alive states (forward-reachable with an accepting completion) of
     /// position `i` of the last *accepted* sequence built.
     #[inline]
-    pub fn alive(&self, i: usize) -> &[u64] {
+    pub(crate) fn alive(&self, i: usize) -> &[u64] {
         &self.alive[i * self.qw..(i + 1) * self.qw]
     }
 }
@@ -184,7 +191,7 @@ impl SimScratch {
 /// [module docs](self)). A handful of references — build one wherever it is
 /// needed; the [`FstIndex`] is the thing to build once and share.
 #[derive(Clone, Copy)]
-pub struct Simulator<'a> {
+pub(crate) struct Simulator<'a> {
     pub(super) fst: &'a Fst,
     dict: &'a Dictionary,
     pub(super) index: &'a FstIndex,
@@ -195,7 +202,12 @@ impl<'a> Simulator<'a> {
     /// A simulator whose output sets keep only items `<= max_item` (pass
     /// `dict.last_frequent(sigma)` for the σ cut, `ItemId::MAX` for none).
     /// `index` must have been built from `fst`.
-    pub fn new(fst: &'a Fst, dict: &'a Dictionary, index: &'a FstIndex, max_item: ItemId) -> Self {
+    pub(crate) fn new(
+        fst: &'a Fst,
+        dict: &'a Dictionary,
+        index: &'a FstIndex,
+        max_item: ItemId,
+    ) -> Self {
         Simulator {
             fst,
             dict,
@@ -208,7 +220,12 @@ impl<'a> Simulator<'a> {
     /// and output arena to `tables`; the grid bitsets stay readable in
     /// `scratch` until the next call. A rejected sequence returns `false`
     /// right after the forward pass and leaves `tables` as it found them.
-    pub fn build(&self, seq: &[ItemId], scratch: &mut SimScratch, tables: &mut SimTables) -> bool {
+    pub(crate) fn build(
+        &self,
+        seq: &[ItemId],
+        scratch: &mut SimScratch,
+        tables: &mut SimTables,
+    ) -> bool {
         let start = tables.mask.len();
         tables
             .mask

@@ -748,8 +748,8 @@ pub trait Miner {
 }
 
 /// Where a streaming run delivers its `(pattern, frequency)` pairs; `false`
-/// stops the run. `Send` because a one-worker run hands the sink itself to
-/// its worker, and scheduler workers own `Send` state.
+/// stops the run. `Send` because scheduler workers call it from their own
+/// threads (one at a time, under a lock).
 pub type PatternSink<'s> = &'s mut (dyn FnMut(Sequence, u64) -> bool + Send);
 
 #[cfg(test)]

@@ -22,8 +22,12 @@
 //! decrements it, and an idle worker exits once it reads zero (no task is
 //! queued anywhere and none is running that could still spawn one).
 //!
-//! [`run_scheduler`] is oblivious to what a task *is*; [`run_indexed`] is
-//! the fixed-task-list shape over it that the BSP engine's phases and the
+//! [`run_scheduler`] is oblivious to what a task *is*: it takes one state
+//! per worker, hands the states back when the run ends, and owns the
+//! failure rule (the first failing task wins). Callers fold the returned
+//! states — DESQ-DFS's pattern buffers, DESQ-COUNT's partial counters —
+//! and keep no locks or error slots of their own. [`run_indexed`] is the
+//! fixed-task-list shape over it that the BSP engine's phases and the
 //! miner's table build use. The worker count is a number, not a code path:
 //! callers pass one state per worker and run the same program at every
 //! count. What a lone worker does differently — run on the calling thread,
@@ -32,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -121,48 +125,39 @@ impl<T> TaskCtx<'_, T> {
 }
 
 /// Runs `seed` tasks to completion on `states.len()` workers with work
-/// stealing, and `on_main` on the calling thread (streaming callers drain
-/// their channel there; eager callers pass `|| ()`).
+/// stealing and hands every worker's state back, in worker-index order,
+/// beside its [`WorkerStats`].
 ///
-/// Each worker owns one element of `states` (scratch arenas, output
-/// buffers, channel senders); `task` may spawn subtasks through the
-/// [`TaskCtx`]. When a worker runs out of everything to do it calls
-/// `finish` with its state — still on the worker's thread, so senders drop
-/// and channels disconnect before the scheduler returns. Setting `cancel`
-/// makes every worker stop at its next task boundary, abandoning queued
-/// tasks.
+/// Each worker owns one element of `states` (scratch arenas, partial
+/// results); `task` may spawn subtasks through the [`TaskCtx`]. A caller
+/// folds the returned states into its result, so no partial result ever
+/// crosses a lock. Setting `cancel` makes every worker stop at its next
+/// task boundary, abandoning queued tasks.
 ///
-/// Two or more workers each get a scoped thread and `on_main` runs beside
-/// them. A **lone worker** runs the same loop on the calling thread — no
-/// thread is spawned — and `on_main` runs after it; a caller whose
-/// `on_main` must make progress *while* tasks run (draining a bounded
-/// channel) therefore needs at least two states.
+/// Two or more workers each get a scoped thread. A **lone worker** runs
+/// the same loop on the calling thread — no thread is spawned.
 ///
 /// # Failure domains
 ///
-/// The contract is the same at every worker count. Every task body runs
-/// under `catch_unwind`: a panicking task cancels the run (queued tasks
-/// are abandoned, every worker still runs `finish` and reports its stats)
-/// and the scheduler returns [`Error::WorkerPanicked`] carrying the first
-/// panic payload — the process survives. A `token`, when given, is polled
-/// before every task: an externally cancelled or deadline-expired token
-/// stops the run the same cooperative way and its
-/// [`stop_reason`](CancelToken::stop_reason) becomes the returned error.
-/// Cancellation through the bare `cancel` flag alone (the streaming
-/// sink's abandon-on-drop) is *not* an error: the partial run returns
-/// `Ok`.
-///
-/// Returns per-worker [`WorkerStats`] in worker-index order plus
-/// `on_main`'s result.
-pub fn run_scheduler<T, S, R>(
+/// The contract is the same at every worker count. The first failing task
+/// wins: a task that returns `Err` or panics cancels the run (queued tasks
+/// are abandoned), and the scheduler returns that error — a panic as
+/// [`Error::WorkerPanicked`] carrying its payload, so the process
+/// survives. Every task body runs under `catch_unwind`, and a panic also
+/// trips the `token`, when given, so co-operating layers see it. The
+/// `token` is polled before every task: an externally cancelled or
+/// deadline-expired token stops the run the same cooperative way, and its
+/// [`stop_reason`](CancelToken::stop_reason) becomes the returned error
+/// unless a task failed first. Cancellation through the bare `cancel`
+/// flag alone (a streaming consumer's early stop) is *not* an error: the
+/// partial run returns `Ok`.
+pub fn run_scheduler<T, S>(
     seed: Vec<T>,
     states: Vec<S>,
     cancel: &AtomicBool,
     token: Option<&CancelToken>,
-    task: impl Fn(T, &mut S, &TaskCtx<'_, T>) + Sync,
-    finish: impl Fn(usize, S) + Sync,
-    on_main: impl FnOnce() -> R,
-) -> Result<(Vec<WorkerStats>, R)>
+    task: impl Fn(T, &mut S, &TaskCtx<'_, T>) -> Result<()> + Sync,
+) -> Result<(Vec<WorkerStats>, Vec<S>)>
 where
     T: Send,
     S: Send,
@@ -171,17 +166,9 @@ where
     let pending = AtomicUsize::new(seed.len());
     let injector = Queue::new(seed);
     let queues: Vec<Queue<T>> = (0..workers).map(|_| Queue::new(None)).collect();
-    // First caught panic payload; later ones lose the race and are dropped
-    // (the run is already cancelled).
-    let panicked: Mutex<Option<String>> = Mutex::new(None);
-    let record_panic = |payload: &(dyn std::any::Any + Send)| {
-        let msg = panic_message(payload);
-        if let Some(token) = token {
-            token.mark_panicked(&msg);
-        }
-        lock(&panicked).get_or_insert(msg);
-        cancel.store(true, Ordering::Relaxed);
-    };
+    // The first failing task's error; later ones lose the race and are
+    // dropped (the run is already cancelled).
+    let failure: Mutex<Option<Error>> = Mutex::new(None);
 
     let worker = |(wid, mut state): (usize, S)| {
         let t0 = Instant::now();
@@ -229,53 +216,54 @@ where
                 if let Err(e) = crate::fault::point("sched::task_run") {
                     panic!("{e}");
                 }
-                task(t, &mut state, &ctx);
+                task(t, &mut state, &ctx)
             }));
             stats.tasks += 1;
             pending.fetch_sub(1, Ordering::SeqCst);
-            if let Err(payload) = run {
-                record_panic(payload.as_ref());
-                break;
-            }
-        }
-        // `finish` still runs on the cancelled/panicked paths so partial
-        // per-worker results and senders are released; a panic inside it
-        // is contained the same way as a task's.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| finish(wid, state))) {
-            record_panic(payload.as_ref());
+            let err = match run {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    let msg = panic_message(payload.as_ref());
+                    if let Some(token) = token {
+                        token.mark_panicked(&msg);
+                    }
+                    Error::WorkerPanicked(msg)
+                }
+            };
+            lock(&failure).get_or_insert(err);
+            cancel.store(true, Ordering::Relaxed);
+            break;
         }
         stats.nanos = t0.elapsed().as_nanos() as u64;
-        stats
+        (stats, state)
     };
 
     let states = states.into_iter().enumerate();
-    let (stats, main_out) = if workers == 1 {
+    let done: Vec<(WorkerStats, S)> = if workers == 1 {
         // Nobody to run beside: a thread would buy a spawn and a join per
         // call (the BSP engine calls once per phase) and nothing else.
-        let stats: Vec<WorkerStats> = states.map(worker).collect();
-        (stats, on_main())
+        states.map(worker).collect()
     } else {
         std::thread::scope(|scope| {
             let worker = &worker;
             let handles: Vec<_> = states
                 .map(|state| scope.spawn(move || worker(state)))
                 .collect();
-            let main_out = on_main();
-            let joined = handles.into_iter().map(|h| h.join());
-            let stats: Vec<WorkerStats> = joined
-                .map(|stats| stats.expect("task and finish panics are caught inside the worker"))
-                .collect();
-            (stats, main_out)
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("task panics are caught inside the worker"))
+                .collect()
         })
     };
 
-    if let Some(msg) = panicked.into_inner().expect(POISONED) {
-        return Err(Error::WorkerPanicked(msg));
+    if let Some(err) = failure.into_inner().expect(POISONED) {
+        return Err(err);
     }
     if let Some(err) = token.and_then(CancelToken::stop_reason) {
         return Err(err);
     }
-    Ok((stats, main_out))
+    Ok(done.into_iter().unzip())
 }
 
 /// What [`run_indexed`] returns.
@@ -296,11 +284,8 @@ pub struct IndexedRun<T> {
 /// [`run_scheduler`] and collects the results in index order, whatever the
 /// steal schedule. `init` builds one state per worker (pass
 /// `|| ()` for stateless tasks); it is threaded through every task that
-/// worker executes.
-///
-/// The first task to return `Err` wins: the run is cancelled, tasks not
-/// yet started are abandoned, and that error is returned. Panics and a
-/// tripped `token` surface typed, as documented on [`run_scheduler`].
+/// worker executes. Failures — the first task error or panic, a tripped
+/// `token` — surface as documented on [`run_scheduler`].
 pub fn run_indexed<T, S>(
     n: usize,
     workers: usize,
@@ -312,44 +297,34 @@ where
     T: Send,
     S: Send,
 {
-    let cancel = AtomicBool::new(false);
-    let failure: Mutex<Option<Error>> = Mutex::new(None);
-    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let max_task_nanos = AtomicU64::new(0);
+    // Per worker: its state, its `(index, result)` pairs and its slowest
+    // task.
     let states = (0..workers.min(n).max(1))
-        .map(|_| (init(), Vec::new()))
+        .map(|_| (init(), Vec::new(), 0u64))
         .collect();
-    let run = run_scheduler(
+    let (stats, states) = run_scheduler(
         (0..n).collect(),
         states,
-        &cancel,
+        &AtomicBool::new(false),
         token,
-        |i, (state, out): &mut (S, Vec<(usize, T)>), _ctx| {
+        |i, (state, out, slowest): &mut (S, Vec<(usize, T)>, u64), _ctx| {
             let started = Instant::now();
-            let result = task(i, state);
-            max_task_nanos.fetch_max(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            match result {
-                Ok(value) => out.push((i, value)),
-                Err(e) => {
-                    lock(&failure).get_or_insert(e);
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            }
+            let value = task(i, state)?;
+            *slowest = (*slowest).max(started.elapsed().as_nanos() as u64);
+            out.push((i, value));
+            Ok(())
         },
-        |_, (_, out)| lock(&done).extend(out),
-        || (),
-    );
-    // A task's own error precedes whatever stop reason the token picked up
-    // while the remaining workers wound down.
-    if let Some(e) = failure.into_inner().expect(POISONED) {
-        return Err(e);
+    )?;
+    let mut done = Vec::with_capacity(n);
+    let mut max_task_nanos = 0;
+    for (_, out, slowest) in states {
+        done.extend(out);
+        max_task_nanos = max_task_nanos.max(slowest);
     }
-    let (stats, ()) = run?;
-    let mut done = done.into_inner().expect(POISONED);
     done.sort_unstable_by_key(|&(i, _)| i);
     Ok(IndexedRun {
         results: done.into_iter().map(|(_, value)| value).collect(),
-        max_task_nanos: max_task_nanos.into_inner(),
+        max_task_nanos,
         tasks: stats.iter().map(|s| s.tasks).sum(),
         steals: stats.iter().map(|s| s.steals).sum(),
     })
@@ -358,32 +333,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     /// Recursive fork-join sum of 0..n via spawned subtasks: exercises
     /// spawning, stealing and pending-counter termination together.
     #[test]
     fn spawned_subtasks_all_run_exactly_once() {
         for workers in [1usize, 2, 4] {
-            let total = AtomicU64::new(0);
             let cancel = AtomicBool::new(false);
-            let (stats, ()) = run_scheduler(
+            let (stats, sums) = run_scheduler(
                 vec![(0u64, 256u64)],
-                vec![(); workers],
+                vec![0u64; workers],
                 &cancel,
                 None,
-                |(lo, hi), _state, ctx: &TaskCtx<'_, (u64, u64)>| {
+                |(lo, hi), sum, ctx: &TaskCtx<'_, (u64, u64)>| {
                     if hi - lo <= 8 {
-                        total.fetch_add((lo..hi).sum::<u64>(), Ordering::Relaxed);
+                        *sum += (lo..hi).sum::<u64>();
                     } else {
                         let mid = (lo + hi) / 2;
                         ctx.spawn_all(vec![(mid, hi), (lo, mid)]);
                     }
+                    Ok(())
                 },
-                |_, ()| {},
-                || (),
             )
             .unwrap();
-            assert_eq!(total.into_inner(), 255 * 256 / 2, "workers={workers}");
+            assert_eq!(sums.iter().sum::<u64>(), 255 * 256 / 2, "workers={workers}");
             assert_eq!(stats.len(), workers);
             let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
             assert_eq!(tasks, 63, "a binary split of 256 by 8 makes 63 tasks");
@@ -414,91 +388,108 @@ mod tests {
             |_t, _state, _ctx: &TaskCtx<'_, u32>| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 cancel.store(true, Ordering::Relaxed);
+                Ok(())
             },
-            |_, ()| {},
-            || (),
         )
         .unwrap();
         assert!(ran.into_inner() < 64, "cancel must abandon queued tasks");
     }
 
     #[test]
-    fn finish_runs_per_worker_and_main_runs_on_caller() {
-        let finished = AtomicU64::new(0);
+    fn every_worker_state_comes_back_in_worker_order() {
+        // Each state starts as its worker index and records the tasks its
+        // worker ran: the states return in order, and together they hold
+        // every task exactly once.
+        for workers in [1usize, 3] {
+            let cancel = AtomicBool::new(false);
+            let states = (0..workers).map(|wid| (wid, Vec::new())).collect();
+            let (stats, states) = run_scheduler(
+                (0..32u32).collect(),
+                states,
+                &cancel,
+                None,
+                |t, (_, ran): &mut (usize, Vec<u32>), _ctx: &TaskCtx<'_, u32>| {
+                    ran.push(t);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(states.len(), workers);
+            assert_eq!(stats.len(), workers);
+            for (wid, ((id, ran), stats)) in states.iter().zip(&stats).enumerate() {
+                assert_eq!(*id, wid, "workers={workers}");
+                assert_eq!(ran.len() as u64, stats.tasks, "workers={workers}");
+            }
+            let mut all: Vec<u32> = states.into_iter().flat_map(|(_, ran)| ran).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..32).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn the_first_task_error_wins_and_stops_the_run() {
+        // Three workers: tasks 5 and 9 both fail; the one recorded first is
+        // the run's error, returned as itself, and the run is cancelled.
         let cancel = AtomicBool::new(false);
-        let caller = std::thread::current().id();
-        let (stats, main_thread) = run_scheduler(
-            vec![1u32],
-            vec![0u8; 3],
+        let err = run_scheduler(
+            (0..64u32).collect(),
+            vec![(); 3],
             &cancel,
             None,
-            |_t, _state, _ctx: &TaskCtx<'_, u32>| {},
-            |_, _state| {
-                finished.fetch_add(1, Ordering::Relaxed);
+            |t, (), _ctx: &TaskCtx<'_, u32>| match t {
+                5 | 9 => Err(Error::Invalid(format!("task {t}"))),
+                _ => Ok(()),
             },
-            || std::thread::current().id(),
         )
-        .unwrap();
-        assert_eq!(finished.into_inner(), 3);
-        assert_eq!(main_thread, caller);
-        assert_eq!(stats.iter().map(|s| s.tasks).sum::<u64>(), 1);
+        .unwrap_err();
+        assert!(
+            [
+                Error::Invalid("task 5".into()),
+                Error::Invalid("task 9".into())
+            ]
+            .contains(&err),
+            "{err}"
+        );
+        assert!(cancel.into_inner(), "the error cancels the run");
     }
 
     #[test]
     fn a_lone_worker_runs_on_the_calling_thread() {
-        // Tasks, `finish` and `on_main` all see the caller's thread id, in
-        // that order; two workers never do.
+        // Tasks see the caller's thread id at one worker; two workers
+        // never do.
         let caller = std::thread::current().id();
         for workers in [1usize, 2] {
-            let seen = Mutex::new(Vec::new());
-            let here = |what| lock(&seen).push((what, std::thread::current().id() == caller));
             let cancel = AtomicBool::new(false);
-            let (stats, ()) = run_scheduler(
+            let (stats, seen) = run_scheduler(
                 vec![0u32, 1],
-                vec![(); workers],
+                vec![Vec::new(); workers],
                 &cancel,
                 None,
-                |_t, _s, ctx: &TaskCtx<'_, u32>| {
+                |_t, seen: &mut Vec<bool>, ctx: &TaskCtx<'_, u32>| {
                     assert_eq!(ctx.wants_tasks(usize::MAX), workers > 1);
-                    here("task");
+                    seen.push(std::thread::current().id() == caller);
+                    Ok(())
                 },
-                |_, ()| here("finish"),
-                || here("main"),
             )
             .unwrap();
             assert_eq!(stats.len(), workers);
-            let seen = seen.into_inner().unwrap();
-            if workers == 1 {
-                let order = [
-                    ("task", true),
-                    ("task", true),
-                    ("finish", true),
-                    ("main", true),
-                ];
-                assert_eq!(seen, order);
-            } else {
-                assert!(seen
-                    .iter()
-                    .all(|&(what, on_caller)| (what == "main") == on_caller));
-                assert_eq!(seen.iter().filter(|s| s.0 == "finish").count(), 2);
-            }
+            let seen: Vec<bool> = seen.into_iter().flatten().collect();
+            assert_eq!(seen, [workers == 1; 2]);
         }
     }
 
     #[test]
     fn empty_seed_terminates_immediately() {
         let cancel = AtomicBool::new(false);
-        let (stats, ()) = run_scheduler(
+        let (stats, states) = run_scheduler(
             Vec::<u32>::new(),
             vec![(); 4],
             &cancel,
             None,
             |_t, _s, _c: &TaskCtx<'_, u32>| unreachable!("no tasks exist"),
-            |_, ()| {},
-            || (),
         )
         .unwrap();
-        assert_eq!(stats.len(), 4);
+        assert_eq!((stats.len(), states.len()), (4, 4));
         assert!(stats.iter().all(|s| s.tasks == 0 && s.steals == 0));
     }
 
@@ -506,7 +497,6 @@ mod tests {
     fn a_panicking_task_cancels_the_run_instead_of_killing_the_process() {
         for workers in [1usize, 2] {
             let ran = AtomicU64::new(0);
-            let finished = AtomicU64::new(0);
             let cancel = AtomicBool::new(false);
             let token = CancelToken::new();
             let err = run_scheduler(
@@ -524,11 +514,8 @@ mod tests {
                     // below is about abandonment, not about racing the
                     // flag.
                     std::thread::sleep(std::time::Duration::from_millis(1));
+                    Ok(())
                 },
-                |_, ()| {
-                    finished.fetch_add(1, Ordering::Relaxed);
-                },
-                || (),
             )
             .unwrap_err();
             match err {
@@ -542,7 +529,6 @@ mod tests {
                 Some(Error::WorkerPanicked(_))
             ));
             assert!(ran.into_inner() < 64, "panic must abandon queued tasks");
-            assert_eq!(finished.into_inner(), workers as u64, "finish still runs");
         }
     }
 
@@ -556,8 +542,6 @@ mod tests {
                 &cancel,
                 None,
                 |_t, _s, _c: &TaskCtx<'_, u32>| panic!("no token around"),
-                |_, ()| {},
-                || (),
             )
             .unwrap_err();
             assert!(matches!(err, Error::WorkerPanicked(_)), "{err}");
@@ -577,9 +561,8 @@ mod tests {
                 Some(&token),
                 |_t, _s, _c: &TaskCtx<'_, u32>| {
                     ran.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
                 },
-                |_, ()| {},
-                || (),
             )
             .unwrap_err();
             assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
@@ -598,9 +581,7 @@ mod tests {
                 vec![(); workers],
                 &cancel,
                 Some(&token),
-                |_t, _s, _c: &TaskCtx<'_, u32>| {},
-                |_, ()| {},
-                || (),
+                |_t, _s, _c: &TaskCtx<'_, u32>| Ok(()),
             )
             .unwrap_err();
             assert!(matches!(err, Error::Cancelled(_)), "{err}");
@@ -609,21 +590,20 @@ mod tests {
 
     #[test]
     fn the_plain_cancel_flag_alone_is_not_an_error() {
-        // The streaming sink's abandon-on-drop path: local flag set, token
-        // (if any) live — the partial run is a normal return.
+        // A streaming consumer's early stop: local flag set, token (if any)
+        // live — the partial run is a normal return.
         for workers in [1usize, 2] {
             let cancel = AtomicBool::new(false);
             let token = CancelToken::new();
-            let (stats, ()) = run_scheduler(
+            let (stats, _) = run_scheduler(
                 (0..64).collect::<Vec<u32>>(),
                 vec![(); workers],
                 &cancel,
                 Some(&token),
                 |_t, _s, _c: &TaskCtx<'_, u32>| {
                     cancel.store(true, Ordering::Relaxed);
+                    Ok(())
                 },
-                |_, ()| {},
-                || (),
             )
             .unwrap();
             assert_eq!(stats.len(), workers);

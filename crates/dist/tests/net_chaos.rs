@@ -2,8 +2,8 @@
 //!
 //! Only built with `--features failpoints`. The headline scenarios spawn
 //! *real worker processes* (this test binary re-invoked with
-//! `chaos_worker_main --exact` and a `DESQ_FAILPOINTS` environment spec)
-//! and assert the coordinator's failure-domain promises: a worker killed
+//! `chaos_worker_main --exact`, which arms one of two fixed faults named by
+//! the `DESQ_NET_CHAOS_FAULT` variable) and assert the coordinator's failure-domain promises: a worker killed
 //! mid-superstep or a flaky link is ridden out by per-partition task
 //! re-execution, the final result stays byte-identical to the in-process
 //! oracle, and the retry counters surface in [`desq_core::MiningMetrics`].
@@ -51,8 +51,7 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
 
 /// Long liveness window, hence a 2 s heartbeat, so a fast toy job never
 /// interleaves heartbeats with task frames — the `net::send_frame` hit
-/// counters in the worker specs stay deterministic: #1 Hello, #2 first map
-/// output, #3 second, …
+/// counters a [`worker_fault`] counts stay deterministic.
 fn chaos_net() -> NetConfig {
     NetConfig {
         liveness: Duration::from_secs(8),
@@ -60,17 +59,34 @@ fn chaos_net() -> NetConfig {
     }
 }
 
+/// The faults a worker process can arm on its `net::send_frame` site, by
+/// the name the scenarios pass in `DESQ_NET_CHAOS_FAULT`. Sends count #1
+/// Hello, #2 first map output, #3 second, … (see [`chaos_net`]).
+fn worker_fault(name: &str) -> FailSpec {
+    match name {
+        // Dies while sending its second map output, a task in flight.
+        "exit" => FailSpec::once_after(2, FailAction::Exit(17)),
+        // Its third send fails once: a transient link error.
+        "flaky" => FailSpec {
+            skip: 2,
+            times: 1,
+            action: FailAction::Err,
+        },
+        other => panic!("unknown worker fault {other:?}"),
+    }
+}
+
 /// Re-invokes this test binary as a worker process serving the toy D-SEQ
-/// job, with an optional fault spec armed in the child's environment.
-fn spawn_worker_process(addr: SocketAddr, failpoints: Option<&str>) -> Child {
+/// job, with an optional [`worker_fault`] armed in the child.
+fn spawn_worker_process(addr: SocketAddr, fault: Option<&str>) -> Child {
     let mut cmd = Command::new(std::env::current_exe().unwrap());
     cmd.args(["chaos_worker_main", "--exact", "--nocapture"])
         .env("DESQ_NET_CHAOS_ADDR", addr.to_string())
-        .env_remove("DESQ_FAILPOINTS")
+        .env_remove("DESQ_NET_CHAOS_FAULT")
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    if let Some(spec) = failpoints {
-        cmd.env("DESQ_FAILPOINTS", spec);
+    if let Some(name) = fault {
+        cmd.env("DESQ_NET_CHAOS_FAULT", name);
     }
     cmd.spawn().expect("spawn worker process")
 }
@@ -82,7 +98,9 @@ fn chaos_worker_main() {
     let Ok(addr) = std::env::var("DESQ_NET_CHAOS_ADDR") else {
         return;
     };
-    fault::init_from_env().expect("valid DESQ_FAILPOINTS spec");
+    if let Ok(name) = std::env::var("DESQ_NET_CHAOS_FAULT") {
+        fault::configure("net::send_frame", worker_fault(&name));
+    }
     let addr: SocketAddr = addr.parse().unwrap();
     let fx = toy::fixture();
     // Errors are expected here: injected link faults beyond the retry
@@ -92,15 +110,15 @@ fn chaos_worker_main() {
 
 /// Runs the toy D-SEQ job over real worker processes and returns the
 /// mining result; children are spawned in order with a head start for the
-/// first, so the first spec deterministically receives the first tasks.
-fn run_with_workers(specs: &[Option<&str>]) -> (desq_core::MiningResult, Vec<Child>) {
+/// first, so the first fault deterministically receives the first tasks.
+fn run_with_workers(faults: &[Option<&str>]) -> (desq_core::MiningResult, Vec<Child>) {
     let cfg = chaos_net();
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
     let addr = coord.local_addr().unwrap();
     let mut children = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        children.push(spawn_worker_process(addr, *spec));
-        if i + 1 < specs.len() {
+    for (i, fault) in faults.iter().enumerate() {
+        children.push(spawn_worker_process(addr, *fault));
+        if i + 1 < faults.len() {
             thread::sleep(Duration::from_millis(300));
         }
     }
@@ -115,7 +133,7 @@ fn killed_worker_is_ridden_out_with_identical_result() {
     // The first worker dies with exit(17) while sending its second map
     // output: Hello (#1) and one MapOut (#2) pass, send #3 kills the
     // process mid-superstep with a task in flight.
-    let (res, mut children) = run_with_workers(&[Some("net::send_frame=skip(2).exit(17)"), None]);
+    let (res, mut children) = run_with_workers(&[Some("exit"), None]);
     let fx = toy::fixture();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
@@ -133,8 +151,7 @@ fn flaky_link_is_ridden_out_with_identical_result() {
     // The first worker's third send fails once (a transient link error);
     // the worker reconnects within its retry budget and the coordinator
     // re-executes whatever was in flight.
-    let (res, mut children) =
-        run_with_workers(&[Some("net::send_frame=skip(2).times(1).err"), None]);
+    let (res, mut children) = run_with_workers(&[Some("flaky"), None]);
     let fx = toy::fixture();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(

@@ -24,17 +24,12 @@
 //! sequences no longer pins one statically-assigned worker while the
 //! others idle.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::{MiningContext, MiningMetrics, MiningResult};
 use desq_core::{sched, Result};
-
-/// The two result locks guard one push or one insert each, never a task
-/// body, so nothing can panic while holding them.
-const POISONED: &str = "count result lock poisoned";
 
 /// Sequences per scheduler task: small enough that stealing balances a
 /// skewed database, large enough that the per-task overhead (one deque
@@ -47,8 +42,8 @@ const COUNT_BLOCK: usize = 64;
 /// is the result's `emitted_records`; `t0` is when the caller's run began.
 /// Candidate enumeration is sharded into input blocks scheduled by work
 /// stealing (per-sequence enumeration is independent); workers count into
-/// owned [`CandidateCounter`] partials that are merged on the calling
-/// thread before the frequency filter.
+/// owned [`CandidateCounter`] partials that the scheduler hands back and
+/// the calling thread merges before the frequency filter.
 pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<MiningResult> {
     let (db, fst, dict, cancel) = (ctx.db, ctx.fst()?, ctx.dict, ctx.cancel);
     let (sigma, budget) = (ctx.sigma, ctx.limits.budget);
@@ -57,9 +52,9 @@ pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<Mi
     let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
 
-    // Blocks of sequences seed the scheduler; workers only push their
-    // owned partial (or the first error) under a lock at the end — no
-    // lock is held while counting or merging.
+    // Blocks of sequences seed the scheduler; each worker counts into its
+    // own state, which the scheduler hands back — no lock is held while
+    // counting or merging.
     let block = COUNT_BLOCK.min(n.div_ceil(workers).max(1));
     let seed: Vec<std::ops::Range<usize>> = (0..n)
         .step_by(block)
@@ -74,32 +69,20 @@ pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<Mi
             )
         })
         .collect();
-    let local_cancel = AtomicBool::new(false);
-    let partials: Mutex<Vec<CandidateCounter>> = Mutex::new(Vec::new());
-    let failure: Mutex<Option<desq_core::Error>> = Mutex::new(None);
-    let (stats, ()) = sched::run_scheduler(
+    let (stats, states) = sched::run_scheduler(
         seed,
         states,
-        &local_cancel,
+        &AtomicBool::new(false),
         cancel,
         |range, (walker, scratch, counter), _ctx| {
             for seq in &db.sequences[range] {
-                if let Err(e) = walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})
-                {
-                    failure.lock().expect(POISONED).get_or_insert(e);
-                    local_cancel.store(true, Ordering::Relaxed);
-                    return;
-                }
+                walker.count_candidates(seq, 1, budget, scratch, counter, |_, _| {})?;
             }
+            Ok(())
         },
-        |_, (_, _, counter)| partials.lock().expect(POISONED).push(counter),
-        || (),
     )?;
-    if let Some(e) = failure.into_inner().expect(POISONED) {
-        return Err(e);
-    }
     // Fold onto the first partial: a lone worker's counter is the result.
-    let mut partials = partials.into_inner().expect(POISONED).into_iter();
+    let mut partials = states.into_iter().map(|(_, _, counter)| counter);
     let mut counter = partials.next().unwrap_or_default();
     for partial in partials {
         counter.merge(&partial);

@@ -51,10 +51,10 @@
 //! pivot-independent and shared across partitions (see [`SeqTables`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
-use desq_core::fst::{FstIndex, SimScratch, SimTables, Simulator};
+use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
@@ -146,10 +146,6 @@ pub struct LocalMiner<'a> {
     dense_limit: usize,
 }
 
-/// Only a worker handing in its finished buffer takes the merge lock, and
-/// moving or appending a buffer does not panic.
-const MERGE_LOCK: &str = "pattern merge lock poisoned";
-
 /// One stealable unit of search-tree work: an owned subtree root. The
 /// postings are copied out of the producer's depth buffers so the task can
 /// outlive them and move across threads; only shallow nodes are split (see
@@ -231,7 +227,7 @@ fn p_eps(p: Posting) -> bool {
 ///
 /// Everything the search-tree expansion needs about the input sequences is
 /// precomputed here, bit-packed to keep the per-node memory traffic low.
-/// The shared simulation front-end ([`Simulator::build`] — lazy,
+/// The shared simulation front-end ([`RunWalker::build_tables_into`] — lazy,
 /// frontier-driven; a rejected sequence costs one forward pass and no arena
 /// space) produces the first two, this module adds the third. Per sequence:
 ///
@@ -477,7 +473,7 @@ struct ExpandBufs {
 /// the arena's own growth and the patterns it emits.
 #[derive(Default)]
 pub struct MinerScratch {
-    prepare: SimScratch,
+    prepare: RunScratch,
     bufs: ExpandBufs,
     views: Vec<SeqMeta>,
     roots: Vec<Posting>,
@@ -660,23 +656,21 @@ impl<'a> LocalMiner<'a> {
 
     /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
     /// the root node and runs [`expand`](Self::expand) on one worker per
-    /// element of `sinks`. Every frequent pattern goes to `emit` with the
-    /// discovering worker's sink, after a poll of `cancel` — per pattern, so
-    /// a deadline is bounded even when the whole search is one task. An
-    /// `emit` returning `false` raises `stop`: the run ends early, not in
-    /// error. `finish`, `on_main`, a tripped token and a panicking task
-    /// behave as [`sched::run_scheduler`] documents.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<W: Send, R>(
+    /// element of `sinks`, handing the sinks back in worker order. Every
+    /// frequent pattern goes to `emit` with the discovering worker's sink,
+    /// after a poll of `cancel` — per pattern, so a deadline is bounded even
+    /// when the whole search is one task. An `emit` returning `false` raises
+    /// `stop`: the run ends early, not in error. A tripped token and a
+    /// panicking task (or `emit`) behave as [`sched::run_scheduler`]
+    /// documents.
+    fn drive<W: Send>(
         &self,
         inputs: &[WeightedInput<'_>],
         cancel: Option<&CancelToken>,
         sinks: Vec<W>,
         stop: &AtomicBool,
         emit: impl Fn(&mut W, Sequence, u64) -> bool + Sync,
-        finish: impl Fn(W) + Sync,
-        on_main: impl FnOnce() -> R,
-    ) -> Result<(Vec<WorkerStats>, R)> {
+    ) -> Result<(Vec<WorkerStats>, Vec<W>)> {
         let tables = self.prepare_tables_cancellable(inputs, sinks.len(), cancel)?;
         let views = tables.views();
         let root = MineTask {
@@ -689,7 +683,7 @@ impl<'a> LocalMiner<'a> {
             .into_iter()
             .map(|sink| (sink, self.expand_bufs(views)))
             .collect();
-        sched::run_scheduler(
+        let (stats, states) = sched::run_scheduler(
             vec![root],
             states,
             stop,
@@ -710,19 +704,19 @@ impl<'a> LocalMiner<'a> {
                 if !keep_going {
                     stop.store(true, Ordering::Relaxed);
                 }
+                Ok(())
             },
-            |_, (sink, _)| finish(sink),
-            on_main,
-        )
+        )?;
+        Ok((stats, states.into_iter().map(|(sink, _)| sink).collect()))
     }
 
     /// Mines with `workers` workers on the work-stealing scheduler of
     /// [`desq_core::sched`]: the root node seeds the task pool, shallow
     /// nodes split trailing children off as stealable tasks while the local
     /// queue is short, and idle workers steal half of a victim's queued
-    /// subtrees. Each worker collects into its own buffer; the buffers are
-    /// merged and sorted once, so the output is oracle-identical at any
-    /// worker count.
+    /// subtrees. Each worker collects into its own buffer; the scheduler
+    /// hands the buffers back, and they are merged and sorted once, so the
+    /// output is oracle-identical at any worker count.
     ///
     /// Returns the (deterministic, sorted) patterns plus per-worker
     /// [`WorkerStats`] — one entry per worker.
@@ -739,8 +733,7 @@ impl<'a> LocalMiner<'a> {
         workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<MinedPatterns> {
-        let merged: Mutex<Vec<(Sequence, u64)>> = Mutex::new(Vec::new());
-        let (stats, ()) = self.drive(
+        let (stats, buffers) = self.drive(
             inputs,
             cancel,
             vec![Vec::new(); workers.max(1)],
@@ -749,32 +742,28 @@ impl<'a> LocalMiner<'a> {
                 out.push((p, f));
                 true
             },
-            |out| {
-                // The first buffer in is adopted, not copied.
-                let mut merged = merged.lock().expect(MERGE_LOCK);
-                if merged.is_empty() {
-                    *merged = out;
-                } else {
-                    merged.extend(out);
-                }
-            },
-            || (),
         )?;
-        let merged = merged.into_inner().expect(MERGE_LOCK);
+        // The first buffer is adopted, not copied.
+        let mut buffers = buffers.into_iter();
+        let mut merged = buffers.next().unwrap_or_default();
+        for out in buffers {
+            merged.extend(out);
+        }
         Ok((crate::sort_patterns(merged), stats))
     }
 
     /// Streaming variant of [`mine_with_workers`](Self::mine_with_workers):
     /// every frequent pattern goes to `sink` as it is discovered, without
-    /// materializing or sorting the result set. One worker streams in DFS
-    /// pre-order over the search tree; several feed `sink` through a
-    /// bounded channel drained on the calling thread, in an unspecified
-    /// interleaving of their DFS orders. A `false` from the sink stops the
+    /// materializing or sorting the result set. The workers call `sink`
+    /// themselves, one at a time under a lock, so it sees an unspecified
+    /// interleaving of their DFS orders; one worker streams in DFS
+    /// pre-order over the search tree. A `false` from the sink stops the
     /// mining (no further sink calls happen) and makes this return
     /// `Ok(false)` — the consumer's own early stop is not an error. A
-    /// tripped `cancel` token (deadline, external abort) or a panicking
-    /// subtree task aborts with the corresponding [`desq_core::Error`]
-    /// instead.
+    /// tripped `cancel` token (deadline, external abort), a panicking
+    /// subtree task or a panicking `sink` aborts with the corresponding
+    /// [`desq_core::Error`] instead; a panic surfaces as
+    /// [`desq_core::Error::WorkerPanicked`] at every worker count.
     pub fn mine_each_with_workers(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -783,42 +772,27 @@ impl<'a> LocalMiner<'a> {
         sink: PatternSink<'_>,
     ) -> Result<bool> {
         let stop = AtomicBool::new(false);
-        // The scheduler runs a lone worker on this thread, where nothing
-        // could drain a channel beside it: that worker calls the sink
-        // itself (which is also what makes its stream pre-order).
-        if workers <= 1 {
-            self.drive(
-                inputs,
-                cancel,
-                vec![sink],
-                &stop,
-                |sink, p, f| sink(p, f),
-                drop,
-                || (),
-            )?;
-        } else {
-            let (tx, rx) = mpsc::sync_channel::<(Sequence, u64)>(1024);
-            // Each worker owns a sender and drops it on its own thread when
-            // it finishes, so the receiver disconnects exactly when mining
-            // is done.
-            self.drive(
-                inputs,
-                cancel,
-                vec![tx; workers],
-                &stop,
-                |tx, p, f| !stop.load(Ordering::Relaxed) && tx.send((p, f)).is_ok(),
-                drop,
-                || {
-                    // After a stop keep draining so blocked producers can
-                    // finish, but forward nothing more to the sink.
-                    for (pattern, freq) in rx {
-                        if !stop.load(Ordering::Relaxed) && !sink(pattern, freq) {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                },
-            )?;
-        }
+        let sink = Mutex::new(sink);
+        self.drive(
+            inputs,
+            cancel,
+            vec![(); workers.max(1)],
+            &stop,
+            |(), p, f| {
+                // A poisoned lock means the sink panicked on another worker:
+                // that panic already fails the run, so this one just stops.
+                let Ok(mut sink) = sink.lock() else {
+                    return false;
+                };
+                // Checked under the lock: once the sink said stop, it is
+                // never called again.
+                if stop.load(Ordering::Relaxed) || !sink(p, f) {
+                    stop.store(true, Ordering::Relaxed);
+                    return false;
+                }
+                true
+            },
+        )?;
         Ok(!stop.load(Ordering::Relaxed))
     }
 
@@ -851,7 +825,7 @@ impl<'a> LocalMiner<'a> {
             chunks.len(),
             workers,
             cancel,
-            SimScratch::default,
+            RunScratch::default,
             |idx, scratch| {
                 let mut set = SeqTables::default();
                 for &(seq, w) in chunks[idx] {
@@ -891,14 +865,14 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// Builds one sequence's tables — the front-end's match masks and
-    /// output arena plus the ε-completion bitset — appending into the set's
-    /// shared arenas (no per-sequence allocation; nothing for a rejected
-    /// sequence).
+    /// output arena, built by [`RunWalker::build_tables_into`] straight into
+    /// the set's shared arenas, plus the ε-completion bitset (no
+    /// per-sequence allocation; nothing for a rejected sequence).
     fn prepare_into(
         &self,
         seq: &[ItemId],
         weight: u64,
-        scratch: &mut SimScratch,
+        scratch: &mut RunScratch,
         set: &mut SeqTables,
     ) {
         let mut meta = SeqMeta {
@@ -911,8 +885,8 @@ impl<'a> LocalMiner<'a> {
             last_pivot_pos: u32::MAX,
             accepts: false,
         };
-        let sim = Simulator::new(self.fst, self.dict, self.index.get(), self.last_frequent);
-        meta.accepts = sim.build(seq, scratch, &mut set.sim);
+        let walker = RunWalker::new(self.fst, self.dict, self.index.get(), self.last_frequent);
+        meta.accepts = walker.build_tables_into(seq, scratch, &mut set.sim);
         if meta.accepts {
             let mask = &set.sim.mask()[meta.mask_start..];
             self.build_eps_fin(seq.len(), scratch, mask, &mut set.eps_fin);
@@ -924,10 +898,11 @@ impl<'a> LocalMiner<'a> {
     /// The ε-completion DP of one accepted sequence, appended to `eps_buf`
     /// (bit `i · states + q`): `(i, q)` can consume the rest of the
     /// sequence producing only ε and end in a final state. Runs over the
-    /// alive coordinates of the front-end's grid — every coordinate the DFS
-    /// can query is alive, and so is each cell of an ε-completion path from
-    /// it, so the pruned `mask` rows retain all of its transitions.
-    fn build_eps_fin(&self, n: usize, grid: &SimScratch, mask: &[u64], eps_buf: &mut Vec<u64>) {
+    /// alive coordinates of the front-end's grid ([`RunScratch::alive`]) —
+    /// every coordinate the DFS can query is alive, and so is each cell of
+    /// an ε-completion path from it, so the pruned `mask` rows retain all of
+    /// its transitions.
+    fn build_eps_fin(&self, n: usize, grid: &RunScratch, mask: &[u64], eps_buf: &mut Vec<u64>) {
         let ix = self.index.get();
         let (qn, w) = (self.fst.num_states(), ix.words());
         let eps_start = eps_buf.len();
@@ -1416,6 +1391,30 @@ mod tests {
                 .unwrap();
             assert!(!completed, "workers = {workers}");
             assert_eq!(n, 1, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_fails_the_stream_as_worker_panicked() {
+        // The workers call the sink themselves, under the scheduler's
+        // catch_unwind: its panic is contained and typed at every worker
+        // count, and the run still ends.
+        let fx = toy::fixture();
+        let inputs = unit_inputs(&fx.db);
+        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        for workers in [1, 2] {
+            let mut seen = 0;
+            let err = miner
+                .mine_each_with_workers(&inputs, workers, None, &mut |_, _| {
+                    seen += 1;
+                    assert!(seen < 3, "the sink exploded on its third pattern");
+                    true
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, desq_core::Error::WorkerPanicked(m) if m.contains("third pattern")),
+                "workers={workers}: {err}"
+            );
         }
     }
 

@@ -1,8 +1,9 @@
-//! The simulation front-end (`desq_core::fst::sim`) against the `Grid`
-//! reference on the paper's running example, in both of its shapes.
+//! The simulation front-end (`desq_core::fst::sim`, reached through
+//! `RunWalker::build_tables`) against the `Grid` reference on the paper's
+//! running example, in both of its shapes.
 
 use desq_core::fst::sim::get_bit;
-use desq_core::fst::{FstIndex, SimScratch, SimTables, Simulator};
+use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
 use desq_core::{toy, Dictionary, Fst, ItemId, OptLevel, PatEx, Sequence};
 use desq_oracle::Grid;
 
@@ -14,18 +15,17 @@ fn compile(pattern: &str, dict: &Dictionary, level: OptLevel) -> Fst {
     Fst::compile_with(&PatEx::parse(pattern).unwrap(), dict, level).unwrap()
 }
 
-/// Builds `seq` into cleared `tables` and checks acceptance, the
-/// aliveness set, the mask rows and the output arena against [`Grid`]
-/// and the transitions' own `matches` / `outputs`.
+/// Builds `seq`'s tables in `s` and checks acceptance, the aliveness set,
+/// the mask rows and the output arena against [`Grid`] and the
+/// transitions' own `matches` / `outputs`.
 fn check_against_grid(
     (fst, dict, ix, max_item): (&Fst, &Dictionary, &FstIndex, ItemId),
     seq: &[ItemId],
-    s: &mut SimScratch,
-    tables: &mut SimTables,
+    s: &mut RunScratch,
 ) {
-    tables.clear();
     let grid = Grid::build(fst, dict, seq);
-    let accepted = Simulator::new(fst, dict, ix, max_item).build(seq, s, tables);
+    let accepted = RunWalker::new(fst, dict, ix, max_item).build_tables(seq, s);
+    let tables = s.tables();
     assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {seq:?}");
     if !accepted {
         assert_eq!(*tables, SimTables::default(), "seq {seq:?}");
@@ -75,8 +75,7 @@ fn check_against_grid(
 #[test]
 fn both_shapes_match_the_grid_on_toy() {
     let fx = toy::fixture();
-    let mut s = SimScratch::default();
-    let mut tables = SimTables::default();
+    let mut s = RunScratch::default();
     let wide_full = compile(WIDE, &fx.dict, OptLevel::Full);
     let wide_none = compile(WIDE, &fx.dict, OptLevel::None);
     for (fst, step_table, state_words) in [
@@ -90,7 +89,7 @@ fn both_shapes_match_the_grid_on_toy() {
         for sigma in [1, 2, 4] {
             let max_item = fx.dict.last_frequent(sigma);
             for seq in fx.db.sequences.iter().chain([&Sequence::new()]) {
-                check_against_grid((fst, &fx.dict, &index, max_item), seq, &mut s, &mut tables);
+                check_against_grid((fst, &fx.dict, &index, max_item), seq, &mut s);
             }
         }
     }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
-use desq::core::fst::{FstIndex, SimScratch, SimTables, Simulator};
+use desq::core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
 use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
@@ -124,31 +124,30 @@ fn widen(e: &PatEx, items: usize) -> PatEx {
     PatEx::Concat(vec![hop; 12])
 }
 
-/// Checks one `Simulator::build` per sequence against the `Grid` reference
-/// and the transitions' own `matches` / `outputs`: acceptance, the
-/// aliveness set, the mask rows restricted to forward-reachable sources
+/// Checks one `RunWalker::build_tables` per sequence against the `Grid`
+/// reference and the transitions' own `matches` / `outputs`: acceptance,
+/// the aliveness set, the mask rows restricted to forward-reachable sources
 /// (a matching transition into an alive target makes its source alive, so
 /// Grid aliveness alone describes those bits) and the σ-cut output arena.
 fn check_sim_against_grid(
     fst: &Fst,
     world: &World,
     sigma: u64,
-    scratch: &mut SimScratch,
+    scratch: &mut RunScratch,
 ) -> Result<(), String> {
     let dict = &world.dict;
     let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
-    let sim = Simulator::new(fst, dict, &index, max_item);
+    let walker = RunWalker::new(fst, dict, &index, max_item);
     let (w, l) = (index.words(), index.num_labels());
-    let mut tables = SimTables::default();
     let mut buf = Vec::new();
     for seq in &world.db.sequences {
-        tables.clear();
         let grid = Grid::build(fst, dict, seq);
-        let accepted = sim.build(seq, scratch, &mut tables);
+        let accepted = walker.build_tables(seq, scratch);
+        let tables = scratch.tables();
         prop_assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {:?}", seq);
         if !accepted {
-            prop_assert_eq!(&tables, &SimTables::default(), "seq {:?}", seq);
+            prop_assert_eq!(tables, &SimTables::default(), "seq {:?}", seq);
             continue;
         }
         for i in 0..=seq.len() {
@@ -404,7 +403,7 @@ proptest! {
         let wide = widen(&e, world.dict.max_fid() as usize);
         let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
         prop_assert!(!FstIndex::new(&wide).step_table_eligible());
-        let mut scratch = SimScratch::default();
+        let mut scratch = RunScratch::default();
         for fst in [&fst, &wide, &fst] {
             check_sim_against_grid(fst, &world, sigma, &mut scratch)?;
         }
