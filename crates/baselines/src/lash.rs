@@ -18,7 +18,8 @@
 //! `desq-miner` restricted to pivot sequences. Blanks are encoded as
 //! [`EPSILON`] and never match.
 
-use desq_bsp::{Engine, InProcess};
+use desq_bsp::{Combiner, Engine, InProcess};
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
 use desq_dist::MiningResult;
@@ -204,7 +205,7 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
     let t0 = std::time::Instant::now();
     let last_frequent = dict.last_frequent(sigma);
 
-    let map = |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
+    let map = |part: &[Sequence], out: &mut Combiner| {
         // Per-task encode buffer: each rewrite serializes once via the
         // delta item codec; identical rewrites combine by content.
         let mut payload: Vec<u8> = Vec::new();
@@ -212,8 +213,8 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
             for p in pivot_items(dict, seq, last_frequent, config.generalize) {
                 if let Some(r) = rewrite(dict, seq, p, last_frequent, &config) {
                     payload.clear();
-                    desq_bsp::encode_item_seq(&r, &mut payload);
-                    out.emit(&p, &payload, 1);
+                    encode_item_seq(&r, &mut payload);
+                    out.emit(p, &payload, 1);
                 }
             }
         }
@@ -221,7 +222,7 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
     };
 
     let reduce = |(): &mut (),
-                  &p: &ItemId,
+                  p: ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
@@ -233,7 +234,7 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
         for &(bytes, w) in inputs {
             let mut slice = bytes;
             let mut seq = Sequence::new();
-            desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
+            decode_item_seq(&mut slice, &mut seq)?;
             decoded.push((seq, w));
         }
         for (pattern, freq) in miner.mine_weighted(&decoded, dict, sigma, ctx.cancel)? {

@@ -15,7 +15,8 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_bsp::{Engine, InProcess};
+use desq_bsp::{Combiner, Engine, InProcess};
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashSet;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
@@ -58,34 +59,34 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let (freq_items, m1) = engine.map_combine_reduce_via(
         &InProcess,
         parts,
-        |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
+        |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             for seq in part {
                 seen.clear();
                 for &t in seq {
                     if seen.insert(t) {
-                        out.emit(&t, &[], 1);
+                        out.emit(t, &[], 1);
                     }
                 }
             }
             Ok(())
         },
         || (),
-        |(): &mut (), &w: &ItemId, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((ItemId, u64))| {
+        |(): &mut (), w, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
             let f: u64 = vs.iter().map(|(_, c)| c).sum();
             if f >= sigma {
-                emit((w, f));
+                emit((vec![w], f));
             }
             Ok(())
         },
     )?;
-    let frequent: FxHashSet<ItemId> = freq_items.iter().map(|&(w, _)| w).collect();
+    let frequent: FxHashSet<ItemId> = freq_items.iter().map(|(w, _)| w[0]).collect();
 
     // Round 2: prefix projection by first item + local PrefixSpan.
     let (patterns, m2) = engine.map_combine_reduce_via(
         &InProcess,
         parts,
-        |part: &[Sequence], out: &mut desq_bsp::Combiner<ItemId>| {
+        |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             let mut suffix: Sequence = Sequence::new();
             let mut payload: Vec<u8> = Vec::new();
@@ -103,15 +104,15 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
                             .filter(|w| frequent.contains(w)),
                     );
                     payload.clear();
-                    desq_bsp::encode_item_seq(&suffix, &mut payload);
-                    out.emit(&t, &payload, 1);
+                    encode_item_seq(&suffix, &mut payload);
+                    out.emit(t, &payload, 1);
                 }
             }
             Ok(())
         },
         || (),
         |(): &mut (),
-         &w: &ItemId,
+         w: ItemId,
          inputs: &[(&[u8], u64)],
          emit: &mut dyn FnMut((Sequence, u64))|
          -> Result<()> {
@@ -119,7 +120,7 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             for &(bytes, c) in inputs {
                 let mut slice = bytes;
                 let mut seq = Sequence::new();
-                desq_bsp::decode_item_seq(&mut slice, &mut seq)?;
+                decode_item_seq(&mut slice, &mut seq)?;
                 suffixes.push((seq, c));
             }
             let support: u64 = suffixes.iter().map(|(_, c)| c).sum();

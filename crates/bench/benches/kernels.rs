@@ -2,7 +2,8 @@
 //! FST simulation (grid construction), pivot search (grid DP vs run
 //! enumeration), the ⊕ pivot merge, NFA construction/minimization/
 //! serialization and decode/expansion, FST compilation at both optimizer
-//! levels, shuffle codecs, local mining, and the flat counting path
+//! levels, the item-sequence codec of every shuffle payload and reduce
+//! output, local mining, and the flat counting path
 //! (run-table build, run enumeration and interned counting vs the
 //! `desq-oracle` crate's grid, runs and `candidates::generate`) next to
 //! D-CAND's map side over the same
@@ -19,7 +20,8 @@ use std::sync::Mutex;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use desq_bsp::engine::merge_bucket_sizes;
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{Codec, Engine, InProcess, MapTaskOut};
+use desq_bsp::{Engine, InProcess, MapTaskOut};
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
@@ -174,23 +176,24 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut buf = Vec::new();
             for s in &seqs {
-                s.encode(&mut buf);
+                encode_item_seq(s, &mut buf);
             }
             black_box(buf)
         })
     });
     let mut buf = Vec::new();
     for s in &seqs {
-        s.encode(&mut buf);
+        encode_item_seq(s, &mut buf);
     }
     c.bench_function("codec/decode_1000x20", |b| {
         b.iter(|| {
             let mut slice = buf.as_slice();
-            let mut n = 0usize;
+            let mut items = Vec::new();
             while !slice.is_empty() {
-                n += Vec::<u32>::decode(&mut slice).unwrap().len();
+                items.clear();
+                decode_item_seq(&mut slice, &mut items).unwrap();
             }
-            black_box(n)
+            black_box(items)
         })
     });
 }
@@ -386,7 +389,7 @@ fn bench_dseq(c: &mut Criterion) {
         b.iter(|| {
             let mut merged = (0, 0);
             for bucket in &buckets {
-                let (groups, recs) = merge_bucket_sizes::<u32>(bucket).unwrap();
+                let (groups, recs) = merge_bucket_sizes(bucket).unwrap();
                 merged = (merged.0 + groups, merged.1 + recs);
             }
             black_box(merged)

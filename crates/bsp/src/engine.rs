@@ -1,16 +1,20 @@
 //! The BSP engine: parallel map, optional combine, byte shuffle, parallel
 //! reduce — one round of communication (Alg. 1 of the paper).
 //!
+//! Every round has the paper's one shape: *pivot item* keys, sent as
+//! `varint(pivot)` and routed by the hash of those bytes; opaque weighted
+//! payloads; and reducers emitting frequent sequences, sent back per bucket
+//! as `varint(#outputs)`, then [`encode_item_seq`] + `varint(frequency)`.
+//!
 //! # Hot-path layout
 //!
 //! Both job shapes hand the mapper a whole partition (`Fn(&[I], …)`), so
 //! per-partition scratch (pivot-search tables, encode buffers) is created
-//! once per map task instead of once per record. Keys are *encoded once*
-//! and everything downstream works on the encoded bytes: the routing
-//! bucket comes from a word-at-a-time hash of the key bytes reduced by a
-//! multiply-shift (no modulo bias, no re-hash), and the combiner keys its
-//! open-addressing table on `(key bytes, payload)` with that same hash
-//! mixed once — never a byte-at-a-time `Hasher` walk per probe.
+//! once per map task instead of once per record. Each key is hashed once,
+//! over its varint bytes: the routing bucket comes from a word-at-a-time
+//! hash reduced by a multiply-shift (no modulo bias, no re-hash), and the
+//! combiner keys its open-addressing table on `(pivot, payload)` with that
+//! same hash mixed once — never a byte-at-a-time `Hasher` walk per probe.
 //!
 //! The combining shuffle additionally *interns payloads*: each map task's
 //! bucket chunk starts with a dictionary of distinct payload byte strings,
@@ -26,23 +30,26 @@
 //! The reduce-side merge pays per distinct payload and per key group, not
 //! per record: each chunk's payload dictionary is interned across the
 //! bucket (equal payloads from different map tasks become one slice), keys
-//! get dense ids from a small table, a counting pass scatters the records
+//! get dense ids from a small map, a counting pass scatters the records
 //! into key groups, an epoch-stamped array indexed by payload id merges
 //! duplicates within a group, and only the distinct keys are sorted. Key
-//! groups reach the reducer in ascending order of their encoded key bytes,
-//! each with its payloads in first-arrival order (map task, then record) —
-//! the same order on every transport and at every worker count.
+//! groups reach the reducer in ascending item id, each with its payloads
+//! in first-arrival order (map task, then record) — the same order on
+//! every transport and at every worker count.
 
-use std::marker::PhantomData;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
-use desq_core::codec::{read_varint, varint_len, write_varint};
-use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
+use desq_core::codec::{
+    decode_item_seq, encode_item_seq, read_bytes, read_varint, varint_len, write_bytes,
+    write_varint,
+};
+use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, FxHashMap, ProbeTable};
 use desq_core::mining::{CancelToken, MiningContext};
 use desq_core::sched::{self, IndexedRun};
-use desq_core::{Error, MiningMetrics, Result, Sequence};
+use desq_core::{wire, Error, ItemId, MiningMetrics, Result, Sequence};
 
-use crate::codec::Codec;
 use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
 
 /// Engine configuration: degree of parallelism plus an optional
@@ -69,27 +76,45 @@ pub struct Engine {
     cancel: Option<CancelToken>,
 }
 
+/// The routing hash of a pivot key: [`hash_bytes`] over its varint, the
+/// bytes the key has on the wire.
+#[inline]
+fn key_hash(pivot: ItemId) -> u64 {
+    let mut bytes = [0u8; 5];
+    let len = varint_len(u64::from(pivot));
+    for (i, b) in bytes[..len].iter_mut().enumerate() {
+        let more = if i + 1 < len { 0x80 } else { 0 };
+        *b = (pivot >> (7 * i)) as u8 & 0x7f | more;
+    }
+    hash_bytes(&bytes[..len])
+}
+
+/// Reads one `varint(pivot)` key.
+fn read_key(buf: &mut &[u8]) -> Result<ItemId> {
+    let v = read_varint(buf)?;
+    ItemId::try_from(v).map_err(|_| Error::Decode(format!("pivot key out of range: {v}")))
+}
+
 /// One combined map-side record: its mixed hash, routing bucket, interned
-/// payload id, key bytes (an arena range) and accumulated weight.
+/// payload id, pivot key and accumulated weight.
 struct CombineEntry {
     hash: u64,
     bucket: u32,
     payload: u32,
-    key_start: u32,
-    key_end: u32,
+    pivot: ItemId,
     weight: u64,
 }
 
 /// Map-side emitter of [`Engine::map_combine_reduce_via`].
 ///
 /// [`emit`](Combiner::emit) performs MapReduce-style *weighted
-/// deduplication*: triples with identical `(key, payload)` within one map
+/// deduplication*: triples with identical `(pivot, payload)` within one map
 /// task are merged by summing weights before serialization. The payload is
 /// an opaque pre-encoded byte string — callers serialize it **once** per
 /// logical value (e.g. one rewritten sequence shared by many pivot keys)
 /// and pass the same slice to every `emit`; the combiner interns it so
 /// each bucket chunk stores the bytes at most once.
-pub struct Combiner<K> {
+pub struct Combiner {
     reducers: usize,
     /// Payload intern table: hash → payload id.
     payload_table: ProbeTable,
@@ -102,14 +127,11 @@ pub struct Combiner<K> {
     /// Combine table: mixed hash → entry index.
     entry_table: ProbeTable,
     entries: Vec<CombineEntry>,
-    key_data: Vec<u8>,
-    key_buf: Vec<u8>,
     emitted: u64,
-    _key: PhantomData<K>,
 }
 
-impl<K: Codec> Combiner<K> {
-    fn new(reducers: usize) -> Combiner<K> {
+impl Combiner {
+    fn new(reducers: usize) -> Combiner {
         Combiner {
             reducers,
             payload_table: ProbeTable::new(),
@@ -119,10 +141,7 @@ impl<K: Codec> Combiner<K> {
             last_payload: None,
             entry_table: ProbeTable::new(),
             entries: Vec::new(),
-            key_data: Vec::new(),
-            key_buf: Vec::new(),
             emitted: 0,
-            _key: PhantomData,
         }
     }
 
@@ -164,16 +183,14 @@ impl<K: Codec> Combiner<K> {
         }
     }
 
-    /// Emits one `(key, payload, weight)` triple. The key is encoded and
-    /// hashed exactly once; the payload bytes are interned by content —
-    /// unless they equal the previous call's, which D-SEQ's one payload per
-    /// run of pivot keys makes the common case: that check skips the hash
-    /// and probe, and costs one length compare when the payload changed.
-    pub fn emit(&mut self, key: &K, payload: &[u8], weight: u64) {
+    /// Emits one `(pivot, payload, weight)` triple. The key is hashed
+    /// exactly once; the payload bytes are interned by content — unless
+    /// they equal the previous call's, which D-SEQ's one payload per run of
+    /// pivot keys makes the common case: that check skips the hash and
+    /// probe, and costs one length compare when the payload changed.
+    pub fn emit(&mut self, pivot: ItemId, payload: &[u8], weight: u64) {
         self.emitted += 1;
-        self.key_buf.clear();
-        key.encode(&mut self.key_buf);
-        let khash = hash_bytes(&self.key_buf);
+        let khash = key_hash(pivot);
         let bucket = bucket_of(khash, self.reducers) as u32;
 
         let payload_id = match self.last_payload {
@@ -183,33 +200,25 @@ impl<K: Codec> Combiner<K> {
         self.last_payload = Some(payload_id);
         let phash = self.payload_hashes[payload_id as usize];
 
-        // Combine on (key bytes, payload id).
+        // Combine on (pivot, payload id).
         let ehash = mix(khash, phash);
         let (table, entries) = (&mut self.entry_table, &mut self.entries);
         table.grow_if_needed(entries.len(), |i| entries[i as usize].hash);
-        let key_buf = &self.key_buf;
-        let key_data = &self.key_data;
         match table.find(ehash, |i| {
             let e = &entries[i as usize];
-            e.hash == ehash
-                && e.payload == payload_id
-                && &key_data[e.key_start as usize..e.key_end as usize] == key_buf.as_slice()
+            e.hash == ehash && e.payload == payload_id && e.pivot == pivot
         }) {
             Ok(i) => entries[i as usize].weight += weight,
             Err(slot) => {
                 assert!(
-                    self.key_data.len() + self.key_buf.len() <= u32::MAX as usize
-                        && entries.len() < u32::MAX as usize,
-                    "combiner key arena exceeds the u32 offset range"
+                    entries.len() < u32::MAX as usize,
+                    "combiner entry ids exceed u32"
                 );
-                let key_start = self.key_data.len() as u32;
-                self.key_data.extend_from_slice(&self.key_buf);
                 entries.push(CombineEntry {
                     hash: ehash,
                     bucket,
                     payload: payload_id,
-                    key_start,
-                    key_end: self.key_data.len() as u32,
+                    pivot,
                     weight,
                 });
                 table.insert(slot, entries.len() as u32 - 1);
@@ -223,7 +232,7 @@ impl<K: Codec> Combiner<K> {
     /// assigns bucket-local payload ids (first-use order) and sums the
     /// exact byte size, and a copy pass writes the chunk into a buffer of
     /// exactly that capacity:
-    /// `varint(#payloads), (varint(len), bytes)*, (key bytes,
+    /// `varint(#payloads), (varint(len), bytes)*, (varint(pivot),
     /// varint(payload id), varint(weight))*`.
     fn into_task_out(self) -> MapTaskOut {
         let reducers = self.reducers;
@@ -271,7 +280,7 @@ impl<K: Codec> Combiner<K> {
                     let len = self.payload_bytes(e.payload).len();
                     dict_bytes += varint_len(len as u64) + len;
                 }
-                rec_bytes += (e.key_end - e.key_start) as usize
+                rec_bytes += varint_len(u64::from(e.pivot))
                     + varint_len(u64::from(local_id[p]))
                     + varint_len(e.weight);
             }
@@ -279,13 +288,11 @@ impl<K: Codec> Combiner<K> {
             let mut buf = Vec::with_capacity(total);
             write_varint(&mut buf, plist.len() as u64);
             for &p in &plist {
-                let bytes = self.payload_bytes(p);
-                write_varint(&mut buf, bytes.len() as u64);
-                buf.extend_from_slice(bytes);
+                write_bytes(&mut buf, self.payload_bytes(p));
             }
             for &i in entries {
                 let e = &self.entries[i as usize];
-                buf.extend_from_slice(&self.key_data[e.key_start as usize..e.key_end as usize]);
+                write_varint(&mut buf, u64::from(e.pivot));
                 write_varint(&mut buf, u64::from(local_id[e.payload as usize]));
                 write_varint(&mut buf, e.weight);
             }
@@ -350,22 +357,25 @@ impl<'c> Interner<'c> {
     }
 }
 
-/// One reduce bucket after the merge: its key groups in ascending order of
-/// the encoded key bytes, each holding the key's distinct payloads with
-/// their weights summed across map tasks, in first-arrival order (map task,
-/// then record). Every slice borrows from the shuffle chunks.
+/// One reduce bucket after the merge: its key groups in ascending item id,
+/// each holding the pivot's distinct payloads with their weights summed
+/// across map tasks, in first-arrival order (map task, then record). Every
+/// slice borrows from the shuffle chunks.
 struct MergedBucket<'c> {
-    /// Encoded key and its payloads' range in `recs`, per key group.
-    groups: Vec<(&'c [u8], std::ops::Range<usize>)>,
+    /// Pivot and its payloads' range in `recs`, per key group.
+    groups: Vec<(ItemId, Range<usize>)>,
     recs: Vec<(&'c [u8], u64)>,
 }
 
 /// The reduce-side merge of one bucket (see the module docs): decodes its
-/// shuffle chunks and merges duplicate `(key, payload)` records across map
-/// tasks into key groups. Every array is sized by a count of records or
-/// dictionary entries read so far, so by the chunks' own length.
-fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>> {
-    let (mut payloads, mut keys) = (Interner::default(), Interner::default());
+/// shuffle chunks and merges duplicate `(pivot, payload)` records across
+/// map tasks into key groups. Every array is sized by a count of records
+/// or dictionary entries read so far, so by the chunks' own length.
+fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
+    let mut payloads = Interner::default();
+    // Distinct pivots in first-arrival order, and their dense ids.
+    let mut keys: Vec<ItemId> = Vec::new();
+    let mut key_ids: FxHashMap<ItemId, u32> = FxHashMap::default();
     // (key id, payload id, weight) in arrival order.
     let mut arrivals: Vec<(u32, u32, u64)> = Vec::new();
     // The current chunk's dictionary: chunk-local → bucket payload id.
@@ -381,19 +391,19 @@ fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>>
         local.clear();
         for _ in 0..np {
             let len = read_varint(&mut slice)? as usize;
-            if len > slice.len() {
-                return Err(Error::Decode(format!(
-                    "payload: length {len} exceeds input"
-                )));
-            }
-            let (head, rest) = slice.split_at(len);
-            local.push(payloads.intern(head));
+            let (payload, rest) = slice
+                .split_at_checked(len)
+                .ok_or_else(|| Error::Decode(format!("payload: length {len} exceeds input")))?;
+            local.push(payloads.intern(payload));
             slice = rest;
         }
         while !slice.is_empty() {
-            let before = slice;
-            K::decode(&mut slice)?;
-            let key = keys.intern(&before[..before.len() - slice.len()]);
+            let pivot = read_key(&mut slice)?;
+            let next = keys.len() as u32;
+            let key = *key_ids.entry(pivot).or_insert(next);
+            if key == next {
+                keys.push(pivot);
+            }
             let pid = read_varint(&mut slice)? as usize;
             let payload = *local
                 .get(pid)
@@ -403,11 +413,11 @@ fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>>
     }
 
     // Counting pass: stable scatter of the records into key groups.
-    let mut starts = vec![0usize; keys.slices.len() + 1];
+    let mut starts = vec![0usize; keys.len() + 1];
     for &(k, _, _) in &arrivals {
         starts[k as usize + 1] += 1;
     }
-    for k in 0..keys.slices.len() {
+    for k in 0..keys.len() {
         starts[k + 1] += starts[k];
     }
     let mut cursor = starts.clone();
@@ -423,8 +433,8 @@ fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>>
     let mut stamp = vec![u32::MAX; payloads.slices.len()];
     let mut at = vec![0usize; payloads.slices.len()];
     let mut recs: Vec<(&[u8], u64)> = Vec::with_capacity(grouped.len());
-    let mut ranges = Vec::with_capacity(keys.slices.len());
-    for k in 0..keys.slices.len() {
+    let mut ranges = Vec::with_capacity(keys.len());
+    for k in 0..keys.len() {
         let first = recs.len();
         for &(p, w) in &grouped[starts[k]..starts[k + 1]] {
             let p = p as usize;
@@ -440,12 +450,12 @@ fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>>
         ranges.push(first..recs.len());
     }
 
-    // Key groups ascend by encoded key bytes: a sort of the distinct keys.
-    let mut order: Vec<u32> = (0..keys.slices.len() as u32).collect();
-    order.sort_unstable_by_key(|&k| keys.slices[k as usize]);
+    // Key groups ascend by item id: a sort of the distinct keys.
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    order.sort_unstable_by_key(|&k| keys[k as usize]);
     let groups = order
         .into_iter()
-        .map(|k| (keys.slices[k as usize], ranges[k as usize].clone()))
+        .map(|k| (keys[k as usize], ranges[k as usize].clone()))
         .collect();
     Ok(MergedBucket { groups, recs })
 }
@@ -454,15 +464,15 @@ fn merge_bucket<'c, K: Codec>(chunks: &'c [Vec<u8>]) -> Result<MergedBucket<'c>>
 /// number of key groups and of merged records. Exposed for the kernel
 /// benchmarks.
 #[doc(hidden)]
-pub fn merge_bucket_sizes<K: Codec>(chunks: &[Vec<u8>]) -> Result<(usize, usize)> {
-    let merged = merge_bucket::<K>(chunks)?;
+pub fn merge_bucket_sizes(chunks: &[Vec<u8>]) -> Result<(usize, usize)> {
+    let merged = merge_bucket(chunks)?;
     Ok((merged.groups.len(), merged.recs.len()))
 }
 
-/// Decodes one bucket's encoded reduce outputs (`varint(#outputs)` +
-/// outputs), appending to `out`. Rejects hostile counts before any
-/// allocation and trailing garbage after the last output.
-fn decode_bucket_outputs<O: Codec>(bytes: &[u8], out: &mut Vec<O>) -> Result<()> {
+/// Decodes one bucket's reduce outputs (see the module docs), appending
+/// to `out`. Rejects hostile counts before any allocation and trailing
+/// garbage after the last output.
+fn decode_bucket_outputs(bytes: &[u8], out: &mut Vec<(Sequence, u64)>) -> Result<()> {
     let mut slice = bytes;
     let n = read_varint(&mut slice)? as usize;
     if n > slice.len() {
@@ -471,15 +481,11 @@ fn decode_bucket_outputs<O: Codec>(bytes: &[u8], out: &mut Vec<O>) -> Result<()>
         )));
     }
     for _ in 0..n {
-        out.push(O::decode(&mut slice)?);
+        let mut pattern = Sequence::new();
+        decode_item_seq(&mut slice, &mut pattern)?;
+        out.push((pattern, read_varint(&mut slice)?));
     }
-    if !slice.is_empty() {
-        return Err(Error::Decode(format!(
-            "bucket output: {} trailing bytes",
-            slice.len()
-        )));
-    }
-    Ok(())
+    wire::expect_end(slice, "bucket output")
 }
 
 impl Engine {
@@ -529,32 +535,34 @@ impl Engine {
         self.reducers
     }
 
-    /// Runs a map → shuffle → reduce job without a combiner, in process
+    /// Runs a map → shuffle → reduce round without a combiner, in process
     /// only. Its one caller is D-CAND's no-aggregation ablation (Fig. 10b,
     /// "tries, no agg"), which must ship and expand every NFA copy: the
     /// combining round ([`map_combine_reduce_via`](Self::map_combine_reduce_via))
     /// would merge identical payloads on both sides and change the figure's
     /// time and bytes.
     ///
-    /// The mapper is invoked once per input *partition* (so per-task
-    /// scratch hoists out of the per-record loop) and emits `(key, value)`
-    /// pairs; the reducer is invoked once per distinct key with all its
-    /// values, in a deterministic order (encoded-key lexicographic, values
-    /// in map-task emission order). Output order across keys is
-    /// unspecified.
-    pub fn map_reduce<I, K, V, O, MF, RF>(
+    /// The mapper emits the combining round's `(pivot, payload, weight)`
+    /// triples, each written to its bucket as it comes:
+    /// `varint(pivot), varint(len), payload, varint(weight)`. The reducer
+    /// takes the combining round's arguments: each pivot once, pivots
+    /// ascending within a bucket, with every record it received — duplicates
+    /// included, in map-task emission order — as payload slices borrowed
+    /// from the shuffle buffers. `init` runs once per reduce worker.
+    pub fn map_reduce<I, S, MF, IF, RF>(
         &self,
         parts: &[&[I]],
         map: MF,
+        init: IF,
         reduce: RF,
-    ) -> Result<(Vec<O>, MiningMetrics)>
+    ) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
     where
         I: Sync,
-        K: Codec + Send,
-        V: Codec + Send,
-        O: Send,
-        MF: Fn(&[I], &mut dyn FnMut(K, V)) -> Result<()> + Sync,
-        RF: Fn(&K, Vec<V>, &mut dyn FnMut(O)) -> Result<()> + Sync,
+        S: Send,
+        MF: Fn(&[I], &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> + Sync,
+        IF: Fn() -> S + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
     {
         let mut metrics = MiningMetrics::default();
 
@@ -562,24 +570,21 @@ impl Engine {
         let t0 = Instant::now();
         let reducers = self.reducers;
         let mapped = self.run_tasks(parts.len(), |t| {
-            let mut out = MapTaskOut {
-                buckets: vec![Vec::new(); reducers],
-                emitted: 0,
-                shuffled: 0,
+            let mut buckets = vec![Vec::new(); reducers];
+            let mut emitted = 0u64;
+            map(parts[t], &mut |pivot, payload, weight| {
+                let buf = &mut buckets[bucket_of(key_hash(pivot), reducers)];
+                write_varint(buf, u64::from(pivot));
+                write_bytes(buf, payload);
+                write_varint(buf, weight);
+                emitted += 1;
+            })?;
+            Ok(MapTaskOut {
+                buckets,
+                emitted,
+                shuffled: emitted,
                 payloads: 0,
-            };
-            let mut key_buf: Vec<u8> = Vec::new();
-            let mut emit = |k: K, v: V| {
-                key_buf.clear();
-                k.encode(&mut key_buf);
-                let b = bucket_of(hash_bytes(&key_buf), reducers);
-                out.buckets[b].extend_from_slice(&key_buf);
-                v.encode(&mut out.buckets[b]);
-                out.emitted += 1;
-                out.shuffled += 1;
-            };
-            map(parts[t], &mut emit)?;
-            Ok(out)
+            })
         })?;
         metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
@@ -587,44 +592,34 @@ impl Engine {
 
         // ---- reduce phase ----
         let t1 = Instant::now();
-        let reduced = self.run_tasks(self.reducers, |t| {
-            #[cfg(feature = "failpoints")]
-            desq_core::fault::point("bsp::reduce_merge")?;
-            // Decode records keeping the raw key bytes; group by them
-            // (equal keys ⇔ equal encodings).
-            let mut items: Vec<(&[u8], V)> = Vec::new();
-            for chunk in &chunks[t] {
-                let mut slice = chunk.as_slice();
-                while !slice.is_empty() {
-                    let before = slice;
-                    K::decode(&mut slice)?;
-                    let key = &before[..before.len() - slice.len()];
-                    let v = V::decode(&mut slice)?;
-                    items.push((key, v));
-                }
-            }
-            // Stable: values of one key stay in map-task emission order.
-            items.sort_by(|a, b| a.0.cmp(b.0));
-            let mut out: Vec<O> = Vec::new();
-            let mut iter = items.into_iter().peekable();
-            while let Some((key, v)) = iter.next() {
-                let mut vs = vec![v];
-                while let Some((k2, _)) = iter.peek() {
-                    if *k2 != key {
-                        break;
+        let reduced = sched::run_indexed(
+            self.reducers,
+            self.workers,
+            self.cancel.as_ref(),
+            init,
+            |t, state: &mut S| {
+                #[cfg(feature = "failpoints")]
+                desq_core::fault::point("bsp::reduce_merge")?;
+                let mut groups: BTreeMap<ItemId, Vec<(&[u8], u64)>> = BTreeMap::new();
+                for chunk in &chunks[t] {
+                    let mut slice = chunk.as_slice();
+                    while !slice.is_empty() {
+                        let pivot = read_key(&mut slice)?;
+                        let rec = (read_bytes(&mut slice)?, read_varint(&mut slice)?);
+                        groups.entry(pivot).or_default().push(rec);
                     }
-                    vs.push(iter.next().expect("peeked").1);
                 }
-                let k = K::decode(&mut &key[..])?;
-                let mut emit = |o: O| out.push(o);
-                reduce(&k, vs, &mut emit)?;
-            }
-            Ok(out)
-        })?;
+                let mut out = Vec::new();
+                for (pivot, recs) in &groups {
+                    reduce(state, *pivot, recs, &mut |o| out.push(o))?;
+                }
+                Ok(out)
+            },
+        )?;
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
         metrics.max_task_nanos = mapped.max_task_nanos.max(reduced.max_task_nanos);
 
-        let flat: Vec<O> = reduced.results.into_iter().flatten().collect();
+        let flat: Vec<(Sequence, u64)> = reduced.results.into_iter().flatten().collect();
         metrics.output_records = flat.len() as u64;
         metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
         Ok((flat, metrics))
@@ -637,48 +632,47 @@ impl Engine {
     /// ([`NetCoordinator`](crate::transport::NetCoordinator)).
     ///
     /// The mapper receives one input partition and a [`Combiner`]: it emits
-    /// `(key, payload bytes, weight)` triples, where the payload is
-    /// pre-encoded **once** by the caller (use the [`crate::codec`]
-    /// helpers) and shared across emissions. Triples with identical
-    /// `(key, payload)` within one map task are merged by summing weights
-    /// before serialization, and payload byte strings are interned per
-    /// bucket chunk — the aggregation D-CAND applies to identical NFAs
-    /// (Sec. VI-A) and D-SEQ/LASH apply to identical rewritten sequences.
+    /// `(pivot, payload bytes, weight)` triples, where the payload is
+    /// pre-encoded **once** by the caller (for item sequences with
+    /// [`encode_item_seq`]) and shared across emissions. Triples with
+    /// identical `(pivot, payload)` within one map task are merged by
+    /// summing weights before serialization, and payload byte strings are
+    /// interned per bucket chunk — the aggregation D-CAND applies to
+    /// identical NFAs (Sec. VI-A) and D-SEQ/LASH apply to identical
+    /// rewritten sequences.
     ///
-    /// The reducer is invoked once per distinct key with all distinct
-    /// payloads and their total weights (merged across map tasks), each
-    /// payload a slice *borrowed from the shuffle buffers* — equal payloads
-    /// share one slice — in first-arrival order (map task, then record);
-    /// within a bucket, keys come in ascending order of their encoded
-    /// bytes. Key groups are batched
+    /// The reducer is invoked once per pivot with all distinct payloads and
+    /// their total weights (merged across map tasks), each payload a slice
+    /// *borrowed from the shuffle buffers* — equal payloads share one
+    /// slice — in first-arrival order (map task, then record); within a
+    /// bucket, pivots come in ascending order. Key groups are batched
     /// into tasks under work stealing in whichever process holds the
     /// buckets, so a hot D-SEQ pivot does not pin its bucket to one thread.
     /// `init` runs once per worker per reduce call (all buckets in process,
     /// one bucket on a worker process); payload slices outlive that state,
     /// so caches keyed on their identity (D-SEQ's table index) stay valid.
     ///
-    /// Outputs cross the transport encoded ([`Codec`]) and come back in a
-    /// deterministic order — buckets in order, key groups by encoded key
-    /// bytes within a bucket — whatever the transport, worker count or
-    /// steal schedule.
+    /// The emitted patterns cross the transport encoded (see the module
+    /// docs) and come back in a deterministic order — buckets in order,
+    /// pivots ascending within a bucket — whatever the transport, worker
+    /// count or steal schedule.
     /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
     /// key-group tasks in process and shipped buckets over the network.
-    pub fn map_combine_reduce_via<I, K, O, S, MF, IF, RF>(
+    pub fn map_combine_reduce_via<I, S, MF, IF, RF>(
         &self,
         transport: &dyn ShuffleTransport,
         parts: &[&[I]],
         map: MF,
         init: IF,
         reduce: RF,
-    ) -> Result<(Vec<O>, MiningMetrics)>
+    ) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
     where
         I: Sync,
-        K: Codec,
-        O: Codec,
         S: Send,
-        MF: Fn(&[I], &mut Combiner<K>) -> Result<()> + Sync,
+        MF: Fn(&[I], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
     {
         let mut metrics = MiningMetrics::default();
         let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
@@ -710,9 +704,9 @@ impl Engine {
         metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
         merge_stats(&mut metrics, &stats);
 
-        let mut flat: Vec<O> = Vec::new();
+        let mut flat: Vec<(Sequence, u64)> = Vec::new();
         for bytes in bucket_outs {
-            decode_bucket_outputs::<O>(&bytes, &mut flat)?;
+            decode_bucket_outputs(&bytes, &mut flat)?;
         }
         metrics.output_records = flat.len() as u64;
         metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
@@ -729,7 +723,7 @@ impl Engine {
     /// closures (same corpus, same configuration) — only task ids and
     /// encoded bytes cross the wire. Returns [`Error::PeerUnreachable`]
     /// once the reconnect budget is spent.
-    pub fn run_worker<I, K, O, S, MF, IF, RF>(
+    pub fn run_worker<I, S, MF, IF, RF>(
         &self,
         addr: std::net::SocketAddr,
         cfg: &NetConfig,
@@ -739,12 +733,11 @@ impl Engine {
         reduce: RF,
     ) -> Result<()>
     where
-        K: Codec,
-        O: Codec,
         S: Send,
-        MF: Fn(&[I], &mut Combiner<K>) -> Result<()>,
+        MF: Fn(&[I], &mut Combiner) -> Result<()>,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
     {
         let reducers = self.reducers;
         let on_map = |task: u64| -> Result<MapTaskOut> {
@@ -766,25 +759,24 @@ impl Engine {
     /// bucket's outputs encoded for the transport plus the phase counters.
     /// Buckets are merged in parallel, then the key groups of all of them
     /// run as stealable tasks with one `init()` state per worker.
-    fn reduce_buckets<K, O, S, IF, RF>(
+    fn reduce_buckets<S, IF, RF>(
         &self,
         chunks: &[Vec<Vec<u8>>],
         init: &IF,
         reduce: &RF,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)>
     where
-        K: Codec,
-        O: Codec,
         S: Send,
         IF: Fn() -> S,
-        RF: Fn(&mut S, &K, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
     {
         // Step 1 (parallel, one task per bucket): decode the shuffle
         // chunks and merge them into key groups.
         let merged = self.run_tasks(chunks.len(), |t| {
             #[cfg(feature = "failpoints")]
             desq_core::fault::point("bsp::reduce_merge")?;
-            merge_bucket::<K>(&chunks[t])
+            merge_bucket(&chunks[t])
         })?;
         let buckets = &merged.results;
 
@@ -798,7 +790,7 @@ impl Engine {
         // always gets its own task.
         const RECS_PER_TASK: usize = 256;
         const GROUPS_PER_TASK: usize = 64;
-        let mut tasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new(); // (bucket, groups)
+        let mut tasks: Vec<(usize, Range<usize>)> = Vec::new(); // (bucket, groups)
         for (b, bucket) in buckets.iter().enumerate() {
             let (mut start, mut recs_in) = (0usize, 0usize);
             for (g, (_, recs)) in bucket.groups.iter().enumerate() {
@@ -823,13 +815,13 @@ impl Engine {
                 let (b, ref groups) = tasks[ti];
                 let bucket = &buckets[b];
                 let (mut n, mut bytes) = (0u64, Vec::new());
-                for (key, recs) in &bucket.groups[groups.clone()] {
-                    let k = K::decode(&mut &key[..])?;
-                    let mut emit = |o: O| {
+                for (pivot, recs) in &bucket.groups[groups.clone()] {
+                    let mut emit = |(pattern, freq): (Sequence, u64)| {
                         n += 1;
-                        o.encode(&mut bytes);
+                        encode_item_seq(&pattern, &mut bytes);
+                        write_varint(&mut bytes, freq);
                     };
-                    reduce(state, &k, &bucket.recs[recs.clone()], &mut emit)?;
+                    reduce(state, *pivot, &bucket.recs[recs.clone()], &mut emit)?;
                 }
                 Ok((n, bytes))
             },
@@ -901,6 +893,23 @@ mod tests {
     use crate::transport::{InProcess, NetCoordinator};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The reducer of a distributed word count: the pivot and its total
+    /// weight.
+    fn count(
+        (): &mut (),
+        pivot: ItemId,
+        recs: &[(&[u8], u64)],
+        emit: &mut dyn FnMut((Sequence, u64)),
+    ) -> Result<()> {
+        emit((vec![pivot], recs.iter().map(|&(_, w)| w).sum()));
+        Ok(())
+    }
+
+    /// A payload that is one little-endian `u32`.
+    fn value(bytes: &[u8]) -> u64 {
+        u64::from(u32::from_le_bytes(bytes.try_into().unwrap()))
+    }
+
     /// Distributed word count: the "hello world" of the model.
     #[test]
     fn word_count() {
@@ -910,22 +919,20 @@ mod tests {
         let (mut out, metrics) = engine
             .map_reduce(
                 &parts,
-                |part: &[Vec<u32>], emit: &mut dyn FnMut(u32, u64)| {
+                |part: &[Vec<u32>], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                     for seq in part {
                         for &w in seq {
-                            emit(w, 1);
+                            emit(w, &[], 1);
                         }
                     }
                     Ok(())
                 },
-                |&k, vs: Vec<u64>, emit: &mut dyn FnMut((u32, u64))| {
-                    emit((k, vs.into_iter().sum()));
-                    Ok(())
-                },
+                || (),
+                count,
             )
             .unwrap();
         out.sort();
-        assert_eq!(out, vec![(1, 4), (2, 3), (3, 1)]);
+        assert_eq!(out, vec![(vec![1], 4), (vec![2], 3), (vec![3], 1)]);
         assert_eq!(metrics.emitted_records, 8);
         assert_eq!(metrics.shuffle_records, 8);
         assert!(metrics.shuffle_bytes > 0);
@@ -938,24 +945,18 @@ mod tests {
         let parts: Vec<&[Vec<u32>]> = vec![&data[0..1], &data[1..2]];
         let engine = Engine::new(2);
 
-        let map = |part: &[Vec<u32>], out: &mut Combiner<u32>| {
+        let map = |part: &[Vec<u32>], out: &mut Combiner| {
             for seq in part {
                 for &w in seq {
-                    out.emit(&w, &w.to_le_bytes(), 1);
+                    out.emit(w, &w.to_le_bytes(), 1);
                 }
             }
             Ok(())
         };
-        let reduce =
-            |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
-                let total = vs.iter().map(|(_, w)| w).sum();
-                emit((k, total));
-                Ok(())
-            };
         let (out, metrics) = engine
-            .map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)
+            .map_combine_reduce_via(&InProcess, &parts, map, || (), count)
             .unwrap();
-        assert_eq!(out, vec![(7, 200)]);
+        assert_eq!(out, vec![(vec![7], 200)]);
         assert_eq!(metrics.emitted_records, 200);
         // Each map task combines its 100 identical records into one.
         assert_eq!(metrics.shuffle_records, 2);
@@ -971,26 +972,25 @@ mod tests {
         let parts: Vec<&[u32]> = vec![&data];
         let engine = Engine::new(1).with_reducers(1);
         let payload: Vec<u8> = vec![0xAB; 100];
-        let (mut out, metrics) = engine
+        let (out, metrics) = engine
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |part: &[u32], c: &mut Combiner<u32>| {
+                |part: &[u32], c: &mut Combiner| {
                     for &k in part {
-                        c.emit(&k, &payload, 1);
+                        c.emit(k, &payload, 1);
                     }
                     Ok(())
                 },
                 || (),
-                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
                     assert_eq!(vs.len(), 1);
                     assert_eq!(vs[0].0.len(), 100);
-                    emit(k);
+                    emit((vec![k], 1));
                     Ok(())
                 },
             )
             .unwrap();
-        out.sort();
         assert_eq!(out.len(), 64);
         assert_eq!(metrics.shuffle_records, 64);
         assert_eq!(metrics.shuffle_payloads, 1);
@@ -1011,58 +1011,80 @@ mod tests {
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |part: &[u32], c: &mut Combiner<u32>| {
+                |part: &[u32], c: &mut Combiner| {
                     for &k in part {
-                        c.emit(&k, b"payload", 2);
+                        c.emit(k, b"payload", 2);
                     }
                     Ok(())
                 },
                 || (),
-                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
                     assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
-                    emit((k, vs[0].1));
+                    emit((vec![k], vs[0].1));
                     Ok(())
                 },
             )
             .unwrap();
-        assert_eq!(out, vec![(5, 8)]);
+        assert_eq!(out, vec![(vec![5], 8)]);
         assert_eq!(metrics.shuffle_records, 4); // one per map task
     }
 
     #[test]
-    fn merge_orders_keys_by_encoded_bytes_and_payloads_by_arrival() {
-        // One bucket, two map tasks. Keys 129 = [0x81 0x01] and
-        // 256 = [0x80 0x02] sort the other way round as bytes.
+    fn key_hash_is_the_hash_of_the_wire_varint() {
+        for key in [0, 1, 127, 128, 129, 256, 16_383, 16_384, 1 << 28, u32::MAX] {
+            let mut varint = Vec::new();
+            write_varint(&mut varint, u64::from(key));
+            assert_eq!(key_hash(key), hash_bytes(&varint), "key {key}");
+            assert_eq!(read_key(&mut varint.as_slice()).unwrap(), key);
+        }
+        let mut too_big = Vec::new();
+        write_varint(&mut too_big, u64::from(u32::MAX) + 1);
+        assert!(matches!(
+            read_key(&mut too_big.as_slice()),
+            Err(Error::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn merge_orders_keys_by_item_id_and_payloads_by_arrival() {
+        // One bucket, two map tasks. The keys straddle the one/two-byte
+        // varint boundary, where byte order (1, 127, 128, 256, 129) and
+        // numeric order differ.
         let chunk = |emits: &[(u32, &[u8], u64)]| {
-            let mut c = Combiner::<u32>::new(1);
+            let mut c = Combiner::new(1);
             for &(k, p, w) in emits {
-                c.emit(&k, p, w);
+                c.emit(k, p, w);
             }
             c.into_task_out().buckets.pop().unwrap()
         };
         let chunks = vec![
-            chunk(&[(129, b"y", 1), (2, b"x", 1), (129, b"x", 2)]),
-            chunk(&[(2, b"z", 1), (256, b"z", 3), (129, b"x", 4), (2, b"x", 1)]),
+            chunk(&[(129, b"y", 1), (1, b"x", 1), (129, b"x", 2), (127, b"w", 1)]),
+            chunk(&[
+                (1, b"z", 1),
+                (256, b"z", 3),
+                (129, b"x", 4),
+                (128, b"y", 1),
+                (1, b"x", 1),
+            ]),
         ];
-        let merged = merge_bucket::<u32>(&chunks).unwrap();
+        let merged = merge_bucket(&chunks).unwrap();
         type Group<'c> = (u32, Vec<(&'c [u8], u64)>);
         let groups: Vec<Group<'_>> = merged
             .groups
             .iter()
-            .map(|(key, recs)| {
-                let key = u32::decode(&mut &key[..]).unwrap();
-                (key, merged.recs[recs.clone()].to_vec())
-            })
+            .map(|(key, recs)| (*key, merged.recs[recs.clone()].to_vec()))
             .collect();
         let expect: Vec<Group<'_>> = vec![
-            (2, vec![(b"x", 2), (b"z", 1)]),
-            (256, vec![(b"z", 3)]),
+            (1, vec![(b"x", 2), (b"z", 1)]),
+            (127, vec![(b"w", 1)]),
+            (128, vec![(b"y", 1)]),
             (129, vec![(b"y", 1), (b"x", 6)]),
+            (256, vec![(b"z", 3)]),
         ];
         assert_eq!(groups, expect);
         // Equal payloads share the slice of their first arrival.
         let x = groups[0].1[0].0.as_ptr();
-        assert_eq!(groups[2].1[1].0.as_ptr(), x);
+        assert_eq!(groups[3].1[1].0.as_ptr(), x);
         assert!(chunks[0].as_ptr_range().contains(&x));
     }
 
@@ -1074,27 +1096,62 @@ mod tests {
         let (mut out, metrics) = engine
             .map_reduce(
                 &parts,
-                |part: &[u32], emit: &mut dyn FnMut(u32, u32)| {
+                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                     for &x in part {
-                        emit(x % 10, x);
+                        emit(x % 10, &x.to_le_bytes(), 1);
                     }
                     Ok(())
                 },
-                |&k, vs: Vec<u32>, emit: &mut dyn FnMut((u32, usize, u64))| {
-                    emit((k, vs.len(), vs.iter().map(|&v| u64::from(v)).sum()));
+                || (),
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                    let sum = vs.iter().map(|&(v, w)| value(v) * w).sum();
+                    emit((vec![k, vs.len() as u32], sum));
                     Ok(())
                 },
             )
             .unwrap();
         out.sort();
         assert_eq!(out.len(), 10);
-        for (k, n, sum) in out {
+        for (key, sum) in out {
+            let (k, n) = (key[0], key[1]);
             assert_eq!(n, 100);
             // sum of k, k+10, ..., k+990
             let expect: u64 = (0..100).map(|i| u64::from(k) + 10 * i).sum();
             assert_eq!(sum, expect);
         }
         assert_eq!(metrics.reducer_bytes.len(), 5);
+    }
+
+    #[test]
+    fn map_reduce_ships_every_duplicate_in_emission_order() {
+        // Two map tasks emit identical records: nothing merges, and a
+        // pivot's records arrive in map-task emission order.
+        let data: Vec<u32> = vec![1, 2, 1, 2];
+        let parts: Vec<&[u32]> = data.chunks(2).collect();
+        let (out, metrics) = Engine::new(2)
+            .with_reducers(1)
+            .map_reduce(
+                &parts,
+                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                    for &x in part {
+                        emit(300, &x.to_le_bytes(), 1);
+                        emit(7, b"same", 1);
+                    }
+                    Ok(())
+                },
+                || (),
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                    let mut key = vec![k];
+                    if k == 300 {
+                        key.extend(vs.iter().map(|&(v, _)| value(v) as u32));
+                    }
+                    emit((key, vs.len() as u64));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(out, vec![(vec![7], 4), (vec![300, 1, 2, 1, 2], 4)]);
+        assert_eq!(metrics.shuffle_records, 8);
     }
 
     #[test]
@@ -1105,17 +1162,26 @@ mod tests {
         let err = engine
             .map_reduce(
                 &parts,
-                |part: &[u32], _emit: &mut dyn FnMut(u32, u32)| {
+                |part: &[u32], _emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                     if part.contains(&2) {
                         Err(Error::ResourceExhausted("boom".into()))
                     } else {
                         Ok(())
                     }
                 },
-                |_k: &u32, _vs: Vec<u32>, _emit: &mut dyn FnMut(u32)| Ok(()),
+                || (),
+                count,
             )
             .unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
+    }
+
+    /// A mapper emitting each item as its own pivot with an empty payload.
+    fn each_item(part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> {
+        for &x in part {
+            emit(x, &[], 1);
+        }
+        Ok(())
     }
 
     #[test]
@@ -1126,13 +1192,9 @@ mod tests {
         let err = engine
             .map_reduce(
                 &parts,
-                |part: &[u32], emit: &mut dyn FnMut(u32, u32)| {
-                    for &x in part {
-                        emit(x, x);
-                    }
-                    Ok(())
-                },
-                |_k: &u32, _vs: Vec<u32>, _emit: &mut dyn FnMut(u32)| {
+                each_item,
+                || (),
+                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
                     Err(Error::Invalid("reduce failed".into()))
                 },
             )
@@ -1144,21 +1206,7 @@ mod tests {
     fn empty_input() {
         let parts: Vec<&[u32]> = vec![];
         let engine = Engine::new(2);
-        let (out, metrics) = engine
-            .map_reduce(
-                &parts,
-                |part: &[u32], emit: &mut dyn FnMut(u32, u32)| {
-                    for &x in part {
-                        emit(x, x);
-                    }
-                    Ok(())
-                },
-                |&k: &u32, _vs: Vec<u32>, emit: &mut dyn FnMut(u32)| {
-                    emit(k);
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let (out, metrics) = engine.map_reduce(&parts, each_item, || (), count).unwrap();
         assert!(out.is_empty());
         assert_eq!(metrics.shuffle_bytes, 0);
     }
@@ -1167,11 +1215,10 @@ mod tests {
     fn bucket_routing_is_stable_and_spread() {
         // (The in-range and tail-distinction properties of the primitives
         // are tested at their home, `desq_core::fx`.)
-        let h = hash_bytes(&42u32.to_le_bytes());
-        assert_eq!(bucket_of(h, 8), bucket_of(h, 8));
+        assert_eq!(bucket_of(key_hash(42), 8), bucket_of(key_hash(42), 8));
         let mut seen = std::collections::HashSet::new();
         for k in 0u32..64 {
-            seen.insert(bucket_of(hash_bytes(&k.to_le_bytes()), 8));
+            seen.insert(bucket_of(key_hash(k), 8));
         }
         assert!(
             seen.len() >= 6,
@@ -1188,16 +1235,14 @@ mod tests {
             let (mut out, _) = engine
                 .map_reduce(
                     &parts,
-                    |part: &[u32], emit: &mut dyn FnMut(u32, u64)| {
+                    |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                         for &x in part {
-                            emit(x % 7, u64::from(x));
+                            emit(x % 7, &[], u64::from(x));
                         }
                         Ok(())
                     },
-                    |&k, vs: Vec<u64>, emit: &mut dyn FnMut((u32, u64))| {
-                        emit((k, vs.into_iter().sum()));
-                        Ok(())
-                    },
+                    || (),
+                    count,
                 )
                 .unwrap();
             out.sort();
@@ -1209,20 +1254,20 @@ mod tests {
     /// One combining round driven by a `NetCoordinator` over localhost and
     /// served by one in-thread [`Engine::run_worker`] with `workers`
     /// threads; driver and worker share the closures.
-    fn via_tcp<O, S, MF, IF, RF>(
+    fn via_tcp<S, MF, IF, RF>(
         workers: usize,
         reducers: usize,
         parts: &[&[u32]],
         map: MF,
         init: IF,
         reduce: RF,
-    ) -> (Vec<O>, MiningMetrics)
+    ) -> (Vec<(Sequence, u64)>, MiningMetrics)
     where
-        O: Codec,
         S: Send,
-        MF: Fn(&[u32], &mut Combiner<u32>) -> Result<()> + Sync,
+        MF: Fn(&[u32], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, &u32, &[(&[u8], u64)], &mut dyn FnMut(O)) -> Result<()> + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
     {
         let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
         let addr = coord.local_addr().unwrap();
@@ -1253,22 +1298,17 @@ mod tests {
         // process behind TCP — compare *unsorted* outputs.
         let data: Vec<u32> = (0..3000).collect();
         let parts: Vec<&[u32]> = data.chunks(370).collect();
-        let map = |part: &[u32], c: &mut Combiner<u32>| {
+        let map = |part: &[u32], c: &mut Combiner| {
             for &x in part {
-                c.emit(&(x % 500), &x.to_le_bytes()[..1], 1);
+                c.emit(x % 500, &x.to_le_bytes()[..1], 1);
             }
             Ok(())
         };
-        let reduce =
-            |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
-                emit((k, vs.iter().map(|&(_, w)| w).sum()));
-                Ok(())
-            };
         for reducers in [1, 4] {
             let in_process = |workers| {
                 Engine::new(workers)
                     .with_reducers(reducers)
-                    .map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)
+                    .map_combine_reduce_via(&InProcess, &parts, map, || (), count)
                     .unwrap()
             };
             let (seq, seq_metrics) = in_process(1);
@@ -1280,7 +1320,7 @@ mod tests {
                 assert_eq!(metrics.tasks, seq_metrics.tasks);
             }
             for workers in [1, 3] {
-                let (remote, metrics) = via_tcp(workers, reducers, &parts, map, || (), reduce);
+                let (remote, metrics) = via_tcp(workers, reducers, &parts, map, || (), count);
                 assert_eq!(remote, seq, "TCP workers={workers} reducers={reducers}");
                 assert_eq!(metrics.tasks, reducers as u64, "one ReduceTask per bucket");
             }
@@ -1289,18 +1329,19 @@ mod tests {
 
     #[test]
     fn reduce_state_initializes_once_per_worker() {
-        let map = |part: &[u32], c: &mut Combiner<u32>| {
+        let map = |part: &[u32], c: &mut Combiner| {
             for &x in part {
-                c.emit(&x, b"", 1);
+                c.emit(x, b"", 1);
             }
             Ok(())
         };
         let inits = AtomicUsize::new(0);
         let init = || inits.fetch_add(1, Ordering::Relaxed);
-        let reduce = |_: &mut usize, &k: &u32, _: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
-            emit(k);
-            Ok(())
-        };
+        let reduce =
+            |_: &mut usize, k, _: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                emit((vec![k], 1));
+                Ok(())
+            };
 
         // In process, 8 buckets but 3 workers: at most one state per
         // reduce worker for the whole round, not one per bucket.
@@ -1343,19 +1384,14 @@ mod tests {
         let err = engine
             .map_reduce(
                 &parts,
-                |part: &[u32], emit: &mut dyn FnMut(u32, u32)| {
+                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                     if part.contains(&2) {
                         panic!("mapper blew up on {part:?}");
                     }
-                    for &x in part {
-                        emit(x, x);
-                    }
-                    Ok(())
+                    each_item(part, emit)
                 },
-                |&k: &u32, _vs: Vec<u32>, emit: &mut dyn FnMut(u32)| {
-                    emit(k);
-                    Ok(())
-                },
+                || (),
+                count,
             )
             .unwrap_err();
         match err {
@@ -1375,14 +1411,14 @@ mod tests {
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |part: &[u32], c: &mut Combiner<u32>| {
+                |part: &[u32], c: &mut Combiner| {
                     for &x in part {
-                        c.emit(&x, b"", 1);
+                        c.emit(x, b"", 1);
                     }
                     Ok(())
                 },
                 || (),
-                |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| {
+                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
                     panic!("reducer blew up")
                 },
             )
@@ -1401,19 +1437,7 @@ mod tests {
             ..Engine::new(2)
         };
         let err = engine
-            .map_reduce(
-                &parts,
-                |part: &[u32], emit: &mut dyn FnMut(u32, u32)| {
-                    for &x in part {
-                        emit(x, x);
-                    }
-                    Ok(())
-                },
-                |&k: &u32, _vs: Vec<u32>, emit: &mut dyn FnMut(u32)| {
-                    emit(k);
-                    Ok(())
-                },
-            )
+            .map_reduce(&parts, each_item, || (), count)
             .unwrap_err();
         assert!(matches!(err, Error::Cancelled(_)), "{err}");
     }
@@ -1431,17 +1455,14 @@ mod tests {
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |part: &[u32], c: &mut Combiner<u32>| {
+                |part: &[u32], c: &mut Combiner| {
                     for &x in part {
-                        c.emit(&x, b"", 1);
+                        c.emit(x, b"", 1);
                     }
                     Ok(())
                 },
                 || (),
-                |(): &mut (), &k: &u32, _vs: &[(&[u8], u64)], emit: &mut dyn FnMut(u32)| {
-                    emit(k);
-                    Ok(())
-                },
+                count,
             )
             .unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
@@ -1457,20 +1478,20 @@ mod tests {
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |_part: &[u32], c: &mut Combiner<u32>| {
-                    c.emit(&9, b"", big);
-                    c.emit(&9, b"", 1);
+                |_part: &[u32], c: &mut Combiner| {
+                    c.emit(9, b"", big);
+                    c.emit(9, b"", 1);
                     Ok(())
                 },
                 || (),
-                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
                     assert_eq!(vs.len(), 1);
                     assert!(vs[0].0.is_empty());
-                    emit((k, vs[0].1));
+                    emit((vec![k], vs[0].1));
                     Ok(())
                 },
             )
             .unwrap();
-        assert_eq!(out, vec![(9, big + 1)]);
+        assert_eq!(out, vec![(vec![9], big + 1)]);
     }
 }

@@ -7,16 +7,18 @@
 //! A job consists of three phases:
 //!
 //! 1. **map**: every input partition is processed independently by a worker;
-//!    the mapper emits `(key, value)` records;
-//! 2. **shuffle**: records are *serialized to bytes* (via [`Codec`]) and
-//!    routed to `R` reducer buckets by key hash. The byte volume is the
+//!    the mapper emits `(pivot item, payload bytes, weight)` records — the
+//!    payload is whatever representation the algorithm ships (a candidate,
+//!    a rewritten sequence, an NFA), pre-encoded by the caller;
+//! 2. **shuffle**: records are *serialized to bytes* (varint pivot keys)
+//!    and routed to `R` reducer buckets by key hash. The byte volume is the
 //!    `shuffle_bytes` metric — the analog of Spark's `shuffleWriteBytes`
 //!    that the paper reports (Fig. 9c);
-//! 3. **reduce**: every bucket is decoded, merged and grouped by key, and
+//! 3. **reduce**: every bucket is decoded, merged and grouped by pivot, and
 //!    the key groups run under work stealing in whichever process holds the
-//!    bucket.
+//!    bucket; reducers emit frequent sequences with their frequencies.
 //!
-//! A **combiner** aggregates map-side records with equal `(key, payload)`
+//! A **combiner** aggregates map-side records with equal `(pivot, payload)`
 //! before serialization (MapReduce `combine`), which D-CAND uses to
 //! collapse identical NFAs into weighted ones (Sec. VI-A "Aggregation").
 //! Every such round ([`Engine::map_combine_reduce_via`]) goes through a
@@ -37,10 +39,11 @@
 //! `docs/ARCHITECTURE.md` in the repository root for how the engine fits
 //! into the overall data flow of each distributed algorithm.
 
-pub mod codec;
 pub mod engine;
 pub mod transport;
 
-pub use codec::{decode_item_seq, encode_item_seq, Codec};
+// The item-sequence codec lives in `desq_core::codec`; the benchmark
+// harness (`benchmark/src/layers.rs`) imports it from here.
+pub use desq_core::codec::{decode_item_seq, encode_item_seq};
 pub use engine::{Combiner, Engine, MapTaskOut};
 pub use transport::{InProcess, NetConfig, NetCoordinator, PhaseStats, ShuffleTransport};

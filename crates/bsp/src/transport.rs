@@ -67,8 +67,9 @@ use crate::engine::{Engine, MapTaskOut};
 /// (v2: [`Frame::TaskErr`] carries the shared [`desq_core::wire`] error
 /// table instead of an eight-kind private one; v3: [`Frame::Hello`] carries
 /// only the version — the job fingerprint that every process sent as 0 is
-/// gone.)
-pub const NET_PROTOCOL_VERSION: u8 = 3;
+/// gone; v4: [`Frame::ReduceOut`] patterns are item sequences in the
+/// `desq_core::codec` delta codec, each followed by its frequency.)
+pub const NET_PROTOCOL_VERSION: u8 = 4;
 
 /// Counters of one transport phase, merged into
 /// [`MiningMetrics`](desq_core::MiningMetrics) by the engine.

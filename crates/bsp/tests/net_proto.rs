@@ -1,23 +1,32 @@
 //! Property tests for the shuffle wire codec: arbitrary frames survive
 //! encode → write → read → decode unchanged, **every** strict payload
 //! prefix is rejected (no panic, no partial decode), and hostile length
-//! prefixes are refused before the payload buffer is allocated. Plus two
+//! prefixes are refused before the payload buffer is allocated. Plus
 //! scripted peers: one that answers tasks with the other phase's output
-//! frame, one that greets the coordinator in another protocol version.
+//! frame, one that greets the coordinator in another protocol version, and
+//! one that answers a reduce task with damaged pattern bytes.
 
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, NET_PROTOCOL_VERSION};
-use desq_bsp::{Combiner, Engine, NetConfig, NetCoordinator};
-use desq_core::Error;
+use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION};
+use desq_bsp::{
+    Combiner, Engine, InProcess, MapTaskOut, NetConfig, NetCoordinator, PhaseStats,
+    ShuffleTransport,
+};
+use desq_core::codec::{decode_item_seq, encode_item_seq, write_varint};
+use desq_core::{Error, Result, Sequence};
 use proptest::collection;
 use proptest::prelude::*;
 
 /// Frames on real links carry payloads up to tens of megabytes; for codec
 /// coverage small byte strings exercise the same varint boundaries.
 const MAX_FRAME: usize = 1 << 20;
+
+/// A reducer's output: a frequent sequence and its frequency.
+type Pattern = (Sequence, u64);
 
 fn any_bytes() -> impl Strategy<Value = Vec<u8>> {
     collection::vec(0u8..=u8::MAX, 0..12)
@@ -255,9 +264,9 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
             .map_combine_reduce_via(
                 &coord,
                 &parts,
-                |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+                |_part: &[u32], _out: &mut Combiner| Ok(()),
                 || (),
-                |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
             )
             .unwrap_err();
         assert!(
@@ -287,9 +296,9 @@ fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
         .map_combine_reduce_via(
             &coord,
             &parts,
-            |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+            |_part: &[u32], _out: &mut Combiner| Ok(()),
             || (),
-            |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
         )
         .unwrap_err();
     assert!(matches!(err, Error::Invalid(_)), "{err}");
@@ -335,9 +344,9 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
         .map_combine_reduce_via(
             &coord,
             &parts,
-            |_part: &[u32], _out: &mut Combiner<u32>| Ok(()),
+            |_part: &[u32], _out: &mut Combiner| Ok(()),
             || (),
-            |(): &mut (), _k: &u32, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(u32)| Ok(()),
+            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
         )
         .unwrap_err();
     assert!(matches!(err, Error::PeerUnreachable(_)), "{err}");
@@ -351,4 +360,145 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
         ),
         "the link must be closed, not left idle: {closed}"
     );
+}
+
+/// Runs the job in process and keeps the encoded reduce outputs.
+struct Recording(Mutex<Vec<Vec<u8>>>);
+
+impl ShuffleTransport for Recording {
+    fn map_phase(
+        &self,
+        engine: &Engine,
+        tasks: usize,
+        local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
+    ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
+        InProcess.map_phase(engine, tasks, local)
+    }
+
+    fn reduce_phase(
+        &self,
+        engine: &Engine,
+        chunks: Vec<Vec<Vec<u8>>>,
+        reduce: &ReduceFn<'_>,
+    ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
+        let (outs, stats) = InProcess.reduce_phase(engine, chunks, reduce)?;
+        *self.0.lock().unwrap() = outs.clone();
+        Ok((outs, stats))
+    }
+}
+
+/// A one-bucket round whose worker is a scripted peer: map tasks get
+/// empty chunks, the reduce task gets `out` as the bucket's patterns.
+fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
+    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let peer = scripted_peer(coord.local_addr().unwrap(), move |frame| match frame {
+        Frame::MapTask { epoch, task } => Some(Frame::MapOut {
+            epoch,
+            task,
+            emitted: 0,
+            shuffled: 0,
+            payloads: 0,
+            task_nanos: 0,
+            buckets: vec![vec![]],
+        }),
+        Frame::ReduceTask { epoch, task, .. } => Some(Frame::ReduceOut {
+            epoch,
+            task,
+            task_nanos: 0,
+            out: out.clone(),
+        }),
+        _ => None,
+    });
+    let data = [1u32];
+    let parts: Vec<&[u32]> = vec![&data];
+    let round = Engine::new(1).map_combine_reduce_via(
+        &coord,
+        &parts,
+        |_part: &[u32], _out: &mut Combiner| Ok(()),
+        || (),
+        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+    );
+    drop(coord); // releases the peer if the job died before its last phase
+    peer.join().unwrap();
+    round.map(|(patterns, _)| patterns)
+}
+
+/// A worker's `ReduceOut` bytes are the only worker output that reaches
+/// the driver's result. Every strict prefix and a spread of single-byte
+/// mutations of a real bucket output, and an output count beyond the
+/// input, must end the job in a decode error or a decoded pattern list —
+/// never a panic, never an allocation sized by a hostile count.
+#[test]
+fn hostile_reduce_outputs_fail_typed_or_decode() {
+    // A real bucket output: two patterns with one- to three-byte items.
+    let data = [1u32, 300];
+    let parts: Vec<&[u32]> = vec![&data];
+    let recording = Recording(Mutex::new(Vec::new()));
+    let (clean, _) = Engine::new(1)
+        .with_reducers(1)
+        .map_combine_reduce_via(
+            &recording,
+            &parts,
+            |part: &[u32], out: &mut Combiner| {
+                for &x in part {
+                    let mut payload = Vec::new();
+                    encode_item_seq(&[x, 70_000, 2], &mut payload);
+                    out.emit(x, &payload, 3);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), _k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(Pattern)| {
+                for &(bytes, w) in vs {
+                    let mut pattern = Sequence::new();
+                    decode_item_seq(&mut &bytes[..], &mut pattern)?;
+                    emit((pattern, w));
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
+    let valid = recording.0.into_inner().unwrap().pop().unwrap();
+    assert_eq!(clean.len(), 2);
+    assert_eq!(patterns_from_peer(valid.clone()).unwrap(), clean);
+
+    let (mut decoded, mut refused) = (0usize, 0usize);
+    let mut check = |out: Vec<u8>, what: String| match patterns_from_peer(out) {
+        // Every pattern takes at least two bytes.
+        Ok(patterns) => {
+            assert!(2 * patterns.len() <= valid.len(), "{what}: {patterns:?}");
+            decoded += 1;
+        }
+        Err(e) => {
+            assert!(matches!(e, Error::Decode(_)), "{what}: {e}");
+            refused += 1;
+        }
+    };
+    for cut in 0..valid.len() {
+        check(valid[..cut].to_vec(), format!("prefix {cut}"));
+    }
+    for at in 0..valid.len() {
+        for byte in [0x00, 0x01, 0x7f, 0x80, 0xff, valid[at] ^ 0x01] {
+            let mut out = valid.clone();
+            out[at] = byte;
+            check(out, format!("byte {at} = {byte:#04x}"));
+        }
+    }
+    assert!(
+        decoded > 0 && refused > 0,
+        "{decoded} decoded, {refused} refused"
+    );
+
+    // A count beyond what the bytes behind it could hold is refused at
+    // the count, before any output is decoded.
+    for count in [valid.len() as u64, u64::MAX] {
+        let mut out = Vec::new();
+        write_varint(&mut out, count);
+        out.extend_from_slice(&valid[1..]);
+        let err = patterns_from_peer(out).unwrap_err();
+        assert!(
+            matches!(&err, Error::Decode(m) if m.contains("exceeds input")),
+            "count {count}: {err}"
+        );
+    }
 }

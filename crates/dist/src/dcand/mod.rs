@@ -259,21 +259,21 @@ pub fn d_cand_worker(
     Ok(())
 }
 
-/// D-CAND's reduce body over NFA byte slices: decode each NFA into the
-/// worker's reusable arena and stream its candidates into an interned
-/// count table (whose per-sequence epoch de-duplicates the candidates an
-/// NFA represents more than once), weighted by source multiplicity —
-/// DESQ-COUNT over compressed inputs, σ-filtered, each NFA's expansion
-/// bounded by `budget`.
-fn expand_and_count<'b>(
+/// D-CAND's reduce body over NFA byte slices, in both of its rounds:
+/// decode each NFA into the worker's reusable arena and stream its
+/// candidates into an interned count table (whose per-sequence epoch
+/// de-duplicates the candidates an NFA represents more than once),
+/// weighted by source multiplicity — DESQ-COUNT over compressed inputs,
+/// σ-filtered, each NFA's expansion bounded by `budget`.
+fn expand_and_count(
     sigma: u64,
     budget: usize,
     nfa: &mut Nfa,
-    inputs: impl Iterator<Item = (&'b [u8], u64)>,
+    inputs: &[(&[u8], u64)],
     emit: &mut dyn FnMut((Sequence, u64)),
 ) -> Result<()> {
     let mut counter = CandidateCounter::new();
-    for (bytes, weight) in inputs {
+    for &(bytes, weight) in inputs {
         nfa.decode(bytes)?;
         counter.begin_sequence(weight);
         nfa.for_each(budget, |candidate| {
@@ -302,28 +302,28 @@ fn d_cand_exec(
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
-    let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
+    let map = |part: &[Sequence], out: &mut Combiner| {
         let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
         for seq in part {
             // The serialized NFA goes through the byte-payload path:
             // combined by content, interned per bucket chunk.
-            mapper.map(seq, |p, bytes| out.emit(&p, bytes, 1))?;
+            mapper.map(seq, |p, bytes| out.emit(p, bytes, 1))?;
         }
         Ok(())
     };
-    let reduce = |nfa: &mut Nfa,
-                  _p: &ItemId,
-                  inputs: &[(&[u8], u64)],
-                  emit: &mut dyn FnMut((Sequence, u64))| {
-        expand_and_count(sigma, budget, nfa, inputs.iter().copied(), emit)
-    };
-    crate::run_round(ctx, exec, t0, map, Nfa::default, reduce)
+    crate::run_round(
+        ctx,
+        exec,
+        t0,
+        map,
+        Nfa::default,
+        |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
+    )
 }
 
 /// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the
-/// engine's owned-value [`Engine::map_reduce`] shape: every NFA copy is
-/// copied out of the mapper's buffer, shipped and expanded, with no
-/// combining on either side.
+/// engine's combiner-less [`Engine::map_reduce`]: every NFA copy is
+/// shipped and expanded, with no combining on either side.
 fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningResult> {
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
@@ -332,17 +332,15 @@ fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningR
     let (engine, parts) = Engine::for_context(ctx);
     let round = engine.map_reduce(
         &parts,
-        |part: &[Sequence], emit: &mut dyn FnMut(ItemId, (Vec<u8>, u64))| {
+        |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
             let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
             for seq in part {
-                mapper.map(seq, |p, bytes| emit(p, (bytes.to_vec(), 1)))?;
+                mapper.map(seq, |p, bytes| emit(p, bytes, 1))?;
             }
             Ok(())
         },
-        |_p: &ItemId, inputs: Vec<(Vec<u8>, u64)>, emit: &mut dyn FnMut((Sequence, u64))| {
-            let inputs = inputs.iter().map(|(b, w)| (b.as_slice(), *w));
-            expand_and_count(sigma, budget, &mut Nfa::default(), inputs, emit)
-        },
+        Nfa::default,
+        |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
     )?;
     Ok(crate::job_result(round, t0, &engine, &parts))
 }

@@ -23,7 +23,8 @@
 
 use std::collections::hash_map::Entry;
 
-use desq_bsp::{decode_item_seq, encode_item_seq, Combiner, InProcess};
+use desq_bsp::{Combiner, InProcess};
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashMap;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Error, ItemId, Result, Sequence};
@@ -134,7 +135,7 @@ fn d_seq_exec(
     // `search`) and every pivot partition's LocalMiner.
     let index = search.index();
 
-    let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
+    let map = |part: &[Sequence], out: &mut Combiner| {
         // Per-task scratch, hoisted out of the per-sequence loop.
         let mut scratch = PivotScratch::default();
         let mut ranges: Vec<PivotRange> = Vec::new();
@@ -156,7 +157,7 @@ fn d_seq_exec(
             payload.clear();
             encode_item_seq(items, &mut payload);
             for pr in &ranges {
-                out.emit(&pr.item, &payload, 1);
+                out.emit(pr.item, &payload, 1);
             }
         }
         Ok(())
@@ -165,7 +166,7 @@ fn d_seq_exec(
     // every pivot partition's miner reads them.
     let builder = LocalMiner::with_index(fst, dict, MinerConfig::sequential(sigma), index);
     let reduce = |state: &mut ReduceState,
-                  &p: &ItemId,
+                  p: ItemId,
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {

@@ -77,9 +77,9 @@ pub(crate) fn run_round<S: Send>(
     ctx: &MiningContext<'_>,
     exec: Exec<'_>,
     t0: std::time::Instant,
-    map: impl Fn(&[Sequence], &mut Combiner<ItemId>) -> Result<()> + Sync,
+    map: impl Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
     init: impl Fn() -> S + Sync,
-    reduce: impl Fn(&mut S, &ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+    reduce: impl Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
         + Sync,
 ) -> Result<Option<MiningResult>> {
     let (engine, parts) = Engine::for_context(ctx);

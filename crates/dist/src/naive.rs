@@ -88,7 +88,7 @@ fn naive_exec(
         ItemId::MAX
     };
 
-    let map = |part: &[Sequence], out: &mut Combiner<ItemId>| {
+    let map = |part: &[Sequence], out: &mut Combiner| {
         let walker = RunWalker::new(fst, dict, &index, max_item);
         let mut scratch = RunScratch::default();
         let mut counter = CandidateCounter::with_keys();
@@ -100,26 +100,24 @@ fn naive_exec(
         // on top of the engine's own).
         for (items, bytes, count) in counter.iter_with_keys() {
             // Interned candidates are non-empty, so the pivot is never ε.
-            out.emit(&sequence::pivot(items), bytes, count);
+            out.emit(sequence::pivot(items), bytes, count);
         }
         Ok(())
     };
     // The combiner merged identical (pivot, candidate) pairs across the
     // whole job, so each payload's weight is its global frequency.
     // (The σ-filter is stateless: unit reduce state.)
-    let reduce = |(): &mut (),
-                  _p: &ItemId,
-                  cands: &[(&[u8], u64)],
-                  emit: &mut dyn FnMut((Sequence, u64))| {
-        for &(bytes, freq) in cands {
-            if freq >= sigma {
-                let mut c: Sequence = Vec::new();
-                decode_item_seq(&mut &bytes[..], &mut c)?;
-                emit((c, freq));
+    let reduce =
+        |(): &mut (), _p: ItemId, cands: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+            for &(bytes, freq) in cands {
+                if freq >= sigma {
+                    let mut c: Sequence = Vec::new();
+                    decode_item_seq(&mut &bytes[..], &mut c)?;
+                    emit((c, freq));
+                }
             }
-        }
-        Ok(())
-    };
+            Ok(())
+        };
     crate::run_round(ctx, exec, t0, map, || (), reduce)
 }
 

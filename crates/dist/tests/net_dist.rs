@@ -162,8 +162,8 @@ fn net_dcand_matches_oracle_and_rejects_no_agg() {
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
     let addr = coord.local_addr().unwrap();
 
-    // The no-agg ablation uses the owned-value map/reduce shape, which the
-    // byte-oriented transport does not carry: typed rejection, no hang.
+    // The no-agg ablation runs the combiner-less in-process round, which
+    // the transport does not carry: typed rejection, no hang.
     let no_agg = DCandConfig {
         aggregate: false,
         ..DCandConfig::default()

@@ -498,14 +498,14 @@ fn serve_request(
         batch.push(pattern);
         if batch.len() == limits.batch {
             if let Err(e) = write_frame(writer, &Message::Patterns(std::mem::take(&mut batch))) {
-                return Err(abort_for_peer(shared, token, &e));
+                return Err(abort_for_peer(token, &e));
             }
             batch.reserve(limits.batch);
         }
     }
     if !batch.is_empty() {
         if let Err(e) = write_frame(writer, &Message::Patterns(batch)) {
-            return Err(abort_for_peer(shared, token, &e));
+            return Err(abort_for_peer(token, &e));
         }
     }
     let mining = pattern_stream.finish()?;
@@ -533,11 +533,12 @@ fn serve_request(
 
 /// The peer went away (or stopped reading) mid-stream: trip the token
 /// *before* the pattern stream is dropped so the mining run stops at its
-/// next cooperative checkpoint instead of completing for nobody.
-fn abort_for_peer(shared: &Shared, token: &CancelToken, e: &std::io::Error) -> Error {
+/// next cooperative checkpoint instead of completing for nobody. The
+/// returned error is the request's terminal one, counted once by
+/// [`Shared::count_failure`].
+fn abort_for_peer(token: &CancelToken, e: &std::io::Error) -> Error {
     token.cancel();
     if is_timeout(e) {
-        shared.timeouts.fetch_add(1, Ordering::Relaxed);
         Error::DeadlineExceeded("client stopped reading (I/O timeout)".into())
     } else {
         Error::Cancelled("client disconnected mid-stream".into())
@@ -587,6 +588,18 @@ mod tests {
         assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(shared.cancels.load(Ordering::Relaxed), 2);
         assert_eq!(shared.panics.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_counts_one_timeout() {
+        let shared = Shared::new();
+        let token = CancelToken::new();
+        let stalled = std::io::Error::from(std::io::ErrorKind::WouldBlock);
+        let err = abort_for_peer(&token, &stalled);
+        shared.count_failure(&err);
+        assert!(token.is_stopped());
+        assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
+        assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
     }
 
     #[test]

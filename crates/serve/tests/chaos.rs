@@ -113,8 +113,8 @@ fn a_one_worker_session_returns_an_injected_task_panic_as_an_error() {
         .workers(1)
         .build()
         .unwrap();
-    type Outcome = Result<usize, Error>;
-    let runs: [(&str, fn(&MiningSession) -> Outcome); 2] = [
+    type Run = fn(&MiningSession) -> Result<usize, Error>;
+    let runs: [(&str, Run); 2] = [
         ("run", |s| s.run().map(|r| r.patterns.len())),
         ("stream", |s| {
             let mut stream = s.stream();

@@ -316,24 +316,13 @@ impl MiningSessionBuilder {
         let dict = self.dict.as_ref().ok_or_else(|| {
             Error::Invalid("a dictionary is required to compile: call .dictionary()".into())
         })?;
-        match &self.pattern {
-            Some(PatternSource::Expr(expr)) => Ok(Arc::new(Fst::compile_with(
-                &PatEx::parse(expr)?,
-                dict,
-                self.opt_level,
-            )?)),
-            Some(PatternSource::Unanchored(expr)) => Ok(Arc::new(Fst::compile_with(
-                &PatEx::parse(expr)?.unanchored(),
-                dict,
-                self.opt_level,
-            )?)),
-            Some(PatternSource::Compiled(fst)) => Ok(fst.clone()),
-            None => Err(Error::Invalid(
+        compile(self.pattern.as_ref(), dict, self.opt_level)?.ok_or_else(|| {
+            Error::Invalid(
                 "a pattern is required to compile: call .pattern(), \
                  .pattern_unanchored() or .fst()"
                     .into(),
-            )),
-        }
+            )
+        })
     }
 
     /// Validates the whole request once and produces the session.
@@ -353,20 +342,7 @@ impl MiningSessionBuilder {
             Error::Invalid("a support threshold is required: call .sigma(σ) with σ > 0".into())
         })?;
         let algorithm = self.algorithm.unwrap_or(AlgorithmSpec::DesqDfs);
-        let fst = match self.pattern {
-            Some(PatternSource::Expr(expr)) => Some(Arc::new(Fst::compile_with(
-                &PatEx::parse(&expr)?,
-                &dict,
-                self.opt_level,
-            )?)),
-            Some(PatternSource::Unanchored(expr)) => Some(Arc::new(Fst::compile_with(
-                &PatEx::parse(&expr)?.unanchored(),
-                &dict,
-                self.opt_level,
-            )?)),
-            Some(PatternSource::Compiled(fst)) => Some(fst),
-            None => None,
-        };
+        let fst = compile(self.pattern.as_ref(), &dict, self.opt_level)?;
         let workers = self.workers.unwrap_or_else(default_workers);
         let session = MiningSession {
             dict,
@@ -384,6 +360,22 @@ impl MiningSessionBuilder {
         session.validate()?;
         Ok(session)
     }
+}
+
+/// Compiles a builder's pattern source against `dict` at `level`: `None`
+/// without a pattern, a pre-compiled source as-is.
+fn compile(
+    pattern: Option<&PatternSource>,
+    dict: &Dictionary,
+    level: OptLevel,
+) -> Result<Option<Arc<Fst>>> {
+    let pexp = match pattern {
+        Some(PatternSource::Expr(expr)) => PatEx::parse(expr)?,
+        Some(PatternSource::Unanchored(expr)) => PatEx::parse(expr)?.unanchored(),
+        Some(PatternSource::Compiled(fst)) => return Ok(Some(fst.clone())),
+        None => return Ok(None),
+    };
+    Ok(Some(Arc::new(Fst::compile_with(&pexp, dict, level)?)))
 }
 
 /// A validated mining request, ready to [`run`](MiningSession::run) (any

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 
-use desq::bsp::{decode_item_seq, encode_item_seq, Engine, InProcess};
+use desq::bsp::{Combiner, Engine, InProcess};
+use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
 use desq::datagen::{amzn_like, to_forest, AmznConfig};
 use desq::session::{AlgorithmSpec, MiningSession};
@@ -89,22 +90,24 @@ proptest! {
         let (mut out, metrics) = engine
             .map_reduce(
                 &parts,
-                |part: &[Vec<u32>], emit: &mut dyn FnMut(u32, u64)| {
+                |part: &[Vec<u32>], emit: &mut dyn FnMut(u32, &[u8], u64)| {
                     for seq in part {
                         for &x in seq {
-                            emit(x % 7, u64::from(x));
+                            emit(x % 7, &[], u64::from(x));
                         }
                     }
                     Ok(())
                 },
-                |&k, vs: Vec<u64>, emit: &mut dyn FnMut((u32, u64))| {
-                    emit((k, vs.into_iter().sum()));
+                || (),
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                    emit((vec![k], vs.iter().map(|&(_, w)| w).sum()));
                     Ok(())
                 },
             )
             .unwrap();
         out.sort();
-        let got: std::collections::BTreeMap<u32, u64> = out.into_iter().collect();
+        let got: std::collections::BTreeMap<u32, u64> =
+            out.into_iter().map(|(k, sum)| (k[0], sum)).collect();
         prop_assert_eq!(got, expect);
         let records: usize = data.iter().map(Vec::len).sum();
         prop_assert_eq!(metrics.emitted_records as usize, records);
@@ -154,23 +157,23 @@ proptest! {
             .map_combine_reduce_via(
                 &InProcess,
                 &parts,
-                |part: &[u64], c: &mut desq::bsp::Combiner<u32>| {
+                |part: &[u64], c: &mut Combiner| {
                     for &w in part {
-                        c.emit(&7, payload_ref, w);
+                        c.emit(7, payload_ref, w);
                     }
                     Ok(())
                 },
                 || (),
-                |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
                     assert_eq!(vs.len(), 1, "identical records must merge");
                     assert_eq!(vs[0].0, payload_ref.as_slice());
-                    emit((k, vs[0].1));
+                    emit((vec![k], vs[0].1));
                     Ok(())
                 },
             )
             .unwrap();
         let total: u64 = weights.iter().sum();
-        prop_assert_eq!(out, vec![(7, total)]);
+        prop_assert_eq!(out, vec![(vec![7], total)]);
     }
 
     /// The combiner never changes results, only record counts.
@@ -185,23 +188,23 @@ proptest! {
                 .map_combine_reduce_via(
                     &InProcess,
                     &parts,
-                    |part: &[Vec<u32>], c: &mut desq::bsp::Combiner<u32>| {
+                    |part: &[Vec<u32>], c: &mut Combiner| {
                         for seq in part {
                             for &x in seq {
-                                c.emit(&(x % 3), &x.to_le_bytes(), 1);
+                                c.emit(x % 3, &x.to_le_bytes(), 1);
                             }
                         }
                         Ok(())
                     },
                     || (),
-                    |(): &mut (), &k: &u32, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((u32, u64))| {
+                    |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
                         let total: u64 = vs
                             .iter()
                             .map(|(b, w)| {
                                 u64::from(u32::from_le_bytes((*b).try_into().unwrap())) * w
                             })
                             .sum();
-                        emit((k, total));
+                        emit((vec![k], total));
                         Ok(())
                     },
                 )
@@ -219,8 +222,81 @@ proptest! {
             }
         }
         let got: std::collections::BTreeMap<u32, u64> =
-            combined.into_iter().collect();
+            combined.into_iter().map(|(k, total)| (k[0], total)).collect();
         prop_assert_eq!(got, expect);
         prop_assert!(metrics.shuffle_records <= metrics.emitted_records);
     }
+}
+
+/// The map → reduce wire, pinned: exact shuffle accounting of every
+/// distributed algorithm on the toy fixture (three map partitions, two
+/// workers, three buckets), plus D-SEQ and D-CAND over a small NYT-like
+/// corpus whose frequent pivots need two-byte varint keys. Routing decides
+/// the per-bucket payload dictionaries, so any change to key encoding,
+/// bucket routing, combining or payload interning moves these numbers.
+#[test]
+fn shuffle_accounting_is_pinned() {
+    use desq::baselines::{LashConfig, MllibConfig};
+    use desq::datagen::{nyt_like, NytConfig};
+    use desq::dist::{DCandConfig, DSeqConfig, NaiveConfig};
+    use desq::{Miner, MiningContext};
+
+    type Accounting = (&'static str, u64, u64, u64, Vec<u64>);
+    let account = |name, miner: &dyn Miner, ctx: &MiningContext<'_>| -> Accounting {
+        let m = miner.mine(ctx).unwrap().metrics;
+        let shape = (m.shuffle_bytes, m.shuffle_records, m.shuffle_payloads);
+        (name, shape.0, shape.1, shape.2, m.reducer_bytes)
+    };
+    let no_agg = DCandConfig {
+        aggregate: false,
+        ..DCandConfig::default()
+    };
+
+    let fx = desq::core::toy::fixture();
+    let toy = MiningContext::sequential(&fx.db, &fx.dict, 2)
+        .with_fst(&fx.fst)
+        .with_parallelism(2, 3)
+        .with_reducers(3);
+    let (dict, db) = nyt_like(&NytConfig::new(400));
+    let n4 = desq::dist::patterns::n4().compile(&dict).unwrap();
+    let nyt = MiningContext::sequential(&db, &dict, 3)
+        .with_fst(&n4)
+        .with_parallelism(2, 3)
+        .with_reducers(3);
+    assert!(
+        dict.last_frequent(3) > 127,
+        "NYT pivots must reach two-byte keys"
+    );
+
+    let got = vec![
+        account("toy d-seq", &DSeqConfig::default(), &toy),
+        account("toy d-cand", &DCandConfig::default(), &toy),
+        account("toy d-cand no-agg", &no_agg, &toy),
+        account("toy naive", &NaiveConfig { filter: false }, &toy),
+        account("toy lash", &LashConfig::new(1, 3), &toy),
+        account("toy mllib", &MllibConfig { max_len: 3 }, &toy),
+        account("nyt d-seq", &DSeqConfig::default(), &nyt),
+        account("nyt d-cand", &DCandConfig::default(), &nyt),
+        account("nyt d-cand no-agg", &no_agg, &nyt),
+    ];
+    // (name, shuffle bytes, records, payloads, bytes per bucket)
+    let expect: Vec<Accounting> = vec![
+        ("toy d-seq", 33, 4, 3, vec![0, 0, 33]),
+        ("toy d-cand", 98, 4, 4, vec![0, 0, 98]),
+        ("toy d-cand no-agg", 92, 4, 0, vec![0, 0, 92]),
+        ("toy naive", 191, 22, 22, vec![0, 90, 101]),
+        ("toy lash", 92, 11, 9, vec![28, 0, 64]),
+        // MLlib: both rounds summed, per-bucket bytes of the second.
+        ("toy mllib", 131, 22, 19, vec![22, 18, 42]),
+        ("nyt d-seq", 36120, 4968, 1097, vec![11279, 12037, 12804]),
+        ("nyt d-cand", 49316, 2999, 2999, vec![14117, 16570, 18629]),
+        (
+            "nyt d-cand no-agg",
+            69301,
+            4968,
+            0,
+            vec![19258, 23183, 26860],
+        ),
+    ];
+    assert_eq!(got, expect);
 }
