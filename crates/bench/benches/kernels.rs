@@ -415,9 +415,10 @@ fn bench_dseq(c: &mut Criterion) {
             search.pivots_into(seq, &mut pivot_scratch, &mut ranges);
             let Some(pr) = ranges.first() else { continue };
             let range = &seq[pr.first as usize..=pr.last as usize];
-            let table = *table_of
-                .entry(range)
-                .or_insert_with(|| builder.append_tables(range, &mut tables, &mut scratch));
+            let table = *table_of.entry(range).or_insert_with(|| {
+                let table = builder.append_tables(range, &mut tables, &mut scratch);
+                table.expect("a pivot's rewritten range is accepted")
+            });
             for pr in &ranges {
                 *picks.entry(pr.item).or_default().entry(table).or_default() += 1;
             }

@@ -40,9 +40,9 @@
 //!   [`NetConfig::peer_wait`] fails the job with a typed
 //!   [`Error::PeerUnreachable`] instead of hanging.
 //!
-//! Failpoints (feature `failpoints`): `net::send_frame` before every frame
-//! write, `net::accept` on every accepted connection, `net::heartbeat`
-//! before every worker heartbeat — see `desq_core::fault`.
+//! Failpoints (feature `failpoints`): `net::accept` on every accepted
+//! connection, `net::heartbeat` before every worker heartbeat — see
+//! `desq_core::fault`.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
@@ -333,13 +333,8 @@ impl Frame {
     }
 }
 
-/// Writes pre-serialized wire bytes, with the `net::send_frame` failpoint
-/// in front (a failpoint `Err` surfaces as an I/O error — a broken link —
-/// and an `Exit` action kills the process mid-send, which is exactly how
-/// the chaos suite murders a worker).
+/// Writes pre-serialized wire bytes.
 fn send_wire<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
-    #[cfg(feature = "failpoints")]
-    desq_core::fault::point("net::send_frame").map_err(|e| io::Error::other(e.to_string()))?;
     w.write_all(framed)?;
     w.flush()
 }

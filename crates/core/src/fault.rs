@@ -15,7 +15,6 @@
 //! | `bsp::reduce_merge`  | BSP engine             | every bucket merge of the one reduce (driver or worker process), before the bucket is merged |
 //! | `serve::before_reply`| daemon                 | between mining and the terminal frame |
 //! | `store::compile`     | FST cache              | under a cache miss, before compilation |
-//! | `net::send_frame`    | shuffle transport      | before every frame write on a shuffle link (both ends) |
 //! | `net::accept`        | shuffle transport      | when the coordinator accepts a worker connection |
 //! | `net::heartbeat`     | shuffle transport      | before every worker heartbeat send |
 //!
@@ -26,14 +25,8 @@
 //! transparent again. Hit counters are per site and reset by
 //! [`clear`] / [`clear_all`]. Tests that need "random-looking but
 //! reproducible" schedules derive `skip` from a seed themselves — the
-//! registry stays a pure counter machine.
-//!
-//! # Other processes
-//!
-//! The registry is per process. A chaos test that spawns real worker
-//! processes (and kills one mid-superstep with [`FailAction::Exit`]) arms
-//! the child's sites from inside the child, with [`configure`], before it
-//! starts working.
+//! registry stays a pure counter machine. The registry is per process, and
+//! every site fires inside the process that armed it.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -52,11 +45,6 @@ pub enum FailAction {
     /// Return `Error::Invalid("failpoint <site>")` from [`point`] — at
     /// sites without a `Result` path this panics instead.
     Err,
-    /// Terminate the whole process with the given exit code — the real
-    /// worker-death injection for cross-process chaos tests. Unlike
-    /// [`Panic`](FailAction::Panic), nothing catches this: sockets close
-    /// mid-frame exactly as they would when a machine dies.
-    Exit(i32),
 }
 
 /// When and what a site fires.
@@ -156,10 +144,6 @@ pub fn point(site: &str) -> Result<()> {
             Ok(())
         }
         FailAction::Err => Err(Error::Invalid(format!("failpoint {site}"))),
-        FailAction::Exit(code) => {
-            eprintln!("failpoint {site}: exiting with code {code}");
-            std::process::exit(code)
-        }
     }
 }
 

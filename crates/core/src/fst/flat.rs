@@ -21,10 +21,8 @@
 //!   worker thread, reused across sequences).
 //! * [`CandidateCounter`] counts *interned* candidates: probing hashes
 //!   the raw item slice once with [`fx::hash_items`] into an
-//!   open-addressing [`fx::ProbeTable`] over flat arenas, and the
-//!   canonical [`codec::encode_item_seq`] byte key is produced at most
-//!   once per distinct candidate — no `Vec<ItemId>` keys, no
-//!   per-candidate allocation after warm-up.
+//!   open-addressing [`fx::ProbeTable`] over one flat item arena — no
+//!   `Vec<ItemId>` keys, no per-candidate allocation after warm-up.
 //!
 //! # Equivalence contract
 //!
@@ -42,7 +40,6 @@
 use super::index::FstIndex;
 use super::sim::{SimScratch, SimTables, Simulator};
 use super::Fst;
-use crate::codec;
 use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::fx::{self, ProbeTable};
@@ -305,10 +302,8 @@ impl<'a> RunWalker<'a> {
     ///
     /// Every candidate is observed once per input sequence with `weight`;
     /// `on_new` fires on each first observation with the candidate's items
-    /// and the counter (shuffle emitters call
-    /// [`CandidateCounter::last_key`] for the canonical bytes — pure
-    /// counters pass a no-op and never pay for an encoding; `on_new` must
-    /// not call `begin_sequence`/`observe` itself). `budget` bounds the
+    /// and the counter (`on_new` must not call `begin_sequence`/`observe`
+    /// itself; every in-tree caller passes a no-op). `budget` bounds the
     /// work (accepting runs walked plus candidates materialized) exactly
     /// like the reference; exceeding it returns
     /// [`Error::ResourceExhausted`].
@@ -386,13 +381,11 @@ fn product_count(
 }
 
 /// One interned candidate: its [`fx::hash_items`] hash, the exclusive end
-/// offsets of its item and canonical-byte ranges in the counter's arenas
-/// (starts come from the previous entry), its per-sequence epoch stamp and
-/// accumulated weight.
+/// offset of its items in the counter's arena (the start comes from the
+/// previous entry), its per-sequence epoch stamp and accumulated weight.
 struct CountEntry {
     hash: u64,
     items_end: u32,
-    key_end: u32,
     last_epoch: u32,
     count: u64,
 }
@@ -404,11 +397,9 @@ struct CountEntry {
 /// # Count-table contract
 ///
 /// * Probing hashes and compares the raw item slices ([`fx::hash_items`]);
-///   the candidate's canonical [`codec::encode_item_seq`] bytes are
-///   produced **exactly once per distinct candidate** — at first insertion
-///   — and stored alongside, so duplicate observations (the common case
-///   inside Cartesian products) never re-encode. [`last_key`](Self::last_key)
-///   exposes the stored bytes for shuffle emission.
+///   the counter never encodes. A shuffle emitter encodes each distinct
+///   candidate once, when it drains the counter with
+///   [`iter_with_keys`](Self::iter_with_keys).
 /// * Counting is **per input sequence**: [`begin_sequence`](Self::begin_sequence)
 ///   opens a sequence with its weight, and [`observe`](Self::observe) adds
 ///   that weight at most once per distinct candidate per open sequence (an
@@ -423,38 +414,15 @@ pub struct CandidateCounter {
     entries: Vec<CountEntry>,
     /// Item arena; entry `i` owns `items[entries[i-1].items_end..entries[i].items_end]`.
     items: Vec<ItemId>,
-    /// Canonical-encoding arena, parallel to `items` (empty unless
-    /// [`with_keys`](Self::with_keys)).
-    key_data: Vec<u8>,
-    /// Store canonical encodings at insert time (shuffle consumers); plain
-    /// counters skip the encode entirely and [`last_key`](Self::last_key)
-    /// encodes on demand.
-    store_keys: bool,
-    /// On-demand encode scratch of [`last_key`](Self::last_key).
-    keybuf: Vec<u8>,
-    /// Entry index of the most recent `observe`.
-    last: u32,
     epoch: u32,
     weight: u64,
     observed: u64,
 }
 
 impl CandidateCounter {
-    /// An empty counter that never materializes canonical key bytes on its
-    /// own (pure counting — DESQ-COUNT workers, D-CAND reducers).
+    /// An empty counter.
     pub fn new() -> CandidateCounter {
         CandidateCounter::default()
-    }
-
-    /// An empty counter that stores each distinct candidate's canonical
-    /// encoding at insert time, so [`last_key`](Self::last_key) is a slice
-    /// lookup — for callers that emit every first observation into a
-    /// shuffle (the NAÏVE / SEMI-NAÏVE mappers).
-    pub fn with_keys() -> CandidateCounter {
-        CandidateCounter {
-            store_keys: true,
-            ..CandidateCounter::default()
-        }
     }
 
     /// Opens a new input sequence contributing `weight` per distinct
@@ -472,12 +440,10 @@ impl CandidateCounter {
 
     /// Observes one candidate for the open sequence. Returns `true` iff
     /// this is the candidate's first observation for this sequence (its
-    /// count was bumped); the canonical encoding is then available via
-    /// [`last_key`](Self::last_key).
+    /// count was bumped).
     pub fn observe(&mut self, items: &[ItemId]) -> bool {
         debug_assert!(self.epoch > 0, "call begin_sequence before observe");
         let idx = self.intern(fx::hash_items(items), items) as usize;
-        self.last = idx as u32;
         let entry = &mut self.entries[idx];
         if entry.last_epoch == self.epoch {
             return false;
@@ -486,21 +452,6 @@ impl CandidateCounter {
         entry.count += self.weight;
         self.observed += 1;
         true
-    }
-
-    /// The canonical byte encoding of the most recently observed
-    /// candidate: a stored-arena slice under [`with_keys`](Self::with_keys),
-    /// an on-demand encode otherwise.
-    #[inline]
-    pub fn last_key(&mut self) -> &[u8] {
-        if self.store_keys {
-            return self.key(self.last as usize);
-        }
-        let mut keybuf = std::mem::take(&mut self.keybuf);
-        keybuf.clear();
-        codec::encode_item_seq(self.entry_items(self.last as usize), &mut keybuf);
-        self.keybuf = keybuf;
-        &self.keybuf
     }
 
     /// Number of distinct candidates interned.
@@ -533,17 +484,6 @@ impl CandidateCounter {
         &self.items[start..self.entries[i].items_end as usize]
     }
 
-    /// The canonical key bytes of entry `i`.
-    #[inline]
-    fn key(&self, i: usize) -> &[u8] {
-        let start = if i == 0 {
-            0
-        } else {
-            self.entries[i - 1].key_end as usize
-        };
-        &self.key_data[start..self.entries[i].key_end as usize]
-    }
-
     fn intern(&mut self, hash: u64, items: &[ItemId]) -> u32 {
         let (table, entries) = (&mut self.table, &self.entries);
         table.grow_if_needed(entries.len(), |i| entries[i as usize].hash);
@@ -570,14 +510,9 @@ impl CandidateCounter {
                 );
                 let id = self.entries.len() as u32;
                 self.items.extend_from_slice(items);
-                if self.store_keys {
-                    // The one and only encoding of this candidate.
-                    codec::encode_item_seq(items, &mut self.key_data);
-                }
                 self.entries.push(CountEntry {
                     hash,
                     items_end: self.items.len() as u32,
-                    key_end: self.key_data.len() as u32,
                     count: 0,
                     // Never equal to an active epoch (epochs count from 1).
                     last_epoch: u32::MAX,
@@ -588,14 +523,12 @@ impl CandidateCounter {
         }
     }
 
-    /// Iterates every interned candidate as
-    /// `(items, canonical bytes, count)` — the NAÏVE mappers drain a
-    /// partition's counter through this once, emitting each distinct
-    /// candidate with its accumulated weight instead of once per input
-    /// sequence. Requires [`with_keys`](Self::with_keys).
-    pub fn iter_with_keys(&self) -> impl Iterator<Item = (&[ItemId], &[u8], u64)> + '_ {
-        debug_assert!(self.store_keys, "iter_with_keys requires with_keys()");
-        (0..self.len()).map(|i| (self.entry_items(i), self.key(i), self.entries[i].count))
+    /// Iterates every interned candidate as `(items, count)` — the NAÏVE
+    /// mappers drain a partition's counter through this once, emitting each
+    /// distinct candidate with its accumulated weight instead of once per
+    /// input sequence.
+    pub fn iter_with_keys(&self) -> impl Iterator<Item = (&[ItemId], u64)> + '_ {
+        (0..self.len()).map(|i| (self.entry_items(i), self.entries[i].count))
     }
 
     /// Merges another counter's entries into this one (weights add). The

@@ -20,7 +20,6 @@
 mod compile;
 pub mod flat;
 pub mod index;
-mod minim;
 pub mod nfa;
 pub mod opt;
 pub mod sim;

@@ -25,8 +25,10 @@
 //!    exempt from the functionality test: the uncaptured `.*` context of
 //!    unanchored constraints must not disable the pass.
 //! 4. **Suffix-sharing minimization** — Moore-style refinement to the
-//!    coarsest forward bisimulation over the `minim` machinery
-//!    (generalized from D-CAND's DAWG construction in [`nfa`](super::nfa)).
+//!    coarsest forward bisimulation by signature hashing (generalized from
+//!    D-CAND's DAWG construction in [`nfa`](super::nfa), which needs one
+//!    reverse-id round because a trie is acyclic; an FST has cycles, so
+//!    rounds repeat until the class count is stable).
 //!    Beyond size, this restores the paper's automaton shapes: Thompson
 //!    turns `.*` into an entry edge plus a loop state, the quotient
 //!    collapses them into a genuine self-loop — exactly the shape (Fig. 4)
@@ -43,8 +45,8 @@
 //! to end.
 
 use super::compile::NState;
-use super::{minim, Fst, InputLabel, OutputLabel, Transition};
-use crate::fx::FxHashSet;
+use super::{Fst, InputLabel, OutputLabel, Transition};
+use crate::fx::{FxHashMap, FxHashSet};
 
 /// How hard [`Fst::compile`] optimizes the compiled automaton.
 ///
@@ -314,23 +316,35 @@ fn determinize(
 
 /// Pass 4 — suffix-sharing minimization: merges forward-bisimilar states
 /// (identical finality and identical transition signatures up to the
-/// current partition) via [`minim::refine_to_fixpoint`], then renumbers so
-/// the initial class is state 0 (callers rely on it). Language- and
-/// output-preserving.
+/// current partition), then renumbers so the initial class is state 0
+/// (callers rely on it). Language- and output-preserving.
 fn minimize(finals: &[bool], states: &[Vec<Transition>]) -> (Vec<bool>, Vec<Vec<Transition>>) {
     let n = states.len();
+    // Each round gives every state a dense class id by its signature: its
+    // previous class (so rounds only ever split classes) plus its edges
+    // with targets replaced by the previous round's classes. The count
+    // stops growing at the coarsest forward bisimulation.
     let mut class: Vec<u32> = finals.iter().map(|&f| u32::from(f)).collect();
-    let num = minim::refine_to_fixpoint(&mut class, |q, prev| {
-        let mut edges: Vec<(InputLabel, OutputLabel, u32)> = states[q]
-            .iter()
-            .map(|t| (t.input, t.output, prev[t.to as usize]))
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        (prev[q], edges)
-    });
+    let mut m = 0;
+    loop {
+        let prev = class.clone();
+        let mut ids = FxHashMap::default();
+        for (q, c) in class.iter_mut().enumerate() {
+            let mut edges: Vec<_> = states[q]
+                .iter()
+                .map(|t| (t.input, t.output, prev[t.to as usize]))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let fresh = ids.len() as u32;
+            *c = *ids.entry((prev[q], edges)).or_insert(fresh);
+        }
+        if ids.len() == m {
+            break;
+        }
+        m = ids.len();
+    }
 
-    let m = num as usize;
     let mut q_states: Vec<Vec<Transition>> = vec![Vec::new(); m];
     let mut q_finals = vec![false; m];
     let mut filled = vec![false; m];
@@ -389,6 +403,29 @@ mod tests {
         let index = FstIndex::new(fst);
         let sim = Simulator::new(fst, dict, &index, crate::ItemId::MAX);
         sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
+    }
+
+    /// One `.`-labelled ε-output edge per state, to `next[q]`.
+    fn chain(next: &[u32]) -> Vec<Vec<Transition>> {
+        let edge = |to| Transition {
+            input: InputLabel::Any,
+            output: OutputLabel::None,
+            to,
+        };
+        next.iter().map(|&to| vec![edge(to)]).collect()
+    }
+
+    #[test]
+    fn minimization_refines_cycles_to_a_fixpoint() {
+        // A 3-state chain into a rejecting sink with a self-loop: state i
+        // accepts after (2 - i) more steps, so no two chain states may
+        // merge even though a single round cannot tell states 0 and 1
+        // apart.
+        let (finals, states) = minimize(&[false, false, true, false], &chain(&[1, 2, 3, 3]));
+        assert_eq!((finals.len(), states.len()), (4, 4));
+        // Two disjoint accepting self-loop states are bisimilar.
+        let (finals, states) = minimize(&[true, true], &chain(&[0, 1]));
+        assert_eq!((finals, states), (vec![true], chain(&[0])));
     }
 
     /// The FST has no ε-input edges by representation; "idempotence" of the

@@ -390,12 +390,6 @@ impl<'a> MiningContext<'a> {
         self
     }
 
-    /// Overrides the execution-path selection policy.
-    pub fn with_execution_policy(mut self, exec: ExecutionPolicy) -> MiningContext<'a> {
-        self.exec = exec;
-        self
-    }
-
     /// The compiled constraint, or a descriptive error if none was given.
     pub fn fst(&self) -> Result<&'a Fst> {
         self.fst.ok_or_else(|| {
@@ -655,15 +649,6 @@ impl MiningMetrics {
             max / mean
         }
     }
-
-    /// Combine effectiveness: emitted records per shuffled record.
-    pub fn combine_ratio(&self) -> f64 {
-        if self.shuffle_records == 0 {
-            1.0
-        } else {
-            self.emitted_records as f64 / self.shuffle_records as f64
-        }
-    }
 }
 
 /// Decodes a varint-length-prefixed list of varints (the list shape used
@@ -817,7 +802,6 @@ mod tests {
         assert_eq!(m.worker_nanos, vec![2_000_000_000]);
         assert_eq!((m.tasks, m.steals), (1, 0));
         assert_eq!(m.balance(), 1.0);
-        assert_eq!(m.combine_ratio(), 1.0);
     }
 
     /// Two workers' scheduler stats, as DESQ-DFS or DESQ-COUNT report them.
@@ -942,8 +926,6 @@ mod tests {
         let fx = toy::fixture();
         let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2);
         assert_eq!(ctx.exec, ExecutionPolicy::Auto);
-        let lean = ctx.with_execution_policy(ExecutionPolicy::Lean);
-        assert_eq!(lean.exec, ExecutionPolicy::Lean);
     }
 
     #[test]

@@ -106,17 +106,17 @@ pub fn d_seq_worker(
 
 /// Per-reduce-worker state — one per worker per reduce call: one growing
 /// arena of simulation tables plus the table index of every payload seen
-/// so far, keyed by the identity of the borrowed payload slice. Payloads
-/// borrow from the shuffle buffers, which outlive the state (all buckets
-/// of the round in process, the one bucket of a `ReduceTask` on a worker
-/// process), so the map stays valid across the per-pivot tasks: a sequence
-/// shipped to many pivot partitions mined by one worker is decoded and
-/// simulated once, and its items are not retained. The rest is scratch
-/// reused across partitions.
+/// so far (`None` for a payload the FST rejects), keyed by the identity of
+/// the borrowed payload slice. Payloads borrow from the shuffle buffers,
+/// which outlive the state (all buckets of the round in process, the one
+/// bucket of a `ReduceTask` on a worker process), so the map stays valid
+/// across the per-pivot tasks: a sequence shipped to many pivot partitions
+/// mined by one worker is decoded and simulated once, and its items are
+/// not retained. The rest is scratch reused across partitions.
 #[derive(Default)]
 struct ReduceState {
     tables: SeqTables,
-    table_of: FxHashMap<(usize, usize), u32>,
+    table_of: FxHashMap<(usize, usize), Option<u32>>,
     scratch: MinerScratch,
     items: Vec<ItemId>,
     picks: Vec<(u32, u64)>,
@@ -187,7 +187,9 @@ fn d_seq_exec(
                     *miss.insert(builder.append_tables(items, tables, scratch))
                 }
             };
-            picks.push((table, weight));
+            if let Some(table) = table {
+                picks.push((table, weight));
+            }
         }
         let miner_config = MinerConfig::for_pivot(sigma, p, config.early_stop);
         LocalMiner::with_index(fst, dict, miner_config, index).mine_picks(
@@ -403,13 +405,13 @@ mod tests {
             let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
             let builder =
                 LocalMiner::with_index(&fst, &dict, MinerConfig::sequential(sigma), search.index());
-            let inputs: Vec<desq_miner::WeightedInput<'_>> =
-                db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
-            let tables = builder.prepare_tables(&inputs, 1).unwrap();
+            let (mut tables, mut miner_scratch) = (SeqTables::default(), MinerScratch::default());
             let (mut scratch, mut ranges) = (PivotScratch::default(), Vec::new());
             let mut undercuts = 0;
             for (s, items) in db.sequences.iter().enumerate() {
                 search.pivots_into(items, &mut scratch, &mut ranges);
+                let table = builder.append_tables(items, &mut tables, &mut miner_scratch);
+                assert!(table.is_some() || ranges.is_empty(), "sequence {s}");
                 for pr in &ranges {
                     let miner = LocalMiner::with_index(
                         &fst,
@@ -417,7 +419,7 @@ mod tests {
                         MinerConfig::for_pivot(sigma, pr.item, true),
                         search.index(),
                     );
-                    let from_tables = miner.last_pivot_position(&tables, s);
+                    let from_tables = miner.last_pivot_position(&tables, table.unwrap() as usize);
                     let from_dict = dict_last_pivot_position(&fst, &dict, items, pr.item);
                     assert!(from_tables.is_some(), "sequence {s} pivot {}", pr.item);
                     assert!(from_tables <= from_dict, "sequence {s} pivot {}", pr.item);

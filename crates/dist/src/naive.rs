@@ -20,7 +20,7 @@
 //! no hash map at all.
 
 use desq_bsp::{Combiner, InProcess};
-use desq_core::codec::decode_item_seq;
+use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{sequence, ItemId, Result, Sequence};
@@ -91,16 +91,19 @@ fn naive_exec(
     let map = |part: &[Sequence], out: &mut Combiner| {
         let walker = RunWalker::new(fst, dict, &index, max_item);
         let mut scratch = RunScratch::default();
-        let mut counter = CandidateCounter::with_keys();
+        let mut counter = CandidateCounter::new();
         for seq in part {
             walker.count_candidates(seq, 1, budget, &mut scratch, &mut counter, |_, _| {})?;
         }
         // Drain the partition's interned counts: each distinct candidate is
-        // emitted once with its accumulated weight (a mapper-level combine
-        // on top of the engine's own).
-        for (items, bytes, count) in counter.iter_with_keys() {
+        // encoded and emitted once with its accumulated weight (a
+        // mapper-level combine on top of the engine's own).
+        let mut bytes = Vec::new();
+        for (items, count) in counter.iter_with_keys() {
+            bytes.clear();
+            encode_item_seq(items, &mut bytes);
             // Interned candidates are non-empty, so the pivot is never ε.
-            out.emit(sequence::pivot(items), bytes, count);
+            out.emit(sequence::pivot(items), &bytes, count);
         }
         Ok(())
     };

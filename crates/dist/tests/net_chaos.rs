@@ -1,21 +1,26 @@
-//! Cross-process chaos suite for the networked shuffle.
+//! Chaos suite for the networked shuffle.
 //!
-//! Only built with `--features failpoints`. The headline scenarios spawn
-//! *real worker processes* (this test binary re-invoked with
-//! `chaos_worker_main --exact`, which arms one of two fixed faults named by
-//! the `DESQ_NET_CHAOS_FAULT` variable) and assert the coordinator's failure-domain promises: a worker killed
-//! mid-superstep or a flaky link is ridden out by per-partition task
-//! re-execution, the final result stays byte-identical to the in-process
-//! oracle, and the retry counters surface in [`desq_core::MiningMetrics`].
-#![cfg(feature = "failpoints")]
+//! Every scenario runs in this one process: the coordinator drives the toy
+//! D-SEQ job over real localhost sockets while a test-side peer misbehaves,
+//! ordered by channels rather than sleeps. A worker that dies with a map
+//! task in flight and a link cut under a live worker are ridden out by
+//! per-partition task re-execution; the result stays identical to the
+//! in-process oracle and the retry counters surface in
+//! [`desq_core::MiningMetrics`]. With `--features failpoints` the suite also
+//! drops an accepted connection and suppresses a heartbeat inside the
+//! transport itself.
 
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Mutex;
-use std::thread;
-use std::time::Duration;
+use std::thread::{self, JoinHandle};
 
+use desq_bsp::transport::{
+    read_net_frame, write_net_frame, Frame, MAX_NET_FRAME, NET_PROTOCOL_VERSION,
+};
 use desq_bsp::{NetConfig, NetCoordinator};
+#[cfg(feature = "failpoints")]
 use desq_core::fault::{self, FailAction, FailSpec};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{toy, Sequence};
@@ -24,17 +29,19 @@ use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
 const SIGMA: u64 = 2;
 const PARTS: usize = 8;
 
-/// The failpoint registry is process-global; tests that arm coordinator-
-/// side sites take this lock so their configurations never overlap.
+/// Every scenario binds its own coordinator, but the failpoint registry is
+/// process-global: scenarios take this lock so an armed `net::accept` never
+/// fires on another scenario's coordinator.
 static CHAOS: Mutex<()> = Mutex::new(());
 
 fn chaos_guard() -> std::sync::MutexGuard<'static, ()> {
     let guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
+    #[cfg(feature = "failpoints")]
     fault::clear_all();
     guard
 }
 
-/// The toy job every process builds: σ, two threads, [`PARTS`] map
+/// The toy job every peer builds: σ, two threads, [`PARTS`] map
 /// partitions.
 fn toy_ctx(fx: &toy::Toy) -> MiningContext<'_> {
     MiningContext::sequential(&fx.db, &fx.dict, SIGMA)
@@ -49,135 +56,136 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
         .patterns
 }
 
-/// Long liveness window, hence a 2 s heartbeat, so a fast toy job never
-/// interleaves heartbeats with task frames — the `net::send_frame` hit
-/// counters a [`worker_fault`] counts stay deterministic.
-fn chaos_net() -> NetConfig {
-    NetConfig {
-        liveness: Duration::from_secs(8),
-        ..NetConfig::default()
-    }
-}
-
-/// The faults a worker process can arm on its `net::send_frame` site, by
-/// the name the scenarios pass in `DESQ_NET_CHAOS_FAULT`. Sends count #1
-/// Hello, #2 first map output, #3 second, … (see [`chaos_net`]).
-fn worker_fault(name: &str) -> FailSpec {
-    match name {
-        // Dies while sending its second map output, a task in flight.
-        "exit" => FailSpec::once_after(2, FailAction::Exit(17)),
-        // Its third send fails once: a transient link error.
-        "flaky" => FailSpec {
-            skip: 2,
-            times: 1,
-            action: FailAction::Err,
-        },
-        other => panic!("unknown worker fault {other:?}"),
-    }
-}
-
-/// Re-invokes this test binary as a worker process serving the toy D-SEQ
-/// job, with an optional [`worker_fault`] armed in the child.
-fn spawn_worker_process(addr: SocketAddr, fault: Option<&str>) -> Child {
-    let mut cmd = Command::new(std::env::current_exe().unwrap());
-    cmd.args(["chaos_worker_main", "--exact", "--nocapture"])
-        .env("DESQ_NET_CHAOS_ADDR", addr.to_string())
-        .env_remove("DESQ_NET_CHAOS_FAULT")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(name) = fault {
-        cmd.env("DESQ_NET_CHAOS_FAULT", name);
-    }
-    cmd.spawn().expect("spawn worker process")
-}
-
-/// The worker-process entry point: a no-op under a normal test run, a
-/// full D-SEQ worker when re-invoked by the scenarios below.
-#[test]
-fn chaos_worker_main() {
-    let Ok(addr) = std::env::var("DESQ_NET_CHAOS_ADDR") else {
-        return;
-    };
-    if let Ok(name) = std::env::var("DESQ_NET_CHAOS_FAULT") {
-        fault::configure("net::send_frame", worker_fault(&name));
-    }
-    let addr: SocketAddr = addr.parse().unwrap();
+/// Serves the toy job as a real D-SEQ worker until the coordinator ends it.
+fn serve_job(addr: SocketAddr) {
     let fx = toy::fixture();
-    // Errors are expected here: injected link faults beyond the retry
-    // budget surface as PeerUnreachable, and an Exit action never returns.
-    let _ = d_seq_worker(&toy_ctx(&fx), addr, &chaos_net(), DSeqConfig::default());
+    d_seq_worker(
+        &toy_ctx(&fx),
+        addr,
+        &NetConfig::default(),
+        DSeqConfig::default(),
+    )
+    .expect("the worker serves the job to its end");
 }
 
-/// Runs the toy D-SEQ job over real worker processes and returns the
-/// mining result; children are spawned in order with a head start for the
-/// first, so the first fault deterministically receives the first tasks.
-fn run_with_workers(faults: &[Option<&str>]) -> (desq_core::MiningResult, Vec<Child>) {
-    let cfg = chaos_net();
-    let coord = NetCoordinator::bind("127.0.0.1:0", cfg).unwrap();
-    let addr = coord.local_addr().unwrap();
-    let mut children = Vec::new();
-    for (i, fault) in faults.iter().enumerate() {
-        children.push(spawn_worker_process(addr, *fault));
-        if i + 1 < faults.len() {
-            thread::sleep(Duration::from_millis(300));
-        }
-    }
-    let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
-        .expect("job must ride out the injected fault");
-    (res, children)
+/// A scripted peer that greets the coordinator, takes the first map task
+/// it is sent and closes its socket without answering — a worker that dies
+/// with a task in flight. Signals `died` once the socket is closed.
+fn dying_peer(addr: SocketAddr, died: Sender<()>) -> JoinHandle<()> {
+    thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            version: NET_PROTOCOL_VERSION,
+        };
+        write_net_frame(&mut stream, &hello, MAX_NET_FRAME).unwrap();
+        while !matches!(
+            read_net_frame(&mut stream, MAX_NET_FRAME).unwrap(),
+            Frame::MapTask { .. }
+        ) {}
+        drop(stream);
+        died.send(()).unwrap();
+    })
 }
 
 #[test]
 fn killed_worker_is_ridden_out_with_identical_result() {
-    // The first worker dies with exit(17) while sending its second map
-    // output: Hello (#1) and one MapOut (#2) pass, send #3 kills the
-    // process mid-superstep with a task in flight.
-    let (res, mut children) = run_with_workers(&[Some("exit"), None]);
+    let _guard = chaos_guard();
+    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = coord.local_addr().unwrap();
+    // The healthy worker joins only after the scripted one died holding a
+    // task, so that task must be re-executed.
+    let (died, dead_rx) = channel();
+    let dead = dying_peer(addr, died);
+    let healthy = thread::spawn(move || {
+        dead_rx.recv().unwrap();
+        serve_job(addr);
+    });
     let fx = toy::fixture();
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
+        .expect("job must ride out the dead worker");
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
         res.metrics.retried_tasks >= 1,
         "death with a task in flight must re-execute it: {:?}",
         res.metrics
     );
-    let killed = children.remove(0).wait().unwrap();
-    assert_eq!(killed.code(), Some(17), "worker must die by the failpoint");
-    assert!(children.remove(0).wait().unwrap().success());
+    dead.join().unwrap();
+    healthy.join().unwrap();
+}
+
+/// Copies `from` into `to` until either side closes, then shuts both down.
+fn pipe(mut from: TcpStream, mut to: TcpStream) -> JoinHandle<()> {
+    thread::spawn(move || {
+        let _ = io::copy(&mut from, &mut to);
+        let _ = from.shutdown(Shutdown::Both);
+        let _ = to.shutdown(Shutdown::Both);
+    })
+}
+
+/// A relay in front of the coordinator at `coord`. The first connection
+/// through it is cut at the first task frame: the relay reads that frame
+/// off the coordinator's side, never forwards it, and closes both sockets.
+/// The second connection (the worker's reconnect) is relayed untouched to
+/// its end. Returns the relay's address.
+fn cutting_relay(coord: SocketAddr) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let relay = thread::spawn(move || {
+        let (mut worker, _) = listener.accept().unwrap();
+        let mut upstream = TcpStream::connect(coord).unwrap();
+        let hello = pipe(worker.try_clone().unwrap(), upstream.try_clone().unwrap());
+        loop {
+            match read_net_frame(&mut upstream, MAX_NET_FRAME).unwrap() {
+                Frame::MapTask { .. } => break,
+                other => write_net_frame(&mut worker, &other, MAX_NET_FRAME).unwrap(),
+            }
+        }
+        let _ = worker.shutdown(Shutdown::Both);
+        let _ = upstream.shutdown(Shutdown::Both);
+        hello.join().unwrap();
+
+        let (worker, _) = listener.accept().unwrap();
+        let upstream = TcpStream::connect(coord).unwrap();
+        let up = pipe(worker.try_clone().unwrap(), upstream.try_clone().unwrap());
+        pipe(upstream, worker).join().unwrap();
+        up.join().unwrap();
+    });
+    (addr, relay)
 }
 
 #[test]
 fn flaky_link_is_ridden_out_with_identical_result() {
-    // The first worker's third send fails once (a transient link error);
-    // the worker reconnects within its retry budget and the coordinator
-    // re-executes whatever was in flight.
-    let (res, mut children) = run_with_workers(&[Some("flaky"), None]);
+    let _guard = chaos_guard();
+    // The worker's first link is cut with a map task in flight; the worker
+    // reconnects within its retry budget and the coordinator re-executes
+    // the lost task. The relay serves exactly two connections, so the
+    // worker ending cleanly means it reconnected.
+    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let (relay_addr, relay) = cutting_relay(coord.local_addr().unwrap());
+    let worker = thread::spawn(move || serve_job(relay_addr));
     let fx = toy::fixture();
+    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
+        .expect("job must ride out the cut link");
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
         res.metrics.retried_tasks >= 1,
         "link failure with a task in flight must re-execute it: {:?}",
         res.metrics
     );
-    for c in &mut children {
-        assert!(c.wait().unwrap().success());
-    }
+    worker.join().unwrap();
+    relay.join().unwrap();
 }
 
+#[cfg(feature = "failpoints")]
 #[test]
 fn dropped_accept_is_ridden_out_by_reconnect() {
     let _guard = chaos_guard();
     // The coordinator drops the first connection it accepts; the worker's
     // reconnect schedule rides it out.
     fault::configure("net::accept", FailSpec::once_after(0, FailAction::Err));
-    let cfg = chaos_net();
-    let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
+    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = coord.local_addr().unwrap();
-    let worker = thread::spawn(move || {
-        let fx = toy::fixture();
-        d_seq_worker(&toy_ctx(&fx), addr, &cfg, DSeqConfig::default())
-            .expect("worker rides out the dropped connection");
-    });
+    let worker = thread::spawn(move || serve_job(addr));
     let fx = toy::fixture();
     let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
@@ -186,6 +194,7 @@ fn dropped_accept_is_ridden_out_by_reconnect() {
     fault::clear_all();
 }
 
+#[cfg(feature = "failpoints")]
 #[test]
 fn suppressed_heartbeat_stays_inside_liveness_window() {
     let _guard = chaos_guard();
@@ -193,7 +202,7 @@ fn suppressed_heartbeat_stays_inside_liveness_window() {
     // heartbeat every quarter of it): the job completes without a timeout.
     fault::configure("net::heartbeat", FailSpec::once_after(0, FailAction::Err));
     let cfg = NetConfig {
-        liveness: Duration::from_millis(800),
+        liveness: std::time::Duration::from_millis(800),
         ..NetConfig::default()
     };
     let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();

@@ -240,12 +240,9 @@ mod tests {
     fn execution_policies_agree_on_toy() {
         let fx = toy::fixture();
         let base = MiningContext::sequential(&fx.db, &fx.dict, 2).with_fst(&fx.fst);
-        let flat = DesqDfs
-            .mine(&base.with_execution_policy(ExecutionPolicy::Flat))
-            .unwrap();
-        let lean = DesqDfs
-            .mine(&base.with_execution_policy(ExecutionPolicy::Lean))
-            .unwrap();
+        let with = |exec| MiningContext { exec, ..base };
+        let flat = DesqDfs.mine(&with(ExecutionPolicy::Flat)).unwrap();
+        let lean = DesqDfs.mine(&with(ExecutionPolicy::Lean)).unwrap();
         let auto = DesqDfs.mine(&base).unwrap();
         assert_eq!(flat.patterns, lean.patterns);
         assert_eq!(flat.patterns, auto.patterns);
@@ -259,8 +256,12 @@ mod tests {
             .with_fst(&fx.fst)
             .with_limits(Limits::default().with_budget(2));
         // Forced lean: the counting path's per-sequence budget trips.
+        let lean = MiningContext {
+            exec: ExecutionPolicy::Lean,
+            ..strapped
+        };
         assert!(matches!(
-            DesqDfs.mine(&strapped.with_execution_policy(ExecutionPolicy::Lean)),
+            DesqDfs.mine(&lean),
             Err(Error::ResourceExhausted(_))
         ));
         // Auto: same trip, but the run transparently retries on the flat

@@ -12,8 +12,8 @@
 //! ([`desq_core::fst::flat`]): a [`RunWalker`] over the shared CSR
 //! [`FstIndex`] (per-position output sets σ-filtered once at table-build
 //! time, per-thread scratch, no per-transition allocation) feeding an
-//! interned [`CandidateCounter`] (candidates encoded once, counted as byte
-//! keys). Workers return *owned* partial counters that the calling thread
+//! interned [`CandidateCounter`] (candidates hashed once and counted over
+//! a flat item arena). Workers return *owned* partial counters that the calling thread
 //! merges — no lock is held during the merge. The flat path is
 //! property-tested against the reference candidate generation of the
 //! dev-only `desq-oracle` crate.

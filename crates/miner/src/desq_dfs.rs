@@ -260,13 +260,12 @@ fn p_eps(p: Posting) -> bool {
 /// with the weight, per pick.
 ///
 /// All per-sequence data lives in **shared arenas** with one descriptor
-/// (`SeqMeta`) per sequence: building tables for N inputs costs a
-/// constant number of allocations, not 4·N. D-SEQ keeps one growing arena
-/// per reduce worker — its lifetime is the worker's, so a sequence shipped
-/// to many pivot partitions of that worker is simulated once.
-///
-/// Sequences without an accepting run get an empty table (`accepts(s)` is
-/// `false`) and are skipped by the root projection.
+/// (`SeqMeta`) per *accepted* sequence: building tables for N inputs costs
+/// a constant number of allocations, not 4·N. A sequence without an
+/// accepting run can never reach the root projection, so it gets no
+/// descriptor and no arena space. D-SEQ keeps one growing arena per reduce
+/// worker — its lifetime is the worker's, so a sequence shipped to many
+/// pivot partitions of that worker is simulated once.
 #[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
@@ -290,12 +289,10 @@ struct SeqMeta {
     /// the pivot. A prefix lacking the pivot reads nothing beyond it and
     /// only the pivot at it. `u32::MAX` = no bound.
     last_pivot_pos: u32,
-    /// True iff the FST accepts the sequence.
-    accepts: bool,
 }
 
-/// What the DFS walks: the arenas plus one descriptor per input sequence
-/// (postings index into `metas`).
+/// What the DFS walks: the arenas plus one descriptor per accepted input
+/// sequence (postings index into `metas`).
 #[derive(Clone, Copy)]
 struct Views<'a> {
     arena: &'a SeqTables,
@@ -303,25 +300,20 @@ struct Views<'a> {
 }
 
 impl SeqTables {
-    /// Number of input sequences the tables were built for.
+    /// Number of accepted sequences the tables hold.
     pub fn len(&self) -> usize {
         self.metas.len()
     }
 
-    /// True iff no tables were built.
+    /// True iff no input sequence was accepted.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
     }
 
-    /// True iff the FST accepts sequence `s` (i.e. it contributes to the
-    /// root projection).
-    pub fn accepts(&self, s: usize) -> bool {
-        self.metas[s].accepts
-    }
-
     /// Number of matching `(position, transition)` pairs precomputed in
-    /// sequence `s`'s match masks.
-    pub fn num_match_bits(&self, s: usize) -> usize {
+    /// table `s`'s match masks.
+    #[cfg(test)]
+    fn num_match_bits(&self, s: usize) -> usize {
         // Sequences occupy the arenas in order, back to back.
         let mask = self.sim.mask();
         let end = self.metas.get(s + 1).map_or(mask.len(), |m| m.mask_start);
@@ -342,9 +334,6 @@ impl SeqTables {
     /// The last position of sequence `m` (`l` output labels per position)
     /// whose output sets contain `pivot`.
     fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
-        if !m.accepts {
-            return None;
-        }
         let offsets = &self.sim.offsets()[m.off_start..m.off_start + m.len as usize * l + 1];
         let outs = &self.sim.outs()[m.outs_start..][..offsets[offsets.len() - 1] as usize];
         let at = outs.iter().rposition(|&w| w == pivot)?;
@@ -527,11 +516,11 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// Sizes DFS scratch for one mining call over `views`: the visited
-    /// bitset for the longest accepted sequence, the accumulators for items
-    /// up to the item bound.
+    /// bitset for the longest sequence, the accumulators for items up to
+    /// the item bound.
     fn fit_bufs(&self, bufs: &mut ExpandBufs, views: Views<'_>) {
-        let accepted = views.metas.iter().filter(|m| m.accepts);
-        let max_cells = accepted.map(|m| m.len as usize + 1).max().unwrap_or(0);
+        let max_len = views.metas.iter().map(|m| m.len as usize).max();
+        let max_cells = max_len.map_or(0, |n| n + 1);
         let words = (max_cells * self.fst.num_states()).div_ceil(64).max(1);
         if bufs.walk.visited.len() < words {
             bufs.walk.visited.resize(words, 0);
@@ -570,7 +559,8 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// Appends one sequence's tables to a growing `tables` arena and
-    /// returns its index there. The tables are pivot-independent (see
+    /// returns its index there, or `None` (appending nothing) if the FST
+    /// rejects the sequence. The tables are pivot-independent (see
     /// [`SeqTables`]), so the appending miner need not be the one that
     /// later mines them.
     pub fn append_tables(
@@ -578,11 +568,11 @@ impl<'a> LocalMiner<'a> {
         seq: &[ItemId],
         tables: &mut SeqTables,
         scratch: &mut MinerScratch,
-    ) -> u32 {
+    ) -> Option<u32> {
         let table =
             u32::try_from(tables.len()).expect("postings pack the input index into 32 bits");
-        self.prepare_into(seq, 1, &mut scratch.prepare, tables);
-        table
+        self.prepare_into(seq, 1, &mut scratch.prepare, tables)
+            .then_some(table)
     }
 
     /// Mines the weighted collection given as `(table index, weight)`
@@ -645,8 +635,8 @@ impl<'a> LocalMiner<'a> {
         }
     }
 
-    /// The last position of sequence `s` at which a transition on an
-    /// accepting run outputs this miner's pivot — what early stopping
+    /// The last position of table `s`'s sequence at which a transition on
+    /// an accepting run outputs this miner's pivot — what early stopping
     /// derives from the tables. Exposed for tests.
     #[doc(hidden)]
     pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
@@ -796,8 +786,8 @@ impl<'a> LocalMiner<'a> {
         Ok(!stop.load(Ordering::Relaxed))
     }
 
-    /// Builds the flat simulation tables ([`SeqTables`]) for every input
-    /// sequence, `workers` at a time. This is the preprocessing the DFS
+    /// Builds the flat simulation tables ([`SeqTables`]) for every accepted
+    /// input sequence, `workers` at a time. This is the preprocessing the DFS
     /// amortizes: afterwards expansion is pure bit tests and arena slices.
     /// A panic while building one sequence's tables is caught at the
     /// worker boundary and reported as [`desq_core::Error::WorkerPanicked`].
@@ -867,14 +857,15 @@ impl<'a> LocalMiner<'a> {
     /// Builds one sequence's tables — the front-end's match masks and
     /// output arena, built by [`RunWalker::build_tables_into`] straight into
     /// the set's shared arenas, plus the ε-completion bitset (no
-    /// per-sequence allocation; nothing for a rejected sequence).
+    /// per-sequence allocation). Returns whether the FST accepts the
+    /// sequence; a rejected one leaves `set` as it was.
     fn prepare_into(
         &self,
         seq: &[ItemId],
         weight: u64,
         scratch: &mut RunScratch,
         set: &mut SeqTables,
-    ) {
+    ) -> bool {
         let mut meta = SeqMeta {
             weight,
             mask_start: set.sim.mask().len(),
@@ -883,16 +874,16 @@ impl<'a> LocalMiner<'a> {
             outs_start: set.sim.outs().len(),
             len: u32::try_from(seq.len()).expect("postings pack positions into 32 bits"),
             last_pivot_pos: u32::MAX,
-            accepts: false,
         };
         let walker = RunWalker::new(self.fst, self.dict, self.index.get(), self.last_frequent);
-        meta.accepts = walker.build_tables_into(seq, scratch, &mut set.sim);
-        if meta.accepts {
-            let mask = &set.sim.mask()[meta.mask_start..];
-            self.build_eps_fin(seq.len(), scratch, mask, &mut set.eps_fin);
-            meta.last_pivot_pos = self.early_stop_pos(set, &meta);
+        if !walker.build_tables_into(seq, scratch, &mut set.sim) {
+            return false;
         }
+        let mask = &set.sim.mask()[meta.mask_start..];
+        self.build_eps_fin(seq.len(), scratch, mask, &mut set.eps_fin);
+        meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         set.metas.push(meta);
+        true
     }
 
     /// The ε-completion DP of one accepted sequence, appended to `eps_buf`
@@ -931,11 +922,10 @@ impl<'a> LocalMiner<'a> {
         }
     }
 
-    /// The root projection: every accepted sequence at `(0, initial)`.
+    /// The root projection: every sequence at `(0, initial)`.
     fn root_postings<'v>(&self, views: Views<'v>) -> impl Iterator<Item = Posting> + 'v {
         let q0 = self.fst.initial();
-        let accepted = views.metas.iter().enumerate().filter(|(_, m)| m.accepts);
-        accepted.map(move |(s, _)| posting(EPSILON, s as u32, 0, q0, false))
+        (0..views.metas.len()).map(move |s| posting(EPSILON, s as u32, 0, q0, false))
     }
 
     /// Prefix and emission support of one child run: the weighted count of
@@ -1580,7 +1570,7 @@ mod tests {
             .db
             .sequences
             .iter()
-            .map(|s| (builder.append_tables(s, &mut tables, &mut scratch), weight))
+            .filter_map(|s| Some((builder.append_tables(s, &mut tables, &mut scratch)?, weight)))
             .collect();
         (tables, picks)
     }
@@ -1595,9 +1585,8 @@ mod tests {
         let fx = toy::fixture();
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.b, true));
         let (tables, picks) = toy_arena(&fx, &builder, 2);
-        // T3 is rejected; its table records that.
-        assert!(!tables.accepts(2));
-        assert!(tables.accepts(0));
+        // T3 is rejected and gets no table.
+        assert_eq!(picks.len(), fx.db.len() - 1);
         let inputs: Vec<WeightedInput<'_>> =
             fx.db.sequences.iter().map(|s| (s.as_slice(), 2)).collect();
         let mut scratch = MinerScratch::default();
@@ -1664,7 +1653,7 @@ mod tests {
         let picks: Vec<(u32, u64)> = db
             .sequences
             .iter()
-            .map(|s| (builder.append_tables(s, &mut tables, &mut scratch), 1))
+            .filter_map(|s| Some((builder.append_tables(s, &mut tables, &mut scratch)?, 1)))
             .collect();
         let mine = |early_stop| {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
@@ -1717,9 +1706,9 @@ mod tests {
         // forward pass: `fst::sim`'s own tests check that no aliveness table
         // is built).
         let t3 = miner.append_tables(&fx.db.sequences[2], &mut tables, &mut scratch);
-        assert!(!tables.accepts(t3 as usize));
+        assert_eq!(t3, None);
         assert_eq!(lens(&tables), before);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 1);
     }
 
     #[test]
@@ -1751,34 +1740,31 @@ mod tests {
             let (mut a, mut b) = (SeqTables::default(), SeqTables::default());
             let mut fresh = MinerScratch::default();
             for seq in &db.sequences {
-                miner.append_tables(seq, &mut a, &mut shared);
-                miner.append_tables(seq, &mut b, &mut fresh);
+                assert_eq!(
+                    miner.append_tables(seq, &mut a, &mut shared),
+                    miner.append_tables(seq, &mut b, &mut fresh)
+                );
             }
             assert_eq!(a.sim, b.sim);
             assert_eq!(a.eps_fin, b.eps_fin);
-            assert!((0..a.len()).all(|s| a.accepts(s) == b.accepts(s)));
         }
     }
 
     #[test]
-    fn tables_mark_rejected_sequences_dead() {
+    fn tables_hold_only_accepted_sequences() {
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2));
         let tables = miner.prepare_tables(&inputs, 2).unwrap();
-        assert_eq!(tables.len(), fx.db.len());
-        // T3 = c d c b has no accepting run; its table is empty.
-        assert!(!tables.accepts(2));
-        assert_eq!(tables.num_match_bits(2), 0);
-        // Accepted sequences carry precomputed match bits.
-        assert!(tables.accepts(0));
-        assert!(tables.num_match_bits(0) > 0);
+        // T3 = c d c b has no accepting run and gets no table; every
+        // accepted sequence carries precomputed match bits.
+        assert_eq!(tables.len(), fx.db.len() - 1);
+        assert!((0..tables.len()).all(|s| tables.num_match_bits(s) > 0));
         // Parallel and sequential table building agree (the parallel path
         // rebases per-chunk arenas onto one set).
         let seq_tables = miner.prepare_tables(&inputs, 1).unwrap();
         assert_eq!(seq_tables.len(), tables.len());
         for s in 0..tables.len() {
-            assert_eq!(tables.accepts(s), seq_tables.accepts(s));
             assert_eq!(tables.num_match_bits(s), seq_tables.num_match_bits(s));
         }
     }

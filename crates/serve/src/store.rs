@@ -81,11 +81,22 @@ impl CorpusStore {
     /// * `amzn:<customers>` — the Amazon-like generator;
     /// * `cw:<sentences>` — the ClueWeb-like generator.
     ///
-    /// This is the `desq-serve serve --corpus name=spec` surface; when the
-    /// mmap'd on-disk corpus format lands it becomes one more spec form.
+    /// A field past a form's last one is an error. This is the `desq-serve
+    /// serve --corpus name=spec` surface; when the mmap'd on-disk corpus
+    /// format lands it becomes one more spec form.
     pub fn load_spec(&mut self, name: &str, spec: &str) -> Result<()> {
         let mut parts = spec.split(':');
         let kind = parts.next().unwrap_or_default();
+        let fields = match kind {
+            "toy" => 0,
+            "amzn" | "cw" => 1,
+            _ => 2,
+        };
+        if let Some(extra) = parts.clone().nth(fields) {
+            return Err(Error::Invalid(format!(
+                "corpus spec {spec:?}: unexpected field {extra:?}"
+            )));
+        }
         let size = |p: Option<&str>| -> Result<usize> {
             p.ok_or_else(|| Error::Invalid(format!("corpus spec {spec:?}: missing size")))?
                 .parse()
@@ -209,6 +220,12 @@ mod tests {
         assert!(store.load_spec("x", "nyt:many").is_err());
         assert!(store.load_spec("x", "nyt:50:notaseed").is_err());
         assert!(store.load_spec("x", "parquet:/tmp/f").is_err());
+        for trailing in ["nyt:50:42:junk", "toy:5", "amzn:20:1", "cw:20:x"] {
+            assert!(
+                matches!(store.load_spec("x", trailing), Err(Error::Invalid(_))),
+                "{trailing}"
+            );
+        }
         assert!(store.get("x").is_none());
     }
 

@@ -273,11 +273,14 @@ fn shuffle_accounting_is_pinned() {
         account("toy d-cand", &DCandConfig::default(), &toy),
         account("toy d-cand no-agg", &no_agg, &toy),
         account("toy naive", &NaiveConfig { filter: false }, &toy),
+        account("toy semi-naive", &NaiveConfig { filter: true }, &toy),
         account("toy lash", &LashConfig::new(1, 3), &toy),
         account("toy mllib", &MllibConfig { max_len: 3 }, &toy),
         account("nyt d-seq", &DSeqConfig::default(), &nyt),
         account("nyt d-cand", &DCandConfig::default(), &nyt),
         account("nyt d-cand no-agg", &no_agg, &nyt),
+        account("nyt naive", &NaiveConfig { filter: false }, &nyt),
+        account("nyt semi-naive", &NaiveConfig { filter: true }, &nyt),
     ];
     // (name, shuffle bytes, records, payloads, bytes per bucket)
     let expect: Vec<Accounting> = vec![
@@ -285,6 +288,7 @@ fn shuffle_accounting_is_pinned() {
         ("toy d-cand", 98, 4, 4, vec![0, 0, 98]),
         ("toy d-cand no-agg", 92, 4, 0, vec![0, 0, 92]),
         ("toy naive", 191, 22, 22, vec![0, 90, 101]),
+        ("toy semi-naive", 101, 12, 12, vec![0, 0, 101]),
         ("toy lash", 92, 11, 9, vec![28, 0, 64]),
         // MLlib: both rounds summed, per-bucket bytes of the second.
         ("toy mllib", 131, 22, 19, vec![22, 18, 42]),
@@ -296,6 +300,14 @@ fn shuffle_accounting_is_pinned() {
             4968,
             0,
             vec![19258, 23183, 26860],
+        ),
+        ("nyt naive", 139205, 13437, 13437, vec![43672, 47565, 47968]),
+        (
+            "nyt semi-naive",
+            78667,
+            8046,
+            8046,
+            vec![24191, 26469, 28007],
         ),
     ];
     assert_eq!(got, expect);

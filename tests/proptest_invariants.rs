@@ -213,7 +213,9 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
     for seq in &world.db.sequences {
         for pr in search.pivots(seq) {
             let range = &seq[pr.first as usize..=pr.last as usize];
-            let table = builder.append_tables(range, &mut tables, &mut scratch);
+            let table = builder
+                .append_tables(range, &mut tables, &mut scratch)
+                .expect("a pivot's rewritten range is accepted");
             partitions.entry(pr.item).or_default().push((table, 1));
         }
     }
