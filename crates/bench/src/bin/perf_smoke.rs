@@ -312,7 +312,6 @@ fn dist_net_worker_main(addr: &str, constraint: &str) {
     desq_dist::dseq::d_seq_worker(
         &dist_ctx(&db, &dict, &fst),
         addr.parse().expect("coordinator address"),
-        &desq_bsp::NetConfig::default(),
         desq_dist::DSeqConfig::default(),
     )
     .expect("worker run");
@@ -358,8 +357,7 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
     let (mut shuffle_bytes, mut retried_tasks, mut peer_timeouts, mut max_task_nanos) =
         (0, 0, 0, 0);
     for _ in 0..NET_REPS {
-        let coord = desq_bsp::NetCoordinator::bind("127.0.0.1:0", desq_bsp::NetConfig::default())
-            .expect("bind coordinator");
+        let coord = desq_bsp::NetCoordinator::bind("127.0.0.1:0").expect("bind coordinator");
         let addr = coord.local_addr().expect("coordinator address");
         let mut children = Vec::new();
         for _ in 0..NET_WORKERS {

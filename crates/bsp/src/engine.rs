@@ -50,7 +50,7 @@ use desq_core::mining::{CancelToken, MiningContext};
 use desq_core::sched::{self, IndexedRun};
 use desq_core::{wire, Error, ItemId, MiningMetrics, Result, Sequence};
 
-use crate::transport::{NetConfig, PhaseStats, ShuffleTransport};
+use crate::transport::{PhaseStats, ShuffleTransport};
 
 /// Engine configuration: degree of parallelism plus an optional
 /// cancellation token.
@@ -598,8 +598,6 @@ impl Engine {
             self.cancel.as_ref(),
             init,
             |t, state: &mut S| {
-                #[cfg(feature = "failpoints")]
-                desq_core::fault::point("bsp::reduce_merge")?;
                 let mut groups: BTreeMap<ItemId, Vec<(&[u8], u64)>> = BTreeMap::new();
                 for chunk in &chunks[t] {
                     let mut slice = chunk.as_slice();
@@ -714,7 +712,8 @@ impl Engine {
     }
 
     /// Serves one distributed job as a worker process: connects to the
-    /// coordinator at `addr` (under `cfg.retry`), executes the map tasks
+    /// coordinator at `addr` (under the default
+    /// [`RetryPolicy`](desq_core::retry::RetryPolicy)), executes the map tasks
     /// and reduces the buckets it is assigned (key groups balanced across
     /// this engine's workers) against this process's own copy of `parts`
     /// and the job closures, and returns when the coordinator ends the job.
@@ -726,7 +725,6 @@ impl Engine {
     pub fn run_worker<I, S, MF, IF, RF>(
         &self,
         addr: std::net::SocketAddr,
-        cfg: &NetConfig,
         parts: &[&[I]],
         map: MF,
         init: IF,
@@ -752,7 +750,7 @@ impl Engine {
             Ok(combiner.into_task_out())
         };
         let on_reduce = |buckets: &[Vec<Vec<u8>>]| self.reduce_buckets(buckets, &init, &reduce);
-        crate::transport::worker_loop(addr, cfg, &on_map, &on_reduce)
+        crate::transport::worker_loop(addr, &on_map, &on_reduce)
     }
 
     /// The one reduce of a round, over `chunks` (one list per bucket): each
@@ -773,11 +771,7 @@ impl Engine {
     {
         // Step 1 (parallel, one task per bucket): decode the shuffle
         // chunks and merge them into key groups.
-        let merged = self.run_tasks(chunks.len(), |t| {
-            #[cfg(feature = "failpoints")]
-            desq_core::fault::point("bsp::reduce_merge")?;
-            merge_bucket(&chunks[t])
-        })?;
+        let merged = self.run_tasks(chunks.len(), |t| merge_bucket(&chunks[t]))?;
         let buckets = &merged.results;
 
         // Step 2: batch adjacent light key groups of a bucket into tasks
@@ -1268,18 +1262,13 @@ mod tests {
         RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
             + Sync,
     {
-        let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
         let addr = coord.local_addr().unwrap();
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                Engine::new(workers).with_reducers(reducers).run_worker(
-                    addr,
-                    &NetConfig::default(),
-                    parts,
-                    &map,
-                    &init,
-                    &reduce,
-                )
+                Engine::new(workers)
+                    .with_reducers(reducers)
+                    .run_worker(addr, parts, &map, &init, &reduce)
             });
             let round = Engine::new(1)
                 .with_reducers(reducers)

@@ -46,4 +46,4 @@ pub mod transport;
 // harness (`benchmark/src/layers.rs`) imports it from here.
 pub use desq_core::codec::{decode_item_seq, encode_item_seq};
 pub use engine::{Combiner, Engine, MapTaskOut};
-pub use transport::{InProcess, NetConfig, NetCoordinator, PhaseStats, ShuffleTransport};
+pub use transport::{InProcess, NetCoordinator, PhaseStats, ShuffleTransport};

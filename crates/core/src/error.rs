@@ -34,10 +34,6 @@ pub enum Error {
     /// job within its grace window. Permanent for this run — retrying
     /// inside the run already happened.
     PeerUnreachable(String),
-    /// A networked peer was connected but went silent past its liveness
-    /// window (no frames, no heartbeats). Its in-flight work is re-executed
-    /// elsewhere when possible; the error surfaces when it is not.
-    PeerTimedOut(String),
 }
 
 impl fmt::Display for Error {
@@ -55,7 +51,6 @@ impl fmt::Display for Error {
             Error::Cancelled(what) => write!(f, "cancelled: {what}"),
             Error::WorkerPanicked(msg) => write!(f, "worker panicked: {msg}"),
             Error::PeerUnreachable(msg) => write!(f, "peer unreachable: {msg}"),
-            Error::PeerTimedOut(msg) => write!(f, "peer timed out: {msg}"),
         }
     }
 }
@@ -92,8 +87,5 @@ mod tests {
         assert!(Error::PeerUnreachable("127.0.0.1:9".into())
             .to_string()
             .contains("unreachable"));
-        assert!(Error::PeerTimedOut("worker 3".into())
-            .to_string()
-            .contains("timed out"));
     }
 }

@@ -12,11 +12,8 @@
 //! | site                 | layer                  | fires inside |
 //! |----------------------|------------------------|--------------|
 //! | `sched::task_run`    | `desq_core::sched`     | every task body of every scheduler run at **every worker count**, a one-worker run on the calling thread included — mining subtrees, counting blocks, BSP map/merge/key-group tasks (a worker process's reduce included), table-build chunks (an injected `err` panics here and is caught at the task boundary like any panic) |
-//! | `bsp::reduce_merge`  | BSP engine             | every bucket merge of the one reduce (driver or worker process), before the bucket is merged |
 //! | `serve::before_reply`| daemon                 | between mining and the terminal frame |
 //! | `store::compile`     | FST cache              | under a cache miss, before compilation |
-//! | `net::accept`        | shuffle transport      | when the coordinator accepts a worker connection |
-//! | `net::heartbeat`     | shuffle transport      | before every worker heartbeat send |
 //!
 //! # Determinism
 //!

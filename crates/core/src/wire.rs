@@ -23,7 +23,7 @@
 //! | `1` | [`Error::UnknownItem`] | `7` | [`Error::Cancelled`] |
 //! | `2` | [`Error::CyclicHierarchy`] | `8` | [`Error::WorkerPanicked`] |
 //! | `3` | [`Error::ResourceExhausted`] | `9` | [`Error::PeerUnreachable`] |
-//! | `4` | [`Error::Decode`] | `10` | [`Error::PeerTimedOut`] |
+//! | `4` | [`Error::Decode`] | `10` | retired, decodes as unknown |
 //! | `5` | [`Error::Invalid`] | | |
 
 use std::io::{self, Read, Write};
@@ -149,7 +149,6 @@ pub fn encode_error(e: &Error, buf: &mut Vec<u8>) {
         Error::Cancelled(msg) => (7, msg),
         Error::WorkerPanicked(msg) => (8, msg),
         Error::PeerUnreachable(msg) => (9, msg),
-        Error::PeerTimedOut(msg) => (10, msg),
     };
     buf.push(kind);
     write_str(buf, msg);
@@ -176,7 +175,6 @@ pub fn decode_error(buf: &mut &[u8]) -> Result<Error> {
         7 => Error::Cancelled(msg),
         8 => Error::WorkerPanicked(msg),
         9 => Error::PeerUnreachable(msg),
-        10 => Error::PeerTimedOut(msg),
         other => return Err(Error::Decode(format!("unknown error kind {other}"))),
     })
 }
@@ -232,7 +230,6 @@ mod tests {
             Error::Cancelled("drain".into()),
             Error::WorkerPanicked("task 7".into()),
             Error::PeerUnreachable("127.0.0.1:7777".into()),
-            Error::PeerTimedOut("worker 2".into()),
         ];
         for (kind, e) in errors.iter().enumerate() {
             let mut buf = Vec::new();
@@ -245,6 +242,8 @@ mod tests {
                 assert!(decode_error(&mut &buf[..cut]).is_err(), "{e} cut at {cut}");
             }
         }
+        // Kind 10 (the retired `PeerTimedOut`) and 11 are unknown.
+        assert!(decode_error(&mut [10u8, 0].as_slice()).is_err());
         assert!(decode_error(&mut [11u8, 0].as_slice()).is_err());
         assert!(decode_error(&mut [4u8, 2, 0xff, 0xfe].as_slice()).is_err());
     }

@@ -252,10 +252,9 @@ pub fn d_cand_via(
 pub fn d_cand_worker(
     ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
-    net: &desq_bsp::NetConfig,
     config: DCandConfig,
 ) -> Result<()> {
-    d_cand_exec(ctx, config, Exec::Worker(addr, net))?;
+    d_cand_exec(ctx, config, Exec::Worker(addr))?;
     Ok(())
 }
 

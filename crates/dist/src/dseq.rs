@@ -97,10 +97,9 @@ pub fn d_seq_via(
 pub fn d_seq_worker(
     ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
-    net: &desq_bsp::NetConfig,
     config: DSeqConfig,
 ) -> Result<()> {
-    d_seq_exec(ctx, config, Exec::Worker(addr, net))?;
+    d_seq_exec(ctx, config, Exec::Worker(addr))?;
     Ok(())
 }
 

@@ -65,7 +65,7 @@ pub use desq_core::MiningResult;
 /// against this process's own copy of the partitions.
 pub(crate) enum Exec<'a> {
     Via(&'a dyn desq_bsp::ShuffleTransport),
-    Worker(std::net::SocketAddr, &'a desq_bsp::NetConfig),
+    Worker(std::net::SocketAddr),
 }
 
 /// Runs one combining BSP round on `ctx`'s engine and partitions
@@ -88,8 +88,8 @@ pub(crate) fn run_round<S: Send>(
             let round = engine.map_combine_reduce_via(transport, &parts, map, init, reduce)?;
             Ok(Some(job_result(round, t0, &engine, &parts)))
         }
-        Exec::Worker(addr, net) => {
-            engine.run_worker(addr, net, &parts, map, init, reduce)?;
+        Exec::Worker(addr) => {
+            engine.run_worker(addr, &parts, map, init, reduce)?;
             Ok(None)
         }
     }

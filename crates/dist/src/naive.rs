@@ -66,10 +66,9 @@ pub fn naive_via(
 pub fn naive_worker(
     ctx: &MiningContext<'_>,
     addr: std::net::SocketAddr,
-    net: &desq_bsp::NetConfig,
     config: NaiveConfig,
 ) -> Result<()> {
-    naive_exec(ctx, config, Exec::Worker(addr, net))?;
+    naive_exec(ctx, config, Exec::Worker(addr))?;
     Ok(())
 }
 

@@ -7,9 +7,7 @@ use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{
-    decode_item_seq, encode_item_seq, Engine, InProcess, MapTaskOut, NetConfig, NetCoordinator,
-};
+use desq_bsp::{decode_item_seq, encode_item_seq, Engine, InProcess, MapTaskOut, NetCoordinator};
 use desq_core::codec::{read_varint, write_varint};
 use desq_core::mining::{Limits, Miner, MiningContext};
 use desq_core::{toy, Dictionary, DictionaryBuilder, Error, Fst, PatEx, Result, SequenceDb};
@@ -48,14 +46,8 @@ fn wide_ctx<'a>(dict: &'a Dictionary, db: &'a SequenceDb, fst: &'a Fst) -> Minin
 fn spawn_dcand_worker(addr: SocketAddr) -> JoinHandle<()> {
     thread::spawn(move || {
         let (dict, db, fst) = wide_world();
-        let net = NetConfig::default();
-        d_cand_worker(
-            &wide_ctx(&dict, &db, &fst),
-            addr,
-            &net,
-            DCandConfig::default(),
-        )
-        .expect("a failed task is the driver's error, not the worker's");
+        d_cand_worker(&wide_ctx(&dict, &db, &fst), addr, DCandConfig::default())
+            .expect("a failed task is the driver's error, not the worker's");
     })
 }
 
@@ -76,7 +68,7 @@ fn a_reducer_side_budget_error_is_the_same_value_on_every_path() {
     assert_eq!(in_process, expect);
 
     // Over a NetCoordinator: raised on the worker, shipped as TaskErr.
-    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
     let worker = spawn_dcand_worker(coord.local_addr().unwrap());
     let remote = d_cand_via(&ctx, &coord, DCandConfig::default()).unwrap_err();
     assert_eq!(remote, expect);
@@ -172,12 +164,11 @@ fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
             None => assert!(matches!(in_process, Error::Decode(_)), "{in_process}"),
         }
 
-        let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
         let addr = coord.local_addr().unwrap();
         let worker = thread::spawn(move || {
             let fx = toy::fixture();
-            let net = NetConfig::default();
-            d_seq_worker(&toy_ctx(&fx), addr, &net, config)
+            d_seq_worker(&toy_ctx(&fx), addr, config)
                 .expect("a failed task is the driver's error, not the worker's");
         });
         let remote = d_seq_via(&toy_ctx(&fx), &Corrupting(&coord, damage), config).unwrap_err();

@@ -4,42 +4,28 @@
 //! D-SEQ job over real localhost sockets while a test-side peer misbehaves,
 //! ordered by channels rather than sleeps. A worker that dies with a map
 //! task in flight and a link cut under a live worker are ridden out by
-//! per-partition task re-execution; the result stays identical to the
-//! in-process oracle and the retry counters surface in
-//! [`desq_core::MiningMetrics`]. With `--features failpoints` the suite also
-//! drops an accepted connection and suppresses a heartbeat inside the
-//! transport itself.
+//! per-partition task re-execution, a connection dropped before it reaches
+//! the coordinator by the worker's reconnect; the result stays identical
+//! to the in-process oracle and the retry counters surface in
+//! [`desq_core::MiningMetrics`]. Liveness, heartbeats and the peer wait
+//! are decided by the coordinator's schedule, whose unit tests in
+//! `desq_bsp::transport` drive them with a scripted clock.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Mutex;
 use std::thread::{self, JoinHandle};
 
 use desq_bsp::transport::{
     read_net_frame, write_net_frame, Frame, MAX_NET_FRAME, NET_PROTOCOL_VERSION,
 };
-use desq_bsp::{NetConfig, NetCoordinator};
-#[cfg(feature = "failpoints")]
-use desq_core::fault::{self, FailAction, FailSpec};
+use desq_bsp::NetCoordinator;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{toy, Sequence};
 use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
 
 const SIGMA: u64 = 2;
 const PARTS: usize = 8;
-
-/// Every scenario binds its own coordinator, but the failpoint registry is
-/// process-global: scenarios take this lock so an armed `net::accept` never
-/// fires on another scenario's coordinator.
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_guard() -> std::sync::MutexGuard<'static, ()> {
-    let guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
-    #[cfg(feature = "failpoints")]
-    fault::clear_all();
-    guard
-}
 
 /// The toy job every peer builds: σ, two threads, [`PARTS`] map
 /// partitions.
@@ -59,13 +45,8 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
 /// Serves the toy job as a real D-SEQ worker until the coordinator ends it.
 fn serve_job(addr: SocketAddr) {
     let fx = toy::fixture();
-    d_seq_worker(
-        &toy_ctx(&fx),
-        addr,
-        &NetConfig::default(),
-        DSeqConfig::default(),
-    )
-    .expect("the worker serves the job to its end");
+    d_seq_worker(&toy_ctx(&fx), addr, DSeqConfig::default())
+        .expect("the worker serves the job to its end");
 }
 
 /// A scripted peer that greets the coordinator, takes the first map task
@@ -89,8 +70,7 @@ fn dying_peer(addr: SocketAddr, died: Sender<()>) -> JoinHandle<()> {
 
 #[test]
 fn killed_worker_is_ridden_out_with_identical_result() {
-    let _guard = chaos_guard();
-    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
     let addr = coord.local_addr().unwrap();
     // The healthy worker joins only after the scripted one died holding a
     // task, so that task must be re-executed.
@@ -122,6 +102,16 @@ fn pipe(mut from: TcpStream, mut to: TcpStream) -> JoinHandle<()> {
     })
 }
 
+/// Relays the worker's next connection on `listener` to the coordinator
+/// at `coord`, untouched, until either side ends it.
+fn relay_next(listener: &TcpListener, coord: SocketAddr) {
+    let (worker, _) = listener.accept().unwrap();
+    let upstream = TcpStream::connect(coord).unwrap();
+    let up = pipe(worker.try_clone().unwrap(), upstream.try_clone().unwrap());
+    pipe(upstream, worker).join().unwrap();
+    up.join().unwrap();
+}
+
 /// A relay in front of the coordinator at `coord`. The first connection
 /// through it is cut at the first task frame: the relay reads that frame
 /// off the coordinator's side, never forwards it, and closes both sockets.
@@ -143,24 +133,18 @@ fn cutting_relay(coord: SocketAddr) -> (SocketAddr, JoinHandle<()>) {
         let _ = worker.shutdown(Shutdown::Both);
         let _ = upstream.shutdown(Shutdown::Both);
         hello.join().unwrap();
-
-        let (worker, _) = listener.accept().unwrap();
-        let upstream = TcpStream::connect(coord).unwrap();
-        let up = pipe(worker.try_clone().unwrap(), upstream.try_clone().unwrap());
-        pipe(upstream, worker).join().unwrap();
-        up.join().unwrap();
+        relay_next(&listener, coord);
     });
     (addr, relay)
 }
 
 #[test]
 fn flaky_link_is_ridden_out_with_identical_result() {
-    let _guard = chaos_guard();
     // The worker's first link is cut with a map task in flight; the worker
     // reconnects within its retry budget and the coordinator re-executes
     // the lost task. The relay serves exactly two connections, so the
     // worker ending cleanly means it reconnected.
-    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
     let (relay_addr, relay) = cutting_relay(coord.local_addr().unwrap());
     let worker = thread::spawn(move || serve_job(relay_addr));
     let fx = toy::fixture();
@@ -176,49 +160,34 @@ fn flaky_link_is_ridden_out_with_identical_result() {
     relay.join().unwrap();
 }
 
-#[cfg(feature = "failpoints")]
-#[test]
-fn dropped_accept_is_ridden_out_by_reconnect() {
-    let _guard = chaos_guard();
-    // The coordinator drops the first connection it accepts; the worker's
-    // reconnect schedule rides it out.
-    fault::configure("net::accept", FailSpec::once_after(0, FailAction::Err));
-    let coord = NetCoordinator::bind("127.0.0.1:0", NetConfig::default()).unwrap();
-    let addr = coord.local_addr().unwrap();
-    let worker = thread::spawn(move || serve_job(addr));
-    let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
-    assert_eq!(res.patterns, oracle(&fx, SIGMA));
-    assert!(fault::hits("net::accept") >= 1, "drop must have fired");
-    worker.join().unwrap();
-    fault::clear_all();
+/// A relay in front of the coordinator at `coord` that closes the first
+/// connection it accepts before connecting upstream — the worker's link
+/// dies at the handshake, before the coordinator ever sees it — and relays
+/// the second (the worker's reconnect) untouched to its end. Its thread
+/// returns how many connections it accepted, the ones still pending once
+/// the relayed link ended included.
+fn dropping_relay(coord: SocketAddr) -> (SocketAddr, JoinHandle<usize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let relay = thread::spawn(move || {
+        drop(listener.accept().unwrap());
+        relay_next(&listener, coord);
+        listener.set_nonblocking(true).unwrap();
+        2 + std::iter::from_fn(|| listener.accept().ok()).count()
+    });
+    (addr, relay)
 }
 
-#[cfg(feature = "failpoints")]
 #[test]
-fn suppressed_heartbeat_stays_inside_liveness_window() {
-    let _guard = chaos_guard();
-    // Losing a single heartbeat must not trip the liveness window (links
-    // heartbeat every quarter of it): the job completes without a timeout.
-    fault::configure("net::heartbeat", FailSpec::once_after(0, FailAction::Err));
-    let cfg = NetConfig {
-        liveness: std::time::Duration::from_millis(800),
-        ..NetConfig::default()
-    };
-    let coord = NetCoordinator::bind("127.0.0.1:0", cfg.clone()).unwrap();
-    let addr = coord.local_addr().unwrap();
-    let worker = {
-        let cfg = cfg.clone();
-        thread::spawn(move || {
-            let fx = toy::fixture();
-            d_seq_worker(&toy_ctx(&fx), addr, &cfg, DSeqConfig::default())
-                .expect("one lost heartbeat must not kill the worker");
-        })
-    };
+fn dropped_accept_is_ridden_out_by_reconnect() {
+    // The worker's first connection is dropped before it reaches the
+    // coordinator; its reconnect schedule rides it out.
+    let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
+    let (relay_addr, relay) = dropping_relay(coord.local_addr().unwrap());
+    let worker = thread::spawn(move || serve_job(relay_addr));
     let fx = toy::fixture();
     let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
-    assert_eq!(res.metrics.peer_timeouts, 0, "{:?}", res.metrics);
     worker.join().unwrap();
-    fault::clear_all();
+    assert_eq!(relay.join().unwrap(), 2, "one drop, one reconnect");
 }

@@ -47,7 +47,8 @@ use desq_core::{Error, MiningMetrics, Result, Sequence};
 /// body and the peer error kinds 9/10; v4 added the FST optimizer size
 /// counters — states/transitions before and after optimization — to both
 /// the metrics body and the server stats; v5 dropped the metrics body's
-/// copy, so the server stats carry them once.)
+/// copy, so the server stats carry them once.) Retiring error kind 10
+/// (`PeerTimedOut`) moved nothing: no build ever encoded it.
 pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on one frame's payload length (16 MiB). Large result sets
@@ -500,7 +501,6 @@ mod tests {
         roundtrip(&Message::Error(Error::PeerUnreachable(
             "127.0.0.1:7777".into(),
         )));
-        roundtrip(&Message::Error(Error::PeerTimedOut("worker 2".into())));
         roundtrip(&Message::Busy {
             in_flight: 8,
             cap: 8,

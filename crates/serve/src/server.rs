@@ -86,7 +86,7 @@ pub struct ServeLimits {
     /// [`MAX_FRAME_PATTERNS`], which clients refuse to decode beyond.
     pub batch: usize,
     /// Socket timeout of every read and write on a connection (one window
-    /// for both directions, as `NetConfig::liveness` on shuffle links): a
+    /// for both directions, as on a shuffle worker's links): a
     /// connection that has not delivered a complete request within it is
     /// evicted, and a client that stops draining its response is treated
     /// as gone — the query is cancelled. Either way the admission slot is

@@ -137,7 +137,7 @@ fn any_metrics() -> impl Strategy<Value = Message> {
 }
 
 fn any_error() -> impl Strategy<Value = Message> {
-    (0u8..11, any_string(), any_u64()).prop_map(|(kind, msg, pos)| {
+    (0u8..10, any_string(), any_u64()).prop_map(|(kind, msg, pos)| {
         Message::Error(match kind {
             0 => Error::Parse {
                 msg,
@@ -151,8 +151,7 @@ fn any_error() -> impl Strategy<Value = Message> {
             6 => Error::DeadlineExceeded(msg),
             7 => Error::Cancelled(msg),
             8 => Error::WorkerPanicked(msg),
-            9 => Error::PeerUnreachable(msg),
-            _ => Error::PeerTimedOut(msg),
+            _ => Error::PeerUnreachable(msg),
         })
     })
 }
