@@ -6,6 +6,8 @@
 //! run's [`MiningMetrics`], the server's [`ServerStats`], and the raw
 //! pattern-frame payload bytes (which the integration tests use to prove
 //! that warm cache hits are *byte-identical* to their cold counterpart).
+//! It returns only once the server has closed the connection, so the
+//! query's admission slot is free again by then.
 //!
 //! Transient failures — the server's explicit `Busy` overload answer and
 //! a refused connection (daemon restarting) — can be retried with an
@@ -15,7 +17,7 @@
 //! *rejected* would never help, and retrying one that *started* could run
 //! it twice.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpStream};
 
 use desq_core::{MiningMetrics, Sequence};
@@ -107,7 +109,7 @@ impl Client {
         write_frame(&mut writer, &Message::Request(req.clone()))?;
         let mut patterns = Vec::new();
         let mut pattern_bytes = Vec::new();
-        loop {
+        let outcome = loop {
             let payload = read_frame(&mut reader)?;
             match Message::decode(&payload)? {
                 Message::Patterns(batch) => {
@@ -115,25 +117,35 @@ impl Client {
                     patterns.extend(batch);
                 }
                 Message::Metrics { mining, stats } => {
-                    return Ok(QueryOutcome {
+                    break Ok(QueryOutcome {
                         patterns,
                         metrics: mining,
                         stats,
                         pattern_bytes,
-                    });
+                    })
                 }
-                Message::Error(e) => return Err(ServeError::Remote(e)),
+                Message::Error(e) => break Err(ServeError::Remote(e)),
                 Message::Busy { in_flight, cap } => {
                     return Err(ServeError::Busy { in_flight, cap })
                 }
-                Message::Request(_) => {
-                    return Err(ServeError::Core(desq_core::Error::Decode(
-                        "server sent a request frame".into(),
-                    )))
-                }
+                Message::Request(_) => return Err(decode_error("server sent a request frame")),
             }
+        };
+        // The server closes only after releasing the query's admission
+        // slot: read to that close, so a query that has returned holds no
+        // slot. A byte after the terminal frame is a protocol error; a
+        // server `Error` frame outranks whatever follows it.
+        let trailing = reader.bytes().next().transpose();
+        let outcome = outcome?;
+        if trailing?.is_some() {
+            return Err(decode_error("bytes after the terminal frame"));
         }
+        Ok(outcome)
     }
+}
+
+fn decode_error(msg: &str) -> ServeError {
+    ServeError::Core(desq_core::Error::Decode(msg.into()))
 }
 
 #[cfg(test)]

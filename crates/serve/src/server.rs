@@ -3,15 +3,17 @@
 //!
 //! # Admission control
 //!
-//! Overload is answered, never queued: the accept loop tracks a global
-//! in-flight connection count and a connection beyond
-//! [`ServeLimits::max_inflight`] receives an immediate
-//! [`Message::Busy`] frame and is closed — the explicit analog of the
-//! paper's executor memory limit, applied to concurrency. Admitted
-//! requests are validated *before* mining starts: unknown corpus,
-//! malformed pattern expression (via the session's `compile_only` dry
-//! run) and budgets above the server's ceiling all produce a terminal
-//! [`Message::Error`] frame with zero mining work done.
+//! Overload is answered, never queued: every open connection holds one
+//! slot of a connection registry, from accept until its terminal frame is
+//! flushed, and a connection beyond [`ServeLimits::max_inflight`] receives
+//! an immediate [`Message::Busy`] frame and is closed — the explicit analog
+//! of the paper's executor memory limit, applied to concurrency. A slot is
+//! released *before* its socket closes, so a client that has read its
+//! answer to the end can send its next query at once. Admitted requests
+//! are validated *before* mining starts: unknown corpus, malformed pattern
+//! expression (via the session's `compile_only` dry run) and budgets above
+//! the server's ceiling all produce a terminal [`Message::Error`] frame
+//! with zero mining work done.
 //!
 //! # Failure domains
 //!
@@ -22,23 +24,24 @@
 //!   request, or stops draining its response, is evicted and its admission
 //!   slot released instead of pinning it forever.
 //! * **Deadlines**: the effective wall-clock deadline of a query is
-//!   `min(request deadline,` [`ServeLimits::max_deadline`]`)`; an
-//!   over-deadline run is cancelled cooperatively inside the mining
-//!   kernels and ends with a terminal `DeadlineExceeded` error frame.
+//!   `min(request deadline,` [`ServeLimits::max_deadline`]`)`, armed on
+//!   the connection's [`CancelToken`]; an over-deadline run is cancelled
+//!   cooperatively inside the mining kernels and ends with a terminal
+//!   `DeadlineExceeded` error frame.
 //! * **Panic containment**: a panic anywhere in request handling —
 //!   including one escaping the mining session — is caught at the
 //!   connection boundary and converted to a terminal `WorkerPanicked`
 //!   error frame; the server keeps serving other connections.
 //! * **Cancel-on-disconnect**: a write error mid-stream cancels the
-//!   connection's [`CancelToken`] immediately, so the mining run stops at
-//!   its next cooperative checkpoint instead of completing for nobody.
+//!   connection's token immediately, so the mining run stops at its next
+//!   cooperative checkpoint instead of completing for nobody.
 //!
-//! [`ServerHandle::shutdown`] drains: it stops accepting, cancels every
-//! in-flight session's token, and joins connection threads for at most
-//! [`ServeLimits::drain_grace`] — in-flight clients get a terminal
-//! `Cancelled` frame rather than a dead socket. The global
-//! timeout/panic/cancel counters ride on every terminal metrics frame
-//! ([`crate::proto::ServerStats`]).
+//! [`ServerHandle::shutdown`] drains: it refuses new connections, cancels
+//! every open connection's token — those still reading their request
+//! included — and waits up to five seconds for their slots, so in-flight
+//! clients get a terminal `Cancelled` frame rather than a dead socket. The
+//! registry's timeout/panic/cancel counters ride on every terminal metrics
+//! frame ([`crate::proto::ServerStats`]).
 //!
 //! # Query execution
 //!
@@ -47,16 +50,15 @@
 //! borrows the store's shared `Arc<Dictionary>` / `Arc<SequenceDb>` and
 //! the cached `Arc<Fst>` — per query the server allocates only the
 //! session object and the response buffers. Patterns stream back in
-//! batches while the search runs ([`desq::session::PatternStream`]); the
-//! terminal metrics frame carries the run's `MiningMetrics` plus cache
+//! frames of 512 while the search runs ([`desq::session::PatternStream`]);
+//! the terminal metrics frame carries the run's `MiningMetrics` plus cache
 //! hit/miss counters and the queue-wait time.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,6 +70,18 @@ use crate::proto::{
     read_frame, write_frame, Message, Request, ServerStats, WireAlgo, MAX_FRAME_PATTERNS,
 };
 use crate::store::CorpusStore;
+
+/// Patterns per streamed response frame.
+const BATCH: usize = 512;
+const _: () = assert!(
+    BATCH <= MAX_FRAME_PATTERNS,
+    "a client refuses larger frames"
+);
+
+/// How long a drain waits for the connections it cancelled to release
+/// their slots; a handler stalled inside the socket timeout is left
+/// detached after it.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Server-side resource policy, fixed at spawn time.
 #[derive(Debug, Clone)]
@@ -82,9 +96,6 @@ pub struct ServeLimits {
     /// Ceiling of the per-request worker threads (a request of `0` means
     /// 1 worker, not this ceiling — parallelism is opt-in per query).
     pub max_workers: usize,
-    /// Patterns per streamed response frame; positive and at most
-    /// [`MAX_FRAME_PATTERNS`], which clients refuse to decode beyond.
-    pub batch: usize,
     /// Socket timeout of every read and write on a connection (one window
     /// for both directions, as on a shuffle worker's links): a
     /// connection that has not delivered a complete request within it is
@@ -97,9 +108,6 @@ pub struct ServeLimits {
     /// deadline is `min(request, ceiling)`. `None` means no server-imposed
     /// deadline (client-requested deadlines still apply).
     pub max_deadline: Option<Duration>,
-    /// How long [`ServerHandle::shutdown`] waits for cancelled in-flight
-    /// sessions to finish before giving up on joining their threads.
-    pub drain_grace: Duration,
 }
 
 impl Default for ServeLimits {
@@ -109,82 +117,107 @@ impl Default for ServeLimits {
             max_budget: desq_core::mining::DEFAULT_BUDGET,
             max_patterns: 1_000_000,
             max_workers: default_workers(),
-            batch: 512,
             io_timeout: Some(Duration::from_secs(30)),
             max_deadline: None,
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
 
-/// State shared between the accept loop, the connection threads and the
-/// [`ServerHandle`]: the in-flight count, the cancellation tokens of
-/// running sessions (for drain shutdown), and the global failure
-/// counters surfaced in [`ServerStats`].
-struct Shared {
-    inflight: AtomicUsize,
-    next_session: AtomicU64,
-    sessions: Mutex<HashMap<u64, CancelToken>>,
-    timeouts: AtomicU64,
-    panics: AtomicU64,
-    cancels: AtomicU64,
+/// The daemon's one record of its connections, shared by the accept loop,
+/// the connection threads and the [`ServerHandle`]. It keeps no clock:
+/// eviction is the socket timeout's job and deadlines are the tokens'.
+#[derive(Default)]
+struct Registry {
+    conns: Mutex<Conns>,
+    /// Notified whenever a connection releases its slot.
+    released: Condvar,
 }
 
-impl Shared {
-    fn new() -> Shared {
-        Shared {
-            inflight: AtomicUsize::new(0),
-            next_session: AtomicU64::new(0),
-            sessions: Mutex::new(HashMap::new()),
-            timeouts: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            cancels: AtomicU64::new(0),
+/// What the registry's lock guards.
+#[derive(Default)]
+struct Conns {
+    /// Each open connection's token by id; in-flight is the entry count.
+    open: HashMap<u64, CancelToken>,
+    next_id: u64,
+    draining: bool,
+    timeouts: u64,
+    panics: u64,
+    cancels: u64,
+}
+
+impl Registry {
+    fn lock(&self) -> MutexGuard<'_, Conns> {
+        // No update can panic halfway through; a poisoned registry is
+        // still consistent.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a slot for a just-accepted connection, or returns the
+    /// in-flight count that refused it (the cap is reached, or a drain
+    /// has begun).
+    fn admit(self: &Arc<Self>, cap: usize) -> Result<Admission, usize> {
+        let mut conns = self.lock();
+        let in_flight = conns.open.len();
+        if conns.draining || in_flight >= cap {
+            return Err(in_flight);
         }
+        let id = conns.next_id;
+        conns.next_id += 1;
+        let token = CancelToken::new();
+        conns.open.insert(id, token.clone());
+        Ok(Admission {
+            registry: self.clone(),
+            id,
+            token,
+        })
     }
 
-    fn sessions_lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, CancelToken>> {
-        // Tokens are atomics behind Arcs; a poisoned map is still
-        // consistent between operations.
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    fn is_draining(&self) -> bool {
+        self.lock().draining
     }
 
-    /// Trips every in-flight session's token (drain shutdown).
-    fn cancel_all(&self) {
-        for token in self.sessions_lock().values() {
+    /// Refuses every later admission and cancels every open connection.
+    fn start_drain(&self) {
+        let mut conns = self.lock();
+        conns.draining = true;
+        for token in conns.open.values() {
             token.cancel();
         }
+    }
+
+    /// Blocks until every slot is released or `grace` has passed.
+    fn wait_idle(&self, grace: Duration) {
+        let _ = self
+            .released
+            .wait_timeout_while(self.lock(), grace, |conns| !conns.open.is_empty());
     }
 
     /// Counts a terminal failure by class, so the next successful query's
     /// metrics frame reports it.
     fn count_failure(&self, e: &Error) {
+        let mut conns = self.lock();
         match e {
-            Error::DeadlineExceeded(_) => self.timeouts.fetch_add(1, Ordering::Relaxed),
-            Error::Cancelled(_) => self.cancels.fetch_add(1, Ordering::Relaxed),
-            Error::WorkerPanicked(_) => self.panics.fetch_add(1, Ordering::Relaxed),
-            _ => return,
-        };
+            Error::DeadlineExceeded(_) => conns.timeouts += 1,
+            Error::Cancelled(_) => conns.cancels += 1,
+            Error::WorkerPanicked(_) => conns.panics += 1,
+            _ => {}
+        }
     }
 }
 
-/// Registers a session token for drain cancellation, deregistering on
-/// drop (every exit path of the connection handler, including panics).
-struct SessionReg<'a> {
-    shared: &'a Shared,
+/// One open connection's slot and its [`CancelToken`], held from accept
+/// until the terminal frame is flushed. Dropping it — on every exit path
+/// of the handler, panics included — releases the slot.
+struct Admission {
+    registry: Arc<Registry>,
     id: u64,
+    token: CancelToken,
 }
 
-impl<'a> SessionReg<'a> {
-    fn new(shared: &'a Shared, token: CancelToken) -> SessionReg<'a> {
-        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        shared.sessions_lock().insert(id, token);
-        SessionReg { shared, id }
-    }
-}
-
-impl Drop for SessionReg<'_> {
+impl Drop for Admission {
     fn drop(&mut self) {
-        self.shared.sessions_lock().remove(&self.id);
+        self.registry.lock().open.remove(&self.id);
+        self.registry.released.notify_all();
     }
 }
 
@@ -210,82 +243,51 @@ impl Server {
     }
 
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop on a background thread. Limits no server can
-    /// run with — `max_inflight` of 0, a `batch` outside
-    /// `1..=MAX_FRAME_PATTERNS` — fail with [`std::io::ErrorKind::InvalidInput`]
-    /// before anything is bound.
+    /// starts the accept loop on a background thread. A `max_inflight` of
+    /// 0, which no server can run with, fails with
+    /// [`std::io::ErrorKind::InvalidInput`] before anything is bound.
     pub fn spawn(self, bind: &str) -> std::io::Result<ServerHandle> {
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         if self.limits.max_inflight == 0 {
-            return Err(invalid("max_inflight must be positive".into()));
-        }
-        if !(1..=MAX_FRAME_PATTERNS).contains(&self.limits.batch) {
-            return Err(invalid(format!(
-                "batch must be positive and at most {MAX_FRAME_PATTERNS} \
-                 (a client refuses larger frames)"
-            )));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "max_inflight must be positive",
+            ));
         }
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared::new());
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = stop.clone();
-        let accept_shared = shared.clone();
-        let accept_conns = conns.clone();
-        let store = self.store;
-        let grace = self.limits.drain_grace;
-        let limits = self.limits;
+        let registry = Arc::new(Registry::default());
+        let accept_registry = registry.clone();
+        let (store, limits) = (self.store, self.limits);
         let accept = std::thread::spawn(move || {
             for conn in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
+                if accept_registry.is_draining() {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
                 let t_accept = Instant::now();
-                // Admission: claim a slot or answer Busy and close.
-                let slots = accept_shared.inflight.fetch_add(1, Ordering::SeqCst);
-                if slots >= limits.max_inflight {
-                    accept_shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                    let mut w = BufWriter::new(stream);
-                    let _ = write_frame(
-                        &mut w,
-                        &Message::Busy {
-                            in_flight: slots as u64,
-                            cap: limits.max_inflight as u64,
-                        },
-                    );
-                    continue;
-                }
-                let store = store.clone();
-                let limits = limits.clone();
-                let shared = accept_shared.clone();
-                let handle = std::thread::spawn(move || {
-                    // Slot released on every exit path, including panics in
-                    // the handler.
-                    struct Slot<'a>(&'a Shared);
-                    impl Drop for Slot<'_> {
-                        fn drop(&mut self) {
-                            self.0.inflight.fetch_sub(1, Ordering::SeqCst);
-                        }
+                match accept_registry.admit(limits.max_inflight) {
+                    Ok(admission) => {
+                        let (store, limits) = (store.clone(), limits.clone());
+                        std::thread::spawn(move || {
+                            handle_conn(&store, &limits, admission, stream, t_accept)
+                        });
                     }
-                    let _slot = Slot(&shared);
-                    handle_conn(&store, &limits, &shared, stream, t_accept);
-                });
-                let mut conns = accept_conns.lock().unwrap_or_else(PoisonError::into_inner);
-                // Reap finished threads as we go so a long-lived daemon's
-                // handle list doesn't grow with every served connection.
-                conns.retain(|h| !h.is_finished());
-                conns.push(handle);
+                    Err(in_flight) => {
+                        let _ = write_frame(
+                            &mut BufWriter::new(stream),
+                            &Message::Busy {
+                                in_flight: in_flight as u64,
+                                cap: limits.max_inflight as u64,
+                            },
+                        );
+                    }
+                }
             }
         });
         Ok(ServerHandle {
             addr,
-            stop,
             accept: Some(accept),
-            shared,
-            conns,
-            grace,
+            registry,
         })
     }
 }
@@ -293,11 +295,8 @@ impl Server {
 /// Handle of a running server: its bound address and the shutdown switch.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    grace: Duration,
+    registry: Arc<Registry>,
 }
 
 impl ServerHandle {
@@ -314,12 +313,12 @@ impl ServerHandle {
         }
     }
 
-    /// Drain shutdown: stops accepting connections, cancels every
-    /// in-flight session (each affected client receives a terminal
-    /// `Cancelled` error frame), and joins connection threads for at most
-    /// the configured [`ServeLimits::drain_grace`]. A thread that outlives
-    /// the grace period — e.g. a client stalled inside the socket
-    /// timeout — is left detached rather than blocking shutdown.
+    /// Drain shutdown: stops accepting connections, cancels every open
+    /// connection (each in-flight client receives a terminal `Cancelled`
+    /// error frame), and waits up to five seconds for their slots. A
+    /// handler that outlives the wait — e.g. one writing to a client
+    /// stalled inside the socket timeout — is left detached rather than
+    /// blocking shutdown.
     pub fn shutdown(mut self) {
         self.drain();
     }
@@ -328,27 +327,11 @@ impl ServerHandle {
         let Some(accept) = self.accept.take() else {
             return;
         };
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept call; the loop sees the flag and exits. (The
-        // probe connection may be answered Busy or accepted-then-dropped —
-        // both are fine, it is never a request.)
+        self.registry.start_drain();
+        // Unblock the accept call; the loop sees the drain and exits.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
-        // Cancel in-flight sessions; their handlers notice at the next
-        // cooperative checkpoint, answer `Cancelled`, and release slots.
-        self.shared.cancel_all();
-        let deadline = Instant::now() + self.grace;
-        while self.shared.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let handles =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            // Only join what finished within the grace period.
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-        }
+        self.registry.wait_idle(DRAIN_GRACE);
     }
 }
 
@@ -371,11 +354,11 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 /// Serves one connection: read one request frame, answer with pattern
-/// frames plus a terminal frame, close.
+/// frames plus a terminal frame, release the slot, close.
 fn handle_conn(
     store: &CorpusStore,
     limits: &ServeLimits,
-    shared: &Shared,
+    admission: Admission,
     stream: TcpStream,
     t_accept: Instant,
 ) {
@@ -387,25 +370,8 @@ fn handle_conn(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let payload = match read_frame(&mut reader) {
-        Ok(payload) => payload,
-        Err(e) => {
-            if is_timeout(&e) {
-                // Stalled client: evict with an explicit terminal frame
-                // (it may still be reading) and release the slot.
-                shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &mut writer,
-                    &Message::Error(Error::DeadlineExceeded(
-                        "no complete request within the server's I/O timeout".into(),
-                    )),
-                );
-            }
-            return; // slot released by the accept loop's guard
-        }
-    };
-    let reply = match Request::decode(&payload) {
-        Ok(req) => {
+    let reply = match read_frame(&mut reader) {
+        Ok(payload) => Some(Request::decode(&payload).and_then(|req| {
             // Effective deadline: the tighter of what the client asked for
             // and what the server tolerates.
             let requested =
@@ -414,42 +380,44 @@ fn handle_conn(
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            let token = CancelToken::new();
             if let Some(d) = deadline {
-                token.arm_deadline(d);
+                admission.token.arm_deadline(d);
             }
-            // Registered for drain cancellation until the reply is built.
-            let _reg = SessionReg::new(shared, token.clone());
             // The connection is the panic boundary: a panic anywhere in
             // request handling becomes a terminal error frame and the
             // server keeps serving.
             catch_unwind(AssertUnwindSafe(|| {
-                serve_request(store, limits, shared, &req, &token, &mut writer, t_accept)
+                serve_request(store, limits, &admission, &req, &mut writer, t_accept)
             }))
             .unwrap_or_else(|payload| Err(Error::WorkerPanicked(panic_message(payload.as_ref()))))
-        }
-        Err(e) => Err(e),
+        })),
+        // Stalled client: evict it with an explicit terminal frame (it may
+        // still be reading).
+        Err(e) if is_timeout(&e) => Some(Err(Error::DeadlineExceeded(
+            "no complete request within the server's I/O timeout".into(),
+        ))),
+        // The client hung up before sending a request: nobody to answer.
+        Err(_) => None,
     };
-    let terminal = match reply {
-        Ok(msg) => msg,
-        Err(e) => {
-            shared.count_failure(&e);
+    if let Some(reply) = reply {
+        let terminal = reply.unwrap_or_else(|e| {
+            admission.registry.count_failure(&e);
             Message::Error(e)
-        }
-    };
-    let _ = write_frame(&mut writer, &terminal);
-    let _ = writer.flush();
+        });
+        let _ = write_frame(&mut writer, &terminal);
+    }
+    // Release the slot before the socket closes: a client that has read to
+    // the close may send its next query at once.
+    drop(admission);
 }
 
 /// Validates and runs one query, streaming pattern frames to `writer`.
 /// Returns the terminal frame (metrics on success, the error otherwise).
-#[allow(clippy::too_many_arguments)]
 fn serve_request(
     store: &CorpusStore,
     limits: &ServeLimits,
-    shared: &Shared,
+    admission: &Admission,
     req: &Request,
-    token: &CancelToken,
     writer: &mut BufWriter<TcpStream>,
     t_accept: Instant,
 ) -> Result<Message, Error> {
@@ -479,6 +447,7 @@ fn serve_request(
         WireAlgo::DSeq => AlgorithmSpec::d_seq(),
         WireAlgo::DCand => AlgorithmSpec::d_cand(),
     };
+    let token = &admission.token;
     let session = MiningSession::builder()
         .dictionary(corpus.dict.clone())
         .database(corpus.db.clone())
@@ -493,14 +462,14 @@ fn serve_request(
 
     let queue_wait_nanos = t_accept.elapsed().as_nanos() as u64;
     let mut pattern_stream = session.stream();
-    let mut batch = Vec::with_capacity(limits.batch);
+    let mut batch = Vec::with_capacity(BATCH);
     for pattern in &mut pattern_stream {
         batch.push(pattern);
-        if batch.len() == limits.batch {
+        if batch.len() == BATCH {
             if let Err(e) = write_frame(writer, &Message::Patterns(std::mem::take(&mut batch))) {
                 return Err(abort_for_peer(token, &e));
             }
-            batch.reserve(limits.batch);
+            batch.reserve(BATCH);
         }
     }
     if !batch.is_empty() {
@@ -512,6 +481,7 @@ fn serve_request(
     #[cfg(feature = "failpoints")]
     desq_core::fault::point("serve::before_reply")?;
     let (cache_hits, cache_misses) = store.cache_stats();
+    let conns = admission.registry.lock();
     Ok(Message::Metrics {
         mining,
         stats: ServerStats {
@@ -520,9 +490,9 @@ fn serve_request(
             cache_misses,
             queue_wait_nanos,
             compile_nanos: compiled.compile_nanos,
-            timeouts: shared.timeouts.load(Ordering::Relaxed),
-            panics: shared.panics.load(Ordering::Relaxed),
-            cancels: shared.cancels.load(Ordering::Relaxed),
+            timeouts: conns.timeouts,
+            panics: conns.panics,
+            cancels: conns.cancels,
             fst_states_before: compiled.fst.states_before_opt() as u64,
             fst_states_after: compiled.fst.num_states() as u64,
             fst_transitions_before: compiled.fst.transitions_before_opt() as u64,
@@ -535,7 +505,7 @@ fn serve_request(
 /// *before* the pattern stream is dropped so the mining run stops at its
 /// next cooperative checkpoint instead of completing for nobody. The
 /// returned error is the request's terminal one, counted once by
-/// [`Shared::count_failure`].
+/// [`Registry::count_failure`].
 fn abort_for_peer(token: &CancelToken, e: &std::io::Error) -> Error {
     token.cancel();
     if is_timeout(e) {
@@ -578,40 +548,72 @@ mod tests {
     }
 
     #[test]
+    fn admission_is_capped_and_a_dropped_slot_is_free_again() {
+        let registry = Arc::new(Registry::default());
+        let first = registry.admit(2).unwrap();
+        let _second = registry.admit(2).unwrap();
+        assert_eq!(registry.admit(2).err(), Some(2), "the cap refuses a third");
+        drop(first);
+        assert_eq!(registry.lock().open.len(), 1, "drop releases the slot");
+        assert!(registry.admit(2).is_ok());
+    }
+
+    #[test]
+    fn a_drain_cancels_every_open_connection_and_refuses_new_ones() {
+        let registry = Arc::new(Registry::default());
+        let open = registry.admit(4).unwrap();
+        assert!(!registry.is_draining());
+        registry.start_drain();
+        assert!(registry.is_draining());
+        assert!(open.token.is_stopped(), "drain must trip open tokens");
+        assert_eq!(
+            registry.admit(4).err(),
+            Some(1),
+            "no admission while draining"
+        );
+    }
+
+    #[test]
+    fn waiting_for_idle_returns_once_the_last_slot_is_released() {
+        let registry = Arc::new(Registry::default());
+        let open = registry.admit(1).unwrap();
+        let release = std::thread::spawn(move || drop(open));
+        registry.wait_idle(Duration::from_secs(60));
+        assert!(registry.lock().open.is_empty());
+        release.join().unwrap();
+        // With nothing open the wait returns at once, whatever its grace.
+        registry.wait_idle(Duration::from_secs(60));
+    }
+
+    #[test]
+    fn waiting_for_idle_gives_up_after_the_grace() {
+        let registry = Arc::new(Registry::default());
+        let _open = registry.admit(1).unwrap();
+        registry.wait_idle(Duration::ZERO);
+        assert_eq!(registry.lock().open.len(), 1);
+    }
+
+    #[test]
     fn failure_counters_classify_terminal_errors() {
-        let shared = Shared::new();
-        shared.count_failure(&Error::DeadlineExceeded("d".into()));
-        shared.count_failure(&Error::Cancelled("c".into()));
-        shared.count_failure(&Error::Cancelled("c".into()));
-        shared.count_failure(&Error::WorkerPanicked("p".into()));
-        shared.count_failure(&Error::Invalid("not a failure-domain error".into()));
-        assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.cancels.load(Ordering::Relaxed), 2);
-        assert_eq!(shared.panics.load(Ordering::Relaxed), 1);
+        let registry = Registry::default();
+        registry.count_failure(&Error::DeadlineExceeded("d".into()));
+        registry.count_failure(&Error::Cancelled("c".into()));
+        registry.count_failure(&Error::Cancelled("c".into()));
+        registry.count_failure(&Error::WorkerPanicked("p".into()));
+        registry.count_failure(&Error::Invalid("not a failure-domain error".into()));
+        let conns = registry.lock();
+        assert_eq!((conns.timeouts, conns.cancels, conns.panics), (1, 2, 1));
     }
 
     #[test]
     fn a_client_that_stops_reading_counts_one_timeout() {
-        let shared = Shared::new();
+        let registry = Registry::default();
         let token = CancelToken::new();
         let stalled = std::io::Error::from(std::io::ErrorKind::WouldBlock);
         let err = abort_for_peer(&token, &stalled);
-        shared.count_failure(&err);
+        registry.count_failure(&err);
         assert!(token.is_stopped());
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
-        assert_eq!(shared.timeouts.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn session_registry_tracks_and_drops() {
-        let shared = Shared::new();
-        let token = CancelToken::new();
-        {
-            let _reg = SessionReg::new(&shared, token.clone());
-            assert_eq!(shared.sessions_lock().len(), 1);
-            shared.cancel_all();
-        }
-        assert!(token.is_stopped(), "drain must trip registered tokens");
-        assert!(shared.sessions_lock().is_empty(), "drop deregisters");
+        assert_eq!(registry.lock().timeouts, 1);
     }
 }

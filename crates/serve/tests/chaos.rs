@@ -6,9 +6,10 @@
 //! is contained to its connection, a stalled client is evicted by the
 //! I/O timeout, an over-deadline query errors within twice its deadline,
 //! and drain shutdown cancels in-flight sessions inside the grace period.
+//! No test sleeps: each waits on a frame or a close.
 #![cfg(feature = "failpoints")]
 
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Read};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -17,7 +18,7 @@ use desq::session::MiningSession;
 use desq_core::fault::{self, FailAction, FailSpec};
 use desq_core::{toy, Error};
 use desq_serve::client::Client;
-use desq_serve::proto::{read_frame, Message, Request};
+use desq_serve::proto::{read_frame, write_frame, Message, Request};
 use desq_serve::server::{ServeLimits, Server, ServerHandle};
 use desq_serve::store::CorpusStore;
 use desq_serve::ServeError;
@@ -57,6 +58,11 @@ fn nyt_server(limits: ServeLimits) -> ServerHandle {
         .with_limits(limits)
         .spawn("127.0.0.1:0")
         .unwrap()
+}
+
+/// The next frame on a raw connection, decoded.
+fn next_message(reader: &mut impl Read) -> Message {
+    Message::decode(&read_frame(reader).unwrap()).unwrap()
 }
 
 fn nyt_request(sigma: u64) -> Request {
@@ -200,52 +206,45 @@ fn injected_compile_error_does_not_brick_the_cache() {
 
 /// (b) A stalled client — connected, never sends a request — is evicted
 /// by the I/O timeout: it receives an explicit terminal frame, its
-/// admission slot is released, and the next query gets no `Busy`.
+/// admission slot is released before its connection closes, and the next
+/// query gets no `Busy`.
 #[test]
 fn stalled_client_is_evicted_by_the_io_timeout() {
     let _guard = chaos_guard();
     let handle = toy_server(ServeLimits {
         max_inflight: 1,
-        io_timeout: Some(Duration::from_millis(100)),
+        io_timeout: Some(Duration::from_millis(500)),
         ..ServeLimits::default()
     });
-    let client = Client::new(handle.addr());
 
-    let holder = TcpStream::connect(handle.addr()).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
-    assert!(
-        matches!(
-            client.query(&Request::new("toy", toy::PATTERN, 2)),
-            Err(ServeError::Busy { .. })
-        ),
+    // Two silent connections. The accept queue is first in, first out, so
+    // the first holds the only slot and the second is answered Busy.
+    let mut held = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    let mut refused = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    assert_eq!(
+        next_message(&mut refused),
+        Message::Busy {
+            in_flight: 1,
+            cap: 1
+        },
         "the stalled connection must hold the only slot at first"
     );
 
-    // The eviction frees the slot without the holder ever disconnecting.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let outcome = loop {
-        match client.query(&Request::new("toy", toy::PATTERN, 2)) {
-            Ok(out) => break out,
-            Err(ServeError::Busy { .. }) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-        }
-    };
-    assert_eq!(outcome.patterns.len(), 3);
-    assert!(outcome.stats.timeouts >= 1, "eviction must be counted");
-
-    // The evicted holder got an explicit terminal error frame, not a
-    // silent close.
-    let mut reader = BufReader::new(holder);
-    let payload = read_frame(&mut reader).expect("eviction frame");
+    // The eviction frees the slot without the holder ever disconnecting,
+    // and tells it why before closing.
     assert!(
         matches!(
-            Message::decode(&payload).unwrap(),
+            next_message(&mut held),
             Message::Error(Error::DeadlineExceeded(_))
         ),
         "the stalled client is told why it was evicted"
     );
+    assert_eq!(held.read(&mut [0u8; 1]).unwrap(), 0, "then the close");
+    let outcome = Client::new(handle.addr())
+        .query(&Request::new("toy", toy::PATTERN, 2))
+        .unwrap();
+    assert_eq!(outcome.patterns.len(), 3);
+    assert!(outcome.stats.timeouts >= 1, "eviction must be counted");
     handle.shutdown();
 }
 
@@ -299,39 +298,43 @@ fn over_deadline_query_errors_within_twice_the_deadline() {
 }
 
 /// (d) Drain shutdown cancels the in-flight session (the client receives
-/// a terminal `Cancelled` frame) and returns within the grace period.
+/// a terminal `Cancelled` frame) and returns within 2 s, well before its
+/// five-second grace runs out.
 #[test]
 fn drain_shutdown_cancels_in_flight_sessions_within_grace() {
     let _guard = chaos_guard();
-    let grace = Duration::from_secs(2);
-    let handle = nyt_server(ServeLimits {
-        drain_grace: grace,
-        ..two_worker_limits()
-    });
-    let client = Client::new(handle.addr());
-    client.query(&nyt_request(4)).unwrap(); // warm the cache
+    let handle = nyt_server(two_worker_limits());
+    Client::new(handle.addr()).query(&nyt_request(4)).unwrap(); // warm the cache
 
     // A σ=1 run whose every task dawdles: effectively unbounded without
-    // cancellation.
+    // cancellation. Its first pattern frame shows it is in flight.
     fault::configure(
         "sched::task_run",
         FailSpec::always(FailAction::Delay(Duration::from_millis(30))),
     );
-    let slow = std::thread::spawn(move || client.query(&nyt_request(1).with_workers(2)));
-    std::thread::sleep(Duration::from_millis(200)); // let it get in flight
+    let slow = TcpStream::connect(handle.addr()).unwrap();
+    let request = Message::Request(nyt_request(1).with_workers(2));
+    write_frame(&mut BufWriter::new(slow.try_clone().unwrap()), &request).unwrap();
+    let mut slow = BufReader::new(slow);
+    assert!(matches!(next_message(&mut slow), Message::Patterns(_)));
 
     let t0 = Instant::now();
     handle.shutdown();
     let elapsed = t0.elapsed();
     fault::clear_all();
     assert!(
-        elapsed <= grace,
-        "drain must finish within the grace period ({elapsed:?})"
+        elapsed <= Duration::from_secs(2),
+        "drain must cancel its session promptly, well inside the grace ({elapsed:?})"
     );
 
-    let err = slow.join().unwrap().unwrap_err();
+    let terminal = loop {
+        match next_message(&mut slow) {
+            Message::Patterns(_) => continue,
+            other => break other,
+        }
+    };
     assert!(
-        matches!(err, ServeError::Remote(Error::Cancelled(_))),
-        "the drained client is told its query was cancelled, got {err}"
+        matches!(terminal, Message::Error(Error::Cancelled(_))),
+        "the drained client is told its query was cancelled, got {terminal:?}"
     );
 }

@@ -1,17 +1,21 @@
 //! End-to-end daemon tests on localhost ephemeral ports: warm-cache
 //! byte-identity, concurrent clients vs the sequential oracle, explicit
-//! Busy under overload, admission-time rejections, cancel-on-disconnect,
-//! the client's retry policy, and limits refused at spawn.
+//! Busy under overload, a slot free again once its query returned,
+//! admission-time rejections, cancel-on-disconnect, limits refused at
+//! spawn, and the client against scripted servers (retry through Busy,
+//! bytes after the terminal frame). No test sleeps: each waits on a frame,
+//! a close or a retrying client.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use desq::session::{AlgorithmSpec, MiningSession};
-use desq_core::{toy, Error, Sequence};
+use desq_core::{toy, Error, MiningMetrics, Sequence};
 use desq_serve::client::{Client, RetryPolicy};
-use desq_serve::proto::{read_frame, write_frame, Message, Request, WireAlgo, MAX_FRAME_PATTERNS};
+use desq_serve::proto::{read_frame, write_frame, Message, Request, ServerStats, WireAlgo};
 use desq_serve::server::{ServeLimits, Server};
 use desq_serve::store::CorpusStore;
 use desq_serve::ServeError;
@@ -25,6 +29,35 @@ fn toy_server(limits: ServeLimits) -> desq_serve::server::ServerHandle {
         .unwrap()
 }
 
+/// The next frame on a raw connection, decoded.
+fn next_message(reader: &mut impl Read) -> Message {
+    Message::decode(&read_frame(reader).unwrap()).unwrap()
+}
+
+/// `msg` as the bytes of one frame.
+fn frame(msg: &Message) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, msg).unwrap();
+    bytes
+}
+
+/// A stand-in daemon on an ephemeral port: it reads one request frame per
+/// connection, answers the n-th connection with `replies[n]` verbatim and
+/// closes it, and hands its listener back once every reply is sent.
+fn scripted_server(replies: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<TcpListener>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let script = std::thread::spawn(move || {
+        for reply in replies {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap();
+            stream.write_all(&reply).unwrap();
+        }
+        listener
+    });
+    (addr, script)
+}
+
 fn sorted(mut patterns: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
     patterns.sort_unstable();
     patterns
@@ -32,28 +65,15 @@ fn sorted(mut patterns: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
 
 #[test]
 fn spawn_refuses_unusable_limits_as_invalid_input() {
-    let bad = [
-        ServeLimits {
-            max_inflight: 0,
-            ..ServeLimits::default()
-        },
-        ServeLimits {
-            batch: 0,
-            ..ServeLimits::default()
-        },
-        ServeLimits {
-            batch: MAX_FRAME_PATTERNS + 1,
-            ..ServeLimits::default()
-        },
-    ];
-    for limits in bad {
-        let mut store = CorpusStore::new();
-        store.load_spec("toy", "toy").unwrap();
-        let described = format!("{limits:?}");
-        match Server::new(store).with_limits(limits).spawn("127.0.0.1:0") {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{described}"),
-            Ok(_) => panic!("spawned with {described}"),
-        }
+    let mut store = CorpusStore::new();
+    store.load_spec("toy", "toy").unwrap();
+    let limits = ServeLimits {
+        max_inflight: 0,
+        ..ServeLimits::default()
+    };
+    match Server::new(store).with_limits(limits).spawn("127.0.0.1:0") {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        Ok(_) => panic!("spawned with max_inflight 0"),
     }
 }
 
@@ -162,40 +182,57 @@ fn overload_gets_an_explicit_busy_frame() {
         max_inflight: 1,
         ..ServeLimits::default()
     });
+
+    // Two silent connections. The accept queue is first in, first out, so
+    // the first holds the only slot and the second is answered Busy.
+    let admitted = TcpStream::connect(handle.addr()).unwrap();
+    let mut refused = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    assert_eq!(
+        next_message(&mut refused),
+        Message::Busy {
+            in_flight: 1,
+            cap: 1
+        }
+    );
     let client = Client::new(handle.addr());
-
-    // Occupy the single slot with a connection that never sends a request.
-    let holder = TcpStream::connect(handle.addr()).unwrap();
-    // The admission decision happens at accept: wait until the holder is
-    // actually in flight, then the next query must bounce.
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    let err = client
-        .query(&Request::new("toy", toy::PATTERN, 2))
-        .unwrap_err();
-    match err {
-        ServeError::Busy { in_flight, cap } => {
-            assert_eq!((in_flight, cap), (1, 1));
-        }
-        other => panic!("expected Busy, got {other}"),
+    match client.query(&Request::new("toy", toy::PATTERN, 2)) {
+        Err(ServeError::Busy { in_flight, cap }) => assert_eq!((in_flight, cap), (1, 1)),
+        other => panic!("expected Busy, got {other:?}"),
     }
 
-    // Releasing the slot makes the same query succeed (the handler notices
-    // the holder's EOF asynchronously — poll briefly).
-    drop(holder);
-    let mut served = None;
-    for _ in 0..100 {
-        match client.query(&Request::new("toy", toy::PATTERN, 2)) {
-            Ok(out) => {
-                served = Some(out);
-                break;
-            }
-            Err(ServeError::Busy { .. }) => {
-                std::thread::sleep(std::time::Duration::from_millis(10))
-            }
-            Err(other) => panic!("unexpected error: {other}"),
+    // The admitted connection runs a query to the server's close; its slot
+    // is free by then, so the next query is admitted at once.
+    let mut writer = BufWriter::new(admitted.try_clone().unwrap());
+    write_frame(
+        &mut writer,
+        &Message::Request(Request::new("toy", toy::PATTERN, 2)),
+    )
+    .unwrap();
+    let mut reader = BufReader::new(admitted);
+    while let Message::Patterns(_) = next_message(&mut reader) {}
+    assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0, "the server closes");
+    let served = client.query(&Request::new("toy", toy::PATTERN, 2)).unwrap();
+    assert_eq!(served.patterns.len(), 3);
+    handle.shutdown();
+}
+
+#[test]
+fn back_to_back_queries_at_one_slot_never_get_busy() {
+    // A query's slot is released before the server closes its connection,
+    // and the client returns only after that close: its next query can
+    // never find the slot still taken by its own previous one.
+    let handle = toy_server(ServeLimits {
+        max_inflight: 1,
+        ..ServeLimits::default()
+    });
+    let client = Client::new(handle.addr());
+    let req = Request::new("toy", toy::PATTERN, 2);
+    for i in 0..2_000 {
+        match client.query(&req) {
+            Ok(out) => assert_eq!(out.patterns.len(), 3),
+            Err(e) => panic!("query {i}: {e}"),
         }
     }
-    assert_eq!(served.expect("slot never freed").patterns.len(), 3);
     handle.shutdown();
 }
 
@@ -251,52 +288,38 @@ fn admission_rejects_bad_requests_before_mining() {
 
 #[test]
 fn disconnect_mid_stream_releases_the_slot_and_cancels_the_run() {
-    // A big-enough corpus that the query streams many pattern frames
-    // (batch = 1 → one frame per pattern, so the server notices the dead
-    // peer within a couple of writes).
+    // σ = 1 over 800 sequences yields 2 392 patterns, more than the session
+    // stream's 1 024-pattern channel holds: the miner is still running
+    // when the server's writes to the departed client fail.
     let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(800));
     let mut store = CorpusStore::new();
     store.insert("nyt", dict, db);
     let handle = Server::new(store)
         .with_limits(ServeLimits {
             max_inflight: 1,
-            batch: 1,
             ..ServeLimits::default()
         })
         .spawn("127.0.0.1:0")
         .unwrap();
 
-    // Raw client: send the request, read exactly one pattern frame, hang
-    // up mid-stream.
+    // Raw client: send the request and hang up at once.
     let req = Request::new("nyt", desq_dist::patterns::n2().expr, 1).unanchored();
-    {
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
-        write_frame(&mut writer, &Message::Request(req)).unwrap();
-        let payload = read_frame(&mut reader).unwrap();
-        assert!(
-            matches!(Message::decode(&payload).unwrap(), Message::Patterns(_)),
-            "expected the stream to have started"
-        );
-        // Drop both halves: the server's next write fails.
-    }
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    write_frame(&mut BufWriter::new(stream), &Message::Request(req)).unwrap();
 
-    // The abort must release the single admission slot promptly — well
-    // before a σ=1 full mine over 800 sequences would run to completion —
-    // and must be accounted as a cancel/timeout, proving the run was
-    // tripped by the failed write rather than mined to the end.
-    let client = Client::new(handle.addr());
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let outcome = loop {
-        match client.query(&Request::new("nyt", desq_dist::patterns::n2().expr, 4).unanchored()) {
-            Ok(out) => break out,
-            Err(ServeError::Busy { .. }) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-        }
-    };
+    // The abort must release the single admission slot — a retrying client
+    // waits through Busy until it does — and must be accounted as a
+    // cancel/timeout, proving the run was tripped by the failed write
+    // rather than mined to the end.
+    let client = Client::new(handle.addr()).with_retry(RetryPolicy {
+        max_retries: 200,
+        base_delay: Duration::from_millis(5),
+        max_delay: Duration::from_millis(100),
+        ..RetryPolicy::default()
+    });
+    let outcome = client
+        .query(&Request::new("nyt", desq_dist::patterns::n2().expr, 4).unanchored())
+        .unwrap();
     assert!(
         outcome.stats.cancels + outcome.stats.timeouts >= 1,
         "the aborted query must be counted (cancels={}, timeouts={})",
@@ -308,35 +331,56 @@ fn disconnect_mid_stream_releases_the_slot_and_cancels_the_run() {
 
 #[test]
 fn retry_policy_rides_out_busy_until_the_slot_frees() {
-    let handle = toy_server(ServeLimits {
-        max_inflight: 1,
-        ..ServeLimits::default()
-    });
-    // Occupy the single slot with a connection that never sends a request.
-    let holder = TcpStream::connect(handle.addr()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Without a policy the query bounces immediately.
-    let plain = Client::new(handle.addr());
-    assert!(matches!(
-        plain.query(&Request::new("toy", toy::PATTERN, 2)),
-        Err(ServeError::Busy { .. })
-    ));
-
-    // With one, the same query retries through the Busy answers and lands
-    // once the holder goes away.
-    let retrying = plain.with_retry(RetryPolicy {
-        max_retries: 40,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(40),
+    // A scripted server answers the first connection Busy and the second
+    // with a full response.
+    let patterns = vec![(vec![1, 2], 3)];
+    let (addr, script) = scripted_server(vec![
+        frame(&Message::Busy {
+            in_flight: 1,
+            cap: 1,
+        }),
+        [
+            frame(&Message::Patterns(patterns.clone())),
+            frame(&Message::Metrics {
+                mining: MiningMetrics::default(),
+                stats: ServerStats::default(),
+            }),
+        ]
+        .concat(),
+    ]);
+    let retrying = Client::new(addr).with_retry(RetryPolicy {
+        max_retries: 3,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(4),
         ..RetryPolicy::default()
     });
-    let query = std::thread::spawn(move || retrying.query(&Request::new("toy", toy::PATTERN, 2)));
-    std::thread::sleep(Duration::from_millis(100));
-    drop(holder);
-    let outcome = query.join().unwrap().expect("retries must land");
-    assert_eq!(outcome.patterns.len(), 3);
-    handle.shutdown();
+    let outcome = retrying
+        .query(&Request::new("toy", toy::PATTERN, 2))
+        .expect("the retry must land");
+    assert_eq!(outcome.patterns, patterns);
+
+    // Exactly two connections: nothing is waiting to be accepted.
+    let listener = script.join().unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let third = listener.accept().map(|_| ()).unwrap_err();
+    assert_eq!(third.kind(), std::io::ErrorKind::WouldBlock);
+}
+
+#[test]
+fn a_byte_after_the_terminal_frame_is_a_decode_error() {
+    let metrics = frame(&Message::Metrics {
+        mining: MiningMetrics::default(),
+        stats: ServerStats::default(),
+    });
+    let (addr, script) = scripted_server(vec![[metrics, vec![0]].concat()]);
+    let err = Client::new(addr)
+        .query(&Request::new("toy", toy::PATTERN, 2))
+        .unwrap_err();
+    assert!(
+        matches!(err, ServeError::Core(Error::Decode(_))),
+        "expected Core(Decode), got {err}"
+    );
+    script.join().unwrap();
 }
 
 #[test]
