@@ -18,7 +18,7 @@
 //! `desq-miner` restricted to pivot sequences. Blanks are encoded as
 //! [`EPSILON`] and never match.
 
-use desq_bsp::{Combiner, Engine, InProcess};
+use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
@@ -243,9 +243,8 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
         Ok(())
     };
 
-    let (engine, parts) = Engine::for_context(ctx);
-    let round = engine.map_combine_reduce_via(&InProcess, &parts, map, || (), reduce)?;
-    Ok(desq_dist::job_result(round, t0, &engine, &parts))
+    let round = desq_bsp::map_combine_reduce_via(ctx, &InProcess, map, || (), reduce)?;
+    Ok(desq_dist::job_result(round, t0, ctx))
 }
 
 #[cfg(test)]

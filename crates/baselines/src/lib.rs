@@ -43,6 +43,8 @@ mod tests {
             assert_eq!(res.metrics.input_sequences, 5);
             assert_eq!(res.metrics.workers, 2);
             assert!(res.metrics.shuffle_bytes > 0);
+            let reducer_bytes: u64 = res.metrics.reducer_bytes.iter().sum();
+            assert_eq!(reducer_bytes, res.metrics.shuffle_bytes);
         }
     }
 

@@ -15,7 +15,7 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_bsp::{Combiner, Engine, InProcess};
+use desq_bsp::{map_combine_reduce_via, Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashSet;
 use desq_core::mining::{Miner, MiningContext};
@@ -43,22 +43,20 @@ impl Miner for MllibConfig {
     }
 }
 
-/// Both rounds on `ctx`'s engine, mining patterns of length `1..=max_len`.
+/// Both rounds over `ctx`, mining patterns of length `1..=max_len`.
 fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let sigma = ctx.sigma;
     let t0 = std::time::Instant::now();
-    let (engine, parts) = Engine::for_context(ctx);
-    let (engine, parts) = (&engine, &parts[..]);
     if max_len == 0 {
         let round = (Vec::new(), MiningMetrics::default());
-        return Ok(desq_dist::job_result(round, t0, engine, parts));
+        return Ok(desq_dist::job_result(round, t0, ctx));
     }
 
     // Round 1: frequent items (distributed word count with combining; the
     // payload is empty — only the per-item weights matter).
-    let (freq_items, m1) = engine.map_combine_reduce_via(
+    let (freq_items, m1) = map_combine_reduce_via(
+        ctx,
         &InProcess,
-        parts,
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             for seq in part {
@@ -83,9 +81,9 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let frequent: FxHashSet<ItemId> = freq_items.iter().map(|(w, _)| w[0]).collect();
 
     // Round 2: prefix projection by first item + local PrefixSpan.
-    let (patterns, m2) = engine.map_combine_reduce_via(
+    let (patterns, m2) = map_combine_reduce_via(
+        ctx,
         &InProcess,
-        parts,
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             let mut suffix: Sequence = Sequence::new();
@@ -141,7 +139,9 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     )?;
 
     // Both rounds' measurements are summed — this faithfully exposes the
-    // extra communication relative to the single-round D-SEQ/D-CAND.
+    // extra communication relative to the single-round D-SEQ/D-CAND. Both
+    // rounds shuffle into the same `ctx.reducers` buckets, so a bucket's
+    // volume is the sum of its two rounds'.
     let job = MiningMetrics {
         map_nanos: m1.map_nanos + m2.map_nanos,
         reduce_nanos: m1.reduce_nanos + m2.reduce_nanos,
@@ -149,6 +149,12 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
         shuffle_records: m1.shuffle_records + m2.shuffle_records,
         shuffle_payloads: m1.shuffle_payloads + m2.shuffle_payloads,
         shuffle_bytes: m1.shuffle_bytes + m2.shuffle_bytes,
+        reducer_bytes: m1
+            .reducer_bytes
+            .iter()
+            .zip(&m2.reducer_bytes)
+            .map(|(a, b)| a + b)
+            .collect(),
         output_records: patterns.len() as u64,
         tasks: m1.tasks + m2.tasks,
         steals: m1.steals + m2.steals,
@@ -156,10 +162,9 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
         peer_timeouts: m1.peer_timeouts + m2.peer_timeouts,
         max_task_nanos: m1.max_task_nanos.max(m2.max_task_nanos),
         cancelled: m1.cancelled || m2.cancelled,
-        // Per-reducer volumes are the second round's.
-        ..m2
+        ..MiningMetrics::default()
     };
-    Ok(desq_dist::job_result((patterns, job), t0, engine, parts))
+    Ok(desq_dist::job_result((patterns, job), t0, ctx))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use desq_bsp::engine::merge_bucket_sizes;
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{Engine, InProcess, MapTaskOut};
+use desq_bsp::{InProcess, MapTaskOut};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
@@ -354,21 +354,21 @@ struct Recording(Mutex<Vec<Vec<Vec<u8>>>>);
 impl ShuffleTransport for Recording {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> desq_core::Result<MapTaskOut> + Sync),
     ) -> desq_core::Result<(Vec<MapTaskOut>, PhaseStats)> {
-        InProcess.map_phase(engine, tasks, local)
+        InProcess.map_phase(ctx, tasks, local)
     }
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> desq_core::Result<(Vec<Vec<u8>>, PhaseStats)> {
         *self.0.lock().unwrap() = chunks.clone();
-        InProcess.reduce_phase(engine, chunks, reduce)
+        InProcess.reduce_phase(ctx, chunks, reduce)
     }
 }
 

@@ -17,11 +17,12 @@
 //! * **dist-net** (`perf_smoke dist-net`): runs D-SEQ on N2/N3 over the
 //!   *networked* shuffle — a `NetCoordinator` driving real worker
 //!   processes (this binary re-invoked in the hidden `dist-net-worker`
-//!   mode) over localhost TCP — against the in-process transport on the
-//!   same engine, and writes `BENCH_8.json` with the network-over-local
-//!   wall ratio plus the robustness counters (`retried_tasks`,
-//!   `peer_timeouts`, straggler `max_task_nanos`). The in-process run *is*
-//!   the reference, and the counters must read zero on a healthy link.
+//!   mode) over localhost TCP — against the same round through the
+//!   in-process transport, and writes `BENCH_8.json` with the
+//!   network-over-local wall ratio plus the robustness counters
+//!   (`retried_tasks`, `peer_timeouts`, straggler `max_task_nanos`). The
+//!   in-process run *is* the reference, and the counters must read zero on
+//!   a healthy link.
 
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -8,13 +8,14 @@
 //!
 //! # Hot-path layout
 //!
-//! Both job shapes hand the mapper a whole partition (`Fn(&[I], …)`), so
-//! per-partition scratch (pivot-search tables, encode buffers) is created
-//! once per map task instead of once per record. Each key is hashed once,
-//! over its varint bytes: the routing bucket comes from a word-at-a-time
-//! hash reduced by a multiply-shift (no modulo bias, no re-hash), and the
-//! combiner keys its open-addressing table on `(pivot, payload)` with that
-//! same hash mixed once — never a byte-at-a-time `Hasher` walk per probe.
+//! Both job shapes hand the mapper a whole partition
+//! (`Fn(&[Sequence], …)`), so per-partition scratch (pivot-search tables,
+//! encode buffers) is created once per map task instead of once per
+//! record. Each key is hashed once, over its varint bytes: the routing
+//! bucket comes from a word-at-a-time hash reduced by a multiply-shift (no
+//! modulo bias, no re-hash), and the combiner keys its open-addressing
+//! table on `(pivot, payload)` with that same hash mixed once — never a
+//! byte-at-a-time `Hasher` walk per probe.
 //!
 //! The combining shuffle additionally *interns payloads*: each map task's
 //! bucket chunk starts with a dictionary of distinct payload byte strings,
@@ -36,6 +37,26 @@
 //! groups reach the reducer in ascending item id, each with its payloads
 //! in first-arrival order (map task, then record) — the same order on
 //! every transport and at every worker count.
+//!
+//! # Parameters and failure domains
+//!
+//! A round's parameters come from the run's [`MiningContext`] alone:
+//! `ctx.db` cut into `ctx.partitions` map tasks, `ctx.reducers` shuffle
+//! buckets, `ctx.workers` threads and the run's cancellation token. A
+//! context with zero workers, partitions or reducers fails
+//! [`MiningContext::validate`] before any task runs, and a driver and its
+//! worker processes built from equal contexts agree on partitions and
+//! buckets.
+//!
+//! Every map and reduce task runs on [`desq_core::sched`] and inherits its
+//! task-boundary contract: a panicking task marks the run's
+//! [`CancelToken`] (when one is attached), the remaining workers stop at
+//! their next task boundary, and the round returns
+//! [`Error::WorkerPanicked`] instead of killing the process; the first
+//! task to return an error aborts the round with that error, unchanged.
+//! The token is polled between tasks; an expired deadline or external
+//! cancellation aborts the round with the token's
+//! [`stop_reason`](CancelToken::stop_reason).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -51,30 +72,6 @@ use desq_core::sched::{self, IndexedRun};
 use desq_core::{wire, Error, ItemId, MiningMetrics, Result, Sequence};
 
 use crate::transport::{PhaseStats, ShuffleTransport};
-
-/// Engine configuration: degree of parallelism plus an optional
-/// cancellation token.
-///
-/// `workers` is the number of threads running map/reduce tasks (the paper's
-/// executor cores); `reducers` the number of shuffle buckets (reduce tasks).
-///
-/// # Failure domains
-///
-/// Every map and reduce task runs on [`desq_core::sched`] and inherits its
-/// task-boundary contract: a panicking task marks the job's
-/// [`CancelToken`] (when one is attached), the remaining workers stop at
-/// their next task boundary, and the job returns
-/// [`Error::WorkerPanicked`] instead of killing the process; the first
-/// task to return an error aborts the job with that error, unchanged. An
-/// engine built [`for_context`](Engine::for_context) polls the run's token
-/// between tasks; an expired deadline or external cancellation aborts the
-/// job with the token's [`stop_reason`](CancelToken::stop_reason).
-#[derive(Debug, Clone)]
-pub struct Engine {
-    workers: usize,
-    reducers: usize,
-    cancel: Option<CancelToken>,
-}
 
 /// The routing hash of a pivot key: [`hash_bytes`] over its varint, the
 /// bytes the key has on the wire.
@@ -105,7 +102,7 @@ struct CombineEntry {
     weight: u64,
 }
 
-/// Map-side emitter of [`Engine::map_combine_reduce_via`].
+/// Map-side emitter of [`map_combine_reduce_via`].
 ///
 /// [`emit`](Combiner::emit) performs MapReduce-style *weighted
 /// deduplication*: triples with identical `(pivot, payload)` within one map
@@ -315,7 +312,7 @@ impl Combiner {
 /// socket is a plain byte copy.
 pub struct MapTaskOut {
     /// One encoded chunk per reduce bucket (an empty bucket is an empty
-    /// chunk). Always exactly [`Engine::reducers`] entries.
+    /// chunk). Always exactly `ctx.reducers` entries.
     pub buckets: Vec<Vec<u8>>,
     /// Records emitted by the mapper, before combining.
     pub emitted: u64,
@@ -488,404 +485,378 @@ fn decode_bucket_outputs(bytes: &[u8], out: &mut Vec<(Sequence, u64)>) -> Result
     wire::expect_end(slice, "bucket output")
 }
 
-impl Engine {
-    /// An engine with `workers` threads and as many reduce buckets.
-    pub fn new(workers: usize) -> Engine {
-        let workers = workers.max(1);
-        Engine {
-            workers,
-            reducers: workers,
-            cancel: None,
-        }
-    }
+/// The map inputs of a round over `ctx`, once `ctx` is valid: its
+/// database cut into `ctx.partitions` contiguous chunks.
+fn partitions<'c>(ctx: &MiningContext<'c>) -> Result<Vec<&'c [Sequence]>> {
+    ctx.validate()?;
+    Ok(ctx.db.partition(ctx.partitions))
+}
 
-    /// Overrides the number of reduce buckets.
-    pub fn with_reducers(mut self, reducers: usize) -> Engine {
-        self.reducers = reducers.max(1);
-        self
-    }
+/// Runs a map → shuffle → reduce round without a combiner, in process
+/// only. Its one caller is D-CAND's no-aggregation ablation (Fig. 10b,
+/// "tries, no agg"), which must ship and expand every NFA copy: the
+/// combining round ([`map_combine_reduce_via`]) would merge identical
+/// payloads on both sides and change the figure's time and bytes.
+///
+/// The mapper emits the combining round's `(pivot, payload, weight)`
+/// triples, each written to its bucket as it comes:
+/// `varint(pivot), varint(len), payload, varint(weight)`. The reducer
+/// takes the combining round's arguments: each pivot once, pivots
+/// ascending within a bucket, with every record it received — duplicates
+/// included, in map-task emission order — as payload slices borrowed
+/// from the shuffle buffers. `init` runs once per reduce worker.
+pub fn map_reduce<S, MF, IF, RF>(
+    ctx: &MiningContext<'_>,
+    map: MF,
+    init: IF,
+    reduce: RF,
+) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
+where
+    S: Send,
+    MF: Fn(&[Sequence], &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> + Sync,
+    IF: Fn() -> S + Sync,
+    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+{
+    let parts = partitions(ctx)?;
+    let mut metrics = MiningMetrics::default();
 
-    /// The engine and map partitions of one mining run — the one place a
-    /// [`MiningContext`] becomes an engine: `ctx.workers` threads,
-    /// `ctx.reducers` buckets and the run's cancellation token (every job
-    /// polls it at task granularity and aborts with its stop reason once it
-    /// trips), over the database cut into `ctx.partitions` map chunks. A
-    /// driver and its worker processes built from equal contexts therefore
-    /// agree on partitions and buckets.
-    pub fn for_context<'c>(ctx: &MiningContext<'c>) -> (Engine, Vec<&'c [Sequence]>) {
-        let engine = Engine {
-            cancel: ctx.cancel.cloned(),
-            ..Engine::new(ctx.workers).with_reducers(ctx.reducers)
-        };
-        (engine, ctx.db.partition(ctx.partitions))
-    }
-
-    /// Polls the attached token (if any).
-    pub(crate) fn checkpoint(&self) -> Result<()> {
-        self.cancel.as_ref().map_or(Ok(()), CancelToken::checkpoint)
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of reduce buckets.
-    pub fn reducers(&self) -> usize {
-        self.reducers
-    }
-
-    /// Runs a map → shuffle → reduce round without a combiner, in process
-    /// only. Its one caller is D-CAND's no-aggregation ablation (Fig. 10b,
-    /// "tries, no agg"), which must ship and expand every NFA copy: the
-    /// combining round ([`map_combine_reduce_via`](Self::map_combine_reduce_via))
-    /// would merge identical payloads on both sides and change the figure's
-    /// time and bytes.
-    ///
-    /// The mapper emits the combining round's `(pivot, payload, weight)`
-    /// triples, each written to its bucket as it comes:
-    /// `varint(pivot), varint(len), payload, varint(weight)`. The reducer
-    /// takes the combining round's arguments: each pivot once, pivots
-    /// ascending within a bucket, with every record it received — duplicates
-    /// included, in map-task emission order — as payload slices borrowed
-    /// from the shuffle buffers. `init` runs once per reduce worker.
-    pub fn map_reduce<I, S, MF, IF, RF>(
-        &self,
-        parts: &[&[I]],
-        map: MF,
-        init: IF,
-        reduce: RF,
-    ) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
-    where
-        I: Sync,
-        S: Send,
-        MF: Fn(&[I], &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> + Sync,
-        IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
-    {
-        let mut metrics = MiningMetrics::default();
-
-        // ---- map phase ----
-        let t0 = Instant::now();
-        let reducers = self.reducers;
-        let mapped = self.run_tasks(parts.len(), |t| {
-            let mut buckets = vec![Vec::new(); reducers];
-            let mut emitted = 0u64;
-            map(parts[t], &mut |pivot, payload, weight| {
-                let buf = &mut buckets[bucket_of(key_hash(pivot), reducers)];
-                write_varint(buf, u64::from(pivot));
-                write_bytes(buf, payload);
-                write_varint(buf, weight);
-                emitted += 1;
-            })?;
-            Ok(MapTaskOut {
-                buckets,
-                emitted,
-                shuffled: emitted,
-                payloads: 0,
-            })
+    // ---- map phase ----
+    let t0 = Instant::now();
+    let reducers = ctx.reducers;
+    let mapped = run_tasks(ctx, parts.len(), |t| {
+        let mut buckets = vec![Vec::new(); reducers];
+        let mut emitted = 0u64;
+        map(parts[t], &mut |pivot, payload, weight| {
+            let buf = &mut buckets[bucket_of(key_hash(pivot), reducers)];
+            write_varint(buf, u64::from(pivot));
+            write_bytes(buf, payload);
+            write_varint(buf, weight);
+            emitted += 1;
         })?;
-        metrics.map_nanos = t0.elapsed().as_nanos() as u64;
+        Ok(MapTaskOut {
+            buckets,
+            emitted,
+            shuffled: emitted,
+            payloads: 0,
+        })
+    })?;
+    metrics.map_nanos = t0.elapsed().as_nanos() as u64;
 
-        let chunks = self.regroup(mapped.results, &mut metrics);
+    let chunks = regroup(reducers, mapped.results, &mut metrics);
 
-        // ---- reduce phase ----
-        let t1 = Instant::now();
-        let reduced = sched::run_indexed(
-            self.reducers,
-            self.workers,
-            self.cancel.as_ref(),
-            init,
-            |t, state: &mut S| {
-                let mut groups: BTreeMap<ItemId, Vec<(&[u8], u64)>> = BTreeMap::new();
-                for chunk in &chunks[t] {
-                    let mut slice = chunk.as_slice();
-                    while !slice.is_empty() {
-                        let pivot = read_key(&mut slice)?;
-                        let rec = (read_bytes(&mut slice)?, read_varint(&mut slice)?);
-                        groups.entry(pivot).or_default().push(rec);
-                    }
-                }
-                let mut out = Vec::new();
-                for (pivot, recs) in &groups {
-                    reduce(state, *pivot, recs, &mut |o| out.push(o))?;
-                }
-                Ok(out)
-            },
-        )?;
-        metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        metrics.max_task_nanos = mapped.max_task_nanos.max(reduced.max_task_nanos);
-
-        let flat: Vec<(Sequence, u64)> = reduced.results.into_iter().flatten().collect();
-        metrics.output_records = flat.len() as u64;
-        metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
-        Ok((flat, metrics))
-    }
-
-    /// Runs one map → combine → shuffle → reduce round through
-    /// `transport`: in this process ([`InProcess`](crate::transport::InProcess))
-    /// or as the driver of worker processes serving it with
-    /// [`run_worker`](Self::run_worker)
-    /// ([`NetCoordinator`](crate::transport::NetCoordinator)).
-    ///
-    /// The mapper receives one input partition and a [`Combiner`]: it emits
-    /// `(pivot, payload bytes, weight)` triples, where the payload is
-    /// pre-encoded **once** by the caller (for item sequences with
-    /// [`encode_item_seq`]) and shared across emissions. Triples with
-    /// identical `(pivot, payload)` within one map task are merged by
-    /// summing weights before serialization, and payload byte strings are
-    /// interned per bucket chunk — the aggregation D-CAND applies to
-    /// identical NFAs (Sec. VI-A) and D-SEQ/LASH apply to identical
-    /// rewritten sequences.
-    ///
-    /// The reducer is invoked once per pivot with all distinct payloads and
-    /// their total weights (merged across map tasks), each payload a slice
-    /// *borrowed from the shuffle buffers* — equal payloads share one
-    /// slice — in first-arrival order (map task, then record); within a
-    /// bucket, pivots come in ascending order. Key groups are batched
-    /// into tasks under work stealing in whichever process holds the
-    /// buckets, so a hot D-SEQ pivot does not pin its bucket to one thread.
-    /// `init` runs once per worker per reduce call (all buckets in process,
-    /// one bucket on a worker process); payload slices outlive that state,
-    /// so caches keyed on their identity (D-SEQ's table index) stay valid.
-    ///
-    /// The emitted patterns cross the transport encoded (see the module
-    /// docs) and come back in a deterministic order — buckets in order,
-    /// pivots ascending within a bucket — whatever the transport, worker
-    /// count or steal schedule.
-    /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
-    /// key-group tasks in process and shipped buckets over the network.
-    pub fn map_combine_reduce_via<I, S, MF, IF, RF>(
-        &self,
-        transport: &dyn ShuffleTransport,
-        parts: &[&[I]],
-        map: MF,
-        init: IF,
-        reduce: RF,
-    ) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
-    where
-        I: Sync,
-        S: Send,
-        MF: Fn(&[I], &mut Combiner) -> Result<()> + Sync,
-        IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
-    {
-        let mut metrics = MiningMetrics::default();
-        let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
-            metrics.retried_tasks += s.retried_tasks;
-            metrics.peer_timeouts += s.peer_timeouts;
-            metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
-            metrics.tasks += s.tasks;
-            metrics.steals += s.steals;
-        };
-
-        // ---- map + combine phase ----
-        let t0 = Instant::now();
-        let reducers = self.reducers;
-        let map_local = |t: usize| -> Result<MapTaskOut> {
-            let mut combiner = Combiner::new(reducers);
-            map(parts[t], &mut combiner)?;
-            Ok(combiner.into_task_out())
-        };
-        let (outs, stats) = transport.map_phase(self, parts.len(), &map_local)?;
-        metrics.map_nanos = t0.elapsed().as_nanos() as u64;
-        merge_stats(&mut metrics, &stats);
-
-        let chunks = self.regroup(outs, &mut metrics);
-
-        // ---- reduce phase ----
-        let t1 = Instant::now();
-        let reduce_local = |buckets: &[Vec<Vec<u8>>]| self.reduce_buckets(buckets, &init, &reduce);
-        let (bucket_outs, stats) = transport.reduce_phase(self, chunks, &reduce_local)?;
-        metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-        merge_stats(&mut metrics, &stats);
-
-        let mut flat: Vec<(Sequence, u64)> = Vec::new();
-        for bytes in bucket_outs {
-            decode_bucket_outputs(&bytes, &mut flat)?;
-        }
-        metrics.output_records = flat.len() as u64;
-        metrics.cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_stopped);
-        Ok((flat, metrics))
-    }
-
-    /// Serves one distributed job as a worker process: connects to the
-    /// coordinator at `addr` (under the default
-    /// [`RetryPolicy`](desq_core::retry::RetryPolicy)), executes the map tasks
-    /// and reduces the buckets it is assigned (key groups balanced across
-    /// this engine's workers) against this process's own copy of `parts`
-    /// and the job closures, and returns when the coordinator ends the job.
-    ///
-    /// Every process in the job must derive the *same* partition list and
-    /// closures (same corpus, same configuration) — only task ids and
-    /// encoded bytes cross the wire. Returns [`Error::PeerUnreachable`]
-    /// once the reconnect budget is spent.
-    pub fn run_worker<I, S, MF, IF, RF>(
-        &self,
-        addr: std::net::SocketAddr,
-        parts: &[&[I]],
-        map: MF,
-        init: IF,
-        reduce: RF,
-    ) -> Result<()>
-    where
-        S: Send,
-        MF: Fn(&[I], &mut Combiner) -> Result<()>,
-        IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
-    {
-        let reducers = self.reducers;
-        let on_map = |task: u64| -> Result<MapTaskOut> {
-            let part = parts.get(task as usize).ok_or_else(|| {
-                Error::Invalid(format!(
-                    "map task {task} out of range ({} partitions)",
-                    parts.len()
-                ))
-            })?;
-            let mut combiner = Combiner::new(reducers);
-            map(part, &mut combiner)?;
-            Ok(combiner.into_task_out())
-        };
-        let on_reduce = |buckets: &[Vec<Vec<u8>>]| self.reduce_buckets(buckets, &init, &reduce);
-        crate::transport::worker_loop(addr, &on_map, &on_reduce)
-    }
-
-    /// The one reduce of a round, over `chunks` (one list per bucket): each
-    /// bucket's outputs encoded for the transport plus the phase counters.
-    /// Buckets are merged in parallel, then the key groups of all of them
-    /// run as stealable tasks with one `init()` state per worker.
-    fn reduce_buckets<S, IF, RF>(
-        &self,
-        chunks: &[Vec<Vec<u8>>],
-        init: &IF,
-        reduce: &RF,
-    ) -> Result<(Vec<Vec<u8>>, PhaseStats)>
-    where
-        S: Send,
-        IF: Fn() -> S,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
-    {
-        // Step 1 (parallel, one task per bucket): decode the shuffle
-        // chunks and merge them into key groups.
-        let merged = self.run_tasks(chunks.len(), |t| merge_bucket(&chunks[t]))?;
-        let buckets = &merged.results;
-
-        // Step 2: batch adjacent light key groups of a bucket into tasks
-        // and run the tasks under work stealing, so a heavy key group (a
-        // hot D-SEQ pivot) is balanced across workers instead of pinning
-        // its whole bucket to one thread. A task closes at a bucket
-        // boundary (keeps output bookkeeping simple), once it holds enough
-        // records to amortize a queue round trip, or at a group-count cap
-        // so huge flocks of trivial keys still split; a single heavy group
-        // always gets its own task.
-        const RECS_PER_TASK: usize = 256;
-        const GROUPS_PER_TASK: usize = 64;
-        let mut tasks: Vec<(usize, Range<usize>)> = Vec::new(); // (bucket, groups)
-        for (b, bucket) in buckets.iter().enumerate() {
-            let (mut start, mut recs_in) = (0usize, 0usize);
-            for (g, (_, recs)) in bucket.groups.iter().enumerate() {
-                recs_in += recs.len();
-                let last = g + 1 == bucket.groups.len();
-                if last || recs_in >= RECS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
-                    tasks.push((b, start..g + 1));
-                    start = g + 1;
-                    recs_in = 0;
+    // ---- reduce phase ----
+    let t1 = Instant::now();
+    let reduced = sched::run_indexed(
+        reducers,
+        ctx.workers,
+        ctx.cancel,
+        init,
+        |t, state: &mut S| {
+            let mut groups: BTreeMap<ItemId, Vec<(&[u8], u64)>> = BTreeMap::new();
+            for chunk in &chunks[t] {
+                let mut slice = chunk.as_slice();
+                while !slice.is_empty() {
+                    let pivot = read_key(&mut slice)?;
+                    let rec = (read_bytes(&mut slice)?, read_varint(&mut slice)?);
+                    groups.entry(pivot).or_default().push(rec);
                 }
             }
-        }
+            let mut out = Vec::new();
+            for (pivot, recs) in &groups {
+                reduce(state, *pivot, recs, &mut |o| out.push(o))?;
+            }
+            Ok(out)
+        },
+    )?;
+    metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
+    metrics.max_task_nanos = mapped.max_task_nanos.max(reduced.max_task_nanos);
 
-        // Tasks are numbered in (bucket, key) order, so the index-ordered
-        // results reproduce the sequential per-bucket iteration exactly.
-        let reduced = sched::run_indexed(
-            tasks.len(),
-            self.workers,
-            self.cancel.as_ref(),
-            init,
-            |ti, state: &mut S| {
-                let (b, ref groups) = tasks[ti];
-                let bucket = &buckets[b];
-                let (mut n, mut bytes) = (0u64, Vec::new());
-                for (pivot, recs) in &bucket.groups[groups.clone()] {
-                    let mut emit = |(pattern, freq): (Sequence, u64)| {
-                        n += 1;
-                        encode_item_seq(&pattern, &mut bytes);
-                        write_varint(&mut bytes, freq);
-                    };
-                    reduce(state, *pivot, &bucket.recs[recs.clone()], &mut emit)?;
-                }
-                Ok((n, bytes))
-            },
-        )?;
+    let flat: Vec<(Sequence, u64)> = reduced.results.into_iter().flatten().collect();
+    metrics.output_records = flat.len() as u64;
+    metrics.cancelled = ctx.cancel.is_some_and(CancelToken::is_stopped);
+    Ok((flat, metrics))
+}
 
-        // No task straddles a bucket: a bucket's outputs are its tasks', in
-        // task order, and cross the transport as `varint(#outputs)` + each.
-        let mut counts = vec![0u64; chunks.len()];
-        for ((b, _), (n, _)) in tasks.iter().zip(&reduced.results) {
-            counts[*b] += n;
-        }
-        let mut encoded: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-        for (buf, n) in encoded.iter_mut().zip(counts) {
-            write_varint(buf, n);
-        }
-        for ((b, _), (_, bytes)) in tasks.iter().zip(reduced.results) {
-            encoded[*b].extend_from_slice(&bytes);
-        }
-        let stats = PhaseStats {
-            max_task_nanos: merged.max_task_nanos.max(reduced.max_task_nanos),
-            tasks: reduced.tasks,
-            steals: reduced.steals,
-            ..PhaseStats::default()
-        };
-        Ok((encoded, stats))
+/// Runs one map → combine → shuffle → reduce round through `transport`:
+/// in this process ([`InProcess`](crate::transport::InProcess)) or as the
+/// driver of worker processes serving it with [`run_worker`]
+/// ([`NetCoordinator`](crate::transport::NetCoordinator)).
+///
+/// The mapper receives one input partition and a [`Combiner`]: it emits
+/// `(pivot, payload bytes, weight)` triples, where the payload is
+/// pre-encoded **once** by the caller (for item sequences with
+/// [`encode_item_seq`]) and shared across emissions. Triples with
+/// identical `(pivot, payload)` within one map task are merged by summing
+/// weights before serialization, and payload byte strings are interned
+/// per bucket chunk — the aggregation D-CAND applies to identical NFAs
+/// (Sec. VI-A) and D-SEQ/LASH apply to identical rewritten sequences.
+///
+/// The reducer is invoked once per pivot with all distinct payloads and
+/// their total weights (merged across map tasks), each payload a slice
+/// *borrowed from the shuffle buffers* — equal payloads share one slice —
+/// in first-arrival order (map task, then record); within a bucket, pivots
+/// come in ascending order. Key groups are batched into tasks under work
+/// stealing in whichever process holds the buckets, so a hot D-SEQ pivot
+/// does not pin its bucket to one thread. `init` runs once per worker per
+/// reduce call (all buckets in process, one bucket on a worker process);
+/// payload slices outlive that state, so caches keyed on their identity
+/// (D-SEQ's table index) stay valid.
+///
+/// The emitted patterns cross the transport encoded (see the module docs)
+/// and come back in a deterministic order — buckets in order, pivots
+/// ascending within a bucket — whatever the transport, worker count or
+/// steal schedule. [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals)
+/// count key-group tasks in process and shipped buckets over the network.
+pub fn map_combine_reduce_via<S, MF, IF, RF>(
+    ctx: &MiningContext<'_>,
+    transport: &dyn ShuffleTransport,
+    map: MF,
+    init: IF,
+    reduce: RF,
+) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
+where
+    S: Send,
+    MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
+    IF: Fn() -> S + Sync,
+    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+{
+    let parts = partitions(ctx)?;
+    let mut metrics = MiningMetrics::default();
+    let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
+        metrics.retried_tasks += s.retried_tasks;
+        metrics.peer_timeouts += s.peer_timeouts;
+        metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
+        metrics.tasks += s.tasks;
+        metrics.steals += s.steals;
+    };
+
+    // ---- map + combine phase ----
+    let t0 = Instant::now();
+    let map_local = |t: usize| -> Result<MapTaskOut> {
+        let mut combiner = Combiner::new(ctx.reducers);
+        map(parts[t], &mut combiner)?;
+        Ok(combiner.into_task_out())
+    };
+    let (outs, stats) = transport.map_phase(ctx, parts.len(), &map_local)?;
+    metrics.map_nanos = t0.elapsed().as_nanos() as u64;
+    merge_stats(&mut metrics, &stats);
+
+    let chunks = regroup(ctx.reducers, outs, &mut metrics);
+
+    // ---- reduce phase ----
+    let t1 = Instant::now();
+    let reduce_local = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
+    let (bucket_outs, stats) = transport.reduce_phase(ctx, chunks, &reduce_local)?;
+    metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
+    merge_stats(&mut metrics, &stats);
+
+    let mut flat: Vec<(Sequence, u64)> = Vec::new();
+    for bytes in bucket_outs {
+        decode_bucket_outputs(&bytes, &mut flat)?;
     }
+    metrics.output_records = flat.len() as u64;
+    metrics.cancelled = ctx.cancel.is_some_and(CancelToken::is_stopped);
+    Ok((flat, metrics))
+}
 
-    /// Runs `n` independent stateless tasks on the worker pool
-    /// ([`sched::run_indexed`] bound to this engine's workers and token).
-    pub(crate) fn run_tasks<T: Send>(
-        &self,
-        n: usize,
-        task: impl Fn(usize) -> Result<T> + Sync,
-    ) -> Result<IndexedRun<T>> {
-        sched::run_indexed(
-            n,
-            self.workers,
-            self.cancel.as_ref(),
-            || (),
-            |t, ()| task(t),
-        )
-    }
+/// Serves one distributed round as a worker process: connects to the
+/// coordinator at `addr` (under the default
+/// [`RetryPolicy`](desq_core::retry::RetryPolicy)), executes the map tasks
+/// and reduces the buckets it is assigned (key groups balanced across
+/// `ctx.workers` threads) against this process's own copy of the
+/// partitions and the round's closures, and returns when the coordinator
+/// ends the round.
+///
+/// Every process in the round must build an equal context (same corpus,
+/// same parallelism) and the same closures — only task ids and encoded
+/// bytes cross the wire. Returns [`Error::PeerUnreachable`] once the
+/// reconnect budget is spent.
+pub fn run_worker<S, MF, IF, RF>(
+    ctx: &MiningContext<'_>,
+    addr: std::net::SocketAddr,
+    map: MF,
+    init: IF,
+    reduce: RF,
+) -> Result<()>
+where
+    S: Send,
+    MF: Fn(&[Sequence], &mut Combiner) -> Result<()>,
+    IF: Fn() -> S + Sync,
+    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+{
+    let parts = partitions(ctx)?;
+    let on_map = |task: u64| -> Result<MapTaskOut> {
+        let part = parts.get(task as usize).ok_or_else(|| {
+            Error::Invalid(format!(
+                "map task {task} out of range ({} partitions)",
+                parts.len()
+            ))
+        })?;
+        let mut combiner = Combiner::new(ctx.reducers);
+        map(part, &mut combiner)?;
+        Ok(combiner.into_task_out())
+    };
+    let on_reduce = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
+    crate::transport::worker_loop(addr, &on_map, &on_reduce)
+}
 
-    /// Transposes map-task outputs into per-reducer chunk lists and fills in
-    /// shuffle metrics.
-    fn regroup(&self, outs: Vec<MapTaskOut>, metrics: &mut MiningMetrics) -> Vec<Vec<Vec<u8>>> {
-        let mut chunks: Vec<Vec<Vec<u8>>> = (0..self.reducers).map(|_| Vec::new()).collect();
-        let mut reducer_bytes = vec![0u64; self.reducers];
-        for out in outs {
-            metrics.emitted_records += out.emitted;
-            metrics.shuffle_records += out.shuffled;
-            metrics.shuffle_payloads += out.payloads;
-            for (r, buf) in out.buckets.into_iter().enumerate() {
-                reducer_bytes[r] += buf.len() as u64;
-                if !buf.is_empty() {
-                    chunks[r].push(buf);
-                }
+/// The one reduce of a round, over `chunks` (one list per bucket): each
+/// bucket's outputs encoded for the transport plus the phase counters.
+/// Buckets are merged in parallel, then the key groups of all of them run
+/// as stealable tasks with one `init()` state per worker.
+fn reduce_buckets<S, IF, RF>(
+    ctx: &MiningContext<'_>,
+    chunks: &[Vec<Vec<u8>>],
+    init: &IF,
+    reduce: &RF,
+) -> Result<(Vec<Vec<u8>>, PhaseStats)>
+where
+    S: Send,
+    IF: Fn() -> S,
+    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+{
+    // Step 1 (parallel, one task per bucket): decode the shuffle chunks
+    // and merge them into key groups.
+    let merged = run_tasks(ctx, chunks.len(), |t| merge_bucket(&chunks[t]))?;
+    let buckets = &merged.results;
+
+    // Step 2: batch adjacent light key groups of a bucket into tasks and
+    // run the tasks under work stealing, so a heavy key group (a hot D-SEQ
+    // pivot) is balanced across workers instead of pinning its whole
+    // bucket to one thread. A task closes at a bucket boundary (keeps
+    // output bookkeeping simple), once it holds enough records to amortize
+    // a queue round trip, or at a group-count cap so huge flocks of
+    // trivial keys still split; a single heavy group always gets its own
+    // task.
+    const RECS_PER_TASK: usize = 256;
+    const GROUPS_PER_TASK: usize = 64;
+    let mut tasks: Vec<(usize, Range<usize>)> = Vec::new(); // (bucket, groups)
+    for (b, bucket) in buckets.iter().enumerate() {
+        let (mut start, mut recs_in) = (0usize, 0usize);
+        for (g, (_, recs)) in bucket.groups.iter().enumerate() {
+            recs_in += recs.len();
+            let last = g + 1 == bucket.groups.len();
+            if last || recs_in >= RECS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
+                tasks.push((b, start..g + 1));
+                start = g + 1;
+                recs_in = 0;
             }
         }
-        metrics.shuffle_bytes = reducer_bytes.iter().sum();
-        metrics.reducer_bytes = reducer_bytes;
-        chunks
     }
+
+    // Tasks are numbered in (bucket, key) order, so the index-ordered
+    // results reproduce the sequential per-bucket iteration exactly.
+    let reduced = sched::run_indexed(
+        tasks.len(),
+        ctx.workers,
+        ctx.cancel,
+        init,
+        |ti, state: &mut S| {
+            let (b, ref groups) = tasks[ti];
+            let bucket = &buckets[b];
+            let (mut n, mut bytes) = (0u64, Vec::new());
+            for (pivot, recs) in &bucket.groups[groups.clone()] {
+                let mut emit = |(pattern, freq): (Sequence, u64)| {
+                    n += 1;
+                    encode_item_seq(&pattern, &mut bytes);
+                    write_varint(&mut bytes, freq);
+                };
+                reduce(state, *pivot, &bucket.recs[recs.clone()], &mut emit)?;
+            }
+            Ok((n, bytes))
+        },
+    )?;
+
+    // No task straddles a bucket: a bucket's outputs are its tasks', in
+    // task order, and cross the transport as `varint(#outputs)` + each.
+    let mut counts = vec![0u64; chunks.len()];
+    for ((b, _), (n, _)) in tasks.iter().zip(&reduced.results) {
+        counts[*b] += n;
+    }
+    let mut encoded: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
+    for (buf, n) in encoded.iter_mut().zip(counts) {
+        write_varint(buf, n);
+    }
+    for ((b, _), (_, bytes)) in tasks.iter().zip(reduced.results) {
+        encoded[*b].extend_from_slice(&bytes);
+    }
+    let stats = PhaseStats {
+        max_task_nanos: merged.max_task_nanos.max(reduced.max_task_nanos),
+        tasks: reduced.tasks,
+        steals: reduced.steals,
+        ..PhaseStats::default()
+    };
+    Ok((encoded, stats))
+}
+
+/// Runs `n` independent stateless tasks on the worker pool
+/// ([`sched::run_indexed`] bound to `ctx`'s workers and token).
+pub(crate) fn run_tasks<T: Send>(
+    ctx: &MiningContext<'_>,
+    n: usize,
+    task: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<IndexedRun<T>> {
+    sched::run_indexed(n, ctx.workers, ctx.cancel, || (), |t, ()| task(t))
+}
+
+/// Transposes map-task outputs into per-reducer chunk lists and fills in
+/// shuffle metrics.
+fn regroup(
+    reducers: usize,
+    outs: Vec<MapTaskOut>,
+    metrics: &mut MiningMetrics,
+) -> Vec<Vec<Vec<u8>>> {
+    let mut chunks: Vec<Vec<Vec<u8>>> = (0..reducers).map(|_| Vec::new()).collect();
+    let mut reducer_bytes = vec![0u64; reducers];
+    for out in outs {
+        metrics.emitted_records += out.emitted;
+        metrics.shuffle_records += out.shuffled;
+        metrics.shuffle_payloads += out.payloads;
+        for (r, buf) in out.buckets.into_iter().enumerate() {
+            reducer_bytes[r] += buf.len() as u64;
+            if !buf.is_empty() {
+                chunks[r].push(buf);
+            }
+        }
+    }
+    metrics.shuffle_bytes = reducer_bytes.iter().sum();
+    metrics.reducer_bytes = reducer_bytes;
+    chunks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::{InProcess, NetCoordinator};
+    use desq_core::{Dictionary, DictionaryBuilder, SequenceDb};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::LazyLock;
+
+    /// A round never reads the dictionary; a context still holds one.
+    static DICT: LazyLock<Dictionary> = LazyLock::new(|| {
+        DictionaryBuilder::new()
+            .freeze(&SequenceDb::default())
+            .unwrap()
+            .0
+    });
+
+    /// A round over `db`: `workers` threads, `partitions` map tasks,
+    /// `reducers` buckets.
+    fn ctx(
+        db: &SequenceDb,
+        workers: usize,
+        partitions: usize,
+        reducers: usize,
+    ) -> MiningContext<'_> {
+        MiningContext::sequential(db, &DICT, 1)
+            .with_parallelism(workers, partitions)
+            .with_reducers(reducers)
+    }
+
+    /// One single-item sequence per item of `items`.
+    fn singletons(items: impl IntoIterator<Item = u32>) -> SequenceDb {
+        SequenceDb::new(items.into_iter().map(|x| vec![x]).collect())
+    }
 
     /// The reducer of a distributed word count: the pivot and its total
     /// weight.
@@ -904,27 +875,28 @@ mod tests {
         u64::from(u32::from_le_bytes(bytes.try_into().unwrap()))
     }
 
+    /// A mapper emitting each item as its own pivot with an empty payload.
+    fn each_item(part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> {
+        for &x in part.iter().flatten() {
+            emit(x, &[], 1);
+        }
+        Ok(())
+    }
+
+    /// A combining mapper emitting each item as its own pivot with an
+    /// empty payload.
+    fn combine_each_item(part: &[Sequence], c: &mut Combiner) -> Result<()> {
+        for &x in part.iter().flatten() {
+            c.emit(x, b"", 1);
+        }
+        Ok(())
+    }
+
     /// Distributed word count: the "hello world" of the model.
     #[test]
     fn word_count() {
-        let data: Vec<Vec<u32>> = vec![vec![1, 2, 2], vec![2, 3], vec![1, 1, 1]];
-        let parts: Vec<&[Vec<u32>]> = vec![&data[0..2], &data[2..3]];
-        let engine = Engine::new(4);
-        let (mut out, metrics) = engine
-            .map_reduce(
-                &parts,
-                |part: &[Vec<u32>], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                    for seq in part {
-                        for &w in seq {
-                            emit(w, &[], 1);
-                        }
-                    }
-                    Ok(())
-                },
-                || (),
-                count,
-            )
-            .unwrap();
+        let db = SequenceDb::new(vec![vec![1, 2, 2], vec![2, 3], vec![1, 1, 1]]);
+        let (mut out, metrics) = map_reduce(&ctx(&db, 4, 2, 4), each_item, || (), count).unwrap();
         out.sort();
         assert_eq!(out, vec![(vec![1], 4), (vec![2], 3), (vec![3], 1)]);
         assert_eq!(metrics.emitted_records, 8);
@@ -935,21 +907,15 @@ mod tests {
 
     #[test]
     fn combiner_reduces_shuffle_volume() {
-        let data: Vec<Vec<u32>> = vec![vec![7; 100], vec![7; 100]];
-        let parts: Vec<&[Vec<u32>]> = vec![&data[0..1], &data[1..2]];
-        let engine = Engine::new(2);
-
-        let map = |part: &[Vec<u32>], out: &mut Combiner| {
-            for seq in part {
-                for &w in seq {
-                    out.emit(w, &w.to_le_bytes(), 1);
-                }
+        let db = SequenceDb::new(vec![vec![7; 100], vec![7; 100]]);
+        let map = |part: &[Sequence], out: &mut Combiner| {
+            for &w in part.iter().flatten() {
+                out.emit(w, &w.to_le_bytes(), 1);
             }
             Ok(())
         };
-        let (out, metrics) = engine
-            .map_combine_reduce_via(&InProcess, &parts, map, || (), count)
-            .unwrap();
+        let (out, metrics) =
+            map_combine_reduce_via(&ctx(&db, 2, 2, 2), &InProcess, map, || (), count).unwrap();
         assert_eq!(out, vec![(vec![7], 200)]);
         assert_eq!(metrics.emitted_records, 200);
         // Each map task combines its 100 identical records into one.
@@ -961,29 +927,26 @@ mod tests {
     fn payload_interning_dedups_across_keys() {
         // One map task, many keys sharing one payload, one reducer: the
         // payload bytes must hit the wire exactly once.
-        let data: Vec<u32> = (0..64).collect();
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(1).with_reducers(1);
+        let db = singletons(0..64);
         let payload: Vec<u8> = vec![0xAB; 100];
-        let (out, metrics) = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |part: &[u32], c: &mut Combiner| {
-                    for &k in part {
-                        c.emit(k, &payload, 1);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                    assert_eq!(vs.len(), 1);
-                    assert_eq!(vs[0].0.len(), 100);
-                    emit((vec![k], 1));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let (out, metrics) = map_combine_reduce_via(
+            &ctx(&db, 1, 1, 1),
+            &InProcess,
+            |part: &[Sequence], c: &mut Combiner| {
+                for &k in part.iter().flatten() {
+                    c.emit(k, &payload, 1);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                assert_eq!(vs.len(), 1);
+                assert_eq!(vs[0].0.len(), 100);
+                emit((vec![k], 1));
+                Ok(())
+            },
+        )
+        .unwrap();
         assert_eq!(out.len(), 64);
         assert_eq!(metrics.shuffle_records, 64);
         assert_eq!(metrics.shuffle_payloads, 1);
@@ -997,27 +960,24 @@ mod tests {
 
     #[test]
     fn combine_merges_weights_across_map_tasks() {
-        let data: Vec<u32> = vec![5, 5, 5, 5];
-        let parts: Vec<&[u32]> = data.chunks(1).collect(); // 4 map tasks
-        let engine = Engine::new(2).with_reducers(3);
-        let (out, metrics) = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |part: &[u32], c: &mut Combiner| {
-                    for &k in part {
-                        c.emit(k, b"payload", 2);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                    assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
-                    emit((vec![k], vs[0].1));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let db = singletons([5, 5, 5, 5]); // 4 map tasks
+        let (out, metrics) = map_combine_reduce_via(
+            &ctx(&db, 2, 4, 3),
+            &InProcess,
+            |part: &[Sequence], c: &mut Combiner| {
+                for &k in part.iter().flatten() {
+                    c.emit(k, b"payload", 2);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
+                emit((vec![k], vs[0].1));
+                Ok(())
+            },
+        )
+        .unwrap();
         assert_eq!(out, vec![(vec![5], 8)]);
         assert_eq!(metrics.shuffle_records, 4); // one per map task
     }
@@ -1083,26 +1043,23 @@ mod tests {
 
     #[test]
     fn reducer_sees_all_values_of_a_key_exactly_once() {
-        let data: Vec<u32> = (0..1000).collect();
-        let parts: Vec<&[u32]> = data.chunks(37).collect();
-        let engine = Engine::new(3).with_reducers(5);
-        let (mut out, metrics) = engine
-            .map_reduce(
-                &parts,
-                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                    for &x in part {
-                        emit(x % 10, &x.to_le_bytes(), 1);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                    let sum = vs.iter().map(|&(v, w)| value(v) * w).sum();
-                    emit((vec![k, vs.len() as u32], sum));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let db = singletons(0..1000);
+        let (mut out, metrics) = map_reduce(
+            &ctx(&db, 3, 28, 5),
+            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                for &x in part.iter().flatten() {
+                    emit(x % 10, &x.to_le_bytes(), 1);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                let sum = vs.iter().map(|&(v, w)| value(v) * w).sum();
+                emit((vec![k, vs.len() as u32], sum));
+                Ok(())
+            },
+        )
+        .unwrap();
         out.sort();
         assert_eq!(out.len(), 10);
         for (key, sum) in out {
@@ -1119,89 +1076,100 @@ mod tests {
     fn map_reduce_ships_every_duplicate_in_emission_order() {
         // Two map tasks emit identical records: nothing merges, and a
         // pivot's records arrive in map-task emission order.
-        let data: Vec<u32> = vec![1, 2, 1, 2];
-        let parts: Vec<&[u32]> = data.chunks(2).collect();
-        let (out, metrics) = Engine::new(2)
-            .with_reducers(1)
-            .map_reduce(
-                &parts,
-                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                    for &x in part {
-                        emit(300, &x.to_le_bytes(), 1);
-                        emit(7, b"same", 1);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                    let mut key = vec![k];
-                    if k == 300 {
-                        key.extend(vs.iter().map(|&(v, _)| value(v) as u32));
-                    }
-                    emit((key, vs.len() as u64));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let db = SequenceDb::new(vec![vec![1, 2], vec![1, 2]]);
+        let (out, metrics) = map_reduce(
+            &ctx(&db, 2, 2, 1),
+            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                for &x in part.iter().flatten() {
+                    emit(300, &x.to_le_bytes(), 1);
+                    emit(7, b"same", 1);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                let mut key = vec![k];
+                if k == 300 {
+                    key.extend(vs.iter().map(|&(v, _)| value(v) as u32));
+                }
+                emit((key, vs.len() as u64));
+                Ok(())
+            },
+        )
+        .unwrap();
         assert_eq!(out, vec![(vec![7], 4), (vec![300, 1, 2, 1, 2], 4)]);
         assert_eq!(metrics.shuffle_records, 8);
     }
 
     #[test]
     fn mapper_error_aborts_job() {
-        let data = vec![1u32, 2, 3];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(2);
-        let err = engine
-            .map_reduce(
-                &parts,
-                |part: &[u32], _emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                    if part.contains(&2) {
-                        Err(Error::ResourceExhausted("boom".into()))
-                    } else {
-                        Ok(())
-                    }
-                },
-                || (),
-                count,
-            )
-            .unwrap_err();
+        let db = SequenceDb::new(vec![vec![1, 2, 3]]);
+        let err = map_reduce(
+            &ctx(&db, 2, 1, 2),
+            |part: &[Sequence], _emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                if part.iter().flatten().any(|&x| x == 2) {
+                    Err(Error::ResourceExhausted("boom".into()))
+                } else {
+                    Ok(())
+                }
+            },
+            || (),
+            count,
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
-    }
-
-    /// A mapper emitting each item as its own pivot with an empty payload.
-    fn each_item(part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> {
-        for &x in part {
-            emit(x, &[], 1);
-        }
-        Ok(())
     }
 
     #[test]
     fn reducer_error_aborts_job() {
-        let data = vec![1u32];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(2);
-        let err = engine
-            .map_reduce(
-                &parts,
-                each_item,
-                || (),
-                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
-                    Err(Error::Invalid("reduce failed".into()))
-                },
-            )
-            .unwrap_err();
+        let db = singletons([1]);
+        let err = map_reduce(
+            &ctx(&db, 2, 1, 2),
+            each_item,
+            || (),
+            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
+                Err(Error::Invalid("reduce failed".into()))
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::Invalid(_)));
     }
 
     #[test]
     fn empty_input() {
-        let parts: Vec<&[u32]> = vec![];
-        let engine = Engine::new(2);
-        let (out, metrics) = engine.map_reduce(&parts, each_item, || (), count).unwrap();
+        let db = SequenceDb::default();
+        let (out, metrics) = map_reduce(&ctx(&db, 2, 1, 2), each_item, || (), count).unwrap();
         assert!(out.is_empty());
         assert_eq!(metrics.shuffle_bytes, 0);
+    }
+
+    #[test]
+    fn zero_parallelism_fails_typed_before_any_map_task() {
+        let db = singletons([1, 2, 3]);
+        let maps = AtomicUsize::new(0);
+        let counted = |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+            maps.fetch_add(1, Ordering::Relaxed);
+            each_item(part, emit)
+        };
+        let combined = |part: &[Sequence], c: &mut Combiner| {
+            maps.fetch_add(1, Ordering::Relaxed);
+            combine_each_item(part, c)
+        };
+        for (workers, partitions, reducers) in [(0, 1, 1), (1, 0, 1), (1, 1, 0)] {
+            let ctx = ctx(&db, workers, partitions, reducers);
+            let plain = map_reduce(&ctx, counted, || (), count).unwrap_err();
+            let via = map_combine_reduce_via(&ctx, &InProcess, combined, || (), count).unwrap_err();
+            // Validation comes before the first connection attempt.
+            let addr = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
+            let worker = run_worker(&ctx, addr, combined, || (), count).unwrap_err();
+            for err in [plain, via, worker] {
+                assert!(
+                    matches!(err, Error::Invalid(_)),
+                    "{workers}/{partitions}/{reducers}: {err}"
+                );
+            }
+        }
+        assert_eq!(maps.into_inner(), 0);
     }
 
     #[test]
@@ -1221,59 +1189,53 @@ mod tests {
 
     #[test]
     fn results_identical_across_worker_counts() {
-        let data: Vec<u32> = (0..500).collect();
-        let parts: Vec<&[u32]> = data.chunks(23).collect();
+        let db = singletons(0..500);
         let run = |workers| {
-            let engine = Engine::new(workers);
-            let (mut out, _) = engine
-                .map_reduce(
-                    &parts,
-                    |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                        for &x in part {
-                            emit(x % 7, &[], u64::from(x));
-                        }
-                        Ok(())
-                    },
-                    || (),
-                    count,
-                )
-                .unwrap();
+            let (mut out, _) = map_reduce(
+                &ctx(&db, workers, 22, workers),
+                |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                    for &x in part.iter().flatten() {
+                        emit(x % 7, &[], u64::from(x));
+                    }
+                    Ok(())
+                },
+                || (),
+                count,
+            )
+            .unwrap();
             out.sort();
             out
         };
         assert_eq!(run(1), run(8));
     }
 
-    /// One combining round driven by a `NetCoordinator` over localhost and
-    /// served by one in-thread [`Engine::run_worker`] with `workers`
+    /// One combining round over `db` in `partitions` map tasks and
+    /// `reducers` buckets, driven by a one-thread `NetCoordinator` over
+    /// localhost and served by one in-thread [`run_worker`] with `workers`
     /// threads; driver and worker share the closures.
     fn via_tcp<S, MF, IF, RF>(
+        db: &SequenceDb,
         workers: usize,
+        partitions: usize,
         reducers: usize,
-        parts: &[&[u32]],
         map: MF,
         init: IF,
         reduce: RF,
     ) -> (Vec<(Sequence, u64)>, MiningMetrics)
     where
         S: Send,
-        MF: Fn(&[u32], &mut Combiner) -> Result<()> + Sync,
+        MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
         RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
             + Sync,
     {
         let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
         let addr = coord.local_addr().unwrap();
+        let worker_ctx = ctx(db, workers, partitions, reducers);
+        let driver_ctx = ctx(db, 1, partitions, reducers);
         std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                Engine::new(workers)
-                    .with_reducers(reducers)
-                    .run_worker(addr, parts, &map, &init, &reduce)
-            });
-            let round = Engine::new(1)
-                .with_reducers(reducers)
-                .map_combine_reduce_via(&coord, parts, &map, &init, &reduce)
-                .unwrap();
+            let worker = s.spawn(|| run_worker(&worker_ctx, addr, &map, &init, &reduce));
+            let round = map_combine_reduce_via(&driver_ctx, &coord, &map, &init, &reduce).unwrap();
             worker.join().unwrap().unwrap();
             round
         })
@@ -1284,20 +1246,23 @@ mod tests {
         // The work-stealing reduce must reproduce the sequential per-bucket
         // output order exactly, whether it runs in process or on a worker
         // process behind TCP — compare *unsorted* outputs.
-        let data: Vec<u32> = (0..3000).collect();
-        let parts: Vec<&[u32]> = data.chunks(370).collect();
-        let map = |part: &[u32], c: &mut Combiner| {
-            for &x in part {
+        let db = singletons(0..3000);
+        let map = |part: &[Sequence], c: &mut Combiner| {
+            for &x in part.iter().flatten() {
                 c.emit(x % 500, &x.to_le_bytes()[..1], 1);
             }
             Ok(())
         };
         for reducers in [1, 4] {
             let in_process = |workers| {
-                Engine::new(workers)
-                    .with_reducers(reducers)
-                    .map_combine_reduce_via(&InProcess, &parts, map, || (), count)
-                    .unwrap()
+                map_combine_reduce_via(
+                    &ctx(&db, workers, 9, reducers),
+                    &InProcess,
+                    map,
+                    || (),
+                    count,
+                )
+                .unwrap()
             };
             let (seq, seq_metrics) = in_process(1);
             assert_eq!(seq.len(), 500);
@@ -1308,7 +1273,7 @@ mod tests {
                 assert_eq!(metrics.tasks, seq_metrics.tasks);
             }
             for workers in [1, 3] {
-                let (remote, metrics) = via_tcp(workers, reducers, &parts, map, || (), count);
+                let (remote, metrics) = via_tcp(&db, workers, 9, reducers, map, || (), count);
                 assert_eq!(remote, seq, "TCP workers={workers} reducers={reducers}");
                 assert_eq!(metrics.tasks, reducers as u64, "one ReduceTask per bucket");
             }
@@ -1317,12 +1282,6 @@ mod tests {
 
     #[test]
     fn reduce_state_initializes_once_per_worker() {
-        let map = |part: &[u32], c: &mut Combiner| {
-            for &x in part {
-                c.emit(x, b"", 1);
-            }
-            Ok(())
-        };
         let inits = AtomicUsize::new(0);
         let init = || inits.fetch_add(1, Ordering::Relaxed);
         let reduce =
@@ -1333,12 +1292,15 @@ mod tests {
 
         // In process, 8 buckets but 3 workers: at most one state per
         // reduce worker for the whole round, not one per bucket.
-        let data: Vec<u32> = (0..200).collect();
-        let parts: Vec<&[u32]> = data.chunks(29).collect();
-        let (out, _) = Engine::new(3)
-            .with_reducers(8)
-            .map_combine_reduce_via(&InProcess, &parts, map, init, reduce)
-            .unwrap();
+        let db = singletons(0..200);
+        let (out, _) = map_combine_reduce_via(
+            &ctx(&db, 3, 7, 8),
+            &InProcess,
+            combine_each_item,
+            init,
+            reduce,
+        )
+        .unwrap();
         assert_eq!(out.len(), 200);
         assert!(
             inits.swap(0, Ordering::Relaxed) <= 3,
@@ -1349,9 +1311,8 @@ mod tests {
         // `ReduceTask`. Each bucket holds ~1000 key groups (16 tasks), so
         // its key groups are spread over all 3 threads — more states than
         // buckets, which a one-task-per-bucket reduce never makes.
-        let data: Vec<u32> = (0..2000).collect();
-        let parts: Vec<&[u32]> = data.chunks(290).collect();
-        let (out, _) = via_tcp(3, 2, &parts, map, init, reduce);
+        let db = singletons(0..2000);
+        let (out, _) = via_tcp(&db, 3, 7, 2, combine_each_item, init, reduce);
         assert_eq!(out.len(), 2000);
         let remote_inits = inits.into_inner();
         assert!(
@@ -1362,26 +1323,24 @@ mod tests {
 
     #[test]
     fn a_panicking_mapper_aborts_the_job_not_the_process() {
-        let data = [1u32, 2, 3];
-        let parts: Vec<&[u32]> = data.chunks(1).collect();
+        let db = singletons([1, 2, 3]);
         let token = CancelToken::new();
-        let engine = Engine {
-            cancel: Some(token.clone()),
-            ..Engine::new(2)
+        let ctx = MiningContext {
+            cancel: Some(&token),
+            ..ctx(&db, 2, 3, 2)
         };
-        let err = engine
-            .map_reduce(
-                &parts,
-                |part: &[u32], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-                    if part.contains(&2) {
-                        panic!("mapper blew up on {part:?}");
-                    }
-                    each_item(part, emit)
-                },
-                || (),
-                count,
-            )
-            .unwrap_err();
+        let err = map_reduce(
+            &ctx,
+            |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                if part.iter().flatten().any(|&x| x == 2) {
+                    panic!("mapper blew up on {part:?}");
+                }
+                each_item(part, emit)
+            },
+            || (),
+            count,
+        )
+        .unwrap_err();
         match err {
             Error::WorkerPanicked(m) => assert!(m.contains("blew up"), "{m}"),
             other => panic!("expected WorkerPanicked, got {other}"),
@@ -1392,25 +1351,17 @@ mod tests {
 
     #[test]
     fn a_panicking_reducer_aborts_the_combine_job() {
-        let data = vec![1u32, 2, 3, 4];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(2).with_reducers(2);
-        let err = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |part: &[u32], c: &mut Combiner| {
-                    for &x in part {
-                        c.emit(x, b"", 1);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
-                    panic!("reducer blew up")
-                },
-            )
-            .unwrap_err();
+        let db = singletons([1, 2, 3, 4]);
+        let err = map_combine_reduce_via(
+            &ctx(&db, 2, 1, 2),
+            &InProcess,
+            combine_each_item,
+            || (),
+            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
+                panic!("reducer blew up")
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::WorkerPanicked(_)), "{err}");
     }
 
@@ -1418,68 +1369,49 @@ mod tests {
     fn a_cancelled_token_aborts_the_job_with_cancelled() {
         let token = CancelToken::new();
         token.cancel();
-        let data = vec![1u32];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine {
-            cancel: Some(token),
-            ..Engine::new(2)
+        let db = singletons([1]);
+        let ctx = MiningContext {
+            cancel: Some(&token),
+            ..ctx(&db, 2, 1, 2)
         };
-        let err = engine
-            .map_reduce(&parts, each_item, || (), count)
-            .unwrap_err();
+        let err = map_reduce(&ctx, each_item, || (), count).unwrap_err();
         assert!(matches!(err, Error::Cancelled(_)), "{err}");
     }
 
     #[test]
     fn an_expired_deadline_aborts_the_job_with_deadline_exceeded() {
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let data = vec![1u32];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine {
-            cancel: Some(token),
-            ..Engine::new(1)
+        let db = singletons([1]);
+        let ctx = MiningContext {
+            cancel: Some(&token),
+            ..ctx(&db, 1, 1, 1)
         };
-        let err = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |part: &[u32], c: &mut Combiner| {
-                    for &x in part {
-                        c.emit(x, b"", 1);
-                    }
-                    Ok(())
-                },
-                || (),
-                count,
-            )
-            .unwrap_err();
+        let err =
+            map_combine_reduce_via(&ctx, &InProcess, combine_each_item, || (), count).unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
     }
 
     #[test]
     fn large_weights_survive_the_combine_wire_format() {
-        let data = vec![1u32];
-        let parts: Vec<&[u32]> = vec![&data];
-        let engine = Engine::new(1);
+        let db = singletons([1]);
         let big = u64::from(u32::MAX) + 17;
-        let (out, _) = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |_part: &[u32], c: &mut Combiner| {
-                    c.emit(9, b"", big);
-                    c.emit(9, b"", 1);
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                    assert_eq!(vs.len(), 1);
-                    assert!(vs[0].0.is_empty());
-                    emit((vec![k], vs[0].1));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let (out, _) = map_combine_reduce_via(
+            &ctx(&db, 1, 1, 1),
+            &InProcess,
+            |_part: &[Sequence], c: &mut Combiner| {
+                c.emit(9, b"", big);
+                c.emit(9, b"", 1);
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+                assert_eq!(vs.len(), 1);
+                assert!(vs[0].0.is_empty());
+                emit((vec![k], vs[0].1));
+                Ok(())
+            },
+        )
+        .unwrap();
         assert_eq!(out, vec![(vec![9], big + 1)]);
     }
 }

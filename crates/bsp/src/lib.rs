@@ -21,11 +21,16 @@
 //! A **combiner** aggregates map-side records with equal `(pivot, payload)`
 //! before serialization (MapReduce `combine`), which D-CAND uses to
 //! collapse identical NFAs into weighted ones (Sec. VI-A "Aggregation").
-//! Every such round ([`Engine::map_combine_reduce_via`]) goes through a
+//! Every such round ([`map_combine_reduce_via`]) goes through a
 //! [`ShuffleTransport`]: [`InProcess`], or a [`NetCoordinator`] whose
-//! workers ([`Engine::run_worker`]) run the very same reduce. The
-//! combiner-less [`Engine::map_reduce`] exists only for D-CAND's
-//! no-aggregation ablation (Fig. 10b).
+//! workers ([`run_worker`]) run the very same reduce. The combiner-less
+//! [`map_reduce`] exists only for D-CAND's no-aggregation ablation
+//! (Fig. 10b).
+//!
+//! A round's parameters are the run's: each entry point takes the
+//! [`MiningContext`](desq_core::mining::MiningContext) first and reads the
+//! database (cut into `ctx.partitions` map tasks), `ctx.reducers`,
+//! `ctx.workers` and the cancellation token from it, after validating it.
 //!
 //! The engine is deliberately faithful to the cost model rather than to any
 //! particular cluster API: communication really passes through byte buffers,
@@ -45,5 +50,5 @@ pub mod transport;
 // The item-sequence codec lives in `desq_core::codec`; the benchmark
 // harness (`benchmark/src/layers.rs`) imports it from here.
 pub use desq_core::codec::{decode_item_seq, encode_item_seq};
-pub use engine::{Combiner, Engine, MapTaskOut};
+pub use engine::{map_combine_reduce_via, map_reduce, run_worker, Combiner, MapTaskOut};
 pub use transport::{InProcess, NetCoordinator, PhaseStats, ShuffleTransport};

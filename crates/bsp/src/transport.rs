@@ -1,10 +1,10 @@
 //! Pluggable shuffle transports: how a BSP job's map and reduce tasks are
 //! scheduled and how their bytes move.
 //!
-//! [`ShuffleTransport`] abstracts exactly the byte-space boundary of the
-//! engine: map tasks produce [`MapTaskOut`] (already-encoded bucket
-//! chunks), the engine's one reduce ([`ReduceFn`]) turns buckets of chunks
-//! into encoded outputs. [`InProcess`] runs both on the engine's own
+//! [`ShuffleTransport`] abstracts exactly the byte-space boundary of a
+//! round: map tasks produce [`MapTaskOut`] (already-encoded bucket chunks),
+//! the round's one reduce ([`ReduceFn`]) turns buckets of chunks into
+//! encoded outputs. [`InProcess`] runs both on this process's `ctx.workers`
 //! threads, handing the reduce every bucket at once; a [`NetCoordinator`]
 //! farms the *same* tasks out to worker processes over TCP, one bucket per
 //! reduce task.
@@ -63,12 +63,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use desq_core::codec::{read_bytes, read_varint, write_bytes, write_varint};
-use desq_core::mining::panic_message;
+use desq_core::mining::{panic_message, CancelToken, MiningContext};
 use desq_core::retry::RetryPolicy;
 use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list, MAX_LIST_LEN};
 use desq_core::{Error, Result};
 
-use crate::engine::{Engine, MapTaskOut};
+use crate::engine::{run_tasks, MapTaskOut};
 
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
@@ -82,7 +82,7 @@ use crate::engine::{Engine, MapTaskOut};
 pub const NET_PROTOCOL_VERSION: u8 = 4;
 
 /// Counters of one transport phase, merged into
-/// [`MiningMetrics`](desq_core::MiningMetrics) by the engine.
+/// [`MiningMetrics`](desq_core::MiningMetrics) by the round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Tasks re-queued after their assigned peer died or timed out.
@@ -99,16 +99,17 @@ pub struct PhaseStats {
 
 /// How a BSP job's tasks are executed and its shuffle bytes moved.
 ///
-/// Both phases receive the engine's closure that runs them in this
-/// process — the in-process transport calls it directly; a networked
-/// transport ignores it and ships task ids or buckets to workers that hold
-/// the same closures. Implementations must return exactly one result per
-/// map task and per bucket, in order, plus the phase's counters.
+/// Both phases receive the run's context and the round's closure that
+/// runs them in this process — the in-process transport calls it
+/// directly; a networked transport ignores it and ships task ids or
+/// buckets to workers that hold the same closures. Implementations must
+/// return exactly one result per map task and per bucket, in order, plus
+/// the phase's counters.
 pub trait ShuffleTransport: Sync {
     /// Executes map tasks `0..tasks`, returning their outputs in task order.
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)>;
@@ -117,31 +118,31 @@ pub trait ShuffleTransport: Sync {
     /// bucket's encoded outputs in bucket order.
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)>;
 }
 
-/// The engine's one reduce over a slice of buckets (each a list of
+/// The round's one reduce over a slice of buckets (each a list of
 /// chunks): each bucket's encoded outputs, in order, plus the counters.
 /// [`InProcess`] hands it every bucket, a worker the one bucket of a
 /// [`Frame::ReduceTask`].
 pub type ReduceFn<'a> = dyn Fn(&[Vec<Vec<u8>>]) -> Result<(Vec<Vec<u8>>, PhaseStats)> + Sync + 'a;
 
-/// The default transport: every task runs on the engine's own workers and
-/// bytes never leave the process.
+/// The default transport: every task runs on this process's `ctx.workers`
+/// threads and bytes never leave the process.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcess;
 
 impl ShuffleTransport for InProcess {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        let run = engine.run_tasks(tasks, local)?;
+        let run = run_tasks(ctx, tasks, local)?;
         // No peers: only the straggler is worth reporting.
         let stats = PhaseStats {
             max_task_nanos: run.max_task_nanos,
@@ -152,7 +153,7 @@ impl ShuffleTransport for InProcess {
 
     fn reduce_phase(
         &self,
-        _engine: &Engine,
+        _ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
@@ -650,7 +651,7 @@ impl NetCoordinator {
     /// writes `task_frames` (and heartbeats) where it says.
     fn run_phase<R>(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         epoch: u64,
         task_frames: &[Frame],
         take: &dyn Fn(Frame) -> Result<R>,
@@ -662,7 +663,7 @@ impl NetCoordinator {
         let net = &mut *lock(&self.net);
         let mut sched = Schedule::new(&mut net.links, epoch, wire.len(), take, Instant::now());
         loop {
-            engine.checkpoint()?;
+            ctx.cancel.map_or(Ok(()), CancelToken::checkpoint)?;
             let now = Instant::now();
             while let Ok((stream, _addr)) = self.listener.accept() {
                 let _ = stream.set_nodelay(true);
@@ -737,13 +738,13 @@ impl Drop for NetCoordinator {
 impl ShuffleTransport for NetCoordinator {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         _local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
         // A `MapOut` lists a chunk per reducer, a `ReduceTask` one per map
         // task: past the receiver's list cap no such frame would decode.
-        let reducers = engine.reducers();
+        let reducers = ctx.reducers;
         if tasks.max(reducers) > MAX_LIST_LEN {
             return Err(Error::Invalid(format!(
                 "{tasks} map tasks / {reducers} reducers exceed the list cap {MAX_LIST_LEN}"
@@ -753,7 +754,7 @@ impl ShuffleTransport for NetCoordinator {
         let frames: Vec<Frame> = (0..tasks as u64)
             .map(|task| Frame::MapTask { epoch, task })
             .collect();
-        self.run_phase(engine, epoch, &frames, &|f| match f {
+        self.run_phase(ctx, epoch, &frames, &|f| match f {
             Frame::MapOut {
                 emitted,
                 shuffled,
@@ -767,7 +768,7 @@ impl ShuffleTransport for NetCoordinator {
                 payloads,
             }),
             Frame::MapOut { buckets, .. } => Err(Error::Decode(format!(
-                "map output has {} buckets, engine expects {reducers}",
+                "map output has {} buckets, the round expects {reducers}",
                 buckets.len()
             ))),
             _ => Err(Error::Decode(
@@ -778,7 +779,7 @@ impl ShuffleTransport for NetCoordinator {
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         _reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
@@ -792,7 +793,7 @@ impl ShuffleTransport for NetCoordinator {
                 chunks,
             })
             .collect();
-        let outcome = self.run_phase(engine, epoch, &frames, &|f| match f {
+        let outcome = self.run_phase(ctx, epoch, &frames, &|f| match f {
             Frame::ReduceOut { out, .. } => Ok(out),
             _ => Err(Error::Decode(
                 "a peer answered a reduce task with a map output".into(),
@@ -956,7 +957,7 @@ fn serve_coordinator(
 /// The worker side of a networked job: connect (and reconnect, under the
 /// default [`RetryPolicy`]'s budget) to the coordinator and serve tasks
 /// until it ends the job. Used through
-/// [`Engine::run_worker`](crate::Engine::run_worker).
+/// [`run_worker`](crate::run_worker).
 pub(crate) fn worker_loop(
     addr: SocketAddr,
     on_map: &dyn Fn(u64) -> Result<MapTaskOut>,

@@ -8,16 +8,18 @@
 //! transport whose failure counters must reach the round's metrics.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, LazyLock, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION};
 use desq_bsp::{
-    Combiner, Engine, InProcess, MapTaskOut, NetCoordinator, PhaseStats, ShuffleTransport,
+    map_combine_reduce_via, run_worker, Combiner, InProcess, MapTaskOut, NetCoordinator,
+    PhaseStats, ShuffleTransport,
 };
 use desq_core::codec::{decode_item_seq, encode_item_seq, write_varint};
-use desq_core::{Error, Result, Sequence};
+use desq_core::mining::MiningContext;
+use desq_core::{Dictionary, DictionaryBuilder, Error, Result, Sequence, SequenceDb};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -27,6 +29,23 @@ const MAX_FRAME: usize = 1 << 20;
 
 /// A reducer's output: a frequent sequence and its frequency.
 type Pattern = (Sequence, u64);
+
+/// The context of a round over `db` on one thread, one map task and
+/// `reducers` buckets. A round never reads the dictionary.
+fn round(db: &SequenceDb, reducers: usize) -> MiningContext<'_> {
+    static DICT: LazyLock<Dictionary> = LazyLock::new(|| {
+        DictionaryBuilder::new()
+            .freeze(&SequenceDb::default())
+            .unwrap()
+            .0
+    });
+    MiningContext::sequential(db, &DICT, 1).with_reducers(reducers)
+}
+
+/// The database of one sequence `[1]`.
+fn one_item() -> SequenceDb {
+    SequenceDb::new(vec![vec![1]])
+}
 
 fn any_bytes() -> impl Strategy<Value = Vec<u8>> {
     collection::vec(0u8..=u8::MAX, 0..12)
@@ -257,17 +276,14 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
             Frame::ReduceTask { epoch, task, .. } => Some(map_out(epoch, task)),
             _ => None,
         });
-        let data = [1u32];
-        let parts: Vec<&[u32]> = vec![&data];
-        let err = Engine::new(1)
-            .map_combine_reduce_via(
-                &coord,
-                &parts,
-                |_part: &[u32], _out: &mut Combiner| Ok(()),
-                || (),
-                |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
-            )
-            .unwrap_err();
+        let err = map_combine_reduce_via(
+            &round(&one_item(), 1),
+            &coord,
+            |_part: &[Sequence], _out: &mut Combiner| Ok(()),
+            || (),
+            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, Error::Decode(m) if m.contains(confused_phase)),
             "{confused_phase}: {err}"
@@ -284,18 +300,14 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
 #[test]
 fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
     let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
-    let data = [1u32];
-    let parts: Vec<&[u32]> = vec![&data];
-    let err = Engine::new(1)
-        .with_reducers(desq_core::wire::MAX_LIST_LEN + 1)
-        .map_combine_reduce_via(
-            &coord,
-            &parts,
-            |_part: &[u32], _out: &mut Combiner| Ok(()),
-            || (),
-            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
-        )
-        .unwrap_err();
+    let err = map_combine_reduce_via(
+        &round(&one_item(), desq_core::wire::MAX_LIST_LEN + 1),
+        &coord,
+        |_part: &[Sequence], _out: &mut Combiner| Ok(()),
+        || (),
+        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+    )
+    .unwrap_err();
     assert!(matches!(err, Error::Invalid(_)), "{err}");
 }
 
@@ -329,19 +341,17 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
         closed_tx.send(()).unwrap();
         (received, closed)
     });
-    let data = [1u32];
-    let parts: Vec<&[u32]> = vec![&data];
-    let map = |_part: &[u32], _out: &mut Combiner| Ok(());
+    let db = one_item();
+    let ctx = round(&db, 1);
+    let map = |_part: &[Sequence], _out: &mut Combiner| Ok(());
     let reduce = |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(());
     thread::scope(|s| {
-        let parts = &parts;
+        let ctx = &ctx;
         let worker = s.spawn(move || {
             closed_rx.recv().unwrap();
-            Engine::new(1).run_worker(addr, parts, map, || (), reduce)
+            run_worker(ctx, addr, map, || (), reduce)
         });
-        let (patterns, _) = Engine::new(1)
-            .map_combine_reduce_via(&coord, parts, map, || (), reduce)
-            .unwrap();
+        let (patterns, _) = map_combine_reduce_via(ctx, &coord, map, || (), reduce).unwrap();
         assert!(patterns.is_empty());
         worker.join().unwrap().unwrap();
     });
@@ -362,20 +372,20 @@ struct Recording(Mutex<Vec<Vec<u8>>>);
 impl ShuffleTransport for Recording {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        InProcess.map_phase(engine, tasks, local)
+        InProcess.map_phase(ctx, tasks, local)
     }
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        let (outs, stats) = InProcess.reduce_phase(engine, chunks, reduce)?;
+        let (outs, stats) = InProcess.reduce_phase(ctx, chunks, reduce)?;
         *self.0.lock().unwrap() = outs.clone();
         Ok((outs, stats))
     }
@@ -388,11 +398,11 @@ struct LosingPeers;
 impl ShuffleTransport for LosingPeers {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        let (outs, stats) = InProcess.map_phase(engine, tasks, local)?;
+        let (outs, stats) = InProcess.map_phase(ctx, tasks, local)?;
         let (peer_timeouts, retried_tasks) = (1, 2);
         Ok((
             outs,
@@ -406,11 +416,11 @@ impl ShuffleTransport for LosingPeers {
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        let (outs, stats) = InProcess.reduce_phase(engine, chunks, reduce)?;
+        let (outs, stats) = InProcess.reduce_phase(ctx, chunks, reduce)?;
         let (peer_timeouts, retried_tasks) = (10, 20);
         Ok((
             outs,
@@ -427,17 +437,14 @@ impl ShuffleTransport for LosingPeers {
 /// metrics, summed.
 #[test]
 fn both_phases_failure_counters_reach_the_round_metrics() {
-    let data = [1u32];
-    let parts: Vec<&[u32]> = vec![&data];
-    let (_, metrics) = Engine::new(1)
-        .map_combine_reduce_via(
-            &LosingPeers,
-            &parts,
-            |_part: &[u32], _out: &mut Combiner| Ok(()),
-            || (),
-            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
-        )
-        .unwrap();
+    let (_, metrics) = map_combine_reduce_via(
+        &round(&one_item(), 1),
+        &LosingPeers,
+        |_part: &[Sequence], _out: &mut Combiner| Ok(()),
+        || (),
+        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+    )
+    .unwrap();
     assert_eq!((metrics.peer_timeouts, metrics.retried_tasks), (11, 22));
 }
 
@@ -463,18 +470,16 @@ fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
         }),
         _ => None,
     });
-    let data = [1u32];
-    let parts: Vec<&[u32]> = vec![&data];
-    let round = Engine::new(1).map_combine_reduce_via(
+    let outcome = map_combine_reduce_via(
+        &round(&one_item(), 1),
         &coord,
-        &parts,
-        |_part: &[u32], _out: &mut Combiner| Ok(()),
+        |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
         |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
     );
     drop(coord); // releases the peer if the job died before its last phase
     peer.join().unwrap();
-    round.map(|(patterns, _)| patterns)
+    outcome.map(|(patterns, _)| patterns)
 }
 
 /// A worker's `ReduceOut` bytes are the only worker output that reaches
@@ -485,33 +490,30 @@ fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
 #[test]
 fn hostile_reduce_outputs_fail_typed_or_decode() {
     // A real bucket output: two patterns with one- to three-byte items.
-    let data = [1u32, 300];
-    let parts: Vec<&[u32]> = vec![&data];
+    let db = SequenceDb::new(vec![vec![1, 300]]);
     let recording = Recording(Mutex::new(Vec::new()));
-    let (clean, _) = Engine::new(1)
-        .with_reducers(1)
-        .map_combine_reduce_via(
-            &recording,
-            &parts,
-            |part: &[u32], out: &mut Combiner| {
-                for &x in part {
-                    let mut payload = Vec::new();
-                    encode_item_seq(&[x, 70_000, 2], &mut payload);
-                    out.emit(x, &payload, 3);
-                }
-                Ok(())
-            },
-            || (),
-            |(): &mut (), _k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(Pattern)| {
-                for &(bytes, w) in vs {
-                    let mut pattern = Sequence::new();
-                    decode_item_seq(&mut &bytes[..], &mut pattern)?;
-                    emit((pattern, w));
-                }
-                Ok(())
-            },
-        )
-        .unwrap();
+    let (clean, _) = map_combine_reduce_via(
+        &round(&db, 1),
+        &recording,
+        |part: &[Sequence], out: &mut Combiner| {
+            for &x in part.iter().flatten() {
+                let mut payload = Vec::new();
+                encode_item_seq(&[x, 70_000, 2], &mut payload);
+                out.emit(x, &payload, 3);
+            }
+            Ok(())
+        },
+        || (),
+        |(): &mut (), _k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(Pattern)| {
+            for &(bytes, w) in vs {
+                let mut pattern = Sequence::new();
+                decode_item_seq(&mut &bytes[..], &mut pattern)?;
+                emit((pattern, w));
+            }
+            Ok(())
+        },
+    )
+    .unwrap();
     let valid = recording.0.into_inner().unwrap().pop().unwrap();
     assert_eq!(clean.len(), 2);
     assert_eq!(patterns_from_peer(valid.clone()).unwrap(), clean);

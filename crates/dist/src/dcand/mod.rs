@@ -34,7 +34,7 @@ use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
-use desq_bsp::{Combiner, Engine, InProcess};
+use desq_bsp::{Combiner, InProcess};
 
 use crate::{Exec, MiningResult};
 
@@ -321,16 +321,15 @@ fn d_cand_exec(
 }
 
 /// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the
-/// engine's combiner-less [`Engine::map_reduce`]: every NFA copy is
+/// combiner-less [`desq_bsp::map_reduce`]: every NFA copy is
 /// shipped and expanded, with no combining on either side.
 fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningResult> {
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
     let index = FstIndex::new(fst);
-    let (engine, parts) = Engine::for_context(ctx);
-    let round = engine.map_reduce(
-        &parts,
+    let round = desq_bsp::map_reduce(
+        ctx,
         |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
             let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
             for seq in part {
@@ -341,7 +340,7 @@ fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningR
         Nfa::default,
         |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
     )?;
-    Ok(crate::job_result(round, t0, &engine, &parts))
+    Ok(crate::job_result(round, t0, ctx))
 }
 
 #[cfg(test)]

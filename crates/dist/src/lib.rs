@@ -7,7 +7,7 @@
 //! > ICDE 2019.
 //!
 //! All algorithms follow the item-based partitioning framework of Alg. 1:
-//! one map-shuffle-reduce round over the [`desq_bsp::Engine`]. Mappers send,
+//! one map-shuffle-reduce round of [`desq_bsp`]. Mappers send,
 //! for every input sequence `T` and every *pivot item* `p ∈ K^σ(T)`, a
 //! representation of the candidate subsequences of `T` with pivot `p` to
 //! partition `P_p`; reducers mine each partition independently. The
@@ -50,7 +50,7 @@ pub use dseq::DSeqConfig;
 pub use naive::NaiveConfig;
 pub use pivots::{PivotRange, PivotScratch, PivotSearch};
 
-use desq_bsp::{Combiner, Engine};
+use desq_bsp::Combiner;
 use desq_core::mining::MiningContext;
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 
@@ -68,11 +68,11 @@ pub(crate) enum Exec<'a> {
     Worker(std::net::SocketAddr),
 }
 
-/// Runs one combining BSP round on `ctx`'s engine and partitions
-/// ([`Engine::for_context`]) the way `exec` says — the one place the three
-/// algorithms' map/init/reduce closures meet the engine — and completes the
-/// driver's result ([`job_result`], `t0` is the job's start). `None` means
-/// this process served the round as a worker.
+/// Runs one combining BSP round over `ctx` the way `exec` says — the one
+/// place the three algorithms' map/init/reduce closures meet
+/// [`desq_bsp`] — and completes the driver's result ([`job_result`], `t0`
+/// is the job's start). `None` means this process served the round as a
+/// worker.
 pub(crate) fn run_round<S: Send>(
     ctx: &MiningContext<'_>,
     exec: Exec<'_>,
@@ -82,37 +82,36 @@ pub(crate) fn run_round<S: Send>(
     reduce: impl Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
         + Sync,
 ) -> Result<Option<MiningResult>> {
-    let (engine, parts) = Engine::for_context(ctx);
     match exec {
         Exec::Via(transport) => {
-            let round = engine.map_combine_reduce_via(transport, &parts, map, init, reduce)?;
-            Ok(Some(job_result(round, t0, &engine, &parts)))
+            let round = desq_bsp::map_combine_reduce_via(ctx, transport, map, init, reduce)?;
+            Ok(Some(job_result(round, t0, ctx)))
         }
         Exec::Worker(addr) => {
-            engine.run_worker(addr, &parts, map, init, reduce)?;
+            desq_bsp::run_worker(ctx, addr, map, init, reduce)?;
             Ok(None)
         }
     }
 }
 
-/// Completes a finished round — the reducers' patterns, unsorted, and the
-/// engine's measurements — into a job result: the patterns sorted, and the
-/// three measurements the engine does not know filled in: the end-to-end
-/// wall time since the algorithm started at `t0` (compile and index time
-/// included), the worker count and the input size. (FST sizes are not run
-/// measurements: they live on the compiled `Fst` itself.)
+/// Completes a finished round over `ctx` — the reducers' patterns,
+/// unsorted, and the round's measurements — into a job result: the
+/// patterns sorted, and the three measurements the round does not know
+/// filled in: the end-to-end wall time since the algorithm started at `t0`
+/// (compile and index time included), `ctx.workers` and the input size.
+/// (FST sizes are not run measurements: they live on the compiled `Fst`
+/// itself.)
 pub fn job_result(
     (patterns, job): (Vec<(Sequence, u64)>, MiningMetrics),
     t0: std::time::Instant,
-    engine: &Engine,
-    parts: &[&[Sequence]],
+    ctx: &MiningContext<'_>,
 ) -> MiningResult {
     MiningResult {
         patterns: desq_miner::sort_patterns(patterns),
         metrics: MiningMetrics {
             wall_nanos: t0.elapsed().as_nanos() as u64,
-            workers: engine.workers() as u64,
-            input_sequences: parts.iter().map(|p| p.len() as u64).sum(),
+            workers: ctx.workers as u64,
+            input_sequences: ctx.db.len() as u64,
             ..job
         },
     }

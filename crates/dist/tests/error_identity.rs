@@ -7,7 +7,7 @@ use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{decode_item_seq, encode_item_seq, Engine, InProcess, MapTaskOut, NetCoordinator};
+use desq_bsp::{decode_item_seq, encode_item_seq, InProcess, MapTaskOut, NetCoordinator};
 use desq_core::codec::{read_varint, write_varint};
 use desq_core::mining::{Limits, Miner, MiningContext};
 use desq_core::{toy, Dictionary, DictionaryBuilder, Error, Fst, PatEx, Result, SequenceDb};
@@ -87,11 +87,11 @@ struct Corrupting<'a>(&'a dyn ShuffleTransport, Damage);
 impl ShuffleTransport for Corrupting<'_> {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        let (mut outs, stats) = self.0.map_phase(engine, tasks, local)?;
+        let (mut outs, stats) = self.0.map_phase(ctx, tasks, local)?;
         for chunk in outs.iter_mut().flat_map(|out| out.buckets.iter_mut()) {
             if !chunk.is_empty() {
                 damage_first_payload(chunk, self.1);
@@ -102,11 +102,11 @@ impl ShuffleTransport for Corrupting<'_> {
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        self.0.reduce_phase(engine, chunks, reduce)
+        self.0.reduce_phase(ctx, chunks, reduce)
     }
 }
 

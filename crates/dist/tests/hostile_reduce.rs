@@ -7,7 +7,7 @@
 use std::sync::Mutex;
 
 use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{Engine, InProcess, MapTaskOut};
+use desq_bsp::{InProcess, MapTaskOut};
 use desq_core::mining::MiningContext;
 use desq_core::{toy, Error, MiningResult, Result};
 use desq_dist::dseq::{d_seq_via, DSeqConfig};
@@ -23,16 +23,16 @@ struct Replaying {
 impl ShuffleTransport for Replaying {
     fn map_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         tasks: usize,
         local: &(dyn Fn(usize) -> Result<MapTaskOut> + Sync),
     ) -> Result<(Vec<MapTaskOut>, PhaseStats)> {
-        InProcess.map_phase(engine, tasks, local)
+        InProcess.map_phase(ctx, tasks, local)
     }
 
     fn reduce_phase(
         &self,
-        engine: &Engine,
+        ctx: &MiningContext<'_>,
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
@@ -41,7 +41,7 @@ impl ShuffleTransport for Replaying {
             None => chunks,
         };
         *self.seen.lock().unwrap() = chunks.clone();
-        InProcess.reduce_phase(engine, chunks, reduce)
+        InProcess.reduce_phase(ctx, chunks, reduce)
     }
 }
 

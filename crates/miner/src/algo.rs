@@ -154,21 +154,18 @@ impl Miner for DesqDfs {
         let t0 = Instant::now();
         let inputs = unit_inputs(ctx);
         let mut emitted = 0u64;
-        LocalMiner::new(fst, ctx.dict, MinerConfig::sequential(ctx.sigma)).mine_each_with_workers(
-            &inputs,
-            ctx.workers,
-            ctx.cancel,
-            &mut |pattern, freq| {
+        let (_, stats) = LocalMiner::new(fst, ctx.dict, MinerConfig::sequential(ctx.sigma))
+            .mine_each_with_workers(&inputs, ctx.workers, ctx.cancel, &mut |pattern, freq| {
                 let taken = sink(pattern, freq);
                 emitted += u64::from(taken);
                 taken
-            },
-        )?;
-        Ok(MiningMetrics::sequential(
+            })?;
+        Ok(MiningMetrics::scheduled(
             t0.elapsed().as_nanos() as u64,
             ctx.db.len() as u64,
             emitted,
             emitted,
+            &stats,
         ))
     }
 }

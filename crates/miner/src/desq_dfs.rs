@@ -747,9 +747,10 @@ impl<'a> LocalMiner<'a> {
     /// materializing or sorting the result set. The workers call `sink`
     /// themselves, one at a time under a lock, so it sees an unspecified
     /// interleaving of their DFS orders; one worker streams in DFS
-    /// pre-order over the search tree. A `false` from the sink stops the
-    /// mining (no further sink calls happen) and makes this return
-    /// `Ok(false)` — the consumer's own early stop is not an error. A
+    /// pre-order over the search tree. Returns whether the mining ran to
+    /// completion plus per-worker [`WorkerStats`]. A `false` from the sink
+    /// stops the mining (no further sink calls happen) and makes this
+    /// return `false` — the consumer's own early stop is not an error. A
     /// tripped `cancel` token (deadline, external abort), a panicking
     /// subtree task or a panicking `sink` aborts with the corresponding
     /// [`desq_core::Error`] instead; a panic surfaces as
@@ -760,10 +761,10 @@ impl<'a> LocalMiner<'a> {
         workers: usize,
         cancel: Option<&CancelToken>,
         sink: PatternSink<'_>,
-    ) -> Result<bool> {
+    ) -> Result<(bool, Vec<WorkerStats>)> {
         let stop = AtomicBool::new(false);
         let sink = Mutex::new(sink);
-        self.drive(
+        let (stats, _) = self.drive(
             inputs,
             cancel,
             vec![(); workers.max(1)],
@@ -783,7 +784,7 @@ impl<'a> LocalMiner<'a> {
                 true
             },
         )?;
-        Ok(!stop.load(Ordering::Relaxed))
+        Ok((!stop.load(Ordering::Relaxed), stats))
     }
 
     /// Builds the flat simulation tables ([`SeqTables`]) for every accepted
@@ -1301,13 +1302,14 @@ mod tests {
                 let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
                 assert!(tasks >= 1, "the root task always runs: {at}");
                 let mut streamed = Vec::new();
-                let completed = miner
+                let (completed, stream_stats) = miner
                     .mine_each_with_workers(&inputs, workers, None, &mut |s, f| {
                         streamed.push((s, f));
                         true
                     })
                     .unwrap();
                 assert!(completed, "{at}");
+                assert_eq!(stream_stats.len(), workers, "{at}");
                 if workers == 1 {
                     // Nobody to split for: one task, and its stream is the
                     // pre-order traversal — ascending children below every
@@ -1327,7 +1329,7 @@ mod tests {
         let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2));
         // Full stream matches the eager result as a set.
         let mut streamed = Vec::new();
-        let completed = miner
+        let (completed, _) = miner
             .mine_each_with_workers(&inputs, 1, None, &mut |s, f| {
                 streamed.push((s, f));
                 true
@@ -1340,7 +1342,7 @@ mod tests {
         );
         // Early stop: the sink sees exactly one pattern.
         let mut n = 0;
-        let completed = miner
+        let (completed, _) = miner
             .mine_each_with_workers(&inputs, 1, None, &mut |_, _| {
                 n += 1;
                 false
@@ -1358,7 +1360,7 @@ mod tests {
         for workers in 2..=4 {
             // Full parallel stream equals the eager result as a set.
             let mut streamed = Vec::new();
-            let completed = miner
+            let (completed, _) = miner
                 .mine_each_with_workers(&inputs, workers, None, &mut |s, f| {
                     streamed.push((s, f));
                     true
@@ -1373,7 +1375,7 @@ mod tests {
             // A cancelling sink sees exactly one pattern and the stream
             // reports the early stop.
             let mut n = 0;
-            let completed = miner
+            let (completed, _) = miner
                 .mine_each_with_workers(&inputs, workers, None, &mut |_, _| {
                     n += 1;
                     false

@@ -1,14 +1,32 @@
-//! Engine-level properties: partition balance (Sec. III-B of the paper),
-//! equivalence of the parallel engine with a sequential fold, and
+//! BSP round properties: partition balance (Sec. III-B of the paper),
+//! equivalence of the parallel round with a sequential fold, and
 //! round-trip identity of the shuffle codec.
+
+use std::sync::LazyLock;
 
 use proptest::prelude::*;
 
-use desq::bsp::{Combiner, Engine, InProcess};
+use desq::bsp::{map_combine_reduce_via, map_reduce, Combiner, InProcess};
 use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
+use desq::core::{Dictionary, DictionaryBuilder, Sequence, SequenceDb};
 use desq::datagen::{amzn_like, to_forest, AmznConfig};
 use desq::session::{AlgorithmSpec, MiningSession};
+use desq::MiningContext;
+
+/// A BSP round over `db` at `workers` threads, `partitions` map tasks and
+/// `reducers` buckets. A round never reads the dictionary.
+fn round(db: &SequenceDb, workers: usize, partitions: usize, reducers: usize) -> MiningContext<'_> {
+    static DICT: LazyLock<Dictionary> = LazyLock::new(|| {
+        DictionaryBuilder::new()
+            .freeze(&SequenceDb::default())
+            .unwrap()
+            .0
+    });
+    MiningContext::sequential(db, &DICT, 1)
+        .with_parallelism(workers, partitions)
+        .with_reducers(reducers)
+}
 
 /// Sec. III-B: with the frequency-descending item order, pivot partitions
 /// of frequent items receive little data and the shuffle is reasonably
@@ -76,7 +94,7 @@ proptest! {
     fn engine_equals_sequential_fold(
         data in proptest::collection::vec(proptest::collection::vec(0u32..50, 0..20), 0..30),
         workers in 1usize..5,
-        chunk in 1usize..7,
+        partitions in 1usize..7,
     ) {
         // Sequential reference: per key (item % 7), sum of values.
         let mut expect: std::collections::BTreeMap<u32, u64> = Default::default();
@@ -85,26 +103,22 @@ proptest! {
                 *expect.entry(x % 7).or_insert(0) += u64::from(x);
             }
         }
-        let engine = Engine::new(workers);
-        let parts: Vec<&[Vec<u32>]> = data.chunks(chunk).collect();
-        let (mut out, metrics) = engine
-            .map_reduce(
-                &parts,
-                |part: &[Vec<u32>], emit: &mut dyn FnMut(u32, &[u8], u64)| {
-                    for seq in part {
-                        for &x in seq {
-                            emit(x % 7, &[], u64::from(x));
-                        }
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                    emit((vec![k], vs.iter().map(|&(_, w)| w).sum()));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let db = SequenceDb::new(data.clone());
+        let (mut out, metrics) = map_reduce(
+            &round(&db, workers, partitions, workers),
+            |part: &[Sequence], emit: &mut dyn FnMut(u32, &[u8], u64)| {
+                for &x in part.iter().flatten() {
+                    emit(x % 7, &[], u64::from(x));
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                emit((vec![k], vs.iter().map(|&(_, w)| w).sum()));
+                Ok(())
+            },
+        )
+        .unwrap();
         out.sort();
         let got: std::collections::BTreeMap<u32, u64> =
             out.into_iter().map(|(k, sum)| (k[0], sum)).collect();
@@ -149,29 +163,27 @@ proptest! {
             prop_oneof![1u64..100, u64::from(u32::MAX)..u64::MAX / 8], 1..10),
         payload in proptest::collection::vec(0u8..=255, 0..12),
     ) {
-        let data: Vec<u64> = weights.clone();
-        let parts: Vec<&[u64]> = data.chunks(3).collect();
-        let engine = Engine::new(2).with_reducers(3);
+        // Sequence `[i]` carries `weights[i]`, three to a map task.
+        let db = SequenceDb::new((0..weights.len() as u32).map(|i| vec![i]).collect());
         let payload_ref = &payload;
-        let (out, _) = engine
-            .map_combine_reduce_via(
-                &InProcess,
-                &parts,
-                |part: &[u64], c: &mut Combiner| {
-                    for &w in part {
-                        c.emit(7, payload_ref, w);
-                    }
-                    Ok(())
-                },
-                || (),
-                |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                    assert_eq!(vs.len(), 1, "identical records must merge");
-                    assert_eq!(vs[0].0, payload_ref.as_slice());
-                    emit((vec![k], vs[0].1));
-                    Ok(())
-                },
-            )
-            .unwrap();
+        let (out, _) = map_combine_reduce_via(
+            &round(&db, 2, weights.len().div_ceil(3), 3),
+            &InProcess,
+            |part: &[Sequence], c: &mut Combiner| {
+                for &i in part.iter().flatten() {
+                    c.emit(7, payload_ref, weights[i as usize]);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                assert_eq!(vs.len(), 1, "identical records must merge");
+                assert_eq!(vs[0].0, payload_ref.as_slice());
+                emit((vec![k], vs[0].1));
+                Ok(())
+            },
+        )
+        .unwrap();
         let total: u64 = weights.iter().sum();
         prop_assert_eq!(out, vec![(vec![7], total)]);
     }
@@ -181,38 +193,28 @@ proptest! {
     fn combiner_is_transparent(
         data in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..15), 1..20),
     ) {
-        let engine = Engine::new(3);
-        let parts: Vec<&[Vec<u32>]> = data.chunks(4).collect();
-        let run_combined = || {
-            let (mut out, m) = engine
-                .map_combine_reduce_via(
-                    &InProcess,
-                    &parts,
-                    |part: &[Vec<u32>], c: &mut Combiner| {
-                        for seq in part {
-                            for &x in seq {
-                                c.emit(x % 3, &x.to_le_bytes(), 1);
-                            }
-                        }
-                        Ok(())
-                    },
-                    || (),
-                    |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                        let total: u64 = vs
-                            .iter()
-                            .map(|(b, w)| {
-                                u64::from(u32::from_le_bytes((*b).try_into().unwrap())) * w
-                            })
-                            .sum();
-                        emit((vec![k], total));
-                        Ok(())
-                    },
-                )
-                .unwrap();
-            out.sort();
-            (out, m)
-        };
-        let (combined, metrics) = run_combined();
+        let db = SequenceDb::new(data.clone());
+        let (mut combined, metrics) = map_combine_reduce_via(
+            &round(&db, 3, data.len().div_ceil(4), 3),
+            &InProcess,
+            |part: &[Sequence], c: &mut Combiner| {
+                for &x in part.iter().flatten() {
+                    c.emit(x % 3, &x.to_le_bytes(), 1);
+                }
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                let total: u64 = vs
+                    .iter()
+                    .map(|(b, w)| u64::from(u32::from_le_bytes((*b).try_into().unwrap())) * w)
+                    .sum();
+                emit((vec![k], total));
+                Ok(())
+            },
+        )
+        .unwrap();
+        combined.sort();
 
         // Sequential reference.
         let mut expect: std::collections::BTreeMap<u32, u64> = Default::default();
@@ -239,7 +241,7 @@ fn shuffle_accounting_is_pinned() {
     use desq::baselines::{LashConfig, MllibConfig};
     use desq::datagen::{nyt_like, NytConfig};
     use desq::dist::{DCandConfig, DSeqConfig, NaiveConfig};
-    use desq::{Miner, MiningContext};
+    use desq::Miner;
 
     type Accounting = (&'static str, u64, u64, u64, Vec<u64>);
     let account = |name, miner: &dyn Miner, ctx: &MiningContext<'_>| -> Accounting {
@@ -290,8 +292,8 @@ fn shuffle_accounting_is_pinned() {
         ("toy naive", 191, 22, 22, vec![0, 90, 101]),
         ("toy semi-naive", 101, 12, 12, vec![0, 0, 101]),
         ("toy lash", 92, 11, 9, vec![28, 0, 64]),
-        // MLlib: both rounds summed, per-bucket bytes of the second.
-        ("toy mllib", 131, 22, 19, vec![22, 18, 42]),
+        // MLlib: both rounds summed, per bucket too.
+        ("toy mllib", 131, 22, 19, vec![32, 39, 60]),
         ("nyt d-seq", 36120, 4968, 1097, vec![11279, 12037, 12804]),
         ("nyt d-cand", 49316, 2999, 2999, vec![14117, 16570, 18629]),
         (

@@ -715,7 +715,7 @@ proptest! {
             prop_assert_eq!(timings.len(), workers);
             // Streaming shards agree as a set.
             let mut streamed = Vec::new();
-            let completed = miner.mine_each_with_workers(&inputs, workers, None, &mut |p, f| {
+            let (completed, _) = miner.mine_each_with_workers(&inputs, workers, None, &mut |p, f| {
                 streamed.push((p, f));
                 true
             }).unwrap();
@@ -950,7 +950,9 @@ fn task_splitting_matches_sequential() {
     assert!(parallel.metrics.tasks > 1, "{:?}", parallel.metrics);
     let mut stream = session(3).stream();
     let mut streamed: Vec<(Sequence, u64)> = stream.by_ref().collect();
-    stream.finish().unwrap();
+    let metrics = stream.finish().unwrap();
+    assert_eq!(metrics.workers, 3, "{metrics:?}");
+    assert_eq!(metrics.worker_nanos.len(), 3, "{metrics:?}");
     streamed.sort_unstable();
     assert_eq!(streamed, sequential.patterns);
 }
