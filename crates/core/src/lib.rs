@@ -61,8 +61,6 @@
 pub mod codec;
 pub mod dictionary;
 pub mod error;
-#[cfg(feature = "failpoints")]
-pub mod fault;
 pub mod fst;
 pub mod fx;
 pub mod mining;

@@ -8,56 +8,44 @@
 //! not what counts as transient — each caller keeps its own transience
 //! predicate next to its own error type.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Duration;
+
+/// Backoff of the first retry.
+pub const BASE_DELAY: Duration = Duration::from_millis(10);
+
+/// Upper bound on any single backoff (pre-jitter).
+pub const MAX_DELAY: Duration = Duration::from_millis(500);
 
 /// Bounded, jittered exponential backoff.
 ///
-/// Attempt `n` (0-based) sleeps `base_delay · 2ⁿ` capped at `max_delay`,
-/// plus a deterministic jitter of up to half that delay derived from
-/// `seed` — concurrent peers with different seeds spread out instead of
-/// retrying in lockstep.
+/// Attempt `n` (0-based) sleeps [`BASE_DELAY`]` · 2ⁿ` capped at
+/// [`MAX_DELAY`], plus a jitter of up to half that delay. The jitter is
+/// keyed by the retrying peer — its process and thread — so peers that
+/// fail together spread out instead of retrying in lockstep, while one
+/// peer's schedule stays reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (total attempts = `max_retries+1`).
     pub max_retries: u32,
-    /// Backoff of the first retry.
-    pub base_delay: Duration,
-    /// Upper bound on any single backoff (pre-jitter).
-    pub max_delay: Duration,
-    /// Seed of the deterministic jitter sequence.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 5,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(500),
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
+        RetryPolicy { max_retries: 5 }
     }
 }
 
 impl RetryPolicy {
-    /// The sleep before retry `attempt` (0-based): exponential backoff
-    /// with deterministic jitter in `[0, delay/2]`.
+    /// The sleep before retry `attempt` (0-based) of the calling thread:
+    /// exponential backoff with a per-peer jitter in `[0, delay/2)`.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
+        let exp = BASE_DELAY
             .saturating_mul(2u32.saturating_pow(attempt))
-            .min(self.max_delay);
-        // xorshift* keyed by (seed, attempt): reproducible per peer,
-        // decorrelated across peers with different seeds.
-        let mut x = self.seed
-            ^ (u64::from(attempt)
-                .wrapping_add(1)
-                .wrapping_mul(0x2545_F491_4F6C_DD1D));
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let half = exp.as_nanos() as u64 / 2;
-        let jitter = if half == 0 { 0 } else { x % half };
+            .min(MAX_DELAY);
+        let mut peer = DefaultHasher::new();
+        (std::process::id(), std::thread::current().id(), attempt).hash(&mut peer);
+        let jitter = peer.finish() % (exp.as_nanos() as u64 / 2);
         exp + Duration::from_nanos(jitter)
     }
 }
@@ -68,41 +56,37 @@ mod tests {
 
     #[test]
     fn backoff_grows_is_capped_and_jitter_is_bounded() {
-        let policy = RetryPolicy {
-            max_retries: 8,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(100),
-            seed: 42,
-        };
+        let policy = RetryPolicy { max_retries: 8 };
         let mut prev_base = Duration::ZERO;
         for attempt in 0..8 {
-            let base = policy
-                .base_delay
+            let base = BASE_DELAY
                 .saturating_mul(2u32.saturating_pow(attempt))
-                .min(policy.max_delay);
+                .min(MAX_DELAY);
             let d = policy.backoff(attempt);
             assert!(d >= base, "attempt {attempt}: {d:?} < base {base:?}");
             assert!(
-                d <= base + base / 2 + Duration::from_nanos(1),
+                d < base + base / 2,
                 "attempt {attempt}: jitter exceeds half the delay: {d:?}"
             );
             assert!(base >= prev_base, "backoff must not shrink");
             prev_base = base;
         }
-        // Deterministic per seed, different across seeds.
-        assert_eq!(policy.backoff(3), policy.backoff(3));
-        let other = RetryPolicy { seed: 43, ..policy };
-        assert_ne!(policy.backoff(3), other.backoff(3));
+        assert_eq!(
+            policy.backoff(31),
+            policy.backoff(31),
+            "one peer reproduces"
+        );
+        assert!(policy.backoff(31) >= MAX_DELAY);
     }
 
     #[test]
-    fn zero_base_delay_does_not_divide_by_zero() {
-        let policy = RetryPolicy {
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            ..RetryPolicy::default()
+    fn two_peers_do_not_back_off_in_lockstep() {
+        let schedule = || {
+            (0..6)
+                .map(|a| RetryPolicy::default().backoff(a))
+                .collect::<Vec<_>>()
         };
-        assert_eq!(policy.backoff(0), Duration::ZERO);
-        assert_eq!(policy.backoff(31), Duration::ZERO);
+        let other = std::thread::spawn(schedule).join().unwrap();
+        assert_ne!(schedule(), other);
     }
 }

@@ -211,13 +211,7 @@ where
                 continue;
             };
             idle = 0;
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "failpoints")]
-                if let Err(e) = crate::fault::point("sched::task_run") {
-                    panic!("{e}");
-                }
-                task(t, &mut state, &ctx)
-            }));
+            let run = catch_unwind(AssertUnwindSafe(|| task(t, &mut state, &ctx)));
             stats.tasks += 1;
             pending.fetch_sub(1, Ordering::SeqCst);
             let err = match run {

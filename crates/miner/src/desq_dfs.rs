@@ -1394,7 +1394,7 @@ mod tests {
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
-        for workers in [1, 2] {
+        for workers in [1, 2, 3] {
             let mut seen = 0;
             let err = miner
                 .mine_each_with_workers(&inputs, workers, None, &mut |_, _| {

@@ -173,10 +173,7 @@ fn query(args: &[String]) -> ExitCode {
     };
     let mut client = Client::new(sock_addr);
     if let Some(max_retries) = retries {
-        client = client.with_retry(RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        });
+        client = client.with_retry(RetryPolicy { max_retries });
     }
     match client.query(&req) {
         Ok(out) => {

@@ -17,7 +17,7 @@
 //!
 //! | tag | message | body |
 //! |-----|-----------|------|
-//! | `1` | [`Message::Request`] | `version:u8, corpus:str, pexp:str, flags:u8 (bit0 = unanchored), sigma:varint, algo:u8, budget:varint, max_patterns:varint, workers:varint, deadline_millis:varint` |
+//! | `1` | [`Message::Request`] | `version:u8, corpus:str, pexp:str, flags:u8 (bit0 = unanchored, bits 1–7 zero), sigma:varint, algo:u8, budget:varint, max_patterns:varint, workers:varint, deadline_millis:varint` |
 //! | `2` | [`Message::Patterns`] | `count:varint`, then per pattern `item_seq, freq:varint` |
 //! | `3` | [`Message::Metrics`] | [`MiningMetrics::encode`] body, then `cache_hit:u8, cache_hits:varint, cache_misses:varint, queue_wait_nanos:varint, compile_nanos:varint, timeouts:varint, panics:varint, cancels:varint, fst_states_before:varint, fst_states_after:varint, fst_transitions_before:varint, fst_transitions_after:varint` |
 //! | `4` | [`Message::Error`] | the [`desq_core::wire`] error record: `kind:u8, msg:str` (+ `pos:varint` for parse errors) |
@@ -156,8 +156,8 @@ pub struct Request {
 }
 
 impl Request {
-    /// An unanchored DESQ-DFS request with server-default limits — the
-    /// common query shape.
+    /// An anchored DESQ-DFS request with server-default limits (see
+    /// [`unanchored`](Self::unanchored)).
     pub fn new(corpus: impl Into<String>, pexp: impl Into<String>, sigma: u64) -> Request {
         Request {
             corpus: corpus.into(),
@@ -293,6 +293,9 @@ const TAG_METRICS: u8 = 3;
 const TAG_ERROR: u8 = 4;
 const TAG_BUSY: u8 = 5;
 
+/// The one defined bit of a request's flags byte; the others must be 0.
+const FLAG_UNANCHORED: u8 = 1;
+
 impl Message {
     /// Appends this message's payload (tag byte + body) to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -302,7 +305,7 @@ impl Message {
                 buf.push(PROTOCOL_VERSION);
                 write_str(buf, &r.corpus);
                 write_str(buf, &r.pexp);
-                buf.push(u8::from(r.unanchored));
+                buf.push(if r.unanchored { FLAG_UNANCHORED } else { 0 });
                 write_varint(buf, r.sigma);
                 buf.push(r.algo.tag());
                 write_varint(buf, r.budget);
@@ -363,12 +366,17 @@ impl Message {
                 let corpus = read_str(&mut buf)?.to_string();
                 let pexp = read_str(&mut buf)?.to_string();
                 let flags = take_u8(&mut buf, "request flags")?;
+                if flags & !FLAG_UNANCHORED != 0 {
+                    return Err(Error::Decode(format!(
+                        "invalid request flags byte {flags:#04x}"
+                    )));
+                }
                 let sigma = read_varint(&mut buf)?;
                 let algo = take_u8(&mut buf, "request algorithm")?;
                 Message::Request(Request {
                     corpus,
                     pexp,
-                    unanchored: flags & 1 == 1,
+                    unanchored: flags & FLAG_UNANCHORED != 0,
                     sigma,
                     algo: WireAlgo::from_tag(algo)?,
                     budget: read_varint(&mut buf)?,

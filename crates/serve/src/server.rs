@@ -83,11 +83,13 @@ const _: () = assert!(
 /// detached after it.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Server-side resource policy, fixed at spawn time.
+/// Server-side resource policy, fixed at spawn time. Every count must be
+/// positive and every duration non-zero: [`Server::spawn`] refuses a
+/// limit no query could run under.
 #[derive(Debug, Clone)]
 pub struct ServeLimits {
     /// Global cap on concurrently served connections; the connection that
-    /// would exceed it gets a [`Message::Busy`] frame. Must be positive.
+    /// would exceed it gets a [`Message::Busy`] frame.
     pub max_inflight: usize,
     /// Ceiling (and `0`-default) of the per-request work budget.
     pub max_budget: usize,
@@ -123,6 +125,28 @@ impl Default for ServeLimits {
     }
 }
 
+impl ServeLimits {
+    /// Why no query could run under these limits, if none could.
+    fn unusable(&self) -> Option<&'static str> {
+        [
+            (self.max_inflight == 0, "max_inflight must be positive"),
+            (self.max_budget == 0, "max_budget must be positive"),
+            (self.max_patterns == 0, "max_patterns must be positive"),
+            (self.max_workers == 0, "max_workers must be positive"),
+            (
+                self.io_timeout == Some(Duration::ZERO),
+                "io_timeout must be positive (None disables it)",
+            ),
+            (
+                self.max_deadline == Some(Duration::ZERO),
+                "max_deadline must be positive (None disables it)",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(bad, why)| bad.then_some(why))
+    }
+}
+
 /// The daemon's one record of its connections, shared by the accept loop,
 /// the connection threads and the [`ServerHandle`]. It keeps no clock:
 /// eviction is the socket timeout's job and deadlines are the tokens'.
@@ -143,6 +167,11 @@ struct Conns {
     timeouts: u64,
     panics: u64,
     cancels: u64,
+    /// Makes this server's next query panic after its run, just before
+    /// its terminal frame: no request can reach the connection's panic
+    /// boundary from there, so a test arms it.
+    #[cfg(test)]
+    panic_before_reply: bool,
 }
 
 impl Registry {
@@ -243,15 +272,12 @@ impl Server {
     }
 
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop on a background thread. A `max_inflight` of
-    /// 0, which no server can run with, fails with
+    /// starts the accept loop on a background thread. Limits no query
+    /// could run under — a zero count or a zero duration — fail with
     /// [`std::io::ErrorKind::InvalidInput`] before anything is bound.
     pub fn spawn(self, bind: &str) -> std::io::Result<ServerHandle> {
-        if self.limits.max_inflight == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "max_inflight must be positive",
-            ));
+        if let Some(why) = self.limits.unusable() {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
@@ -478,8 +504,10 @@ fn serve_request(
         }
     }
     let mining = pattern_stream.finish()?;
-    #[cfg(feature = "failpoints")]
-    desq_core::fault::point("serve::before_reply")?;
+    #[cfg(test)]
+    if std::mem::take(&mut admission.registry.lock().panic_before_reply) {
+        panic!("injected panic before the reply");
+    }
     let (cache_hits, cache_misses) = store.cache_stats();
     let conns = admission.registry.lock();
     Ok(Message::Metrics {
@@ -603,6 +631,29 @@ mod tests {
         registry.count_failure(&Error::Invalid("not a failure-domain error".into()));
         let conns = registry.lock();
         assert_eq!((conns.timeouts, conns.cancels, conns.panics), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_panic_in_request_handling_is_contained_to_its_connection() {
+        let mut store = CorpusStore::new();
+        store.load_spec("toy", "toy").unwrap();
+        let handle = Server::new(store).spawn("127.0.0.1:0").unwrap();
+        let client = crate::client::Client::new(handle.addr());
+        let request = Request::new("toy", desq_core::toy::PATTERN, 2);
+
+        handle.registry.lock().panic_before_reply = true;
+        match client.query(&request).unwrap_err() {
+            crate::ServeError::Remote(Error::WorkerPanicked(msg)) => {
+                assert!(msg.contains("before the reply"), "{msg}");
+            }
+            other => panic!("expected Remote(WorkerPanicked), got {other}"),
+        }
+        // The server keeps serving, and the next metrics frame counts the
+        // contained panic.
+        let ok = client.query(&request).unwrap();
+        assert_eq!(ok.patterns.len(), 3);
+        assert_eq!(ok.stats.panics, 1);
+        handle.shutdown();
     }
 
     #[test]

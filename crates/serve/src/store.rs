@@ -162,8 +162,6 @@ impl CorpusStore {
                 compile_nanos: 0,
             });
         }
-        #[cfg(feature = "failpoints")]
-        desq_core::fault::point("store::compile")?;
         let t0 = Instant::now();
         let builder = MiningSession::builder().dictionary(corpus.dict.clone());
         let builder = if unanchored {

@@ -2,17 +2,22 @@
 //! byte-identity, concurrent clients vs the sequential oracle, explicit
 //! Busy under overload, a slot free again once its query returned,
 //! admission-time rejections, cancel-on-disconnect, limits refused at
-//! spawn, and the client against scripted servers (retry through Busy,
-//! bytes after the terminal frame). No test sleeps: each waits on a frame,
-//! a close or a retrying client.
+//! spawn, the client against scripted servers (retry through Busy, bytes
+//! after the terminal frame), and the failure-domain promises of a live
+//! daemon: a stalled client is evicted by the I/O timeout, an
+//! over-deadline query errors within twice its deadline, and a drain
+//! cancels an in-flight query well inside its grace. No test sleeps: each
+//! waits on a frame, a close or a retrying client, and the slow queries
+//! are real work, not injected delays.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use desq::session::{AlgorithmSpec, MiningSession};
+use desq_core::retry::BASE_DELAY;
 use desq_core::{toy, Error, MiningMetrics, Sequence};
 use desq_serve::client::{Client, RetryPolicy};
 use desq_serve::proto::{read_frame, write_frame, Message, Request, ServerStats, WireAlgo};
@@ -63,17 +68,60 @@ fn sorted(mut patterns: Vec<(Sequence, u64)>) -> Vec<(Sequence, u64)> {
     patterns
 }
 
+/// A resident `nyt:400` corpus, up to two workers per request and no
+/// pattern ceiling, so a σ = 1 query over [`endless`] runs for seconds.
+fn nyt_server() -> desq_serve::server::ServerHandle {
+    let mut store = CorpusStore::new();
+    store.load_spec("nyt", "nyt:400").unwrap();
+    Server::new(store)
+        .with_limits(ServeLimits {
+            max_workers: 2,
+            max_patterns: usize::MAX,
+            ..ServeLimits::default()
+        })
+        .spawn("127.0.0.1:0")
+        .unwrap()
+}
+
+/// T1(20) over [`nyt_server`]'s corpus: at σ = 1 it streams patterns for
+/// far longer than any test waits; at σ = 400 it is a quick cache warm-up.
+fn endless(sigma: u64) -> Request {
+    Request::new("nyt", desq_dist::patterns::t1(20).expr, sigma)
+        .unanchored()
+        .with_workers(2)
+}
+
 #[test]
 fn spawn_refuses_unusable_limits_as_invalid_input() {
-    let mut store = CorpusStore::new();
-    store.load_spec("toy", "toy").unwrap();
-    let limits = ServeLimits {
-        max_inflight: 0,
-        ..ServeLimits::default()
+    let zeroed = |zero: fn(&mut ServeLimits)| {
+        let mut limits = ServeLimits::default();
+        zero(&mut limits);
+        limits
     };
-    match Server::new(store).with_limits(limits).spawn("127.0.0.1:0") {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
-        Ok(_) => panic!("spawned with max_inflight 0"),
+    let cases = [
+        ("max_inflight", zeroed(|l| l.max_inflight = 0)),
+        ("max_budget", zeroed(|l| l.max_budget = 0)),
+        ("max_patterns", zeroed(|l| l.max_patterns = 0)),
+        ("max_workers", zeroed(|l| l.max_workers = 0)),
+        (
+            "io_timeout",
+            zeroed(|l| l.io_timeout = Some(Duration::ZERO)),
+        ),
+        (
+            "max_deadline",
+            zeroed(|l| l.max_deadline = Some(Duration::ZERO)),
+        ),
+    ];
+    for (field, limits) in cases {
+        let mut store = CorpusStore::new();
+        store.load_spec("toy", "toy").unwrap();
+        match Server::new(store).with_limits(limits).spawn("127.0.0.1:0") {
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+                assert!(e.to_string().contains(field), "{field}: {e}");
+            }
+            Ok(_) => panic!("spawned with a zero {field}"),
+        }
     }
 }
 
@@ -261,6 +309,15 @@ fn admission_rejects_bad_requests_before_mining() {
         "expected Remote(Parse), got {bad_pexp}"
     );
 
+    // Parses, but names an item the dictionary lacks: the compile fails.
+    let unknown_item = client
+        .query(&Request::new("toy", "(A)(nosuchitem)", 2))
+        .unwrap_err();
+    assert!(
+        matches!(unknown_item, ServeError::Remote(Error::UnknownItem(ref item)) if item == "nosuchitem"),
+        "expected Remote(UnknownItem), got {unknown_item}"
+    );
+
     let over_budget = client
         .query(&Request::new("toy", toy::PATTERN, 2).with_budget(100_000))
         .unwrap_err();
@@ -271,18 +328,20 @@ fn admission_rejects_bad_requests_before_mining() {
         other => panic!("expected Remote(Invalid), got {other}"),
     }
 
-    let zero_sigma = client
-        .query(&Request::new("toy", toy::PATTERN, 0))
-        .unwrap_err();
+    // σ is the session's to check, after the compile.
+    let zero_sigma = client.query(&Request::new("toy", "(b)", 0)).unwrap_err();
     assert!(
         matches!(zero_sigma, ServeError::Remote(Error::Invalid(_))),
         "expected Remote(Invalid), got {zero_sigma}"
     );
 
     // None of the rejections left mining state behind: a good query still
-    // works and is the cache's first compile.
+    // works and is its expression's first compile. The failed compile
+    // cached nothing: the only other entry is the σ = 0 query's.
     let ok = client.query(&Request::new("toy", toy::PATTERN, 2)).unwrap();
     assert_eq!(ok.patterns.len(), 3);
+    assert!(!ok.stats.cache_hit);
+    assert_eq!((ok.stats.cache_hits, ok.stats.cache_misses), (0, 2));
     handle.shutdown();
 }
 
@@ -311,12 +370,7 @@ fn disconnect_mid_stream_releases_the_slot_and_cancels_the_run() {
     // waits through Busy until it does — and must be accounted as a
     // cancel/timeout, proving the run was tripped by the failed write
     // rather than mined to the end.
-    let client = Client::new(handle.addr()).with_retry(RetryPolicy {
-        max_retries: 200,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(100),
-        ..RetryPolicy::default()
-    });
+    let client = Client::new(handle.addr()).with_retry(RetryPolicy { max_retries: 200 });
     let outcome = client
         .query(&Request::new("nyt", desq_dist::patterns::n2().expr, 4).unanchored())
         .unwrap();
@@ -348,12 +402,7 @@ fn retry_policy_rides_out_busy_until_the_slot_frees() {
         ]
         .concat(),
     ]);
-    let retrying = Client::new(addr).with_retry(RetryPolicy {
-        max_retries: 3,
-        base_delay: Duration::from_millis(1),
-        max_delay: Duration::from_millis(4),
-        ..RetryPolicy::default()
-    });
+    let retrying = Client::new(addr).with_retry(RetryPolicy { max_retries: 3 });
     let outcome = retrying
         .query(&Request::new("toy", toy::PATTERN, 2))
         .expect("the retry must land");
@@ -390,13 +439,7 @@ fn retry_policy_bounds_connection_refused_attempts() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
     };
-    let policy = RetryPolicy {
-        max_retries: 2,
-        base_delay: Duration::from_millis(10),
-        max_delay: Duration::from_millis(40),
-        ..RetryPolicy::default()
-    };
-    let client = Client::new(addr).with_retry(policy);
+    let client = Client::new(addr).with_retry(RetryPolicy { max_retries: 2 });
     let t0 = Instant::now();
     let err = client
         .query(&Request::new("toy", toy::PATTERN, 2))
@@ -407,7 +450,7 @@ fn retry_policy_bounds_connection_refused_attempts() {
     );
     // Two backoffs slept: ≥ base + 2·base (exponential, pre-jitter).
     assert!(
-        t0.elapsed() >= Duration::from_millis(30),
+        t0.elapsed() >= 3 * BASE_DELAY,
         "backoff sleeps must actually happen ({:?})",
         t0.elapsed()
     );
@@ -429,4 +472,130 @@ fn budget_exhaustion_reaches_the_client_as_resource_exhausted() {
         "expected Remote(ResourceExhausted), got {err}"
     );
     handle.shutdown();
+}
+
+/// A stalled client — connected, never sends a request — is evicted by
+/// the I/O timeout: it receives an explicit terminal frame, its admission
+/// slot is released before its connection closes, and the next query gets
+/// no `Busy`.
+#[test]
+fn stalled_client_is_evicted_by_the_io_timeout() {
+    let handle = toy_server(ServeLimits {
+        max_inflight: 1,
+        io_timeout: Some(Duration::from_millis(500)),
+        ..ServeLimits::default()
+    });
+
+    // Two silent connections. The accept queue is first in, first out, so
+    // the first holds the only slot and the second is answered Busy.
+    let mut held = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    let mut refused = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    assert_eq!(
+        next_message(&mut refused),
+        Message::Busy {
+            in_flight: 1,
+            cap: 1
+        },
+        "the stalled connection must hold the only slot at first"
+    );
+
+    // The eviction frees the slot without the holder ever disconnecting,
+    // and tells it why before closing.
+    assert!(
+        matches!(
+            next_message(&mut held),
+            Message::Error(Error::DeadlineExceeded(_))
+        ),
+        "the stalled client is told why it was evicted"
+    );
+    assert_eq!(held.read(&mut [0u8; 1]).unwrap(), 0, "then the close");
+    let outcome = Client::new(handle.addr())
+        .query(&Request::new("toy", toy::PATTERN, 2))
+        .unwrap();
+    assert_eq!(outcome.patterns.len(), 3);
+    assert!(outcome.stats.timeouts >= 1, "eviction must be counted");
+    handle.shutdown();
+}
+
+/// A query past its wall-clock deadline returns `DeadlineExceeded` no
+/// earlier than the deadline and within twice it, although the run would
+/// stream patterns for far longer.
+#[test]
+fn over_deadline_query_errors_within_twice_the_deadline() {
+    let handle = nyt_server();
+    let client = Client::new(handle.addr());
+
+    // Warm the FST cache so the measured query spends its wall-clock
+    // budget in mining, not compilation.
+    client.query(&endless(400)).unwrap();
+
+    let deadline = Duration::from_millis(200);
+    let t0 = Instant::now();
+    let err = client
+        .query(&endless(1).with_deadline_millis(deadline.as_millis() as u64))
+        .unwrap_err();
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(err, ServeError::Remote(Error::DeadlineExceeded(_))),
+        "expected Remote(DeadlineExceeded), got {err}"
+    );
+    assert!(
+        elapsed >= deadline,
+        "cannot trip before the deadline ({elapsed:?})"
+    );
+    assert!(
+        elapsed <= 2 * deadline,
+        "DeadlineExceeded must arrive within 2x the deadline ({elapsed:?})"
+    );
+
+    // The server itself is fine afterwards.
+    let after = client.query(&endless(400)).unwrap();
+    assert!(after.stats.cache_hit);
+    assert!(after.stats.timeouts >= 1, "the deadline must be counted");
+    handle.shutdown();
+}
+
+/// Drain shutdown cancels the in-flight query (its client receives a
+/// terminal `Cancelled` frame) and returns within 2 s, well before its
+/// five-second grace runs out.
+#[test]
+fn drain_shutdown_cancels_in_flight_sessions_within_grace() {
+    let handle = nyt_server();
+    Client::new(handle.addr()).query(&endless(400)).unwrap(); // warm the cache
+
+    // The client reads on its own thread, so the daemon's writes never
+    // wait on it; it reports the first pattern frame (the query is in
+    // flight), then returns the terminal frame.
+    let slow = TcpStream::connect(handle.addr()).unwrap();
+    write_frame(
+        &mut BufWriter::new(slow.try_clone().unwrap()),
+        &Message::Request(endless(1)),
+    )
+    .unwrap();
+    let (started_tx, started) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut slow = BufReader::new(slow);
+        assert!(matches!(next_message(&mut slow), Message::Patterns(_)));
+        started_tx.send(()).unwrap();
+        loop {
+            match next_message(&mut slow) {
+                Message::Patterns(_) => continue,
+                other => break other,
+            }
+        }
+    });
+    started.recv().unwrap();
+
+    let t0 = Instant::now();
+    handle.shutdown();
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed <= Duration::from_secs(2),
+        "drain must cancel its session promptly, well inside the grace ({elapsed:?})"
+    );
+    let terminal = reader.join().unwrap();
+    assert!(
+        matches!(terminal, Message::Error(Error::Cancelled(_))),
+        "the drained client is told its query was cancelled, got {terminal:?}"
+    );
 }

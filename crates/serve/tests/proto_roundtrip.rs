@@ -230,3 +230,29 @@ proptest! {
         prop_assert!(Message::decode(&payload).is_err());
     }
 }
+
+/// A request whose flags byte sets a bit beyond `unanchored` is refused,
+/// not read as if the bit were clear: no conforming encoder sets one.
+#[test]
+fn undefined_request_flag_bits_are_rejected() {
+    let mut payload = Vec::new();
+    Message::Request(Request::new("c", "(a)", 1)).encode(&mut payload);
+    // tag, version, corpus (len 1 + 1 byte), pexp (len 1 + 3 bytes), flags
+    let flags_at = 2 + 2 + 4;
+    assert_eq!(payload[flags_at], 0, "an anchored request sets no flag");
+    for flags in [0x02u8, 0x80, 0xFF] {
+        payload[flags_at] = flags;
+        assert!(
+            matches!(Message::decode(&payload), Err(Error::Decode(_))),
+            "flags {flags:#04x}"
+        );
+    }
+    payload[flags_at] = 0x01;
+    assert!(matches!(
+        Message::decode(&payload),
+        Ok(Message::Request(Request {
+            unanchored: true,
+            ..
+        }))
+    ));
+}

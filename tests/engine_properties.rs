@@ -97,7 +97,7 @@ proptest! {
         partitions in 1usize..7,
     ) {
         // Sequential reference: per key (item % 7), sum of values.
-        let mut expect: std::collections::BTreeMap<u32, u64> = Default::default();
+        let mut expect = std::collections::BTreeMap::<u32, u64>::new();
         for seq in &data {
             for &x in seq {
                 *expect.entry(x % 7).or_insert(0) += u64::from(x);
@@ -217,7 +217,7 @@ proptest! {
         combined.sort();
 
         // Sequential reference.
-        let mut expect: std::collections::BTreeMap<u32, u64> = Default::default();
+        let mut expect = std::collections::BTreeMap::<u32, u64>::new();
         for seq in &data {
             for &x in seq {
                 *expect.entry(x % 3).or_insert(0) += u64::from(x);
