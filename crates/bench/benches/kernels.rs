@@ -416,8 +416,10 @@ fn bench_dseq(c: &mut Criterion) {
             let Some(pr) = ranges.first() else { continue };
             let range = &seq[pr.first as usize..=pr.last as usize];
             let table = *table_of.entry(range).or_insert_with(|| {
-                let table = builder.append_tables(range, &mut tables, &mut scratch);
-                table.expect("a pivot's rewritten range is accepted")
+                builder
+                    .append_tables(range, &mut tables, &mut scratch)
+                    .unwrap()
+                    .expect("a pivot's rewritten range is accepted")
             });
             for pr in &ranges {
                 *picks.entry(pr.item).or_default().entry(table).or_default() += 1;
@@ -432,12 +434,9 @@ fn bench_dseq(c: &mut Criterion) {
                 let mut patterns = 0usize;
                 for (pivot, picks) in &partitions {
                     let cfg = MinerConfig::for_pivot(sigma, *pivot, true);
-                    LocalMiner::with_index(&fst, &dict, cfg, search.index()).mine_picks(
-                        &tables,
-                        picks,
-                        &mut scratch,
-                        &mut |_, _| patterns += 1,
-                    );
+                    LocalMiner::with_index(&fst, &dict, cfg, search.index())
+                        .mine_picks(&tables, picks, &mut scratch, &mut |_, _| patterns += 1)
+                        .unwrap();
                 }
                 black_box(patterns)
             })

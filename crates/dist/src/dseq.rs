@@ -183,7 +183,9 @@ fn d_seq_exec(
                 Entry::Vacant(miss) => {
                     items.clear();
                     decode_payload(bytes, dict.max_fid(), items)?;
-                    *miss.insert(builder.append_tables(items, tables, scratch))
+                    // Payloads are outside input: an over-wide one fails
+                    // the round typed.
+                    *miss.insert(builder.append_tables(items, tables, scratch)?)
                 }
             };
             if let Some(table) = table {
@@ -196,8 +198,7 @@ fn d_seq_exec(
             picks,
             scratch,
             &mut |pattern, freq| emit((pattern, freq)),
-        );
-        Ok(())
+        )
     };
 
     crate::run_round(ctx, exec, t0, map, ReduceState::default, reduce)
@@ -409,7 +410,9 @@ mod tests {
             let mut undercuts = 0;
             for (s, items) in db.sequences.iter().enumerate() {
                 search.pivots_into(items, &mut scratch, &mut ranges);
-                let table = builder.append_tables(items, &mut tables, &mut miner_scratch);
+                let table = builder
+                    .append_tables(items, &mut tables, &mut miner_scratch)
+                    .unwrap();
                 assert!(table.is_some() || ranges.is_empty(), "sequence {s}");
                 for pr in &ranges {
                     let miner = LocalMiner::with_index(

@@ -24,9 +24,13 @@
 //! per-state transition index of the FST (L1-resident) and resolves
 //! matches, aliveness and outputs as bit tests and arena slices: no
 //! ancestor binary searches, no output re-materialization, no dictionary
-//! access. Projected databases are sorted posting-list runs in per-depth
-//! reusable buffers instead of per-node hash maps, and the ε-closure walk
-//! deduplicates coordinates in a bitset.
+//! access. A projected database is a run of 8-byte postings (input index,
+//! ε-completion flag, `(position, state)` cell) in a per-depth reusable
+//! buffer instead of a per-node hash map; the run's item is stored once,
+//! in the depth's run directory. The unordered child postings of the node
+//! being expanded go to one raw buffer per worker, which every depth
+//! reuses: the node scatters them into its per-item runs before it
+//! recurses. The ε-closure walk deduplicates cells in a bitset.
 //!
 //! Search-tree exploration runs on the work-stealing scheduler of
 //! [`desq_core::sched`] at every worker count
@@ -178,46 +182,65 @@ impl IndexHolder<'_> {
     }
 }
 
-/// One projected-database posting, packed
-/// `extension item ‖ input index ‖ last-read position ‖ ε-flag ‖ state`
-/// (32 + 32 + 32 + 1 + 31 bits, most significant first). The item is the
-/// output that led into this node (the root uses ε); packing it into the
-/// top bits makes a plain integer sort group postings into per-child runs
-/// with branchless compares. The ε-flag caches the coordinate's
-/// ε-completion bit so support counting never touches the tables again.
-type Posting = u128;
+/// One projected-database posting, packed `input index ‖ ε-flag ‖ cell`
+/// (32 + 1 + 31 bits, most significant first). The cell is the snapshot's
+/// `(last-read position i, state q)` coordinate `i · |Q| + q` — the
+/// coordinate of the visited bitset and of `eps_fin`, so the walk marks a
+/// seed without a multiply and recovers `(i, q)` with one div/mod. The
+/// ε-flag caches the cell's ε-completion bit so support counting never
+/// touches the tables again. A run's extension item is not stored per
+/// posting: it is the run's entry in [`DepthBufs::runs`].
+/// [`fits_widths`] bounds every packed field when the tables are built.
+type Posting = u64;
+
+const _: () = assert!(std::mem::size_of::<Posting>() == 8);
 
 const EPS_FLAG: u32 = 1 << 31;
 
+/// A posting's low word: the cell under its ε-flag.
 #[inline]
-fn posting(w: ItemId, s: u32, i: u32, q: u32, eps: bool) -> Posting {
-    let q = q | if eps { EPS_FLAG } else { 0 };
-    (w as u128) << 96 | (s as u128) << 64 | (i as u128) << 32 | q as u128
+fn coord(cell: u32, eps: bool) -> u32 {
+    cell | if eps { EPS_FLAG } else { 0 }
 }
 
 #[inline]
-fn p_item(p: Posting) -> ItemId {
-    (p >> 96) as u32
+fn posting(s: u32, low: u32) -> Posting {
+    (s as u64) << 32 | low as u64
 }
 
 #[inline]
 fn p_seq(p: Posting) -> u32 {
-    (p >> 64) as u32
-}
-
-#[inline]
-fn p_pos(p: Posting) -> u32 {
     (p >> 32) as u32
 }
 
 #[inline]
-fn p_state(p: Posting) -> u32 {
+fn p_cell(p: Posting) -> u32 {
     p as u32 & !EPS_FLAG
 }
 
 #[inline]
 fn p_eps(p: Posting) -> bool {
     p as u32 & EPS_FLAG != 0
+}
+
+/// Whether a sequence of `len` items, simulated over an FST with `states`
+/// states, fits the widths the DFS packs it into as input `index` with
+/// the four arena `starts` of [`SeqMeta`]: the index stays below
+/// `u32::MAX` (the accumulators' "no sequence yet" mark), every cell
+/// below 2³¹ — `(len + 1) · states` of them, with the ε-flag above — and
+/// every arena start within a `u32`.
+fn fits_widths(index: usize, len: usize, states: usize, starts: [usize; 4]) -> bool {
+    index < u32::MAX as usize
+        && (len as u128 + 1) * (states as u128) < 1 << 31
+        && starts.iter().all(|&start| start <= u32::MAX as usize)
+}
+
+/// The typed error of a sequence [`fits_widths`] rejects.
+fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
+    desq_core::Error::Invalid(format!(
+        "DESQ-DFS cannot index input {index}: a sequence of {len} items over \
+         {states} FST states exceeds the packed posting or arena widths"
+    ))
 }
 
 /// Flat per-sequence simulation tables, built by
@@ -259,13 +282,16 @@ fn p_eps(p: Posting) -> bool {
 /// miner's own pivot, and [`LocalMiner::mine_picks`] overrides it, together
 /// with the weight, per pick.
 ///
-/// All per-sequence data lives in **shared arenas** with one descriptor
-/// (`SeqMeta`) per *accepted* sequence: building tables for N inputs costs
-/// a constant number of allocations, not 4·N. A sequence without an
-/// accepting run can never reach the root projection, so it gets no
-/// descriptor and no arena space. D-SEQ keeps one growing arena per reduce
-/// worker — its lifetime is the worker's, so a sequence shipped to many
-/// pivot partitions of that worker is simulated once.
+/// All per-sequence data lives in **shared arenas** with one 32-byte
+/// descriptor (`SeqMeta`, `u32` arena starts) per *accepted* sequence:
+/// building tables for N inputs costs a constant number of allocations,
+/// not 4·N. A sequence without an accepting run can never reach the root
+/// projection, so it gets no descriptor and no arena space. D-SEQ keeps
+/// one growing arena per reduce worker — its lifetime is the worker's, so
+/// a sequence shipped to many pivot partitions of that worker is
+/// simulated once. A sequence whose table index, cells or arena starts
+/// would overflow the packed widths (`fits_widths`) fails the build with
+/// [`desq_core::Error::Invalid`].
 #[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
@@ -280,16 +306,18 @@ pub struct SeqTables {
 #[derive(Clone, Copy)]
 struct SeqMeta {
     weight: u64,
-    mask_start: usize,
-    eps_start: usize,
-    off_start: usize,
-    outs_start: usize,
+    mask_start: u32,
+    eps_start: u32,
+    off_start: u32,
+    outs_start: u32,
     len: u32,
     /// Early stopping (Sec. V-C): the last position that can still produce
     /// the pivot. A prefix lacking the pivot reads nothing beyond it and
     /// only the pivot at it. `u32::MAX` = no bound.
     last_pivot_pos: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<SeqMeta>() == 32);
 
 /// What the DFS walks: the arenas plus one descriptor per accepted input
 /// sequence (postings index into `metas`).
@@ -316,8 +344,11 @@ impl SeqTables {
     fn num_match_bits(&self, s: usize) -> usize {
         // Sequences occupy the arenas in order, back to back.
         let mask = self.sim.mask();
-        let end = self.metas.get(s + 1).map_or(mask.len(), |m| m.mask_start);
-        mask[self.metas[s].mask_start..end]
+        let end = self
+            .metas
+            .get(s + 1)
+            .map_or(mask.len(), |m| m.mask_start as usize);
+        mask[self.metas[s].mask_start as usize..end]
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
@@ -334,40 +365,56 @@ impl SeqTables {
     /// The last position of sequence `m` (`l` output labels per position)
     /// whose output sets contain `pivot`.
     fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
-        let offsets = &self.sim.offsets()[m.off_start..m.off_start + m.len as usize * l + 1];
-        let outs = &self.sim.outs()[m.outs_start..][..offsets[offsets.len() - 1] as usize];
+        let offsets = &self.sim.offsets()[m.off_start as usize..][..m.len as usize * l + 1];
+        let outs = &self.sim.outs()[m.outs_start as usize..][..offsets[offsets.len() - 1] as usize];
         let at = outs.iter().rposition(|&w| w == pivot)?;
         // `offsets` ascends from 0 to `outs.len()`: the set holding `at` is
         // the last one starting at or before it.
         Some((offsets.partition_point(|&o| o as usize <= at) - 1) / l)
     }
 
-    /// Appends another set's tables (a parallel build chunk), rebasing the
-    /// descriptors onto this set's arenas.
-    fn append(&mut self, other: SeqTables) {
-        let (mb, eb, ob, ub) = (
+    /// The arenas' current lengths: where the next sequence's tables start.
+    fn arena_lens(&self) -> [usize; 4] {
+        [
             self.sim.mask().len(),
             self.eps_fin.len(),
             self.sim.offsets().len(),
             self.sim.outs().len(),
-        );
-        self.metas.extend(other.metas.into_iter().map(|m| SeqMeta {
-            mask_start: m.mask_start + mb,
-            eps_start: m.eps_start + eb,
-            off_start: m.off_start + ob,
-            outs_start: m.outs_start + ub,
-            ..m
-        }));
+        ]
+    }
+
+    /// Appends another set's tables (a parallel build chunk, simulated over
+    /// `states` FST states), rebasing the descriptors onto this set's
+    /// arenas; a rebased index or start past the packed widths fails typed.
+    fn append(&mut self, other: SeqTables, states: usize) -> Result<()> {
+        let base = self.arena_lens();
+        for m in other.metas {
+            let old = [m.mask_start, m.eps_start, m.off_start, m.outs_start];
+            let starts = std::array::from_fn(|k| old[k] as usize + base[k]);
+            let (index, len) = (self.metas.len(), m.len as usize);
+            if !fits_widths(index, len, states, starts) {
+                return Err(width_error(index, len, states));
+            }
+            let [mask, eps, off, outs] = starts;
+            self.metas.push(SeqMeta {
+                mask_start: mask as u32,
+                eps_start: eps as u32,
+                off_start: off as u32,
+                outs_start: outs as u32,
+                ..m
+            });
+        }
         self.sim.append(&other.sim);
         self.eps_fin.extend_from_slice(&other.eps_fin);
+        Ok(())
     }
 }
 
 /// Scratch for the ε-closure walk, reused across snapshots and nodes.
 #[derive(Default)]
 struct WalkBufs {
-    /// Visited-coordinate bitset over `(i, q)` cells of the current
-    /// sequence.
+    /// Visited-coordinate bitset over `(i, q)` cells (`i · |Q| + q`) of
+    /// the current sequence.
     visited: Vec<u64>,
     /// Cells set in `visited`, for O(|walk|) clearing.
     touched: Vec<u32>,
@@ -377,11 +424,11 @@ struct WalkBufs {
 
 impl WalkBufs {
     #[inline]
-    fn mark(&mut self, cell: usize) -> bool {
-        let fresh = !get_bit(&self.visited, cell);
+    fn mark(&mut self, cell: u32) -> bool {
+        let fresh = !get_bit(&self.visited, cell as usize);
         if fresh {
-            set_bit(&mut self.visited, cell);
-            self.touched.push(cell as u32);
+            set_bit(&mut self.visited, cell as usize);
+            self.touched.push(cell);
         }
         fresh
     }
@@ -394,16 +441,31 @@ impl WalkBufs {
     }
 }
 
-/// Per-depth node scratch: the raw (unordered) child postings pushed by the
-/// closure walk, the same postings grouped into per-item runs, and the run
-/// directory. Buffers persist across sibling nodes of the same depth.
+/// Per-depth node scratch: the frequent children's postings grouped into
+/// per-item runs, and the run directory. They live while the node's
+/// children are mined, so each depth keeps its own; the buffers persist
+/// across sibling nodes of the same depth.
 #[derive(Default)]
 struct DepthBufs {
-    raw: Vec<Posting>,
     grouped: Vec<Posting>,
     /// Per frequent child: item, its postings in `grouped`, and its
     /// ε-completion (emission) support.
     runs: Vec<(ItemId, std::ops::Range<usize>, u64)>,
+}
+
+/// The unordered child postings of the node being expanded, as the closure
+/// walk pushes them. Grouping consumes them before the node recurses, so
+/// one instance per worker serves every depth.
+#[derive(Default)]
+struct RawChildren {
+    /// Dense grouping: one `item ‖ posting low word` per child posting.
+    words: Vec<u64>,
+    /// Dense grouping: per input sequence with child postings, its index
+    /// and the end of its stretch of `words` (a node's child postings are
+    /// counted in `u32`, like [`ItemAcc::count`]).
+    segs: Vec<(u32, u32)>,
+    /// Sparse grouping: `item ‖ posting` sort keys.
+    keys: Vec<u128>,
 }
 
 /// Per-item accumulator of one node expansion, packed so every posting
@@ -441,15 +503,16 @@ struct ItemStats {
 /// Largest dense item-array size; beyond this, node grouping sorts instead.
 const MAX_DENSE_ITEMS: usize = 1 << 21;
 
-/// All reusable DFS scratch: walk buffers, item accumulators, and one
-/// [`DepthBufs`] per search-tree depth (projected databases of siblings
-/// reuse the same allocations). Every buffer is back in its rest state
-/// after a mining call, so one instance serves many calls
+/// All reusable DFS scratch: walk buffers, item accumulators, the raw
+/// child postings, and one [`DepthBufs`] per search-tree depth (projected
+/// databases of siblings reuse the same allocations). Every buffer is back
+/// in its rest state after a mining call, so one instance serves many calls
 /// ([`MinerScratch`]) and only ever grows.
 #[derive(Default)]
 struct ExpandBufs {
     walk: WalkBufs,
     stats: ItemStats,
+    raw: RawChildren,
     depths: Vec<DepthBufs>,
     /// Search-tree nodes expanded so far.
     #[cfg(test)]
@@ -562,43 +625,53 @@ impl<'a> LocalMiner<'a> {
     /// returns its index there, or `None` (appending nothing) if the FST
     /// rejects the sequence. The tables are pivot-independent (see
     /// [`SeqTables`]), so the appending miner need not be the one that
-    /// later mines them.
+    /// later mines them. A sequence that would overflow the packed widths
+    /// (see [`SeqTables`]) fails with [`desq_core::Error::Invalid`], also
+    /// appending nothing.
     pub fn append_tables(
         &self,
         seq: &[ItemId],
         tables: &mut SeqTables,
         scratch: &mut MinerScratch,
-    ) -> Option<u32> {
-        let table =
-            u32::try_from(tables.len()).expect("postings pack the input index into 32 bits");
-        self.prepare_into(seq, 1, &mut scratch.prepare, tables)
-            .then_some(table)
+    ) -> Result<Option<u32>> {
+        let table = tables.len() as u32; // bounded by `prepare_into`'s check
+        Ok(self
+            .prepare_into(seq, 1, &mut scratch.prepare, tables)?
+            .then_some(table))
     }
 
     /// Mines the weighted collection given as `(table index, weight)`
     /// picks from `tables` under this miner's configuration, streaming
     /// patterns to `sink` in DFS order (unsorted). Single-threaded — the
     /// partition-per-key reducers that share an arena parallelize across
-    /// keys, not within them.
+    /// keys, not within them. A pick's position in `picks` is its input
+    /// index in the postings, so more than `u32::MAX` picks fail with
+    /// [`desq_core::Error::Invalid`].
     pub fn mine_picks(
         &self,
         tables: &SeqTables,
         picks: &[(u32, u64)],
         scratch: &mut MinerScratch,
         sink: &mut dyn FnMut(Sequence, u64),
-    ) {
+    ) -> Result<()> {
         let MinerScratch {
             bufs, views, roots, ..
         } = scratch;
+        let states = self.fst.num_states();
         views.clear();
-        views.extend(picks.iter().map(|&(t, weight)| {
+        for (k, &(t, weight)) in picks.iter().enumerate() {
             let m = tables.metas[t as usize];
-            SeqMeta {
+            // The table's own widths held when it was built; the index is
+            // the pick's.
+            if !fits_widths(k, m.len as usize, states, [0; 4]) {
+                return Err(width_error(k, m.len as usize, states));
+            }
+            views.push(SeqMeta {
                 weight,
                 last_pivot_pos: self.early_stop_pos(tables, &m),
                 ..m
-            }
-        }));
+            });
+        }
         let views = Views {
             arena: tables,
             metas: views,
@@ -621,6 +694,7 @@ impl<'a> LocalMiner<'a> {
                 true
             },
         );
+        Ok(())
     }
 
     /// The early-stopping bound of one sequence under this miner's
@@ -791,7 +865,9 @@ impl<'a> LocalMiner<'a> {
     /// input sequence, `workers` at a time. This is the preprocessing the DFS
     /// amortizes: afterwards expansion is pure bit tests and arena slices.
     /// A panic while building one sequence's tables is caught at the
-    /// worker boundary and reported as [`desq_core::Error::WorkerPanicked`].
+    /// worker boundary and reported as [`desq_core::Error::WorkerPanicked`];
+    /// an input sequence that would overflow the packed widths (see
+    /// [`SeqTables`]) fails the build with [`desq_core::Error::Invalid`].
     pub fn prepare_tables(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -823,7 +899,7 @@ impl<'a> LocalMiner<'a> {
                     if let Some(token) = cancel {
                         token.checkpoint()?;
                     }
-                    self.prepare_into(seq, w, scratch, &mut set);
+                    self.prepare_into(seq, w, scratch, &mut set)?;
                 }
                 Ok(set)
             },
@@ -831,7 +907,7 @@ impl<'a> LocalMiner<'a> {
         let mut parts = parts.results.into_iter();
         let mut set = parts.next().unwrap_or_default();
         for part in parts {
-            set.append(part);
+            set.append(part, self.fst.num_states())?;
         }
         Ok(set)
     }
@@ -848,8 +924,7 @@ impl<'a> LocalMiner<'a> {
             views,
             &roots,
             self.config.pivot.is_none(),
-            &mut bufs.walk,
-            &mut bufs.stats,
+            &mut bufs,
             &mut first,
         );
         first.runs.len()
@@ -859,32 +934,39 @@ impl<'a> LocalMiner<'a> {
     /// output arena, built by [`RunWalker::build_tables_into`] straight into
     /// the set's shared arenas, plus the ε-completion bitset (no
     /// per-sequence allocation). Returns whether the FST accepts the
-    /// sequence; a rejected one leaves `set` as it was.
+    /// sequence; a rejected one leaves `set` as it was, and so does one
+    /// that fails [`fits_widths`] — checked first, before any simulation.
     fn prepare_into(
         &self,
         seq: &[ItemId],
         weight: u64,
         scratch: &mut RunScratch,
         set: &mut SeqTables,
-    ) -> bool {
+    ) -> Result<bool> {
+        let (index, len, states) = (set.len(), seq.len(), self.fst.num_states());
+        let starts = set.arena_lens();
+        if !fits_widths(index, len, states, starts) {
+            return Err(width_error(index, len, states));
+        }
+        let [mask_start, eps_start, off_start, outs_start] = starts;
         let mut meta = SeqMeta {
             weight,
-            mask_start: set.sim.mask().len(),
-            eps_start: set.eps_fin.len(),
-            off_start: set.sim.offsets().len(),
-            outs_start: set.sim.outs().len(),
-            len: u32::try_from(seq.len()).expect("postings pack positions into 32 bits"),
+            mask_start: mask_start as u32,
+            eps_start: eps_start as u32,
+            off_start: off_start as u32,
+            outs_start: outs_start as u32,
+            len: len as u32,
             last_pivot_pos: u32::MAX,
         };
         let walker = RunWalker::new(self.fst, self.dict, self.index.get(), self.last_frequent);
         if !walker.build_tables_into(seq, scratch, &mut set.sim) {
-            return false;
+            return Ok(false);
         }
-        let mask = &set.sim.mask()[meta.mask_start..];
-        self.build_eps_fin(seq.len(), scratch, mask, &mut set.eps_fin);
+        let mask = &set.sim.mask()[mask_start..];
+        self.build_eps_fin(len, scratch, mask, &mut set.eps_fin);
         meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         set.metas.push(meta);
-        true
+        Ok(true)
     }
 
     /// The ε-completion DP of one accepted sequence, appended to `eps_buf`
@@ -923,21 +1005,23 @@ impl<'a> LocalMiner<'a> {
         }
     }
 
-    /// The root projection: every sequence at `(0, initial)`.
+    /// The root projection: every sequence at `(0, initial)`, whose cell is
+    /// the initial state. Views hold fewer than `u32::MAX` sequences
+    /// ([`fits_widths`]), so every index fits.
     fn root_postings<'v>(&self, views: Views<'v>) -> impl Iterator<Item = Posting> + 'v {
-        let q0 = self.fst.initial();
-        (0..views.metas.len()).map(move |s| posting(EPSILON, s as u32, 0, q0, false))
+        let q0 = coord(self.fst.initial(), false);
+        (0..views.metas.len() as u32).map(move |s| posting(s, q0))
     }
 
     /// Prefix and emission support of one child run: the weighted count of
     /// distinct input sequences with any posting, and with any
     /// ε-flagged posting. Postings must be grouped by input index.
-    fn run_supports(metas: &[SeqMeta], postings: &[Posting]) -> (u64, u64) {
+    fn run_supports(metas: &[SeqMeta], postings: impl Iterator<Item = Posting>) -> (u64, u64) {
         let mut support = 0u64;
         let mut emit = 0u64;
         let mut last: Option<u32> = None;
         let mut last_emit: Option<u32> = None;
-        for &p in postings {
+        for p in postings {
             let s = p_seq(p);
             if last != Some(s) {
                 last = Some(s);
@@ -956,26 +1040,30 @@ impl<'a> LocalMiner<'a> {
     /// Simulation resumes from the node's postings — one shared,
     /// bitset-deduplicated walk per input sequence, seeded with all of the
     /// sequence's postings (their closures overlap heavily, and the
-    /// children are a set anyway) — appending one posting per output item
-    /// of the output-producing steps into `d.raw`. Per-item posting counts
-    /// and weighted prefix supports accumulate on the fly, so grouping is a
-    /// single stable scatter into `d.grouped`: postings of children below σ
-    /// are dropped without ever being ordered, and `d.runs` directs the
-    /// recursion (ascending items, each run grouped by input index).
-    /// Duplicate postings (same coordinate reached from several closure
-    /// seeds) are tolerated — the next level's walk absorbs them, and the
-    /// distinct-sequence support counting is insensitive to them.
+    /// children are a set anyway) — appending one raw posting per output
+    /// item of the output-producing steps into `bufs.raw`. Dense grouping
+    /// stores each as an `item ‖ low word` and closes the sequence's
+    /// segment; per-item posting counts and weighted prefix supports
+    /// accumulate on the fly, so grouping is a single stable scatter into
+    /// `d.grouped`: postings of children below σ are dropped without ever
+    /// being ordered. Sparse grouping sorts and deduplicates
+    /// `item ‖ posting` keys instead and narrows the frequent runs into
+    /// `d.grouped`. Either way `d.runs` directs the recursion (ascending
+    /// items, each run grouped by input index), and the raw buffer is free
+    /// again before any child is mined. Duplicate postings (same cell
+    /// reached from several closure seeds) are tolerated — the next level's
+    /// walk absorbs them, and the distinct-sequence support counting is
+    /// insensitive to them.
     fn collect_children(
         &self,
         views: Views<'_>,
         node: &[Posting],
         has_pivot: bool,
-        walk: &mut WalkBufs,
-        stats: &mut ItemStats,
+        bufs: &mut ExpandBufs,
         d: &mut DepthBufs,
     ) {
         let ix = self.index.get();
-        let (qn, w, l) = (self.fst.num_states(), ix.words(), ix.num_labels());
+        let (qn, w, l) = (self.fst.num_states() as u32, ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
         let bound = self.item_bound();
         let pivot = self.config.pivot.unwrap_or(EPSILON);
@@ -987,17 +1075,22 @@ impl<'a> LocalMiner<'a> {
         // antimonotone support bound.
         let prune_dead = !has_pivot && self.config.early_stop;
         let arena = views.arena;
-        d.raw.clear();
+        let ExpandBufs {
+            walk, stats, raw, ..
+        } = bufs;
+        raw.words.clear();
+        raw.segs.clear();
+        raw.keys.clear();
         let dense = stats.dense;
         let mut idx = 0;
         while idx < node.len() {
             let s = p_seq(node[idx]);
             let t = &views.metas[s as usize];
             let len = t.len as usize;
-            let mask = &arena.sim.mask()[t.mask_start..t.mask_start + len * w];
-            let eps_fin = &arena.eps_fin[t.eps_start..];
-            let offsets = &arena.sim.offsets()[t.off_start..];
-            let outs = &arena.sim.outs()[t.outs_start..];
+            let mask = &arena.sim.mask()[t.mask_start as usize..][..len * w];
+            let eps_fin = &arena.eps_fin[t.eps_start as usize..];
+            let offsets = &arena.sim.offsets()[t.off_start as usize..];
+            let outs = &arena.sim.outs()[t.outs_start as usize..];
             // Early stopping (Sec. V-C): while the prefix lacks the pivot,
             // nothing past the sequence's last pivot-producing position can
             // help it, and at that position only the pivot itself can.
@@ -1008,11 +1101,9 @@ impl<'a> LocalMiner<'a> {
             };
             walk.stack.clear();
             while idx < node.len() && p_seq(node[idx]) == s {
-                let (i0, q0) = (p_pos(node[idx]), p_state(node[idx]));
-                if i0 <= stop
-                    && ix.can_output(q0 as usize)
-                    && walk.mark(i0 as usize * qn + q0 as usize)
-                {
+                let cell = p_cell(node[idx]);
+                let (i0, q0) = (cell / qn, cell % qn);
+                if i0 <= stop && ix.can_output(q0 as usize) && walk.mark(cell) {
                     walk.stack.push((i0, q0));
                 }
                 idx += 1;
@@ -1028,11 +1119,13 @@ impl<'a> LocalMiner<'a> {
                     if row[tr.word as usize] & tr.mask == 0 {
                         continue;
                     }
+                    // Below 2³¹ by `fits_widths`.
+                    let target = (i + 1) * qn + tr.to;
                     if tr.label < 0 {
                         if iu + 1 < len
                             && i < stop
                             && ix.can_output(tr.to as usize)
-                            && walk.mark((iu + 1) * qn + tr.to as usize)
+                            && walk.mark(target)
                         {
                             walk.stack.push((i + 1, tr.to));
                         }
@@ -1057,11 +1150,11 @@ impl<'a> LocalMiner<'a> {
                     if items.is_empty() {
                         continue;
                     }
-                    let target = (iu + 1) * qn + tr.to as usize;
-                    let eps = get_bit(eps_fin, target);
+                    let eps = get_bit(eps_fin, target as usize);
+                    let low = coord(target, eps);
                     if dense {
                         for &item in items {
-                            d.raw.push(posting(item, s, i + 1, tr.to, eps));
+                            raw.words.push((item as u64) << 32 | low as u64);
                             let a = &mut stats.acc[item as usize];
                             if a.count == 0 {
                                 stats.items.push(item);
@@ -1077,13 +1170,17 @@ impl<'a> LocalMiner<'a> {
                             }
                         }
                     } else {
-                        for &item in items {
-                            d.raw.push(posting(item, s, i + 1, tr.to, eps));
-                        }
+                        let p = posting(s, low) as u128;
+                        raw.keys
+                            .extend(items.iter().map(|&item| (item as u128) << 64 | p));
                     }
                 }
             }
             walk.clear();
+            let end = u32::try_from(raw.words.len()).expect("fewer than 2³² child postings");
+            if raw.segs.last().map_or(0, |seg| seg.1) < end {
+                raw.segs.push((s, end));
+            }
         }
         d.grouped.clear();
         d.runs.clear();
@@ -1101,12 +1198,16 @@ impl<'a> LocalMiner<'a> {
                 }
             }
             d.grouped.resize(pos, 0);
-            for &p in &d.raw {
-                let a = &mut stats.acc[p_item(p) as usize];
-                if a.support >= sigma {
-                    d.grouped[a.count as usize] = p;
-                    a.count += 1;
+            let mut start = 0;
+            for &(s, end) in &raw.segs {
+                for &word in &raw.words[start..end as usize] {
+                    let a = &mut stats.acc[(word >> 32) as usize];
+                    if a.support >= sigma {
+                        d.grouped[a.count as usize] = posting(s, word as u32);
+                        a.count += 1;
+                    }
                 }
+                start = end as usize;
             }
             for &item in &stats.items {
                 stats.acc[item as usize] = FRESH_ACC;
@@ -1114,22 +1215,17 @@ impl<'a> LocalMiner<'a> {
             stats.items.clear();
         } else {
             // Sparse fallback: order and deduplicate, then scan for runs.
-            d.raw.sort_unstable();
-            d.raw.dedup();
-            std::mem::swap(&mut d.raw, &mut d.grouped);
-            let pairs = &d.grouped;
-            let mut start = 0;
-            while start < pairs.len() {
-                let w = p_item(pairs[start]);
-                let mut end = start;
-                while end < pairs.len() && p_item(pairs[end]) == w {
-                    end += 1;
-                }
-                let (support, emit) = Self::run_supports(views.metas, &pairs[start..end]);
+            raw.keys.sort_unstable();
+            raw.keys.dedup();
+            for run in raw.keys.chunk_by(|a, b| a >> 64 == b >> 64) {
+                let item = (run[0] >> 64) as ItemId;
+                let postings = run.iter().map(|&k| k as Posting);
+                let (support, emit) = Self::run_supports(views.metas, postings.clone());
                 if support >= sigma {
-                    d.runs.push((w, start..end, emit));
+                    let at = d.grouped.len();
+                    d.grouped.extend(postings);
+                    d.runs.push((item, at..d.grouped.len(), emit));
                 }
-                start = end;
             }
         }
     }
@@ -1174,14 +1270,7 @@ impl<'a> LocalMiner<'a> {
             bufs.depths.push(DepthBufs::default());
         }
         let mut d = std::mem::take(&mut bufs.depths[depth]);
-        self.collect_children(
-            views,
-            node,
-            has_pivot,
-            &mut bufs.walk,
-            &mut bufs.stats,
-            &mut d,
-        );
+        self.collect_children(views, node, has_pivot, bufs, &mut d);
 
         // Always keep the first child inline (splitting everything would
         // leave this worker with nothing but its own bookkeeping).
@@ -1522,6 +1611,69 @@ mod tests {
         );
     }
 
+    /// Dense and sparse grouping mine `inputs` at `sigma` alike, and both
+    /// match `expect`, the sequential result: eagerly on one and three
+    /// workers, under `pivot` with early stopping (its share of `expect`),
+    /// and through [`LocalMiner::mine_picks`] over an arena under that
+    /// pivot, where the dense miner must really group densely.
+    fn assert_groupings_agree(
+        fst: &Fst,
+        dict: &Dictionary,
+        inputs: &[WeightedInput<'_>],
+        sigma: u64,
+        pivot: ItemId,
+        expect: &[(Sequence, u64)],
+    ) {
+        let dense = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+        let sparse =
+            LocalMiner::new(fst, dict, MinerConfig::sequential(sigma)).with_sparse_grouping();
+        for workers in [1, 3] {
+            for (name, miner) in [("dense", &dense), ("sparse", &sparse)] {
+                let (mined, _) = miner.mine_with_workers(inputs, workers, None).unwrap();
+                assert_eq!(mined, expect, "{name} workers={workers}");
+            }
+        }
+        let share: Vec<_> = expect
+            .iter()
+            .filter(|(p, _)| desq_core::sequence::pivot(p) == pivot)
+            .cloned()
+            .collect();
+        let cfg = MinerConfig::for_pivot(sigma, pivot, true);
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        let picks: Vec<(u32, u64)> = inputs
+            .iter()
+            .filter_map(|&(seq, w)| {
+                Some((
+                    dense
+                        .append_tables(seq, &mut tables, &mut scratch)
+                        .unwrap()?,
+                    w,
+                ))
+            })
+            .collect();
+        for (name, miner) in [
+            ("dense", LocalMiner::new(fst, dict, cfg)),
+            (
+                "sparse",
+                LocalMiner::new(fst, dict, cfg).with_sparse_grouping(),
+            ),
+        ] {
+            assert_eq!(miner.mine(inputs).unwrap(), share, "{name} pivot={pivot}");
+            let mut mined = Vec::new();
+            miner
+                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                    mined.push((p, f))
+                })
+                .unwrap();
+            assert_eq!(scratch.bufs.stats.dense, name == "dense", "{name} picks");
+            assert_eq!(
+                crate::sort_patterns(mined),
+                share,
+                "{name} picks pivot={pivot}"
+            );
+        }
+    }
+
     #[test]
     fn sparse_grouping_fallback_matches_dense() {
         // Huge frequent vocabularies group children by sorting instead of
@@ -1557,6 +1709,33 @@ mod tests {
                 }
             }
         }
+        // A real corpus: hierarchy fan-out puts many items on one output
+        // step, and every node holds many input sequences' raw segments.
+        // The reference is DESQ-COUNT, which shares no posting code.
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(1_000));
+        let inputs = unit_inputs(&db);
+        let sigma = 10;
+        for (name, pexp) in [
+            ("N4", "(.^){3} NOUN"),
+            ("N5", "[(.^). .]|[. (.^).]|[. .(.^)]"),
+        ] {
+            let pexp = desq_core::PatEx::parse(pexp).unwrap().unanchored();
+            let fst = Fst::compile(&pexp, &dict).unwrap();
+            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
+            let expect = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
+            assert!(expect.len() > 10, "{name}: {} patterns", expect.len());
+            // The pivot owning the most patterns.
+            let mut owned = std::collections::BTreeMap::<ItemId, usize>::new();
+            for (p, _) in &expect {
+                *owned.entry(desq_core::sequence::pivot(p)).or_default() += 1;
+            }
+            let pivot = owned
+                .iter()
+                .max_by_key(|&(_, n)| n)
+                .map(|(&k, _)| k)
+                .unwrap();
+            assert_groupings_agree(&fst, &dict, &inputs, sigma, pivot, &expect);
+        }
     }
 
     /// The toy database appended to a fresh arena by `builder`, as
@@ -1572,7 +1751,14 @@ mod tests {
             .db
             .sequences
             .iter()
-            .filter_map(|s| Some((builder.append_tables(s, &mut tables, &mut scratch)?, weight)))
+            .filter_map(|s| {
+                Some((
+                    builder
+                        .append_tables(s, &mut tables, &mut scratch)
+                        .unwrap()?,
+                    weight,
+                ))
+            })
             .collect();
         (tables, picks)
     }
@@ -1598,9 +1784,11 @@ mod tests {
                     let cfg = MinerConfig::for_pivot(sigma, k, early_stop);
                     let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
                     let mut mined = Vec::new();
-                    miner.mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
-                        mined.push((p, f))
-                    });
+                    miner
+                        .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                            mined.push((p, f))
+                        })
+                        .unwrap();
                     assert_eq!(
                         crate::sort_patterns(mined),
                         miner.mine(&inputs).unwrap(),
@@ -1625,9 +1813,11 @@ mod tests {
             let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
-            miner.mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
-                mined.push((p, f))
-            });
+            miner
+                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                    mined.push((p, f))
+                })
+                .unwrap();
             assert!(scratch.bufs.stats.dense, "k={k}");
             assert_eq!(scratch.bufs.stats.acc.len(), k as usize + 1, "k={k}");
             assert_eq!(
@@ -1655,18 +1845,24 @@ mod tests {
         let picks: Vec<(u32, u64)> = db
             .sequences
             .iter()
-            .filter_map(|s| Some((builder.append_tables(s, &mut tables, &mut scratch)?, 1)))
+            .filter_map(|s| {
+                Some((
+                    builder
+                        .append_tables(s, &mut tables, &mut scratch)
+                        .unwrap()?,
+                    1,
+                ))
+            })
             .collect();
         let mine = |early_stop| {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             for pivot in 1..=last {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
-                LocalMiner::with_index(&fst, &dict, cfg, builder.index.get()).mine_picks(
-                    &tables,
-                    &picks,
-                    &mut scratch,
-                    &mut |p, f| mined.push((p, f)),
-                );
+                LocalMiner::with_index(&fst, &dict, cfg, builder.index.get())
+                    .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                        mined.push((p, f))
+                    })
+                    .unwrap();
             }
             (crate::sort_patterns(mined), scratch.bufs.nodes)
         };
@@ -1692,24 +1888,17 @@ mod tests {
         let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let mut tables = SeqTables::default();
         let mut scratch = MinerScratch::default();
-        miner.append_tables(&fx.db.sequences[0], &mut tables, &mut scratch);
-        let lens = |t: &SeqTables| {
-            let sim = &t.sim;
-            (
-                sim.mask().len(),
-                t.eps_fin.len(),
-                sim.offsets().len(),
-                sim.outs().len(),
-            )
-        };
-        let before = lens(&tables);
-        assert!(before.0 > 0 && before.1 > 0 && before.2 > 0 && before.3 > 0);
+        miner
+            .append_tables(&fx.db.sequences[0], &mut tables, &mut scratch)
+            .unwrap();
+        let before = tables.arena_lens();
+        assert!(before.iter().all(|&len| len > 0));
         // T3 = c d c b has no accepting run (the front-end stops after the
         // forward pass: `fst::sim`'s own tests check that no aliveness table
         // is built).
         let t3 = miner.append_tables(&fx.db.sequences[2], &mut tables, &mut scratch);
-        assert_eq!(t3, None);
-        assert_eq!(lens(&tables), before);
+        assert_eq!(t3.unwrap(), None);
+        assert_eq!(tables.arena_lens(), before);
         assert_eq!(tables.len(), 1);
     }
 
@@ -1743,8 +1932,8 @@ mod tests {
             let mut fresh = MinerScratch::default();
             for seq in &db.sequences {
                 assert_eq!(
-                    miner.append_tables(seq, &mut a, &mut shared),
-                    miner.append_tables(seq, &mut b, &mut fresh)
+                    miner.append_tables(seq, &mut a, &mut shared).unwrap(),
+                    miner.append_tables(seq, &mut b, &mut fresh).unwrap()
                 );
             }
             assert_eq!(a.sim, b.sim);
@@ -1783,5 +1972,64 @@ mod tests {
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(timings.len(), 4);
+    }
+
+    #[test]
+    fn the_width_predicate_bounds_index_cells_and_arena_starts() {
+        let max = u32::MAX as usize;
+        // Cells: (len + 1) · states below 2³¹, on either factor's side.
+        assert!(fits_widths(0, (1 << 15) - 2, 1 << 16, [0; 4]));
+        assert!(!fits_widths(0, (1 << 15) - 1, 1 << 16, [0; 4]));
+        assert!(fits_widths(0, (1 << 31) - 2, 1, [0; 4]));
+        assert!(!fits_widths(0, (1 << 31) - 1, 1, [0; 4]));
+        assert!(!fits_widths(0, usize::MAX, usize::MAX, [0; 4]));
+        // Input index: below the accumulators' `u32::MAX` mark.
+        assert!(fits_widths(max - 1, 0, 1, [0; 4]));
+        assert!(!fits_widths(max, 0, 1, [0; 4]));
+        // Every arena start within a `u32`.
+        for k in 0..4 {
+            let mut starts = [0; 4];
+            starts[k] = max;
+            assert!(fits_widths(0, 0, 1, starts), "start {k}");
+            starts[k] = max + 1;
+            assert!(!fits_widths(0, 0, 1, starts), "start {k}");
+        }
+        // The largest cell of a fitting sequence leaves the ε-flag clear.
+        let top = (((1 << 15) - 1) << 16) - 1;
+        assert_eq!(p_cell(posting(u32::MAX - 1, coord(top, true))), top);
+        assert!(!p_eps(posting(u32::MAX - 1, coord(top, false))));
+    }
+
+    #[test]
+    fn a_sequence_past_the_cell_width_fails_the_build_typed() {
+        // A 2¹⁶-state chain: a sequence of 2¹⁵ − 1 items has 2³¹ cells.
+        let fx = toy::fixture();
+        let pexp = desq_core::PatEx::parse(".{65535}").unwrap();
+        let fst = Fst::compile_with(&pexp, &fx.dict, desq_core::fst::OptLevel::None).unwrap();
+        assert_eq!(fst.num_states(), 1 << 16);
+        let miner = LocalMiner::new(&fst, &fx.dict, MinerConfig::sequential(1));
+        let long = vec![fx.b; (1 << 15) - 1];
+        let shorter = vec![fx.b; (1 << 15) - 2];
+        fn invalid<T>(r: Result<T>) -> bool {
+            matches!(r, Err(desq_core::Error::Invalid(_)))
+        }
+        assert!(invalid(miner.prepare_tables(&[(&long, 1)], 1)));
+        assert!(invalid(
+            miner.prepare_tables(&[(&shorter, 1), (&long, 1)], 2)
+        ));
+        assert!(invalid(miner.mine(&[(&long, 1)])));
+        // The shorter one fits (and the FST rejects it: the chain wants
+        // 65 535 items).
+        assert!(miner
+            .prepare_tables(&[(&shorter, 1)], 1)
+            .unwrap()
+            .is_empty());
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        assert!(invalid(miner.append_tables(
+            &long,
+            &mut tables,
+            &mut scratch
+        )));
+        assert!(tables.is_empty() && tables.arena_lens() == [0; 4]);
     }
 }

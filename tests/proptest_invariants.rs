@@ -215,6 +215,7 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
             let range = &seq[pr.first as usize..=pr.last as usize];
             let table = builder
                 .append_tables(range, &mut tables, &mut scratch)
+                .unwrap()
                 .expect("a pivot's rewritten range is accepted");
             partitions.entry(pr.item).or_default().push((table, 1));
         }
@@ -229,12 +230,9 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
         for early_stop in [false, true] {
             let cfg = MinerConfig::for_pivot(sigma, p, early_stop);
             let mut mined = Vec::new();
-            LocalMiner::with_index(fst, dict, cfg, search.index()).mine_picks(
-                &tables,
-                picks,
-                &mut scratch,
-                &mut |s, f| mined.push((s, f)),
-            );
+            LocalMiner::with_index(fst, dict, cfg, search.index())
+                .mine_picks(&tables, picks, &mut scratch, &mut |s, f| mined.push((s, f)))
+                .unwrap();
             prop_assert_eq!(
                 &desq::miner::sort_patterns(mined),
                 &expect,
