@@ -23,7 +23,7 @@ use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
 use desq_bsp::{InProcess, MapTaskOut};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
@@ -206,8 +206,9 @@ fn bench_local_mining(c: &mut Criterion) {
         .take(300)
         .map(|s| (s.as_slice(), 1))
         .collect();
-    // Miner construction (the derived FST index) — runs once per mining
-    // job, and once per pivot partition in D-SEQ's reduce.
+    // Miner construction (a `last_frequent` lookup: the FST carries its
+    // index) — runs once per mining job, and once per pivot partition in
+    // D-SEQ's reduce.
     c.bench_function("mining/miner_build_n4", |b| {
         b.iter(|| black_box(LocalMiner::new(&fst, &dict, MinerConfig::sequential(30))))
     });
@@ -240,8 +241,7 @@ fn bench_counting(c: &mut Criterion) {
     let fst = desq_dist::patterns::n2().compile(&dict).unwrap();
     let sigma = 10u64;
     let max_item = dict.last_frequent(sigma);
-    let index = FstIndex::new(&fst);
-    let walker = RunWalker::new(&fst, &dict, &index, max_item);
+    let walker = RunWalker::new(&fst, &dict, fst.index(), max_item);
     let seqs: Vec<&Sequence> = db.sequences.iter().collect();
 
     // The same front-end build through the DESQ-DFS consumer, which adds
@@ -266,7 +266,7 @@ fn bench_counting(c: &mut Criterion) {
     // D-CAND's map side on the same walk: build + minimize + serialize
     // every pivot NFA of every sequence, one mapper (one scratch).
     c.bench_function("dcand/map_n2_2k", |b| {
-        let mut mapper = Mapper::new(&fst, &dict, &index, sigma, usize::MAX, true);
+        let mut mapper = Mapper::new(&fst, &dict, sigma, usize::MAX, true);
         b.iter(|| {
             let mut shipped = 0usize;
             for seq in &seqs {
@@ -405,8 +405,7 @@ fn bench_dseq(c: &mut Criterion) {
         // range gets one table, each (pivot, range) one weighted pick.
         let last = dict.last_frequent(sigma);
         let search = PivotSearch::new(&fst, &dict, last);
-        let builder =
-            LocalMiner::with_index(&fst, &dict, MinerConfig::sequential(sigma), search.index());
+        let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
         let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
         let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
         let mut picks: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
@@ -434,7 +433,7 @@ fn bench_dseq(c: &mut Criterion) {
                 let mut patterns = 0usize;
                 for (pivot, picks) in &partitions {
                     let cfg = MinerConfig::for_pivot(sigma, *pivot, true);
-                    LocalMiner::with_index(&fst, &dict, cfg, search.index())
+                    LocalMiner::new(&fst, &dict, cfg)
                         .mine_picks(&tables, picks, &mut scratch, &mut |_, _| patterns += 1)
                         .unwrap();
                 }

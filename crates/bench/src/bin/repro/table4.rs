@@ -2,7 +2,7 @@
 
 use desq_bench::report::Table;
 use desq_bench::workloads::{self, sigma_for};
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::{Dictionary, SequenceDb};
 use desq_dist::patterns::{self, Constraint};
 
@@ -16,8 +16,7 @@ fn cspi_row(t: &mut Table, c: &Constraint, dict: &Dictionary, db: &SequenceDb, s
         .compile(dict)
         .unwrap_or_else(|e| panic!("{}: {e}", c.name));
     let step = (db.len() / SAMPLE).max(1);
-    let index = FstIndex::new(&fst);
-    let walker = RunWalker::new(&fst, dict, &index, dict.last_frequent(sigma));
+    let walker = RunWalker::new(&fst, dict, fst.index(), dict.last_frequent(sigma));
     let mut scratch = RunScratch::default();
     let mut counter = CandidateCounter::new();
     let mut matched = 0usize;

@@ -182,20 +182,18 @@ pub(super) fn compile(pexp: &PatEx, dict: &Dictionary, level: OptLevel) -> Resul
         dict,
     };
     let frag = b.compile(pexp, false)?;
-    Ok(opt::optimize(&b.states, frag.start, frag.end, level))
+    opt::optimize(&b.states, frag.start, frag.end, level)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::sim::{SimScratch, SimTables, Simulator};
-    use super::super::FstIndex;
     use super::*;
     use crate::toy;
     use crate::PatEx;
 
     fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
-        let index = FstIndex::new(fst);
-        let sim = Simulator::new(fst, dict, &index, crate::ItemId::MAX);
+        let sim = Simulator::new(fst, dict, crate::ItemId::MAX);
         sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
     }
 

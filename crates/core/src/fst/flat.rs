@@ -147,7 +147,7 @@ impl<'w> RunSets<'w> {
 /// Flat accepting-run enumeration for one FST over one dictionary (see the
 /// [module docs](self)).
 ///
-/// Construction borrows a shared [`FstIndex`] (build it once per FST); the
+/// The walk reads the FST's own [`FstIndex`] ([`Fst::index`]); the
 /// per-sequence state lives in a caller-provided [`RunScratch`].
 pub struct RunWalker<'a> {
     sim: Simulator<'a>,
@@ -157,16 +157,17 @@ impl<'a> RunWalker<'a> {
     /// A walker whose output sets keep only items `<= max_item` — pass
     /// `dict.last_frequent(sigma)` for the `G^σ_π(T)` filter (fids are
     /// frequency ranks, so the comparison is exactly support
-    /// antimonotonicity's frequency test).
-    pub fn new(fst: &'a Fst, dict: &'a Dictionary, index: &'a FstIndex, max_item: ItemId) -> Self {
+    /// antimonotonicity's frequency test). The walker reads
+    /// `fst.index()`: `_index`, that index or a copy of it, is not read.
+    pub fn new(fst: &'a Fst, dict: &'a Dictionary, _index: &FstIndex, max_item: ItemId) -> Self {
         RunWalker {
-            sim: Simulator::new(fst, dict, index, max_item),
+            sim: Simulator::new(fst, dict, max_item),
         }
     }
 
     /// An unfiltered walker (`G_π(T)` semantics — the NAÏVE baseline).
-    pub fn unfiltered(fst: &'a Fst, dict: &'a Dictionary, index: &'a FstIndex) -> Self {
-        RunWalker::new(fst, dict, index, ItemId::MAX)
+    pub fn unfiltered(fst: &'a Fst, dict: &'a Dictionary) -> Self {
+        RunWalker::new(fst, dict, fst.index(), ItemId::MAX)
     }
 
     /// Builds the flat run tables for `seq` in `scratch` through the shared
@@ -211,7 +212,7 @@ impl<'a> RunWalker<'a> {
             return true;
         }
         let n = seq.len();
-        let (fst, index) = (self.sim.fst, self.sim.index);
+        let (fst, index) = (self.sim.fst, self.sim.fst.index());
         let w = index.words();
         let l = index.num_labels();
         let RunScratch {
@@ -592,8 +593,7 @@ mod tests {
         ];
         let mut shared = RunScratch::default();
         for (fst, dict, db) in &jobs {
-            let index = FstIndex::new(fst);
-            let walker = RunWalker::new(fst, dict, &index, dict.last_frequent(2));
+            let walker = RunWalker::new(fst, dict, fst.index(), dict.last_frequent(2));
             for seq in &db.sequences {
                 let mut fresh = RunScratch::default();
                 assert_eq!(
@@ -638,8 +638,7 @@ mod tests {
     #[test]
     fn walker_rejects_and_accepts_like_the_grid() {
         let fx = toy::fixture();
-        let index = FstIndex::new(&fx.fst);
-        let walker = RunWalker::unfiltered(&fx.fst, &fx.dict, &index);
+        let walker = RunWalker::unfiltered(&fx.fst, &fx.dict);
         let mut scratch = RunScratch::default();
         // T3 is rejected: no runs visited.
         let mut visits = 0;

@@ -1,6 +1,5 @@
 //! A derived, cache-resident view of a compiled [`Fst`] for hot-path
-//! simulation: the CSR transition index shared by DESQ-DFS local mining and
-//! the distributed pivot search.
+//! simulation: the CSR transition index every simulation of the FST reads.
 //!
 //! [`FstIndex`] assigns every transition a dense *global index* `δ` in
 //! state-major order (state 0's transitions first, then state 1's, …).
@@ -16,13 +15,15 @@
 //! dense indices so per-`(position, label)` output sets can live in flat
 //! arenas, and [`TrRef::label`] is `-1` for ε-output transitions.
 //!
-//! # Reuse contract
+//! # The index belongs to its `Fst`
 //!
-//! An index is immutable derived data, valid for exactly the [`Fst`] it
-//! was built from (the construction cost is `O(|Δ|·|states|)` and the
-//! structure is small — build it **once per FST** and share it freely
-//! across threads, sequences and mining phases; it is `Sync`). Consumers
-//! must uphold:
+//! [`Fst::compile`] builds the index once — labels interned by hashing,
+//! its size linear in `|Δ|` — and checks its packed widths there, so an
+//! automaton too wide to index fails to compile with [`Error::Invalid`]
+//! instead of failing a mining run. Every consumer borrows it through
+//! [`Fst::index`]: the index is immutable and `Sync`, shared across
+//! threads, sequences and mining phases, and valid for exactly the
+//! automaton that holds it. Consumers must uphold:
 //!
 //! * global transition order is state-major and stable: bit `δ` of a match
 //!   mask always refers to `inputs()[δ]`, and `state(q)` yields exactly the
@@ -35,7 +36,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::{Fst, InputLabel, OutputLabel};
+use super::{Fst, InputLabel, OutputLabel, Transition};
+use crate::error::{Error, Result};
+use crate::fx::FxHashMap;
 
 /// Source of unique per-construction [`FstIndex::generation`] ids.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
@@ -62,9 +65,12 @@ pub struct FstIndex {
     words: usize,
     /// Distinct non-ε output labels in intern order.
     labels: Vec<OutputLabel>,
-    /// Per label: union of the label's transition bits (is any transition
-    /// with this label matching at a position?).
-    label_masks: Vec<Vec<u64>>,
+    /// The nonzero words of each label's transition bits as `(label,
+    /// word, bits)`, sorted: label `li` owns
+    /// `label_words[label_starts[li]..label_starts[li + 1]]`. Sparse, so
+    /// the index stays linear in `|Δ|` however many labels there are.
+    label_words: Vec<(i16, u16, u64)>,
+    label_starts: Vec<u32>,
     /// Input labels in global transition order (mask bit order), with the
     /// target state for aliveness pruning of the masks.
     inputs: Vec<(InputLabel, u32)>,
@@ -103,30 +109,55 @@ fn fits_step_table(states: usize, transitions: usize) -> bool {
     states <= 32 && transitions <= 64
 }
 
+/// The dense number of `key` in `keys`, interning it on first sight.
+fn intern<K: Copy + Eq + std::hash::Hash>(
+    ids: &mut FxHashMap<K, usize>,
+    keys: &mut Vec<K>,
+    key: K,
+) -> usize {
+    *ids.entry(key).or_insert_with(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
+}
+
 impl FstIndex {
-    /// Builds the index. Panics if the FST exceeds the packed [`TrRef`]
-    /// field widths (unreachable for compiled pattern expressions, but
-    /// cheap to guarantee).
+    /// A copy of `fst.index()`, the index [`Fst::compile`] built: same
+    /// data, same [`generation`](Self::generation). Nothing is rebuilt;
+    /// borrow [`Fst::index`] instead wherever a reference will do.
     pub fn new(fst: &Fst) -> FstIndex {
-        let mut labels: Vec<OutputLabel> = Vec::new();
-        let mut inputs: Vec<(InputLabel, u32)> = Vec::new();
-        let mut trs: Vec<TrRef> = Vec::new();
-        let mut state_offsets: Vec<u32> = Vec::with_capacity(fst.num_states() + 1);
+        fst.index().clone()
+    }
+
+    /// Builds the index of a compiled automaton's transition table
+    /// (`states[q]` = state `q`'s transitions; `pre_states` /
+    /// `pre_transitions` its size before the optimizer passes). Fails with
+    /// [`Error::Invalid`] when the automaton exceeds a packed [`TrRef`]
+    /// width: more than `i16::MAX` distinct output labels, more than
+    /// `u16::MAX` distinct input labels, or more than `64 · 2¹⁶`
+    /// transitions.
+    pub(super) fn build(
+        states: &[Vec<Transition>],
+        pre_states: usize,
+        pre_transitions: usize,
+    ) -> Result<FstIndex> {
+        let transitions: usize = states.iter().map(Vec::len).sum();
+        let (mut label_ids, mut labels) = (FxHashMap::default(), Vec::new());
+        let (mut input_ids, mut distinct_inputs) = (FxHashMap::default(), Vec::new());
+        let mut inputs: Vec<(InputLabel, u32)> = Vec::with_capacity(transitions);
+        let mut distinct_of: Vec<u16> = Vec::with_capacity(transitions);
+        let mut trs: Vec<TrRef> = Vec::with_capacity(transitions);
+        let mut state_offsets: Vec<u32> = Vec::with_capacity(states.len() + 1);
         state_offsets.push(0);
-        for q in 0..fst.num_states() as u32 {
-            for tr in fst.transitions(q) {
+        for state in states {
+            for tr in state {
                 let d = inputs.len();
                 inputs.push((tr.input, tr.to));
-                let label = if matches!(tr.output, OutputLabel::None) {
-                    -1
+                distinct_of.push(intern(&mut input_ids, &mut distinct_inputs, tr.input) as u16);
+                let label = if tr.produces_output() {
+                    intern(&mut label_ids, &mut labels, tr.output) as i16
                 } else {
-                    match labels.iter().position(|&l| l == tr.output) {
-                        Some(i) => i as i16,
-                        None => {
-                            labels.push(tr.output);
-                            labels.len() as i16 - 1
-                        }
-                    }
+                    -1
                 };
                 trs.push(TrRef {
                     mask: 1u64 << (d % 64),
@@ -137,50 +168,53 @@ impl FstIndex {
             }
             state_offsets.push(trs.len() as u32);
         }
-        assert!(
-            labels.len() <= i16::MAX as usize,
-            "FST has too many distinct output labels to index"
-        );
-        assert!(
-            inputs.len() <= 64 * (u16::MAX as usize + 1),
-            "FST has too many transitions to index"
-        );
-        let words = inputs.len().div_ceil(64).max(1);
-        let mut label_masks = vec![vec![0u64; words]; labels.len()];
-        for tr in &trs {
-            if tr.label >= 0 {
-                label_masks[tr.label as usize][tr.word as usize] |= tr.mask;
+        // The casts above wrap once a count outgrows its field: fail here.
+        let (n_labels, n_inputs) = (labels.len(), distinct_inputs.len());
+        for (count, max, what) in [
+            (transitions, 64 << 16, "transitions (u16 mask words)"),
+            (n_labels, i16::MAX as usize, "distinct output labels (i16)"),
+            (n_inputs, u16::MAX as usize, "distinct input labels (u16)"),
+        ] {
+            if count > max {
+                return Err(Error::Invalid(format!(
+                    "the compiled FST has {count} {what}; its transition index \
+                     numbers at most {max}"
+                )));
             }
         }
-        let mut distinct_inputs: Vec<InputLabel> = Vec::new();
-        let mut distinct_of: Vec<u16> = Vec::with_capacity(inputs.len());
-        for &(input, _) in &inputs {
-            let di = match distinct_inputs.iter().position(|&l| l == input) {
-                Some(i) => i,
-                None => {
-                    distinct_inputs.push(input);
-                    distinct_inputs.len() - 1
-                }
-            };
-            distinct_of.push(di as u16);
+        // Each label's bits, word by word: sorted by (label, word), a
+        // label's transitions are contiguous and equal words adjacent.
+        let mut label_words: Vec<(i16, u16, u64)> = trs
+            .iter()
+            .filter(|tr| tr.label >= 0)
+            .map(|tr| (tr.label, tr.word, tr.mask))
+            .collect();
+        label_words.sort_unstable_by_key(|&(li, word, _)| (li, word));
+        label_words.dedup_by(|next, kept| {
+            (next.0, next.1) == (kept.0, kept.1) && {
+                kept.2 |= next.2;
+                true
+            }
+        });
+        // Every interned label has a transition, so every bound is set.
+        let mut label_starts = vec![0u32; n_labels + 1];
+        for (end, &(li, ..)) in label_words.iter().enumerate() {
+            label_starts[li as usize + 1] = end as u32 + 1;
         }
-        assert!(
-            distinct_inputs.len() <= u16::MAX as usize,
-            "FST has too many distinct input labels to index"
-        );
-        let nq = fst.num_states();
-        let mut can_output: Vec<bool> = (0..nq as u32)
-            .map(|q| fst.transitions(q).iter().any(|tr| tr.produces_output()))
+        let nq = states.len();
+        let mut can_output: Vec<bool> = states
+            .iter()
+            .map(|s| s.iter().any(Transition::produces_output))
             .collect();
         loop {
             let mut changed = false;
-            for q in 0..nq as u32 {
-                if !can_output[q as usize]
-                    && fst.transitions(q).iter().any(|tr| {
-                        matches!(tr.output, OutputLabel::None) && can_output[tr.to as usize]
-                    })
+            for q in 0..nq {
+                if !can_output[q]
+                    && states[q]
+                        .iter()
+                        .any(|tr| !tr.produces_output() && can_output[tr.to as usize])
                 {
-                    can_output[q as usize] = true;
+                    can_output[q] = true;
                     changed = true;
                 }
             }
@@ -188,23 +222,21 @@ impl FstIndex {
                 break;
             }
         }
-        FstIndex {
-            words,
+        Ok(FstIndex {
+            words: transitions.div_ceil(64).max(1),
             labels,
-            label_masks,
+            label_words,
+            label_starts,
             inputs,
             distinct_inputs,
             distinct_of,
             trs,
             state_offsets,
             can_output,
-            step_table_eligible: fits_step_table(fst.num_states(), fst.num_transitions()),
-            step_table_eligible_before_opt: fits_step_table(
-                fst.states_before_opt(),
-                fst.transitions_before_opt(),
-            ),
+            step_table_eligible: fits_step_table(nq, transitions),
+            step_table_eligible_before_opt: fits_step_table(pre_states, pre_transitions),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-        }
+        })
     }
 
     /// A process-unique id minted at construction (clones keep their
@@ -252,12 +284,14 @@ impl FstIndex {
         self.labels.len()
     }
 
-    /// Union of the transition bits of interned label `li`: AND it with a
-    /// position's mask row to test "does any transition with this label
-    /// match here?".
+    /// Whether any transition with interned label `li` has its bit set in
+    /// the mask row `row` ([`words`](Self::words) words).
     #[inline]
-    pub fn label_mask(&self, li: usize) -> &[u64] {
-        &self.label_masks[li]
+    pub(crate) fn label_hits(&self, li: usize, row: &[u64]) -> bool {
+        let (a, b) = (self.label_starts[li], self.label_starts[li + 1]);
+        self.label_words[a as usize..b as usize]
+            .iter()
+            .any(|&(_, word, bits)| row[word as usize] & bits != 0)
     }
 
     /// Input labels and target states in global transition (mask bit)
@@ -306,7 +340,7 @@ mod tests {
     #[test]
     fn global_order_is_state_major_and_bits_are_distinct() {
         let fx = toy::fixture();
-        let ix = FstIndex::new(&fx.fst);
+        let ix = fx.fst.index();
         let mut d = 0usize;
         for q in 0..fx.fst.num_states() {
             for (tr, ixtr) in fx.fst.transitions(q as u32).iter().zip(ix.state(q)) {
@@ -324,7 +358,7 @@ mod tests {
     #[test]
     fn step_table_eligibility_matches_the_fast_path_predicate() {
         let fx = toy::fixture();
-        let ix = FstIndex::new(&fx.fst);
+        let ix = fx.fst.index();
         assert_eq!(
             ix.step_table_eligible(),
             fx.fst.num_states() <= 32 && fx.fst.num_transitions() <= 64
@@ -337,7 +371,7 @@ mod tests {
     #[test]
     fn labels_are_interned_and_eps_is_negative() {
         let fx = toy::fixture();
-        let ix = FstIndex::new(&fx.fst);
+        let ix = fx.fst.index();
         for q in 0..fx.fst.num_states() {
             for (tr, ixtr) in fx.fst.transitions(q as u32).iter().zip(ix.state(q)) {
                 if tr.produces_output() {
@@ -347,5 +381,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One state with `n` self-loops, the `k`-th labelled `input(k)` /
+    /// `output(k)`.
+    fn one_state(
+        n: u32,
+        input: impl Fn(u32) -> InputLabel,
+        output: impl Fn(u32) -> OutputLabel,
+    ) -> Vec<Vec<Transition>> {
+        let tr = |k| Transition {
+            input: input(k),
+            output: output(k),
+            to: 0,
+        };
+        vec![(0..n).map(tr).collect()]
+    }
+
+    #[test]
+    fn widths_past_the_packed_fields_fail_typed() {
+        let build = |states: &[Vec<Transition>]| FstIndex::build(states, 1, 0);
+        let labels = |n| one_state(n, |_| InputLabel::Any, OutputLabel::Const);
+        assert_eq!(build(&labels(32_767)).unwrap().num_labels(), 32_767);
+        match build(&labels(32_768)) {
+            Err(Error::Invalid(msg)) => {
+                assert!(msg.contains("32768 distinct output labels"), "{msg}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let inputs = |n| one_state(n, InputLabel::Exact, |_| OutputLabel::None);
+        let ix = build(&inputs(65_535)).unwrap();
+        assert_eq!(ix.distinct_inputs().len(), 65_535);
+        match build(&inputs(65_536)) {
+            Err(Error::Invalid(msg)) => {
+                assert!(msg.contains("65536 distinct input labels"), "{msg}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn label_hits_are_the_union_of_each_labels_transition_bits() {
+        // 200 transitions (four mask words), every label's bits spread
+        // over several words: a row with one transition's bit hits that
+        // transition's label and no other.
+        let states = one_state(
+            200,
+            |_| InputLabel::Any,
+            |k| match k % 4 {
+                0 => OutputLabel::None,
+                1 => OutputLabel::Matched,
+                r => OutputLabel::Const(r + k / 150),
+            },
+        );
+        let ix = FstIndex::build(&states, 1, 200).unwrap();
+        assert_eq!((ix.words(), ix.num_labels()), (4, 4));
+        for (d, tr) in ix.state(0).iter().enumerate() {
+            let mut row = vec![0u64; ix.words()];
+            row[tr.word as usize] = tr.mask;
+            for li in 0..ix.num_labels() {
+                assert_eq!(
+                    ix.label_hits(li, &row),
+                    tr.label == li as i16,
+                    "δ {d}, label {li}"
+                );
+            }
+        }
+        let (none, all) = (vec![0u64; 4], vec![u64::MAX; 4]);
+        assert!((0..4).all(|li| !ix.label_hits(li, &none) && ix.label_hits(li, &all)));
     }
 }

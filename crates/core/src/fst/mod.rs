@@ -140,6 +140,9 @@ pub struct Fst {
     pre_states: u32,
     /// Transition count before the optional optimizer passes.
     pre_transitions: u32,
+    /// The transition index every simulation reads, built and
+    /// width-checked by [`Fst::compile`].
+    index: FstIndex,
 }
 
 impl Fst {
@@ -147,7 +150,9 @@ impl Fst {
     /// optimization ([`OptLevel::Full`]; see [`opt`] for the pipeline).
     ///
     /// Fails with [`crate::Error::UnknownItem`] if the expression references
-    /// an item that is not in the dictionary.
+    /// an item that is not in the dictionary, and with
+    /// [`crate::Error::Invalid`] if the automaton is too wide for its
+    /// [`FstIndex`] (see [`FstIndex`]'s widths).
     pub fn compile(pexp: &PatEx, dict: &Dictionary) -> Result<Fst> {
         compile::compile(pexp, dict, OptLevel::Full)
     }
@@ -191,6 +196,13 @@ impl Fst {
     #[inline]
     pub fn transitions_before_opt(&self) -> usize {
         self.pre_transitions as usize
+    }
+
+    /// The automaton's transition index, built once at compile time (see
+    /// [`index`]).
+    #[inline]
+    pub fn index(&self) -> &FstIndex {
+        &self.index
     }
 
     /// Outgoing transitions of state `q`.

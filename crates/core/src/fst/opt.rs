@@ -10,7 +10,7 @@
 //! 2. **Dead-state pruning** — forward reachability from the initial state
 //!    intersected with backward co-reachability to a final state (the
 //!    conservative label-free analysis also mirrored by
-//!    [`FstIndex`](super::FstIndex)'s `can_output`); the initial state is
+//!    [`FstIndex`]'s `can_output`); the initial state is
 //!    always kept and renumbered to id 0. Runs at every [`OptLevel`].
 //! 3. **Functional (pair-)determinization** — subset construction treating
 //!    each distinct `(input, output)` label pair as one alphabet symbol.
@@ -45,7 +45,8 @@
 //! to end.
 
 use super::compile::NState;
-use super::{Fst, InputLabel, OutputLabel, Transition};
+use super::{Fst, FstIndex, InputLabel, OutputLabel, Transition};
+use crate::error::Result;
 use crate::fx::{FxHashMap, FxHashSet};
 
 /// How hard [`Fst::compile`] optimizes the compiled automaton.
@@ -74,8 +75,13 @@ fn blowup_cap(n: usize) -> usize {
 }
 
 /// Runs the optimizer pipeline on the raw Thompson NFST (see the
-/// [module docs](self) for the passes).
-pub(super) fn optimize(nstates: &[NState], start: u32, nfinal: u32, level: OptLevel) -> Fst {
+/// [module docs](self) for the passes) and indexes the result.
+pub(super) fn optimize(
+    nstates: &[NState],
+    start: u32,
+    nfinal: u32,
+    level: OptLevel,
+) -> Result<Fst> {
     let (finals, states) = remove_epsilon(nstates, nfinal);
     let (finals, states) = prune(start, finals, states);
     let pre_states = states.len() as u32;
@@ -105,13 +111,15 @@ pub(super) fn optimize(nstates: &[NState], start: u32, nfinal: u32, level: OptLe
             }
         }
     };
-    Fst {
+    let index = FstIndex::build(&states, pre_states as usize, pre_transitions as usize)?;
+    Ok(Fst {
         initial: 0,
         finals,
         states,
         pre_states,
         pre_transitions,
-    }
+        index,
+    })
 }
 
 /// ε-closure of `s` (including `s`), iterative.
@@ -389,7 +397,6 @@ fn minimize(finals: &[bool], states: &[Vec<Transition>]) -> (Vec<bool>, Vec<Vec<
 #[cfg(test)]
 mod tests {
     use super::super::sim::{SimScratch, SimTables, Simulator};
-    use super::super::FstIndex;
     use super::*;
     use crate::dictionary::Dictionary;
     use crate::toy;
@@ -400,8 +407,7 @@ mod tests {
     }
 
     fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
-        let index = FstIndex::new(fst);
-        let sim = Simulator::new(fst, dict, &index, crate::ItemId::MAX);
+        let sim = Simulator::new(fst, dict, crate::ItemId::MAX);
         sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
     }
 

@@ -1,6 +1,7 @@
 //! The shared front half of per-sequence FST simulation: match masks,
 //! forward reachability, aliveness and the σ-cut output arena, built
-//! lazily over the CSR [`FstIndex`].
+//! lazily over the FST's CSR [`FstIndex`](super::FstIndex)
+//! ([`Fst::index`]).
 //!
 //! One `Simulator::build` call serves the three flat consumers —
 //! [`RunWalker`](super::flat::RunWalker) (run enumeration), DESQ-DFS's
@@ -9,11 +10,13 @@
 //!
 //! 1. a *frontier-driven forward pass*: at every position only the
 //!    transitions leaving forward-reachable states are evaluated. Small
-//!    FSTs ([`FstIndex::step_table_eligible`]) go through a per-job *step
-//!    table* — per `(item, state)` one `(match-row bits, next-state set)`
-//!    pair, filled on an item's first occurrence — so a frontier step is
-//!    one load per frontier state; larger FSTs evaluate the frontier's
-//!    distinct input labels, hierarchy verdicts memoized per item;
+//!    FSTs
+//!    ([`FstIndex::step_table_eligible`](super::FstIndex::step_table_eligible))
+//!    go through a per-job *step table* — per `(item, state)` one
+//!    `(match-row bits, next-state set)` pair, filled on an item's first
+//!    occurrence — so a frontier step is one load per frontier state;
+//!    larger FSTs evaluate the frontier's distinct input labels,
+//!    hierarchy verdicts memoized per item;
 //! 2. *rejection straight after the forward pass*: a sequence no final
 //!    state can reach pays for nothing else and leaves `tables` untouched;
 //! 3. the backward *aliveness fold* over forward-reachable states, which
@@ -40,7 +43,6 @@
 //! [`RunWalker::build_tables`](super::RunWalker::build_tables) or, to grow
 //! a shared arena, [`RunWalker::build_tables_into`](super::RunWalker::build_tables_into).
 
-use super::index::FstIndex;
 use super::{Fst, InputLabel};
 use crate::dictionary::Dictionary;
 use crate::sequence::ItemId;
@@ -104,8 +106,8 @@ pub struct SimTables {
 }
 
 impl SimTables {
-    /// Match-mask rows: [`FstIndex::words`] words per position, sequences
-    /// back to back.
+    /// Match-mask rows: [`FstIndex::words`](super::FstIndex::words) words
+    /// per position, sequences back to back.
     #[inline]
     pub fn mask(&self) -> &[u64] {
         &self.mask
@@ -147,7 +149,8 @@ impl SimTables {
 /// Reusable per-thread scratch of [`Simulator::build`]: the job-wide step
 /// table and the grid bitsets of the last sequence built.
 ///
-/// The job-wide part is keyed to [`FstIndex::generation`] (an index is only
+/// The job-wide part is keyed to
+/// [`FstIndex::generation`](super::FstIndex::generation) (an index is only
 /// valid with the dictionary its FST was compiled against, so the id covers
 /// both) and dropped when a build arrives with another key: one scratch can
 /// serve any succession of jobs. Its size follows what the job touches —
@@ -189,29 +192,21 @@ impl SimScratch {
 
 /// The simulation front-end for one FST over one dictionary (see the
 /// [module docs](self)). A handful of references — build one wherever it is
-/// needed; the [`FstIndex`] is the thing to build once and share.
+/// needed.
 #[derive(Clone, Copy)]
 pub(crate) struct Simulator<'a> {
     pub(super) fst: &'a Fst,
     dict: &'a Dictionary,
-    pub(super) index: &'a FstIndex,
     max_item: ItemId,
 }
 
 impl<'a> Simulator<'a> {
     /// A simulator whose output sets keep only items `<= max_item` (pass
     /// `dict.last_frequent(sigma)` for the σ cut, `ItemId::MAX` for none).
-    /// `index` must have been built from `fst`.
-    pub(crate) fn new(
-        fst: &'a Fst,
-        dict: &'a Dictionary,
-        index: &'a FstIndex,
-        max_item: ItemId,
-    ) -> Self {
+    pub(crate) fn new(fst: &'a Fst, dict: &'a Dictionary, max_item: ItemId) -> Self {
         Simulator {
             fst,
             dict,
-            index,
             max_item,
         }
     }
@@ -229,7 +224,7 @@ impl<'a> Simulator<'a> {
         let start = tables.mask.len();
         tables
             .mask
-            .resize(start + seq.len() * self.index.words(), 0);
+            .resize(start + seq.len() * self.fst.index().words(), 0);
         if !self.forward(seq, scratch, &mut tables.mask[start..]) {
             tables.mask.truncate(start);
             return false;
@@ -246,7 +241,7 @@ impl<'a> Simulator<'a> {
 
     /// (Re)keys the job-wide part of `s` to this simulator's index.
     fn rekey(&self, s: &mut SimScratch) {
-        let key = self.index.generation();
+        let key = self.fst.index().generation();
         let items = self.dict.max_fid() as usize + 1;
         if s.key != key || s.slot.len() != items {
             s.slot.clear();
@@ -262,7 +257,7 @@ impl<'a> Simulator<'a> {
     /// with the reachable sets. Returns whether a final state is reachable
     /// at the end of `seq`.
     fn forward(&self, seq: &[ItemId], s: &mut SimScratch, rows: &mut [u64]) -> bool {
-        let ix = self.index;
+        let ix = self.fst.index();
         let n = seq.len();
         let qn = self.fst.num_states();
         let w = ix.words();
@@ -320,7 +315,7 @@ impl<'a> Simulator<'a> {
     /// set — and returns its slot. Runs once per distinct item of the job
     /// (Zipf-distributed inputs amortize it to nearly nothing).
     fn fill_step(&self, t: ItemId, qn: usize, s: &mut SimScratch) -> u32 {
-        let ix = self.index;
+        let ix = self.fst.index();
         let distinct = ix.distinct_inputs();
         let mut memo = 0u16;
         for q in 0..qn {
@@ -343,7 +338,7 @@ impl<'a> Simulator<'a> {
     /// clearing every bit whose target is a dead end — one bit test then
     /// answers "matches ∧ target alive" for every consumer.
     fn fold_alive(&self, n: usize, s: &mut SimScratch, rows: &mut [u64]) {
-        let ix = self.index;
+        let ix = self.fst.index();
         let w = ix.words();
         let qw = s.qw;
         let inputs = ix.inputs();
@@ -392,7 +387,7 @@ impl<'a> Simulator<'a> {
         offsets: &mut Vec<u32>,
         outs: &mut Vec<ItemId>,
     ) {
-        let ix = self.index;
+        let ix = self.fst.index();
         let w = ix.words();
         let base = outs.len();
         offsets.reserve(seq.len() * ix.num_labels() + 1);
@@ -400,7 +395,7 @@ impl<'a> Simulator<'a> {
             let row = &rows[i * w..(i + 1) * w];
             for (li, label) in ix.labels().iter().enumerate() {
                 let start = outs.len();
-                if ix.label_mask(li).iter().zip(row).any(|(lm, m)| lm & m != 0) {
+                if ix.label_hits(li, row) {
                     label.outputs(t, self.dict, outs);
                     // Output sets are sorted ascending, so the σ cut (and
                     // any later item bound) drops a tail.
@@ -472,8 +467,7 @@ mod tests {
         ];
         let mut shared = SimScratch::default();
         for (fst, dict, db) in &jobs {
-            let index = FstIndex::new(fst);
-            let sim = Simulator::new(fst, dict, &index, dict.last_frequent(2));
+            let sim = Simulator::new(fst, dict, dict.last_frequent(2));
             let mut fresh = SimScratch::default();
             let (mut a, mut b) = (SimTables::default(), SimTables::default());
             for seq in &db.sequences {
@@ -491,8 +485,7 @@ mod tests {
     #[test]
     fn a_rejected_sequence_stops_after_the_forward_pass() {
         let fx = toy::fixture();
-        let index = FstIndex::new(&fx.fst);
-        let sim = Simulator::new(&fx.fst, &fx.dict, &index, ItemId::MAX);
+        let sim = Simulator::new(&fx.fst, &fx.dict, ItemId::MAX);
         let mut s = SimScratch::default();
         let mut tables = SimTables::default();
         assert!(sim.build(&fx.db.sequences[0], &mut s, &mut tables));
@@ -531,9 +524,8 @@ mod tests {
         let (dict, db) = b.freeze(&raw).unwrap();
         assert_eq!(dict.max_fid() as usize, vocabulary);
         let fst = compile(".*(w5)[(.^)|.]*(w30).*", &dict, OptLevel::Full);
-        let index = FstIndex::new(&fst);
-        assert!(index.step_table_eligible());
-        let sim = Simulator::new(&fst, &dict, &index, ItemId::MAX);
+        assert!(fst.index().step_table_eligible());
+        let sim = Simulator::new(&fst, &dict, ItemId::MAX);
         let qn = fst.num_states();
         let mut s = SimScratch::default();
         let mut tables = SimTables::default();

@@ -38,17 +38,16 @@
 //! The running example of the paper (Fig. 2–8) is available as a reusable
 //! fixture in [`toy`]; most unit tests in this workspace assert against it.
 //! `docs/ARCHITECTURE.md` in the repository root maps how this substrate —
-//! the CSR [`FstIndex`](fst::FstIndex), the flat run tables of
+//! the CSR [`FstIndex`](fst::FstIndex) each compiled [`Fst`] carries, the flat run tables of
 //! [`fst::flat`], and the [`mining`] API — is consumed by the miners, the
 //! BSP engine and the distributed algorithms.
 //!
 //! ```
-//! use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+//! use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 //! use desq_core::toy;
 //!
 //! let fx = toy::fixture();
-//! let index = FstIndex::new(&fx.fst);
-//! let walker = RunWalker::unfiltered(&fx.fst, &fx.dict, &index);
+//! let walker = RunWalker::unfiltered(&fx.fst, &fx.dict);
 //! let mut counter = CandidateCounter::new();
 //! let t5 = &fx.db.sequences[4];
 //! walker

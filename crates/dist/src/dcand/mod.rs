@@ -30,7 +30,7 @@ use std::cmp::Ordering;
 
 use desq_core::fst::flat::RunSets;
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
@@ -172,18 +172,16 @@ pub struct Mapper<'a> {
 
 impl<'a> Mapper<'a> {
     /// A mapper for `fst` at threshold `sigma` under a per-sequence work
-    /// `budget`, minimizing its NFAs iff `minimize` (`index` is the FST's
-    /// shared transition index).
+    /// `budget`, minimizing its NFAs iff `minimize`.
     pub fn new(
         fst: &'a Fst,
         dict: &'a Dictionary,
-        index: &'a FstIndex,
         sigma: u64,
         budget: usize,
         minimize: bool,
     ) -> Self {
         Mapper {
-            walker: RunWalker::new(fst, dict, index, dict.last_frequent(sigma)),
+            walker: RunWalker::new(fst, dict, fst.index(), dict.last_frequent(sigma)),
             budget,
             minimize,
             runs: RunScratch::default(),
@@ -300,9 +298,8 @@ fn d_cand_exec(
     }
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
-    let index = FstIndex::new(fst);
     let map = |part: &[Sequence], out: &mut Combiner| {
-        let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
+        let mut mapper = Mapper::new(fst, dict, sigma, budget, config.minimize);
         for seq in part {
             // The serialized NFA goes through the byte-payload path:
             // combined by content, interned per bucket chunk.
@@ -327,11 +324,10 @@ fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningR
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
-    let index = FstIndex::new(fst);
     let round = desq_bsp::map_reduce(
         ctx,
         |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
-            let mut mapper = Mapper::new(fst, dict, &index, sigma, budget, config.minimize);
+            let mut mapper = Mapper::new(fst, dict, sigma, budget, config.minimize);
             for seq in part {
                 mapper.map(seq, |p, bytes| emit(p, bytes, 1))?;
             }
@@ -519,10 +515,9 @@ mod tests {
         let (dict, db, fsts) = nyt_2k();
         let mut nfas = 0usize;
         for fst in &fsts {
-            let index = FstIndex::new(fst);
             for sigma in [1, 10] {
                 for minimize in [false, true] {
-                    let mut mapper = Mapper::new(fst, &dict, &index, sigma, usize::MAX, minimize);
+                    let mut mapper = Mapper::new(fst, &dict, sigma, usize::MAX, minimize);
                     for seq in &db.sequences {
                         let got = flat_payloads(&mut mapper, seq).unwrap();
                         let expect = reference_payloads(&mapper, seq).unwrap();
@@ -540,8 +535,7 @@ mod tests {
     #[test]
     fn toy_payloads_are_golden() {
         let fx = toy::fixture();
-        let index = FstIndex::new(&fx.fst);
-        let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, 2, usize::MAX, true);
+        let mut mapper = Mapper::new(&fx.fst, &fx.dict, 2, usize::MAX, true);
         let got: Vec<Vec<(ItemId, Vec<u8>)>> = fx
             .db
             .sequences
@@ -575,11 +569,10 @@ mod tests {
     #[test]
     fn budgets_fail_and_pass_where_the_reference_does() {
         let fx = toy::fixture();
-        let index = FstIndex::new(&fx.fst);
         let mut nfa = Nfa::default();
         for seq in &fx.db.sequences {
             let map_at = |budget: usize| {
-                let mut mapper = Mapper::new(&fx.fst, &fx.dict, &index, 2, budget, true);
+                let mut mapper = Mapper::new(&fx.fst, &fx.dict, 2, budget, true);
                 let flat = flat_payloads(&mut mapper, seq).map_err(|e| e.to_string());
                 let owned = reference_payloads(&mapper, seq).map_err(|e| e.to_string());
                 assert_eq!(flat, owned, "map budget {budget}");

@@ -16,10 +16,11 @@
 //! pivot-independent simulation tables to one growing
 //! [`desq_miner::SeqTables`] arena, and runs partition-restricted DESQ-DFS
 //! ([`desq_miner::LocalMiner::mine_picks`]) over `(table, weight)` picks,
-//! sharing one [`desq_core::fst::FstIndex`] across all pivot partitions:
-//! expansions never use items above the pivot, only pivot sequences are
-//! emitted, and the early-stopping heuristic prunes snapshots that can no
-//! longer produce the pivot — by position and by FST state (Sec. V-C).
+//! every pivot partition reading the FST's one
+//! [`FstIndex`](desq_core::fst::FstIndex): expansions never use items
+//! above the pivot, only pivot sequences are emitted, and the
+//! early-stopping heuristic prunes snapshots that can no longer produce
+//! the pivot — by position and by FST state (Sec. V-C).
 
 use std::collections::hash_map::Entry;
 
@@ -130,9 +131,6 @@ fn d_seq_exec(
     let (fst, dict, sigma) = (ctx.fst()?, ctx.dict, ctx.sigma);
     let t0 = std::time::Instant::now();
     let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
-    // One transition index, shared by the mapper's pivot search (via
-    // `search`) and every pivot partition's LocalMiner.
-    let index = search.index();
 
     let map = |part: &[Sequence], out: &mut Combiner| {
         // Per-task scratch, hoisted out of the per-sequence loop.
@@ -163,7 +161,7 @@ fn d_seq_exec(
     };
     // Tables are pivot-independent, so a pivot-less miner builds them and
     // every pivot partition's miner reads them.
-    let builder = LocalMiner::with_index(fst, dict, MinerConfig::sequential(sigma), index);
+    let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
     let reduce = |state: &mut ReduceState,
                   p: ItemId,
                   inputs: &[(&[u8], u64)],
@@ -193,7 +191,7 @@ fn d_seq_exec(
             }
         }
         let miner_config = MinerConfig::for_pivot(sigma, p, config.early_stop);
-        LocalMiner::with_index(fst, dict, miner_config, index).mine_picks(
+        LocalMiner::new(fst, dict, miner_config).mine_picks(
             tables,
             picks,
             scratch,
@@ -403,8 +401,7 @@ mod tests {
             // arena can only tighten that) but never exceed it, and it
             // exists for every pivot the sequence is shipped to.
             let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
-            let builder =
-                LocalMiner::with_index(&fst, &dict, MinerConfig::sequential(sigma), search.index());
+            let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
             let (mut tables, mut miner_scratch) = (SeqTables::default(), MinerScratch::default());
             let (mut scratch, mut ranges) = (PivotScratch::default(), Vec::new());
             let mut undercuts = 0;
@@ -415,12 +412,8 @@ mod tests {
                     .unwrap();
                 assert!(table.is_some() || ranges.is_empty(), "sequence {s}");
                 for pr in &ranges {
-                    let miner = LocalMiner::with_index(
-                        &fst,
-                        &dict,
-                        MinerConfig::for_pivot(sigma, pr.item, true),
-                        search.index(),
-                    );
+                    let miner =
+                        LocalMiner::new(&fst, &dict, MinerConfig::for_pivot(sigma, pr.item, true));
                     let from_tables = miner.last_pivot_position(&tables, table.unwrap() as usize);
                     let from_dict = dict_last_pivot_position(&fst, &dict, items, pr.item);
                     assert!(from_tables.is_some(), "sequence {s} pivot {}", pr.item);

@@ -21,7 +21,7 @@
 
 use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{sequence, ItemId, Result, Sequence};
 
@@ -80,7 +80,6 @@ fn naive_exec(
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
     let t0 = std::time::Instant::now();
-    let index = FstIndex::new(fst);
     let max_item = if config.filter {
         dict.last_frequent(sigma)
     } else {
@@ -88,7 +87,7 @@ fn naive_exec(
     };
 
     let map = |part: &[Sequence], out: &mut Combiner| {
-        let walker = RunWalker::new(fst, dict, &index, max_item);
+        let walker = RunWalker::new(fst, dict, fst.index(), max_item);
         let mut scratch = RunScratch::default();
         let mut counter = CandidateCounter::new();
         for seq in part {

@@ -209,7 +209,7 @@ mod tests {
         let (dict, _) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(8));
         for c in nyt_constraints() {
             let fst = c.compile(&dict).unwrap();
-            let ix = desq_core::fst::index::FstIndex::new(&fst);
+            let ix = fst.index();
             assert!(
                 ix.step_table_eligible(),
                 "{}: {} states / {} transitions miss the fast path",

@@ -21,7 +21,8 @@
 //! The DP runs on the tables of the shared simulation front-end
 //! ([`desq_core::fst::sim`], the same one DESQ-DFS local mining and the
 //! counting path use), built by [`RunWalker::build_tables`] into the run
-//! walk's own [`RunScratch`]: a CSR [`FstIndex`] built once per search,
+//! walk's own [`RunScratch`]: the FST's CSR
+//! [`FstIndex`](desq_core::fst::FstIndex) ([`Fst::index`]),
 //! per-position bit-packed *match masks* with grid aliveness folded in (one
 //! bit test replaces the ancestor check plus the aliveness lookup),
 //! forward/alive grid bitsets, and σ-filtered output sets materialized per
@@ -43,7 +44,7 @@
 //! trimming would change results.
 
 use desq_core::fst::sim::{get_bit, ones};
-use desq_core::fst::{FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{RunScratch, RunWalker};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, EPSILON};
 
 use crate::dcand::merge_pivots_into;
@@ -137,13 +138,12 @@ fn oplus_into(
 
 /// Pivot computation for one compiled FST over one dictionary.
 ///
-/// Construction derives the shared [`FstIndex`] once; the per-sequence
-/// state lives in a caller-provided [`PivotScratch`].
+/// Construction is a handful of references; the per-sequence state lives
+/// in a caller-provided [`PivotScratch`].
 pub struct PivotSearch<'a> {
     fst: &'a Fst,
     dict: &'a Dictionary,
     last_frequent: ItemId,
-    index: FstIndex,
 }
 
 impl<'a> PivotSearch<'a> {
@@ -154,13 +154,12 @@ impl<'a> PivotSearch<'a> {
             fst,
             dict,
             last_frequent,
-            index: FstIndex::new(fst),
         }
     }
 
-    /// A run walker over this search's FST, index and σ cut.
+    /// A run walker over this search's FST and σ cut.
     fn walker(&self) -> RunWalker<'_> {
-        RunWalker::new(self.fst, self.dict, &self.index, self.last_frequent)
+        RunWalker::new(self.fst, self.dict, self.fst.index(), self.last_frequent)
     }
 
     /// `K^σ(T)`, with the shared rewritten range, sorted ascending by item.
@@ -200,7 +199,7 @@ impl<'a> PivotSearch<'a> {
     /// all miss (or are alive-pruned) at a position have an empty output
     /// set and kill their transitions in the DP.
     fn flat_pivot_set(&self, seq: &[ItemId], scratch: &mut PivotScratch) {
-        let ix = &self.index;
+        let ix = self.fst.index();
         let n = seq.len();
         let qn = self.fst.num_states();
         let w = ix.words();
@@ -365,7 +364,7 @@ impl<'a> PivotSearch<'a> {
     /// coordinate is the initial state and all its alive transitions are
     /// ε-output self-loops, every alive run idles there.
     fn safe_front(&self, seq: &[ItemId], scratch: &RunScratch) -> usize {
-        let ix = &self.index;
+        let ix = self.fst.index();
         let w = ix.words();
         let initial = self.fst.initial();
         let mut i = 0;
@@ -393,7 +392,7 @@ impl<'a> PivotSearch<'a> {
     /// all alive transitions produce ε — then ending at `j` accepts exactly
     /// the runs that previously consumed the suffix silently.
     fn safe_back(&self, seq: &[ItemId], scratch: &RunScratch, first: usize) -> usize {
-        let ix = &self.index;
+        let ix = self.fst.index();
         let n = seq.len();
         let w = ix.words();
         let mut dropped = 0;
@@ -424,12 +423,6 @@ impl<'a> PivotSearch<'a> {
     /// The largest frequent fid this search filters with.
     pub fn last_frequent(&self) -> ItemId {
         self.last_frequent
-    }
-
-    /// The shared transition index derived at construction (see the
-    /// [reuse contract](desq_core::fst::index)).
-    pub fn index(&self) -> &FstIndex {
-        &self.index
     }
 }
 

@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{
     ExecutionPolicy, Miner, MiningContext, MiningMetrics, MiningResult, PatternSink,
 };
@@ -56,7 +56,7 @@ fn prefers_lean(ctx: &MiningContext<'_>, fst: &Fst) -> bool {
     if n == 0 {
         return true;
     }
-    let index = FstIndex::new(fst);
+    let index = fst.index();
     if fst
         .num_states()
         .saturating_mul(index.distinct_inputs().len())
@@ -64,7 +64,7 @@ fn prefers_lean(ctx: &MiningContext<'_>, fst: &Fst) -> bool {
     {
         return false;
     }
-    let walker = RunWalker::new(fst, ctx.dict, &index, ctx.dict.last_frequent(ctx.sigma));
+    let walker = RunWalker::new(fst, ctx.dict, index, ctx.dict.last_frequent(ctx.sigma));
     let mut scratch = RunScratch::default();
     let mut counter = CandidateCounter::new();
     let stride = n.div_ceil(PROBE_SEQS).max(1);

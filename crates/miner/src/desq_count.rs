@@ -9,8 +9,8 @@
 //! algorithms fail on loose constraints).
 //!
 //! The enumeration runs on the flat counting path
-//! ([`desq_core::fst::flat`]): a [`RunWalker`] over the shared CSR
-//! [`FstIndex`] (per-position output sets σ-filtered once at table-build
+//! ([`desq_core::fst::flat`]): a [`RunWalker`] over the FST's CSR
+//! [`FstIndex`](desq_core::fst::FstIndex) (per-position output sets σ-filtered once at table-build
 //! time, per-thread scratch, no per-transition allocation) feeding an
 //! interned [`CandidateCounter`] (candidates hashed once and counted over
 //! a flat item arena). Workers return *owned* partial counters that the calling thread
@@ -27,7 +27,7 @@
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{MiningContext, MiningMetrics, MiningResult};
 use desq_core::{sched, Result};
 
@@ -49,7 +49,6 @@ pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<Mi
     let (sigma, budget) = (ctx.sigma, ctx.limits.budget);
     let n = db.sequences.len();
     let workers = ctx.workers.clamp(1, n.max(1));
-    let index = FstIndex::new(fst);
     let max_item = dict.last_frequent(sigma);
 
     // Blocks of sequences seed the scheduler; each worker counts into its
@@ -63,7 +62,7 @@ pub(crate) fn desq_count_impl(ctx: &MiningContext<'_>, t0: Instant) -> Result<Mi
     let states: Vec<_> = (0..workers)
         .map(|_| {
             (
-                RunWalker::new(fst, dict, &index, max_item),
+                RunWalker::new(fst, dict, fst.index(), max_item),
                 RunScratch::default(),
                 CandidateCounter::new(),
             )

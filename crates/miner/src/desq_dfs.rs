@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
-use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
+use desq_core::fst::{RunScratch, RunWalker, SimTables};
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
@@ -140,10 +140,6 @@ pub struct LocalMiner<'a> {
     /// Largest frequent fid, `dict.last_frequent(σ)`, resolved once at
     /// construction.
     last_frequent: ItemId,
-    /// Derived per-state transition index ([`FstIndex`]) — owned by
-    /// default, borrowed when the caller amortizes one index across many
-    /// miners (D-SEQ builds a miner per pivot partition over one FST).
-    index: IndexHolder<'a>,
     /// Largest frequent vocabulary that still uses dense (vocabulary-
     /// indexed) node grouping; larger vocabularies sort instead. Only
     /// tests override [`MAX_DENSE_ITEMS`].
@@ -164,22 +160,6 @@ struct MineTask {
     has_pivot: bool,
     /// The node's precomputed ε-completion (emission) support.
     emit: u64,
-}
-
-/// Owned-or-shared [`FstIndex`] (see [`LocalMiner::with_index`]).
-enum IndexHolder<'a> {
-    Owned(Box<FstIndex>),
-    Shared(&'a FstIndex),
-}
-
-impl IndexHolder<'_> {
-    #[inline]
-    fn get(&self) -> &FstIndex {
-        match self {
-            IndexHolder::Owned(ix) => ix,
-            IndexHolder::Shared(ix) => ix,
-        }
-    }
 }
 
 /// One projected-database posting, packed `input index ‖ ε-flag ‖ cell`
@@ -274,8 +254,8 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 /// while it walks — the item bound is a prefix cut of each sorted output
 /// slice — so one table serves every pivot partition its sequence is
 /// shuffled to. Any miner over the same `(FST, dictionary)` pair whose
-/// frequent-item boundary is not above the builder's can mine it (see the
-/// [`FstIndex` reuse contract](desq_core::fst::index)). The one
+/// frequent-item boundary is not above the builder's can mine it (mask
+/// bits and label numbers are those of the FST's own [`Fst::index`]). The one
 /// pivot-dependent value is the per-sequence early-stopping position: it
 /// is derived from the output arena (the last position where an alive
 /// transition outputs the pivot — no dictionary access) for the building
@@ -532,37 +512,15 @@ pub struct MinerScratch {
 }
 
 impl<'a> LocalMiner<'a> {
-    /// Creates a miner for the given FST and dictionary.
+    /// Creates a miner for the given FST and dictionary. Cheap — the
+    /// FST carries its transition index ([`Fst::index`]) — so D-SEQ's
+    /// reducers build one per pivot partition.
     pub fn new(fst: &'a Fst, dict: &'a Dictionary, config: MinerConfig) -> Self {
         LocalMiner {
             fst,
             dict,
             config,
             last_frequent: dict.last_frequent(config.sigma),
-            index: IndexHolder::Owned(Box::new(FstIndex::new(fst))),
-            dense_limit: MAX_DENSE_ITEMS,
-        }
-    }
-
-    /// Creates a miner that borrows a pre-built [`FstIndex`] instead of
-    /// deriving its own.
-    ///
-    /// The index must have been built from the same `fst` (see the
-    /// [reuse contract](desq_core::fst::index)); sharing one index
-    /// amortizes its construction when many miners run over one FST —
-    /// D-SEQ's reducers build a [`LocalMiner`] per pivot partition.
-    pub fn with_index(
-        fst: &'a Fst,
-        dict: &'a Dictionary,
-        config: MinerConfig,
-        index: &'a FstIndex,
-    ) -> Self {
-        LocalMiner {
-            fst,
-            dict,
-            config,
-            last_frequent: dict.last_frequent(config.sigma),
-            index: IndexHolder::Shared(index),
             dense_limit: MAX_DENSE_ITEMS,
         }
     }
@@ -703,7 +661,7 @@ impl<'a> LocalMiner<'a> {
     fn early_stop_pos(&self, tables: &SeqTables, m: &SeqMeta) -> u32 {
         match self.config.pivot {
             Some(pivot) if self.config.early_stop => tables
-                .last_pivot_pos(m, self.index.get().num_labels(), pivot)
+                .last_pivot_pos(m, self.fst.index().num_labels(), pivot)
                 .map_or(0, |i| i as u32),
             _ => u32::MAX,
         }
@@ -714,7 +672,7 @@ impl<'a> LocalMiner<'a> {
     /// derives from the tables. Exposed for tests.
     #[doc(hidden)]
     pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
-        let l = self.index.get().num_labels();
+        let l = self.fst.index().num_labels();
         tables.last_pivot_pos(&tables.metas[s], l, self.config.pivot?)
     }
 
@@ -958,7 +916,7 @@ impl<'a> LocalMiner<'a> {
             len: len as u32,
             last_pivot_pos: u32::MAX,
         };
-        let walker = RunWalker::new(self.fst, self.dict, self.index.get(), self.last_frequent);
+        let walker = RunWalker::new(self.fst, self.dict, self.fst.index(), self.last_frequent);
         if !walker.build_tables_into(seq, scratch, &mut set.sim) {
             return Ok(false);
         }
@@ -977,7 +935,7 @@ impl<'a> LocalMiner<'a> {
     /// an ε-completion path from it, so the pruned `mask` rows retain all of
     /// its transitions.
     fn build_eps_fin(&self, n: usize, grid: &RunScratch, mask: &[u64], eps_buf: &mut Vec<u64>) {
-        let ix = self.index.get();
+        let ix = self.fst.index();
         let (qn, w) = (self.fst.num_states(), ix.words());
         let eps_start = eps_buf.len();
         eps_buf.resize(eps_start + ((n + 1) * qn).div_ceil(64).max(1), 0);
@@ -1062,7 +1020,7 @@ impl<'a> LocalMiner<'a> {
         bufs: &mut ExpandBufs,
         d: &mut DepthBufs,
     ) {
-        let ix = self.index.get();
+        let ix = self.fst.index();
         let (qn, w, l) = (self.fst.num_states() as u32, ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
         let bound = self.item_bound();
@@ -1858,7 +1816,7 @@ mod tests {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             for pivot in 1..=last {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
-                LocalMiner::with_index(&fst, &dict, cfg, builder.index.get())
+                LocalMiner::new(&fst, &dict, cfg)
                     .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
                         mined.push((p, f))
                     })

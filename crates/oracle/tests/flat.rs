@@ -2,7 +2,7 @@
 //! the paper's running example: counts, budget exhaustion, per-run output
 //! sets, and the per-sequence candidate count `repro table4` reads.
 
-use desq_core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::fx::FxHashMap;
 use desq_core::{toy, Dictionary, Error, Fst, ItemId, Result, Sequence};
 use desq_oracle::{candidates, runs, Grid};
@@ -26,15 +26,10 @@ fn oracle_counts(
     Ok(out)
 }
 
-fn walker<'a>(
-    fst: &'a Fst,
-    dict: &'a Dictionary,
-    index: &'a FstIndex,
-    sigma: Option<u64>,
-) -> RunWalker<'a> {
+fn walker<'a>(fst: &'a Fst, dict: &'a Dictionary, sigma: Option<u64>) -> RunWalker<'a> {
     match sigma {
-        Some(s) => RunWalker::new(fst, dict, index, dict.last_frequent(s)),
-        None => RunWalker::unfiltered(fst, dict, index),
+        Some(s) => RunWalker::new(fst, dict, fst.index(), dict.last_frequent(s)),
+        None => RunWalker::unfiltered(fst, dict),
     }
 }
 
@@ -45,8 +40,7 @@ fn flat_counts(
     sigma: Option<u64>,
     budget: usize,
 ) -> Result<Vec<(Sequence, u64)>> {
-    let index = FstIndex::new(fst);
-    let walker = walker(fst, dict, &index, sigma);
+    let walker = walker(fst, dict, sigma);
     let mut scratch = RunScratch::default();
     let mut counter = CandidateCounter::new();
     for seq in seqs {
@@ -90,8 +84,7 @@ fn run_sets_match_runs_module_on_toy() {
     // The walker's per-run sets equal the (unfiltered) output sets the
     // `runs` module materializes per transition.
     let fx = toy::fixture();
-    let index = FstIndex::new(&fx.fst);
-    let walker = RunWalker::unfiltered(&fx.fst, &fx.dict, &index);
+    let walker = RunWalker::unfiltered(&fx.fst, &fx.dict);
     let mut scratch = RunScratch::default();
     for seq in &fx.db.sequences {
         let mut expect: Vec<Vec<Vec<ItemId>>> = Vec::new();
@@ -125,9 +118,8 @@ fn observed_deltas_count_each_sequences_candidates() {
     // `count_candidates` call, on one counter shared by the whole
     // database, is the oracle's per-sequence candidate count.
     let fx = toy::fixture();
-    let index = FstIndex::new(&fx.fst);
     for sigma in [None, Some(1), Some(2), Some(3)] {
-        let walker = walker(&fx.fst, &fx.dict, &index, sigma);
+        let walker = walker(&fx.fst, &fx.dict, sigma);
         let (mut scratch, mut counter) = (RunScratch::default(), CandidateCounter::new());
         let mut deltas = Vec::new();
         for seq in &fx.db.sequences {

@@ -3,7 +3,7 @@
 //! running example, in both of its shapes.
 
 use desq_core::fst::sim::get_bit;
-use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
+use desq_core::fst::{RunScratch, RunWalker, SimTables};
 use desq_core::{toy, Dictionary, Fst, ItemId, OptLevel, PatEx, Sequence};
 use desq_oracle::Grid;
 
@@ -19,11 +19,12 @@ fn compile(pattern: &str, dict: &Dictionary, level: OptLevel) -> Fst {
 /// the mask rows and the output arena against [`Grid`] and the
 /// transitions' own `matches` / `outputs`.
 fn check_against_grid(
-    (fst, dict, ix, max_item): (&Fst, &Dictionary, &FstIndex, ItemId),
+    (fst, dict, max_item): (&Fst, &Dictionary, ItemId),
     seq: &[ItemId],
     s: &mut RunScratch,
 ) {
     let grid = Grid::build(fst, dict, seq);
+    let ix = fst.index();
     let accepted = RunWalker::new(fst, dict, ix, max_item).build_tables(seq, s);
     let tables = s.tables();
     assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {seq:?}");
@@ -83,13 +84,12 @@ fn both_shapes_match_the_grid_on_toy() {
         (&wide_full, false, 1),
         (&wide_none, false, 2),
     ] {
-        let index = FstIndex::new(fst);
-        assert_eq!(index.step_table_eligible(), step_table);
+        assert_eq!(fst.index().step_table_eligible(), step_table);
         assert_eq!(fst.num_states().div_ceil(64), state_words);
         for sigma in [1, 2, 4] {
             let max_item = fx.dict.last_frequent(sigma);
             for seq in fx.db.sequences.iter().chain([&Sequence::new()]) {
-                check_against_grid((fst, &fx.dict, &index, max_item), seq, &mut s);
+                check_against_grid((fst, &fx.dict, max_item), seq, &mut s);
             }
         }
     }

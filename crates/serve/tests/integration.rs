@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq_core::retry::BASE_DELAY;
-use desq_core::{toy, Error, MiningMetrics, Sequence};
+use desq_core::{toy, DictionaryBuilder, Error, MiningMetrics, Sequence, SequenceDb};
 use desq_serve::client::{Client, RetryPolicy};
 use desq_serve::proto::{read_frame, write_frame, Message, Request, ServerStats, WireAlgo};
 use desq_serve::server::{ServeLimits, Server};
@@ -471,6 +471,44 @@ fn budget_exhaustion_reaches_the_client_as_resource_exhausted() {
         matches!(err, ServeError::Remote(Error::ResourceExhausted(_))),
         "expected Remote(ResourceExhausted), got {err}"
     );
+    handle.shutdown();
+}
+
+/// A constraint whose FST has more output labels than the transition
+/// index can number is refused at admission, typed — no mining worker
+/// ever meets it, so nothing panics.
+#[test]
+fn an_fst_too_wide_to_index_is_refused_at_admission() {
+    let n = 32_768;
+    let mut b = DictionaryBuilder::new();
+    for i in 0..n {
+        b.item(&format!("i{i}"));
+    }
+    let id = |name: &str| b.id_of(name).unwrap();
+    let raw = SequenceDb::new(vec![
+        vec![id("i0"), id("i1"), id("i2")],
+        vec![id("i1"), id("i3")],
+    ]);
+    let (dict, db) = b.freeze(&raw).unwrap();
+    let mut store = CorpusStore::new();
+    store.insert("wide", dict, db);
+    let handle = Server::new(store).spawn("127.0.0.1:0").unwrap();
+    let client = Client::new(handle.addr());
+    let union: Vec<String> = (0..n).map(|i| format!("(i{i}=)")).collect();
+    let err = client
+        .query(&Request::new("wide", format!("[{}]", union.join("|")), 1).unanchored())
+        .unwrap_err();
+    match err {
+        ServeError::Remote(Error::Invalid(msg)) => {
+            assert!(msg.contains("distinct output labels"), "{msg}")
+        }
+        other => panic!("expected Remote(Invalid), got {other}"),
+    }
+    let ok = client
+        .query(&Request::new("wide", "(i1=)", 1).unanchored())
+        .unwrap();
+    assert_eq!(ok.patterns.len(), 1);
+    assert_eq!(ok.stats.panics, 0);
     handle.shutdown();
 }
 

@@ -267,7 +267,6 @@ fn results_stable_across_workers_and_partitionings() {
 /// general multi-word forward pass and must still agree.
 #[test]
 fn general_shape_fst_agrees_across_dfs_count_and_dseq() {
-    use desq::core::fst::FstIndex;
     let fx = desq::core::toy::fixture();
     let (dict, db) = shared((fx.dict, fx.db));
     let expr = ".*[(A)|(A^)|(b)|(d^)|(c)|(e)|(a1)|(a2=)|(.^)|.]{1,7}(b).*";
@@ -285,7 +284,7 @@ fn general_shape_fst_agrees_across_dfs_count_and_dseq() {
                 .build()
                 .unwrap();
             let fst = base.fst().unwrap();
-            assert!(!FstIndex::new(fst).step_table_eligible(), "{level:?}");
+            assert!(!fst.index().step_table_eligible(), "{level:?}");
             assert_eq!(fst.num_states().div_ceil(64), state_words, "{level:?}");
             let reference = mine(&base, AlgorithmSpec::DesqCount);
             assert!(!reference.is_empty(), "{level:?} σ={sigma}");

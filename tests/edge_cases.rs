@@ -337,6 +337,57 @@ fn unknown_items_in_pattern_surface_cleanly() {
     assert!(matches!(err, Error::UnknownItem(_)));
 }
 
+/// A builder over items `i0 … i{n−1}` and two sequences of four of them,
+/// constrained by the unanchored union `[(i0=)|(i1=)|…|(i{n−1}=)]`: one
+/// distinct output label per item.
+fn wide_union(n: usize) -> desq::session::MiningSessionBuilder {
+    let mut b = DictionaryBuilder::new();
+    for i in 0..n {
+        b.item(&format!("i{i}"));
+    }
+    let id = |name: &str| b.id_of(name).unwrap();
+    let raw = SequenceDb::new(vec![
+        vec![id("i0"), id("i1"), id("i2")],
+        vec![id("i1"), id("i3")],
+    ]);
+    let (dict, db) = b.freeze(&raw).unwrap();
+    let union: Vec<String> = (0..n).map(|i| format!("(i{i}=)")).collect();
+    MiningSession::builder()
+        .dictionary(dict)
+        .database(db)
+        .pattern_unanchored(format!("[{}]", union.join("|")))
+        .sigma(1)
+        .workers(2)
+}
+
+#[test]
+fn an_fst_too_wide_to_index_fails_at_compile_not_at_mining() {
+    // 32 767 output labels fit the index's i16 label ids: every
+    // FST-based algorithm mines the four single items.
+    let fits = wide_union(32_767);
+    let fst = fits.compile_only().unwrap();
+    assert_eq!(fst.index().num_labels(), 32_767);
+    let session = fits.fst(fst).build().unwrap();
+    for spec in [
+        AlgorithmSpec::DesqDfs,
+        AlgorithmSpec::DesqCount,
+        SEMI_NAIVE,
+        AlgorithmSpec::d_seq(),
+        AlgorithmSpec::d_cand(),
+    ] {
+        let res = session.with_algorithm(spec).unwrap().run().unwrap();
+        assert_eq!(res.patterns.len(), 4, "{}", spec.name());
+    }
+    // One more does not: the compile says so, typed, wherever it runs.
+    let wide = wide_union(32_768);
+    let expect_invalid = |err: Error| match err {
+        Error::Invalid(msg) => assert!(msg.contains("distinct output labels"), "{msg}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    };
+    expect_invalid(wide.compile_only().unwrap_err());
+    expect_invalid(wide.build().unwrap_err());
+}
+
 #[test]
 fn single_worker_session_handles_many_partitions_and_reducers() {
     let res = toy_builder()

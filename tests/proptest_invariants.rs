@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
-use desq::core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
+use desq::core::fst::{RunScratch, RunWalker, SimTables};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
 use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
@@ -136,9 +136,9 @@ fn check_sim_against_grid(
     scratch: &mut RunScratch,
 ) -> Result<(), String> {
     let dict = &world.dict;
-    let index = FstIndex::new(fst);
+    let index = fst.index();
     let max_item = dict.last_frequent(sigma);
-    let walker = RunWalker::new(fst, dict, &index, max_item);
+    let walker = RunWalker::new(fst, dict, index, max_item);
     let (w, l) = (index.words(), index.num_labels());
     let mut buf = Vec::new();
     for seq in &world.db.sequences {
@@ -207,7 +207,7 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
     let sequential = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
         .mine(&inputs)
         .unwrap();
-    let builder = LocalMiner::with_index(fst, dict, MinerConfig::sequential(sigma), search.index());
+    let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
     let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
     let mut partitions: BTreeMap<ItemId, Vec<(u32, u64)>> = BTreeMap::new();
     for seq in &world.db.sequences {
@@ -230,7 +230,7 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
         for early_stop in [false, true] {
             let cfg = MinerConfig::for_pivot(sigma, p, early_stop);
             let mut mined = Vec::new();
-            LocalMiner::with_index(fst, dict, cfg, search.index())
+            LocalMiner::new(fst, dict, cfg)
                 .mine_picks(&tables, picks, &mut scratch, &mut |s, f| mined.push((s, f)))
                 .unwrap();
             prop_assert_eq!(
@@ -402,7 +402,7 @@ proptest! {
         };
         let wide = widen(&e, world.dict.max_fid() as usize);
         let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
-        prop_assert!(!FstIndex::new(&wide).step_table_eligible());
+        prop_assert!(!wide.index().step_table_eligible());
         let mut scratch = RunScratch::default();
         for fst in [&fst, &wide, &fst] {
             check_sim_against_grid(fst, &world, sigma, &mut scratch)?;
@@ -420,7 +420,7 @@ proptest! {
     fn flat_counting_matches_generate(
         world in arb_world(), e in arb_pexp(4), sigma in 0u64..3, small_budget in 1usize..40
     ) {
-        use desq::core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+        use desq::core::fst::{CandidateCounter, RunScratch, RunWalker};
         use desq::core::fx::FxHashMap;
 
         let fst = match Fst::compile(&e, &world.dict) {
@@ -444,11 +444,12 @@ proptest! {
             out.sort();
             Ok((out, work))
         };
-        let index = FstIndex::new(&fst);
         let flat = |budget: usize| -> Result<(Vec<(Sequence, u64)>, u64), Error> {
             let walker = match sigma_opt {
-                Some(s) => RunWalker::new(&fst, &world.dict, &index, world.dict.last_frequent(s)),
-                None => RunWalker::unfiltered(&fst, &world.dict, &index),
+                Some(s) => {
+                    RunWalker::new(&fst, &world.dict, fst.index(), world.dict.last_frequent(s))
+                }
+                None => RunWalker::unfiltered(&fst, &world.dict),
             };
             let mut scratch = RunScratch::default();
             let mut counter = CandidateCounter::new();
@@ -487,7 +488,7 @@ proptest! {
     fn optimized_fst_matches_oracle(
         world in arb_world(), e in arb_pexp(4), sigma in 0u64..3
     ) {
-        use desq::core::fst::{CandidateCounter, FstIndex, RunScratch, RunWalker};
+        use desq::core::fst::{CandidateCounter, RunScratch, RunWalker};
         use desq::core::OptLevel;
         use std::collections::BTreeSet;
 
@@ -520,10 +521,11 @@ proptest! {
         }
 
         let count = |fst: &Fst| -> Result<(Vec<(Sequence, u64)>, u64), Error> {
-            let index = FstIndex::new(fst);
             let walker = match sigma_opt {
-                Some(s) => RunWalker::new(fst, &world.dict, &index, world.dict.last_frequent(s)),
-                None => RunWalker::unfiltered(fst, &world.dict, &index),
+                Some(s) => {
+                    RunWalker::new(fst, &world.dict, fst.index(), world.dict.last_frequent(s))
+                }
+                None => RunWalker::unfiltered(fst, &world.dict),
             };
             let mut scratch = RunScratch::default();
             let mut counter = CandidateCounter::new();
@@ -869,8 +871,7 @@ proptest! {
         let wide = widen(&e, world.dict.max_fid() as usize);
         let wide = Fst::compile_with(&wide, &world.dict, OptLevel::None).unwrap();
         for (fst, minimize) in [(&fst, true), (&wide, false), (&wide, true)] {
-            let index = FstIndex::new(fst);
-            let mut mapper = Mapper::new(fst, &world.dict, &index, sigma, BUDGET, minimize);
+            let mut mapper = Mapper::new(fst, &world.dict, sigma, BUDGET, minimize);
             let mut nfa = Nfa::default();
             for seq in &world.db.sequences {
                 let Ok(cands) = candidates::generate(fst, &world.dict, seq, Some(sigma), BUDGET)
