@@ -96,8 +96,11 @@ fn match_cached(label: InputLabel, d: u16, t: ItemId, dict: &Dictionary, memo: &
 /// What the front-end appends per accepted sequence: the pruned
 /// match-mask rows and the output arena (see the
 /// [reachable-sources contract](self)). Consumers either clear it per
-/// sequence (run walk, pivot DP) or let it grow into a shared arena and
-/// remember each sequence's start lengths (DESQ-DFS).
+/// sequence (run walk, pivot DP) or let the mask rows grow into a shared
+/// arena and remember each sequence's start (DESQ-DFS). No consumer keeps
+/// the output arena resident: DESQ-DFS interns each sequence's output sets
+/// into a directory of its own and then drops them
+/// ([`truncate`](Self::truncate)).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SimTables {
     mask: Vec<u64>,
@@ -133,6 +136,17 @@ impl SimTables {
     /// Empties all three arenas (keeping their allocations).
     pub fn clear(&mut self) {
         self.mask.clear();
+        self.offsets.clear();
+        self.outs.clear();
+    }
+
+    /// Cuts the mask arena back to its first `mask_len` words and empties
+    /// the output arena (keeping every allocation): after interning a
+    /// sequence's output sets, a consumer keeps its mask rows
+    /// (`mask_len` = the current length) or drops them too (the length
+    /// before the sequence).
+    pub fn truncate(&mut self, mask_len: usize) {
+        self.mask.truncate(mask_len);
         self.offsets.clear();
         self.outs.clear();
     }

@@ -18,19 +18,22 @@
 //! FST simulation state is precomputed once per input sequence into flat,
 //! bit-packed [`SeqTables`]: per-position *match masks* (one bit per FST
 //! transition), aliveness and ε-completion bitsets over the
-//! `(position, state)` grid, and the output sets of every
-//! `(position, output label)` pair — cut at the frequent-item boundary and
-//! materialized, sorted, into a per-sequence arena. The DFS walks a compact
-//! per-state transition index of the FST (L1-resident) and resolves
-//! matches, aliveness and outputs as bit tests and arena slices: no
-//! ancestor binary searches, no output re-materialization, no dictionary
-//! access. A projected database is a run of 8-byte postings (input index,
+//! `(position, state)` grid, and one output-set id per
+//! `(position, output label)` pair. An output set depends only on its
+//! label and the position's input item, so each distinct set is
+//! materialized once, sorted and cut at the frequent-item boundary, in the
+//! tables' output-set directory. The DFS walks a compact per-state
+//! transition index of the FST (L1-resident) and resolves matches,
+//! aliveness and outputs as bit tests and directory slices: no ancestor
+//! binary searches, no output re-materialization, no dictionary access. A
+//! projected database is a run of 8-byte postings (input index,
 //! ε-completion flag, `(position, state)` cell) in a per-depth reusable
 //! buffer instead of a per-node hash map; the run's item is stored once,
 //! in the depth's run directory. The unordered child postings of the node
 //! being expanded go to one raw buffer per worker, which every depth
-//! reuses: the node scatters them into its per-item runs before it
-//! recurses. The ε-closure walk deduplicates cells in a bitset.
+//! reuses — one record per output step, holding its set id, not one per
+//! output item — and the node scatters them into its per-item runs before
+//! it recurses. The ε-closure walk deduplicates cells in a bitset.
 //!
 //! Search-tree exploration runs on the work-stealing scheduler of
 //! [`desq_core::sched`] at every worker count
@@ -58,7 +61,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
-use desq_core::fst::{RunScratch, RunWalker, SimTables};
+use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
+use desq_core::fx::FxHashMap;
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
@@ -205,11 +209,11 @@ fn p_eps(p: Posting) -> bool {
 
 /// Whether a sequence of `len` items, simulated over an FST with `states`
 /// states, fits the widths the DFS packs it into as input `index` with
-/// the four arena `starts` of [`SeqMeta`]: the index stays below
+/// the three arena `starts` of [`SeqMeta`]: the index stays below
 /// `u32::MAX` (the accumulators' "no sequence yet" mark), every cell
 /// below 2³¹ — `(len + 1) · states` of them, with the ε-flag above — and
 /// every arena start within a `u32`.
-fn fits_widths(index: usize, len: usize, states: usize, starts: [usize; 4]) -> bool {
+fn fits_widths(index: usize, len: usize, states: usize, starts: [usize; 3]) -> bool {
     index < u32::MAX as usize
         && (len as u128 + 1) * (states as u128) < 1 << 31
         && starts.iter().all(|&start| start <= u32::MAX as usize)
@@ -223,6 +227,82 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
     ))
 }
 
+/// Whether an [`OutputSets`] directory of up to `ids` set ids over up to
+/// `items` stored items fits its `u32` ids and item bounds, every id below
+/// [`PIVOT_ONLY`]. Checked before interning, with every incoming set
+/// counted as new.
+fn fits_directory(ids: usize, items: usize) -> bool {
+    ids <= u32::MAX as usize && items <= u32::MAX as usize
+}
+
+/// The typed error of a directory [`fits_directory`] rejects.
+fn directory_error() -> desq_core::Error {
+    desq_core::Error::Invalid(
+        "DESQ-DFS output-set directory exceeds 2³² set ids or stored items".into(),
+    )
+}
+
+/// The output-set directory of one [`SeqTables`]: every distinct non-empty
+/// output set its sequences produce, stored once. An output set depends
+/// only on the output label and the input item (the label's outputs on the
+/// item — the item itself or its generalizations — sorted ascending and cut
+/// at the tables' frequent-item boundary), so it is interned under that
+/// `(label, item)` key and a sequence keeps one `u32` set id per
+/// `(position, label)`. Id 0 is the empty set: a label without a surviving
+/// transition, or a set the cut emptied.
+#[derive(Debug, PartialEq)]
+struct OutputSets {
+    /// `label ‖ item` → set id, for every interned set.
+    ids: FxHashMap<u64, u32>,
+    /// Set `k` is `items[bounds[k]..bounds[k + 1]]`; `[0, 0]` when empty.
+    bounds: Vec<u32>,
+    items: Vec<ItemId>,
+}
+
+impl Default for OutputSets {
+    fn default() -> Self {
+        OutputSets {
+            ids: FxHashMap::default(),
+            bounds: vec![0, 0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl OutputSets {
+    /// Number of set ids, the empty set's included.
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The items of set `id`, ascending.
+    #[inline]
+    fn get(&self, id: u32) -> &[ItemId] {
+        let k = id as usize;
+        &self.items[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+
+    /// The id of the non-empty output set `set` under its `(label, item)`
+    /// key ([`set_key`]), interned on first sight. The caller has checked
+    /// that the directory fits its widths with `set` added
+    /// ([`fits_directory`]).
+    #[inline]
+    fn intern(&mut self, key: u64, set: &[ItemId]) -> u32 {
+        let fresh = self.len() as u32;
+        *self.ids.entry(key).or_insert_with(|| {
+            self.items.extend_from_slice(set);
+            self.bounds.push(self.items.len() as u32);
+            fresh
+        })
+    }
+}
+
+/// An output set's directory key: the output label above the input item.
+#[inline]
+fn set_key(label: usize, item: ItemId) -> u64 {
+    (label as u64) << 32 | item as u64
+}
+
 /// Flat per-sequence simulation tables, built by
 /// [`LocalMiner::prepare_tables`] (one call, one input collection) or grown
 /// one sequence at a time by [`LocalMiner::append_tables`], and immutable
@@ -232,7 +312,8 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 /// precomputed here, bit-packed to keep the per-node memory traffic low.
 /// The shared simulation front-end ([`RunWalker::build_tables_into`] — lazy,
 /// frontier-driven; a rejected sequence costs one forward pass and no arena
-/// space) produces the first two, this module adds the third. Per sequence:
+/// space) produces the masks and the output sets behind the id row; this
+/// module interns those sets and adds the third. Per sequence:
 ///
 /// * *match masks* — bit `δ` of position `i`'s mask is set iff FST
 ///   transition `δ` leaves a forward-reachable state, matches the input
@@ -241,10 +322,12 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 ///   test replaces the ancestor binary search plus the grid lookup). The
 ///   DFS only ever follows set bits from the root coordinate, which is the
 ///   front-end's [reachable-sources contract](desq_core::fst::sim);
-/// * the output arena — for every `(position, output label)` pair with a
-///   set bit, a slice holding the label's output set on the position's
-///   item, sorted ascending and cut at the building miner's frequent-item
-///   boundary ([`SimTables::offsets`]);
+/// * the *id row* — for every `(position, output label)` pair, the id of
+///   its output set in the tables' output-set directory (0 = empty).
+///   The front-end's per-sequence output arena ([`SimTables::offsets`]) is
+///   interned into the directory and dropped, so each distinct set — sorted
+///   ascending and cut at the building miner's frequent-item boundary — is
+///   stored once per table set, not once per occurrence;
 /// * `eps_fin` — bitset memoizing "the rest of the sequence can be consumed
 ///   producing only ε, ending in a final state" (the emission test), over
 ///   the alive coordinates.
@@ -252,32 +335,44 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 /// All of that is **pivot-independent**: the partition restrictions of
 /// D-SEQ (no item above the pivot, early stopping) are applied by the DFS
 /// while it walks — the item bound is a prefix cut of each sorted output
-/// slice — so one table serves every pivot partition its sequence is
+/// set — so one table serves every pivot partition its sequence is
 /// shuffled to. Any miner over the same `(FST, dictionary)` pair whose
 /// frequent-item boundary is not above the builder's can mine it (mask
-/// bits and label numbers are those of the FST's own [`Fst::index`]). The one
-/// pivot-dependent value is the per-sequence early-stopping position: it
-/// is derived from the output arena (the last position where an alive
-/// transition outputs the pivot — no dictionary access) for the building
-/// miner's own pivot, and [`LocalMiner::mine_picks`] overrides it, together
-/// with the weight, per pick.
+/// bits and label numbers are those of the FST's own [`Fst::index`]); the
+/// directory's key assumes one boundary, so the first append fixes it and
+/// an append by a miner with another boundary fails with
+/// [`desq_core::Error::Invalid`]. The one pivot-dependent value is the
+/// per-sequence early-stopping position: it is derived from the id row
+/// (the last position where an alive transition outputs the pivot — no
+/// dictionary access) for the building miner's own pivot, and
+/// [`LocalMiner::mine_picks`] overrides it, together with the weight, per
+/// pick.
 ///
 /// All per-sequence data lives in **shared arenas** with one 32-byte
 /// descriptor (`SeqMeta`, `u32` arena starts) per *accepted* sequence:
 /// building tables for N inputs costs a constant number of allocations,
-/// not 4·N. A sequence without an accepting run can never reach the root
+/// not 3·N. A sequence without an accepting run can never reach the root
 /// projection, so it gets no descriptor and no arena space. D-SEQ keeps
 /// one growing arena per reduce worker — its lifetime is the worker's, so
 /// a sequence shipped to many pivot partitions of that worker is
 /// simulated once. A sequence whose table index, cells or arena starts
-/// would overflow the packed widths (`fits_widths`) fails the build with
-/// [`desq_core::Error::Invalid`].
+/// would overflow the packed widths (`fits_widths`), or whose new output
+/// sets would overflow the directory's (`fits_directory`), fails the build
+/// with [`desq_core::Error::Invalid`] and leaves the tables as they were.
 #[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
-    /// Mask rows and output arena of the accepted sequences.
+    /// Mask rows of the accepted sequences. The front-end's output arena
+    /// lives here only while one sequence's sets are interned.
     sim: SimTables,
     eps_fin: Vec<u64>,
+    /// Per accepted sequence, `len · labels` output-set ids, row-major by
+    /// position.
+    set_ids: Vec<u32>,
+    sets: OutputSets,
+    /// The frequent-item boundary of the miner that built the tables, fixed
+    /// by the first accepted sequence.
+    boundary: ItemId,
 }
 
 /// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
@@ -288,8 +383,7 @@ struct SeqMeta {
     weight: u64,
     mask_start: u32,
     eps_start: u32,
-    off_start: u32,
-    outs_start: u32,
+    ids_start: u32,
     len: u32,
     /// Early stopping (Sec. V-C): the last position that can still produce
     /// the pivot. A prefix lacking the pivot reads nothing beyond it and
@@ -345,49 +439,77 @@ impl SeqTables {
     /// The last position of sequence `m` (`l` output labels per position)
     /// whose output sets contain `pivot`.
     fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
-        let offsets = &self.sim.offsets()[m.off_start as usize..][..m.len as usize * l + 1];
-        let outs = &self.sim.outs()[m.outs_start as usize..][..offsets[offsets.len() - 1] as usize];
-        let at = outs.iter().rposition(|&w| w == pivot)?;
-        // `offsets` ascends from 0 to `outs.len()`: the set holding `at` is
-        // the last one starting at or before it.
-        Some((offsets.partition_point(|&o| o as usize <= at) - 1) / l)
+        let ids = &self.set_ids[m.ids_start as usize..][..m.len as usize * l];
+        let at = ids
+            .iter()
+            .rposition(|&id| id != 0 && self.sets.get(id).contains(&pivot))?;
+        Some(at / l)
     }
 
     /// The arenas' current lengths: where the next sequence's tables start.
-    fn arena_lens(&self) -> [usize; 4] {
+    fn arena_lens(&self) -> [usize; 3] {
         [
             self.sim.mask().len(),
             self.eps_fin.len(),
-            self.sim.offsets().len(),
-            self.sim.outs().len(),
+            self.set_ids.len(),
         ]
     }
 
     /// Appends another set's tables (a parallel build chunk, simulated over
     /// `states` FST states), rebasing the descriptors onto this set's
-    /// arenas; a rebased index or start past the packed widths fails typed.
+    /// arenas and re-interning the chunk's output sets into this set's
+    /// directory; a rebased index or start past the packed widths, an
+    /// overflowing directory or another frequent-item boundary fails typed.
     fn append(&mut self, other: SeqTables, states: usize) -> Result<()> {
+        if other.is_empty() {
+            return Ok(());
+        }
+        if self.is_empty() {
+            self.boundary = other.boundary;
+        } else if self.boundary != other.boundary {
+            return Err(boundary_error(self.boundary, other.boundary));
+        }
         let base = self.arena_lens();
         for m in other.metas {
-            let old = [m.mask_start, m.eps_start, m.off_start, m.outs_start];
+            let old = [m.mask_start, m.eps_start, m.ids_start];
             let starts = std::array::from_fn(|k| old[k] as usize + base[k]);
             let (index, len) = (self.metas.len(), m.len as usize);
             if !fits_widths(index, len, states, starts) {
                 return Err(width_error(index, len, states));
             }
-            let [mask, eps, off, outs] = starts;
+            let [mask, eps, ids] = starts;
             self.metas.push(SeqMeta {
                 mask_start: mask as u32,
                 eps_start: eps as u32,
-                off_start: off as u32,
-                outs_start: outs as u32,
+                ids_start: ids as u32,
                 ..m
             });
         }
+        let (sets, more) = (&mut self.sets, &other.sets);
+        if !fits_directory(sets.len() + more.len(), sets.items.len() + more.items.len()) {
+            return Err(directory_error());
+        }
+        // Per set of the chunk, its id here: one lookup per distinct set,
+        // not per occurrence.
+        let mut remap = vec![0u32; more.len()];
+        for (&key, &id) in &more.ids {
+            remap[id as usize] = sets.intern(key, more.get(id));
+        }
+        self.set_ids
+            .extend(other.set_ids.iter().map(|&id| remap[id as usize]));
         self.sim.append(&other.sim);
         self.eps_fin.extend_from_slice(&other.eps_fin);
         Ok(())
     }
+}
+
+/// The typed error of an append whose frequent-item boundary differs from
+/// the one the tables' directory was built with.
+fn boundary_error(tables: ItemId, miner: ItemId) -> desq_core::Error {
+    desq_core::Error::Invalid(format!(
+        "DESQ-DFS tables built at frequent-item boundary {tables} cannot take \
+         sequences cut at boundary {miner}"
+    ))
 }
 
 /// Scratch for the ε-closure walk, reused across snapshots and nodes.
@@ -438,7 +560,11 @@ struct DepthBufs {
 /// one instance per worker serves every depth.
 #[derive(Default)]
 struct RawChildren {
-    /// Dense grouping: one `item ‖ posting low word` per child posting.
+    /// Dense grouping: one `set id ‖ posting low word` record per output
+    /// step ([`PIVOT_ONLY`] for a step narrowed to the pivot). The scatter
+    /// recovers the step's child items from the directory through the
+    /// walk's own [`StepCut`], so a step with many output items costs one
+    /// record, not one per item.
     words: Vec<u64>,
     /// Dense grouping: per input sequence with child postings, its index
     /// and the end of its stretch of `words` (a node's child postings are
@@ -446,6 +572,68 @@ struct RawChildren {
     segs: Vec<(u32, u32)>,
     /// Sparse grouping: `item ‖ posting` sort keys.
     keys: Vec<u128>,
+}
+
+/// The raw record id of an output step narrowed to the pivot alone. Every
+/// directory id stays below it ([`fits_directory`]).
+const PIVOT_ONLY: u32 = u32::MAX;
+
+/// The restrictions one node applies to its output steps: the partition's
+/// item bound and, while the prefix lacks the pivot, early stopping's
+/// pivot-only narrowing. The closure walk asks it for a step's child items
+/// and record id, the dense scatter for a record's items, so both agree
+/// item for item.
+#[derive(Clone, Copy)]
+struct StepCut<'a> {
+    sets: &'a OutputSets,
+    ix: &'a FstIndex,
+    bound: ItemId,
+    pivot: ItemId,
+    prune_dead: bool,
+}
+
+impl<'a> StepCut<'a> {
+    /// Set `id` cut at the item bound (a prefix: sets are sorted).
+    #[inline]
+    fn bounded(&self, id: u32) -> &'a [ItemId] {
+        let mut items = self.sets.get(id);
+        while let [rest @ .., last] = items {
+            if *last <= self.bound {
+                break;
+            }
+            items = rest;
+        }
+        items
+    }
+
+    /// The raw record id and child items of an output step with set `id`
+    /// from position `i` into state `to`, in a sequence whose
+    /// early-stopping position is `stop`. Past `stop`, or into a state
+    /// that can produce no further output (the state half of early
+    /// stopping, `prune_dead`), only the pivot remains, if the set holds
+    /// it, and the record says so with [`PIVOT_ONLY`] — the scatter need
+    /// not redo the test.
+    #[inline]
+    fn step(&self, id: u32, i: u32, to: u32, stop: u32) -> (u32, &'a [ItemId]) {
+        let items = self.bounded(id);
+        if i >= stop || (self.prune_dead && !self.ix.can_output(to as usize)) {
+            return match items.iter().find(|&&w| w == self.pivot) {
+                Some(k) => (PIVOT_ONLY, std::slice::from_ref(k)),
+                None => (0, &[]),
+            };
+        }
+        (id, items)
+    }
+
+    /// The child items of a raw record [`step`](Self::step) produced.
+    #[inline]
+    fn record_items(&self, record: u32) -> &[ItemId] {
+        if record == PIVOT_ONLY {
+            std::slice::from_ref(&self.pivot)
+        } else {
+            self.bounded(record)
+        }
+    }
 }
 
 /// Per-item accumulator of one node expansion, packed so every posting
@@ -621,7 +809,7 @@ impl<'a> LocalMiner<'a> {
             let m = tables.metas[t as usize];
             // The table's own widths held when it was built; the index is
             // the pick's.
-            if !fits_widths(k, m.len as usize, states, [0; 4]) {
+            if !fits_widths(k, m.len as usize, states, [0; 3]) {
                 return Err(width_error(k, m.len as usize, states));
             }
             views.push(SeqMeta {
@@ -888,12 +1076,14 @@ impl<'a> LocalMiner<'a> {
         first.runs.len()
     }
 
-    /// Builds one sequence's tables — the front-end's match masks and
-    /// output arena, built by [`RunWalker::build_tables_into`] straight into
-    /// the set's shared arenas, plus the ε-completion bitset (no
-    /// per-sequence allocation). Returns whether the FST accepts the
-    /// sequence; a rejected one leaves `set` as it was, and so does one
-    /// that fails [`fits_widths`] — checked first, before any simulation.
+    /// Builds one sequence's tables — the front-end's match masks, built by
+    /// [`RunWalker::build_tables_into`] straight into the set's shared
+    /// arena, its output sets interned into the set's directory as one id
+    /// row, plus the ε-completion bitset (no per-sequence allocation).
+    /// Returns whether the FST accepts the sequence; a rejected one leaves
+    /// `set` as it was, and so does one that fails [`fits_widths`] —
+    /// checked first, before any simulation — or [`fits_directory`], and
+    /// one built at another frequent-item boundary than the set's.
     fn prepare_into(
         &self,
         seq: &[ItemId],
@@ -902,17 +1092,19 @@ impl<'a> LocalMiner<'a> {
         set: &mut SeqTables,
     ) -> Result<bool> {
         let (index, len, states) = (set.len(), seq.len(), self.fst.num_states());
+        if !set.is_empty() && set.boundary != self.last_frequent {
+            return Err(boundary_error(set.boundary, self.last_frequent));
+        }
         let starts = set.arena_lens();
         if !fits_widths(index, len, states, starts) {
             return Err(width_error(index, len, states));
         }
-        let [mask_start, eps_start, off_start, outs_start] = starts;
+        let [mask_start, eps_start, ids_start] = starts;
         let mut meta = SeqMeta {
             weight,
             mask_start: mask_start as u32,
             eps_start: eps_start as u32,
-            off_start: off_start as u32,
-            outs_start: outs_start as u32,
+            ids_start: ids_start as u32,
             len: len as u32,
             last_pivot_pos: u32::MAX,
         };
@@ -920,10 +1112,31 @@ impl<'a> LocalMiner<'a> {
         if !walker.build_tables_into(seq, scratch, &mut set.sim) {
             return Ok(false);
         }
+        // Intern the sequence's non-empty output sets, read in place from
+        // the front-end's arena (empty ones keep id 0), then drop that
+        // arena.
+        let l = self.fst.index().num_labels();
+        let SeqTables {
+            sim, set_ids, sets, ..
+        } = set;
+        let (offsets, outs) = (sim.offsets(), sim.outs());
+        if !fits_directory(sets.len() + len * l, sets.items.len() + outs.len()) {
+            sim.truncate(mask_start);
+            return Err(directory_error());
+        }
+        set_ids.resize(ids_start + len * l, 0);
+        for (k, b) in offsets.windows(2).enumerate() {
+            if b[0] < b[1] {
+                let items = &outs[b[0] as usize..b[1] as usize];
+                set_ids[ids_start + k] = sets.intern(set_key(k % l, seq[k / l]), items);
+            }
+        }
+        sim.truncate(sim.mask().len());
         let mask = &set.sim.mask()[mask_start..];
         self.build_eps_fin(len, scratch, mask, &mut set.eps_fin);
         meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         set.metas.push(meta);
+        set.boundary = self.last_frequent;
         Ok(true)
     }
 
@@ -998,20 +1211,22 @@ impl<'a> LocalMiner<'a> {
     /// Simulation resumes from the node's postings — one shared,
     /// bitset-deduplicated walk per input sequence, seeded with all of the
     /// sequence's postings (their closures overlap heavily, and the
-    /// children are a set anyway) — appending one raw posting per output
-    /// item of the output-producing steps into `bufs.raw`. Dense grouping
-    /// stores each as an `item ‖ low word` and closes the sequence's
+    /// children are a set anyway). Every output-producing step yields its
+    /// child items through the node's [`StepCut`]. Dense grouping records
+    /// the step once, as a `set id ‖ low word` in `bufs.raw` ([`PIVOT_ONLY`]
+    /// for a step narrowed to the pivot), and closes the sequence's
     /// segment; per-item posting counts and weighted prefix supports
     /// accumulate on the fly, so grouping is a single stable scatter into
-    /// `d.grouped`: postings of children below σ are dropped without ever
-    /// being ordered. Sparse grouping sorts and deduplicates
-    /// `item ‖ posting` keys instead and narrows the frequent runs into
-    /// `d.grouped`. Either way `d.runs` directs the recursion (ascending
-    /// items, each run grouped by input index), and the raw buffer is free
-    /// again before any child is mined. Duplicate postings (same cell
-    /// reached from several closure seeds) are tolerated — the next level's
-    /// walk absorbs them, and the distinct-sequence support counting is
-    /// insensitive to them.
+    /// `d.grouped` that asks the same `StepCut` for each record's items
+    /// again: postings of children below σ are dropped without ever being
+    /// ordered. Sparse grouping sorts and deduplicates
+    /// one `item ‖ posting` key per child item instead and narrows the
+    /// frequent runs into `d.grouped`. Either way `d.runs` directs the
+    /// recursion (ascending items, each run grouped by input index), and
+    /// the raw buffer is free again before any child is mined. Duplicate
+    /// postings (same cell reached from several closure seeds) are
+    /// tolerated — the next level's walk absorbs them, and the
+    /// distinct-sequence support counting is insensitive to them.
     fn collect_children(
         &self,
         views: Views<'_>,
@@ -1023,16 +1238,20 @@ impl<'a> LocalMiner<'a> {
         let ix = self.fst.index();
         let (qn, w, l) = (self.fst.num_states() as u32, ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
-        let bound = self.item_bound();
-        let pivot = self.config.pivot.unwrap_or(EPSILON);
+        let arena = views.arena;
         // Pivot-dead children (the state half of early stopping): while the
         // prefix lacks the pivot, a step into a state that can produce no
         // further output leads only to a child that is never emitted (no
         // pivot) and never extended from that posting, so it contributes
         // the pivot alone — dropping the rest only tightens an
         // antimonotone support bound.
-        let prune_dead = !has_pivot && self.config.early_stop;
-        let arena = views.arena;
+        let cut = StepCut {
+            sets: &arena.sets,
+            ix,
+            bound: self.item_bound(),
+            pivot: self.config.pivot.unwrap_or(EPSILON),
+            prune_dead: !has_pivot && self.config.early_stop,
+        };
         let ExpandBufs {
             walk, stats, raw, ..
         } = bufs;
@@ -1047,8 +1266,7 @@ impl<'a> LocalMiner<'a> {
             let len = t.len as usize;
             let mask = &arena.sim.mask()[t.mask_start as usize..][..len * w];
             let eps_fin = &arena.eps_fin[t.eps_start as usize..];
-            let offsets = &arena.sim.offsets()[t.off_start as usize..];
-            let outs = &arena.sim.outs()[t.outs_start as usize..];
+            let set_ids = &arena.set_ids[t.ids_start as usize..][..len * l];
             // Early stopping (Sec. V-C): while the prefix lacks the pivot,
             // nothing past the sequence's last pivot-producing position can
             // help it, and at that position only the pivot itself can.
@@ -1089,30 +1307,16 @@ impl<'a> LocalMiner<'a> {
                         }
                         continue;
                     }
-                    let set = iu * l + tr.label as usize;
-                    let mut items = &outs[offsets[set] as usize..offsets[set + 1] as usize];
-                    // The partition's item bound cuts the sorted output
-                    // set to a prefix.
-                    while let [rest @ .., last] = items {
-                        if *last <= bound {
-                            break;
-                        }
-                        items = rest;
-                    }
-                    if i >= stop || (prune_dead && !ix.can_output(tr.to as usize)) {
-                        match items.iter().find(|&&w| w == pivot) {
-                            Some(k) => items = std::slice::from_ref(k),
-                            None => continue,
-                        }
-                    }
+                    let id = set_ids[iu * l + tr.label as usize];
+                    let (record, items) = cut.step(id, i, tr.to, stop);
                     if items.is_empty() {
                         continue;
                     }
                     let eps = get_bit(eps_fin, target as usize);
                     let low = coord(target, eps);
                     if dense {
+                        raw.words.push((record as u64) << 32 | low as u64);
                         for &item in items {
-                            raw.words.push((item as u64) << 32 | low as u64);
                             let a = &mut stats.acc[item as usize];
                             if a.count == 0 {
                                 stats.items.push(item);
@@ -1159,10 +1363,12 @@ impl<'a> LocalMiner<'a> {
             let mut start = 0;
             for &(s, end) in &raw.segs {
                 for &word in &raw.words[start..end as usize] {
-                    let a = &mut stats.acc[(word >> 32) as usize];
-                    if a.support >= sigma {
-                        d.grouped[a.count as usize] = posting(s, word as u32);
-                        a.count += 1;
+                    for &item in cut.record_items((word >> 32) as u32) {
+                        let a = &mut stats.acc[item as usize];
+                        if a.support >= sigma {
+                            d.grouped[a.count as usize] = posting(s, word as u32);
+                            a.count += 1;
+                        }
                     }
                 }
                 start = end as usize;
@@ -1670,16 +1876,11 @@ mod tests {
         // A real corpus: hierarchy fan-out puts many items on one output
         // step, and every node holds many input sequences' raw segments.
         // The reference is DESQ-COUNT, which shares no posting code.
-        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(1_000));
+        let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
         let sigma = 10;
-        for (name, pexp) in [
-            ("N4", "(.^){3} NOUN"),
-            ("N5", "[(.^). .]|[. (.^).]|[. .(.^)]"),
-        ] {
-            let pexp = desq_core::PatEx::parse(pexp).unwrap().unanchored();
-            let fst = Fst::compile(&pexp, &dict).unwrap();
-            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
+        for (name, fst) in &fsts {
+            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(fst);
             let expect = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
             assert!(expect.len() > 10, "{name}: {} patterns", expect.len());
             // The pivot owning the most patterns.
@@ -1692,7 +1893,7 @@ mod tests {
                 .max_by_key(|&(_, n)| n)
                 .map(|(&k, _)| k)
                 .unwrap();
-            assert_groupings_agree(&fst, &dict, &inputs, sigma, pivot, &expect);
+            assert_groupings_agree(fst, &dict, &inputs, sigma, pivot, &expect);
         }
     }
 
@@ -1767,7 +1968,7 @@ mod tests {
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 1);
         for k in 1..fx.dict.max_fid() {
-            assert!(tables.sim.outs().iter().any(|&w| w > k), "k={k}");
+            assert!(tables.sets.items.iter().any(|&w| w > k), "k={k}");
             let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
@@ -1851,13 +2052,240 @@ mod tests {
             .unwrap();
         let before = tables.arena_lens();
         assert!(before.iter().all(|&len| len > 0));
+        let sets = (tables.sets.len(), tables.sets.items.len());
+        assert!(sets.0 > 1 && sets.1 > 0);
+        // The front-end's output arena does not stay behind.
+        assert!(tables.sim.offsets().is_empty() && tables.sim.outs().is_empty());
         // T3 = c d c b has no accepting run (the front-end stops after the
         // forward pass: `fst::sim`'s own tests check that no aliveness table
         // is built).
         let t3 = miner.append_tables(&fx.db.sequences[2], &mut tables, &mut scratch);
         assert_eq!(t3.unwrap(), None);
         assert_eq!(tables.arena_lens(), before);
+        assert_eq!((tables.sets.len(), tables.sets.items.len()), sets);
+        assert_eq!(tables.sets.ids.len(), sets.0 - 1);
         assert_eq!(tables.len(), 1);
+    }
+
+    #[test]
+    fn an_append_at_another_frequent_item_boundary_fails_typed() {
+        // The directory's sets are cut at one boundary: σ = 1 keeps every
+        // item of the toy, σ = 3 cuts some.
+        let fx = toy::fixture();
+        let loose = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let tight = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(3));
+        assert_ne!(loose.last_frequent, tight.last_frequent);
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        // A rejected sequence fixes nothing.
+        let t3 = &fx.db.sequences[2];
+        assert_eq!(
+            tight.append_tables(t3, &mut tables, &mut scratch).unwrap(),
+            None
+        );
+        let t1 = &fx.db.sequences[0];
+        assert_eq!(
+            loose.append_tables(t1, &mut tables, &mut scratch).unwrap(),
+            Some(0)
+        );
+        let (lens, sets) = (tables.arena_lens(), tables.sets.len());
+        let err = tight.append_tables(t1, &mut tables, &mut scratch);
+        assert!(matches!(err, Err(desq_core::Error::Invalid(_))), "{err:?}");
+        assert_eq!(
+            (tables.len(), tables.arena_lens(), tables.sets.len()),
+            (1, lens, sets)
+        );
+        // A parallel build's chunks share their miner's boundary; a chunk
+        // of another one fails the merge.
+        let inputs = unit_inputs(&fx.db);
+        let chunk = tight.prepare_tables(&inputs, 1).unwrap();
+        assert!(!chunk.is_empty());
+        assert!(matches!(
+            tables.append(chunk, fx.fst.num_states()),
+            Err(desq_core::Error::Invalid(_))
+        ));
+    }
+
+    /// `nyt_like(1 000)` at seed 1 with the loose constraints N4 and N5.
+    fn nyt_loose() -> (Dictionary, SequenceDb, [(&'static str, Fst); 2]) {
+        let cfg = desq_datagen::NytConfig::new(1_000).with_seed(1);
+        let (dict, db) = desq_datagen::nyt_like(&cfg);
+        let fsts = [
+            ("N4", "(.^){3} NOUN"),
+            ("N5", "[(.^). .]|[. (.^).]|[. .(.^)]"),
+        ]
+        .map(|(name, pexp)| {
+            let pexp = desq_core::PatEx::parse(pexp).unwrap().unanchored();
+            (name, Fst::compile(&pexp, &dict).unwrap())
+        });
+        (dict, db, fsts)
+    }
+
+    /// Every table of `tables` as a weight-1 pick.
+    fn all_picks(tables: &SeqTables) -> Vec<(u32, u64)> {
+        (0..tables.len() as u32).map(|t| (t, 1)).collect()
+    }
+
+    /// `miner`'s patterns over `picks` of `tables`, sorted.
+    fn mined_picks(
+        miner: &LocalMiner<'_>,
+        tables: &SeqTables,
+        picks: &[(u32, u64)],
+    ) -> Vec<(Sequence, u64)> {
+        let mut mined = Vec::new();
+        miner
+            .mine_picks(tables, picks, &mut MinerScratch::default(), &mut |p, f| {
+                mined.push((p, f))
+            })
+            .unwrap();
+        crate::sort_patterns(mined)
+    }
+
+    #[test]
+    fn parallel_builds_reintern_every_chunk_into_one_directory() {
+        // Three chunks build three directories; the merge re-interns the
+        // later two into the first. Whatever ids it assigns, both builds
+        // hold every `(label, item)` key once, with the same set, and mine
+        // DESQ-COUNT's result.
+        let (dict, db, fsts) = nyt_loose();
+        let inputs = unit_inputs(&db);
+        let sigma = 10;
+        for (name, fst) in &fsts {
+            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(fst);
+            let expect = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
+            assert!(expect.len() > 10, "{name}: {} patterns", expect.len());
+            let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(sigma));
+            let one = miner.prepare_tables(&inputs, 1).unwrap();
+            let three = miner.prepare_tables(&inputs, 3).unwrap();
+            for (workers, tables) in [(1, &one), (3, &three)] {
+                let sets = &tables.sets;
+                let mut ids: Vec<u32> = sets.ids.values().copied().collect();
+                ids.sort_unstable();
+                assert!(
+                    ids.iter().copied().eq(1..sets.len() as u32),
+                    "{name} workers={workers}: one key per set id"
+                );
+                assert!(ids.iter().all(|&id| !sets.get(id).is_empty()));
+                let mined = mined_picks(&miner, tables, &all_picks(tables));
+                assert_eq!(mined, expect, "{name} workers={workers}");
+            }
+            assert_eq!(one.sets.ids.len(), three.sets.ids.len(), "{name}");
+            for (key, &id) in &one.sets.ids {
+                assert_eq!(one.sets.get(id), three.sets.get(three.sets.ids[key]));
+            }
+            assert_eq!(one.set_ids.len(), three.set_ids.len());
+            assert!(one
+                .set_ids
+                .iter()
+                .zip(&three.set_ids)
+                .all(|(&a, &b)| one.sets.get(a) == three.sets.get(b)));
+            // Early stopping reads the id rows (`last_pivot_pos`): under the
+            // pivot owning the most patterns, an `append_tables` arena and
+            // the merged build mine that partition as mining it from
+            // scratch does.
+            let mut owned = std::collections::BTreeMap::<ItemId, usize>::new();
+            for (p, _) in &expect {
+                *owned.entry(desq_core::sequence::pivot(p)).or_default() += 1;
+            }
+            let (&pivot, _) = owned.iter().max_by_key(|&(_, n)| n).unwrap();
+            let part = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, pivot, true));
+            let share = part.mine(&inputs).unwrap();
+            assert_eq!(share.len(), owned[&pivot], "{name}");
+            let (mut arena, mut scratch) = (SeqTables::default(), MinerScratch::default());
+            let picks: Vec<(u32, u64)> = inputs
+                .iter()
+                .filter_map(|&(seq, w)| {
+                    Some((
+                        miner
+                            .append_tables(seq, &mut arena, &mut scratch)
+                            .unwrap()?,
+                        w,
+                    ))
+                })
+                .collect();
+            assert_eq!(mined_picks(&part, &arena, &picks), share, "{name} arena");
+            assert_eq!(
+                mined_picks(&part, &three, &all_picks(&three)),
+                share,
+                "{name} merged"
+            );
+            for s in 0..three.len() {
+                assert_eq!(
+                    part.last_pivot_position(&three, s),
+                    part.last_pivot_position(&arena, s),
+                    "{name} table {s}"
+                );
+            }
+        }
+    }
+
+    /// Bytes `tables` keep resident, by arena: descriptors, mask,
+    /// `eps_fin`, id row and directory (its sets' bounds and items, plus
+    /// one `(key, id)` entry per set). Lengths, not capacities, so the
+    /// count does not depend on how the arenas grew.
+    fn resident_bytes(tables: &SeqTables) -> [usize; 5] {
+        let sets = &tables.sets;
+        [
+            tables.metas.len() * std::mem::size_of::<SeqMeta>(),
+            tables.sim.mask().len() * 8,
+            tables.eps_fin.len() * 8,
+            tables.set_ids.len() * 4,
+            (sets.bounds.len() + sets.items.len()) * 4
+                + sets.ids.len() * std::mem::size_of::<(u64, u32)>(),
+        ]
+    }
+
+    #[test]
+    fn resident_table_bytes_are_pinned_on_nyt_1k() {
+        // Exact bytes per arena (descriptors, mask, `eps_fin`, id row,
+        // directory) of N4 and N5 over `nyt_like(1 000)` at σ = 10. A
+        // per-sequence output arena coming back shows up here.
+        let (dict, db, fsts) = nyt_loose();
+        let inputs = unit_inputs(&db);
+        // Per accepted sequence: N4 263.1 bytes, N5 265.1 (the directory 41.4
+        // and 49.3 of them).
+        let pinned = [
+            (941, [30_112, 110_520, 12_760, 55_260, 38_960]),
+            (1_000, [32_000, 112_488, 15_072, 56_244, 49_320]),
+        ];
+        for ((name, fst), (accepted, bytes)) in fsts.iter().zip(pinned) {
+            let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(10));
+            let tables = miner.prepare_tables(&inputs, 1).unwrap();
+            assert_eq!(tables.len(), accepted, "{name}");
+            assert_eq!(resident_bytes(&tables), bytes, "{name}");
+            // The id row is one `u32` per (position, label), nothing more.
+            let positions: usize = tables.metas.iter().map(|m| m.len as usize).sum();
+            assert_eq!(bytes[3], 4 * positions * fst.index().num_labels(), "{name}");
+            // A merged parallel build holds the same bytes.
+            let merged = miner.prepare_tables(&inputs, 3).unwrap();
+            assert_eq!(resident_bytes(&merged), bytes, "{name} merged");
+        }
+    }
+
+    #[test]
+    fn the_dense_root_records_one_raw_word_per_output_step() {
+        // N5's root over `nyt_like(1 000)`: every output step carries a
+        // generalization hierarchy's worth of items, and the raw buffer
+        // holds one record per step, not one word per item.
+        let (dict, db, [_, (_, n5)]) = nyt_loose();
+        let inputs = unit_inputs(&db);
+        let miner = LocalMiner::new(&n5, &dict, MinerConfig::sequential(10));
+        let tables = miner.prepare_tables(&inputs, 1).unwrap();
+        let views = tables.views();
+        let roots: Vec<Posting> = miner.root_postings(views).collect();
+        let mut bufs = miner.expand_bufs(views);
+        assert!(bufs.stats.dense);
+        let mut first = DepthBufs::default();
+        miner.collect_children(views, &roots, true, &mut bufs, &mut first);
+        let records = bufs.raw.words.len();
+        let items: usize = bufs
+            .raw
+            .words
+            .iter()
+            .map(|&w| tables.sets.get((w >> 32) as u32).len())
+            .sum();
+        assert_eq!((records, items), (14_061, 30_556));
+        // Every item of every step lands in a frequent run or is dropped.
+        assert!(first.grouped.len() <= items);
     }
 
     #[test]
@@ -1896,6 +2324,8 @@ mod tests {
             }
             assert_eq!(a.sim, b.sim);
             assert_eq!(a.eps_fin, b.eps_fin);
+            assert_eq!(a.set_ids, b.set_ids);
+            assert_eq!(a.sets, b.sets);
         }
     }
 
@@ -1936,22 +2366,30 @@ mod tests {
     fn the_width_predicate_bounds_index_cells_and_arena_starts() {
         let max = u32::MAX as usize;
         // Cells: (len + 1) · states below 2³¹, on either factor's side.
-        assert!(fits_widths(0, (1 << 15) - 2, 1 << 16, [0; 4]));
-        assert!(!fits_widths(0, (1 << 15) - 1, 1 << 16, [0; 4]));
-        assert!(fits_widths(0, (1 << 31) - 2, 1, [0; 4]));
-        assert!(!fits_widths(0, (1 << 31) - 1, 1, [0; 4]));
-        assert!(!fits_widths(0, usize::MAX, usize::MAX, [0; 4]));
+        assert!(fits_widths(0, (1 << 15) - 2, 1 << 16, [0; 3]));
+        assert!(!fits_widths(0, (1 << 15) - 1, 1 << 16, [0; 3]));
+        assert!(fits_widths(0, (1 << 31) - 2, 1, [0; 3]));
+        assert!(!fits_widths(0, (1 << 31) - 1, 1, [0; 3]));
+        assert!(!fits_widths(0, usize::MAX, usize::MAX, [0; 3]));
         // Input index: below the accumulators' `u32::MAX` mark.
-        assert!(fits_widths(max - 1, 0, 1, [0; 4]));
-        assert!(!fits_widths(max, 0, 1, [0; 4]));
-        // Every arena start within a `u32`.
-        for k in 0..4 {
-            let mut starts = [0; 4];
+        assert!(fits_widths(max - 1, 0, 1, [0; 3]));
+        assert!(!fits_widths(max, 0, 1, [0; 3]));
+        // Every arena start — mask, `eps_fin`, id row — within a `u32`.
+        for k in 0..3 {
+            let mut starts = [0; 3];
             starts[k] = max;
             assert!(fits_widths(0, 0, 1, starts), "start {k}");
             starts[k] = max + 1;
             assert!(!fits_widths(0, 0, 1, starts), "start {k}");
         }
+        // The directory: set ids and stored items each within a `u32`,
+        // either one alone failing the check.
+        assert!(fits_directory(max, max));
+        assert!(!fits_directory(max + 1, 0));
+        assert!(!fits_directory(0, max + 1));
+        assert!(!fits_directory(usize::MAX, usize::MAX));
+        // So every set id stays below the raw records' reserved id.
+        assert_eq!(max, PIVOT_ONLY as usize);
         // The largest cell of a fitting sequence leaves the ε-flag clear.
         let top = (((1 << 15) - 1) << 16) - 1;
         assert_eq!(p_cell(posting(u32::MAX - 1, coord(top, true))), top);
@@ -1988,6 +2426,7 @@ mod tests {
             &mut tables,
             &mut scratch
         )));
-        assert!(tables.is_empty() && tables.arena_lens() == [0; 4]);
+        assert!(tables.is_empty() && tables.arena_lens() == [0; 3]);
+        assert_eq!(tables.sets, OutputSets::default());
     }
 }
