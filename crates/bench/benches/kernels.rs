@@ -214,7 +214,7 @@ fn bench_local_mining(c: &mut Criterion) {
     });
     let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(30));
     // The per-sequence flat simulation tables (match masks + aliveness +
-    // ε-completion DP + output arenas) — the preprocessing the DFS
+    // ε-completion DP + output-set ids) — the preprocessing the DFS
     // amortizes. (Unlike the pre-PR-3 "desq_dfs_n4_300seqs" numbers, the
     // mining benches below exclude miner construction, measured above.)
     c.bench_function("mining/table_build_n4_300seqs", |b| {

@@ -193,8 +193,9 @@ mod tests {
     use crate::PatEx;
 
     fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
-        let sim = Simulator::new(fst, dict, crate::ItemId::MAX);
+        let sim = Simulator::new(fst, dict);
         sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
+            .unwrap()
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The reference semantics of `G^σ_π(T)` is `generate` in the dev-only
 //! `desq-oracle` crate: per sequence it builds a fresh `bool` position–state
-//! grid, re-evaluates [`Transition::outputs`](super::Transition::outputs) inside
+//! grid, re-evaluates [`OutputLabel::outputs`](super::OutputLabel::outputs) inside
 //! the run loop (one allocation per position per run), and materializes
 //! the Cartesian products into a `FxHashSet<Vec<ItemId>>`. This module is
 //! the production path for every algorithm that *counts* or *walks* those
@@ -14,11 +14,13 @@
 //!
 //! * [`RunWalker`] walks the tables of the shared simulation front-end
 //!   ([`sim`](super::sim)): per-position bit-packed match masks with grid
-//!   aliveness folded in, and σ-filtered output sets materialized **once
-//!   per `(position, label)`** into a flat arena — the run loop performs no
-//!   dictionary access, no output re-evaluation and no allocation. All
-//!   per-sequence state lives in a caller-provided [`RunScratch`] (one per
-//!   worker thread, reused across sequences).
+//!   aliveness folded in, and one output-set id per `(position, label)`
+//!   into the scratch's job-wide output-set directory, where each
+//!   `(label, item)` set is materialized **once per job**. The walk cuts a
+//!   set at its σ bound as it pushes it onto the run's path — the run loop
+//!   performs no dictionary access, no output re-evaluation and no
+//!   allocation. All per-sequence state lives in a caller-provided
+//!   [`RunScratch`] (one per worker thread, reused across sequences).
 //! * [`CandidateCounter`] counts *interned* candidates: probing hashes
 //!   the raw item slice once with [`fx::hash_items`] into an
 //!   open-addressing [`fx::ProbeTable`] over one flat item arena — no
@@ -65,19 +67,22 @@ struct Frame {
 pub struct RunScratch {
     /// Job-wide step table and the grid bitsets of the current sequence.
     sim: SimScratch,
-    /// Mask rows and σ-filtered output arena of the current sequence.
+    /// Mask rows and output-set ids of the current sequence, and the
+    /// job-wide output-set directory.
     tables: SimTables,
     /// DFS frames (one per consumed position plus the root).
     frames: Vec<Frame>,
-    /// Arena ranges of the non-ε output sets along the current run.
+    /// Directory ranges of the σ-cut, non-ε output sets along the current
+    /// run.
     path_sets: Vec<(u32, u32)>,
     /// Candidate item buffer of the Cartesian-product descent.
     items: Vec<ItemId>,
 }
 
 impl RunScratch {
-    /// The mask rows and σ-filtered output arena of the last sequence
-    /// [`RunWalker::build_tables`] accepted.
+    /// The mask rows and output-set ids of the last sequence
+    /// [`RunWalker::build_tables`] accepted, with the directory the ids
+    /// resolve in (uncut: read them at the walker's bound).
     #[inline]
     pub fn tables(&self) -> &SimTables {
         &self.tables
@@ -100,7 +105,8 @@ impl RunScratch {
 }
 
 /// The σ-filtered, ε-free output sets of one accepting run, in position
-/// order (borrowed from the walk's arena — valid only inside the visitor).
+/// order (borrowed from the walk's directory — valid only inside the
+/// visitor).
 pub struct RunSets<'w> {
     ranges: &'w [(u32, u32)],
     arena: &'w [ItemId],
@@ -151,6 +157,7 @@ impl<'w> RunSets<'w> {
 /// per-sequence state lives in a caller-provided [`RunScratch`].
 pub struct RunWalker<'a> {
     sim: Simulator<'a>,
+    max_item: ItemId,
 }
 
 impl<'a> RunWalker<'a> {
@@ -161,7 +168,8 @@ impl<'a> RunWalker<'a> {
     /// `fst.index()`: `_index`, that index or a copy of it, is not read.
     pub fn new(fst: &'a Fst, dict: &'a Dictionary, _index: &FstIndex, max_item: ItemId) -> Self {
         RunWalker {
-            sim: Simulator::new(fst, dict, max_item),
+            sim: Simulator::new(fst, dict),
+            max_item,
         }
     }
 
@@ -172,28 +180,40 @@ impl<'a> RunWalker<'a> {
 
     /// Builds the flat run tables for `seq` in `scratch` through the shared
     /// front-end ([`sim`](super::sim)): the alive-pruned match masks plus
-    /// the σ-filtered per-`(position, label)` output arena. Returns `true`
-    /// iff the FST accepts `seq` (rejected sequences stop after the forward
-    /// pass and build no output sets). [`for_each_run`](Self::for_each_run)
+    /// one output-set id per `(position, label)`. Returns `true` iff the
+    /// FST accepts `seq` (rejected sequences stop after the forward pass
+    /// and look up no output sets). [`for_each_run`](Self::for_each_run)
     /// calls it internally; D-SEQ's pivot DP calls it directly and reads
     /// the result through [`RunScratch`]'s accessors.
+    ///
+    /// # Panics
+    ///
+    /// If the scratch's output-set directory, a job-wide cache of one set
+    /// per distinct `(label, item)` pair, would pass 2³² sets or stored
+    /// items (at least 16 GiB of sets).
     pub fn build_tables(&self, seq: &[ItemId], scratch: &mut RunScratch) -> bool {
         scratch.tables.clear();
-        self.sim.build(seq, &mut scratch.sim, &mut scratch.tables)
+        self.sim
+            .build(seq, &mut scratch.sim, &mut scratch.tables)
+            .expect("the run walk's output-set directory fits its u32 widths")
     }
 
     /// [`build_tables`](Self::build_tables) into a caller-owned arena:
-    /// iff the FST accepts `seq`, its mask rows and output arena are
+    /// iff the FST accepts `seq`, its mask rows and output-set ids are
     /// *appended* to `tables` (DESQ-DFS grows one arena over all its input
-    /// sequences); a rejected sequence leaves `tables` as it found them.
-    /// The grid bitsets stay readable through [`RunScratch::reachable`] /
-    /// [`RunScratch::alive`] until the next build.
+    /// sequences), and its new output sets join the arena's directory; a
+    /// rejected sequence leaves `tables` as it found them. A set past the
+    /// directory's `u32` widths, or `tables` holding another FST's rows,
+    /// fail with [`Error::Invalid`] and leave the rows as they were. The
+    /// grid bitsets stay readable through
+    /// [`RunScratch::reachable`] / [`RunScratch::alive`] until the next
+    /// build.
     pub fn build_tables_into(
         &self,
         seq: &[ItemId],
         scratch: &mut RunScratch,
         tables: &mut SimTables,
-    ) -> bool {
+    ) -> Result<bool> {
         self.sim.build(seq, &mut scratch.sim, tables)
     }
 
@@ -221,7 +241,7 @@ impl<'a> RunWalker<'a> {
             tables,
             ..
         } = scratch;
-        let (mask, out_off, outs) = (tables.mask(), tables.offsets(), tables.outs());
+        let (mask, ids) = (tables.mask(), tables.ids());
         frames.clear();
         path_sets.clear();
         frames.push(Frame {
@@ -239,7 +259,7 @@ impl<'a> RunWalker<'a> {
                 debug_assert!(fst.is_final(q));
                 let sets = RunSets {
                     ranges: path_sets,
-                    arena: outs,
+                    arena: tables.items(),
                     dead: dead > 0,
                 };
                 if !visit(&sets) {
@@ -269,8 +289,7 @@ impl<'a> RunWalker<'a> {
                     frame.next = j as u32 + 1;
                     let pushed = tr.label >= 0;
                     if pushed {
-                        let set = i * l + tr.label as usize;
-                        let r = (out_off[set], out_off[set + 1]);
+                        let r = tables.range(ids[i * l + tr.label as usize], self.max_item);
                         if r.0 == r.1 {
                             dead += 1;
                         }
@@ -593,14 +612,20 @@ mod tests {
         ];
         let mut shared = RunScratch::default();
         for (fst, dict, db) in &jobs {
-            let walker = RunWalker::new(fst, dict, fst.index(), dict.last_frequent(2));
+            let max_item = dict.last_frequent(2);
+            let walker = RunWalker::new(fst, dict, fst.index(), max_item);
             for seq in &db.sequences {
                 let mut fresh = RunScratch::default();
                 assert_eq!(
                     walker.build_tables(seq, &mut shared),
                     walker.build_tables(seq, &mut fresh)
                 );
-                assert_eq!(shared.tables(), fresh.tables(), "seq {seq:?}");
+                let (a, b) = (shared.tables(), fresh.tables());
+                assert_eq!(a.mask(), b.mask(), "seq {seq:?}");
+                assert_eq!(a.ids().len(), b.ids().len(), "seq {seq:?}");
+                for (&x, &y) in a.ids().iter().zip(b.ids()) {
+                    assert_eq!(a.set(x, max_item), b.set(y, max_item), "seq {seq:?}");
+                }
             }
         }
     }

@@ -110,13 +110,6 @@ impl Transition {
         self.input.matches(t, dict)
     }
 
-    /// Appends the output set `out_δ(t)` to `buf`. ε is represented as
-    /// [`EPSILON`]. The output is sorted ascending (ancestor lists are).
-    #[inline]
-    pub fn outputs(&self, t: ItemId, dict: &Dictionary, buf: &mut Vec<ItemId>) {
-        self.output.outputs(t, dict, buf)
-    }
-
     /// True if the transition can produce a non-ε output.
     #[inline]
     pub fn produces_output(&self) -> bool {
@@ -303,7 +296,7 @@ mod tests {
             output: OutputLabel::Generalize(None),
             to: 0,
         };
-        gen.outputs(fx.a1, d, &mut buf);
+        gen.output.outputs(fx.a1, d, &mut buf);
         assert_eq!(buf, vec![fx.big_a, fx.a1]); // anc(a1) = {A, a1}, ascending
 
         buf.clear();
@@ -312,7 +305,7 @@ mod tests {
             output: OutputLabel::Generalize(Some(fx.big_a)),
             to: 0,
         };
-        bounded.outputs(fx.a1, d, &mut buf);
+        bounded.output.outputs(fx.a1, d, &mut buf);
         assert_eq!(buf, vec![fx.big_a, fx.a1]);
 
         buf.clear();
@@ -321,7 +314,7 @@ mod tests {
             output: OutputLabel::Const(fx.big_a),
             to: 0,
         };
-        konst.outputs(fx.a2, d, &mut buf);
+        konst.output.outputs(fx.a2, d, &mut buf);
         assert_eq!(buf, vec![fx.big_a]);
 
         buf.clear();
@@ -330,7 +323,7 @@ mod tests {
             output: OutputLabel::None,
             to: 0,
         };
-        none.outputs(fx.a1, d, &mut buf);
+        none.output.outputs(fx.a1, d, &mut buf);
         assert_eq!(buf, vec![crate::EPSILON]);
     }
 

@@ -407,8 +407,9 @@ mod tests {
     }
 
     fn accepts(fst: &Fst, dict: &Dictionary, seq: &[crate::ItemId]) -> bool {
-        let sim = Simulator::new(fst, dict, crate::ItemId::MAX);
+        let sim = Simulator::new(fst, dict);
         sim.build(seq, &mut SimScratch::default(), &mut SimTables::default())
+            .unwrap()
     }
 
     /// One `.`-labelled ε-output edge per state, to `next[q]`.

@@ -1,7 +1,6 @@
 //! The shared front half of per-sequence FST simulation: match masks,
-//! forward reachability, aliveness and the σ-cut output arena, built
-//! lazily over the FST's CSR [`FstIndex`](super::FstIndex)
-//! ([`Fst::index`]).
+//! forward reachability, aliveness and the output-set ids, built lazily
+//! over the FST's CSR [`FstIndex`](super::FstIndex) ([`Fst::index`]).
 //!
 //! One `Simulator::build` call serves the three flat consumers —
 //! [`RunWalker`](super::flat::RunWalker) (run enumeration), DESQ-DFS's
@@ -21,8 +20,14 @@
 //!    state can reach pays for nothing else and leaves `tables` untouched;
 //! 3. the backward *aliveness fold* over forward-reachable states, which
 //!    clears every match bit whose target cannot complete to acceptance;
-//! 4. the output set of every `(position, output label)` pair with a
-//!    surviving transition, cut at the frequent-item boundary.
+//! 4. one output-set id per `(position, output label)` pair with a
+//!    surviving transition, looked up in the tables' output-set directory.
+//!    An output set depends only on its label and the input item, so the
+//!    directory materializes it
+//!    ([`OutputLabel::outputs`](super::OutputLabel::outputs)) on the first
+//!    sight of that `(label, item)` pair and never again. Sets are stored
+//!    uncut: each consumer cuts them at its own frequent-item or pivot
+//!    bound when it reads them ([`SimTables::set`]).
 //!
 //! # The reachable-sources contract
 //!
@@ -30,7 +35,7 @@
 //! transition `δ` leaves a **forward-reachable** state, matches the
 //! position's item, and its target is alive (lies on an accepting run).
 //! Bits of transitions leaving unreachable states are never set, and
-//! output sets exist only for labels with a set bit. Consumers must
+//! output-set ids exist only for labels with a set bit. Consumers must
 //! therefore consult rows only from coordinates they reached by following
 //! set bits from `(0, initial)` — or that
 //! [`RunScratch::reachable`](super::RunScratch::reachable) /
@@ -43,8 +48,12 @@
 //! [`RunWalker::build_tables`](super::RunWalker::build_tables) or, to grow
 //! a shared arena, [`RunWalker::build_tables_into`](super::RunWalker::build_tables_into).
 
+use std::collections::hash_map::Entry;
+
 use super::{Fst, InputLabel};
 use crate::dictionary::Dictionary;
+use crate::error::{Error, Result};
+use crate::fx::FxHashMap;
 use crate::sequence::ItemId;
 
 /// Sets bit `i` of a word-packed bitset.
@@ -93,19 +102,94 @@ fn match_cached(label: InputLabel, d: u16, t: ItemId, dict: &Dictionary, memo: &
     }
 }
 
+/// Whether an output-set directory of `ids` set ids (the empty set's
+/// included) over `items` stored items fits its `u32` ids and item
+/// bounds. Every id then stays below `u32::MAX`, which consumers may
+/// reserve as a mark of their own.
+fn fits_directory(ids: usize, items: usize) -> bool {
+    ids <= u32::MAX as usize && items <= u32::MAX as usize
+}
+
+/// The output-set directory of one [`SimTables`]: every distinct non-empty
+/// output set its sequences produced, stored once, uncut. It is keyed on
+/// the [`FstIndex::generation`](super::FstIndex::generation) it was filled
+/// for (which covers the FST and its dictionary) and maps `label ‖ item`
+/// to a set id. Id 0 is the empty set.
+#[derive(Debug, PartialEq, Eq)]
+struct OutputSets {
+    /// The index generation the sets belong to (0 = none yet).
+    key: u64,
+    /// `label ‖ item` → set id, for every set materialized.
+    ids: FxHashMap<u64, u32>,
+    /// Set `k` is `items[bounds[k]..bounds[k + 1]]`; `[0, 0]` when empty.
+    bounds: Vec<u32>,
+    items: Vec<ItemId>,
+}
+
+impl Default for OutputSets {
+    fn default() -> Self {
+        OutputSets {
+            key: 0,
+            ids: FxHashMap::default(),
+            bounds: vec![0, 0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl OutputSets {
+    /// Number of set ids, the empty set's included.
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The items of set `id`, ascending.
+    #[inline]
+    fn get(&self, id: u32) -> &[ItemId] {
+        let k = id as usize;
+        &self.items[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+
+    /// The id of the set under `key` (`label ‖ item`); on a miss, `fill`
+    /// appends the set's items, sorted ascending, and the set gets the next
+    /// id (an empty one maps to id 0). A set past [`fits_directory`] fails
+    /// with [`Error::Invalid`] and is not stored.
+    #[inline]
+    fn intern(&mut self, key: u64, fill: impl FnOnce(&mut Vec<ItemId>)) -> Result<u32> {
+        let slot = match self.ids.entry(key) {
+            Entry::Occupied(e) => return Ok(*e.get()),
+            Entry::Vacant(slot) => slot,
+        };
+        let start = self.items.len();
+        fill(&mut self.items);
+        debug_assert!(self.items[start..].windows(2).all(|p| p[0] < p[1]));
+        if self.items.len() == start {
+            return Ok(*slot.insert(0));
+        }
+        if !fits_directory(self.bounds.len(), self.items.len()) {
+            self.items.truncate(start);
+            return Err(Error::Invalid(
+                "output-set directory exceeds 2³² set ids or stored items".into(),
+            ));
+        }
+        let id = (self.bounds.len() - 1) as u32;
+        self.bounds.push(self.items.len() as u32);
+        Ok(*slot.insert(id))
+    }
+}
+
 /// What the front-end appends per accepted sequence: the pruned
-/// match-mask rows and the output arena (see the
-/// [reachable-sources contract](self)). Consumers either clear it per
-/// sequence (run walk, pivot DP) or let the mask rows grow into a shared
-/// arena and remember each sequence's start (DESQ-DFS). No consumer keeps
-/// the output arena resident: DESQ-DFS interns each sequence's output sets
-/// into a directory of its own and then drops them
-/// ([`truncate`](Self::truncate)).
+/// match-mask rows and one output-set id per `(position, output label)`
+/// (see the [reachable-sources contract](self)), plus the output-set
+/// directory those ids resolve in. Consumers either clear the rows per
+/// sequence and keep the directory as a job-wide cache (run walk, pivot
+/// DP), or let the rows grow into a shared arena and remember each
+/// sequence's starts (DESQ-DFS).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SimTables {
     mask: Vec<u64>,
-    offsets: Vec<u32>,
-    outs: Vec<ItemId>,
+    ids: Vec<u32>,
+    sets: OutputSets,
 }
 
 impl SimTables {
@@ -116,47 +200,88 @@ impl SimTables {
         &self.mask
     }
 
-    /// Per sequence, `len · labels + 1` ascending bounds into its stretch
-    /// of [`outs`](Self::outs), relative to the stretch's start: the output
-    /// set of `(position i, label li)` lies between entries
-    /// `i · labels + li` and the next. Empty sets mark labels without a
-    /// surviving transition, or σ-dead ones.
+    /// Output-set ids: [`FstIndex::num_labels`](super::FstIndex::num_labels)
+    /// per position, sequences back to back. The set of `(position i,
+    /// label li)` is id `i · labels + li` of the sequence's stretch; id 0
+    /// (the empty set) marks a label without a surviving transition.
     #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
-    /// The output items, each set sorted ascending and cut at the
-    /// builder's frequent-item boundary.
+    /// The items of output set `id` up to `max_item`, ascending: the
+    /// label's outputs on the item (the item itself, a constant, or the
+    /// item's generalizations), cut at the reader's bound. Sets are sorted,
+    /// so the cut drops a tail.
     #[inline]
-    pub fn outs(&self) -> &[ItemId] {
-        &self.outs
+    pub fn set(&self, id: u32, max_item: ItemId) -> &[ItemId] {
+        let (start, end) = self.range(id, max_item);
+        &self.sets.items[start as usize..end as usize]
     }
 
-    /// Empties all three arenas (keeping their allocations).
-    pub fn clear(&mut self) {
+    /// [`set`](Self::set) as a range of [`items`](Self::items).
+    #[inline]
+    pub(crate) fn range(&self, id: u32, max_item: ItemId) -> (u32, u32) {
+        let k = id as usize;
+        let (start, mut end) = (self.sets.bounds[k], self.sets.bounds[k + 1]);
+        while end > start && self.sets.items[end as usize - 1] > max_item {
+            end -= 1;
+        }
+        (start, end)
+    }
+
+    /// The directory's item array, which [`range`](Self::range) indexes.
+    #[inline]
+    pub(crate) fn items(&self) -> &[ItemId] {
+        &self.sets.items
+    }
+
+    /// Empties the mask and id rows, keeping the directory and every
+    /// allocation.
+    pub(crate) fn clear(&mut self) {
         self.mask.clear();
-        self.offsets.clear();
-        self.outs.clear();
+        self.ids.clear();
     }
 
-    /// Cuts the mask arena back to its first `mask_len` words and empties
-    /// the output arena (keeping every allocation): after interning a
-    /// sequence's output sets, a consumer keeps its mask rows
-    /// (`mask_len` = the current length) or drops them too (the length
-    /// before the sequence).
-    pub fn truncate(&mut self, mask_len: usize) {
-        self.mask.truncate(mask_len);
-        self.offsets.clear();
-        self.outs.clear();
+    /// Points the directory at index generation `key`, dropping its sets
+    /// if they were built for another one. Rows of another FST would
+    /// resolve in the dropped sets: tables that hold some fail with
+    /// [`Error::Invalid`].
+    fn rekey(&mut self, key: u64) -> Result<()> {
+        if self.sets.key != key {
+            if !self.mask.is_empty() {
+                return Err(Error::Invalid(
+                    "simulation tables hold the rows of another FST".into(),
+                ));
+            }
+            self.sets = OutputSets {
+                key,
+                ..OutputSets::default()
+            };
+        }
+        Ok(())
     }
 
-    /// Appends another set's arenas (offsets are stretch-relative, so they
-    /// need no rebasing).
-    pub fn append(&mut self, other: &SimTables) {
+    /// Appends another set's rows (a parallel build chunk over the same
+    /// FST), re-interning its output sets into this directory: one lookup
+    /// per distinct set, not per occurrence. A directory past its `u32`
+    /// widths, or rows of another FST, fail with [`Error::Invalid`].
+    pub fn append(&mut self, other: &SimTables) -> Result<()> {
+        if other.mask.is_empty() {
+            return Ok(());
+        }
+        self.rekey(other.sets.key)?;
+        let mut remap = vec![0u32; other.sets.len()];
+        for (&key, &id) in &other.sets.ids {
+            let set = other.sets.get(id);
+            remap[id as usize] = self
+                .sets
+                .intern(key, |items| items.extend_from_slice(set))?;
+        }
         self.mask.extend_from_slice(&other.mask);
-        self.offsets.extend_from_slice(&other.offsets);
-        self.outs.extend_from_slice(&other.outs);
+        self.ids
+            .extend(other.ids.iter().map(|&id| remap[id as usize]));
+        Ok(())
     }
 }
 
@@ -211,46 +336,45 @@ impl SimScratch {
 pub(crate) struct Simulator<'a> {
     pub(super) fst: &'a Fst,
     dict: &'a Dictionary,
-    max_item: ItemId,
 }
 
 impl<'a> Simulator<'a> {
-    /// A simulator whose output sets keep only items `<= max_item` (pass
-    /// `dict.last_frequent(sigma)` for the σ cut, `ItemId::MAX` for none).
-    pub(crate) fn new(fst: &'a Fst, dict: &'a Dictionary, max_item: ItemId) -> Self {
-        Simulator {
-            fst,
-            dict,
-            max_item,
-        }
+    /// The front-end of `fst` over `dict`, the dictionary it was compiled
+    /// against.
+    pub(crate) fn new(fst: &'a Fst, dict: &'a Dictionary) -> Self {
+        Simulator { fst, dict }
     }
 
     /// Simulates `seq` and, iff the FST accepts it, appends its mask rows
-    /// and output arena to `tables`; the grid bitsets stay readable in
+    /// and output-set ids to `tables`; the grid bitsets stay readable in
     /// `scratch` until the next call. A rejected sequence returns `false`
     /// right after the forward pass and leaves `tables` as it found them.
+    /// An output set past the directory's widths ([`fits_directory`]), or
+    /// `tables` holding the rows of another FST, fail with
+    /// [`Error::Invalid`] and leave the rows as they were.
     pub(crate) fn build(
         &self,
         seq: &[ItemId],
         scratch: &mut SimScratch,
         tables: &mut SimTables,
-    ) -> bool {
+    ) -> Result<bool> {
+        tables.rekey(self.fst.index().generation())?;
         let start = tables.mask.len();
         tables
             .mask
             .resize(start + seq.len() * self.fst.index().words(), 0);
         if !self.forward(seq, scratch, &mut tables.mask[start..]) {
             tables.mask.truncate(start);
-            return false;
+            return Ok(false);
         }
         self.fold_alive(seq.len(), scratch, &mut tables.mask[start..]);
-        let SimTables {
-            mask,
-            offsets,
-            outs,
-        } = tables;
-        self.build_outputs(seq, &mask[start..], offsets, outs);
-        true
+        let ids_start = tables.ids.len();
+        if let Err(e) = self.build_ids(seq, start, tables) {
+            tables.mask.truncate(start);
+            tables.ids.truncate(ids_start);
+            return Err(e);
+        }
+        Ok(true)
     }
 
     /// (Re)keys the job-wide part of `s` to this simulator's index.
@@ -391,36 +515,28 @@ impl<'a> Simulator<'a> {
         debug_assert!(get_bit(&s.alive, self.fst.initial() as usize));
     }
 
-    /// Appends the output arena of one sequence: per (position, output
-    /// label) with a set bit in `rows`, the label's output set on the
-    /// position's item up to `max_item` (see [`SimTables::offsets`]).
-    fn build_outputs(
-        &self,
-        seq: &[ItemId],
-        rows: &[u64],
-        offsets: &mut Vec<u32>,
-        outs: &mut Vec<ItemId>,
-    ) {
+    /// Appends one sequence's id row: per (position, output label) with a
+    /// set bit in the sequence's mask rows (from `mask_start`), the id of
+    /// the label's output set on the position's item, materialized only if
+    /// the directory has not seen that `(label, item)` pair yet.
+    fn build_ids(&self, seq: &[ItemId], mask_start: usize, tables: &mut SimTables) -> Result<()> {
         let ix = self.fst.index();
-        let w = ix.words();
-        let base = outs.len();
-        offsets.reserve(seq.len() * ix.num_labels() + 1);
+        let (w, l) = (ix.words(), ix.num_labels());
+        let SimTables { mask, ids, sets } = tables;
+        let rows = &mask[mask_start..];
+        let start = ids.len();
+        ids.resize(start + seq.len() * l, 0);
         for (i, &t) in seq.iter().enumerate() {
             let row = &rows[i * w..(i + 1) * w];
-            for (li, label) in ix.labels().iter().enumerate() {
-                let start = outs.len();
+            for (li, &label) in ix.labels().iter().enumerate() {
                 if ix.label_hits(li, row) {
-                    label.outputs(t, self.dict, outs);
-                    // Output sets are sorted ascending, so the σ cut (and
-                    // any later item bound) drops a tail.
-                    debug_assert!(outs[start..].windows(2).all(|p| p[0] < p[1]));
-                    let keep = outs[start..].partition_point(|&o| o <= self.max_item);
-                    outs.truncate(start + keep);
+                    let key = (li as u64) << 32 | t as u64;
+                    ids[start + i * l + li] =
+                        sets.intern(key, |items| label.outputs(t, self.dict, items))?;
                 }
-                offsets.push((start - base) as u32);
             }
         }
-        offsets.push((outs.len() - base) as u32);
+        Ok(())
     }
 }
 
@@ -458,10 +574,29 @@ mod tests {
         b.freeze(&raw).unwrap()
     }
 
+    /// Per hit `(position, label)` of `tables`' one sequence `seq`, its set
+    /// cut at `max_item` (non-hits stay empty).
+    fn cut_sets(
+        fst: &Fst,
+        seq: &[ItemId],
+        tables: &SimTables,
+        max_item: ItemId,
+    ) -> Vec<Vec<ItemId>> {
+        assert_eq!(tables.ids().len(), seq.len() * fst.index().num_labels());
+        tables
+            .ids()
+            .iter()
+            .map(|&id| tables.set(id, max_item).to_vec())
+            .collect()
+    }
+
     #[test]
     fn one_scratch_across_fsts_and_dictionaries_builds_what_a_fresh_one_does() {
-        // Stale step rows must be impossible: the job-wide part re-keys on
-        // the index generation, whatever the order of jobs.
+        // Stale step rows and stale sets must be impossible: the job-wide
+        // step table and the directory re-key on the index generation,
+        // whatever the order of jobs. The directory is uncut, so one
+        // reused across two σ cuts of one FST reads the sets a fresh one
+        // does at either cut.
         let fx = toy::fixture();
         let (dict2, db2) = other_world();
         let jobs = [
@@ -480,46 +615,149 @@ mod tests {
             (fx.fst.clone(), &fx.dict, &fx.db),
         ];
         let mut shared = SimScratch::default();
+        let mut reused = SimTables::default();
         for (fst, dict, db) in &jobs {
-            let sim = Simulator::new(fst, dict, dict.last_frequent(2));
+            let sim = Simulator::new(fst, dict);
             let mut fresh = SimScratch::default();
             let (mut a, mut b) = (SimTables::default(), SimTables::default());
             for seq in &db.sequences {
                 assert_eq!(
-                    sim.build(seq, &mut shared, &mut a),
-                    sim.build(seq, &mut fresh, &mut b)
+                    sim.build(seq, &mut shared, &mut a).unwrap(),
+                    sim.build(seq, &mut fresh, &mut b).unwrap()
                 );
             }
             assert_eq!(a, b);
             assert_eq!(shared.step, fresh.step);
             assert_eq!(shared.memo, fresh.memo);
+            let (lo, hi) = (dict.last_frequent(1), dict.last_frequent(2));
+            assert!(hi < lo, "σ = 2 cuts some item");
+            for max_item in [lo, hi] {
+                for seq in &db.sequences {
+                    reused.clear();
+                    let mut one = SimTables::default();
+                    let accepted = sim.build(seq, &mut shared, &mut reused).unwrap();
+                    assert_eq!(accepted, sim.build(seq, &mut fresh, &mut one).unwrap());
+                    assert_eq!(reused.mask(), one.mask());
+                    if accepted {
+                        assert_eq!(
+                            cut_sets(fst, seq, &reused, max_item),
+                            cut_sets(fst, seq, &one, max_item),
+                            "{seq:?} at {max_item}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_set_is_materialized_on_its_first_sight_only() {
+        // Building the same sequences again looks every set up: the
+        // directory does not grow, and the ids are the ones of the first
+        // build.
+        let fx = toy::fixture();
+        let sim = Simulator::new(&fx.fst, &fx.dict);
+        let (mut s, mut tables) = (SimScratch::default(), SimTables::default());
+        for seq in &fx.db.sequences {
+            sim.build(seq, &mut s, &mut tables).unwrap();
+        }
+        let (first, sets) = (tables.ids.clone(), tables.sets.items.len());
+        assert!(tables.sets.len() > 1);
+        for seq in &fx.db.sequences {
+            sim.build(seq, &mut s, &mut tables).unwrap();
+        }
+        assert_eq!(tables.ids[..first.len()], first[..]);
+        assert_eq!(tables.ids[first.len()..], first[..]);
+        assert_eq!(tables.sets.items.len(), sets);
+        // One key per set id: no set is stored twice.
+        let mut ids: Vec<u32> = tables.sets.ids.values().copied().collect();
+        ids.sort_unstable();
+        assert!(ids.iter().copied().eq(1..tables.sets.len() as u32));
+    }
+
+    #[test]
+    fn append_reinterns_a_chunk_into_one_directory() {
+        // Two chunks of the toy database built apart and appended hold the
+        // rows and sets of one build over the whole of it, each set once.
+        let fx = toy::fixture();
+        let sim = Simulator::new(&fx.fst, &fx.dict);
+        let mut s = SimScratch::default();
+        let (head, tail) = fx.db.sequences.split_at(2);
+        let build = |seqs: &[Sequence], s: &mut SimScratch| {
+            let mut tables = SimTables::default();
+            for seq in seqs {
+                sim.build(seq, s, &mut tables).unwrap();
+            }
+            tables
+        };
+        let whole = build(&fx.db.sequences, &mut s);
+        let mut merged = build(tail, &mut s);
+        merged.append(&SimTables::default()).unwrap();
+        let mut chunks = build(head, &mut s);
+        chunks.append(&merged).unwrap();
+        assert_eq!(chunks.mask(), whole.mask());
+        assert_eq!(chunks.ids().len(), whole.ids().len());
+        for (&a, &b) in chunks.ids().iter().zip(whole.ids()) {
+            assert_eq!(chunks.set(a, ItemId::MAX), whole.set(b, ItemId::MAX));
+        }
+        assert_eq!(chunks.sets.len(), whole.sets.len());
+        assert_eq!(chunks.sets.ids.len(), whole.sets.ids.len());
+        // Rows of another FST cannot join: their ids would resolve in
+        // another directory.
+        let other = compile(".*(A^).*", &fx.dict, OptLevel::Full);
+        let mut foreign = SimTables::default();
+        let seq = (fx.db.sequences.iter())
+            .find(|seq| {
+                (Simulator::new(&other, &fx.dict).build(seq, &mut s, &mut foreign)).unwrap()
+            })
+            .unwrap();
+        let before = format!("{chunks:?}");
+        for err in [
+            chunks.append(&foreign),
+            Simulator::new(&other, &fx.dict)
+                .build(seq, &mut s, &mut chunks)
+                .map(drop),
+        ] {
+            assert!(matches!(err, Err(Error::Invalid(_))), "{err:?}");
+        }
+        assert_eq!(format!("{chunks:?}"), before);
+    }
+
+    #[test]
+    fn the_directory_predicate_bounds_set_ids_and_items() {
+        let max = u32::MAX as usize;
+        // Set ids and stored items each within a `u32`, either one alone
+        // failing the check; so every id stays below `u32::MAX`.
+        assert!(fits_directory(max, max));
+        assert!(!fits_directory(max + 1, 0));
+        assert!(!fits_directory(0, max + 1));
+        assert!(!fits_directory(usize::MAX, usize::MAX));
     }
 
     #[test]
     fn a_rejected_sequence_stops_after_the_forward_pass() {
         let fx = toy::fixture();
-        let sim = Simulator::new(&fx.fst, &fx.dict, ItemId::MAX);
+        let sim = Simulator::new(&fx.fst, &fx.dict);
         let mut s = SimScratch::default();
         let mut tables = SimTables::default();
-        assert!(sim.build(&fx.db.sequences[0], &mut s, &mut tables));
+        assert!(sim.build(&fx.db.sequences[0], &mut s, &mut tables).unwrap());
         let before = (
             tables.mask().len(),
-            tables.offsets().len(),
-            tables.outs().len(),
+            tables.ids().len(),
+            tables.sets.items.len(),
         );
         // Poison the aliveness table: a backward sweep would rewrite it.
         s.alive.clear();
         // T3 = c d c b has no accepting run.
-        assert!(!sim.build(&fx.db.sequences[2], &mut s, &mut tables));
+        assert!(!sim.build(&fx.db.sequences[2], &mut s, &mut tables).unwrap());
         assert!(
             s.alive.is_empty(),
             "no aliveness table for a rejected sequence"
         );
         let after = (
             tables.mask().len(),
-            tables.offsets().len(),
-            tables.outs().len(),
+            tables.ids().len(),
+            tables.sets.items.len(),
         );
         assert_eq!(after, before, "tables grow only for accepted sequences");
     }
@@ -539,13 +777,13 @@ mod tests {
         assert_eq!(dict.max_fid() as usize, vocabulary);
         let fst = compile(".*(w5)[(.^)|.]*(w30).*", &dict, OptLevel::Full);
         assert!(fst.index().step_table_eligible());
-        let sim = Simulator::new(&fst, &dict, ItemId::MAX);
+        let sim = Simulator::new(&fst, &dict);
         let qn = fst.num_states();
         let mut s = SimScratch::default();
         let mut tables = SimTables::default();
         let mut seen = 0;
         for (seq, distinct) in db.sequences.iter().zip([40, 60, 100]) {
-            sim.build(seq, &mut s, &mut tables);
+            sim.build(seq, &mut s, &mut tables).unwrap();
             seen = distinct;
             assert_eq!(
                 s.step.len(),

@@ -192,7 +192,7 @@ impl<'a> Mapper<'a> {
 
     /// Hands `emit` the serialized NFA of every pivot of `seq`, in
     /// ascending pivot order: σ-filtered output sets come straight from the
-    /// walker's per-`(position, label)` arena, and each run's pivot set and
+    /// walker's output-set directory, and each run's pivot set and
     /// first-occurrence decomposition are processed as the run is
     /// enumerated. The byte slices are only valid inside `emit`.
     pub fn map(&mut self, seq: &[ItemId], emit: impl FnMut(ItemId, &[u8])) -> Result<()> {

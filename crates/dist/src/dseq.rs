@@ -359,7 +359,7 @@ mod tests {
             transitions.any(|tr| {
                 buf.clear();
                 if tr.produces_output() && tr.matches(t, dict) {
-                    tr.outputs(t, dict, &mut buf);
+                    tr.output.outputs(t, dict, &mut buf);
                 }
                 buf.contains(&k)
             })
@@ -393,12 +393,12 @@ mod tests {
                 }
             }
 
-            // Early stopping reads its bound off the tables' output arena,
-            // which only holds outputs of transitions that leave a
+            // Early stopping reads its bound off the tables' id rows, which
+            // only hold outputs of transitions that leave a
             // forward-reachable state on an accepting run: it can undercut
             // the dictionary scan (on N4 it does — for 788 records when the
-            // masks were built eagerly, and the lazy front-end's smaller
-            // arena can only tighten that) but never exceed it, and it
+            // masks were built eagerly, and the lazy front-end's sparser
+            // rows can only tighten that) but never exceed it, and it
             // exists for every pivot the sequence is shipped to.
             let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
             let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));

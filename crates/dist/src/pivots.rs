@@ -25,8 +25,9 @@
 //! [`FstIndex`](desq_core::fst::FstIndex) ([`Fst::index`]),
 //! per-position bit-packed *match masks* with grid aliveness folded in (one
 //! bit test replaces the ancestor check plus the aliveness lookup),
-//! forward/alive grid bitsets, and σ-filtered output sets materialized per
-//! `(position, interned label)` into an arena. The per-coordinate pivot
+//! forward/alive grid bitsets, and one output-set id per `(position,
+//! interned label)` into the scratch's job-wide output-set directory, each
+//! set cut at the σ bound as the DP reads it. The per-coordinate pivot
 //! sets are small sorted arrays in two row arenas (the backward DP only
 //! ever reads row `i + 1` to produce row `i`), merged with ⊕ as pure
 //! sorted-merge passes. All of it lives in a caller-provided
@@ -205,7 +206,7 @@ impl<'a> PivotSearch<'a> {
         let w = ix.words();
         let l = ix.num_labels();
         let tables = scratch.runs.tables();
-        let (mask, out_off, outs) = (tables.mask(), tables.offsets(), tables.outs());
+        let (mask, ids) = (tables.mask(), tables.ids());
 
         // Row n: alive final coordinates complete with ε only.
         scratch.prev.clear();
@@ -246,13 +247,12 @@ impl<'a> PivotSearch<'a> {
                         std::mem::swap(&mut scratch.acc, &mut scratch.tmp);
                         continue;
                     }
-                    let set = i * l + tr.label as usize;
-                    let (os, oe) = (out_off[set], out_off[set + 1]);
-                    if os == oe {
+                    let outs = tables.set(ids[i * l + tr.label as usize], self.last_frequent);
+                    if outs.is_empty() {
                         continue; // dead under the σ filter
                     }
                     oplus_into(
-                        &outs[os as usize..oe as usize],
+                        outs,
                         rest,
                         &mut scratch.acc,
                         &mut scratch.tmp,
@@ -476,6 +476,7 @@ mod tests {
         // One scratch across all sequences, σ values, FSTs and dictionaries
         // must behave like a fresh one per call: no state leaks between
         // sequences, and the job-wide step table re-keys per search.
+        use desq_core::fst::SimTables;
         use desq_core::{DictionaryBuilder, PatEx, SequenceDb};
         let fx = toy::fixture();
         let other_fst = Fst::compile(&PatEx::parse(".*(b)[(.^)|.]*(A^).*").unwrap(), &fx.dict);
@@ -507,8 +508,13 @@ mod tests {
                     search.pivots_into(seq, &mut shared, &mut reused);
                     search.pivots_into(seq, &mut fresh, &mut expect);
                     assert_eq!(reused, expect, "σ={sigma} {seq:?}");
-                    let tables = shared.runs.tables();
-                    assert_eq!(tables, fresh.runs.tables(), "σ={sigma}, seq {seq:?}");
+                    let (a, b) = (shared.runs.tables(), fresh.runs.tables());
+                    assert_eq!(a.mask(), b.mask(), "σ={sigma}, seq {seq:?}");
+                    let cut = dict.last_frequent(sigma);
+                    let sets = |t: &SimTables| -> Vec<Vec<ItemId>> {
+                        t.ids().iter().map(|&id| t.set(id, cut).to_vec()).collect()
+                    };
+                    assert_eq!(sets(a), sets(b), "σ={sigma}, seq {seq:?}");
                     let fresh = &mut PivotScratch::default();
                     let en = enumerated(&search, seq, &mut shared);
                     assert_eq!(en, enumerated(&search, seq, fresh), "σ={sigma} {seq:?}");

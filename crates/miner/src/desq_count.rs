@@ -10,8 +10,8 @@
 //!
 //! The enumeration runs on the flat counting path
 //! ([`desq_core::fst::flat`]): a [`RunWalker`] over the FST's CSR
-//! [`FstIndex`](desq_core::fst::FstIndex) (per-position output sets σ-filtered once at table-build
-//! time, per-thread scratch, no per-transition allocation) feeding an
+//! [`FstIndex`](desq_core::fst::FstIndex) (each `(label, item)` output set materialized once per
+//! job, cut at σ as a run reads it; per-thread scratch, no per-transition allocation) feeding an
 //! interned [`CandidateCounter`] (candidates hashed once and counted over
 //! a flat item arena). Workers return *owned* partial counters that the calling thread
 //! merges — no lock is held during the merge. The flat path is

@@ -20,9 +20,10 @@
 //! transition), aliveness and ε-completion bitsets over the
 //! `(position, state)` grid, and one output-set id per
 //! `(position, output label)` pair. An output set depends only on its
-//! label and the position's input item, so each distinct set is
-//! materialized once, sorted and cut at the frequent-item boundary, in the
-//! tables' output-set directory. The DFS walks a compact per-state
+//! label and the position's input item, so the simulation front-end
+//! materializes each distinct set once, sorted and uncut, in the tables'
+//! output-set directory, and the DFS cuts it at the node's item bound as
+//! it reads it. The DFS walks a compact per-state
 //! transition index of the FST (L1-resident) and resolves matches,
 //! aliveness and outputs as bit tests and directory slices: no ancestor
 //! binary searches, no output re-materialization, no dictionary access. A
@@ -62,7 +63,6 @@ use std::sync::Mutex;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
 use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
-use desq_core::fx::FxHashMap;
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
 #[cfg(test)]
@@ -227,82 +227,6 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
     ))
 }
 
-/// Whether an [`OutputSets`] directory of up to `ids` set ids over up to
-/// `items` stored items fits its `u32` ids and item bounds, every id below
-/// [`PIVOT_ONLY`]. Checked before interning, with every incoming set
-/// counted as new.
-fn fits_directory(ids: usize, items: usize) -> bool {
-    ids <= u32::MAX as usize && items <= u32::MAX as usize
-}
-
-/// The typed error of a directory [`fits_directory`] rejects.
-fn directory_error() -> desq_core::Error {
-    desq_core::Error::Invalid(
-        "DESQ-DFS output-set directory exceeds 2³² set ids or stored items".into(),
-    )
-}
-
-/// The output-set directory of one [`SeqTables`]: every distinct non-empty
-/// output set its sequences produce, stored once. An output set depends
-/// only on the output label and the input item (the label's outputs on the
-/// item — the item itself or its generalizations — sorted ascending and cut
-/// at the tables' frequent-item boundary), so it is interned under that
-/// `(label, item)` key and a sequence keeps one `u32` set id per
-/// `(position, label)`. Id 0 is the empty set: a label without a surviving
-/// transition, or a set the cut emptied.
-#[derive(Debug, PartialEq)]
-struct OutputSets {
-    /// `label ‖ item` → set id, for every interned set.
-    ids: FxHashMap<u64, u32>,
-    /// Set `k` is `items[bounds[k]..bounds[k + 1]]`; `[0, 0]` when empty.
-    bounds: Vec<u32>,
-    items: Vec<ItemId>,
-}
-
-impl Default for OutputSets {
-    fn default() -> Self {
-        OutputSets {
-            ids: FxHashMap::default(),
-            bounds: vec![0, 0],
-            items: Vec::new(),
-        }
-    }
-}
-
-impl OutputSets {
-    /// Number of set ids, the empty set's included.
-    fn len(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// The items of set `id`, ascending.
-    #[inline]
-    fn get(&self, id: u32) -> &[ItemId] {
-        let k = id as usize;
-        &self.items[self.bounds[k] as usize..self.bounds[k + 1] as usize]
-    }
-
-    /// The id of the non-empty output set `set` under its `(label, item)`
-    /// key ([`set_key`]), interned on first sight. The caller has checked
-    /// that the directory fits its widths with `set` added
-    /// ([`fits_directory`]).
-    #[inline]
-    fn intern(&mut self, key: u64, set: &[ItemId]) -> u32 {
-        let fresh = self.len() as u32;
-        *self.ids.entry(key).or_insert_with(|| {
-            self.items.extend_from_slice(set);
-            self.bounds.push(self.items.len() as u32);
-            fresh
-        })
-    }
-}
-
-/// An output set's directory key: the output label above the input item.
-#[inline]
-fn set_key(label: usize, item: ItemId) -> u64 {
-    (label as u64) << 32 | item as u64
-}
-
 /// Flat per-sequence simulation tables, built by
 /// [`LocalMiner::prepare_tables`] (one call, one input collection) or grown
 /// one sequence at a time by [`LocalMiner::append_tables`], and immutable
@@ -312,8 +236,8 @@ fn set_key(label: usize, item: ItemId) -> u64 {
 /// precomputed here, bit-packed to keep the per-node memory traffic low.
 /// The shared simulation front-end ([`RunWalker::build_tables_into`] — lazy,
 /// frontier-driven; a rejected sequence costs one forward pass and no arena
-/// space) produces the masks and the output sets behind the id row; this
-/// module interns those sets and adds the third. Per sequence:
+/// space) produces the masks, the id row and the output-set directory;
+/// this module adds the third. Per sequence:
 ///
 /// * *match masks* — bit `δ` of position `i`'s mask is set iff FST
 ///   transition `δ` leaves a forward-reachable state, matches the input
@@ -322,12 +246,10 @@ fn set_key(label: usize, item: ItemId) -> u64 {
 ///   test replaces the ancestor binary search plus the grid lookup). The
 ///   DFS only ever follows set bits from the root coordinate, which is the
 ///   front-end's [reachable-sources contract](desq_core::fst::sim);
-/// * the *id row* — for every `(position, output label)` pair, the id of
-///   its output set in the tables' output-set directory (0 = empty).
-///   The front-end's per-sequence output arena ([`SimTables::offsets`]) is
-///   interned into the directory and dropped, so each distinct set — sorted
-///   ascending and cut at the building miner's frequent-item boundary — is
-///   stored once per table set, not once per occurrence;
+/// * the *id row* ([`SimTables::ids`]) — for every `(position, output
+///   label)` pair, the id of its output set in the tables' output-set
+///   directory (0 = empty). Each distinct set — sorted ascending, uncut —
+///   is stored once per table set, not once per occurrence;
 /// * `eps_fin` — bitset memoizing "the rest of the sequence can be consumed
 ///   producing only ε, ending in a final state" (the emission test), over
 ///   the alive coordinates.
@@ -336,12 +258,10 @@ fn set_key(label: usize, item: ItemId) -> u64 {
 /// D-SEQ (no item above the pivot, early stopping) are applied by the DFS
 /// while it walks — the item bound is a prefix cut of each sorted output
 /// set — so one table serves every pivot partition its sequence is
-/// shuffled to. Any miner over the same `(FST, dictionary)` pair whose
-/// frequent-item boundary is not above the builder's can mine it (mask
-/// bits and label numbers are those of the FST's own [`Fst::index`]); the
-/// directory's key assumes one boundary, so the first append fixes it and
-/// an append by a miner with another boundary fails with
-/// [`desq_core::Error::Invalid`]. The one pivot-dependent value is the
+/// shuffled to. The σ cut is a prefix cut too, so any miner over the same
+/// `(FST, dictionary)` pair can append to or mine the tables, whatever its
+/// σ (mask bits and label numbers are those of the FST's own
+/// [`Fst::index`]). The one pivot-dependent value is the
 /// per-sequence early-stopping position: it is derived from the id row
 /// (the last position where an alive transition outputs the pivot — no
 /// dictionary access) for the building miner's own pivot, and
@@ -357,22 +277,15 @@ fn set_key(label: usize, item: ItemId) -> u64 {
 /// a sequence shipped to many pivot partitions of that worker is
 /// simulated once. A sequence whose table index, cells or arena starts
 /// would overflow the packed widths (`fits_widths`), or whose new output
-/// sets would overflow the directory's (`fits_directory`), fails the build
-/// with [`desq_core::Error::Invalid`] and leaves the tables as they were.
+/// sets would overflow the directory's `u32` widths, fails the build with
+/// [`desq_core::Error::Invalid`] and leaves the rows as they were.
 #[derive(Default)]
 pub struct SeqTables {
     metas: Vec<SeqMeta>,
-    /// Mask rows of the accepted sequences. The front-end's output arena
-    /// lives here only while one sequence's sets are interned.
+    /// Mask rows and id rows of the accepted sequences, and their
+    /// output-set directory.
     sim: SimTables,
     eps_fin: Vec<u64>,
-    /// Per accepted sequence, `len · labels` output-set ids, row-major by
-    /// position.
-    set_ids: Vec<u32>,
-    sets: OutputSets,
-    /// The frequent-item boundary of the miner that built the tables, fixed
-    /// by the first accepted sequence.
-    boundary: ItemId,
 }
 
 /// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
@@ -437,12 +350,12 @@ impl SeqTables {
     }
 
     /// The last position of sequence `m` (`l` output labels per position)
-    /// whose output sets contain `pivot`.
+    /// whose output sets contain `pivot`: a set cut at `pivot` ends in it.
     fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
-        let ids = &self.set_ids[m.ids_start as usize..][..m.len as usize * l];
+        let ids = &self.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
         let at = ids
             .iter()
-            .rposition(|&id| id != 0 && self.sets.get(id).contains(&pivot))?;
+            .rposition(|&id| self.sim.set(id, pivot).last() == Some(&pivot))?;
         Some(at / l)
     }
 
@@ -451,23 +364,18 @@ impl SeqTables {
         [
             self.sim.mask().len(),
             self.eps_fin.len(),
-            self.set_ids.len(),
+            self.sim.ids().len(),
         ]
     }
 
     /// Appends another set's tables (a parallel build chunk, simulated over
     /// `states` FST states), rebasing the descriptors onto this set's
-    /// arenas and re-interning the chunk's output sets into this set's
-    /// directory; a rebased index or start past the packed widths, an
-    /// overflowing directory or another frequent-item boundary fails typed.
+    /// arenas; [`SimTables::append`] re-interns the chunk's output sets
+    /// into this set's directory. A rebased index or start past the packed
+    /// widths, or an overflowing directory, fails typed.
     fn append(&mut self, other: SeqTables, states: usize) -> Result<()> {
         if other.is_empty() {
             return Ok(());
-        }
-        if self.is_empty() {
-            self.boundary = other.boundary;
-        } else if self.boundary != other.boundary {
-            return Err(boundary_error(self.boundary, other.boundary));
         }
         let base = self.arena_lens();
         for m in other.metas {
@@ -485,31 +393,10 @@ impl SeqTables {
                 ..m
             });
         }
-        let (sets, more) = (&mut self.sets, &other.sets);
-        if !fits_directory(sets.len() + more.len(), sets.items.len() + more.items.len()) {
-            return Err(directory_error());
-        }
-        // Per set of the chunk, its id here: one lookup per distinct set,
-        // not per occurrence.
-        let mut remap = vec![0u32; more.len()];
-        for (&key, &id) in &more.ids {
-            remap[id as usize] = sets.intern(key, more.get(id));
-        }
-        self.set_ids
-            .extend(other.set_ids.iter().map(|&id| remap[id as usize]));
-        self.sim.append(&other.sim);
+        self.sim.append(&other.sim)?;
         self.eps_fin.extend_from_slice(&other.eps_fin);
         Ok(())
     }
-}
-
-/// The typed error of an append whose frequent-item boundary differs from
-/// the one the tables' directory was built with.
-fn boundary_error(tables: ItemId, miner: ItemId) -> desq_core::Error {
-    desq_core::Error::Invalid(format!(
-        "DESQ-DFS tables built at frequent-item boundary {tables} cannot take \
-         sequences cut at boundary {miner}"
-    ))
 }
 
 /// Scratch for the ε-closure walk, reused across snapshots and nodes.
@@ -575,7 +462,8 @@ struct RawChildren {
 }
 
 /// The raw record id of an output step narrowed to the pivot alone. Every
-/// directory id stays below it ([`fits_directory`]).
+/// directory id stays below it: a directory holds at most `u32::MAX` ids,
+/// the empty set's included.
 const PIVOT_ONLY: u32 = u32::MAX;
 
 /// The restrictions one node applies to its output steps: the partition's
@@ -585,7 +473,7 @@ const PIVOT_ONLY: u32 = u32::MAX;
 /// item for item.
 #[derive(Clone, Copy)]
 struct StepCut<'a> {
-    sets: &'a OutputSets,
+    sets: &'a SimTables,
     ix: &'a FstIndex,
     bound: ItemId,
     pivot: ItemId,
@@ -596,14 +484,7 @@ impl<'a> StepCut<'a> {
     /// Set `id` cut at the item bound (a prefix: sets are sorted).
     #[inline]
     fn bounded(&self, id: u32) -> &'a [ItemId] {
-        let mut items = self.sets.get(id);
-        while let [rest @ .., last] = items {
-            if *last <= self.bound {
-                break;
-            }
-            items = rest;
-        }
-        items
+        self.sets.set(id, self.bound)
     }
 
     /// The raw record id and child items of an output step with set `id`
@@ -1076,14 +957,13 @@ impl<'a> LocalMiner<'a> {
         first.runs.len()
     }
 
-    /// Builds one sequence's tables — the front-end's match masks, built by
-    /// [`RunWalker::build_tables_into`] straight into the set's shared
-    /// arena, its output sets interned into the set's directory as one id
-    /// row, plus the ε-completion bitset (no per-sequence allocation).
-    /// Returns whether the FST accepts the sequence; a rejected one leaves
-    /// `set` as it was, and so does one that fails [`fits_widths`] —
-    /// checked first, before any simulation — or [`fits_directory`], and
-    /// one built at another frequent-item boundary than the set's.
+    /// Builds one sequence's tables — the front-end's match masks and id
+    /// row, built by [`RunWalker::build_tables_into`] straight into the
+    /// set's shared arenas and directory, plus the ε-completion bitset (no
+    /// per-sequence allocation). Returns whether the FST accepts the
+    /// sequence; a rejected one leaves `set` as it was, and so does one
+    /// that fails [`fits_widths`] — checked first, before any simulation —
+    /// or the directory's widths.
     fn prepare_into(
         &self,
         seq: &[ItemId],
@@ -1092,9 +972,6 @@ impl<'a> LocalMiner<'a> {
         set: &mut SeqTables,
     ) -> Result<bool> {
         let (index, len, states) = (set.len(), seq.len(), self.fst.num_states());
-        if !set.is_empty() && set.boundary != self.last_frequent {
-            return Err(boundary_error(set.boundary, self.last_frequent));
-        }
         let starts = set.arena_lens();
         if !fits_widths(index, len, states, starts) {
             return Err(width_error(index, len, states));
@@ -1108,35 +985,14 @@ impl<'a> LocalMiner<'a> {
             len: len as u32,
             last_pivot_pos: u32::MAX,
         };
-        let walker = RunWalker::new(self.fst, self.dict, self.fst.index(), self.last_frequent);
-        if !walker.build_tables_into(seq, scratch, &mut set.sim) {
+        let walker = RunWalker::unfiltered(self.fst, self.dict);
+        if !walker.build_tables_into(seq, scratch, &mut set.sim)? {
             return Ok(false);
         }
-        // Intern the sequence's non-empty output sets, read in place from
-        // the front-end's arena (empty ones keep id 0), then drop that
-        // arena.
-        let l = self.fst.index().num_labels();
-        let SeqTables {
-            sim, set_ids, sets, ..
-        } = set;
-        let (offsets, outs) = (sim.offsets(), sim.outs());
-        if !fits_directory(sets.len() + len * l, sets.items.len() + outs.len()) {
-            sim.truncate(mask_start);
-            return Err(directory_error());
-        }
-        set_ids.resize(ids_start + len * l, 0);
-        for (k, b) in offsets.windows(2).enumerate() {
-            if b[0] < b[1] {
-                let items = &outs[b[0] as usize..b[1] as usize];
-                set_ids[ids_start + k] = sets.intern(set_key(k % l, seq[k / l]), items);
-            }
-        }
-        sim.truncate(sim.mask().len());
         let mask = &set.sim.mask()[mask_start..];
         self.build_eps_fin(len, scratch, mask, &mut set.eps_fin);
         meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         set.metas.push(meta);
-        set.boundary = self.last_frequent;
         Ok(true)
     }
 
@@ -1246,7 +1102,7 @@ impl<'a> LocalMiner<'a> {
         // the pivot alone — dropping the rest only tightens an
         // antimonotone support bound.
         let cut = StepCut {
-            sets: &arena.sets,
+            sets: &arena.sim,
             ix,
             bound: self.item_bound(),
             pivot: self.config.pivot.unwrap_or(EPSILON),
@@ -1266,7 +1122,7 @@ impl<'a> LocalMiner<'a> {
             let len = t.len as usize;
             let mask = &arena.sim.mask()[t.mask_start as usize..][..len * w];
             let eps_fin = &arena.eps_fin[t.eps_start as usize..];
-            let set_ids = &arena.set_ids[t.ids_start as usize..][..len * l];
+            let set_ids = &arena.sim.ids()[t.ids_start as usize..][..len * l];
             // Early stopping (Sec. V-C): while the prefix lacks the pivot,
             // nothing past the sequence's last pivot-producing position can
             // help it, and at that position only the pivot itself can.
@@ -1967,8 +1823,15 @@ mod tests {
         let inputs = unit_inputs(&fx.db);
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 1);
+        let items = || {
+            tables
+                .sim
+                .ids()
+                .iter()
+                .map(|&id| tables.sim.set(id, ItemId::MAX))
+        };
         for k in 1..fx.dict.max_fid() {
-            assert!(tables.sets.items.iter().any(|&w| w > k), "k={k}");
+            assert!(items().any(|set| set.iter().any(|&w| w > k)), "k={k}");
             let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
@@ -2052,57 +1915,59 @@ mod tests {
             .unwrap();
         let before = tables.arena_lens();
         assert!(before.iter().all(|&len| len > 0));
-        let sets = (tables.sets.len(), tables.sets.items.len());
-        assert!(sets.0 > 1 && sets.1 > 0);
-        // The front-end's output arena does not stay behind.
-        assert!(tables.sim.offsets().is_empty() && tables.sim.outs().is_empty());
+        let (rows, sets) = (format!("{:?}", tables.sim), directory(&tables));
+        assert!(sets.0 > 0 && sets.1 > 0);
         // T3 = c d c b has no accepting run (the front-end stops after the
         // forward pass: `fst::sim`'s own tests check that no aliveness table
         // is built).
         let t3 = miner.append_tables(&fx.db.sequences[2], &mut tables, &mut scratch);
         assert_eq!(t3.unwrap(), None);
         assert_eq!(tables.arena_lens(), before);
-        assert_eq!((tables.sets.len(), tables.sets.items.len()), sets);
-        assert_eq!(tables.sets.ids.len(), sets.0 - 1);
+        // Mask rows, id row and directory, every field of them.
+        assert_eq!(format!("{:?}", tables.sim), rows);
         assert_eq!(tables.len(), 1);
     }
 
     #[test]
-    fn an_append_at_another_frequent_item_boundary_fails_typed() {
-        // The directory's sets are cut at one boundary: σ = 1 keeps every
-        // item of the toy, σ = 3 cuts some.
+    fn tables_built_at_one_sigma_mine_at_another() {
+        // The directory holds uncut sets, so tables serve any σ: built by a
+        // σ = 1 miner (which keeps every item of the toy) and mined at
+        // σ = 2 (which cuts `e` and `a2`), they give the σ = 2 result —
+        // appended one sequence at a time, mixed with a σ = 2 miner's
+        // appends, or merged from chunks of either.
         let fx = toy::fixture();
-        let loose = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
-        let tight = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(3));
-        assert_ne!(loose.last_frequent, tight.last_frequent);
-        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
-        // A rejected sequence fixes nothing.
-        let t3 = &fx.db.sequences[2];
-        assert_eq!(
-            tight.append_tables(t3, &mut tables, &mut scratch).unwrap(),
-            None
-        );
-        let t1 = &fx.db.sequences[0];
-        assert_eq!(
-            loose.append_tables(t1, &mut tables, &mut scratch).unwrap(),
-            Some(0)
-        );
-        let (lens, sets) = (tables.arena_lens(), tables.sets.len());
-        let err = tight.append_tables(t1, &mut tables, &mut scratch);
-        assert!(matches!(err, Err(desq_core::Error::Invalid(_))), "{err:?}");
-        assert_eq!(
-            (tables.len(), tables.arena_lens(), tables.sets.len()),
-            (1, lens, sets)
-        );
-        // A parallel build's chunks share their miner's boundary; a chunk
-        // of another one fails the merge.
         let inputs = unit_inputs(&fx.db);
-        let chunk = tight.prepare_tables(&inputs, 1).unwrap();
-        assert!(!chunk.is_empty());
-        assert!(matches!(
-            tables.append(chunk, fx.fst.num_states()),
-            Err(desq_core::Error::Invalid(_))
-        ));
+        let loose = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let tight = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2));
+        assert_ne!(loose.last_frequent, tight.last_frequent);
+        let expect = tight.mine(&inputs).unwrap();
+        assert!(!expect.is_empty() && expect != loose.mine(&inputs).unwrap());
+        let (tables, picks) = toy_arena(&fx, &loose, 1);
+        assert_eq!(mined_picks(&tight, &tables, &picks), expect);
+        let (mut mixed, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        for (k, seq) in fx.db.sequences.iter().enumerate() {
+            let builder = if k % 2 == 0 { &loose } else { &tight };
+            builder
+                .append_tables(seq, &mut mixed, &mut scratch)
+                .unwrap();
+        }
+        assert_eq!(mined_picks(&tight, &mixed, &all_picks(&mixed)), expect);
+        assert_eq!(
+            mined_picks(&loose, &mixed, &all_picks(&mixed)),
+            loose.mine(&inputs).unwrap()
+        );
+        let (head, tail) = inputs.split_at(2);
+        let mut merged = loose.prepare_tables(head, 1).unwrap();
+        merged
+            .append(tight.prepare_tables(tail, 1).unwrap(), fx.fst.num_states())
+            .unwrap();
+        assert_eq!(mined_picks(&tight, &merged, &all_picks(&merged)), expect);
+        // And under a pivot with early stopping, which reads the id rows.
+        let part = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(2, fx.a1, true));
+        let share = part.mine(&inputs).unwrap();
+        assert!(!share.is_empty());
+        assert_eq!(mined_picks(&part, &tables, &picks), share);
+        assert_eq!(mined_picks(&part, &merged, &all_picks(&merged)), share);
     }
 
     /// `nyt_like(1 000)` at seed 1 with the loose constraints N4 and N5.
@@ -2157,27 +2022,19 @@ mod tests {
             let one = miner.prepare_tables(&inputs, 1).unwrap();
             let three = miner.prepare_tables(&inputs, 3).unwrap();
             for (workers, tables) in [(1, &one), (3, &three)] {
-                let sets = &tables.sets;
-                let mut ids: Vec<u32> = sets.ids.values().copied().collect();
-                ids.sort_unstable();
-                assert!(
-                    ids.iter().copied().eq(1..sets.len() as u32),
-                    "{name} workers={workers}: one key per set id"
-                );
-                assert!(ids.iter().all(|&id| !sets.get(id).is_empty()));
                 let mined = mined_picks(&miner, tables, &all_picks(tables));
                 assert_eq!(mined, expect, "{name} workers={workers}");
             }
-            assert_eq!(one.sets.ids.len(), three.sets.ids.len(), "{name}");
-            for (key, &id) in &one.sets.ids {
-                assert_eq!(one.sets.get(id), three.sets.get(three.sets.ids[key]));
-            }
-            assert_eq!(one.set_ids.len(), three.set_ids.len());
-            assert!(one
-                .set_ids
+            // The same sets behind every id, each stored once: a key
+            // interned twice would show up as more distinct ids.
+            assert_eq!(directory(&one), directory(&three), "{name}");
+            let (a, b) = (&one.sim, &three.sim);
+            assert_eq!(a.ids().len(), b.ids().len());
+            assert!(a
+                .ids()
                 .iter()
-                .zip(&three.set_ids)
-                .all(|(&a, &b)| one.sets.get(a) == three.sets.get(b)));
+                .zip(b.ids())
+                .all(|(&x, &y)| a.set(x, ItemId::MAX) == b.set(y, ItemId::MAX)));
             // Early stopping reads the id rows (`last_pivot_pos`): under the
             // pivot owning the most patterns, an `append_tables` arena and
             // the merged build mine that partition as mining it from
@@ -2218,19 +2075,30 @@ mod tests {
         }
     }
 
+    /// The directory behind `tables`' id rows: its non-empty sets (every
+    /// set a table's directory stores is one a row refers to) and their
+    /// items.
+    fn directory(tables: &SeqTables) -> (usize, usize) {
+        let mut ids = tables.sim.ids().to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|&id| id != 0);
+        let items = ids.iter().map(|&id| tables.sim.set(id, ItemId::MAX).len());
+        (ids.len(), items.sum())
+    }
+
     /// Bytes `tables` keep resident, by arena: descriptors, mask,
-    /// `eps_fin`, id row and directory (its sets' bounds and items, plus
-    /// one `(key, id)` entry per set). Lengths, not capacities, so the
-    /// count does not depend on how the arenas grew.
+    /// `eps_fin`, id row and directory (its sets' bounds, the empty set's
+    /// included, and items, plus one `(key, id)` entry per set). Lengths,
+    /// not capacities, so the count does not depend on how the arenas grew.
     fn resident_bytes(tables: &SeqTables) -> [usize; 5] {
-        let sets = &tables.sets;
+        let (sets, items) = directory(tables);
         [
             tables.metas.len() * std::mem::size_of::<SeqMeta>(),
             tables.sim.mask().len() * 8,
             tables.eps_fin.len() * 8,
-            tables.set_ids.len() * 4,
-            (sets.bounds.len() + sets.items.len()) * 4
-                + sets.ids.len() * std::mem::size_of::<(u64, u32)>(),
+            tables.sim.ids().len() * 4,
+            (sets + 2 + items) * 4 + sets * std::mem::size_of::<(u64, u32)>(),
         ]
     }
 
@@ -2241,11 +2109,12 @@ mod tests {
         // per-sequence output arena coming back shows up here.
         let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
-        // Per accepted sequence: N4 263.1 bytes, N5 265.1 (the directory 41.4
-        // and 49.3 of them).
+        // Per accepted sequence: N4 273.7 bytes, N5 277.9 (the directory 52.0
+        // and 62.1 of them: its sets are uncut, so it holds the outputs of
+        // infrequent items too).
         let pinned = [
-            (941, [30_112, 110_520, 12_760, 55_260, 38_960]),
-            (1_000, [32_000, 112_488, 15_072, 56_244, 49_320]),
+            (941, [30_112, 110_520, 12_760, 55_260, 48_904]),
+            (1_000, [32_000, 112_488, 15_072, 56_244, 62_088]),
         ];
         for ((name, fst), (accepted, bytes)) in fsts.iter().zip(pinned) {
             let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(10));
@@ -2281,7 +2150,12 @@ mod tests {
             .raw
             .words
             .iter()
-            .map(|&w| tables.sets.get((w >> 32) as u32).len())
+            .map(|&w| {
+                tables
+                    .sim
+                    .set((w >> 32) as u32, dict.last_frequent(10))
+                    .len()
+            })
             .sum();
         assert_eq!((records, items), (14_061, 30_556));
         // Every item of every step lands in a frequent run or is dropped.
@@ -2324,8 +2198,6 @@ mod tests {
             }
             assert_eq!(a.sim, b.sim);
             assert_eq!(a.eps_fin, b.eps_fin);
-            assert_eq!(a.set_ids, b.set_ids);
-            assert_eq!(a.sets, b.sets);
         }
     }
 
@@ -2382,13 +2254,9 @@ mod tests {
             starts[k] = max + 1;
             assert!(!fits_widths(0, 0, 1, starts), "start {k}");
         }
-        // The directory: set ids and stored items each within a `u32`,
-        // either one alone failing the check.
-        assert!(fits_directory(max, max));
-        assert!(!fits_directory(max + 1, 0));
-        assert!(!fits_directory(0, max + 1));
-        assert!(!fits_directory(usize::MAX, usize::MAX));
-        // So every set id stays below the raw records' reserved id.
+        // A directory holds at most `u32::MAX` set ids (`fst::sim`'s own
+        // predicate test), so every id stays below the raw records'
+        // reserved one.
         assert_eq!(max, PIVOT_ONLY as usize);
         // The largest cell of a fitting sequence leaves the ε-flag clear.
         let top = (((1 << 15) - 1) << 16) - 1;
@@ -2427,6 +2295,6 @@ mod tests {
             &mut scratch
         )));
         assert!(tables.is_empty() && tables.arena_lens() == [0; 3]);
-        assert_eq!(tables.sets, OutputSets::default());
+        assert_eq!(tables.sim, SimTables::default());
     }
 }

@@ -56,7 +56,7 @@ pub fn generate(
             }
             let buf = &mut pool[used];
             buf.clear();
-            tr.outputs(t, dict, buf);
+            tr.output.outputs(t, dict, buf);
             if let Some(s) = sigma {
                 buf.retain(|&w| w == EPSILON || dict.is_frequent(w, s));
             }

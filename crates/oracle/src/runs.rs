@@ -101,7 +101,7 @@ mod tests {
                 .zip(t5)
                 .map(|(tr, &t)| {
                     let mut buf = Vec::new();
-                    tr.outputs(t, &fx.dict, &mut buf);
+                    tr.output.outputs(t, &fx.dict, &mut buf);
                     buf
                 })
                 .collect();

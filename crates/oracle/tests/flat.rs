@@ -96,7 +96,7 @@ fn run_sets_match_runs_module_on_toy() {
                     continue;
                 }
                 let mut buf = Vec::new();
-                tr.outputs(t, &fx.dict, &mut buf);
+                tr.output.outputs(t, &fx.dict, &mut buf);
                 sets.push(buf);
             }
             expect.push(sets);

@@ -3,7 +3,7 @@
 //! running example, in both of its shapes.
 
 use desq_core::fst::sim::get_bit;
-use desq_core::fst::{RunScratch, RunWalker, SimTables};
+use desq_core::fst::{RunScratch, RunWalker};
 use desq_core::{toy, Dictionary, Fst, ItemId, OptLevel, PatEx, Sequence};
 use desq_oracle::Grid;
 
@@ -16,8 +16,8 @@ fn compile(pattern: &str, dict: &Dictionary, level: OptLevel) -> Fst {
 }
 
 /// Builds `seq`'s tables in `s` and checks acceptance, the aliveness set,
-/// the mask rows and the output arena against [`Grid`] and the
-/// transitions' own `matches` / `outputs`.
+/// the mask rows and the output-set id of every `(position, label)`
+/// against [`Grid`] and the transitions' own `matches` / `outputs`.
 fn check_against_grid(
     (fst, dict, max_item): (&Fst, &Dictionary, ItemId),
     seq: &[ItemId],
@@ -29,7 +29,10 @@ fn check_against_grid(
     let tables = s.tables();
     assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {seq:?}");
     if !accepted {
-        assert_eq!(*tables, SimTables::default(), "seq {seq:?}");
+        assert!(
+            tables.mask().is_empty() && tables.ids().is_empty(),
+            "seq {seq:?}"
+        );
         return;
     }
     let (w, l) = (ix.words(), ix.num_labels());
@@ -59,18 +62,20 @@ fn check_against_grid(
                 }
             }
         }
+        // Every hit's id resolves to the label's outputs on the item, cut
+        // at the walker's bound; a label without a hit has the empty set.
         for (li, label) in ix.labels().iter().enumerate() {
+            let id = tables.ids()[i * l + li];
+            assert!(used[li] || id == 0, "id ({i}, {li}) of {seq:?}");
             buf.clear();
             if used[li] {
                 label.outputs(t, dict, &mut buf);
                 buf.retain(|&o| o <= max_item);
             }
-            let set = i * l + li;
-            let (a, b) = (tables.offsets()[set], tables.offsets()[set + 1]);
-            assert_eq!(&tables.outs()[a as usize..b as usize], &buf[..]);
+            assert_eq!(tables.set(id, max_item), &buf[..], "set ({i}, {li})");
         }
     }
-    assert_eq!(tables.offsets().len(), seq.len() * l + 1);
+    assert_eq!(tables.ids().len(), seq.len() * l);
 }
 
 #[test]
@@ -90,6 +95,39 @@ fn both_shapes_match_the_grid_on_toy() {
             let max_item = fx.dict.last_frequent(sigma);
             for seq in fx.db.sequences.iter().chain([&Sequence::new()]) {
                 check_against_grid((fst, &fx.dict, max_item), seq, &mut s);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_step_table_predicate_flips_at_32_states_and_64_transitions() {
+    // Two chains of `(a1)` / `(b)` hops, widened at the last hop: 31 hops
+    // with 2 · 30 + 4 transitions (32 states, 64 transitions: the step-table
+    // shape) and 32 hops with 2 · 31 + 3 (33 states, 65: the general shape).
+    // Both build what the `Grid` reference says, on accepted sequences and
+    // on ones rejected at the last or at an inner position.
+    let fx = toy::fixture();
+    let at_bound = compile("[(a1)|(b)]{30}[(a1)|(b)|(c)|(d)]", &fx.dict, OptLevel::Full);
+    let past_bound = compile("[(a1)|(b)]{31}[(a1)|(b)|(c)]", &fx.dict, OptLevel::Full);
+    let mut s = RunScratch::default();
+    for (fst, shape, step_table) in [(&at_bound, (32, 64), true), (&past_bound, (33, 65), false)] {
+        assert_eq!((fst.num_states(), fst.num_transitions()), shape);
+        assert_eq!(fst.index().step_table_eligible(), step_table, "{shape:?}");
+        let hops = shape.0 - 1;
+        for last in [fx.a1, fx.b, fx.c, fx.d, fx.e] {
+            for pattern in 0..4 {
+                let mut seq: Sequence = (0..hops - 1)
+                    .map(|k| [fx.a1, fx.b, fx.b][(k + pattern) % 3])
+                    .collect();
+                if pattern == 3 {
+                    seq[hops / 2] = fx.c;
+                }
+                seq.push(last);
+                for sigma in [1, 2] {
+                    let max_item = fx.dict.last_frequent(sigma);
+                    check_against_grid((fst, &fx.dict, max_item), &seq, &mut s);
+                }
             }
         }
     }

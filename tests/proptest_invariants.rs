@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
-use desq::core::fst::{RunScratch, RunWalker, SimTables};
+use desq::core::fst::{RunScratch, RunWalker};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
 use desq::dist::dcand::{merge_pivots, Mapper};
 use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
@@ -128,7 +128,8 @@ fn widen(e: &PatEx, items: usize) -> PatEx {
 /// reference and the transitions' own `matches` / `outputs`: acceptance,
 /// the aliveness set, the mask rows restricted to forward-reachable sources
 /// (a matching transition into an alive target makes its source alive, so
-/// Grid aliveness alone describes those bits) and the σ-cut output arena.
+/// Grid aliveness alone describes those bits) and the output-set id of
+/// every `(position, label)`, resolved at the walker's σ cut.
 fn check_sim_against_grid(
     fst: &Fst,
     world: &World,
@@ -147,7 +148,7 @@ fn check_sim_against_grid(
         let tables = scratch.tables();
         prop_assert_eq!(accepted, grid.is_alive(0, fst.initial()), "seq {:?}", seq);
         if !accepted {
-            prop_assert_eq!(tables, &SimTables::default(), "seq {:?}", seq);
+            prop_assert!(tables.mask().is_empty() && tables.ids().is_empty());
             continue;
         }
         for i in 0..=seq.len() {
@@ -173,18 +174,17 @@ fn check_sim_against_grid(
                 }
             }
             for (li, label) in index.labels().iter().enumerate() {
+                let id = tables.ids()[i * l + li];
+                prop_assert!(used[li] || id == 0, "id ({}, {}) of {:?}", i, li, seq);
                 buf.clear();
                 if used[li] {
                     label.outputs(t, dict, &mut buf);
                     buf.retain(|&o| o <= max_item);
                 }
-                let (a, b) = (
-                    tables.offsets()[i * l + li],
-                    tables.offsets()[i * l + li + 1],
-                );
-                prop_assert_eq!(&tables.outs()[a as usize..b as usize], &buf[..]);
+                prop_assert_eq!(tables.set(id, max_item), &buf[..]);
             }
         }
+        prop_assert_eq!(tables.ids().len(), seq.len() * l);
     }
     Ok(())
 }
