@@ -34,7 +34,11 @@
 //! being expanded go to one raw buffer per worker, which every depth
 //! reuses — one record per output step, holding its set id, not one per
 //! output item — and the node scatters them into its per-item runs before
-//! it recurses. The ε-closure walk deduplicates cells in a bitset.
+//! it recurses. Every node groups the same way: per-item accumulators,
+//! indexed by item up to the miner's item bound, count each child's
+//! postings and weighted supports as the walk pushes them, so the scatter
+//! places a frequent child's postings without sorting them. The ε-closure
+//! walk deduplicates cells in a bitset.
 //!
 //! Search-tree exploration runs on the work-stealing scheduler of
 //! [`desq_core::sched`] at every worker count
@@ -144,10 +148,6 @@ pub struct LocalMiner<'a> {
     /// Largest frequent fid, `dict.last_frequent(σ)`, resolved once at
     /// construction.
     last_frequent: ItemId,
-    /// Largest frequent vocabulary that still uses dense (vocabulary-
-    /// indexed) node grouping; larger vocabularies sort instead. Only
-    /// tests override [`MAX_DENSE_ITEMS`].
-    dense_limit: usize,
 }
 
 /// One stealable unit of search-tree work: an owned subtree root. The
@@ -202,6 +202,7 @@ fn p_cell(p: Posting) -> u32 {
     p as u32 & !EPS_FLAG
 }
 
+#[cfg(test)]
 #[inline]
 fn p_eps(p: Posting) -> bool {
     p as u32 & EPS_FLAG != 0
@@ -447,18 +448,16 @@ struct DepthBufs {
 /// one instance per worker serves every depth.
 #[derive(Default)]
 struct RawChildren {
-    /// Dense grouping: one `set id ‖ posting low word` record per output
-    /// step ([`PIVOT_ONLY`] for a step narrowed to the pivot). The scatter
+    /// One `set id ‖ posting low word` record per output step
+    /// ([`PIVOT_ONLY`] for a step narrowed to the pivot). The scatter
     /// recovers the step's child items from the directory through the
     /// walk's own [`StepCut`], so a step with many output items costs one
     /// record, not one per item.
     words: Vec<u64>,
-    /// Dense grouping: per input sequence with child postings, its index
-    /// and the end of its stretch of `words` (a node's child postings are
-    /// counted in `u32`, like [`ItemAcc::count`]).
+    /// Per input sequence with child postings, its index and the end of
+    /// its stretch of `words` (a node's raw records are counted in `u32`,
+    /// like [`ItemAcc::count`]).
     segs: Vec<(u32, u32)>,
-    /// Sparse grouping: `item ‖ posting` sort keys.
-    keys: Vec<u128>,
 }
 
 /// The raw record id of an output step narrowed to the pivot alone. Every
@@ -469,8 +468,8 @@ const PIVOT_ONLY: u32 = u32::MAX;
 /// The restrictions one node applies to its output steps: the partition's
 /// item bound and, while the prefix lacks the pivot, early stopping's
 /// pivot-only narrowing. The closure walk asks it for a step's child items
-/// and record id, the dense scatter for a record's items, so both agree
-/// item for item.
+/// and record id, the scatter for a record's items, so both agree item for
+/// item.
 #[derive(Clone, Copy)]
 struct StepCut<'a> {
     sets: &'a SimTables,
@@ -538,19 +537,17 @@ const FRESH_ACC: ItemAcc = ItemAcc {
     emit_support: 0,
 };
 
-/// Vocabulary-indexed per-item accumulators used to group a node's child
-/// postings in linear time, plus the list of touched items (for
-/// O(|touched|) clearing between nodes). Not `dense` when the item bound is
-/// too large to index — grouping then falls back to sorting.
+/// Item-indexed accumulators that group every node's child postings in
+/// linear time, plus the list of touched items (for O(|touched|) clearing
+/// between nodes). `acc` covers items up to the miner's item bound — the
+/// frequent vocabulary, or the pivot below it — at 32 bytes an entry, and
+/// only ever grows, so one worker's scratch serves every partition it
+/// mines ([`MinerScratch`]).
 #[derive(Default)]
 struct ItemStats {
-    dense: bool,
     acc: Vec<ItemAcc>,
     items: Vec<ItemId>,
 }
-
-/// Largest dense item-array size; beyond this, node grouping sorts instead.
-const MAX_DENSE_ITEMS: usize = 1 << 21;
 
 /// All reusable DFS scratch: walk buffers, item accumulators, the raw
 /// child postings, and one [`DepthBufs`] per search-tree depth (projected
@@ -590,11 +587,10 @@ impl<'a> LocalMiner<'a> {
             dict,
             config,
             last_frequent: dict.last_frequent(config.sigma),
-            dense_limit: MAX_DENSE_ITEMS,
         }
     }
 
-    /// Largest item the dense per-item accumulators must index: the
+    /// Largest item the per-item accumulators must index: the
     /// partition bound caps it below the frequent vocabulary, so
     /// pivot-restricted miners (one per reduce key in D-SEQ) allocate
     /// `O(pivot)` instead of `O(vocabulary)` scratch.
@@ -607,7 +603,7 @@ impl<'a> LocalMiner<'a> {
 
     /// Sizes DFS scratch for one mining call over `views`: the visited
     /// bitset for the longest sequence, the accumulators for items up to
-    /// the item bound.
+    /// the item bound. Both only grow; entries past the bound stay fresh.
     fn fit_bufs(&self, bufs: &mut ExpandBufs, views: Views<'_>) {
         let max_len = views.metas.iter().map(|m| m.len as usize).max();
         let max_cells = max_len.map_or(0, |n| n + 1);
@@ -615,14 +611,8 @@ impl<'a> LocalMiner<'a> {
         if bufs.walk.visited.len() < words {
             bufs.walk.visited.resize(words, 0);
         }
-        // Dense grouping touches an O(item bound) accumulator array. That
-        // amortizes over a database-sized input but not over a tiny
-        // partition (D-SEQ reducers mine a few hundred weighted sequences
-        // per pivot key), so small inputs fall back to sort-based grouping
-        // regardless of vocabulary size.
         let n = self.item_bound() as usize + 1;
-        bufs.stats.dense = n <= self.dense_limit.min(16 * views.metas.len().max(1));
-        if bufs.stats.dense && bufs.stats.acc.len() < n {
+        if bufs.stats.acc.len() < n {
             bufs.stats.acc.resize(n, FRESH_ACC);
         }
     }
@@ -632,14 +622,6 @@ impl<'a> LocalMiner<'a> {
         let mut bufs = ExpandBufs::default();
         self.fit_bufs(&mut bufs, views);
         bufs
-    }
-
-    /// Forces the sort-based (sparse) node grouping regardless of
-    /// vocabulary size, to test the fallback path.
-    #[cfg(test)]
-    fn with_sparse_grouping(mut self) -> Self {
-        self.dense_limit = 0;
-        self
     }
 
     /// Mines the weighted input collection; returns `(pattern, frequency)`
@@ -1040,49 +1022,26 @@ impl<'a> LocalMiner<'a> {
         (0..views.metas.len() as u32).map(move |s| posting(s, q0))
     }
 
-    /// Prefix and emission support of one child run: the weighted count of
-    /// distinct input sequences with any posting, and with any
-    /// ε-flagged posting. Postings must be grouped by input index.
-    fn run_supports(metas: &[SeqMeta], postings: impl Iterator<Item = Posting>) -> (u64, u64) {
-        let mut support = 0u64;
-        let mut emit = 0u64;
-        let mut last: Option<u32> = None;
-        let mut last_emit: Option<u32> = None;
-        for p in postings {
-            let s = p_seq(p);
-            if last != Some(s) {
-                last = Some(s);
-                support += metas[s as usize].weight;
-            }
-            if p_eps(p) && last_emit != Some(s) {
-                last_emit = Some(s);
-                emit += metas[s as usize].weight;
-            }
-        }
-        (support, emit)
-    }
-
     /// ε-closure, child expansion and grouping of one node.
     ///
     /// Simulation resumes from the node's postings — one shared,
     /// bitset-deduplicated walk per input sequence, seeded with all of the
     /// sequence's postings (their closures overlap heavily, and the
     /// children are a set anyway). Every output-producing step yields its
-    /// child items through the node's [`StepCut`]. Dense grouping records
-    /// the step once, as a `set id ‖ low word` in `bufs.raw` ([`PIVOT_ONLY`]
-    /// for a step narrowed to the pivot), and closes the sequence's
-    /// segment; per-item posting counts and weighted prefix supports
-    /// accumulate on the fly, so grouping is a single stable scatter into
-    /// `d.grouped` that asks the same `StepCut` for each record's items
-    /// again: postings of children below σ are dropped without ever being
-    /// ordered. Sparse grouping sorts and deduplicates
-    /// one `item ‖ posting` key per child item instead and narrows the
-    /// frequent runs into `d.grouped`. Either way `d.runs` directs the
-    /// recursion (ascending items, each run grouped by input index), and
-    /// the raw buffer is free again before any child is mined. Duplicate
-    /// postings (same cell reached from several closure seeds) are
-    /// tolerated — the next level's walk absorbs them, and the
-    /// distinct-sequence support counting is insensitive to them.
+    /// child items through the node's [`StepCut`] and is recorded once, as
+    /// a `set id ‖ low word` in `bufs.raw` ([`PIVOT_ONLY`] for a step
+    /// narrowed to the pivot), closing the sequence's segment. Per-item
+    /// posting counts and weighted prefix and emission supports accumulate
+    /// in the item-indexed `bufs.stats` on the fly, so grouping is a single
+    /// stable scatter into `d.grouped` that asks the same `StepCut` for
+    /// each record's items again: postings of children below σ are dropped
+    /// without ever being ordered, and only the node's distinct child items
+    /// are sorted. `d.runs` then directs the recursion (ascending items,
+    /// each run grouped by input index), and the raw buffer is free again
+    /// before any child is mined. Duplicate postings (same cell reached
+    /// from several closure seeds) are tolerated — the next level's walk
+    /// absorbs them, and the distinct-sequence support counting is
+    /// insensitive to them.
     fn collect_children(
         &self,
         views: Views<'_>,
@@ -1113,8 +1072,6 @@ impl<'a> LocalMiner<'a> {
         } = bufs;
         raw.words.clear();
         raw.segs.clear();
-        raw.keys.clear();
-        let dense = stats.dense;
         let mut idx = 0;
         while idx < node.len() {
             let s = p_seq(node[idx]);
@@ -1169,28 +1126,22 @@ impl<'a> LocalMiner<'a> {
                         continue;
                     }
                     let eps = get_bit(eps_fin, target as usize);
-                    let low = coord(target, eps);
-                    if dense {
-                        raw.words.push((record as u64) << 32 | low as u64);
-                        for &item in items {
-                            let a = &mut stats.acc[item as usize];
-                            if a.count == 0 {
-                                stats.items.push(item);
-                            }
-                            a.count += 1;
-                            if a.last_seq != s {
-                                a.last_seq = s;
-                                a.support += t.weight;
-                            }
-                            if eps && a.emit_last_seq != s {
-                                a.emit_last_seq = s;
-                                a.emit_support += t.weight;
-                            }
+                    raw.words
+                        .push((record as u64) << 32 | coord(target, eps) as u64);
+                    for &item in items {
+                        let a = &mut stats.acc[item as usize];
+                        if a.count == 0 {
+                            stats.items.push(item);
                         }
-                    } else {
-                        let p = posting(s, low) as u128;
-                        raw.keys
-                            .extend(items.iter().map(|&item| (item as u128) << 64 | p));
+                        a.count += 1;
+                        if a.last_seq != s {
+                            a.last_seq = s;
+                            a.support += t.weight;
+                        }
+                        if eps && a.emit_last_seq != s {
+                            a.emit_last_seq = s;
+                            a.emit_support += t.weight;
+                        }
                     }
                 }
             }
@@ -1202,52 +1153,40 @@ impl<'a> LocalMiner<'a> {
         }
         d.grouped.clear();
         d.runs.clear();
-        if dense {
-            // Linear stable scatter: frequent items only, ascending.
-            stats.items.sort_unstable();
-            let mut pos = 0usize;
-            for &item in &stats.items {
-                let a = &mut stats.acc[item as usize];
-                if a.support >= sigma {
-                    let len = a.count as usize;
-                    d.runs.push((item, pos..pos + len, a.emit_support));
-                    a.count = pos as u32; // becomes the write cursor
-                    pos += len;
-                }
-            }
-            d.grouped.resize(pos, 0);
-            let mut start = 0;
-            for &(s, end) in &raw.segs {
-                for &word in &raw.words[start..end as usize] {
-                    for &item in cut.record_items((word >> 32) as u32) {
-                        let a = &mut stats.acc[item as usize];
-                        if a.support >= sigma {
-                            d.grouped[a.count as usize] = posting(s, word as u32);
-                            a.count += 1;
-                        }
-                    }
-                }
-                start = end as usize;
-            }
-            for &item in &stats.items {
-                stats.acc[item as usize] = FRESH_ACC;
-            }
-            stats.items.clear();
-        } else {
-            // Sparse fallback: order and deduplicate, then scan for runs.
-            raw.keys.sort_unstable();
-            raw.keys.dedup();
-            for run in raw.keys.chunk_by(|a, b| a >> 64 == b >> 64) {
-                let item = (run[0] >> 64) as ItemId;
-                let postings = run.iter().map(|&k| k as Posting);
-                let (support, emit) = Self::run_supports(views.metas, postings.clone());
-                if support >= sigma {
-                    let at = d.grouped.len();
-                    d.grouped.extend(postings);
-                    d.runs.push((item, at..d.grouped.len(), emit));
-                }
+        // Linear stable scatter: frequent items only, ascending.
+        stats.items.sort_unstable();
+        let mut pos = 0usize;
+        for &item in &stats.items {
+            let a = &mut stats.acc[item as usize];
+            if a.support >= sigma {
+                let len = a.count as usize;
+                d.runs.push((item, pos..pos + len, a.emit_support));
+                // Becomes the write cursor, which the scatter advances to
+                // the run's end. `pos` sums the counts of every frequent
+                // child, so that end can pass 2³² while each count fits.
+                u32::try_from(pos + len).expect("fewer than 2³² grouped postings");
+                a.count = pos as u32;
+                pos += len;
             }
         }
+        d.grouped.resize(pos, 0);
+        let mut start = 0;
+        for &(s, end) in &raw.segs {
+            for &word in &raw.words[start..end as usize] {
+                for &item in cut.record_items((word >> 32) as u32) {
+                    let a = &mut stats.acc[item as usize];
+                    if a.support >= sigma {
+                        d.grouped[a.count as usize] = posting(s, word as u32);
+                        a.count += 1;
+                    }
+                }
+            }
+            start = end as usize;
+        }
+        for &item in &stats.items {
+            stats.acc[item as usize] = FRESH_ACC;
+        }
+        stats.items.clear();
     }
 
     /// Expands one search-tree node; `support` is the node's precomputed
@@ -1631,107 +1570,43 @@ mod tests {
         );
     }
 
-    /// Dense and sparse grouping mine `inputs` at `sigma` alike, and both
-    /// match `expect`, the sequential result: eagerly on one and three
-    /// workers, under `pivot` with early stopping (its share of `expect`),
-    /// and through [`LocalMiner::mine_picks`] over an arena under that
-    /// pivot, where the dense miner must really group densely.
-    fn assert_groupings_agree(
-        fst: &Fst,
-        dict: &Dictionary,
+    /// The pivot owning the most of `patterns`, and how many it owns.
+    fn top_pivot(patterns: &[(Sequence, u64)]) -> (ItemId, usize) {
+        let mut owned = std::collections::BTreeMap::<ItemId, usize>::new();
+        for (p, _) in patterns {
+            *owned.entry(desq_core::sequence::pivot(p)).or_default() += 1;
+        }
+        owned.into_iter().max_by_key(|&(_, n)| n).unwrap()
+    }
+
+    /// `inputs` appended to a fresh arena by `builder`, as picks carrying
+    /// their input weights, plus each table's input index.
+    fn arena_of(
+        builder: &LocalMiner<'_>,
         inputs: &[WeightedInput<'_>],
-        sigma: u64,
-        pivot: ItemId,
-        expect: &[(Sequence, u64)],
-    ) {
-        let dense = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
-        let sparse =
-            LocalMiner::new(fst, dict, MinerConfig::sequential(sigma)).with_sparse_grouping();
-        for workers in [1, 3] {
-            for (name, miner) in [("dense", &dense), ("sparse", &sparse)] {
-                let (mined, _) = miner.mine_with_workers(inputs, workers, None).unwrap();
-                assert_eq!(mined, expect, "{name} workers={workers}");
+    ) -> (SeqTables, Vec<(u32, u64)>, Vec<usize>) {
+        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
+        let (mut picks, mut input_of) = (Vec::new(), Vec::new());
+        for (k, &(seq, w)) in inputs.iter().enumerate() {
+            if let Some(t) = builder
+                .append_tables(seq, &mut tables, &mut scratch)
+                .unwrap()
+            {
+                picks.push((t, w));
+                input_of.push(k);
             }
         }
-        let share: Vec<_> = expect
-            .iter()
-            .filter(|(p, _)| desq_core::sequence::pivot(p) == pivot)
-            .cloned()
-            .collect();
-        let cfg = MinerConfig::for_pivot(sigma, pivot, true);
-        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
-        let picks: Vec<(u32, u64)> = inputs
-            .iter()
-            .filter_map(|&(seq, w)| {
-                Some((
-                    dense
-                        .append_tables(seq, &mut tables, &mut scratch)
-                        .unwrap()?,
-                    w,
-                ))
-            })
-            .collect();
-        for (name, miner) in [
-            ("dense", LocalMiner::new(fst, dict, cfg)),
-            (
-                "sparse",
-                LocalMiner::new(fst, dict, cfg).with_sparse_grouping(),
-            ),
-        ] {
-            assert_eq!(miner.mine(inputs).unwrap(), share, "{name} pivot={pivot}");
-            let mut mined = Vec::new();
-            miner
-                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
-                    mined.push((p, f))
-                })
-                .unwrap();
-            assert_eq!(scratch.bufs.stats.dense, name == "dense", "{name} picks");
-            assert_eq!(
-                crate::sort_patterns(mined),
-                share,
-                "{name} picks pivot={pivot}"
-            );
-        }
+        (tables, picks, input_of)
     }
 
     #[test]
-    fn sparse_grouping_fallback_matches_dense() {
-        // Huge frequent vocabularies group children by sorting instead of
-        // dense per-item accumulators; both paths must agree — sequential,
-        // parallel, and under pivot restrictions.
-        let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
-        for sigma in 1..=3 {
-            let dense = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
-            let sparse = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma))
-                .with_sparse_grouping();
-            assert_eq!(
-                dense.mine(&inputs).unwrap(),
-                sparse.mine(&inputs).unwrap(),
-                "sigma={sigma}"
-            );
-            assert_eq!(
-                sparse.mine_with_workers(&inputs, 3, None).unwrap().0,
-                dense.mine(&inputs).unwrap(),
-                "sigma={sigma} parallel"
-            );
-            for k in 1..=fx.dict.max_fid() {
-                for early_stop in [false, true] {
-                    let cfg = MinerConfig::for_pivot(sigma, k, early_stop);
-                    let dense = LocalMiner::new(&fx.fst, &fx.dict, cfg)
-                        .mine(&inputs)
-                        .unwrap();
-                    let sparse = LocalMiner::new(&fx.fst, &fx.dict, cfg)
-                        .with_sparse_grouping()
-                        .mine(&inputs)
-                        .unwrap();
-                    assert_eq!(dense, sparse, "sigma={sigma} k={k} stop={early_stop}");
-                }
-            }
-        }
+    fn loose_nyt_mines_desq_counts_result_eagerly_and_through_picks() {
         // A real corpus: hierarchy fan-out puts many items on one output
         // step, and every node holds many input sequences' raw segments.
-        // The reference is DESQ-COUNT, which shares no posting code.
+        // The reference is DESQ-COUNT, which shares no posting code: eager
+        // mining on one and three workers must give its result, and the
+        // pivot owning the most patterns, with early stopping, its share of
+        // it — eagerly and through `mine_picks` over an arena.
         let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
         let sigma = 10;
@@ -1739,17 +1614,85 @@ mod tests {
             let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(fst);
             let expect = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
             assert!(expect.len() > 10, "{name}: {} patterns", expect.len());
-            // The pivot owning the most patterns.
-            let mut owned = std::collections::BTreeMap::<ItemId, usize>::new();
-            for (p, _) in &expect {
-                *owned.entry(desq_core::sequence::pivot(p)).or_default() += 1;
+            let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(sigma));
+            for workers in [1, 3] {
+                let (mined, _) = miner.mine_with_workers(&inputs, workers, None).unwrap();
+                assert_eq!(mined, expect, "{name} workers={workers}");
             }
-            let pivot = owned
+            let (pivot, _) = top_pivot(&expect);
+            let share: Vec<_> = expect
                 .iter()
-                .max_by_key(|&(_, n)| n)
-                .map(|(&k, _)| k)
+                .filter(|(p, _)| desq_core::sequence::pivot(p) == pivot)
+                .cloned()
+                .collect();
+            let part = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, pivot, true));
+            assert_eq!(part.mine(&inputs).unwrap(), share, "{name} pivot={pivot}");
+            let (tables, picks, _) = arena_of(&miner, &inputs);
+            assert_eq!(
+                mined_picks(&part, &tables, &picks),
+                share,
+                "{name} picks pivot={pivot}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_accumulators_grow_to_the_largest_item_bound_and_no_further() {
+        // The accumulators cover the item bound — the frequent vocabulary,
+        // or the pivot below it — never the whole dictionary, whatever the
+        // partition's size. One scratch reused across partitions whose
+        // bound swings both ways, a few picks under the largest frequent
+        // pivot among them, holds the largest bound seen, and every
+        // partition mines what eager mining of its picks does.
+        let (dict, db, fsts) = nyt_loose();
+        let inputs = unit_inputs(&db);
+        let sigma = 10;
+        let last = dict.last_frequent(sigma);
+        assert!(last < dict.max_fid());
+        for (name, fst) in &fsts {
+            let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(sigma));
+            let (tables, picks, input_of) = arena_of(&miner, &inputs);
+            let bufs = miner.expand_bufs(tables.views());
+            assert_eq!(bufs.stats.acc.len(), last as usize + 1, "{name} eager");
+            // The tables whose sequence can produce the top pivot first,
+            // weighted so that a single one is frequent.
+            let top = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, last, true));
+            let (mut few, rest): (Vec<usize>, Vec<usize>) =
+                (0..tables.len()).partition(|&s| top.last_pivot_position(&tables, s).is_some());
+            assert!(!few.is_empty(), "{name}: no table holds pivot {last}");
+            few.extend(rest);
+            let few: Vec<(u32, u64)> = few[..3].iter().map(|&s| (s as u32, sigma)).collect();
+            let partitions = [
+                (last / 2, &picks[..]),
+                (last, &few[..1]),
+                (last / 4, &picks[..]),
+                (last, &few[..3]),
+                (last / 8, &few[..2]),
+            ];
+            let (mut scratch, mut widest) = (MinerScratch::default(), 0);
+            for (n, (pivot, part_picks)) in partitions.into_iter().enumerate() {
+                let early_stop = n % 2 == 1;
+                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
+                let part = LocalMiner::new(fst, &dict, cfg);
+                let mut mined = Vec::new();
+                part.mine_picks(&tables, part_picks, &mut scratch, &mut |p, f| {
+                    mined.push((p, f))
+                })
                 .unwrap();
-            assert_groupings_agree(fst, &dict, &inputs, sigma, pivot, &expect);
+                let eager_inputs: Vec<WeightedInput<'_>> = part_picks
+                    .iter()
+                    .map(|&(t, w)| (inputs[input_of[t as usize]].0, w))
+                    .collect();
+                let at = format!("{name} pivot={pivot} picks={}", part_picks.len());
+                assert_eq!(
+                    crate::sort_patterns(mined),
+                    part.mine(&eager_inputs).unwrap(),
+                    "{at}"
+                );
+                widest = widest.max(pivot as usize + 1);
+                assert_eq!(scratch.bufs.stats.acc.len(), widest, "{at}");
+            }
+            assert_eq!(widest, last as usize + 1, "{name}");
         }
     }
 
@@ -1760,21 +1703,13 @@ mod tests {
         builder: &LocalMiner<'_>,
         weight: u64,
     ) -> (SeqTables, Vec<(u32, u64)>) {
-        let mut tables = SeqTables::default();
-        let mut scratch = MinerScratch::default();
-        let picks = fx
+        let inputs: Vec<WeightedInput<'_>> = fx
             .db
             .sequences
             .iter()
-            .filter_map(|s| {
-                Some((
-                    builder
-                        .append_tables(s, &mut tables, &mut scratch)
-                        .unwrap()?,
-                    weight,
-                ))
-            })
+            .map(|s| (s.as_slice(), weight))
             .collect();
+        let (tables, picks, _) = arena_of(builder, &inputs);
         (tables, picks)
     }
 
@@ -1817,8 +1752,8 @@ mod tests {
     #[test]
     fn outputs_above_the_item_bound_stay_out_of_the_dense_accumulators() {
         // The arena holds every frequent output; a pivot partition sizes
-        // its dense accumulators by its own item bound, so the DFS must cut
-        // each output slice before indexing them.
+        // its accumulators by its own item bound, so the DFS must cut each
+        // output slice before indexing them.
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
@@ -1840,7 +1775,6 @@ mod tests {
                     mined.push((p, f))
                 })
                 .unwrap();
-            assert!(scratch.bufs.stats.dense, "k={k}");
             assert_eq!(scratch.bufs.stats.acc.len(), k as usize + 1, "k={k}");
             assert_eq!(
                 crate::sort_patterns(mined),
@@ -1863,19 +1797,7 @@ mod tests {
         let sigma = 10;
         let last = dict.last_frequent(sigma);
         let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
-        let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
-        let picks: Vec<(u32, u64)> = db
-            .sequences
-            .iter()
-            .filter_map(|s| {
-                Some((
-                    builder
-                        .append_tables(s, &mut tables, &mut scratch)
-                        .unwrap()?,
-                    1,
-                ))
-            })
-            .collect();
+        let (tables, picks, _) = arena_of(&builder, &unit_inputs(&db));
         let mine = |early_stop| {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             for pivot in 1..=last {
@@ -2039,26 +1961,11 @@ mod tests {
             // pivot owning the most patterns, an `append_tables` arena and
             // the merged build mine that partition as mining it from
             // scratch does.
-            let mut owned = std::collections::BTreeMap::<ItemId, usize>::new();
-            for (p, _) in &expect {
-                *owned.entry(desq_core::sequence::pivot(p)).or_default() += 1;
-            }
-            let (&pivot, _) = owned.iter().max_by_key(|&(_, n)| n).unwrap();
+            let (pivot, owned) = top_pivot(&expect);
             let part = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, pivot, true));
             let share = part.mine(&inputs).unwrap();
-            assert_eq!(share.len(), owned[&pivot], "{name}");
-            let (mut arena, mut scratch) = (SeqTables::default(), MinerScratch::default());
-            let picks: Vec<(u32, u64)> = inputs
-                .iter()
-                .filter_map(|&(seq, w)| {
-                    Some((
-                        miner
-                            .append_tables(seq, &mut arena, &mut scratch)
-                            .unwrap()?,
-                        w,
-                    ))
-                })
-                .collect();
+            assert_eq!(share.len(), owned, "{name}");
+            let (arena, picks, _) = arena_of(&miner, &inputs);
             assert_eq!(mined_picks(&part, &arena, &picks), share, "{name} arena");
             assert_eq!(
                 mined_picks(&part, &three, &all_picks(&three)),
@@ -2142,7 +2049,6 @@ mod tests {
         let views = tables.views();
         let roots: Vec<Posting> = miner.root_postings(views).collect();
         let mut bufs = miner.expand_bufs(views);
-        assert!(bufs.stats.dense);
         let mut first = DepthBufs::default();
         miner.collect_children(views, &roots, true, &mut bufs, &mut first);
         let records = bufs.raw.words.len();
