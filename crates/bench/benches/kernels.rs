@@ -226,6 +226,15 @@ fn bench_local_mining(c: &mut Criterion) {
     c.bench_function("mining/root_expand_n4_300seqs", |b| {
         b.iter(|| black_box(miner.first_level_count(&tables)))
     });
+    // N5's root over the same sequences: every output step lands in a
+    // state with no output left, so it counts supports and stores no
+    // posting.
+    let n5 = desq_dist::patterns::n5().compile(&dict).unwrap();
+    let n5_miner = LocalMiner::new(&n5, &dict, MinerConfig::sequential(30));
+    let n5_tables = n5_miner.prepare_tables(&inputs, 1).unwrap();
+    c.bench_function("mining/root_expand_n5_300seqs", |b| {
+        b.iter(|| black_box(n5_miner.first_level_count(&n5_tables)))
+    });
     c.bench_function("mining/desq_dfs_n4_300seqs", |b| {
         b.iter(|| black_box(miner.mine(&inputs).unwrap()))
     });

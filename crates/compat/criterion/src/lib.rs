@@ -3,9 +3,11 @@
 //! [`black_box`] and the [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Measurement is intentionally simple — a warm-up pass followed by
-//! `sample_size` timed iterations, reporting mean wall time per iteration.
-//! It is good enough for relative comparisons in development; the benches
-//! are kept compiling in CI via `cargo check --benches`.
+//! `sample_size` iterations, each timed on its own, reporting the mean wall
+//! time per iteration beside the median, minimum and maximum, so one run
+//! shows its own spread. It is good enough for relative comparisons in
+//! development; the benches are kept compiling in CI via
+//! `cargo check --benches`.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -47,20 +49,34 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `f`: one warm-up call, then `samples` measured iterations.
+    /// Times `f`: one warm-up call, then `samples` measured iterations,
+    /// each between its own two clock reads (which adds their cost, tens of
+    /// nanoseconds, to every iteration).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         black_box(f());
-        let t0 = Instant::now();
-        for _ in 0..self.samples {
-            black_box(f());
-        }
-        let per_iter = t0.elapsed() / self.samples.max(1) as u32;
+        let mut times: Vec<Duration> = (0..self.samples.max(1))
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(f());
+                t0.elapsed()
+            })
+            .collect();
+        let [mean, median, min, max] = spread(&mut times).map(format_duration);
         println!(
-            "    {:>12} /iter over {} iters",
-            format_duration(per_iter),
-            self.samples
+            "    {mean:>12} /iter over {} iters (median {median}, min {min}, max {max})",
+            times.len()
         );
     }
+}
+
+/// Mean, median, minimum and maximum of a non-empty set of iteration
+/// times (sorted in place).
+fn spread(times: &mut [Duration]) -> [Duration; 4] {
+    times.sort_unstable();
+    let n = times.len();
+    let mean = times.iter().sum::<Duration>() / n as u32;
+    let median = (times[(n - 1) / 2] + times[n / 2]) / 2;
+    [mean, median, times[0], times[n - 1]]
 }
 
 fn format_duration(d: Duration) -> String {
@@ -193,5 +209,18 @@ mod tests {
         group.sample_size(2);
         group.bench_function(BenchmarkId::new("f", 7), |b| b.iter(|| black_box(1 + 1)));
         group.finish();
+    }
+
+    #[test]
+    fn spread_reports_mean_median_and_extremes() {
+        let ms = Duration::from_millis;
+        let mut odd = [ms(9), ms(1), ms(2)];
+        assert_eq!(spread(&mut odd), [ms(4), ms(2), ms(1), ms(9)]);
+        let mut even = [ms(4), ms(1), ms(8), ms(3)];
+        assert_eq!(
+            spread(&mut even),
+            [ms(4), Duration::from_micros(3_500), ms(1), ms(8)]
+        );
+        assert_eq!(spread(&mut [ms(5)]), [ms(5); 4]);
     }
 }

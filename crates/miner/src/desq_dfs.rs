@@ -28,17 +28,20 @@
 //! aliveness and outputs as bit tests and directory slices: no ancestor
 //! binary searches, no output re-materialization, no dictionary access. A
 //! projected database is a run of 8-byte postings (input index,
-//! ε-completion flag, `(position, state)` cell) in a per-depth reusable
-//! buffer instead of a per-node hash map; the run's item is stored once,
-//! in the depth's run directory. The unordered child postings of the node
-//! being expanded go to one raw buffer per worker, which every depth
-//! reuses — one record per output step, holding its set id, not one per
-//! output item — and the node scatters them into its per-item runs before
-//! it recurses. Every node groups the same way: per-item accumulators,
-//! indexed by item up to the miner's item bound, count each child's
-//! postings and weighted supports as the walk pushes them, so the scatter
-//! places a frequent child's postings without sorting them. The ε-closure
-//! walk deduplicates cells in a bitset.
+//! `(position, state)` cell) in a per-depth reusable buffer instead of a
+//! per-node hash map; the run's item is stored once, in the depth's run
+//! directory. Only postings that can still grow the prefix are stored: a
+//! step to the sequence end, or into a state with no output left, only
+//! completes it, so it counts towards the child's supports and is never
+//! written. The live child postings of the node being expanded go to one
+//! raw buffer per worker, which every depth reuses — one record per
+//! output step, holding its set id, not one per output item — and the
+//! node scatters them into its per-item runs before it recurses. Every
+//! node groups the same way: per-item accumulators, indexed by item up to
+//! the miner's item bound, count each child's postings and weighted
+//! supports as the walk pushes them, so the scatter places a frequent
+//! child's postings without sorting them. The ε-closure walk deduplicates
+//! cells in a bitset.
 //!
 //! Search-tree exploration runs on the work-stealing scheduler of
 //! [`desq_core::sched`] at every worker count
@@ -69,8 +72,6 @@ use desq_core::fst::sim::{get_bit, ones, set_bit};
 use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
-#[cfg(test)]
-use desq_core::SequenceDb;
 use desq_core::{Dictionary, Fst, ItemId, Result, Sequence, EPSILON};
 
 /// Node depth (relative to a task's root) below which child subtrees may
@@ -166,30 +167,22 @@ struct MineTask {
     emit: u64,
 }
 
-/// One projected-database posting, packed `input index ‖ ε-flag ‖ cell`
-/// (32 + 1 + 31 bits, most significant first). The cell is the snapshot's
-/// `(last-read position i, state q)` coordinate `i · |Q| + q` — the
-/// coordinate of the visited bitset and of `eps_fin`, so the walk marks a
-/// seed without a multiply and recovers `(i, q)` with one div/mod. The
-/// ε-flag caches the cell's ε-completion bit so support counting never
-/// touches the tables again. A run's extension item is not stored per
-/// posting: it is the run's entry in [`DepthBufs::runs`].
+/// One projected-database posting, packed `input index ‖ cell` (32 + 32
+/// bits). The cell is the snapshot's `(last-read position i, state q)`
+/// coordinate `i · |Q| + q` — the coordinate of the visited bitset and of
+/// `eps_fin`, so the walk marks a seed without a multiply and recovers
+/// `(i, q)` with one div/mod. Only *live* snapshots are stored: one at the
+/// sequence end, or in a state that can produce no further output, only
+/// completes its prefix, so its step just counts towards the supports. A
+/// run's extension item is its entry in [`DepthBufs::runs`].
 /// [`fits_widths`] bounds every packed field when the tables are built.
 type Posting = u64;
 
 const _: () = assert!(std::mem::size_of::<Posting>() == 8);
 
-const EPS_FLAG: u32 = 1 << 31;
-
-/// A posting's low word: the cell under its ε-flag.
 #[inline]
-fn coord(cell: u32, eps: bool) -> u32 {
-    cell | if eps { EPS_FLAG } else { 0 }
-}
-
-#[inline]
-fn posting(s: u32, low: u32) -> Posting {
-    (s as u64) << 32 | low as u64
+fn posting(s: u32, cell: u32) -> Posting {
+    (s as u64) << 32 | cell as u64
 }
 
 #[inline]
@@ -199,21 +192,15 @@ fn p_seq(p: Posting) -> u32 {
 
 #[inline]
 fn p_cell(p: Posting) -> u32 {
-    p as u32 & !EPS_FLAG
-}
-
-#[cfg(test)]
-#[inline]
-fn p_eps(p: Posting) -> bool {
-    p as u32 & EPS_FLAG != 0
+    p as u32
 }
 
 /// Whether a sequence of `len` items, simulated over an FST with `states`
 /// states, fits the widths the DFS packs it into as input `index` with
 /// the three arena `starts` of [`SeqMeta`]: the index stays below
 /// `u32::MAX` (the accumulators' "no sequence yet" mark), every cell
-/// below 2³¹ — `(len + 1) · states` of them, with the ε-flag above — and
-/// every arena start within a `u32`.
+/// below 2³¹ — `(len + 1) · states` of them — and every arena start
+/// within a `u32`.
 fn fits_widths(index: usize, len: usize, states: usize, starts: [usize; 3]) -> bool {
     index < u32::MAX as usize
         && (len as u128 + 1) * (states as u128) < 1 << 31
@@ -443,16 +430,16 @@ struct DepthBufs {
     runs: Vec<(ItemId, std::ops::Range<usize>, u64)>,
 }
 
-/// The unordered child postings of the node being expanded, as the closure
-/// walk pushes them. Grouping consumes them before the node recurses, so
-/// one instance per worker serves every depth.
+/// The unordered live child postings of the node being expanded, as the
+/// closure walk pushes them. Grouping consumes them before the node
+/// recurses, so one instance per worker serves every depth.
 #[derive(Default)]
 struct RawChildren {
-    /// One `set id ‖ posting low word` record per output step
-    /// ([`PIVOT_ONLY`] for a step narrowed to the pivot). The scatter
-    /// recovers the step's child items from the directory through the
-    /// walk's own [`StepCut`], so a step with many output items costs one
-    /// record, not one per item.
+    /// One `set id ‖ cell` record per output step into a live cell
+    /// ([`PIVOT_ONLY`] for a step narrowed to the pivot); a step into a
+    /// dead cell writes none. The scatter recovers the step's child items
+    /// from the directory through the walk's own [`StepCut`], so a step
+    /// with many output items costs one record, not one per item.
     words: Vec<u64>,
     /// Per input sequence with child postings, its index and the end of
     /// its stretch of `words` (a node's raw records are counted in `u32`,
@@ -516,10 +503,11 @@ impl<'a> StepCut<'a> {
     }
 }
 
-/// Per-item accumulator of one node expansion, packed so every posting
-/// push touches a single cache line: posting count (reused as the scatter
-/// cursor), the last counted input index for the prefix and emission
-/// supports, and the weighted supports themselves.
+/// Per-item accumulator of one node expansion, packed so every output
+/// step touches a single cache line: live posting count (reused as the
+/// scatter cursor), the last counted input index for the prefix and
+/// emission supports (`u32::MAX`: untouched), and the weighted supports
+/// themselves, which dead steps count too.
 #[derive(Clone)]
 struct ItemAcc {
     count: u32,
@@ -560,9 +548,12 @@ struct ExpandBufs {
     stats: ItemStats,
     raw: RawChildren,
     depths: Vec<DepthBufs>,
-    /// Search-tree nodes expanded so far.
+    /// Search-tree nodes visited so far.
     #[cfg(test)]
     nodes: usize,
+    /// Dead postings (see [`Posting`]) found in the visited nodes.
+    #[cfg(test)]
+    dead: usize,
 }
 
 /// Reusable scratch of one thread that grows a long-lived [`SeqTables`]
@@ -729,13 +720,14 @@ impl<'a> LocalMiner<'a> {
 
     /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
     /// the root node and runs [`expand`](Self::expand) on one worker per
-    /// element of `sinks`, handing the sinks back in worker order. Every
-    /// frequent pattern goes to `emit` with the discovering worker's sink,
-    /// after a poll of `cancel` — per pattern, so a deadline is bounded even
-    /// when the whole search is one task. An `emit` returning `false` raises
-    /// `stop`: the run ends early, not in error. A tripped token and a
-    /// panicking task (or `emit`) behave as [`sched::run_scheduler`]
-    /// documents.
+    /// element of `sinks`, handing the sinks (and scratch) back in worker
+    /// order. Every frequent pattern goes to `emit` with the discovering
+    /// worker's sink, after a poll of `cancel` — per pattern, so a deadline
+    /// is bounded even when the whole search is one task. An `emit`
+    /// returning `false` raises `stop`: the run ends early, not in error. A
+    /// tripped token and a panicking task (or `emit`) behave as
+    /// [`sched::run_scheduler`] documents.
+    #[allow(clippy::type_complexity)]
     fn drive<W: Send>(
         &self,
         inputs: &[WeightedInput<'_>],
@@ -743,7 +735,7 @@ impl<'a> LocalMiner<'a> {
         sinks: Vec<W>,
         stop: &AtomicBool,
         emit: impl Fn(&mut W, Sequence, u64) -> bool + Sync,
-    ) -> Result<(Vec<WorkerStats>, Vec<W>)> {
+    ) -> Result<(Vec<WorkerStats>, Vec<(W, ExpandBufs)>)> {
         let tables = self.prepare_tables_cancellable(inputs, sinks.len(), cancel)?;
         let views = tables.views();
         let root = MineTask {
@@ -756,7 +748,7 @@ impl<'a> LocalMiner<'a> {
             .into_iter()
             .map(|sink| (sink, self.expand_bufs(views)))
             .collect();
-        let (stats, states) = sched::run_scheduler(
+        sched::run_scheduler(
             vec![root],
             states,
             stop,
@@ -779,8 +771,7 @@ impl<'a> LocalMiner<'a> {
                 }
                 Ok(())
             },
-        )?;
-        Ok((stats, states.into_iter().map(|(sink, _)| sink).collect()))
+        )
     }
 
     /// Mines with `workers` workers on the work-stealing scheduler of
@@ -817,7 +808,7 @@ impl<'a> LocalMiner<'a> {
             },
         )?;
         // The first buffer is adopted, not copied.
-        let mut buffers = buffers.into_iter();
+        let mut buffers = buffers.into_iter().map(|(out, _)| out);
         let mut merged = buffers.next().unwrap_or_default();
         for out in buffers {
             merged.extend(out);
@@ -1015,11 +1006,15 @@ impl<'a> LocalMiner<'a> {
     }
 
     /// The root projection: every sequence at `(0, initial)`, whose cell is
-    /// the initial state. Views hold fewer than `u32::MAX` sequences
-    /// ([`fits_widths`]), so every index fits.
+    /// the initial state — unless that cell is dead (see [`Posting`]). Views
+    /// hold fewer than `u32::MAX` sequences ([`fits_widths`]), so every
+    /// index fits.
     fn root_postings<'v>(&self, views: Views<'v>) -> impl Iterator<Item = Posting> + 'v {
-        let q0 = coord(self.fst.initial(), false);
-        (0..views.metas.len() as u32).map(move |s| posting(s, q0))
+        let q0 = self.fst.initial();
+        let live = self.fst.index().can_output(q0 as usize);
+        let seqs = 0..views.metas.len() as u32;
+        seqs.filter(move |&s| live && views.metas[s as usize].len > 0)
+            .map(move |s| posting(s, q0))
     }
 
     /// ε-closure, child expansion and grouping of one node.
@@ -1028,17 +1023,18 @@ impl<'a> LocalMiner<'a> {
     /// bitset-deduplicated walk per input sequence, seeded with all of the
     /// sequence's postings (their closures overlap heavily, and the
     /// children are a set anyway). Every output-producing step yields its
-    /// child items through the node's [`StepCut`] and is recorded once, as
-    /// a `set id ‖ low word` in `bufs.raw` ([`PIVOT_ONLY`] for a step
-    /// narrowed to the pivot), closing the sequence's segment. Per-item
-    /// posting counts and weighted prefix and emission supports accumulate
-    /// in the item-indexed `bufs.stats` on the fly, so grouping is a single
-    /// stable scatter into `d.grouped` that asks the same `StepCut` for
-    /// each record's items again: postings of children below σ are dropped
-    /// without ever being ordered, and only the node's distinct child items
-    /// are sorted. `d.runs` then directs the recursion (ascending items,
-    /// each run grouped by input index), and the raw buffer is free again
-    /// before any child is mined. Duplicate postings (same cell reached
+    /// child items through the node's [`StepCut`]; a step into a live cell
+    /// (see [`Posting`]) is recorded once, as a `set id ‖ cell` in
+    /// `bufs.raw` ([`PIVOT_ONLY`] for a step narrowed to the pivot),
+    /// closing the sequence's segment, and one into a dead cell is not
+    /// recorded at all. Per-item live posting counts and weighted prefix
+    /// and emission supports of every step accumulate in `bufs.stats` on
+    /// the fly, so grouping is a single stable scatter into `d.grouped`
+    /// that asks the same `StepCut` for each record's items again: children
+    /// below σ are dropped without ever being ordered, one without live
+    /// postings gets an empty run, and only the distinct child items are
+    /// sorted. `d.runs` then directs the recursion (ascending items, each
+    /// run grouped by input index). Duplicate postings (same cell reached
     /// from several closure seeds) are tolerated — the next level's walk
     /// absorbs them, and the distinct-sequence support counting is
     /// insensitive to them.
@@ -1091,17 +1087,15 @@ impl<'a> LocalMiner<'a> {
             walk.stack.clear();
             while idx < node.len() && p_seq(node[idx]) == s {
                 let cell = p_cell(node[idx]);
+                // Live (see `Posting`): before the end, output still ahead.
                 let (i0, q0) = (cell / qn, cell % qn);
-                if i0 <= stop && ix.can_output(q0 as usize) && walk.mark(cell) {
+                if i0 <= stop && walk.mark(cell) {
                     walk.stack.push((i0, q0));
                 }
                 idx += 1;
             }
             while let Some((i, q)) = walk.stack.pop() {
                 let iu = i as usize;
-                if iu == len {
-                    continue;
-                }
                 let row = &mask[iu * w..(iu + 1) * w];
                 for tr in ix.state(q as usize) {
                     // Match + target-aliveness in one precomputed bit.
@@ -1126,14 +1120,16 @@ impl<'a> LocalMiner<'a> {
                         continue;
                     }
                     let eps = get_bit(eps_fin, target as usize);
-                    raw.words
-                        .push((record as u64) << 32 | coord(target, eps) as u64);
+                    let live = iu + 1 < len && ix.can_output(tr.to as usize);
+                    if live {
+                        raw.words.push((record as u64) << 32 | target as u64);
+                    }
                     for &item in items {
                         let a = &mut stats.acc[item as usize];
-                        if a.count == 0 {
+                        if a.last_seq == u32::MAX {
                             stats.items.push(item);
                         }
-                        a.count += 1;
+                        a.count += live as u32;
                         if a.last_seq != s {
                             a.last_seq = s;
                             a.support += t.weight;
@@ -1191,14 +1187,16 @@ impl<'a> LocalMiner<'a> {
 
     /// Expands one search-tree node; `support` is the node's precomputed
     /// ε-completion (emission) support. Returns `false` iff the sink
-    /// stopped the traversal.
+    /// stopped the traversal. A node without postings has no children: it
+    /// returns right after its emission, taking no depth buffer.
     ///
     /// Under a scheduler (`ctx` given), a shallow node (task-relative
     /// `depth < SPLIT_DEPTH`) whose worker has thieves to feed
     /// ([`TaskCtx::wants_tasks`]) splits all child runs after the first off
-    /// as stealable [`MineTask`]s instead of recursing into them. The split
-    /// children are pushed *before* the inline descent into the first
-    /// child, so thieves can start on them immediately.
+    /// as stealable [`MineTask`]s instead of recursing into them, except
+    /// the empty ones, which only emit. The split children are pushed
+    /// *before* the inline descent into the first child, so thieves can
+    /// start on them immediately.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
@@ -1224,6 +1222,10 @@ impl<'a> LocalMiner<'a> {
         #[cfg(test)]
         {
             bufs.nodes += 1;
+            bufs.dead += tests::dead_postings(self.fst, views, node);
+        }
+        if node.is_empty() {
+            return true;
         }
         while bufs.depths.len() <= depth {
             bufs.depths.push(DepthBufs::default());
@@ -1233,11 +1235,12 @@ impl<'a> LocalMiner<'a> {
 
         // Always keep the first child inline (splitting everything would
         // leave this worker with nothing but its own bookkeeping).
-        let inline_upto = match ctx {
+        let split = match ctx {
             Some(ctx)
                 if depth < SPLIT_DEPTH && d.runs.len() > 1 && ctx.wants_tasks(SHARE_LIMIT) =>
             {
-                let split = d.runs[1..].iter().map(|(w, range, emit)| {
+                let runs = d.runs[1..].iter().filter(|(_, range, _)| !range.is_empty());
+                let split = runs.map(|(w, range, emit)| {
                     let mut task_prefix = Sequence::with_capacity(prefix.len() + 1);
                     task_prefix.extend_from_slice(prefix);
                     task_prefix.push(*w);
@@ -1249,15 +1252,18 @@ impl<'a> LocalMiner<'a> {
                     }
                 });
                 ctx.spawn_all(split.collect());
-                1
+                true
             }
-            _ => d.runs.len(),
+            _ => false,
         };
 
         // Recurse per frequent child run (ascending item order); runs below
         // the prefix-support bound σ were already dropped while grouping.
         let mut keep_going = true;
-        for (w, range, emit) in &d.runs[..inline_upto] {
+        for (n, (w, range, emit)) in d.runs.iter().enumerate() {
+            if split && n > 0 && !range.is_empty() {
+                continue; // a task now
+            }
             prefix.push(*w);
             let child_pivot = has_pivot || Some(*w) == self.config.pivot;
             keep_going = self.expand(
@@ -1281,26 +1287,24 @@ impl<'a> LocalMiner<'a> {
     }
 }
 
-/// Sequential DESQ-DFS over a whole database (each sequence has weight 1);
-/// the tests' shorthand for the [`LocalMiner`] eager path.
-#[cfg(test)]
-pub(crate) fn desq_dfs_impl(
-    db: &SequenceDb,
-    fst: &Fst,
-    dict: &Dictionary,
-    sigma: u64,
-) -> Vec<(Sequence, u64)> {
-    let inputs: Vec<WeightedInput<'_>> = db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
-    LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
-        .mine(&inputs)
-        .unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use desq_core::mining::{Miner, MiningContext};
-    use desq_core::toy;
+    use desq_core::{toy, SequenceDb};
+
+    /// Sequential DESQ-DFS over a whole database (each sequence has weight
+    /// 1): the tests' shorthand for the [`LocalMiner`] eager path.
+    fn desq_dfs_impl(
+        db: &SequenceDb,
+        fst: &Fst,
+        dict: &Dictionary,
+        sigma: u64,
+    ) -> Vec<(Sequence, u64)> {
+        LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
+            .mine(&unit_inputs(db))
+            .unwrap()
+    }
 
     fn unit_inputs(db: &SequenceDb) -> Vec<WeightedInput<'_>> {
         db.sequences.iter().map(|s| (s.as_slice(), 1)).collect()
@@ -2037,35 +2041,169 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_dense_root_records_one_raw_word_per_output_step() {
-        // N5's root over `nyt_like(1 000)`: every output step carries a
-        // generalization hierarchy's worth of items, and the raw buffer
-        // holds one record per step, not one word per item.
-        let (dict, db, [_, (_, n5)]) = nyt_loose();
-        let inputs = unit_inputs(&db);
-        let miner = LocalMiner::new(&n5, &dict, MinerConfig::sequential(10));
-        let tables = miner.prepare_tables(&inputs, 1).unwrap();
+    /// The root of `fst` over `tables` at σ = 10: the raw records left
+    /// in the buffer, their items, and the grouped frequent children.
+    fn root_children(fst: &Fst, dict: &Dictionary, tables: &SeqTables) -> (RawChildren, DepthBufs) {
+        let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(10));
         let views = tables.views();
         let roots: Vec<Posting> = miner.root_postings(views).collect();
         let mut bufs = miner.expand_bufs(views);
         let mut first = DepthBufs::default();
         miner.collect_children(views, &roots, true, &mut bufs, &mut first);
-        let records = bufs.raw.words.len();
-        let items: usize = bufs
-            .raw
+        (bufs.raw, first)
+    }
+
+    #[test]
+    fn the_dense_root_records_one_raw_word_per_live_output_step() {
+        // N4's root over `nyt_like(1 000)`: every output step carries a
+        // generalization hierarchy's worth of items into a state that
+        // still has two captures to output, and the raw buffer holds one
+        // record per step, not one word per item.
+        let (dict, db, [(_, n4), (_, n5)]) = nyt_loose();
+        let inputs = unit_inputs(&db);
+        let last = dict.last_frequent(10);
+        let tables = LocalMiner::new(&n4, &dict, MinerConfig::sequential(10))
+            .prepare_tables(&inputs, 1)
+            .unwrap();
+        let (raw, first) = root_children(&n4, &dict, &tables);
+        let items: usize = raw
             .words
             .iter()
-            .map(|&w| {
-                tables
-                    .sim
-                    .set((w >> 32) as u32, dict.last_frequent(10))
-                    .len()
-            })
+            .map(|&w| tables.sim.set((w >> 32) as u32, last).len())
             .sum();
-        assert_eq!((records, items), (14_061, 30_556));
+        assert_eq!((raw.words.len(), items), (3_222, 7_350));
         // Every item of every step lands in a frequent run or is dropped.
         assert!(first.grouped.len() <= items);
+        // N5 captures one item and outputs nothing after it: every step
+        // of its root lands in a dead cell, so the root writes no record
+        // and groups no posting, yet finds the same 269 frequent children
+        // with the same emission supports as when it stored them all
+        // (14 061 records, 30 556 grouped postings) — DESQ-COUNT's
+        // one-item patterns.
+        let tables = LocalMiner::new(&n5, &dict, MinerConfig::sequential(10))
+            .prepare_tables(&inputs, 1)
+            .unwrap();
+        let (raw, first) = root_children(&n5, &dict, &tables);
+        assert_eq!((raw.words.len(), first.grouped.len()), (0, 0));
+        let runs: Vec<(ItemId, u64)> = first.runs.iter().map(|(w, _, e)| (*w, *e)).collect();
+        let sums = runs
+            .iter()
+            .fold((0, 0), |(e, we), &(w, f)| (e + f, we + w as u64 * f));
+        assert_eq!((runs.len(), sums), (269, (19_978, 881_144)));
+        assert!(runs.iter().zip(1..).all(|(&(w, _), k)| w == k));
+        assert!(first.runs.iter().all(|(_, range, _)| range.is_empty()));
+        let ctx = MiningContext::sequential(&db, &dict, 10).with_fst(&n5);
+        let expect = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
+        let singles: Vec<(ItemId, u64)> = expect.iter().map(|(p, f)| (p[0], *f)).collect();
+        assert!(expect.iter().all(|(p, _)| p.len() == 1));
+        assert_eq!(runs, singles);
+    }
+
+    /// How many of `node`'s postings are dead: at their sequence's end, or
+    /// in a state of `fst` that can produce no further output.
+    pub(super) fn dead_postings(fst: &Fst, views: Views<'_>, node: &[Posting]) -> usize {
+        let qn = fst.num_states() as u32;
+        let dead = |&p: &Posting| {
+            let (i, q) = (p_cell(p) / qn, p_cell(p) % qn);
+            i == views.metas[p_seq(p) as usize].len || !fst.index().can_output(q as usize)
+        };
+        node.iter().filter(|p| dead(p)).count()
+    }
+
+    /// Eager mining of `inputs` on `workers` workers: the sorted patterns,
+    /// and the nodes visited and dead postings found over all workers.
+    fn mined_and_counted(
+        miner: &LocalMiner<'_>,
+        inputs: &[WeightedInput<'_>],
+        workers: usize,
+    ) -> (Vec<(Sequence, u64)>, usize, usize) {
+        let stop = AtomicBool::new(false);
+        let (_, states) = miner
+            .drive(
+                inputs,
+                None,
+                vec![Vec::new(); workers],
+                &stop,
+                |out, p, f| {
+                    out.push((p, f));
+                    true
+                },
+            )
+            .unwrap();
+        let (mut mined, mut nodes, mut dead) = (Vec::new(), 0, 0);
+        for (out, bufs) in states {
+            mined.extend(out);
+            nodes += bufs.nodes;
+            dead += bufs.dead;
+        }
+        (crate::sort_patterns(mined), nodes, dead)
+    }
+
+    /// Mines `db` at `sigma` unrestricted and under each of `pivots` with
+    /// and without early stopping — eagerly on one and three workers, and
+    /// through `mine_picks` over an arena — and checks every run against
+    /// DESQ-COUNT's result (its pivot's share of it) and for dead postings.
+    fn assert_no_dead_posting(
+        fst: &Fst,
+        dict: &Dictionary,
+        db: &SequenceDb,
+        sigma: u64,
+        pivots: &[ItemId],
+    ) {
+        let inputs = unit_inputs(db);
+        let ctx = MiningContext::sequential(db, dict, sigma).with_fst(fst);
+        let all = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
+        let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+        let (tables, picks, _) = arena_of(&builder, &inputs);
+        let configs = pivots.iter().flat_map(|&k| {
+            [false, true].map(|early_stop| MinerConfig::for_pivot(sigma, k, early_stop))
+        });
+        for cfg in std::iter::once(MinerConfig::sequential(sigma)).chain(configs) {
+            let expect: Vec<_> = all
+                .iter()
+                .filter(|(p, _)| cfg.pivot.is_none_or(|k| desq_core::sequence::pivot(p) == k))
+                .cloned()
+                .collect();
+            let miner = LocalMiner::new(fst, dict, cfg);
+            for workers in [1, 3] {
+                let at = format!("σ={sigma} {cfg:?} workers={workers}");
+                let (mined, nodes, dead) = mined_and_counted(&miner, &inputs, workers);
+                assert_eq!(mined, expect, "{at}");
+                assert!(nodes > 0, "{at}");
+                assert_eq!(dead, 0, "{at}");
+            }
+            let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
+            miner
+                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                    mined.push((p, f))
+                })
+                .unwrap();
+            assert_eq!(
+                crate::sort_patterns(mined),
+                expect,
+                "σ={sigma} {cfg:?} picks"
+            );
+            assert_eq!(scratch.bufs.dead, 0, "σ={sigma} {cfg:?} picks");
+        }
+    }
+
+    #[test]
+    fn no_stored_posting_is_dead() {
+        // A posting at its sequence's end, or in a state with no output
+        // left, can only complete its prefix: its step counts towards the
+        // child's supports, and no node or split task of any path holds it.
+        let fx = toy::fixture();
+        let pivots: Vec<ItemId> = (1..=fx.dict.max_fid()).collect();
+        for sigma in [1, 2] {
+            assert_no_dead_posting(&fx.fst, &fx.dict, &fx.db, sigma, &pivots);
+        }
+        let (dict, db, fsts) = nyt_loose();
+        let sigma = 10;
+        for (_, fst) in &fsts {
+            let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(fst);
+            let (pivot, _) = top_pivot(&crate::algo::DesqCount.mine(&ctx).unwrap().patterns);
+            assert_no_dead_posting(fst, &dict, &db, sigma, &[pivot]);
+        }
     }
 
     #[test]
@@ -2164,10 +2302,10 @@ mod tests {
         // predicate test), so every id stays below the raw records'
         // reserved one.
         assert_eq!(max, PIVOT_ONLY as usize);
-        // The largest cell of a fitting sequence leaves the ε-flag clear.
+        // The largest index and cell of a fitting sequence round-trip.
         let top = (((1 << 15) - 1) << 16) - 1;
-        assert_eq!(p_cell(posting(u32::MAX - 1, coord(top, true))), top);
-        assert!(!p_eps(posting(u32::MAX - 1, coord(top, false))));
+        let p = posting(u32::MAX - 1, top);
+        assert_eq!((p_seq(p), p_cell(p)), (u32::MAX - 1, top));
     }
 
     #[test]
