@@ -18,10 +18,10 @@
 //! `desq-miner` restricted to pivot sequences. Blanks are encoded as
 //! [`EPSILON`] and never match.
 
-use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
+use desq_dist::bsp::{run_round, Combiner, Exec, InProcess};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
@@ -198,11 +198,10 @@ impl Miner for LashConfig {
     }
 }
 
-/// One BSP round on `ctx`'s engine: LASH rewrites per pivot on the map
+/// One BSP round over `ctx`: LASH rewrites per pivot on the map
 /// side, the pivot-restricted gap miner per partition on the reduce side.
 fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult> {
     let (dict, sigma) = (ctx.dict, ctx.sigma);
-    let t0 = std::time::Instant::now();
     let last_frequent = dict.last_frequent(sigma);
 
     let map = |part: &[Sequence], out: &mut Combiner| {
@@ -243,8 +242,8 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
         Ok(())
     };
 
-    let round = desq_bsp::map_combine_reduce_via(ctx, &InProcess, map, || (), reduce)?;
-    Ok(desq_dist::job_result(round, t0, ctx))
+    let round = run_round(ctx, Exec::Via(&InProcess), map, || (), reduce)?;
+    Ok(round.expect("a driven round has a result"))
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_bsp::{map_combine_reduce_via, Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashSet;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
+use desq_dist::bsp::{run_round, Combiner, Exec, InProcess};
 use desq_dist::MiningResult;
 use desq_miner::PrefixSpan;
 
@@ -48,15 +48,23 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let sigma = ctx.sigma;
     let t0 = std::time::Instant::now();
     if max_len == 0 {
-        let round = (Vec::new(), MiningMetrics::default());
-        return Ok(desq_dist::job_result(round, t0, ctx));
+        let metrics = MiningMetrics {
+            workers: ctx.workers as u64,
+            input_sequences: ctx.db.len() as u64,
+            ..MiningMetrics::default()
+        };
+        return Ok(MiningResult {
+            patterns: Vec::new(),
+            metrics,
+        });
     }
+    let driven = |round: Option<MiningResult>| round.expect("a driven round has a result");
 
     // Round 1: frequent items (distributed word count with combining; the
     // payload is empty — only the per-item weights matter).
-    let (freq_items, m1) = map_combine_reduce_via(
+    let round1 = driven(run_round(
         ctx,
-        &InProcess,
+        Exec::Via(&InProcess),
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             for seq in part {
@@ -77,13 +85,13 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             }
             Ok(())
         },
-    )?;
-    let frequent: FxHashSet<ItemId> = freq_items.iter().map(|(w, _)| w[0]).collect();
+    )?);
+    let frequent: FxHashSet<ItemId> = round1.patterns.iter().map(|(w, _)| w[0]).collect();
 
     // Round 2: prefix projection by first item + local PrefixSpan.
-    let (patterns, m2) = map_combine_reduce_via(
+    let round2 = driven(run_round(
         ctx,
-        &InProcess,
+        Exec::Via(&InProcess),
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             let mut suffix: Sequence = Sequence::new();
@@ -136,13 +144,15 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             }
             Ok(())
         },
-    )?;
+    )?);
+    let (m1, m2) = (round1.metrics, round2.metrics);
 
     // Both rounds' measurements are summed — this faithfully exposes the
     // extra communication relative to the single-round D-SEQ/D-CAND. Both
     // rounds shuffle into the same `ctx.reducers` buckets, so a bucket's
     // volume is the sum of its two rounds'.
-    let job = MiningMetrics {
+    let metrics = MiningMetrics {
+        wall_nanos: t0.elapsed().as_nanos() as u64,
         map_nanos: m1.map_nanos + m2.map_nanos,
         reduce_nanos: m1.reduce_nanos + m2.reduce_nanos,
         emitted_records: m1.emitted_records + m2.emitted_records,
@@ -155,16 +165,18 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             .zip(&m2.reducer_bytes)
             .map(|(a, b)| a + b)
             .collect(),
-        output_records: patterns.len() as u64,
         tasks: m1.tasks + m2.tasks,
         steals: m1.steals + m2.steals,
         retried_tasks: m1.retried_tasks + m2.retried_tasks,
         peer_timeouts: m1.peer_timeouts + m2.peer_timeouts,
         max_task_nanos: m1.max_task_nanos.max(m2.max_task_nanos),
         cancelled: m1.cancelled || m2.cancelled,
-        ..MiningMetrics::default()
+        ..m2
     };
-    Ok(desq_dist::job_result((patterns, job), t0, ctx))
+    Ok(MiningResult {
+        patterns: round2.patterns,
+        metrics,
+    })
 }
 
 #[cfg(test)]

@@ -18,9 +18,6 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use desq_bsp::engine::merge_bucket_sizes;
-use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{InProcess, MapTaskOut};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
@@ -28,8 +25,11 @@ use desq_core::fx::FxHashMap;
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
+use desq_dist::bsp::engine::merge_bucket_sizes;
+use desq_dist::bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
+use desq_dist::bsp::{Exec, InProcess, MapTaskOut};
 use desq_dist::dcand::{merge_pivots, Mapper};
-use desq_dist::dseq::{d_seq_via, DSeqConfig};
+use desq_dist::dseq::{d_seq, DSeqConfig};
 use desq_dist::{PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 use desq_oracle::{candidates, runs, Grid};
@@ -392,7 +392,7 @@ fn bench_dseq(c: &mut Criterion) {
         .with_fst(&n4)
         .with_parallelism(2, 2);
     let recording = Recording::default();
-    d_seq_via(&ctx, &recording, DSeqConfig::default()).unwrap();
+    d_seq(&ctx, Exec::Via(&recording), DSeqConfig::default()).unwrap();
     let buckets = recording.0.into_inner().unwrap();
     c.bench_function("bsp/merge_dseq_n4_2k", |b| {
         b.iter(|| {
@@ -456,6 +456,13 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_grid, bench_pivot_search, bench_merge, bench_nfa, bench_fst_opt,
-              bench_codec, bench_local_mining, bench_counting, bench_dseq
+              bench_codec, bench_local_mining, bench_counting
 }
-criterion_main!(kernels);
+// D-SEQ's reduce-side kernels are quoted for reducer changes of a few
+// percent: fifty timed iterations give one run a median that resolves them.
+criterion_group! {
+    name = reducers;
+    config = Criterion::default().sample_size(50);
+    targets = bench_dseq
+}
+criterion_main!(kernels, reducers);

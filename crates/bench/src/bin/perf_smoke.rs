@@ -30,6 +30,8 @@ use std::time::Instant;
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
+use desq_dist::bsp::{Exec, InProcess, NetCoordinator};
+use desq_dist::dseq::d_seq;
 use desq_dist::patterns::Constraint;
 
 /// Sequences in the generated NYT-like corpus.
@@ -310,9 +312,10 @@ fn dist_net_worker_main(addr: &str, constraint: &str) {
     let fst = c.compile(&dict).unwrap();
     println!("ready");
     std::io::stdout().flush().expect("flush readiness line");
-    desq_dist::dseq::d_seq_worker(
+    let addr = addr.parse().expect("coordinator address");
+    d_seq(
         &dist_ctx(&db, &dict, &fst),
-        addr.parse().expect("coordinator address"),
+        Exec::Worker(addr),
         desq_dist::DSeqConfig::default(),
     )
     .expect("worker run");
@@ -343,8 +346,9 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
     let mut patterns = 0;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let res = desq_dist::dseq::d_seq_via(&ctx, &desq_bsp::InProcess, config)
-            .expect("in-process reference run");
+        let res = d_seq(&ctx, Exec::Via(&InProcess), config)
+            .expect("in-process reference run")
+            .expect("a driven round has a result");
         local_secs = local_secs.min(t0.elapsed().as_secs_f64());
         patterns = res.patterns.len();
     }
@@ -358,7 +362,7 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
     let (mut shuffle_bytes, mut retried_tasks, mut peer_timeouts, mut max_task_nanos) =
         (0, 0, 0, 0);
     for _ in 0..NET_REPS {
-        let coord = desq_bsp::NetCoordinator::bind("127.0.0.1:0").expect("bind coordinator");
+        let coord = NetCoordinator::bind("127.0.0.1:0").expect("bind coordinator");
         let addr = coord.local_addr().expect("coordinator address");
         let mut children = Vec::new();
         for _ in 0..NET_WORKERS {
@@ -375,7 +379,9 @@ fn measure_dist_net(c: &Constraint) -> NetRow {
             children.push(child);
         }
         let t0 = Instant::now();
-        let res = desq_dist::dseq::d_seq_via(&ctx, &coord, config).expect("networked run");
+        let res = d_seq(&ctx, Exec::Via(&coord), config)
+            .expect("networked run")
+            .expect("a driven round has a result");
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(res.patterns.len(), patterns, "network run must match local");
         if secs < net_secs {

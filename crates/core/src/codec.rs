@@ -1,5 +1,5 @@
 //! Varint and item-sequence byte codecs — the wire format shared by the
-//! shuffle layer (`desq-bsp`) and the flat counting path
+//! shuffle layer (`desq_dist::bsp`) and the flat counting path
 //! ([`crate::fst::flat`]).
 //!
 //! The format is LEB128 varints for integers; item *sequences* (candidate

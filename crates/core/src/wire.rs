@@ -1,5 +1,5 @@
 //! The workspace's one wire layer. The `desq-serve` query protocol and the
-//! `desq-bsp` shuffle protocol are message enums over this grammar:
+//! `desq_dist::bsp` shuffle protocol are message enums over this grammar:
 //!
 //! ```text
 //! frame   := varint(payload_len) payload

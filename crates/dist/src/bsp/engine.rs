@@ -59,6 +59,7 @@
 //! [`stop_reason`](CancelToken::stop_reason).
 
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -69,9 +70,21 @@ use desq_core::codec::{
 use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, FxHashMap, ProbeTable};
 use desq_core::mining::{CancelToken, MiningContext};
 use desq_core::sched::{self, IndexedRun};
-use desq_core::{wire, Error, ItemId, MiningMetrics, Result, Sequence};
+use desq_core::{wire, Error, ItemId, MiningMetrics, MiningResult, Result, Sequence};
 
-use crate::transport::{PhaseStats, ShuffleTransport};
+use super::transport::{worker_loop, PhaseStats, ShuffleTransport};
+
+/// The shuffle's one width check: whether `n` — an id table's length
+/// after an insert, or a payload arena's end offset — fits the `u32` it
+/// is packed into. Where it does not, the round fails [`Error::Invalid`].
+fn fits_u32(n: usize) -> bool {
+    u32::try_from(n).is_ok()
+}
+
+/// The error of a shuffle table that outgrew its `u32` ids or offsets.
+fn too_wide(what: &str) -> Error {
+    Error::Invalid(format!("{what} exceed the u32 range of the shuffle"))
+}
 
 /// The routing hash of a pivot key: [`hash_bytes`] over its varint, the
 /// bytes the key has on the wire.
@@ -102,7 +115,7 @@ struct CombineEntry {
     weight: u64,
 }
 
-/// Map-side emitter of [`map_combine_reduce_via`].
+/// Map-side emitter of [`run_round`].
 ///
 /// [`emit`](Combiner::emit) performs MapReduce-style *weighted
 /// deduplication*: triples with identical `(pivot, payload)` within one map
@@ -110,7 +123,9 @@ struct CombineEntry {
 /// an opaque pre-encoded byte string — callers serialize it **once** per
 /// logical value (e.g. one rewritten sequence shared by many pivot keys)
 /// and pass the same slice to every `emit`; the combiner interns it so
-/// each bucket chunk stores the bytes at most once.
+/// each bucket chunk stores the bytes at most once. A map task whose
+/// payload bytes or records outgrow the `u32` ids and offsets fails the
+/// round with [`Error::Invalid`].
 pub struct Combiner {
     reducers: usize,
     /// Payload intern table: hash → payload id.
@@ -125,6 +140,8 @@ pub struct Combiner {
     entry_table: ProbeTable,
     entries: Vec<CombineEntry>,
     emitted: u64,
+    /// The first `emit` that did not fit, returned by `into_task_out`.
+    overflow: Option<Error>,
 }
 
 impl Combiner {
@@ -139,6 +156,7 @@ impl Combiner {
             entry_table: ProbeTable::new(),
             entries: Vec::new(),
             emitted: 0,
+            overflow: None,
         }
     }
 
@@ -153,7 +171,7 @@ impl Combiner {
     }
 
     /// Interns `payload` by content and returns its id.
-    fn intern_payload(&mut self, payload: &[u8]) -> u32 {
+    fn intern_payload(&mut self, payload: &[u8]) -> Result<u32> {
         let phash = hash_bytes(payload);
         let hashes = &self.payload_hashes;
         self.payload_table
@@ -161,21 +179,19 @@ impl Combiner {
         match self.payload_table.find(phash, |i| {
             self.payload_hashes[i as usize] == phash && self.payload_bytes(i) == payload
         }) {
-            Ok(i) => i,
+            Ok(i) => Ok(i),
             Err(slot) => {
-                // The u32 arena offsets and ids must not wrap (a map task
-                // would need > 4 GiB of distinct payload bytes).
-                assert!(
-                    self.payload_data.len() + payload.len() <= u32::MAX as usize
-                        && self.payload_hashes.len() < u32::MAX as usize,
-                    "combiner payload arena exceeds the u32 offset range"
-                );
+                if !fits_u32(self.payload_data.len() + payload.len())
+                    || !fits_u32(self.payload_hashes.len() + 1)
+                {
+                    return Err(too_wide("a map task's payload bytes"));
+                }
                 let id = self.payload_hashes.len() as u32;
                 self.payload_hashes.push(phash);
                 self.payload_data.extend_from_slice(payload);
                 self.payload_ends.push(self.payload_data.len() as u32);
                 self.payload_table.insert(slot, id);
-                id
+                Ok(id)
             }
         }
     }
@@ -186,13 +202,22 @@ impl Combiner {
     /// pivot keys makes the common case: that check skips the hash and
     /// probe, and costs one length compare when the payload changed.
     pub fn emit(&mut self, pivot: ItemId, payload: &[u8], weight: u64) {
+        if self.overflow.is_some() {
+            return;
+        }
         self.emitted += 1;
         let khash = key_hash(pivot);
         let bucket = bucket_of(khash, self.reducers) as u32;
 
         let payload_id = match self.last_payload {
             Some(id) if self.payload_bytes(id) == payload => id,
-            _ => self.intern_payload(payload),
+            _ => match self.intern_payload(payload) {
+                Ok(id) => id,
+                Err(e) => {
+                    self.overflow = Some(e);
+                    return;
+                }
+            },
         };
         self.last_payload = Some(payload_id);
         let phash = self.payload_hashes[payload_id as usize];
@@ -206,11 +231,10 @@ impl Combiner {
             e.hash == ehash && e.payload == payload_id && e.pivot == pivot
         }) {
             Ok(i) => entries[i as usize].weight += weight,
+            Err(_) if !fits_u32(entries.len() + 1) => {
+                self.overflow = Some(too_wide("a map task's records"));
+            }
             Err(slot) => {
-                assert!(
-                    entries.len() < u32::MAX as usize,
-                    "combiner entry ids exceed u32"
-                );
                 entries.push(CombineEntry {
                     hash: ehash,
                     bucket,
@@ -231,7 +255,10 @@ impl Combiner {
     /// exactly that capacity:
     /// `varint(#payloads), (varint(len), bytes)*, (varint(pivot),
     /// varint(payload id), varint(weight))*`.
-    fn into_task_out(self) -> MapTaskOut {
+    fn into_task_out(self) -> Result<MapTaskOut> {
+        if let Some(e) = self.overflow {
+            return Err(e);
+        }
         let reducers = self.reducers;
         // Linear bucket scatter (stable: preserves emit order per bucket).
         let mut counts = vec![0u32; reducers];
@@ -297,12 +324,12 @@ impl Combiner {
             payloads_written += plist.len() as u64;
             buckets.push(buf);
         }
-        MapTaskOut {
+        Ok(MapTaskOut {
             buckets,
             emitted: self.emitted,
             shuffled: self.entries.len() as u64,
             payloads: payloads_written,
-        }
+        })
     }
 }
 
@@ -334,7 +361,7 @@ struct Interner<'c> {
 }
 
 impl<'c> Interner<'c> {
-    fn intern(&mut self, bytes: &'c [u8]) -> u32 {
+    fn intern(&mut self, bytes: &'c [u8]) -> Result<u32> {
         let hash = hash_bytes(bytes);
         let hashes = &self.hashes;
         self.table
@@ -342,13 +369,14 @@ impl<'c> Interner<'c> {
         match self.table.find(hash, |i| {
             self.hashes[i as usize] == hash && self.slices[i as usize] == bytes
         }) {
-            Ok(i) => i,
+            Ok(i) => Ok(i),
+            Err(_) if !fits_u32(self.slices.len() + 1) => Err(too_wide("a bucket's payloads")),
             Err(slot) => {
                 let id = self.slices.len() as u32;
                 self.hashes.push(hash);
                 self.slices.push(bytes);
                 self.table.insert(slot, id);
-                id
+                Ok(id)
             }
         }
     }
@@ -391,7 +419,7 @@ fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
             let (payload, rest) = slice
                 .split_at_checked(len)
                 .ok_or_else(|| Error::Decode(format!("payload: length {len} exceeds input")))?;
-            local.push(payloads.intern(payload));
+            local.push(payloads.intern(payload)?);
             slice = rest;
         }
         while !slice.is_empty() {
@@ -492,11 +520,34 @@ fn partitions<'c>(ctx: &MiningContext<'c>) -> Result<Vec<&'c [Sequence]>> {
     Ok(ctx.db.partition(ctx.partitions))
 }
 
+/// A finished round over `ctx` that started at `t0` as a job result: the
+/// reducers' patterns sorted, and the measurements the round's phases do
+/// not know filled in — wall time, output count, `ctx.workers`, the input
+/// size and whether the token stopped the run.
+fn job_result(
+    ctx: &MiningContext<'_>,
+    t0: Instant,
+    patterns: Vec<(Sequence, u64)>,
+    metrics: MiningMetrics,
+) -> MiningResult {
+    MiningResult {
+        metrics: MiningMetrics {
+            wall_nanos: t0.elapsed().as_nanos() as u64,
+            output_records: patterns.len() as u64,
+            workers: ctx.workers as u64,
+            input_sequences: ctx.db.len() as u64,
+            cancelled: ctx.cancel.is_some_and(CancelToken::is_stopped),
+            ..metrics
+        },
+        patterns: desq_miner::sort_patterns(patterns),
+    }
+}
+
 /// Runs a map → shuffle → reduce round without a combiner, in process
 /// only. Its one caller is D-CAND's no-aggregation ablation (Fig. 10b,
 /// "tries, no agg"), which must ship and expand every NFA copy: the
-/// combining round ([`map_combine_reduce_via`]) would merge identical
-/// payloads on both sides and change the figure's time and bytes.
+/// combining round ([`run_round`]) would merge identical payloads on both
+/// sides and change the figure's time and bytes.
 ///
 /// The mapper emits the combining round's `(pivot, payload, weight)`
 /// triples, each written to its bucket as it comes:
@@ -504,24 +555,25 @@ fn partitions<'c>(ctx: &MiningContext<'c>) -> Result<Vec<&'c [Sequence]>> {
 /// takes the combining round's arguments: each pivot once, pivots
 /// ascending within a bucket, with every record it received — duplicates
 /// included, in map-task emission order — as payload slices borrowed
-/// from the shuffle buffers. `init` runs once per reduce worker.
-pub fn map_reduce<S, MF, IF, RF>(
+/// from the shuffle buffers. `init` runs once per reduce worker, and each
+/// bucket is one reduce task.
+pub(crate) fn map_reduce<S, MF, IF, RF>(
     ctx: &MiningContext<'_>,
     map: MF,
     init: IF,
     reduce: RF,
-) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
+) -> Result<MiningResult>
 where
     S: Send,
     MF: Fn(&[Sequence], &mut dyn FnMut(ItemId, &[u8], u64)) -> Result<()> + Sync,
     IF: Fn() -> S + Sync,
     RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
+    let t0 = Instant::now();
     let parts = partitions(ctx)?;
     let mut metrics = MiningMetrics::default();
 
     // ---- map phase ----
-    let t0 = Instant::now();
     let reducers = ctx.reducers;
     let mapped = run_tasks(ctx, parts.len(), |t| {
         let mut buckets = vec![Vec::new(); reducers];
@@ -570,17 +622,36 @@ where
     )?;
     metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
     metrics.max_task_nanos = mapped.max_task_nanos.max(reduced.max_task_nanos);
+    metrics.tasks = reduced.tasks;
+    metrics.steals = reduced.steals;
 
-    let flat: Vec<(Sequence, u64)> = reduced.results.into_iter().flatten().collect();
-    metrics.output_records = flat.len() as u64;
-    metrics.cancelled = ctx.cancel.is_some_and(CancelToken::is_stopped);
-    Ok((flat, metrics))
+    let patterns = reduced.results.into_iter().flatten().collect();
+    Ok(job_result(ctx, t0, patterns, metrics))
 }
 
-/// Runs one map → combine → shuffle → reduce round through `transport`:
-/// in this process ([`InProcess`](crate::transport::InProcess)) or as the
-/// driver of worker processes serving it with [`run_worker`]
-/// ([`NetCoordinator`](crate::transport::NetCoordinator)).
+/// Where a [`run_round`] runs.
+pub enum Exec<'a> {
+    /// Drive the round through a shuffle transport: [`InProcess`] runs its
+    /// tasks on this process's threads, a [`NetCoordinator`] farms them
+    /// out to worker processes.
+    ///
+    /// [`InProcess`]: super::InProcess
+    /// [`NetCoordinator`]: super::NetCoordinator
+    Via(&'a dyn ShuffleTransport),
+    /// Serve the round as a worker process: connect to the coordinator at
+    /// this address (under the default
+    /// [`RetryPolicy`](desq_core::retry::RetryPolicy)), run the map tasks
+    /// and reduce the buckets it is sent against this process's own copy
+    /// of the partitions and closures, and return when the coordinator
+    /// ends the round. Every process of a round must build an equal
+    /// context (same corpus, same parallelism) and the same closures —
+    /// only task ids and encoded bytes cross the wire. Fails
+    /// [`Error::PeerUnreachable`] once the reconnect budget is spent.
+    Worker(SocketAddr),
+}
+
+/// Runs one map → combine → shuffle → reduce round over `ctx` the way
+/// `exec` says: the result of a driven round, `None` for a worker.
 ///
 /// The mapper receives one input partition and a [`Combiner`]: it emits
 /// `(pivot, payload bytes, weight)` triples, where the payload is
@@ -602,102 +673,68 @@ where
 /// payload slices outlive that state, so caches keyed on their identity
 /// (D-SEQ's table index) stay valid.
 ///
-/// The emitted patterns cross the transport encoded (see the module docs)
-/// and come back in a deterministic order — buckets in order, pivots
-/// ascending within a bucket — whatever the transport, worker count or
-/// steal schedule. [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals)
-/// count key-group tasks in process and shipped buckets over the network.
-pub fn map_combine_reduce_via<S, MF, IF, RF>(
+/// The emitted patterns cross the transport encoded (see the module
+/// docs); the result holds them sorted, with the round's wall time, its
+/// input size and `ctx.workers` filled in.
+/// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
+/// key-group tasks in process and shipped buckets over the network.
+pub fn run_round<S, MF, IF, RF>(
     ctx: &MiningContext<'_>,
-    transport: &dyn ShuffleTransport,
+    exec: Exec<'_>,
     map: MF,
     init: IF,
     reduce: RF,
-) -> Result<(Vec<(Sequence, u64)>, MiningMetrics)>
+) -> Result<Option<MiningResult>>
 where
     S: Send,
     MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
     IF: Fn() -> S + Sync,
     RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
+    let t0 = Instant::now();
     let parts = partitions(ctx)?;
-    let mut metrics = MiningMetrics::default();
-    let merge_stats = |metrics: &mut MiningMetrics, s: &PhaseStats| {
-        metrics.retried_tasks += s.retried_tasks;
-        metrics.peer_timeouts += s.peer_timeouts;
-        metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
-        metrics.tasks += s.tasks;
-        metrics.steals += s.steals;
+    let map_task = |t: usize| -> Result<MapTaskOut> {
+        let part = parts
+            .get(t)
+            .ok_or_else(|| Error::Invalid(format!("no map task {t}")))?;
+        let mut combiner = Combiner::new(ctx.reducers);
+        map(part, &mut combiner)?;
+        combiner.into_task_out()
+    };
+    let reduce_task = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
+    let transport = match exec {
+        Exec::Via(transport) => transport,
+        Exec::Worker(addr) => {
+            let on_map = |task: u64| map_task(usize::try_from(task).unwrap_or(usize::MAX));
+            return worker_loop(addr, &on_map, &reduce_task).map(|()| None);
+        }
     };
 
+    let mut metrics = MiningMetrics::default();
+
     // ---- map + combine phase ----
-    let t0 = Instant::now();
-    let map_local = |t: usize| -> Result<MapTaskOut> {
-        let mut combiner = Combiner::new(ctx.reducers);
-        map(parts[t], &mut combiner)?;
-        Ok(combiner.into_task_out())
-    };
-    let (outs, stats) = transport.map_phase(ctx, parts.len(), &map_local)?;
+    let (outs, map_stats) = transport.map_phase(ctx, parts.len(), &map_task)?;
     metrics.map_nanos = t0.elapsed().as_nanos() as u64;
-    merge_stats(&mut metrics, &stats);
 
     let chunks = regroup(ctx.reducers, outs, &mut metrics);
 
     // ---- reduce phase ----
     let t1 = Instant::now();
-    let reduce_local = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
-    let (bucket_outs, stats) = transport.reduce_phase(ctx, chunks, &reduce_local)?;
+    let (bucket_outs, reduce_stats) = transport.reduce_phase(ctx, chunks, &reduce_task)?;
     metrics.reduce_nanos = t1.elapsed().as_nanos() as u64;
-    merge_stats(&mut metrics, &stats);
-
-    let mut flat: Vec<(Sequence, u64)> = Vec::new();
-    for bytes in bucket_outs {
-        decode_bucket_outputs(&bytes, &mut flat)?;
+    for s in [map_stats, reduce_stats] {
+        metrics.retried_tasks += s.retried_tasks;
+        metrics.peer_timeouts += s.peer_timeouts;
+        metrics.max_task_nanos = metrics.max_task_nanos.max(s.max_task_nanos);
+        metrics.tasks += s.tasks;
+        metrics.steals += s.steals;
     }
-    metrics.output_records = flat.len() as u64;
-    metrics.cancelled = ctx.cancel.is_some_and(CancelToken::is_stopped);
-    Ok((flat, metrics))
-}
 
-/// Serves one distributed round as a worker process: connects to the
-/// coordinator at `addr` (under the default
-/// [`RetryPolicy`](desq_core::retry::RetryPolicy)), executes the map tasks
-/// and reduces the buckets it is assigned (key groups balanced across
-/// `ctx.workers` threads) against this process's own copy of the
-/// partitions and the round's closures, and returns when the coordinator
-/// ends the round.
-///
-/// Every process in the round must build an equal context (same corpus,
-/// same parallelism) and the same closures — only task ids and encoded
-/// bytes cross the wire. Returns [`Error::PeerUnreachable`] once the
-/// reconnect budget is spent.
-pub fn run_worker<S, MF, IF, RF>(
-    ctx: &MiningContext<'_>,
-    addr: std::net::SocketAddr,
-    map: MF,
-    init: IF,
-    reduce: RF,
-) -> Result<()>
-where
-    S: Send,
-    MF: Fn(&[Sequence], &mut Combiner) -> Result<()>,
-    IF: Fn() -> S + Sync,
-    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
-{
-    let parts = partitions(ctx)?;
-    let on_map = |task: u64| -> Result<MapTaskOut> {
-        let part = parts.get(task as usize).ok_or_else(|| {
-            Error::Invalid(format!(
-                "map task {task} out of range ({} partitions)",
-                parts.len()
-            ))
-        })?;
-        let mut combiner = Combiner::new(ctx.reducers);
-        map(part, &mut combiner)?;
-        Ok(combiner.into_task_out())
-    };
-    let on_reduce = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
-    crate::transport::worker_loop(addr, &on_map, &on_reduce)
+    let mut patterns: Vec<(Sequence, u64)> = Vec::new();
+    for bytes in bucket_outs {
+        decode_bucket_outputs(&bytes, &mut patterns)?;
+    }
+    Ok(Some(job_result(ctx, t0, patterns, metrics)))
 }
 
 /// The one reduce of a round, over `chunks` (one list per bucket): each
@@ -827,7 +864,7 @@ fn regroup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcess, NetCoordinator};
+    use crate::bsp::{InProcess, NetCoordinator};
     use desq_core::{Dictionary, DictionaryBuilder, SequenceDb};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::LazyLock;
@@ -896,13 +933,14 @@ mod tests {
     #[test]
     fn word_count() {
         let db = SequenceDb::new(vec![vec![1, 2, 2], vec![2, 3], vec![1, 1, 1]]);
-        let (mut out, metrics) = map_reduce(&ctx(&db, 4, 2, 4), each_item, || (), count).unwrap();
-        out.sort();
-        assert_eq!(out, vec![(vec![1], 4), (vec![2], 3), (vec![3], 1)]);
+        let res = map_reduce(&ctx(&db, 4, 2, 4), each_item, || (), count).unwrap();
+        assert_eq!(res.patterns, vec![(vec![1], 4), (vec![2], 3), (vec![3], 1)]);
+        let metrics = res.metrics;
         assert_eq!(metrics.emitted_records, 8);
         assert_eq!(metrics.shuffle_records, 8);
         assert!(metrics.shuffle_bytes > 0);
         assert_eq!(metrics.output_records, 3);
+        assert_eq!(metrics.tasks, 4, "one reduce task per bucket");
     }
 
     #[test]
@@ -914,9 +952,9 @@ mod tests {
             }
             Ok(())
         };
-        let (out, metrics) =
-            map_combine_reduce_via(&ctx(&db, 2, 2, 2), &InProcess, map, || (), count).unwrap();
-        assert_eq!(out, vec![(vec![7], 200)]);
+        let res = in_process(&ctx(&db, 2, 2, 2), map, || (), count).unwrap();
+        assert_eq!(res.patterns, vec![(vec![7], 200)]);
+        let metrics = res.metrics;
         assert_eq!(metrics.emitted_records, 200);
         // Each map task combines its 100 identical records into one.
         assert_eq!(metrics.shuffle_records, 2);
@@ -929,9 +967,8 @@ mod tests {
         // payload bytes must hit the wire exactly once.
         let db = singletons(0..64);
         let payload: Vec<u8> = vec![0xAB; 100];
-        let (out, metrics) = map_combine_reduce_via(
+        let res = in_process(
             &ctx(&db, 1, 1, 1),
-            &InProcess,
             |part: &[Sequence], c: &mut Combiner| {
                 for &k in part.iter().flatten() {
                     c.emit(k, &payload, 1);
@@ -947,7 +984,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(out.len(), 64);
+        let metrics = res.metrics;
+        assert_eq!(res.patterns.len(), 64);
         assert_eq!(metrics.shuffle_records, 64);
         assert_eq!(metrics.shuffle_payloads, 1);
         // 64 records reference one 100-byte payload: far below 64 copies.
@@ -961,9 +999,8 @@ mod tests {
     #[test]
     fn combine_merges_weights_across_map_tasks() {
         let db = singletons([5, 5, 5, 5]); // 4 map tasks
-        let (out, metrics) = map_combine_reduce_via(
+        let res = in_process(
             &ctx(&db, 2, 4, 3),
-            &InProcess,
             |part: &[Sequence], c: &mut Combiner| {
                 for &k in part.iter().flatten() {
                     c.emit(k, b"payload", 2);
@@ -978,8 +1015,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(out, vec![(vec![5], 8)]);
-        assert_eq!(metrics.shuffle_records, 4); // one per map task
+        assert_eq!(res.patterns, vec![(vec![5], 8)]);
+        assert_eq!(res.metrics.shuffle_records, 4); // one per map task
     }
 
     #[test]
@@ -1008,7 +1045,7 @@ mod tests {
             for &(k, p, w) in emits {
                 c.emit(k, p, w);
             }
-            c.into_task_out().buckets.pop().unwrap()
+            c.into_task_out().unwrap().buckets.pop().unwrap()
         };
         let chunks = vec![
             chunk(&[(129, b"y", 1), (1, b"x", 1), (129, b"x", 2), (127, b"w", 1)]),
@@ -1044,7 +1081,7 @@ mod tests {
     #[test]
     fn reducer_sees_all_values_of_a_key_exactly_once() {
         let db = singletons(0..1000);
-        let (mut out, metrics) = map_reduce(
+        let res = map_reduce(
             &ctx(&db, 3, 28, 5),
             |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                 for &x in part.iter().flatten() {
@@ -1060,16 +1097,15 @@ mod tests {
             },
         )
         .unwrap();
-        out.sort();
-        assert_eq!(out.len(), 10);
-        for (key, sum) in out {
+        assert_eq!(res.patterns.len(), 10);
+        for (key, sum) in res.patterns {
             let (k, n) = (key[0], key[1]);
             assert_eq!(n, 100);
             // sum of k, k+10, ..., k+990
             let expect: u64 = (0..100).map(|i| u64::from(k) + 10 * i).sum();
             assert_eq!(sum, expect);
         }
-        assert_eq!(metrics.reducer_bytes.len(), 5);
+        assert_eq!(res.metrics.reducer_bytes.len(), 5);
     }
 
     #[test]
@@ -1077,7 +1113,7 @@ mod tests {
         // Two map tasks emit identical records: nothing merges, and a
         // pivot's records arrive in map-task emission order.
         let db = SequenceDb::new(vec![vec![1, 2], vec![1, 2]]);
-        let (out, metrics) = map_reduce(
+        let res = map_reduce(
             &ctx(&db, 2, 2, 1),
             |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                 for &x in part.iter().flatten() {
@@ -1097,8 +1133,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(out, vec![(vec![7], 4), (vec![300, 1, 2, 1, 2], 4)]);
-        assert_eq!(metrics.shuffle_records, 8);
+        assert_eq!(res.patterns, vec![(vec![7], 4), (vec![300, 1, 2, 1, 2], 4)]);
+        assert_eq!(res.metrics.shuffle_records, 8);
     }
 
     #[test]
@@ -1138,9 +1174,9 @@ mod tests {
     #[test]
     fn empty_input() {
         let db = SequenceDb::default();
-        let (out, metrics) = map_reduce(&ctx(&db, 2, 1, 2), each_item, || (), count).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(metrics.shuffle_bytes, 0);
+        let res = map_reduce(&ctx(&db, 2, 1, 2), each_item, || (), count).unwrap();
+        assert!(res.patterns.is_empty());
+        assert_eq!(res.metrics.shuffle_bytes, 0);
     }
 
     #[test]
@@ -1158,10 +1194,10 @@ mod tests {
         for (workers, partitions, reducers) in [(0, 1, 1), (1, 0, 1), (1, 1, 0)] {
             let ctx = ctx(&db, workers, partitions, reducers);
             let plain = map_reduce(&ctx, counted, || (), count).unwrap_err();
-            let via = map_combine_reduce_via(&ctx, &InProcess, combined, || (), count).unwrap_err();
+            let via = in_process(&ctx, combined, || (), count).unwrap_err();
             // Validation comes before the first connection attempt.
-            let addr = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
-            let worker = run_worker(&ctx, addr, combined, || (), count).unwrap_err();
+            let addr = SocketAddr::from(([127, 0, 0, 1], 9));
+            let worker = run_round(&ctx, Exec::Worker(addr), combined, || (), count).unwrap_err();
             for err in [plain, via, worker] {
                 assert!(
                     matches!(err, Error::Invalid(_)),
@@ -1191,7 +1227,7 @@ mod tests {
     fn results_identical_across_worker_counts() {
         let db = singletons(0..500);
         let run = |workers| {
-            let (mut out, _) = map_reduce(
+            map_reduce(
                 &ctx(&db, workers, 22, workers),
                 |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
                     for &x in part.iter().flatten() {
@@ -1202,16 +1238,33 @@ mod tests {
                 || (),
                 count,
             )
-            .unwrap();
-            out.sort();
-            out
+            .unwrap()
+            .patterns
         };
         assert_eq!(run(1), run(8));
     }
 
+    /// A combining round over `ctx` in this process.
+    fn in_process<S, MF, IF, RF>(
+        ctx: &MiningContext<'_>,
+        map: MF,
+        init: IF,
+        reduce: RF,
+    ) -> Result<MiningResult>
+    where
+        S: Send,
+        MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
+        IF: Fn() -> S + Sync,
+        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
+            + Sync,
+    {
+        let round = run_round(ctx, Exec::Via(&InProcess), map, init, reduce)?;
+        Ok(round.expect("a driven round has a result"))
+    }
+
     /// One combining round over `db` in `partitions` map tasks and
     /// `reducers` buckets, driven by a one-thread `NetCoordinator` over
-    /// localhost and served by one in-thread [`run_worker`] with `workers`
+    /// localhost and served by one in-thread worker with `workers`
     /// threads; driver and worker share the closures.
     fn via_tcp<S, MF, IF, RF>(
         db: &SequenceDb,
@@ -1221,7 +1274,7 @@ mod tests {
         map: MF,
         init: IF,
         reduce: RF,
-    ) -> (Vec<(Sequence, u64)>, MiningMetrics)
+    ) -> MiningResult
     where
         S: Send,
         MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
@@ -1234,18 +1287,18 @@ mod tests {
         let worker_ctx = ctx(db, workers, partitions, reducers);
         let driver_ctx = ctx(db, 1, partitions, reducers);
         std::thread::scope(|s| {
-            let worker = s.spawn(|| run_worker(&worker_ctx, addr, &map, &init, &reduce));
-            let round = map_combine_reduce_via(&driver_ctx, &coord, &map, &init, &reduce).unwrap();
-            worker.join().unwrap().unwrap();
-            round
+            let worker =
+                s.spawn(|| run_round(&worker_ctx, Exec::Worker(addr), &map, &init, &reduce));
+            let round = run_round(&driver_ctx, Exec::Via(&coord), &map, &init, &reduce).unwrap();
+            assert!(worker.join().unwrap().unwrap().is_none());
+            round.unwrap()
         })
     }
 
     #[test]
     fn combine_reduce_output_is_deterministic_across_worker_counts() {
-        // The work-stealing reduce must reproduce the sequential per-bucket
-        // output order exactly, whether it runs in process or on a worker
-        // process behind TCP — compare *unsorted* outputs.
+        // The work-stealing reduce must reproduce the sequential result,
+        // whether it runs in process or on a worker process behind TCP.
         let db = singletons(0..3000);
         let map = |part: &[Sequence], c: &mut Combiner| {
             for &x in part.iter().flatten() {
@@ -1254,28 +1307,26 @@ mod tests {
             Ok(())
         };
         for reducers in [1, 4] {
-            let in_process = |workers| {
-                map_combine_reduce_via(
-                    &ctx(&db, workers, 9, reducers),
-                    &InProcess,
-                    map,
-                    || (),
-                    count,
-                )
-                .unwrap()
-            };
-            let (seq, seq_metrics) = in_process(1);
-            assert_eq!(seq.len(), 500);
-            assert!(seq_metrics.tasks > reducers as u64, "key groups batched");
+            let local = |workers| in_process(&ctx(&db, workers, 9, reducers), map, || (), count);
+            let seq = local(1).unwrap();
+            assert_eq!(seq.patterns.len(), 500);
+            assert!(seq.metrics.tasks > reducers as u64, "key groups batched");
             for workers in [2, 3, 4, 8] {
-                let (par, metrics) = in_process(workers);
-                assert_eq!(par, seq, "workers={workers} reducers={reducers}");
-                assert_eq!(metrics.tasks, seq_metrics.tasks);
+                let par = local(workers).unwrap();
+                assert_eq!(
+                    par.patterns, seq.patterns,
+                    "workers={workers} reducers={reducers}"
+                );
+                assert_eq!(par.metrics.tasks, seq.metrics.tasks);
             }
             for workers in [1, 3] {
-                let (remote, metrics) = via_tcp(&db, workers, 9, reducers, map, || (), count);
-                assert_eq!(remote, seq, "TCP workers={workers} reducers={reducers}");
-                assert_eq!(metrics.tasks, reducers as u64, "one ReduceTask per bucket");
+                let remote = via_tcp(&db, workers, 9, reducers, map, || (), count);
+                let what = format!("TCP workers={workers} reducers={reducers}");
+                assert_eq!(remote.patterns, seq.patterns, "{what}");
+                assert_eq!(
+                    remote.metrics.tasks, reducers as u64,
+                    "one ReduceTask per bucket"
+                );
             }
         }
     }
@@ -1293,15 +1344,8 @@ mod tests {
         // In process, 8 buckets but 3 workers: at most one state per
         // reduce worker for the whole round, not one per bucket.
         let db = singletons(0..200);
-        let (out, _) = map_combine_reduce_via(
-            &ctx(&db, 3, 7, 8),
-            &InProcess,
-            combine_each_item,
-            init,
-            reduce,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 200);
+        let res = in_process(&ctx(&db, 3, 7, 8), combine_each_item, init, reduce).unwrap();
+        assert_eq!(res.patterns.len(), 200);
         assert!(
             inits.swap(0, Ordering::Relaxed) <= 3,
             "init must be per worker, not per bucket"
@@ -1312,8 +1356,8 @@ mod tests {
         // its key groups are spread over all 3 threads — more states than
         // buckets, which a one-task-per-bucket reduce never makes.
         let db = singletons(0..2000);
-        let (out, _) = via_tcp(&db, 3, 7, 2, combine_each_item, init, reduce);
-        assert_eq!(out.len(), 2000);
+        let res = via_tcp(&db, 3, 7, 2, combine_each_item, init, reduce);
+        assert_eq!(res.patterns.len(), 2000);
         let remote_inits = inits.into_inner();
         assert!(
             (3..=3 * 2).contains(&remote_inits),
@@ -1352,9 +1396,8 @@ mod tests {
     #[test]
     fn a_panicking_reducer_aborts_the_combine_job() {
         let db = singletons([1, 2, 3, 4]);
-        let err = map_combine_reduce_via(
+        let err = in_process(
             &ctx(&db, 2, 1, 2),
-            &InProcess,
             combine_each_item,
             || (),
             |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
@@ -1386,8 +1429,7 @@ mod tests {
             cancel: Some(&token),
             ..ctx(&db, 1, 1, 1)
         };
-        let err =
-            map_combine_reduce_via(&ctx, &InProcess, combine_each_item, || (), count).unwrap_err();
+        let err = in_process(&ctx, combine_each_item, || (), count).unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
     }
 
@@ -1395,9 +1437,8 @@ mod tests {
     fn large_weights_survive_the_combine_wire_format() {
         let db = singletons([1]);
         let big = u64::from(u32::MAX) + 17;
-        let (out, _) = map_combine_reduce_via(
+        let res = in_process(
             &ctx(&db, 1, 1, 1),
-            &InProcess,
             |_part: &[Sequence], c: &mut Combiner| {
                 c.emit(9, b"", big);
                 c.emit(9, b"", 1);
@@ -1412,6 +1453,53 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(out, vec![(vec![9], big + 1)]);
+        assert_eq!(res.patterns, vec![(vec![9], big + 1)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The combiner-less round == sequential fold for a random
+        /// aggregation job.
+        #[test]
+        fn map_reduce_equals_sequential_fold(
+            data in proptest::collection::vec(proptest::collection::vec(0u32..50, 0..20), 0..30),
+            workers in 1usize..5,
+            partitions in 1usize..7,
+        ) {
+            let mut expect = BTreeMap::<u32, u64>::new();
+            for &x in data.iter().flatten() {
+                *expect.entry(x % 7).or_insert(0) += u64::from(x);
+            }
+            let db = SequenceDb::new(data.clone());
+            let res = map_reduce(
+                &ctx(&db, workers, partitions, workers),
+                |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
+                    for &x in part.iter().flatten() {
+                        emit(x % 7, &[], u64::from(x));
+                    }
+                    Ok(())
+                },
+                || (),
+                count,
+            )
+            .unwrap();
+            let got: BTreeMap<u32, u64> = res.patterns.into_iter().map(|(k, w)| (k[0], w)).collect();
+            proptest::prop_assert_eq!(got, expect);
+            let records: usize = data.iter().map(Vec::len).sum();
+            proptest::prop_assert_eq!(res.metrics.emitted_records as usize, records);
+        }
+    }
+
+    #[test]
+    fn the_width_predicate_bounds_u32_ids_and_offsets() {
+        // An id table may hold `u32::MAX` entries (ids `0..u32::MAX`), a
+        // payload arena may end at offset `u32::MAX`; one more fails.
+        let max = u32::MAX as usize;
+        assert!(fits_u32(0));
+        assert!(fits_u32(max));
+        assert!(!fits_u32(max + 1));
+        assert!(!fits_u32(usize::MAX));
+        assert!(matches!(too_wide("ids"), Error::Invalid(m) if m.contains("u32")));
     }
 }

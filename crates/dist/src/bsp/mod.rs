@@ -1,0 +1,18 @@
+//! The one round of communication every distributed algorithm runs (Sec.
+//! III, Alg. 1): **map** each input partition to `(pivot item, payload
+//! bytes, weight)` records, **combine** equal `(pivot, payload)` records
+//! map-side (D-CAND's aggregation of identical NFAs, Sec. VI-A),
+//! **shuffle** them as bytes to reducer buckets by key hash — the byte
+//! volume is `shuffle_bytes`, the analog of Spark's `shuffleWriteBytes`
+//! in Fig. 9c — and **reduce** each pivot's records to frequent sequences
+//! under work stealing. [`run_round`] runs it where [`Exec`] says: over a
+//! [`ShuffleTransport`] ([`InProcess`], or a [`NetCoordinator`] farming
+//! tasks out to worker processes) or as such a worker. Bytes really cross
+//! buffers and workers really run in parallel: the engine follows the
+//! paper's cost model, not a cluster API.
+
+pub mod engine;
+pub mod transport;
+
+pub use engine::{run_round, Combiner, Exec, MapTaskOut};
+pub use transport::{InProcess, NetCoordinator, PhaseStats, ShuffleTransport};

@@ -68,7 +68,7 @@ use desq_core::retry::RetryPolicy;
 use desq_core::wire::{self, read_byte_list, take_u8, write_byte_list, MAX_LIST_LEN};
 use desq_core::{Error, Result};
 
-use crate::engine::{run_tasks, MapTaskOut};
+use super::engine::{run_tasks, MapTaskOut};
 
 /// Version byte of the shuffle wire protocol. Bump on any frame layout
 /// change; the coordinator rejects mismatched workers at the handshake.
@@ -956,8 +956,7 @@ fn serve_coordinator(
 
 /// The worker side of a networked job: connect (and reconnect, under the
 /// default [`RetryPolicy`]'s budget) to the coordinator and serve tasks
-/// until it ends the job. Used through
-/// [`run_worker`](crate::run_worker).
+/// until it ends the job: [`Exec::Worker`](super::Exec::Worker).
 pub(crate) fn worker_loop(
     addr: SocketAddr,
     on_map: &dyn Fn(u64) -> Result<MapTaskOut>,

@@ -34,9 +34,8 @@ use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
-use desq_bsp::{Combiner, InProcess};
-
-use crate::{Exec, MiningResult};
+use crate::bsp::{engine::map_reduce, run_round, Combiner, Exec, InProcess};
+use crate::MiningResult;
 
 /// D-CAND (Sec. VI). Its two flags are the Fig. 10b ablation; the default
 /// turns both on (full D-CAND). σ and the per-sequence work budget (map
@@ -69,7 +68,7 @@ impl Miner for DCandConfig {
 
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
         if self.aggregate {
-            d_cand_via(ctx, &InProcess, *self)
+            Ok(d_cand(ctx, Exec::Via(&InProcess), *self)?.expect("a driven round has a result"))
         } else {
             // Fig. 10b's no-aggregation ablation is not a combining round.
             d_cand_no_agg(ctx, *self)
@@ -231,31 +230,6 @@ impl<'a> Mapper<'a> {
     }
 }
 
-/// Runs D-CAND on `ctx` over a shuffle transport (see
-/// [`crate::dseq::d_seq_via`] for the contract). Only the aggregating
-/// variant is a combining round: [`DCandConfig::aggregate`] must be `true`
-/// (the no-aggregation ablation runs in process only, through
-/// [`Miner::mine`]).
-pub fn d_cand_via(
-    ctx: &MiningContext<'_>,
-    transport: &dyn desq_bsp::ShuffleTransport,
-    config: DCandConfig,
-) -> Result<MiningResult> {
-    Ok(d_cand_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
-}
-
-/// Serves a D-CAND job as a worker process connected to the coordinator at
-/// `addr` (see [`crate::dseq::d_seq_worker`]). Requires
-/// [`DCandConfig::aggregate`], like [`d_cand_via`].
-pub fn d_cand_worker(
-    ctx: &MiningContext<'_>,
-    addr: std::net::SocketAddr,
-    config: DCandConfig,
-) -> Result<()> {
-    d_cand_exec(ctx, config, Exec::Worker(addr))?;
-    Ok(())
-}
-
 /// D-CAND's reduce body over NFA byte slices, in both of its rounds:
 /// decode each NFA into the worker's reusable arena and stream its
 /// candidates into an interned count table (whose per-sequence epoch
@@ -283,10 +257,14 @@ fn expand_and_count(
     Ok(())
 }
 
-fn d_cand_exec(
+/// Runs D-CAND on `ctx` the way `exec` says (see [`crate::dseq::d_seq`]
+/// for the contract). Only the aggregating variant is a combining round:
+/// [`DCandConfig::aggregate`] must be `true` (the no-aggregation ablation
+/// runs in process only, through [`Miner::mine`]).
+pub fn d_cand(
     ctx: &MiningContext<'_>,
-    config: DCandConfig,
     exec: Exec<'_>,
+    config: DCandConfig,
 ) -> Result<Option<MiningResult>> {
     ctx.validate()?;
     if !config.aggregate {
@@ -297,7 +275,6 @@ fn d_cand_exec(
         ));
     }
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
-    let t0 = std::time::Instant::now();
     let map = |part: &[Sequence], out: &mut Combiner| {
         let mut mapper = Mapper::new(fst, dict, sigma, budget, config.minimize);
         for seq in part {
@@ -307,24 +284,18 @@ fn d_cand_exec(
         }
         Ok(())
     };
-    crate::run_round(
-        ctx,
-        exec,
-        t0,
-        map,
-        Nfa::default,
-        |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
-    )
+    run_round(ctx, exec, map, Nfa::default, |nfa, _pivot, inputs, emit| {
+        expand_and_count(sigma, budget, nfa, inputs, emit)
+    })
 }
 
 /// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the
-/// combiner-less [`desq_bsp::map_reduce`]: every NFA copy is
-/// shipped and expanded, with no combining on either side.
+/// combiner-less round: every NFA copy is shipped and expanded, with no
+/// combining on either side.
 fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningResult> {
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
-    let t0 = std::time::Instant::now();
-    let round = desq_bsp::map_reduce(
+    map_reduce(
         ctx,
         |part: &[Sequence], emit: &mut dyn FnMut(ItemId, &[u8], u64)| {
             let mut mapper = Mapper::new(fst, dict, sigma, budget, config.minimize);
@@ -335,8 +306,7 @@ fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningR
         },
         Nfa::default,
         |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
-    )?;
-    Ok(crate::job_result(round, t0, ctx))
+    )
 }
 
 #[cfg(test)]
@@ -388,7 +358,7 @@ mod tests {
 
     /// D-CAND at `sigma` through [`Miner::mine`], which routes the
     /// no-aggregation ablation to [`d_cand_no_agg`] and everything else to
-    /// [`d_cand_via`] over [`InProcess`].
+    /// [`d_cand`] over [`InProcess`].
     fn mine(
         db: &SequenceDb,
         dict: &Dictionary,
@@ -626,6 +596,21 @@ mod tests {
             let err = config.mine(&ctx).unwrap_err();
             assert!(matches!(err, Error::ResourceExhausted(_)));
         }
+    }
+
+    #[test]
+    fn the_no_agg_round_reports_one_reduce_task_per_bucket() {
+        let fx = toy::fixture();
+        let no_agg = DCandConfig {
+            aggregate: false,
+            ..DCandConfig::default()
+        };
+        let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2)
+            .with_fst(&fx.fst)
+            .with_parallelism(2, 2)
+            .with_reducers(3);
+        let metrics = no_agg.mine(&ctx).unwrap().metrics;
+        assert_eq!((metrics.tasks, metrics.reducer_bytes.len()), (3, 3));
     }
 
     #[test]

@@ -24,15 +24,15 @@
 
 use std::collections::hash_map::Entry;
 
-use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fx::FxHashMap;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Error, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
+use crate::bsp::{run_round, Combiner, Exec, InProcess};
 use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
-use crate::{Exec, MiningResult};
+use crate::MiningResult;
 
 /// D-SEQ (Sec. V). Its three flags are the cumulative enhancements of the
 /// Fig. 10a ablation; the default turns all of them on (full D-SEQ). σ and
@@ -76,32 +76,8 @@ impl Miner for DSeqConfig {
     }
 
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
-        d_seq_via(ctx, &InProcess, *self)
+        Ok(d_seq(ctx, Exec::Via(&InProcess), *self)?.expect("a driven round has a result"))
     }
-}
-
-/// Runs D-SEQ on `ctx` over a shuffle transport — [`InProcess`] for a
-/// single-process run (what [`Miner::mine`] does) or a
-/// [`desq_bsp::NetCoordinator`] to drive worker processes.
-pub fn d_seq_via(
-    ctx: &MiningContext<'_>,
-    transport: &dyn desq_bsp::ShuffleTransport,
-    config: DSeqConfig,
-) -> Result<MiningResult> {
-    Ok(d_seq_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
-}
-
-/// Serves a D-SEQ job as a worker process: connects to the coordinator at
-/// `addr` and executes assigned tasks until the job ends. The context (its
-/// corpus, σ, partitions and reducers) and the configuration must match
-/// the coordinator's.
-pub fn d_seq_worker(
-    ctx: &MiningContext<'_>,
-    addr: std::net::SocketAddr,
-    config: DSeqConfig,
-) -> Result<()> {
-    d_seq_exec(ctx, config, Exec::Worker(addr))?;
-    Ok(())
 }
 
 /// Per-reduce-worker state — one per worker per reduce call: one growing
@@ -122,14 +98,19 @@ struct ReduceState {
     picks: Vec<(u32, u64)>,
 }
 
-fn d_seq_exec(
+/// Runs D-SEQ on `ctx` the way `exec` says. Driving its round through a
+/// transport ([`InProcess`], what [`Miner::mine`] does, or a
+/// [`NetCoordinator`](crate::bsp::NetCoordinator)) returns the result;
+/// serving one as a worker process returns `None` once the round ends. A
+/// worker's context (its corpus, σ, partitions and reducers) and
+/// configuration must match the coordinator's.
+pub fn d_seq(
     ctx: &MiningContext<'_>,
-    config: DSeqConfig,
     exec: Exec<'_>,
+    config: DSeqConfig,
 ) -> Result<Option<MiningResult>> {
     ctx.validate()?;
     let (fst, dict, sigma) = (ctx.fst()?, ctx.dict, ctx.sigma);
-    let t0 = std::time::Instant::now();
     let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
 
     let map = |part: &[Sequence], out: &mut Combiner| {
@@ -199,7 +180,7 @@ fn d_seq_exec(
         )
     };
 
-    crate::run_round(ctx, exec, t0, map, ReduceState::default, reduce)
+    run_round(ctx, exec, map, ReduceState::default, reduce)
 }
 
 /// Decodes one shuffled D-SEQ payload into `items`: exactly one encoded

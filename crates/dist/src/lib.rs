@@ -7,7 +7,7 @@
 //! > ICDE 2019.
 //!
 //! All algorithms follow the item-based partitioning framework of Alg. 1:
-//! one map-shuffle-reduce round of [`desq_bsp`]. Mappers send,
+//! one map-shuffle-reduce round, [`bsp::run_round`]. Mappers send,
 //! for every input sequence `T` and every *pivot item* `p ∈ K^σ(T)`, a
 //! representation of the candidate subsequences of `T` with pivot `p` to
 //! partition `P_p`; reducers mine each partition independently. The
@@ -35,10 +35,11 @@
 //! vary — [`NaiveConfig`], [`DSeqConfig`] (Fig. 10a), [`DCandConfig`]
 //! (Fig. 10b) — and implements [`desq_core::mining::Miner`] itself,
 //! running its round in process. σ, the work budget, cancellation and the
-//! parallelism come from the [`desq_core::mining::MiningContext`]; the
-//! `*_via` / `*_worker` entry points take the same context to drive a
-//! networked round or serve one.
+//! parallelism come from the [`desq_core::mining::MiningContext`];
+//! [`dseq::d_seq`], [`dcand::d_cand`] and [`naive::naive`] take the same
+//! context and a [`bsp::Exec`] to drive a networked round or serve one.
 
+pub mod bsp;
 pub mod dcand;
 pub mod dseq;
 pub mod naive;
@@ -50,77 +51,14 @@ pub use dseq::DSeqConfig;
 pub use naive::NaiveConfig;
 pub use pivots::{PivotRange, PivotScratch, PivotSearch};
 
-use desq_bsp::Combiner;
-use desq_core::mining::MiningContext;
-use desq_core::{ItemId, MiningMetrics, Result, Sequence};
-
 /// Outcome of one distributed mining job — the workspace-wide uniform
 /// result type, re-exported from [`desq_core::mining`].
 pub use desq_core::MiningResult;
 
-/// How a distributed job executes its BSP round: [`Exec::Via`] drives it
-/// over a shuffle transport ([`desq_bsp::InProcess`] in this process, a
-/// [`desq_bsp::NetCoordinator`] farming tasks and buckets out to worker
-/// processes); [`Exec::Worker`] connects to a coordinator and serves tasks
-/// against this process's own copy of the partitions.
-pub(crate) enum Exec<'a> {
-    Via(&'a dyn desq_bsp::ShuffleTransport),
-    Worker(std::net::SocketAddr),
-}
-
-/// Runs one combining BSP round over `ctx` the way `exec` says — the one
-/// place the three algorithms' map/init/reduce closures meet
-/// [`desq_bsp`] — and completes the driver's result ([`job_result`], `t0`
-/// is the job's start). `None` means this process served the round as a
-/// worker.
-pub(crate) fn run_round<S: Send>(
-    ctx: &MiningContext<'_>,
-    exec: Exec<'_>,
-    t0: std::time::Instant,
-    map: impl Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
-    init: impl Fn() -> S + Sync,
-    reduce: impl Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-        + Sync,
-) -> Result<Option<MiningResult>> {
-    match exec {
-        Exec::Via(transport) => {
-            let round = desq_bsp::map_combine_reduce_via(ctx, transport, map, init, reduce)?;
-            Ok(Some(job_result(round, t0, ctx)))
-        }
-        Exec::Worker(addr) => {
-            desq_bsp::run_worker(ctx, addr, map, init, reduce)?;
-            Ok(None)
-        }
-    }
-}
-
-/// Completes a finished round over `ctx` — the reducers' patterns,
-/// unsorted, and the round's measurements — into a job result: the
-/// patterns sorted, and the three measurements the round does not know
-/// filled in: the end-to-end wall time since the algorithm started at `t0`
-/// (compile and index time included), `ctx.workers` and the input size.
-/// (FST sizes are not run measurements: they live on the compiled `Fst`
-/// itself.)
-pub fn job_result(
-    (patterns, job): (Vec<(Sequence, u64)>, MiningMetrics),
-    t0: std::time::Instant,
-    ctx: &MiningContext<'_>,
-) -> MiningResult {
-    MiningResult {
-        patterns: desq_miner::sort_patterns(patterns),
-        metrics: MiningMetrics {
-            wall_nanos: t0.elapsed().as_nanos() as u64,
-            workers: ctx.workers as u64,
-            input_sequences: ctx.db.len() as u64,
-            ..job
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::mining::{Limits, Miner};
+    use desq_core::mining::{Limits, Miner, MiningContext};
     use desq_core::{toy, Error};
 
     const NAIVE: NaiveConfig = NaiveConfig { filter: false };

@@ -19,13 +19,13 @@
 //! combined weight — the reduce phase is a σ-filter plus one decode, with
 //! no hash map at all.
 
-use desq_bsp::{Combiner, InProcess};
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{sequence, ItemId, Result, Sequence};
 
-use crate::{Exec, MiningResult};
+use crate::bsp::{run_round, Combiner, Exec, InProcess};
+use crate::MiningResult;
 
 /// NAÏVE (`filter` off, the default) and SEMI-NAÏVE (`filter` on), the
 /// baselines of Sec. III-C that Fig. 9 compares D-SEQ and D-CAND against.
@@ -47,39 +47,19 @@ impl Miner for NaiveConfig {
     }
 
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
-        naive_via(ctx, &InProcess, *self)
+        Ok(naive(ctx, Exec::Via(&InProcess), *self)?.expect("a driven round has a result"))
     }
 }
 
-/// Runs NAÏVE / SEMI-NAÏVE on `ctx` over a shuffle transport (see
-/// [`crate::dseq::d_seq_via`] for the contract).
-pub fn naive_via(
+/// Runs NAÏVE / SEMI-NAÏVE on `ctx` the way `exec` says (see
+/// [`crate::dseq::d_seq`] for the contract).
+pub fn naive(
     ctx: &MiningContext<'_>,
-    transport: &dyn desq_bsp::ShuffleTransport,
-    config: NaiveConfig,
-) -> Result<MiningResult> {
-    Ok(naive_exec(ctx, config, Exec::Via(transport))?.expect("driver execution returns a result"))
-}
-
-/// Serves a NAÏVE / SEMI-NAÏVE job as a worker process connected to the
-/// coordinator at `addr` (see [`crate::dseq::d_seq_worker`]).
-pub fn naive_worker(
-    ctx: &MiningContext<'_>,
-    addr: std::net::SocketAddr,
-    config: NaiveConfig,
-) -> Result<()> {
-    naive_exec(ctx, config, Exec::Worker(addr))?;
-    Ok(())
-}
-
-fn naive_exec(
-    ctx: &MiningContext<'_>,
-    config: NaiveConfig,
     exec: Exec<'_>,
+    config: NaiveConfig,
 ) -> Result<Option<MiningResult>> {
     ctx.validate()?;
     let (fst, dict, sigma, budget) = (ctx.fst()?, ctx.dict, ctx.sigma, ctx.limits.budget);
-    let t0 = std::time::Instant::now();
     let max_item = if config.filter {
         dict.last_frequent(sigma)
     } else {
@@ -119,7 +99,7 @@ fn naive_exec(
             }
             Ok(())
         };
-    crate::run_round(ctx, exec, t0, map, || (), reduce)
+    run_round(ctx, exec, map, || (), reduce)
 }
 
 #[cfg(test)]

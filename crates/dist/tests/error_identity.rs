@@ -6,13 +6,13 @@
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 
-use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{decode_item_seq, encode_item_seq, InProcess, MapTaskOut, NetCoordinator};
-use desq_core::codec::{read_varint, write_varint};
+use desq_core::codec::{decode_item_seq, encode_item_seq, read_varint, write_varint};
 use desq_core::mining::{Limits, Miner, MiningContext};
 use desq_core::{toy, Dictionary, DictionaryBuilder, Error, Fst, PatEx, Result, SequenceDb};
-use desq_dist::dcand::{d_cand_via, d_cand_worker, DCandConfig};
-use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
+use desq_dist::bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
+use desq_dist::bsp::{Exec, InProcess, MapTaskOut, NetCoordinator};
+use desq_dist::dcand::{d_cand, DCandConfig};
+use desq_dist::dseq::{d_seq, DSeqConfig};
 
 const PARTS: usize = 2;
 
@@ -46,8 +46,12 @@ fn wide_ctx<'a>(dict: &'a Dictionary, db: &'a SequenceDb, fst: &'a Fst) -> Minin
 fn spawn_dcand_worker(addr: SocketAddr) -> JoinHandle<()> {
     thread::spawn(move || {
         let (dict, db, fst) = wide_world();
-        d_cand_worker(&wide_ctx(&dict, &db, &fst), addr, DCandConfig::default())
-            .expect("a failed task is the driver's error, not the worker's");
+        d_cand(
+            &wide_ctx(&dict, &db, &fst),
+            Exec::Worker(addr),
+            DCandConfig::default(),
+        )
+        .expect("a failed task is the driver's error, not the worker's");
     })
 }
 
@@ -57,20 +61,20 @@ fn a_reducer_side_budget_error_is_the_same_value_on_every_path() {
     let ctx = wide_ctx(&dict, &db, &fst);
     let expect = Error::ResourceExhausted("NFA expansion exceeded budget of 64".into());
 
-    // `Miner::mine` on one thread and one partition: `d_cand_via` over
-    // `InProcess`.
+    // `Miner::mine` on one thread and one partition: `d_cand` with
+    // `Exec::Via(&InProcess)`.
     let sequential = ctx.with_parallelism(1, 1);
     let local = DCandConfig::default().mine(&sequential).unwrap_err();
     assert_eq!(local, expect);
 
     // The same program called directly, on two threads and partitions.
-    let in_process = d_cand_via(&ctx, &InProcess, DCandConfig::default()).unwrap_err();
+    let in_process = d_cand(&ctx, Exec::Via(&InProcess), DCandConfig::default()).unwrap_err();
     assert_eq!(in_process, expect);
 
     // Over a NetCoordinator: raised on the worker, shipped as TaskErr.
     let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
     let worker = spawn_dcand_worker(coord.local_addr().unwrap());
-    let remote = d_cand_via(&ctx, &coord, DCandConfig::default()).unwrap_err();
+    let remote = d_cand(&ctx, Exec::Via(&coord), DCandConfig::default()).unwrap_err();
     assert_eq!(remote, expect);
     drop(coord);
     worker.join().unwrap();
@@ -157,7 +161,11 @@ fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
         ),
     ];
     for (damage, message) in damages {
-        let in_process = d_seq_via(&toy_ctx(&fx), &Corrupting(&InProcess, damage), config);
+        let in_process = d_seq(
+            &toy_ctx(&fx),
+            Exec::Via(&Corrupting(&InProcess, damage)),
+            config,
+        );
         let in_process = in_process.unwrap_err();
         match message {
             Some(m) => assert_eq!(in_process, Error::Decode(m.into())),
@@ -168,10 +176,15 @@ fn a_reducer_side_decode_error_is_the_same_value_in_process_and_remote() {
         let addr = coord.local_addr().unwrap();
         let worker = thread::spawn(move || {
             let fx = toy::fixture();
-            d_seq_worker(&toy_ctx(&fx), addr, config)
+            d_seq(&toy_ctx(&fx), Exec::Worker(addr), config)
                 .expect("a failed task is the driver's error, not the worker's");
         });
-        let remote = d_seq_via(&toy_ctx(&fx), &Corrupting(&coord, damage), config).unwrap_err();
+        let remote = d_seq(
+            &toy_ctx(&fx),
+            Exec::Via(&Corrupting(&coord, damage)),
+            config,
+        )
+        .unwrap_err();
         assert_eq!(remote, in_process);
         drop(coord);
         worker.join().unwrap();

@@ -6,9 +6,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use desq_bsp::transport::{read_net_frame, Frame, MAX_NET_FRAME};
 use desq_core::codec::write_varint;
 use desq_core::wire::MAX_LIST_LEN;
+use desq_dist::bsp::transport::{read_net_frame, Frame, MAX_NET_FRAME};
 
 struct Counting;
 

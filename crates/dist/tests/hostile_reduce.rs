@@ -6,11 +6,11 @@
 
 use std::sync::Mutex;
 
-use desq_bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
-use desq_bsp::{InProcess, MapTaskOut};
 use desq_core::mining::MiningContext;
 use desq_core::{toy, Error, MiningResult, Result};
-use desq_dist::dseq::{d_seq_via, DSeqConfig};
+use desq_dist::bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
+use desq_dist::bsp::{Exec, InProcess, MapTaskOut};
+use desq_dist::dseq::{d_seq, DSeqConfig};
 
 /// Runs the map phase in process and hands the reduce `bucket` as the
 /// one bucket's chunks instead of what the map produced, recording what it
@@ -57,8 +57,11 @@ fn replay(fx: &toy::Toy, bucket: Option<Vec<Vec<u8>>>) -> (Result<MiningResult>,
         bucket,
         seen: Mutex::new(Vec::new()),
     };
-    let result = d_seq_via(&toy_ctx(fx), &transport, DSeqConfig::default());
-    (result, transport)
+    let result = d_seq(&toy_ctx(fx), Exec::Via(&transport), DSeqConfig::default());
+    (
+        result.map(|res| res.expect("a driven round has a result")),
+        transport,
+    )
 }
 
 #[test]

@@ -9,20 +9,20 @@
 //! to the in-process oracle and the retry counters surface in
 //! [`desq_core::MiningMetrics`]. Liveness, heartbeats and the peer wait
 //! are decided by the coordinator's schedule, whose unit tests in
-//! `desq_bsp::transport` drive them with a scripted clock.
+//! `desq_dist::bsp::transport` drive them with a scripted clock.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
 use std::thread::{self, JoinHandle};
 
-use desq_bsp::transport::{
-    read_net_frame, write_net_frame, Frame, MAX_NET_FRAME, NET_PROTOCOL_VERSION,
-};
-use desq_bsp::NetCoordinator;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{toy, Sequence};
-use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
+use desq_dist::bsp::transport::{
+    read_net_frame, write_net_frame, Frame, MAX_NET_FRAME, NET_PROTOCOL_VERSION,
+};
+use desq_dist::bsp::{Exec, NetCoordinator};
+use desq_dist::dseq::{d_seq, DSeqConfig};
 
 const SIGMA: u64 = 2;
 const PARTS: usize = 8;
@@ -45,7 +45,7 @@ fn oracle(fx: &toy::Toy, sigma: u64) -> Vec<(Sequence, u64)> {
 /// Serves the toy job as a real D-SEQ worker until the coordinator ends it.
 fn serve_job(addr: SocketAddr) {
     let fx = toy::fixture();
-    d_seq_worker(&toy_ctx(&fx), addr, DSeqConfig::default())
+    d_seq(&toy_ctx(&fx), Exec::Worker(addr), DSeqConfig::default())
         .expect("the worker serves the job to its end");
 }
 
@@ -81,8 +81,9 @@ fn killed_worker_is_ridden_out_with_identical_result() {
         serve_job(addr);
     });
     let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
-        .expect("job must ride out the dead worker");
+    let res = d_seq(&toy_ctx(&fx), Exec::Via(&coord), DSeqConfig::default())
+        .expect("job must ride out the dead worker")
+        .unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
         res.metrics.retried_tasks >= 1,
@@ -148,8 +149,9 @@ fn flaky_link_is_ridden_out_with_identical_result() {
     let (relay_addr, relay) = cutting_relay(coord.local_addr().unwrap());
     let worker = thread::spawn(move || serve_job(relay_addr));
     let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default())
-        .expect("job must ride out the cut link");
+    let res = d_seq(&toy_ctx(&fx), Exec::Via(&coord), DSeqConfig::default())
+        .expect("job must ride out the cut link")
+        .unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert!(
         res.metrics.retried_tasks >= 1,
@@ -186,8 +188,8 @@ fn dropped_accept_is_ridden_out_by_reconnect() {
     let (relay_addr, relay) = dropping_relay(coord.local_addr().unwrap());
     let worker = thread::spawn(move || serve_job(relay_addr));
     let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &coord, DSeqConfig::default()).unwrap();
-    assert_eq!(res.patterns, oracle(&fx, SIGMA));
+    let res = d_seq(&toy_ctx(&fx), Exec::Via(&coord), DSeqConfig::default()).unwrap();
+    assert_eq!(res.unwrap().patterns, oracle(&fx, SIGMA));
     worker.join().unwrap();
     assert_eq!(relay.join().unwrap(), 2, "one drop, one reconnect");
 }

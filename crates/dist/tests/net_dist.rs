@@ -3,17 +3,17 @@
 //! byte-for-byte against the in-process oracle, plus the typed failure of
 //! a worker whose coordinator is gone. (A peer that stalls and a phase
 //! with no worker are the coordinator schedule's unit tests in
-//! `desq_bsp::transport`, on a scripted clock.)
+//! `desq_dist::bsp::transport`, on a scripted clock.)
 
 use std::net::TcpListener;
 use std::thread;
 
-use desq_bsp::{InProcess, NetCoordinator};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{toy, Error, Sequence};
-use desq_dist::dcand::{d_cand_via, d_cand_worker, DCandConfig};
-use desq_dist::dseq::{d_seq_via, d_seq_worker, DSeqConfig};
-use desq_dist::naive::{naive_via, naive_worker, NaiveConfig};
+use desq_dist::bsp::{Exec, InProcess, NetCoordinator};
+use desq_dist::dcand::{d_cand, DCandConfig};
+use desq_dist::dseq::{d_seq, DSeqConfig};
+use desq_dist::naive::{naive, NaiveConfig};
 
 const SIGMA: u64 = 2;
 const PARTS: usize = 8;
@@ -43,14 +43,16 @@ fn spawn_dseq_worker(
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let fx = toy::fixture();
-        d_seq_worker(&ctx(&fx), addr, DSeqConfig::default()).expect("worker run");
+        d_seq(&ctx(&fx), Exec::Worker(addr), DSeqConfig::default()).expect("worker run");
     })
 }
 
 #[test]
 fn in_process_transport_matches_local_oracle() {
     let fx = toy::fixture();
-    let res = d_seq_via(&toy_ctx(&fx), &InProcess, DSeqConfig::default()).unwrap();
+    let res = d_seq(&toy_ctx(&fx), Exec::Via(&InProcess), DSeqConfig::default())
+        .unwrap()
+        .unwrap();
     assert_eq!(res.patterns, oracle(&fx, SIGMA));
     assert_eq!(res.metrics.retried_tasks, 0);
     assert_eq!(res.metrics.peer_timeouts, 0);
@@ -69,7 +71,9 @@ fn net_dseq_two_workers_matches_oracle() {
     let workers: Vec<_> = (0..2).map(|_| spawn_dseq_worker(addr, ctx)).collect();
 
     let fx = toy::fixture();
-    let res = d_seq_via(&ctx(&fx), &coord, DSeqConfig::default()).unwrap();
+    let res = d_seq(&ctx(&fx), Exec::Via(&coord), DSeqConfig::default())
+        .unwrap()
+        .unwrap();
     let in_process = DSeqConfig::default().mine(&ctx(&fx)).unwrap();
     assert_eq!(res.patterns, in_process.patterns);
     assert_eq!(res.metrics.reducer_bytes.len(), 3);
@@ -100,16 +104,17 @@ fn net_dseq_three_thread_worker_matches_oracle() {
             .with_fst(&fst)
             .with_parallelism(3, PARTS)
             .with_reducers(2);
-        d_seq_worker(&ctx, addr, DSeqConfig::default()).expect("worker run");
+        d_seq(&ctx, Exec::Worker(addr), DSeqConfig::default()).expect("worker run");
     });
 
     let (dict, db, fst) = world();
     let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
-    let res = d_seq_via(
+    let res = d_seq(
         &ctx.with_parallelism(2, PARTS),
-        &coord,
+        Exec::Via(&coord),
         DSeqConfig::default(),
     )
+    .unwrap()
     .unwrap();
     let oracle = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
     assert!(!oracle.is_empty());
@@ -124,11 +129,13 @@ fn net_naive_matches_oracle() {
     let semi_naive = NaiveConfig { filter: true };
     let worker = thread::spawn(move || {
         let fx = toy::fixture();
-        naive_worker(&toy_ctx(&fx), addr, semi_naive).expect("worker run");
+        naive(&toy_ctx(&fx), Exec::Worker(addr), semi_naive).expect("worker run");
     });
 
     let fx = toy::fixture();
-    let res = naive_via(&toy_ctx(&fx), &coord, semi_naive).unwrap();
+    let res = naive(&toy_ctx(&fx), Exec::Via(&coord), semi_naive)
+        .unwrap()
+        .unwrap();
     let reference = desq_miner::algo::DesqCount
         .mine(&toy_ctx(&fx))
         .unwrap()
@@ -151,15 +158,17 @@ fn net_dcand_matches_oracle_and_rejects_no_agg() {
     let fx = toy::fixture();
     let ctx = toy_ctx(&fx);
     assert!(matches!(
-        d_cand_via(&ctx, &coord, no_agg),
+        d_cand(&ctx, Exec::Via(&coord), no_agg),
         Err(Error::Invalid(_))
     ));
 
     let worker = thread::spawn(move || {
         let fx = toy::fixture();
-        d_cand_worker(&toy_ctx(&fx), addr, DCandConfig::default()).expect("worker run");
+        d_cand(&toy_ctx(&fx), Exec::Worker(addr), DCandConfig::default()).expect("worker run");
     });
-    let res = d_cand_via(&ctx, &coord, DCandConfig::default()).unwrap();
+    let res = d_cand(&ctx, Exec::Via(&coord), DCandConfig::default())
+        .unwrap()
+        .unwrap();
     let reference = desq_miner::algo::DesqCount.mine(&ctx).unwrap().patterns;
     assert_eq!(res.patterns, reference);
     worker.join().unwrap();
@@ -175,6 +184,6 @@ fn worker_against_dead_coordinator_is_peer_unreachable() {
         l.local_addr().unwrap()
     };
     let fx = toy::fixture();
-    let err = d_seq_worker(&toy_ctx(&fx), addr, DSeqConfig::default()).unwrap_err();
+    let err = d_seq(&toy_ctx(&fx), Exec::Worker(addr), DSeqConfig::default()).unwrap_err();
     assert!(matches!(err, Error::PeerUnreachable(_)), "got {err:?}");
 }

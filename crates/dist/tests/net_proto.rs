@@ -12,14 +12,15 @@ use std::sync::{mpsc, LazyLock, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use desq_bsp::transport::{read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION};
-use desq_bsp::{
-    map_combine_reduce_via, run_worker, Combiner, InProcess, MapTaskOut, NetCoordinator,
-    PhaseStats, ShuffleTransport,
-};
 use desq_core::codec::{decode_item_seq, encode_item_seq, write_varint};
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, DictionaryBuilder, Error, Result, Sequence, SequenceDb};
+use desq_dist::bsp::transport::{
+    read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION,
+};
+use desq_dist::bsp::{
+    run_round, Combiner, Exec, InProcess, MapTaskOut, NetCoordinator, PhaseStats, ShuffleTransport,
+};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -276,9 +277,9 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
             Frame::ReduceTask { epoch, task, .. } => Some(map_out(epoch, task)),
             _ => None,
         });
-        let err = map_combine_reduce_via(
+        let err = run_round(
             &round(&one_item(), 1),
-            &coord,
+            Exec::Via(&coord),
             |_part: &[Sequence], _out: &mut Combiner| Ok(()),
             || (),
             |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
@@ -300,9 +301,9 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
 #[test]
 fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
     let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
-    let err = map_combine_reduce_via(
+    let err = run_round(
         &round(&one_item(), desq_core::wire::MAX_LIST_LEN + 1),
-        &coord,
+        Exec::Via(&coord),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
         |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
@@ -349,11 +350,11 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
         let ctx = &ctx;
         let worker = s.spawn(move || {
             closed_rx.recv().unwrap();
-            run_worker(ctx, addr, map, || (), reduce)
+            run_round(ctx, Exec::Worker(addr), map, || (), reduce)
         });
-        let (patterns, _) = map_combine_reduce_via(ctx, &coord, map, || (), reduce).unwrap();
-        assert!(patterns.is_empty());
-        worker.join().unwrap().unwrap();
+        let res = run_round(ctx, Exec::Via(&coord), map, || (), reduce).unwrap();
+        assert!(res.unwrap().patterns.is_empty());
+        assert!(worker.join().unwrap().unwrap().is_none());
     });
     let (received, closed) = stranger.join().unwrap();
     assert!(received.is_empty(), "the stranger was sent {received:?}");
@@ -437,14 +438,15 @@ impl ShuffleTransport for LosingPeers {
 /// metrics, summed.
 #[test]
 fn both_phases_failure_counters_reach_the_round_metrics() {
-    let (_, metrics) = map_combine_reduce_via(
+    let res = run_round(
         &round(&one_item(), 1),
-        &LosingPeers,
+        Exec::Via(&LosingPeers),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
         |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
     )
     .unwrap();
+    let metrics = res.unwrap().metrics;
     assert_eq!((metrics.peer_timeouts, metrics.retried_tasks), (11, 22));
 }
 
@@ -470,16 +472,16 @@ fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
         }),
         _ => None,
     });
-    let outcome = map_combine_reduce_via(
+    let outcome = run_round(
         &round(&one_item(), 1),
-        &coord,
+        Exec::Via(&coord),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
         |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
     );
     drop(coord); // releases the peer if the job died before its last phase
     peer.join().unwrap();
-    outcome.map(|(patterns, _)| patterns)
+    outcome.map(|res| res.unwrap().patterns)
 }
 
 /// A worker's `ReduceOut` bytes are the only worker output that reaches
@@ -492,9 +494,9 @@ fn hostile_reduce_outputs_fail_typed_or_decode() {
     // A real bucket output: two patterns with one- to three-byte items.
     let db = SequenceDb::new(vec![vec![1, 300]]);
     let recording = Recording(Mutex::new(Vec::new()));
-    let (clean, _) = map_combine_reduce_via(
+    let res = run_round(
         &round(&db, 1),
-        &recording,
+        Exec::Via(&recording),
         |part: &[Sequence], out: &mut Combiner| {
             for &x in part.iter().flatten() {
                 let mut payload = Vec::new();
@@ -514,6 +516,7 @@ fn hostile_reduce_outputs_fail_typed_or_decode() {
         },
     )
     .unwrap();
+    let clean = res.unwrap().patterns;
     let valid = recording.0.into_inner().unwrap().pop().unwrap();
     assert_eq!(clean.len(), 2);
     assert_eq!(patterns_from_peer(valid.clone()).unwrap(), clean);

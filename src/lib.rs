@@ -35,10 +35,11 @@
 //!   [`Miner`] trait / [`MiningResult`] substrate of the session API.
 //! * [`miner`] — sequential miners (DESQ-DFS, DESQ-COUNT, PrefixSpan,
 //!   gap-constrained mining).
-//! * [`bsp`] — the thread-backed bulk-synchronous-parallel engine with
-//!   byte-accurate shuffle accounting.
 //! * [`dist`] — the paper's contribution: D-SEQ, D-CAND and the NAÏVE /
-//!   SEMI-NAÏVE baselines, plus the constraint library of Tab. III.
+//!   SEMI-NAÏVE baselines, plus the constraint library of Tab. III, over
+//!   the one BSP round they all run, [`bsp`] (`desq_dist::bsp`): a
+//!   thread-backed bulk-synchronous-parallel engine with byte-accurate
+//!   shuffle accounting.
 //! * [`baselines`] — specialized scalable miners (LASH/MG-FSM-style,
 //!   MLlib-style PrefixSpan) used in the paper's comparisons.
 //! * [`datagen`] — synthetic analogs of the NYT / AMZN / AMZN-F / CW50
@@ -56,10 +57,10 @@
 pub mod session;
 
 pub use desq_baselines as baselines;
-pub use desq_bsp as bsp;
 pub use desq_core as core;
 pub use desq_datagen as datagen;
 pub use desq_dist as dist;
+pub use desq_dist::bsp;
 pub use desq_miner as miner;
 
 pub use desq_core::mining::{

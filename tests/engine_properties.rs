@@ -6,13 +6,13 @@ use std::sync::LazyLock;
 
 use proptest::prelude::*;
 
-use desq::bsp::{map_combine_reduce_via, map_reduce, Combiner, InProcess};
+use desq::bsp::{run_round, Combiner, Exec, InProcess};
 use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
 use desq::core::{Dictionary, DictionaryBuilder, Sequence, SequenceDb};
 use desq::datagen::{amzn_like, to_forest, AmznConfig};
 use desq::session::{AlgorithmSpec, MiningSession};
-use desq::MiningContext;
+use desq::{MiningContext, MiningResult};
 
 /// A BSP round over `db` at `workers` threads, `partitions` map tasks and
 /// `reducers` buckets. A round never reads the dictionary.
@@ -26,6 +26,11 @@ fn round(db: &SequenceDb, workers: usize, partitions: usize, reducers: usize) ->
     MiningContext::sequential(db, &DICT, 1)
         .with_parallelism(workers, partitions)
         .with_reducers(reducers)
+}
+
+/// The result of a round driven in this process.
+fn driven(round: desq::core::Result<Option<MiningResult>>) -> MiningResult {
+    round.unwrap().expect("a driven round has a result")
 }
 
 /// Sec. III-B: with the frequency-descending item order, pivot partitions
@@ -89,7 +94,7 @@ fn frequent_pivot_partitions_stay_small() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// map_reduce == sequential fold for a random aggregation job.
+    /// The round == sequential fold for a random aggregation job.
     #[test]
     fn engine_equals_sequential_fold(
         data in proptest::collection::vec(proptest::collection::vec(0u32..50, 0..20), 0..30),
@@ -104,11 +109,12 @@ proptest! {
             }
         }
         let db = SequenceDb::new(data.clone());
-        let (mut out, metrics) = map_reduce(
+        let res = driven(run_round(
             &round(&db, workers, partitions, workers),
-            |part: &[Sequence], emit: &mut dyn FnMut(u32, &[u8], u64)| {
+            Exec::Via(&InProcess),
+            |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
-                    emit(x % 7, &[], u64::from(x));
+                    c.emit(x % 7, &[], u64::from(x));
                 }
                 Ok(())
             },
@@ -117,14 +123,12 @@ proptest! {
                 emit((vec![k], vs.iter().map(|&(_, w)| w).sum()));
                 Ok(())
             },
-        )
-        .unwrap();
-        out.sort();
+        ));
         let got: std::collections::BTreeMap<u32, u64> =
-            out.into_iter().map(|(k, sum)| (k[0], sum)).collect();
+            res.patterns.into_iter().map(|(k, sum)| (k[0], sum)).collect();
         prop_assert_eq!(got, expect);
         let records: usize = data.iter().map(Vec::len).sum();
-        prop_assert_eq!(metrics.emitted_records as usize, records);
+        prop_assert_eq!(res.metrics.emitted_records as usize, records);
     }
 
     /// The adaptive varint/delta item-sequence codec round-trips exactly —
@@ -166,9 +170,9 @@ proptest! {
         // Sequence `[i]` carries `weights[i]`, three to a map task.
         let db = SequenceDb::new((0..weights.len() as u32).map(|i| vec![i]).collect());
         let payload_ref = &payload;
-        let (out, _) = map_combine_reduce_via(
+        let res = driven(run_round(
             &round(&db, 2, weights.len().div_ceil(3), 3),
-            &InProcess,
+            Exec::Via(&InProcess),
             |part: &[Sequence], c: &mut Combiner| {
                 for &i in part.iter().flatten() {
                     c.emit(7, payload_ref, weights[i as usize]);
@@ -182,10 +186,9 @@ proptest! {
                 emit((vec![k], vs[0].1));
                 Ok(())
             },
-        )
-        .unwrap();
+        ));
         let total: u64 = weights.iter().sum();
-        prop_assert_eq!(out, vec![(vec![7], total)]);
+        prop_assert_eq!(res.patterns, vec![(vec![7], total)]);
     }
 
     /// The combiner never changes results, only record counts.
@@ -194,9 +197,9 @@ proptest! {
         data in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..15), 1..20),
     ) {
         let db = SequenceDb::new(data.clone());
-        let (mut combined, metrics) = map_combine_reduce_via(
+        let res = driven(run_round(
             &round(&db, 3, data.len().div_ceil(4), 3),
-            &InProcess,
+            Exec::Via(&InProcess),
             |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
                     c.emit(x % 3, &x.to_le_bytes(), 1);
@@ -212,9 +215,7 @@ proptest! {
                 emit((vec![k], total));
                 Ok(())
             },
-        )
-        .unwrap();
-        combined.sort();
+        ));
 
         // Sequential reference.
         let mut expect = std::collections::BTreeMap::<u32, u64>::new();
@@ -224,9 +225,9 @@ proptest! {
             }
         }
         let got: std::collections::BTreeMap<u32, u64> =
-            combined.into_iter().map(|(k, total)| (k[0], total)).collect();
+            res.patterns.into_iter().map(|(k, total)| (k[0], total)).collect();
         prop_assert_eq!(got, expect);
-        prop_assert!(metrics.shuffle_records <= metrics.emitted_records);
+        prop_assert!(res.metrics.shuffle_records <= res.metrics.emitted_records);
     }
 }
 
