@@ -225,10 +225,8 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
                   inputs: &[(&[u8], u64)],
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
-        let miner = GapMiner {
-            pivot: Some(p),
-            ..GapMiner::new(config.gamma, config.lambda, config.generalize)
-        };
+        let mut miner = GapMiner::new(config.gamma, config.lambda, config.generalize);
+        miner.pivot = Some(p);
         let mut decoded: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
         for &(bytes, w) in inputs {
             let mut slice = bytes;

@@ -9,8 +9,8 @@
 //! 1. a word-count round computing the frequent items;
 //! 2. a projection round that sends, per frequent item `w`, the suffix of
 //!    every supporting sequence after the first occurrence of `w`
-//!    (infrequent items dropped), followed by local PrefixSpan in the
-//!    reducers.
+//!    (infrequent items dropped), followed by local PrefixSpan — the gap
+//!    miner's `T1` ([`GapMiner::t1`]) — in the reducers.
 //!
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
@@ -21,7 +21,7 @@ use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
 use desq_dist::bsp::{run_round, Combiner, Exec, InProcess};
 use desq_dist::MiningResult;
-use desq_miner::PrefixSpan;
+use desq_miner::GapMiner;
 
 /// The MLlib-style distributed PrefixSpan of the Fig. 13 comparison:
 /// Tab. III's `T1(σ, λ)` setting, maximum length only (the paper fixes
@@ -132,10 +132,8 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
             emit((vec![w], support));
             if max_len > 1 {
-                let ps = PrefixSpan {
-                    max_len: max_len - 1,
-                };
-                for (tail, f) in ps.mine_weighted(&suffixes, sigma, ctx.cancel)? {
+                let tails = GapMiner::t1(max_len - 1);
+                for (tail, f) in tails.mine_weighted(&suffixes, ctx.dict, sigma, ctx.cancel)? {
                     let mut pattern = Vec::with_capacity(tail.len() + 1);
                     pattern.push(w);
                     pattern.extend(tail);
@@ -189,13 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_prefixspan_on_toy() {
+    fn matches_the_sequential_t1_gap_miner_on_toy() {
         let fx = toy::fixture();
         for sigma in 1..=3u64 {
             let ctx = toy_ctx(&fx, sigma, 2);
             for max_len in 1..=4usize {
                 let dist = MllibConfig { max_len }.mine(&ctx).unwrap();
-                let seq = PrefixSpan { max_len }.mine(&ctx).unwrap();
+                let seq = GapMiner::t1(max_len).mine(&ctx).unwrap();
                 assert_eq!(dist.patterns, seq.patterns, "σ={sigma} λ={max_len}");
             }
         }

@@ -28,8 +28,9 @@ use desq_datagen::{nyt_like, NytConfig};
 use desq_dist::bsp::engine::merge_bucket_sizes;
 use desq_dist::bsp::transport::{PhaseStats, ReduceFn, ShuffleTransport};
 use desq_dist::bsp::{Exec, InProcess, MapTaskOut};
-use desq_dist::dcand::{merge_pivots, Mapper};
+use desq_dist::dcand::Mapper;
 use desq_dist::dseq::{d_seq, DSeqConfig};
+use desq_dist::pivots::merge_pivots;
 use desq_dist::{PivotScratch, PivotSearch};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 use desq_oracle::{candidates, runs, Grid};
@@ -67,11 +68,12 @@ fn bench_pivot_search(c: &mut Criterion) {
     // The table build alone (simulation front-end, hoisted scratch) —
     // compare with mining/table_build_* and counting/run_table_build_*.
     c.bench_function("pivots/prepare_n4_100seqs", |b| {
-        let mut scratch = PivotScratch::default();
+        let walker = RunWalker::new(&fst, &dict, fst.index(), last);
+        let mut scratch = RunScratch::default();
         b.iter(|| {
             let mut accepted = 0usize;
             for seq in &seqs {
-                accepted += usize::from(search.safe_range(seq, &mut scratch).is_some());
+                accepted += usize::from(walker.build_tables(seq, &mut scratch));
             }
             black_box(accepted)
         })
@@ -418,19 +420,20 @@ fn bench_dseq(c: &mut Criterion) {
         let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
         let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
         let mut picks: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
-        let (mut pivot_scratch, mut ranges) = (PivotScratch::default(), Vec::new());
+        let (mut pivot_scratch, mut pivots) = (PivotScratch::default(), Vec::new());
         for seq in &db.sequences {
-            search.pivots_into(seq, &mut pivot_scratch, &mut ranges);
-            let Some(pr) = ranges.first() else { continue };
-            let range = &seq[pr.first as usize..=pr.last as usize];
+            let Some(range) = search.pivots_into(seq, &mut pivot_scratch, &mut pivots) else {
+                continue;
+            };
+            let range = &seq[range];
             let table = *table_of.entry(range).or_insert_with(|| {
                 builder
                     .append_tables(range, &mut tables, &mut scratch)
                     .unwrap()
                     .expect("a pivot's rewritten range is accepted")
             });
-            for pr in &ranges {
-                *picks.entry(pr.item).or_default().entry(table).or_default() += 1;
+            for &p in &pivots {
+                *picks.entry(p).or_default().entry(table).or_default() += 1;
             }
         }
         let partitions: Vec<(u32, Vec<(u32, u64)>)> = picks
@@ -443,7 +446,9 @@ fn bench_dseq(c: &mut Criterion) {
                 for (pivot, picks) in &partitions {
                     let cfg = MinerConfig::for_pivot(sigma, *pivot, true);
                     LocalMiner::new(&fst, &dict, cfg)
-                        .mine_picks(&tables, picks, &mut scratch, &mut |_, _| patterns += 1)
+                        .mine_picks(&tables, picks, &mut scratch, None, &mut |_, _| {
+                            patterns += 1
+                        })
                         .unwrap();
                 }
                 black_box(patterns)

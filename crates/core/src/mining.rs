@@ -1,7 +1,7 @@
 //! The unified mining API substrate: one [`Miner`] trait, one
-//! [`MiningResult`], one validation path — shared by all eight algorithms
-//! of this reproduction (DESQ-DFS, DESQ-COUNT, PrefixSpan, the gap miner,
-//! NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) plus the LASH and MLlib baselines.
+//! [`MiningResult`], one validation path — shared by all algorithms of
+//! this reproduction (DESQ-DFS, DESQ-COUNT, the gap miner, NAÏVE,
+//! SEMI-NAÏVE, D-SEQ, D-CAND) plus the LASH and MLlib baselines.
 //!
 //! The paper's value proposition is that *one* declarative constraint
 //! language drives *many* execution strategies. This module is the
@@ -312,7 +312,7 @@ pub enum ExecutionPolicy {
 /// One mining request: everything a [`Miner`] needs to run.
 ///
 /// The FST is optional because the traditional-constraint miners
-/// (PrefixSpan, the gap miner, LASH, MLlib-PrefixSpan) encode their
+/// (the gap miner, LASH, MLlib-PrefixSpan) encode their
 /// constraint in algorithm parameters instead of a compiled pattern
 /// expression; FST-based miners obtain it through [`MiningContext::fst`],
 /// which produces a descriptive error when absent.
@@ -698,8 +698,8 @@ impl MiningResult {
 ///
 /// Every algorithm in the workspace is one type implementing it, holding
 /// only the parameters the paper varies for that algorithm: the sequential
-/// miners in `desq-miner` (`algo::{DesqDfs, DesqCount}`, `PrefixSpan`,
-/// `GapMiner`), the distributed algorithms in `desq-dist` (`NaiveConfig`,
+/// miners in `desq-miner` (`algo::{DesqDfs, DesqCount}`, `GapMiner`),
+/// the distributed algorithms in `desq-dist` (`NaiveConfig`,
 /// `DSeqConfig`, `DCandConfig`), and the specialized baselines in
 /// `desq-baselines` (`LashConfig`, `MllibConfig`). σ, the limits, the
 /// cancellation token and the parallelism come only from the

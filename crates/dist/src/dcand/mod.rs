@@ -3,7 +3,8 @@
 //!
 //! For every input sequence `T`, the mapper ([`Mapper`]) enumerates the
 //! accepting runs of the FST, σ-filters their output sets, and computes the
-//! pivot set of each run with the ⊕ merge of Th. 1 ([`merge_pivots`]). For
+//! pivot set of each run by folding the ⊕ merge of Th. 1 over its output
+//! sets ([`crate::pivots::merge_pivots`]). For
 //! every pivot `p` it builds a trie/NFA representing exactly the candidates
 //! of `G^σ_π(T)` with pivot `p`: each run is decomposed by the *first
 //! position producing `p`* into product terms (`< p` before, `= p` at, `≤ p`
@@ -35,6 +36,7 @@ use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
 use crate::bsp::{engine::map_reduce, run_round, Combiner, Exec, InProcess};
+use crate::pivots::oplus_fold;
 use crate::MiningResult;
 
 /// D-CAND (Sec. VI). Its two flags are the Fig. 10b ablation; the default
@@ -74,46 +76,6 @@ impl Miner for DCandConfig {
             d_cand_no_agg(ctx, *self)
         }
     }
-}
-
-/// The ⊕ pivot merge of Th. 1: the pivot set of a run with output sets
-/// `sets` — i.e. `{ max(w_1..w_k) : w_i ∈ sets_i }` — equals the distinct
-/// elements of the union that are no smaller than the largest per-set
-/// minimum. Sets must be non-empty and sorted ascending; the result is
-/// sorted ascending. An empty slice yields the empty set.
-///
-/// Generic over the set representation so callers can pass owned
-/// `Vec<ItemId>` sets or slices borrowed from a flat run-table arena.
-pub fn merge_pivots<S: AsRef<[ItemId]>>(sets: &[S]) -> Vec<ItemId> {
-    let mut out = Vec::new();
-    merge_pivots_into(sets.iter().map(AsRef::as_ref), &mut out);
-    out
-}
-
-/// [`merge_pivots`] over any re-iterable view of the sets, into a reused
-/// buffer — the flat run walker's [`RunSets`] pass their arena-backed
-/// slices straight through without collecting (D-CAND's mapper and the
-/// no-grid pivot enumeration).
-pub(crate) fn merge_pivots_into<'s>(
-    sets: impl Iterator<Item = &'s [ItemId]> + Clone,
-    out: &mut Vec<ItemId>,
-) {
-    out.clear();
-    let mut threshold = 0;
-    for s in sets.clone() {
-        match s.first() {
-            Some(&min) => threshold = threshold.max(min),
-            None => return,
-        }
-    }
-    for s in sets {
-        for &w in s {
-            if w >= threshold && !out.contains(&w) {
-                out.push(w);
-            }
-        }
-    }
-    out.sort_unstable();
 }
 
 /// Decomposes `path` (σ-filtered, ε-free output sets of one accepting run)
@@ -166,7 +128,9 @@ pub struct Mapper<'a> {
     minimize: bool,
     runs: RunScratch,
     tries: NfaBuilder,
+    /// The current run's pivot set, and the ⊕ fold's double buffer.
     pivots: Vec<ItemId>,
+    tmp: Vec<ItemId>,
 }
 
 impl<'a> Mapper<'a> {
@@ -186,6 +150,7 @@ impl<'a> Mapper<'a> {
             runs: RunScratch::default(),
             tries: NfaBuilder::default(),
             pivots: Vec::new(),
+            tmp: Vec::new(),
         }
     }
 
@@ -196,7 +161,7 @@ impl<'a> Mapper<'a> {
     /// enumerated. The byte slices are only valid inside `emit`.
     pub fn map(&mut self, seq: &[ItemId], emit: impl FnMut(ItemId, &[u8])) -> Result<()> {
         let budget = self.budget;
-        let (tries, pivots) = (&mut self.tries, &mut self.pivots);
+        let (tries, pivots, tmp) = (&mut self.tries, &mut self.pivots, &mut self.tmp);
         tries.clear();
         let mut work = 0usize;
         let mut exhausted = None;
@@ -211,7 +176,7 @@ impl<'a> Mapper<'a> {
                 // all-ε runs only produce the empty candidate.
                 return true;
             }
-            merge_pivots_into(sets.iter(), pivots);
+            oplus_fold(sets.iter(), pivots, tmp);
             for &p in pivots.iter() {
                 if !insert_pivot_terms(tries, sets, p, budget, &mut work) {
                     exhausted = Some("trie construction");
@@ -340,20 +305,6 @@ mod tests {
             .map(|c| c.compile(&dict).unwrap())
             .collect();
         (dict, db, fsts)
-    }
-
-    #[test]
-    fn merge_pivots_matches_theorem_examples() {
-        // Paper running example: the run sets of r2 on T5 are {a1}, {A, a1},
-        // {b}; achievable pivots are a1 only (A and b are below the largest
-        // minimum a1).
-        let fx = toy::fixture();
-        let sets = vec![vec![fx.a1], vec![fx.big_a, fx.a1], vec![fx.b]];
-        assert_eq!(merge_pivots(&sets), vec![fx.a1]);
-        // Degenerate cases.
-        assert!(merge_pivots::<Vec<ItemId>>(&[]).is_empty());
-        assert_eq!(merge_pivots(&[vec![3, 7]]), vec![3, 7]);
-        assert_eq!(merge_pivots(&[vec![1, 5], vec![2, 9]]), vec![2, 5, 9]);
     }
 
     /// D-CAND at `sigma` through [`Miner::mine`], which routes the

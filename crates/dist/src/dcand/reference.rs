@@ -10,7 +10,7 @@ use desq_core::fst::flat::RunSets;
 use desq_core::fst::{RunScratch, RunWalker};
 use desq_core::{Error, ItemId, Result, Sequence};
 
-use super::merge_pivots;
+use crate::pivots::merge_pivots;
 
 const HAS_SRC: u8 = 0x1;
 const OLD_TARGET: u8 = 0x2;

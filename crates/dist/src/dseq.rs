@@ -31,7 +31,7 @@ use desq_core::{Error, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
 
 use crate::bsp::{run_round, Combiner, Exec, InProcess};
-use crate::pivots::{PivotRange, PivotScratch, PivotSearch};
+use crate::pivots::{PivotScratch, PivotSearch};
 use crate::MiningResult;
 
 /// D-SEQ (Sec. V). Its three flags are the cumulative enhancements of the
@@ -116,26 +116,22 @@ pub fn d_seq(
     let map = |part: &[Sequence], out: &mut Combiner| {
         // Per-task scratch, hoisted out of the per-sequence loop.
         let mut scratch = PivotScratch::default();
-        let mut ranges: Vec<PivotRange> = Vec::new();
+        let mut pivots: Vec<ItemId> = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
         for seq in part {
-            if config.use_grid {
-                search.pivots_into(seq, &mut scratch, &mut ranges);
+            let range = if config.use_grid {
+                search.pivots_into(seq, &mut scratch, &mut pivots)
             } else {
-                search.pivots_enumerated_into(seq, ctx.limits.budget, &mut scratch, &mut ranges)?;
-            }
-            let Some(pr0) = ranges.first() else { continue };
+                search.pivots_enumerated_into(seq, ctx.limits.budget, &mut scratch, &mut pivots)?
+            };
+            let Some(range) = range else { continue };
             // All pivots share the rewritten range: serialize once, emit
             // the same bytes per pivot (the combiner interns them).
-            let items = if config.rewrite {
-                &seq[pr0.first as usize..=pr0.last as usize]
-            } else {
-                seq.as_slice()
-            };
+            let items = if config.rewrite { &seq[range] } else { seq };
             payload.clear();
             encode_item_seq(items, &mut payload);
-            for pr in &ranges {
-                out.emit(pr.item, &payload, 1);
+            for &p in &pivots {
+                out.emit(p, &payload, 1);
             }
         }
         Ok(())
@@ -176,6 +172,7 @@ pub fn d_seq(
             tables,
             picks,
             scratch,
+            ctx.cancel,
             &mut |pattern, freq| emit((pattern, freq)),
         )
     };
@@ -384,21 +381,21 @@ mod tests {
             let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
             let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
             let (mut tables, mut miner_scratch) = (SeqTables::default(), MinerScratch::default());
-            let (mut scratch, mut ranges) = (PivotScratch::default(), Vec::new());
+            let (mut scratch, mut pivots) = (PivotScratch::default(), Vec::new());
             let mut undercuts = 0;
             for (s, items) in db.sequences.iter().enumerate() {
-                search.pivots_into(items, &mut scratch, &mut ranges);
+                search.pivots_into(items, &mut scratch, &mut pivots);
                 let table = builder
                     .append_tables(items, &mut tables, &mut miner_scratch)
                     .unwrap();
-                assert!(table.is_some() || ranges.is_empty(), "sequence {s}");
-                for pr in &ranges {
+                assert!(table.is_some() || pivots.is_empty(), "sequence {s}");
+                for &p in &pivots {
                     let miner =
-                        LocalMiner::new(&fst, &dict, MinerConfig::for_pivot(sigma, pr.item, true));
+                        LocalMiner::new(&fst, &dict, MinerConfig::for_pivot(sigma, p, true));
                     let from_tables = miner.last_pivot_position(&tables, table.unwrap() as usize);
-                    let from_dict = dict_last_pivot_position(&fst, &dict, items, pr.item);
-                    assert!(from_tables.is_some(), "sequence {s} pivot {}", pr.item);
-                    assert!(from_tables <= from_dict, "sequence {s} pivot {}", pr.item);
+                    let from_dict = dict_last_pivot_position(&fst, &dict, items, p);
+                    assert!(from_tables.is_some(), "sequence {s} pivot {p}");
+                    assert!(from_tables <= from_dict, "sequence {s} pivot {p}");
                     undercuts += usize::from(from_tables < from_dict);
                 }
             }

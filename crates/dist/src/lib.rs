@@ -21,11 +21,12 @@
 //!   candidates, with optional minimization and weighted aggregation of
 //!   identical NFAs (Sec. VI).
 //!
-//! Supporting machinery: [`PivotSearch`] computes pivot sets `K^σ(T)` either
-//! by dynamic programming over the position–state grid or, for Fig. 10a's
-//! no-grid ablation, by run enumeration over the same simulation tables
-//! (Sec. V-A/V-B), [`dcand::merge_pivots`] is the ⊕ pivot-merge of Th. 1,
-//! [`desq_core::fst::nfa`] holds the arena trie/NFA construction with
+//! Supporting machinery: [`PivotSearch`] computes pivot sets `K^σ(T)` and
+//! their rewritten range either by dynamic programming over the
+//! position–state grid or, for Fig. 10a's no-grid ablation, by run
+//! enumeration over the same simulation tables (Sec. V-A/V-B); its module
+//! [`pivots`] holds the one implementation of Th. 1's ⊕ pivot merge, which
+//! D-CAND's mapper calls too. [`desq_core::fst::nfa`] holds the arena trie/NFA construction with
 //! byte-level serialization for shuffle accounting, and [`patterns`] is the constraint
 //! library of Tab. III. `docs/ARCHITECTURE.md` in the repository root
 //! traces the end-to-end data flow of each algorithm through the flat
@@ -49,7 +50,7 @@ pub mod pivots;
 pub use dcand::DCandConfig;
 pub use dseq::DSeqConfig;
 pub use naive::NaiveConfig;
-pub use pivots::{PivotRange, PivotScratch, PivotSearch};
+pub use pivots::{PivotScratch, PivotSearch};
 
 /// Outcome of one distributed mining job — the workspace-wide uniform
 /// result type, re-exported from [`desq_core::mining`].

@@ -7,14 +7,18 @@
 //! computes the full pivot set by dynamic programming over the
 //! position–state grid: for every alive coordinate it maintains the set of
 //! achievable "maximum output item of an accepting completion", merging
-//! transition contributions with the ⊕ operator of Th. 1 (the same merge
-//! as [`crate::dcand::merge_pivots`]). This is polynomial even when the
-//! number of accepting runs is exponential.
+//! transition contributions with the ⊕ operator of Th. 1. This is
+//! polynomial even when the number of accepting runs is exponential.
 //! [`PivotSearch::pivots_enumerated_into`] is the ablation variant that
 //! enumerates accepting runs instead (bounded by a budget — the paper's
 //! "no grid" configuration of Fig. 10a): D-CAND's map loop, a
 //! [`RunWalker`] walk with the ⊕ merge of every live run, over the same
 //! tables the DP reads.
+//!
+//! This module holds the workspace's one ⊕: the binary sorted-merge form
+//! the DP applies per transition, and its fold over a run's output sets
+//! ([`merge_pivots`]), which the no-grid enumeration and D-CAND's mapper
+//! call.
 //!
 //! # Hot-path layout
 //!
@@ -35,7 +39,8 @@
 //! the per-sequence search allocates nothing.
 //!
 //! Rewriting: the paper shortens the input sent to partition `P_p` by
-//! dropping irrelevant prefixes and suffixes. This implementation applies
+//! dropping irrelevant prefixes and suffixes. This implementation computes
+//! one range per sequence, which every pivot's partition receives, by
 //! *safety-clamped* trimming: a leading position is dropped only while every
 //! alive run idles in the initial state with ε output (the `.*` prefix
 //! shape), and a trailing position only while every alive coordinate is
@@ -44,23 +49,11 @@
 //! pivots, including for adversarial FSTs where more aggressive per-pivot
 //! trimming would change results.
 
+use std::ops::RangeInclusive;
+
 use desq_core::fst::sim::{get_bit, ones};
 use desq_core::fst::{RunScratch, RunWalker};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, EPSILON};
-
-use crate::dcand::merge_pivots_into;
-
-/// One pivot of a sequence together with the rewritten range: partition
-/// `P_item` receives `seq[first..=last]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PivotRange {
-    /// The pivot item (a frequent fid).
-    pub item: ItemId,
-    /// First position of the rewritten sequence (inclusive).
-    pub first: u32,
-    /// Last position of the rewritten sequence (inclusive).
-    pub last: u32,
-}
 
 /// Reusable scratch of the pivot search: the run walk's scratch (which
 /// holds the simulation tables and grid bitsets both variants read) and
@@ -81,8 +74,7 @@ pub struct PivotScratch {
     /// DP row `i + 1` (previous iteration's result).
     prev: Vec<ItemId>,
     prev_off: Vec<(u32, u32)>,
-    /// Accumulated ⊕ union of one cell (of all runs, when enumerating),
-    /// and the two merge double-buffers.
+    /// Accumulated union of one DP cell, and two merge double-buffers.
     acc: Vec<ItemId>,
     tmp: Vec<ItemId>,
     tmp2: Vec<ItemId>,
@@ -113,28 +105,59 @@ fn merge_union(a: &[ItemId], b: &[ItemId], out: &mut Vec<ItemId>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// The ⊕ contribution of one transition — elements of `outs ∪ rest` no
-/// smaller than the larger of the two minima — unioned into `acc` in two
-/// merge passes over small sorted arrays (`tmp`/`tmp2` are persistent
-/// double buffers; nothing allocates after warm-up). Both inputs must be
-/// non-empty and sorted ascending.
-fn oplus_into(
-    outs: &[ItemId],
-    rest: &[ItemId],
-    acc: &mut Vec<ItemId>,
-    tmp: &mut Vec<ItemId>,
-    tmp2: &mut Vec<ItemId>,
-) {
-    let threshold = outs[0].max(rest[0]);
-    let o = &outs[outs.partition_point(|&w| w < threshold)..];
-    let r = &rest[rest.partition_point(|&w| w < threshold)..];
-    merge_union(o, r, tmp2);
-    if acc.is_empty() {
-        std::mem::swap(acc, tmp2);
-        return;
-    }
-    merge_union(tmp2, acc, tmp);
+/// Unions the sorted set `set` into the sorted set `acc` (`tmp` is the
+/// merge's double buffer).
+fn union_into(acc: &mut Vec<ItemId>, set: &[ItemId], tmp: &mut Vec<ItemId>) {
+    merge_union(set, acc, tmp);
     std::mem::swap(acc, tmp);
+}
+
+/// The ⊕ pivot merge of Th. 1 on two sets: `{ max(u, v) : u ∈ a, v ∈ b }`,
+/// i.e. the elements of `a ∪ b` no smaller than the larger of the two
+/// minima, into `out` by one sorted-merge pass. Both sets must be
+/// non-empty and sorted ascending; so is the result, whose minimum is
+/// that larger minimum — which makes ⊕ associative.
+fn oplus(a: &[ItemId], b: &[ItemId], out: &mut Vec<ItemId>) {
+    let threshold = a[0].max(b[0]);
+    let a = &a[a.partition_point(|&w| w < threshold)..];
+    let b = &b[b.partition_point(|&w| w < threshold)..];
+    merge_union(a, b, out);
+}
+
+/// The pivot set of a run with output sets `sets` — `{ max(w_1..w_k) :
+/// w_i ∈ sets_i }` — as the fold of [`oplus`] over them, into `out`
+/// (`tmp` is the fold's double buffer). Sets are sorted ascending; no
+/// sets, or an empty one, yield the empty set.
+pub(crate) fn oplus_fold<'s>(
+    mut sets: impl Iterator<Item = &'s [ItemId]>,
+    out: &mut Vec<ItemId>,
+    tmp: &mut Vec<ItemId>,
+) {
+    out.clear();
+    if let Some(first) = sets.next() {
+        out.extend_from_slice(first);
+    }
+    for set in sets {
+        if set.is_empty() || out.is_empty() {
+            out.clear();
+            return;
+        }
+        oplus(set, out, tmp);
+        std::mem::swap(out, tmp);
+    }
+}
+
+/// Th. 1's ⊕ folded over `sets`: the pivot set `{ max(w_1..w_k) : w_i ∈
+/// sets_i }` of a run with those output sets, as a fresh vector — the
+/// allocating form of the fold the mappers run, for tests and benches.
+/// Sets are sorted ascending; no sets, or an empty one, yield the empty
+/// set.
+pub fn merge_pivots<S: AsRef<[ItemId]>>(sets: &[S]) -> Vec<ItemId> {
+    let union_bound = sets.iter().map(|s| s.as_ref().len()).sum();
+    let mut out = Vec::with_capacity(union_bound);
+    let mut tmp = Vec::with_capacity(union_bound);
+    oplus_fold(sets.iter().map(AsRef::as_ref), &mut out, &mut tmp);
+    out
 }
 
 /// Pivot computation for one compiled FST over one dictionary.
@@ -163,35 +186,37 @@ impl<'a> PivotSearch<'a> {
         RunWalker::new(self.fst, self.dict, self.fst.index(), self.last_frequent)
     }
 
-    /// `K^σ(T)`, with the shared rewritten range, sorted ascending by item.
+    /// `K^σ(T)`, sorted ascending, with the rewritten range all its pivots
+    /// share (`None` iff there are no pivots).
     ///
     /// Convenience wrapper over [`Self::pivots_into`] with a throwaway
     /// scratch; hot loops should hoist a [`PivotScratch`] per thread
     /// instead.
-    pub fn pivots(&self, seq: &[ItemId]) -> Vec<PivotRange> {
+    pub fn pivots(&self, seq: &[ItemId]) -> (Vec<ItemId>, Option<RangeInclusive<usize>>) {
         let mut out = Vec::new();
-        self.pivots_into(seq, &mut PivotScratch::default(), &mut out);
-        out
+        let range = self.pivots_into(seq, &mut PivotScratch::default(), &mut out);
+        (out, range)
     }
 
-    /// `K^σ(T)` with the shared rewritten range by the flat grid DP,
-    /// clearing and filling a caller buffer with caller-provided scratch —
-    /// the allocation-free form used by D-SEQ's mapper.
+    /// `K^σ(T)` by the flat grid DP, clearing and filling a caller buffer
+    /// with caller-provided scratch — the allocation-free form used by
+    /// D-SEQ's mapper. Returns the one rewritten range every pivot's
+    /// partition receives (`seq[range]`), or `None` iff `out` is empty.
     pub fn pivots_into(
         &self,
         seq: &[ItemId],
         scratch: &mut PivotScratch,
-        out: &mut Vec<PivotRange>,
-    ) {
+        out: &mut Vec<ItemId>,
+    ) -> Option<RangeInclusive<usize>> {
         out.clear();
         if seq.is_empty() || !self.walker().build_tables(seq, &mut scratch.runs) {
-            return;
+            return None;
         }
         self.flat_pivot_set(seq, scratch);
         let (start, end) = scratch.prev_off[self.fst.initial() as usize];
         let pivots = &scratch.prev[start as usize..end as usize];
-        let pivots = &pivots[pivots.partition_point(|&w| w == EPSILON)..];
-        self.push_ranges(seq, &scratch.runs, pivots, out);
+        out.extend_from_slice(&pivots[pivots.partition_point(|&w| w == EPSILON)..]);
+        self.range(seq, &scratch.runs, out)
     }
 
     /// The backward pivot DP over the prepared tables. Leaves row 0 in
@@ -243,21 +268,19 @@ impl<'a> PivotSearch<'a> {
                     let rest = &scratch.prev[rs as usize..re as usize];
                     if tr.label < 0 {
                         // ε output: ⊕({ε}, rest) = rest.
-                        merge_union(rest, &scratch.acc, &mut scratch.tmp);
-                        std::mem::swap(&mut scratch.acc, &mut scratch.tmp);
+                        union_into(&mut scratch.acc, rest, &mut scratch.tmp);
                         continue;
                     }
                     let outs = tables.set(ids[i * l + tr.label as usize], self.last_frequent);
                     if outs.is_empty() {
                         continue; // dead under the σ filter
                     }
-                    oplus_into(
-                        outs,
-                        rest,
-                        &mut scratch.acc,
-                        &mut scratch.tmp,
-                        &mut scratch.tmp2,
-                    );
+                    oplus(outs, rest, &mut scratch.tmp2);
+                    if scratch.acc.is_empty() {
+                        std::mem::swap(&mut scratch.acc, &mut scratch.tmp2);
+                    } else {
+                        union_into(&mut scratch.acc, &scratch.tmp2, &mut scratch.tmp);
+                    }
                 }
                 let s = scratch.cur.len() as u32;
                 scratch.cur.extend_from_slice(&scratch.acc);
@@ -268,10 +291,10 @@ impl<'a> PivotSearch<'a> {
         }
     }
 
-    /// `K^σ(T)` with the shared rewritten range by run enumeration — the
-    /// "no grid" ablation of Fig. 10a. Walks every accepting run over the
-    /// tables [`RunWalker`] builds into `scratch`, unions the ⊕ pivot set of
-    /// each live run (D-CAND's map loop), then trims the range off the same
+    /// `K^σ(T)` and its rewritten range by run enumeration — the "no grid"
+    /// ablation of Fig. 10a. Walks every accepting run over the tables
+    /// [`RunWalker`] builds into `scratch`, unions the ⊕ pivot set of each
+    /// live run (D-CAND's map loop), then trims the range off the same
     /// tables. `budget` is charged one unit per accepting run walked, σ-dead
     /// runs included; a sequence with more runs than that fails with
     /// [`Error::ResourceExhausted`] and leaves `out` empty.
@@ -280,17 +303,10 @@ impl<'a> PivotSearch<'a> {
         seq: &[ItemId],
         budget: usize,
         scratch: &mut PivotScratch,
-        out: &mut Vec<PivotRange>,
-    ) -> Result<()> {
+        out: &mut Vec<ItemId>,
+    ) -> Result<Option<RangeInclusive<usize>>> {
         out.clear();
-        let PivotScratch {
-            runs,
-            acc,
-            tmp,
-            tmp2,
-            ..
-        } = scratch;
-        acc.clear();
+        let PivotScratch { runs, acc, tmp, .. } = scratch;
         let mut work = 0usize;
         let completed = self.walker().for_each_run(seq, runs, |sets| {
             work += 1;
@@ -298,66 +314,35 @@ impl<'a> PivotSearch<'a> {
                 return false;
             }
             if !sets.is_dead() {
-                merge_pivots_into(sets.iter(), tmp);
-                merge_union(tmp, acc, tmp2);
-                std::mem::swap(acc, tmp2);
+                oplus_fold(sets.iter(), acc, tmp);
+                union_into(out, acc, tmp);
             }
             true
         });
         if !completed {
+            out.clear();
             return Err(Error::ResourceExhausted(format!(
                 "pivot enumeration exceeded budget of {budget}"
             )));
         }
-        self.push_ranges(seq, runs, acc, out);
-        Ok(())
+        Ok(self.range(seq, runs, out))
     }
 
-    /// Appends one [`PivotRange`] per item of `pivots`, all with the
-    /// rewritten range trimmed off the tables in `runs` (built for `seq`).
-    fn push_ranges(
+    /// The safety-clamped rewritten range all of `pivots` share, trimmed
+    /// off the tables in `runs` (built for `seq`), or `None` if there are
+    /// no pivots. A pivot means some position outputs, so the leading
+    /// trim stops before the sequence ends.
+    fn range(
         &self,
         seq: &[ItemId],
         runs: &RunScratch,
         pivots: &[ItemId],
-        out: &mut Vec<PivotRange>,
-    ) {
+    ) -> Option<RangeInclusive<usize>> {
         if pivots.is_empty() {
-            return;
-        }
-        let (first, last) = self
-            .range_from_scratch(seq, runs)
-            .expect("pivots imply a range");
-        out.extend(pivots.iter().map(|&item| PivotRange {
-            item,
-            first: first as u32,
-            last: last as u32,
-        }));
-    }
-
-    /// The safety-clamped rewritten range shared by all pivots of `seq`, or
-    /// `None` if the FST rejects the sequence.
-    pub fn safe_range(&self, seq: &[ItemId], scratch: &mut PivotScratch) -> Option<(usize, usize)> {
-        if seq.is_empty() || !self.walker().build_tables(seq, &mut scratch.runs) {
             return None;
         }
-        self.range_from_scratch(seq, &scratch.runs)
-    }
-
-    /// The rewritten range over the tables in `scratch`, which
-    /// [`RunWalker::build_tables`] must have built for `seq` (and accepted).
-    fn range_from_scratch(&self, seq: &[ItemId], scratch: &RunScratch) -> Option<(usize, usize)> {
-        if seq.is_empty() {
-            return None;
-        }
-        let first = self.safe_front(seq, scratch);
-        if first == seq.len() {
-            // Every position idles in the initial state: only the empty
-            // candidate exists. Keep a minimal non-empty range.
-            return Some((0, seq.len() - 1));
-        }
-        let last = seq.len() - 1 - self.safe_back(seq, scratch, first);
-        Some((first, last))
+        let first = self.safe_front(seq, runs);
+        Some(first..=seq.len() - 1 - self.safe_back(seq, runs, first))
     }
 
     /// Number of leading positions provably droppable: while the only alive
@@ -431,17 +416,57 @@ mod tests {
     use super::*;
     use desq_core::toy;
 
-    /// The no-grid variant's ranges, under an unbounded budget.
+    /// The no-grid variant's pivots and range, under an unbounded budget.
     fn enumerated(
         search: &PivotSearch<'_>,
         seq: &[ItemId],
         scratch: &mut PivotScratch,
-    ) -> Vec<PivotRange> {
+    ) -> (Vec<ItemId>, Option<RangeInclusive<usize>>) {
         let mut out = Vec::new();
-        search
+        let range = search
             .pivots_enumerated_into(seq, usize::MAX, scratch, &mut out)
             .unwrap();
-        out
+        (out, range)
+    }
+
+    /// Every non-empty subset of `1..=5`, ascending.
+    fn small_sets() -> Vec<Vec<ItemId>> {
+        (1u32..32)
+            .map(|bits| (1..=5).filter(|w| bits & (1 << (w - 1)) != 0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn binary_oplus_is_the_max_of_every_pair() {
+        let mut out = Vec::new();
+        for a in &small_sets() {
+            for b in &small_sets() {
+                let mut expect: Vec<ItemId> = a
+                    .iter()
+                    .flat_map(|&u| b.iter().map(move |&v| u.max(v)))
+                    .collect();
+                expect.sort_unstable();
+                expect.dedup();
+                oplus(a, b, &mut out);
+                assert_eq!(out, expect, "{a:?} ⊕ {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_fold_matches_theorem_examples() {
+        // Paper running example: the run sets of r2 on T5 are {a1}, {A, a1},
+        // {b}; achievable pivots are a1 only (A and b are below the largest
+        // minimum a1).
+        let fx = toy::fixture();
+        let sets = vec![vec![fx.a1], vec![fx.big_a, fx.a1], vec![fx.b]];
+        assert_eq!(merge_pivots(&sets), vec![fx.a1]);
+        // Degenerate cases.
+        assert!(merge_pivots::<Vec<ItemId>>(&[]).is_empty());
+        assert!(merge_pivots(&[vec![3, 7], vec![]]).is_empty());
+        assert!(merge_pivots(&[vec![], vec![3, 7]]).is_empty());
+        assert_eq!(merge_pivots(&[vec![3, 7]]), vec![3, 7]);
+        assert_eq!(merge_pivots(&[vec![1, 5], vec![2, 9]]), vec![2, 5, 9]);
     }
 
     #[test]
@@ -450,8 +475,7 @@ mod tests {
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
         let expected: [&[ItemId]; 5] = [&[fx.a1, fx.c], &[fx.a1], &[], &[], &[fx.a1]];
         for (t, expect) in fx.db.sequences.iter().zip(expected) {
-            let got: Vec<ItemId> = search.pivots(t).iter().map(|p| p.item).collect();
-            assert_eq!(got, expect, "K({})", fx.dict.render(t));
+            assert_eq!(search.pivots(t).0, expect, "K({})", fx.dict.render(t));
         }
     }
 
@@ -463,10 +487,9 @@ mod tests {
         for sigma in 1..=5 {
             let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
             for seq in &fx.db.sequences {
-                search.pivots_into(seq, &mut scratch, &mut dp);
+                let range = search.pivots_into(seq, &mut scratch, &mut dp);
                 let en = enumerated(&search, seq, &mut scratch);
-                let items = |r: &[PivotRange]| r.iter().map(|p| p.item).collect::<Vec<_>>();
-                assert_eq!(items(&dp), items(&en), "σ={sigma}, seq {seq:?}");
+                assert_eq!((dp.clone(), range), en, "σ={sigma}, seq {seq:?}");
             }
         }
     }
@@ -505,9 +528,13 @@ mod tests {
                 let search = PivotSearch::new(fst, dict, dict.last_frequent(sigma));
                 for seq in &db.sequences {
                     let mut fresh = PivotScratch::default();
-                    search.pivots_into(seq, &mut shared, &mut reused);
-                    search.pivots_into(seq, &mut fresh, &mut expect);
-                    assert_eq!(reused, expect, "σ={sigma} {seq:?}");
+                    let range = search.pivots_into(seq, &mut shared, &mut reused);
+                    let fresh_range = search.pivots_into(seq, &mut fresh, &mut expect);
+                    assert_eq!(
+                        (&reused, range),
+                        (&expect, fresh_range),
+                        "σ={sigma} {seq:?}"
+                    );
                     let (a, b) = (shared.runs.tables(), fresh.runs.tables());
                     assert_eq!(a.mask(), b.mask(), "σ={sigma}, seq {seq:?}");
                     let cut = dict.last_frequent(sigma);
@@ -527,10 +554,8 @@ mod tests {
     fn rewriting_trims_t2_prefix() {
         let fx = toy::fixture();
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
-        let t2 = &fx.db.sequences[1];
-        let pr = search.pivots(t2);
-        assert_eq!(pr.len(), 1);
-        assert_eq!((pr[0].first, pr[0].last), (2, 6));
+        let (pivots, range) = search.pivots(&fx.db.sequences[1]);
+        assert_eq!((pivots.len(), range), (1, Some(2..=6)));
     }
 
     #[test]
@@ -550,26 +575,19 @@ mod tests {
         let fx = toy::fixture();
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(1));
         let t2 = &fx.db.sequences[1];
-        let mut out = vec![PivotRange {
-            item: 1,
-            first: 0,
-            last: 0,
-        }];
+        let mut out = vec![1];
         let err = search
             .pivots_enumerated_into(t2, 1, &mut PivotScratch::default(), &mut out)
             .unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)));
-        assert!(out.is_empty(), "an exhausted search leaves no stale ranges");
+        assert!(out.is_empty(), "an exhausted search leaves no stale pivots");
     }
 
     #[test]
     fn empty_and_rejected_sequences_have_no_pivots() {
         let fx = toy::fixture();
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
-        assert!(search.pivots(&[]).is_empty());
-        assert!(search.pivots(&fx.db.sequences[2]).is_empty()); // T3 rejected
-        assert!(search
-            .safe_range(&[], &mut PivotScratch::default())
-            .is_none());
+        assert_eq!(search.pivots(&[]), (vec![], None));
+        assert_eq!(search.pivots(&fx.db.sequences[2]), (vec![], None)); // T3 rejected
     }
 }

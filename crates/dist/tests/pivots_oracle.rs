@@ -21,8 +21,7 @@ fn pivots_match_candidate_definition_on_toy() {
                 .collect();
             expect.sort_unstable();
             expect.dedup();
-            let got: Vec<ItemId> = search.pivots(seq).iter().map(|p| p.item).collect();
-            assert_eq!(got, expect, "σ={sigma}, seq {seq:?}");
+            assert_eq!(search.pivots(seq).0, expect, "σ={sigma}, seq {seq:?}");
         }
     }
 }
@@ -33,13 +32,13 @@ fn rewriting_preserves_candidates_on_toy() {
     for sigma in 1..=4u64 {
         let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(sigma));
         for seq in &fx.db.sequences {
-            for pr in search.pivots(seq) {
-                let trimmed = &seq[pr.first as usize..=pr.last as usize];
+            if let (_, Some(range)) = search.pivots(seq) {
+                let trimmed = &seq[range];
                 let full =
                     candidates::generate(&fx.fst, &fx.dict, seq, Some(sigma), usize::MAX).unwrap();
                 let cut = candidates::generate(&fx.fst, &fx.dict, trimmed, Some(sigma), usize::MAX)
                     .unwrap();
-                assert_eq!(full, cut, "σ={sigma}, pivot {} of {seq:?}", pr.item);
+                assert_eq!(full, cut, "σ={sigma}, {seq:?}");
             }
         }
     }
@@ -54,12 +53,13 @@ fn no_grid_budget_bound_matches_the_oracle_run_count_on_toy() {
         for seq in &fx.db.sequences {
             let grid = Grid::build(&fx.fst, &fx.dict, seq);
             let runs = runs::count_accepting_runs(&fx.fst, &fx.dict, seq, &grid, usize::MAX);
-            search.pivots_into(seq, &mut scratch, &mut dp);
+            let dp_range = search.pivots_into(seq, &mut scratch, &mut dp);
             for budget in 1..=runs + 2 {
                 match search.pivots_enumerated_into(seq, budget, &mut scratch, &mut got) {
-                    Ok(()) => {
+                    Ok(range) => {
                         assert!(runs <= budget, "σ={sigma} budget {budget} {seq:?}");
                         assert_eq!(got, dp, "σ={sigma} budget {budget} {seq:?}");
+                        assert_eq!(range, dp_range, "σ={sigma} budget {budget} {seq:?}");
                     }
                     Err(Error::ResourceExhausted(msg)) => {
                         assert!(runs > budget, "σ={sigma} budget {budget} {seq:?}");

@@ -1,8 +1,8 @@
 //! The FST-based sequential algorithms, DESQ-DFS and DESQ-COUNT, behind
 //! the [`Miner`] trait. Neither has a parameter of its own: σ, the work
 //! budget, cancellation and the worker count all come from the
-//! [`MiningContext`]. (PrefixSpan and the gap miner implement [`Miner`]
-//! on their own types, [`crate::PrefixSpan`] and [`crate::GapMiner`].)
+//! [`MiningContext`]. (The gap miner implements [`Miner`] on its own type,
+//! [`crate::GapMiner`].)
 
 use std::time::Instant;
 
@@ -215,7 +215,7 @@ mod tests {
     fn fst_free_miners_ignore_missing_fst() {
         let fx = toy::fixture();
         let ctx = MiningContext::sequential(&fx.db, &fx.dict, 2);
-        assert!(crate::PrefixSpan { max_len: 3 }.mine(&ctx).is_ok());
+        assert!(crate::GapMiner::t1(3).mine(&ctx).is_ok());
         assert!(crate::GapMiner::new(1, 3, true).mine(&ctx).is_ok());
         // FST-based miners surface a descriptive error instead.
         assert!(matches!(DesqDfs.mine(&ctx), Err(Error::Invalid(_))));

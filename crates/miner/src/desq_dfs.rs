@@ -646,12 +646,15 @@ impl<'a> LocalMiner<'a> {
     /// partition-per-key reducers that share an arena parallelize across
     /// keys, not within them. A pick's position in `picks` is its input
     /// index in the postings, so more than `u32::MAX` picks fail with
-    /// [`desq_core::Error::Invalid`].
+    /// [`desq_core::Error::Invalid`]. `cancel`, when given, is polled
+    /// before every pattern, as the scheduled runs do: a tripped token
+    /// ends the mining with its stop reason.
     pub fn mine_picks(
         &self,
         tables: &SeqTables,
         picks: &[(u32, u64)],
         scratch: &mut MinerScratch,
+        cancel: Option<&CancelToken>,
         sink: &mut dyn FnMut(Sequence, u64),
     ) -> Result<()> {
         let MinerScratch {
@@ -680,6 +683,7 @@ impl<'a> LocalMiner<'a> {
         roots.extend(self.root_postings(views));
         self.fit_bufs(bufs, views);
         let mut prefix = Sequence::new();
+        let mut stopped = Ok(());
         self.expand(
             views,
             roots,
@@ -690,11 +694,14 @@ impl<'a> LocalMiner<'a> {
             bufs,
             None,
             &mut |p, f| {
-                sink(p, f);
-                true
+                stopped = cancel.map_or(Ok(()), CancelToken::checkpoint);
+                if stopped.is_ok() {
+                    sink(p, f);
+                }
+                stopped.is_ok()
             },
         );
-        Ok(())
+        stopped
     }
 
     /// The early-stopping bound of one sequence under this miner's
@@ -1679,7 +1686,7 @@ mod tests {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
                 let part = LocalMiner::new(fst, &dict, cfg);
                 let mut mined = Vec::new();
-                part.mine_picks(&tables, part_picks, &mut scratch, &mut |p, f| {
+                part.mine_picks(&tables, part_picks, &mut scratch, None, &mut |p, f| {
                     mined.push((p, f))
                 })
                 .unwrap();
@@ -1739,7 +1746,7 @@ mod tests {
                     let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
                     let mut mined = Vec::new();
                     miner
-                        .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                        .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
                             mined.push((p, f))
                         })
                         .unwrap();
@@ -1751,6 +1758,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_tripped_token_stops_mine_picks_before_its_first_pattern() {
+        let fx = toy::fixture();
+        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let (tables, picks) = toy_arena(&fx, &builder, 1);
+        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.a1, true));
+        let mut scratch = MinerScratch::default();
+        let mut mined = 0;
+        let live = CancelToken::new();
+        miner
+            .mine_picks(&tables, &picks, &mut scratch, Some(&live), &mut |_, _| {
+                mined += 1
+            })
+            .unwrap();
+        assert!(mined > 0, "the partition has patterns to stop");
+        let token = CancelToken::new();
+        token.cancel();
+        let mut emitted = 0;
+        let stopped = miner.mine_picks(&tables, &picks, &mut scratch, Some(&token), &mut |_, _| {
+            emitted += 1
+        });
+        assert!(
+            matches!(stopped, Err(desq_core::Error::Cancelled(_))),
+            "{stopped:?}"
+        );
+        assert_eq!(emitted, 0);
     }
 
     #[test]
@@ -1775,7 +1810,7 @@ mod tests {
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
             miner
-                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
                     mined.push((p, f))
                 })
                 .unwrap();
@@ -1807,7 +1842,7 @@ mod tests {
             for pivot in 1..=last {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
                 LocalMiner::new(&fst, &dict, cfg)
-                    .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                    .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
                         mined.push((p, f))
                     })
                     .unwrap();
@@ -1924,9 +1959,13 @@ mod tests {
     ) -> Vec<(Sequence, u64)> {
         let mut mined = Vec::new();
         miner
-            .mine_picks(tables, picks, &mut MinerScratch::default(), &mut |p, f| {
-                mined.push((p, f))
-            })
+            .mine_picks(
+                tables,
+                picks,
+                &mut MinerScratch::default(),
+                None,
+                &mut |p, f| mined.push((p, f)),
+            )
             .unwrap();
         crate::sort_patterns(mined)
     }
@@ -2174,7 +2213,7 @@ mod tests {
             }
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             miner
-                .mine_picks(&tables, &picks, &mut scratch, &mut |p, f| {
+                .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
                     mined.push((p, f))
                 })
                 .unwrap();

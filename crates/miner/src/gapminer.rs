@@ -1,12 +1,15 @@
 //! Gap-constrained pattern growth with optional hierarchy generalization —
-//! the local miner of MG-FSM and LASH.
+//! the local miner of MG-FSM, LASH and the MLlib-style PrefixSpan.
 //!
-//! Mines sequences `S = s1...sk` with `2 <= k <= max_len` such that
+//! Mines sequences `S = s1...sk` with `min_len <= k <= max_len` such that
 //! there are positions `i1 < ... < ik` in the input with
 //! `i_{j+1} - i_j - 1 <= gamma` (at most γ uncaptured items between
 //! consecutive matches) and `t_{i_j}` generalizes to `s_j` (with
 //! `generalize = false`, items must match exactly). These are exactly the
-//! candidate sets of the paper's traditional constraints
+//! candidate sets of the paper's traditional constraints, one family with
+//! γ, λ and the hierarchy as parameters:
+//! `T1(σ, λ) = (.)[.*(.)]{,λ-1}` (γ = ∞, no hierarchy, `min_len` 1 —
+//! classic PrefixSpan's semantics, built by [`GapMiner::t1`]),
 //! `T2(σ, γ, λ) = (.)[.{0,γ}(.)]{1,λ-1}` (no hierarchy) and
 //! `T3(σ, γ, λ) = (.^)[.{0,γ}(.^)]{1,λ-1}` (hierarchy), which is asserted by
 //! cross-validation tests against the FST-based miners.
@@ -17,16 +20,15 @@
 use std::time::Instant;
 
 use desq_core::fx::FxHashMap;
-use desq_core::mining::{CancelToken, Miner, MiningContext, MiningResult};
+use desq_core::mining::{CancelToken, Miner, MiningContext, MiningMetrics, MiningResult};
 use desq_core::{Dictionary, ItemId, Result, Sequence};
 
-/// Gap-constrained pattern growth: Tab. III's `T2(σ, γ, λ)` (no hierarchy)
-/// and `T3(σ, γ, λ)` (hierarchy) without an FST, and the local miner of the
-/// LASH baseline. `gamma`, `max_len` and `generalize` are the γ, λ and
-/// hierarchy switch Fig. 12 varies (γ = `usize::MAX` means no gap limit);
-/// `pivot` restricts the miner to one LASH partition. Patterns have at
-/// least two items, as in every paper setting. σ comes from the
-/// [`MiningContext`].
+/// Gap-constrained pattern growth: Tab. III's `T1(σ, λ)` ([`GapMiner::t1`]),
+/// `T2(σ, γ, λ)` (no hierarchy) and `T3(σ, γ, λ)` (hierarchy) without an
+/// FST, and the local miner of the LASH and MLlib baselines. `gamma`,
+/// `max_len` and `generalize` are the γ, λ and hierarchy switch Fig. 12
+/// varies (γ = `usize::MAX` means no gap limit); `pivot` restricts the
+/// miner to one LASH partition. σ comes from the [`MiningContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct GapMiner {
     /// Maximum gap γ between consecutive matched positions.
@@ -39,11 +41,10 @@ pub struct GapMiner {
     /// expansions never use items greater than `k`, and only sequences
     /// containing `k` are emitted. `None` mines unrestricted.
     pub pivot: Option<ItemId>,
+    /// Shortest pattern emitted: 2 for T2/T3, whose `[.{0,γ}(.)]{1,λ-1}`
+    /// repeats at least once after the first item, 1 for T1.
+    min_len: usize,
 }
-
-/// Shortest pattern a [`GapMiner`] emits: T2/T3's `[.{0,γ}(.)]{1,λ-1}`
-/// repeats at least once after the first item.
-const MIN_LEN: usize = 2;
 
 impl GapMiner {
     /// The paper's T2/T3 parameterization (no pivot).
@@ -53,13 +54,26 @@ impl GapMiner {
             max_len,
             generalize,
             pivot: None,
+            min_len: 2,
+        }
+    }
+
+    /// The paper's `T1(σ, λ)`: every subsequence of length `1..=max_len`,
+    /// arbitrary gaps, no hierarchy — what Spark MLlib's PrefixSpan mines.
+    pub fn t1(max_len: usize) -> GapMiner {
+        GapMiner {
+            min_len: 1,
+            ..GapMiner::new(usize::MAX, max_len, false)
         }
     }
 
     /// Mines a weighted collection at threshold `sigma`; returns
-    /// `(pattern, frequency)` sorted lexicographically. `cancel`, when
-    /// given, is polled once per frequent pattern, so a tripped token ends
-    /// the run with its stop reason.
+    /// `(pattern, frequency)` sorted lexicographically. Weights scale
+    /// support counts; `dict`'s document frequencies, which cut the
+    /// infrequent items, must bound the weighted supports (they count the
+    /// database the weighted inputs summarize). `cancel`, when given, is
+    /// polled once per frequent pattern, so a tripped token ends the run
+    /// with its stop reason.
     pub fn mine_weighted(
         &self,
         inputs: &[(Sequence, u64)],
@@ -68,7 +82,7 @@ impl GapMiner {
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<(Sequence, u64)>> {
         let mut out = Vec::new();
-        if self.max_len < MIN_LEN || sigma == 0 {
+        if self.max_len < self.min_len || sigma == 0 {
             return Ok(out);
         }
         let last_frequent = dict.last_frequent(sigma);
@@ -136,12 +150,17 @@ impl GapMiner {
         prefix: &mut Sequence,
         emit: &mut dyn FnMut(&Sequence, u64) -> Result<()>,
     ) -> Result<()> {
-        let mut items: Vec<ItemId> = children.keys().copied().collect();
-        items.sort_unstable();
-        for w in items {
-            let mut entries = children[&w].clone();
+        let mut children: Vec<_> = children.into_iter().collect();
+        children.sort_unstable_by_key(|&(w, _)| w);
+        for (w, mut entries) in children {
             entries.sort_unstable();
-            entries.dedup();
+            if self.gamma == usize::MAX {
+                // Unbounded gaps: a sequence's earliest end position has
+                // the window that covers every later one's.
+                entries.dedup_by_key(|&mut (s, _)| s);
+            } else {
+                entries.dedup();
+            }
             // Weighted support: distinct sequences present in the projection.
             let mut support = 0u64;
             let mut last = u32::MAX;
@@ -155,7 +174,7 @@ impl GapMiner {
                 continue;
             }
             prefix.push(w);
-            if prefix.len() >= MIN_LEN {
+            if prefix.len() >= self.min_len {
                 let pivot_ok = match self.pivot {
                     Some(k) => prefix.contains(&k),
                     None => true,
@@ -201,14 +220,16 @@ impl Miner for GapMiner {
         let inputs: Vec<(Sequence, u64)> =
             ctx.db.sequences.iter().map(|s| (s.clone(), 1)).collect();
         let patterns = self.mine_weighted(&inputs, ctx.dict, ctx.sigma, ctx.cancel)?;
-        Ok(crate::sequential_result(ctx, t0, patterns))
+        let (n, nanos) = (patterns.len() as u64, t0.elapsed().as_nanos() as u64);
+        let metrics = MiningMetrics::sequential(nanos, ctx.db.len() as u64, n, n);
+        Ok(MiningResult { patterns, metrics })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desq_core::{toy, SequenceDb};
+    use desq_core::{toy, DictionaryBuilder, SequenceDb};
 
     /// `miner` at threshold `sigma` over `db`, rendered in fid order.
     fn mine(miner: GapMiner, db: &SequenceDb, dict: &Dictionary, sigma: u64) -> Vec<Sequence> {
@@ -260,15 +281,15 @@ mod tests {
         let fx = toy::fixture();
         let db = SequenceDb::new(vec![fx.db.sequences[0].clone()]);
         let out = mine(GapMiner::new(4, 3, false), &db, &fx.dict, 1);
-        assert!(out.iter().all(|s| (MIN_LEN..=3).contains(&s.len())));
-        for len in MIN_LEN..=3 {
+        assert!(out.iter().all(|s| (2..=3).contains(&s.len())));
+        for len in 2..=3 {
             assert!(
                 out.iter().any(|s| s.len() == len),
                 "no pattern of length {len}"
             );
         }
         // λ below the minimum length leaves nothing to mine.
-        assert!(mine(GapMiner::new(4, MIN_LEN - 1, false), &db, &fx.dict, 1).is_empty());
+        assert!(mine(GapMiner::new(4, 1, false), &db, &fx.dict, 1).is_empty());
     }
 
     #[test]
@@ -295,5 +316,84 @@ mod tests {
         for s in &out {
             assert!(s.iter().all(|&w| w <= 5), "{s:?}");
         }
+    }
+
+    /// `T1(σ, λ)` over weighted sequences of space-separated item names,
+    /// with a flat dictionary frozen from the database they summarize
+    /// (each sequence repeated by its weight); rendered patterns with their
+    /// supports, sorted by name.
+    fn t1(seqs: &[(&str, u64)], sigma: u64, max_len: usize) -> Vec<(String, u64)> {
+        let mut b = DictionaryBuilder::new();
+        for (seq, _) in seqs {
+            for name in seq.split_whitespace() {
+                b.item(name);
+            }
+        }
+        let ids = |seq: &str, id_of: &dyn Fn(&str) -> Option<ItemId>| -> Sequence {
+            seq.split_whitespace()
+                .map(|name| id_of(name).unwrap())
+                .collect()
+        };
+        let expanded: Vec<Sequence> = seqs
+            .iter()
+            .flat_map(|&(seq, w)| vec![ids(seq, &|n| b.id_of(n)); w as usize])
+            .collect();
+        let (dict, _) = b.freeze(&SequenceDb::new(expanded)).unwrap();
+        let inputs: Vec<(Sequence, u64)> = seqs
+            .iter()
+            .map(|&(seq, w)| (ids(seq, &|n| dict.id_of(n)), w))
+            .collect();
+        let out = GapMiner::t1(max_len)
+            .mine_weighted(&inputs, &dict, sigma, None)
+            .unwrap();
+        let mut rendered: Vec<(String, u64)> =
+            out.iter().map(|(s, f)| (dict.render(s), *f)).collect();
+        rendered.sort();
+        rendered
+    }
+
+    fn owned(patterns: &[(&str, u64)]) -> Vec<(String, u64)> {
+        patterns.iter().map(|&(s, f)| (s.to_string(), f)).collect()
+    }
+
+    #[test]
+    fn t1_mines_all_subsequences_up_to_max_len() {
+        let out = t1(&[("a b c", 1), ("a c", 1), ("b c", 1)], 2, 2);
+        let expect = [("a", 2), ("a c", 2), ("b", 2), ("b c", 2), ("c", 3)];
+        assert_eq!(out, owned(&expect));
+    }
+
+    #[test]
+    fn t1_max_len_limits_depth() {
+        let db = [("a b c", 1), ("a b c", 1)];
+        assert!(t1(&db, 2, 1).iter().all(|(s, _)| !s.contains(' ')));
+        assert!(t1(&db, 2, 3).contains(&("a b c".to_string(), 2)));
+    }
+
+    #[test]
+    fn t1_gaps_are_arbitrary() {
+        let out = t1(&[("a x x x b", 1), ("a b", 1)], 2, 2);
+        assert!(out.contains(&("a b".to_string(), 2)), "{out:?}");
+    }
+
+    #[test]
+    fn t1_counts_repeated_items_once_per_sequence() {
+        assert_eq!(t1(&[("e e e", 1), ("e", 1)], 2, 1), owned(&[("e", 2)]));
+        // The earliest end position stands for its sequence at every depth.
+        let out = t1(&[("a a b a b", 1), ("b a", 1)], 1, 3);
+        assert!(out.contains(&("a a b".to_string(), 1)), "{out:?}");
+        assert!(out.contains(&("b a".to_string(), 2)), "{out:?}");
+        assert!(out.contains(&("a b".to_string(), 1)), "{out:?}");
+    }
+
+    #[test]
+    fn t1_weights_scale_support() {
+        assert_eq!(t1(&[("a b", 3), ("a", 2)], 5, 2), owned(&[("a", 5)]));
+    }
+
+    #[test]
+    fn t1_empty_inputs() {
+        assert!(t1(&[], 1, 3).is_empty());
+        assert!(t1(&[("a", 1)], 1, 0).is_empty());
     }
 }

@@ -8,9 +8,10 @@
 //! **Start with [`session`]** — the unified mining API. A
 //! [`MiningSession`] is built once from a dictionary, a database, a
 //! pattern expression and an [`AlgorithmSpec`], and every algorithm in the
-//! workspace (DESQ-DFS, DESQ-COUNT, PrefixSpan, the gap miner, NAÏVE,
-//! SEMI-NAÏVE, D-SEQ, D-CAND, plus the LASH/MLlib baselines) runs through
-//! it and returns the same uniform [`MiningResult`]:
+//! workspace (DESQ-DFS, DESQ-COUNT, the gap miner with PrefixSpan's T1
+//! among its settings, NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND, plus the
+//! LASH/MLlib baselines) runs through it and returns the same uniform
+//! [`MiningResult`]:
 //!
 //! ```
 //! use desq::session::{AlgorithmSpec, MiningSession};
@@ -33,8 +34,8 @@
 //! * [`core`] — the DESQ model: dictionaries/hierarchies, pattern
 //!   expressions, finite-state transducers, candidate generation — and the
 //!   [`Miner`] trait / [`MiningResult`] substrate of the session API.
-//! * [`miner`] — sequential miners (DESQ-DFS, DESQ-COUNT, PrefixSpan,
-//!   gap-constrained mining).
+//! * [`miner`] — sequential miners (DESQ-DFS, DESQ-COUNT, and
+//!   gap-constrained mining, PrefixSpan included).
 //! * [`dist`] — the paper's contribution: D-SEQ, D-CAND and the NAÏVE /
 //!   SEMI-NAÏVE baselines, plus the constraint library of Tab. III, over
 //!   the one BSP round they all run, [`bsp`] (`desq_dist::bsp`): a

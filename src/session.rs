@@ -1,5 +1,5 @@
 //! The unified mining API: one builder, one request shape, one result
-//! shape — for all eight algorithms (plus the LASH/MLlib baselines).
+//! shape — for every algorithm (plus the LASH/MLlib baselines).
 //!
 //! A [`MiningSession`] is built once from a [`Dictionary`], a
 //! [`SequenceDb`], a subsequence constraint (a pattern-expression string or
@@ -49,7 +49,7 @@ use desq_core::mining::{
 use desq_core::{Dictionary, Error, Fst, OptLevel, PatEx, Result, Sequence, SequenceDb};
 use desq_dist::{DCandConfig, DSeqConfig, NaiveConfig};
 use desq_miner::algo::{DesqCount, DesqDfs};
-use desq_miner::{GapMiner, PrefixSpan};
+use desq_miner::GapMiner;
 
 pub use desq_core::mining::DEFAULT_BUDGET;
 
@@ -59,9 +59,9 @@ pub use desq_core::mining::DEFAULT_BUDGET;
 ///
 /// The FST-based variants (`DesqDfs`, `DesqCount`, `Naive`, `DSeq`,
 /// `DCand`) require the session to carry a subsequence constraint; the
-/// traditional-constraint variants (`PrefixSpan`, `GapMiner`, `Lash`,
-/// `Mllib`) encode their constraint in the wrapped type. Thresholds,
-/// budgets, deadlines and parallelism always come from the session.
+/// traditional-constraint variants (`GapMiner`, `Lash`, `Mllib`) encode
+/// their constraint in the wrapped type. Thresholds, budgets, deadlines
+/// and parallelism always come from the session.
 #[derive(Debug, Clone, Copy)]
 pub enum AlgorithmSpec {
     /// Sequential DESQ-DFS (pattern growth over projected databases).
@@ -69,10 +69,9 @@ pub enum AlgorithmSpec {
     /// Sequential DESQ-COUNT (candidate generation + counting; the
     /// brute-force reference).
     DesqCount,
-    /// Classic PrefixSpan (the `T1(σ, λ)` semantics).
-    PrefixSpan(PrefixSpan),
-    /// Gap-constrained pattern growth (the `T2(σ, γ, λ)` /
-    /// `T3(σ, γ, λ)` semantics).
+    /// Gap-constrained pattern growth: the `T2(σ, γ, λ)` /
+    /// `T3(σ, γ, λ)` semantics, or classic PrefixSpan's `T1(σ, λ)`
+    /// ([`GapMiner::t1`]).
     GapMiner(GapMiner),
     /// Distributed NAÏVE (ships raw candidates) or, with
     /// [`NaiveConfig::filter`], SEMI-NAÏVE (ships frequency-filtered ones).
@@ -122,7 +121,6 @@ impl AlgorithmSpec {
         match *self {
             AlgorithmSpec::DesqDfs => Box::new(DesqDfs),
             AlgorithmSpec::DesqCount => Box::new(DesqCount),
-            AlgorithmSpec::PrefixSpan(m) => Box::new(m),
             AlgorithmSpec::GapMiner(m) => Box::new(m),
             AlgorithmSpec::Naive(m) => Box::new(m),
             AlgorithmSpec::DSeq(m) => Box::new(m),
@@ -841,7 +839,7 @@ mod tests {
         for spec in [
             AlgorithmSpec::DesqDfs,
             AlgorithmSpec::d_seq(),
-            AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
+            AlgorithmSpec::GapMiner(GapMiner::t1(3)),
         ] {
             let session = toy_session(spec);
             let eager = session.run().unwrap();

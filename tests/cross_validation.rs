@@ -11,7 +11,7 @@ use desq::baselines::{LashConfig, MllibConfig};
 use desq::core::{Dictionary, Sequence, SequenceDb};
 use desq::datagen::{amzn_like, cw_like, nyt_like, to_forest, AmznConfig, CwConfig, NytConfig};
 use desq::dist::{patterns, DCandConfig, DSeqConfig, NaiveConfig};
-use desq::miner::{GapMiner, PrefixSpan};
+use desq::miner::GapMiner;
 use desq::session::{AlgorithmSpec, MiningSession};
 
 fn shared((dict, db): (Dictionary, SequenceDb)) -> (Arc<Dictionary>, Arc<SequenceDb>) {
@@ -159,7 +159,25 @@ fn specialized_baselines_agree_with_general_algorithms() {
         );
     }
 
-    // MLlib == DESQ under T1 == sequential PrefixSpan (hierarchy-free data).
+    // T3 at γ = ∞: the gap miner's earliest-end-position projection with
+    // generalization, against DESQ on `(.^)[.*(.^)]{1,λ-1}`.
+    for (sigma, lambda) in [(3, 2), (5, 3)] {
+        let expr = format!("(.^)[.*(.^)]{{1,{}}}", lambda - 1);
+        let base = base_session(&fdict, &fdb, &expr, sigma);
+        let reference = mine(&base, AlgorithmSpec::DesqCount);
+        assert!(reference.iter().any(|(s, _)| s.len() == lambda));
+        assert_eq!(
+            mine(
+                &base,
+                AlgorithmSpec::GapMiner(GapMiner::new(usize::MAX, lambda, true))
+            ),
+            reference,
+            "GapMiner T3({sigma},∞,{lambda})"
+        );
+    }
+
+    // MLlib == DESQ under T1 == the sequential gap miner's T1
+    // (hierarchy-free data).
     let (flat_dict, flat_db) = shared(cw_like(&CwConfig::new(250)));
     for sigma in [3, 8] {
         let base = base_session(&flat_dict, &flat_db, &patterns::t1(4).expr, sigma);
@@ -170,9 +188,9 @@ fn specialized_baselines_agree_with_general_algorithms() {
             "MLlib T1({sigma},4)"
         );
         assert_eq!(
-            mine(&base, AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 4 })),
+            mine(&base, AlgorithmSpec::GapMiner(GapMiner::t1(4))),
             reference,
-            "PrefixSpan T1({sigma},4)"
+            "GapMiner T1({sigma},4)"
         );
     }
 }

@@ -6,19 +6,19 @@ use desq::core::mining::CancelToken;
 use desq::core::{toy, DictionaryBuilder, Error, Fst, PatEx, SequenceDb};
 use desq::datagen::{nyt_like, NytConfig};
 use desq::dist::NaiveConfig;
-use desq::miner::{GapMiner, PrefixSpan};
+use desq::miner::GapMiner;
 use desq::session::{AlgorithmSpec, MiningSession};
 
 const NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: false });
 const SEMI_NAIVE: AlgorithmSpec = AlgorithmSpec::Naive(NaiveConfig { filter: true });
 
-/// Every `AlgorithmSpec` variant (NAÏVE in both settings), for exhaustive
-/// validation sweeps.
+/// Every `AlgorithmSpec` variant (NAÏVE in both settings, the gap miner
+/// as T1 and as T3), for exhaustive validation sweeps.
 fn all_specs() -> [AlgorithmSpec; 10] {
     [
         AlgorithmSpec::DesqDfs,
         AlgorithmSpec::DesqCount,
-        AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
+        AlgorithmSpec::GapMiner(GapMiner::t1(3)),
         AlgorithmSpec::GapMiner(GapMiner::new(1, 3, true)),
         NAIVE,
         SEMI_NAIVE,

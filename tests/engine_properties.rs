@@ -77,8 +77,8 @@ fn frequent_pivot_partitions_stay_small() {
     let mut per_pivot: FxHashMap<u32, usize> = FxHashMap::default();
     let mut total = 0usize;
     for seq in fdb.sequences.iter().take(1_000) {
-        for p in search.pivots(seq) {
-            *per_pivot.entry(p.item).or_insert(0) += 1;
+        for p in search.pivots(seq).0 {
+            *per_pivot.entry(p).or_insert(0) += 1;
             total += 1;
         }
     }

@@ -5,7 +5,7 @@
 use desq::baselines::{LashConfig, MllibConfig};
 use desq::core::{toy, Sequence};
 use desq::dist::{NaiveConfig, PivotSearch};
-use desq::miner::{GapMiner, PrefixSpan};
+use desq::miner::GapMiner;
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq_oracle::candidates;
 
@@ -70,11 +70,11 @@ fn all_algorithm_specs_agree_within_their_constraint_groups() {
         ];
         check_group(&pi_ex, &pi_specs, "πex", sigma);
 
-        // Group 2 — T1(σ, 3) semantics: PrefixSpan and MLlib-PrefixSpan
-        // natively, DESQ via the T1 pattern expression.
+        // Group 2 — T1(σ, 3) semantics: the gap miner's T1 and
+        // MLlib-PrefixSpan natively, DESQ via the T1 pattern expression.
         let t1 = session_for_expr(&desq::dist::patterns::t1(3).expr, sigma);
         let t1_specs = [
-            AlgorithmSpec::PrefixSpan(PrefixSpan { max_len: 3 }),
+            AlgorithmSpec::GapMiner(GapMiner::t1(3)),
             AlgorithmSpec::Mllib(MllibConfig { max_len: 3 }),
             AlgorithmSpec::DesqCount,
             AlgorithmSpec::d_seq(),
@@ -144,8 +144,7 @@ fn fig3_item_based_partitioning() {
         vec![fx.a1],       // T5
     ];
     for (t, expect) in fx.db.sequences.iter().zip(&expected_pivots) {
-        let got: Vec<u32> = search.pivots(t).iter().map(|p| p.item).collect();
-        assert_eq!(&got, expect, "K({t:?})");
+        assert_eq!(&search.pivots(t).0, expect, "K({t:?})");
     }
 }
 
@@ -176,9 +175,9 @@ fn rewriting_example() {
     let fx = toy::fixture();
     let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
     let t2 = &fx.db.sequences[1];
-    let pr = search.pivots(t2);
-    assert_eq!(pr.len(), 1);
-    let rewritten = &t2[pr[0].first as usize..=pr[0].last as usize];
+    let (pivots, range) = search.pivots(t2);
+    assert_eq!(pivots.len(), 1);
+    let rewritten = &t2[range.unwrap()];
     assert_eq!(fx.dict.render(rewritten), "a1 e a1 e b");
 }
 
@@ -210,12 +209,8 @@ fn partitions_only_for_frequent_pivots() {
     let fx = toy::fixture();
     let search = PivotSearch::new(&fx.fst, &fx.dict, fx.dict.last_frequent(2));
     for t in &fx.db.sequences {
-        for p in search.pivots(t) {
-            assert!(
-                fx.dict.is_frequent(p.item, 2),
-                "pivot {} infrequent",
-                p.item
-            );
+        for p in search.pivots(t).0 {
+            assert!(fx.dict.is_frequent(p, 2), "pivot {p} infrequent");
         }
     }
 }

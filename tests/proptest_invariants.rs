@@ -9,7 +9,8 @@ use desq::core::fst::nfa::{Nfa, NfaBuilder};
 use desq::core::fst::sim::get_bit;
 use desq::core::fst::{RunScratch, RunWalker};
 use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Sequence, SequenceDb};
-use desq::dist::dcand::{merge_pivots, Mapper};
+use desq::dist::dcand::Mapper;
+use desq::dist::pivots::merge_pivots;
 use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
 use desq::miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
@@ -211,13 +212,14 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
     let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
     let mut partitions: BTreeMap<ItemId, Vec<(u32, u64)>> = BTreeMap::new();
     for seq in &world.db.sequences {
-        for pr in search.pivots(seq) {
-            let range = &seq[pr.first as usize..=pr.last as usize];
-            let table = builder
-                .append_tables(range, &mut tables, &mut scratch)
-                .unwrap()
-                .expect("a pivot's rewritten range is accepted");
-            partitions.entry(pr.item).or_default().push((table, 1));
+        let (pivots, range) = search.pivots(seq);
+        let Some(range) = range else { continue };
+        let table = builder
+            .append_tables(&seq[range], &mut tables, &mut scratch)
+            .unwrap()
+            .expect("a pivot's rewritten range is accepted");
+        for p in pivots {
+            partitions.entry(p).or_default().push((table, 1));
         }
     }
     for p in 1..=dict.max_fid() {
@@ -231,7 +233,9 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
             let cfg = MinerConfig::for_pivot(sigma, p, early_stop);
             let mut mined = Vec::new();
             LocalMiner::new(fst, dict, cfg)
-                .mine_picks(&tables, picks, &mut scratch, &mut |s, f| mined.push((s, f)))
+                .mine_picks(&tables, picks, &mut scratch, None, &mut |s, f| {
+                    mined.push((s, f))
+                })
                 .unwrap();
             prop_assert_eq!(
                 &desq::miner::sort_patterns(mined),
@@ -298,7 +302,8 @@ fn cartesian(path: &[Vec<ItemId>]) -> Vec<Sequence> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Th. 1: the ⊕ merge equals the brute-force pivot computation.
+    /// Th. 1: the ⊕ merge, folded over a run's sets, equals the
+    /// brute-force pivot computation.
     #[test]
     fn pivot_merge_matches_cartesian_product(
         sets in proptest::collection::vec(
@@ -336,11 +341,13 @@ proptest! {
         let mut scratch = PivotScratch::default();
         let (mut dp, mut enumerated) = (Vec::new(), Vec::new());
         for seq in &world.db.sequences {
-            if search.pivots_enumerated_into(seq, BUDGET, &mut scratch, &mut enumerated).is_err() {
+            let Ok(range) =
+                search.pivots_enumerated_into(seq, BUDGET, &mut scratch, &mut enumerated)
+            else {
                 continue; // run explosion: enumeration unavailable
-            }
-            search.pivots_into(seq, &mut scratch, &mut dp);
-            prop_assert_eq!(&dp, &enumerated, "seq {:?}", seq);
+            };
+            let dp_range = search.pivots_into(seq, &mut scratch, &mut dp);
+            prop_assert_eq!((&dp, dp_range), (&enumerated, range), "seq {:?}", seq);
         }
     }
 
@@ -365,15 +372,15 @@ proptest! {
             let grid = Grid::build(&fst, &world.dict, seq);
             let runs = runs::count_accepting_runs(&fst, &world.dict, seq, &grid, MAX_BUDGET + 1);
             let definition = definition_pivots(&fst, &world, seq, sigma);
-            search.pivots_into(seq, &mut scratch, &mut dp);
+            let dp_range = search.pivots_into(seq, &mut scratch, &mut dp);
             for budget in 1..=MAX_BUDGET {
                 match search.pivots_enumerated_into(seq, budget, &mut scratch, &mut got) {
-                    Ok(()) => {
+                    Ok(range) => {
                         prop_assert!(runs <= budget, "{} runs, budget {}, {:?}", runs, budget, seq);
                         prop_assert_eq!(&got, &dp, "budget {}, {:?}", budget, seq);
+                        prop_assert_eq!(&range, &dp_range, "budget {}, {:?}", budget, seq);
                         if let Some(definition) = &definition {
-                            let items: Vec<ItemId> = got.iter().map(|p| p.item).collect();
-                            prop_assert_eq!(&items, definition, "budget {}, {:?}", budget, seq);
+                            prop_assert_eq!(&got, definition, "budget {}, {:?}", budget, seq);
                         }
                     }
                     Err(Error::ResourceExhausted(msg)) => {
@@ -568,11 +575,9 @@ proptest! {
             let Some(expect) = definition_pivots(&fst, &world, seq, sigma) else {
                 continue; // exploded: skip this sequence
             };
-            let got: Vec<ItemId> = search.pivots(seq).iter().map(|p| p.item).collect();
-            prop_assert_eq!(&got, &expect, "seq {:?}", seq);
+            prop_assert_eq!(&search.pivots(seq).0, &expect, "seq {:?}", seq);
             if search.pivots_enumerated_into(seq, BUDGET, &mut scratch, &mut enumerated).is_ok() {
-                let en: Vec<ItemId> = enumerated.iter().map(|p| p.item).collect();
-                prop_assert_eq!(&en, &expect, "enumerated, seq {:?}", seq);
+                prop_assert_eq!(&enumerated, &expect, "enumerated, seq {:?}", seq);
             }
         }
     }
@@ -594,24 +599,24 @@ proptest! {
                 Ok(c) => c,
                 Err(_) => continue,
             };
-            for pr in search.pivots(seq) {
-                let trimmed = seq[pr.first as usize..=pr.last as usize].to_vec();
-                let cut = match candidates::generate(
-                    &fst, &world.dict, &trimmed, Some(sigma), BUDGET,
-                ) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
+            let (pivots, range) = search.pivots(seq);
+            let Some(range) = range else { continue };
+            let cut = match candidates::generate(
+                &fst, &world.dict, &seq[range.clone()], Some(sigma), BUDGET,
+            ) {
+                Ok(c) => c,
+                Err(_) => continue,
+            };
+            for p in pivots {
                 let fk: std::collections::BTreeSet<&Sequence> = full
                     .iter()
-                    .filter(|s| desq::core::sequence::pivot(s) == pr.item)
+                    .filter(|s| desq::core::sequence::pivot(s) == p)
                     .collect();
                 let ck: std::collections::BTreeSet<&Sequence> = cut
                     .iter()
-                    .filter(|s| desq::core::sequence::pivot(s) == pr.item)
+                    .filter(|s| desq::core::sequence::pivot(s) == p)
                     .collect();
-                prop_assert_eq!(fk, ck, "pivot {} of {:?} (range {}..={})",
-                    pr.item, seq, pr.first, pr.last);
+                prop_assert_eq!(fk, ck, "pivot {} of {:?} (range {:?})", p, seq, range);
             }
         }
     }
@@ -805,12 +810,16 @@ proptest! {
         }
         let search = PivotSearch::new(&fst, &world.dict, world.dict.last_frequent(sigma));
         for seq in &world.db.sequences {
-            for pr in search.pivots(seq) {
-                prop_assert!(pr.first <= pr.last, "range of {:?}", seq);
-                prop_assert!((pr.last as usize) < seq.len(), "range end of {:?}", seq);
+            let (pivots, range) = search.pivots(seq);
+            prop_assert_eq!(pivots.is_empty(), range.is_none(), "range of {:?}", seq);
+            if let Some(range) = range {
+                prop_assert!(range.start() <= range.end(), "range of {:?}", seq);
+                prop_assert!(*range.end() < seq.len(), "range end of {:?}", seq);
+            }
+            for p in pivots {
                 prop_assert!(
-                    world.dict.is_frequent(pr.item, sigma),
-                    "infrequent pivot {} of {:?}", pr.item, seq
+                    world.dict.is_frequent(p, sigma),
+                    "infrequent pivot {} of {:?}", p, seq
                 );
             }
         }
