@@ -18,10 +18,10 @@
 //! `desq-miner` restricted to pivot sequences. Blanks are encoded as
 //! [`EPSILON`] and never match.
 
-use desq_core::codec::{decode_item_seq, encode_item_seq};
+use desq_core::codec::encode_item_seq;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
-use desq_dist::bsp::{run_round, Combiner, Exec, InProcess};
+use desq_dist::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
@@ -213,34 +213,29 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
                 if let Some(r) = rewrite(dict, seq, p, last_frequent, &config) {
                     payload.clear();
                     encode_item_seq(&r, &mut payload);
-                    out.emit(p, &payload, 1);
+                    out.emit(&[p], &payload, 1);
                 }
             }
         }
         Ok(())
     };
 
-    let reduce = |(): &mut (),
+    // Each reduce worker decodes its key groups into one reused arena.
+    let reduce = |arena: &mut Vec<ItemId>,
                   p: ItemId,
-                  inputs: &[(&[u8], u64)],
+                  group: KeyGroup<'_>,
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
         let mut miner = GapMiner::new(config.gamma, config.lambda, config.generalize);
         miner.pivot = Some(p);
-        let mut decoded: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
-        for &(bytes, w) in inputs {
-            let mut slice = bytes;
-            let mut seq = Sequence::new();
-            decode_item_seq(&mut slice, &mut seq)?;
-            decoded.push((seq, w));
-        }
+        let decoded = crate::decode_group(group, arena)?;
         for (pattern, freq) in miner.mine_weighted(&decoded, dict, sigma, ctx.cancel)? {
             emit((pattern, freq));
         }
         Ok(())
     };
 
-    let round = run_round(ctx, Exec::Via(&InProcess), map, || (), reduce)?;
+    let round = run_round(ctx, Exec::Via(&InProcess), map, Vec::new, reduce)?;
     Ok(round.expect("a driven round has a result"))
 }
 

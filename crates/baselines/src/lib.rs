@@ -25,6 +25,36 @@ pub mod mllib;
 pub use lash::LashConfig;
 pub use mllib::MllibConfig;
 
+use desq_core::codec::decode_item_seq;
+use desq_core::{ItemId, Result};
+use desq_dist::bsp::KeyGroup;
+use desq_miner::WeightedInput;
+
+/// Decodes the payloads of a reducer's key group — one encoded item
+/// sequence each — into `arena`, which the reducer reuses across groups,
+/// and returns them with their weights as inputs borrowing it.
+fn decode_group<'a>(
+    group: KeyGroup<'_>,
+    arena: &'a mut Vec<ItemId>,
+) -> Result<Vec<WeightedInput<'a>>> {
+    arena.clear();
+    let mut ends = Vec::with_capacity(group.len());
+    for (bytes, weight) in group.payloads() {
+        decode_item_seq(&mut &bytes[..], arena)?;
+        ends.push((arena.len(), weight));
+    }
+    let mut start = 0;
+    let arena = &arena[..];
+    Ok(ends
+        .into_iter()
+        .map(|(end, weight)| {
+            let seq = &arena[start..end];
+            start = end;
+            (seq, weight)
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

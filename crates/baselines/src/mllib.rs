@@ -15,11 +15,11 @@
 //! Metrics of both rounds are summed — this faithfully exposes the extra
 //! communication relative to the single-round D-SEQ/D-CAND (cf. Fig. 13).
 
-use desq_core::codec::{decode_item_seq, encode_item_seq};
+use desq_core::codec::encode_item_seq;
 use desq_core::fx::FxHashSet;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
-use desq_dist::bsp::{run_round, Combiner, Exec, InProcess};
+use desq_dist::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
@@ -71,15 +71,15 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
                 seen.clear();
                 for &t in seq {
                     if seen.insert(t) {
-                        out.emit(t, &[], 1);
+                        out.emit(&[t], &[], 1);
                     }
                 }
             }
             Ok(())
         },
         || (),
-        |(): &mut (), w, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-            let f: u64 = vs.iter().map(|(_, c)| c).sum();
+        |(): &mut (), w, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+            let f: u64 = vs.payloads().map(|(_, c)| c).sum();
             if f >= sigma {
                 emit((vec![w], f));
             }
@@ -111,24 +111,18 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
                     );
                     payload.clear();
                     encode_item_seq(&suffix, &mut payload);
-                    out.emit(t, &payload, 1);
+                    out.emit(&[t], &payload, 1);
                 }
             }
             Ok(())
         },
-        || (),
-        |(): &mut (),
+        Vec::new,
+        |arena: &mut Vec<ItemId>,
          w: ItemId,
-         inputs: &[(&[u8], u64)],
+         group: KeyGroup<'_>,
          emit: &mut dyn FnMut((Sequence, u64))|
          -> Result<()> {
-            let mut suffixes: Vec<(Sequence, u64)> = Vec::with_capacity(inputs.len());
-            for &(bytes, c) in inputs {
-                let mut slice = bytes;
-                let mut seq = Sequence::new();
-                decode_item_seq(&mut slice, &mut seq)?;
-                suffixes.push((seq, c));
-            }
+            let suffixes = crate::decode_group(group, arena)?;
             let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
             emit((vec![w], support));
             if max_len > 1 {

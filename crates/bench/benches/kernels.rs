@@ -11,8 +11,10 @@
 //! `counting/run_table_build_n2_2k`) and reduce-over-count
 //! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run —
 //! and D-SEQ's reduce side: the bucket merge of one real round
-//! (`bsp/merge_dseq_n4_2k`) and every pivot partition mined from prebuilt
-//! tables (`dseq/partitions_*_2k`, the floor under its reducers).
+//! (`bsp/merge_dseq_n4_2k`), every pivot partition mined from prebuilt
+//! tables and picks carrying their early-stopping positions
+//! (`dseq/partitions_*_2k`, the floor under its reducers), and the whole
+//! reduce of N5's recorded buckets (`dseq/reduce_n5_2k`) next to it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -32,7 +34,7 @@ use desq_dist::dcand::Mapper;
 use desq_dist::dseq::{d_seq, DSeqConfig};
 use desq_dist::pivots::merge_pivots;
 use desq_dist::{PivotScratch, PivotSearch};
-use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
+use desq_miner::{LocalMiner, MinerConfig, MinerScratch, Pick, SeqTables};
 use desq_oracle::{candidates, runs, Grid};
 
 fn workload() -> (Dictionary, SequenceDb, Fst) {
@@ -357,10 +359,19 @@ fn bench_counting(c: &mut Criterion) {
     });
 }
 
-/// Passes a round through in process and keeps a copy of the chunks its
-/// reduce phase receives.
+/// Passes a round through in process and keeps a copy of its map tasks'
+/// outputs — or, once it holds some, replays them in place of the map
+/// phase, so a round through it runs its reduce on recorded buckets.
 #[derive(Default)]
-struct Recording(Mutex<Vec<Vec<Vec<u8>>>>);
+struct Recording(Mutex<Vec<MapTaskOut>>);
+
+/// A copy of a map task's output.
+fn copied(out: &MapTaskOut) -> MapTaskOut {
+    MapTaskOut {
+        buckets: out.buckets.clone(),
+        ..*out
+    }
+}
 
 impl ShuffleTransport for Recording {
     fn map_phase(
@@ -369,7 +380,13 @@ impl ShuffleTransport for Recording {
         tasks: usize,
         local: &(dyn Fn(usize) -> desq_core::Result<MapTaskOut> + Sync),
     ) -> desq_core::Result<(Vec<MapTaskOut>, PhaseStats)> {
-        InProcess.map_phase(ctx, tasks, local)
+        let mut recorded = self.0.lock().unwrap();
+        if recorded.is_empty() {
+            let (outs, stats) = InProcess.map_phase(ctx, tasks, local)?;
+            *recorded = outs.iter().map(copied).collect();
+            return Ok((outs, stats));
+        }
+        Ok((recorded.iter().map(copied).collect(), PhaseStats::default()))
     }
 
     fn reduce_phase(
@@ -378,7 +395,6 @@ impl ShuffleTransport for Recording {
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> desq_core::Result<(Vec<Vec<u8>>, PhaseStats)> {
-        *self.0.lock().unwrap() = chunks.clone();
         InProcess.reduce_phase(ctx, chunks, reduce)
     }
 }
@@ -386,22 +402,27 @@ impl ShuffleTransport for Recording {
 fn bench_dseq(c: &mut Criterion) {
     // D-SEQ's reduce side on nyt_like(2000) at σ = 10, split the way the
     // benchmark's `dist_loose` rounds split it (two partitions, two
-    // buckets). The merge runs over the bucket chunks of one real round.
+    // buckets, one worker). The merge and the whole reduce run over the
+    // bucket chunks of one real round.
     let sigma = 10;
     let (dict, db) = nyt_like(&NytConfig::new(2_000));
     let n4 = desq_dist::patterns::n4().compile(&dict).unwrap();
     let ctx = MiningContext::sequential(&db, &dict, sigma)
         .with_fst(&n4)
-        .with_parallelism(2, 2);
+        .with_parallelism(1, 2)
+        .with_reducers(2);
     let recording = Recording::default();
     d_seq(&ctx, Exec::Via(&recording), DSeqConfig::default()).unwrap();
-    let buckets = recording.0.into_inner().unwrap();
+    let outs = recording.0.into_inner().unwrap();
+    let buckets: Vec<Vec<Vec<u8>>> = (0..ctx.reducers)
+        .map(|b| outs.iter().map(|out| out.buckets[b].clone()).collect())
+        .collect();
     c.bench_function("bsp/merge_dseq_n4_2k", |b| {
         b.iter(|| {
             let mut merged = (0, 0);
             for bucket in &buckets {
-                let (groups, recs) = merge_bucket_sizes(bucket).unwrap();
-                merged = (merged.0 + groups, merged.1 + recs);
+                let (groups, inputs) = merge_bucket_sizes(bucket).unwrap();
+                merged = (merged.0 + groups, merged.1 + inputs);
             }
             black_box(merged)
         })
@@ -413,13 +434,16 @@ fn bench_dseq(c: &mut Criterion) {
         // The partition floor: every pivot partition mined from prebuilt
         // tables and pre-grouped picks — D-SEQ's reducers without the
         // shuffle, the merge or the table build. Each distinct rewritten
-        // range gets one table, each (pivot, range) one weighted pick.
+        // range gets one table and one scan for the early-stopping
+        // positions of its pivots, each (pivot, range) one weighted pick
+        // carrying its position.
         let last = dict.last_frequent(sigma);
         let search = PivotSearch::new(&fst, &dict, last);
         let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
         let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
         let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
-        let mut picks: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
+        let mut pivots_of: Vec<Vec<u32>> = Vec::new();
+        let mut weights: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
         let (mut pivot_scratch, mut pivots) = (PivotScratch::default(), Vec::new());
         for seq in &db.sequences {
             let Some(range) = search.pivots_into(seq, &mut pivot_scratch, &mut pivots) else {
@@ -427,18 +451,42 @@ fn bench_dseq(c: &mut Criterion) {
             };
             let range = &seq[range];
             let table = *table_of.entry(range).or_insert_with(|| {
+                pivots_of.push(pivots.clone());
                 builder
                     .append_tables(range, &mut tables, &mut scratch)
                     .unwrap()
                     .expect("a pivot's rewritten range is accepted")
             });
             for &p in &pivots {
-                *picks.entry(p).or_default().entry(table).or_default() += 1;
+                *weights.entry(p).or_default().entry(table).or_default() += 1;
             }
         }
-        let partitions: Vec<(u32, Vec<(u32, u64)>)> = picks
+        let mut stops: Vec<FxHashMap<u32, u32>> = Vec::new();
+        let mut scanned = Vec::new();
+        for (table, pivots) in pivots_of.iter().enumerate() {
+            scanned.clear();
+            builder.early_stops(&tables, table as u32, pivots, &mut scanned);
+            stops.push(
+                pivots
+                    .iter()
+                    .copied()
+                    .zip(scanned.iter().copied())
+                    .collect(),
+            );
+        }
+        let partitions: Vec<(u32, Vec<Pick>)> = weights
             .into_iter()
-            .map(|(pivot, picks)| (pivot, picks.into_iter().collect()))
+            .map(|(pivot, picks)| {
+                let picks = picks
+                    .into_iter()
+                    .map(|(table, weight)| Pick {
+                        table,
+                        weight,
+                        stop: stops[table as usize][&pivot],
+                    })
+                    .collect();
+                (pivot, picks)
+            })
             .collect();
         c.bench_function(format!("dseq/partitions_{name}_2k").as_str(), |b| {
             b.iter(|| {
@@ -455,6 +503,19 @@ fn bench_dseq(c: &mut Criterion) {
             })
         });
     }
+
+    // The whole reduce of N5's recorded buckets — merge, table build,
+    // early-stopping scans and partitions — next to its floor above.
+    let n5 = desq_dist::patterns::n5().compile(&dict).unwrap();
+    let ctx = ctx.with_fst(&n5);
+    let replay = Recording::default();
+    d_seq(&ctx, Exec::Via(&replay), DSeqConfig::default()).unwrap();
+    c.bench_function("dseq/reduce_n5_2k", |b| {
+        b.iter(|| {
+            let res = d_seq(&ctx, Exec::Via(&replay), DSeqConfig::default()).unwrap();
+            black_box(res.map(|r| r.patterns.len()))
+        })
+    });
 }
 
 criterion_group! {

@@ -1,10 +1,18 @@
 //! The BSP engine: parallel map, optional combine, byte shuffle, parallel
 //! reduce — one round of communication (Alg. 1 of the paper).
 //!
-//! Every round has the paper's one shape: *pivot item* keys, sent as
-//! `varint(pivot)` and routed by the hash of those bytes; opaque weighted
-//! payloads; and reducers emitting frequent sequences, sent back per bucket
-//! as `varint(#outputs)`, then [`encode_item_seq`] + `varint(frequency)`.
+//! Every round has the paper's one shape: *pivot item* keys, each routed by
+//! the hash of its varint bytes; opaque weighted payloads; and reducers
+//! emitting frequent sequences, sent back per bucket as `varint(#outputs)`,
+//! then [`encode_item_seq`] + `varint(frequency)`.
+//!
+//! A combining round ships *records*, not `(key, payload)` pairs: a mapper
+//! emits one payload with the ascending list of keys it goes to, and each
+//! reduce bucket receives one record per distinct payload and key list,
+//! holding the keys that route to it. D-SEQ sends a sequence to every pivot
+//! partition of `K^σ(T)` with one shared rewritten range, so its shuffle
+//! carries a record per (sequence, bucket) rather than one per pivot; the
+//! other rounds emit one key per record through the same format.
 //!
 //! # Hot-path layout
 //!
@@ -13,30 +21,39 @@
 //! encode buffers) is created once per map task instead of once per
 //! record. Each key is hashed once, over its varint bytes: the routing
 //! bucket comes from a word-at-a-time hash reduced by a multiply-shift (no
-//! modulo bias, no re-hash), and the combiner keys its open-addressing
-//! table on `(pivot, payload)` with that same hash mixed once — never a
-//! byte-at-a-time `Hasher` walk per probe.
+//! modulo bias, no re-hash). The combiner interns each payload once per
+//! emit and keys its open-addressing table on `(payload, bucket keys)`,
+//! one probe per record, never one per key.
 //!
 //! The combining shuffle additionally *interns payloads*: each map task's
 //! bucket chunk starts with a dictionary of distinct payload byte strings,
-//! and records reference payloads by local index. D-SEQ ships one
-//! rewritten sequence to every pivot partition — within a bucket the
-//! payload bytes are written once, not once per pivot — and D-CAND's
-//! aggregated NFAs dedup the same way. Because D-SEQ emits one payload to
-//! a run of pivot keys, the combiner compares each payload with the
-//! previous one before it hashes. Output buffers are sized exactly
-//! before writing (one counting pass over a linear bucket scatter, then
-//! one copy pass), so the map side performs no growth reallocation.
+//! and records reference payloads by local index:
+//! `varint(#payloads), (varint(len), bytes)*`, then per record
+//! `varint(payload id), varint(weight), varint(#keys)`, the first key and
+//! the gap to each next one (keys ascend strictly, so every gap is at least
+//! one). Output buffers are sized exactly before writing (one counting pass
+//! over a linear bucket scatter, then one copy pass), so the map side
+//! performs no growth reallocation.
 //!
-//! The reduce-side merge pays per distinct payload and per key group, not
-//! per record: each chunk's payload dictionary is interned across the
-//! bucket (equal payloads from different map tasks become one slice), keys
-//! get dense ids from a small map, a counting pass scatters the records
-//! into key groups, an epoch-stamped array indexed by payload id merges
-//! duplicates within a group, and only the distinct keys are sorted. Key
-//! groups reach the reducer in ascending item id, each with its payloads
-//! in first-arrival order (map task, then record) — the same order on
-//! every transport and at every worker count.
+//! The reduce-side merge pays per distinct payload, per record and per key
+//! group, with no hash probe per key: each chunk's payload dictionary is
+//! interned across the bucket (equal payloads from different map tasks
+//! become one slice with one dense id), a counting sort on the key values
+//! (16 bits a pass) scatters every record's keys into ascending key groups,
+//! and an epoch-stamped array indexed by payload id merges duplicates
+//! within a group. Key groups reach the reducer in ascending item id, each
+//! with its payloads in first-arrival order (map task, then record) — the
+//! same order on every transport and at every worker count. A reducer
+//! reads a group's payloads and weights ([`KeyGroup::payloads`]), or its
+//! inputs, each naming its payload by an id dense across the reduce call
+//! with every key the payload goes to in the call ([`KeyGroup::inputs`]).
+//! Equal payloads of different buckets share that id, so a reducer that
+//! caches per payload in a vector — one worker reducing several buckets,
+//! every worker in process — builds a payload's state once, for all of its
+//! keys. The ids and key lists are built once per reduce call, on the
+//! first `inputs` (one probe per bucket payload, one pass over the
+//! groups' inputs); a reducer that reads only payloads never pays for
+//! them.
 //!
 //! # Parameters and failure domains
 //!
@@ -61,13 +78,14 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use desq_core::codec::{
     decode_item_seq, encode_item_seq, read_bytes, read_varint, varint_len, write_bytes,
     write_varint,
 };
-use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, FxHashMap, ProbeTable};
+use desq_core::fx::{bucket_of, hash_bytes, mix_hashes as mix, ProbeTable};
 use desq_core::mining::{CancelToken, MiningContext};
 use desq_core::sched::{self, IndexedRun};
 use desq_core::{wire, Error, ItemId, MiningMetrics, MiningResult, Result, Sequence};
@@ -75,8 +93,9 @@ use desq_core::{wire, Error, ItemId, MiningMetrics, MiningResult, Result, Sequen
 use super::transport::{worker_loop, PhaseStats, ShuffleTransport};
 
 /// The shuffle's one width check: whether `n` — an id table's length
-/// after an insert, or a payload arena's end offset — fits the `u32` it
-/// is packed into. Where it does not, the round fails [`Error::Invalid`].
+/// after an insert, or a payload or key arena's end offset — fits the
+/// `u32` it is packed into. Where it does not, the round fails
+/// [`Error::Invalid`].
 fn fits_u32(n: usize) -> bool {
     u32::try_from(n).is_ok()
 }
@@ -105,27 +124,69 @@ fn read_key(buf: &mut &[u8]) -> Result<ItemId> {
     ItemId::try_from(v).map_err(|_| Error::Decode(format!("pivot key out of range: {v}")))
 }
 
+/// The encoded size of a record's key list (see the module docs).
+fn keys_len(keys: &[ItemId]) -> usize {
+    let gaps = keys.windows(2).map(|w| varint_len(u64::from(w[1] - w[0])));
+    varint_len(keys.len() as u64) + varint_len(u64::from(keys[0])) + gaps.sum::<usize>()
+}
+
+/// Writes a record's key list, non-empty and strictly ascending: its
+/// count, the first key, then the gap to each next one.
+fn write_keys(buf: &mut Vec<u8>, keys: &[ItemId]) {
+    write_varint(buf, keys.len() as u64);
+    write_varint(buf, u64::from(keys[0]));
+    for w in keys.windows(2) {
+        write_varint(buf, u64::from(w[1] - w[0]));
+    }
+}
+
+/// Reads one record's key list, appending it to `out`. An empty list, a
+/// count the remaining bytes cannot hold (a key takes at least one), a
+/// zero gap (keys ascend strictly) and a key past the item range fail
+/// [`Error::Decode`].
+fn read_keys(buf: &mut &[u8], out: &mut Vec<ItemId>) -> Result<()> {
+    let n = read_varint(buf)?;
+    if n == 0 {
+        return Err(Error::Decode("record without keys".into()));
+    }
+    if n > buf.len() as u64 {
+        return Err(Error::Decode(format!("key count {n} exceeds input")));
+    }
+    let mut key = read_key(buf)?;
+    out.push(key);
+    for _ in 1..n {
+        let gap = read_varint(buf)?;
+        if gap == 0 {
+            return Err(Error::Decode("keys not strictly ascending".into()));
+        }
+        let next = u64::from(key).saturating_add(gap);
+        key = ItemId::try_from(next)
+            .map_err(|_| Error::Decode(format!("pivot key out of range: {next}")))?;
+        out.push(key);
+    }
+    Ok(())
+}
+
 /// One combined map-side record: its mixed hash, routing bucket, interned
-/// payload id, pivot key and accumulated weight.
+/// payload id, its keys' range in the combiner's key arena and its
+/// accumulated weight.
 struct CombineEntry {
     hash: u64,
     bucket: u32,
     payload: u32,
-    pivot: ItemId,
+    keys: (u32, u32),
     weight: u64,
 }
 
 /// Map-side emitter of [`run_round`].
 ///
 /// [`emit`](Combiner::emit) performs MapReduce-style *weighted
-/// deduplication*: triples with identical `(pivot, payload)` within one map
-/// task are merged by summing weights before serialization. The payload is
-/// an opaque pre-encoded byte string — callers serialize it **once** per
-/// logical value (e.g. one rewritten sequence shared by many pivot keys)
-/// and pass the same slice to every `emit`; the combiner interns it so
-/// each bucket chunk stores the bytes at most once. A map task whose
-/// payload bytes or records outgrow the `u32` ids and offsets fails the
-/// round with [`Error::Invalid`].
+/// deduplication*: records with identical payload and bucket key list
+/// within one map task are merged by summing weights before
+/// serialization. The payload is an opaque pre-encoded byte string; the
+/// combiner interns it so each bucket chunk stores the bytes at most once.
+/// A map task whose payload bytes, keys or records outgrow the `u32` ids
+/// and offsets fails the round with [`Error::Invalid`].
 pub struct Combiner {
     reducers: usize,
     /// Payload intern table: hash → payload id.
@@ -134,11 +195,15 @@ pub struct Combiner {
     /// Payload `i` occupies `payload_data[payload_ends[i - 1]..payload_ends[i]]`.
     payload_ends: Vec<u32>,
     payload_data: Vec<u8>,
-    /// The payload of the previous `emit`.
-    last_payload: Option<u32>,
     /// Combine table: mixed hash → entry index.
     entry_table: ProbeTable,
     entries: Vec<CombineEntry>,
+    /// The entries' key lists, back to back.
+    keys: Vec<ItemId>,
+    /// Per bucket, the keys of the current `emit` routed to it, and the
+    /// buckets those lists are open for, in first-key order.
+    open: Vec<Vec<ItemId>>,
+    touched: Vec<u32>,
     emitted: u64,
     /// The first `emit` that did not fit, returned by `into_task_out`.
     overflow: Option<Error>,
@@ -152,9 +217,11 @@ impl Combiner {
             payload_hashes: Vec::new(),
             payload_ends: Vec::new(),
             payload_data: Vec::new(),
-            last_payload: None,
             entry_table: ProbeTable::new(),
             entries: Vec::new(),
+            keys: Vec::new(),
+            open: vec![Vec::new(); reducers],
+            touched: Vec::new(),
             emitted: 0,
             overflow: None,
         }
@@ -196,50 +263,71 @@ impl Combiner {
         }
     }
 
-    /// Emits one `(pivot, payload, weight)` triple. The key is hashed
-    /// exactly once; the payload bytes are interned by content — unless
-    /// they equal the previous call's, which D-SEQ's one payload per run of
-    /// pivot keys makes the common case: that check skips the hash and
-    /// probe, and costs one length compare when the payload changed.
-    pub fn emit(&mut self, pivot: ItemId, payload: &[u8], weight: u64) {
-        if self.overflow.is_some() {
+    /// Emits `payload` with `weight` to every key of `keys`, which must
+    /// ascend strictly (an emit that breaks this fails the round with
+    /// [`Error::Invalid`]; an empty list emits nothing). The payload is
+    /// interned once, each key hashed once for its bucket, and each bucket
+    /// the keys reach gets one record holding its share of them, in order:
+    /// one combine probe per (emit, bucket), not per key.
+    pub fn emit(&mut self, keys: &[ItemId], payload: &[u8], weight: u64) {
+        if self.overflow.is_some() || keys.is_empty() {
             return;
         }
-        self.emitted += 1;
-        let khash = key_hash(pivot);
-        let bucket = bucket_of(khash, self.reducers) as u32;
-
-        let payload_id = match self.last_payload {
-            Some(id) if self.payload_bytes(id) == payload => id,
-            _ => match self.intern_payload(payload) {
-                Ok(id) => id,
-                Err(e) => {
-                    self.overflow = Some(e);
-                    return;
-                }
-            },
+        if keys.windows(2).any(|w| w[0] >= w[1]) {
+            self.overflow = Some(Error::Invalid(
+                "a record's keys must ascend strictly".into(),
+            ));
+            return;
+        }
+        self.emitted += keys.len() as u64;
+        let payload_id = match self.intern_payload(payload) {
+            Ok(id) => id,
+            Err(e) => {
+                self.overflow = Some(e);
+                return;
+            }
         };
-        self.last_payload = Some(payload_id);
-        let phash = self.payload_hashes[payload_id as usize];
+        for &k in keys {
+            let b = bucket_of(key_hash(k), self.reducers);
+            if self.open[b].is_empty() {
+                self.touched.push(b as u32);
+            }
+            self.open[b].push(k);
+        }
+        for t in 0..self.touched.len() {
+            let b = self.touched[t] as usize;
+            let bucket_keys = std::mem::take(&mut self.open[b]);
+            self.combine(b as u32, payload_id, &bucket_keys, weight);
+            self.open[b] = bucket_keys;
+            self.open[b].clear();
+        }
+        self.touched.clear();
+    }
 
-        // Combine on (pivot, payload id).
-        let ehash = mix(khash, phash);
-        let (table, entries) = (&mut self.entry_table, &mut self.entries);
+    /// Merges one record into the combine table on `(payload, keys)`.
+    fn combine(&mut self, bucket: u32, payload: u32, keys: &[ItemId], weight: u64) {
+        let phash = self.payload_hashes[payload as usize];
+        let hash = keys.iter().fold(phash, |h, &k| mix(h, u64::from(k)));
+        let (table, entries, arena) = (&mut self.entry_table, &mut self.entries, &mut self.keys);
         table.grow_if_needed(entries.len(), |i| entries[i as usize].hash);
-        match table.find(ehash, |i| {
+        match table.find(hash, |i| {
             let e = &entries[i as usize];
-            e.hash == ehash && e.payload == payload_id && e.pivot == pivot
+            e.hash == hash
+                && e.payload == payload
+                && arena[e.keys.0 as usize..e.keys.1 as usize] == *keys
         }) {
             Ok(i) => entries[i as usize].weight += weight,
-            Err(_) if !fits_u32(entries.len() + 1) => {
+            Err(_) if !fits_u32(entries.len() + 1) || !fits_u32(arena.len() + keys.len()) => {
                 self.overflow = Some(too_wide("a map task's records"));
             }
             Err(slot) => {
+                let start = arena.len() as u32;
+                arena.extend_from_slice(keys);
                 entries.push(CombineEntry {
-                    hash: ehash,
+                    hash,
                     bucket,
-                    payload: payload_id,
-                    pivot,
+                    payload,
+                    keys: (start, arena.len() as u32),
                     weight,
                 });
                 table.insert(slot, entries.len() as u32 - 1);
@@ -247,14 +335,13 @@ impl Combiner {
         }
     }
 
-    /// Serializes the combined records into per-bucket chunks.
+    /// Serializes the combined records into per-bucket chunks (see the
+    /// module docs for the format).
     ///
     /// Per bucket, a linear scatter groups the entries, a counting pass
     /// assigns bucket-local payload ids (first-use order) and sums the
     /// exact byte size, and a copy pass writes the chunk into a buffer of
-    /// exactly that capacity:
-    /// `varint(#payloads), (varint(len), bytes)*, (varint(pivot),
-    /// varint(payload id), varint(weight))*`.
+    /// exactly that capacity.
     fn into_task_out(self) -> Result<MapTaskOut> {
         if let Some(e) = self.overflow {
             return Err(e);
@@ -281,6 +368,7 @@ impl Combiner {
         let mut local_id = vec![0u32; self.payload_hashes.len()];
         let mut local_epoch = vec![u32::MAX; self.payload_hashes.len()];
         let mut plist: Vec<u32> = Vec::new();
+        let keys_of = |e: &CombineEntry| &self.keys[e.keys.0 as usize..e.keys.1 as usize];
 
         let mut buckets: Vec<Vec<u8>> = Vec::with_capacity(reducers);
         let mut payloads_written = 0u64;
@@ -304,9 +392,9 @@ impl Combiner {
                     let len = self.payload_bytes(e.payload).len();
                     dict_bytes += varint_len(len as u64) + len;
                 }
-                rec_bytes += varint_len(u64::from(e.pivot))
-                    + varint_len(u64::from(local_id[p]))
-                    + varint_len(e.weight);
+                rec_bytes += varint_len(u64::from(local_id[p]))
+                    + varint_len(e.weight)
+                    + keys_len(keys_of(e));
             }
             let total = varint_len(plist.len() as u64) + dict_bytes + rec_bytes;
             let mut buf = Vec::with_capacity(total);
@@ -316,9 +404,9 @@ impl Combiner {
             }
             for &i in entries {
                 let e = &self.entries[i as usize];
-                write_varint(&mut buf, u64::from(e.pivot));
                 write_varint(&mut buf, u64::from(local_id[e.payload as usize]));
                 write_varint(&mut buf, e.weight);
+                write_keys(&mut buf, keys_of(e));
             }
             debug_assert_eq!(buf.len(), total, "combine chunk size miscounted");
             payloads_written += plist.len() as u64;
@@ -341,7 +429,8 @@ pub struct MapTaskOut {
     /// One encoded chunk per reduce bucket (an empty bucket is an empty
     /// chunk). Always exactly `ctx.reducers` entries.
     pub buckets: Vec<Vec<u8>>,
-    /// Records emitted by the mapper, before combining.
+    /// Keys emitted by the mapper — one per (key, payload) pair — before
+    /// combining.
     pub emitted: u64,
     /// Records written to the shuffle, after combining.
     pub shuffled: u64,
@@ -370,7 +459,7 @@ impl<'c> Interner<'c> {
             self.hashes[i as usize] == hash && self.slices[i as usize] == bytes
         }) {
             Ok(i) => Ok(i),
-            Err(_) if !fits_u32(self.slices.len() + 1) => Err(too_wide("a bucket's payloads")),
+            Err(_) if !fits_u32(self.slices.len() + 1) => Err(too_wide("a reduce call's payloads")),
             Err(slot) => {
                 let id = self.slices.len() as u32;
                 self.hashes.push(hash);
@@ -382,27 +471,70 @@ impl<'c> Interner<'c> {
     }
 }
 
+/// One shuffle record of a bucket: its bucket payload id, its keys'
+/// range in the bucket's key arena and its weight.
+#[derive(Clone, Copy)]
+struct Record {
+    payload: u32,
+    keys: (u32, u32),
+    weight: u64,
+}
+
+/// One input of a key group: its key, its bucket payload id and the weight
+/// of the group's inputs with that payload, summed.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    key: ItemId,
+    payload: u32,
+    weight: u64,
+}
+
 /// One reduce bucket after the merge: its key groups in ascending item id,
 /// each holding the pivot's distinct payloads with their weights summed
 /// across map tasks, in first-arrival order (map task, then record). Every
 /// slice borrows from the shuffle chunks.
 struct MergedBucket<'c> {
-    /// Pivot and its payloads' range in `recs`, per key group.
+    /// The bucket's distinct payloads, by bucket payload id.
+    payloads: Vec<&'c [u8]>,
+    /// Pivot and its inputs' range in `entries`, per key group.
     groups: Vec<(ItemId, Range<usize>)>,
-    recs: Vec<(&'c [u8], u64)>,
+    entries: Vec<Entry>,
+}
+
+/// Scatters `entries` (`n` of them) stably into ascending order of
+/// `digit`, whose values stay below `radix`: one counting pass, one
+/// placing pass.
+fn scatter_by(
+    entries: impl Iterator<Item = Entry> + Clone,
+    n: usize,
+    radix: usize,
+    digit: impl Fn(&Entry) -> usize,
+) -> Vec<Entry> {
+    let mut at = vec![0usize; radix + 1];
+    for e in entries.clone() {
+        at[digit(&e) + 1] += 1;
+    }
+    for d in 0..radix {
+        at[d + 1] += at[d];
+    }
+    let mut out = vec![Entry::default(); n];
+    for e in entries {
+        let slot = &mut at[digit(&e)];
+        out[*slot] = e;
+        *slot += 1;
+    }
+    out
 }
 
 /// The reduce-side merge of one bucket (see the module docs): decodes its
-/// shuffle chunks and merges duplicate `(pivot, payload)` records across
-/// map tasks into key groups. Every array is sized by a count of records
-/// or dictionary entries read so far, so by the chunks' own length.
+/// shuffle chunks, scatters every record's keys into key groups and
+/// merges duplicate payloads within a group. Every array is sized by a
+/// count of records, keys or dictionary entries read so far — so by the
+/// chunks' own length — or by 2¹⁶ + 1 counters at most.
 fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
     let mut payloads = Interner::default();
-    // Distinct pivots in first-arrival order, and their dense ids.
+    let mut records: Vec<Record> = Vec::new();
     let mut keys: Vec<ItemId> = Vec::new();
-    let mut key_ids: FxHashMap<ItemId, u32> = FxHashMap::default();
-    // (key id, payload id, weight) in arrival order.
-    let mut arrivals: Vec<(u32, u32, u64)> = Vec::new();
     // The current chunk's dictionary: chunk-local → bucket payload id.
     let mut local: Vec<u32> = Vec::new();
     for chunk in chunks {
@@ -423,75 +555,226 @@ fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
             slice = rest;
         }
         while !slice.is_empty() {
-            let pivot = read_key(&mut slice)?;
-            let next = keys.len() as u32;
-            let key = *key_ids.entry(pivot).or_insert(next);
-            if key == next {
-                keys.push(pivot);
-            }
-            let pid = read_varint(&mut slice)? as usize;
-            let payload = *local
-                .get(pid)
+            let pid = read_varint(&mut slice)?;
+            let payload = *usize::try_from(pid)
+                .ok()
+                .and_then(|p| local.get(p))
                 .ok_or_else(|| Error::Decode(format!("payload id {pid} out of range")))?;
-            arrivals.push((key, payload, read_varint(&mut slice)?));
+            let weight = read_varint(&mut slice)?;
+            let start = keys.len();
+            read_keys(&mut slice, &mut keys)?;
+            if !fits_u32(keys.len()) || !fits_u32(records.len() + 1) {
+                return Err(too_wide("a bucket's records"));
+            }
+            records.push(Record {
+                payload,
+                keys: (start as u32, keys.len() as u32),
+                weight,
+            });
         }
     }
 
-    // Counting pass: stable scatter of the records into key groups.
-    let mut starts = vec![0usize; keys.len() + 1];
-    for &(k, _, _) in &arrivals {
-        starts[k as usize + 1] += 1;
+    // Every record's keys in arrival order, sorted stably by key: by the
+    // low 16 bits, then — only if some key is wider — by the high.
+    let arrivals = records.iter().flat_map(|rec| {
+        let range = rec.keys.0 as usize..rec.keys.1 as usize;
+        keys[range].iter().map(move |&key| Entry {
+            key,
+            payload: rec.payload,
+            weight: rec.weight,
+        })
+    });
+    let max = keys.iter().copied().max().unwrap_or(0);
+    let low = (max as usize).min(0xffff) + 1;
+    let mut entries = scatter_by(arrivals, keys.len(), low, |e| (e.key & 0xffff) as usize);
+    if max > 0xffff {
+        let high = (max >> 16) as usize + 1;
+        let by_low = std::mem::take(&mut entries);
+        entries = scatter_by(by_low.into_iter(), keys.len(), high, |e| {
+            (e.key >> 16) as usize
+        });
     }
-    for k in 0..keys.len() {
-        starts[k + 1] += starts[k];
-    }
-    let mut cursor = starts.clone();
-    let mut grouped = vec![(0u32, 0u64); arrivals.len()];
-    for &(k, p, w) in &arrivals {
-        grouped[cursor[k as usize]] = (p, w);
-        cursor[k as usize] += 1;
-    }
-    drop(arrivals);
 
-    // Duplicate payloads within a group: `stamp[p]` names the last group
-    // that saw payload `p`, `at[p]` where that group keeps it.
+    // Runs of one key are its group. Duplicate payloads within a group:
+    // `stamp[p]` names the last group that saw payload `p`, `at[p]` where
+    // that group keeps it; the kept entry is the first arrival's.
     let mut stamp = vec![u32::MAX; payloads.slices.len()];
     let mut at = vec![0usize; payloads.slices.len()];
-    let mut recs: Vec<(&[u8], u64)> = Vec::with_capacity(grouped.len());
-    let mut ranges = Vec::with_capacity(keys.len());
-    for k in 0..keys.len() {
-        let first = recs.len();
-        for &(p, w) in &grouped[starts[k]..starts[k + 1]] {
-            let p = p as usize;
-            if stamp[p] == k as u32 {
-                let weight = &mut recs[at[p]].1;
-                *weight = weight.saturating_add(w);
+    let mut groups: Vec<(ItemId, Range<usize>)> = Vec::new();
+    let (mut read, mut kept) = (0, 0);
+    while read < entries.len() {
+        let key = entries[read].key;
+        let (g, first) = (groups.len() as u32, kept);
+        while read < entries.len() && entries[read].key == key {
+            let e = entries[read];
+            let p = e.payload as usize;
+            if stamp[p] == g {
+                let weight = &mut entries[at[p]].weight;
+                *weight = weight.saturating_add(e.weight);
             } else {
-                stamp[p] = k as u32;
-                at[p] = recs.len();
-                recs.push((payloads.slices[p], w));
+                stamp[p] = g;
+                at[p] = kept;
+                entries[kept] = e;
+                kept += 1;
             }
+            read += 1;
         }
-        ranges.push(first..recs.len());
+        groups.push((key, first..kept));
     }
-
-    // Key groups ascend by item id: a sort of the distinct keys.
-    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    order.sort_unstable_by_key(|&k| keys[k as usize]);
-    let groups = order
-        .into_iter()
-        .map(|k| (keys[k as usize], ranges[k as usize].clone()))
-        .collect();
-    Ok(MergedBucket { groups, recs })
+    entries.truncate(kept);
+    Ok(MergedBucket {
+        payloads: payloads.slices,
+        groups,
+        entries,
+    })
 }
 
 /// The reduce-side merge of one bucket's shuffle chunks on its own: its
-/// number of key groups and of merged records. Exposed for the kernel
+/// number of key groups and of merged inputs. Exposed for the kernel
 /// benchmarks.
 #[doc(hidden)]
 pub fn merge_bucket_sizes(chunks: &[Vec<u8>]) -> Result<(usize, usize)> {
     let merged = merge_bucket(chunks)?;
-    Ok((merged.groups.len(), merged.recs.len()))
+    Ok((merged.groups.len(), merged.entries.len()))
+}
+
+/// The payloads of one reduce call (all buckets in process, the one bucket
+/// of a worker process's task), across its buckets: equal payloads of
+/// different buckets share one id, and each id has the ascending union of
+/// the keys it goes to in every bucket. Built on the first
+/// [`KeyGroup::inputs`] of the call; reducers that read only
+/// [`KeyGroup::payloads`] never pay for it.
+struct CallPayloads {
+    /// Per bucket, the call's id of each bucket payload.
+    ids: Vec<Vec<u32>>,
+    /// Per call payload, its keys' range in `keys`.
+    ranges: Vec<(u32, u32)>,
+    keys: Vec<ItemId>,
+}
+
+impl CallPayloads {
+    /// Interns the buckets' payloads (one probe per bucket payload) and
+    /// gathers each one's keys from the key groups' inputs: a counting
+    /// pass, one copy of every key, then a sort and dedup of each
+    /// payload's run.
+    fn of(buckets: &[MergedBucket<'_>]) -> Result<CallPayloads> {
+        let mut shared = Interner::default();
+        let ids = buckets
+            .iter()
+            .map(|b| b.payloads.iter().map(|&p| shared.intern(p)).collect())
+            .collect::<Result<Vec<Vec<u32>>>>()?;
+        let n = shared.slices.len();
+        drop(shared);
+
+        let keyed = buckets.iter().zip(&ids).flat_map(|(b, ids)| {
+            b.entries
+                .iter()
+                .map(move |e| (ids[e.payload as usize] as usize, e.key))
+        });
+        let mut bounds = vec![0usize; n + 1];
+        for (g, _) in keyed.clone() {
+            bounds[g + 1] += 1;
+        }
+        for g in 0..n {
+            bounds[g + 1] += bounds[g];
+        }
+        if !fits_u32(bounds[n]) {
+            return Err(too_wide("a reduce call's keys"));
+        }
+        let mut keys = vec![0; bounds[n]];
+        let mut fill = bounds.clone();
+        for (g, key) in keyed {
+            keys[fill[g]] = key;
+            fill[g] += 1;
+        }
+        let ranges = (0..n)
+            .map(|g| {
+                let run = &mut keys[bounds[g]..bounds[g + 1]];
+                run.sort_unstable();
+                let mut len = 0;
+                for i in 0..run.len() {
+                    if len == 0 || run[i] != run[len - 1] {
+                        run[len] = run[i];
+                        len += 1;
+                    }
+                }
+                (bounds[g] as u32, (bounds[g] + len) as u32)
+            })
+            .collect();
+        Ok(CallPayloads { ids, ranges, keys })
+    }
+}
+
+/// One key group as its reducer receives it: the pivot's distinct
+/// payloads with their weights summed across map tasks, in first-arrival
+/// order (map task, then record).
+#[derive(Clone, Copy)]
+pub struct KeyGroup<'a> {
+    /// The reduce call's buckets, this group's among them.
+    buckets: &'a [MergedBucket<'a>],
+    bucket: usize,
+    entries: &'a [Entry],
+    call: &'a OnceLock<Result<CallPayloads>>,
+}
+
+/// One input of a [`KeyGroup`], with what a reducer caches per payload
+/// under. The id is dense over the reduce call (all buckets in process,
+/// the one bucket of a worker process's task), so a vector indexed by it
+/// serves every group a reduce worker mines.
+#[derive(Clone, Copy)]
+pub struct Input<'a> {
+    /// The payload bytes, borrowed from the shuffle buffers.
+    pub payload: &'a [u8],
+    /// The summed weight of the group's inputs with this payload.
+    pub weight: u64,
+    /// The payload's id: equal bytes share it, in every bucket of the
+    /// call.
+    pub payload_id: u32,
+    /// Every key the payload goes to in the call, ascending: the group's
+    /// key among them.
+    pub keys: &'a [ItemId],
+}
+
+impl<'a> KeyGroup<'a> {
+    /// Number of distinct payloads in the group.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True iff the group holds no payload (never the case for a group
+    /// the engine hands to a reducer).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The group's payloads and summed weights, in first-arrival order.
+    pub fn payloads(&self) -> impl ExactSizeIterator<Item = (&'a [u8], u64)> + 'a {
+        let payloads = &self.buckets[self.bucket].payloads;
+        self.entries
+            .iter()
+            .map(move |e| (payloads[e.payload as usize], e.weight))
+    }
+
+    /// The group's inputs with their ids and key lists, in first-arrival
+    /// order. The first call of a reduce call interns its payloads across
+    /// buckets and gathers their keys, which fails [`Error::Invalid`] past
+    /// the shuffle's `u32` widths.
+    pub fn inputs(&self) -> Result<impl ExactSizeIterator<Item = Input<'a>> + 'a> {
+        let buckets = self.buckets;
+        let call = self.call.get_or_init(|| CallPayloads::of(buckets));
+        let call = call.as_ref().map_err(Clone::clone)?;
+        let (payloads, ids) = (&buckets[self.bucket].payloads, &call.ids[self.bucket]);
+        Ok(self.entries.iter().map(move |e| {
+            let id = ids[e.payload as usize];
+            let (start, end) = call.ranges[id as usize];
+            Input {
+                payload: payloads[e.payload as usize],
+                weight: e.weight,
+                payload_id: id,
+                keys: &call.keys[start as usize..end as usize],
+            }
+        }))
+    }
 }
 
 /// Decodes one bucket's reduce outputs (see the module docs), appending
@@ -549,14 +832,13 @@ fn job_result(
 /// combining round ([`run_round`]) would merge identical payloads on both
 /// sides and change the figure's time and bytes.
 ///
-/// The mapper emits the combining round's `(pivot, payload, weight)`
-/// triples, each written to its bucket as it comes:
-/// `varint(pivot), varint(len), payload, varint(weight)`. The reducer
-/// takes the combining round's arguments: each pivot once, pivots
-/// ascending within a bucket, with every record it received — duplicates
-/// included, in map-task emission order — as payload slices borrowed
-/// from the shuffle buffers. `init` runs once per reduce worker, and each
-/// bucket is one reduce task.
+/// The mapper emits `(pivot, payload, weight)` triples, each written to
+/// its bucket as it comes: `varint(pivot), varint(len), payload,
+/// varint(weight)`. The reducer gets each pivot once, pivots ascending
+/// within a bucket, with every record it received — duplicates included,
+/// in map-task emission order — as payload slices borrowed from the
+/// shuffle buffers. `init` runs once per reduce worker, and each bucket is
+/// one reduce task.
 pub(crate) fn map_reduce<S, MF, IF, RF>(
     ctx: &MiningContext<'_>,
     map: MF,
@@ -654,24 +936,27 @@ pub enum Exec<'a> {
 /// `exec` says: the result of a driven round, `None` for a worker.
 ///
 /// The mapper receives one input partition and a [`Combiner`]: it emits
-/// `(pivot, payload bytes, weight)` triples, where the payload is
-/// pre-encoded **once** by the caller (for item sequences with
-/// [`encode_item_seq`]) and shared across emissions. Triples with
-/// identical `(pivot, payload)` within one map task are merged by summing
-/// weights before serialization, and payload byte strings are interned
-/// per bucket chunk — the aggregation D-CAND applies to identical NFAs
-/// (Sec. VI-A) and D-SEQ/LASH apply to identical rewritten sequences.
+/// `(pivot keys, payload bytes, weight)`, where the payload is pre-encoded
+/// **once** by the caller (for item sequences with [`encode_item_seq`])
+/// and goes to every key of the ascending list. Each bucket those keys
+/// reach gets one record; records with identical payload and bucket keys
+/// within one map task are merged by summing weights before
+/// serialization, and payload byte strings are interned per bucket chunk
+/// — the aggregation D-CAND applies to identical NFAs (Sec. VI-A) and
+/// D-SEQ/LASH apply to identical rewritten sequences.
 ///
-/// The reducer is invoked once per pivot with all distinct payloads and
-/// their total weights (merged across map tasks), each payload a slice
-/// *borrowed from the shuffle buffers* — equal payloads share one slice —
-/// in first-arrival order (map task, then record); within a bucket, pivots
-/// come in ascending order. Key groups are batched into tasks under work
-/// stealing in whichever process holds the buckets, so a hot D-SEQ pivot
-/// does not pin its bucket to one thread. `init` runs once per worker per
-/// reduce call (all buckets in process, one bucket on a worker process);
-/// payload slices outlive that state, so caches keyed on their identity
-/// (D-SEQ's table index) stay valid.
+/// The reducer is invoked once per pivot with its [`KeyGroup`]: all
+/// distinct payloads and their total weights (merged across map tasks),
+/// each payload a slice *borrowed from the shuffle buffers* — equal
+/// payloads share one slice and one id — in first-arrival order (map task,
+/// then record); within a bucket, pivots come in ascending order. Key
+/// groups are batched into tasks under work stealing in whichever process
+/// holds the buckets, so a hot D-SEQ pivot does not pin its bucket to one
+/// thread. `init` runs once per worker per reduce call (all buckets in
+/// process, one bucket on a worker process), and the payload ids of
+/// [`KeyGroup::inputs`] are dense over that call, so caches indexed by
+/// them (D-SEQ's tables and early-stopping positions) stay valid across
+/// its key groups.
 ///
 /// The emitted patterns cross the transport encoded (see the module
 /// docs); the result holds them sorted, with the round's wall time, its
@@ -689,7 +974,7 @@ where
     S: Send,
     MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
     IF: Fn() -> S + Sync,
-    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+    RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
     let t0 = Instant::now();
     let parts = partitions(ctx)?;
@@ -750,33 +1035,38 @@ fn reduce_buckets<S, IF, RF>(
 where
     S: Send,
     IF: Fn() -> S,
-    RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+    RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
     // Step 1 (parallel, one task per bucket): decode the shuffle chunks
     // and merge them into key groups.
     let merged = run_tasks(ctx, chunks.len(), |t| merge_bucket(&chunks[t]))?;
     let buckets = &merged.results;
+    // Payload ids and key lists over the whole call, built by the first
+    // reducer that asks (`KeyGroup::inputs`), so a worker that reduces
+    // several buckets builds each payload's state once, for every key it
+    // goes to.
+    let call = OnceLock::new();
 
     // Step 2: batch adjacent light key groups of a bucket into tasks and
     // run the tasks under work stealing, so a heavy key group (a hot D-SEQ
     // pivot) is balanced across workers instead of pinning its whole
     // bucket to one thread. A task closes at a bucket boundary (keeps
-    // output bookkeeping simple), once it holds enough records to amortize
+    // output bookkeeping simple), once it holds enough inputs to amortize
     // a queue round trip, or at a group-count cap so huge flocks of
     // trivial keys still split; a single heavy group always gets its own
     // task.
-    const RECS_PER_TASK: usize = 256;
+    const INPUTS_PER_TASK: usize = 256;
     const GROUPS_PER_TASK: usize = 64;
     let mut tasks: Vec<(usize, Range<usize>)> = Vec::new(); // (bucket, groups)
     for (b, bucket) in buckets.iter().enumerate() {
-        let (mut start, mut recs_in) = (0usize, 0usize);
-        for (g, (_, recs)) in bucket.groups.iter().enumerate() {
-            recs_in += recs.len();
+        let (mut start, mut inputs) = (0usize, 0usize);
+        for (g, (_, entries)) in bucket.groups.iter().enumerate() {
+            inputs += entries.len();
             let last = g + 1 == bucket.groups.len();
-            if last || recs_in >= RECS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
+            if last || inputs >= INPUTS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
                 tasks.push((b, start..g + 1));
                 start = g + 1;
-                recs_in = 0;
+                inputs = 0;
             }
         }
     }
@@ -792,13 +1082,19 @@ where
             let (b, ref groups) = tasks[ti];
             let bucket = &buckets[b];
             let (mut n, mut bytes) = (0u64, Vec::new());
-            for (pivot, recs) in &bucket.groups[groups.clone()] {
+            for (pivot, entries) in &bucket.groups[groups.clone()] {
                 let mut emit = |(pattern, freq): (Sequence, u64)| {
                     n += 1;
                     encode_item_seq(&pattern, &mut bytes);
                     write_varint(&mut bytes, freq);
                 };
-                reduce(state, *pivot, &bucket.recs[recs.clone()], &mut emit)?;
+                let group = KeyGroup {
+                    buckets,
+                    bucket: b,
+                    entries: &bucket.entries[entries.clone()],
+                    call: &call,
+                };
+                reduce(state, *pivot, group, &mut emit)?;
             }
             Ok((n, bytes))
         },
@@ -907,6 +1203,22 @@ mod tests {
         Ok(())
     }
 
+    /// [`count`] as a combining round's reducer.
+    fn count_group(
+        (): &mut (),
+        pivot: ItemId,
+        group: KeyGroup<'_>,
+        emit: &mut dyn FnMut((Sequence, u64)),
+    ) -> Result<()> {
+        emit((vec![pivot], group.payloads().map(|(_, w)| w).sum()));
+        Ok(())
+    }
+
+    /// A key group's payloads and weights, collected.
+    fn collected(group: KeyGroup<'_>) -> Vec<(&[u8], u64)> {
+        group.payloads().collect()
+    }
+
     /// A payload that is one little-endian `u32`.
     fn value(bytes: &[u8]) -> u64 {
         u64::from(u32::from_le_bytes(bytes.try_into().unwrap()))
@@ -924,7 +1236,7 @@ mod tests {
     /// empty payload.
     fn combine_each_item(part: &[Sequence], c: &mut Combiner) -> Result<()> {
         for &x in part.iter().flatten() {
-            c.emit(x, b"", 1);
+            c.emit(&[x], b"", 1);
         }
         Ok(())
     }
@@ -948,11 +1260,11 @@ mod tests {
         let db = SequenceDb::new(vec![vec![7; 100], vec![7; 100]]);
         let map = |part: &[Sequence], out: &mut Combiner| {
             for &w in part.iter().flatten() {
-                out.emit(w, &w.to_le_bytes(), 1);
+                out.emit(&[w], &w.to_le_bytes(), 1);
             }
             Ok(())
         };
-        let res = in_process(&ctx(&db, 2, 2, 2), map, || (), count).unwrap();
+        let res = in_process(&ctx(&db, 2, 2, 2), map, || (), count_group).unwrap();
         assert_eq!(res.patterns, vec![(vec![7], 200)]);
         let metrics = res.metrics;
         assert_eq!(metrics.emitted_records, 200);
@@ -971,12 +1283,13 @@ mod tests {
             &ctx(&db, 1, 1, 1),
             |part: &[Sequence], c: &mut Combiner| {
                 for &k in part.iter().flatten() {
-                    c.emit(k, &payload, 1);
+                    c.emit(&[k], &payload, 1);
                 }
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                let vs = collected(vs);
                 assert_eq!(vs.len(), 1);
                 assert_eq!(vs[0].0.len(), 100);
                 emit((vec![k], 1));
@@ -1003,12 +1316,13 @@ mod tests {
             &ctx(&db, 2, 4, 3),
             |part: &[Sequence], c: &mut Combiner| {
                 for &k in part.iter().flatten() {
-                    c.emit(k, b"payload", 2);
+                    c.emit(&[k], b"payload", 2);
                 }
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                let vs = collected(vs);
                 assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
                 emit((vec![k], vs[0].1));
                 Ok(())
@@ -1043,7 +1357,7 @@ mod tests {
         let chunk = |emits: &[(u32, &[u8], u64)]| {
             let mut c = Combiner::new(1);
             for &(k, p, w) in emits {
-                c.emit(k, p, w);
+                c.emit(&[k], p, w);
             }
             c.into_task_out().unwrap().buckets.pop().unwrap()
         };
@@ -1057,12 +1371,12 @@ mod tests {
                 (1, b"x", 1),
             ]),
         ];
-        let merged = merge_bucket(&chunks).unwrap();
+        let buckets = [merge_bucket(&chunks).unwrap()];
+        let call = OnceLock::new();
         type Group<'c> = (u32, Vec<(&'c [u8], u64)>);
-        let groups: Vec<Group<'_>> = merged
-            .groups
-            .iter()
-            .map(|(key, recs)| (*key, merged.recs[recs.clone()].to_vec()))
+        let groups: Vec<Group<'_>> = groups_of(&buckets, &call, 0)
+            .into_iter()
+            .map(|(key, inputs)| (key, inputs.iter().map(|i| (i.0, i.1)).collect()))
             .collect();
         let expect: Vec<Group<'_>> = vec![
             (1, vec![(b"x", 2), (b"z", 1)]),
@@ -1076,6 +1390,185 @@ mod tests {
         let x = groups[0].1[0].0.as_ptr();
         assert_eq!(groups[3].1[1].0.as_ptr(), x);
         assert!(chunks[0].as_ptr_range().contains(&x));
+    }
+
+    /// One merged input as a test compares it: payload, weight, payload
+    /// id and the payload's keys over the call.
+    type Seen<'c> = (&'c [u8], u64, u32, Vec<ItemId>);
+
+    /// Every key group of bucket `b` of `buckets` with its inputs, under
+    /// the call's payload ids and keys `call` builds.
+    fn groups_of<'c>(
+        buckets: &'c [MergedBucket<'c>],
+        call: &'c OnceLock<Result<CallPayloads>>,
+        b: usize,
+    ) -> Vec<(u32, Vec<Seen<'c>>)> {
+        let group = |entries: &Range<usize>| KeyGroup {
+            buckets,
+            bucket: b,
+            entries: &buckets[b].entries[entries.clone()],
+            call,
+        };
+        buckets[b]
+            .groups
+            .iter()
+            .map(|(key, entries)| {
+                let inputs = group(entries).inputs().unwrap().map(|i| {
+                    assert!(i.keys.binary_search(key).is_ok(), "{key} in {:?}", i.keys);
+                    (i.payload, i.weight, i.payload_id, i.keys.to_vec())
+                });
+                (*key, inputs.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn records_scatter_every_key_into_its_group_under_the_payloads_keys() {
+        // Keys 5 and 65 541 share their low 16 bits, and 65 541 and
+        // 70 000 need the high pass: the sort must keep arrival order
+        // through both. Payload `a` arrives in three records of two map
+        // tasks, under two key lists: within a group its weights sum, and
+        // every input of `a` names the union of its keys.
+        let chunk = |emits: &[(&[u32], &[u8], u64)]| {
+            let mut c = Combiner::new(1);
+            for &(keys, p, w) in emits {
+                c.emit(keys, p, w);
+            }
+            c.into_task_out().unwrap().buckets.pop().unwrap()
+        };
+        let wide: &[u32] = &[5, 65_541, 70_000];
+        let chunks = vec![
+            chunk(&[(wide, b"a", 1), (&[5, 9], b"b", 2), (&[9, 65_541], b"a", 1)]),
+            chunk(&[(wide, b"a", 4)]),
+        ];
+        let buckets = [merge_bucket(&chunks).unwrap()];
+        let call = OnceLock::new();
+        let (a, b): (&[u8], &[u8]) = (b"a", b"b");
+        let (a_keys, b_keys) = (vec![5, 9, 65_541, 70_000], vec![5, 9]);
+        let expect: Vec<(u32, Vec<Seen<'_>>)> = vec![
+            (
+                5,
+                vec![(a, 5, 0, a_keys.clone()), (b, 2, 1, b_keys.clone())],
+            ),
+            (9, vec![(b, 2, 1, b_keys), (a, 1, 0, a_keys.clone())]),
+            (65_541, vec![(a, 6, 0, a_keys.clone())]),
+            (70_000, vec![(a, 5, 0, a_keys)]),
+        ];
+        assert_eq!(groups_of(&buckets, &call, 0), expect);
+        assert_eq!(merge_bucket_sizes(&chunks).unwrap(), (4, 6));
+    }
+
+    #[test]
+    fn a_multi_key_emit_ships_one_record_per_bucket_it_reaches() {
+        // Forty keys over three buckets: one record per bucket reached,
+        // each holding exactly that bucket's keys, ascending; the same emit
+        // again combines into those records. Over the three buckets, the
+        // payload has one id and all forty keys.
+        let keys: Vec<u32> = (0..40).map(|k| 3 * k + 1).collect();
+        let mut c = Combiner::new(3);
+        c.emit(&keys, b"payload", 1);
+        c.emit(&keys, b"payload", 2);
+        let out = c.into_task_out().unwrap();
+        let reached: Vec<usize> = (0..3).filter(|&b| !out.buckets[b].is_empty()).collect();
+        assert_eq!(reached.len(), 3, "forty keys reach every bucket");
+        assert_eq!((out.emitted, out.shuffled, out.payloads), (80, 3, 3));
+        let chunks: Vec<Vec<Vec<u8>>> = out.buckets.iter().map(|c| vec![c.clone()]).collect();
+        let buckets: Vec<MergedBucket<'_>> =
+            chunks.iter().map(|c| merge_bucket(c).unwrap()).collect();
+        assert!(buckets.iter().all(|bucket| bucket.payloads.len() == 1));
+        let call = OnceLock::new();
+        let mut all = Vec::new();
+        for b in 0..buckets.len() {
+            for (key, inputs) in groups_of(&buckets, &call, b) {
+                assert_eq!(bucket_of(key_hash(key), 3), b, "key {key}");
+                assert_eq!(inputs, vec![(&b"payload"[..], 3, 0, keys.clone())]);
+                all.push(key);
+            }
+        }
+        all.sort_unstable();
+        assert_eq!(all, keys);
+    }
+
+    #[test]
+    fn equal_payloads_share_one_id_across_the_buckets_of_a_reduce_call() {
+        // Thirty keys over three buckets, one payload: a record per bucket,
+        // one payload id with all thirty keys in each, and another payload
+        // another id.
+        let db = singletons([1]);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let keys: Vec<u32> = (0..30).collect();
+        let res = in_process(
+            &ctx(&db, 1, 1, 3),
+            |_: &[Sequence], c: &mut Combiner| {
+                c.emit(&keys, b"same", 1);
+                c.emit(&[1], b"other", 1);
+                Ok(())
+            },
+            || (),
+            |(): &mut (), k, group: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                for i in group.inputs()? {
+                    let input = (i.payload.to_vec(), i.payload_id, i.keys.to_vec());
+                    seen.lock().unwrap().push(input);
+                }
+                emit((vec![k], 1));
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(res.patterns.len(), 30);
+        assert_eq!(res.metrics.shuffle_records, 4);
+        let seen = seen.into_inner().unwrap();
+        let of = |bytes: &[u8]| -> Vec<(u32, Vec<u32>)> {
+            let mut ids: Vec<_> = seen
+                .iter()
+                .filter(|(p, _, _)| p == bytes)
+                .map(|(_, id, keys)| (*id, keys.clone()))
+                .collect();
+            ids.dedup();
+            ids
+        };
+        let (same, other) = (of(b"same"), of(b"other"));
+        assert_eq!(same.len(), 1, "{same:?}");
+        assert_eq!(same[0].1, keys);
+        assert_eq!(other.len(), 1);
+        assert_eq!(other[0].1, vec![1]);
+        assert_ne!(same[0].0, other[0].0);
+    }
+
+    #[test]
+    fn hostile_records_fail_typed_before_any_count_sized_allocation() {
+        // A one-payload dictionary, then one record:
+        // payload id, weight, key count, first key, gaps.
+        let dictionary = [1, 1, 0xaa];
+        let mut huge = vec![0, 1, 2];
+        write_varint(&mut huge, u64::from(u32::MAX));
+        huge.push(1);
+        let cases: [(&[u8], &str); 6] = [
+            (&[0, 1, 200, 1], "key count 200 exceeds input"),
+            (&[0, 1, 0], "record without keys"),
+            (&[0, 1, 2, 5, 0], "keys not strictly ascending"),
+            (&[3, 1, 1, 7], "payload id 3 out of range"),
+            (
+                &[
+                    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1, 7,
+                ],
+                "payload id 18446744073709551615 out of range",
+            ),
+            (&huge, "pivot key out of range: 4294967296"),
+        ];
+        for (record, message) in cases {
+            let chunks = vec![[&dictionary[..], record].concat()];
+            let err = merge_bucket(&chunks).err().expect(message);
+            assert_eq!(err, Error::Decode(message.into()));
+        }
+    }
+
+    #[test]
+    fn keys_out_of_order_fail_the_map_task_typed() {
+        let mut c = Combiner::new(2);
+        c.emit(&[3, 3], b"p", 1);
+        c.emit(&[1, 2], b"p", 1);
+        assert!(matches!(c.into_task_out(), Err(Error::Invalid(m)) if m.contains("ascend")));
     }
 
     #[test]
@@ -1194,10 +1687,11 @@ mod tests {
         for (workers, partitions, reducers) in [(0, 1, 1), (1, 0, 1), (1, 1, 0)] {
             let ctx = ctx(&db, workers, partitions, reducers);
             let plain = map_reduce(&ctx, counted, || (), count).unwrap_err();
-            let via = in_process(&ctx, combined, || (), count).unwrap_err();
+            let via = in_process(&ctx, combined, || (), count_group).unwrap_err();
             // Validation comes before the first connection attempt.
             let addr = SocketAddr::from(([127, 0, 0, 1], 9));
-            let worker = run_round(&ctx, Exec::Worker(addr), combined, || (), count).unwrap_err();
+            let worker =
+                run_round(&ctx, Exec::Worker(addr), combined, || (), count_group).unwrap_err();
             for err in [plain, via, worker] {
                 assert!(
                     matches!(err, Error::Invalid(_)),
@@ -1255,8 +1749,7 @@ mod tests {
         S: Send,
         MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
+        RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
     {
         let round = run_round(ctx, Exec::Via(&InProcess), map, init, reduce)?;
         Ok(round.expect("a driven round has a result"))
@@ -1279,8 +1772,7 @@ mod tests {
         S: Send,
         MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, &[(&[u8], u64)], &mut dyn FnMut((Sequence, u64))) -> Result<()>
-            + Sync,
+        RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
     {
         let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
         let addr = coord.local_addr().unwrap();
@@ -1302,12 +1794,13 @@ mod tests {
         let db = singletons(0..3000);
         let map = |part: &[Sequence], c: &mut Combiner| {
             for &x in part.iter().flatten() {
-                c.emit(x % 500, &x.to_le_bytes()[..1], 1);
+                c.emit(&[x % 500], &x.to_le_bytes()[..1], 1);
             }
             Ok(())
         };
         for reducers in [1, 4] {
-            let local = |workers| in_process(&ctx(&db, workers, 9, reducers), map, || (), count);
+            let local =
+                |workers| in_process(&ctx(&db, workers, 9, reducers), map, || (), count_group);
             let seq = local(1).unwrap();
             assert_eq!(seq.patterns.len(), 500);
             assert!(seq.metrics.tasks > reducers as u64, "key groups batched");
@@ -1320,7 +1813,7 @@ mod tests {
                 assert_eq!(par.metrics.tasks, seq.metrics.tasks);
             }
             for workers in [1, 3] {
-                let remote = via_tcp(&db, workers, 9, reducers, map, || (), count);
+                let remote = via_tcp(&db, workers, 9, reducers, map, || (), count_group);
                 let what = format!("TCP workers={workers} reducers={reducers}");
                 assert_eq!(remote.patterns, seq.patterns, "{what}");
                 assert_eq!(
@@ -1335,11 +1828,10 @@ mod tests {
     fn reduce_state_initializes_once_per_worker() {
         let inits = AtomicUsize::new(0);
         let init = || inits.fetch_add(1, Ordering::Relaxed);
-        let reduce =
-            |_: &mut usize, k, _: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-                emit((vec![k], 1));
-                Ok(())
-            };
+        let reduce = |_: &mut usize, k, _: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+            emit((vec![k], 1));
+            Ok(())
+        };
 
         // In process, 8 buckets but 3 workers: at most one state per
         // reduce worker for the whole round, not one per bucket.
@@ -1400,7 +1892,7 @@ mod tests {
             &ctx(&db, 2, 1, 2),
             combine_each_item,
             || (),
-            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut((Sequence, u64))| {
+            |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut((Sequence, u64))| {
                 panic!("reducer blew up")
             },
         )
@@ -1429,7 +1921,7 @@ mod tests {
             cancel: Some(&token),
             ..ctx(&db, 1, 1, 1)
         };
-        let err = in_process(&ctx, combine_each_item, || (), count).unwrap_err();
+        let err = in_process(&ctx, combine_each_item, || (), count_group).unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded(_)), "{err}");
     }
 
@@ -1440,12 +1932,13 @@ mod tests {
         let res = in_process(
             &ctx(&db, 1, 1, 1),
             |_part: &[Sequence], c: &mut Combiner| {
-                c.emit(9, b"", big);
-                c.emit(9, b"", 1);
+                c.emit(&[9], b"", big);
+                c.emit(&[9], b"", 1);
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                let vs = collected(vs);
                 assert_eq!(vs.len(), 1);
                 assert!(vs[0].0.is_empty());
                 emit((vec![k], vs[0].1));

@@ -1,8 +1,9 @@
 //! The one round of communication every distributed algorithm runs (Sec.
-//! III, Alg. 1): **map** each input partition to `(pivot item, payload
-//! bytes, weight)` records, **combine** equal `(pivot, payload)` records
-//! map-side (D-CAND's aggregation of identical NFAs, Sec. VI-A),
-//! **shuffle** them as bytes to reducer buckets by key hash — the byte
+//! III, Alg. 1): **map** each input partition to `(pivot items, payload
+//! bytes, weight)` records, one per payload and reducer bucket its pivots
+//! reach, **combine** equal records map-side (D-CAND's aggregation of
+//! identical NFAs, Sec. VI-A), **shuffle** them as bytes to reducer
+//! buckets by key hash — the byte
 //! volume is `shuffle_bytes`, the analog of Spark's `shuffleWriteBytes`
 //! in Fig. 9c — and **reduce** each pivot's records to frequent sequences
 //! under work stealing. [`run_round`] runs it where [`Exec`] says: over a
@@ -14,5 +15,5 @@
 pub mod engine;
 pub mod transport;
 
-pub use engine::{run_round, Combiner, Exec, MapTaskOut};
+pub use engine::{run_round, Combiner, Exec, Input, KeyGroup, MapTaskOut};
 pub use transport::{InProcess, NetCoordinator, PhaseStats, ShuffleTransport};

@@ -76,10 +76,12 @@ use super::engine::{run_tasks, MapTaskOut};
 /// table instead of an eight-kind private one; v3: [`Frame::Hello`] carries
 /// only the version — the job fingerprint that every process sent as 0 is
 /// gone; v4: [`Frame::ReduceOut`] patterns are item sequences in the
-/// `desq_core::codec` delta codec, each followed by its frequency.) The
+/// `desq_core::codec` delta codec, each followed by its frequency; v5: a
+/// shuffle record carries its payload id, weight and Δ-coded key list, one
+/// record per payload and bucket instead of one per key.) The
 /// retired error kind 10 (`PeerTimedOut`) moved nothing: no build ever
 /// encoded it.
-pub const NET_PROTOCOL_VERSION: u8 = 4;
+pub const NET_PROTOCOL_VERSION: u8 = 5;
 
 /// Counters of one transport phase, merged into
 /// [`MiningMetrics`](desq_core::MiningMetrics) by the round.

@@ -128,9 +128,8 @@ pub struct Mapper<'a> {
     minimize: bool,
     runs: RunScratch,
     tries: NfaBuilder,
-    /// The current run's pivot set, and the ⊕ fold's double buffer.
+    /// The current run's pivot set.
     pivots: Vec<ItemId>,
-    tmp: Vec<ItemId>,
 }
 
 impl<'a> Mapper<'a> {
@@ -150,7 +149,6 @@ impl<'a> Mapper<'a> {
             runs: RunScratch::default(),
             tries: NfaBuilder::default(),
             pivots: Vec::new(),
-            tmp: Vec::new(),
         }
     }
 
@@ -161,7 +159,7 @@ impl<'a> Mapper<'a> {
     /// enumerated. The byte slices are only valid inside `emit`.
     pub fn map(&mut self, seq: &[ItemId], emit: impl FnMut(ItemId, &[u8])) -> Result<()> {
         let budget = self.budget;
-        let (tries, pivots, tmp) = (&mut self.tries, &mut self.pivots, &mut self.tmp);
+        let (tries, pivots) = (&mut self.tries, &mut self.pivots);
         tries.clear();
         let mut work = 0usize;
         let mut exhausted = None;
@@ -176,7 +174,7 @@ impl<'a> Mapper<'a> {
                 // all-ε runs only produce the empty candidate.
                 return true;
             }
-            oplus_fold(sets.iter(), pivots, tmp);
+            oplus_fold(sets.iter(), pivots);
             for &p in pivots.iter() {
                 if !insert_pivot_terms(tries, sets, p, budget, &mut work) {
                     exhausted = Some("trie construction");
@@ -201,15 +199,15 @@ impl<'a> Mapper<'a> {
 /// de-duplicates the candidates an NFA represents more than once),
 /// weighted by source multiplicity — DESQ-COUNT over compressed inputs,
 /// σ-filtered, each NFA's expansion bounded by `budget`.
-fn expand_and_count(
+fn expand_and_count<'p>(
     sigma: u64,
     budget: usize,
     nfa: &mut Nfa,
-    inputs: &[(&[u8], u64)],
+    inputs: impl IntoIterator<Item = (&'p [u8], u64)>,
     emit: &mut dyn FnMut((Sequence, u64)),
 ) -> Result<()> {
     let mut counter = CandidateCounter::new();
-    for &(bytes, weight) in inputs {
+    for (bytes, weight) in inputs {
         nfa.decode(bytes)?;
         counter.begin_sequence(weight);
         nfa.for_each(budget, |candidate| {
@@ -245,12 +243,12 @@ pub fn d_cand(
         for seq in part {
             // The serialized NFA goes through the byte-payload path:
             // combined by content, interned per bucket chunk.
-            mapper.map(seq, |p, bytes| out.emit(p, bytes, 1))?;
+            mapper.map(seq, |p, bytes| out.emit(&[p], bytes, 1))?;
         }
         Ok(())
     };
-    run_round(ctx, exec, map, Nfa::default, |nfa, _pivot, inputs, emit| {
-        expand_and_count(sigma, budget, nfa, inputs, emit)
+    run_round(ctx, exec, map, Nfa::default, |nfa, _pivot, group, emit| {
+        expand_and_count(sigma, budget, nfa, group.payloads(), emit)
     })
 }
 
@@ -270,7 +268,9 @@ fn d_cand_no_agg(ctx: &MiningContext<'_>, config: DCandConfig) -> Result<MiningR
             Ok(())
         },
         Nfa::default,
-        |nfa, _pivot, inputs, emit| expand_and_count(sigma, budget, nfa, inputs, emit),
+        |nfa, _pivot, inputs, emit| {
+            expand_and_count(sigma, budget, nfa, inputs.iter().copied(), emit)
+        },
     )
 }
 

@@ -6,31 +6,33 @@
 //! ablation, by bounded run enumeration
 //! ([`PivotSearch::pivots_enumerated_into`]). Either way it builds the
 //! sequence's simulation tables once, into a per-map-task
-//! [`PivotScratch`], and allocates nothing per sequence. It serializes the
-//! (optionally rewritten) input **once** with the delta item codec and
-//! emits the same payload bytes to every pivot partition. The engine's combiner
-//! aggregates identical `(pivot, payload)` records into weighted ones and
-//! interns shared payload bytes per bucket chunk, so a sequence with many
-//! pivots ships its items once per bucket rather than once per pivot.
-//! Each reduce worker decodes a distinct payload slice once, appends its
+//! [`PivotScratch`], and allocates nothing per sequence. Every pivot
+//! receives the same (optionally rewritten) range, so the mapper
+//! serializes it **once** with the delta item codec and emits it once,
+//! with the whole ascending pivot list: the engine ships one record per
+//! (sequence, reduce bucket) holding that bucket's pivots, aggregates
+//! identical records into weighted ones and interns shared payload bytes
+//! per bucket chunk.
+//!
+//! Each reduce worker decodes a distinct payload once, appends its
 //! pivot-independent simulation tables to one growing
-//! [`desq_miner::SeqTables`] arena, and runs partition-restricted DESQ-DFS
-//! ([`desq_miner::LocalMiner::mine_picks`]) over `(table, weight)` picks,
-//! every pivot partition reading the FST's one
+//! [`desq_miner::SeqTables`] arena, and — with early stopping on — derives
+//! the early-stopping position of every pivot the payload goes to in the
+//! reduce call from one reverse scan of the table's id row
+//! ([`LocalMiner::early_stops`]). It then runs partition-restricted
+//! DESQ-DFS ([`LocalMiner::mine_picks`]) over [`Pick`]s that carry those
+//! positions, every pivot partition reading the FST's one
 //! [`FstIndex`](desq_core::fst::FstIndex): expansions never use items
 //! above the pivot, only pivot sequences are emitted, and the
 //! early-stopping heuristic prunes snapshots that can no longer produce
 //! the pivot — by position and by FST state (Sec. V-C).
 
-use std::collections::hash_map::Entry;
-
 use desq_core::codec::{decode_item_seq, encode_item_seq};
-use desq_core::fx::FxHashMap;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Error, ItemId, Result, Sequence};
-use desq_miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables};
+use desq_miner::{LocalMiner, MinerConfig, MinerScratch, Pick, SeqTables};
 
-use crate::bsp::{run_round, Combiner, Exec, InProcess};
+use crate::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
 use crate::pivots::{PivotScratch, PivotSearch};
 use crate::MiningResult;
 
@@ -56,7 +58,9 @@ pub struct DSeqConfig {
     /// halves: a prefix that lacks the pivot reads nothing past a
     /// sequence's last pivot-producing position, and a step into an FST
     /// state that can produce no further output extends it by the pivot
-    /// only. Off, the partitions run the unpruned search (Fig. 10a).
+    /// only. A reducer finds those positions for all the pivots a payload
+    /// goes to in one scan of the sequence's table. Off, the partitions run
+    /// the unpruned search (Fig. 10a) and no table is scanned.
     pub early_stop: bool,
 }
 
@@ -81,22 +85,28 @@ impl Miner for DSeqConfig {
 }
 
 /// Per-reduce-worker state — one per worker per reduce call: one growing
-/// arena of simulation tables plus the table index of every payload seen
-/// so far (`None` for a payload the FST rejects), keyed by the identity of
-/// the borrowed payload slice. Payloads borrow from the shuffle buffers,
-/// which outlive the state (all buckets of the round in process, the one
-/// bucket of a `ReduceTask` on a worker process), so the map stays valid
-/// across the per-pivot tasks: a sequence shipped to many pivot partitions
-/// mined by one worker is decoded and simulated once, and its items are
-/// not retained. The rest is scratch reused across partitions.
+/// arena of simulation tables, and what the worker keeps of each payload
+/// it has seen, indexed by the engine's payload id — dense over the reduce
+/// call (all buckets of the round in process, the one bucket of a
+/// `ReduceTask` on a worker process), so it stays valid across the call's
+/// key groups. `seen[payload]` is `None` until the payload is first seen;
+/// then the payload is decoded and simulated once (its items are not
+/// retained), and — under early stopping — one scan of its table places
+/// every key the payload goes to in the call ([`Input::keys`](crate::bsp::Input)),
+/// into `stops`. The rest is scratch reused across partitions.
 #[derive(Default)]
 struct ReduceState {
     tables: SeqTables,
-    table_of: FxHashMap<(usize, usize), Option<u32>>,
+    seen: Vec<Option<Seen>>,
+    stops: Vec<u32>,
     scratch: MinerScratch,
     items: Vec<ItemId>,
-    picks: Vec<(u32, u64)>,
+    picks: Vec<Pick>,
 }
+
+/// A seen payload's table and where its keys' early-stopping positions
+/// start in [`ReduceState::stops`] — `None` for a payload the FST rejects.
+type Seen = Option<(u32, usize)>;
 
 /// Runs D-SEQ on `ctx` the way `exec` says. Driving its round through a
 /// transport ([`InProcess`], what [`Miner::mine`] does, or a
@@ -126,13 +136,11 @@ pub fn d_seq(
             };
             let Some(range) = range else { continue };
             // All pivots share the rewritten range: serialize once, emit
-            // the same bytes per pivot (the combiner interns them).
+            // once to the whole (ascending) pivot list.
             let items = if config.rewrite { &seq[range] } else { seq };
             payload.clear();
             encode_item_seq(items, &mut payload);
-            for &p in &pivots {
-                out.emit(p, &payload, 1);
-            }
+            out.emit(&pivots, &payload, 1);
         }
         Ok(())
     };
@@ -141,31 +149,50 @@ pub fn d_seq(
     let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
     let reduce = |state: &mut ReduceState,
                   p: ItemId,
-                  inputs: &[(&[u8], u64)],
+                  group: KeyGroup<'_>,
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
         let ReduceState {
             tables,
-            table_of,
+            seen,
+            stops,
             scratch,
             items,
             picks,
         } = state;
         picks.clear();
-        for &(bytes, weight) in inputs {
-            let table = match table_of.entry((bytes.as_ptr() as usize, bytes.len())) {
-                Entry::Occupied(hit) => *hit.get(),
-                Entry::Vacant(miss) => {
+        for input in group.inputs()? {
+            let id = input.payload_id as usize;
+            if seen.len() <= id {
+                seen.resize(id + 1, None);
+            }
+            let known = match seen[id] {
+                Some(known) => known,
+                None => {
                     items.clear();
-                    decode_payload(bytes, dict.max_fid(), items)?;
+                    decode_payload(input.payload, dict.max_fid(), items)?;
                     // Payloads are outside input: an over-wide one fails
                     // the round typed.
-                    *miss.insert(builder.append_tables(items, tables, scratch)?)
+                    let table = builder.append_tables(items, tables, scratch)?;
+                    let at = stops.len();
+                    if let (Some(table), true) = (table, config.early_stop) {
+                        builder.early_stops(tables, table, input.keys, stops);
+                    }
+                    *seen[id].insert(table.map(|table| (table, at)))
                 }
             };
-            if let Some(table) = table {
-                picks.push((table, weight));
-            }
+            let Some((table, at)) = known else { continue };
+            let stop = if config.early_stop {
+                let rank = input.keys.binary_search(&p);
+                stops[at + rank.expect("a group's key is among its payloads' keys")]
+            } else {
+                u32::MAX
+            };
+            picks.push(Pick {
+                table,
+                weight: input.weight,
+                stop,
+            });
         }
         let miner_config = MinerConfig::for_pivot(sigma, p, config.early_stop);
         LocalMiner::new(fst, dict, miner_config).mine_picks(
@@ -345,6 +372,42 @@ mod tests {
     }
 
     #[test]
+    fn the_shuffle_ships_at_most_one_record_per_sequence_and_bucket() {
+        // Every pivot of a sequence receives the same payload, so a
+        // sequence with pivots becomes one record per bucket its pivots
+        // reach: at most `reducers` records, holding all of its pivots.
+        let sigma = 10;
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
+        for constraint in [crate::patterns::n4(), crate::patterns::n5()] {
+            let fst = constraint.compile(&dict).unwrap();
+            let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
+            let (mut scratch, mut pivots) = (PivotScratch::default(), Vec::new());
+            let (mut accepted, mut keys) = (0u64, 0u64);
+            for seq in &db.sequences {
+                if search.pivots_into(seq, &mut scratch, &mut pivots).is_some() {
+                    accepted += 1;
+                    keys += pivots.len() as u64;
+                }
+            }
+            assert!(
+                keys > 4 * accepted,
+                "{}: pivots per sequence",
+                constraint.name
+            );
+            for reducers in [1, 2, 3] {
+                let ctx = MiningContext::sequential(&db, &dict, sigma)
+                    .with_fst(&fst)
+                    .with_parallelism(1, 2)
+                    .with_reducers(reducers);
+                let m = DSeqConfig::default().mine(&ctx).unwrap().metrics;
+                let at = format!("{} reducers={reducers}", constraint.name);
+                assert_eq!(m.emitted_records, keys, "{at}");
+                assert!(m.shuffle_records <= reducers as u64 * accepted, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn loose_nyt_constraints_match_sequential_dfs_and_bound_early_stopping() {
         let sigma = 10;
         let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
@@ -361,12 +424,18 @@ mod tests {
                             rewrite,
                             early_stop,
                         };
-                        let dist = cfg.mine(&ctx.with_parallelism(2, 2)).unwrap();
-                        assert_eq!(
-                            dist.patterns, seq,
-                            "{} grid={use_grid} stop={early_stop} rewrite={rewrite}",
-                            constraint.name
-                        );
+                        for (reducers, workers) in
+                            [1, 2, 3].into_iter().flat_map(|r| [(r, 1), (r, 3)])
+                        {
+                            let ctx = ctx.with_parallelism(workers, 2).with_reducers(reducers);
+                            let dist = cfg.mine(&ctx).unwrap();
+                            assert_eq!(
+                                dist.patterns, seq,
+                                "{} grid={use_grid} stop={early_stop} rewrite={rewrite} \
+                                 reducers={reducers} workers={workers}",
+                                constraint.name
+                            );
+                        }
                     }
                 }
             }
@@ -382,19 +451,25 @@ mod tests {
             let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
             let (mut tables, mut miner_scratch) = (SeqTables::default(), MinerScratch::default());
             let (mut scratch, mut pivots) = (PivotScratch::default(), Vec::new());
-            let mut undercuts = 0;
+            // The reducers' batched scan places every pivot where the
+            // per-pivot scan does.
+            let (mut undercuts, mut stops) = (0, Vec::new());
             for (s, items) in db.sequences.iter().enumerate() {
                 search.pivots_into(items, &mut scratch, &mut pivots);
                 let table = builder
                     .append_tables(items, &mut tables, &mut miner_scratch)
                     .unwrap();
                 assert!(table.is_some() || pivots.is_empty(), "sequence {s}");
-                for &p in &pivots {
+                let Some(table) = table else { continue };
+                stops.clear();
+                builder.early_stops(&tables, table, &pivots, &mut stops);
+                for (&p, &stop) in pivots.iter().zip(&stops) {
                     let miner =
                         LocalMiner::new(&fst, &dict, MinerConfig::for_pivot(sigma, p, true));
-                    let from_tables = miner.last_pivot_position(&tables, table.unwrap() as usize);
+                    let from_tables = miner.last_pivot_position(&tables, table as usize);
                     let from_dict = dict_last_pivot_position(&fst, &dict, items, p);
                     assert!(from_tables.is_some(), "sequence {s} pivot {p}");
+                    assert_eq!(from_tables, Some(stop as usize), "sequence {s} pivot {p}");
                     assert!(from_tables <= from_dict, "sequence {s} pivot {p}");
                     undercuts += usize::from(from_tables < from_dict);
                 }

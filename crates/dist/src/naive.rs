@@ -24,7 +24,7 @@ use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{sequence, ItemId, Result, Sequence};
 
-use crate::bsp::{run_round, Combiner, Exec, InProcess};
+use crate::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
 use crate::MiningResult;
 
 /// NAÏVE (`filter` off, the default) and SEMI-NAÏVE (`filter` on), the
@@ -81,7 +81,7 @@ pub fn naive(
             bytes.clear();
             encode_item_seq(items, &mut bytes);
             // Interned candidates are non-empty, so the pivot is never ε.
-            out.emit(sequence::pivot(items), &bytes, count);
+            out.emit(&[sequence::pivot(items)], &bytes, count);
         }
         Ok(())
     };
@@ -89,8 +89,8 @@ pub fn naive(
     // whole job, so each payload's weight is its global frequency.
     // (The σ-filter is stateless: unit reduce state.)
     let reduce =
-        |(): &mut (), _p: ItemId, cands: &[(&[u8], u64)], emit: &mut dyn FnMut((Sequence, u64))| {
-            for &(bytes, freq) in cands {
+        |(): &mut (), _p: ItemId, cands: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+            for (bytes, freq) in cands.payloads() {
                 if freq >= sigma {
                     let mut c: Sequence = Vec::new();
                     decode_item_seq(&mut &bytes[..], &mut c)?;

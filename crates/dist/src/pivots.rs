@@ -125,26 +125,28 @@ fn oplus(a: &[ItemId], b: &[ItemId], out: &mut Vec<ItemId>) {
 }
 
 /// The pivot set of a run with output sets `sets` — `{ max(w_1..w_k) :
-/// w_i ∈ sets_i }` — as the fold of [`oplus`] over them, into `out`
-/// (`tmp` is the fold's double buffer). Sets are sorted ascending; no
+/// w_i ∈ sets_i }`, the fold of [`oplus`] over them — into `out`, sorted
+/// ascending. Folding ⊕ keeps exactly the elements of the sets' union no
+/// smaller than the largest of their minima, so the fold is one threshold
+/// pass (that largest minimum) and one k-way union of the suffixes at or
+/// above it, with nothing copied per step. Sets are sorted ascending; no
 /// sets, or an empty one, yield the empty set.
 pub(crate) fn oplus_fold<'s>(
-    mut sets: impl Iterator<Item = &'s [ItemId]>,
+    sets: impl Iterator<Item = &'s [ItemId]> + Clone,
     out: &mut Vec<ItemId>,
-    tmp: &mut Vec<ItemId>,
 ) {
     out.clear();
-    if let Some(first) = sets.next() {
-        out.extend_from_slice(first);
+    let mut threshold = None;
+    for set in sets.clone() {
+        let Some(&min) = set.first() else { return };
+        threshold = threshold.max(Some(min));
     }
+    let Some(threshold) = threshold else { return };
     for set in sets {
-        if set.is_empty() || out.is_empty() {
-            out.clear();
-            return;
-        }
-        oplus(set, out, tmp);
-        std::mem::swap(out, tmp);
+        out.extend_from_slice(&set[set.partition_point(|&w| w < threshold)..]);
     }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// Th. 1's ⊕ folded over `sets`: the pivot set `{ max(w_1..w_k) : w_i ∈
@@ -155,8 +157,7 @@ pub(crate) fn oplus_fold<'s>(
 pub fn merge_pivots<S: AsRef<[ItemId]>>(sets: &[S]) -> Vec<ItemId> {
     let union_bound = sets.iter().map(|s| s.as_ref().len()).sum();
     let mut out = Vec::with_capacity(union_bound);
-    let mut tmp = Vec::with_capacity(union_bound);
-    oplus_fold(sets.iter().map(AsRef::as_ref), &mut out, &mut tmp);
+    oplus_fold(sets.iter().map(AsRef::as_ref), &mut out);
     out
 }
 
@@ -314,7 +315,7 @@ impl<'a> PivotSearch<'a> {
                 return false;
             }
             if !sets.is_dead() {
-                oplus_fold(sets.iter(), acc, tmp);
+                oplus_fold(sets.iter(), acc);
                 union_into(out, acc, tmp);
             }
             true
@@ -450,6 +451,27 @@ mod tests {
                 oplus(a, b, &mut out);
                 assert_eq!(out, expect, "{a:?} ⊕ {b:?}");
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-pass fold is the definition: the max of every choice of
+        /// one element per set.
+        #[test]
+        fn the_fold_is_the_max_of_every_choice(
+            sets in proptest::collection::vec(proptest::collection::btree_set(1u32..16, 0..5), 0..6),
+        ) {
+            let sets: Vec<Vec<ItemId>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
+            let mut maxima = vec![EPSILON];
+            for set in &sets {
+                maxima = maxima.iter().flat_map(|&m| set.iter().map(move |&w| m.max(w))).collect();
+            }
+            maxima.sort_unstable();
+            maxima.dedup();
+            if sets.is_empty() {
+                maxima.clear();
+            }
+            proptest::prop_assert_eq!(merge_pivots(&sets), maxima);
         }
     }
 

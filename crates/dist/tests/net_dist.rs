@@ -9,7 +9,7 @@ use std::net::TcpListener;
 use std::thread;
 
 use desq_core::mining::{Miner, MiningContext};
-use desq_core::{toy, Error, Sequence};
+use desq_core::{toy, Dictionary, Error, Fst, Sequence, SequenceDb};
 use desq_dist::bsp::{Exec, InProcess, NetCoordinator};
 use desq_dist::dcand::{d_cand, DCandConfig};
 use desq_dist::dseq::{d_seq, DSeqConfig};
@@ -117,6 +117,53 @@ fn net_dseq_three_thread_worker_matches_oracle() {
     .unwrap()
     .unwrap();
     let oracle = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
+    assert!(!oracle.is_empty());
+    assert_eq!(res.patterns, oracle);
+    worker.join().unwrap();
+}
+
+/// N5 over `nyt_like(500)`: every sequence has many pivots, so its
+/// records cross real TCP as key lists — one per sequence and bucket — and
+/// the networked round equals the in-process one and DESQ-DFS.
+#[test]
+fn net_dseq_n5_key_lists_match_in_process_and_oracle() {
+    type World = (Dictionary, SequenceDb, Fst);
+    const N5_SIGMA: u64 = 5;
+    fn world() -> World {
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(500));
+        let fst = desq_dist::patterns::n5().compile(&dict).unwrap();
+        (dict, db, fst)
+    }
+    fn ctx((dict, db, fst): &World) -> MiningContext<'_> {
+        MiningContext::sequential(db, dict, N5_SIGMA)
+            .with_fst(fst)
+            .with_parallelism(2, PARTS)
+            .with_reducers(3)
+    }
+    let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
+    let addr = coord.local_addr().unwrap();
+    let worker = thread::spawn(move || {
+        let w = world();
+        d_seq(&ctx(&w), Exec::Worker(addr), DSeqConfig::default()).expect("worker run");
+    });
+
+    let w = world();
+    let res = d_seq(&ctx(&w), Exec::Via(&coord), DSeqConfig::default())
+        .unwrap()
+        .unwrap();
+    let in_process = DSeqConfig::default().mine(&ctx(&w)).unwrap();
+    let m = &in_process.metrics;
+    assert!(
+        m.emitted_records > 2 * m.shuffle_records,
+        "{} keys in {} records",
+        m.emitted_records,
+        m.shuffle_records
+    );
+    assert_eq!(res.patterns, in_process.patterns);
+    assert_eq!(res.metrics.shuffle_bytes, m.shuffle_bytes);
+    let (dict, db, fst) = &w;
+    let local = MiningContext::sequential(db, dict, N5_SIGMA).with_fst(fst);
+    let oracle = desq_miner::algo::DesqDfs.mine(&local).unwrap().patterns;
     assert!(!oracle.is_empty());
     assert_eq!(res.patterns, oracle);
     worker.join().unwrap();

@@ -19,7 +19,8 @@ use desq_dist::bsp::transport::{
     read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION,
 };
 use desq_dist::bsp::{
-    run_round, Combiner, Exec, InProcess, MapTaskOut, NetCoordinator, PhaseStats, ShuffleTransport,
+    run_round, Combiner, Exec, InProcess, KeyGroup, MapTaskOut, NetCoordinator, PhaseStats,
+    ShuffleTransport,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -282,7 +283,7 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
             Exec::Via(&coord),
             |_part: &[Sequence], _out: &mut Combiner| Ok(()),
             || (),
-            |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+            |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
         )
         .unwrap_err();
         assert!(
@@ -306,7 +307,7 @@ fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
         Exec::Via(&coord),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     )
     .unwrap_err();
     assert!(matches!(err, Error::Invalid(_)), "{err}");
@@ -345,7 +346,7 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
     let db = one_item();
     let ctx = round(&db, 1);
     let map = |_part: &[Sequence], _out: &mut Combiner| Ok(());
-    let reduce = |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(());
+    let reduce = |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(());
     thread::scope(|s| {
         let ctx = &ctx;
         let worker = s.spawn(move || {
@@ -443,7 +444,7 @@ fn both_phases_failure_counters_reach_the_round_metrics() {
         Exec::Via(&LosingPeers),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     )
     .unwrap();
     let metrics = res.unwrap().metrics;
@@ -477,7 +478,7 @@ fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
         Exec::Via(&coord),
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: &[(&[u8], u64)], _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     );
     drop(coord); // releases the peer if the job died before its last phase
     peer.join().unwrap();
@@ -501,13 +502,13 @@ fn hostile_reduce_outputs_fail_typed_or_decode() {
             for &x in part.iter().flatten() {
                 let mut payload = Vec::new();
                 encode_item_seq(&[x, 70_000, 2], &mut payload);
-                out.emit(x, &payload, 3);
+                out.emit(&[x], &payload, 3);
             }
             Ok(())
         },
         || (),
-        |(): &mut (), _k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut(Pattern)| {
-            for &(bytes, w) in vs {
+        |(): &mut (), _k, vs: KeyGroup<'_>, emit: &mut dyn FnMut(Pattern)| {
+            for (bytes, w) in vs.payloads() {
                 let mut pattern = Sequence::new();
                 decode_item_seq(&mut &bytes[..], &mut pattern)?;
                 emit((pattern, w));

@@ -137,6 +137,20 @@ impl MinerConfig {
 /// reducer's decoded aggregate) — local mining never copies item data.
 pub type WeightedInput<'s> = (&'s [ItemId], u64);
 
+/// One input of [`LocalMiner::mine_picks`]: a table of the arena, its
+/// weight, and its early-stopping position under the mining pivot — what
+/// [`LocalMiner::early_stops`] computes for it, `u32::MAX` for no bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pick {
+    /// Index of the table in the [`SeqTables`] arena.
+    pub table: u32,
+    /// Weight of the input sequence (its multiplicity in the partition).
+    pub weight: u64,
+    /// The last position that can still produce the pivot (see
+    /// [`MinerConfig::early_stop`]); read only when early stopping is on.
+    pub stop: u32,
+}
+
 /// What a parallel mining run returns: the (pattern, frequency) pairs in
 /// discovery order plus the per-worker scheduler stats.
 pub type MinedPatterns = (Vec<(Sequence, u64)>, Vec<WorkerStats>);
@@ -253,8 +267,9 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 /// per-sequence early-stopping position: it is derived from the id row
 /// (the last position where an alive transition outputs the pivot — no
 /// dictionary access) for the building miner's own pivot, and
-/// [`LocalMiner::mine_picks`] overrides it, together with the weight, per
-/// pick.
+/// [`LocalMiner::early_stops`] derives it for every pivot a table is
+/// shipped to in one scan; [`LocalMiner::mine_picks`] takes it, together
+/// with the weight, from each [`Pick`].
 ///
 /// All per-sequence data lives in **shared arenas** with one 32-byte
 /// descriptor (`SeqMeta`, `u32` arena starts) per *accepted* sequence:
@@ -278,7 +293,7 @@ pub struct SeqTables {
 
 /// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
 /// slice of these: the tables' own, or copies with `weight` and
-/// `last_pivot_pos` overridden ([`LocalMiner::mine_picks`]).
+/// `last_pivot_pos` taken from a [`Pick`] ([`LocalMiner::mine_picks`]).
 #[derive(Clone, Copy)]
 struct SeqMeta {
     weight: u64,
@@ -339,12 +354,48 @@ impl SeqTables {
 
     /// The last position of sequence `m` (`l` output labels per position)
     /// whose output sets contain `pivot`: a set cut at `pivot` ends in it.
+    /// One scan per pivot — the reference [`Self::early_stops`] is tested
+    /// against.
     fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
         let ids = &self.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
         let at = ids
             .iter()
             .rposition(|&id| self.sim.set(id, pivot).last() == Some(&pivot))?;
         Some(at / l)
+    }
+
+    /// The early-stopping position of sequence `m` (`l` output labels per
+    /// position) for each of `pivots` (strictly ascending), into `stops`:
+    /// the last position whose output sets contain the pivot, or 0 for a
+    /// pivot the sequence never outputs. One reverse scan of the id row
+    /// serves all of them, and it ends as soon as every pivot is placed.
+    fn early_stops(&self, m: &SeqMeta, l: usize, pivots: &[ItemId], stops: &mut [u32]) {
+        const UNPLACED: u32 = u32::MAX;
+        stops.fill(UNPLACED);
+        let (Some(&top), true) = (pivots.last(), l > 0) else {
+            stops.fill(0);
+            return;
+        };
+        let ids = &self.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
+        let mut left = pivots.len();
+        'scan: for (i, row) in ids.chunks_exact(l).enumerate().rev() {
+            for &id in row {
+                for w in self.sim.set(id, top) {
+                    if let Ok(j) = pivots.binary_search(w) {
+                        if stops[j] == UNPLACED {
+                            stops[j] = i as u32;
+                            left -= 1;
+                            if left == 0 {
+                                break 'scan;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for stop in stops.iter_mut().filter(|s| **s == UNPLACED) {
+            *stop = 0;
+        }
     }
 
     /// The arenas' current lengths: where the next sequence's tables start.
@@ -640,19 +691,21 @@ impl<'a> LocalMiner<'a> {
             .then_some(table))
     }
 
-    /// Mines the weighted collection given as `(table index, weight)`
-    /// picks from `tables` under this miner's configuration, streaming
-    /// patterns to `sink` in DFS order (unsorted). Single-threaded — the
-    /// partition-per-key reducers that share an arena parallelize across
-    /// keys, not within them. A pick's position in `picks` is its input
-    /// index in the postings, so more than `u32::MAX` picks fail with
-    /// [`desq_core::Error::Invalid`]. `cancel`, when given, is polled
-    /// before every pattern, as the scheduled runs do: a tripped token
-    /// ends the mining with its stop reason.
+    /// Mines the weighted collection given as [`Pick`]s from `tables`
+    /// under this miner's configuration, streaming patterns to `sink` in
+    /// DFS order (unsorted). Each pick carries its early-stopping position,
+    /// which this call reads as given (under early stopping) and never
+    /// recomputes. Single-threaded — the partition-per-key reducers that
+    /// share an arena parallelize across keys, not within them. A pick's
+    /// position in `picks` is its input index in the postings, so more
+    /// than `u32::MAX` picks fail with [`desq_core::Error::Invalid`].
+    /// `cancel`, when given, is polled before every pattern, as the
+    /// scheduled runs do: a tripped token ends the mining with its stop
+    /// reason.
     pub fn mine_picks(
         &self,
         tables: &SeqTables,
-        picks: &[(u32, u64)],
+        picks: &[Pick],
         scratch: &mut MinerScratch,
         cancel: Option<&CancelToken>,
         sink: &mut dyn FnMut(Sequence, u64),
@@ -661,17 +714,18 @@ impl<'a> LocalMiner<'a> {
             bufs, views, roots, ..
         } = scratch;
         let states = self.fst.num_states();
+        let stopping = self.config.early_stop && self.config.pivot.is_some();
         views.clear();
-        for (k, &(t, weight)) in picks.iter().enumerate() {
-            let m = tables.metas[t as usize];
+        for (k, pick) in picks.iter().enumerate() {
+            let m = tables.metas[pick.table as usize];
             // The table's own widths held when it was built; the index is
             // the pick's.
             if !fits_widths(k, m.len as usize, states, [0; 3]) {
                 return Err(width_error(k, m.len as usize, states));
             }
             views.push(SeqMeta {
-                weight,
-                last_pivot_pos: self.early_stop_pos(tables, &m),
+                weight: pick.weight,
+                last_pivot_pos: if stopping { pick.stop } else { u32::MAX },
                 ..m
             });
         }
@@ -709,9 +763,11 @@ impl<'a> LocalMiner<'a> {
     /// cannot produce the pivot at all is useless from position 0 on.
     fn early_stop_pos(&self, tables: &SeqTables, m: &SeqMeta) -> u32 {
         match self.config.pivot {
-            Some(pivot) if self.config.early_stop => tables
-                .last_pivot_pos(m, self.fst.index().num_labels(), pivot)
-                .map_or(0, |i| i as u32),
+            Some(pivot) if self.config.early_stop => {
+                let mut stop = [0];
+                tables.early_stops(m, self.fst.index().num_labels(), &[pivot], &mut stop);
+                stop[0]
+            }
             _ => u32::MAX,
         }
     }
@@ -723,6 +779,19 @@ impl<'a> LocalMiner<'a> {
     pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
         let l = self.fst.index().num_labels();
         tables.last_pivot_pos(&tables.metas[s], l, self.config.pivot?)
+    }
+
+    /// Appends to `out` the early-stopping position of table `t` for each
+    /// of `pivots` (strictly ascending), whatever this miner's own pivot:
+    /// the last position whose output sets contain the pivot, or 0 for a
+    /// pivot the table never outputs — a [`Pick::stop`] per pivot. One
+    /// reverse scan of the table's id row serves all of them, and it ends
+    /// as soon as every pivot is placed.
+    pub fn early_stops(&self, tables: &SeqTables, t: u32, pivots: &[ItemId], out: &mut Vec<u32>) {
+        let base = out.len();
+        out.resize(base + pivots.len(), 0);
+        let l = self.fst.index().num_labels();
+        tables.early_stops(&tables.metas[t as usize], l, pivots, &mut out[base..]);
     }
 
     /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
@@ -1590,6 +1659,26 @@ mod tests {
         owned.into_iter().max_by_key(|&(_, n)| n).unwrap()
     }
 
+    /// `picks` of `tables` with the early-stopping positions of `miner`'s
+    /// pivot, as its reducer would ship them to [`LocalMiner::mine_picks`].
+    fn with_stops(miner: &LocalMiner<'_>, tables: &SeqTables, picks: &[(u32, u64)]) -> Vec<Pick> {
+        let mut stop = Vec::new();
+        picks
+            .iter()
+            .map(|&(table, weight)| {
+                stop.clear();
+                if let Some(pivot) = miner.config.pivot {
+                    miner.early_stops(tables, table, &[pivot], &mut stop);
+                }
+                Pick {
+                    table,
+                    weight,
+                    stop: stop.first().copied().unwrap_or(u32::MAX),
+                }
+            })
+            .collect()
+    }
+
     /// `inputs` appended to a fresh arena by `builder`, as picks carrying
     /// their input weights, plus each table's input index.
     fn arena_of(
@@ -1686,9 +1775,13 @@ mod tests {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
                 let part = LocalMiner::new(fst, &dict, cfg);
                 let mut mined = Vec::new();
-                part.mine_picks(&tables, part_picks, &mut scratch, None, &mut |p, f| {
-                    mined.push((p, f))
-                })
+                part.mine_picks(
+                    &tables,
+                    &with_stops(&part, &tables, part_picks),
+                    &mut scratch,
+                    None,
+                    &mut |p, f| mined.push((p, f)),
+                )
                 .unwrap();
                 let eager_inputs: Vec<WeightedInput<'_>> = part_picks
                     .iter()
@@ -1746,15 +1839,51 @@ mod tests {
                     let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
                     let mut mined = Vec::new();
                     miner
-                        .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
-                            mined.push((p, f))
-                        })
+                        .mine_picks(
+                            &tables,
+                            &with_stops(&miner, &tables, &picks),
+                            &mut scratch,
+                            None,
+                            &mut |p, f| mined.push((p, f)),
+                        )
                         .unwrap();
                     assert_eq!(
                         crate::sort_patterns(mined),
                         miner.mine(&inputs).unwrap(),
                         "sigma={sigma} k={k} stop={early_stop}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_scan_places_every_pivot_where_its_own_scan_does() {
+        // Every toy table against every ascending pivot list drawn from the
+        // dictionary: the batched scan agrees with the per-pivot scan, and a
+        // pivot the table never outputs stops at position 0.
+        let fx = toy::fixture();
+        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
+        let (tables, picks) = toy_arena(&fx, &builder, 1);
+        let items: Vec<ItemId> = (1..=fx.dict.max_fid()).collect();
+        let mut stops = vec![7];
+        for &(t, _) in &picks {
+            for lists in 1u32..1 << items.len() {
+                let pivots: Vec<ItemId> = items
+                    .iter()
+                    .copied()
+                    .filter(|&w| lists & 1 << (w - 1) != 0)
+                    .collect();
+                stops.truncate(1);
+                builder.early_stops(&tables, t, &pivots, &mut stops);
+                assert_eq!(stops[0], 7, "appends, never overwrites");
+                for (&p, &stop) in pivots.iter().zip(&stops[1..]) {
+                    let own =
+                        LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, p, true));
+                    let expect = own
+                        .last_pivot_position(&tables, t as usize)
+                        .map_or(0, |i| i as u32);
+                    assert_eq!(stop, expect, "table {t} pivot {p} of {pivots:?}");
                 }
             }
         }
@@ -1770,17 +1899,25 @@ mod tests {
         let mut mined = 0;
         let live = CancelToken::new();
         miner
-            .mine_picks(&tables, &picks, &mut scratch, Some(&live), &mut |_, _| {
-                mined += 1
-            })
+            .mine_picks(
+                &tables,
+                &with_stops(&miner, &tables, &picks),
+                &mut scratch,
+                Some(&live),
+                &mut |_, _| mined += 1,
+            )
             .unwrap();
         assert!(mined > 0, "the partition has patterns to stop");
         let token = CancelToken::new();
         token.cancel();
         let mut emitted = 0;
-        let stopped = miner.mine_picks(&tables, &picks, &mut scratch, Some(&token), &mut |_, _| {
-            emitted += 1
-        });
+        let stopped = miner.mine_picks(
+            &tables,
+            &with_stops(&miner, &tables, &picks),
+            &mut scratch,
+            Some(&token),
+            &mut |_, _| emitted += 1,
+        );
         assert!(
             matches!(stopped, Err(desq_core::Error::Cancelled(_))),
             "{stopped:?}"
@@ -1810,9 +1947,13 @@ mod tests {
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
             miner
-                .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
-                    mined.push((p, f))
-                })
+                .mine_picks(
+                    &tables,
+                    &with_stops(&miner, &tables, &picks),
+                    &mut scratch,
+                    None,
+                    &mut |p, f| mined.push((p, f)),
+                )
                 .unwrap();
             assert_eq!(scratch.bufs.stats.acc.len(), k as usize + 1, "k={k}");
             assert_eq!(
@@ -1841,11 +1982,15 @@ mod tests {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             for pivot in 1..=last {
                 let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
-                LocalMiner::new(&fst, &dict, cfg)
-                    .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
-                        mined.push((p, f))
-                    })
-                    .unwrap();
+                let part = LocalMiner::new(&fst, &dict, cfg);
+                part.mine_picks(
+                    &tables,
+                    &with_stops(&part, &tables, &picks),
+                    &mut scratch,
+                    None,
+                    &mut |p, f| mined.push((p, f)),
+                )
+                .unwrap();
             }
             (crate::sort_patterns(mined), scratch.bufs.nodes)
         };
@@ -1961,7 +2106,7 @@ mod tests {
         miner
             .mine_picks(
                 tables,
-                picks,
+                &with_stops(miner, tables, picks),
                 &mut MinerScratch::default(),
                 None,
                 &mut |p, f| mined.push((p, f)),
@@ -2213,9 +2358,13 @@ mod tests {
             }
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
             miner
-                .mine_picks(&tables, &picks, &mut scratch, None, &mut |p, f| {
-                    mined.push((p, f))
-                })
+                .mine_picks(
+                    &tables,
+                    &with_stops(&miner, &tables, &picks),
+                    &mut scratch,
+                    None,
+                    &mut |p, f| mined.push((p, f)),
+                )
                 .unwrap();
             assert_eq!(
                 crate::sort_patterns(mined),

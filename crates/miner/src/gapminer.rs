@@ -23,6 +23,8 @@ use desq_core::fx::FxHashMap;
 use desq_core::mining::{CancelToken, Miner, MiningContext, MiningMetrics, MiningResult};
 use desq_core::{Dictionary, ItemId, Result, Sequence};
 
+use crate::WeightedInput;
+
 /// Gap-constrained pattern growth: Tab. III's `T1(σ, λ)` ([`GapMiner::t1`]),
 /// `T2(σ, γ, λ)` (no hierarchy) and `T3(σ, γ, λ)` (hierarchy) without an
 /// FST, and the local miner of the LASH and MLlib baselines. `gamma`,
@@ -67,7 +69,8 @@ impl GapMiner {
         }
     }
 
-    /// Mines a weighted collection at threshold `sigma`; returns
+    /// Mines a weighted collection, borrowed from its owner (the database,
+    /// or a reducer's decoded key group), at threshold `sigma`; returns
     /// `(pattern, frequency)` sorted lexicographically. Weights scale
     /// support counts; `dict`'s document frequencies, which cut the
     /// infrequent items, must bound the weighted supports (they count the
@@ -76,7 +79,7 @@ impl GapMiner {
     /// with its stop reason.
     pub fn mine_weighted(
         &self,
-        inputs: &[(Sequence, u64)],
+        inputs: &[WeightedInput<'_>],
         dict: &Dictionary,
         sigma: u64,
         cancel: Option<&CancelToken>,
@@ -142,7 +145,7 @@ impl GapMiner {
     #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
-        inputs: &[(Sequence, u64)],
+        inputs: &[WeightedInput<'_>],
         dict: &Dictionary,
         sigma: u64,
         last_frequent: ItemId,
@@ -217,8 +220,8 @@ impl Miner for GapMiner {
     fn mine(&self, ctx: &MiningContext<'_>) -> Result<MiningResult> {
         ctx.validate()?;
         let t0 = Instant::now();
-        let inputs: Vec<(Sequence, u64)> =
-            ctx.db.sequences.iter().map(|s| (s.clone(), 1)).collect();
+        let inputs: Vec<WeightedInput<'_>> =
+            ctx.db.sequences.iter().map(|s| (s.as_slice(), 1)).collect();
         let patterns = self.mine_weighted(&inputs, ctx.dict, ctx.sigma, ctx.cancel)?;
         let (n, nanos) = (patterns.len() as u64, t0.elapsed().as_nanos() as u64);
         let metrics = MiningMetrics::sequential(nanos, ctx.db.len() as u64, n, n);
@@ -339,10 +342,11 @@ mod tests {
             .flat_map(|&(seq, w)| vec![ids(seq, &|n| b.id_of(n)); w as usize])
             .collect();
         let (dict, _) = b.freeze(&SequenceDb::new(expanded)).unwrap();
-        let inputs: Vec<(Sequence, u64)> = seqs
+        let weighted: Vec<(Sequence, u64)> = seqs
             .iter()
             .map(|&(seq, w)| (ids(seq, &|n| dict.id_of(n)), w))
             .collect();
+        let inputs: Vec<WeightedInput<'_>> = weighted.iter().map(|(s, w)| (&s[..], *w)).collect();
         let out = GapMiner::t1(max_len)
             .mine_weighted(&inputs, &dict, sigma, None)
             .unwrap();

@@ -28,7 +28,7 @@ pub mod desq_count;
 pub mod desq_dfs;
 pub mod gapminer;
 
-pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
+pub use desq_dfs::{LocalMiner, MinerConfig, MinerScratch, Pick, SeqTables, WeightedInput};
 pub use gapminer::GapMiner;
 
 use desq_core::Sequence;

@@ -6,7 +6,7 @@ use std::sync::LazyLock;
 
 use proptest::prelude::*;
 
-use desq::bsp::{run_round, Combiner, Exec, InProcess};
+use desq::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
 use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
 use desq::core::{Dictionary, DictionaryBuilder, Sequence, SequenceDb};
@@ -114,13 +114,13 @@ proptest! {
             Exec::Via(&InProcess),
             |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
-                    c.emit(x % 7, &[], u64::from(x));
+                    c.emit(&[x % 7], &[], u64::from(x));
                 }
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                emit((vec![k], vs.iter().map(|&(_, w)| w).sum()));
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                emit((vec![k], vs.payloads().map(|(_, w)| w).sum()));
                 Ok(())
             },
         ));
@@ -175,15 +175,16 @@ proptest! {
             Exec::Via(&InProcess),
             |part: &[Sequence], c: &mut Combiner| {
                 for &i in part.iter().flatten() {
-                    c.emit(7, payload_ref, weights[i as usize]);
+                    c.emit(&[7], payload_ref, weights[i as usize]);
                 }
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                assert_eq!(vs.len(), 1, "identical records must merge");
-                assert_eq!(vs[0].0, payload_ref.as_slice());
-                emit((vec![k], vs[0].1));
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                let merged: Vec<_> = vs.payloads().collect();
+                assert_eq!(merged.len(), 1, "identical records must merge");
+                assert_eq!(merged[0].0, payload_ref.as_slice());
+                emit((vec![k], merged[0].1));
                 Ok(())
             },
         ));
@@ -202,15 +203,15 @@ proptest! {
             Exec::Via(&InProcess),
             |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
-                    c.emit(x % 3, &x.to_le_bytes(), 1);
+                    c.emit(&[x % 3], &x.to_le_bytes(), 1);
                 }
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: &[(&[u8], u64)], emit: &mut dyn FnMut((Vec<u32>, u64))| {
+            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
                 let total: u64 = vs
-                    .iter()
-                    .map(|(b, w)| u64::from(u32::from_le_bytes((*b).try_into().unwrap())) * w)
+                    .payloads()
+                    .map(|(b, w)| u64::from(u32::from_le_bytes(b.try_into().unwrap())) * w)
                     .sum();
                 emit((vec![k], total));
                 Ok(())
@@ -285,18 +286,21 @@ fn shuffle_accounting_is_pinned() {
         account("nyt naive", &NaiveConfig { filter: false }, &nyt),
         account("nyt semi-naive", &NaiveConfig { filter: true }, &nyt),
     ];
-    // (name, shuffle bytes, records, payloads, bytes per bucket)
+    // (name, shuffle bytes, records, payloads, bytes per bucket). A record
+    // is payload id, weight and Δ-coded key list: a single-key record
+    // carries one byte of key count more than a `(key, payload)` pair did,
+    // and D-SEQ ships one record per rewritten sequence and bucket.
     let expect: Vec<Accounting> = vec![
-        ("toy d-seq", 33, 4, 3, vec![0, 0, 33]),
-        ("toy d-cand", 98, 4, 4, vec![0, 0, 98]),
+        ("toy d-seq", 34, 3, 3, vec![0, 0, 34]),
+        ("toy d-cand", 102, 4, 4, vec![0, 0, 102]),
         ("toy d-cand no-agg", 92, 4, 0, vec![0, 0, 92]),
-        ("toy naive", 191, 22, 22, vec![0, 90, 101]),
-        ("toy semi-naive", 101, 12, 12, vec![0, 0, 101]),
-        ("toy lash", 92, 11, 9, vec![28, 0, 64]),
+        ("toy naive", 213, 22, 22, vec![0, 100, 113]),
+        ("toy semi-naive", 113, 12, 12, vec![0, 0, 113]),
+        ("toy lash", 103, 11, 9, vec![31, 0, 72]),
         // MLlib: both rounds summed, per bucket too.
-        ("toy mllib", 131, 22, 19, vec![32, 39, 60]),
-        ("nyt d-seq", 36120, 4968, 1097, vec![11279, 12037, 12804]),
-        ("nyt d-cand", 49316, 2999, 2999, vec![14117, 16570, 18629]),
+        ("toy mllib", 153, 22, 19, vec![37, 47, 69]),
+        ("nyt d-seq", 29011, 1097, 1097, vec![9482, 9678, 9851]),
+        ("nyt d-cand", 52315, 2999, 2999, vec![14977, 17577, 19761]),
         (
             "nyt d-cand no-agg",
             69301,
@@ -304,13 +308,13 @@ fn shuffle_accounting_is_pinned() {
             0,
             vec![19258, 23183, 26860],
         ),
-        ("nyt naive", 139205, 13437, 13437, vec![43672, 47565, 47968]),
+        ("nyt naive", 152642, 13437, 13437, vec![47865, 52132, 52645]),
         (
             "nyt semi-naive",
-            78667,
+            86713,
             8046,
             8046,
-            vec![24191, 26469, 28007],
+            vec![26648, 29157, 30908],
         ),
     ];
     assert_eq!(got, expect);

@@ -12,7 +12,7 @@ use desq::core::{Dictionary, DictionaryBuilder, Error, Fst, ItemId, PatEx, Seque
 use desq::dist::dcand::Mapper;
 use desq::dist::pivots::merge_pivots;
 use desq::dist::{NaiveConfig, PivotScratch, PivotSearch};
-use desq::miner::{LocalMiner, MinerConfig, MinerScratch, SeqTables, WeightedInput};
+use desq::miner::{LocalMiner, MinerConfig, MinerScratch, Pick, SeqTables, WeightedInput};
 use desq::session::{AlgorithmSpec, MiningSession};
 use desq::{ExecutionPolicy, OptLevel};
 use desq_oracle::{candidates, runs, Grid};
@@ -194,7 +194,9 @@ fn check_sim_against_grid(
 /// a pivot-less miner from each shipped sequence's rewritten range, mined
 /// as picks under the pivot restriction. For every pivot `p`, with early
 /// stopping (both halves) on and off, the partition finds exactly the
-/// sequential patterns whose largest item is `p`.
+/// sequential patterns whose largest item is `p`. Each table's
+/// early-stopping positions come from one scan for all of its pivots, as
+/// D-SEQ's reducers compute them.
 fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> {
     let dict = &world.dict;
     let last = dict.last_frequent(sigma);
@@ -210,7 +212,8 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
         .unwrap();
     let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
     let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
-    let mut partitions: BTreeMap<ItemId, Vec<(u32, u64)>> = BTreeMap::new();
+    let mut partitions: BTreeMap<ItemId, Vec<Pick>> = BTreeMap::new();
+    let mut stops = Vec::new();
     for seq in &world.db.sequences {
         let (pivots, range) = search.pivots(seq);
         let Some(range) = range else { continue };
@@ -218,8 +221,14 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
             .append_tables(&seq[range], &mut tables, &mut scratch)
             .unwrap()
             .expect("a pivot's rewritten range is accepted");
-        for p in pivots {
-            partitions.entry(p).or_default().push((table, 1));
+        stops.clear();
+        builder.early_stops(&tables, table, &pivots, &mut stops);
+        for (&p, &stop) in pivots.iter().zip(&stops) {
+            partitions.entry(p).or_default().push(Pick {
+                table,
+                weight: 1,
+                stop,
+            });
         }
     }
     for p in 1..=dict.max_fid() {
