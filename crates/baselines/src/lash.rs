@@ -21,7 +21,7 @@
 use desq_core::codec::encode_item_seq;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, ItemId, Result, Sequence, EPSILON};
-use desq_dist::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
+use desq_dist::bsp::{run_round, Bucket, Combiner, Exec, InProcess, ReduceUnit};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
@@ -222,20 +222,28 @@ fn lash_impl(ctx: &MiningContext<'_>, config: LashConfig) -> Result<MiningResult
 
     // Each reduce worker decodes its key groups into one reused arena.
     let reduce = |arena: &mut Vec<ItemId>,
-                  p: ItemId,
-                  group: KeyGroup<'_>,
+                  bucket: Bucket<'_>,
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
-        let mut miner = GapMiner::new(config.gamma, config.lambda, config.generalize);
-        miner.pivot = Some(p);
-        let decoded = crate::decode_group(group, arena)?;
-        for (pattern, freq) in miner.mine_weighted(&decoded, dict, sigma, ctx.cancel)? {
-            emit((pattern, freq));
+        for (p, group) in bucket.groups() {
+            let mut miner = GapMiner::new(config.gamma, config.lambda, config.generalize);
+            miner.pivot = Some(p);
+            let decoded = crate::decode_group(group, arena)?;
+            for (pattern, freq) in miner.mine_weighted(&decoded, dict, sigma, ctx.cancel)? {
+                emit((pattern, freq));
+            }
         }
         Ok(())
     };
 
-    let round = run_round(ctx, Exec::Via(&InProcess), map, Vec::new, reduce)?;
+    let round = run_round(
+        ctx,
+        Exec::Via(&InProcess),
+        ReduceUnit::KeyRuns,
+        map,
+        Vec::new,
+        reduce,
+    )?;
     Ok(round.expect("a driven round has a result"))
 }
 

@@ -19,7 +19,7 @@ use desq_core::codec::encode_item_seq;
 use desq_core::fx::FxHashSet;
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{ItemId, MiningMetrics, Result, Sequence};
-use desq_dist::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
+use desq_dist::bsp::{run_round, Bucket, Combiner, Exec, InProcess, ReduceUnit};
 use desq_dist::MiningResult;
 use desq_miner::GapMiner;
 
@@ -65,6 +65,7 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let round1 = driven(run_round(
         ctx,
         Exec::Via(&InProcess),
+        ReduceUnit::KeyRuns,
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             for seq in part {
@@ -78,10 +79,12 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
             Ok(())
         },
         || (),
-        |(): &mut (), w, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-            let f: u64 = vs.payloads().map(|(_, c)| c).sum();
-            if f >= sigma {
-                emit((vec![w], f));
+        |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+            for (w, vs) in bucket.groups() {
+                let f: u64 = vs.payloads().map(|(_, c)| c).sum();
+                if f >= sigma {
+                    emit((vec![w], f));
+                }
             }
             Ok(())
         },
@@ -92,6 +95,7 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
     let round2 = driven(run_round(
         ctx,
         Exec::Via(&InProcess),
+        ReduceUnit::KeyRuns,
         |part: &[Sequence], out: &mut Combiner| {
             let mut seen: FxHashSet<ItemId> = FxHashSet::default();
             let mut suffix: Sequence = Sequence::new();
@@ -118,20 +122,21 @@ fn mllib_impl(ctx: &MiningContext<'_>, max_len: usize) -> Result<MiningResult> {
         },
         Vec::new,
         |arena: &mut Vec<ItemId>,
-         w: ItemId,
-         group: KeyGroup<'_>,
+         bucket: Bucket<'_>,
          emit: &mut dyn FnMut((Sequence, u64))|
          -> Result<()> {
-            let suffixes = crate::decode_group(group, arena)?;
-            let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
-            emit((vec![w], support));
-            if max_len > 1 {
-                let tails = GapMiner::t1(max_len - 1);
-                for (tail, f) in tails.mine_weighted(&suffixes, ctx.dict, sigma, ctx.cancel)? {
-                    let mut pattern = Vec::with_capacity(tail.len() + 1);
-                    pattern.push(w);
-                    pattern.extend(tail);
-                    emit((pattern, f));
+            for (w, group) in bucket.groups() {
+                let suffixes = crate::decode_group(group, arena)?;
+                let support: u64 = suffixes.iter().map(|(_, c)| c).sum();
+                emit((vec![w], support));
+                if max_len > 1 {
+                    let tails = GapMiner::t1(max_len - 1);
+                    for (tail, f) in tails.mine_weighted(&suffixes, ctx.dict, sigma, ctx.cancel)? {
+                        let mut pattern = Vec::with_capacity(tail.len() + 1);
+                        pattern.push(w);
+                        pattern.extend(tail);
+                        emit((pattern, f));
+                    }
                 }
             }
             Ok(())

@@ -11,19 +11,19 @@
 //! `counting/run_table_build_n2_2k`) and reduce-over-count
 //! (`nfa/decode_expand_count` over `nfa/deserialize`) read off one run —
 //! and D-SEQ's reduce side: the bucket merge of one real round
-//! (`bsp/merge_dseq_n4_2k`), every pivot partition mined from prebuilt
-//! tables and picks carrying their early-stopping positions
-//! (`dseq/partitions_*_2k`, the floor under its reducers), and the whole
+//! (`bsp/merge_dseq_n4_2k`), every bucket mined as one search tree from
+//! prebuilt tables and picks carrying their keys and early-stopping
+//! positions, at 2 and 8 buckets (`dseq/buckets_*_2k_b{2,8}`, the floor
+//! under its reducers, and the bucket-count crossover), and the whole
 //! reduce of N5's recorded buckets (`dseq/reduce_n5_2k`) next to it.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use desq_core::codec::{decode_item_seq, encode_item_seq};
+use desq_core::codec::{decode_item_seq, encode_item_seq, write_varint};
 use desq_core::fst::nfa::{Nfa, NfaBuilder};
 use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
-use desq_core::fx::FxHashMap;
+use desq_core::fx::{bucket_of, hash_bytes, FxHashMap};
 use desq_core::mining::MiningContext;
 use desq_core::{Dictionary, Fst, Sequence, SequenceDb};
 use desq_datagen::{nyt_like, NytConfig};
@@ -421,8 +421,8 @@ fn bench_dseq(c: &mut Criterion) {
         b.iter(|| {
             let mut merged = (0, 0);
             for bucket in &buckets {
-                let (groups, inputs) = merge_bucket_sizes(bucket).unwrap();
-                merged = (merged.0 + groups, merged.1 + inputs);
+                let (inputs, keys) = merge_bucket_sizes(bucket).unwrap();
+                merged = (merged.0 + inputs, merged.1 + keys);
             }
             black_box(merged)
         })
@@ -431,19 +431,20 @@ fn bench_dseq(c: &mut Criterion) {
     for constraint in [desq_dist::patterns::n4(), desq_dist::patterns::n5()] {
         let fst = constraint.compile(&dict).unwrap();
         let name = constraint.name.to_lowercase();
-        // The partition floor: every pivot partition mined from prebuilt
-        // tables and pre-grouped picks — D-SEQ's reducers without the
-        // shuffle, the merge or the table build. Each distinct rewritten
-        // range gets one table and one scan for the early-stopping
-        // positions of its pivots, each (pivot, range) one weighted pick
-        // carrying its position.
+        // The bucket floor: every bucket mined as one search tree from
+        // prebuilt tables and pre-grouped picks — D-SEQ's reducers without
+        // the shuffle, the merge or the table build. Each distinct
+        // rewritten range gets one table; per bucket, one weighted pick
+        // carrying the range's keys there and their early-stopping
+        // position. Keys route to buckets as the engine routes them, at 2
+        // buckets (the benchmark's) and at 8, where each bucket's tree
+        // spans fewer partitions.
         let last = dict.last_frequent(sigma);
         let search = PivotSearch::new(&fst, &dict, last);
-        let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
+        let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
         let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
         let mut table_of: FxHashMap<&[u32], u32> = FxHashMap::default();
-        let mut pivots_of: Vec<Vec<u32>> = Vec::new();
-        let mut weights: BTreeMap<u32, FxHashMap<u32, u64>> = BTreeMap::new();
+        let mut ranges: Vec<(Vec<u32>, u64)> = Vec::new(); // per table: pivots, weight
         let (mut pivot_scratch, mut pivots) = (PivotScratch::default(), Vec::new());
         for seq in &db.sequences {
             let Some(range) = search.pivots_into(seq, &mut pivot_scratch, &mut pivots) else {
@@ -451,61 +452,58 @@ fn bench_dseq(c: &mut Criterion) {
             };
             let range = &seq[range];
             let table = *table_of.entry(range).or_insert_with(|| {
-                pivots_of.push(pivots.clone());
-                builder
+                ranges.push((pivots.clone(), 0));
+                miner
                     .append_tables(range, &mut tables, &mut scratch)
                     .unwrap()
                     .expect("a pivot's rewritten range is accepted")
             });
-            for &p in &pivots {
-                *weights.entry(p).or_default().entry(table).or_default() += 1;
-            }
+            ranges[table as usize].1 += 1;
         }
-        let mut stops: Vec<FxHashMap<u32, u32>> = Vec::new();
-        let mut scanned = Vec::new();
-        for (table, pivots) in pivots_of.iter().enumerate() {
-            scanned.clear();
-            builder.early_stops(&tables, table as u32, pivots, &mut scanned);
-            stops.push(
-                pivots
-                    .iter()
-                    .copied()
-                    .zip(scanned.iter().copied())
-                    .collect(),
-            );
-        }
-        let partitions: Vec<(u32, Vec<Pick>)> = weights
-            .into_iter()
-            .map(|(pivot, picks)| {
-                let picks = picks
-                    .into_iter()
-                    .map(|(table, weight)| Pick {
+        for reducers in [2, 8] {
+            let route = |key: u32| {
+                let mut varint = Vec::new();
+                write_varint(&mut varint, u64::from(key));
+                bucket_of(hash_bytes(&varint), reducers)
+            };
+            let mut buckets: Vec<Vec<Pick>> = vec![Vec::new(); reducers];
+            for (table, (pivots, weight)) in ranges.iter().enumerate() {
+                for (b, bucket) in buckets.iter_mut().enumerate() {
+                    let keys: Vec<u32> =
+                        pivots.iter().copied().filter(|&k| route(k) == b).collect();
+                    let (Some(&min_key), Some(&max_key)) = (keys.first(), keys.last()) else {
+                        continue;
+                    };
+                    let table = table as u32;
+                    let stop = miner.key_stop(&tables, table, &keys).unwrap_or(0);
+                    bucket.push(Pick {
                         table,
-                        weight,
-                        stop: stops[table as usize][&pivot],
-                    })
-                    .collect();
-                (pivot, picks)
-            })
-            .collect();
-        c.bench_function(format!("dseq/partitions_{name}_2k").as_str(), |b| {
-            b.iter(|| {
-                let mut patterns = 0usize;
-                for (pivot, picks) in &partitions {
-                    let cfg = MinerConfig::for_pivot(sigma, *pivot, true);
-                    LocalMiner::new(&fst, &dict, cfg)
-                        .mine_picks(&tables, picks, &mut scratch, None, &mut |_, _| {
-                            patterns += 1
-                        })
-                        .unwrap();
+                        weight: *weight,
+                        min_key,
+                        max_key,
+                        stop,
+                    });
                 }
-                black_box(patterns)
-            })
-        });
+            }
+            let id = format!("dseq/buckets_{name}_2k_b{reducers}");
+            c.bench_function(id.as_str(), |b| {
+                b.iter(|| {
+                    let mut patterns = 0usize;
+                    for (bucket, picks) in buckets.iter().enumerate() {
+                        let owns = |pivot| route(pivot) == bucket;
+                        let mut sink = |_, _| patterns += 1;
+                        miner
+                            .mine_picks(&tables, picks, &mut scratch, None, &owns, &mut sink)
+                            .unwrap();
+                    }
+                    black_box(patterns)
+                })
+            });
+        }
     }
 
     // The whole reduce of N5's recorded buckets — merge, table build,
-    // early-stopping scans and partitions — next to its floor above.
+    // early-stopping scans and bucket mining — next to its floor above.
     let n5 = desq_dist::patterns::n5().compile(&dict).unwrap();
     let ctx = ctx.with_fst(&n5);
     let replay = Recording::default();

@@ -467,7 +467,7 @@ pub struct MiningMetrics {
     /// Tasks executed by the work-stealing scheduler, summed over workers:
     /// search subtrees for DESQ-DFS (a one-worker run is a single task —
     /// nobody to split for), input blocks for DESQ-COUNT (a one-worker run
-    /// is still many block tasks), reduce-side key-group tasks for BSP
+    /// is still many block tasks), reduce tasks (key runs or buckets) for BSP
     /// jobs. The table build's tasks are not included. The FST-free miners,
     /// which do not use the scheduler, report 1.
     pub tasks: u64,

@@ -35,25 +35,36 @@
 //! over a linear bucket scatter, then one copy pass), so the map side
 //! performs no growth reallocation.
 //!
-//! The reduce-side merge pays per distinct payload, per record and per key
-//! group, with no hash probe per key: each chunk's payload dictionary is
-//! interned across the bucket (equal payloads from different map tasks
-//! become one slice with one dense id), a counting sort on the key values
-//! (16 bits a pass) scatters every record's keys into ascending key groups,
-//! and an epoch-stamped array indexed by payload id merges duplicates
-//! within a group. Key groups reach the reducer in ascending item id, each
-//! with its payloads in first-arrival order (map task, then record) — the
-//! same order on every transport and at every worker count. A reducer
-//! reads a group's payloads and weights ([`KeyGroup::payloads`]), or its
-//! inputs, each naming its payload by an id dense across the reduce call
-//! with every key the payload goes to in the call ([`KeyGroup::inputs`]).
-//! Equal payloads of different buckets share that id, so a reducer that
-//! caches per payload in a vector — one worker reducing several buckets,
-//! every worker in process — builds a payload's state once, for all of its
-//! keys. The ids and key lists are built once per reduce call, on the
-//! first `inputs` (one probe per bucket payload, one pass over the
-//! groups' inputs); a reducer that reads only payloads never pays for
-//! them.
+//! The reduce-side merge pays per distinct payload and per record: each
+//! chunk's payload dictionary is interned across the bucket (equal
+//! payloads from different map tasks become one slice with one dense id),
+//! and the records are decoded into one array with their keys in one
+//! arena. A round's [`ReduceUnit`] cuts the buckets into reduce tasks —
+//! runs of a bucket's key groups, light groups batched and a heavy group
+//! alone, or whole buckets — and a reducer gets each task as a [`Bucket`],
+//! which it reads in one of two views:
+//!
+//! * its *key groups* ([`Bucket::groups`]) — a counting sort on the key
+//!   values (16 bits a pass) scatters every record's keys into ascending
+//!   groups, and an epoch-stamped array indexed by payload id merges
+//!   duplicates within a group, with no hash probe per key. Each group
+//!   holds its payloads in first-arrival order (map task, then record) —
+//!   the same order on every transport and at every worker count. D-CAND,
+//!   NAÏVE, LASH and MLlib reduce key by key, over key runs;
+//! * its *inputs* ([`Bucket::inputs`]) — one per distinct payload, with
+//!   its records' summed weight, the task's keys it goes to, and an id
+//!   dense across the reduce call, where equal payloads of different
+//!   buckets share one. A reducer that caches per payload in a vector —
+//!   one worker reducing several buckets, every worker in process —
+//!   builds a payload's state once, for all of its buckets. The ids are
+//!   interned once per reduce call, on the first `inputs` (one probe per
+//!   bucket payload). D-SEQ reduces whole buckets: it mines a bucket's
+//!   inputs as one search tree, or one per key, and keeps the patterns
+//!   whose pivot the bucket owns ([`Bucket::owns`]).
+//!
+//! The key groups of key runs are scattered by the merge, since the runs
+//! are cut from them; a whole bucket's task builds the view it reads and
+//! drops it when done.
 //!
 //! # Parameters and failure domains
 //!
@@ -71,7 +82,9 @@
 //! their next task boundary, and the round returns
 //! [`Error::WorkerPanicked`] instead of killing the process; the first
 //! task to return an error aborts the round with that error, unchanged.
-//! The token is polled between tasks; an expired deadline or external
+//! The token is polled between tasks and, since a task can hold many key
+//! groups or a whole bucket, inside it too: per key group
+//! ([`Bucket::groups`]), and by D-SEQ's search per visited pattern. An expired deadline or external
 //! cancellation aborts the round with the token's
 //! [`stop_reason`](CancelToken::stop_reason).
 
@@ -489,16 +502,16 @@ struct Entry {
     weight: u64,
 }
 
-/// One reduce bucket after the merge: its key groups in ascending item id,
-/// each holding the pivot's distinct payloads with their weights summed
-/// across map tasks, in first-arrival order (map task, then record). Every
-/// slice borrows from the shuffle chunks.
+/// One reduce bucket after the merge: its distinct payloads by bucket
+/// payload id (equal payloads of different map tasks share one), and its
+/// records in arrival order (map task, then record) with their keys in
+/// one arena. Every payload slice borrows from the shuffle chunks. What a
+/// reducer reads of it — key groups, inputs — is built from the records
+/// on first use ([`Bucket`]).
 struct MergedBucket<'c> {
-    /// The bucket's distinct payloads, by bucket payload id.
     payloads: Vec<&'c [u8]>,
-    /// Pivot and its inputs' range in `entries`, per key group.
-    groups: Vec<(ItemId, Range<usize>)>,
-    entries: Vec<Entry>,
+    records: Vec<Record>,
+    keys: Vec<ItemId>,
 }
 
 /// Scatters `entries` (`n` of them) stably into ascending order of
@@ -527,10 +540,9 @@ fn scatter_by(
 }
 
 /// The reduce-side merge of one bucket (see the module docs): decodes its
-/// shuffle chunks, scatters every record's keys into key groups and
-/// merges duplicate payloads within a group. Every array is sized by a
-/// count of records, keys or dictionary entries read so far — so by the
-/// chunks' own length — or by 2¹⁶ + 1 counters at most.
+/// shuffle chunks into records and interns their payloads across the
+/// bucket. Every array is sized by a count of records, keys or dictionary
+/// entries read so far — so by the chunks' own length.
 fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
     let mut payloads = Interner::default();
     let mut records: Vec<Record> = Vec::new();
@@ -573,10 +585,30 @@ fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
             });
         }
     }
+    Ok(MergedBucket {
+        payloads: payloads.slices,
+        records,
+        keys,
+    })
+}
 
+/// A bucket's key groups: per group its key and its inputs' range in
+/// `entries`, keys ascending, each group's payloads distinct with their
+/// weights summed, in first-arrival order.
+struct Grouped {
+    groups: Vec<(ItemId, Range<usize>)>,
+    entries: Vec<Entry>,
+}
+
+/// Scatters a bucket's records into key groups, with no hash probe per
+/// key: a counting sort on the key values (16 bits a pass) and an
+/// epoch-stamped array indexed by payload id that merges duplicates
+/// within a group. Sized by the records' keys, or by 2¹⁶ + 1 counters.
+fn group(bucket: &MergedBucket<'_>) -> Grouped {
+    let keys = &bucket.keys;
     // Every record's keys in arrival order, sorted stably by key: by the
     // low 16 bits, then — only if some key is wider — by the high.
-    let arrivals = records.iter().flat_map(|rec| {
+    let arrivals = bucket.records.iter().flat_map(|rec| {
         let range = rec.keys.0 as usize..rec.keys.1 as usize;
         keys[range].iter().map(move |&key| Entry {
             key,
@@ -598,8 +630,8 @@ fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
     // Runs of one key are its group. Duplicate payloads within a group:
     // `stamp[p]` names the last group that saw payload `p`, `at[p]` where
     // that group keeps it; the kept entry is the first arrival's.
-    let mut stamp = vec![u32::MAX; payloads.slices.len()];
-    let mut at = vec![0usize; payloads.slices.len()];
+    let mut stamp = vec![u32::MAX; bucket.payloads.len()];
+    let mut at = vec![0usize; bucket.payloads.len()];
     let mut groups: Vec<(ItemId, Range<usize>)> = Vec::new();
     let (mut read, mut kept) = (0, 0);
     while read < entries.len() {
@@ -622,117 +654,202 @@ fn merge_bucket(chunks: &[Vec<u8>]) -> Result<MergedBucket<'_>> {
         groups.push((key, first..kept));
     }
     entries.truncate(kept);
-    Ok(MergedBucket {
-        payloads: payloads.slices,
-        groups,
-        entries,
-    })
+    Grouped { groups, entries }
 }
 
-/// The reduce-side merge of one bucket's shuffle chunks on its own: its
-/// number of key groups and of merged inputs. Exposed for the kernel
-/// benchmarks.
+/// A bucket's inputs: per bucket payload, the summed weight of its
+/// records and the range of its keys in the bucket's key arena — `None`
+/// for a dictionary entry no record names.
+type BucketInputs = Vec<Option<(u64, (u32, u32))>>;
+
+/// One pass over a bucket's records, folding each into its payload's
+/// input: weights add up, and every record of a payload must name the
+/// same keys — a mapper emits a payload once with all of its keys, so a
+/// differing list came off a damaged shuffle and fails [`Error::Decode`].
+fn bucket_inputs(bucket: &MergedBucket<'_>) -> Result<BucketInputs> {
+    let mut of: BucketInputs = vec![None; bucket.payloads.len()];
+    let slice = |(start, end): (u32, u32)| &bucket.keys[start as usize..end as usize];
+    for rec in &bucket.records {
+        match &mut of[rec.payload as usize] {
+            slot @ None => *slot = Some((rec.weight, rec.keys)),
+            Some((_, keys)) if slice(*keys) != slice(rec.keys) => {
+                return Err(Error::Decode(format!(
+                    "bucket payload {} arrives under two key lists",
+                    rec.payload
+                )));
+            }
+            Some((weight, _)) => *weight = weight.saturating_add(rec.weight),
+        }
+    }
+    Ok(of)
+}
+
+/// The reduce-side merge of one bucket's shuffle chunks and the inputs a
+/// D-SEQ reducer reads of it: its number of inputs and of their keys.
+/// Exposed for the kernel benchmarks.
 #[doc(hidden)]
 pub fn merge_bucket_sizes(chunks: &[Vec<u8>]) -> Result<(usize, usize)> {
     let merged = merge_bucket(chunks)?;
-    Ok((merged.groups.len(), merged.entries.len()))
+    let inputs = bucket_inputs(&merged)?;
+    let keys = inputs
+        .iter()
+        .flatten()
+        .map(|&(_, (start, end))| end - start);
+    Ok((inputs.iter().flatten().count(), keys.sum::<u32>() as usize))
 }
 
-/// The payloads of one reduce call (all buckets in process, the one bucket
-/// of a worker process's task), across its buckets: equal payloads of
-/// different buckets share one id, and each id has the ascending union of
-/// the keys it goes to in every bucket. Built on the first
-/// [`KeyGroup::inputs`] of the call; reducers that read only
-/// [`KeyGroup::payloads`] never pay for it.
-struct CallPayloads {
-    /// Per bucket, the call's id of each bucket payload.
-    ids: Vec<Vec<u32>>,
-    /// Per call payload, its keys' range in `keys`.
-    ranges: Vec<(u32, u32)>,
-    keys: Vec<ItemId>,
+/// The payload ids of one reduce call (all buckets in process, the one
+/// bucket of a worker process's task): per bucket, the call's id of each
+/// bucket payload — equal payloads of different buckets share one. One
+/// probe per bucket payload, on the call's first [`Bucket::inputs`];
+/// reducers that read only key groups never pay for it.
+fn call_ids(buckets: &[MergedBucket<'_>]) -> Result<Vec<Vec<u32>>> {
+    let mut shared = Interner::default();
+    buckets
+        .iter()
+        .map(|b| b.payloads.iter().map(|&p| shared.intern(p)).collect())
+        .collect()
 }
 
-impl CallPayloads {
-    /// Interns the buckets' payloads (one probe per bucket payload) and
-    /// gathers each one's keys from the key groups' inputs: a counting
-    /// pass, one copy of every key, then a sort and dedup of each
-    /// payload's run.
-    fn of(buckets: &[MergedBucket<'_>]) -> Result<CallPayloads> {
-        let mut shared = Interner::default();
-        let ids = buckets
-            .iter()
-            .map(|b| b.payloads.iter().map(|&p| shared.intern(p)).collect())
-            .collect::<Result<Vec<Vec<u32>>>>()?;
-        let n = shared.slices.len();
-        drop(shared);
-
-        let keyed = buckets.iter().zip(&ids).flat_map(|(b, ids)| {
-            b.entries
-                .iter()
-                .map(move |e| (ids[e.payload as usize] as usize, e.key))
-        });
-        let mut bounds = vec![0usize; n + 1];
-        for (g, _) in keyed.clone() {
-            bounds[g + 1] += 1;
-        }
-        for g in 0..n {
-            bounds[g + 1] += bounds[g];
-        }
-        if !fits_u32(bounds[n]) {
-            return Err(too_wide("a reduce call's keys"));
-        }
-        let mut keys = vec![0; bounds[n]];
-        let mut fill = bounds.clone();
-        for (g, key) in keyed {
-            keys[fill[g]] = key;
-            fill[g] += 1;
-        }
-        let ranges = (0..n)
-            .map(|g| {
-                let run = &mut keys[bounds[g]..bounds[g + 1]];
-                run.sort_unstable();
-                let mut len = 0;
-                for i in 0..run.len() {
-                    if len == 0 || run[i] != run[len - 1] {
-                        run[len] = run[i];
-                        len += 1;
-                    }
-                }
-                (bounds[g] as u32, (bounds[g] + len) as u32)
-            })
-            .collect();
-        Ok(CallPayloads { ids, ranges, keys })
-    }
+/// What one reduce task of a [`run_round`] covers — a [`Bucket`] or a
+/// run of its keys. Either way every key of the round is reduced exactly
+/// once, and the patterns and their order do not depend on the unit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReduceUnit {
+    /// A run of adjacent key groups of one bucket, for reducers that work
+    /// key by key ([`Bucket::groups`]). Light groups are batched until a
+    /// task holds enough inputs to amortize a queue round trip, or at a
+    /// group-count cap so huge flocks of trivial keys still split; a heavy
+    /// group gets a task of its own. So a hot key is balanced across
+    /// workers instead of pinning its whole bucket to one thread, and more
+    /// workers than buckets all get work.
+    KeyRuns,
+    /// A whole bucket, for a reducer that mines a bucket's inputs together
+    /// ([`Bucket::inputs`]): D-SEQ.
+    Buckets,
 }
 
-/// One key group as its reducer receives it: the pivot's distinct
-/// payloads with their weights summed across map tasks, in first-arrival
-/// order (map task, then record).
+/// Light key groups batched into one [`ReduceUnit::KeyRuns`] task close
+/// once they hold this many inputs...
+const INPUTS_PER_TASK: usize = 256;
+/// ...or this many groups.
+const GROUPS_PER_TASK: usize = 64;
+
+/// The views of one bucket, each built on its first use: under
+/// [`ReduceUnit::KeyRuns`] the groups are built by the merge and shared by
+/// the bucket's tasks; under [`ReduceUnit::Buckets`] the one task that
+/// reduces the bucket builds what it reads and drops it when done.
+#[derive(Default)]
+struct BucketViews {
+    groups: OnceLock<Grouped>,
+    inputs: OnceLock<Result<BucketInputs>>,
+}
+
+/// What one reduce task gets: a bucket, or under [`ReduceUnit::KeyRuns`]
+/// a run of its keys — its key groups ([`groups`](Self::groups)), or its
+/// inputs with their payload ids and keys ([`inputs`](Self::inputs)), and
+/// which keys it reduces ([`owns`](Self::owns)). A reducer reads whichever
+/// view it needs; the other is never built.
+#[derive(Clone, Copy)]
+pub struct Bucket<'a> {
+    /// The reduce call's buckets, this one among them at `at`.
+    call: &'a [MergedBucket<'a>],
+    at: usize,
+    /// This bucket's index among the round's `reducers`.
+    route: usize,
+    reducers: usize,
+    /// The task's key groups and their keys' span: all of them, or a run.
+    run: Option<(usize, usize)>,
+    span: (ItemId, ItemId),
+    ids: &'a OnceLock<Result<Vec<Vec<u32>>>>,
+    views: &'a BucketViews,
+    cancel: Option<&'a CancelToken>,
+}
+
+/// One key group of a [`Bucket`]: the key's distinct payloads with their
+/// weights summed across map tasks, in first-arrival order (map task,
+/// then record).
 #[derive(Clone, Copy)]
 pub struct KeyGroup<'a> {
-    /// The reduce call's buckets, this group's among them.
-    buckets: &'a [MergedBucket<'a>],
-    bucket: usize,
+    payloads: &'a [&'a [u8]],
     entries: &'a [Entry],
-    call: &'a OnceLock<Result<CallPayloads>>,
 }
 
-/// One input of a [`KeyGroup`], with what a reducer caches per payload
-/// under. The id is dense over the reduce call (all buckets in process,
-/// the one bucket of a worker process's task), so a vector indexed by it
-/// serves every group a reduce worker mines.
+/// One input of a [`Bucket`]: a distinct payload with what a reducer
+/// caches per payload under. The id is dense over the reduce call (all
+/// buckets in process, the one bucket of a worker process's task), so a
+/// vector indexed by it serves every bucket a reduce worker mines.
 #[derive(Clone, Copy)]
 pub struct Input<'a> {
     /// The payload bytes, borrowed from the shuffle buffers.
     pub payload: &'a [u8],
-    /// The summed weight of the group's inputs with this payload.
+    /// The summed weight of the bucket's records with this payload.
     pub weight: u64,
     /// The payload's id: equal bytes share it, in every bucket of the
     /// call.
     pub payload_id: u32,
-    /// Every key the payload goes to in the call, ascending: the group's
-    /// key among them.
+    /// Every key of the task the payload goes to, ascending.
     pub keys: &'a [ItemId],
+}
+
+impl<'a> Bucket<'a> {
+    /// Whether this task reduces `key`: whether `key` routes to the bucket
+    /// (and lies in the task's run of keys) — so whether the task owns a
+    /// pattern whose pivot is `key`.
+    pub fn owns(&self, key: ItemId) -> bool {
+        bucket_of(key_hash(key), self.reducers) == self.route
+            && (self.span.0..=self.span.1).contains(&key)
+    }
+
+    /// The task's key groups, keys ascending, with the same groups and
+    /// order on every transport and at every worker count. The groups are
+    /// scattered from the records on the first call. The iteration polls
+    /// the run's token before each group and ends once it trips; the round
+    /// then fails with the token's stop reason.
+    pub fn groups(&self) -> impl Iterator<Item = (ItemId, KeyGroup<'a>)> + 'a {
+        let bucket = &self.call[self.at];
+        let grouped = self.views.groups.get_or_init(|| group(bucket));
+        let (from, to) = self.run.unwrap_or((0, grouped.groups.len()));
+        let cancel = self.cancel;
+        let live = move |_: &&(ItemId, Range<usize>)| cancel.is_none_or(|t| t.checkpoint().is_ok());
+        grouped.groups[from..to]
+            .iter()
+            .take_while(live)
+            .map(move |(key, range)| {
+                let group = KeyGroup {
+                    payloads: &bucket.payloads,
+                    entries: &grouped.entries[range.clone()],
+                };
+                (*key, group)
+            })
+    }
+
+    /// The task's inputs: one per distinct payload with a key the task
+    /// owns, in first-arrival order, with its records' summed weight, its
+    /// id over the call and those of its keys. The call's first `inputs`
+    /// interns its payloads across buckets, which fails [`Error::Invalid`]
+    /// past the shuffle's `u32` widths; a payload shipped to one bucket
+    /// under two key lists fails [`Error::Decode`].
+    pub fn inputs(&self) -> Result<impl Iterator<Item = Input<'a>> + 'a> {
+        let call = self.call;
+        let ids = self.ids.get_or_init(|| call_ids(call));
+        let ids = &ids.as_ref().map_err(Clone::clone)?[self.at];
+        let bucket = &call[self.at];
+        let inputs = self.views.inputs.get_or_init(|| bucket_inputs(bucket));
+        let inputs = inputs.as_ref().map_err(Clone::clone)?;
+        let (lo, hi) = self.span;
+        Ok(inputs.iter().enumerate().filter_map(move |(p, of)| {
+            let (weight, (start, end)) = (*of)?;
+            let keys = &bucket.keys[start as usize..end as usize];
+            let keys = &keys[keys.partition_point(|&k| k < lo)..keys.partition_point(|&k| k <= hi)];
+            (!keys.is_empty()).then(|| Input {
+                payload: bucket.payloads[p],
+                weight,
+                payload_id: ids[p],
+                keys,
+            })
+        }))
+    }
 }
 
 impl<'a> KeyGroup<'a> {
@@ -749,31 +866,10 @@ impl<'a> KeyGroup<'a> {
 
     /// The group's payloads and summed weights, in first-arrival order.
     pub fn payloads(&self) -> impl ExactSizeIterator<Item = (&'a [u8], u64)> + 'a {
-        let payloads = &self.buckets[self.bucket].payloads;
+        let payloads = self.payloads;
         self.entries
             .iter()
             .map(move |e| (payloads[e.payload as usize], e.weight))
-    }
-
-    /// The group's inputs with their ids and key lists, in first-arrival
-    /// order. The first call of a reduce call interns its payloads across
-    /// buckets and gathers their keys, which fails [`Error::Invalid`] past
-    /// the shuffle's `u32` widths.
-    pub fn inputs(&self) -> Result<impl ExactSizeIterator<Item = Input<'a>> + 'a> {
-        let buckets = self.buckets;
-        let call = self.call.get_or_init(|| CallPayloads::of(buckets));
-        let call = call.as_ref().map_err(Clone::clone)?;
-        let (payloads, ids) = (&buckets[self.bucket].payloads, &call.ids[self.bucket]);
-        Ok(self.entries.iter().map(move |e| {
-            let id = ids[e.payload as usize];
-            let (start, end) = call.ranges[id as usize];
-            Input {
-                payload: payloads[e.payload as usize],
-                weight: e.weight,
-                payload_id: id,
-                keys: &call.keys[start as usize..end as usize],
-            }
-        }))
     }
 }
 
@@ -945,27 +1041,28 @@ pub enum Exec<'a> {
 /// — the aggregation D-CAND applies to identical NFAs (Sec. VI-A) and
 /// D-SEQ/LASH apply to identical rewritten sequences.
 ///
-/// The reducer is invoked once per pivot with its [`KeyGroup`]: all
-/// distinct payloads and their total weights (merged across map tasks),
-/// each payload a slice *borrowed from the shuffle buffers* — equal
-/// payloads share one slice and one id — in first-arrival order (map task,
-/// then record); within a bucket, pivots come in ascending order. Key
-/// groups are batched into tasks under work stealing in whichever process
-/// holds the buckets, so a hot D-SEQ pivot does not pin its bucket to one
-/// thread. `init` runs once per worker per reduce call (all buckets in
-/// process, one bucket on a worker process), and the payload ids of
-/// [`KeyGroup::inputs`] are dense over that call, so caches indexed by
-/// them (D-SEQ's tables and early-stopping positions) stay valid across
-/// its key groups.
+/// The reducer is invoked once per reduce task with its [`Bucket`] — a
+/// whole bucket, or a run of its keys, as `unit` says: its key groups,
+/// pivots ascending, each holding all distinct payloads of its key and
+/// their total weights (merged across map tasks) in first-arrival order
+/// (map task, then record) — or its inputs, one per distinct payload with
+/// the task's keys it goes to. Every payload is a slice *borrowed from the
+/// shuffle buffers*; equal payloads share one slice and one id. The tasks
+/// run under work stealing in whichever process holds the buckets. `init`
+/// runs once per worker per reduce call (all buckets in process, one
+/// bucket on a worker process), and the payload ids of [`Bucket::inputs`]
+/// are dense over that call, so caches indexed by them (D-SEQ's tables)
+/// stay valid across its buckets.
 ///
 /// The emitted patterns cross the transport encoded (see the module
 /// docs); the result holds them sorted, with the round's wall time, its
 /// input size and `ctx.workers` filled in.
 /// [`MiningMetrics::tasks`]/[`steals`](MiningMetrics::steals) count
-/// key-group tasks in process and shipped buckets over the network.
+/// reduce tasks in process and shipped buckets over the network.
 pub fn run_round<S, MF, IF, RF>(
     ctx: &MiningContext<'_>,
     exec: Exec<'_>,
+    unit: ReduceUnit,
     map: MF,
     init: IF,
     reduce: RF,
@@ -974,7 +1071,7 @@ where
     S: Send,
     MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
     IF: Fn() -> S + Sync,
-    RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+    RF: Fn(&mut S, Bucket<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
     let t0 = Instant::now();
     let parts = partitions(ctx)?;
@@ -986,7 +1083,9 @@ where
         map(part, &mut combiner)?;
         combiner.into_task_out()
     };
-    let reduce_task = |buckets: &[Vec<Vec<u8>>]| reduce_buckets(ctx, buckets, &init, &reduce);
+    let reduce_task = |first: usize, buckets: &[Vec<Vec<u8>>]| {
+        reduce_buckets(ctx, unit, first, buckets, &init, &reduce)
+    };
     let transport = match exec {
         Exec::Via(transport) => transport,
         Exec::Worker(addr) => {
@@ -1022,12 +1121,16 @@ where
     Ok(Some(job_result(ctx, t0, patterns, metrics)))
 }
 
-/// The one reduce of a round, over `chunks` (one list per bucket): each
-/// bucket's outputs encoded for the transport plus the phase counters.
-/// Buckets are merged in parallel, then the key groups of all of them run
-/// as stealable tasks with one `init()` state per worker.
+/// The one reduce of a round, over `chunks` (one list per bucket, the
+/// first of them bucket `first` of the round): each bucket's outputs
+/// encoded for the transport plus the phase counters. Buckets are merged
+/// in parallel, then their tasks — as `unit` cuts them — run under work
+/// stealing, with one `init()` state per worker. A run of buckets past the
+/// round's `reducers` (a damaged task index) fails [`Error::Decode`].
 fn reduce_buckets<S, IF, RF>(
     ctx: &MiningContext<'_>,
+    unit: ReduceUnit,
+    first: usize,
     chunks: &[Vec<Vec<u8>>],
     init: &IF,
     reduce: &RF,
@@ -1035,67 +1138,83 @@ fn reduce_buckets<S, IF, RF>(
 where
     S: Send,
     IF: Fn() -> S,
-    RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+    RF: Fn(&mut S, Bucket<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
 {
-    // Step 1 (parallel, one task per bucket): decode the shuffle chunks
-    // and merge them into key groups.
-    let merged = run_tasks(ctx, chunks.len(), |t| merge_bucket(&chunks[t]))?;
-    let buckets = &merged.results;
-    // Payload ids and key lists over the whole call, built by the first
-    // reducer that asks (`KeyGroup::inputs`), so a worker that reduces
-    // several buckets builds each payload's state once, for every key it
-    // goes to.
-    let call = OnceLock::new();
+    if first
+        .checked_add(chunks.len())
+        .is_none_or(|end| end > ctx.reducers)
+    {
+        return Err(Error::Decode(format!(
+            "reduce task for buckets {first}.. of a round with {} reducers",
+            ctx.reducers
+        )));
+    }
+    // Step 1 (parallel, one task per bucket): decode the shuffle chunks,
+    // and scatter them into key groups if the tasks are cut by those.
+    let merged = run_tasks(ctx, chunks.len(), |t| {
+        let (bucket, views) = (merge_bucket(&chunks[t])?, BucketViews::default());
+        if unit == ReduceUnit::KeyRuns {
+            views.groups.get_or_init(|| group(&bucket));
+        }
+        Ok((bucket, views))
+    })?;
+    let merge_nanos = merged.max_task_nanos;
+    let (buckets, views): (Vec<_>, Vec<_>) = merged.results.into_iter().unzip();
+    // Payload ids over the whole call, built by the first reducer that
+    // asks (`Bucket::inputs`), so a worker that reduces several buckets
+    // builds each payload's state once, for every bucket it goes to.
+    let ids = OnceLock::new();
 
-    // Step 2: batch adjacent light key groups of a bucket into tasks and
-    // run the tasks under work stealing, so a heavy key group (a hot D-SEQ
-    // pivot) is balanced across workers instead of pinning its whole
-    // bucket to one thread. A task closes at a bucket boundary (keeps
-    // output bookkeeping simple), once it holds enough inputs to amortize
-    // a queue round trip, or at a group-count cap so huge flocks of
-    // trivial keys still split; a single heavy group always gets its own
-    // task.
-    const INPUTS_PER_TASK: usize = 256;
-    const GROUPS_PER_TASK: usize = 64;
-    let mut tasks: Vec<(usize, Range<usize>)> = Vec::new(); // (bucket, groups)
-    for (b, bucket) in buckets.iter().enumerate() {
-        let (mut start, mut inputs) = (0usize, 0usize);
-        for (g, (_, entries)) in bucket.groups.iter().enumerate() {
+    // Step 2: cut the tasks, in (bucket, key) order, so the index-ordered
+    // results reproduce the sequential per-bucket iteration exactly.
+    let mut tasks: Vec<(usize, Option<(usize, usize)>)> = Vec::new(); // (bucket, groups)
+    for (b, views) in views.iter().enumerate() {
+        let Some(grouped) = views.groups.get() else {
+            tasks.push((b, None));
+            continue;
+        };
+        let (mut start, mut inputs) = (0, 0);
+        for (g, (_, entries)) in grouped.groups.iter().enumerate() {
             inputs += entries.len();
-            let last = g + 1 == bucket.groups.len();
+            let last = g + 1 == grouped.groups.len();
             if last || inputs >= INPUTS_PER_TASK || g + 1 - start >= GROUPS_PER_TASK {
-                tasks.push((b, start..g + 1));
-                start = g + 1;
-                inputs = 0;
+                tasks.push((b, Some((start, g + 1))));
+                (start, inputs) = (g + 1, 0);
             }
         }
     }
-
-    // Tasks are numbered in (bucket, key) order, so the index-ordered
-    // results reproduce the sequential per-bucket iteration exactly.
     let reduced = sched::run_indexed(
         tasks.len(),
         ctx.workers,
         ctx.cancel,
         init,
-        |ti, state: &mut S| {
-            let (b, ref groups) = tasks[ti];
-            let bucket = &buckets[b];
+        |t, state: &mut S| {
+            let (b, run) = tasks[t];
+            let own = BucketViews::default();
+            let views = if run.is_some() { &views[b] } else { &own };
+            let span = match (run, views.groups.get()) {
+                (Some((from, to)), Some(grouped)) => {
+                    (grouped.groups[from].0, grouped.groups[to - 1].0)
+                }
+                _ => (0, ItemId::MAX),
+            };
+            let bucket = Bucket {
+                call: &buckets,
+                at: b,
+                route: first + b,
+                reducers: ctx.reducers,
+                run,
+                span,
+                ids: &ids,
+                views,
+                cancel: ctx.cancel,
+            };
             let (mut n, mut bytes) = (0u64, Vec::new());
-            for (pivot, entries) in &bucket.groups[groups.clone()] {
-                let mut emit = |(pattern, freq): (Sequence, u64)| {
-                    n += 1;
-                    encode_item_seq(&pattern, &mut bytes);
-                    write_varint(&mut bytes, freq);
-                };
-                let group = KeyGroup {
-                    buckets,
-                    bucket: b,
-                    entries: &bucket.entries[entries.clone()],
-                    call: &call,
-                };
-                reduce(state, *pivot, group, &mut emit)?;
-            }
+            reduce(state, bucket, &mut |(pattern, freq)| {
+                n += 1;
+                encode_item_seq(&pattern, &mut bytes);
+                write_varint(&mut bytes, freq);
+            })?;
             Ok((n, bytes))
         },
     )?;
@@ -1114,7 +1233,7 @@ where
         encoded[*b].extend_from_slice(&bytes);
     }
     let stats = PhaseStats {
-        max_task_nanos: merged.max_task_nanos.max(reduced.max_task_nanos),
+        max_task_nanos: merge_nanos.max(reduced.max_task_nanos),
         tasks: reduced.tasks,
         steals: reduced.steals,
         ..PhaseStats::default()
@@ -1206,11 +1325,12 @@ mod tests {
     /// [`count`] as a combining round's reducer.
     fn count_group(
         (): &mut (),
-        pivot: ItemId,
-        group: KeyGroup<'_>,
+        bucket: Bucket<'_>,
         emit: &mut dyn FnMut((Sequence, u64)),
     ) -> Result<()> {
-        emit((vec![pivot], group.payloads().map(|(_, w)| w).sum()));
+        for (pivot, group) in bucket.groups() {
+            emit((vec![pivot], group.payloads().map(|(_, w)| w).sum()));
+        }
         Ok(())
     }
 
@@ -1288,11 +1408,13 @@ mod tests {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-                let vs = collected(vs);
-                assert_eq!(vs.len(), 1);
-                assert_eq!(vs[0].0.len(), 100);
-                emit((vec![k], 1));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                for (k, vs) in bucket.groups() {
+                    let vs = collected(vs);
+                    assert_eq!(vs.len(), 1);
+                    assert_eq!(vs[0].0.len(), 100);
+                    emit((vec![k], 1));
+                }
                 Ok(())
             },
         )
@@ -1321,10 +1443,12 @@ mod tests {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-                let vs = collected(vs);
-                assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
-                emit((vec![k], vs[0].1));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                for (k, vs) in bucket.groups() {
+                    let vs = collected(vs);
+                    assert_eq!(vs.len(), 1, "duplicates must merge reduce-side");
+                    emit((vec![k], vs[0].1));
+                }
                 Ok(())
             },
         )
@@ -1372,63 +1496,77 @@ mod tests {
             ]),
         ];
         let buckets = [merge_bucket(&chunks).unwrap()];
-        let call = OnceLock::new();
-        type Group<'c> = (u32, Vec<(&'c [u8], u64)>);
-        let groups: Vec<Group<'_>> = groups_of(&buckets, &call, 0)
-            .into_iter()
-            .map(|(key, inputs)| (key, inputs.iter().map(|i| (i.0, i.1)).collect()))
-            .collect();
-        let expect: Vec<Group<'_>> = vec![
-            (1, vec![(b"x", 2), (b"z", 1)]),
-            (127, vec![(b"w", 1)]),
-            (128, vec![(b"y", 1)]),
-            (129, vec![(b"y", 1), (b"x", 6)]),
-            (256, vec![(b"z", 3)]),
+        let groups = groups_of(&buckets, 0);
+        let expect: Vec<Group> = vec![
+            (1, vec![(b"x".to_vec(), 2), (b"z".to_vec(), 1)]),
+            (127, vec![(b"w".to_vec(), 1)]),
+            (128, vec![(b"y".to_vec(), 1)]),
+            (129, vec![(b"y".to_vec(), 1), (b"x".to_vec(), 6)]),
+            (256, vec![(b"z".to_vec(), 3)]),
         ];
         assert_eq!(groups, expect);
         // Equal payloads share the slice of their first arrival.
-        let x = groups[0].1[0].0.as_ptr();
-        assert_eq!(groups[3].1[1].0.as_ptr(), x);
+        let (x, again) = on_bucket(&buckets, 0, |bucket| {
+            let groups: Vec<_> = bucket.groups().map(|(_, g)| collected(g)).collect();
+            (groups[0][0].0.as_ptr(), groups[3][1].0.as_ptr())
+        });
+        assert_eq!(again, x);
         assert!(chunks[0].as_ptr_range().contains(&x));
     }
 
-    /// One merged input as a test compares it: payload, weight, payload
-    /// id and the payload's keys over the call.
-    type Seen<'c> = (&'c [u8], u64, u32, Vec<ItemId>);
+    /// Runs `f` on bucket `b` of a reduce call over `buckets`, the first
+    /// of a round with as many buckets.
+    fn on_bucket<T>(buckets: &[MergedBucket<'_>], b: usize, f: impl FnOnce(Bucket<'_>) -> T) -> T {
+        let (ids, views) = (OnceLock::new(), BucketViews::default());
+        f(Bucket {
+            call: buckets,
+            at: b,
+            route: b,
+            reducers: buckets.len(),
+            run: None,
+            span: (0, ItemId::MAX),
+            ids: &ids,
+            views: &views,
+            cancel: None,
+        })
+    }
 
-    /// Every key group of bucket `b` of `buckets` with its inputs, under
-    /// the call's payload ids and keys `call` builds.
-    fn groups_of<'c>(
-        buckets: &'c [MergedBucket<'c>],
-        call: &'c OnceLock<Result<CallPayloads>>,
-        b: usize,
-    ) -> Vec<(u32, Vec<Seen<'c>>)> {
-        let group = |entries: &Range<usize>| KeyGroup {
-            buckets,
-            bucket: b,
-            entries: &buckets[b].entries[entries.clone()],
-            call,
-        };
-        buckets[b]
-            .groups
-            .iter()
-            .map(|(key, entries)| {
-                let inputs = group(entries).inputs().unwrap().map(|i| {
-                    assert!(i.keys.binary_search(key).is_ok(), "{key} in {:?}", i.keys);
-                    (i.payload, i.weight, i.payload_id, i.keys.to_vec())
-                });
-                (*key, inputs.collect())
-            })
-            .collect()
+    /// One key group as a test compares it: the key and its payloads with
+    /// their weights.
+    type Group = (u32, Vec<(Vec<u8>, u64)>);
+
+    /// Every key group of bucket `b` of `buckets`.
+    fn groups_of(buckets: &[MergedBucket<'_>], b: usize) -> Vec<Group> {
+        on_bucket(buckets, b, |bucket| {
+            let owned = |(bytes, w): (&[u8], u64)| (bytes.to_vec(), w);
+            let groups = bucket.groups();
+            groups
+                .map(|(key, g)| (key, g.payloads().map(owned).collect()))
+                .collect()
+        })
+    }
+
+    /// One input as a test compares it: payload, weight, payload id over
+    /// the call and the payload's keys in the bucket.
+    type Seen = (Vec<u8>, u64, u32, Vec<ItemId>);
+
+    /// Every input of bucket `b` of `buckets`; the call's payload ids
+    /// cover all of `buckets`.
+    fn inputs_of(buckets: &[MergedBucket<'_>], b: usize) -> Vec<Seen> {
+        on_bucket(buckets, b, |bucket| {
+            let inputs = bucket.inputs().unwrap();
+            let seen = |i: Input<'_>| (i.payload.to_vec(), i.weight, i.payload_id, i.keys.to_vec());
+            inputs.map(seen).collect()
+        })
     }
 
     #[test]
-    fn records_scatter_every_key_into_its_group_under_the_payloads_keys() {
+    fn records_scatter_every_key_into_its_group_and_fold_into_one_input_per_payload() {
         // Keys 5 and 65 541 share their low 16 bits, and 65 541 and
         // 70 000 need the high pass: the sort must keep arrival order
-        // through both. Payload `a` arrives in three records of two map
-        // tasks, under two key lists: within a group its weights sum, and
-        // every input of `a` names the union of its keys.
+        // through both. Payload `a` arrives in two records of two map
+        // tasks: within a group its weights sum, and so do they in its one
+        // input, which names its keys.
         let chunk = |emits: &[(&[u32], &[u8], u64)]| {
             let mut c = Combiner::new(1);
             for &(keys, p, w) in emits {
@@ -1438,24 +1576,66 @@ mod tests {
         };
         let wide: &[u32] = &[5, 65_541, 70_000];
         let chunks = vec![
-            chunk(&[(wide, b"a", 1), (&[5, 9], b"b", 2), (&[9, 65_541], b"a", 1)]),
+            chunk(&[(wide, b"a", 1), (&[5, 9], b"b", 2)]),
             chunk(&[(wide, b"a", 4)]),
         ];
         let buckets = [merge_bucket(&chunks).unwrap()];
-        let call = OnceLock::new();
-        let (a, b): (&[u8], &[u8]) = (b"a", b"b");
-        let (a_keys, b_keys) = (vec![5, 9, 65_541, 70_000], vec![5, 9]);
-        let expect: Vec<(u32, Vec<Seen<'_>>)> = vec![
-            (
-                5,
-                vec![(a, 5, 0, a_keys.clone()), (b, 2, 1, b_keys.clone())],
-            ),
-            (9, vec![(b, 2, 1, b_keys), (a, 1, 0, a_keys.clone())]),
-            (65_541, vec![(a, 6, 0, a_keys.clone())]),
-            (70_000, vec![(a, 5, 0, a_keys)]),
+        let (a, b) = (b"a".to_vec(), b"b".to_vec());
+        let expect: Vec<Group> = vec![
+            (5, vec![(a.clone(), 5), (b.clone(), 2)]),
+            (9, vec![(b.clone(), 2)]),
+            (65_541, vec![(a.clone(), 5)]),
+            (70_000, vec![(a.clone(), 5)]),
         ];
-        assert_eq!(groups_of(&buckets, &call, 0), expect);
-        assert_eq!(merge_bucket_sizes(&chunks).unwrap(), (4, 6));
+        assert_eq!(groups_of(&buckets, 0), expect);
+        let expect: Vec<Seen> = vec![(a, 5, 0, wide.to_vec()), (b, 2, 1, vec![5, 9])];
+        assert_eq!(inputs_of(&buckets, 0), expect);
+        assert_eq!(merge_bucket_sizes(&chunks).unwrap(), (2, 5));
+
+        // A payload under two key lists in one bucket came off a damaged
+        // shuffle: its key groups still form, its inputs fail typed.
+        let chunks = vec![chunk(&[(wide, b"a", 1)]), chunk(&[(&[5, 9], b"a", 1)])];
+        let buckets = [merge_bucket(&chunks).unwrap()];
+        assert_eq!(groups_of(&buckets, 0).len(), 4);
+        let inputs = on_bucket(&buckets, 0, |bucket| bucket.inputs().err());
+        assert!(matches!(inputs, Some(Error::Decode(_))), "{inputs:?}");
+        assert!(matches!(merge_bucket_sizes(&chunks), Err(Error::Decode(_))));
+    }
+
+    #[test]
+    fn a_key_run_task_sees_and_owns_only_its_run_of_the_bucket_s_keys() {
+        // One payload shipped to 200 keys of one bucket: key runs cut it
+        // into tasks of 64 groups, each task's one input names exactly the
+        // keys of its groups, and it owns the keys they span — every key
+        // of the round goes to one task.
+        let db = singletons([1]);
+        let keys: Vec<u32> = (0..200).map(|k| 2 * k + 1).collect();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let res = in_process(
+            &ctx(&db, 2, 1, 1),
+            |_: &[Sequence], c: &mut Combiner| {
+                c.emit(&keys, b"p", 1);
+                Ok(())
+            },
+            || (),
+            |(): &mut (), bucket: Bucket<'_>, _: &mut dyn FnMut((Sequence, u64))| {
+                let groups: Vec<ItemId> = bucket.groups().map(|(k, _)| k).collect();
+                let inputs: Vec<Input<'_>> = bucket.inputs()?.collect();
+                assert_eq!(inputs.len(), 1);
+                assert_eq!(inputs[0].keys, &groups[..]);
+                let span = groups[0]..=*groups.last().unwrap();
+                for k in 0..=*keys.last().unwrap() + 1 {
+                    assert_eq!(bucket.owns(k), span.contains(&k), "key {k}");
+                }
+                seen.lock().unwrap().extend(groups);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(res.metrics.tasks, 4);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, keys);
     }
 
     #[test]
@@ -1463,7 +1643,7 @@ mod tests {
         // Forty keys over three buckets: one record per bucket reached,
         // each holding exactly that bucket's keys, ascending; the same emit
         // again combines into those records. Over the three buckets, the
-        // payload has one id and all forty keys.
+        // payload has one id, and in each the bucket's keys.
         let keys: Vec<u32> = (0..40).map(|k| 3 * k + 1).collect();
         let mut c = Combiner::new(3);
         c.emit(&keys, b"payload", 1);
@@ -1476,14 +1656,18 @@ mod tests {
         let buckets: Vec<MergedBucket<'_>> =
             chunks.iter().map(|c| merge_bucket(c).unwrap()).collect();
         assert!(buckets.iter().all(|bucket| bucket.payloads.len() == 1));
-        let call = OnceLock::new();
         let mut all = Vec::new();
         for b in 0..buckets.len() {
-            for (key, inputs) in groups_of(&buckets, &call, b) {
+            let mut owned = Vec::new();
+            for (key, payloads) in groups_of(&buckets, b) {
                 assert_eq!(bucket_of(key_hash(key), 3), b, "key {key}");
-                assert_eq!(inputs, vec![(&b"payload"[..], 3, 0, keys.clone())]);
-                all.push(key);
+                assert!(on_bucket(&buckets, b, |bucket| bucket.owns(key)));
+                assert_eq!(payloads, vec![(b"payload".to_vec(), 3)]);
+                owned.push(key);
             }
+            let inputs = inputs_of(&buckets, b);
+            assert_eq!(inputs, vec![(b"payload".to_vec(), 3, 0, owned.clone())]);
+            all.extend(owned);
         }
         all.sort_unstable();
         assert_eq!(all, keys);
@@ -1492,8 +1676,8 @@ mod tests {
     #[test]
     fn equal_payloads_share_one_id_across_the_buckets_of_a_reduce_call() {
         // Thirty keys over three buckets, one payload: a record per bucket,
-        // one payload id with all thirty keys in each, and another payload
-        // another id.
+        // one payload id with the bucket's keys in each — all thirty over
+        // the three — and another payload another id.
         let db = singletons([1]);
         let seen = std::sync::Mutex::new(Vec::new());
         let keys: Vec<u32> = (0..30).collect();
@@ -1505,12 +1689,14 @@ mod tests {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, group: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-                for i in group.inputs()? {
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                for i in bucket.inputs()? {
                     let input = (i.payload.to_vec(), i.payload_id, i.keys.to_vec());
                     seen.lock().unwrap().push(input);
                 }
-                emit((vec![k], 1));
+                for (k, _) in bucket.groups() {
+                    emit((vec![k], 1));
+                }
                 Ok(())
             },
         )
@@ -1518,21 +1704,22 @@ mod tests {
         assert_eq!(res.patterns.len(), 30);
         assert_eq!(res.metrics.shuffle_records, 4);
         let seen = seen.into_inner().unwrap();
-        let of = |bytes: &[u8]| -> Vec<(u32, Vec<u32>)> {
-            let mut ids: Vec<_> = seen
-                .iter()
-                .filter(|(p, _, _)| p == bytes)
-                .map(|(_, id, keys)| (*id, keys.clone()))
-                .collect();
+        let of = |bytes: &[u8]| -> (Vec<u32>, Vec<u32>) {
+            let mut ids: Vec<u32> = Vec::new();
+            let mut keys: Vec<u32> = Vec::new();
+            for (_, id, ks) in seen.iter().filter(|(p, _, _)| p == bytes) {
+                ids.push(*id);
+                keys.extend(ks);
+            }
             ids.dedup();
-            ids
+            keys.sort_unstable();
+            (ids, keys)
         };
         let (same, other) = (of(b"same"), of(b"other"));
-        assert_eq!(same.len(), 1, "{same:?}");
-        assert_eq!(same[0].1, keys);
-        assert_eq!(other.len(), 1);
-        assert_eq!(other[0].1, vec![1]);
-        assert_ne!(same[0].0, other[0].0);
+        assert_eq!(same.0.len(), 1, "{same:?}");
+        assert_eq!(same.1, keys);
+        assert_eq!(other, (vec![other.0[0]], vec![1]));
+        assert_ne!(same.0[0], other.0[0]);
     }
 
     #[test]
@@ -1690,8 +1877,16 @@ mod tests {
             let via = in_process(&ctx, combined, || (), count_group).unwrap_err();
             // Validation comes before the first connection attempt.
             let addr = SocketAddr::from(([127, 0, 0, 1], 9));
-            let worker =
-                run_round(&ctx, Exec::Worker(addr), combined, || (), count_group).unwrap_err();
+            let worker = Exec::Worker(addr);
+            let worker = run_round(
+                &ctx,
+                worker,
+                ReduceUnit::KeyRuns,
+                combined,
+                || (),
+                count_group,
+            );
+            let worker = worker.unwrap_err();
             for err in [plain, via, worker] {
                 assert!(
                     matches!(err, Error::Invalid(_)),
@@ -1749,9 +1944,16 @@ mod tests {
         S: Send,
         MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+        RF: Fn(&mut S, Bucket<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
     {
-        let round = run_round(ctx, Exec::Via(&InProcess), map, init, reduce)?;
+        let round = run_round(
+            ctx,
+            Exec::Via(&InProcess),
+            ReduceUnit::KeyRuns,
+            map,
+            init,
+            reduce,
+        )?;
         Ok(round.expect("a driven round has a result"))
     }
 
@@ -1772,16 +1974,18 @@ mod tests {
         S: Send,
         MF: Fn(&[Sequence], &mut Combiner) -> Result<()> + Sync,
         IF: Fn() -> S + Sync,
-        RF: Fn(&mut S, ItemId, KeyGroup<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
+        RF: Fn(&mut S, Bucket<'_>, &mut dyn FnMut((Sequence, u64))) -> Result<()> + Sync,
     {
         let coord = NetCoordinator::bind("127.0.0.1:0").unwrap();
         let addr = coord.local_addr().unwrap();
         let worker_ctx = ctx(db, workers, partitions, reducers);
         let driver_ctx = ctx(db, 1, partitions, reducers);
+        let unit = ReduceUnit::KeyRuns;
         std::thread::scope(|s| {
-            let worker =
-                s.spawn(|| run_round(&worker_ctx, Exec::Worker(addr), &map, &init, &reduce));
-            let round = run_round(&driver_ctx, Exec::Via(&coord), &map, &init, &reduce).unwrap();
+            let serve = || run_round(&worker_ctx, Exec::Worker(addr), unit, &map, &init, &reduce);
+            let worker = s.spawn(serve);
+            let coord = Exec::Via(&coord);
+            let round = run_round(&driver_ctx, coord, unit, &map, &init, &reduce).unwrap();
             assert!(worker.join().unwrap().unwrap().is_none());
             round.unwrap()
         })
@@ -1790,7 +1994,8 @@ mod tests {
     #[test]
     fn combine_reduce_output_is_deterministic_across_worker_counts() {
         // The work-stealing reduce must reproduce the sequential result,
-        // whether it runs in process or on a worker process behind TCP.
+        // whether it runs in process or on a worker process behind TCP,
+        // and whether its tasks are key runs or whole buckets.
         let db = singletons(0..3000);
         let map = |part: &[Sequence], c: &mut Combiner| {
             for &x in part.iter().flatten() {
@@ -1811,6 +2016,18 @@ mod tests {
                     "workers={workers} reducers={reducers}"
                 );
                 assert_eq!(par.metrics.tasks, seq.metrics.tasks);
+                let ctx = ctx(&db, workers, 9, reducers);
+                let whole = run_round(
+                    &ctx,
+                    Exec::Via(&InProcess),
+                    ReduceUnit::Buckets,
+                    map,
+                    || (),
+                    count_group,
+                );
+                let whole = whole.unwrap().unwrap();
+                assert_eq!(whole.patterns, seq.patterns, "buckets, workers={workers}");
+                assert_eq!(whole.metrics.tasks, reducers as u64, "one task per bucket");
             }
             for workers in [1, 3] {
                 let remote = via_tcp(&db, workers, 9, reducers, map, || (), count_group);
@@ -1828,8 +2045,10 @@ mod tests {
     fn reduce_state_initializes_once_per_worker() {
         let inits = AtomicUsize::new(0);
         let init = || inits.fetch_add(1, Ordering::Relaxed);
-        let reduce = |_: &mut usize, k, _: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-            emit((vec![k], 1));
+        let reduce = |_: &mut usize, bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+            for (k, _) in bucket.groups() {
+                emit((vec![k], 1));
+            }
             Ok(())
         };
 
@@ -1892,7 +2111,7 @@ mod tests {
             &ctx(&db, 2, 1, 2),
             combine_each_item,
             || (),
-            |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut((Sequence, u64))| {
+            |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut((Sequence, u64))| {
                 panic!("reducer blew up")
             },
         )
@@ -1911,6 +2130,35 @@ mod tests {
         };
         let err = map_reduce(&ctx, each_item, || (), count).unwrap_err();
         assert!(matches!(err, Error::Cancelled(_)), "{err}");
+    }
+
+    #[test]
+    fn a_bucket_s_groups_end_at_the_first_group_after_the_token_trips() {
+        // A task holds up to 64 key groups, so the scheduler's poll between
+        // tasks cannot stop a long one: its group iteration polls per group.
+        let token = CancelToken::new();
+        let db = singletons(0..100);
+        let ctx = MiningContext {
+            cancel: Some(&token),
+            ..ctx(&db, 1, 1, 1)
+        };
+        let seen = AtomicUsize::new(0);
+        let err = in_process(
+            &ctx,
+            combine_each_item,
+            || (),
+            |(): &mut (), bucket: Bucket<'_>, _emit: &mut dyn FnMut((Sequence, u64))| {
+                for _ in bucket.groups() {
+                    if seen.fetch_add(1, Ordering::Relaxed) == 2 {
+                        token.cancel();
+                    }
+                }
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::Cancelled(_)), "{err}");
+        assert_eq!(seen.into_inner(), 3);
     }
 
     #[test]
@@ -1937,11 +2185,13 @@ mod tests {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
-                let vs = collected(vs);
-                assert_eq!(vs.len(), 1);
-                assert!(vs[0].0.is_empty());
-                emit((vec![k], vs[0].1));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+                for (k, vs) in bucket.groups() {
+                    let vs = collected(vs);
+                    assert_eq!(vs.len(), 1);
+                    assert!(vs[0].0.is_empty());
+                    emit((vec![k], vs[0].1));
+                }
                 Ok(())
             },
         )

@@ -93,9 +93,10 @@ pub struct PhaseStats {
     pub peer_timeouts: u64,
     /// Wall nanoseconds of the slowest single task (straggler).
     pub max_task_nanos: u64,
-    /// Reduce tasks: key-group tasks in process, shipped buckets remotely.
+    /// Reduce tasks: [`ReduceUnit`](super::ReduceUnit) tasks in process,
+    /// shipped buckets remotely.
     pub tasks: u64,
-    /// Key-group tasks stolen between this process's reduce workers.
+    /// Reduce tasks stolen between this process's reduce workers.
     pub steals: u64,
 }
 
@@ -126,11 +127,13 @@ pub trait ShuffleTransport: Sync {
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)>;
 }
 
-/// The round's one reduce over a slice of buckets (each a list of
-/// chunks): each bucket's encoded outputs, in order, plus the counters.
-/// [`InProcess`] hands it every bucket, a worker the one bucket of a
-/// [`Frame::ReduceTask`].
-pub type ReduceFn<'a> = dyn Fn(&[Vec<Vec<u8>>]) -> Result<(Vec<Vec<u8>>, PhaseStats)> + Sync + 'a;
+/// The round's one reduce over a run of buckets (each a list of chunks)
+/// starting at the round's bucket index given first: each bucket's encoded
+/// outputs, in order, plus the counters. [`InProcess`] hands it every
+/// bucket from 0, a worker the one bucket of a [`Frame::ReduceTask`] at
+/// its task index.
+pub type ReduceFn<'a> =
+    dyn Fn(usize, &[Vec<Vec<u8>>]) -> Result<(Vec<Vec<u8>>, PhaseStats)> + Sync + 'a;
 
 /// The default transport: every task runs on this process's `ctx.workers`
 /// threads and bytes never leave the process.
@@ -159,7 +162,7 @@ impl ShuffleTransport for InProcess {
         chunks: Vec<Vec<Vec<u8>>>,
         reduce: &ReduceFn<'_>,
     ) -> Result<(Vec<Vec<u8>>, PhaseStats)> {
-        reduce(&chunks)
+        reduce(0, &chunks)
     }
 }
 
@@ -933,15 +936,23 @@ fn serve_coordinator(
                     epoch,
                     task,
                     chunks,
-                } => match timed(|| Ok(on_reduce(slice::from_ref(&chunks))?.0.swap_remove(0))) {
-                    (Ok(out), task_nanos) => Frame::ReduceOut {
-                        epoch,
-                        task,
-                        task_nanos,
-                        out,
-                    },
-                    (Err(error), _) => Frame::TaskErr { epoch, task, error },
-                },
+                } => {
+                    let bucket = usize::try_from(task).unwrap_or(usize::MAX);
+                    let reduce = || {
+                        Ok(on_reduce(bucket, slice::from_ref(&chunks))?
+                            .0
+                            .swap_remove(0))
+                    };
+                    match timed(reduce) {
+                        (Ok(out), task_nanos) => Frame::ReduceOut {
+                            epoch,
+                            task,
+                            task_nanos,
+                            out,
+                        },
+                        (Err(error), _) => Frame::TaskErr { epoch, task, error },
+                    }
+                }
                 Frame::Heartbeat => continue,
                 Frame::End => return Ok(()),
                 other => {

@@ -35,7 +35,7 @@ use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Dictionary, Error, Fst, ItemId, Result, Sequence};
 
-use crate::bsp::{engine::map_reduce, run_round, Combiner, Exec, InProcess};
+use crate::bsp::{engine::map_reduce, run_round, Combiner, Exec, InProcess, ReduceUnit};
 use crate::pivots::oplus_fold;
 use crate::MiningResult;
 
@@ -247,9 +247,19 @@ pub fn d_cand(
         }
         Ok(())
     };
-    run_round(ctx, exec, map, Nfa::default, |nfa, _pivot, group, emit| {
-        expand_and_count(sigma, budget, nfa, group.payloads(), emit)
-    })
+    run_round(
+        ctx,
+        exec,
+        ReduceUnit::KeyRuns,
+        map,
+        Nfa::default,
+        |nfa, bucket, emit| {
+            for (_, group) in bucket.groups() {
+                expand_and_count(sigma, budget, nfa, group.payloads(), emit)?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// D-CAND's no-aggregation ablation (Fig. 10b, "tries, no agg") on the

@@ -14,25 +14,38 @@
 //! identical records into weighted ones and interns shared payload bytes
 //! per bucket chunk.
 //!
-//! Each reduce worker decodes a distinct payload once, appends its
+//! The reduce unit is the bucket, not the pivot partition. Each reduce
+//! worker decodes a distinct payload once and appends its
 //! pivot-independent simulation tables to one growing
-//! [`desq_miner::SeqTables`] arena, and — with early stopping on — derives
-//! the early-stopping position of every pivot the payload goes to in the
-//! reduce call from one reverse scan of the table's id row
-//! ([`LocalMiner::early_stops`]). It then runs partition-restricted
-//! DESQ-DFS ([`LocalMiner::mine_picks`]) over [`Pick`]s that carry those
-//! positions, every pivot partition reading the FST's one
-//! [`FstIndex`](desq_core::fst::FstIndex): expansions never use items
-//! above the pivot, only pivot sequences are emitted, and the
-//! early-stopping heuristic prunes snapshots that can no longer produce
-//! the pivot — by position and by FST state (Sec. V-C).
+//! [`desq_miner::SeqTables`] arena. It then mines each bucket as **one**
+//! DESQ-DFS search tree over all of its inputs ([`LocalMiner::mine_picks`]
+//! over [`Pick`]s carrying the bucket's keys of each payload), and emits a
+//! pattern iff its pivot routes to the bucket ([`Bucket::owns`]). So the
+//! root closure walk runs once per shipped sequence, however many of the
+//! bucket's pivot partitions it belongs to. The result is exact: rewriting
+//! preserves every pivot's candidate set ([`crate::pivots`]), so a payload
+//! that generates a pattern has the pattern's pivot among its keys and
+//! was shipped to the bucket that owns it, with every other sequence that
+//! generates it. An input outputs no item above its largest bucket key
+//! (the cap), and with early stopping on (Sec. V-C, in its bucket form)
+//! it reads nothing past the last position that outputs one of its keys
+//! while the prefix's largest item is below them — the position one
+//! reverse scan of its table's id row finds ([`LocalMiner::key_stop`]).
+//!
+//! One tree saves root walks only where inputs share keys, and it counts
+//! each input towards every prefix below its largest key, so it also
+//! explores prefixes that are frequent only summed over several keys. A
+//! bucket whose inputs go to fewer than 2.5 of its keys each on average
+//! (many buckets, or keys spread thin) is therefore mined as one tree per
+//! key instead — its pivot partitions, each the one-key case of the same
+//! miner.
 
 use desq_core::codec::{decode_item_seq, encode_item_seq};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{Error, ItemId, Result, Sequence};
 use desq_miner::{LocalMiner, MinerConfig, MinerScratch, Pick, SeqTables};
 
-use crate::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
+use crate::bsp::{run_round, Bucket, Combiner, Exec, InProcess, ReduceUnit};
 use crate::pivots::{PivotScratch, PivotSearch};
 use crate::MiningResult;
 
@@ -54,13 +67,16 @@ pub struct DSeqConfig {
     pub use_grid: bool,
     /// Ship rewritten (trimmed) sequences instead of full ones.
     pub rewrite: bool,
-    /// Early stopping in the partition-local miners (Sec. V-C), both
-    /// halves: a prefix that lacks the pivot reads nothing past a
-    /// sequence's last pivot-producing position, and a step into an FST
-    /// state that can produce no further output extends it by the pivot
-    /// only. A reducer finds those positions for all the pivots a payload
-    /// goes to in one scan of the sequence's table. Off, the partitions run
-    /// the unpruned search (Fig. 10a) and no table is scanned.
+    /// Early stopping (Sec. V-C) in its bucket form: while a prefix's
+    /// largest item is below the smallest key an input was shipped to the
+    /// bucket with, the input reads nothing past the last position that
+    /// outputs one of its keys — at the root, for every input. A reducer
+    /// finds that position in one scan of the input's table. Off (Fig.
+    /// 10a's column without it), no table is scanned; the cap — no output
+    /// above an input's largest key — applies either way, so the ablation
+    /// measures the bucket form's stop. A bucket mined one tree per key
+    /// (see the module docs) stops each input at its key's own last
+    /// position: there the bucket form is the per-pivot heuristic.
     pub early_stop: bool,
 }
 
@@ -85,28 +101,39 @@ impl Miner for DSeqConfig {
 }
 
 /// Per-reduce-worker state — one per worker per reduce call: one growing
-/// arena of simulation tables, and what the worker keeps of each payload
-/// it has seen, indexed by the engine's payload id — dense over the reduce
-/// call (all buckets of the round in process, the one bucket of a
-/// `ReduceTask` on a worker process), so it stays valid across the call's
-/// key groups. `seen[payload]` is `None` until the payload is first seen;
-/// then the payload is decoded and simulated once (its items are not
-/// retained), and — under early stopping — one scan of its table places
-/// every key the payload goes to in the call ([`Input::keys`](crate::bsp::Input)),
-/// into `stops`. The rest is scratch reused across partitions.
+/// arena of simulation tables, and each payload's table, indexed by the
+/// engine's payload id — dense over the reduce call (all buckets of the
+/// round in process, the one bucket of a `ReduceTask` on a worker
+/// process), so it stays valid across the call's buckets. `seen[payload]`
+/// is `None` until the payload is first seen; then the payload is decoded
+/// and simulated once (its items are not retained), and its table is
+/// recorded — `Some(None)` for a payload the FST rejects. The rest is
+/// scratch reused across buckets.
 #[derive(Default)]
 struct ReduceState {
     tables: SeqTables,
-    seen: Vec<Option<Seen>>,
-    stops: Vec<u32>,
+    seen: Vec<Option<Option<u32>>>,
     scratch: MinerScratch,
     items: Vec<ItemId>,
     picks: Vec<Pick>,
+    keyed: Vec<(ItemId, usize)>,
+    one_key: Vec<Pick>,
 }
 
-/// A seen payload's table and where its keys' early-stopping positions
-/// start in [`ReduceState::stops`] — `None` for a payload the FST rejects.
-type Seen = Option<(u32, usize)>;
+/// Whether a bucket whose `inputs` go to `shipped` of its keys in all is
+/// mined as one search tree rather than one per key: iff its inputs go to
+/// 2.5 of its keys each on average, or more. One tree walks each input
+/// once, where one tree per key walks it once per key; but one tree counts
+/// every input towards every prefix below its largest key, so it explores
+/// prefixes that are frequent only summed over several keys. Timed per
+/// bucket both ways (`nyt_like(16 000)` at σ = 10 under N4 and N5, T3(σ,
+/// 1, 5) over AMZN-F at σ = 100, 1–16 buckets), one tree costs about as
+/// much per input as the per-key trees cost per shipped key, times a
+/// constant of the workload — about 1 for N5, 2 for N4 and 3–4 for T3 —
+/// at every bucket count; 2.5 lies between them.
+fn shares_one_tree(inputs: usize, shipped: usize) -> bool {
+    2 * shipped >= 5 * inputs
+}
 
 /// Runs D-SEQ on `ctx` the way `exec` says. Driving its round through a
 /// transport ([`InProcess`], what [`Miner::mine`] does, or a
@@ -144,67 +171,96 @@ pub fn d_seq(
         }
         Ok(())
     };
-    // Tables are pivot-independent, so a pivot-less miner builds them and
-    // every pivot partition's miner reads them.
-    let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+    // Tables are pivot-independent: one miner builds them and mines every
+    // bucket from them.
+    let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
     let reduce = |state: &mut ReduceState,
-                  p: ItemId,
-                  group: KeyGroup<'_>,
+                  bucket: Bucket<'_>,
                   emit: &mut dyn FnMut((Sequence, u64))|
      -> Result<()> {
         let ReduceState {
             tables,
             seen,
-            stops,
             scratch,
             items,
             picks,
+            keyed,
+            one_key,
         } = state;
         picks.clear();
-        for input in group.inputs()? {
+        let mut keys: Vec<&[ItemId]> = Vec::new();
+        for input in bucket.inputs()? {
             let id = input.payload_id as usize;
             if seen.len() <= id {
                 seen.resize(id + 1, None);
             }
-            let known = match seen[id] {
-                Some(known) => known,
+            let table = match seen[id] {
+                Some(table) => table,
                 None => {
                     items.clear();
                     decode_payload(input.payload, dict.max_fid(), items)?;
                     // Payloads are outside input: an over-wide one fails
                     // the round typed.
-                    let table = builder.append_tables(items, tables, scratch)?;
-                    let at = stops.len();
-                    if let (Some(table), true) = (table, config.early_stop) {
-                        builder.early_stops(tables, table, input.keys, stops);
-                    }
-                    *seen[id].insert(table.map(|table| (table, at)))
+                    *seen[id].insert(miner.append_tables(items, tables, scratch)?)
                 }
             };
-            let Some((table, at)) = known else { continue };
-            let stop = if config.early_stop {
-                let rank = input.keys.binary_search(&p);
-                stops[at + rank.expect("a group's key is among its payloads' keys")]
-            } else {
-                u32::MAX
+            let (Some(table), Some(&min_key), Some(&max_key)) =
+                (table, input.keys.first(), input.keys.last())
+            else {
+                continue;
             };
+            keys.push(input.keys);
             picks.push(Pick {
                 table,
                 weight: input.weight,
-                stop,
+                min_key,
+                max_key,
+                stop: u32::MAX,
             });
         }
-        let miner_config = MinerConfig::for_pivot(sigma, p, config.early_stop);
-        LocalMiner::new(fst, dict, miner_config).mine_picks(
-            tables,
-            picks,
-            scratch,
-            ctx.cancel,
-            &mut |pattern, freq| emit((pattern, freq)),
-        )
+        // A table that outputs none of the keys reads nothing past 0.
+        let stop = |table, keys: &[ItemId]| match config.early_stop {
+            true => miner.key_stop(tables, table, keys).unwrap_or(0),
+            false => u32::MAX,
+        };
+        let mut sink = |pattern, freq| emit((pattern, freq));
+        let shipped = keys.iter().map(|k| k.len()).sum();
+        if shares_one_tree(picks.len(), shipped) {
+            for (pick, keys) in picks.iter_mut().zip(&keys) {
+                pick.stop = stop(pick.table, keys);
+            }
+            let owns = |pivot| bucket.owns(pivot);
+            return miner.mine_picks(tables, picks, scratch, ctx.cancel, &owns, &mut sink);
+        }
+        // One tree per key: the bucket's pivot partitions, in key order.
+        keyed.clear();
+        for (at, keys) in keys.iter().enumerate() {
+            keyed.extend(keys.iter().map(|&k| (k, at)));
+        }
+        keyed.sort_unstable();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let key = run[0].0;
+            one_key.clear();
+            one_key.extend(run.iter().map(|&(_, at)| Pick {
+                min_key: key,
+                max_key: key,
+                stop: stop(picks[at].table, &[key]),
+                ..picks[at]
+            }));
+            let owns = |pivot| pivot == key;
+            miner.mine_picks(tables, one_key, scratch, ctx.cancel, &owns, &mut sink)?;
+        }
+        Ok(())
     };
 
-    run_round(ctx, exec, map, ReduceState::default, reduce)
+    run_round(
+        ctx,
+        exec,
+        ReduceUnit::Buckets,
+        map,
+        ReduceState::default,
+        reduce,
+    )
 }
 
 /// Decodes one shuffled D-SEQ payload into `items`: exactly one encoded
@@ -408,14 +464,17 @@ mod tests {
     }
 
     #[test]
-    fn loose_nyt_constraints_match_sequential_dfs_and_bound_early_stopping() {
+    fn nyt_constraints_match_desq_count_at_every_bucket_count() {
+        // All five Tab. III NYT constraints, every ablation, with buckets
+        // of one key (N1's few pivots over 8 buckets), a few keys and many
+        // keys (N4, N5 over one bucket), and empty buckets.
         let sigma = 10;
         let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
-        for constraint in [crate::patterns::n4(), crate::patterns::n5()] {
+        for constraint in crate::patterns::nyt_constraints() {
             let fst = constraint.compile(&dict).unwrap();
             let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&fst);
-            let seq = desq_miner::algo::DesqDfs.mine(&ctx).unwrap().patterns;
-            assert!(!seq.is_empty(), "{}", constraint.name);
+            let expect = desq_miner::algo::DesqCount.mine(&ctx).unwrap().patterns;
+            assert!(!expect.is_empty(), "{}", constraint.name);
             for use_grid in [true, false] {
                 for early_stop in [true, false] {
                     for rewrite in [true, false] {
@@ -425,12 +484,12 @@ mod tests {
                             early_stop,
                         };
                         for (reducers, workers) in
-                            [1, 2, 3].into_iter().flat_map(|r| [(r, 1), (r, 3)])
+                            [1, 2, 3, 8].into_iter().flat_map(|r| [(r, 1), (r, 3)])
                         {
                             let ctx = ctx.with_parallelism(workers, 2).with_reducers(reducers);
                             let dist = cfg.mine(&ctx).unwrap();
                             assert_eq!(
-                                dist.patterns, seq,
+                                dist.patterns, expect,
                                 "{} grid={use_grid} stop={early_stop} rewrite={rewrite} \
                                  reducers={reducers} workers={workers}",
                                 constraint.name
@@ -439,40 +498,52 @@ mod tests {
                     }
                 }
             }
+        }
+    }
 
-            // Early stopping reads its bound off the tables' id rows, which
-            // only hold outputs of transitions that leave a
-            // forward-reachable state on an accepting run: it can undercut
-            // the dictionary scan (on N4 it does — for 788 records when the
-            // masks were built eagerly, and the lazy front-end's sparser
-            // rows can only tighten that) but never exceed it, and it
-            // exists for every pivot the sequence is shipped to.
+    #[test]
+    fn one_scan_places_every_bucket_stop_within_the_dictionary_bound() {
+        // Early stopping reads its bound off the tables' id rows, which
+        // only hold outputs of transitions that leave a forward-reachable
+        // state on an accepting run: per pivot it can undercut the
+        // dictionary scan (on N4 it does — for 788 records when the masks
+        // were built eagerly, and the lazy front-end's sparser rows can
+        // only tighten that) but never exceed it, and it exists for every
+        // pivot the sequence is shipped to. A bucket's stop is the largest
+        // of its keys' own: one scan for all of a sequence's pivots, as
+        // one bucket gets them, places it where the per-key scans do.
+        let sigma = 10;
+        let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
+        for constraint in [crate::patterns::n4(), crate::patterns::n5()] {
+            let fst = constraint.compile(&dict).unwrap();
             let search = PivotSearch::new(&fst, &dict, dict.last_frequent(sigma));
-            let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
+            let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
             let (mut tables, mut miner_scratch) = (SeqTables::default(), MinerScratch::default());
             let (mut scratch, mut pivots) = (PivotScratch::default(), Vec::new());
-            // The reducers' batched scan places every pivot where the
-            // per-pivot scan does.
-            let (mut undercuts, mut stops) = (0, Vec::new());
+            let mut undercuts = 0;
             for (s, items) in db.sequences.iter().enumerate() {
                 search.pivots_into(items, &mut scratch, &mut pivots);
-                let table = builder
+                let table = miner
                     .append_tables(items, &mut tables, &mut miner_scratch)
                     .unwrap();
                 assert!(table.is_some() || pivots.is_empty(), "sequence {s}");
                 let Some(table) = table else { continue };
-                stops.clear();
-                builder.early_stops(&tables, table, &pivots, &mut stops);
-                for (&p, &stop) in pivots.iter().zip(&stops) {
-                    let miner =
-                        LocalMiner::new(&fst, &dict, MinerConfig::for_pivot(sigma, p, true));
-                    let from_tables = miner.last_pivot_position(&tables, table as usize);
+                let mut own = Vec::new();
+                for &p in &pivots {
+                    let from_tables = miner.key_stop(&tables, table, &[p]);
                     let from_dict = dict_last_pivot_position(&fst, &dict, items, p);
                     assert!(from_tables.is_some(), "sequence {s} pivot {p}");
-                    assert_eq!(from_tables, Some(stop as usize), "sequence {s} pivot {p}");
+                    let from_tables = from_tables.map(|i| i as usize);
                     assert!(from_tables <= from_dict, "sequence {s} pivot {p}");
                     undercuts += usize::from(from_tables < from_dict);
+                    own.extend(from_tables);
                 }
+                let bucket = miner.key_stop(&tables, table, &pivots);
+                assert_eq!(
+                    bucket.map(|i| i as usize),
+                    own.into_iter().max(),
+                    "sequence {s}"
+                );
             }
             if constraint.name == "N4" {
                 assert!(undercuts >= 788, "{undercuts} records undercut");

@@ -15,8 +15,9 @@
 //!
 //! * [`naive`](mod@naive) — NAÏVE sends the candidate subsequences `G_π(T)` verbatim,
 //!   SEMI-NAÏVE the frequency-filtered `G^σ_π(T)` (Sec. III-C);
-//! * [`dseq`] — D-SEQ sends *rewritten input sequences* `ρ_p(T)` and runs
-//!   restricted DESQ-DFS per partition (Sec. V);
+//! * [`dseq`] — D-SEQ sends *rewritten input sequences* `ρ_p(T)` and mines
+//!   each reduce bucket's partitions as one restricted DESQ-DFS search
+//!   tree (Sec. V);
 //! * [`dcand`] — D-CAND sends *NFAs* that compactly represent the pivot-`p`
 //!   candidates, with optional minimization and weighted aggregation of
 //!   identical NFAs (Sec. VI).

@@ -24,7 +24,7 @@ use desq_core::fst::{CandidateCounter, RunScratch, RunWalker};
 use desq_core::mining::{Miner, MiningContext};
 use desq_core::{sequence, ItemId, Result, Sequence};
 
-use crate::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
+use crate::bsp::{run_round, Bucket, Combiner, Exec, InProcess, ReduceUnit};
 use crate::MiningResult;
 
 /// NAÏVE (`filter` off, the default) and SEMI-NAÏVE (`filter` on), the
@@ -88,8 +88,8 @@ pub fn naive(
     // The combiner merged identical (pivot, candidate) pairs across the
     // whole job, so each payload's weight is its global frequency.
     // (The σ-filter is stateless: unit reduce state.)
-    let reduce =
-        |(): &mut (), _p: ItemId, cands: KeyGroup<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+    let reduce = |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Sequence, u64))| {
+        for (_, cands) in bucket.groups() {
             for (bytes, freq) in cands.payloads() {
                 if freq >= sigma {
                     let mut c: Sequence = Vec::new();
@@ -97,9 +97,10 @@ pub fn naive(
                     emit((c, freq));
                 }
             }
-            Ok(())
-        };
-    run_round(ctx, exec, map, || (), reduce)
+        }
+        Ok(())
+    };
+    run_round(ctx, exec, ReduceUnit::KeyRuns, map, || (), reduce)
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! prefixes are refused before the payload buffer is allocated. Plus
 //! scripted peers: one that answers tasks with the other phase's output
 //! frame, one that greets the coordinator in another protocol version, and
-//! one that answers a reduce task with damaged pattern bytes; and a
-//! transport whose failure counters must reach the round's metrics.
+//! one that answers a reduce task with damaged pattern bytes; a scripted
+//! coordinator that sends a worker reduce tasks past the round's buckets;
+//! and a transport whose failure counters must reach the round's metrics.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, LazyLock, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -19,8 +20,8 @@ use desq_dist::bsp::transport::{
     read_net_frame, write_net_frame, Frame, ReduceFn, NET_PROTOCOL_VERSION,
 };
 use desq_dist::bsp::{
-    run_round, Combiner, Exec, InProcess, KeyGroup, MapTaskOut, NetCoordinator, PhaseStats,
-    ShuffleTransport,
+    run_round, Bucket, Combiner, Exec, InProcess, MapTaskOut, NetCoordinator, PhaseStats,
+    ReduceUnit, ShuffleTransport,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -281,9 +282,10 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
         let err = run_round(
             &round(&one_item(), 1),
             Exec::Via(&coord),
+            ReduceUnit::KeyRuns,
             |_part: &[Sequence], _out: &mut Combiner| Ok(()),
             || (),
-            |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
+            |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
         )
         .unwrap_err();
         assert!(
@@ -293,6 +295,60 @@ fn an_output_frame_of_the_wrong_phase_fails_the_job_typed() {
         drop(coord); // releases the peer if the job died before its last phase
         peer.join().unwrap();
     }
+}
+
+/// A `ReduceTask`'s index names the bucket it reduces, and so which keys
+/// the reducer owns. A scripted coordinator sends a real worker task
+/// indices past the round's two buckets: each comes back as a typed
+/// decode error, never as an empty or foreign bucket's output, and the
+/// worker still ends cleanly on `End`.
+#[test]
+fn a_reduce_task_beyond_the_round_s_buckets_fails_typed_on_the_worker() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let db = one_item();
+    let ctx = round(&db, 2);
+    let map = |_part: &[Sequence], _out: &mut Combiner| Ok(());
+    let reduce = |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut(Pattern)| {
+        emit((vec![u32::from(bucket.owns(1))], 1));
+        Ok(())
+    };
+    thread::scope(|s| {
+        let ctx = &ctx;
+        let worker = s.spawn(move || {
+            run_round(
+                ctx,
+                Exec::Worker(addr),
+                ReduceUnit::Buckets,
+                map,
+                || (),
+                reduce,
+            )
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = read_net_frame(&mut stream, MAX_FRAME).unwrap();
+        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+        for task in [2, 3, u64::MAX] {
+            let frame = Frame::ReduceTask {
+                epoch: 1,
+                task,
+                chunks: vec![],
+            };
+            write_net_frame(&mut stream, &frame, MAX_FRAME).unwrap();
+            let reply = loop {
+                match read_net_frame(&mut stream, MAX_FRAME).unwrap() {
+                    Frame::Heartbeat => continue,
+                    reply => break reply,
+                }
+            };
+            assert!(
+                matches!(reply, Frame::TaskErr { task: t, error: Error::Decode(_), .. } if t == task),
+                "task {task}: {reply:?}"
+            );
+        }
+        write_net_frame(&mut stream, &Frame::End, MAX_FRAME).unwrap();
+        assert!(worker.join().unwrap().unwrap().is_none());
+    });
 }
 
 /// Every `MapOut` lists one chunk per reducer, and a receiver refuses lists
@@ -305,9 +361,10 @@ fn a_round_beyond_the_list_cap_is_rejected_before_any_frame() {
     let err = run_round(
         &round(&one_item(), desq_core::wire::MAX_LIST_LEN + 1),
         Exec::Via(&coord),
+        ReduceUnit::KeyRuns,
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     )
     .unwrap_err();
     assert!(matches!(err, Error::Invalid(_)), "{err}");
@@ -346,14 +403,29 @@ fn a_worker_of_another_protocol_version_is_dropped_at_the_handshake() {
     let db = one_item();
     let ctx = round(&db, 1);
     let map = |_part: &[Sequence], _out: &mut Combiner| Ok(());
-    let reduce = |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(());
+    let reduce = |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(());
     thread::scope(|s| {
         let ctx = &ctx;
         let worker = s.spawn(move || {
             closed_rx.recv().unwrap();
-            run_round(ctx, Exec::Worker(addr), map, || (), reduce)
+            run_round(
+                ctx,
+                Exec::Worker(addr),
+                ReduceUnit::KeyRuns,
+                map,
+                || (),
+                reduce,
+            )
         });
-        let res = run_round(ctx, Exec::Via(&coord), map, || (), reduce).unwrap();
+        let res = run_round(
+            ctx,
+            Exec::Via(&coord),
+            ReduceUnit::KeyRuns,
+            map,
+            || (),
+            reduce,
+        )
+        .unwrap();
         assert!(res.unwrap().patterns.is_empty());
         assert!(worker.join().unwrap().unwrap().is_none());
     });
@@ -442,9 +514,10 @@ fn both_phases_failure_counters_reach_the_round_metrics() {
     let res = run_round(
         &round(&one_item(), 1),
         Exec::Via(&LosingPeers),
+        ReduceUnit::KeyRuns,
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     )
     .unwrap();
     let metrics = res.unwrap().metrics;
@@ -476,9 +549,10 @@ fn patterns_from_peer(out: Vec<u8>) -> Result<Vec<Pattern>> {
     let outcome = run_round(
         &round(&one_item(), 1),
         Exec::Via(&coord),
+        ReduceUnit::KeyRuns,
         |_part: &[Sequence], _out: &mut Combiner| Ok(()),
         || (),
-        |(): &mut (), _k, _vs: KeyGroup<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
+        |(): &mut (), _: Bucket<'_>, _emit: &mut dyn FnMut(Pattern)| Ok(()),
     );
     drop(coord); // releases the peer if the job died before its last phase
     peer.join().unwrap();
@@ -498,6 +572,7 @@ fn hostile_reduce_outputs_fail_typed_or_decode() {
     let res = run_round(
         &round(&db, 1),
         Exec::Via(&recording),
+        ReduceUnit::KeyRuns,
         |part: &[Sequence], out: &mut Combiner| {
             for &x in part.iter().flatten() {
                 let mut payload = Vec::new();
@@ -507,11 +582,13 @@ fn hostile_reduce_outputs_fail_typed_or_decode() {
             Ok(())
         },
         || (),
-        |(): &mut (), _k, vs: KeyGroup<'_>, emit: &mut dyn FnMut(Pattern)| {
-            for (bytes, w) in vs.payloads() {
-                let mut pattern = Sequence::new();
-                decode_item_seq(&mut &bytes[..], &mut pattern)?;
-                emit((pattern, w));
+        |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut(Pattern)| {
+            for (_, vs) in bucket.groups() {
+                for (bytes, w) in vs.payloads() {
+                    let mut pattern = Sequence::new();
+                    decode_item_seq(&mut &bytes[..], &mut pattern)?;
+                    emit((pattern, w));
+                }
             }
             Ok(())
         },

@@ -56,23 +56,26 @@
 //! pattern is emitted by exactly one subtree and the merged set is sorted
 //! once.
 //!
-//! [`LocalMiner`] adds the partition-local restrictions of D-SEQ
-//! (Sec. V-C): at partition `P_k` no expansion uses items `> k`, only pivot
-//! sequences (max item = `k`) are emitted, and the *early stopping*
-//! heuristic drops snapshots that can no longer produce the pivot item —
-//! past the sequence's last pivot position, or in an FST state with no
-//! output left to produce.
-//! All three are applied while walking, so the tables themselves are
-//! pivot-independent and shared across partitions (see [`SeqTables`]).
+//! [`LocalMiner::mine_picks`] mines the partitions of D-SEQ (Sec. V-C)
+//! one reduce bucket at a time: every input ([`Pick`]) carries the
+//! bucket's keys it was shipped to, and one search tree serves all of the
+//! bucket's pivot partitions. Only patterns whose pivot (largest item) the
+//! caller's predicate accepts are emitted. An input outputs no item above
+//! its largest key (the *cap*), and — the bucket form of *early stopping*
+//! — while the prefix's largest item lies below its smallest key, it reads
+//! nothing past the last position that outputs one of its keys. Both are
+//! applied while walking, so the tables themselves are pivot-independent
+//! and shared across buckets (see [`SeqTables`]). A single-pivot
+//! partition is the one-key case.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use desq_core::fst::sim::{get_bit, ones, set_bit};
-use desq_core::fst::{FstIndex, RunScratch, RunWalker, SimTables};
+use desq_core::fst::{RunScratch, RunWalker, SimTables};
 use desq_core::mining::{CancelToken, PatternSink};
 use desq_core::sched::{self, TaskCtx, WorkerStats};
-use desq_core::{Dictionary, Fst, ItemId, Result, Sequence, EPSILON};
+use desq_core::{Dictionary, Fst, ItemId, Result, Sequence};
 
 /// Node depth (relative to a task's root) below which child subtrees may
 /// be split off as stealable tasks; deeper nodes always recurse inline. A
@@ -90,46 +93,21 @@ const SPLIT_DEPTH: usize = 3;
 /// work to hand out, and splitting further would only copy postings.
 const SHARE_LIMIT: usize = 4;
 
-/// Configuration of a [`LocalMiner`]: σ, and the pivot restriction with
-/// its early stopping for a D-SEQ partition. The frequent-item cut is not
+/// Configuration of a [`LocalMiner`]: σ. The frequent-item cut is not
 /// configured — it is the dictionary's `last_frequent(σ)`, which counts
 /// the global database, so a reducer mining weighted aggregates at the
-/// global σ gets the global cut.
+/// global σ gets the global cut. D-SEQ's restrictions come with each
+/// [`Pick`].
 #[derive(Debug, Clone, Copy)]
 pub struct MinerConfig {
     /// Minimum support threshold σ; also fixes the frequent-item cut.
     pub sigma: u64,
-    /// Partition-local mining for pivot item `k` (item-based partitioning:
-    /// partition `P_k` owns no sequence with items `> k`): expansions never
-    /// use items greater than `k`, and only sequences containing `k` — their
-    /// pivot — are emitted. `None` mines unrestricted.
-    pub pivot: Option<ItemId>,
-    /// Early stopping (Sec. V-C), in two halves that both apply only to
-    /// prefixes still lacking the pivot. Position: per input sequence,
-    /// determine the last position that can produce the pivot item and
-    /// stop using the sequence beyond it. State: a step into an FST state
-    /// that can produce no further output extends such a prefix by the
-    /// pivot only. Only effective when `pivot` is set.
-    pub early_stop: bool,
 }
 
 impl MinerConfig {
-    /// Unrestricted sequential mining at threshold `sigma`.
+    /// Mining at threshold `sigma`.
     pub fn sequential(sigma: u64) -> MinerConfig {
-        MinerConfig {
-            sigma,
-            pivot: None,
-            early_stop: false,
-        }
-    }
-
-    /// Partition-local mining for pivot `k` (used by D-SEQ).
-    pub fn for_pivot(sigma: u64, k: ItemId, early_stop: bool) -> MinerConfig {
-        MinerConfig {
-            sigma,
-            pivot: Some(k),
-            early_stop,
-        }
+        MinerConfig { sigma }
     }
 }
 
@@ -138,16 +116,24 @@ impl MinerConfig {
 pub type WeightedInput<'s> = (&'s [ItemId], u64);
 
 /// One input of [`LocalMiner::mine_picks`]: a table of the arena, its
-/// weight, and its early-stopping position under the mining pivot — what
-/// [`LocalMiner::early_stops`] computes for it, `u32::MAX` for no bound.
+/// weight, and the keys of the reduce bucket it was shipped to — the
+/// pivots of its sequence that the bucket owns, `min_key..=max_key`
+/// spanning them. Only a pattern with one of those pivots can count it
+/// towards an emitted support, so the miner never extends a prefix of it
+/// by an item above `max_key`, and while the prefix's largest item is
+/// below `min_key` it reads nothing past `stop`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pick {
     /// Index of the table in the [`SeqTables`] arena.
     pub table: u32,
-    /// Weight of the input sequence (its multiplicity in the partition).
+    /// Weight of the input sequence (its multiplicity in the bucket).
     pub weight: u64,
-    /// The last position that can still produce the pivot (see
-    /// [`MinerConfig::early_stop`]); read only when early stopping is on.
+    /// The smallest of the input's keys.
+    pub min_key: ItemId,
+    /// The largest of the input's keys: the input's cap.
+    pub max_key: ItemId,
+    /// The last position that outputs one of the input's keys
+    /// ([`LocalMiner::key_stop`]), or `u32::MAX` for no early stopping.
     pub stop: u32,
 }
 
@@ -175,8 +161,8 @@ struct MineTask {
     prefix: Sequence,
     /// The node's projected database.
     postings: Vec<Posting>,
-    /// Whether the prefix already contains the required pivot.
-    has_pivot: bool,
+    /// The prefix's largest item (0 for the empty prefix).
+    top: ItemId,
     /// The node's precomputed ε-completion (emission) support.
     emit: u64,
 }
@@ -256,29 +242,27 @@ fn width_error(index: usize, len: usize, states: usize) -> desq_core::Error {
 ///   producing only ε, ending in a final state" (the emission test), over
 ///   the alive coordinates.
 ///
-/// All of that is **pivot-independent**: the partition restrictions of
-/// D-SEQ (no item above the pivot, early stopping) are applied by the DFS
-/// while it walks — the item bound is a prefix cut of each sorted output
-/// set — so one table serves every pivot partition its sequence is
-/// shuffled to. The σ cut is a prefix cut too, so any miner over the same
-/// `(FST, dictionary)` pair can append to or mine the tables, whatever its
-/// σ (mask bits and label numbers are those of the FST's own
-/// [`Fst::index`]). The one pivot-dependent value is the
-/// per-sequence early-stopping position: it is derived from the id row
-/// (the last position where an alive transition outputs the pivot — no
-/// dictionary access) for the building miner's own pivot, and
-/// [`LocalMiner::early_stops`] derives it for every pivot a table is
-/// shipped to in one scan; [`LocalMiner::mine_picks`] takes it, together
-/// with the weight, from each [`Pick`].
+/// All of that is **pivot-independent**: the restrictions of a D-SEQ
+/// bucket (the cap, early stopping) are applied by the DFS while it walks
+/// — the cap is a prefix cut of each sorted output set — so one table
+/// serves every bucket its sequence is shuffled to. The σ cut is a prefix
+/// cut too, so any miner over the same `(FST, dictionary)` pair can append
+/// to or mine the tables, whatever its σ (mask bits and label numbers are
+/// those of the FST's own [`Fst::index`]). The one key-dependent value is
+/// a pick's early-stopping position: [`LocalMiner::key_stop`] derives it
+/// from the id row (the last position where an alive transition outputs
+/// one of the keys — no dictionary access), and
+/// [`LocalMiner::mine_picks`] takes it, together with the weight and the
+/// keys' span, from each [`Pick`].
 ///
-/// All per-sequence data lives in **shared arenas** with one 32-byte
+/// All per-sequence data lives in **shared arenas** with one 24-byte
 /// descriptor (`SeqMeta`, `u32` arena starts) per *accepted* sequence:
 /// building tables for N inputs costs a constant number of allocations,
 /// not 3·N. A sequence without an accepting run can never reach the root
 /// projection, so it gets no descriptor and no arena space. D-SEQ keeps
 /// one growing arena per reduce worker — its lifetime is the worker's, so
-/// a sequence shipped to many pivot partitions of that worker is
-/// simulated once. A sequence whose table index, cells or arena starts
+/// a sequence shipped to several buckets of that worker is simulated
+/// once. A sequence whose table index, cells or arena starts
 /// would overflow the packed widths (`fits_widths`), or whose new output
 /// sets would overflow the directory's `u32` widths, fails the build with
 /// [`desq_core::Error::Invalid`] and leaves the rows as they were.
@@ -292,8 +276,8 @@ pub struct SeqTables {
 }
 
 /// Per-sequence descriptor into the [`SeqTables`] arenas. The DFS walks a
-/// slice of these: the tables' own, or copies with `weight` and
-/// `last_pivot_pos` taken from a [`Pick`] ([`LocalMiner::mine_picks`]).
+/// slice of these: the tables' own, or copies with the `weight` taken
+/// from a [`Pick`] ([`LocalMiner::mine_picks`]).
 #[derive(Clone, Copy)]
 struct SeqMeta {
     weight: u64,
@@ -301,20 +285,45 @@ struct SeqMeta {
     eps_start: u32,
     ids_start: u32,
     len: u32,
-    /// Early stopping (Sec. V-C): the last position that can still produce
-    /// the pivot. A prefix lacking the pivot reads nothing beyond it and
-    /// only the pivot at it. `u32::MAX` = no bound.
-    last_pivot_pos: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<SeqMeta>() == 32);
+const _: () = assert!(std::mem::size_of::<SeqMeta>() == 24);
+
+/// A [`Pick`]'s restrictions as the DFS reads them: its smallest key, its
+/// cap and its early-stopping position.
+#[derive(Clone, Copy)]
+struct Keys {
+    min: ItemId,
+    cap: ItemId,
+    stop: u32,
+}
+
+/// An input without restrictions (eager mining): no cap below the item
+/// bound, never a stop.
+const UNRESTRICTED: Keys = Keys {
+    min: 0,
+    cap: ItemId::MAX,
+    stop: u32::MAX,
+};
 
 /// What the DFS walks: the arenas plus one descriptor per accepted input
-/// sequence (postings index into `metas`).
+/// sequence (postings index into `metas`), each input's restrictions
+/// (`keys`, parallel to `metas`; empty for eager mining) and the call's
+/// item bound — no output above it, and the accumulators index up to it.
 #[derive(Clone, Copy)]
 struct Views<'a> {
     arena: &'a SeqTables,
     metas: &'a [SeqMeta],
+    keys: &'a [Keys],
+    bound: ItemId,
+}
+
+impl Views<'_> {
+    /// Input `s`'s restrictions.
+    #[inline]
+    fn keys(&self, s: u32) -> Keys {
+        self.keys.get(s as usize).copied().unwrap_or(UNRESTRICTED)
+    }
 }
 
 impl SeqTables {
@@ -344,58 +353,30 @@ impl SeqTables {
             .sum()
     }
 
-    /// The tables' own descriptors as DFS views.
-    fn views(&self) -> Views<'_> {
+    /// The tables' own descriptors as unrestricted DFS views under the
+    /// item bound `bound`.
+    fn views(&self, bound: ItemId) -> Views<'_> {
         Views {
             arena: self,
             metas: &self.metas,
+            keys: &[],
+            bound,
         }
     }
 
     /// The last position of sequence `m` (`l` output labels per position)
-    /// whose output sets contain `pivot`: a set cut at `pivot` ends in it.
-    /// One scan per pivot — the reference [`Self::early_stops`] is tested
-    /// against.
-    fn last_pivot_pos(&self, m: &SeqMeta, l: usize, pivot: ItemId) -> Option<usize> {
+    /// whose output sets hold one of `keys` (ascending): one reverse scan
+    /// of the id row, ending at the first set that does — each set cut at
+    /// the largest key and read down to the smallest.
+    fn last_key_pos(&self, m: &SeqMeta, l: usize, keys: &[ItemId]) -> Option<usize> {
+        let (&lo, &hi) = (keys.first()?, keys.last()?);
         let ids = &self.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
-        let at = ids
-            .iter()
-            .rposition(|&id| self.sim.set(id, pivot).last() == Some(&pivot))?;
+        let at = ids.iter().rposition(|&id| {
+            let set = self.sim.set(id, hi).iter().rev();
+            set.take_while(|&&w| w >= lo)
+                .any(|w| keys.binary_search(w).is_ok())
+        })?;
         Some(at / l)
-    }
-
-    /// The early-stopping position of sequence `m` (`l` output labels per
-    /// position) for each of `pivots` (strictly ascending), into `stops`:
-    /// the last position whose output sets contain the pivot, or 0 for a
-    /// pivot the sequence never outputs. One reverse scan of the id row
-    /// serves all of them, and it ends as soon as every pivot is placed.
-    fn early_stops(&self, m: &SeqMeta, l: usize, pivots: &[ItemId], stops: &mut [u32]) {
-        const UNPLACED: u32 = u32::MAX;
-        stops.fill(UNPLACED);
-        let (Some(&top), true) = (pivots.last(), l > 0) else {
-            stops.fill(0);
-            return;
-        };
-        let ids = &self.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
-        let mut left = pivots.len();
-        'scan: for (i, row) in ids.chunks_exact(l).enumerate().rev() {
-            for &id in row {
-                for w in self.sim.set(id, top) {
-                    if let Ok(j) = pivots.binary_search(w) {
-                        if stops[j] == UNPLACED {
-                            stops[j] = i as u32;
-                            left -= 1;
-                            if left == 0 {
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for stop in stops.iter_mut().filter(|s| **s == UNPLACED) {
-            *stop = 0;
-        }
     }
 
     /// The arenas' current lengths: where the next sequence's tables start.
@@ -486,72 +467,16 @@ struct DepthBufs {
 /// recurses, so one instance per worker serves every depth.
 #[derive(Default)]
 struct RawChildren {
-    /// One `set id ‖ cell` record per output step into a live cell
-    /// ([`PIVOT_ONLY`] for a step narrowed to the pivot); a step into a
-    /// dead cell writes none. The scatter recovers the step's child items
-    /// from the directory through the walk's own [`StepCut`], so a step
-    /// with many output items costs one record, not one per item.
+    /// One `set id ‖ cell` record per output step into a live cell; a
+    /// step into a dead cell writes none. The scatter recovers the step's
+    /// child items from the directory, cut at the input's cap as the walk
+    /// cut them, so a step with many output items costs one record, not
+    /// one per item.
     words: Vec<u64>,
     /// Per input sequence with child postings, its index and the end of
     /// its stretch of `words` (a node's raw records are counted in `u32`,
     /// like [`ItemAcc::count`]).
     segs: Vec<(u32, u32)>,
-}
-
-/// The raw record id of an output step narrowed to the pivot alone. Every
-/// directory id stays below it: a directory holds at most `u32::MAX` ids,
-/// the empty set's included.
-const PIVOT_ONLY: u32 = u32::MAX;
-
-/// The restrictions one node applies to its output steps: the partition's
-/// item bound and, while the prefix lacks the pivot, early stopping's
-/// pivot-only narrowing. The closure walk asks it for a step's child items
-/// and record id, the scatter for a record's items, so both agree item for
-/// item.
-#[derive(Clone, Copy)]
-struct StepCut<'a> {
-    sets: &'a SimTables,
-    ix: &'a FstIndex,
-    bound: ItemId,
-    pivot: ItemId,
-    prune_dead: bool,
-}
-
-impl<'a> StepCut<'a> {
-    /// Set `id` cut at the item bound (a prefix: sets are sorted).
-    #[inline]
-    fn bounded(&self, id: u32) -> &'a [ItemId] {
-        self.sets.set(id, self.bound)
-    }
-
-    /// The raw record id and child items of an output step with set `id`
-    /// from position `i` into state `to`, in a sequence whose
-    /// early-stopping position is `stop`. Past `stop`, or into a state
-    /// that can produce no further output (the state half of early
-    /// stopping, `prune_dead`), only the pivot remains, if the set holds
-    /// it, and the record says so with [`PIVOT_ONLY`] — the scatter need
-    /// not redo the test.
-    #[inline]
-    fn step(&self, id: u32, i: u32, to: u32, stop: u32) -> (u32, &'a [ItemId]) {
-        let items = self.bounded(id);
-        if i >= stop || (self.prune_dead && !self.ix.can_output(to as usize)) {
-            return match items.iter().find(|&&w| w == self.pivot) {
-                Some(k) => (PIVOT_ONLY, std::slice::from_ref(k)),
-                None => (0, &[]),
-            };
-        }
-        (id, items)
-    }
-
-    /// The child items of a raw record [`step`](Self::step) produced.
-    #[inline]
-    fn record_items(&self, record: u32) -> &[ItemId] {
-        if record == PIVOT_ONLY {
-            std::slice::from_ref(&self.pivot)
-        } else {
-            self.bounded(record)
-        }
-    }
 }
 
 /// Per-item accumulator of one node expansion, packed so every output
@@ -578,10 +503,10 @@ const FRESH_ACC: ItemAcc = ItemAcc {
 
 /// Item-indexed accumulators that group every node's child postings in
 /// linear time, plus the list of touched items (for O(|touched|) clearing
-/// between nodes). `acc` covers items up to the miner's item bound — the
-/// frequent vocabulary, or the pivot below it — at 32 bytes an entry, and
-/// only ever grows, so one worker's scratch serves every partition it
-/// mines ([`MinerScratch`]).
+/// between nodes). `acc` covers items up to the call's item bound — the
+/// frequent vocabulary, or the largest key of a bucket below it — at 32
+/// bytes an entry, and only ever grows, so one worker's scratch serves
+/// every bucket it mines ([`MinerScratch`]).
 #[derive(Default)]
 struct ItemStats {
     acc: Vec<ItemAcc>,
@@ -616,13 +541,13 @@ pub struct MinerScratch {
     prepare: RunScratch,
     bufs: ExpandBufs,
     views: Vec<SeqMeta>,
+    keys: Vec<Keys>,
     roots: Vec<Posting>,
 }
 
 impl<'a> LocalMiner<'a> {
     /// Creates a miner for the given FST and dictionary. Cheap — the
-    /// FST carries its transition index ([`Fst::index`]) — so D-SEQ's
-    /// reducers build one per pivot partition.
+    /// FST carries its transition index ([`Fst::index`]).
     pub fn new(fst: &'a Fst, dict: &'a Dictionary, config: MinerConfig) -> Self {
         LocalMiner {
             fst,
@@ -630,17 +555,6 @@ impl<'a> LocalMiner<'a> {
             config,
             last_frequent: dict.last_frequent(config.sigma),
         }
-    }
-
-    /// Largest item the per-item accumulators must index: the
-    /// partition bound caps it below the frequent vocabulary, so
-    /// pivot-restricted miners (one per reduce key in D-SEQ) allocate
-    /// `O(pivot)` instead of `O(vocabulary)` scratch.
-    #[inline]
-    fn item_bound(&self) -> ItemId {
-        self.config
-            .pivot
-            .map_or(self.last_frequent, |m| m.min(self.last_frequent))
     }
 
     /// Sizes DFS scratch for one mining call over `views`: the visited
@@ -653,7 +567,7 @@ impl<'a> LocalMiner<'a> {
         if bufs.walk.visited.len() < words {
             bufs.walk.visited.resize(words, 0);
         }
-        let n = self.item_bound() as usize + 1;
+        let n = views.bound as usize + 1;
         if bufs.stats.acc.len() < n {
             bufs.stats.acc.resize(n, FRESH_ACC);
         }
@@ -691,31 +605,42 @@ impl<'a> LocalMiner<'a> {
             .then_some(table))
     }
 
-    /// Mines the weighted collection given as [`Pick`]s from `tables`
-    /// under this miner's configuration, streaming patterns to `sink` in
-    /// DFS order (unsorted). Each pick carries its early-stopping position,
-    /// which this call reads as given (under early stopping) and never
-    /// recomputes. Single-threaded — the partition-per-key reducers that
-    /// share an arena parallelize across keys, not within them. A pick's
-    /// position in `picks` is its input index in the postings, so more
-    /// than `u32::MAX` picks fail with [`desq_core::Error::Invalid`].
-    /// `cancel`, when given, is polled before every pattern, as the
-    /// scheduled runs do: a tripped token ends the mining with its stop
-    /// reason.
+    /// Mines the weighted collection given as [`Pick`]s from `tables` as
+    /// one search tree — a D-SEQ reduce bucket — streaming to `sink`, in
+    /// DFS order (unsorted), every frequent pattern whose largest item
+    /// `emits` accepts. Each pick caps its outputs at its largest key and,
+    /// while the prefix's largest item is below its smallest key, reads
+    /// nothing past its stop, which this call reads as given and never
+    /// recomputes. The result is exact when every pick whose sequence
+    /// generates an accepted pattern carries that pattern's pivot among its
+    /// keys — what D-SEQ's shuffle guarantees.
+    /// Single-threaded — the reduce tasks that share an arena parallelize
+    /// across buckets, not within them. A pick's position in `picks` is its
+    /// input index in the postings, so more than `u32::MAX` picks fail with
+    /// [`desq_core::Error::Invalid`]. `cancel`, when given, is polled at
+    /// every frequent pattern the search visits, emitted or not, so a
+    /// bucket whose keys own few of them still stops promptly: a tripped
+    /// token ends the mining with its stop reason.
     pub fn mine_picks(
         &self,
         tables: &SeqTables,
         picks: &[Pick],
         scratch: &mut MinerScratch,
         cancel: Option<&CancelToken>,
+        emits: &dyn Fn(ItemId) -> bool,
         sink: &mut dyn FnMut(Sequence, u64),
     ) -> Result<()> {
         let MinerScratch {
-            bufs, views, roots, ..
+            bufs,
+            views,
+            keys,
+            roots,
+            ..
         } = scratch;
         let states = self.fst.num_states();
-        let stopping = self.config.early_stop && self.config.pivot.is_some();
         views.clear();
+        keys.clear();
+        let mut bound = 0;
         for (k, pick) in picks.iter().enumerate() {
             let m = tables.metas[pick.table as usize];
             // The table's own widths held when it was built; the index is
@@ -725,13 +650,20 @@ impl<'a> LocalMiner<'a> {
             }
             views.push(SeqMeta {
                 weight: pick.weight,
-                last_pivot_pos: if stopping { pick.stop } else { u32::MAX },
                 ..m
             });
+            keys.push(Keys {
+                min: pick.min_key,
+                cap: pick.max_key,
+                stop: pick.stop,
+            });
+            bound = bound.max(pick.max_key);
         }
         let views = Views {
             arena: tables,
             metas: views,
+            keys,
+            bound: bound.min(self.last_frequent),
         };
         roots.clear();
         roots.extend(self.root_postings(views));
@@ -742,15 +674,15 @@ impl<'a> LocalMiner<'a> {
             views,
             roots,
             0,
-            self.config.pivot.is_none(),
+            0,
             0,
             &mut prefix,
             bufs,
             None,
-            &mut |p, f| {
+            &mut |p, top, f| {
                 stopped = cancel.map_or(Ok(()), CancelToken::checkpoint);
-                if stopped.is_ok() {
-                    sink(p, f);
+                if stopped.is_ok() && emits(top) {
+                    sink(p.to_vec(), f);
                 }
                 stopped.is_ok()
             },
@@ -758,40 +690,14 @@ impl<'a> LocalMiner<'a> {
         stopped
     }
 
-    /// The early-stopping bound of one sequence under this miner's
-    /// configuration (see `SeqMeta::last_pivot_pos`): a sequence that
-    /// cannot produce the pivot at all is useless from position 0 on.
-    fn early_stop_pos(&self, tables: &SeqTables, m: &SeqMeta) -> u32 {
-        match self.config.pivot {
-            Some(pivot) if self.config.early_stop => {
-                let mut stop = [0];
-                tables.early_stops(m, self.fst.index().num_labels(), &[pivot], &mut stop);
-                stop[0]
-            }
-            _ => u32::MAX,
-        }
-    }
-
-    /// The last position of table `s`'s sequence at which a transition on
-    /// an accepting run outputs this miner's pivot — what early stopping
-    /// derives from the tables. Exposed for tests.
-    #[doc(hidden)]
-    pub fn last_pivot_position(&self, tables: &SeqTables, s: usize) -> Option<usize> {
+    /// The early-stopping position of table `t` for `keys` (ascending) —
+    /// a [`Pick::stop`]: the last position whose output sets hold one of
+    /// them, or `None` if the table outputs none of them. One reverse scan
+    /// of the table's id row, ending at the first such position.
+    pub fn key_stop(&self, tables: &SeqTables, t: u32, keys: &[ItemId]) -> Option<u32> {
         let l = self.fst.index().num_labels();
-        tables.last_pivot_pos(&tables.metas[s], l, self.config.pivot?)
-    }
-
-    /// Appends to `out` the early-stopping position of table `t` for each
-    /// of `pivots` (strictly ascending), whatever this miner's own pivot:
-    /// the last position whose output sets contain the pivot, or 0 for a
-    /// pivot the table never outputs — a [`Pick::stop`] per pivot. One
-    /// reverse scan of the table's id row serves all of them, and it ends
-    /// as soon as every pivot is placed.
-    pub fn early_stops(&self, tables: &SeqTables, t: u32, pivots: &[ItemId], out: &mut Vec<u32>) {
-        let base = out.len();
-        out.resize(base + pivots.len(), 0);
-        let l = self.fst.index().num_labels();
-        tables.early_stops(&tables.metas[t as usize], l, pivots, &mut out[base..]);
+        let at = tables.last_key_pos(&tables.metas[t as usize], l, keys)?;
+        Some(at as u32)
     }
 
     /// The one DESQ-DFS driver: builds the tables, seeds the scheduler with
@@ -813,11 +719,11 @@ impl<'a> LocalMiner<'a> {
         emit: impl Fn(&mut W, Sequence, u64) -> bool + Sync,
     ) -> Result<(Vec<WorkerStats>, Vec<(W, ExpandBufs)>)> {
         let tables = self.prepare_tables_cancellable(inputs, sinks.len(), cancel)?;
-        let views = tables.views();
+        let views = tables.views(self.last_frequent);
         let root = MineTask {
             prefix: Sequence::new(),
             postings: self.root_postings(views).collect(),
-            has_pivot: self.config.pivot.is_none(),
+            top: 0,
             emit: 0,
         };
         let states: Vec<_> = sinks
@@ -835,12 +741,14 @@ impl<'a> LocalMiner<'a> {
                     views,
                     &task.postings,
                     0,
-                    task.has_pivot,
+                    task.top,
                     task.emit,
                     &mut prefix,
                     bufs,
                     Some(ctx),
-                    &mut |p, f| cancel.is_none_or(|t| t.checkpoint().is_ok()) && emit(sink, p, f),
+                    &mut |p, _, f| {
+                        cancel.is_none_or(|t| t.checkpoint().is_ok()) && emit(sink, p.to_vec(), f)
+                    },
                 );
                 if !keep_going {
                     stop.store(true, Ordering::Relaxed);
@@ -992,17 +900,11 @@ impl<'a> LocalMiner<'a> {
     /// shard units of parallel mining). Exposed for the kernel benchmarks.
     #[doc(hidden)]
     pub fn first_level_count(&self, tables: &SeqTables) -> usize {
-        let views = tables.views();
+        let views = tables.views(self.last_frequent);
         let roots: Vec<Posting> = self.root_postings(views).collect();
         let mut bufs = self.expand_bufs(views);
         let mut first = DepthBufs::default();
-        self.collect_children(
-            views,
-            &roots,
-            self.config.pivot.is_none(),
-            &mut bufs,
-            &mut first,
-        );
+        self.collect_children(views, &roots, 0, &mut bufs, &mut first);
         first.runs.len()
     }
 
@@ -1026,13 +928,12 @@ impl<'a> LocalMiner<'a> {
             return Err(width_error(index, len, states));
         }
         let [mask_start, eps_start, ids_start] = starts;
-        let mut meta = SeqMeta {
+        let meta = SeqMeta {
             weight,
             mask_start: mask_start as u32,
             eps_start: eps_start as u32,
             ids_start: ids_start as u32,
             len: len as u32,
-            last_pivot_pos: u32::MAX,
         };
         let walker = RunWalker::unfiltered(self.fst, self.dict);
         if !walker.build_tables_into(seq, scratch, &mut set.sim)? {
@@ -1040,7 +941,6 @@ impl<'a> LocalMiner<'a> {
         }
         let mask = &set.sim.mask()[mask_start..];
         self.build_eps_fin(len, scratch, mask, &mut set.eps_fin);
-        meta.last_pivot_pos = self.early_stop_pos(set, &meta);
         set.metas.push(meta);
         Ok(true)
     }
@@ -1099,14 +999,14 @@ impl<'a> LocalMiner<'a> {
     /// bitset-deduplicated walk per input sequence, seeded with all of the
     /// sequence's postings (their closures overlap heavily, and the
     /// children are a set anyway). Every output-producing step yields its
-    /// child items through the node's [`StepCut`]; a step into a live cell
-    /// (see [`Posting`]) is recorded once, as a `set id ‖ cell` in
-    /// `bufs.raw` ([`PIVOT_ONLY`] for a step narrowed to the pivot),
-    /// closing the sequence's segment, and one into a dead cell is not
-    /// recorded at all. Per-item live posting counts and weighted prefix
-    /// and emission supports of every step accumulate in `bufs.stats` on
-    /// the fly, so grouping is a single stable scatter into `d.grouped`
-    /// that asks the same `StepCut` for each record's items again: children
+    /// child items — its output set cut at the input's cap; a step into a
+    /// live cell (see [`Posting`]) is recorded once, as a `set id ‖ cell`
+    /// in `bufs.raw`, closing the sequence's segment, and one into a dead
+    /// cell is not recorded at all. Per-item live posting counts and
+    /// weighted prefix and emission supports of every step accumulate in
+    /// `bufs.stats` on the fly, so grouping is a single stable scatter
+    /// into `d.grouped` that cuts each record's set at its input's cap
+    /// again: children
     /// below σ are dropped without ever being ordered, one without live
     /// postings gets an empty run, and only the distinct child items are
     /// sorted. `d.runs` then directs the recursion (ascending items, each
@@ -1118,27 +1018,14 @@ impl<'a> LocalMiner<'a> {
         &self,
         views: Views<'_>,
         node: &[Posting],
-        has_pivot: bool,
+        top: ItemId,
         bufs: &mut ExpandBufs,
         d: &mut DepthBufs,
     ) {
         let ix = self.fst.index();
         let (qn, w, l) = (self.fst.num_states() as u32, ix.words(), ix.num_labels());
         let sigma = self.config.sigma;
-        let arena = views.arena;
-        // Pivot-dead children (the state half of early stopping): while the
-        // prefix lacks the pivot, a step into a state that can produce no
-        // further output leads only to a child that is never emitted (no
-        // pivot) and never extended from that posting, so it contributes
-        // the pivot alone — dropping the rest only tightens an
-        // antimonotone support bound.
-        let cut = StepCut {
-            sets: &arena.sim,
-            ix,
-            bound: self.item_bound(),
-            pivot: self.config.pivot.unwrap_or(EPSILON),
-            prune_dead: !has_pivot && self.config.early_stop,
-        };
+        let (arena, sets) = (views.arena, &views.arena.sim);
         let ExpandBufs {
             walk, stats, raw, ..
         } = bufs;
@@ -1152,14 +1039,14 @@ impl<'a> LocalMiner<'a> {
             let mask = &arena.sim.mask()[t.mask_start as usize..][..len * w];
             let eps_fin = &arena.eps_fin[t.eps_start as usize..];
             let set_ids = &arena.sim.ids()[t.ids_start as usize..][..len * l];
-            // Early stopping (Sec. V-C): while the prefix lacks the pivot,
-            // nothing past the sequence's last pivot-producing position can
-            // help it, and at that position only the pivot itself can.
-            let stop = if has_pivot {
-                u32::MAX
-            } else {
-                t.last_pivot_pos
-            };
+            // The cap: a pattern this input counts towards an emitted
+            // support has one of its keys as pivot, so no item above them.
+            // Early stopping (Sec. V-C): while the prefix's largest item is
+            // below its keys, such a pattern still has a key to output, and
+            // nothing past the last position that outputs one can help.
+            let keys = views.keys(s);
+            let cap = keys.cap.min(views.bound);
+            let stop = if top < keys.min { keys.stop } else { u32::MAX };
             walk.stack.clear();
             while idx < node.len() && p_seq(node[idx]) == s {
                 let cell = p_cell(node[idx]);
@@ -1191,14 +1078,14 @@ impl<'a> LocalMiner<'a> {
                         continue;
                     }
                     let id = set_ids[iu * l + tr.label as usize];
-                    let (record, items) = cut.step(id, i, tr.to, stop);
+                    let items = sets.set(id, cap);
                     if items.is_empty() {
                         continue;
                     }
                     let eps = get_bit(eps_fin, target as usize);
                     let live = iu + 1 < len && ix.can_output(tr.to as usize);
                     if live {
-                        raw.words.push((record as u64) << 32 | target as u64);
+                        raw.words.push((id as u64) << 32 | target as u64);
                     }
                     for &item in items {
                         let a = &mut stats.acc[item as usize];
@@ -1244,8 +1131,9 @@ impl<'a> LocalMiner<'a> {
         d.grouped.resize(pos, 0);
         let mut start = 0;
         for &(s, end) in &raw.segs {
+            let cap = views.keys(s).cap.min(views.bound);
             for &word in &raw.words[start..end as usize] {
-                for &item in cut.record_items((word >> 32) as u32) {
+                for &item in sets.set((word >> 32) as u32, cap) {
                     let a = &mut stats.acc[item as usize];
                     if a.support >= sigma {
                         d.grouped[a.count as usize] = posting(s, word as u32);
@@ -1261,10 +1149,12 @@ impl<'a> LocalMiner<'a> {
         stats.items.clear();
     }
 
-    /// Expands one search-tree node; `support` is the node's precomputed
-    /// ε-completion (emission) support. Returns `false` iff the sink
-    /// stopped the traversal. A node without postings has no children: it
-    /// returns right after its emission, taking no depth buffer.
+    /// Expands one search-tree node; `top` is the prefix's largest item (0
+    /// for the root) and `support` the node's precomputed ε-completion
+    /// (emission) support. Every frequent pattern goes to `sink` with its
+    /// largest item; the traversal ends iff the sink returns `false`, and
+    /// so does this. A node without postings has no children: it returns
+    /// right after its emission, taking no depth buffer.
     ///
     /// Under a scheduler (`ctx` given), a shallow node (task-relative
     /// `depth < SPLIT_DEPTH`) whose worker has thieves to feed
@@ -1279,19 +1169,15 @@ impl<'a> LocalMiner<'a> {
         views: Views<'_>,
         node: &[Posting],
         depth: usize,
-        has_pivot: bool,
+        top: ItemId,
         support: u64,
         prefix: &mut Sequence,
         bufs: &mut ExpandBufs,
         ctx: Option<&TaskCtx<'_, MineTask>>,
-        sink: &mut dyn FnMut(Sequence, u64) -> bool,
+        sink: &mut dyn FnMut(&[ItemId], ItemId, u64) -> bool,
     ) -> bool {
-        // Emit the prefix if enough sequences can complete it with ε output.
-        if !prefix.is_empty()
-            && support >= self.config.sigma
-            && has_pivot
-            && !sink(prefix.clone(), support)
-        {
+        // A pattern if enough sequences can complete it with ε output.
+        if !prefix.is_empty() && support >= self.config.sigma && !sink(prefix, top, support) {
             return false;
         }
 
@@ -1307,7 +1193,7 @@ impl<'a> LocalMiner<'a> {
             bufs.depths.push(DepthBufs::default());
         }
         let mut d = std::mem::take(&mut bufs.depths[depth]);
-        self.collect_children(views, node, has_pivot, bufs, &mut d);
+        self.collect_children(views, node, top, bufs, &mut d);
 
         // Always keep the first child inline (splitting everything would
         // leave this worker with nothing but its own bookkeeping).
@@ -1323,7 +1209,7 @@ impl<'a> LocalMiner<'a> {
                     MineTask {
                         prefix: task_prefix,
                         postings: d.grouped[range.clone()].to_vec(),
-                        has_pivot: has_pivot || Some(*w) == self.config.pivot,
+                        top: top.max(*w),
                         emit: *emit,
                     }
                 });
@@ -1341,12 +1227,11 @@ impl<'a> LocalMiner<'a> {
                 continue; // a task now
             }
             prefix.push(*w);
-            let child_pivot = has_pivot || Some(*w) == self.config.pivot;
             keep_going = self.expand(
                 views,
                 &d.grouped[range.clone()],
                 depth + 1,
-                child_pivot,
+                top.max(*w),
                 *emit,
                 prefix,
                 bufs,
@@ -1538,23 +1423,90 @@ mod tests {
         }
     }
 
+    /// The patterns of `expect` whose pivot is among `keys`.
+    fn owned_by(expect: &[(Sequence, u64)], keys: &[ItemId]) -> Vec<(Sequence, u64)> {
+        let owns = |p: &Sequence| keys.contains(&desq_core::sequence::pivot(p));
+        expect.iter().filter(|(p, _)| owns(p)).cloned().collect()
+    }
+
+    /// `picks` of `tables` as the inputs of one bucket owning `keys`
+    /// (ascending): each carries the keys its table outputs, and under
+    /// early stopping the position one scan places for them. A table that
+    /// outputs none of them is no input of the bucket.
+    fn bucket_picks(
+        miner: &LocalMiner<'_>,
+        tables: &SeqTables,
+        picks: &[(u32, u64)],
+        keys: &[ItemId],
+        early_stop: bool,
+    ) -> Vec<Pick> {
+        let mut out = Vec::new();
+        for &(table, weight) in picks {
+            let outputs = |&&k: &&ItemId| miner.key_stop(tables, table, &[k]).is_some();
+            let own: Vec<ItemId> = keys.iter().filter(outputs).copied().collect();
+            let (Some(&min_key), Some(&max_key)) = (own.first(), own.last()) else {
+                continue;
+            };
+            let stop = match early_stop {
+                true => miner.key_stop(tables, table, &own).unwrap(),
+                false => u32::MAX,
+            };
+            out.push(Pick {
+                table,
+                weight,
+                min_key,
+                max_key,
+                stop,
+            });
+        }
+        out
+    }
+
+    /// `miner`'s patterns over `picks` of `tables` mined as one bucket
+    /// owning `keys` (ascending), sorted.
+    fn mined_bucket(
+        miner: &LocalMiner<'_>,
+        tables: &SeqTables,
+        picks: &[(u32, u64)],
+        keys: &[ItemId],
+        early_stop: bool,
+    ) -> Vec<(Sequence, u64)> {
+        let bucket = bucket_picks(miner, tables, picks, keys, early_stop);
+        let mut mined = Vec::new();
+        miner
+            .mine_picks(
+                tables,
+                &bucket,
+                &mut MinerScratch::default(),
+                None,
+                &|p| keys.binary_search(&p).is_ok(),
+                &mut |p, f| mined.push((p, f)),
+            )
+            .unwrap();
+        crate::sort_patterns(mined)
+    }
+
     #[test]
     fn pivot_restricted_mining_matches_fig6() {
-        // Partition P_a1 of the paper's Fig. 6 yields a1 a1 b, a1 A b, a1 b.
+        // Partition P_a1 of the paper's Fig. 6 — the one-key bucket
+        // {a1} — yields a1 a1 b, a1 A b, a1 b.
         let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
-        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(2, fx.a1, false));
-        let out = miner.mine(&inputs).unwrap();
-        let rendered: Vec<(String, u64)> =
-            out.iter().map(|(s, f)| (fx.dict.render(s), *f)).collect();
-        assert_eq!(
-            rendered,
-            vec![
-                ("a1 b".to_string(), 3),
-                ("a1 A b".to_string(), 2),
-                ("a1 a1 b".to_string(), 2),
-            ]
-        );
+        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2));
+        let (tables, picks) = toy_arena(&fx, &miner, 1);
+        for early_stop in [false, true] {
+            let out = mined_bucket(&miner, &tables, &picks, &[fx.a1], early_stop);
+            let rendered: Vec<(String, u64)> =
+                out.iter().map(|(s, f)| (fx.dict.render(s), *f)).collect();
+            assert_eq!(
+                rendered,
+                vec![
+                    ("a1 b".to_string(), 3),
+                    ("a1 A b".to_string(), 2),
+                    ("a1 a1 b".to_string(), 2),
+                ],
+                "early_stop = {early_stop}"
+            );
+        }
     }
 
     #[test]
@@ -1564,15 +1516,11 @@ mod tests {
         // nothing; a1 b would be found but has pivot a1 < c and must not be
         // emitted here).
         let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
+        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(2));
+        let (tables, picks) = toy_arena(&fx, &miner, 1);
         for early_stop in [false, true] {
-            let miner = LocalMiner::new(
-                &fx.fst,
-                &fx.dict,
-                MinerConfig::for_pivot(2, fx.c, early_stop),
-            );
             assert!(
-                miner.mine(&inputs).unwrap().is_empty(),
+                mined_bucket(&miner, &tables, &picks, &[fx.c], early_stop).is_empty(),
                 "early_stop = {early_stop}"
             );
         }
@@ -1581,17 +1529,12 @@ mod tests {
     #[test]
     fn early_stopping_does_not_change_results() {
         let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
         for sigma in 1..=3 {
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
+            let (tables, picks) = toy_arena(&fx, &miner, 1);
             for k in 1..=fx.dict.max_fid() {
-                let plain =
-                    LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(sigma, k, false))
-                        .mine(&inputs)
-                        .unwrap();
-                let stopped =
-                    LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(sigma, k, true))
-                        .mine(&inputs)
-                        .unwrap();
+                let plain = mined_bucket(&miner, &tables, &picks, &[k], false);
+                let stopped = mined_bucket(&miner, &tables, &picks, &[k], true);
                 assert_eq!(plain, stopped, "sigma={sigma} k={k}");
             }
         }
@@ -1600,21 +1543,58 @@ mod tests {
     #[test]
     fn union_of_pivot_partitions_equals_sequential_result() {
         // Item-based partitioning correctness: every frequent sequence is
-        // found in exactly one partition.
+        // found in exactly one partition — one one-key bucket per item.
         let fx = toy::fixture();
-        let inputs = unit_inputs(&fx.db);
         for sigma in 1..=4 {
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
+            let (tables, picks) = toy_arena(&fx, &miner, 1);
             let mut union: Vec<(Sequence, u64)> = Vec::new();
             for k in 1..=fx.dict.max_fid() {
-                let part =
-                    LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(sigma, k, true))
-                        .mine(&inputs)
-                        .unwrap();
-                union.extend(part);
+                union.extend(mined_bucket(&miner, &tables, &picks, &[k], true));
             }
             union.sort();
             let seq = desq_dfs_impl(&fx.db, &fx.fst, &fx.dict, sigma);
             assert_eq!(union, seq, "sigma = {sigma}");
+        }
+    }
+
+    #[test]
+    fn random_key_to_bucket_assignments_split_the_sequential_result() {
+        // Items dealt to one to four buckets at random (a seeded LCG, 200
+        // draws): every bucket mined as one search tree over the tables
+        // that output its keys, with and without early stopping. The
+        // buckets' results together are the sequential result, and no
+        // pattern comes out of two buckets.
+        let fx = toy::fixture();
+        let items = fx.dict.max_fid();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for draw in 0..200 {
+            let (sigma, buckets) = (1 + next(4), 1 + next(4) as usize);
+            let early_stop = next(2) == 1;
+            let owner: Vec<usize> = (0..=items).map(|_| next(buckets as u64) as usize).collect();
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
+            let (tables, picks) = toy_arena(&fx, &miner, 1);
+            let mut union: Vec<(Sequence, u64)> = Vec::new();
+            for b in 0..buckets {
+                let keys: Vec<ItemId> = (1..=items).filter(|&k| owner[k as usize] == b).collect();
+                union.extend(mined_bucket(&miner, &tables, &picks, &keys, early_stop));
+            }
+            let emitted = union.len();
+            union.sort();
+            union.dedup_by(|x, y| x.0 == y.0);
+            let at = format!("draw {draw}: σ={sigma} owners={owner:?} stop={early_stop}");
+            assert_eq!(union.len(), emitted, "a pattern from two buckets, {at}");
+            assert_eq!(
+                union,
+                desq_dfs_impl(&fx.db, &fx.fst, &fx.dict, sigma),
+                "{at}"
+            );
         }
     }
 
@@ -1659,24 +1639,16 @@ mod tests {
         owned.into_iter().max_by_key(|&(_, n)| n).unwrap()
     }
 
-    /// `picks` of `tables` with the early-stopping positions of `miner`'s
-    /// pivot, as its reducer would ship them to [`LocalMiner::mine_picks`].
-    fn with_stops(miner: &LocalMiner<'_>, tables: &SeqTables, picks: &[(u32, u64)]) -> Vec<Pick> {
-        let mut stop = Vec::new();
-        picks
-            .iter()
-            .map(|&(table, weight)| {
-                stop.clear();
-                if let Some(pivot) = miner.config.pivot {
-                    miner.early_stops(tables, table, &[pivot], &mut stop);
-                }
-                Pick {
-                    table,
-                    weight,
-                    stop: stop.first().copied().unwrap_or(u32::MAX),
-                }
-            })
-            .collect()
+    /// `picks` of `tables` as unrestricted [`Pick`]s: no cap, no stop.
+    fn unrestricted(picks: &[(u32, u64)]) -> Vec<Pick> {
+        let pick = |&(table, weight): &(u32, u64)| Pick {
+            table,
+            weight,
+            min_key: 0,
+            max_key: ItemId::MAX,
+            stop: u32::MAX,
+        };
+        picks.iter().map(pick).collect()
     }
 
     /// `inputs` appended to a fresh arena by `builder`, as picks carrying
@@ -1704,9 +1676,10 @@ mod tests {
         // A real corpus: hierarchy fan-out puts many items on one output
         // step, and every node holds many input sequences' raw segments.
         // The reference is DESQ-COUNT, which shares no posting code: eager
-        // mining on one and three workers must give its result, and the
-        // pivot owning the most patterns, with early stopping, its share of
-        // it — eagerly and through `mine_picks` over an arena.
+        // mining on one and three workers must give its result, and — with
+        // early stopping, through `mine_picks` over an arena — the bucket
+        // of the pivot owning the most patterns its share of it, and a
+        // bucket of every other frequent key theirs.
         let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
         let sigma = 10;
@@ -1720,30 +1693,25 @@ mod tests {
                 assert_eq!(mined, expect, "{name} workers={workers}");
             }
             let (pivot, _) = top_pivot(&expect);
-            let share: Vec<_> = expect
-                .iter()
-                .filter(|(p, _)| desq_core::sequence::pivot(p) == pivot)
-                .cloned()
-                .collect();
-            let part = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, pivot, true));
-            assert_eq!(part.mine(&inputs).unwrap(), share, "{name} pivot={pivot}");
             let (tables, picks, _) = arena_of(&miner, &inputs);
-            assert_eq!(
-                mined_picks(&part, &tables, &picks),
-                share,
-                "{name} picks pivot={pivot}"
-            );
+            let share = owned_by(&expect, &[pivot]);
+            let mined = mined_bucket(&miner, &tables, &picks, &[pivot], true);
+            assert_eq!(mined, share, "{name} pivot={pivot}");
+            let odd: Vec<ItemId> = (1..=dict.last_frequent(sigma)).step_by(2).collect();
+            let mined = mined_bucket(&miner, &tables, &picks, &odd, true);
+            assert_eq!(mined, owned_by(&expect, &odd), "{name} odd keys");
         }
     }
 
     #[test]
     fn the_accumulators_grow_to_the_largest_item_bound_and_no_further() {
         // The accumulators cover the item bound — the frequent vocabulary,
-        // or the pivot below it — never the whole dictionary, whatever the
-        // partition's size. One scratch reused across partitions whose
-        // bound swings both ways, a few picks under the largest frequent
-        // pivot among them, holds the largest bound seen, and every
-        // partition mines what eager mining of its picks does.
+        // or the largest key of a bucket below it — never the whole
+        // dictionary, whatever the bucket's size. One scratch reused across
+        // one-key buckets whose bound swings both ways, a few picks under
+        // the largest frequent key among them, holds the largest bound
+        // seen, and every bucket mines its key's share of eager mining of
+        // its picks.
         let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
         let sigma = 10;
@@ -1752,17 +1720,16 @@ mod tests {
         for (name, fst) in &fsts {
             let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(sigma));
             let (tables, picks, input_of) = arena_of(&miner, &inputs);
-            let bufs = miner.expand_bufs(tables.views());
+            let bufs = miner.expand_bufs(tables.views(miner.last_frequent));
             assert_eq!(bufs.stats.acc.len(), last as usize + 1, "{name} eager");
-            // The tables whose sequence can produce the top pivot first,
+            // The tables whose sequence can produce the top key first,
             // weighted so that a single one is frequent.
-            let top = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, last, true));
-            let (mut few, rest): (Vec<usize>, Vec<usize>) =
-                (0..tables.len()).partition(|&s| top.last_pivot_position(&tables, s).is_some());
-            assert!(!few.is_empty(), "{name}: no table holds pivot {last}");
+            let (mut few, rest): (Vec<u32>, Vec<u32>) = (0..tables.len() as u32)
+                .partition(|&s| miner.key_stop(&tables, s, &[last]).is_some());
+            assert!(!few.is_empty(), "{name}: no table holds key {last}");
             few.extend(rest);
-            let few: Vec<(u32, u64)> = few[..3].iter().map(|&s| (s as u32, sigma)).collect();
-            let partitions = [
+            let few: Vec<(u32, u64)> = few[..3].iter().map(|&s| (s, sigma)).collect();
+            let buckets = [
                 (last / 2, &picks[..]),
                 (last, &few[..1]),
                 (last / 4, &picks[..]),
@@ -1770,30 +1737,33 @@ mod tests {
                 (last / 8, &few[..2]),
             ];
             let (mut scratch, mut widest) = (MinerScratch::default(), 0);
-            for (n, (pivot, part_picks)) in partitions.into_iter().enumerate() {
-                let early_stop = n % 2 == 1;
-                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
-                let part = LocalMiner::new(fst, &dict, cfg);
+            for (n, (key, bucket)) in buckets.into_iter().enumerate() {
+                let keyed = bucket_picks(&miner, &tables, bucket, &[key], n % 2 == 1);
                 let mut mined = Vec::new();
-                part.mine_picks(
-                    &tables,
-                    &with_stops(&part, &tables, part_picks),
-                    &mut scratch,
-                    None,
-                    &mut |p, f| mined.push((p, f)),
-                )
-                .unwrap();
-                let eager_inputs: Vec<WeightedInput<'_>> = part_picks
+                miner
+                    .mine_picks(
+                        &tables,
+                        &keyed,
+                        &mut scratch,
+                        None,
+                        &|p| p == key,
+                        &mut |p, f| mined.push((p, f)),
+                    )
+                    .unwrap();
+                let eager_inputs: Vec<WeightedInput<'_>> = bucket
                     .iter()
                     .map(|&(t, w)| (inputs[input_of[t as usize]].0, w))
                     .collect();
-                let at = format!("{name} pivot={pivot} picks={}", part_picks.len());
+                let eager = miner.mine(&eager_inputs).unwrap();
+                let at = format!("{name} key={key} picks={}", bucket.len());
                 assert_eq!(
                     crate::sort_patterns(mined),
-                    part.mine(&eager_inputs).unwrap(),
+                    owned_by(&eager, &[key]),
                     "{at}"
                 );
-                widest = widest.max(pivot as usize + 1);
+                if !keyed.is_empty() {
+                    widest = widest.max(key as usize + 1);
+                }
                 assert_eq!(scratch.bufs.stats.acc.len(), widest, "{at}");
             }
             assert_eq!(widest, last as usize + 1, "{name}");
@@ -1818,38 +1788,27 @@ mod tests {
     }
 
     #[test]
-    fn arena_tables_mine_like_from_scratch_across_pivot_configs() {
-        // Tables are pivot-independent: appended once — by a miner
-        // configured for another pivot and a looser σ — and mined under
-        // every pivot configuration, with doubled weights, at every σ from
-        // 1 (all items frequent) to 6 (none), they must match the
-        // from-scratch miner.
+    fn arena_tables_mine_like_from_scratch_across_buckets() {
+        // Tables are pivot-independent: appended once — by a miner at a
+        // looser σ — and mined as every one-key bucket, with doubled
+        // weights, at every σ from 1 (all items frequent) to 6 (none), with
+        // and without early stopping, they must match the from-scratch
+        // miner's share of the key.
         let fx = toy::fixture();
-        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.b, true));
+        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 2);
         // T3 is rejected and gets no table.
         assert_eq!(picks.len(), fx.db.len() - 1);
         let inputs: Vec<WeightedInput<'_>> =
             fx.db.sequences.iter().map(|s| (s.as_slice(), 2)).collect();
-        let mut scratch = MinerScratch::default();
         for sigma in 1..=6 {
+            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(sigma));
+            let eager = miner.mine(&inputs).unwrap();
             for k in 1..=fx.dict.max_fid() {
                 for early_stop in [false, true] {
-                    let cfg = MinerConfig::for_pivot(sigma, k, early_stop);
-                    let miner = LocalMiner::new(&fx.fst, &fx.dict, cfg);
-                    let mut mined = Vec::new();
-                    miner
-                        .mine_picks(
-                            &tables,
-                            &with_stops(&miner, &tables, &picks),
-                            &mut scratch,
-                            None,
-                            &mut |p, f| mined.push((p, f)),
-                        )
-                        .unwrap();
                     assert_eq!(
-                        crate::sort_patterns(mined),
-                        miner.mine(&inputs).unwrap(),
+                        mined_bucket(&miner, &tables, &picks, &[k], early_stop),
+                        owned_by(&eager, &[k]),
                         "sigma={sigma} k={k} stop={early_stop}"
                     );
                 }
@@ -1857,83 +1816,110 @@ mod tests {
         }
     }
 
+    /// The last position of table `s` (`l` output labels per position)
+    /// whose output sets contain `k` — the per-key brute force.
+    fn last_output_of(tables: &SeqTables, s: u32, l: usize, k: ItemId) -> Option<u32> {
+        let m = &tables.metas[s as usize];
+        let ids = &tables.sim.ids()[m.ids_start as usize..][..m.len as usize * l];
+        let at = ids
+            .iter()
+            .rposition(|&id| tables.sim.set(id, ItemId::MAX).contains(&k))?;
+        Some((at / l) as u32)
+    }
+
     #[test]
     fn one_scan_places_every_pivot_where_its_own_scan_does() {
-        // Every toy table against every ascending pivot list drawn from the
-        // dictionary: the batched scan agrees with the per-pivot scan, and a
-        // pivot the table never outputs stops at position 0.
+        // Every toy table against every ascending key list drawn from the
+        // dictionary: the one scan stops where the last of the keys' own
+        // brute-force scans does, and finds nothing where none of them
+        // does.
         let fx = toy::fixture();
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 1);
+        let l = fx.fst.index().num_labels();
         let items: Vec<ItemId> = (1..=fx.dict.max_fid()).collect();
-        let mut stops = vec![7];
+        let mut placed = 0;
         for &(t, _) in &picks {
             for lists in 1u32..1 << items.len() {
-                let pivots: Vec<ItemId> = items
+                let keys: Vec<ItemId> = items
                     .iter()
                     .copied()
                     .filter(|&w| lists & 1 << (w - 1) != 0)
                     .collect();
-                stops.truncate(1);
-                builder.early_stops(&tables, t, &pivots, &mut stops);
-                assert_eq!(stops[0], 7, "appends, never overwrites");
-                for (&p, &stop) in pivots.iter().zip(&stops[1..]) {
-                    let own =
-                        LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, p, true));
-                    let expect = own
-                        .last_pivot_position(&tables, t as usize)
-                        .map_or(0, |i| i as u32);
-                    assert_eq!(stop, expect, "table {t} pivot {p} of {pivots:?}");
-                }
+                let own = keys
+                    .iter()
+                    .filter_map(|&k| last_output_of(&tables, t, l, k));
+                let expect = own.max();
+                assert_eq!(
+                    builder.key_stop(&tables, t, &keys),
+                    expect,
+                    "table {t} keys {keys:?}"
+                );
+                placed += usize::from(expect.is_some());
             }
         }
+        assert!(placed > 0);
     }
 
     #[test]
     fn a_tripped_token_stops_mine_picks_before_its_first_pattern() {
-        let fx = toy::fixture();
-        let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
-        let (tables, picks) = toy_arena(&fx, &builder, 1);
-        let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, fx.a1, true));
-        let mut scratch = MinerScratch::default();
-        let mut mined = 0;
-        let live = CancelToken::new();
-        miner
-            .mine_picks(
+        // The token is polled at every frequent pattern the search visits,
+        // emitted or not — each one the owner test sees. On N4, the bucket
+        // of the key owning the most patterns stops before emitting one,
+        // and so does a bucket whose key owns none while its search visits
+        // patterns of smaller keys.
+        let (dict, db, [(_, n4), _]) = nyt_loose();
+        let sigma = 10;
+        let miner = LocalMiner::new(&n4, &dict, MinerConfig::sequential(sigma));
+        let (tables, picks, _) = arena_of(&miner, &unit_inputs(&db));
+        let run = |key: ItemId, token: &CancelToken| {
+            let bucket = bucket_picks(&miner, &tables, &picks, &[key], true);
+            let (visited, mut emitted) = (std::cell::Cell::new(0), 0);
+            let owns = |p| {
+                visited.set(visited.get() + 1);
+                p == key
+            };
+            let mut scratch = MinerScratch::default();
+            let mut sink = |_, _| emitted += 1;
+            let stopped = miner.mine_picks(
                 &tables,
-                &with_stops(&miner, &tables, &picks),
+                &bucket,
                 &mut scratch,
-                Some(&live),
-                &mut |_, _| mined += 1,
-            )
-            .unwrap();
-        assert!(mined > 0, "the partition has patterns to stop");
-        let token = CancelToken::new();
-        token.cancel();
-        let mut emitted = 0;
-        let stopped = miner.mine_picks(
-            &tables,
-            &with_stops(&miner, &tables, &picks),
-            &mut scratch,
-            Some(&token),
-            &mut |_, _| emitted += 1,
-        );
-        assert!(
-            matches!(stopped, Err(desq_core::Error::Cancelled(_))),
-            "{stopped:?}"
-        );
-        assert_eq!(emitted, 0);
+                Some(token),
+                &owns,
+                &mut sink,
+            );
+            (stopped, visited.get(), emitted)
+        };
+        let live = CancelToken::new();
+        let ctx = MiningContext::sequential(&db, &dict, sigma).with_fst(&n4);
+        let (owning, _) = top_pivot(&crate::algo::DesqCount.mine(&ctx).unwrap().patterns);
+        let idle = (1..=dict.last_frequent(sigma))
+            .find(|&k| matches!(run(k, &live), (Ok(()), 1.., 0)))
+            .expect("a key owning none of the patterns its bucket visits");
+        assert!(matches!(run(owning, &live), (Ok(()), _, 1..)));
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        for key in [owning, idle] {
+            let (stopped, visited, emitted) = run(key, &tripped);
+            assert!(
+                matches!(stopped, Err(desq_core::Error::Cancelled(_))),
+                "key {key}: {stopped:?}"
+            );
+            assert_eq!((visited, emitted), (0, 0), "key {key}");
+        }
     }
 
     #[test]
     fn outputs_above_the_item_bound_stay_out_of_the_dense_accumulators() {
-        // The arena holds every frequent output; a pivot partition sizes
-        // its accumulators by its own item bound, so the DFS must cut each
-        // output slice before indexing them.
+        // The arena holds every frequent output; a one-key bucket sizes its
+        // accumulators by its key, so the DFS must cut each output slice at
+        // the pick's cap before indexing them.
         let fx = toy::fixture();
         let inputs = unit_inputs(&fx.db);
         let builder = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::sequential(1));
         let (tables, picks) = toy_arena(&fx, &builder, 1);
+        let eager = builder.mine(&inputs).unwrap();
         let items = || {
             tables
                 .sim
@@ -1943,70 +1929,61 @@ mod tests {
         };
         for k in 1..fx.dict.max_fid() {
             assert!(items().any(|set| set.iter().any(|&w| w > k)), "k={k}");
-            let miner = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(1, k, false));
+            let bucket = bucket_picks(&builder, &tables, &picks, &[k], false);
             let mut scratch = MinerScratch::default();
             let mut mined = Vec::new();
-            miner
+            builder
                 .mine_picks(
                     &tables,
-                    &with_stops(&miner, &tables, &picks),
+                    &bucket,
                     &mut scratch,
                     None,
+                    &|p| p == k,
                     &mut |p, f| mined.push((p, f)),
                 )
                 .unwrap();
             assert_eq!(scratch.bufs.stats.acc.len(), k as usize + 1, "k={k}");
-            assert_eq!(
-                crate::sort_patterns(mined),
-                miner.mine(&inputs).unwrap(),
-                "k={k}"
-            );
+            assert_eq!(crate::sort_patterns(mined), owned_by(&eager, &[k]), "k={k}");
         }
     }
 
     #[test]
-    fn early_stopping_prunes_pivot_dead_children_on_n5() {
-        // N5 captures one item per pattern and outputs nothing after it, so
-        // every output step lands in a state with no output left: under
-        // early stopping a partition expands its root and at most its
-        // pivot child. Without it the same partitions expand every frequent
-        // item below the pivot, and both searches mine the same patterns.
+    fn a_bucket_of_every_key_walks_the_sequential_tree_once() {
+        // N5 captures one item per pattern and outputs nothing after it.
+        // As one bucket of every frequent key, its inputs are walked from
+        // the root once: the bucket visits the nodes eager mining visits
+        // and mines the same patterns, where one-key buckets each walk the
+        // root again over the inputs they share.
         let (dict, db) = desq_datagen::nyt_like(&desq_datagen::NytConfig::new(2_000));
         let n5 = desq_core::PatEx::parse("[(.^). .]|[. (.^).]|[. .(.^)]").unwrap();
         let fst = Fst::compile(&n5.unanchored(), &dict).unwrap();
         let sigma = 10;
         let last = dict.last_frequent(sigma);
-        let builder = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
-        let (tables, picks, _) = arena_of(&builder, &unit_inputs(&db));
-        let mine = |early_stop| {
+        let miner = LocalMiner::new(&fst, &dict, MinerConfig::sequential(sigma));
+        let inputs = unit_inputs(&db);
+        let (tables, picks, _) = arena_of(&miner, &inputs);
+        let (sequential, eager_nodes, _) = mined_and_counted(&miner, &inputs, 1);
+        assert!(!sequential.is_empty());
+        let mine = |buckets: Vec<Vec<ItemId>>| {
             let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
-            for pivot in 1..=last {
-                let cfg = MinerConfig::for_pivot(sigma, pivot, early_stop);
-                let part = LocalMiner::new(&fst, &dict, cfg);
-                part.mine_picks(
-                    &tables,
-                    &with_stops(&part, &tables, &picks),
-                    &mut scratch,
-                    None,
-                    &mut |p, f| mined.push((p, f)),
-                )
-                .unwrap();
+            for keys in &buckets {
+                let bucket = bucket_picks(&miner, &tables, &picks, keys, true);
+                let owns = |p| keys.binary_search(&p).is_ok();
+                let mut sink = |p, f| mined.push((p, f));
+                miner
+                    .mine_picks(&tables, &bucket, &mut scratch, None, &owns, &mut sink)
+                    .unwrap();
             }
             (crate::sort_patterns(mined), scratch.bufs.nodes)
         };
-        let (plain, plain_nodes) = mine(false);
-        let (pruned, pruned_nodes) = mine(true);
-        let sequential = desq_dfs_impl(&db, &fst, &dict, sigma);
-        assert!(!sequential.is_empty());
-        assert_eq!(plain, sequential);
-        assert_eq!(pruned, sequential);
+        let (whole, whole_nodes) = mine(vec![(1..=last).collect()]);
+        let (split, split_nodes) = mine((1..=last).map(|k| vec![k]).collect());
+        assert_eq!(whole, sequential);
+        assert_eq!(split, sequential);
+        assert_eq!(whole_nodes, eager_nodes);
         assert!(
-            pruned_nodes <= 2 * last as usize,
-            "{pruned_nodes} nodes over {last} partitions"
-        );
-        assert!(
-            pruned_nodes < plain_nodes,
-            "{pruned_nodes} vs {plain_nodes}"
+            split_nodes > 2 * whole_nodes,
+            "{split_nodes} vs {whole_nodes}"
         );
     }
 
@@ -2068,12 +2045,13 @@ mod tests {
             .append(tight.prepare_tables(tail, 1).unwrap(), fx.fst.num_states())
             .unwrap();
         assert_eq!(mined_picks(&tight, &merged, &all_picks(&merged)), expect);
-        // And under a pivot with early stopping, which reads the id rows.
-        let part = LocalMiner::new(&fx.fst, &fx.dict, MinerConfig::for_pivot(2, fx.a1, true));
-        let share = part.mine(&inputs).unwrap();
+        // And as the bucket {a1} with early stopping, which reads the id
+        // rows.
+        let share = owned_by(&expect, &[fx.a1]);
         assert!(!share.is_empty());
-        assert_eq!(mined_picks(&part, &tables, &picks), share);
-        assert_eq!(mined_picks(&part, &merged, &all_picks(&merged)), share);
+        assert_eq!(mined_bucket(&tight, &tables, &picks, &[fx.a1], true), share);
+        let all = all_picks(&merged);
+        assert_eq!(mined_bucket(&tight, &merged, &all, &[fx.a1], true), share);
     }
 
     /// `nyt_like(1 000)` at seed 1 with the loose constraints N4 and N5.
@@ -2106,9 +2084,10 @@ mod tests {
         miner
             .mine_picks(
                 tables,
-                &with_stops(miner, tables, picks),
+                &unrestricted(picks),
                 &mut MinerScratch::default(),
                 None,
+                &|_| true,
                 &mut |p, f| mined.push((p, f)),
             )
             .unwrap();
@@ -2145,25 +2124,21 @@ mod tests {
                 .iter()
                 .zip(b.ids())
                 .all(|(&x, &y)| a.set(x, ItemId::MAX) == b.set(y, ItemId::MAX)));
-            // Early stopping reads the id rows (`last_pivot_pos`): under the
-            // pivot owning the most patterns, an `append_tables` arena and
-            // the merged build mine that partition as mining it from
-            // scratch does.
+            // Early stopping reads the id rows (`key_stop`): as the bucket
+            // of the pivot owning the most patterns, an `append_tables`
+            // arena and the merged build mine its share of the result.
             let (pivot, owned) = top_pivot(&expect);
-            let part = LocalMiner::new(fst, &dict, MinerConfig::for_pivot(sigma, pivot, true));
-            let share = part.mine(&inputs).unwrap();
+            let share = owned_by(&expect, &[pivot]);
             assert_eq!(share.len(), owned, "{name}");
             let (arena, picks, _) = arena_of(&miner, &inputs);
-            assert_eq!(mined_picks(&part, &arena, &picks), share, "{name} arena");
-            assert_eq!(
-                mined_picks(&part, &three, &all_picks(&three)),
-                share,
-                "{name} merged"
-            );
-            for s in 0..three.len() {
+            let mined = mined_bucket(&miner, &arena, &picks, &[pivot], true);
+            assert_eq!(mined, share, "{name} arena");
+            let mined = mined_bucket(&miner, &three, &all_picks(&three), &[pivot], true);
+            assert_eq!(mined, share, "{name} merged");
+            for s in 0..three.len() as u32 {
                 assert_eq!(
-                    part.last_pivot_position(&three, s),
-                    part.last_pivot_position(&arena, s),
+                    miner.key_stop(&three, s, &[pivot]),
+                    miner.key_stop(&arena, s, &[pivot]),
                     "{name} table {s}"
                 );
             }
@@ -2204,12 +2179,12 @@ mod tests {
         // per-sequence output arena coming back shows up here.
         let (dict, db, fsts) = nyt_loose();
         let inputs = unit_inputs(&db);
-        // Per accepted sequence: N4 273.7 bytes, N5 277.9 (the directory 52.0
+        // Per accepted sequence: N4 265.7 bytes, N5 269.9 (the directory 52.0
         // and 62.1 of them: its sets are uncut, so it holds the outputs of
         // infrequent items too).
         let pinned = [
-            (941, [30_112, 110_520, 12_760, 55_260, 48_904]),
-            (1_000, [32_000, 112_488, 15_072, 56_244, 62_088]),
+            (941, [22_584, 110_520, 12_760, 55_260, 48_904]),
+            (1_000, [24_000, 112_488, 15_072, 56_244, 62_088]),
         ];
         for ((name, fst), (accepted, bytes)) in fsts.iter().zip(pinned) {
             let miner = LocalMiner::new(fst, &dict, MinerConfig::sequential(10));
@@ -2229,11 +2204,11 @@ mod tests {
     /// in the buffer, their items, and the grouped frequent children.
     fn root_children(fst: &Fst, dict: &Dictionary, tables: &SeqTables) -> (RawChildren, DepthBufs) {
         let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(10));
-        let views = tables.views();
+        let views = tables.views(miner.last_frequent);
         let roots: Vec<Posting> = miner.root_postings(views).collect();
         let mut bufs = miner.expand_bufs(views);
         let mut first = DepthBufs::default();
-        miner.collect_children(views, &roots, true, &mut bufs, &mut first);
+        miner.collect_children(views, &roots, 0, &mut bufs, &mut first);
         (bufs.raw, first)
     }
 
@@ -2323,10 +2298,10 @@ mod tests {
         (crate::sort_patterns(mined), nodes, dead)
     }
 
-    /// Mines `db` at `sigma` unrestricted and under each of `pivots` with
-    /// and without early stopping — eagerly on one and three workers, and
-    /// through `mine_picks` over an arena — and checks every run against
-    /// DESQ-COUNT's result (its pivot's share of it) and for dead postings.
+    /// Mines `db` at `sigma` eagerly on one and three workers, and through
+    /// `mine_picks` over an arena as the one-key bucket of each of `pivots`
+    /// with and without early stopping, and checks every run against
+    /// DESQ-COUNT's result (its key's share of it) and for dead postings.
     fn assert_no_dead_posting(
         fst: &Fst,
         dict: &Dictionary,
@@ -2337,41 +2312,33 @@ mod tests {
         let inputs = unit_inputs(db);
         let ctx = MiningContext::sequential(db, dict, sigma).with_fst(fst);
         let all = crate::algo::DesqCount.mine(&ctx).unwrap().patterns;
-        let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
-        let (tables, picks, _) = arena_of(&builder, &inputs);
-        let configs = pivots.iter().flat_map(|&k| {
-            [false, true].map(|early_stop| MinerConfig::for_pivot(sigma, k, early_stop))
-        });
-        for cfg in std::iter::once(MinerConfig::sequential(sigma)).chain(configs) {
-            let expect: Vec<_> = all
-                .iter()
-                .filter(|(p, _)| cfg.pivot.is_none_or(|k| desq_core::sequence::pivot(p) == k))
-                .cloned()
-                .collect();
-            let miner = LocalMiner::new(fst, dict, cfg);
-            for workers in [1, 3] {
-                let at = format!("σ={sigma} {cfg:?} workers={workers}");
-                let (mined, nodes, dead) = mined_and_counted(&miner, &inputs, workers);
-                assert_eq!(mined, expect, "{at}");
-                assert!(nodes > 0, "{at}");
-                assert_eq!(dead, 0, "{at}");
+        let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+        for workers in [1, 3] {
+            let at = format!("σ={sigma} workers={workers}");
+            let (mined, nodes, dead) = mined_and_counted(&miner, &inputs, workers);
+            assert_eq!(mined, all, "{at}");
+            assert!(nodes > 0, "{at}");
+            assert_eq!(dead, 0, "{at}");
+        }
+        let (tables, picks, _) = arena_of(&miner, &inputs);
+        for &k in pivots {
+            for early_stop in [false, true] {
+                let at = format!("σ={sigma} key={k} stop={early_stop}");
+                let bucket = bucket_picks(&miner, &tables, &picks, &[k], early_stop);
+                let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
+                miner
+                    .mine_picks(
+                        &tables,
+                        &bucket,
+                        &mut scratch,
+                        None,
+                        &|p| p == k,
+                        &mut |p, f| mined.push((p, f)),
+                    )
+                    .unwrap();
+                assert_eq!(crate::sort_patterns(mined), owned_by(&all, &[k]), "{at}");
+                assert_eq!(scratch.bufs.dead, 0, "{at}");
             }
-            let (mut scratch, mut mined) = (MinerScratch::default(), Vec::new());
-            miner
-                .mine_picks(
-                    &tables,
-                    &with_stops(&miner, &tables, &picks),
-                    &mut scratch,
-                    None,
-                    &mut |p, f| mined.push((p, f)),
-                )
-                .unwrap();
-            assert_eq!(
-                crate::sort_patterns(mined),
-                expect,
-                "σ={sigma} {cfg:?} picks"
-            );
-            assert_eq!(scratch.bufs.dead, 0, "σ={sigma} {cfg:?} picks");
         }
     }
 
@@ -2486,10 +2453,6 @@ mod tests {
             starts[k] = max + 1;
             assert!(!fits_widths(0, 0, 1, starts), "start {k}");
         }
-        // A directory holds at most `u32::MAX` set ids (`fst::sim`'s own
-        // predicate test), so every id stays below the raw records'
-        // reserved one.
-        assert_eq!(max, PIVOT_ONLY as usize);
         // The largest index and cell of a fitting sequence round-trip.
         let top = (((1 << 15) - 1) << 16) - 1;
         let p = posting(u32::MAX - 1, top);

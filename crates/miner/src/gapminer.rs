@@ -14,8 +14,9 @@
 //! `T3(σ, γ, λ) = (.^)[.{0,γ}(.^)]{1,λ-1}` (hierarchy), which is asserted by
 //! cross-validation tests against the FST-based miners.
 //!
-//! Like [`crate::LocalMiner`], the miner supports pivot restrictions so it
-//! can serve as the reduce phase of the LASH-style distributed baseline.
+//! Like [`crate::LocalMiner`]'s bucket mining, the miner supports a pivot
+//! restriction so it can serve as the reduce phase of the LASH-style
+//! distributed baseline.
 
 use std::time::Instant;
 

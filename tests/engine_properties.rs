@@ -6,7 +6,7 @@ use std::sync::LazyLock;
 
 use proptest::prelude::*;
 
-use desq::bsp::{run_round, Combiner, Exec, InProcess, KeyGroup};
+use desq::bsp::{run_round, Bucket, Combiner, Exec, InProcess, ReduceUnit};
 use desq::core::codec::{decode_item_seq, encode_item_seq};
 use desq::core::fx::FxHashMap;
 use desq::core::{Dictionary, DictionaryBuilder, Sequence, SequenceDb};
@@ -94,12 +94,14 @@ fn frequent_pivot_partitions_stay_small() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The round == sequential fold for a random aggregation job.
+    /// The round == sequential fold for a random aggregation job, whether
+    /// its reduce tasks are key runs or whole buckets.
     #[test]
     fn engine_equals_sequential_fold(
         data in proptest::collection::vec(proptest::collection::vec(0u32..50, 0..20), 0..30),
         workers in 1usize..5,
         partitions in 1usize..7,
+        whole in 0u8..2,
     ) {
         // Sequential reference: per key (item % 7), sum of values.
         let mut expect = std::collections::BTreeMap::<u32, u64>::new();
@@ -112,6 +114,7 @@ proptest! {
         let res = driven(run_round(
             &round(&db, workers, partitions, workers),
             Exec::Via(&InProcess),
+            if whole == 1 { ReduceUnit::Buckets } else { ReduceUnit::KeyRuns },
             |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
                     c.emit(&[x % 7], &[], u64::from(x));
@@ -119,8 +122,10 @@ proptest! {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                emit((vec![k], vs.payloads().map(|(_, w)| w).sum()));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                for (k, vs) in bucket.groups() {
+                    emit((vec![k], vs.payloads().map(|(_, w)| w).sum()));
+                }
                 Ok(())
             },
         ));
@@ -173,6 +178,7 @@ proptest! {
         let res = driven(run_round(
             &round(&db, 2, weights.len().div_ceil(3), 3),
             Exec::Via(&InProcess),
+            ReduceUnit::KeyRuns,
             |part: &[Sequence], c: &mut Combiner| {
                 for &i in part.iter().flatten() {
                     c.emit(&[7], payload_ref, weights[i as usize]);
@@ -180,11 +186,13 @@ proptest! {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                let merged: Vec<_> = vs.payloads().collect();
-                assert_eq!(merged.len(), 1, "identical records must merge");
-                assert_eq!(merged[0].0, payload_ref.as_slice());
-                emit((vec![k], merged[0].1));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                for (k, vs) in bucket.groups() {
+                    let merged: Vec<_> = vs.payloads().collect();
+                    assert_eq!(merged.len(), 1, "identical records must merge");
+                    assert_eq!(merged[0].0, payload_ref.as_slice());
+                    emit((vec![k], merged[0].1));
+                }
                 Ok(())
             },
         ));
@@ -201,6 +209,7 @@ proptest! {
         let res = driven(run_round(
             &round(&db, 3, data.len().div_ceil(4), 3),
             Exec::Via(&InProcess),
+            ReduceUnit::KeyRuns,
             |part: &[Sequence], c: &mut Combiner| {
                 for &x in part.iter().flatten() {
                     c.emit(&[x % 3], &x.to_le_bytes(), 1);
@@ -208,12 +217,14 @@ proptest! {
                 Ok(())
             },
             || (),
-            |(): &mut (), k, vs: KeyGroup<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
-                let total: u64 = vs
-                    .payloads()
-                    .map(|(b, w)| u64::from(u32::from_le_bytes(b.try_into().unwrap())) * w)
-                    .sum();
-                emit((vec![k], total));
+            |(): &mut (), bucket: Bucket<'_>, emit: &mut dyn FnMut((Vec<u32>, u64))| {
+                for (k, vs) in bucket.groups() {
+                    let total: u64 = vs
+                        .payloads()
+                        .map(|(b, w)| u64::from(u32::from_le_bytes(b.try_into().unwrap())) * w)
+                        .sum();
+                    emit((vec![k], total));
+                }
                 Ok(())
             },
         ));

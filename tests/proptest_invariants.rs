@@ -191,12 +191,12 @@ fn check_sim_against_grid(
 }
 
 /// D-SEQ's reducer shape against sequential DESQ-DFS: tables appended by
-/// a pivot-less miner from each shipped sequence's rewritten range, mined
-/// as picks under the pivot restriction. For every pivot `p`, with early
-/// stopping (both halves) on and off, the partition finds exactly the
-/// sequential patterns whose largest item is `p`. Each table's
-/// early-stopping positions come from one scan for all of its pivots, as
-/// D-SEQ's reducers compute them.
+/// one miner from each shipped sequence's rewritten range, mined as
+/// one-key buckets. For every pivot `p`, with early stopping on and off,
+/// the bucket {p} — a pick per sequence with pivot `p`, capped at `p` and
+/// carrying the position one scan of its table places for it, as D-SEQ's
+/// reducers compute it — finds exactly the sequential patterns whose
+/// largest item is `p`.
 fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> {
     let dict = &world.dict;
     let last = dict.last_frequent(sigma);
@@ -207,28 +207,19 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
         .iter()
         .map(|s| (s.as_slice(), 1))
         .collect();
-    let sequential = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma))
-        .mine(&inputs)
-        .unwrap();
-    let builder = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+    let miner = LocalMiner::new(fst, dict, MinerConfig::sequential(sigma));
+    let sequential = miner.mine(&inputs).unwrap();
     let (mut tables, mut scratch) = (SeqTables::default(), MinerScratch::default());
-    let mut partitions: BTreeMap<ItemId, Vec<Pick>> = BTreeMap::new();
-    let mut stops = Vec::new();
+    let mut partitions: BTreeMap<ItemId, Vec<u32>> = BTreeMap::new();
     for seq in &world.db.sequences {
         let (pivots, range) = search.pivots(seq);
         let Some(range) = range else { continue };
-        let table = builder
+        let table = miner
             .append_tables(&seq[range], &mut tables, &mut scratch)
             .unwrap()
             .expect("a pivot's rewritten range is accepted");
-        stops.clear();
-        builder.early_stops(&tables, table, &pivots, &mut stops);
-        for (&p, &stop) in pivots.iter().zip(&stops) {
-            partitions.entry(p).or_default().push(Pick {
-                table,
-                weight: 1,
-                stop,
-            });
+        for &p in &pivots {
+            partitions.entry(p).or_default().push(table);
         }
     }
     for p in 1..=dict.max_fid() {
@@ -237,14 +228,29 @@ fn check_partitions(fst: &Fst, world: &World, sigma: u64) -> Result<(), String> 
             .filter(|(s, _)| desq::core::sequence::pivot(s) == p)
             .cloned()
             .collect();
-        let picks = partitions.get(&p).map_or(&[][..], Vec::as_slice);
+        let tables_of = partitions.get(&p).map_or(&[][..], Vec::as_slice);
         for early_stop in [false, true] {
-            let cfg = MinerConfig::for_pivot(sigma, p, early_stop);
+            let pick = |&table: &u32| Pick {
+                table,
+                weight: 1,
+                min_key: p,
+                max_key: p,
+                stop: match early_stop {
+                    true => miner.key_stop(&tables, table, &[p]).unwrap_or(0),
+                    false => u32::MAX,
+                },
+            };
+            let picks: Vec<Pick> = tables_of.iter().map(pick).collect();
             let mut mined = Vec::new();
-            LocalMiner::new(fst, dict, cfg)
-                .mine_picks(&tables, picks, &mut scratch, None, &mut |s, f| {
-                    mined.push((s, f))
-                })
+            miner
+                .mine_picks(
+                    &tables,
+                    &picks,
+                    &mut scratch,
+                    None,
+                    &|q| q == p,
+                    &mut |s, f| mined.push((s, f)),
+                )
                 .unwrap();
             prop_assert_eq!(
                 &desq::miner::sort_patterns(mined),
@@ -706,7 +712,7 @@ proptest! {
 
     /// Parallel local mining (sharded first-level children) is
     /// result-identical to sequential mining on random worlds, for the
-    /// eager, streaming, and pivot-restricted entry points.
+    /// eager and streaming entry points.
     #[test]
     fn parallel_local_mining_matches_sequential(
         world in arb_world(), e in arb_pexp(4), sigma in 1u64..3,
@@ -736,14 +742,6 @@ proptest! {
             prop_assert!(completed);
             streamed.sort_unstable();
             prop_assert_eq!(&streamed, &sequential, "streamed, workers = {}", workers);
-        }
-        // Pivot-restricted parallel mining agrees with its sequential twin.
-        for k in 1..=world.dict.max_fid() {
-            let miner =
-                LocalMiner::new(&fst, &world.dict, MinerConfig::for_pivot(sigma, k, true));
-            let sequential = miner.mine(&inputs).unwrap();
-            let (parallel, _) = miner.mine_with_workers(&inputs, 3, None).unwrap();
-            prop_assert_eq!(parallel, sequential, "pivot {}", k);
         }
     }
 
